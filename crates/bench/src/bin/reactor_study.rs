@@ -36,8 +36,8 @@ use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
-    clamp_connections, run_open_loop, BatchPolicy, LoadConfig, ModelSpec, OpenLoopConfig,
-    OpenLoopReport, ReactorConfig, ServerConfig, ServingMode, SpnServer,
+    clamp_connections, run_load, BatchPolicy, LoadConfig, LoadReport, ModelSpec, ReactorConfig,
+    ServerConfig, ServingMode, SpnServer,
 };
 use spn_telemetry::{RunKind, RunRecord};
 use std::sync::Arc;
@@ -116,27 +116,23 @@ fn start_server(serving: ServingMode) -> SpnServer {
     .unwrap()
 }
 
-fn run_point(serving: ServingMode, connections: usize, requests: usize) -> OpenLoopReport {
+fn run_point(serving: ServingMode, connections: usize, requests: usize) -> LoadReport {
     let mut server = start_server(serving);
-    let cfg = OpenLoopConfig {
-        load: LoadConfig {
-            addr: server.local_addr(),
-            model: MODEL.name().to_string(),
-            num_features: MODEL.num_vars() as u32,
-            domain: 255,
-            connections,
-            requests_per_connection: requests,
-            samples_per_request: SAMPLES_PER_REQUEST,
-            deadline_ms: 0,
-            seed: SEED,
-        },
-        workers: 2,
-        run_timeout: Some(Duration::from_secs(300)),
+    let cfg = LoadConfig {
+        addr: server.local_addr(),
+        model: MODEL.name().to_string(),
+        num_features: MODEL.num_vars() as u32,
+        domain: 255,
+        connections,
+        requests_per_connection: requests,
+        samples_per_request: SAMPLES_PER_REQUEST,
+        deadline_ms: 0,
+        seed: SEED,
     };
     // Best of two runs by throughput (see module docs).
     let report = (0..2)
-        .map(|_| run_open_loop(&cfg).expect("open-loop run"))
-        .max_by(|a, b| a.load.samples_per_sec.total_cmp(&b.load.samples_per_sec))
+        .map(|_| run_load(&cfg).expect("load run"))
+        .max_by(|a, b| a.samples_per_sec.total_cmp(&b.samples_per_sec))
         .unwrap();
     server.shutdown();
     assert_eq!(report.connections, connections, "fd budget clamped the run");
@@ -186,8 +182,7 @@ fn main() {
                 }),
             ),
         ] {
-            let report = run_point(engine, c, requests);
-            let load = &report.load;
+            let load = run_point(engine, c, requests);
             table.row(vec![
                 label.to_string(),
                 c.to_string(),

@@ -39,7 +39,7 @@ pub use engine::{Engine, Model, Scheduler};
 pub use histogram::{HistogramSummary, LogHistogram};
 pub use queue::EventQueue;
 pub use resource::{Grant, MultiServer, Timeline};
-pub use rng::SplitMix64;
+pub use rng::{fnv1a_mix64, SplitMix64};
 pub use stats::{geometric_mean, Summary, ThroughputMeter, TimeWeighted};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, GB, GIB, KIB, MIB};

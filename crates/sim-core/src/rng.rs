@@ -21,10 +21,7 @@ impl SplitMix64 {
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// Uniform double in `[0, 1)`.
@@ -50,9 +47,39 @@ impl SplitMix64 {
     }
 }
 
+/// The splitmix64 output finalizer: a bijective avalanche mix of one
+/// 64-bit word.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// FNV-1a (64-bit) over `bytes`, finished with the splitmix64 mix: the
+/// workspace's one platform-stable, dependency-free byte hash (ring
+/// placement, trace and reply digests). Not cryptographic. Every
+/// per-byte step is a bijection of the running state, so any
+/// single-byte change reaches the output; the finalizer supplies the
+/// high-bit avalanche raw FNV lacks, which keys differing only in a
+/// short suffix need.
+pub fn fnv1a_mix64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01B3);
+    }
+    mix64(h)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_mix64_known_answers() {
+        assert_eq!(fnv1a_mix64(b""), 0xf52a_15e9_a9b5_e89b);
+        assert_eq!(fnv1a_mix64(b"abc"), 0x0dd4_9049_0804_b508);
+    }
 
     #[test]
     fn deterministic_for_equal_seeds() {

@@ -20,8 +20,8 @@ use spn_router::{RouterConfig, SpnRouter};
 use spn_runtime::perf::{simulate, PerfConfig};
 use spn_runtime::prelude::*;
 use spn_server::{
-    run_load, run_open_loop, BatchPolicy, LoadConfig, ModelSpec, OpenLoopConfig, ReactorConfig,
-    ServerConfig, ServingMode, SpnServer,
+    run_load, BatchPolicy, LoadConfig, ModelSpec, ReactorConfig, ServerConfig, ServingMode,
+    SpnServer,
 };
 use spn_telemetry::{ModelTelemetry, RunKind, RunRecord, TelemetrySnapshot, TraceCollector};
 use std::fmt::Write as _;
@@ -117,19 +117,17 @@ COMMANDS:
   load       --addr HOST:PORT | --port-file FILE [--benchmark NIPS10]
              [--connections C] [--requests N] [--batch K] [--deadline-ms D]
              [--seed S] [--stats true] [--shutdown true]
-             [--open-loop true] [--workers W] [--run-timeout-ms MS]
              Load generation against a running server; reports
-             samples/s and p50/p95/p99 latency. Default is
-             closed-loop (a blocking thread per connection). With
-             --open-loop true, a few epoll worker threads multiplex
-             all C connections nonblockingly — the mode that holds
-             thousands of concurrent connections (the count is
-             clamped to the fd budget). Works unchanged against a
-             router (`spn route`) address.
+             samples/s, p50/p95/p99 latency and dial time. Two epoll
+             worker threads multiplex all C connections, each
+             keeping one request in flight, so the same command
+             holds 4 connections or thousands (the count is clamped
+             to the fd budget). Works unchanged against a router
+             (`spn route`) address.
   record     --trace-out FILE.spntrace --addr HOST:PORT | --port-file FILE
              [--benchmark NIPS10] [--connections C] [--requests N] [--batch K]
              [--deadline-ms D] [--seed S] [--runs DIR]
-             Closed-loop load like `load`, but records every request
+             Load like `load`, but records every request
              (arrival offset, per-request seed, payload and reply
              digests) into a replayable .spntrace file. With --runs,
              appends a RunRecord to that store directory.
@@ -886,8 +884,8 @@ fn cmd_route(args: &Args) -> Result<CmdResult, CmdError> {
     Ok(CmdResult { stdout: out, files })
 }
 
-/// Offer closed-loop load to a running server and report throughput
-/// and latency percentiles.
+/// Offer load to a running server and report throughput and latency
+/// percentiles.
 fn cmd_load(args: &Args) -> Result<CmdResult, CmdError> {
     args.check_known(&[
         "addr",
@@ -900,38 +898,12 @@ fn cmd_load(args: &Args) -> Result<CmdResult, CmdError> {
         "seed",
         "stats",
         "shutdown",
-        "open-loop",
-        "workers",
-        "run-timeout-ms",
     ])?;
-    let addr = resolve_addr(args)?;
-    let bench = NipsBenchmark::from_name(args.get("benchmark").unwrap_or("NIPS10"))
-        .ok_or_else(|| CmdError("unknown benchmark".into()))?;
-    let cfg = LoadConfig {
-        addr,
-        model: bench.name().to_string(),
-        num_features: bench.num_vars() as u32,
-        domain: 255,
-        connections: args.get_or("connections", 4usize)?,
-        requests_per_connection: args.get_or("requests", 64usize)?,
-        samples_per_request: args.get_or("batch", 1u32)?,
-        deadline_ms: args.get_or("deadline-ms", 0u32)?,
-        seed: args.get_or("seed", 1u64)?,
-    };
+    let cfg = load_config(args)?;
+    let addr = cfg.addr;
     let mut out = String::new();
-    if args.get_or("open-loop", false)? {
-        let timeout_ms = args.get_or("run-timeout-ms", 120_000u64)?;
-        let ol = OpenLoopConfig {
-            load: cfg,
-            workers: args.get_or("workers", 2usize)?,
-            run_timeout: (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)),
-        };
-        let report = run_open_loop(&ol).map_err(|e| CmdError(format!("load run failed: {e}")))?;
-        let _ = writeln!(out, "{}", report.summary());
-    } else {
-        let report = run_load(&cfg).map_err(|e| CmdError(format!("load run failed: {e}")))?;
-        let _ = writeln!(out, "{}", report.summary());
-    }
+    let report = run_load(&cfg).map_err(|e| CmdError(format!("load run failed: {e}")))?;
+    let _ = writeln!(out, "{}", report.summary());
     if args.get("stats").is_some() {
         let mut client = spn_server::Client::connect(addr)
             .map_err(|e| CmdError(format!("cannot connect for stats: {e}")))?;
@@ -949,6 +921,23 @@ fn cmd_load(args: &Args) -> Result<CmdResult, CmdError> {
         let _ = writeln!(out, "sent shutdown");
     }
     Ok(CmdResult::text(out))
+}
+
+/// The load shape `load` and `record` share, from their common flags.
+fn load_config(args: &Args) -> Result<LoadConfig, CmdError> {
+    let bench = NipsBenchmark::from_name(args.get("benchmark").unwrap_or("NIPS10"))
+        .ok_or_else(|| CmdError("unknown benchmark".into()))?;
+    Ok(LoadConfig {
+        addr: resolve_addr(args)?,
+        model: bench.name().to_string(),
+        num_features: bench.num_vars() as u32,
+        domain: 255,
+        connections: args.get_or("connections", 4usize)?,
+        requests_per_connection: args.get_or("requests", 64usize)?,
+        samples_per_request: args.get_or("batch", 1u32)?,
+        deadline_ms: args.get_or("deadline-ms", 0u32)?,
+        seed: args.get_or("seed", 1u64)?,
+    })
 }
 
 /// Resolve a target address from `--addr` or `--port-file` (shared by
@@ -1001,8 +990,8 @@ fn append_run(args: &Args, record: &RunRecord, out: &mut String) -> Result<(), C
     Ok(())
 }
 
-/// Closed-loop load like `load`, recording every request into a
-/// replayable `.spntrace` file.
+/// Load like `load`, recording every request into a replayable
+/// `.spntrace` file.
 fn cmd_record(args: &Args) -> Result<CmdResult, CmdError> {
     args.check_known(&[
         "addr",
@@ -1016,21 +1005,8 @@ fn cmd_record(args: &Args) -> Result<CmdResult, CmdError> {
         "seed",
         "runs",
     ])?;
-    let addr = resolve_addr(args)?;
     let trace_out = args.require("trace-out")?;
-    let bench = NipsBenchmark::from_name(args.get("benchmark").unwrap_or("NIPS10"))
-        .ok_or_else(|| CmdError("unknown benchmark".into()))?;
-    let cfg = LoadConfig {
-        addr,
-        model: bench.name().to_string(),
-        num_features: bench.num_vars() as u32,
-        domain: 255,
-        connections: args.get_or("connections", 4usize)?,
-        requests_per_connection: args.get_or("requests", 64usize)?,
-        samples_per_request: args.get_or("batch", 1u32)?,
-        deadline_ms: args.get_or("deadline-ms", 0u32)?,
-        seed: args.get_or("seed", 1u64)?,
-    };
+    let cfg = load_config(args)?;
     let (report, trace) =
         record_load(&cfg).map_err(|e| CmdError(format!("record run failed: {e}")))?;
     trace
@@ -1710,10 +1686,10 @@ mod tests {
         }
     }
 
-    /// The new serving/loadgen knobs through the CLI layer: a serve
-    /// with explicit reactor flags answered by an open-loop load.
+    /// The serving knobs through the CLI layer: a serve with explicit
+    /// reactor flags answered by a load.
     #[test]
-    fn serve_reactor_flags_and_open_loop_load() {
+    fn serve_reactor_flags_and_load() {
         let dir = std::env::temp_dir().join("spn_cli_reactor_test");
         std::fs::create_dir_all(&dir).unwrap();
         let port_file = dir.join("port");
@@ -1736,8 +1712,7 @@ mod tests {
 
         let out = run_tokens(&format!(
             "load --port-file {} --benchmark NIPS10 --connections 8 \
-             --requests 3 --batch 2 --open-loop true --workers 2 \
-             --shutdown true",
+             --requests 3 --batch 2 --shutdown true",
             port_file.display()
         ))
         .unwrap();

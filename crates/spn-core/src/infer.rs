@@ -13,8 +13,7 @@
 //! value row, or [`Evaluator::eval_mpe`] when the arg-max assignment is
 //! wanted too. The per-sample tree walk here is the *bit-exactness
 //! oracle*; the compiled fast path in [`crate::plan`] must reproduce it
-//! exactly. The pre-`Query` entry points survive as thin deprecated
-//! wrappers in the compat section at the bottom.
+//! exactly.
 
 use crate::graph::{Node, NodeId, Spn};
 use crate::query::Query;
@@ -277,49 +276,6 @@ impl<'a> Evaluator<'a> {
         }
         self.values[self.spn.root().index()]
     }
-
-    // ------------------------------------------------------------------
-    // Compat wrappers: the pre-`Query` entry points. New code should go
-    // through `eval` / `eval_bytes` / `eval_mpe`; these stay only so
-    // downstream callers migrate on their own schedule.
-    // ------------------------------------------------------------------
-
-    /// Log-likelihood of a fully observed sample.
-    ///
-    /// # Panics
-    /// Panics if `sample.len() != spn.num_vars()`.
-    #[deprecated(note = "use `eval(&Query::Complete, sample)` instead")]
-    pub fn log_likelihood(&mut self, sample: &[f64]) -> f64 {
-        self.eval(&Query::Complete, sample)
-    }
-
-    /// Log marginal likelihood: `None` entries are summed out.
-    #[deprecated(note = "use `eval` with `Query::marginal_from_evidence(evidence)` instead")]
-    pub fn log_marginal(&mut self, evidence: &[Option<f64>]) -> f64 {
-        let (q, row) = Query::marginal_from_evidence(evidence);
-        self.eval(&q, &row)
-    }
-
-    /// Log-likelihood of a byte sample (the benchmark input format:
-    /// one byte per variable).
-    #[deprecated(note = "use `eval_bytes(&Query::Complete, sample)` instead")]
-    pub fn log_likelihood_bytes(&mut self, sample: &[u8]) -> f64 {
-        self.eval_bytes(&Query::Complete, sample)
-    }
-
-    /// Most Probable Explanation: replaces sums by max and tracks the
-    /// arg-max branch, then reads off one value per variable by
-    /// descending the selected tree. Evidence entries fix variables;
-    /// `None` entries are inferred.
-    ///
-    /// For histogram/categorical leaves the returned value is the
-    /// (left edge of the) most probable bucket; for Gaussians it is the
-    /// mean.
-    #[deprecated(note = "use `eval_mpe` with `Query::mpe_from_evidence(evidence)` instead")]
-    pub fn mpe(&mut self, evidence: &[Option<f64>]) -> Vec<f64> {
-        let (q, row) = Query::mpe_from_evidence(evidence);
-        self.eval_mpe(&q, &row).1
-    }
 }
 
 /// Log-density of a leaf at its mode.
@@ -349,18 +305,6 @@ pub(crate) fn mode_value(dist: &crate::leaf::Leaf) -> f64 {
                 .0 as f64
         }
     }
-}
-
-/// One-shot convenience: log-likelihoods of many byte samples.
-#[deprecated(
-    note = "compile a `plan::CompiledPlan` and use `PlanExecutor::eval_batch`, or `Evaluator::eval_bytes` per row"
-)]
-pub fn batch_log_likelihood(spn: &Spn, samples: &[Vec<u8>]) -> Vec<f64> {
-    let mut ev = Evaluator::new(spn);
-    samples
-        .iter()
-        .map(|s| ev.eval_bytes(&Query::Complete, s))
-        .collect()
 }
 
 #[cfg(test)]
@@ -547,35 +491,5 @@ mod tests {
     fn wrong_mask_arity_panics() {
         let spn = mixture();
         Evaluator::new(&spn).eval(&Query::marginal(vec![true]), &[0.0, 0.0]);
-    }
-
-    /// The deprecated wrappers must stay bit-identical to the `Query`
-    /// surface they delegate to.
-    #[test]
-    #[allow(deprecated)]
-    fn compat_wrappers_delegate_exactly() {
-        let spn = mixture();
-        let mut ev = Evaluator::new(&spn);
-        assert_eq!(
-            ev.log_likelihood(&[1.0, 0.0]).to_bits(),
-            ev.eval(&Query::Complete, &[1.0, 0.0]).to_bits()
-        );
-        assert_eq!(
-            ev.log_likelihood_bytes(&[1, 0]).to_bits(),
-            ev.eval_bytes(&Query::Complete, &[1, 0]).to_bits()
-        );
-        let evidence = [Some(1.0), None];
-        let (q, row) = Query::marginal_from_evidence(&evidence);
-        assert_eq!(
-            ev.log_marginal(&evidence).to_bits(),
-            ev.eval(&q, &row).to_bits()
-        );
-        let (q, row) = Query::mpe_from_evidence(&[None, None]);
-        assert_eq!(ev.mpe(&[None, None]), ev.eval_mpe(&q, &row).1);
-        let samples = vec![vec![0u8, 0], vec![1, 1], vec![0, 1]];
-        let batch = batch_log_likelihood(&spn, &samples);
-        for (s, &b) in samples.iter().zip(&batch) {
-            assert_eq!(ev.eval_bytes(&Query::Complete, s).to_bits(), b.to_bits());
-        }
     }
 }

@@ -46,8 +46,6 @@ pub use builder::SpnBuilder;
 pub use dataset::{generate_bag_of_words, generate_uniform, BagOfWordsConfig, Dataset};
 pub use em::{em_weights, EmIteration, EmParams};
 pub use graph::{Node, NodeId, Spn, SpnStats};
-#[allow(deprecated)]
-pub use infer::batch_log_likelihood;
 pub use infer::{log_sum_exp_weighted, Evaluator};
 pub use leaf::Leaf;
 pub use learn::{learn_spn, LearnParams};

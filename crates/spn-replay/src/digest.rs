@@ -1,22 +1,13 @@
 //! Digests for payloads, replies and trace files.
 //!
-//! FNV-1a (64-bit) with a SplitMix64 finalizer — the same
-//! dependency-free, platform-stable construction the router's hash
-//! ring uses. Not cryptographic; the property that matters here is
-//! that any single-byte change propagates to the output (every
-//! per-byte step is a bijection of the running state), so bit-flips
-//! in a trace file or a reply never go unnoticed.
+//! [`sim_core::fnv1a_mix64`] — the same platform-stable construction
+//! the router's hash ring uses. Not cryptographic; the property that
+//! matters here is that any single-byte change propagates to the
+//! output, so bit-flips in a trace file or a reply never go unnoticed.
 
 /// Digest a byte slice.
 pub fn digest_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
+    sim_core::fnv1a_mix64(bytes)
 }
 
 /// Digest a reply: the log-likelihood vector, bit-for-bit (IEEE-754
@@ -33,6 +24,13 @@ pub fn digest_lls(lls: &[f64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Known answer: committed `.spntrace` files carry these digests,
+    /// so the function may never change.
+    #[test]
+    fn digest_known_answer() {
+        assert_eq!(digest_bytes(b"abc"), 0x0dd4_9049_0804_b508);
+    }
 
     #[test]
     fn digests_are_deterministic_and_sensitive() {

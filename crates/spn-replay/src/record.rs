@@ -1,8 +1,8 @@
 //! The trace recorder: a [`LoadObserver`] that turns a loadgen run
 //! into a [`Trace`].
 //!
-//! Recording happens on the request path of every loadgen worker
-//! thread, so the recorder keeps per-event work tiny: one digest of
+//! Recording happens on the request path of the loadgen worker
+//! threads, so the recorder keeps per-event work tiny: one digest of
 //! the payload (which the worker already built), one digest of the
 //! reply, one `Vec` push under a mutex. The trace is assembled (and
 //! globally sorted by arrival) once, in [`TraceRecorder::finish`].
@@ -12,7 +12,7 @@ use crate::trace::{Trace, TraceRecord};
 use spn_server::{
     run_load_observed, ClientError, LoadConfig, LoadObserver, LoadReport, RequestEvent,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Collects every request a load run issues into a [`Trace`].
 pub struct TraceRecorder {
@@ -59,12 +59,11 @@ impl LoadObserver for TraceRecorder {
     }
 }
 
-/// Run the closed-loop load described by `cfg` while recording every
-/// request — the programmatic form of `spn record`.
+/// Run the load described by `cfg` while recording every request —
+/// the programmatic form of `spn record`.
 pub fn record_load(cfg: &LoadConfig) -> Result<(LoadReport, Trace), ClientError> {
-    let recorder = Arc::new(TraceRecorder::new(cfg.seed));
-    let observer: Arc<dyn LoadObserver> = Arc::clone(&recorder) as Arc<dyn LoadObserver>;
-    let report = run_load_observed(cfg, Some(observer))?;
+    let recorder = TraceRecorder::new(cfg.seed);
+    let report = run_load_observed(cfg, Some(&recorder))?;
     Ok((report, recorder.finish()))
 }
 

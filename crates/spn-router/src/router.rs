@@ -1,13 +1,14 @@
-//! The router proper: a front-end listener speaking SPN1 to clients
-//! and fanning `Infer` requests over the backend pool.
+//! The router proper: an SPN1 [`Service`] that fans `Infer` requests
+//! over the backend pool.
 //!
-//! Threading mirrors `spn-server` (everything blocking): one accept
-//! thread, one thread per client connection, plus one health-prober
-//! thread. A client connection handles one request at a time: decode
-//! → pick replicas off the ring → forward with failover → write the
-//! response. `Ping`, `Stats` and `Shutdown` are answered locally —
-//! `Stats` returns the router's own telemetry document and `Shutdown`
-//! drains the router without touching the backends.
+//! The client side is `spn-server`'s shared front-end on its blocking
+//! thread-per-connection driver — the router owns no accept loop, no
+//! frame loop and no shutdown latch — plus one health-prober thread.
+//! A client connection handles one request at a time: decode → pick
+//! replicas off the ring → forward with failover → write the
+//! response. `Ping`, `Stats` and `Shutdown` are answered by the
+//! front-end — `Stats` returns the router's own telemetry document and
+//! `Shutdown` drains the router without touching the backends.
 //!
 //! Failover contract (inference is pure, so a retry can never
 //! double-apply): an attempt moves to the next replica on connect
@@ -21,18 +22,15 @@ use crate::health::HealthPolicy;
 use crate::metrics::RouterMetrics;
 use crate::pool::Backend;
 use crate::ring::HashRing;
-use parking_lot::{Condvar, Mutex};
 use spn_server::client::ClientError;
-use spn_server::conn::{read_full, ReadOutcome};
-use spn_server::protocol::{
-    parse_header, read_frame, write_frame, Frame, InferRequest, Opcode, Status, WireError,
-    HEADER_LEN,
+use spn_server::protocol::{read_frame, write_frame, Frame, InferRequest, Opcode, Status};
+use spn_server::{BlockingDriver, Frontend, InferReply, Service};
+use spn_telemetry::{
+    SpanCtx, SpanKind, TelemetrySnapshot, TraceCollector, TELEMETRY_SCHEMA_VERSION,
 };
-use spn_telemetry::{SpanKind, TelemetrySnapshot, TraceCollector, TELEMETRY_SCHEMA_VERSION};
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -112,7 +110,9 @@ impl From<io::Error> for RouterError {
     }
 }
 
-struct RouterShared {
+/// The router behind the front-end: placement, the backend pool and
+/// the forwarding limits.
+struct RouterService {
     ring: HashRing,
     backends: Vec<Arc<Backend>>,
     metrics: RouterMetrics,
@@ -120,36 +120,17 @@ struct RouterShared {
     max_inflight_per_backend: u64,
     connect_timeout: Duration,
     rpc_timeout: Option<Duration>,
-    read_poll: Duration,
-    shutting_down: AtomicBool,
-    shutdown_flag: Mutex<bool>,
-    shutdown_cv: Condvar,
-    local_addr: SocketAddr,
     trace: Option<Arc<TraceCollector>>,
 }
 
-impl RouterShared {
-    fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::Acquire)
-    }
-
-    fn request_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::Release);
-        let mut f = self.shutdown_flag.lock();
-        *f = true;
-        self.shutdown_cv.notify_all();
-        // Nudge the accept thread out of `accept()`.
-        let _ = TcpStream::connect(self.local_addr);
-    }
-}
+type RouterFront = Frontend<RouterService>;
 
 /// A running cluster front-end. Dropping it drains and stops it
 /// (the backends are left running).
 pub struct SpnRouter {
-    shared: Arc<RouterShared>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    front: Arc<RouterFront>,
+    driver: BlockingDriver,
     health_thread: Option<thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
 }
 
 impl SpnRouter {
@@ -175,7 +156,7 @@ impl SpnRouter {
 
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(RouterShared {
+        let service = RouterService {
             ring,
             backends,
             metrics: RouterMetrics::new(),
@@ -183,51 +164,43 @@ impl SpnRouter {
             max_inflight_per_backend: config.max_inflight_per_backend,
             connect_timeout: config.connect_timeout,
             rpc_timeout: config.rpc_timeout,
-            read_poll: config.read_poll,
-            shutting_down: AtomicBool::new(false),
-            shutdown_flag: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
-            local_addr,
             trace: config.trace,
-        });
+        };
+        // The front-end's own trace hook records server-track
+        // `ReplyWritten` spans; the router's spans are route-pick and
+        // backend-rpc, recorded by the service.
+        let front = Arc::new(Frontend::new(service, local_addr, config.read_poll, None));
 
-        let conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let accept_shared = Arc::clone(&shared);
-        let accept_conns = Arc::clone(&conn_threads);
-        let accept_thread = thread::Builder::new()
-            .name("spn-route-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared, accept_conns))
-            .expect("spawn router accept thread");
-        let health_shared = Arc::clone(&shared);
+        let driver = BlockingDriver::start(listener, Arc::clone(&front));
+        let health_front = Arc::clone(&front);
         let health_policy = config.health;
         let health_thread = thread::Builder::new()
             .name("spn-route-health".into())
-            .spawn(move || health_loop(health_shared, health_policy))
+            .spawn(move || health_loop(health_front, health_policy))
             .expect("spawn router health thread");
 
         Ok(SpnRouter {
-            shared,
-            accept_thread: Some(accept_thread),
+            front,
+            driver,
             health_thread: Some(health_thread),
-            conn_threads,
         })
     }
 
     /// The address the router actually bound (resolves port `0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.front.local_addr()
     }
 
     /// The backend entries, in configuration order (tests and the CLI
     /// status line read states and counters off these).
     pub fn backends(&self) -> &[Arc<Backend>] {
-        &self.shared.backends
+        &self.front.service.backends
     }
 
     /// The ordered replica set the ring assigns `model`.
     pub fn replicas(&self, model: &str) -> Vec<usize> {
-        self.shared.ring.replicas(model, self.shared.replication)
+        let service = &self.front.service;
+        service.ring.replicas(model, service.replication)
     }
 
     /// The backend group hosting a scope-sharded `model`: shard `s`
@@ -235,40 +208,32 @@ impl SpnRouter {
     /// [`HashRing::shard_group`]). Deterministic across router
     /// instances, so every front-end agrees where each shard lives.
     pub fn shard_group(&self, model: &str, shards: usize) -> Vec<usize> {
-        self.shared.ring.shard_group(model, shards)
+        self.front.service.ring.shard_group(model, shards)
     }
 
     /// The router's telemetry document — what the `Stats` opcode
     /// returns on the wire: no serving/model sections (those live on
     /// the backends), a populated `router` section.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        telemetry_snapshot(&self.shared)
+        self.front.service.telemetry_snapshot()
     }
 
     /// Block until shutdown is requested (a client's `Shutdown` frame
     /// or a concurrent [`SpnRouter::shutdown`]).
     pub fn wait_for_shutdown(&self) {
-        let mut f = self.shared.shutdown_flag.lock();
-        while !*f {
-            self.shared.shutdown_cv.wait(&mut f);
-        }
+        self.front.wait_for_shutdown();
     }
 
     /// Drain and stop the router: finish in-flight client requests,
     /// then join every thread. Backends are not contacted. Idempotent;
     /// also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shared.request_shutdown();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.front.request_shutdown();
+        self.driver.join_acceptor();
         if let Some(t) = self.health_thread.take() {
             let _ = t.join();
         }
-        let mut conns = self.conn_threads.lock();
-        for t in conns.drain(..) {
-            let _ = t.join();
-        }
+        self.driver.finish();
     }
 }
 
@@ -278,56 +243,15 @@ impl Drop for SpnRouter {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<RouterShared>,
-    conns: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if shared.is_shutting_down() {
-                    drop(stream);
-                    return;
-                }
-                let conn_shared = Arc::clone(&shared);
-                let t = thread::Builder::new()
-                    .name(format!("spn-route-conn-{peer}"))
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &conn_shared);
-                    })
-                    .expect("spawn router connection thread");
-                let mut guard = conns.lock();
-                // Reap finished threads so connection churn does not
-                // accumulate JoinHandles without bound.
-                let mut i = 0;
-                while i < guard.len() {
-                    if guard[i].is_finished() {
-                        let _ = guard.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
-                guard.push(t);
-            }
-            Err(_) => {
-                if shared.is_shutting_down() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
 /// Active prober: ping every backend each interval; a probe is a
 /// fresh dial + ping, both under the probe timeout, so a dead host
 /// costs one bounded attempt. When a backend transitions to `Down`
 /// its idle pool is flushed — recovery then starts from fresh dials
 /// instead of replaying stale sockets.
-fn health_loop(shared: Arc<RouterShared>, policy: HealthPolicy) {
-    while !shared.is_shutting_down() {
-        for backend in &shared.backends {
-            if shared.is_shutting_down() {
+fn health_loop(front: Arc<RouterFront>, policy: HealthPolicy) {
+    while !front.is_shutting_down() {
+        for backend in &front.service.backends {
+            if front.is_shutting_down() {
                 return;
             }
             let was_routable = backend.health.is_routable();
@@ -350,69 +274,34 @@ fn health_loop(shared: Arc<RouterShared>, policy: HealthPolicy) {
         // Sleep the interval in read-poll slices so shutdown is
         // observed promptly.
         let mut left = policy.interval;
-        while !left.is_zero() && !shared.is_shutting_down() {
-            let step = left.min(shared.read_poll);
+        while !left.is_zero() && !front.is_shutting_down() {
+            let step = left.min(front.read_poll());
             thread::sleep(step);
             left -= step;
         }
     }
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &RouterShared) -> io::Result<()> {
-    stream.set_read_timeout(Some(shared.read_poll))?;
-    stream.set_nodelay(true)?;
-    loop {
-        let mut header = [0u8; HEADER_LEN];
-        match read_full(&mut stream, &mut header, || shared.is_shutting_down())? {
-            ReadOutcome::Eof | ReadOutcome::Shutdown => return Ok(()),
-            ReadOutcome::Full => {}
-        }
-        let (opcode, _status, len) = match parse_header(&header) {
-            Ok(h) => h,
-            Err(WireError::Malformed(m)) => {
-                // The stream is no longer frame-aligned: answer once,
-                // then close. Backends never see the bad bytes.
-                shared.metrics.rejected_malformed();
-                let _ = write_frame(
-                    &mut stream,
-                    &Frame::error(Opcode::Ping, Status::Malformed, &m),
-                );
-                return Ok(());
-            }
-            Err(WireError::Io(e)) => return Err(e),
-        };
-        let mut payload = vec![0u8; len as usize];
-        match read_full(&mut stream, &mut payload, || shared.is_shutting_down())? {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::Shutdown => return Ok(()),
-        }
+impl Service for RouterService {
+    fn stats_json(&self) -> String {
+        self.telemetry_snapshot().to_json()
+    }
 
-        match opcode {
-            Opcode::Ping => {
-                write_frame(
-                    &mut stream,
-                    &Frame::response(Opcode::Ping, Status::Ok, vec![]),
-                )?;
-            }
-            Opcode::Stats => {
-                let json = telemetry_snapshot(shared).to_json();
-                write_frame(
-                    &mut stream,
-                    &Frame::response(Opcode::Stats, Status::Ok, json.into_bytes()),
-                )?;
-            }
-            Opcode::Shutdown => {
-                write_frame(
-                    &mut stream,
-                    &Frame::response(Opcode::Shutdown, Status::Ok, vec![]),
-                )?;
-                shared.request_shutdown();
-            }
-            Opcode::Infer => {
-                let frame = route_infer(shared, &payload);
-                write_frame(&mut stream, &frame)?;
-            }
+    fn rejected(&self, status: Status) {
+        // The router's telemetry counts only the rejections it can
+        // attribute to the request itself.
+        if status == Status::Malformed {
+            self.metrics.rejected_malformed();
         }
+    }
+
+    /// Forwarding blocks the connection's thread, so the response is
+    /// always ready on return and `done` is never kept.
+    fn infer<F>(&self, payload: Vec<u8>, _done: F) -> Option<InferReply>
+    where
+        F: FnOnce(InferReply) + Send + 'static,
+    {
+        Some(route_infer(self, &payload))
     }
 }
 
@@ -428,19 +317,19 @@ enum Attempt {
 
 /// Decode, place, forward (with failover), and build the client's
 /// response frame for one `Infer` request.
-fn route_infer(shared: &RouterShared, payload: &[u8]) -> Frame {
+fn route_infer(svc: &RouterService, payload: &[u8]) -> InferReply {
     let t0 = Instant::now();
-    if shared.is_shutting_down() {
-        return Frame::error(Opcode::Infer, Status::ShuttingDown, "router is draining");
-    }
     // Decode for validation and the model name; the original payload
     // bytes are forwarded verbatim, so the router cannot corrupt a
     // request it re-encodes.
     let req = match InferRequest::decode(payload) {
         Ok(r) => r,
         Err(m) => {
-            shared.metrics.rejected_malformed();
-            return Frame::error(Opcode::Infer, Status::Malformed, &m);
+            svc.metrics.rejected_malformed();
+            return (
+                Frame::error(Opcode::Infer, Status::Malformed, &m),
+                SpanCtx::NONE,
+            );
         }
     };
     let ctx = req.ctx;
@@ -449,19 +338,19 @@ fn route_infer(shared: &RouterShared, payload: &[u8]) -> Frame {
     // (least-loaded first among them), `Down` replicas kept as a last
     // resort so a stale health verdict cannot fail a servable request.
     let t_pick = Instant::now();
-    let replica_set = shared.ring.replicas(&req.model, shared.replication);
+    let replica_set = svc.ring.replicas(&req.model, svc.replication);
     let mut candidates: Vec<usize> = replica_set
         .iter()
         .copied()
-        .filter(|&i| shared.backends[i].health.is_routable())
+        .filter(|&i| svc.backends[i].health.is_routable())
         .collect();
-    candidates.sort_by_key(|&i| shared.backends[i].inflight());
+    candidates.sort_by_key(|&i| svc.backends[i].inflight());
     for &i in &replica_set {
         if !candidates.contains(&i) {
             candidates.push(i);
         }
     }
-    if let Some(trace) = &shared.trace {
+    if let Some(trace) = &svc.trace {
         trace.record(
             SpanKind::RoutePick,
             ctx,
@@ -474,15 +363,15 @@ fn route_infer(shared: &RouterShared, payload: &[u8]) -> Frame {
 
     let mut attempts_failed = 0u64;
     for &idx in &candidates {
-        let backend = &shared.backends[idx];
-        let Some(_slot) = backend.reserve(shared.max_inflight_per_backend) else {
+        let backend = &svc.backends[idx];
+        let Some(_slot) = backend.reserve(svc.max_inflight_per_backend) else {
             // At capacity is not a health event; just move on.
             attempts_failed += 1;
             continue;
         };
         let t_rpc = Instant::now();
-        let attempt = forward_once(shared, backend, payload);
-        if let Some(trace) = &shared.trace {
+        let attempt = forward_once(svc, backend, payload);
+        if let Some(trace) = &svc.trace {
             trace.record(
                 SpanKind::BackendRpc,
                 ctx,
@@ -496,14 +385,14 @@ fn route_infer(shared: &RouterShared, payload: &[u8]) -> Frame {
             Attempt::Ok(frame) => {
                 backend.record_request();
                 backend.health.record_success();
-                shared.metrics.request_ok(attempts_failed > 0);
-                shared.metrics.e2e_seconds.record_duration(t0.elapsed());
-                return frame;
+                svc.metrics.request_ok(attempts_failed > 0);
+                svc.metrics.e2e_seconds.record_duration(t0.elapsed());
+                return (frame, ctx);
             }
             Attempt::Passthrough(frame) => {
-                shared.metrics.rejected_by_backend();
-                shared.metrics.e2e_seconds.record_duration(t0.elapsed());
-                return frame;
+                svc.metrics.rejected_by_backend();
+                svc.metrics.e2e_seconds.record_duration(t0.elapsed());
+                return (frame, ctx);
             }
             Attempt::Failover => {
                 attempts_failed += 1;
@@ -511,16 +400,17 @@ fn route_infer(shared: &RouterShared, payload: &[u8]) -> Frame {
         }
     }
 
-    shared.metrics.rejected_no_backend();
-    shared.metrics.e2e_seconds.record_duration(t0.elapsed());
-    Frame::error(
+    svc.metrics.rejected_no_backend();
+    svc.metrics.e2e_seconds.record_duration(t0.elapsed());
+    let busy = Frame::error(
         Opcode::Infer,
         Status::ServerBusy,
         &format!(
             "no available replica for model '{}' ({} attempt(s) failed); retry later",
             req.model, attempts_failed
         ),
-    )
+    );
+    (busy, ctx)
 }
 
 /// One bounded attempt against one backend: check out a connection,
@@ -528,8 +418,8 @@ fn route_infer(shared: &RouterShared, payload: &[u8]) -> Frame {
 /// connection that turns out closed is retried once on a fresh dial
 /// before the backend is blamed — idle sockets die routinely (backend
 /// restarts, keep-alive reaping) and prove nothing about health.
-fn forward_once(shared: &RouterShared, backend: &Backend, payload: &[u8]) -> Attempt {
-    let co = match backend.checkout(shared.connect_timeout, shared.rpc_timeout) {
+fn forward_once(svc: &RouterService, backend: &Backend, payload: &[u8]) -> Attempt {
+    let co = match backend.checkout(svc.connect_timeout, svc.rpc_timeout) {
         Ok(co) => co,
         Err(_) => {
             backend.record_failure();
@@ -543,7 +433,7 @@ fn forward_once(shared: &RouterShared, backend: &Backend, payload: &[u8]) -> Att
     let outcome = match outcome {
         Err(ClientError::ConnectionClosed) if pooled => {
             // Stale pooled socket; one fresh dial, same backend.
-            match backend.dial(shared.connect_timeout, shared.rpc_timeout) {
+            match backend.dial(svc.connect_timeout, svc.rpc_timeout) {
                 Ok(fresh) => {
                     client = fresh.client;
                     rpc(&mut client, payload)
@@ -601,17 +491,19 @@ fn rpc(client: &mut spn_server::client::Client, payload: &[u8]) -> Result<Frame,
     Ok(frame)
 }
 
-/// The router's telemetry document: schema + a populated `router`
-/// section; the serving/model sections belong to the backends.
-fn telemetry_snapshot(shared: &RouterShared) -> TelemetrySnapshot {
-    TelemetrySnapshot {
-        schema: TELEMETRY_SCHEMA_VERSION,
-        server: None,
-        models: BTreeMap::new(),
-        plan: None,
-        router: Some(shared.metrics.snapshot(&shared.backends)),
-        shard: None,
-        reactor: None,
+impl RouterService {
+    /// The router's telemetry document: schema + a populated `router`
+    /// section; the serving/model sections belong to the backends.
+    fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            schema: TELEMETRY_SCHEMA_VERSION,
+            server: None,
+            models: BTreeMap::new(),
+            plan: None,
+            router: Some(self.metrics.snapshot(&self.backends)),
+            shard: None,
+            reactor: None,
+        }
     }
 }
 

@@ -55,16 +55,12 @@ pub enum Reply {
 }
 
 /// Where a request's answer goes. The batcher calls this exactly once
-/// per enqueued request, from the demux (or failure) path. The two
-/// serving front-ends plug in differently:
-///
-/// * the threaded server passes a closure over a capacity-1
-///   [`std::sync::mpsc::SyncSender`] and blocks its connection thread on the paired
-///   receiver ("write on my thread");
-/// * the reactor passes a closure that pushes the reply onto its
-///   loop's completion queue and wakes the loop's eventfd ("queue
-///   writable interest") — so demux threads never block on, or write
-///   to, a client socket.
+/// per enqueued request, from the demux (or failure) path. The server
+/// passes a closure that finishes the request's accounting and hands
+/// the encoded response to the front-end's completion callback — which
+/// wakes a blocked connection thread or queues writable interest on a
+/// reactor loop, so demux threads never block on, or write to, a
+/// client socket.
 pub type ReplySink = Box<dyn FnOnce(Reply) + Send + 'static>;
 
 /// A request parked in the batch queue.
@@ -229,10 +225,8 @@ impl Batcher {
     }
 
     /// [`Batcher::enqueue`] with an explicit [`ReplySink`] instead of
-    /// a channel — the reactor's entry point, where the sink queues
-    /// the reply for the owning event loop rather than blocking a
-    /// thread. The delivery guarantee is the same: the sink is always
-    /// called exactly once.
+    /// a channel — the server's entry point. The delivery guarantee is
+    /// the same: the sink is always called exactly once.
     pub fn enqueue_with(
         &self,
         ctx: SpanCtx,

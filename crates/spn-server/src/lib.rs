@@ -15,27 +15,28 @@
 //!   the results back per request — bit-identical to unbatched
 //!   inference, but paying the scheduler's per-job cost once per
 //!   batch instead of once per request;
-//! * [`server`] — the TCP server: admission control (bounded
-//!   in-flight samples → [`Status::ServerBusy`]), per-request
-//!   deadlines, per-connection fault isolation and graceful
-//!   drain-on-shutdown, fronted by one of two engines
-//!   ([`ServingMode`]);
-//! * [`reactor`] — the default serving engine: a nonblocking epoll
-//!   readiness loop multiplexing thousands of connections over a
-//!   small fixed thread pool, with incremental frame decoding,
-//!   connection limits and idle timeouts (the original blocking
-//!   thread-per-connection engine remains as [`ServingMode::Threaded`],
-//!   the semantic oracle);
+//! * [`frontend`] — the one SPN1 connection front-end: request
+//!   dispatch (`Ping`/`Stats`/`Shutdown`/`Infer`), malformed-frame
+//!   containment and the shutdown latch, behind a small [`Service`]
+//!   seam that `spn-router` serves through as well;
+//! * [`server`] — the server's [`Service`]: model registry, admission
+//!   control (bounded in-flight samples → [`Status::ServerBusy`]),
+//!   per-request deadlines and graceful drain-on-shutdown, with the
+//!   driver picked by [`ServingMode`];
+//! * [`reactor`] — the default driver: a nonblocking epoll readiness
+//!   loop multiplexing thousands of connections over a small fixed
+//!   thread pool, with connection limits and idle timeouts;
+//! * [`blocking`] — the thread-per-connection driver
+//!   ([`ServingMode::Threaded`], the semantic oracle; also what
+//!   `spn-router` listens with);
 //! * [`metrics`] — serving-layer counters and lock-free
 //!   latency/batch-size histograms ([`spn_telemetry::AtomicHistogram`]),
 //!   merged with per-model scheduler metrics into one
 //!   [`spn_telemetry::TelemetrySnapshot`] JSON document behind the
 //!   `Stats` opcode;
 //! * [`client`] — a blocking wire client;
-//! * [`conn`] — shutdown-aware polled reads, shared with the
-//!   `spn-router` cluster front-end's frame loop;
-//! * [`loadgen`] — closed-loop load generation shared by the CLI, the
-//!   benchmark and the tests.
+//! * [`loadgen`] — the epoll load generator shared by the CLI, the
+//!   studies and the tests.
 //!
 //! ## Minimal round trip
 //!
@@ -55,8 +56,9 @@
 //! ```
 
 pub mod batcher;
+pub mod blocking;
 pub mod client;
-pub mod conn;
+pub mod frontend;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
@@ -64,11 +66,12 @@ pub mod reactor;
 pub mod server;
 
 pub use batcher::{BatchPolicy, Batcher, Reply, ReplySink};
+pub use blocking::BlockingDriver;
 pub use client::{Client, ClientError, InferBuilder};
-pub use conn::{read_full, ReadOutcome};
+pub use frontend::{Dispatched, Frontend, InferReply, Service};
 pub use loadgen::{
-    clamp_connections, request_seed, run_load, run_load_observed, run_open_loop, synthetic_samples,
-    LoadConfig, LoadObserver, LoadReport, OpenLoopConfig, OpenLoopReport, RequestEvent,
+    clamp_connections, request_seed, run_load, run_load_observed, synthetic_samples, LoadConfig,
+    LoadObserver, LoadReport, RequestEvent,
 };
 pub use metrics::{HistogramSummary, ReactorMetrics, ServerMetrics, ServerMetricsSnapshot};
 pub use protocol::{Frame, FrameDecoder, InferRequest, Opcode, Status, WireError};

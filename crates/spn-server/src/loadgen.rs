@@ -1,38 +1,45 @@
-//! Load generation against a running server, in two shapes.
+//! Load generation against a running server.
 //!
-//! **Closed-loop** ([`run_load`]) — shared by the `spn load` CLI
-//! subcommand, the serving benchmark and the integration tests:
-//! `connections` threads each run a blocking [`Client`] issuing
-//! `requests_per_connection` `Infer` requests of
-//! `samples_per_request` synthetic samples back to back. Per-request
-//! wall-clock latency is recorded into one shared lock-free
-//! [`AtomicHistogram`], so workers never synchronise on a latency
-//! vector; percentiles (p50/p95/p99, ≈9 % bucket resolution) come
-//! from the histogram summary and `max` stays exact.
+//! One driver ([`run_load`]) shared by the `spn load` / `spn record`
+//! CLI subcommands, the studies and the integration tests — the
+//! 4-connection tests and the 10k-connection reactor smoke run the
+//! same code. A fixed pair of epoll-multiplexed worker threads holds
+//! all the nonblocking connections; every connection issues
+//! `requests_per_connection` `Infer` requests of `samples_per_request`
+//! synthetic samples, one in flight at a time, so the *offered
+//! concurrency equals the connection count* however fast the server
+//! drains. Request payloads are a pure function of the run seed via
+//! [`request_seed`].
 //!
-//! **Open-loop many-connection** ([`run_open_loop`]) — the mode that
-//! exercises the reactor at its design point. A thread per connection
-//! tops out around the low thousands (stack memory plus scheduler
-//! churn); here a handful of epoll-multiplexed worker threads each
-//! hold hundreds-to-thousands of nonblocking connections, every
-//! connection keeping one request in flight, so the *offered
-//! concurrency equals the connection count* regardless of how fast
-//! the server drains — the generator never throttles itself the way
-//! a blocked thread does. Request payloads stay a pure function of
-//! the run seed via [`request_seed`], identical to the closed-loop
-//! stream.
+//! Each worker dials all of its connections *before* any request goes
+//! out, and a request's latency clock starts when its first byte is
+//! handed to the kernel — so no request's latency includes time spent
+//! dialing other connections, and the dial phase is reported on its
+//! own ([`LoadReport::dial_ms`]). Per-request wall-clock latency is
+//! recorded into one shared lock-free [`AtomicHistogram`];
+//! percentiles (p50/p95/p99, ≈9 % bucket resolution) come from the
+//! histogram summary and `max` stays exact.
 
-use crate::client::{Client, ClientError};
+use crate::client::ClientError;
 use crate::protocol::{
-    decode_results, write_frame, Frame, FrameDecoder, InferRequest, Opcode, Status, WireError,
+    decode_results, write_frame, Frame, FrameDecoder, InferRequest, Opcode, Status,
 };
 use epoll::{Epoll, Event, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use sim_core::SplitMix64;
 use spn_telemetry::{AtomicHistogram, SpanCtx};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Epoll worker threads sharing a run's connections (each owns
+/// `connections / WORKERS`, remainder spread over the first few).
+const WORKERS: usize = 2;
+
+/// A worker that sees no reply on any of its connections for this long
+/// gives up on them (they count as dropped, the run still reports), so
+/// a wedged server cannot hang the generator.
+const STALL_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// What load to offer.
 #[derive(Debug, Clone)]
@@ -45,9 +52,11 @@ pub struct LoadConfig {
     pub num_features: u32,
     /// Feature domain: synthetic values are drawn from `0..domain`.
     pub domain: u8,
-    /// Concurrent connections (each its own thread + client).
+    /// Concurrent connections, clamped to the process fd budget (see
+    /// [`clamp_connections`]; [`LoadReport::connections`] says what
+    /// was actually offered).
     pub connections: usize,
-    /// Requests each connection issues sequentially.
+    /// Requests each connection issues, one in flight at a time.
     pub requests_per_connection: usize,
     /// Samples per request (1 = pure per-request serving; larger
     /// values emulate clients that batch on their side).
@@ -74,16 +83,31 @@ impl Default for LoadConfig {
     }
 }
 
-/// Aggregated result of one load run.
+/// Aggregated result of one load run: request-level throughput and
+/// latency plus connection-level accounting (at 10k+ connections the
+/// interesting failures are *connection* failures, not request
+/// rejections).
 #[derive(Debug, Clone)]
 pub struct LoadReport {
+    /// Connections the run offered (after fd-budget clamping).
+    pub connections: usize,
+    /// Connections the server turned away at accept with `ServerBusy`
+    /// (its connection limit).
+    pub rejected_at_accept: u64,
+    /// Connections that could not be dialed or died mid-run (reset,
+    /// unexpected EOF, or abandoned after the stall bound).
+    pub dropped_connections: u64,
+    /// Time the slower worker spent dialing its connections before
+    /// its first request went out, milliseconds. Part of `elapsed`,
+    /// part of no request's latency.
+    pub dial_ms: f64,
     /// Requests answered `Ok`.
     pub ok_requests: u64,
     /// Requests rejected by the server (busy / deadline / …).
     pub rejected_requests: u64,
     /// Samples across successful requests.
     pub ok_samples: u64,
-    /// Wall-clock of the whole run.
+    /// Wall-clock of the whole run, dial phase included.
     pub elapsed: Duration,
     /// Successful samples per second of wall-clock.
     pub samples_per_sec: f64,
@@ -103,9 +127,14 @@ impl LoadReport {
     /// One-paragraph human summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} ok / {} rejected requests, {} samples in {:.3} s \
+            "{} connections ({} rejected at accept, {} dropped), dialed in {:.3} ms; \
+             {} ok / {} rejected requests, {} samples in {:.3} s \
              => {:.0} samples/s; latency p50 {:.3} ms, p95 {:.3} ms, \
              p99 {:.3} ms, max {:.3} ms",
+            self.connections,
+            self.rejected_at_accept,
+            self.dropped_connections,
+            self.dial_ms,
             self.ok_requests,
             self.rejected_requests,
             self.ok_samples,
@@ -119,20 +148,14 @@ impl LoadReport {
     }
 }
 
-/// Deterministic synthetic feature block (SplitMix64 over the seed).
+/// Deterministic synthetic feature block ([`SplitMix64`] over the
+/// seed).
 pub fn synthetic_samples(num_samples: u32, num_features: u32, domain: u8, seed: u64) -> Vec<u8> {
     let n = num_samples as usize * num_features as usize;
-    let mut out = Vec::with_capacity(n);
-    let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    for _ in 0..n {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        out.push((z % domain.max(1) as u64) as u8);
-    }
-    out
+    let mut rng = SplitMix64::new(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
+    (0..n)
+        .map(|_| (rng.next_u64() % u64::from(domain.max(1))) as u8)
+        .collect()
 }
 
 /// The seed a worker uses for request `req` on connection `conn`:
@@ -158,7 +181,7 @@ pub struct RequestEvent<'a> {
     /// Request index on that connection.
     pub req: u64,
     /// Nanoseconds between the run's start and the moment this
-    /// request was issued (its open-loop arrival offset).
+    /// request's first byte went out (its arrival offset).
     pub arrival_ns: u64,
     /// Model name on the wire.
     pub model: &'a str,
@@ -180,7 +203,7 @@ pub struct RequestEvent<'a> {
 
 /// Observes every request a load run issues — the hook the trace
 /// recorder (`spn-replay`) hangs off the loadgen path. Called from
-/// every worker thread, so implementations synchronise internally.
+/// both worker threads, so implementations synchronise internally.
 pub trait LoadObserver: Send + Sync {
     /// One request was issued and answered (or rejected).
     fn on_request(&self, event: &RequestEvent<'_>);
@@ -191,90 +214,63 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
     run_load_observed(cfg, None)
 }
 
-/// [`run_load`], reporting every issued request to `observer` (the
+/// [`run_load`], reporting every answered request to `observer` (the
 /// recorder hook — see [`LoadObserver`]).
+///
+/// Connection failures are counted in the report, not returned; the
+/// run fails only when the generator itself cannot work (epoll setup)
+/// or a worker could not dial a single connection.
 pub fn run_load_observed(
     cfg: &LoadConfig,
-    observer: Option<Arc<dyn LoadObserver>>,
+    observer: Option<&dyn LoadObserver>,
 ) -> Result<LoadReport, ClientError> {
     assert!(cfg.connections > 0, "need at least one connection");
-    let latency = Arc::new(AtomicHistogram::latency());
+    let mut cfg = cfg.clone();
+    // Margin: stdio + per-worker epoll fds + slack for whatever the
+    // embedding process (CLI, test harness) holds open.
+    cfg.connections = clamp_connections(cfg.connections, 64 + WORKERS);
+    let total = cfg.connections;
+    let workers = WORKERS.min(total);
+    let latency = AtomicHistogram::latency();
     let t0 = Instant::now();
-    let mut workers = Vec::with_capacity(cfg.connections);
-    for conn in 0..cfg.connections {
-        let cfg = cfg.clone();
-        let latency = Arc::clone(&latency);
-        let observer = observer.clone();
-        workers.push(thread::spawn(
-            move || -> Result<WorkerStats, ClientError> {
-                let mut client = Client::connect(cfg.addr)?;
-                let mut stats = WorkerStats::default();
-                for req in 0..cfg.requests_per_connection {
-                    let seed = request_seed(cfg.seed, conn as u64, req as u64);
-                    let data = synthetic_samples(
-                        cfg.samples_per_request,
-                        cfg.num_features,
-                        cfg.domain,
-                        seed,
-                    );
-                    let arrival_ns = t0.elapsed().as_nanos() as u64;
-                    let r0 = Instant::now();
-                    let outcome = client
-                        .request(&cfg.model)
-                        .samples(&data, cfg.samples_per_request, cfg.num_features)
-                        .deadline_ms(cfg.deadline_ms)
-                        .send();
-                    let reply = match outcome {
-                        Ok(lls) => {
-                            stats.ok += 1;
-                            stats.ok_samples += lls.len() as u64;
-                            latency.record_duration(r0.elapsed());
-                            Some(lls)
-                        }
-                        Err(ClientError::Rejected { .. }) => {
-                            stats.rejected += 1;
-                            latency.record_duration(r0.elapsed());
-                            None
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    if let Some(obs) = &observer {
-                        obs.on_request(&RequestEvent {
-                            conn: conn as u32,
-                            req: req as u64,
-                            arrival_ns,
-                            model: &cfg.model,
-                            num_samples: cfg.samples_per_request,
-                            num_features: cfg.num_features,
-                            domain: cfg.domain,
-                            seed,
-                            payload: &data,
-                            reply: reply.as_deref(),
-                        });
-                    }
-                }
-                Ok(stats)
-            },
-        ));
-    }
-
-    let mut ok = 0u64;
-    let mut rejected = 0u64;
-    let mut ok_samples = 0u64;
-    for w in workers {
-        let stats = w.join().expect("load worker panicked")?;
-        ok += stats.ok;
-        rejected += stats.rejected;
-        ok_samples += stats.ok_samples;
+    let outcomes: Vec<io::Result<WorkerStats>> = thread::scope(|scope| {
+        let (cfg, latency) = (&cfg, &latency);
+        let mut base = 0usize;
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let count = total / workers + usize::from(w < total % workers);
+                let first = base;
+                base += count;
+                scope.spawn(move || load_worker(cfg, first, count, latency, t0, observer))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("load worker panicked"))
+            .collect()
+    });
+    let mut agg = WorkerStats::default();
+    for outcome in outcomes {
+        let w = outcome?;
+        agg.ok += w.ok;
+        agg.rejected += w.rejected;
+        agg.ok_samples += w.ok_samples;
+        agg.rejected_at_accept += w.rejected_at_accept;
+        agg.dropped += w.dropped;
+        agg.dial = agg.dial.max(w.dial);
     }
     let elapsed = t0.elapsed();
     let lat = latency.summary();
     Ok(LoadReport {
-        ok_requests: ok,
-        rejected_requests: rejected,
-        ok_samples,
+        connections: total,
+        rejected_at_accept: agg.rejected_at_accept,
+        dropped_connections: agg.dropped,
+        dial_ms: agg.dial.as_secs_f64() * 1e3,
+        ok_requests: agg.ok,
+        rejected_requests: agg.rejected,
+        ok_samples: agg.ok_samples,
         elapsed,
-        samples_per_sec: ok_samples as f64 / elapsed.as_secs_f64().max(1e-12),
+        samples_per_sec: agg.ok_samples as f64 / elapsed.as_secs_f64().max(1e-12),
         p50_ms: lat.p50 * 1e3,
         p95_ms: lat.p95 * 1e3,
         p99_ms: lat.p99 * 1e3,
@@ -287,53 +283,10 @@ struct WorkerStats {
     ok: u64,
     rejected: u64,
     ok_samples: u64,
-}
-
-// ---- open-loop many-connection mode --------------------------------
-
-/// Load shape for [`run_open_loop`]: [`LoadConfig`] plus the knobs
-/// that only make sense when one process multiplexes thousands of
-/// sockets.
-#[derive(Debug, Clone)]
-pub struct OpenLoopConfig {
-    /// The request stream (addr, model, shape, seed, connection and
-    /// request counts — all identical in meaning to the closed loop).
-    pub load: LoadConfig,
-    /// Epoll worker threads sharing the connections (each worker owns
-    /// `connections / workers`, remainder spread over the first few).
-    pub workers: usize,
-    /// Give up on connections still open after this bound (they count
-    /// as dropped, the run still reports). `None` = wait forever.
-    pub run_timeout: Option<Duration>,
-}
-
-impl Default for OpenLoopConfig {
-    fn default() -> Self {
-        OpenLoopConfig {
-            load: LoadConfig::default(),
-            workers: 2,
-            run_timeout: Some(Duration::from_secs(120)),
-        }
-    }
-}
-
-/// Result of one open-loop run: the familiar latency/throughput
-/// report plus connection-level accounting (at 10k+ connections the
-/// interesting failures are *connection* failures, not request
-/// rejections).
-#[derive(Debug, Clone)]
-pub struct OpenLoopReport {
-    /// Connections the run actually dialed (after fd-budget clamping
-    /// — see [`clamp_connections`]).
-    pub connections: usize,
-    /// Connections the server turned away at accept with
-    /// `ServerBusy` (its connection limit).
-    pub rejected_at_accept: u64,
-    /// Connections that died mid-run (reset, unexpected EOF, or still
-    /// unfinished at [`OpenLoopConfig::run_timeout`]).
-    pub dropped_connections: u64,
-    /// Request-level aggregate, same shape as the closed loop's.
-    pub load: LoadReport,
+    rejected_at_accept: u64,
+    dropped: u64,
+    /// How long this worker's dial phase took.
+    dial: Duration,
 }
 
 /// Clamp a wanted connection count to what the process's fd budget
@@ -355,41 +308,87 @@ pub fn clamp_connections(want: usize, margin: usize) -> usize {
 }
 
 /// Per-connection state machine: one request in flight at a time,
-/// mirroring the reactor's own serial-per-connection discipline from
+/// mirroring the server's own serial-per-connection discipline from
 /// the client side.
-struct OpenConn {
+struct LoadConn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    /// Pending request bytes not yet accepted by the kernel.
+    /// The in-flight request's frame and how much of it the kernel
+    /// has accepted.
     out: Vec<u8>,
     out_at: usize,
     /// Global connection index (seeds the request stream).
     conn: u64,
     /// Requests already answered.
     answered: u64,
+    /// The in-flight request's seed and feature block (what a
+    /// [`LoadObserver`] is shown).
+    seed: u64,
+    data: Vec<u8>,
+    /// When the in-flight request's first byte was handed to the
+    /// kernel — the start of its latency clock.
     sent_at: Instant,
-    done: bool,
 }
 
-impl OpenConn {
+impl LoadConn {
+    fn new(stream: TcpStream, conn: u64) -> io::Result<LoadConn> {
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        Ok(LoadConn {
+            stream,
+            decoder: FrameDecoder::new(),
+            out: Vec::new(),
+            out_at: 0,
+            conn,
+            answered: 0,
+            seed: 0,
+            data: Vec::new(),
+            sent_at: Instant::now(),
+        })
+    }
+
+    /// Build the next request's frame. Nothing is sent and no clock
+    /// starts until [`LoadConn::flush`].
     fn queue_request(&mut self, cfg: &LoadConfig) {
-        let seed = request_seed(cfg.seed, self.conn, self.answered);
-        let data = synthetic_samples(cfg.samples_per_request, cfg.num_features, cfg.domain, seed);
+        self.seed = request_seed(cfg.seed, self.conn, self.answered);
         let req = InferRequest {
             model: cfg.model.clone(),
             deadline_ms: cfg.deadline_ms,
             num_samples: cfg.samples_per_request,
             num_features: cfg.num_features,
-            data,
+            data: synthetic_samples(
+                cfg.samples_per_request,
+                cfg.num_features,
+                cfg.domain,
+                self.seed,
+            ),
             trace: true,
             ctx: SpanCtx::NONE,
         };
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Frame::request(Opcode::Infer, req.encode()))
+        self.out.clear();
+        write_frame(&mut self.out, &Frame::request(Opcode::Infer, req.encode()))
             .expect("Vec write cannot fail");
-        self.out = buf;
         self.out_at = 0;
-        self.sent_at = Instant::now();
+        self.data = req.data;
+    }
+
+    /// Hand pending request bytes to the kernel until it would block;
+    /// leftovers wait for `EPOLLOUT`. Returns `false` when the
+    /// connection is dead.
+    fn flush(&mut self) -> bool {
+        while self.out_at < self.out.len() {
+            if self.out_at == 0 {
+                self.sent_at = Instant::now();
+            }
+            match self.stream.write(&self.out[self.out_at..]) {
+                Ok(0) => return false,
+                Ok(k) => self.out_at += k,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        true
     }
 
     fn interest(&self) -> u32 {
@@ -401,64 +400,66 @@ impl OpenConn {
     }
 }
 
-#[derive(Default)]
-struct OpenWorkerStats {
-    stats: WorkerStats,
-    rejected_at_accept: u64,
-    dropped: u64,
-}
-
 /// Drive `count` connections (global indices starting at `base`) to
 /// completion on one epoll instance.
-fn open_loop_worker(
-    cfg: &OpenLoopConfig,
+fn load_worker(
+    cfg: &LoadConfig,
     base: usize,
     count: usize,
     latency: &AtomicHistogram,
     t0: Instant,
-) -> std::io::Result<OpenWorkerStats> {
-    let lc = &cfg.load;
-    let mut out = OpenWorkerStats::default();
+    observer: Option<&dyn LoadObserver>,
+) -> io::Result<WorkerStats> {
+    let mut out = WorkerStats::default();
     let epoll = Epoll::new()?;
-    let mut conns: Vec<Option<OpenConn>> = Vec::with_capacity(count);
-    for i in 0..count {
-        // Loopback dials complete in microseconds; a blocking dial
-        // loop is simpler than nonblocking-connect bookkeeping and
-        // still stands up 10k sockets in well under a second.
-        match TcpStream::connect(lc.addr) {
-            Ok(stream) => {
-                stream.set_nodelay(true)?;
-                stream.set_nonblocking(true)?;
-                let mut c = OpenConn {
-                    stream,
-                    decoder: FrameDecoder::new(),
-                    out: Vec::new(),
-                    out_at: 0,
-                    conn: (base + i) as u64,
-                    answered: 0,
-                    sent_at: Instant::now(),
-                    done: false,
-                };
-                c.queue_request(lc);
-                epoll.add(&c.stream, c.interest(), i as u64)?;
-                conns.push(Some(c));
+    // Dial everything first. Loopback dials complete in microseconds,
+    // so a blocking loop is simpler than nonblocking-connect
+    // bookkeeping and still stands up 10k sockets in well under a
+    // second; because no request is sent until the loop is done, the
+    // time it takes is in nobody's latency.
+    let dial_start = Instant::now();
+    let mut dial_error = None;
+    let mut conns: Vec<Option<LoadConn>> = (0..count)
+        .map(|i| {
+            let dialed = TcpStream::connect(cfg.addr)
+                .and_then(|stream| LoadConn::new(stream, (base + i) as u64));
+            match dialed {
+                Ok(conn) => Some(conn),
+                Err(e) => {
+                    // Kernel-level refusal (nothing listening, or
+                    // backlog overflow under a dial storm).
+                    out.dropped += 1;
+                    dial_error = Some(e);
+                    None
+                }
             }
-            Err(_) => {
-                // Kernel-level refusal (backlog overflow under a
-                // dial storm); indistinguishable from a drop here.
-                out.dropped += 1;
-                conns.push(None);
-            }
+        })
+        .collect();
+    out.dial = dial_start.elapsed();
+    match dial_error {
+        Some(e) if out.dropped == count as u64 => return Err(e),
+        _ => {}
+    }
+
+    let mut live = 0usize;
+    for (slot, entry) in conns.iter_mut().enumerate() {
+        let Some(conn) = entry else { continue };
+        conn.queue_request(cfg);
+        if conn.flush() {
+            epoll.add(&conn.stream, conn.interest(), slot as u64)?;
+            live += 1;
+        } else {
+            out.dropped += 1;
+            *entry = None;
         }
     }
-    let mut live = conns.iter().filter(|c| c.is_some()).count();
+
     let mut events = vec![Event::zeroed(); 256];
+    let mut last_reply = Instant::now();
     while live > 0 {
-        if let Some(bound) = cfg.run_timeout {
-            if t0.elapsed() >= bound {
-                out.dropped += live as u64;
-                break;
-            }
+        if last_reply.elapsed() >= STALL_TIMEOUT {
+            out.dropped += live as u64;
+            break;
         }
         let n = epoll.wait(&mut events, Some(Duration::from_millis(100)))?;
         for ev in &events[..n] {
@@ -467,85 +468,79 @@ fn open_loop_worker(
                 continue;
             };
             let ready = ev.readiness();
-            let mut close = ready & EPOLLERR != 0;
-            // Flush whatever the kernel will take.
-            while !close && conn.out_at < conn.out.len() {
-                match conn.stream.write(&conn.out[conn.out_at..]) {
-                    Ok(0) => close = true,
-                    Ok(k) => conn.out_at += k,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => close = true,
-                }
-            }
-            // Then decode replies.
-            while !close && !conn.done {
-                let spare = conn.decoder.spare();
-                let k = match conn.stream.read(spare) {
+            let mut close = ready & EPOLLERR != 0 || !conn.flush();
+            let mut done = false;
+            // Decode replies.
+            while !close && !done {
+                let k = match conn.stream.read(conn.decoder.spare()) {
                     Ok(0) => {
                         close = true;
                         break;
                     }
                     Ok(k) => k,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
                         close = true;
                         break;
                     }
                 };
-                match conn.decoder.advance(k) {
-                    Ok(None) => {}
-                    Ok(Some(frame)) => {
-                        latency.record_duration(conn.sent_at.elapsed());
-                        if frame.status == Status::Ok {
-                            out.stats.ok += 1;
-                            if let Ok(lls) = decode_results(&frame.payload) {
-                                out.stats.ok_samples += lls.len() as u64;
-                            }
-                        } else if conn.answered == 0 && frame.status == Status::ServerBusy {
-                            // May be the accept-time connection-limit
-                            // frame rather than a per-request verdict;
-                            // either way the connection is not getting
-                            // service — count it and let the close
-                            // that follows stand.
+                let frame = match conn.decoder.advance(k) {
+                    Ok(None) => continue,
+                    Ok(Some(frame)) => frame,
+                    Err(_) => {
+                        close = true;
+                        break;
+                    }
+                };
+                latency.record_duration(conn.sent_at.elapsed());
+                last_reply = Instant::now();
+                let lls = (frame.status == Status::Ok)
+                    .then(|| decode_results(&frame.payload).unwrap_or_default());
+                match &lls {
+                    Some(lls) => {
+                        out.ok += 1;
+                        out.ok_samples += lls.len() as u64;
+                    }
+                    None => {
+                        out.rejected += 1;
+                        // A `ServerBusy` before anything was answered
+                        // may be the accept-time connection-limit frame
+                        // rather than a per-request verdict; either way
+                        // the connection is not getting service — count
+                        // it and let the close that follows stand.
+                        if conn.answered == 0 && frame.status == Status::ServerBusy {
                             out.rejected_at_accept += 1;
-                            out.stats.rejected += 1;
-                        } else {
-                            out.stats.rejected += 1;
-                        }
-                        conn.answered += 1;
-                        if conn.answered >= lc.requests_per_connection as u64 {
-                            conn.done = true;
-                        } else {
-                            conn.queue_request(lc);
-                            // Opportunistic immediate write; leftovers
-                            // wait for EPOLLOUT.
-                            while conn.out_at < conn.out.len() {
-                                match conn.stream.write(&conn.out[conn.out_at..]) {
-                                    Ok(0) => {
-                                        close = true;
-                                        break;
-                                    }
-                                    Ok(k) => conn.out_at += k,
-                                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                                    Err(_) => {
-                                        close = true;
-                                        break;
-                                    }
-                                }
-                            }
                         }
                     }
-                    Err(WireError::Malformed(_)) | Err(WireError::Io(_)) => close = true,
+                }
+                if let Some(obs) = observer {
+                    obs.on_request(&RequestEvent {
+                        conn: conn.conn as u32,
+                        req: conn.answered,
+                        arrival_ns: conn.sent_at.saturating_duration_since(t0).as_nanos() as u64,
+                        model: &cfg.model,
+                        num_samples: cfg.samples_per_request,
+                        num_features: cfg.num_features,
+                        domain: cfg.domain,
+                        seed: conn.seed,
+                        payload: &conn.data,
+                        reply: lls.as_deref(),
+                    });
+                }
+                conn.answered += 1;
+                if conn.answered >= cfg.requests_per_connection as u64 {
+                    done = true;
+                } else {
+                    conn.queue_request(cfg);
+                    close = !conn.flush();
                 }
             }
-            if ready & (EPOLLRDHUP | EPOLLHUP) != 0 && conn.out_at >= conn.out.len() && !conn.done {
+            if ready & (EPOLLRDHUP | EPOLLHUP) != 0 && conn.out_at >= conn.out.len() && !done {
                 close = true;
             }
-            if close || conn.done {
-                if close && !conn.done {
+            if close || done {
+                if !done {
                     out.dropped += 1;
                 }
                 let _ = epoll.delete(&conn.stream);
@@ -557,79 +552,6 @@ fn open_loop_worker(
         }
     }
     Ok(out)
-}
-
-/// Run the open-loop many-connection load described by `cfg`.
-///
-/// The connection count is clamped to the process fd budget first
-/// (see [`clamp_connections`]); the report's
-/// [`OpenLoopReport::connections`] says what was actually offered.
-pub fn run_open_loop(cfg: &OpenLoopConfig) -> Result<OpenLoopReport, ClientError> {
-    assert!(cfg.load.connections > 0, "need at least one connection");
-    assert!(cfg.workers > 0, "need at least one worker");
-    let mut cfg = cfg.clone();
-    // Margin: stdio + per-worker epoll fds + slack for whatever the
-    // embedding process (CLI, test harness) holds open.
-    cfg.load.connections = clamp_connections(cfg.load.connections, 64 + cfg.workers);
-    let total = cfg.load.connections;
-    let workers = cfg.workers.min(total);
-    let latency = Arc::new(AtomicHistogram::latency());
-    let t0 = Instant::now();
-    let mut handles = Vec::with_capacity(workers);
-    let mut base = 0usize;
-    for w in 0..workers {
-        let count = total / workers + usize::from(w < total % workers);
-        let cfg = cfg.clone();
-        let latency = Arc::clone(&latency);
-        handles.push(thread::spawn(move || {
-            open_loop_worker(&cfg, base, count, &latency, t0)
-        }));
-        base += count;
-    }
-    let mut agg = OpenWorkerStats::default();
-    for h in handles {
-        let w = h
-            .join()
-            .expect("open-loop worker panicked")
-            .map_err(ClientError::from)?;
-        agg.stats.ok += w.stats.ok;
-        agg.stats.rejected += w.stats.rejected;
-        agg.stats.ok_samples += w.stats.ok_samples;
-        agg.rejected_at_accept += w.rejected_at_accept;
-        agg.dropped += w.dropped;
-    }
-    let elapsed = t0.elapsed();
-    let lat = latency.summary();
-    Ok(OpenLoopReport {
-        connections: total,
-        rejected_at_accept: agg.rejected_at_accept,
-        dropped_connections: agg.dropped,
-        load: LoadReport {
-            ok_requests: agg.stats.ok,
-            rejected_requests: agg.stats.rejected,
-            ok_samples: agg.stats.ok_samples,
-            elapsed,
-            samples_per_sec: agg.stats.ok_samples as f64 / elapsed.as_secs_f64().max(1e-12),
-            p50_ms: lat.p50 * 1e3,
-            p95_ms: lat.p95 * 1e3,
-            p99_ms: lat.p99 * 1e3,
-            max_ms: lat.max * 1e3,
-        },
-    })
-}
-
-impl OpenLoopReport {
-    /// One-paragraph human summary (extends [`LoadReport::summary`]
-    /// with the connection-level accounting).
-    pub fn summary(&self) -> String {
-        format!(
-            "{} connections ({} rejected at accept, {} dropped); {}",
-            self.connections,
-            self.rejected_at_accept,
-            self.dropped_connections,
-            self.load.summary()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -644,6 +566,100 @@ mod tests {
         assert_eq!(a.len(), 50);
         assert!(a.iter().all(|&v| v < 7));
         assert_ne!(a, synthetic_samples(10, 5, 7, 43));
+    }
+
+    /// Known answer: recorded traces carry digests of these payloads,
+    /// so the generator may never change.
+    #[test]
+    fn synthetic_data_known_answer() {
+        assert_eq!(
+            synthetic_samples(4, 5, 7, 42),
+            [5, 0, 2, 6, 4, 2, 6, 6, 5, 5, 6, 1, 4, 0, 5, 3, 4, 4, 6, 6]
+        );
+    }
+
+    /// A request's latency clock starts when its first byte is handed
+    /// to the kernel — not when the frame was built — so a
+    /// connection's first latency cannot grow with the time spent on
+    /// whatever the worker does in between (dialing every later
+    /// connection).
+    #[test]
+    fn latency_clock_starts_at_the_first_write_not_at_dial() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let cfg = LoadConfig {
+            addr: listener.local_addr().unwrap(),
+            model: "m".into(),
+            ..LoadConfig::default()
+        };
+        let mut conn = LoadConn::new(TcpStream::connect(cfg.addr).unwrap(), 0).unwrap();
+        conn.queue_request(&cfg);
+        // Everything the worker does between building the first frame
+        // and sending it happens here.
+        thread::sleep(Duration::from_millis(20));
+        let fired = Instant::now();
+        assert!(conn.flush());
+        assert_eq!(conn.out_at, conn.out.len(), "small frame goes out whole");
+        assert!(conn.sent_at >= fired, "clock started before the write");
+    }
+
+    /// End to end against a tiny in-process SPN1 echo: the dial phase
+    /// is reported on its own and every connection is accounted for.
+    #[test]
+    fn run_load_reports_dial_time_and_connection_accounting() {
+        use crate::protocol::{encode_results, read_frame};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let conns: Vec<_> = (0..3)
+                .map(|_| {
+                    let (mut s, _) = listener.accept().unwrap();
+                    thread::spawn(move || {
+                        while let Ok(frame) = read_frame(&mut s) {
+                            let req = InferRequest::decode(&frame.payload).unwrap();
+                            let lls = vec![-1.0; req.num_samples as usize];
+                            let reply =
+                                Frame::response(Opcode::Infer, Status::Ok, encode_results(&lls));
+                            write_frame(&mut s, &reply).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for c in conns {
+                c.join().unwrap();
+            }
+        });
+        let report = run_load(&LoadConfig {
+            addr,
+            model: "m".into(),
+            num_features: 3,
+            connections: 3,
+            requests_per_connection: 5,
+            samples_per_request: 2,
+            ..LoadConfig::default()
+        })
+        .unwrap();
+        server.join().unwrap();
+        assert_eq!(report.connections, 3);
+        assert_eq!(report.dropped_connections, 0, "{}", report.summary());
+        assert_eq!(report.ok_requests, 15);
+        assert_eq!(report.ok_samples, 30);
+        assert!(report.dial_ms > 0.0);
+        assert!(report.summary().contains("dialed in"));
+    }
+
+    #[test]
+    fn refused_run_is_an_error_not_an_empty_report() {
+        // Bind-then-drop leaves a port nothing listens on.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let cfg = LoadConfig {
+            addr,
+            model: "m".into(),
+            ..LoadConfig::default()
+        };
+        assert!(run_load(&cfg).is_err());
     }
 
     #[test]
@@ -671,6 +687,10 @@ mod tests {
     #[test]
     fn report_summary_names_all_percentiles() {
         let report = LoadReport {
+            connections: 4,
+            rejected_at_accept: 0,
+            dropped_connections: 0,
+            dial_ms: 0.5,
             ok_requests: 10,
             rejected_requests: 2,
             ok_samples: 10,

@@ -1,6 +1,7 @@
-//! The nonblocking epoll serving engine.
+//! The nonblocking epoll driver for the server's
+//! [`Frontend`](crate::frontend::Frontend).
 //!
-//! Where the threaded engine spends one OS thread per client socket,
+//! Where the blocking driver spends one OS thread per client socket,
 //! the reactor multiplexes every connection over a small fixed pool
 //! of event-loop threads driven by level-triggered `epoll` (via the
 //! vendored [`epoll`] shim):
@@ -15,43 +16,46 @@
 //!   lock is held while decoding, dispatching or writing. A
 //!   connection decodes SPN1 frames *incrementally* with
 //!   [`FrameDecoder`]: bytes land directly in the decoder's
-//!   connection-owned buffer, and a completed `Infer` payload is
-//!   handed to the batcher without another copy
-//!   ([`crate::protocol::InferRequest::decode_owned`]).
+//!   connection-owned buffer, and every completed frame goes through
+//!   [`Frontend::dispatch`](crate::frontend::Frontend::dispatch) — a
+//!   completed `Infer` payload reaches the batcher without another
+//!   copy ([`crate::protocol::InferRequest::decode_owned`]).
 //!
 //! **Request serialization.** A connection handles one request at a
-//! time, exactly like a threaded connection thread: while an `Infer`
-//! is in flight (or a reply is still flushing) the connection's read
-//! interest is dropped, so pipelined bytes wait in the kernel socket
-//! buffer. The decoder never reads past the current frame's end,
+//! time, exactly like a blocking-driver connection thread: while an
+//! `Infer` is in flight (or a reply is still flushing) the
+//! connection's read interest is dropped, so pipelined bytes wait in
+//! the kernel socket buffer. The decoder never reads past the current frame's end,
 //! which is what makes this razor-sharp: per-connection memory is
 //! bounded by one frame, and replies go back in request order.
 //!
-//! **Reply path.** The batcher's demux thread does not write to
-//! sockets. Its [`crate::batcher::ReplySink`] pushes a `Completion`
-//! onto the owning
-//! loop's queue and wakes the loop's eventfd; the loop matches it to
-//! the connection by `(slot, generation)` — a connection that died
-//! mid-request simply drops its reply, while request accounting
-//! (`request_done`) still runs. Writes are attempted immediately and
-//! fall back to `EPOLLOUT` interest on `WouldBlock`.
+//! **Reply path.** A pending `Infer` is answered through the
+//! completion callback handed to `Frontend::dispatch`: it pushes a
+//! `Completion` onto the owning loop's queue and wakes the loop's
+//! eventfd, so the batcher's demux thread never writes to a socket.
+//! The loop matches the completion to the connection by
+//! `(slot, generation)` — a connection that died mid-request simply
+//! drops its reply (request accounting already ran in the service).
+//! Writes are attempted immediately and fall back to `EPOLLOUT`
+//! interest on `WouldBlock`.
 //!
 //! **Idle timeout.** A per-loop hashed timer wheel closes connections
 //! idle past [`ReactorConfig::idle_timeout`]; connections with work
 //! in flight are never idle-closed, and wheel entries are re-armed
 //! lazily from `last_activity` so per-byte bookkeeping stays O(1).
 //!
-//! Shutdown mirrors the threaded engine: the acceptor stops, the
+//! Shutdown mirrors the blocking driver: the acceptor stops, the
 //! batchers drain (their sinks flood the completion queues), then
 //! every loop flushes pending replies under a bounded grace period
 //! and exits.
 
-use crate::batcher::Reply;
+use crate::frontend::Dispatched;
+use crate::metrics::ReactorMetrics;
 use crate::protocol::{write_frame, Frame, FrameDecoder, Opcode, Status, WireError};
-use crate::server::{admit_infer, reply_frame, telemetry_snapshot, InferAdmission, SharedState};
+use crate::server::ServerFront;
 use epoll::{Epoll, Event, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use parking_lot::Mutex;
-use spn_telemetry::{SpanCtx, SpanKind};
+use spn_telemetry::SpanCtx;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,15 +115,12 @@ struct LoopShared {
     finish: AtomicBool,
 }
 
-/// A batcher reply routed back to the loop that owns the connection.
-/// Carries the accounting the loop must perform even if the
-/// connection died mid-request (generation mismatch).
+/// A pending `Infer` response routed back to the loop that owns the
+/// connection.
 struct Completion {
     slot: usize,
     generation: u64,
-    reply: Reply,
-    samples: u64,
-    t0: Instant,
+    reply: Frame,
     ctx: SpanCtx,
 }
 
@@ -135,7 +136,7 @@ const FINISH_GRACE: Duration = Duration::from_secs(5);
 /// loop pool and the acceptor.
 pub(crate) fn start(
     listener: TcpListener,
-    shared: Arc<SharedState>,
+    front: Arc<ServerFront>,
     config: ReactorConfig,
 ) -> io::Result<ReactorHandle> {
     let config = ReactorConfig {
@@ -153,11 +154,11 @@ pub(crate) fn start(
         });
         ls.epoll.add(&ls.wake, EPOLLIN, TOKEN_WAKE)?;
         let loop_ls = Arc::clone(&ls);
-        let loop_shared = Arc::clone(&shared);
+        let loop_front = Arc::clone(&front);
         let loop_cfg = config.clone();
         let thread = thread::Builder::new()
             .name(format!("spn-loop-{i}"))
-            .spawn(move || run_loop(loop_ls, loop_shared, loop_cfg))
+            .spawn(move || run_loop(loop_ls, loop_front, loop_cfg))
             .expect("spawn reactor loop thread");
         loops.push(LoopRef {
             shared: ls,
@@ -166,10 +167,9 @@ pub(crate) fn start(
     }
 
     let accept_loops: Vec<Arc<LoopShared>> = loops.iter().map(|l| Arc::clone(&l.shared)).collect();
-    let accept_shared = Arc::clone(&shared);
     let accept_thread = thread::Builder::new()
         .name("spn-accept".into())
-        .spawn(move || accept_loop(listener, accept_shared, accept_loops, config))
+        .spawn(move || accept_loop(listener, front, accept_loops, config))
         .expect("spawn reactor accept thread");
 
     Ok(ReactorHandle {
@@ -205,11 +205,12 @@ impl ReactorHandle {
 
 fn accept_loop(
     listener: TcpListener,
-    shared: Arc<SharedState>,
+    front: Arc<ServerFront>,
     loops: Vec<Arc<LoopShared>>,
     config: ReactorConfig,
 ) {
-    let metrics = shared
+    let metrics = front
+        .service
         .reactor
         .as_ref()
         .expect("reactor engine always carries reactor metrics");
@@ -217,7 +218,7 @@ fn accept_loop(
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if shared.is_shutting_down() {
+                if front.is_shutting_down() {
                     // The wake-up connection (or a late client); stop.
                     drop(stream);
                     return;
@@ -234,7 +235,7 @@ fn accept_loop(
                 let _ = target.wake.wake();
             }
             Err(_) => {
-                if shared.is_shutting_down() {
+                if front.is_shutting_down() {
                     return;
                 }
                 // Transient accept error (EMFILE, ECONNABORTED, …);
@@ -266,8 +267,7 @@ struct OutBuf {
     buf: Vec<u8>,
     at: usize,
     /// Trace context + write-start instant for the `ReplyWritten`
-    /// span, set for `Infer` replies only (matching the threaded
-    /// engine, which stamps only those).
+    /// span, set for `Infer` replies only.
     span: Option<(SpanCtx, Instant)>,
 }
 
@@ -304,14 +304,6 @@ impl Conn {
     fn busy(&self) -> bool {
         self.inflight || self.out.is_some()
     }
-}
-
-/// Why a connection is being closed (drives metrics only).
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum CloseReason {
-    Peer,
-    Idle,
-    Shutdown,
 }
 
 /// A simple hashed timer wheel over the loop's slab: slots hold
@@ -383,438 +375,314 @@ impl TimerWheel {
     }
 }
 
-fn run_loop(ls: Arc<LoopShared>, shared: Arc<SharedState>, config: ReactorConfig) {
+/// One loop thread's state: its connection slab, plus its handles on
+/// what it shares with other threads.
+struct EventLoop {
+    ls: Arc<LoopShared>,
+    front: Arc<ServerFront>,
+    metrics: Arc<ReactorMetrics>,
+    conns: Vec<Option<Conn>>,
+    free: Vec<usize>,
+}
+
+fn run_loop(ls: Arc<LoopShared>, front: Arc<ServerFront>, config: ReactorConfig) {
     let metrics = Arc::clone(
-        shared
+        front
+            .service
             .reactor
             .as_ref()
             .expect("reactor engine always carries reactor metrics"),
     );
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut generation = 0u64;
-    let mut events = vec![Event::zeroed(); 256];
-    let mut wheel = config.idle_timeout.map(TimerWheel::new);
-    let mut finish_deadline: Option<Instant> = None;
+    EventLoop {
+        ls,
+        front,
+        metrics,
+        conns: Vec::new(),
+        free: Vec::new(),
+    }
+    .run(config.idle_timeout.map(TimerWheel::new));
+}
 
-    loop {
-        let finishing = ls.finish.load(Ordering::Acquire);
-        let timeout = if finishing {
-            Some(Duration::from_millis(5))
-        } else {
-            wheel.as_ref().map(|w| {
-                w.until_next_tick(Instant::now())
-                    .max(Duration::from_millis(1))
-            })
-        };
-        let n = ls.epoll.wait(&mut events, timeout).unwrap_or_default();
-        metrics.loop_turn(n as u64);
+impl EventLoop {
+    fn run(&mut self, mut wheel: Option<TimerWheel>) {
+        let mut generation = 0u64;
+        let mut events = vec![Event::zeroed(); 256];
+        let mut finish_deadline: Option<Instant> = None;
 
-        for event in events.iter().take(n) {
-            let (token, readiness) = (event.token(), event.readiness());
-            if token == TOKEN_WAKE {
-                let _ = ls.wake.drain();
-                continue;
-            }
-            let slot = (token - 1) as usize;
-            handle_readiness(
-                &ls, &shared, &metrics, &mut conns, &mut free, slot, readiness,
-            );
-        }
+        loop {
+            let finishing = self.ls.finish.load(Ordering::Acquire);
+            let timeout = if finishing {
+                Some(Duration::from_millis(5))
+            } else {
+                wheel.as_ref().map(|w| {
+                    w.until_next_tick(Instant::now())
+                        .max(Duration::from_millis(1))
+                })
+            };
+            let n = self.ls.epoll.wait(&mut events, timeout).unwrap_or_default();
+            self.metrics.loop_turn(n as u64);
 
-        // Register freshly accepted sockets.
-        let inbox = std::mem::take(&mut *ls.inbox.lock());
-        for stream in inbox {
-            metrics.conn_registered();
-            generation += 1;
-            if register_conn(
-                &ls,
-                &mut conns,
-                &mut free,
-                stream,
-                generation,
-                wheel.as_mut(),
-            )
-            .is_err()
-            {
-                metrics.conn_closed();
-            }
-        }
-
-        // Deliver batcher replies that arrived since the last turn.
-        let completions = std::mem::take(&mut *ls.completions.lock());
-        for c in completions {
-            // Accounting runs whether or not the connection survived —
-            // the threaded engine, too, counts a request done even
-            // when the reply write then fails.
-            shared.metrics.request_done(c.samples, c.t0.elapsed());
-            let alive = matches!(&conns[c.slot], Some(conn) if conn.generation == c.generation);
-            if !alive {
-                continue;
-            }
-            let frame = reply_frame(c.reply);
-            let mut out = OutBuf::new(&frame);
-            out.span = Some((c.ctx, Instant::now()));
-            if let Some(conn) = conns[c.slot].as_mut() {
-                conn.inflight = false;
-                conn.out = Some(out);
-            }
-            flush_out(&ls, &shared, &metrics, &mut conns, &mut free, c.slot);
-        }
-
-        // Idle expiry.
-        if let Some(w) = wheel.as_mut() {
-            let now = Instant::now();
-            let (idle, tick) = (w.idle, w.tick);
-            w.advance(now, |(slot, gen)| {
-                let conn = match conns[slot].as_ref() {
-                    Some(c) if c.generation == gen => c,
-                    _ => return None,
-                };
-                let idle_for = now.saturating_duration_since(conn.last_activity);
-                if idle_for >= idle && !conn.busy() {
-                    metrics.conn_idle_closed();
-                    close_conn(
-                        &ls,
-                        &metrics,
-                        &mut conns,
-                        &mut free,
-                        slot,
-                        CloseReason::Idle,
-                    );
-                    None
-                } else {
-                    // Still active (or mid-request): come back when
-                    // its current idle budget would run out.
-                    Some(idle.saturating_sub(idle_for).max(tick))
+            for event in events.iter().take(n) {
+                let (token, readiness) = (event.token(), event.readiness());
+                if token == TOKEN_WAKE {
+                    let _ = self.ls.wake.drain();
+                    continue;
                 }
-            });
-        }
+                self.handle_readiness((token - 1) as usize, readiness);
+            }
 
-        if finishing {
-            let deadline = *finish_deadline.get_or_insert_with(|| Instant::now() + FINISH_GRACE);
-            let flushing = conns
-                .iter()
-                .flatten()
-                .any(|c| c.out.is_some() && Instant::now() < deadline);
-            let completions_pending = !ls.completions.lock().is_empty();
-            if !flushing && !completions_pending {
-                break;
+            // Register freshly accepted sockets.
+            let inbox = std::mem::take(&mut *self.ls.inbox.lock());
+            for stream in inbox {
+                self.metrics.conn_registered();
+                generation += 1;
+                if self
+                    .register_conn(stream, generation, wheel.as_mut())
+                    .is_err()
+                {
+                    self.metrics.conn_closed();
+                }
+            }
+
+            // Deliver pending replies that arrived since the last turn.
+            let completions = std::mem::take(&mut *self.ls.completions.lock());
+            for c in completions {
+                match self.conns[c.slot].as_mut() {
+                    Some(conn) if conn.generation == c.generation => conn.inflight = false,
+                    _ => continue, // The connection died mid-request.
+                }
+                self.queue_reply(c.slot, &c.reply, Some(c.ctx));
+                self.flush_out(c.slot);
+            }
+
+            // Idle expiry.
+            if let Some(w) = wheel.as_mut() {
+                let now = Instant::now();
+                let (idle, tick) = (w.idle, w.tick);
+                w.advance(now, |(slot, gen)| {
+                    let conn = match self.conns[slot].as_ref() {
+                        Some(c) if c.generation == gen => c,
+                        _ => return None,
+                    };
+                    let idle_for = now.saturating_duration_since(conn.last_activity);
+                    if idle_for >= idle && !conn.busy() {
+                        self.metrics.conn_idle_closed();
+                        self.close_conn(slot);
+                        None
+                    } else {
+                        // Still active (or mid-request): come back when
+                        // its current idle budget would run out.
+                        Some(idle.saturating_sub(idle_for).max(tick))
+                    }
+                });
+            }
+
+            if finishing {
+                let deadline =
+                    *finish_deadline.get_or_insert_with(|| Instant::now() + FINISH_GRACE);
+                let flushing = self
+                    .conns
+                    .iter()
+                    .flatten()
+                    .any(|c| c.out.is_some() && Instant::now() < deadline);
+                let completions_pending = !self.ls.completions.lock().is_empty();
+                if !flushing && !completions_pending {
+                    break;
+                }
             }
         }
-    }
 
-    // Drop every remaining connection (peers see a close).
-    for slot in 0..conns.len() {
-        if conns[slot].is_some() {
-            close_conn(
-                &ls,
-                &metrics,
-                &mut conns,
-                &mut free,
-                slot,
-                CloseReason::Shutdown,
-            );
+        // Drop every remaining connection (peers see a close).
+        for slot in 0..self.conns.len() {
+            self.close_conn(slot);
         }
     }
-}
 
-/// Put a freshly accepted socket under epoll management.
-fn register_conn(
-    ls: &Arc<LoopShared>,
-    conns: &mut Vec<Option<Conn>>,
-    free: &mut Vec<usize>,
-    stream: TcpStream,
-    generation: u64,
-    wheel: Option<&mut TimerWheel>,
-) -> io::Result<()> {
-    stream.set_nonblocking(true)?;
-    stream.set_nodelay(true)?;
-    let slot = free.pop().unwrap_or_else(|| {
-        conns.push(None);
-        conns.len() - 1
-    });
-    let token = (slot + 1) as u64;
-    if let Err(e) = ls.epoll.add(&stream, EPOLLIN | EPOLLRDHUP, token) {
-        free.push(slot);
-        return Err(e);
+    /// Put a freshly accepted socket under epoll management.
+    fn register_conn(
+        &mut self,
+        stream: TcpStream,
+        generation: u64,
+        wheel: Option<&mut TimerWheel>,
+    ) -> io::Result<()> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        let token = (slot + 1) as u64;
+        if let Err(e) = self.ls.epoll.add(&stream, EPOLLIN | EPOLLRDHUP, token) {
+            self.free.push(slot);
+            return Err(e);
+        }
+        self.conns[slot] = Some(Conn {
+            stream,
+            generation,
+            decoder: FrameDecoder::new(),
+            out: None,
+            inflight: false,
+            interest: EPOLLIN | EPOLLRDHUP,
+            last_activity: Instant::now(),
+            close_after_flush: false,
+        });
+        if let Some(w) = wheel {
+            w.insert((slot, generation));
+        }
+        Ok(())
     }
-    conns[slot] = Some(Conn {
-        stream,
-        generation,
-        decoder: FrameDecoder::new(),
-        out: None,
-        inflight: false,
-        interest: EPOLLIN | EPOLLRDHUP,
-        last_activity: Instant::now(),
-        close_after_flush: false,
-    });
-    if let Some(w) = wheel {
-        w.insert((slot, generation));
-    }
-    Ok(())
-}
 
-/// React to readiness on a connection's socket.
-#[allow(clippy::too_many_arguments)]
-fn handle_readiness(
-    ls: &Arc<LoopShared>,
-    shared: &Arc<SharedState>,
-    metrics: &crate::metrics::ReactorMetrics,
-    conns: &mut [Option<Conn>],
-    free: &mut Vec<usize>,
-    slot: usize,
-    readiness: u32,
-) {
-    let Some(conn) = conns.get(slot).and_then(|c| c.as_ref()) else {
-        return; // Stale event for a closed slot.
-    };
-    if readiness & EPOLLERR != 0 {
-        close_conn(ls, metrics, conns, free, slot, CloseReason::Peer);
-        return;
-    }
-    if conn.out.is_some() && readiness & (EPOLLOUT | EPOLLHUP) != 0 {
-        flush_out(ls, shared, metrics, conns, free, slot);
-        return;
-    }
-    if readiness & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 && !conn.busy() {
-        read_ready(ls, shared, metrics, conns, free, slot);
-    }
-}
-
-/// Pull bytes into the connection's decoder until it would block, a
-/// frame completes, or the peer goes away.
-fn read_ready(
-    ls: &Arc<LoopShared>,
-    shared: &Arc<SharedState>,
-    metrics: &crate::metrics::ReactorMetrics,
-    conns: &mut [Option<Conn>],
-    free: &mut Vec<usize>,
-    slot: usize,
-) {
-    loop {
-        let conn = match conns[slot].as_mut() {
-            Some(c) => c,
-            None => return,
+    /// React to readiness on a connection's socket.
+    fn handle_readiness(&mut self, slot: usize, readiness: u32) {
+        let Some(conn) = self.conns.get(slot).and_then(|c| c.as_ref()) else {
+            return; // Stale event for a closed slot.
         };
-        let spare = conn.decoder.spare();
-        debug_assert!(!spare.is_empty(), "reading while poisoned");
-        match conn.stream.read(spare) {
-            Ok(0) => {
+        if readiness & EPOLLERR != 0 {
+            self.close_conn(slot);
+        } else if conn.out.is_some() && readiness & (EPOLLOUT | EPOLLHUP) != 0 {
+            self.flush_out(slot);
+        } else if readiness & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 && !conn.busy() {
+            self.read_ready(slot);
+        }
+    }
+
+    /// Pull bytes into the connection's decoder until it would block,
+    /// a frame completes, or the peer goes away.
+    fn read_ready(&mut self, slot: usize) {
+        loop {
+            let Some(conn) = self.conns[slot].as_mut() else {
+                return;
+            };
+            let spare = conn.decoder.spare();
+            debug_assert!(!spare.is_empty(), "reading while poisoned");
+            match conn.stream.read(spare) {
                 // EOF: clean at a frame boundary, torn otherwise —
                 // either way the connection is done (no request in
                 // flight here, since reads pause while busy).
-                close_conn(ls, metrics, conns, free, slot, CloseReason::Peer);
-                return;
-            }
-            Ok(n) => {
-                conn.last_activity = Instant::now();
-                match conn.decoder.advance(n) {
-                    Ok(Some(frame)) => {
-                        dispatch_frame(ls, shared, metrics, conns, free, slot, frame);
-                        return;
-                    }
-                    Ok(None) => {} // Mid-frame; keep reading.
-                    Err(WireError::Malformed(m)) => {
-                        // Answer once, then close: the stream is no
-                        // longer frame-aligned. Mirrors the threaded
-                        // engine's malformed-header path.
-                        shared.metrics.rejected(Status::Malformed);
-                        let frame = Frame::error(Opcode::Ping, Status::Malformed, &m);
-                        conn.out = Some(OutBuf::new(&frame));
-                        conn.close_after_flush = true;
-                        flush_out(ls, shared, metrics, conns, free, slot);
-                        return;
-                    }
-                    Err(WireError::Io(_)) => {
-                        close_conn(ls, metrics, conns, free, slot, CloseReason::Peer);
-                        return;
+                Ok(0) => return self.close_conn(slot),
+                Ok(n) => {
+                    conn.last_activity = Instant::now();
+                    match conn.decoder.advance(n) {
+                        Ok(Some(frame)) => return self.dispatch_frame(slot, frame),
+                        Ok(None) => {} // Mid-frame; keep reading.
+                        Err(WireError::Malformed(m)) => {
+                            // Answer once, then close.
+                            conn.out = Some(OutBuf::new(&self.front.malformed(&m)));
+                            conn.close_after_flush = true;
+                            return self.flush_out(slot);
+                        }
+                        Err(WireError::Io(_)) => return self.close_conn(slot),
                     }
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                close_conn(ls, metrics, conns, free, slot, CloseReason::Peer);
-                return;
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return self.close_conn(slot),
             }
         }
     }
-}
 
-/// Route one complete request frame.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_frame(
-    ls: &Arc<LoopShared>,
-    shared: &Arc<SharedState>,
-    metrics: &crate::metrics::ReactorMetrics,
-    conns: &mut [Option<Conn>],
-    free: &mut Vec<usize>,
-    slot: usize,
-    frame: Frame,
-) {
-    match frame.opcode {
-        Opcode::Ping => {
-            queue_reply(
-                conns,
+    /// Hand one complete request frame to the front-end and act on its
+    /// verdict.
+    fn dispatch_frame(&mut self, slot: usize, frame: Frame) {
+        let generation = self.conns[slot]
+            .as_ref()
+            .expect("dispatch on a live conn")
+            .generation;
+        let sink_ls = Arc::clone(&self.ls);
+        let verdict = self.front.dispatch(frame, move |(reply, ctx)| {
+            sink_ls.completions.lock().push(Completion {
                 slot,
-                &Frame::response(Opcode::Ping, Status::Ok, vec![]),
-                None,
-            );
-        }
-        Opcode::Stats => {
-            let json = telemetry_snapshot(shared).to_json();
-            queue_reply(
-                conns,
-                slot,
-                &Frame::response(Opcode::Stats, Status::Ok, json.into_bytes()),
-                None,
-            );
-        }
-        Opcode::Shutdown => {
-            // Acknowledge first; the drain starts once the frame is
-            // on its way (the flush below usually completes it).
-            queue_reply(
-                conns,
-                slot,
-                &Frame::response(Opcode::Shutdown, Status::Ok, vec![]),
-                None,
-            );
-            shared.request_shutdown();
-        }
-        Opcode::Infer => {
-            match admit_infer(shared, frame.payload) {
-                InferAdmission::Reject(reply, ctx) => {
-                    queue_reply(conns, slot, &reply, Some(ctx));
-                }
-                InferAdmission::Admit(adm) => {
-                    let conn = conns[slot].as_mut().expect("dispatch on a live conn");
-                    conn.inflight = true;
-                    // Silence the socket while the request runs: the
-                    // reply path re-arms EPOLLIN. (EPOLLERR/HUP still
-                    // arrive with empty interest.)
-                    set_interest(ls, conn, slot, EPOLLRDHUP);
-                    let sink_ls = Arc::clone(ls);
-                    let (generation, samples, t0, ctx) =
-                        (conn.generation, adm.samples, adm.t0, adm.req.ctx);
-                    adm.model.batcher.enqueue_with(
-                        ctx,
-                        adm.req.data,
-                        adm.req.num_samples,
-                        adm.deadline,
-                        Box::new(move |reply| {
-                            sink_ls.completions.lock().push(Completion {
-                                slot,
-                                generation,
-                                reply,
-                                samples,
-                                t0,
-                                ctx,
-                            });
-                            let _ = sink_ls.wake.wake();
-                        }),
-                    );
-                    return; // No immediate reply to flush.
-                }
+                generation,
+                reply,
+                ctx,
+            });
+            let _ = sink_ls.wake.wake();
+        });
+        match verdict {
+            Dispatched::Reply(reply, span) => {
+                self.queue_reply(slot, &reply, span);
+                self.flush_out(slot);
+            }
+            Dispatched::Pending => {
+                let conn = self.conns[slot].as_mut().expect("dispatch on a live conn");
+                conn.inflight = true;
+                // Silence the socket while the request runs: the reply
+                // path re-arms EPOLLIN. (EPOLLERR/HUP still arrive with
+                // empty interest.)
+                set_interest(&self.ls, conn, slot, EPOLLRDHUP);
             }
         }
     }
-    flush_out(ls, shared, metrics, conns, free, slot);
-}
 
-/// Stash a reply on the connection for flushing. `span` marks `Infer`
-/// replies, whose write is stamped with a `ReplyWritten` span.
-fn queue_reply(conns: &mut [Option<Conn>], slot: usize, frame: &Frame, span: Option<SpanCtx>) {
-    if let Some(conn) = conns[slot].as_mut() {
-        debug_assert!(conn.out.is_none(), "one reply at a time per connection");
-        let mut out = OutBuf::new(frame);
-        out.span = span.map(|ctx| (ctx, Instant::now()));
-        conn.out = Some(out);
+    /// Stash a reply on the connection for flushing. `span` marks
+    /// `Infer` replies, whose write is stamped with a `ReplyWritten`
+    /// span.
+    fn queue_reply(&mut self, slot: usize, frame: &Frame, span: Option<SpanCtx>) {
+        if let Some(conn) = self.conns[slot].as_mut() {
+            debug_assert!(conn.out.is_none(), "one reply at a time per connection");
+            let mut out = OutBuf::new(frame);
+            out.span = span.map(|ctx| (ctx, Instant::now()));
+            conn.out = Some(out);
+        }
     }
-}
 
-/// Write as much pending output as the socket accepts; arm `EPOLLOUT`
-/// on `WouldBlock`, restore read interest when the reply is out.
-fn flush_out(
-    ls: &Arc<LoopShared>,
-    shared: &Arc<SharedState>,
-    metrics: &crate::metrics::ReactorMetrics,
-    conns: &mut [Option<Conn>],
-    free: &mut Vec<usize>,
-    slot: usize,
-) {
-    let conn = match conns[slot].as_mut() {
-        Some(c) => c,
-        None => return,
-    };
-    let Some(out) = conn.out.as_mut() else {
-        return;
-    };
-    loop {
-        match conn.stream.write(&out.buf[out.at..]) {
-            Ok(0) => {
-                close_conn(ls, metrics, conns, free, slot, CloseReason::Peer);
-                return;
-            }
-            Ok(n) => {
-                out.at += n;
-                conn.last_activity = Instant::now();
-                if out.at == out.buf.len() {
-                    if let (Some((ctx, started)), Some(trace)) = (out.span, &shared.trace) {
-                        trace.record(
-                            SpanKind::ReplyWritten,
-                            ctx,
-                            0,
-                            (out.buf.len() - crate::protocol::HEADER_LEN) as u64,
-                            started,
-                            Instant::now(),
-                        );
+    /// Write as much pending output as the socket accepts; arm
+    /// `EPOLLOUT` on `WouldBlock`, restore read interest when the reply
+    /// is out.
+    fn flush_out(&mut self, slot: usize) {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        let Some(out) = conn.out.as_mut() else {
+            return;
+        };
+        loop {
+            match conn.stream.write(&out.buf[out.at..]) {
+                Ok(0) => return self.close_conn(slot),
+                Ok(n) => {
+                    out.at += n;
+                    conn.last_activity = Instant::now();
+                    if out.at == out.buf.len() {
+                        if let Some((ctx, started)) = out.span {
+                            let payload_len = out.buf.len() - crate::protocol::HEADER_LEN;
+                            self.front.reply_written(ctx, payload_len, started);
+                        }
+                        conn.out = None;
+                        if conn.close_after_flush {
+                            self.close_conn(slot);
+                        } else {
+                            set_interest(&self.ls, conn, slot, EPOLLIN | EPOLLRDHUP);
+                        }
+                        return;
                     }
-                    conn.out = None;
-                    if conn.close_after_flush {
-                        close_conn(ls, metrics, conns, free, slot, CloseReason::Peer);
-                    } else {
-                        set_interest(ls, conn, slot, EPOLLIN | EPOLLRDHUP);
-                    }
-                    return;
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return set_interest(&self.ls, conn, slot, EPOLLOUT);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return self.close_conn(slot),
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                set_interest(ls, conn, slot, EPOLLOUT);
-                return;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                close_conn(ls, metrics, conns, free, slot, CloseReason::Peer);
-                return;
-            }
+        }
+    }
+
+    /// Tear a connection down: deregister, free the slot, count it.
+    /// No-op on an empty slot.
+    fn close_conn(&mut self, slot: usize) {
+        if let Some(conn) = self.conns[slot].take() {
+            let _ = self.ls.epoll.delete(&conn.stream);
+            self.metrics.conn_closed();
+            self.free.push(slot);
+            // An in-flight request's completion will arrive with a stale
+            // generation and be dropped (its accounting already ran).
         }
     }
 }
 
 /// Change a connection's epoll interest iff it differs (skips the
 /// syscall on the hot path where interest is already right).
-fn set_interest(ls: &Arc<LoopShared>, conn: &mut Conn, slot: usize, want: u32) {
+fn set_interest(ls: &LoopShared, conn: &mut Conn, slot: usize, want: u32) {
     if conn.interest != want {
         let _ = ls.epoll.modify(&conn.stream, want, (slot + 1) as u64);
         conn.interest = want;
-    }
-}
-
-/// Tear a connection down: deregister, free the slot, count it.
-fn close_conn(
-    ls: &Arc<LoopShared>,
-    metrics: &crate::metrics::ReactorMetrics,
-    conns: &mut [Option<Conn>],
-    free: &mut Vec<usize>,
-    slot: usize,
-    _reason: CloseReason,
-) {
-    if let Some(conn) = conns[slot].take() {
-        let _ = ls.epoll.delete(&conn.stream);
-        metrics.conn_closed();
-        free.push(slot);
-        // An in-flight request's completion will arrive with a stale
-        // generation and be dropped (its accounting still runs).
     }
 }

@@ -1,30 +1,28 @@
-//! The TCP server: accept path, serving engines, admission control
-//! and graceful drain.
+//! The TCP server: model registry, admission control and graceful
+//! drain, served through the shared SPN1 [`Frontend`].
 //!
-//! The server has two interchangeable **serving engines** selected by
-//! [`ServerConfig::serving`]; both speak the same wire protocol,
-//! apply the same admission control (`admit_infer`) and feed the
-//! same per-model batchers, so their observable behaviour is
-//! identical:
+//! The server is one [`Service`] — `Stats` is the unified telemetry
+//! document, `Infer` is decode → validate → admission control →
+//! enqueue with the model's batcher — behind the one front-end, and
+//! [`ServerConfig::serving`] picks which of the two drivers moves its
+//! bytes. Both speak the same wire protocol through the same dispatch
+//! code, so their observable behaviour is identical:
 //!
 //! * [`ServingMode::Reactor`] (the default) — a nonblocking epoll
 //!   readiness loop: one accept thread hands sockets to a small fixed
 //!   pool of event-loop threads, each multiplexing thousands of
-//!   connections through per-connection state machines (see
-//!   [`crate::reactor`]). Scales to 10k+ concurrent connections.
-//! * [`ServingMode::Threaded`] — the original blocking model: one
-//!   accept thread plus one connection thread per client socket,
-//!   reading frames with a short read-timeout so it can observe the
-//!   shutdown flag. Kept as the semantic oracle the reactor is
-//!   differentially tested against; costs one OS thread per client.
+//!   connections (see [`crate::reactor`]). Scales to 10k+ concurrent
+//!   connections.
+//! * [`ServingMode::Threaded`] — the blocking thread-per-connection
+//!   driver (see [`crate::blocking`]). Kept as the semantic oracle the
+//!   reactor is differentially tested against; costs one OS thread per
+//!   client.
 //!
 //! Either way there is one **batcher worker** per registered model
 //! (see [`crate::batcher`]), and a connection handles one request at
-//! a time: decode → validate → admission control → enqueue with the
-//! model's batcher → await the reply → write the response. Faults are
-//! *contained per connection*: a malformed payload earns an error
-//! frame on that socket only; a torn frame or mid-request disconnect
-//! kills that connection only.
+//! a time. Faults are *contained per connection*: a malformed payload
+//! earns an error frame on that socket only; a torn frame or
+//! mid-request disconnect kills that connection only.
 //!
 //! Shutdown ([`SpnServer::shutdown`], the `Shutdown` opcode, or drop)
 //! is a drain, not an abort: the accept loop stops, new `Infer`
@@ -34,31 +32,27 @@
 //! joined.
 
 use crate::batcher::{BatchPolicy, Batcher, Reply};
-use crate::conn::{read_full, ReadOutcome};
+use crate::blocking::BlockingDriver;
+use crate::frontend::{Frontend, InferReply, Service};
 use crate::metrics::{ReactorMetrics, ServerMetrics, ServerMetricsSnapshot};
-use crate::protocol::{
-    parse_header, write_frame, Frame, InferRequest, Opcode, Status, WireError, HEADER_LEN,
-};
+use crate::protocol::{Frame, InferRequest, Opcode, Status};
 use crate::reactor::{self, ReactorConfig, ReactorHandle};
-use parking_lot::{Condvar, Mutex};
 use spn_runtime::{JobOptions, PlanCache, Scheduler};
 use spn_telemetry::{
-    BatcherTelemetry, ModelTelemetry, PlanTelemetry, ShardTelemetry, SpanCtx, SpanKind,
-    TelemetrySnapshot, TraceCollector, TELEMETRY_SCHEMA_VERSION,
+    BatcherTelemetry, ModelTelemetry, PlanTelemetry, ShardTelemetry, SpanCtx, TelemetrySnapshot,
+    TraceCollector, TELEMETRY_SCHEMA_VERSION,
 };
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Which serving engine fronts the batchers.
 #[derive(Debug, Clone)]
 pub enum ServingMode {
-    /// Blocking thread-per-connection serving — the original engine,
-    /// kept as the semantic oracle for the reactor.
+    /// Blocking thread-per-connection serving, kept as the semantic
+    /// oracle for the reactor.
     Threaded,
     /// Nonblocking epoll reactor serving (the default).
     Reactor(ReactorConfig),
@@ -82,10 +76,10 @@ pub struct ServerConfig {
     /// number of admitted-but-unanswered samples past this bound.
     pub max_inflight_samples: u64,
     /// How often blocked reads wake up to check the shutdown flag
-    /// (threaded engine only; the reactor is readiness-driven).
+    /// (threaded driver only; the reactor is readiness-driven).
     pub read_poll: Duration,
     /// Live span collector shared with the models' schedulers
-    /// (`None` = tracing off). When set, connection threads record
+    /// (`None` = tracing off). When set, the front-end records
     /// `ReplyWritten` spans into it; pass the *same* collector to
     /// [`spn_runtime::Scheduler::with_trace`] so server and device
     /// spans land on one correlated timeline.
@@ -155,8 +149,8 @@ impl ModelSpec {
     }
 }
 
-pub(crate) struct ModelHandle {
-    pub(crate) batcher: Batcher,
+struct ModelHandle {
+    batcher: Batcher,
     scheduler: Arc<Scheduler>,
     num_features: u32,
     /// Feature domain; request bytes must all be `< domain`. Checked
@@ -167,54 +161,29 @@ pub(crate) struct ModelHandle {
     domain: usize,
 }
 
-pub(crate) struct SharedState {
-    pub(crate) models: BTreeMap<String, ModelHandle>,
-    pub(crate) metrics: Arc<ServerMetrics>,
-    shutting_down: AtomicBool,
-    /// Signalled when shutdown is requested (by the `Shutdown` opcode
-    /// or [`SpnServer::shutdown`]); `wait_for_shutdown` blocks on it.
-    shutdown_flag: Mutex<bool>,
-    shutdown_cv: Condvar,
+/// The server behind the front-end: the model registry plus the
+/// counters and limits admission control runs on.
+pub(crate) struct ServerService {
+    models: BTreeMap<String, ModelHandle>,
+    metrics: Arc<ServerMetrics>,
     max_inflight_samples: u64,
-    read_poll: Duration,
-    local_addr: SocketAddr,
-    /// See [`ServerConfig::trace`].
-    pub(crate) trace: Option<Arc<TraceCollector>>,
-    /// Reactor front-end counters; `Some` only under
+    /// Reactor driver counters; `Some` only under
     /// [`ServingMode::Reactor`] (the telemetry section stays `null`
     /// for the threaded oracle).
     pub(crate) reactor: Option<Arc<ReactorMetrics>>,
 }
 
-impl SharedState {
-    pub(crate) fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::Acquire)
-    }
-
-    /// Flip the flag and wake everyone who waits on it. Safe to call
-    /// from connection threads (it does no joining).
-    pub(crate) fn request_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::Release);
-        let mut f = self.shutdown_flag.lock();
-        *f = true;
-        self.shutdown_cv.notify_all();
-        // Nudge the accept thread out of `accept()`.
-        let _ = TcpStream::connect(self.local_addr);
-    }
-}
+pub(crate) type ServerFront = Frontend<ServerService>;
 
 /// A running inference server. Dropping it drains and stops it.
 pub struct SpnServer {
-    shared: Arc<SharedState>,
+    front: Arc<ServerFront>,
     engine: Engine,
 }
 
-/// The running serving engine behind an [`SpnServer`].
+/// The running driver behind an [`SpnServer`].
 enum Engine {
-    Threaded {
-        accept_thread: Option<thread::JoinHandle<()>>,
-        conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-    },
+    Threaded(BlockingDriver),
     Reactor(ReactorHandle),
 }
 
@@ -296,57 +265,46 @@ impl SpnServer {
             ServingMode::Reactor(rc) => Some(Arc::new(ReactorMetrics::new(rc.loop_threads.max(1)))),
             ServingMode::Threaded => None,
         };
-        let shared = Arc::new(SharedState {
+        let service = ServerService {
             models: registry,
             metrics,
-            shutting_down: AtomicBool::new(false),
-            shutdown_flag: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
             max_inflight_samples: config.max_inflight_samples,
-            read_poll: config.read_poll,
-            local_addr,
-            trace: config.trace,
             reactor: reactor_metrics,
-        });
+        };
+        let front = Arc::new(Frontend::new(
+            service,
+            local_addr,
+            config.read_poll,
+            config.trace,
+        ));
 
         let engine = match config.serving {
             ServingMode::Threaded => {
-                let conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
-                    Arc::new(Mutex::new(Vec::new()));
-                let accept_shared = Arc::clone(&shared);
-                let accept_conns = Arc::clone(&conn_threads);
-                let accept_thread = thread::Builder::new()
-                    .name("spn-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared, accept_conns))
-                    .expect("spawn accept thread");
-                Engine::Threaded {
-                    accept_thread: Some(accept_thread),
-                    conn_threads,
-                }
+                Engine::Threaded(BlockingDriver::start(listener, Arc::clone(&front)))
             }
             ServingMode::Reactor(rc) => {
-                Engine::Reactor(reactor::start(listener, Arc::clone(&shared), rc)?)
+                Engine::Reactor(reactor::start(listener, Arc::clone(&front), rc)?)
             }
         };
 
-        Ok(SpnServer { shared, engine })
+        Ok(SpnServer { front, engine })
     }
 
     /// The address the server actually bound (resolves port `0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.front.local_addr()
     }
 
     /// Point-in-time serving metrics.
     pub fn metrics_snapshot(&self) -> ServerMetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.front.service.metrics.snapshot()
     }
 
     /// The unified telemetry document: serving metrics plus one
     /// scheduler/batcher section per model — exactly what the `Stats`
     /// opcode returns on the wire.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        telemetry_snapshot(&self.shared)
+        self.front.service.telemetry_snapshot()
     }
 
     /// Block until shutdown is requested — by a client's `Shutdown`
@@ -354,54 +312,32 @@ impl SpnServer {
     /// then drops the server (or calls `shutdown`) to perform the
     /// actual drain and join.
     pub fn wait_for_shutdown(&self) {
-        let mut f = self.shared.shutdown_flag.lock();
-        while !*f {
-            self.shared.shutdown_cv.wait(&mut f);
-        }
+        self.front.wait_for_shutdown();
     }
 
     /// Drain and stop: refuse new work, answer everything already
     /// admitted, then join every thread. Idempotent; also runs on
     /// drop.
     pub fn shutdown(&mut self) {
-        self.shared.request_shutdown();
+        self.front.request_shutdown();
         match &mut self.engine {
-            Engine::Threaded {
-                accept_thread,
-                conn_threads,
-            } => {
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                // Drain order is load-bearing: connection threads may
-                // be blocked on reply channels, and flushing the batch
-                // queues is what unblocks them — so batchers first,
-                // connections second.
-                for handle in self.shared.models.values() {
-                    handle.batcher.request_drain();
-                }
-                for handle in self.shared.models.values() {
-                    handle.batcher.join_worker();
-                }
-                let mut conns = conn_threads.lock();
-                for t in conns.drain(..) {
-                    let _ = t.join();
-                }
-            }
-            Engine::Reactor(handle) => {
-                handle.join_acceptor();
-                // Same order, reactor-shaped: draining the batchers
-                // pushes every outstanding reply into the loops'
-                // completion queues; only then are the loops told to
-                // flush what remains and exit.
-                for handle in self.shared.models.values() {
-                    handle.batcher.request_drain();
-                }
-                for handle in self.shared.models.values() {
-                    handle.batcher.join_worker();
-                }
-                handle.finish();
-            }
+            Engine::Threaded(driver) => driver.join_acceptor(),
+            Engine::Reactor(handle) => handle.join_acceptor(),
+        }
+        // Drain order is load-bearing: every connection with a pending
+        // `Infer` is waiting on its batcher reply — a blocked thread, or
+        // a reactor slot awaiting its completion — and flushing the
+        // batch queues is what delivers those. Batchers first,
+        // connections second.
+        for handle in self.front.service.models.values() {
+            handle.batcher.request_drain();
+        }
+        for handle in self.front.service.models.values() {
+            handle.batcher.join_worker();
+        }
+        match &mut self.engine {
+            Engine::Threaded(driver) => driver.finish(),
+            Engine::Reactor(handle) => handle.finish(),
         }
     }
 }
@@ -412,229 +348,104 @@ impl Drop for SpnServer {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<SharedState>,
-    conns: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if shared.is_shutting_down() {
-                    // The wake-up connection (or a late client); stop.
-                    drop(stream);
-                    return;
-                }
-                let conn_shared = Arc::clone(&shared);
-                let t = thread::Builder::new()
-                    .name(format!("spn-conn-{peer}"))
-                    .spawn(move || {
-                        // Any I/O failure just ends this connection.
-                        let _ = serve_connection(stream, &conn_shared);
-                    })
-                    .expect("spawn connection thread");
-                let mut guard = conns.lock();
-                // Reap threads whose connections already closed so a
-                // long-running server with connection churn does not
-                // accumulate JoinHandles without bound. `is_finished`
-                // handles are join()ed instantly (the thread is done).
-                let mut i = 0;
-                while i < guard.len() {
-                    if guard[i].is_finished() {
-                        let _ = guard.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
-                guard.push(t);
-            }
-            Err(_) => {
-                if shared.is_shutting_down() {
-                    return;
-                }
-                // Transient accept error; keep serving.
-            }
-        }
+impl Service for ServerService {
+    fn stats_json(&self) -> String {
+        self.telemetry_snapshot().to_json()
     }
-}
 
-fn serve_connection(mut stream: TcpStream, shared: &SharedState) -> io::Result<()> {
-    stream.set_read_timeout(Some(shared.read_poll))?;
-    stream.set_nodelay(true)?;
-    loop {
-        let mut header = [0u8; HEADER_LEN];
-        match read_full(&mut stream, &mut header, || shared.is_shutting_down())? {
-            ReadOutcome::Eof | ReadOutcome::Shutdown => return Ok(()),
-            ReadOutcome::Full => {}
-        }
-        let (opcode, _status, len) = match parse_header(&header) {
-            Ok(h) => h,
-            Err(WireError::Malformed(m)) => {
-                // The stream can no longer be trusted to be
-                // frame-aligned: answer once, then close — other
-                // connections are unaffected.
-                shared.metrics.rejected(Status::Malformed);
-                let _ = write_frame(
-                    &mut stream,
-                    &Frame::error(Opcode::Ping, Status::Malformed, &m),
-                );
-                return Ok(());
-            }
-            Err(WireError::Io(e)) => return Err(e),
+    fn rejected(&self, status: Status) {
+        self.metrics.rejected(status);
+    }
+
+    /// Decode, validate and admit one `Infer` request, then park it
+    /// with its model's batcher. Takes the payload by value so the
+    /// socket read buffer goes straight to the batcher
+    /// ([`InferRequest::decode_owned`]).
+    fn infer<F>(&self, payload: Vec<u8>, done: F) -> Option<InferReply>
+    where
+        F: FnOnce(InferReply) + Send + 'static,
+    {
+        let t0 = Instant::now();
+        let reject = |status: Status, msg: &str, ctx: SpanCtx| {
+            self.metrics.rejected(status);
+            Some((Frame::error(Opcode::Infer, status, msg), ctx))
         };
-        let mut payload = vec![0u8; len as usize];
-        match read_full(&mut stream, &mut payload, || shared.is_shutting_down())? {
-            ReadOutcome::Full => {}
-            // Mid-frame EOF or shutdown: abandon the connection.
-            ReadOutcome::Eof | ReadOutcome::Shutdown => return Ok(()),
-        }
 
-        match opcode {
-            Opcode::Ping => {
-                write_frame(
-                    &mut stream,
-                    &Frame::response(Opcode::Ping, Status::Ok, vec![]),
-                )?;
-            }
-            Opcode::Stats => {
-                let json = telemetry_snapshot(shared).to_json();
-                write_frame(
-                    &mut stream,
-                    &Frame::response(Opcode::Stats, Status::Ok, json.into_bytes()),
-                )?;
-            }
-            Opcode::Shutdown => {
-                // Acknowledge first, then start the drain: the client
-                // gets its reply even though the server is now
-                // refusing new inference work.
-                write_frame(
-                    &mut stream,
-                    &Frame::response(Opcode::Shutdown, Status::Ok, vec![]),
-                )?;
-                shared.request_shutdown();
-            }
-            Opcode::Infer => {
-                let (frame, ctx) = handle_infer(shared, payload);
-                let t_write = Instant::now();
-                write_frame(&mut stream, &frame)?;
-                if let Some(trace) = &shared.trace {
-                    trace.record(
-                        SpanKind::ReplyWritten,
-                        ctx,
-                        0,
-                        frame.payload.len() as u64,
-                        t_write,
-                        Instant::now(),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Outcome of [`admit_infer`]: either an immediate rejection frame or
-/// an admitted request ready to enqueue with its model's batcher.
-pub(crate) enum InferAdmission<'a> {
-    /// Rejected before admission; write the frame and move on. The
-    /// [`SpanCtx`] is the request's (or [`SpanCtx::NONE`] when
-    /// decoding failed) for stamping the reply-write span.
-    Reject(Frame, SpanCtx),
-    /// Admitted and counted (`request_admitted` has run); the caller
-    /// *must* eventually deliver a reply and call `request_done`.
-    Admit(AdmittedInfer<'a>),
-}
-
-/// An `Infer` request that passed decode, validation and admission
-/// control, ready for [`crate::batcher::Batcher::enqueue`].
-pub(crate) struct AdmittedInfer<'a> {
-    pub(crate) model: &'a ModelHandle,
-    pub(crate) req: InferRequest,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) samples: u64,
-    pub(crate) t0: Instant,
-}
-
-/// Decode, validate and admit one `Infer` request — the engine-shared
-/// front half of request handling. Takes the payload by value so the
-/// reactor's zero-copy path ([`InferRequest::decode_owned`]) can hand
-/// the socket read buffer straight to the batcher.
-pub(crate) fn admit_infer(shared: &SharedState, payload: Vec<u8>) -> InferAdmission<'_> {
-    let t0 = Instant::now();
-    let reject = |status: Status, msg: &str, ctx: SpanCtx| {
-        shared.metrics.rejected(status);
-        InferAdmission::Reject(Frame::error(Opcode::Infer, status, msg), ctx)
-    };
-
-    if shared.is_shutting_down() {
-        return reject(Status::ShuttingDown, "server is draining", SpanCtx::NONE);
-    }
-    let req = match InferRequest::decode_owned(payload) {
-        Ok(r) => r,
-        Err(m) => return reject(Status::Malformed, &m, SpanCtx::NONE),
-    };
-    let ctx = req.ctx;
-    let Some(model) = shared.models.get(&req.model) else {
-        return reject(
-            Status::UnknownModel,
-            &format!("model '{}' is not registered", req.model),
-            ctx,
-        );
-    };
-    if req.num_features != model.num_features {
-        return reject(
-            Status::ShapeMismatch,
-            &format!(
-                "model '{}' expects {} features per sample, request carries {}",
-                req.model, model.num_features, req.num_features
-            ),
-            ctx,
-        );
-    }
-    // Domain check: every feature byte must be `< domain`, or the
-    // batcher's `Dataset::from_raw` would panic — killing the model's
-    // worker thread and wedging every later request for that model.
-    // One out-of-domain byte must cost *this* request only.
-    if model.domain < 256 {
-        if let Some(bad) = req.data.iter().find(|&&v| usize::from(v) >= model.domain) {
+        let req = match InferRequest::decode_owned(payload) {
+            Ok(r) => r,
+            Err(m) => return reject(Status::Malformed, &m, SpanCtx::NONE),
+        };
+        let ctx = req.ctx;
+        let Some(model) = self.models.get(&req.model) else {
             return reject(
-                Status::Malformed,
+                Status::UnknownModel,
+                &format!("model '{}' is not registered", req.model),
+                ctx,
+            );
+        };
+        if req.num_features != model.num_features {
+            return reject(
+                Status::ShapeMismatch,
                 &format!(
-                    "feature value {bad} outside model '{}' domain 0..{}",
-                    req.model, model.domain
+                    "model '{}' expects {} features per sample, request carries {}",
+                    req.model, model.num_features, req.num_features
                 ),
                 ctx,
             );
         }
-    }
-    let samples = u64::from(req.num_samples);
-    // Admission control: bound the admitted-but-unanswered samples.
-    // (Racy increment-after-check is fine — the bound is a soft
-    // protective limit, not an accounting invariant.)
-    if shared.metrics.inflight_samples() + samples > shared.max_inflight_samples {
-        return reject(
-            Status::ServerBusy,
-            &format!(
-                "in-flight sample limit {} reached; retry later",
-                shared.max_inflight_samples
-            ),
+        // Domain check: every feature byte must be `< domain`, or the
+        // batcher's `Dataset::from_raw` would panic — killing the model's
+        // worker thread and wedging every later request for that model.
+        // One out-of-domain byte must cost *this* request only.
+        if model.domain < 256 {
+            if let Some(bad) = req.data.iter().find(|&&v| usize::from(v) >= model.domain) {
+                return reject(
+                    Status::Malformed,
+                    &format!(
+                        "feature value {bad} outside model '{}' domain 0..{}",
+                        req.model, model.domain
+                    ),
+                    ctx,
+                );
+            }
+        }
+        let samples = u64::from(req.num_samples);
+        // Admission control: bound the admitted-but-unanswered samples.
+        // (Racy increment-after-check is fine — the bound is a soft
+        // protective limit, not an accounting invariant.)
+        if self.metrics.inflight_samples() + samples > self.max_inflight_samples {
+            return reject(
+                Status::ServerBusy,
+                &format!(
+                    "in-flight sample limit {} reached; retry later",
+                    self.max_inflight_samples
+                ),
+                ctx,
+            );
+        }
+        self.metrics.request_admitted(samples);
+        let deadline =
+            (req.deadline_ms > 0).then(|| t0 + Duration::from_millis(req.deadline_ms as u64));
+        let metrics = Arc::clone(&self.metrics);
+        model.batcher.enqueue_with(
             ctx,
+            req.data,
+            req.num_samples,
+            deadline,
+            // Runs on the batcher's demux thread whether or not the
+            // connection survived, so an admitted request is always
+            // counted done.
+            Box::new(move |reply| {
+                metrics.request_done(samples, t0.elapsed());
+                done((reply_frame(reply), ctx));
+            }),
         );
+        None
     }
-    shared.metrics.request_admitted(samples);
-    let deadline =
-        (req.deadline_ms > 0).then(|| t0 + Duration::from_millis(req.deadline_ms as u64));
-    InferAdmission::Admit(AdmittedInfer {
-        model,
-        req,
-        deadline,
-        samples,
-        t0,
-    })
 }
 
-/// Turn a batcher [`Reply`] into the `Infer` response frame — the
-/// engine-shared back half of request handling.
-pub(crate) fn reply_frame(reply: Reply) -> Frame {
+/// Turn a batcher [`Reply`] into the `Infer` response frame.
+fn reply_frame(reply: Reply) -> Frame {
     match reply {
         Reply::Ok(lls) => Frame::response(
             Opcode::Infer,
@@ -645,93 +456,74 @@ pub(crate) fn reply_frame(reply: Reply) -> Frame {
     }
 }
 
-/// Decode, validate, admit, batch and *block on* one `Infer` request —
-/// the threaded engine's request path. Returns the response frame plus
-/// the request's trace context so the caller can stamp the reply-write
-/// span.
-fn handle_infer(shared: &SharedState, payload: Vec<u8>) -> (Frame, SpanCtx) {
-    let adm = match admit_infer(shared, payload) {
-        InferAdmission::Reject(frame, ctx) => return (frame, ctx),
-        InferAdmission::Admit(adm) => adm,
-    };
-    let ctx = adm.req.ctx;
-    let rx = adm
-        .model
-        .batcher
-        .enqueue(ctx, adm.req.data, adm.req.num_samples, adm.deadline);
-    let reply = rx
-        .recv()
-        .unwrap_or_else(|_| Reply::Err(Status::Internal, "batcher dropped the request".into()));
-    shared.metrics.request_done(adm.samples, adm.t0.elapsed());
-    (reply_frame(reply), ctx)
-}
-
-/// Build the unified telemetry document the `Stats` opcode serves:
-/// the serving section plus one scheduler/batcher section per model
-/// (models in `BTreeMap` name order; serde handles all escaping, so
-/// arbitrary model names are safe), plus one aggregate `plan` section
-/// over the distinct plan caches behind those schedulers. Schedulers
-/// built with [`spn_runtime::Scheduler::with_cache`] may share one
-/// cache, so caches are de-duplicated by identity before summing —
-/// a shared cache is counted once, not once per model.
-pub(crate) fn telemetry_snapshot(shared: &SharedState) -> TelemetrySnapshot {
-    let models = shared
-        .models
-        .iter()
-        .map(|(name, handle)| {
-            (
-                name.clone(),
-                ModelTelemetry {
-                    scheduler: handle.scheduler.metrics_snapshot(),
-                    batcher: Some(BatcherTelemetry {
-                        queued_samples: handle.batcher.queued_samples(),
-                    }),
-                },
-            )
-        })
-        .collect();
-    let mut seen: Vec<*const PlanCache> = Vec::new();
-    let mut plan = PlanTelemetry {
-        cached_plans: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        invalidations: 0,
-    };
-    for handle in shared.models.values() {
-        let cache = handle.scheduler.plan_cache();
-        let id = Arc::as_ptr(cache);
-        if seen.contains(&id) {
-            continue;
+impl ServerService {
+    /// Build the unified telemetry document the `Stats` opcode serves:
+    /// the serving section plus one scheduler/batcher section per model
+    /// (models in `BTreeMap` name order; serde handles all escaping, so
+    /// arbitrary model names are safe), plus one aggregate `plan` section
+    /// over the distinct plan caches behind those schedulers. Schedulers
+    /// built with [`spn_runtime::Scheduler::with_cache`] may share one
+    /// cache, so caches are de-duplicated by identity before summing —
+    /// a shared cache is counted once, not once per model.
+    fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+        let models = self
+            .models
+            .iter()
+            .map(|(name, handle)| {
+                (
+                    name.clone(),
+                    ModelTelemetry {
+                        scheduler: handle.scheduler.metrics_snapshot(),
+                        batcher: Some(BatcherTelemetry {
+                            queued_samples: handle.batcher.queued_samples(),
+                        }),
+                    },
+                )
+            })
+            .collect();
+        let mut seen: Vec<*const PlanCache> = Vec::new();
+        let mut plan = PlanTelemetry {
+            cached_plans: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            invalidations: 0,
+        };
+        for handle in self.models.values() {
+            let cache = handle.scheduler.plan_cache();
+            let id = Arc::as_ptr(cache);
+            if seen.contains(&id) {
+                continue;
+            }
+            seen.push(id);
+            let t = cache.telemetry();
+            plan.cached_plans += t.cached_plans;
+            plan.cache_hits += t.cache_hits;
+            plan.cache_misses += t.cache_misses;
+            plan.invalidations += t.invalidations;
         }
-        seen.push(id);
-        let t = cache.telemetry();
-        plan.cached_plans += t.cached_plans;
-        plan.cache_hits += t.cache_hits;
-        plan.cache_misses += t.cache_misses;
-        plan.invalidations += t.invalidations;
-    }
-    // Aggregate sharded-path counters across the models' schedulers;
-    // the section stays `null` until some model runs a sharded job.
-    let mut shard: Option<ShardTelemetry> = None;
-    for handle in shared.models.values() {
-        if let Some(t) = handle.scheduler.shard_telemetry() {
-            let acc = shard.get_or_insert(ShardTelemetry {
-                shard_sets: 0,
-                shards: 0,
-                sharded_blocks: 0,
-            });
-            acc.shard_sets += t.shard_sets;
-            acc.shards += t.shards;
-            acc.sharded_blocks += t.sharded_blocks;
+        // Aggregate sharded-path counters across the models' schedulers;
+        // the section stays `null` until some model runs a sharded job.
+        let mut shard: Option<ShardTelemetry> = None;
+        for handle in self.models.values() {
+            if let Some(t) = handle.scheduler.shard_telemetry() {
+                let acc = shard.get_or_insert(ShardTelemetry {
+                    shard_sets: 0,
+                    shards: 0,
+                    sharded_blocks: 0,
+                });
+                acc.shard_sets += t.shard_sets;
+                acc.shards += t.shards;
+                acc.sharded_blocks += t.sharded_blocks;
+            }
         }
-    }
-    TelemetrySnapshot {
-        schema: TELEMETRY_SCHEMA_VERSION,
-        server: Some(shared.metrics.snapshot()),
-        models,
-        plan: Some(plan),
-        router: None,
-        shard,
-        reactor: shared.reactor.as_ref().map(|m| m.snapshot()),
+        TelemetrySnapshot {
+            schema: TELEMETRY_SCHEMA_VERSION,
+            server: Some(self.metrics.snapshot()),
+            models,
+            plan: Some(plan),
+            router: None,
+            shard,
+            reactor: self.reactor.as_ref().map(|m| m.snapshot()),
+        }
     }
 }

@@ -11,8 +11,8 @@ use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_replay::{record_load, replay, ReplayConfig, Trace};
 use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
-    run_open_loop, BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, OpenLoopConfig,
-    ReactorConfig, ServerConfig, ServingMode, SpnServer, Status,
+    run_load, BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, ReactorConfig, ServerConfig,
+    ServingMode, SpnServer, Status,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -91,27 +91,23 @@ fn reactor_serves_a_thousand_connections() {
             idle_timeout: Some(Duration::from_secs(60)),
         }),
     );
-    let cfg = OpenLoopConfig {
-        load: LoadConfig {
-            addr: server.local_addr(),
-            model: bench.name().to_string(),
-            num_features: bench.num_vars() as u32,
-            domain: 255,
-            connections: conns,
-            requests_per_connection: 2,
-            samples_per_request: 1,
-            deadline_ms: 0,
-            seed: 7,
-        },
-        workers: 2,
-        run_timeout: Some(Duration::from_secs(300)),
+    let cfg = LoadConfig {
+        addr: server.local_addr(),
+        model: bench.name().to_string(),
+        num_features: bench.num_vars() as u32,
+        domain: 255,
+        connections: conns,
+        requests_per_connection: 2,
+        samples_per_request: 1,
+        deadline_ms: 0,
+        seed: 7,
     };
-    let report = run_open_loop(&cfg).expect("open-loop run");
+    let report = run_load(&cfg).expect("load run");
     assert_eq!(report.connections, conns, "fd budget clamped the smoke");
     assert_eq!(report.dropped_connections, 0, "{}", report.summary());
     assert_eq!(report.rejected_at_accept, 0, "{}", report.summary());
-    assert_eq!(report.load.ok_requests, 2 * conns as u64);
-    assert_eq!(report.load.rejected_requests, 0);
+    assert_eq!(report.ok_requests, 2 * conns as u64);
+    assert_eq!(report.rejected_requests, 0);
 
     let telemetry = server.telemetry_snapshot();
     let reactor = telemetry.reactor.expect("reactor section present");
