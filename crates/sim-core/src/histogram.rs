@@ -1,10 +1,20 @@
-//! Log-bucketed sample histogram with percentile queries.
+//! Log-bucketed sample histograms with percentile queries.
 //!
 //! Latency distributions in the models span six orders of magnitude
 //! (nanosecond HBM grants to millisecond DMA queueing), so buckets grow
-//! geometrically: bucket `i` covers `[min·g^i, min·g^(i+1))`. Accuracy
-//! per percentile is bounded by the growth factor (default 2^(1/8) ≈
-//! 9 % per bucket) at O(1) memory.
+//! geometrically: 8 log-linear sub-buckets per octave of `value / min`,
+//! ≈ 9 % relative resolution at O(1) memory.
+//!
+//! [`LogBuckets`] is the one bucketing kernel — index, upper edge, rank
+//! walk and the six-number summary — over counts its caller owns. It
+//! has two fronts: [`LogHistogram`] here (plain `&mut`, for the
+//! single-threaded simulations) and `spn_telemetry::AtomicHistogram`
+//! (lock-free, for the serving path). Both therefore share one rule
+//! for awkward input: non-finite values are not recorded (JSON cannot
+//! carry them and a poisoned sum would corrupt the mean forever),
+//! values at or below `min` land in the underflow bucket and report as
+//! `min`, values beyond `max` clamp into the top bucket, and no
+//! quantile ever exceeds the exact maximum seen.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -29,55 +39,153 @@ pub struct HistogramSummary {
     pub max: f64,
 }
 
-/// Geometric-bucket histogram over positive values.
+/// log2(sub-buckets per octave).
+const SUB_BITS: u32 = 3;
+/// Sub-buckets per octave (bucket width factor ≤ 1.125, 2^(1/8) on
+/// average).
+const SUB: u64 = 1 << SUB_BITS;
+
+/// Bucket geometry over `[min, max]`: bucket 0 is underflow, then
+/// 8 log-linear sub-buckets per octave of `x / min`. Holds no
+/// counts — fronts pass theirs in.
+#[derive(Debug, Clone, Copy)]
+pub struct LogBuckets {
+    min: f64,
+    len: usize,
+}
+
+impl LogBuckets {
+    /// Cover `[min, max]`.
+    ///
+    /// # Panics
+    /// Panics unless `0 < min < max` (both finite).
+    pub fn new(min: f64, max: f64) -> Self {
+        assert!(
+            min > 0.0 && max > min && max.is_finite(),
+            "need 0 < min < max"
+        );
+        let octaves = (max / min).log2().ceil() as usize + 1;
+        LogBuckets {
+            min,
+            len: 1 + octaves * SUB as usize,
+        }
+    }
+
+    /// Number of buckets a front must hold counts for.
+    pub fn num_buckets(&self) -> usize {
+        self.len
+    }
+
+    /// Bucket for `x`, or `None` when `x` is not finite and must not
+    /// be recorded. The exponent and top mantissa bits of `x / min`
+    /// come straight from the IEEE-754 representation
+    /// (HdrHistogram-style): branch-light, allocation free.
+    pub fn index(&self, x: f64) -> Option<usize> {
+        if !x.is_finite() {
+            return None;
+        }
+        let r = x / self.min;
+        if r <= 1.0 {
+            return Some(0); // underflow
+        }
+        let bits = r.to_bits();
+        let exp = ((bits >> 52) & 0x7ff) - 1023; // r > 1 ⇒ biased exp ≥ 1023
+        let frac = (bits >> (52 - SUB_BITS)) & (SUB - 1);
+        Some(((1 + exp * SUB + frac) as usize).min(self.len - 1))
+    }
+
+    /// Upper edge of bucket `idx` (≥ 1): `min · 2^e · (1 + (f+1)/8)`.
+    fn upper_edge(&self, idx: usize) -> f64 {
+        let j = (idx - 1) as u64;
+        let (exp, frac) = ((j / SUB) as i32, j % SUB);
+        self.min * 2f64.powi(exp) * (1.0 + (frac + 1) as f64 / SUB as f64)
+    }
+
+    /// Approximate `q`-quantile of `counts`: upper edge of the bucket
+    /// holding the q-th sample, clamped to the exact maximum `max`.
+    /// `None` when `counts` is all zero.
+    ///
+    /// # Panics
+    /// Panics if `q` is outside `[0, 1]`.
+    pub fn quantile(&self, counts: &[u64], max: f64, q: f64) -> Option<f64> {
+        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return None;
+        }
+        let rank = (q * total as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        let idx = counts.iter().position(|&c| {
+            seen += c;
+            seen >= rank
+        })?;
+        Some(match idx {
+            0 => self.min, // underflow reports `min`
+            // The top bucket holds overflow clamps, whose edge
+            // underestimates — report the exact maximum instead.
+            i if i == self.len - 1 => max,
+            i => self.upper_edge(i).min(max),
+        })
+    }
+
+    /// Six-number summary of `counts` with running `sum` and exact
+    /// `max` (all-zero when empty).
+    pub fn summary(&self, counts: &[u64], sum: f64, max: f64) -> HistogramSummary {
+        let count: u64 = counts.iter().sum();
+        if count == 0 {
+            return HistogramSummary::default();
+        }
+        let q = |q| self.quantile(counts, max, q).unwrap_or(0.0);
+        HistogramSummary {
+            count,
+            mean: sum / count as f64,
+            p50: q(0.50),
+            p95: q(0.95),
+            p99: q(0.99),
+            max,
+        }
+    }
+}
+
+/// Log-bucketed histogram over positive values; see the module docs
+/// for the bucketing rules.
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
-    min: f64,
-    growth: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    count: u64,
+    geom: LogBuckets,
+    counts: Vec<u64>,
     sum: f64,
     max_seen: f64,
 }
 
 impl LogHistogram {
-    /// Cover `[min, max]` with buckets growing by `growth` per step.
+    /// Cover `[min, max]` at ≈ 9 % resolution.
     ///
     /// # Panics
-    /// Panics unless `0 < min < max` and `growth > 1`.
-    pub fn new(min: f64, max: f64, growth: f64) -> Self {
-        assert!(min > 0.0 && max > min, "need 0 < min < max");
-        assert!(growth > 1.0, "growth must exceed 1");
-        let n = ((max / min).ln() / growth.ln()).ceil() as usize + 1;
+    /// Panics unless `0 < min < max` (both finite).
+    pub fn new(min: f64, max: f64) -> Self {
+        let geom = LogBuckets::new(min, max);
         LogHistogram {
-            min,
-            growth,
-            buckets: vec![0; n],
-            underflow: 0,
-            count: 0,
+            geom,
+            counts: vec![0; geom.num_buckets()],
             sum: 0.0,
             max_seen: 0.0,
         }
     }
 
-    /// Latency-flavoured default: 1 ns .. 10 s, ~9 % resolution.
+    /// Latency-flavoured default: 1 ns .. 10 s.
     pub fn latency() -> Self {
-        LogHistogram::new(1e-9, 10.0, 2f64.powf(0.125))
+        LogHistogram::new(1e-9, 10.0)
     }
 
-    /// Record one value (seconds, bytes, whatever — unit-agnostic).
+    /// Record one finite value (seconds, bytes, whatever —
+    /// unit-agnostic); non-finite values are ignored.
     pub fn record(&mut self, x: f64) {
-        self.count += 1;
+        let Some(idx) = self.geom.index(x) else {
+            return;
+        };
+        self.counts[idx] += 1;
         self.sum += x;
         self.max_seen = self.max_seen.max(x);
-        if x < self.min {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x / self.min).ln() / self.growth.ln()) as usize;
-        let last = self.buckets.len() - 1;
-        self.buckets[idx.min(last)] += 1;
     }
 
     /// Record a duration in seconds.
@@ -87,12 +195,13 @@ impl LogHistogram {
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.counts.iter().sum()
     }
 
     /// Arithmetic mean, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
+        let count = self.count();
+        (count > 0).then(|| self.sum / count as f64)
     }
 
     /// Largest recorded value.
@@ -100,50 +209,18 @@ impl LogHistogram {
         self.max_seen
     }
 
-    /// Approximate `q`-quantile (`0.0..=1.0`): upper edge of the bucket
-    /// containing the q-th sample. `None` when empty.
+    /// Approximate `q`-quantile (`0.0..=1.0`), see
+    /// [`LogBuckets::quantile`]. `None` when empty.
     ///
     /// # Panics
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= rank {
-            return Some(self.min);
-        }
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return Some(self.min * self.growth.powi(i as i32 + 1));
-            }
-        }
-        Some(self.max_seen)
-    }
-
-    /// Convenience: (p50, p95, p99).
-    pub fn percentiles(&self) -> Option<(f64, f64, f64)> {
-        Some((
-            self.quantile(0.50)?,
-            self.quantile(0.95)?,
-            self.quantile(0.99)?,
-        ))
+        self.geom.quantile(&self.counts, self.max_seen, q)
     }
 
     /// Six-number summary (all-zero when empty).
     pub fn summary(&self) -> HistogramSummary {
-        let (p50, p95, p99) = self.percentiles().unwrap_or((0.0, 0.0, 0.0));
-        HistogramSummary {
-            count: self.count(),
-            mean: self.mean().unwrap_or(0.0),
-            p50,
-            p95,
-            p99,
-            max: self.max(),
-        }
+        self.geom.summary(&self.counts, self.sum, self.max_seen)
     }
 }
 
@@ -153,7 +230,7 @@ mod tests {
 
     #[test]
     fn quantiles_bracket_true_values() {
-        let mut h = LogHistogram::new(1.0, 1e6, 2f64.powf(0.125));
+        let mut h = LogHistogram::new(1.0, 1e6);
         // Uniform ranks 1..=1000.
         for i in 1..=1000 {
             h.record(i as f64);
@@ -169,24 +246,69 @@ mod tests {
     }
 
     #[test]
-    fn resolution_bounded_by_growth() {
-        let growth = 2f64.powf(0.125);
-        let mut h = LogHistogram::new(1e-9, 10.0, growth);
-        for _ in 0..100 {
-            h.record(0.001234);
-        }
+    fn resolution_bounded_by_one_sub_bucket() {
+        let mut h = LogHistogram::latency();
+        h.record(0.001234);
+        h.record(5.0); // keeps the exact-max clamp out of the way
         let p50 = h.quantile(0.5).unwrap();
-        assert!(p50 >= 0.001234 && p50 <= 0.001234 * growth * growth);
+        assert!(p50 >= 0.001234, "upper edge is above the sample: {p50}");
+        assert!(p50 <= 0.001234 * 1.125, "within one sub-bucket: {p50}");
+    }
+
+    #[test]
+    fn every_value_lies_within_its_bucket_edges() {
+        let geom = LogBuckets::new(1.0, 1e6);
+        let mut x = 1.0001;
+        while x < 1e6 {
+            let idx = geom.index(x).unwrap();
+            assert!(idx >= 1 && idx < geom.num_buckets() - 1, "{x} -> {idx}");
+            assert!(x < geom.upper_edge(idx), "{x} above its bucket's edge");
+            let lower = if idx == 1 {
+                1.0
+            } else {
+                geom.upper_edge(idx - 1)
+            };
+            assert!(x >= lower, "{x} below bucket {idx}'s lower edge {lower}");
+            x *= 1.013;
+        }
+        assert_eq!(geom.index(1.0), Some(0), "min itself is underflow");
+        assert_eq!(geom.index(1e12), Some(geom.num_buckets() - 1));
+        assert_eq!(geom.index(f64::NAN), None);
     }
 
     #[test]
     fn underflow_and_overflow_clamp() {
-        let mut h = LogHistogram::new(1.0, 100.0, 2.0);
+        let mut h = LogHistogram::new(1.0, 100.0);
         h.record(0.5); // underflow
         h.record(1e9); // clamps to last bucket
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(0.25).unwrap(), 1.0); // underflow reports min
-        assert!(h.quantile(1.0).unwrap() >= 100.0);
+        assert_eq!(h.quantile(1.0).unwrap(), 1e9); // top bucket reports the exact max
+    }
+
+    /// Regression: `record(NaN)` used to poison the running sum (mean
+    /// NaN forever) and land in bucket 0, `record(+∞)` made sum and max
+    /// infinite, and quantiles reported a bucket's upper edge even
+    /// past the exact maximum, so a summary could carry `p99 > max`.
+    #[test]
+    fn non_finite_input_is_ignored_and_quantiles_never_exceed_max() {
+        let mut h = LogHistogram::latency();
+        for _ in 0..100 {
+            h.record(0.001234);
+        }
+        h.record(f64::NAN);
+        h.record(f64::INFINITY);
+        h.record(f64::NEG_INFINITY);
+        assert_eq!(h.count(), 100, "non-finite values are not recorded");
+        let mean = h.mean().unwrap();
+        assert!(
+            (mean - 0.001234).abs() < 1e-12,
+            "mean of the finite samples: {mean}"
+        );
+        let s = h.summary();
+        assert_eq!(s.max, 0.001234);
+        assert!(s.p50 <= s.p95 && s.p95 <= s.p99);
+        assert!(s.p99 <= s.max, "p99 {} exceeds max {}", s.p99, s.max);
     }
 
     #[test]
@@ -194,7 +316,6 @@ mod tests {
         let h = LogHistogram::latency();
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.mean(), None);
-        assert_eq!(h.percentiles(), None);
     }
 
     #[test]
@@ -209,7 +330,7 @@ mod tests {
     fn summary_matches_queries_and_is_zero_when_empty() {
         let empty = LogHistogram::latency().summary();
         assert_eq!(empty, HistogramSummary::default());
-        let mut h = LogHistogram::new(1.0, 1e6, 2f64.powf(0.125));
+        let mut h = LogHistogram::new(1.0, 1e6);
         for i in 1..=100 {
             h.record(i as f64);
         }
@@ -227,8 +348,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "growth")]
-    fn bad_growth_panics() {
-        LogHistogram::new(1.0, 2.0, 1.0);
+    #[should_panic(expected = "0 < min < max")]
+    fn bad_bounds_panic() {
+        LogHistogram::new(1.0, 0.5);
     }
 }

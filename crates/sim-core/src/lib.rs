@@ -36,7 +36,7 @@ pub mod time;
 pub mod units;
 
 pub use engine::{Engine, Model, Scheduler};
-pub use histogram::{HistogramSummary, LogHistogram};
+pub use histogram::{HistogramSummary, LogBuckets, LogHistogram};
 pub use queue::EventQueue;
 pub use resource::{Grant, MultiServer, Timeline};
 pub use rng::{fnv1a_mix64, SplitMix64};

@@ -91,13 +91,6 @@ COMMANDS:
              With --shards K, jobs run on the scope-sharded backend:
              the model is cut into K scope-disjoint subgraphs executed
              concurrently and merged bit-exactly.
-  shard-study [--benchmark NIPS10] [--max-shards K] [--samples N] [--pacing-ns NS]
-             [--seed S] [--out FILE.json] [--runs DIR]
-             Sweep a scope-aware cut of one benchmark across K = 1..max
-             paced shard devices and report throughput scaling; every
-             point is verified bit-identical to the tree-walk oracle
-             before it is timed. With --out / --runs, writes the sweep
-             as a RunRecord (diffable with `spn bench diff`).
   emit       --model FILE.spn [--prefix PATH]
              Emit the structural Verilog netlist and ROM images.
   serve      [--benchmarks NIPS10,NIPS20] [--pes N] [--threads T] [--block B] [--port P]
@@ -166,7 +159,6 @@ pub fn run(tokens: Vec<String>) -> Result<CmdResult, CmdError> {
         Some("sample") => cmd_sample(&args),
         Some("simulate") => cmd_simulate(&args),
         Some("accelerate") => cmd_accelerate(&args),
-        Some("shard-study") => cmd_shard_study(&args),
         Some("emit") => cmd_emit(&args),
         Some("serve") => cmd_serve(&args),
         Some("load") => cmd_load(&args),
@@ -531,115 +523,6 @@ fn cmd_accelerate(args: &Args) -> Result<CmdResult, CmdError> {
             let _ = write!(out, "metrics: {json}");
             Vec::new()
         }
-    };
-    Ok(CmdResult { stdout: out, files })
-}
-
-/// In-process version of the `shard_study` bench bin: cut one
-/// benchmark across K paced shard devices for K = 1..=max and report
-/// throughput scaling. Pacing models a fixed per-node device service
-/// rate, so the numbers measure what the cut buys (smaller concurrent
-/// per-device models) independently of host speed.
-fn cmd_shard_study(args: &Args) -> Result<CmdResult, CmdError> {
-    args.check_known(&[
-        "benchmark",
-        "max-shards",
-        "samples",
-        "pacing-ns",
-        "seed",
-        "out",
-        "runs",
-    ])?;
-    let bench = NipsBenchmark::from_name(args.get("benchmark").unwrap_or("NIPS10"))
-        .ok_or_else(|| CmdError("unknown benchmark".into()))?;
-    let max_shards = args.get_or("max-shards", 4u32)? as usize;
-    if max_shards == 0 {
-        return Err(CmdError("--max-shards must be at least 1".into()));
-    }
-    let samples = args.get_or("samples", 256usize)?;
-    if samples == 0 {
-        return Err(CmdError("--samples must be at least 1".into()));
-    }
-    let pacing_ns = args.get_or("pacing-ns", 150u64)?;
-    let seed = args.get_or("seed", 42u64)?;
-
-    let spn = bench.build_spn();
-    let data = bench.dataset(samples, seed);
-    let nf = data.num_features();
-    // The oracle values every sweep point must reproduce bit for bit
-    // before its timing is reported.
-    let mut ev = Evaluator::new(&spn);
-    let want: Vec<u64> = data
-        .rows()
-        .map(|r| ev.eval_bytes(&Query::Complete, r).to_bits())
-        .collect();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "scope-sharded scaling: {} ({} nodes), {pacing_ns} ns/node/sample, {samples} samples",
-        bench.name(),
-        spn.len()
-    );
-    let _ = writeln!(
-        out,
-        "{:>3} {:>14} {:>12} {:>9}",
-        "K", "largest[nodes]", "samples/s", "speedup"
-    );
-
-    let cache = PlanCache::new();
-    let mut base_rate = 0.0f64;
-    let mut points: Vec<serde_json::Value> = Vec::new();
-    for k in 1..=max_shards {
-        let plan = Arc::new(ShardPlan::cut(&spn, k, DEFAULT_SHARD_SEED));
-        let largest = plan.shards().iter().map(|s| s.spn.len()).max().unwrap_or(0);
-        let ex = ShardedExecutor::new(Arc::clone(&plan), &cache)
-            .with_pacing(std::time::Duration::from_nanos(pacing_ns));
-        let mut got = Vec::with_capacity(samples);
-        let t0 = std::time::Instant::now();
-        ex.eval_batch_raw(&Query::Complete, data.raw(), nf, &mut got);
-        let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            if g.to_bits() != *w {
-                return Err(CmdError(format!(
-                    "K={k} sample {i} diverged from the tree-walk oracle"
-                )));
-            }
-        }
-        let rate = samples as f64 / elapsed;
-        if k == 1 {
-            base_rate = rate;
-        }
-        let speedup = rate / base_rate;
-        let _ = writeln!(out, "{k:>3} {largest:>14} {rate:>12.0} {speedup:>8.2}x");
-        points.push(json_obj(vec![
-            ("name", json_str(&format!("K{k}"))),
-            ("shards", json_u64(plan.num_shards() as u64)),
-            ("largest_shard_nodes", json_u64(largest as u64)),
-            ("samples_per_sec", json_f64(rate)),
-            ("speedup_vs_1", json_f64(speedup)),
-        ]));
-    }
-
-    let run = RunRecord::new(
-        "shard_study",
-        RunKind::Bench,
-        json_obj(vec![
-            ("model", json_str(bench.name())),
-            ("pacing_per_node_ns", json_u64(pacing_ns)),
-            ("cut_seed", json_u64(DEFAULT_SHARD_SEED)),
-            ("samples", json_u64(samples as u64)),
-            ("max_shards", json_u64(max_shards as u64)),
-        ]),
-        json_obj(vec![("points", serde_json::Value::Array(points))]),
-    );
-    append_run(args, &run, &mut out)?;
-    let files = match args.get("out") {
-        Some(path) => {
-            let _ = writeln!(out, "wrote {path}");
-            vec![(path.to_string(), run.to_json())]
-        }
-        None => Vec::new(),
     };
     Ok(CmdResult { stdout: out, files })
 }
@@ -1275,33 +1158,6 @@ mod tests {
             "stdout: {}",
             r.stdout
         );
-    }
-
-    #[test]
-    fn shard_study_sweeps_and_writes_a_diffable_record() {
-        let r = run_tokens(
-            "shard-study --benchmark NIPS10 --max-shards 3 --samples 64 --pacing-ns 20 \
-             --out /tmp/spn_shard_study.json",
-        )
-        .unwrap();
-        assert!(
-            r.stdout.contains("scope-sharded scaling: NIPS10"),
-            "stdout: {}",
-            r.stdout
-        );
-        assert_eq!(r.files.len(), 1);
-        let rec = RunRecord::from_json(&r.files[0].1).unwrap();
-        assert_eq!(rec.name, "shard_study");
-        let points = rec.metrics["points"].as_array().unwrap();
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0]["name"], "K1");
-        assert_eq!(points[2]["shards"], 3u64);
-        assert!(points[0]["samples_per_sec"].as_f64().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn shard_study_rejects_zero_shards() {
-        assert!(run_tokens("shard-study --max-shards 0").is_err());
     }
 
     #[test]

@@ -9,14 +9,21 @@
 //! bytes come back", which the tests verify against the `spn-core`
 //! reference inference.
 
+use crate::executor::{BlockCx, BlockExecutor};
 use crate::memmgr::{DeviceBuffer, DeviceMemoryManager};
+use crate::runtime::RuntimeError;
 use parking_lot::Mutex;
 use sim_core::SplitMix64;
 use spn_arith::AnyFormat;
 use spn_core::Spn;
 use spn_hw::{AcceleratorConfig, AcceleratorCore, DatapathProgram, Reg, RegisterFile, SynthConfig};
+use spn_telemetry::SpanKind;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Bytes per result: the Store Unit writes one little-endian f64 per
+/// sample.
+const RESULT_BYTES: usize = std::mem::size_of::<f64>();
 
 /// Transient-fault injection: each result independently suffers a
 /// single-bit flip with `flip_probability`, and each launch
@@ -353,6 +360,47 @@ impl VirtualDevice {
     }
 }
 
+/// A device buffer that goes back to its channel when dropped.
+struct ScopedBuffer<'a>(&'a DeviceMemoryManager, DeviceBuffer);
+
+impl Drop for ScopedBuffer<'_> {
+    fn drop(&mut self) {
+        let _ = self.0.free(self.1);
+    }
+}
+
+/// One control-thread iteration (Section IV-B): allocate, transfer,
+/// launch, read back — all on the PE's own channel. The buffers are
+/// scoped, so neither job failure, fault nor cancellation can leak
+/// channel memory.
+impl BlockExecutor for VirtualDevice {
+    fn run_block(&self, cx: &BlockCx, src: &[u8], out: &mut Vec<f64>) -> Result<(), RuntimeError> {
+        let alloc = |bytes: usize| {
+            let buf = self.memmgr.alloc(cx.pe, bytes as u64);
+            buf.map(|buf| ScopedBuffer(&self.memmgr, buf))
+        };
+        let inb = alloc(src.len())?;
+        let outb = alloc(cx.samples * RESULT_BYTES)?;
+        let t0 = Instant::now();
+        self.copy_to_device(inb.1, src)?;
+        cx.span(SpanKind::H2D, t0);
+        cx.metrics.add_h2d_bytes(src.len() as u64);
+        let t0 = Instant::now();
+        self.launch(cx.pe, inb.1, outb.1, cx.samples as u64)?;
+        cx.span(SpanKind::Execute, t0);
+        let t0 = Instant::now();
+        let raw = self.copy_from_device(outb.1)?;
+        cx.span(SpanKind::D2H, t0);
+        cx.metrics.add_d2h_bytes(raw.len() as u64);
+        drop((inb, outb));
+        out.extend(
+            raw.chunks_exact(RESULT_BYTES)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte result"))),
+        );
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,5 +589,68 @@ mod tests {
         let got = f64::from_le_bytes(results[0][0..8].try_into().unwrap());
         let reference = ev.eval_bytes(&Query::Complete, data.row(0)).exp();
         assert!(((got - reference) / reference).abs() < 1e-4);
+    }
+
+    /// The block-executor view of the device, driven directly.
+    fn run_block(
+        dev: &VirtualDevice,
+        src: &[u8],
+        samples: usize,
+    ) -> Result<Vec<f64>, RuntimeError> {
+        let metrics = crate::MetricsRegistry::new(dev.num_pes());
+        let cx = BlockCx {
+            pe: 0,
+            block: 0,
+            samples,
+            ctx: spn_telemetry::SpanCtx::NONE,
+            trace: None,
+            metrics: &metrics,
+        };
+        let mut out = Vec::new();
+        BlockExecutor::run_block(dev, &cx, src, &mut out).map(|()| out)
+    }
+
+    #[test]
+    fn block_executor_returns_its_buffers_on_every_path() {
+        let bench = NipsBenchmark::Nips10;
+        let prog = DatapathProgram::compile(&bench.build_spn());
+        let data = bench.dataset(100, 9);
+        let device = |capacity: u64| {
+            VirtualDevice::new(
+                prog.clone(),
+                AnyFormat::Cfp(CfpFormat::paper_default()),
+                AcceleratorConfig::paper_default(),
+                1,
+                capacity,
+            )
+        };
+
+        // Success.
+        let dev = device(MIB);
+        let before = dev.memory().free_bytes(0).unwrap();
+        let out = run_block(&dev, data.raw(), 100).unwrap();
+        assert_eq!(out.len(), 100);
+        assert!(out.iter().all(|p| p.is_finite() && *p > 0.0));
+        assert_eq!(dev.memory().free_bytes(0).unwrap(), before);
+
+        // The launch faults after both buffers were allocated.
+        let dev = device(MIB).with_faults(FaultInjection {
+            launch_fail_probability: 1.0,
+            ..FaultInjection::default()
+        });
+        match run_block(&dev, data.raw(), 100) {
+            Err(RuntimeError::Device(DeviceError::TransientFault { pe: 0 })) => {}
+            other => panic!("expected a transient fault, got {other:?}"),
+        }
+        assert_eq!(dev.memory().free_bytes(0).unwrap(), before);
+
+        // The channel fits the 1000 B input but not the 800 B output on
+        // top of it: the input buffer must not stay behind.
+        let dev = device(1024);
+        match run_block(&dev, data.raw(), 100) {
+            Err(RuntimeError::Alloc(crate::AllocError::OutOfMemory { .. })) => {}
+            other => panic!("expected out-of-memory, got {other:?}"),
+        }
+        assert_eq!(dev.memory().free_bytes(0).unwrap(), 1024);
     }
 }

@@ -30,14 +30,6 @@ impl Block {
             self.samples * input_bytes_per_sample,
         )
     }
-
-    /// Byte range of this block's results in the job's output buffer.
-    pub fn output_range(&self, result_bytes_per_sample: u64) -> (u64, u64) {
-        (
-            self.first_sample * result_bytes_per_sample,
-            self.samples * result_bytes_per_sample,
-        )
-    }
 }
 
 /// Split `total_samples` into blocks of at most `block_samples`.
@@ -281,7 +273,6 @@ mod tests {
             samples: 5,
         };
         assert_eq!(b.input_range(10), (100, 50));
-        assert_eq!(b.output_range(8), (80, 40));
     }
 
     #[test]

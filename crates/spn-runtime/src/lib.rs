@@ -11,7 +11,10 @@
 //!   splitting, real control threads overlapping transfer and compute;
 //! * [`scheduler`] — the concurrent multi-job scheduler: a persistent
 //!   worker pool, `submit`/`wait` job handles, per-block fault retry,
-//!   round-robin fairness and a bounded backpressure queue;
+//!   round-robin fairness and a bounded backpressure queue. It is
+//!   backend-agnostic: each job's blocks run through one of three
+//!   block executors (device pipeline, compiled plan, shard cut) that
+//!   live beside [`device`], [`plan_cache`] and [`sharded`];
 //! * [`plan_cache`] — the fingerprint-keyed cache of compiled inference
 //!   plans behind the scheduler's host fast path
 //!   ([`job::ExecBackend::HostPlan`]);
@@ -58,6 +61,7 @@
 
 pub mod analysis;
 pub mod device;
+pub(crate) mod executor;
 pub mod job;
 pub mod memmgr;
 pub mod metrics;
@@ -84,7 +88,7 @@ pub use runtime::{
     ExecProvenance, InferResult, RuntimeConfig, RuntimeConfigBuilder, RuntimeError, SpnRuntime,
 };
 pub use scheduler::{JobHandle, JobStatus, Scheduler};
-pub use sharded::{ShardPartials, ShardedExecutor, DEFAULT_SHARD_SEED};
+pub use sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
 pub use streaming::{
     min_replication_for_line_rate, simulate_streaming, StreamingModel, StreamingSimConfig,
     StreamingSimResult,
@@ -111,7 +115,7 @@ pub mod prelude {
         ExecProvenance, InferResult, RuntimeConfig, RuntimeConfigBuilder, RuntimeError, SpnRuntime,
     };
     pub use crate::scheduler::{JobHandle, JobStatus, Scheduler};
-    pub use crate::sharded::{ShardPartials, ShardedExecutor, DEFAULT_SHARD_SEED};
+    pub use crate::sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
     pub use spn_core::{CompiledPlan, PlanExecutor, Query, ShardPlan};
     pub use spn_telemetry::{SpanCtx, TraceCollector, TraceId};
 }

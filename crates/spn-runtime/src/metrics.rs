@@ -43,8 +43,9 @@ pub struct MetricsRegistry {
     samples_in_flight: AtomicU64,
     /// High-watermark of `jobs_in_flight` (gauge).
     queue_high_watermark: AtomicU64,
-    /// Cumulative wall-clock time each PE spent executing launches, in
-    /// nanoseconds (one slot per PE).
+    /// Cumulative wall-clock time each PE's control threads spent
+    /// executing blocks (on whichever backend), in nanoseconds (one
+    /// slot per PE).
     pe_busy_ns: Vec<AtomicU64>,
 }
 
@@ -96,11 +97,6 @@ impl MetricsRegistry {
         self.samples_in_flight.load(Ordering::Relaxed)
     }
 
-    /// Jobs accepted and not yet terminal — the live queue depth.
-    pub fn jobs_in_flight(&self) -> u64 {
-        self.jobs_in_flight.load(Ordering::Relaxed)
-    }
-
     /// One block ran to completion on the device.
     pub fn block_executed(&self) {
         self.blocks_executed.fetch_add(1, Ordering::Relaxed);
@@ -126,11 +122,6 @@ impl MetricsRegistry {
         if let Some(slot) = self.pe_busy_ns.get(pe as usize) {
             slot.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         }
-    }
-
-    /// Number of PEs the registry tracks.
-    pub fn num_pes(&self) -> u32 {
-        self.pe_busy_ns.len() as u32
     }
 
     /// Point-in-time copy of every counter and gauge.
@@ -184,7 +175,7 @@ mod tests {
         m.add_d2h_bytes(64);
         m.add_pe_busy(1, Duration::from_millis(3));
         assert_eq!(m.samples_in_flight(), 100);
-        assert_eq!(m.jobs_in_flight(), 2);
+        assert_eq!(m.snapshot().jobs_in_flight, 2);
         m.job_finished(JobOutcome::Completed, 40);
         m.job_finished(JobOutcome::Failed, 60);
         let s = m.snapshot();

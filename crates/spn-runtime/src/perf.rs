@@ -283,13 +283,14 @@ fn simulate_impl(cfg: &PerfConfig, mut trace: Option<&mut Trace>) -> PerfResult 
     let secs = makespan.as_secs_f64();
     let pe_util: f64 =
         pes.iter().map(|p| p.utilization(makespan)).sum::<f64>() / cfg.num_pes as f64;
+    let lat = latency.summary();
     PerfResult {
         samples_per_sec: cfg.total_samples as f64 / secs,
         makespan: makespan.saturating_since(SimTime::ZERO),
         dma_utilization: dma.utilization(Direction::HostToDevice, makespan),
         pe_utilization: pe_util,
         pcie_bytes,
-        block_latency: latency.percentiles(),
+        block_latency: (lat.count > 0).then_some((lat.p50, lat.p95, lat.p99)),
     }
 }
 

@@ -13,11 +13,14 @@
 //! the unified telemetry document as the `plan` section
 //! ([`spn_telemetry::PlanTelemetry`]).
 
-use spn_core::{CompiledPlan, Spn};
-use spn_telemetry::PlanTelemetry;
+use crate::executor::{to_probabilities, BlockCx, BlockExecutor};
+use crate::runtime::RuntimeError;
+use spn_core::{CompiledPlan, PlanExecutor, Query, Spn};
+use spn_telemetry::{PlanTelemetry, SpanKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// A fingerprint-keyed memo of compiled inference plans.
 ///
@@ -55,22 +58,6 @@ impl PlanCache {
         (plan, false)
     }
 
-    /// The cached plan for `spn`, if present, without compiling.
-    /// Counts as a hit or a miss like [`PlanCache::get_or_compile`].
-    pub fn get(&self, spn: &Spn) -> Option<Arc<CompiledPlan>> {
-        let found = self.plans.lock().unwrap().get(&spn.fingerprint()).cloned();
-        match found {
-            Some(plan) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(plan)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Drop the plan compiled for `spn` (after retraining, say, the
     /// fingerprint changes and the stale entry would never be hit
     /// again — but an *in-place* parameter update reuses the old
@@ -87,15 +74,6 @@ impl PlanCache {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
         removed
-    }
-
-    /// Drop every cached plan. Each evicted entry counts as an
-    /// invalidation.
-    pub fn clear(&self) {
-        let mut plans = self.plans.lock().unwrap();
-        self.invalidations
-            .fetch_add(plans.len() as u64, Ordering::Relaxed);
-        plans.clear();
     }
 
     /// Number of plans currently cached.
@@ -116,6 +94,20 @@ impl PlanCache {
             cache_misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// The host fast path: evaluate one block through the compiled plan,
+/// entirely on the CPU. No device buffers, no DMA — just the batched
+/// [`PlanExecutor`] over the block's bytes, traced as one `plan-exec`
+/// span.
+impl BlockExecutor for CompiledPlan {
+    fn run_block(&self, cx: &BlockCx, src: &[u8], out: &mut Vec<f64>) -> Result<(), RuntimeError> {
+        let t0 = Instant::now();
+        PlanExecutor::new(self).eval_batch_raw(&Query::Complete, src, src.len() / cx.samples, out);
+        cx.span(SpanKind::PlanExec, t0);
+        to_probabilities(out);
+        Ok(())
     }
 }
 
@@ -181,26 +173,5 @@ mod tests {
         let t = cache.telemetry();
         assert_eq!(t.invalidations, 1);
         assert_eq!(t.cache_misses, 2);
-    }
-
-    #[test]
-    fn get_without_compile_reports_misses() {
-        let cache = PlanCache::new();
-        let spn = model(1);
-        assert!(cache.get(&spn).is_none());
-        cache.get_or_compile(&spn);
-        assert!(cache.get(&spn).is_some());
-        let t = cache.telemetry();
-        assert_eq!((t.cache_hits, t.cache_misses), (1, 2));
-    }
-
-    #[test]
-    fn clear_counts_evictions() {
-        let cache = PlanCache::new();
-        cache.get_or_compile(&model(1));
-        cache.get_or_compile(&model(2));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.telemetry().invalidations, 2);
     }
 }

@@ -185,6 +185,19 @@ pub enum RuntimeError {
     ShuttingDown,
 }
 
+impl RuntimeError {
+    /// Is this error worth retrying the block for? Transient device
+    /// faults, plus out-of-memory — which under concurrent jobs is
+    /// usually another job's buffers transiently occupying the channel.
+    pub(crate) fn is_transient(&self) -> bool {
+        match self {
+            RuntimeError::Device(d) => d.is_transient(),
+            RuntimeError::Alloc(AllocError::OutOfMemory { .. }) => true,
+            _ => false,
+        }
+    }
+}
+
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -258,9 +271,6 @@ pub enum ExecProvenance {
         /// Whether the plan came out of a warm cache.
         cache_hit: bool,
     },
-    /// Evaluated by the tree-walking [`spn_core::Evaluator`] oracle
-    /// (no plan, no device) — the slow reference path.
-    TreeWalk,
     /// Executed by the scope-sharded multi-device path
     /// ([`crate::ShardedExecutor`], full f64 precision): the model was
     /// cut into `shards` scope-disjoint subgraphs evaluated
@@ -544,6 +554,19 @@ mod tests {
         assert!(e.source().is_some());
         let e = RuntimeError::Cancelled;
         assert!(e.source().is_none());
+    }
+
+    #[test]
+    fn only_transient_faults_and_oom_are_retryable() {
+        assert!(RuntimeError::from(DeviceError::TransientFault { pe: 0 }).is_transient());
+        assert!(RuntimeError::from(AllocError::OutOfMemory {
+            requested: 64,
+            largest_free: 0,
+        })
+        .is_transient());
+        assert!(!RuntimeError::from(DeviceError::OutOfBounds).is_transient());
+        assert!(!RuntimeError::from(AllocError::NoSuchChannel(9)).is_transient());
+        assert!(!RuntimeError::Cancelled.is_transient());
     }
 
     #[test]

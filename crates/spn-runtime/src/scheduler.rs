@@ -26,23 +26,27 @@
 //!
 //! The blocking [`crate::SpnRuntime::run`] is a thin
 //! `submit_blocking` + `wait` wrapper, so the single-job path and the
-//! multi-job path are the same code. [`crate::job::ExecBackend`] in
-//! the job options picks where blocks execute: the device (default) or
-//! the host through the model's compiled inference plan, memoized in a
-//! [`PlanCache`].
+//! multi-job path are the same code.
+//!
+//! The scheduler is backend-agnostic: it schedules, executors execute.
+//! A job's [`crate::job::ExecBackend`] is resolved once, at
+//! submission, into a block executor the job keeps; every control
+//! thread then runs the same loop for every block of every job —
+//! slice the block's input, run the executor, store the results. What
+//! a device transfer, a compiled plan or a shard cut *is* lives with
+//! the three executors, beside [`VirtualDevice`], [`PlanCache`] and
+//! [`crate::ShardedExecutor`].
 
 use crate::device::VirtualDevice;
-use crate::job::{split_into_blocks, Block, ExecBackend, JobOptions};
-use crate::memmgr::AllocError;
+use crate::executor::{BlockCx, BlockExecutor, Executors};
+use crate::job::{split_into_blocks, Block, JobOptions};
 use crate::metrics::{JobOutcome, MetricsRegistry, MetricsSnapshot};
 use crate::plan_cache::PlanCache;
 use crate::runtime::{validate_config, ExecProvenance, RuntimeConfig, RuntimeError};
-use crate::sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
 use parking_lot::{Condvar, Mutex};
-use spn_core::{CompiledPlan, Dataset, PlanExecutor, Query, ShardPlan};
+use spn_core::Dataset;
 use spn_hw::SynthConfig;
-use spn_telemetry::{SpanCtx, SpanKind, TraceCollector};
-use std::collections::HashMap;
+use spn_telemetry::TraceCollector;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -86,6 +90,9 @@ struct JobState {
     /// The job runs on PEs `0..pe_limit`.
     pe_limit: u32,
     opts: JobOptions,
+    /// Runs every block of this job (resolved from `opts.backend` at
+    /// submission).
+    executor: Arc<dyn BlockExecutor>,
     /// How this job's results will have been produced (fixed at
     /// submission: backend plus plan-cache state).
     provenance: ExecProvenance,
@@ -109,12 +116,6 @@ impl JobState {
     /// Number of samples this job carries (for the in-flight gauge).
     fn samples(&self) -> u64 {
         self.data.num_samples() as u64
-    }
-
-    fn finish(&self, phase: Phase) {
-        let mut p = self.completion.lock();
-        *p = phase;
-        self.done_cv.notify_all();
     }
 }
 
@@ -192,22 +193,14 @@ impl JobHandle {
     /// their device buffers as always) and then the job finalises as
     /// [`JobStatus::Cancelled`], unblocking `wait()`.
     pub fn cancel(&self) {
-        let mut st = self.shared.state.lock();
+        let st = self.shared.state.lock();
         if self.job.terminal.load(Ordering::Relaxed) {
             return;
         }
         self.job.cancelled.store(true, Ordering::Relaxed);
         if self.job.in_flight.load(Ordering::Relaxed) == 0 {
             // Nothing executing: finalise right here.
-            self.job.terminal.store(true, Ordering::Relaxed);
-            let job = Arc::clone(&self.job);
-            st.jobs.retain(|j| !Arc::ptr_eq(j, &job));
-            drop(st);
-            self.shared
-                .metrics
-                .job_finished(JobOutcome::Cancelled, self.job.samples());
-            self.job.finish(Phase::Cancelled);
-            self.shared.space_cv.notify_all();
+            retire(&self.shared, st, &self.job, || Phase::Cancelled);
         }
         // else: the last in-flight block's worker finalises the job.
     }
@@ -221,29 +214,11 @@ struct Shared {
     pe_cfg: SynthConfig,
     metrics: Arc<MetricsRegistry>,
     /// Live wall-clock span collector (`None` when tracing is off).
-    /// Workers record one h2d/execute/d2h span per block, stamped with
+    /// Executors record their per-block spans into it, stamped with
     /// the job's [`JobOptions::ctx`] trace context.
     trace: Option<Arc<TraceCollector>>,
-    /// The compiled inference plan for the device's model, when the
-    /// device carries one ([`VirtualDevice::with_model`]). Compiled
-    /// eagerly at construction through `plan_cache`; required for
-    /// [`ExecBackend::HostPlan`] jobs.
-    plan: Option<Arc<CompiledPlan>>,
-    /// The cache `plan` came from (shareable across schedulers — a
-    /// server passes one cache to every model's scheduler).
-    plan_cache: Arc<PlanCache>,
-    /// Whether `plan` was served from a warm cache at construction.
-    plan_from_cache: bool,
-    /// Set once the first `HostPlan` job is submitted; later jobs
-    /// report a cache hit (the compile was amortized already).
-    plan_used: AtomicBool,
-    /// Sharded executors, keyed by requested shard count: built (from
-    /// the device model, through `plan_cache`) on the first
-    /// [`ExecBackend::Sharded`] submission asking for that count, then
-    /// reused by every block of every later job.
-    sharded: Mutex<HashMap<u32, Arc<ShardedExecutor>>>,
-    /// Blocks executed through the sharded path (for telemetry).
-    sharded_blocks: AtomicU64,
+    /// Where blocks run: resolves a job's backend to its executor.
+    executors: Executors,
     state: Mutex<State>,
     /// Workers sleep here when no block is claimable.
     work_cv: Condvar,
@@ -264,46 +239,6 @@ struct State {
     next_id: u64,
 }
 
-impl Shared {
-    /// The sharded executor for a requested shard count, built on
-    /// first use: cut the device model with [`DEFAULT_SHARD_SEED`]
-    /// (the cut is a pure function, so every job asking for `k`
-    /// shards shares one executor and warm shard plans).
-    fn sharded_executor(&self, k: u32) -> Result<Arc<ShardedExecutor>, RuntimeError> {
-        if k == 0 {
-            return Err(RuntimeError::InvalidConfig {
-                reason: "Sharded backend needs at least 1 shard".into(),
-            });
-        }
-        let Some(model) = self.device.model() else {
-            return Err(RuntimeError::InvalidConfig {
-                reason: "Sharded backend requires a device built with its model \
-                         (VirtualDevice::with_model)"
-                    .into(),
-            });
-        };
-        let mut map = self.sharded.lock();
-        if let Some(ex) = map.get(&k) {
-            return Ok(Arc::clone(ex));
-        }
-        let t0 = Instant::now();
-        let plan = Arc::new(ShardPlan::cut(model, k as usize, DEFAULT_SHARD_SEED));
-        let ex = Arc::new(ShardedExecutor::new(plan, &self.plan_cache));
-        if let Some(t) = self.trace.as_deref() {
-            t.record(
-                SpanKind::PlanCompile,
-                SpanCtx::NONE,
-                0,
-                0,
-                t0,
-                Instant::now(),
-            );
-        }
-        map.insert(k, Arc::clone(&ex));
-        Ok(ex)
-    }
-}
-
 /// The long-lived concurrent scheduler. Owns `num_pes ×
 /// threads_per_pe` worker threads for the device's whole lifetime;
 /// dropping the scheduler shuts the pool down and cancels any jobs
@@ -320,7 +255,7 @@ impl Scheduler {
     }
 
     /// Like [`Scheduler::new`], but every block execution additionally
-    /// records wall-clock h2d/execute/d2h spans into `trace` (stamped
+    /// records its backend's wall-clock spans into `trace` (stamped
     /// with the submitting job's [`JobOptions::ctx`]), for one unified
     /// Chrome-trace export alongside server-layer spans.
     pub fn with_trace(
@@ -346,38 +281,14 @@ impl Scheduler {
         validate_config(&config)?;
         let pe_cfg = device.query_pe(0)?;
         let metrics = Arc::new(MetricsRegistry::new(device.num_pes()));
-        let (plan, plan_from_cache) = match device.model() {
-            Some(model) => {
-                let t0 = Instant::now();
-                let (plan, hit) = plan_cache.get_or_compile(model);
-                if !hit {
-                    if let Some(t) = trace.as_deref() {
-                        t.record(
-                            SpanKind::PlanCompile,
-                            SpanCtx::NONE,
-                            0,
-                            0,
-                            t0,
-                            Instant::now(),
-                        );
-                    }
-                }
-                (Some(plan), hit)
-            }
-            None => (None, false),
-        };
+        let executors = Executors::new(Arc::clone(&device), plan_cache, trace.clone());
         let shared = Arc::new(Shared {
             device,
             config,
             pe_cfg,
             metrics,
             trace,
-            plan,
-            plan_cache,
-            plan_from_cache,
-            plan_used: AtomicBool::new(false),
-            sharded: Mutex::new(HashMap::new()),
-            sharded_blocks: AtomicU64::new(0),
+            executors,
             state: Mutex::new(State {
                 jobs: Vec::new(),
                 rr: 0,
@@ -423,30 +334,16 @@ impl Scheduler {
         self.shared.trace.as_ref()
     }
 
-    /// The compiled plan for the device's model, when the device
-    /// carries one (see [`Scheduler::with_cache`]).
-    pub fn plan(&self) -> Option<&Arc<CompiledPlan>> {
-        self.shared.plan.as_ref()
-    }
-
     /// The plan cache this scheduler compiles through.
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
-        &self.shared.plan_cache
+        self.shared.executors.plan_cache()
     }
 
     /// Counters of the sharded execution path, or `None` when no
-    /// [`ExecBackend::Sharded`] job has been submitted yet — the
-    /// `shard` section of the unified telemetry document.
+    /// sharded job has been submitted yet — the `shard` section of the
+    /// unified telemetry document.
     pub fn shard_telemetry(&self) -> Option<spn_telemetry::ShardTelemetry> {
-        let map = self.shared.sharded.lock();
-        if map.is_empty() {
-            return None;
-        }
-        Some(spn_telemetry::ShardTelemetry {
-            shard_sets: map.len() as u64,
-            shards: map.values().map(|ex| ex.num_shards() as u64).sum(),
-            sharded_blocks: self.shared.sharded_blocks.load(Ordering::Relaxed),
-        })
+        self.shared.executors.shard_telemetry()
     }
 
     /// Convenience: a point-in-time [`MetricsSnapshot`].
@@ -506,51 +403,19 @@ impl Scheduler {
         blocking: bool,
     ) -> Result<JobHandle, RuntimeError> {
         let num_pes = self.shared.device.num_pes();
-        let pe_limit = match opts.num_pes {
-            None => num_pes,
-            Some(0) => {
-                return Err(RuntimeError::InvalidConfig {
-                    reason: "job requests 0 PEs".into(),
-                })
-            }
-            Some(n) if n > num_pes => {
-                return Err(RuntimeError::InvalidConfig {
-                    reason: format!("job requests {n} PEs but the device has {num_pes}"),
-                })
-            }
-            Some(n) => n,
-        };
+        let pe_limit = opts.num_pes.unwrap_or(num_pes);
+        if pe_limit == 0 || pe_limit > num_pes {
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!("job requests {pe_limit} PEs but the device has {num_pes}"),
+            });
+        }
         if self.shared.pe_cfg.input_bytes != data.num_features() as u64 {
             return Err(RuntimeError::ShapeMismatch {
                 expected_bytes: self.shared.pe_cfg.input_bytes,
                 got_bytes: data.num_features() as u64,
             });
         }
-        let provenance = match opts.backend {
-            ExecBackend::Device => ExecProvenance::Device,
-            ExecBackend::HostPlan => {
-                if self.shared.plan.is_none() {
-                    return Err(RuntimeError::InvalidConfig {
-                        reason: "HostPlan backend requires a device built with its model \
-                                 (VirtualDevice::with_model)"
-                            .into(),
-                    });
-                }
-                ExecProvenance::CompiledPlan {
-                    cache_hit: self.shared.plan_from_cache
-                        || self.shared.plan_used.swap(true, Ordering::Relaxed),
-                }
-            }
-            ExecBackend::Sharded(k) => {
-                // Builds (or fetches) the executor eagerly, so the job
-                // reports the *effective* shard count — the cut clamps
-                // to the model's atomic scope regions.
-                let ex = self.shared.sharded_executor(k)?;
-                ExecProvenance::Sharded {
-                    shards: ex.num_shards() as u32,
-                }
-            }
-        };
+        let (executor, provenance) = self.shared.executors.resolve(opts.backend)?;
         let total = data.num_samples();
         let blocks = split_into_blocks(total as u64, self.shared.config.block_samples);
 
@@ -558,19 +423,17 @@ impl Scheduler {
         if self.shared.draining.load(Ordering::Acquire) {
             return Err(RuntimeError::ShuttingDown);
         }
-        if blocking {
-            while !blocks.is_empty() && st.jobs.len() >= self.shared.config.queue_capacity {
-                self.shared.space_cv.wait(&mut st);
-                // The wake may be the drain/drop path telling us to
-                // give up rather than space opening.
-                if self.shared.draining.load(Ordering::Acquire) {
-                    return Err(RuntimeError::ShuttingDown);
-                }
+        let capacity = self.shared.config.queue_capacity;
+        while !blocks.is_empty() && st.jobs.len() >= capacity {
+            if !blocking {
+                return Err(RuntimeError::QueueFull { capacity });
             }
-        } else if !blocks.is_empty() && st.jobs.len() >= self.shared.config.queue_capacity {
-            return Err(RuntimeError::QueueFull {
-                capacity: self.shared.config.queue_capacity,
-            });
+            self.shared.space_cv.wait(&mut st);
+            // The wake may be the drain/drop path telling us to
+            // give up rather than space opening.
+            if self.shared.draining.load(Ordering::Acquire) {
+                return Err(RuntimeError::ShuttingDown);
+            }
         }
         let id = st.next_id;
         st.next_id += 1;
@@ -581,6 +444,7 @@ impl Scheduler {
             blocks,
             pe_limit,
             opts,
+            executor,
             provenance,
             next_block: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
@@ -645,10 +509,7 @@ impl Drop for Scheduler {
         let leftovers = std::mem::take(&mut self.shared.state.lock().jobs);
         for job in leftovers {
             if !job.terminal.swap(true, Ordering::Relaxed) {
-                self.shared
-                    .metrics
-                    .job_finished(JobOutcome::Cancelled, job.samples());
-                job.finish(Phase::Cancelled);
+                publish(&self.shared, &job, Phase::Cancelled);
             }
         }
         self.shared.space_cv.notify_all();
@@ -663,17 +524,6 @@ enum BlockOutcome {
     Skipped,
     /// Permanent failure (or transient failure with retries exhausted).
     Failed(RuntimeError),
-}
-
-/// Is this error worth retrying? Transient device faults, plus
-/// out-of-memory — which under concurrent jobs is usually another
-/// job's buffers transiently occupying the channel.
-fn is_transient(e: &RuntimeError) -> bool {
-    match e {
-        RuntimeError::Device(d) => d.is_transient(),
-        RuntimeError::Alloc(AllocError::OutOfMemory { .. }) => true,
-        _ => false,
-    }
 }
 
 /// One persistent control thread, pinned to `pe` (a PE only reaches
@@ -720,23 +570,40 @@ fn claim_block(st: &mut State, pe: u32) -> Option<(Arc<JobState>, usize)> {
     None
 }
 
-/// Execute one claimed block (with retries), then do the completion
-/// bookkeeping — possibly finalising the whole job.
+/// One control-thread iteration, the same for every backend: slice
+/// the block's input out of the dataset, run the job's executor into a
+/// block-local buffer (retrying transient failures), account the PE's
+/// time and store the results — the executor runs outside
+/// `job.results`' lock, which is held only for the copy. Then do the
+/// completion bookkeeping, possibly finalising the whole job.
 fn process_block(shared: &Shared, pe: u32, job: &Arc<JobState>, idx: usize) {
     let block = job.blocks[idx];
+    let (src_off, src_len) = block.input_range(job.data.num_features() as u64);
+    let src = &job.data.raw()[src_off as usize..(src_off + src_len) as usize];
+    let cx = BlockCx {
+        pe,
+        block: idx as u64,
+        samples: block.samples as usize,
+        ctx: job.opts.ctx,
+        trace: shared.trace.as_deref(),
+        metrics: &shared.metrics,
+    };
+    let mut out = Vec::with_capacity(cx.samples);
     let mut attempt: u32 = 0;
     let outcome = loop {
         if job.cancelled.load(Ordering::Relaxed) || job.terminal.load(Ordering::Relaxed) {
             break BlockOutcome::Skipped;
         }
-        let ran = match job.opts.backend {
-            ExecBackend::Device => run_block(shared, pe, job, block, idx as u64),
-            ExecBackend::HostPlan => run_block_host(shared, pe, job, block, idx as u64),
-            ExecBackend::Sharded(k) => run_block_sharded(shared, pe, job, block, idx as u64, k),
-        };
-        match ran {
-            Ok(()) => break BlockOutcome::Done,
-            Err(e) if is_transient(&e) && attempt < job.opts.max_retries => {
+        out.clear();
+        let t0 = Instant::now();
+        match job.executor.run_block(&cx, src, &mut out) {
+            Ok(()) => {
+                shared.metrics.add_pe_busy(pe, t0.elapsed());
+                let first = block.first_sample as usize;
+                job.results.lock()[first..first + cx.samples].copy_from_slice(&out);
+                break BlockOutcome::Done;
+            }
+            Err(e) if e.is_transient() && attempt < job.opts.max_retries => {
                 attempt += 1;
                 shared.metrics.block_retried();
                 let backoff =
@@ -750,89 +617,79 @@ fn process_block(shared: &Shared, pe: u32, job: &Arc<JobState>, idx: usize) {
         }
     };
 
-    let mut st = shared.state.lock();
+    let st = shared.state.lock();
     job.in_flight.fetch_sub(1, Ordering::Relaxed);
     if job.terminal.load(Ordering::Relaxed) {
         // Another worker already finalised the job (failure races).
         return;
     }
+    let mut all_done = false;
+    if let BlockOutcome::Done = outcome {
+        shared.metrics.block_executed();
+        let done = job.blocks_done.fetch_add(1, Ordering::Relaxed) + 1;
+        all_done = done as usize == job.blocks.len();
+    }
     match outcome {
         BlockOutcome::Failed(e) => {
-            // First failure wins: stop claims, detach the job, fail it.
-            // Other in-flight blocks of this job drain harmlessly; other
+            // First failure wins: stop claims and fail the job. Other
+            // in-flight blocks of this job drain harmlessly; other
             // jobs are untouched.
-            job.terminal.store(true, Ordering::Relaxed);
             job.cancelled.store(true, Ordering::Relaxed);
-            remove_job(&mut st, job);
-            drop(st);
-            shared
-                .metrics
-                .job_finished(JobOutcome::Failed, job.samples());
-            job.finish(Phase::Failed(e));
-            shared.space_cv.notify_all();
+            retire(shared, st, job, || Phase::Failed(e));
         }
-        BlockOutcome::Done => {
-            shared.metrics.block_executed();
-            let done = job.blocks_done.fetch_add(1, Ordering::Relaxed) + 1;
-            if done as usize == job.blocks.len() {
-                job.terminal.store(true, Ordering::Relaxed);
-                remove_job(&mut st, job);
-                drop(st);
-                finalize_success(shared, job);
-                shared.space_cv.notify_all();
-            } else if job.cancelled.load(Ordering::Relaxed)
-                && job.in_flight.load(Ordering::Relaxed) == 0
-            {
-                finalize_cancelled(shared, st, job);
-            }
+        _ if all_done => retire(shared, st, job, || verified_results(shared, job)),
+        _ if job.cancelled.load(Ordering::Relaxed)
+            && job.in_flight.load(Ordering::Relaxed) == 0 =>
+        {
+            retire(shared, st, job, || Phase::Cancelled)
         }
-        BlockOutcome::Skipped => {
-            if job.cancelled.load(Ordering::Relaxed) && job.in_flight.load(Ordering::Relaxed) == 0 {
-                finalize_cancelled(shared, st, job);
-            }
-        }
+        _ => {}
     }
 }
 
-fn remove_job(st: &mut State, job: &Arc<JobState>) {
-    st.jobs.retain(|j| !Arc::ptr_eq(j, job));
-}
-
-fn finalize_cancelled(
+/// The one terminal transition. Under the state lock the job stops
+/// being claimable and leaves the queue; with the lock released its
+/// final `phase` is computed (verification sampling may take a while)
+/// and published. The caller has checked `terminal` is still unset.
+fn retire(
     shared: &Shared,
     mut st: parking_lot::MutexGuard<'_, State>,
     job: &Arc<JobState>,
+    phase: impl FnOnce() -> Phase,
 ) {
     job.terminal.store(true, Ordering::Relaxed);
-    remove_job(&mut st, job);
+    st.jobs.retain(|j| !Arc::ptr_eq(j, job));
     drop(st);
-    shared
-        .metrics
-        .job_finished(JobOutcome::Cancelled, job.samples());
-    job.finish(Phase::Cancelled);
+    publish(shared, job, phase());
+}
+
+/// Count a terminal `phase`, hand it to the job's waiters and wake
+/// anyone waiting for queue space.
+fn publish(shared: &Shared, job: &JobState, phase: Phase) {
+    let outcome = match phase {
+        Phase::Completed(_) => JobOutcome::Completed,
+        Phase::Failed(_) => JobOutcome::Failed,
+        Phase::Cancelled => JobOutcome::Cancelled,
+        Phase::Active => unreachable!("only terminal phases are published"),
+    };
+    shared.metrics.job_finished(outcome, job.samples());
+    *job.completion.lock() = phase;
+    job.done_cv.notify_all();
     shared.space_cv.notify_all();
 }
 
-/// All blocks done: run verification sampling (outside any lock) and
-/// publish the results. Host-plan jobs skip verification: their
-/// results *are* exact host arithmetic, while the golden check's tight
-/// tolerance assumes device-format output re-computed by the same
-/// bit-accurate core.
-fn finalize_success(shared: &Shared, job: &Arc<JobState>) {
+/// All blocks done: the job's results, or the verification failure.
+/// Only device-precision results are checked: host results *are* exact
+/// host arithmetic, while the golden check's tight tolerance assumes
+/// device-format output re-computed by the same bit-accurate core.
+fn verified_results(shared: &Shared, job: &JobState) -> Phase {
     let results = std::mem::take(&mut *job.results.lock());
-    if shared.config.verify_fraction > 0.0 && job.opts.backend == ExecBackend::Device {
+    if job.provenance == ExecProvenance::Device {
         if let Err(e) = verify_results(shared, job, &results) {
-            shared
-                .metrics
-                .job_finished(JobOutcome::Failed, job.samples());
-            job.finish(Phase::Failed(e));
-            return;
+            return Phase::Failed(e);
         }
     }
-    shared
-        .metrics
-        .job_finished(JobOutcome::Completed, job.samples());
-    job.finish(Phase::Completed(results));
+    Phase::Completed(results)
 }
 
 /// Spot-check a deterministic stride of results against the host
@@ -859,167 +716,6 @@ fn verify_results(shared: &Shared, job: &JobState, results: &[f64]) -> Result<()
     Ok(())
 }
 
-/// The host fast path: evaluate one block through the compiled plan,
-/// entirely on the CPU. No device buffers, no DMA — just the batched
-/// [`PlanExecutor`] over the block's slice of the dataset. Results are
-/// stored as linear probabilities (`exp(log-likelihood)`), matching
-/// the device convention, so callers see one result format regardless
-/// of backend.
-fn run_block_host(
-    shared: &Shared,
-    pe: u32,
-    job: &JobState,
-    block: Block,
-    idx: u64,
-) -> Result<(), RuntimeError> {
-    let plan = shared
-        .plan
-        .as_ref()
-        .expect("HostPlan jobs are rejected at submit without a plan");
-    let nf = job.data.num_features();
-    let (src_off, src_len) = block.input_range(nf as u64);
-    let src = &job.data.raw()[src_off as usize..(src_off + src_len) as usize];
-    let t0 = Instant::now();
-    let mut ex = PlanExecutor::new(plan);
-    let mut out = Vec::with_capacity(block.samples as usize);
-    ex.eval_batch_raw(&Query::Complete, src, nf, &mut out);
-    if let Some(t) = shared.trace.as_deref() {
-        t.record(
-            SpanKind::PlanExec,
-            job.opts.ctx,
-            pe,
-            idx,
-            t0,
-            Instant::now(),
-        );
-    }
-    shared.metrics.add_pe_busy(pe, t0.elapsed());
-
-    let mut res = job.results.lock();
-    for (i, ll) in out.iter().enumerate() {
-        res[block.first_sample as usize + i] = ll.exp();
-    }
-    Ok(())
-}
-
-/// The sharded host path: evaluate one block's samples across the K
-/// concurrent shard executors, then merge the shard partials into root
-/// values. Two spans per block when tracing — `shard-exec` around the
-/// concurrent shard phase, `shard-merge` around the combine — so a
-/// Chrome-trace export shows where a cut's time goes. Results are
-/// linear probabilities, same as every other backend.
-fn run_block_sharded(
-    shared: &Shared,
-    pe: u32,
-    job: &JobState,
-    block: Block,
-    idx: u64,
-    k: u32,
-) -> Result<(), RuntimeError> {
-    let ex = shared
-        .sharded_executor(k)
-        .expect("Sharded jobs are rejected at submit without a model");
-    let nf = job.data.num_features();
-    let (src_off, src_len) = block.input_range(nf as u64);
-    let src = &job.data.raw()[src_off as usize..(src_off + src_len) as usize];
-    let trace = shared.trace.as_deref();
-    let t0 = Instant::now();
-    let partials = ex.shard_partials(&Query::Complete, src, nf);
-    if let Some(t) = trace {
-        t.record(
-            SpanKind::ShardExec,
-            job.opts.ctx,
-            pe,
-            idx,
-            t0,
-            Instant::now(),
-        );
-    }
-    let t_merge = Instant::now();
-    let mut out = Vec::with_capacity(block.samples as usize);
-    ex.merge_partials(&Query::Complete, &partials, &mut out);
-    if let Some(t) = trace {
-        t.record(
-            SpanKind::ShardMerge,
-            job.opts.ctx,
-            pe,
-            idx,
-            t_merge,
-            Instant::now(),
-        );
-    }
-    shared.metrics.add_pe_busy(pe, t0.elapsed());
-    shared.sharded_blocks.fetch_add(1, Ordering::Relaxed);
-
-    let mut res = job.results.lock();
-    for (i, ll) in out.iter().enumerate() {
-        res[block.first_sample as usize + i] = ll.exp();
-    }
-    Ok(())
-}
-
-/// One control-thread iteration: allocate, transfer, launch, read
-/// back. Device buffers are freed on every path — success, failure or
-/// fault — so neither job failure nor cancellation can leak channel
-/// memory.
-fn run_block(
-    shared: &Shared,
-    pe: u32,
-    job: &JobState,
-    block: Block,
-    idx: u64,
-) -> Result<(), RuntimeError> {
-    let pe_cfg = &shared.pe_cfg;
-    let device = &shared.device;
-    let in_bytes = block.samples * pe_cfg.input_bytes;
-    let out_bytes = block.samples * pe_cfg.result_bytes;
-    let inb = device.memory().alloc(pe, in_bytes)?;
-    let outb = match device.memory().alloc(pe, out_bytes) {
-        Ok(b) => b,
-        Err(e) => {
-            let _ = device.memory().free(inb);
-            return Err(e.into());
-        }
-    };
-    let trace = shared.trace.as_deref();
-    let ctx = job.opts.ctx;
-    let run = || -> Result<Vec<u8>, RuntimeError> {
-        let (src_off, src_len) = block.input_range(pe_cfg.input_bytes);
-        let src = &job.data.raw()[src_off as usize..(src_off + src_len) as usize];
-        let t_h2d = Instant::now();
-        device.copy_to_device(inb, src)?;
-        if let Some(t) = trace {
-            t.record(SpanKind::H2D, ctx, pe, idx, t_h2d, Instant::now());
-        }
-        shared.metrics.add_h2d_bytes(src.len() as u64);
-        let t0 = Instant::now();
-        device.launch(pe, inb, outb, block.samples)?;
-        if let Some(t) = trace {
-            t.record(SpanKind::Execute, ctx, pe, idx, t0, Instant::now());
-        }
-        shared.metrics.add_pe_busy(pe, t0.elapsed());
-        let t_d2h = Instant::now();
-        let raw = device.copy_from_device(outb)?;
-        if let Some(t) = trace {
-            t.record(SpanKind::D2H, ctx, pe, idx, t_d2h, Instant::now());
-        }
-        shared.metrics.add_d2h_bytes(raw.len() as u64);
-        Ok(raw)
-    };
-    let out = run();
-    // Buffers are always returned, success or not.
-    let _ = device.memory().free(inb);
-    let _ = device.memory().free(outb);
-    let raw = out?;
-
-    let mut res = job.results.lock();
-    for i in 0..block.samples as usize {
-        let v = f64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().expect("8-byte result"));
-        res[block.first_sample as usize + i] = v;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1029,6 +725,7 @@ mod tests {
     use spn_core::Query;
     use spn_core::{Evaluator, NipsBenchmark};
     use spn_hw::{AcceleratorConfig, DatapathProgram};
+    use spn_telemetry::SpanKind;
 
     fn device(pes: u32) -> (Arc<VirtualDevice>, NipsBenchmark) {
         let bench = NipsBenchmark::Nips10;
@@ -1304,117 +1001,6 @@ mod tests {
         let (dev2, _) = device(1);
         let plain = Scheduler::new(dev2, config(64, 1)).unwrap();
         assert!(plain.trace().is_none());
-    }
-
-    fn model_device(pes: u32) -> (Arc<VirtualDevice>, NipsBenchmark) {
-        let bench = NipsBenchmark::Nips10;
-        let spn = Arc::new(bench.build_spn());
-        let prog = DatapathProgram::compile(&spn);
-        let dev = VirtualDevice::new(
-            prog,
-            AnyFormat::Cfp(CfpFormat::paper_default()),
-            AcceleratorConfig::paper_default(),
-            pes,
-            16 * MIB,
-        )
-        .with_model(spn);
-        (Arc::new(dev), bench)
-    }
-
-    #[test]
-    fn sharded_backend_matches_host_plan_bit_exactly() {
-        let (dev, bench) = model_device(2);
-        let sched = Scheduler::new(dev, config(64, 2)).unwrap();
-        let data = Arc::new(bench.dataset(333, 9));
-        let host = sched
-            .submit(
-                Arc::clone(&data),
-                JobOptions::builder()
-                    .backend(ExecBackend::HostPlan)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap()
-            .wait()
-            .unwrap();
-        for k in [1u32, 2, 3, 4] {
-            let h = sched
-                .submit(
-                    Arc::clone(&data),
-                    JobOptions::builder()
-                        .backend(ExecBackend::Sharded(k))
-                        .build()
-                        .unwrap(),
-                )
-                .unwrap();
-            match h.provenance() {
-                ExecProvenance::Sharded { shards } => assert!(shards >= 1 && shards <= k),
-                other => panic!("unexpected provenance {other:?}"),
-            }
-            let got = h.wait().unwrap();
-            assert_eq!(got.len(), host.len());
-            for (i, (g, w)) in got.iter().zip(&host).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "k={k} sample {i}: sharded {g} vs host plan {w}"
-                );
-            }
-        }
-        let shard = sched.shard_telemetry().expect("sharded jobs ran");
-        assert_eq!(shard.shard_sets, 4);
-        assert!(shard.shards >= 4, "k=1..4 cuts hold at least 4 shards");
-        assert!(shard.sharded_blocks >= 4 * 333u64.div_ceil(64));
-    }
-
-    #[test]
-    fn sharded_backend_requires_a_model_and_positive_count() {
-        let (dev, bench) = device(1); // no with_model
-        let sched = Scheduler::new(dev, config(64, 1)).unwrap();
-        let data = Arc::new(bench.dataset(10, 1));
-        let opts = JobOptions {
-            backend: ExecBackend::Sharded(2),
-            ..JobOptions::default()
-        };
-        assert!(matches!(
-            sched.submit(Arc::clone(&data), opts),
-            Err(RuntimeError::InvalidConfig { .. })
-        ));
-        // A zero shard count is caught even when the builder is bypassed.
-        let (dev, _) = model_device(1);
-        let sched = Scheduler::new(dev, config(64, 1)).unwrap();
-        let opts = JobOptions {
-            backend: ExecBackend::Sharded(0),
-            ..JobOptions::default()
-        };
-        assert!(matches!(
-            sched.submit(data, opts),
-            Err(RuntimeError::InvalidConfig { .. })
-        ));
-        assert_eq!(sched.shard_telemetry(), None);
-    }
-
-    #[test]
-    fn traced_sharded_job_records_exec_and_merge_spans() {
-        let (dev, bench) = model_device(1);
-        let trace = Arc::new(TraceCollector::new());
-        let sched = Scheduler::with_trace(dev, config(64, 1), Some(Arc::clone(&trace))).unwrap();
-        let ctx = spn_telemetry::SpanCtx::mint();
-        let data = Arc::new(bench.dataset(130, 3));
-        let opts = JobOptions::builder()
-            .backend(ExecBackend::Sharded(2))
-            .ctx(ctx)
-            .build()
-            .unwrap();
-        sched.submit(data, opts).unwrap().wait().unwrap();
-        let spans = trace.spans();
-        // 3 blocks × (shard-exec, shard-merge), plus shard-plan
-        // compiles recorded without a request ctx.
-        for kind in [SpanKind::ShardExec, SpanKind::ShardMerge] {
-            let of_kind: Vec<_> = spans.iter().filter(|s| s.kind == kind).collect();
-            assert_eq!(of_kind.len(), 3, "{kind:?}");
-            assert!(of_kind.iter().all(|s| s.ctx == ctx));
-        }
     }
 
     #[test]

@@ -22,12 +22,17 @@
 //! while its thread holds the (virtual) device. Because shards split
 //! the *model*, a balanced K-way cut makes each device hold ~1/K of
 //! the nodes — concurrent paced shards finish in ~1/K the wall time of
-//! the unsharded model, which is what `spn bench shard-study` sweeps.
+//! the unsharded model, which is what the `shard_study` bench bin
+//! (`cargo run --release -p bench --bin shard_study`) sweeps.
 
+use crate::executor::{to_probabilities, BlockCx, BlockExecutor};
 use crate::plan_cache::PlanCache;
+use crate::runtime::RuntimeError;
 use spn_core::{CompiledPlan, PlanExecutor, Query, ShardPlan};
+use spn_telemetry::SpanKind;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The cut seed the scheduler uses when a job asks for
 /// [`crate::job::ExecBackend::Sharded`] execution: one fixed seed keeps
@@ -36,9 +41,9 @@ use std::time::Duration;
 pub const DEFAULT_SHARD_SEED: u64 = 0xD1F7;
 
 /// Per-shard boundary values for a batch of samples — the intermediate
-/// a scheduler separates from the merge so the two phases can be timed
-/// (and traced) independently.
-pub struct ShardPartials {
+/// between the shard phase and the merge, so the two can be timed (and
+/// traced) independently.
+struct ShardPartials {
     /// Samples in the batch.
     samples: usize,
     /// `per_shard[s][i * tap_count(s) + t]` = value of tap `t` of
@@ -54,6 +59,8 @@ pub struct ShardedExecutor {
     plan: Arc<ShardPlan>,
     shard_plans: Vec<Arc<CompiledPlan>>,
     pacing_per_node: Option<Duration>,
+    /// Blocks run through the scheduler seam (for telemetry).
+    blocks_run: AtomicU64,
 }
 
 impl ShardedExecutor {
@@ -69,6 +76,7 @@ impl ShardedExecutor {
             plan,
             shard_plans,
             pacing_per_node: None,
+            blocks_run: AtomicU64::new(0),
         }
     }
 
@@ -83,20 +91,20 @@ impl ShardedExecutor {
         self
     }
 
-    /// The cut this executor runs.
-    pub fn plan(&self) -> &Arc<ShardPlan> {
-        &self.plan
-    }
-
     /// Effective shard count (= concurrent shard threads per batch).
     pub fn num_shards(&self) -> usize {
         self.plan.num_shards()
     }
 
+    /// Scheduler blocks this executor has run.
+    pub(crate) fn blocks_run(&self) -> u64 {
+        self.blocks_run.load(Ordering::Relaxed)
+    }
+
     /// Phase 1: evaluate all shards concurrently over a raw byte batch
     /// (`num_features` bytes per sample), collecting every shard's tap
     /// values for every sample.
-    pub fn shard_partials(&self, query: &Query, raw: &[u8], num_features: usize) -> ShardPartials {
+    fn shard_partials(&self, query: &Query, raw: &[u8], num_features: usize) -> ShardPartials {
         assert_eq!(
             num_features,
             self.plan.num_vars(),
@@ -143,7 +151,7 @@ impl ShardedExecutor {
 
     /// Phase 2: combine shard partials into per-sample root
     /// log-likelihoods, appended to `out` in sample order.
-    pub fn merge_partials(&self, query: &Query, partials: &ShardPartials, out: &mut Vec<f64>) {
+    fn merge_partials(&self, query: &Query, partials: &ShardPartials, out: &mut Vec<f64>) {
         let tap_counts: Vec<usize> = self.plan.shards().iter().map(|s| s.taps.len()).collect();
         let merge = self.plan.merge();
         let mpe = query.is_mpe();
@@ -171,11 +179,34 @@ impl ShardedExecutor {
     }
 }
 
+/// The sharded host path: evaluate one block's samples across the K
+/// concurrent shard executors, then merge the shard partials into root
+/// values. Two spans per block when tracing — `shard-exec` around the
+/// concurrent shard phase, `shard-merge` around the combine — so a
+/// Chrome-trace export shows where a cut's time goes.
+impl BlockExecutor for ShardedExecutor {
+    fn run_block(&self, cx: &BlockCx, src: &[u8], out: &mut Vec<f64>) -> Result<(), RuntimeError> {
+        let t0 = Instant::now();
+        let partials = self.shard_partials(&Query::Complete, src, src.len() / cx.samples);
+        cx.span(SpanKind::ShardExec, t0);
+        let t0 = Instant::now();
+        self.merge_partials(&Query::Complete, &partials, out);
+        cx.span(SpanKind::ShardMerge, t0);
+        self.blocks_run.fetch_add(1, Ordering::Relaxed);
+        to_probabilities(out);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spn_core::{Evaluator, NipsBenchmark, Query};
-    use std::time::Instant;
+    use crate::prelude::*;
+    use sim_core::MIB;
+    use spn_arith::{AnyFormat, CfpFormat};
+    use spn_core::{Evaluator, NipsBenchmark};
+    use spn_hw::{AcceleratorConfig, DatapathProgram};
+    use spn_telemetry::SpanKind;
 
     fn executor(k: usize) -> (ShardedExecutor, NipsBenchmark, PlanCache) {
         let bench = NipsBenchmark::Nips10;
@@ -262,5 +293,128 @@ mod tests {
         let (ex, _, _cache) = executor(2);
         let mut out = Vec::new();
         ex.eval_batch_raw(&Query::Complete, &[0u8; 7], 7, &mut out);
+    }
+
+    // The scheduler-level view of this executor: jobs submitted with
+    // `ExecBackend::Sharded` reach it through the block-executor seam.
+
+    fn device(pes: u32, with_model: bool) -> (Arc<VirtualDevice>, NipsBenchmark) {
+        let bench = NipsBenchmark::Nips10;
+        let spn = Arc::new(bench.build_spn());
+        let mut dev = VirtualDevice::new(
+            DatapathProgram::compile(&spn),
+            AnyFormat::Cfp(CfpFormat::paper_default()),
+            AcceleratorConfig::paper_default(),
+            pes,
+            16 * MIB,
+        );
+        if with_model {
+            dev = dev.with_model(spn);
+        }
+        (Arc::new(dev), bench)
+    }
+
+    fn config(block: u64, threads: u32) -> RuntimeConfig {
+        RuntimeConfig::builder()
+            .block_samples(block)
+            .threads_per_pe(threads)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn sharded_backend_matches_host_plan_bit_exactly() {
+        let (dev, bench) = device(2, true);
+        let sched = Scheduler::new(dev, config(64, 2)).unwrap();
+        let data = Arc::new(bench.dataset(333, 9));
+        let host = sched
+            .submit(
+                Arc::clone(&data),
+                JobOptions::builder()
+                    .backend(ExecBackend::HostPlan)
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        for k in [1u32, 2, 3, 4] {
+            let h = sched
+                .submit(
+                    Arc::clone(&data),
+                    JobOptions::builder()
+                        .backend(ExecBackend::Sharded(k))
+                        .build()
+                        .unwrap(),
+                )
+                .unwrap();
+            match h.provenance() {
+                ExecProvenance::Sharded { shards } => assert!(shards >= 1 && shards <= k),
+                other => panic!("unexpected provenance {other:?}"),
+            }
+            let got = h.wait().unwrap();
+            assert_eq!(got.len(), host.len());
+            for (i, (g, w)) in got.iter().zip(&host).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "k={k} sample {i}: sharded {g} vs host plan {w}"
+                );
+            }
+        }
+        let shard = sched.shard_telemetry().expect("sharded jobs ran");
+        assert_eq!(shard.shard_sets, 4);
+        assert!(shard.shards >= 4, "k=1..4 cuts hold at least 4 shards");
+        assert!(shard.sharded_blocks >= 4 * 333u64.div_ceil(64));
+    }
+
+    #[test]
+    fn sharded_backend_requires_a_model_and_positive_count() {
+        let (dev, bench) = device(1, false);
+        let sched = Scheduler::new(dev, config(64, 1)).unwrap();
+        let data = Arc::new(bench.dataset(10, 1));
+        let opts = JobOptions {
+            backend: ExecBackend::Sharded(2),
+            ..JobOptions::default()
+        };
+        assert!(matches!(
+            sched.submit(Arc::clone(&data), opts),
+            Err(RuntimeError::InvalidConfig { .. })
+        ));
+        // A zero shard count is caught even when the builder is bypassed.
+        let (dev, _) = device(1, true);
+        let sched = Scheduler::new(dev, config(64, 1)).unwrap();
+        let opts = JobOptions {
+            backend: ExecBackend::Sharded(0),
+            ..JobOptions::default()
+        };
+        assert!(matches!(
+            sched.submit(data, opts),
+            Err(RuntimeError::InvalidConfig { .. })
+        ));
+        assert_eq!(sched.shard_telemetry(), None);
+    }
+
+    #[test]
+    fn traced_sharded_job_records_exec_and_merge_spans() {
+        let (dev, bench) = device(1, true);
+        let trace = Arc::new(TraceCollector::new());
+        let sched = Scheduler::with_trace(dev, config(64, 1), Some(Arc::clone(&trace))).unwrap();
+        let ctx = spn_telemetry::SpanCtx::mint();
+        let data = Arc::new(bench.dataset(130, 3));
+        let opts = JobOptions::builder()
+            .backend(ExecBackend::Sharded(2))
+            .ctx(ctx)
+            .build()
+            .unwrap();
+        sched.submit(data, opts).unwrap().wait().unwrap();
+        let spans = trace.spans();
+        // 3 blocks × (shard-exec, shard-merge), plus shard-plan
+        // compiles recorded without a request ctx.
+        for kind in [SpanKind::ShardExec, SpanKind::ShardMerge] {
+            let of_kind: Vec<_> = spans.iter().filter(|s| s.kind == kind).collect();
+            assert_eq!(of_kind.len(), 3, "{kind:?}");
+            assert!(of_kind.iter().all(|s| s.ctx == ctx));
+        }
     }
 }

@@ -1,33 +1,25 @@
 //! Lock-free log-bucketed histogram.
 //!
-//! [`AtomicHistogram`] is the concurrent counterpart of
-//! [`sim_core::LogHistogram`]: same geometric bucketing idea (8
-//! sub-buckets per octave, ≈ 9 % relative resolution), but every
-//! recording is a relaxed atomic increment plus two CAS loops — no
-//! mutex on the request hot path, and no `&mut self`, so one shared
-//! instance can absorb recordings from every connection thread.
-//!
-//! Bucket indexing extracts the exponent and the top three mantissa
-//! bits of `value / min` straight from the IEEE-754 representation
-//! (HdrHistogram-style), so `record` is branch-light and allocation
-//! free.
+//! [`AtomicHistogram`] is the concurrent front of the bucketing kernel
+//! [`sim_core::LogBuckets`] (8 sub-buckets per octave, ≈ 9 % relative
+//! resolution; [`sim_core::LogHistogram`] is its plain `&mut` front):
+//! every recording is a relaxed atomic increment plus two CAS loops —
+//! no mutex on the request hot path, and no `&mut self`, so one shared
+//! instance can absorb recordings from every connection thread. Bucket
+//! placement, quantiles and the summary are the kernel's, so the two
+//! fronts cannot disagree.
 
-use sim_core::HistogramSummary;
+use sim_core::{HistogramSummary, LogBuckets};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
-
-/// log2(sub-buckets per octave).
-const SUB_BITS: u32 = 3;
-/// Sub-buckets per octave (bucket width factor 2^(1/8) ≈ 1.09).
-const SUB: u64 = 1 << SUB_BITS;
 
 /// Fixed-size lock-free histogram over positive values.
 ///
 /// Values at or below `min` land in the underflow bucket (reported as
-/// `min` by quantiles, like `LogHistogram`); values beyond `max` clamp
-/// into the last bucket (quantiles then report the exact maximum
-/// seen). `sum` and `max` are f64s maintained by CAS on their bit
-/// patterns, so [`HistogramSummary::mean`] and `max` stay exact.
+/// `min` by quantiles); values beyond `max` clamp into the last bucket
+/// (quantiles then report the exact maximum seen); non-finite values
+/// are ignored. `sum` and `max` are f64s maintained by CAS on their
+/// bit patterns, so [`HistogramSummary::mean`] and `max` stay exact.
 ///
 /// A concurrent [`AtomicHistogram::summary`] is not a point-in-time
 /// atomic snapshot — counts recorded while it runs may or may not be
@@ -35,7 +27,7 @@ const SUB: u64 = 1 << SUB_BITS;
 /// totals are conserved.
 #[derive(Debug)]
 pub struct AtomicHistogram {
-    min: f64,
+    geom: LogBuckets,
     buckets: Box<[AtomicU64]>,
     /// Bit pattern of the running f64 sum.
     sum_bits: AtomicU64,
@@ -49,15 +41,10 @@ impl AtomicHistogram {
     /// # Panics
     /// Panics unless `0 < min < max` (both finite).
     pub fn new(min: f64, max: f64) -> Self {
-        assert!(
-            min > 0.0 && max > min && max.is_finite(),
-            "need 0 < min < max"
-        );
-        let octaves = (max / min).log2().ceil() as usize + 1;
-        let n = 1 + octaves * SUB as usize;
+        let geom = LogBuckets::new(min, max);
         AtomicHistogram {
-            min,
-            buckets: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            geom,
+            buckets: (0..geom.num_buckets()).map(|_| AtomicU64::new(0)).collect(),
             sum_bits: AtomicU64::new(0f64.to_bits()),
             max_bits: AtomicU64::new(0f64.to_bits()),
         }
@@ -69,36 +56,13 @@ impl AtomicHistogram {
         AtomicHistogram::new(1e-9, 10.0)
     }
 
-    /// Bucket index for `x`: 0 is the underflow bucket, then 8
-    /// log-linear sub-buckets per octave of `x / min`.
-    fn index(&self, x: f64) -> usize {
-        let r = x / self.min;
-        if r <= 1.0 {
-            return 0; // underflow
-        }
-        let bits = r.to_bits();
-        let exp = ((bits >> 52) & 0x7ff) - 1023; // r > 1 ⇒ biased exp ≥ 1023
-        let frac = (bits >> (52 - SUB_BITS)) & (SUB - 1);
-        let idx = 1 + exp * SUB + frac;
-        (idx as usize).min(self.buckets.len() - 1)
-    }
-
-    /// Upper edge of bucket `idx` (≥ 1): `min · 2^e · (1 + (f+1)/8)`.
-    fn upper_edge(&self, idx: usize) -> f64 {
-        let j = (idx - 1) as u64;
-        let exp = (j / SUB) as i32;
-        let frac = j % SUB;
-        self.min * 2f64.powi(exp) * (1.0 + (frac + 1) as f64 / SUB as f64)
-    }
-
-    /// Record one finite value (unit-agnostic). Non-finite values are
-    /// ignored — JSON cannot carry them and a poisoned `sum` would
-    /// corrupt the mean forever.
+    /// Record one finite value (unit-agnostic); non-finite values are
+    /// ignored.
     pub fn record(&self, x: f64) {
-        if !x.is_finite() {
+        let Some(idx) = self.geom.index(x) else {
             return;
-        }
-        self.buckets[self.index(x)].fetch_add(1, Relaxed);
+        };
+        self.buckets[idx].fetch_add(1, Relaxed);
         let mut cur = self.sum_bits.load(Relaxed);
         loop {
             let new = (f64::from_bits(cur) + x).to_bits();
@@ -127,69 +91,21 @@ impl AtomicHistogram {
         self.record(d.as_secs_f64());
     }
 
+    fn counts(&self) -> Vec<u64> {
+        self.buckets.iter().map(|b| b.load(Relaxed)).collect()
+    }
+
     /// Number of recorded samples (sum over all buckets).
     pub fn count(&self) -> u64 {
         self.buckets.iter().map(|b| b.load(Relaxed)).sum()
     }
 
-    /// Largest recorded value.
-    pub fn max(&self) -> f64 {
-        f64::from_bits(self.max_bits.load(Relaxed))
-    }
-
-    /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        let count = self.count();
-        (count > 0).then(|| f64::from_bits(self.sum_bits.load(Relaxed)) / count as f64)
-    }
-
-    /// Approximate `q`-quantile: upper edge of the bucket holding the
-    /// q-th sample, clamped to the exact maximum. `None` when empty.
-    ///
-    /// # Panics
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Relaxed)).collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // First bucket holds underflow (reported as `min`); the
-                // last holds overflow clamps, whose edge underestimates —
-                // report the exact maximum instead.
-                if i == 0 {
-                    return Some(self.min);
-                }
-                if i == counts.len() - 1 {
-                    return Some(self.max());
-                }
-                return Some(self.upper_edge(i).min(self.max()));
-            }
-        }
-        Some(self.max())
-    }
-
     /// Six-number summary (all-zero when empty) — the form embedded in
     /// [`crate::TelemetrySnapshot`].
     pub fn summary(&self) -> HistogramSummary {
-        let count = self.count();
-        if count == 0 {
-            return HistogramSummary::default();
-        }
-        HistogramSummary {
-            count,
-            mean: self.mean().unwrap_or(0.0),
-            p50: self.quantile(0.50).unwrap_or(0.0),
-            p95: self.quantile(0.95).unwrap_or(0.0),
-            p99: self.quantile(0.99).unwrap_or(0.0),
-            max: self.max(),
-        }
+        let sum = f64::from_bits(self.sum_bits.load(Relaxed));
+        let max = f64::from_bits(self.max_bits.load(Relaxed));
+        self.geom.summary(&self.counts(), sum, max)
     }
 }
 
@@ -198,30 +114,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_bracket_true_values() {
+    fn summary_brackets_true_values() {
         let h = AtomicHistogram::new(1.0, 1e6);
         for i in 1..=1000 {
             h.record(i as f64);
         }
         assert_eq!(h.count(), 1000);
-        let p50 = h.quantile(0.5).unwrap();
-        assert!((450.0..600.0).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!((900.0..1150.0).contains(&p99), "p99 {p99}");
-        let mean = h.mean().unwrap();
-        assert!((mean - 500.5).abs() < 1e-9, "mean is exact: {mean}");
-        assert_eq!(h.max(), 1000.0);
-    }
-
-    #[test]
-    fn resolution_bounded_by_one_sub_bucket() {
-        let h = AtomicHistogram::latency();
-        for _ in 0..100 {
-            h.record(0.001234);
-        }
-        let p50 = h.quantile(0.5).unwrap();
-        assert!(p50 >= 0.001234, "upper edge is above the sample: {p50}");
-        assert!(p50 <= 0.001234 * 1.25, "within one sub-bucket: {p50}");
+        let s = h.summary();
+        assert!((450.0..600.0).contains(&s.p50), "p50 {}", s.p50);
+        assert!((900.0..1150.0).contains(&s.p99), "p99 {}", s.p99);
+        assert!((s.mean - 500.5).abs() < 1e-9, "mean is exact: {}", s.mean);
+        assert_eq!(s.max, 1000.0);
     }
 
     #[test]
@@ -232,44 +135,32 @@ mod tests {
         h.record(f64::NAN); // ignored
         h.record(f64::INFINITY); // ignored
         assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(0.25).unwrap(), 1.0); // underflow reports min
-        assert_eq!(h.quantile(1.0).unwrap(), 1e9); // clamped to exact max
+        let s = h.summary();
+        assert_eq!(s.p50, 1.0); // underflow reports min
+        assert_eq!(s.p99, 1e9); // top bucket reports the exact max
+        assert_eq!((s.max, s.mean), (1e9, (0.5 + 1e9) / 2.0));
     }
 
     #[test]
-    fn empty_is_none_and_summary_is_zero() {
+    fn empty_summary_is_zero() {
         let h = AtomicHistogram::latency();
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.mean(), None);
+        assert_eq!(h.count(), 0);
         assert_eq!(h.summary(), HistogramSummary::default());
     }
 
     #[test]
-    fn agrees_with_log_histogram_on_shared_percentiles() {
-        // Same sub-bucket-per-octave resolution as LogHistogram's
-        // growth 2^(1/8): quantiles must land within one bucket width.
+    fn agrees_with_the_plain_front() {
+        // Two fronts, one kernel: identical input gives identical
+        // summaries, not merely close ones.
         let atomic = AtomicHistogram::latency();
-        let mut log = sim_core::LogHistogram::latency();
+        let mut plain = sim_core::LogHistogram::latency();
         let mut x = 1.7e-6;
         for _ in 0..5000 {
             atomic.record(x);
-            log.record(x);
+            plain.record(x);
             x = (x * 1.003).min(5.0);
         }
-        let (lp50, lp95, lp99) = log.percentiles().unwrap();
-        for (q, l) in [(0.5, lp50), (0.95, lp95), (0.99, lp99)] {
-            let a = atomic.quantile(q).unwrap();
-            assert!(
-                (a / l).ln().abs() < 0.25,
-                "q{q}: atomic {a} vs log {l} differ beyond bucket error"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_quantile_panics() {
-        AtomicHistogram::latency().quantile(1.5);
+        assert_eq!(atomic.summary(), plain.summary());
     }
 
     #[test]

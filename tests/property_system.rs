@@ -166,7 +166,7 @@ proptest! {
     /// the bucket growth factor.
     #[test]
     fn histogram_quantile_bounds(mut xs in prop::collection::vec(1.0f64..1e6, 10..200)) {
-        let mut h = sim_core::LogHistogram::new(1.0, 1e6, 2f64.powf(0.125));
+        let mut h = sim_core::LogHistogram::new(1.0, 1e6);
         for &x in &xs {
             h.record(x);
         }

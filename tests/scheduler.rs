@@ -366,3 +366,156 @@ fn host_plan_jobs_share_the_cache_and_skip_the_device() {
     );
     drop(second);
 }
+
+/// The lifecycle guarantees above, on every backend: the same
+/// assertions run over the device pipeline, the compiled host plan and
+/// the scope-sharded path, because the scheduler runs all three
+/// through one block-execution seam.
+#[test]
+fn lifecycle_guarantees_hold_on_every_backend() {
+    use spn_core::Evaluator;
+    use spn_telemetry::SpanKind;
+
+    struct Case {
+        backend: ExecBackend,
+        /// Exact host f64 arithmetic (vs. the device number format).
+        bit_exact: bool,
+        /// Moves bytes over the (virtual) PCIe link.
+        transfers: bool,
+        /// Spans each block records, once each.
+        block_spans: &'static [SpanKind],
+    }
+    let cases = [
+        Case {
+            backend: ExecBackend::Device,
+            bit_exact: false,
+            transfers: true,
+            block_spans: &[SpanKind::H2D, SpanKind::Execute, SpanKind::D2H],
+        },
+        Case {
+            backend: ExecBackend::HostPlan,
+            bit_exact: true,
+            transfers: false,
+            block_spans: &[SpanKind::PlanExec],
+        },
+        Case {
+            backend: ExecBackend::Sharded(2),
+            bit_exact: true,
+            transfers: false,
+            block_spans: &[SpanKind::ShardExec, SpanKind::ShardMerge],
+        },
+    ];
+
+    let bench = NipsBenchmark::Nips10;
+    let spn = Arc::new(bench.build_spn());
+    let config = RuntimeConfig::builder()
+        .block_samples(64)
+        .threads_per_pe(1)
+        .build()
+        .unwrap();
+
+    for case in cases {
+        let what = format!("{:?}", case.backend);
+        let device = Arc::new(
+            VirtualDevice::new(
+                DatapathProgram::compile(&spn),
+                AnyFormat::paper_default(),
+                AcceleratorConfig::paper_default(),
+                2,
+                16 << 20,
+            )
+            .with_model(Arc::clone(&spn)),
+        );
+        let trace = Arc::new(TraceCollector::new());
+        let sched =
+            Scheduler::with_trace(Arc::clone(&device), config, Some(Arc::clone(&trace))).unwrap();
+        let before = free_bytes_per_channel(&device);
+        let opts = |ctx: SpanCtx| {
+            JobOptions::builder()
+                .backend(case.backend)
+                .ctx(ctx)
+                .build()
+                .unwrap()
+        };
+
+        // A traced 3-block job: results against the tree-walk oracle,
+        // and exactly the backend's spans, all carrying the job's ctx.
+        let ctx = SpanCtx::mint();
+        let data = Arc::new(bench.dataset(130, 5));
+        let got = sched
+            .submit(Arc::clone(&data), opts(ctx))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(got.len(), 130, "{what}");
+        let mut ev = Evaluator::new(&spn);
+        for (i, (row, &p)) in data.rows().zip(&got).enumerate() {
+            let want = ev.eval_bytes(&Query::Complete, row).exp();
+            if case.bit_exact {
+                assert_eq!(p.to_bits(), want.to_bits(), "{what} sample {i}");
+            } else {
+                assert!(((p - want) / want).abs() < 1e-4, "{what} sample {i}");
+            }
+        }
+        let block_spans: Vec<_> = trace
+            .spans()
+            .into_iter()
+            .filter(|s| s.kind != SpanKind::PlanCompile)
+            .collect();
+        assert_eq!(block_spans.len(), 3 * case.block_spans.len(), "{what}");
+        assert!(block_spans.iter().all(|s| s.ctx == ctx), "{what}");
+        for kind in case.block_spans {
+            let n = block_spans.iter().filter(|s| s.kind == *kind).count();
+            assert_eq!(n, 3, "{what} {kind:?}");
+        }
+
+        // cancel() mid-job unblocks wait() with Cancelled.
+        let big = sched
+            .submit(Arc::new(bench.dataset(300_000, 6)), opts(SpanCtx::NONE))
+            .unwrap();
+        big.cancel();
+        assert!(matches!(big.wait(), Err(RuntimeError::Cancelled)), "{what}");
+
+        // drain() finishes accepted work and refuses new.
+        let accepted = sched
+            .submit(Arc::new(bench.dataset(2_000, 7)), opts(SpanCtx::NONE))
+            .unwrap();
+        sched.drain();
+        assert_eq!(accepted.wait().unwrap().len(), 2_000, "{what}");
+        assert!(
+            matches!(
+                sched.submit(data, opts(SpanCtx::NONE)),
+                Err(RuntimeError::ShuttingDown)
+            ),
+            "{what}"
+        );
+
+        // Conservation, after the dust has settled.
+        let m = sched.metrics_snapshot();
+        assert_eq!(
+            (m.jobs_submitted, m.jobs_completed, m.jobs_cancelled),
+            (3, 2, 1),
+            "{what}"
+        );
+        assert_eq!(
+            m.jobs_submitted,
+            m.jobs_completed + m.jobs_failed + m.jobs_cancelled,
+            "{what}"
+        );
+        assert_eq!(m.jobs_in_flight, 0, "{what}");
+        assert_eq!(m.samples_in_flight, 0, "{what}");
+        assert_eq!(sched.samples_in_flight(), 0, "{what}");
+        for s in trace.spans() {
+            if s.kind != SpanKind::PlanCompile {
+                assert!(
+                    m.pe_busy_secs[s.pe as usize] > 0.0,
+                    "{what}: PE {} ran a block but reports no busy time",
+                    s.pe
+                );
+            }
+        }
+        assert_eq!(m.h2d_bytes > 0, case.transfers, "{what}");
+        assert_eq!(m.d2h_bytes > 0, case.transfers, "{what}");
+        assert_eq!(free_bytes_per_channel(&device), before, "{what} leaked");
+    }
+}
