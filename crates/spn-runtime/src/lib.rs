@@ -87,7 +87,7 @@ pub use plan_cache::PlanCache;
 pub use runtime::{
     ExecProvenance, InferResult, RuntimeConfig, RuntimeConfigBuilder, RuntimeError, SpnRuntime,
 };
-pub use scheduler::{JobHandle, JobStatus, Scheduler};
+pub use scheduler::{JobHandle, JobResult, JobStatus, Scheduler};
 pub use sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
 pub use streaming::{
     min_replication_for_line_rate, simulate_streaming, StreamingModel, StreamingSimConfig,
@@ -114,7 +114,7 @@ pub mod prelude {
     pub use crate::runtime::{
         ExecProvenance, InferResult, RuntimeConfig, RuntimeConfigBuilder, RuntimeError, SpnRuntime,
     };
-    pub use crate::scheduler::{JobHandle, JobStatus, Scheduler};
+    pub use crate::scheduler::{JobHandle, JobResult, JobStatus, Scheduler};
     pub use crate::sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
     pub use spn_core::{CompiledPlan, PlanExecutor, Query, ShardPlan};
     pub use spn_telemetry::{SpanCtx, TraceCollector, TraceId};

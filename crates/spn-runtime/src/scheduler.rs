@@ -12,6 +12,11 @@
 //!   immediately; a bounded queue provides backpressure
 //!   ([`crate::RuntimeError::QueueFull`], or [`Scheduler::submit_blocking`]
 //!   to wait for space);
+//! * a job's outcome has exactly one consumer: whoever calls
+//!   [`JobHandle::wait`], or — for callers that would only park a
+//!   thread in `wait` to pass the result on — the closure given to
+//!   [`Scheduler::submit_blocking_then`], run by the thread that
+//!   finished the job;
 //! * blocks are claimed **round-robin across jobs** (per-job FIFO): a
 //!   small job submitted behind a huge one still completes promptly;
 //! * transient failures — [`crate::DeviceError::TransientFault`] from
@@ -71,12 +76,23 @@ pub enum JobStatus {
     Cancelled,
 }
 
-/// Terminal/active phase of a job, behind its completion mutex.
+/// How a job ended: its results (one probability per sample, dataset
+/// order) or why there are none — [`RuntimeError::Cancelled`] for a
+/// cancelled job.
+pub type JobResult = Result<Vec<f64>, RuntimeError>;
+
+/// Takes a job's outcome in place of a [`JobHandle::wait`] caller (see
+/// [`Scheduler::submit_blocking_then`]).
+type Consumer = Box<dyn FnOnce(JobResult) + Send>;
+
+/// Where a job's outcome is, behind its completion mutex.
 enum Phase {
-    Active,
-    Completed(Vec<f64>),
-    Failed(RuntimeError),
-    Cancelled,
+    /// Not terminal yet; holds the consumer the job was submitted
+    /// with, if any.
+    Active(Option<Consumer>),
+    /// Terminal. The result waits here for [`JobHandle::wait`]; `None`
+    /// when it went to the job's consumer instead.
+    Done(JobOutcome, Option<JobResult>),
 }
 
 /// All state of one submitted job. Scheduling counters (`next_block`,
@@ -141,27 +157,28 @@ impl JobHandle {
 
     /// Block until the job reaches a terminal state; returns the
     /// results (one probability per sample, dataset order) or the
-    /// error. Consumes the handle.
-    pub fn wait(self) -> Result<Vec<f64>, RuntimeError> {
+    /// error. Consumes the handle. The outcome of a job submitted with
+    /// a consumer is not the handle's to give: `wait` then returns
+    /// [`RuntimeError::InvalidConfig`] once the job is terminal.
+    pub fn wait(self) -> JobResult {
         let mut phase = self.job.completion.lock();
-        while matches!(*phase, Phase::Active) {
+        while matches!(*phase, Phase::Active(_)) {
             self.job.done_cv.wait(&mut phase);
         }
-        match std::mem::replace(&mut *phase, Phase::Cancelled) {
-            Phase::Completed(results) => Ok(results),
-            Phase::Failed(e) => Err(e),
-            Phase::Cancelled => Err(RuntimeError::Cancelled),
-            Phase::Active => unreachable!("loop exits only on terminal phase"),
+        match &mut *phase {
+            Phase::Done(_, result) => result.take().unwrap_or_else(|| {
+                Err(RuntimeError::InvalidConfig {
+                    reason: "the job's outcome went to its completion consumer".into(),
+                })
+            }),
+            Phase::Active(_) => unreachable!("loop exits only on terminal phase"),
         }
     }
 
     /// Non-blocking status probe.
     pub fn poll(&self) -> JobStatus {
         match &*self.job.completion.lock() {
-            Phase::Completed(_) => JobStatus::Completed,
-            Phase::Failed(_) => JobStatus::Failed,
-            Phase::Cancelled => JobStatus::Cancelled,
-            Phase::Active => {
+            Phase::Active(_) => {
                 if self.job.blocks_done.load(Ordering::Relaxed) > 0
                     || self.job.in_flight.load(Ordering::Relaxed) > 0
                 {
@@ -170,6 +187,9 @@ impl JobHandle {
                     JobStatus::Queued
                 }
             }
+            Phase::Done(JobOutcome::Completed, _) => JobStatus::Completed,
+            Phase::Done(JobOutcome::Failed, _) => JobStatus::Failed,
+            Phase::Done(JobOutcome::Cancelled, _) => JobStatus::Cancelled,
         }
     }
 
@@ -200,7 +220,7 @@ impl JobHandle {
         self.job.cancelled.store(true, Ordering::Relaxed);
         if self.job.in_flight.load(Ordering::Relaxed) == 0 {
             // Nothing executing: finalise right here.
-            retire(&self.shared, st, &self.job, || Phase::Cancelled);
+            retire(&self.shared, st, &self.job, || Err(RuntimeError::Cancelled));
         }
         // else: the last in-flight block's worker finalises the job.
     }
@@ -383,7 +403,7 @@ impl Scheduler {
     /// already in flight (backpressure — retry later or use
     /// [`Scheduler::submit_blocking`]).
     pub fn submit(&self, data: Arc<Dataset>, opts: JobOptions) -> Result<JobHandle, RuntimeError> {
-        self.submit_inner(data, opts, false)
+        self.submit_inner(data, opts, false, &mut None)
     }
 
     /// Like [`Scheduler::submit`], but blocks until queue space is
@@ -393,14 +413,46 @@ impl Scheduler {
         data: Arc<Dataset>,
         opts: JobOptions,
     ) -> Result<JobHandle, RuntimeError> {
-        self.submit_inner(data, opts, true)
+        self.submit_inner(data, opts, true, &mut None)
     }
 
+    /// Like [`Scheduler::submit_blocking`], but the outcome goes to
+    /// `then` instead of to [`JobHandle::wait`] — for a caller that
+    /// would otherwise park a thread in `wait` only to pass the result
+    /// on. `then` runs exactly once: with the refusal, right here, when
+    /// the submission is refused (`None` is returned); otherwise on
+    /// whichever thread makes the job terminal — the control thread
+    /// that finished its last block, a [`JobHandle::cancel`] caller,
+    /// the thread dropping the scheduler, or, for a zero-sample job,
+    /// the submitter. It runs with no scheduler lock held, but it *is*
+    /// a PE's control thread standing still: keep it short, and never
+    /// submit from it (a blocking submit against a full queue waits for
+    /// space that only control threads free). The returned handle can
+    /// still `cancel`, `poll` and report `progress`.
+    pub fn submit_blocking_then(
+        &self,
+        data: Arc<Dataset>,
+        opts: JobOptions,
+        then: impl FnOnce(JobResult) + Send + 'static,
+    ) -> Option<JobHandle> {
+        let mut consumer: Option<Consumer> = Some(Box::new(then));
+        match self.submit_inner(data, opts, true, &mut consumer) {
+            Ok(handle) => Some(handle),
+            Err(e) => {
+                let then = consumer.take().expect("only an accepted job takes it");
+                then(Err(e));
+                None
+            }
+        }
+    }
+
+    /// `consumer` is taken iff the job is accepted.
     fn submit_inner(
         &self,
         data: Arc<Dataset>,
         opts: JobOptions,
         blocking: bool,
+        consumer: &mut Option<Consumer>,
     ) -> Result<JobHandle, RuntimeError> {
         let num_pes = self.shared.device.num_pes();
         let pe_limit = opts.num_pes.unwrap_or(num_pes);
@@ -452,22 +504,20 @@ impl Scheduler {
             cancelled: AtomicBool::new(false),
             terminal: AtomicBool::new(empty),
             results: Mutex::new(vec![0.0f64; total]),
-            completion: Mutex::new(if empty {
-                Phase::Completed(Vec::new())
-            } else {
-                Phase::Active
-            }),
+            completion: Mutex::new(Phase::Active(consumer.take())),
             done_cv: Condvar::new(),
         });
+        // Counted before a control thread can see the job: one that is
+        // between blocks claims it the moment it is queued, and would
+        // otherwise count it finished before it was counted submitted.
+        self.shared.metrics.job_submitted(job.samples());
         if empty {
             drop(st);
             // A zero-sample job is trivially complete.
-            self.shared.metrics.job_submitted(0);
-            self.shared.metrics.job_finished(JobOutcome::Completed, 0);
+            publish(&self.shared, &job, Ok(Vec::new()));
         } else {
             st.jobs.push(Arc::clone(&job));
             drop(st);
-            self.shared.metrics.job_submitted(job.samples());
             self.shared.work_cv.notify_all();
         }
         Ok(JobHandle {
@@ -509,7 +559,7 @@ impl Drop for Scheduler {
         let leftovers = std::mem::take(&mut self.shared.state.lock().jobs);
         for job in leftovers {
             if !job.terminal.swap(true, Ordering::Relaxed) {
-                publish(&self.shared, &job, Phase::Cancelled);
+                publish(&self.shared, &job, Err(RuntimeError::Cancelled));
             }
         }
         self.shared.space_cv.notify_all();
@@ -635,13 +685,13 @@ fn process_block(shared: &Shared, pe: u32, job: &Arc<JobState>, idx: usize) {
             // in-flight blocks of this job drain harmlessly; other
             // jobs are untouched.
             job.cancelled.store(true, Ordering::Relaxed);
-            retire(shared, st, job, || Phase::Failed(e));
+            retire(shared, st, job, || Err(e));
         }
         _ if all_done => retire(shared, st, job, || verified_results(shared, job)),
         _ if job.cancelled.load(Ordering::Relaxed)
             && job.in_flight.load(Ordering::Relaxed) == 0 =>
         {
-            retire(shared, st, job, || Phase::Cancelled)
+            retire(shared, st, job, || Err(RuntimeError::Cancelled))
         }
         _ => {}
     }
@@ -649,47 +699,58 @@ fn process_block(shared: &Shared, pe: u32, job: &Arc<JobState>, idx: usize) {
 
 /// The one terminal transition. Under the state lock the job stops
 /// being claimable and leaves the queue; with the lock released its
-/// final `phase` is computed (verification sampling may take a while)
-/// and published. The caller has checked `terminal` is still unset.
+/// outcome is computed (verification sampling may take a while) and
+/// published. The caller has checked `terminal` is still unset.
 fn retire(
     shared: &Shared,
     mut st: parking_lot::MutexGuard<'_, State>,
     job: &Arc<JobState>,
-    phase: impl FnOnce() -> Phase,
+    result: impl FnOnce() -> JobResult,
 ) {
     job.terminal.store(true, Ordering::Relaxed);
     st.jobs.retain(|j| !Arc::ptr_eq(j, job));
     drop(st);
-    publish(shared, job, phase());
+    publish(shared, job, result());
 }
 
-/// Count a terminal `phase`, hand it to the job's waiters and wake
-/// anyone waiting for queue space.
-fn publish(shared: &Shared, job: &JobState, phase: Phase) {
-    let outcome = match phase {
-        Phase::Completed(_) => JobOutcome::Completed,
-        Phase::Failed(_) => JobOutcome::Failed,
-        Phase::Cancelled => JobOutcome::Cancelled,
-        Phase::Active => unreachable!("only terminal phases are published"),
+/// Count a job's outcome, wake anyone waiting for queue space, and
+/// hand `result` to its one consumer: the closure the job was
+/// submitted with, else the [`JobHandle::wait`] caller. Called exactly
+/// once per accepted job, with no scheduler lock held — the consumer
+/// runs right here, on the calling thread.
+fn publish(shared: &Shared, job: &JobState, result: JobResult) {
+    let outcome = match &result {
+        Ok(_) => JobOutcome::Completed,
+        Err(RuntimeError::Cancelled) => JobOutcome::Cancelled,
+        Err(_) => JobOutcome::Failed,
     };
     shared.metrics.job_finished(outcome, job.samples());
-    *job.completion.lock() = phase;
-    job.done_cv.notify_all();
     shared.space_cv.notify_all();
+    let mut phase = job.completion.lock();
+    match std::mem::replace(&mut *phase, Phase::Done(outcome, None)) {
+        Phase::Active(Some(consume)) => {
+            drop(phase);
+            consume(result);
+        }
+        Phase::Active(None) => {
+            *phase = Phase::Done(outcome, Some(result));
+            drop(phase);
+            job.done_cv.notify_all();
+        }
+        Phase::Done(..) => unreachable!("a job is published once"),
+    }
 }
 
 /// All blocks done: the job's results, or the verification failure.
 /// Only device-precision results are checked: host results *are* exact
 /// host arithmetic, while the golden check's tight tolerance assumes
 /// device-format output re-computed by the same bit-accurate core.
-fn verified_results(shared: &Shared, job: &JobState) -> Phase {
+fn verified_results(shared: &Shared, job: &JobState) -> JobResult {
     let results = std::mem::take(&mut *job.results.lock());
     if job.provenance == ExecProvenance::Device {
-        if let Err(e) = verify_results(shared, job, &results) {
-            return Phase::Failed(e);
-        }
+        verify_results(shared, job, &results)?;
     }
-    Phase::Completed(results)
+    Ok(results)
 }
 
 /// Spot-check a deterministic stride of results against the host

@@ -4,40 +4,44 @@
 //! samples); the scheduler amortises its per-job cost — block
 //! splitting, device buffer allocation, control-thread wake-ups — over
 //! *large* jobs. The batcher bridges the two regimes: each model owns
-//! a queue into which connection threads deposit requests, and a
+//! a queue into which the serving front-end deposits requests, and one
 //! worker thread that coalesces whatever is queued into **one**
-//! scheduler job when either
+//! scheduler job.
 //!
-//! * the queue holds at least `max_batch_samples` samples, or
-//! * `max_batch_delay` has elapsed since the worker first saw the
-//!   oldest waiting request (the latency bound);
+//! **The flush rule is work-conserving.** The worker flushes as soon
+//! as any of these holds:
 //!
-//! whichever comes first. The delay window is *adaptive*: the worker
-//! waits in short linger slices and flushes as soon as the queue stops
-//! growing, so a finished burst is not taxed with the full window —
-//! the delay bound is only the worst case under a steady trickle.
-//! Under load the batch fills instantly and throughput approaches the
-//! raw scheduler rate; when idle a lone request pays at most the
-//! delay bound. Results come back as one
-//! `Vec<f64>` of probabilities, are mapped through `ln()` and demuxed
-//! back to each request's reply channel in submission order — so a
-//! batched answer is bit-identical to what the request would have
-//! produced alone (the device computes per sample; batching only
-//! changes job framing, never arithmetic).
+//! * a PE is free to run the batch — fewer batches of this model are
+//!   in flight than the job may use PEs;
+//! * the queue holds at least `max_batch_samples` samples;
+//! * the oldest queued request has waited `max_batch_delay` since it
+//!   was enqueued;
+//! * the batcher is draining.
 //!
-//! Batches are *pipelined*, not serialized: the worker submits each
-//! flushed batch to the scheduler and immediately goes back to
-//! coalescing the next one, while a separate demux thread waits on
-//! the in-flight job handles (FIFO) and fans results back out. This
-//! keeps every scheduler worker busy — without it, batching would
-//! trade the scheduler's job-level parallelism away for coalescing
-//! and could *lose* to per-request serving.
+//! Otherwise it sleeps until one of them does. So a request never
+//! waits while an executor idles, batches grow only *while the
+//! executors are busy* — batch size rises with load by itself — and
+//! `max_batch_delay` is a worst-case bound on queue wait, not a price
+//! every request pays.
+//!
+//! Batches are *pipelined*: the worker submits a batch and goes
+//! straight back to forming the next one, and no thread waits on
+//! results. The scheduler hands each job's outcome to a completion
+//! closure ([`Scheduler::submit_blocking_then`]) on the control thread
+//! that finished the job's last block; the closure maps the
+//! probabilities through `ln()`, fans them out to each request's
+//! [`ReplySink`] in submission order and frees the batch's executor
+//! slot. A batched answer is bit-identical to what the request would
+//! have produced alone (the executors compute per sample; batching
+//! only changes job framing, never arithmetic). The closure wakes the
+//! worker but never submits — a control thread blocked on a full
+//! scheduler queue would wait for space only control threads free.
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::Status;
 use parking_lot::{Condvar, Mutex};
 use spn_core::Dataset;
-use spn_runtime::{JobHandle, JobOptions, RuntimeError, Scheduler};
+use spn_runtime::{JobOptions, JobResult, RuntimeError, Scheduler};
 use spn_telemetry::{SpanCtx, SpanKind};
 use std::collections::VecDeque;
 use std::sync::mpsc::Receiver;
@@ -55,12 +59,14 @@ pub enum Reply {
 }
 
 /// Where a request's answer goes. The batcher calls this exactly once
-/// per enqueued request, from the demux (or failure) path. The server
-/// passes a closure that finishes the request's accounting and hands
-/// the encoded response to the front-end's completion callback — which
-/// wakes a blocked connection thread or queues writable interest on a
-/// reactor loop, so demux threads never block on, or write to, a
-/// client socket.
+/// per enqueued request — on the scheduler control thread that
+/// finished the request's batch, or on the enqueuing or worker thread
+/// when the request is refused or expires. It must therefore be short
+/// and never block: the server passes a closure that finishes the
+/// request's accounting and hands the encoded response to the
+/// front-end's completion callback — which wakes a blocked connection
+/// thread or queues the frame on a reactor loop, so no batcher or
+/// control thread ever writes to a client socket.
 pub type ReplySink = Box<dyn FnOnce(Reply) + Send + 'static>;
 
 /// A request parked in the batch queue.
@@ -84,7 +90,9 @@ struct Pending {
 pub struct BatchPolicy {
     /// Flush as soon as this many samples are queued.
     pub max_batch_samples: u64,
-    /// … or when the oldest queued request has waited this long.
+    /// … or when the oldest queued request has waited this long. A
+    /// bound, reached only while every executor stays busy: with a PE
+    /// free the batcher flushes at once.
     pub max_batch_delay: Duration,
 }
 
@@ -97,7 +105,8 @@ impl Default for BatchPolicy {
     }
 }
 
-/// The batch queue plus the drain flag, under **one** mutex.
+/// The batch queue, the in-flight count and the drain flag, under
+/// **one** mutex.
 ///
 /// Keeping `stopped` inside the queue lock (rather than a separate
 /// atomic) closes the enqueue-after-drain race: the worker only exits
@@ -108,13 +117,23 @@ impl Default for BatchPolicy {
 /// [`Status::ShuttingDown`] instead of parking forever.
 struct BatchQueue {
     items: VecDeque<Pending>,
+    /// Samples in `items` (kept as a running sum).
+    queued_samples: u64,
+    /// Batches taken off the queue whose requests have not all been
+    /// answered yet.
+    in_flight: u32,
     stopped: bool,
 }
 
+/// What enqueuers, the worker and the completion closures share. Not
+/// the scheduler: a closure running on one of its control threads must
+/// never be what drops it.
 struct Shared {
     queue: Mutex<BatchQueue>,
+    /// The worker waits here for work, a free executor slot or the
+    /// oldest request's deadline; drainers wait here for
+    /// `in_flight == 0`.
     cv: Condvar,
-    scheduler: Arc<Scheduler>,
     num_features: usize,
     domain: usize,
     policy: BatchPolicy,
@@ -128,18 +147,9 @@ struct Shared {
 /// request still receives a reply — and joins the worker.
 pub struct Batcher {
     shared: Arc<Shared>,
-    /// Behind mutexes so [`Batcher::drain`] works through `&self`
+    /// Behind a mutex so [`Batcher::drain`] works through `&self`
     /// (the server holds batchers in shared state).
     worker: Mutex<Option<thread::JoinHandle<()>>>,
-    demux: Mutex<Option<thread::JoinHandle<()>>>,
-}
-
-/// A batch whose scheduler job is in flight, queued for the demux
-/// thread.
-struct InflightBatch {
-    handle: JobHandle,
-    live: Vec<Pending>,
-    total: usize,
 }
 
 impl Batcher {
@@ -162,33 +172,25 @@ impl Batcher {
         let shared = Arc::new(Shared {
             queue: Mutex::new(BatchQueue {
                 items: VecDeque::new(),
+                queued_samples: 0,
+                in_flight: 0,
                 stopped: false,
             }),
             cv: Condvar::new(),
-            scheduler,
             num_features,
             domain,
             policy,
             opts,
             metrics,
         });
-        // Worker → demux pipeline: dropping the sender (worker exit)
-        // is what stops the demux thread.
-        let (inflight_tx, inflight_rx) = std::sync::mpsc::channel::<InflightBatch>();
         let w = Arc::clone(&shared);
         let worker = thread::Builder::new()
             .name(format!("spn-batch-{model}"))
-            .spawn(move || worker_loop(&w, &inflight_tx))
+            .spawn(move || worker_loop(&w, &scheduler))
             .expect("spawn batcher worker");
-        let d = Arc::clone(&shared);
-        let demux = thread::Builder::new()
-            .name(format!("spn-demux-{model}"))
-            .spawn(move || demux_loop(&d, inflight_rx))
-            .expect("spawn batcher demux");
         Batcher {
             shared,
             worker: Mutex::new(Some(worker)),
-            demux: Mutex::new(Some(demux)),
         }
     }
 
@@ -255,9 +257,10 @@ impl Batcher {
                 ));
                 return;
             }
+            q.queued_samples += u64::from(num_samples);
             q.items.push_back(pending);
         }
-        self.shared.cv.notify_all();
+        self.shared.cv.notify_one();
     }
 
     /// Ask the worker to stop once the queue is empty (the server
@@ -267,16 +270,20 @@ impl Batcher {
         self.shared.cv.notify_all();
     }
 
-    /// Join the worker and demux threads (after
-    /// [`Batcher::request_drain`]). Worker first: its exit drops the
-    /// in-flight channel, which is what lets the demux thread finish.
-    /// Idempotent.
+    /// Join the worker (after [`Batcher::request_drain`]), then wait
+    /// until the batches it left in flight have answered their
+    /// requests: when this returns, every enqueued request has had its
+    /// reply. Idempotent.
     pub fn join_worker(&self) {
-        if let Some(w) = self.worker.lock().take() {
+        // Held across the join, so a concurrent caller cannot overtake
+        // a worker that still has batches to flush.
+        let mut worker = self.worker.lock();
+        if let Some(w) = worker.take() {
             let _ = w.join();
         }
-        if let Some(d) = self.demux.lock().take() {
-            let _ = d.join();
+        let mut q = self.shared.queue.lock();
+        while q.in_flight > 0 {
+            self.shared.cv.wait(&mut q);
         }
     }
 
@@ -291,13 +298,7 @@ impl Batcher {
     /// Samples currently parked in this model's queue (for tests and
     /// stats; racy by nature).
     pub fn queued_samples(&self) -> u64 {
-        self.shared
-            .queue
-            .lock()
-            .items
-            .iter()
-            .map(|p| u64::from(p.num_samples))
-            .sum()
+        self.shared.queue.lock().queued_samples
     }
 }
 
@@ -317,74 +318,68 @@ fn status_of(e: &RuntimeError) -> Status {
     }
 }
 
-fn worker_loop(shared: &Shared, inflight_tx: &std::sync::mpsc::Sender<InflightBatch>) {
+fn worker_loop(shared: &Arc<Shared>, scheduler: &Scheduler) {
+    let policy = shared.policy;
+    // Batches that can execute side by side: one per PE the job may
+    // use. A PE's second control thread overlaps transfer with compute;
+    // it is not a second execution slot.
+    let pes = shared.opts.num_pes.unwrap_or(scheduler.device().num_pes());
     loop {
         let batch = {
             let mut q = shared.queue.lock();
-            // Sleep until there is work (or we are told to stop and
-            // the queue is already empty — the drain condition). The
-            // exit decision is made while *holding* the queue lock, so
-            // `enqueue` (which checks `stopped` under the same lock)
-            // can never add work the worker will not see.
-            while q.items.is_empty() {
-                if q.stopped {
-                    return;
-                }
-                shared.cv.wait_for(&mut q, Duration::from_millis(50));
-            }
-            // Adaptive window: wait for more work, but never longer
-            // than the delay bound past the moment we saw the first
-            // request. The wait happens in short "linger" slices; if a
-            // slice passes without any new samples arriving, the burst
-            // has quiesced and we flush early instead of idling out
-            // the rest of the window. The delay bound is the worst
-            // case (a steady trickle keeps extending the linger); the
-            // common cost is one linger slice.
-            let window_ends = Instant::now() + shared.policy.max_batch_delay;
-            let linger = shared.policy.max_batch_delay / 8;
-            let mut last_queued = 0u64;
+            // Every decision — flush, wait, exit — is made while
+            // *holding* the queue lock, so `enqueue` (which checks
+            // `stopped` under the same lock) can never add work the
+            // worker will not see.
             loop {
-                let queued: u64 = q.items.iter().map(|p| u64::from(p.num_samples)).sum();
-                if queued >= shared.policy.max_batch_samples || q.stopped {
+                let Some(oldest) = q.items.front() else {
+                    if q.stopped {
+                        return;
+                    }
+                    shared.cv.wait(&mut q);
+                    continue;
+                };
+                if q.in_flight < pes || q.queued_samples >= policy.max_batch_samples || q.stopped {
                     break;
                 }
-                let now = Instant::now();
-                if now >= window_ends {
-                    break;
+                // Every PE is busy with this model: let the batch grow
+                // until one finishes (the completion closure wakes us),
+                // for at most the oldest request's delay bound.
+                match oldest.enqueued.checked_add(policy.max_batch_delay) {
+                    Some(due) => {
+                        let left = due.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            break;
+                        }
+                        shared.cv.wait_for(&mut q, left);
+                    }
+                    None => shared.cv.wait(&mut q),
                 }
-                if queued == last_queued {
-                    // Nothing new arrived during the last slice.
-                    break;
-                }
-                last_queued = queued;
-                shared.cv.wait_for(&mut q, linger.min(window_ends - now));
             }
+            q.in_flight += 1;
             // Take whole requests up to the sample cap — always at
             // least one, so a single oversized request still flows.
             let mut batch = Vec::new();
             let mut samples = 0u64;
             while let Some(p) = q.items.front() {
                 let n = u64::from(p.num_samples);
-                if !batch.is_empty() && samples + n > shared.policy.max_batch_samples {
+                if !batch.is_empty() && samples + n > policy.max_batch_samples {
                     break;
                 }
                 samples += n;
                 batch.push(q.items.pop_front().expect("front exists"));
             }
+            q.queued_samples -= samples;
             batch
         };
-        flush(shared, batch, inflight_tx);
+        flush(shared, scheduler, batch);
     }
 }
 
-/// Coalesce one batch into a scheduler job and hand it to the demux
-/// thread — without waiting for the job, so the next batch can form
-/// (and run) while this one computes.
-fn flush(
-    shared: &Shared,
-    batch: Vec<Pending>,
-    inflight_tx: &std::sync::mpsc::Sender<InflightBatch>,
-) {
+/// Coalesce one batch into a scheduler job whose completion answers
+/// its requests — without waiting for the job, so the next batch can
+/// form (and run) while this one computes.
+fn flush(shared: &Arc<Shared>, scheduler: &Scheduler, batch: Vec<Pending>) {
     // Expire requests whose deadline passed while queued.
     let now = Instant::now();
     let mut live = Vec::with_capacity(batch.len());
@@ -404,17 +399,21 @@ fn flush(
         live.push(p);
     }
     if live.is_empty() {
-        return;
+        return complete(shared, live, Ok(Vec::new()));
     }
 
     let total: usize = live.iter().map(|p| p.num_samples as usize).sum();
-    let mut data = Vec::with_capacity(total * shared.num_features);
-    for p in &live {
-        data.extend_from_slice(&p.data);
+    // The lead request's buffer becomes the dataset: a lone request is
+    // not copied at all, the others append to it (and free theirs now,
+    // not when the job completes).
+    let mut data = std::mem::take(&mut live[0].data);
+    data.reserve_exact(total * shared.num_features - data.len());
+    for p in &mut live[1..] {
+        data.extend(std::mem::take(&mut p.data));
     }
     shared.metrics.batch_flushed(total as u64, &waits);
 
-    if let Some(trace) = shared.scheduler.trace() {
+    if let Some(trace) = scheduler.trace() {
         // One queue-wait span per member request, plus one span for the
         // batch itself: it spans from the oldest member's enqueue to
         // now, carries the lead request's context (the context stamped
@@ -450,52 +449,52 @@ fn flush(
     opts.ctx = live[0].ctx;
 
     let dataset = Arc::new(Dataset::from_raw(data, shared.num_features, shared.domain));
-    // `submit_blocking` gives backpressure: when the scheduler queue
+    // The blocking submit gives backpressure: when the scheduler queue
     // is full the batcher stalls here, the model queue backs up, and
-    // admission control starts bouncing clients with ServerBusy.
-    match shared.scheduler.submit_blocking(dataset, opts) {
-        Ok(handle) => {
-            let _ = inflight_tx.send(InflightBatch {
-                handle,
-                live,
-                total,
-            });
-        }
-        Err(e) => fail_batch(shared, live, &e),
-    }
+    // admission control starts bouncing clients with ServerBusy. A
+    // refused submission reaches `complete` the same way a finished
+    // job does.
+    let done = Arc::clone(shared);
+    scheduler.submit_blocking_then(dataset, opts, move |result| complete(&done, live, result));
 }
 
-/// Wait for in-flight batch jobs (FIFO) and fan results back out to
-/// each request's reply channel.
-fn demux_loop(shared: &Shared, inflight_rx: Receiver<InflightBatch>) {
-    while let Ok(batch) = inflight_rx.recv() {
-        match batch.handle.wait() {
-            Ok(probs) => {
-                debug_assert_eq!(probs.len(), batch.total);
-                // The device reports probabilities; the wire carries
-                // log-likelihoods. One `ln()` per sample, applied the
-                // same way regardless of batch framing →
-                // bit-identical to an unbatched run.
-                let lls: Vec<f64> = probs.iter().map(|p| p.ln()).collect();
-                let mut at = 0usize;
-                for p in batch.live {
-                    let n = p.num_samples as usize;
-                    (p.reply)(Reply::Ok(lls[at..at + n].to_vec()));
-                    at += n;
-                }
+/// A batch's job ended with `result` (or was refused): answer every
+/// member, then give the executor slot back. Runs on the scheduler
+/// control thread that finished the job.
+fn complete(shared: &Shared, live: Vec<Pending>, result: JobResult) {
+    match result {
+        Ok(mut lls) => {
+            // The executors report probabilities; the wire carries
+            // log-likelihoods. One `ln()` per sample, applied the same
+            // way regardless of batch framing → bit-identical to an
+            // unbatched run.
+            for v in &mut lls {
+                *v = v.ln();
             }
-            Err(e) => fail_batch(shared, batch.live, &e),
+            let mut at = 0usize;
+            for p in live {
+                let n = p.num_samples as usize;
+                (p.reply)(Reply::Ok(lls[at..at + n].to_vec()));
+                at += n;
+            }
+        }
+        Err(e) => {
+            let status = status_of(&e);
+            let msg = e.to_string();
+            for p in live {
+                shared.metrics.rejected(status);
+                (p.reply)(Reply::Err(status, msg.clone()));
+            }
         }
     }
-}
-
-/// Answer every member of a failed batch with the mapped status.
-fn fail_batch(shared: &Shared, live: Vec<Pending>, e: &RuntimeError) {
-    let status = status_of(e);
-    let msg = e.to_string();
-    for p in live {
-        shared.metrics.rejected(status);
-        (p.reply)(Reply::Err(status, msg.clone()));
+    // Last, so `in_flight == 0` means "every request answered" to a
+    // drainer. Only wake the worker: this may be a control thread.
+    let mut q = shared.queue.lock();
+    q.in_flight -= 1;
+    let wake = !q.items.is_empty() || q.stopped;
+    drop(q);
+    if wake {
+        shared.cv.notify_all();
     }
 }
 

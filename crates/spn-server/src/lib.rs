@@ -10,9 +10,10 @@
 //!   version, opcodes `Infer`/`Ping`/`Stats`/`Shutdown`, typed error
 //!   statuses);
 //! * [`batcher`] — the adaptive micro-batcher: per-model queues
-//!   coalesce many small client requests into one scheduler job when
-//!   a sample threshold fills *or* a delay bound expires, then demux
-//!   the results back per request — bit-identical to unbatched
+//!   coalesce the small client requests that arrive *while the PEs
+//!   are busy* into one scheduler job (flushed at once when a PE is
+//!   free, a sample threshold fills or a delay bound expires), then
+//!   demux the results back per request — bit-identical to unbatched
 //!   inference, but paying the scheduler's per-job cost once per
 //!   batch instead of once per request;
 //! * [`frontend`] — the one SPN1 connection front-end: request

@@ -32,7 +32,8 @@
 //! **Reply path.** A pending `Infer` is answered through the
 //! completion callback handed to `Frontend::dispatch`: it pushes a
 //! `Completion` onto the owning loop's queue and wakes the loop's
-//! eventfd, so the batcher's demux thread never writes to a socket.
+//! eventfd, so the scheduler control thread that completes a batch
+//! never writes to a socket.
 //! The loop matches the completion to the connection by
 //! `(slot, generation)` — a connection that died mid-request simply
 //! drops its reply (request accounting already ran in the service).
@@ -102,7 +103,7 @@ struct LoopRef {
 }
 
 /// The cross-thread face of one event loop: everything other threads
-/// (the acceptor, batcher demux threads, shutdown) may touch. The
+/// (the acceptor, batch completions, shutdown) may touch. The
 /// loop's actual connection state lives on its own stack.
 struct LoopShared {
     epoll: Epoll,
@@ -607,9 +608,12 @@ impl EventLoop {
                 let conn = self.conns[slot].as_mut().expect("dispatch on a live conn");
                 conn.inflight = true;
                 // Silence the socket while the request runs: the reply
-                // path re-arms EPOLLIN. (EPOLLERR/HUP still arrive with
-                // empty interest.)
-                set_interest(&self.ls, conn, slot, EPOLLRDHUP);
+                // path re-arms EPOLLIN. The interest must be *empty* —
+                // epoll is level-triggered and events are ignored while
+                // busy, so a peer that half-closes behind its request
+                // would otherwise make `EPOLLRDHUP` spin the loop until
+                // the reply is ready. (EPOLLERR/HUP arrive regardless.)
+                set_interest(&self.ls, conn, slot, 0);
             }
         }
     }

@@ -432,7 +432,8 @@ impl Service for ServerService {
             req.data,
             req.num_samples,
             deadline,
-            // Runs on the batcher's demux thread whether or not the
+            // Runs on the scheduler control thread that finished the
+            // request's batch (see `ReplySink`), whether or not the
             // connection survived, so an admitted request is always
             // counted done.
             Box::new(move |reply| {

@@ -9,38 +9,41 @@ use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_replay::{record_load, replay, ReplayConfig, Trace};
-use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
+use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
 use spn_server::{
-    run_load, BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, ReactorConfig, ServerConfig,
-    ServingMode, SpnServer, Status,
+    protocol, run_load, BatchPolicy, Client, ClientError, Frame, LoadConfig, ModelSpec, Opcode,
+    ReactorConfig, ServerConfig, ServingMode, SpnServer, Status,
 };
+use spn_telemetry::SpanCtx;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn make_scheduler(bench: NipsBenchmark) -> Arc<Scheduler> {
-    let prog = DatapathProgram::compile(&bench.build_spn());
-    let device = Arc::new(VirtualDevice::new(
-        prog,
+fn make_device(bench: NipsBenchmark) -> VirtualDevice {
+    VirtualDevice::new(
+        DatapathProgram::compile(&bench.build_spn()),
         AnyFormat::paper_default(),
         AcceleratorConfig::paper_default(),
         2,
         64 << 20,
-    ));
-    let config = RuntimeConfig::builder()
+    )
+}
+
+fn runtime_config() -> RuntimeConfig {
+    RuntimeConfig::builder()
         .block_samples(512)
         .threads_per_pe(2)
         .build()
-        .unwrap();
-    Arc::new(Scheduler::new(device, config).unwrap())
+        .unwrap()
 }
 
 fn start_server(bench: NipsBenchmark, serving: ServingMode) -> SpnServer {
-    let spec = ModelSpec::new(
-        bench.name(),
-        make_scheduler(bench),
-        bench.num_vars() as u32,
-        256,
-    );
+    start_server_on(bench, make_device(bench), serving)
+}
+
+fn start_server_on(bench: NipsBenchmark, device: VirtualDevice, serving: ServingMode) -> SpnServer {
+    let scheduler = Arc::new(Scheduler::new(Arc::new(device), runtime_config()).unwrap());
+    let spec = ModelSpec::new(bench.name(), scheduler, bench.num_vars() as u32, 256);
     SpnServer::serve(
         ServerConfig {
             batch: BatchPolicy {
@@ -206,6 +209,75 @@ fn idle_timeout_reaps_quiet_connections() {
         reactor.idle_closed >= 1,
         "idle close not counted: {reactor:?}"
     );
+    server.shutdown();
+}
+
+/// A client that half-closes behind its request (`shutdown(Write)`)
+/// must not spin the loop while the request runs: epoll is
+/// level-triggered and readiness is ignored while a connection is
+/// busy, so any interest left registered for the in-flight request
+/// (`EPOLLRDHUP`, once) makes `epoll_wait` return at once, over and
+/// over, until the reply is ready — one slow model plus one such
+/// client pinned a core. The client still gets its reply.
+#[test]
+fn half_closed_connection_does_not_spin_the_loop() {
+    let bench = NipsBenchmark::Nips10;
+    let nf = bench.num_vars();
+    let row = bench.dataset(1, 3);
+    let expected = SpnRuntime::new(Arc::new(make_device(bench)), runtime_config())
+        .run(&row, JobOptions::default())
+        .unwrap()
+        .values[0]
+        .ln();
+
+    // One sample takes the device 300 ms.
+    let mut server = start_server_on(
+        bench,
+        make_device(bench).with_pacing(Duration::from_millis(300)),
+        ServingMode::Reactor(ReactorConfig {
+            loop_threads: 1,
+            max_connections: 64,
+            idle_timeout: None,
+        }),
+    );
+    let request = protocol::InferRequest {
+        model: bench.name().to_string(),
+        deadline_ms: 0,
+        num_samples: 1,
+        num_features: nf as u32,
+        data: row.raw().to_vec(),
+        trace: false,
+        ctx: SpanCtx::NONE,
+    };
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    protocol::write_frame(
+        &mut stream,
+        &Frame::request(Opcode::Infer, request.encode()),
+    )
+    .unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+
+    // Wait until the request is in flight, then watch the loop for
+    // 200 ms of the 300 ms it stays there.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.metrics_snapshot().batches_total == 0 {
+        assert!(std::time::Instant::now() < deadline, "request never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let turns = |server: &SpnServer| server.telemetry_snapshot().reactor.unwrap().loop_iterations;
+    let before = turns(&server);
+    std::thread::sleep(Duration::from_millis(200));
+    let spun = turns(&server) - before;
+    assert!(
+        spun < 100,
+        "the loop turned {spun} times in 200 ms with one request in flight"
+    );
+
+    let reply = protocol::read_frame(&mut stream).expect("half-closed client still gets a reply");
+    assert_eq!(reply.status, Status::Ok);
+    let lls = protocol::decode_results(&reply.payload).unwrap();
+    assert_eq!(lls.len(), 1);
+    assert_eq!(lls[0].to_bits(), expected.to_bits());
     server.shutdown();
 }
 

@@ -15,7 +15,7 @@ use spn_server::{
 };
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -188,19 +188,28 @@ fn killing_one_replica_under_load_loses_no_requests() {
 
     const WORKERS: usize = 2;
     const ROWS: usize = 4;
-    // The kill lands after ~1/6 of the load; the quick path keeps
-    // enough requests on both sides of it to force a failover.
-    let requests: usize = if full_sweep() { 60 } else { 24 };
+    // The load is open-ended, so the test does not depend on how fast
+    // the cluster serves: workers keep sending until this many requests
+    // *sent after the kill* have been answered.
+    let after_kill_target: usize = if full_sweep() { 60 } else { 24 };
     let done = Arc::new(AtomicUsize::new(0));
+    let killed = Arc::new(AtomicBool::new(false));
+    let after_kill = Arc::new(AtomicUsize::new(0));
     let mut threads = Vec::new();
     for w in 0..WORKERS {
         let dataset = Arc::clone(&dataset);
         let expected = Arc::clone(&expected);
-        let done = Arc::clone(&done);
+        let (done, killed, after_kill) = (
+            Arc::clone(&done),
+            Arc::clone(&killed),
+            Arc::clone(&after_kill),
+        );
         threads.push(std::thread::spawn(move || {
             let mut client = Client::connect(addr).unwrap();
-            for i in 0..requests {
-                let base = ((w * requests + i) * ROWS) % (32 - ROWS);
+            let mut i = 0usize;
+            while after_kill.load(Ordering::SeqCst) < after_kill_target {
+                let sent_after_kill = killed.load(Ordering::SeqCst);
+                let base = ((w + WORKERS * i) * ROWS) % (32 - ROWS);
                 let mut block = Vec::with_capacity(ROWS * nf as usize);
                 for r in 0..ROWS {
                     block.extend_from_slice(dataset.row(base + r));
@@ -217,18 +226,23 @@ fn killing_one_replica_under_load_loses_no_requests() {
                         "failover changed an answer"
                     );
                 }
-                done.fetch_add(1, Ordering::Relaxed);
+                done.fetch_add(1, Ordering::SeqCst);
+                if sent_after_kill {
+                    after_kill.fetch_add(1, Ordering::SeqCst);
+                }
+                i += 1;
             }
         }));
     }
 
     // Let the cluster serve a while, then kill the primary mid-load.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while done.load(Ordering::Relaxed) < WORKERS * requests / 6 {
+    while done.load(Ordering::SeqCst) < 8 {
         assert!(Instant::now() < deadline, "load never got going");
         std::thread::sleep(Duration::from_millis(2));
     }
     servers[victim].shutdown();
+    killed.store(true, Ordering::SeqCst);
 
     for t in threads {
         t.join().expect("worker saw a client-visible error");
@@ -238,7 +252,7 @@ fn killing_one_replica_under_load_loses_no_requests() {
     let r = snap.router.expect("router telemetry present");
     assert_eq!(
         r.requests_total,
-        (WORKERS * requests) as u64,
+        done.load(Ordering::SeqCst) as u64,
         "every request was answered Ok"
     );
     assert!(

@@ -367,10 +367,82 @@ fn host_plan_jobs_share_the_cache_and_skip_the_device() {
     drop(second);
 }
 
+/// Back-to-back tiny jobs keep the control threads *between blocks*,
+/// where one claims a job the instant it is queued: the in-flight
+/// gauges must already count it by then (a job counted finished before
+/// it is counted submitted wraps them — an overflow panic in a debug
+/// build).
+#[test]
+fn gauges_survive_jobs_that_finish_as_they_are_submitted() {
+    let bench = NipsBenchmark::Nips10;
+    let spn = Arc::new(bench.build_spn());
+    let device = VirtualDevice::new(
+        DatapathProgram::compile(&spn),
+        AnyFormat::paper_default(),
+        AcceleratorConfig::paper_default(),
+        2,
+        16 << 20,
+    )
+    .with_model(Arc::clone(&spn));
+    let sched = Scheduler::new(Arc::new(device), RuntimeConfig::default()).unwrap();
+    let opts = JobOptions::builder()
+        .backend(ExecBackend::HostPlan)
+        .build()
+        .unwrap();
+    let data = Arc::new(bench.dataset(1, 9));
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for _ in 0..5_000 {
+                    let job = sched.submit_blocking(Arc::clone(&data), opts).unwrap();
+                    assert_eq!(job.wait().unwrap().len(), 1);
+                }
+            });
+        }
+    });
+    let m = sched.metrics_snapshot();
+    assert_eq!((m.jobs_submitted, m.jobs_completed), (10_000, 10_000));
+    assert_eq!((m.jobs_in_flight, m.samples_in_flight), (0, 0));
+    assert!(m.queue_high_watermark <= 2, "{}", m.queue_high_watermark);
+}
+
+/// A completion consumer for [`Scheduler::submit_blocking_then`] that
+/// forwards the outcome to the test. Being an `FnOnce` it cannot run
+/// twice; a consumer dropped uncalled shows as a disconnected channel.
+/// Before forwarding it takes the scheduler's state lock
+/// (`queue_depth`), which would deadlock if consumers ever ran under
+/// it.
+fn consumer(
+    sched: &Arc<Scheduler>,
+) -> (
+    impl FnOnce(JobResult) + Send + 'static,
+    std::sync::mpsc::Receiver<JobResult>,
+) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let sched = Arc::downgrade(sched);
+    let then = move |result: JobResult| {
+        if let Some(sched) = sched.upgrade() {
+            let _ = sched.queue_depth();
+        }
+        tx.send(result).expect("the test outlives the job");
+    };
+    (then, rx)
+}
+
+/// The one outcome a consumer saw.
+fn consumed(rx: &std::sync::mpsc::Receiver<JobResult>, what: &str) -> JobResult {
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .unwrap_or_else(|e| panic!("{what}: consumer never ran ({e})"));
+    assert!(rx.try_recv().is_err(), "{what}: consumer ran twice");
+    result
+}
+
 /// The lifecycle guarantees above, on every backend: the same
 /// assertions run over the device pipeline, the compiled host plan and
 /// the scope-sharded path, because the scheduler runs all three
-/// through one block-execution seam.
+/// through one block-execution seam — with the outcome going to a
+/// `wait()` caller and to a completion consumer alike.
 #[test]
 fn lifecycle_guarantees_hold_on_every_backend() {
     use spn_core::Evaluator;
@@ -427,8 +499,9 @@ fn lifecycle_guarantees_hold_on_every_backend() {
             .with_model(Arc::clone(&spn)),
         );
         let trace = Arc::new(TraceCollector::new());
-        let sched =
-            Scheduler::with_trace(Arc::clone(&device), config, Some(Arc::clone(&trace))).unwrap();
+        let sched = Arc::new(
+            Scheduler::with_trace(Arc::clone(&device), config, Some(Arc::clone(&trace))).unwrap(),
+        );
         let before = free_bytes_per_channel(&device);
         let opts = |ctx: SpanCtx| {
             JobOptions::builder()
@@ -469,12 +542,67 @@ fn lifecycle_guarantees_hold_on_every_backend() {
             assert_eq!(n, 3, "{what} {kind:?}");
         }
 
+        // The same job with a completion consumer: the consumer gets
+        // the same results, once, and the handle's `wait` gets none.
+        let (then, rx) = consumer(&sched);
+        let handle = sched
+            .submit_blocking_then(Arc::clone(&data), opts(ctx), then)
+            .expect("accepted");
+        assert_eq!(consumed(&rx, &what).unwrap(), got, "{what}");
+        assert_eq!(handle.poll(), JobStatus::Completed, "{what}");
+        assert!(
+            matches!(handle.wait(), Err(RuntimeError::InvalidConfig { .. })),
+            "{what}"
+        );
+        // A zero-sample job completes inside the submission.
+        let (then, rx) = consumer(&sched);
+        sched
+            .submit_blocking_then(Arc::new(bench.dataset(0, 1)), opts(ctx), then)
+            .expect("accepted");
+        assert_eq!(consumed(&rx, &what).unwrap(), Vec::<f64>::new(), "{what}");
+        // A refused submission reaches the consumer too.
+        let (then, rx) = consumer(&sched);
+        let wrong_shape = Arc::new(NipsBenchmark::Nips20.dataset(4, 1));
+        assert!(sched
+            .submit_blocking_then(wrong_shape, opts(ctx), then)
+            .is_none());
+        assert!(
+            matches!(
+                consumed(&rx, &what),
+                Err(RuntimeError::ShapeMismatch { .. })
+            ),
+            "{what}"
+        );
+
         // cancel() mid-job unblocks wait() with Cancelled.
+        let big_data = Arc::new(bench.dataset(300_000, 6));
         let big = sched
-            .submit(Arc::new(bench.dataset(300_000, 6)), opts(SpanCtx::NONE))
+            .submit(Arc::clone(&big_data), opts(SpanCtx::NONE))
             .unwrap();
         big.cancel();
         assert!(matches!(big.wait(), Err(RuntimeError::Cancelled)), "{what}");
+        // ... and reaches a consumer as Cancelled, whichever thread
+        // finalises the job.
+        let (then, rx) = consumer(&sched);
+        let big = sched
+            .submit_blocking_then(Arc::clone(&big_data), opts(SpanCtx::NONE), then)
+            .expect("accepted");
+        big.cancel();
+        assert!(
+            matches!(consumed(&rx, &what), Err(RuntimeError::Cancelled)),
+            "{what}"
+        );
+        // So does dropping a scheduler with the job still queued.
+        let doomed = Arc::new(Scheduler::new(Arc::clone(&device), config).unwrap());
+        let (then, rx) = consumer(&doomed);
+        doomed
+            .submit_blocking_then(big_data, opts(SpanCtx::NONE), then)
+            .expect("accepted");
+        drop(doomed);
+        assert!(
+            matches!(consumed(&rx, &what), Err(RuntimeError::Cancelled)),
+            "{what}"
+        );
 
         // drain() finishes accepted work and refuses new.
         let accepted = sched
@@ -494,7 +622,7 @@ fn lifecycle_guarantees_hold_on_every_backend() {
         let m = sched.metrics_snapshot();
         assert_eq!(
             (m.jobs_submitted, m.jobs_completed, m.jobs_cancelled),
-            (3, 2, 1),
+            (6, 4, 2),
             "{what}"
         );
         assert_eq!(
@@ -518,4 +646,26 @@ fn lifecycle_guarantees_hold_on_every_backend() {
         assert_eq!(m.d2h_bytes > 0, case.transfers, "{what}");
         assert_eq!(free_bytes_per_channel(&device), before, "{what} leaked");
     }
+
+    // A failed block's error reaches a consumer as it reaches `wait()`
+    // (only the device can be made to fault).
+    let faulty = make_device(
+        bench,
+        2,
+        Some(FaultInjection {
+            launch_fail_probability: 1.0,
+            ..FaultInjection::default()
+        }),
+    );
+    let sched = Arc::new(Scheduler::new(faulty, config).unwrap());
+    let (then, rx) = consumer(&sched);
+    let no_retries = JobOptions::builder().max_retries(0).build().unwrap();
+    sched
+        .submit_blocking_then(Arc::new(bench.dataset(130, 5)), no_retries, then)
+        .expect("accepted");
+    match consumed(&rx, "failed block") {
+        Err(RuntimeError::Device(e)) => assert!(e.is_transient()),
+        other => panic!("expected the device fault, got {other:?}"),
+    }
+    assert_eq!(sched.metrics_snapshot().jobs_failed, 1);
 }

@@ -16,15 +16,19 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn make_device(bench: NipsBenchmark, pes: u32) -> Arc<VirtualDevice> {
+fn bare_device(bench: NipsBenchmark, pes: u32) -> VirtualDevice {
     let prog = DatapathProgram::compile(&bench.build_spn());
-    Arc::new(VirtualDevice::new(
+    VirtualDevice::new(
         prog,
         AnyFormat::paper_default(),
         AcceleratorConfig::paper_default(),
         pes,
         64 << 20,
-    ))
+    )
+}
+
+fn make_device(bench: NipsBenchmark, pes: u32) -> Arc<VirtualDevice> {
+    Arc::new(bare_device(bench, pes))
 }
 
 fn make_scheduler_with(
@@ -68,6 +72,60 @@ fn start_server_tuned(
         vec![spec],
     )
     .unwrap()
+}
+
+/// A 2-PE server whose device takes `per_sample` of wall clock per
+/// sample ([`VirtualDevice::with_pacing`]) — for tests that need the
+/// executors *busy*: an idle server flushes a request at once, so a
+/// request only waits in the batch queue behind in-flight batches.
+fn start_paced_server(bench: NipsBenchmark, batch: BatchPolicy, per_sample: Duration) -> SpnServer {
+    let device = bare_device(bench, 2).with_pacing(per_sample);
+    let config = RuntimeConfig::builder().block_samples(512).build().unwrap();
+    let scheduler = Arc::new(Scheduler::new(Arc::new(device), config).unwrap());
+    let spec = ModelSpec::new(bench.name(), scheduler, bench.num_vars() as u32, 256);
+    SpnServer::serve(
+        ServerConfig {
+            batch,
+            ..ServerConfig::default()
+        },
+        vec![spec],
+    )
+    .unwrap()
+}
+
+/// Hold every executor slot of a [`start_paced_server`] server: one
+/// `samples`-sample request per PE, each flushed as its own batch.
+/// Returns once both batches are in flight; joining a returned thread
+/// yields that request's reply.
+fn occupy_pes(
+    server: &SpnServer,
+    bench: NipsBenchmark,
+    samples: u32,
+) -> Vec<std::thread::JoinHandle<Result<Vec<f64>, ClientError>>> {
+    let addr = server.local_addr();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    (0..2)
+        .map(|_| {
+            // One at a time, or the two could coalesce into one batch.
+            let already = server.metrics_snapshot().batches_total;
+            let blocker = std::thread::spawn(move || {
+                let nf = bench.num_vars();
+                Client::connect(addr)
+                    .unwrap()
+                    .request(bench.name())
+                    .samples(&vec![0u8; samples as usize * nf], samples, nf as u32)
+                    .send()
+            });
+            while server.metrics_snapshot().batches_total == already {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "a blocker never went in flight"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            blocker
+        })
+        .collect()
 }
 
 /// Acceptance: results over the wire are *bit-identical* to a direct
@@ -241,14 +299,17 @@ fn batching_beats_per_request_throughput() {
 #[test]
 fn deadline_expires_in_the_batch_queue() {
     let bench = NipsBenchmark::Nips10;
-    let server = start_server(
+    let server = start_paced_server(
         bench,
         BatchPolicy {
             max_batch_samples: 1 << 20, // never fills
-            max_batch_delay: Duration::from_millis(150),
+            max_batch_delay: Duration::from_secs(2),
         },
-        1 << 20,
+        Duration::from_millis(150),
     );
+    // Both PEs are busy for 150 ms, so the request below parks until
+    // one of them finishes — long past its 1 ms deadline.
+    let blockers = occupy_pes(&server, bench, 1);
     let mut client = Client::connect(server.local_addr()).unwrap();
     let data = vec![0u8; bench.num_vars()];
     let err = client
@@ -263,7 +324,215 @@ fn deadline_expires_in_the_batch_queue() {
     }
     // The connection is still usable afterwards.
     client.ping().unwrap();
-    assert_eq!(server.metrics_snapshot().rejected_deadline, 1);
+    let snap = server.metrics_snapshot();
+    assert_eq!(snap.rejected_deadline, 1);
+    assert_eq!(snap.batches_total, 2, "the expired request formed no batch");
+    for b in blockers {
+        assert_eq!(b.join().unwrap().unwrap().len(), 1);
+    }
+}
+
+/// Work conservation: with a PE free the batcher flushes at once —
+/// `max_batch_delay` bounds the wait behind *busy* executors, it is not
+/// a price an idle server charges.
+#[test]
+fn idle_server_answers_without_waiting_for_the_delay_bound() {
+    let bench = NipsBenchmark::Nips10;
+    let server = start_server(
+        bench,
+        BatchPolicy {
+            max_batch_samples: 1 << 20, // never fills
+            max_batch_delay: Duration::from_secs(2),
+        },
+        1 << 20,
+    );
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let sent = std::time::Instant::now();
+    let lls = client
+        .request(bench.name())
+        .samples(&vec![0u8; bench.num_vars()], 1, bench.num_vars() as u32)
+        .send()
+        .unwrap();
+    let took = sent.elapsed();
+    assert_eq!(lls.len(), 1);
+    assert!(
+        took < Duration::from_millis(200),
+        "an idle server sat on a request for {took:?}"
+    );
+}
+
+/// Batches grow only while the executors are busy: with every PE held,
+/// concurrent one-sample requests coalesce (up to the cap, for at most
+/// the delay bound) instead of each becoming a job — and every answer
+/// is still bit-identical to an unbatched run.
+#[test]
+fn requests_accumulate_while_every_pe_is_busy() {
+    const K: usize = 20;
+    const CAP: u32 = 8;
+    let bench = NipsBenchmark::Nips10;
+    let nf = bench.num_vars() as u32;
+    let per_sample = Duration::from_millis(25);
+    let delay = Duration::from_millis(100);
+
+    let dataset = Arc::new(bench.dataset(K, 13));
+    let runtime = SpnRuntime::new(
+        make_device(bench, 2),
+        RuntimeConfig::builder().block_samples(512).build().unwrap(),
+    );
+    let expected: Vec<f64> = runtime
+        .run(&dataset, JobOptions::default())
+        .unwrap()
+        .values
+        .iter()
+        .map(|p| p.ln())
+        .collect();
+
+    let server = start_paced_server(
+        bench,
+        BatchPolicy {
+            max_batch_samples: u64::from(CAP),
+            max_batch_delay: delay,
+        },
+        per_sample,
+    );
+    // Two full-cap batches hold both PEs for 200 ms.
+    let blockers = occupy_pes(&server, bench, CAP);
+    let addr = server.local_addr();
+    let clients: Vec<_> = (0..K)
+        .map(|i| {
+            let dataset = Arc::clone(&dataset);
+            std::thread::spawn(move || {
+                Client::connect(addr)
+                    .unwrap()
+                    .request(bench.name())
+                    .samples(dataset.row(i), 1, nf)
+                    .send()
+                    .unwrap()
+            })
+        })
+        .collect();
+    for (i, c) in clients.into_iter().enumerate() {
+        let lls = c.join().unwrap();
+        assert_eq!(lls.len(), 1);
+        assert_eq!(lls[0].to_bits(), expected[i].to_bits(), "row {i}");
+    }
+    for b in blockers {
+        assert_eq!(b.join().unwrap().unwrap().len(), CAP as usize);
+    }
+
+    let snap = server.metrics_snapshot();
+    assert_eq!(snap.requests_total, K as u64 + 2);
+    assert!(
+        snap.batches_total < snap.requests_total,
+        "expected coalescing: {} batches for {} requests",
+        snap.batches_total,
+        snap.requests_total
+    );
+    assert!(
+        snap.batch_samples.max <= f64::from(CAP),
+        "a batch of {} samples exceeds the cap",
+        snap.batch_samples.max
+    );
+    // The delay bound is measured from enqueue; the slack is one
+    // batch's execution, for the time the worker itself may be stalled.
+    let bound = delay + per_sample * CAP;
+    assert!(
+        snap.queue_wait_seconds.max <= bound.as_secs_f64(),
+        "a request waited {:.3} s in the batch queue (bound {bound:?})",
+        snap.queue_wait_seconds.max
+    );
+}
+
+/// Shutting down mid-burst answers every request exactly once: every
+/// admitted request's sink ran (nothing left in flight, one latency
+/// recorded each), every client saw a reply or a refusal for every
+/// request it sent — never a hang — and the counters add up.
+#[test]
+fn shutdown_mid_burst_answers_every_request_once() {
+    const CLIENTS: usize = 8;
+    let bench = NipsBenchmark::Nips10;
+    let nf = bench.num_vars() as u32;
+    let mut server = start_paced_server(
+        bench,
+        BatchPolicy {
+            max_batch_samples: 4,
+            max_batch_delay: Duration::from_millis(20),
+        },
+        Duration::from_millis(1),
+    );
+    let addr = server.local_addr();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                // A lost reply must fail the test, not hang it.
+                client
+                    .set_io_timeout(Some(Duration::from_secs(20)))
+                    .unwrap();
+                let (mut ok, mut refused) = (0u64, 0u64);
+                loop {
+                    let sent = client
+                        .request(bench.name())
+                        .samples(&vec![0u8; nf as usize], 1, nf)
+                        .send();
+                    match sent {
+                        Ok(lls) => {
+                            assert_eq!(lls.len(), 1);
+                            ok += 1;
+                        }
+                        Err(ClientError::Rejected { .. }) => refused += 1,
+                        // The drained server closed the connection.
+                        Err(ClientError::ConnectionClosed) => return (ok, refused),
+                        Err(ClientError::Io(e))
+                            if !matches!(
+                                e.kind(),
+                                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                            ) =>
+                        {
+                            return (ok, refused)
+                        }
+                        Err(other) => panic!("request never answered: {other:?}"),
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while server.metrics_snapshot().requests_total < 40 {
+        assert!(std::time::Instant::now() < deadline, "load never got going");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.shutdown();
+
+    let (mut ok, mut refused) = (0u64, 0u64);
+    for c in clients {
+        let (o, r) = c.join().expect("a client went unanswered");
+        ok += o;
+        refused += r;
+    }
+    let snap = server.metrics_snapshot();
+    let rejected = snap.rejected_malformed
+        + snap.rejected_unknown_model
+        + snap.rejected_shape_mismatch
+        + snap.rejected_server_busy
+        + snap.rejected_deadline
+        + snap.rejected_shutting_down
+        + snap.rejected_internal;
+    assert_eq!(snap.inflight_samples, 0, "drain left samples in flight");
+    assert_eq!(
+        snap.e2e_seconds.count, snap.requests_total,
+        "every admitted request is answered exactly once"
+    );
+    // Every refusal a client saw is one the server counted, and every
+    // admitted request ended as one client's Ok or as a counted
+    // refusal (refusals *before* admission are in `rejected` only).
+    assert_eq!(refused, rejected);
+    assert!(
+        ok <= snap.requests_total && snap.requests_total <= ok + rejected,
+        "{} admitted, {ok} ok, {rejected} refused",
+        snap.requests_total
+    );
 }
 
 /// Admission control: a request exceeding the in-flight sample bound
@@ -630,24 +899,38 @@ fn trace_ids_propagate_from_wire_to_device_spans() {
 fn shutdown_drains_admitted_requests_then_refuses_new_ones() {
     let bench = NipsBenchmark::Nips10;
     let nf = bench.num_vars() as u32;
-    let mut server = start_server(
+    let mut server = start_paced_server(
         bench,
         BatchPolicy {
             max_batch_samples: 1 << 20,
-            max_batch_delay: Duration::from_millis(120),
+            max_batch_delay: Duration::from_secs(2),
         },
-        1 << 20,
+        Duration::from_millis(5),
     );
     let addr = server.local_addr();
 
-    // Client A's request parks in the queue for ~120 ms.
+    // Both PEs are busy for 200 ms, so client A's request parks in the
+    // queue behind them.
+    let blockers = occupy_pes(&server, bench, 40);
     let worker = std::thread::spawn(move || {
         let mut a = Client::connect(addr).unwrap();
         a.request(NipsBenchmark::Nips10.name())
             .samples(&[0u8; 10 * 10], 10, nf)
             .send()
     });
-    std::thread::sleep(Duration::from_millis(30));
+    let parked = |server: &SpnServer| {
+        let models = server.telemetry_snapshot().models;
+        models[bench.name()]
+            .batcher
+            .as_ref()
+            .unwrap()
+            .queued_samples
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while parked(&server) < 10 {
+        assert!(std::time::Instant::now() < deadline, "A never parked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // Client B requests shutdown while A is still queued.
     let mut b = Client::connect(addr).unwrap();
@@ -656,6 +939,9 @@ fn shutdown_drains_admitted_requests_then_refuses_new_ones() {
     // A's admitted request is drained, not dropped.
     let lls = worker.join().unwrap().expect("admitted request completes");
     assert_eq!(lls.len(), 10);
+    for b in blockers {
+        assert_eq!(b.join().unwrap().unwrap().len(), 40);
+    }
 
     // New inference on B's still-open connection is refused (either
     // with a typed status or a close, depending on when the
