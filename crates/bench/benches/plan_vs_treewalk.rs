@@ -1,9 +1,8 @@
 //! Criterion benchmark: compiled-plan batch execution vs the
-//! tree-walking oracle on the NIPS models — the raw-speed case for
-//! ROADMAP item 1. The committed record lives in `BENCH_plan.json`
-//! (regenerate with `cargo run --release -p bench --bin plan_study`);
-//! this harness keeps the comparison observable under criterion
-//! alongside the serving and runtime benches.
+//! tree-walking oracle on the NIPS models. A developer microscope: it
+//! gates nothing. The plan executor's cost is measured by
+//! `core.plan_exec_ns_per_sample` in `benchmark/`; its bit-exactness
+//! against the oracle by `tests/plan_differential.rs`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use spn_core::{CompiledPlan, Evaluator, NipsBenchmark, PlanExecutor, Query};

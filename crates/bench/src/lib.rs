@@ -17,11 +17,12 @@
 //!
 //! The `benches/` directory holds Criterion micro-benchmarks of the real
 //! computational kernels (arithmetic emulation, datapath execution, CPU
-//! baseline, runtime, simulation speed).
+//! baseline, runtime, simulation speed). They are developer microscopes
+//! and gate nothing: what a request costs is measured by the repo
+//! benchmark (`BENCHMARK.json`, `benchmark/`), scaling shape is asserted
+//! by `cargo test` (`tests/figure_shapes.rs`, `system_tests::assert_scales`).
 
 use serde::Serialize;
-use spn_replay::RunStore;
-use spn_telemetry::RunRecord;
 use std::path::PathBuf;
 
 /// Write a JSON result record under `results/<name>.json`.
@@ -45,72 +46,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
         }
         Err(e) => eprintln!("note: cannot serialize {name}: {e}"),
     }
-}
-
-/// Shared command-line knobs of the study binaries (`plan_study`,
-/// `router_study`): `--quick` shrinks the sweep for CI, `--out PATH`
-/// redirects the committed artifact (so CI candidates don't clobber
-/// baselines), `--runs DIR` appends the record to a durable run store.
-#[derive(Debug, Default, Clone)]
-pub struct StudyArgs {
-    /// Smaller sweep, shorter timing budgets.
-    pub quick: bool,
-    /// Where to write the artifact (each study has its default).
-    pub out: Option<String>,
-    /// Run-store directory to append to.
-    pub runs: Option<String>,
-}
-
-impl StudyArgs {
-    /// Parse from `std::env::args`, exiting with a message on unknown
-    /// flags (the studies have no other arguments).
-    pub fn parse() -> StudyArgs {
-        let mut out = StudyArgs::default();
-        let mut iter = std::env::args().skip(1);
-        while let Some(tok) = iter.next() {
-            match tok.as_str() {
-                "--quick" => out.quick = true,
-                "--out" => out.out = iter.next(),
-                "--runs" => out.runs = iter.next(),
-                other => {
-                    eprintln!(
-                        "unknown argument '{other}' (known: --quick, --out PATH, --runs DIR)"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Persist a study's [`RunRecord`]: the primary artifact at `out_path`
-/// (e.g. the committed `BENCH_plan.json`), a `results/` copy, and —
-/// when `runs` is set — an append into that run store.
-pub fn write_study_record(record: &RunRecord, out_path: &str, runs: Option<&str>) {
-    let json = record.to_json();
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("note: cannot write {out_path}: {e}");
-    } else {
-        eprintln!("[written {out_path}]");
-    }
-    write_json(&record.name, record);
-    if let Some(dir) = runs {
-        match RunStore::open(dir).and_then(|s| s.append(record)) {
-            Ok(path) => eprintln!("[appended {}]", path.display()),
-            Err(e) => eprintln!("note: cannot append to run store {dir}: {e}"),
-        }
-    }
-}
-
-/// A JSON object from literal entries, preserving key order.
-pub fn jobj(entries: Vec<(&str, serde_json::Value)>) -> serde_json::Value {
-    serde_json::Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
 }
 
 /// A simple fixed-width table printer for terminal reports.

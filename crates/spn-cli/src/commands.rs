@@ -13,9 +13,7 @@ use spn_hw::{
     datapath_cost, design_cost, emit_verilog, ArithCosts, DatapathProgram, OpLatencies,
     PipelineSchedule, PlatformCosts,
 };
-use spn_replay::{
-    diff_records, record_load, replay, Burst, DiffOptions, ReplayConfig, RunStore, Trace,
-};
+use spn_replay::{record_load, replay, Burst, ReplayConfig, Trace};
 use spn_router::{RouterConfig, SpnRouter};
 use spn_runtime::perf::{simulate, PerfConfig};
 use spn_runtime::prelude::*;
@@ -23,7 +21,7 @@ use spn_server::{
     run_load, BatchPolicy, LoadConfig, ModelSpec, ReactorConfig, ServerConfig, ServingMode,
     SpnServer,
 };
-use spn_telemetry::{ModelTelemetry, RunKind, RunRecord, TelemetrySnapshot, TraceCollector};
+use spn_telemetry::{ModelTelemetry, TelemetrySnapshot, TraceCollector};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -119,25 +117,19 @@ COMMANDS:
              (`spn route`) address.
   record     --trace-out FILE.spntrace --addr HOST:PORT | --port-file FILE
              [--benchmark NIPS10] [--connections C] [--requests N] [--batch K]
-             [--deadline-ms D] [--seed S] [--runs DIR]
+             [--deadline-ms D] [--seed S]
              Load like `load`, but records every request
              (arrival offset, per-request seed, payload and reply
-             digests) into a replayable .spntrace file. With --runs,
-             appends a RunRecord to that store directory.
+             digests) into a replayable .spntrace file.
   replay     --trace FILE.spntrace --addr HOST:PORT | --port-file FILE
              [--speed X] [--burst-start-ms MS] [--burst-len-ms MS]
-             [--verify true|false] [--deadline-ms D] [--runs DIR]
+             [--verify true|false] [--deadline-ms D]
              Open-loop replay of a recorded trace: requests fire at the
              original inter-arrival offsets (scaled by --speed; a burst
              window collapses into one spike), payloads regenerate from
              the recorded seeds, and replies are verified bit-for-bit
              against the recorded digests. Exits non-zero on any
              mismatch when verifying.
-  bench      diff BASELINE.json CANDIDATE.json [--tolerance F] [--require-complete true]
-             Compare the metrics of two RunRecord files (runs/ entries
-             or committed BENCH_*.json) and flag moves past tolerance
-             in the bad direction; exits non-zero on regression — the
-             CI perf gate.
   route      --backends HOST:PORT,HOST:PORT,... [--port P] [--replication K]
              [--max-inflight N] [--health-interval-ms MS] [--health-timeout-ms MS]
              [--rpc-timeout-ms MS] [--port-file FILE] [--trace FILE.json]
@@ -164,7 +156,6 @@ pub fn run(tokens: Vec<String>) -> Result<CmdResult, CmdError> {
         Some("load") => cmd_load(&args),
         Some("record") => cmd_record(&args),
         Some("replay") => cmd_replay(&args),
-        Some("bench") => cmd_bench(&args),
         Some("route") => cmd_route(&args),
         Some(other) => Err(CmdError(format!("unknown command '{other}'\n\n{USAGE}"))),
         None => Ok(CmdResult::text(USAGE.to_string())),
@@ -841,38 +832,6 @@ fn resolve_addr(args: &Args) -> Result<std::net::SocketAddr, CmdError> {
     }
 }
 
-/// A JSON object from literal entries, in the given key order.
-fn json_obj(entries: Vec<(&str, serde_json::Value)>) -> serde_json::Value {
-    serde_json::Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn json_f64(x: f64) -> serde_json::Value {
-    serde_json::Value::Number(serde_json::Number::F64(x))
-}
-
-fn json_u64(x: u64) -> serde_json::Value {
-    serde_json::Value::Number(serde_json::Number::U64(x))
-}
-
-fn json_str(s: &str) -> serde_json::Value {
-    serde_json::Value::String(s.to_string())
-}
-
-/// Append a [`RunRecord`] to the `--runs` store, if one was given.
-fn append_run(args: &Args, record: &RunRecord, out: &mut String) -> Result<(), CmdError> {
-    if let Some(dir) = args.get("runs") {
-        let store = RunStore::open(dir).map_err(|e| CmdError(e.to_string()))?;
-        let path = store.append(record).map_err(|e| CmdError(e.to_string()))?;
-        let _ = writeln!(out, "appended run record {}", path.display());
-    }
-    Ok(())
-}
-
 /// Load like `load`, recording every request into a replayable
 /// `.spntrace` file.
 fn cmd_record(args: &Args) -> Result<CmdResult, CmdError> {
@@ -886,7 +845,6 @@ fn cmd_record(args: &Args) -> Result<CmdResult, CmdError> {
         "batch",
         "deadline-ms",
         "seed",
-        "runs",
     ])?;
     let trace_out = args.require("trace-out")?;
     let cfg = load_config(args)?;
@@ -898,35 +856,6 @@ fn cmd_record(args: &Args) -> Result<CmdResult, CmdError> {
     let mut out = String::new();
     let _ = writeln!(out, "{}", report.summary());
     let _ = writeln!(out, "wrote {trace_out}: {}", trace.summary());
-    let run = RunRecord::new(
-        "record",
-        RunKind::Load,
-        json_obj(vec![
-            ("model", json_str(&cfg.model)),
-            ("connections", json_u64(cfg.connections as u64)),
-            (
-                "requests_per_connection",
-                json_u64(cfg.requests_per_connection as u64),
-            ),
-            (
-                "samples_per_request",
-                json_u64(u64::from(cfg.samples_per_request)),
-            ),
-            ("deadline_ms", json_u64(u64::from(cfg.deadline_ms))),
-            ("seed", json_u64(cfg.seed)),
-        ]),
-        json_obj(vec![
-            ("ok_requests", json_u64(report.ok_requests)),
-            ("rejected_requests", json_u64(report.rejected_requests)),
-            ("ok_samples", json_u64(report.ok_samples)),
-            ("samples_per_sec", json_f64(report.samples_per_sec)),
-            ("p50_ms", json_f64(report.p50_ms)),
-            ("p95_ms", json_f64(report.p95_ms)),
-            ("p99_ms", json_f64(report.p99_ms)),
-            ("max_ms", json_f64(report.max_ms)),
-        ]),
-    );
-    append_run(args, &run, &mut out)?;
     Ok(CmdResult::text(out))
 }
 
@@ -942,7 +871,6 @@ fn cmd_replay(args: &Args) -> Result<CmdResult, CmdError> {
         "burst-len-ms",
         "verify",
         "deadline-ms",
-        "runs",
     ])?;
     let trace_path = args.require("trace")?;
     let speed = args.get_or("speed", 1.0f64)?;
@@ -968,80 +896,11 @@ fn cmd_replay(args: &Args) -> Result<CmdResult, CmdError> {
     let mut out = String::new();
     let _ = writeln!(out, "replaying {trace_path}: {}", trace.summary());
     let _ = writeln!(out, "{}", report.summary());
-    let run = RunRecord::new(
-        "replay",
-        RunKind::Replay,
-        json_obj(vec![
-            ("trace", json_str(trace_path)),
-            ("speed", json_f64(cfg.speed)),
-            ("verify", serde_json::Value::Bool(cfg.verify)),
-            ("deadline_ms", json_u64(u64::from(cfg.deadline_ms))),
-        ]),
-        json_obj(vec![
-            ("total_requests", json_u64(report.total_requests)),
-            ("ok_requests", json_u64(report.ok_requests)),
-            ("rejected_requests", json_u64(report.rejected_requests)),
-            ("transport_errors", json_u64(report.transport_errors)),
-            ("ok_samples", json_u64(report.ok_samples)),
-            ("digests_checked", json_u64(report.digests_checked)),
-            ("digest_mismatches", json_u64(report.digest_mismatches)),
-            ("samples_per_sec", json_f64(report.samples_per_sec)),
-            ("p50_ms", json_f64(report.p50_ms)),
-            ("p95_ms", json_f64(report.p95_ms)),
-            ("p99_ms", json_f64(report.p99_ms)),
-            ("max_ms", json_f64(report.max_ms)),
-        ]),
-    );
-    append_run(args, &run, &mut out)?;
     if cfg.verify && (report.digest_mismatches > 0 || report.payload_mismatches > 0) {
         return Err(CmdError(format!(
             "{out}replay NOT bit-identical: {} digest mismatches, {} payload mismatches",
             report.digest_mismatches, report.payload_mismatches
         )));
-    }
-    Ok(CmdResult::text(out))
-}
-
-/// `spn bench diff BASELINE CANDIDATE` — the perf gate.
-fn cmd_bench(args: &Args) -> Result<CmdResult, CmdError> {
-    match args.positional(1) {
-        Some("diff") => {}
-        _ => {
-            return Err(CmdError(
-                "usage: spn bench diff BASELINE.json CANDIDATE.json".into(),
-            ))
-        }
-    }
-    args.check_known(&["tolerance", "require-complete"])?;
-    let (Some(base_path), Some(cand_path)) = (args.positional(2), args.positional(3)) else {
-        return Err(CmdError(
-            "usage: spn bench diff BASELINE.json CANDIDATE.json".into(),
-        ));
-    };
-    let baseline = RunStore::load(base_path).map_err(|e| CmdError(e.to_string()))?;
-    let candidate = RunStore::load(cand_path).map_err(|e| CmdError(e.to_string()))?;
-    let opts = DiffOptions {
-        tolerance: args.get_or("tolerance", 0.30f64)?,
-        require_complete: args.get_or("require-complete", false)?,
-    };
-    if !(opts.tolerance > 0.0 && opts.tolerance.is_finite()) {
-        return Err(CmdError("--tolerance must be positive and finite".into()));
-    }
-    let report = diff_records(&baseline, &candidate, opts);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "baseline : {} ({}, commit {})",
-        base_path, baseline.name, baseline.commit
-    );
-    let _ = writeln!(
-        out,
-        "candidate: {} ({}, commit {})",
-        cand_path, candidate.name, candidate.commit
-    );
-    let _ = write!(out, "{}", report.render());
-    if report.has_regressions() {
-        return Err(CmdError(format!("{out}perf gate FAILED")));
     }
     Ok(CmdResult::text(out))
 }
@@ -1368,50 +1227,16 @@ mod tests {
         let err =
             run_tokens("replay --trace /nope.spntrace --addr 127.0.0.1:1 --speed 0").unwrap_err();
         assert!(err.0.contains("--speed"), "got: {}", err.0);
-    }
-
-    #[test]
-    fn bench_diff_passes_identical_and_fails_regressions() {
-        let dir = std::env::temp_dir().join("spn_cli_bench_diff");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let fast = RunRecord::new(
-            "plan_study",
-            RunKind::Bench,
-            json_obj(vec![("quick", serde_json::Value::Bool(false))]),
-            json_obj(vec![("samples_per_sec", json_f64(1000.0))]),
-        );
-        std::fs::write(&base, fast.to_json()).unwrap();
-
-        // Identical candidate: clean diff, exit zero.
-        let out = run_tokens(&format!("bench diff {} {}", base.display(), base.display())).unwrap();
-        assert!(out.stdout.contains("no regressions"), "got: {}", out.stdout);
-
-        // 50% throughput drop: the gate trips.
-        let slow = RunRecord::new(
-            "plan_study",
-            RunKind::Bench,
-            json_obj(vec![("quick", serde_json::Value::Bool(false))]),
-            json_obj(vec![("samples_per_sec", json_f64(500.0))]),
-        );
-        let cand = dir.join("cand.json");
-        std::fs::write(&cand, slow.to_json()).unwrap();
-        let err =
-            run_tokens(&format!("bench diff {} {}", base.display(), cand.display())).unwrap_err();
-        assert!(err.0.contains("perf gate FAILED"), "got: {}", err.0);
-        assert!(err.0.contains("REGRESSION"), "got: {}", err.0);
-
-        // ...but a wide-enough tolerance accepts it.
-        let out = run_tokens(&format!(
-            "bench diff {} {} --tolerance 0.6",
-            base.display(),
-            cand.display()
-        ))
-        .unwrap();
-        assert!(out.stdout.contains("no regressions"), "got: {}", out.stdout);
-        // Anything other than `bench diff` is usage.
-        assert!(run_tokens("bench frobnicate").is_err());
-        assert!(run_tokens(&format!("bench diff {}", base.display())).is_err());
+        // The run store and the `spn bench` differ are gone (DESIGN.md §6).
+        for cmd in [
+            "record --trace-out /tmp/t.spntrace --addr 127.0.0.1:1 --runs /tmp/r",
+            "replay --trace /nope.spntrace --addr 127.0.0.1:1 --runs /tmp/r",
+        ] {
+            let err = run_tokens(cmd).unwrap_err();
+            assert!(err.0.contains("unknown flag --runs"), "got: {}", err.0);
+        }
+        let err = run_tokens("bench a.json b.json").unwrap_err();
+        assert!(err.0.contains("unknown command 'bench'"), "got: {}", err.0);
     }
 
     /// The record -> replay loop through the CLI layer: serve a model,
@@ -1437,29 +1262,20 @@ mod tests {
         }
 
         let trace_path = dir.join("run.spntrace");
-        let runs_dir = dir.join("runs");
-        let _ = std::fs::remove_dir_all(&runs_dir);
         let out = run_tokens(&format!(
             "record --port-file {} --benchmark NIPS10 --connections 2 --requests 4 \
-             --batch 8 --seed 3 --trace-out {} --runs {}",
+             --batch 8 --seed 3 --trace-out {}",
             port_file.display(),
-            trace_path.display(),
-            runs_dir.display()
+            trace_path.display()
         ))
         .unwrap();
         assert!(out.stdout.contains("wrote"), "got: {}", out.stdout);
-        assert!(
-            out.stdout.contains("appended run record"),
-            "got: {}",
-            out.stdout
-        );
 
         for speed in ["4", "8"] {
             let out = run_tokens(&format!(
-                "replay --trace {} --port-file {} --speed {speed} --runs {}",
+                "replay --trace {} --port-file {} --speed {speed}",
                 trace_path.display(),
-                port_file.display(),
-                runs_dir.display()
+                port_file.display()
             ))
             .unwrap();
             assert!(
@@ -1469,9 +1285,6 @@ mod tests {
             );
             assert!(out.stdout.contains("0 mismatches"), "got: {}", out.stdout);
         }
-        // The runs store accumulated one load and two replay records.
-        let store = RunStore::open(&runs_dir).unwrap();
-        assert_eq!(store.list().unwrap().len(), 3);
 
         let mut client = spn_server::Client::connect(
             resolve_addr(

@@ -7,7 +7,7 @@
 //! artifact instead of a one-shot side effect of a closed-loop
 //! loadgen run.
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! * [`Trace`] — the compact, versioned `.spntrace` file: one record
 //!   per request with its arrival offset, model, shape, per-request
@@ -22,20 +22,13 @@
 //!   [`ReplayConfig::speed`], optionally compressed into a
 //!   [`Burst`]), and verifies replies bit-for-bit against the
 //!   recorded digests.
-//! * [`RunStore`] / [`diff_records`] — the durable, append-only
-//!   `runs/` store of [`spn_telemetry::RunRecord`]s, plus the run
-//!   differ behind `spn bench diff` and the CI perf gate.
 
-pub mod diff;
 pub mod digest;
 pub mod record;
 pub mod replay;
-pub mod store;
 pub mod trace;
 
-pub use diff::{diff_records, diff_values, DiffOptions, DiffReport, MetricDelta};
 pub use digest::{digest_bytes, digest_lls};
 pub use record::{record_load, TraceRecorder};
 pub use replay::{replay, Burst, ReplayConfig, ReplayError, ReplayReport};
-pub use store::{RunStore, StoreError};
 pub use trace::{scaled_arrival_ns, Trace, TraceError, TraceRecord, TRACE_VERSION};

@@ -175,8 +175,9 @@ impl VirtualDevice {
     /// running as fast as the host can emulate. The host CPU is idle
     /// during the sleep — N paced devices on one core genuinely
     /// overlap, the way N accelerator cards would. This is what the
-    /// cluster scaling study uses to make backend count (not host
-    /// core count) the resource under test.
+    /// scaling-shape tests (`tests/scheduler.rs`, `tests/router.rs`)
+    /// use to make PE or backend count (not host core count) the
+    /// resource under test.
     pub fn with_pacing(mut self, per_sample: Duration) -> Self {
         self.pacing = Some(per_sample);
         self

@@ -16,14 +16,15 @@
 //! [`spn_core::PlanExecutor`] bit for bit — `tests/shard_differential.rs`
 //! enforces this across random networks, cuts and query shapes.
 //!
-//! For scaling studies, [`ShardedExecutor::with_pacing`] models each
+//! As a test seam, [`ShardedExecutor::with_pacing`] models each
 //! shard-device as real hardware with a fixed per-node service rate:
 //! every shard evaluation sleeps `per_node × shard_nodes × samples`
 //! while its thread holds the (virtual) device. Because shards split
 //! the *model*, a balanced K-way cut makes each device hold ~1/K of
-//! the nodes — concurrent paced shards finish in ~1/K the wall time of
-//! the unsharded model, which is what the `shard_study` bench bin
-//! (`cargo run --release -p bench --bin shard_study`) sweeps.
+//! the nodes. That the shard threads overlap is proved by this
+//! module's `pacing_overlaps_across_shards`; how much a cut can buy —
+//! `total_nodes / largest_shard_nodes` — is a pure function of the
+//! [`ShardPlan`], pinned by `tests/shard_differential.rs`.
 
 use crate::executor::{to_probabilities, BlockCx, BlockExecutor};
 use crate::plan_cache::PlanCache;

@@ -20,22 +20,16 @@
 //! * [`TelemetrySnapshot`] — the one serde-serialized JSON document
 //!   merging scheduler metrics, serving metrics and per-model batcher
 //!   gauges behind a stable, versioned schema.
-//! * [`RunRecord`] — the durable, provenance-stamped record of one
-//!   bench/load/replay run (commit, rustc version, full config,
-//!   metrics): the schema behind the committed `BENCH_*.json`
-//!   artifacts and the append-only `runs/` store.
 
 mod collector;
 mod ctx;
 mod histogram;
-mod run;
 mod snapshot;
 mod span;
 
 pub use collector::{LiveSpan, TraceCollector};
 pub use ctx::{SpanCtx, TraceId};
 pub use histogram::AtomicHistogram;
-pub use run::{Provenance, RunKind, RunRecord, RUN_RECORD_SCHEMA_VERSION};
 pub use sim_core::HistogramSummary;
 pub use snapshot::{
     BackendTelemetry, BatcherTelemetry, ModelTelemetry, PlanTelemetry, ReactorTelemetry,

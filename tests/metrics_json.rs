@@ -1,8 +1,6 @@
 //! Golden tests pinning the *exact* JSON layout of the telemetry
-//! documents and the durable run record — the contracts consumed by
-//! dashboards, by `spn accelerate --metrics`, by the server's `Stats`
-//! opcode, and by `spn bench diff` over committed `BENCH_*.json` /
-//! `runs/` artifacts.
+//! documents — the contracts consumed by dashboards, by
+//! `spn accelerate --metrics` and by the server's `Stats` opcode.
 //! Everything serialises through `spn-telemetry`'s serde schema; key
 //! order follows field declaration order there and is part of the
 //! contract. If a test here fails, either fix the regression or
@@ -316,72 +314,4 @@ fn telemetry_snapshot_golden_json() {
     let old = TelemetrySnapshot::from_json(&pre_v4).unwrap();
     assert_eq!(old.shard, None);
     assert_eq!(old.reactor, None);
-}
-
-/// The durable run record — the schema shared by the committed
-/// `BENCH_*.json` artifacts, every file under `runs/`, and
-/// `spn bench diff` — pinned byte-for-byte from fixed provenance.
-/// Key order is the provenance-first declaration order in
-/// `spn-telemetry::run` and is part of the contract.
-#[test]
-fn run_record_golden_json() {
-    use spn_telemetry::{Provenance, RunKind, RunRecord, RUN_RECORD_SCHEMA_VERSION};
-
-    let mut rec = RunRecord::with_provenance(
-        "plan_study",
-        RunKind::Bench,
-        Provenance {
-            commit: "deadbeefdeadbeefdeadbeefdeadbeefdeadbeef".to_string(),
-            rustc_version: "rustc 1.95.0".to_string(),
-            recorded_unix: 1_754_000_000,
-        },
-        serde_json::from_str(r#"{"quick": false, "batches": [1, 64]}"#).unwrap(),
-        serde_json::from_str(r#"{"points": [{"model": "NIPS10", "batch": 64, "speedup": 5.25}]}"#)
-            .unwrap(),
-    );
-    rec.latency_ms = Some(summary_fixture(24, 2.0));
-    assert_eq!(rec.run_schema, RUN_RECORD_SCHEMA_VERSION);
-
-    let golden = "\
-{
-  \"run_schema\": 1,
-  \"name\": \"plan_study\",
-  \"kind\": \"bench\",
-  \"commit\": \"deadbeefdeadbeefdeadbeefdeadbeefdeadbeef\",
-  \"rustc_version\": \"rustc 1.95.0\",
-  \"recorded_unix\": 1754000000,
-  \"config\": {
-    \"quick\": false,
-    \"batches\": [
-      1,
-      64
-    ]
-  },
-  \"metrics\": {
-    \"points\": [
-      {
-        \"model\": \"NIPS10\",
-        \"batch\": 64,
-        \"speedup\": 5.25
-      }
-    ]
-  },
-  \"telemetry\": null,
-  \"latency_ms\": {
-    \"count\": 24,
-    \"mean\": 2.0,
-    \"p50\": 2.0,
-    \"p95\": 2.0,
-    \"p99\": 2.0,
-    \"max\": 2.0
-  }
-}
-";
-    assert_eq!(rec.to_json(), golden);
-
-    // The golden text parses back to the identical record, and the
-    // wire kind string round-trips.
-    let back = RunRecord::from_json(golden).unwrap();
-    assert_eq!(back, rec);
-    assert_eq!(back.kind, RunKind::Bench);
 }

@@ -7,7 +7,7 @@
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_replay::{record_load, replay, Burst, ReplayConfig, RunStore, Trace};
+use spn_replay::{record_load, replay, Burst, ReplayConfig, Trace};
 use spn_router::{HealthPolicy, RouterConfig, SpnRouter};
 use spn_runtime::{ExecBackend, JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{BatchPolicy, LoadConfig, ModelSpec, ServerConfig, SpnServer};
@@ -359,46 +359,4 @@ fn committed_bursty_trace_replays_bit_for_bit_through_sharded_runtime() {
         assert_eq!(t.shards, shards);
         assert!(t.sharded_blocks > 0);
     }
-}
-
-/// The run store round-trips replay runs like any other kind, so
-/// replay results land in the same durable history the perf gate
-/// diffs.
-#[test]
-fn replay_run_record_lands_in_the_store() {
-    use serde_json::Value;
-    use spn_telemetry::{RunKind, RunRecord};
-
-    let bench = NipsBenchmark::Nips10;
-    let server = start_backend(bench);
-    let (_, trace) = record_load(&load_config(server.local_addr(), bench)).unwrap();
-    let rep = replay(&trace, &ReplayConfig::new(server.local_addr())).unwrap();
-
-    let dir = std::env::temp_dir().join(format!("spn-replay-store-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = RunStore::open(&dir).unwrap();
-    let record = RunRecord::new(
-        "replay",
-        RunKind::Replay,
-        Value::Object(vec![(
-            "speed".to_string(),
-            Value::Number(serde_json::Number::F64(1.0)),
-        )]),
-        Value::Object(vec![
-            (
-                "total_requests".to_string(),
-                Value::Number(serde_json::Number::U64(rep.total_requests)),
-            ),
-            (
-                "samples_per_sec".to_string(),
-                Value::Number(serde_json::Number::F64(rep.samples_per_sec)),
-            ),
-        ]),
-    );
-    let path = store.append(&record).unwrap();
-    let back = RunStore::load(&path).unwrap();
-    assert_eq!(back, record);
-    assert_eq!(back.kind, RunKind::Replay);
-    assert_ne!(back.commit, "");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -459,3 +459,81 @@ fn router_stats_over_the_wire() {
         assert_eq!(b.state, "up");
     }
 }
+
+/// Scaling shape, 1 → 4 backends: the study's 16 model shards at
+/// replication 2, one closed-loop client per shard, a fixed seeded
+/// request count each. What must grow with N is how thinly the router
+/// spreads them, `total / busiest backend's requests_total` (N when
+/// perfectly even), read from the router's own telemetry. Backends are
+/// 1-PE paced devices so that in-flight counts — what least-loaded
+/// picking looks at — reflect load rather than host scheduling luck;
+/// the assertion is on share, not seconds. A router that sends
+/// everything to one backend reads 1.0 at every N and fails. Replies
+/// stay bit-identical to the direct runtime throughout.
+#[test]
+fn traffic_share_scales_with_the_backend_count() {
+    const SHARDS: usize = 16;
+    const REQUESTS: usize = 8;
+    const ROWS: usize = 16;
+    let bench = NipsBenchmark::Nips10;
+    let nf = bench.num_vars();
+    let dataset = bench.dataset(SHARDS * REQUESTS * ROWS, 7);
+    let expected = direct_lls(bench, &dataset);
+    let names: Vec<String> = (0..SHARDS).map(|i| format!("shard-{i:02}")).collect();
+
+    let paced_backend = || {
+        let device = VirtualDevice::new(
+            DatapathProgram::compile(&bench.build_spn()),
+            AnyFormat::paper_default(),
+            AcceleratorConfig::paper_default(),
+            1,
+            64 << 20,
+        )
+        .with_pacing(Duration::from_micros(50));
+        let config = RuntimeConfig::builder().block_samples(512).build().unwrap();
+        let scheduler = Arc::new(Scheduler::new(Arc::new(device), config).unwrap());
+        let specs = names
+            .iter()
+            .map(|name| ModelSpec::new(name, Arc::clone(&scheduler), nf as u32, 256))
+            .collect();
+        SpnServer::serve(ServerConfig::default(), specs).unwrap()
+    };
+
+    let mut series = Vec::new();
+    for n in [1usize, 2, 4] {
+        let backends: Vec<SpnServer> = (0..n).map(|_| paced_backend()).collect();
+        let router = start_router(&backends.iter().collect::<Vec<_>>(), 2);
+        let addr = router.local_addr();
+        std::thread::scope(|s| {
+            for (shard, name) in names.iter().enumerate() {
+                let (dataset, expected) = (&dataset, &expected);
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    for r in 0..REQUESTS {
+                        let base = (shard * REQUESTS + r) * ROWS;
+                        let block = &dataset.raw()[base * nf..(base + ROWS) * nf];
+                        let lls = client
+                            .request(name)
+                            .samples(block, ROWS as u32, nf as u32)
+                            .send()
+                            .unwrap();
+                        for (ll, want) in lls.iter().zip(&expected[base..]) {
+                            assert_eq!(ll.to_bits(), want.to_bits(), "{name} request {r}");
+                        }
+                    }
+                });
+            }
+        });
+
+        let r = router.telemetry_snapshot().router.unwrap();
+        assert_eq!(r.requests_total, (SHARDS * REQUESTS) as u64);
+        assert_eq!(
+            r.rejected_malformed + r.rejected_no_backend + r.rejected_by_backend,
+            0
+        );
+        let busiest = r.backends.values().map(|b| b.requests_total).max().unwrap();
+        series.push((n, r.requests_total as f64 / busiest as f64));
+    }
+    system_tests::assert_scales("router traffic share", &series, 0.625);
+    assert!(series[1].1 >= 1.6, "2 backends share unevenly: {series:?}");
+}

@@ -669,3 +669,55 @@ fn lifecycle_guarantees_hold_on_every_backend() {
     }
     assert_eq!(sched.metrics_snapshot().jobs_failed, 1);
 }
+
+/// Scaling shape, 1 → 4 PEs. The device is paced — every launch sleeps
+/// a fixed per-sample budget while holding its PE — so a PE's capacity
+/// is a constant and the host's core count is not under test. The same
+/// jobs run at every P; what must grow with P is the occupancy the
+/// scheduler exports, `Σ pe_busy_secs / elapsed` (P when every PE is
+/// busy from first submit to last result). A scheduler that feeds only
+/// one PE reads ≈ 1 at every P and fails. Scheduling never changes
+/// math: results are bit-equal across P.
+#[test]
+fn pe_utilisation_scales_with_the_pe_count() {
+    let bench = NipsBenchmark::Nips10;
+    let config = RuntimeConfig::builder()
+        .block_samples(64)
+        .threads_per_pe(1)
+        .build()
+        .unwrap();
+    let jobs: Vec<_> = (0..4)
+        .map(|j| Arc::new(bench.dataset(1024, 11 + j)))
+        .collect();
+
+    let mut series = Vec::new();
+    let mut reference = None;
+    for pes in [1u32, 2, 4] {
+        let device = VirtualDevice::new(
+            DatapathProgram::compile(&bench.build_spn()),
+            AnyFormat::paper_default(),
+            AcceleratorConfig::paper_default(),
+            pes,
+            16 << 20,
+        )
+        .with_pacing(std::time::Duration::from_micros(20));
+        let sched = Scheduler::new(Arc::new(device), config).unwrap();
+
+        let t0 = std::time::Instant::now();
+        let handles: Vec<_> = jobs
+            .iter()
+            .map(|d| sched.submit(Arc::clone(d), JobOptions::default()).unwrap())
+            .collect();
+        let values: Vec<_> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
+        let elapsed = t0.elapsed().as_secs_f64();
+
+        let busy: f64 = sched.metrics_snapshot().pe_busy_secs.iter().sum();
+        series.push((pes as usize, busy / elapsed));
+        assert_eq!(
+            reference.get_or_insert_with(|| values.clone()),
+            &values,
+            "results changed at {pes} PEs"
+        );
+    }
+    system_tests::assert_scales("scheduler PE utilisation", &series, 0.8);
+}

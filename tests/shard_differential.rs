@@ -217,3 +217,22 @@ fn all_shard_counts_agree_through_a_shared_cache() {
         "per-shard plans land in the shared cache"
     );
 }
+
+/// Scaling shape, K = 1 → 4 shards: what a cut can buy is how much
+/// smaller the largest per-device model gets, `total_nodes /
+/// largest_shard_nodes` — a pure function of the `ShardPlan`, no
+/// device and no clock. (That shard threads really overlap is
+/// `spn-runtime`'s `sharded::pacing_overlaps_across_shards`.) A cut
+/// that stops splitting NIPS10 reads 1.0 at every K and fails.
+#[test]
+fn largest_shard_shrinks_as_the_shard_count_grows() {
+    let spn = spn_core::NipsBenchmark::Nips10.build_spn();
+    let series: Vec<(usize, f64)> = (1..=4)
+        .map(|k| {
+            let plan = ShardPlan::cut(&spn, k, spn_runtime::DEFAULT_SHARD_SEED);
+            let largest = plan.shards().iter().map(|s| s.spn.len()).max().unwrap();
+            (k, plan.total_nodes() as f64 / largest as f64)
+        })
+        .collect();
+    system_tests::assert_scales("shard model split", &series, 0.625);
+}
