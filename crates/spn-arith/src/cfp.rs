@@ -7,10 +7,12 @@
 //! (values below the smallest normal flush to zero). This module
 //! emulates that format bit-accurately: `from_f64` performs the rounding
 //! the hardware's input converter would, and `add`/`mul` compute exact
-//! intermediate significands in `u128` before rounding — not a
-//! round-trip through `f64`, which would double-round.
+//! intermediate significands as integers before rounding — in `u64`
+//! wherever they fit, which is everywhere but the products of formats
+//! with more than 31 mantissa bits — not a round-trip through `f64`,
+//! which would double-round.
 
-use crate::round::{msb, round_shift, Rounding};
+use crate::round::{msb, round_shift, round_shift_u64, Rounding};
 use serde::{Deserialize, Serialize};
 
 /// A CFP format descriptor: widths and rounding behaviour.
@@ -56,6 +58,7 @@ impl CfpFormat {
     }
 
     /// Exponent bias.
+    #[inline]
     pub fn bias(&self) -> i64 {
         (1i64 << (self.exp_bits - 1)) - 1
     }
@@ -64,6 +67,7 @@ impl CfpFormat {
     /// fully used — but capped so the largest value exponent is 1023,
     /// keeping every CFP value exactly representable in `f64` (the
     /// emulation's output type).
+    #[inline]
     pub fn max_exp_field(&self) -> i64 {
         ((1i64 << self.exp_bits) - 1).min(self.bias() + 1023)
     }
@@ -108,30 +112,15 @@ impl CfpFormat {
         let raw_exp = ((bits >> 52) & 0x7FF) as i64;
         let raw_mant = bits & ((1u64 << 52) - 1);
         // Normalize f64 subnormals into (exp, 53-bit significand) form.
-        let (mut exp, mut sig): (i64, u128) = if raw_exp == 0 {
-            let shift = raw_mant.leading_zeros() as i64 - 11; // bring MSB to bit 52
-            (-1022 - shift, (raw_mant as u128) << shift)
+        let (exp, sig) = if raw_exp == 0 {
+            let shift = raw_mant.leading_zeros() - 11; // bring MSB to bit 52
+            (-1022 - shift as i64, raw_mant << shift)
         } else {
-            (raw_exp - 1023, (1u128 << 52) | raw_mant as u128)
+            (raw_exp - 1023, (1u64 << 52) | raw_mant)
         };
         // Round the 1.52 significand to 1.m.
-        let drop = 52 - self.mant_bits;
-        sig = round_shift(sig, drop, self.rounding);
-        if sig >> (self.mant_bits + 1) != 0 {
-            // Carry out of rounding: 1.11…1 -> 10.00…0.
-            sig >>= 1;
-            exp += 1;
-        }
-        let e_field = exp + self.bias();
-        if e_field > self.max_exp_field() {
-            return self.saturated();
-        }
-        if e_field < 1 {
-            return Cfp::ZERO; // flush-to-zero
-        }
-        Cfp {
-            bits: ((e_field as u64) << self.mant_bits) | (sig as u64 & self.mant_mask()),
-        }
+        let sig = round_shift_u64(sig, 52 - self.mant_bits, self.rounding);
+        self.normalized(exp, sig)
     }
 
     /// Decode to `f64` (always exact: CFP values are a subset of f64).
@@ -146,6 +135,13 @@ impl CfpFormat {
     }
 
     /// Bit-accurate multiplication.
+    ///
+    /// The exact product of two 1.m significands has `2m+1` or `2m+2`
+    /// bits. When that fits a machine word (`mant_bits ≤ 31`, the
+    /// paper's format included) it is formed and rounded in `u64`;
+    /// wider formats need the `u128` product. The format's width picks
+    /// the path — there is no other difference between them.
+    #[inline]
     pub fn mul(&self, a: Cfp, b: Cfp) -> Cfp {
         if a.is_zero() || b.is_zero() {
             return Cfp::ZERO;
@@ -153,20 +149,34 @@ impl CfpFormat {
         let m = self.mant_bits;
         let (ea, sa) = self.split(a);
         let (eb, sb) = self.split(b);
-        let p = sa as u128 * sb as u128; // 2m+1 or 2m+2 bits
-        let top = msb(p);
-        // Value exponent of the product's leading bit.
-        let mut exp = (ea - self.bias()) + (eb - self.bias()) + (top as i64 - 2 * m as i64);
-        let mut sig = round_shift(p, top - m, self.rounding);
-        if sig >> (m + 1) != 0 {
-            sig >>= 1;
-            exp += 1;
-        }
-        self.assemble(exp, sig)
+        // `carry`: whether the product reached the upper of its two
+        // possible widths, i.e. [2, 4) rather than [1, 2).
+        let (carry, sig) = if 2 * (m + 1) <= u64::BITS {
+            let p = sa * sb;
+            let carry = (p >> (2 * m + 1)) as u32;
+            (carry, round_shift_u64(p, m + carry, self.rounding))
+        } else {
+            self.wide_product(sa, sb)
+        };
+        self.normalized(ea + eb - 2 * self.bias() + carry as i64, sig)
+    }
+
+    /// `mul`'s `(carry, rounded product)` for significands whose product
+    /// needs `u128`. Out of line, so that the body `mul` inlines into a
+    /// datapath kernel stays the native-width one.
+    #[inline(never)]
+    fn wide_product(&self, sa: u64, sb: u64) -> (u32, u64) {
+        let m = self.mant_bits;
+        let p = sa as u128 * sb as u128;
+        let carry = msb(p) - 2 * m;
+        (carry, round_shift(p, m + carry, self.rounding) as u64)
     }
 
     /// Bit-accurate addition (operands are non-negative, so this is pure
-    /// magnitude addition — the hardware has no subtractor).
+    /// magnitude addition — the hardware has no subtractor). The sum
+    /// with its guard bits is at most `mant_bits + 5 ≤ 57` bits wide,
+    /// so `u64` holds it for every legal format.
+    #[inline]
     pub fn add(&self, a: Cfp, b: Cfp) -> Cfp {
         if a.is_zero() {
             return b;
@@ -175,35 +185,32 @@ impl CfpFormat {
             return a;
         }
         let m = self.mant_bits;
-        let (mut ea, sa) = self.split(a);
-        let (mut eb, sb) = self.split(b);
-        let (big_s, small_s) = if ea >= eb {
-            (sa, sb)
-        } else {
-            std::mem::swap(&mut ea, &mut eb);
-            (sb, sa)
-        };
+        // The exponent is the high field, so the packed bits order as
+        // the values do: min/max put the larger exponent first without
+        // a branch on the data (which of two equal exponents comes
+        // first does not matter to their sum).
+        let (ea, big_s) = self.split(Cfp {
+            bits: a.bits.max(b.bits),
+        });
+        let (eb, small_s) = self.split(Cfp {
+            bits: a.bits.min(b.bits),
+        });
         let d = (ea - eb) as u32;
         // Work with 3 guard bits (guard/round/sticky head-room).
         const G: u32 = 3;
-        let big = (big_s as u128) << G;
+        let big = big_s << G;
         let small = if d <= m + G {
-            let shifted = (small_s as u128) << G >> d;
+            let aligned = small_s << G;
             // Preserve stickiness of dropped bits.
-            let dropped = ((small_s as u128) << G) & ((1u128 << d) - 1);
-            shifted | u128::from(dropped != 0)
+            let dropped = aligned & ((1u64 << d) - 1);
+            (aligned >> d) | u64::from(dropped != 0)
         } else {
             1 // pure sticky contribution
         };
         let sum = big + small; // m+1+G .. m+2+G bits
-        let top = msb(sum);
-        let mut exp = (ea - self.bias()) + (top as i64 - (m + G) as i64);
-        let mut sig = round_shift(sum, top - m, self.rounding);
-        if sig >> (m + 1) != 0 {
-            sig >>= 1;
-            exp += 1;
-        }
-        self.assemble(exp, sig)
+        let carry = (sum >> (m + 1 + G)) as u32;
+        let sig = round_shift_u64(sum, G + carry, self.rounding);
+        self.normalized(ea - self.bias() + carry as i64, sig)
     }
 
     /// Encode 1.0 exactly.
@@ -214,26 +221,35 @@ impl CfpFormat {
     }
 
     /// The saturation value (all fields at maximum).
+    #[inline]
     pub fn saturated(&self) -> Cfp {
         Cfp {
             bits: ((self.max_exp_field() as u64) << self.mant_bits) | self.mant_mask(),
         }
     }
 
+    #[inline]
     fn mant_mask(&self) -> u64 {
         (1u64 << self.mant_bits) - 1
     }
 
     /// (exponent field, significand with implicit 1).
+    #[inline]
     fn split(&self, v: Cfp) -> (i64, u64) {
         let e = (v.bits >> self.mant_bits) as i64;
         let s = (1u64 << self.mant_bits) | (v.bits & self.mant_mask());
         (e, s)
     }
 
-    /// Build a value from a *value* exponent and a 1.m significand,
-    /// saturating/flushing at the range limits.
-    fn assemble(&self, exp: i64, sig: u128) -> Cfp {
+    /// Build a value from a *value* exponent and a rounded significand:
+    /// absorb the carry rounding may have produced (1.11…1 -> 10.00…0),
+    /// then saturate/flush at the range limits.
+    #[inline]
+    fn normalized(&self, mut exp: i64, mut sig: u64) -> Cfp {
+        if sig >> (self.mant_bits + 1) != 0 {
+            sig >>= 1;
+            exp += 1;
+        }
         debug_assert!(sig >> self.mant_bits == 1, "significand not normalized");
         let e_field = exp + self.bias();
         if e_field > self.max_exp_field() {
@@ -243,7 +259,7 @@ impl CfpFormat {
             return Cfp::ZERO;
         }
         Cfp {
-            bits: ((e_field as u64) << self.mant_bits) | (sig as u64 & self.mant_mask()),
+            bits: ((e_field as u64) << self.mant_bits) | (sig & self.mant_mask()),
         }
     }
 }
@@ -262,6 +278,7 @@ impl Cfp {
 
     /// True when this value is zero (the all-zero encoding is canonical;
     /// arithmetic never produces an exponent field of 0 otherwise).
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.bits == 0
     }
@@ -593,6 +610,211 @@ mod exhaustive_tests {
                     f.to_f64(b)
                 );
             }
+        }
+    }
+}
+
+/// The arithmetic as it was first written — every intermediate in
+/// `u128`, the leading bit found with `leading_zeros` — kept as the
+/// oracle the shipped native-width `add`/`mul`/`from_f64` must equal
+/// bit for bit, on every format and at every range limit.
+#[cfg(test)]
+mod wide_reference_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn assemble(f: &CfpFormat, mut exp: i64, mut sig: u128) -> Cfp {
+        if sig >> (f.mant_bits + 1) != 0 {
+            sig >>= 1;
+            exp += 1;
+        }
+        assert!(sig >> f.mant_bits == 1, "significand not normalized");
+        let e_field = exp + f.bias();
+        if e_field > f.max_exp_field() {
+            return f.saturated();
+        }
+        if e_field < 1 {
+            return Cfp::ZERO;
+        }
+        Cfp {
+            bits: ((e_field as u64) << f.mant_bits) | (sig as u64 & f.mant_mask()),
+        }
+    }
+
+    fn ref_from_f64(f: &CfpFormat, x: f64) -> Cfp {
+        if x <= 0.0 {
+            return Cfp::ZERO;
+        }
+        if x.is_infinite() {
+            return f.saturated();
+        }
+        let bits = x.to_bits();
+        let raw_exp = ((bits >> 52) & 0x7FF) as i64;
+        let raw_mant = bits & ((1u64 << 52) - 1);
+        let (exp, sig): (i64, u128) = if raw_exp == 0 {
+            let shift = raw_mant.leading_zeros() as i64 - 11;
+            (-1022 - shift, (raw_mant as u128) << shift)
+        } else {
+            (raw_exp - 1023, (1u128 << 52) | raw_mant as u128)
+        };
+        assemble(f, exp, round_shift(sig, 52 - f.mant_bits, f.rounding))
+    }
+
+    fn ref_mul(f: &CfpFormat, a: Cfp, b: Cfp) -> Cfp {
+        if a.is_zero() || b.is_zero() {
+            return Cfp::ZERO;
+        }
+        let m = f.mant_bits;
+        let (ea, sa) = f.split(a);
+        let (eb, sb) = f.split(b);
+        let p = sa as u128 * sb as u128;
+        let top = msb(p);
+        let exp = (ea - f.bias()) + (eb - f.bias()) + (top as i64 - 2 * m as i64);
+        assemble(f, exp, round_shift(p, top - m, f.rounding))
+    }
+
+    fn ref_add(f: &CfpFormat, a: Cfp, b: Cfp) -> Cfp {
+        if a.is_zero() {
+            return b;
+        }
+        if b.is_zero() {
+            return a;
+        }
+        let m = f.mant_bits;
+        let (mut ea, sa) = f.split(a);
+        let (mut eb, sb) = f.split(b);
+        let (big_s, small_s) = if ea >= eb {
+            (sa, sb)
+        } else {
+            std::mem::swap(&mut ea, &mut eb);
+            (sb, sa)
+        };
+        let d = (ea - eb) as u32;
+        const G: u32 = 3;
+        let big = (big_s as u128) << G;
+        let small = if d <= m + G {
+            let shifted = (small_s as u128) << G >> d;
+            let dropped = ((small_s as u128) << G) & ((1u128 << d) - 1);
+            shifted | u128::from(dropped != 0)
+        } else {
+            1
+        };
+        let sum = big + small;
+        let top = msb(sum);
+        let exp = (ea - f.bias()) + (top as i64 - (m + G) as i64);
+        assemble(f, exp, round_shift(sum, top - m, f.rounding))
+    }
+
+    fn assert_ops_match(f: &CfpFormat, a: Cfp, b: Cfp) {
+        assert_eq!(f.mul(a, b), ref_mul(f, a, b), "{f:?}: {a:?} * {b:?}");
+        assert_eq!(f.add(a, b), ref_add(f, a, b), "{f:?}: {a:?} + {b:?}");
+    }
+
+    #[test]
+    fn every_operand_pair_of_a_small_format_in_both_rounding_modes() {
+        for rounding in [Rounding::NearestEven, Rounding::Truncate] {
+            let f = CfpFormat::new(4, 3, rounding);
+            let mut values = vec![Cfp::ZERO];
+            for e in 1..=f.max_exp_field() as u64 {
+                values.extend((0..8).map(|m| Cfp { bits: (e << 3) | m }));
+            }
+            assert_eq!(values.len(), 121);
+            for &a in &values {
+                for &b in &values {
+                    assert_ops_match(&f, a, b);
+                }
+            }
+        }
+    }
+
+    fn formats() -> impl Strategy<Value = CfpFormat> {
+        // Half the cases sit on the widths that straddle the `mul`
+        // switch (31 | 32) and the ends of the legal range.
+        const EDGES: [u32; 8] = [1, 22, 30, 31, 32, 33, 51, 52];
+        (2u32..=11, 1u32..=52, 0usize..16, any::<bool>()).prop_map(|(e, m, edge, nearest)| {
+            let m = EDGES.get(edge).copied().unwrap_or(m);
+            let rounding = if nearest {
+                Rounding::NearestEven
+            } else {
+                Rounding::Truncate
+            };
+            CfpFormat::new(e, m, rounding)
+        })
+    }
+
+    /// Mantissa patterns: all-zero, all-one (rounding carries out),
+    /// lone low and high bits (ties), and arbitrary.
+    fn mantissa(f: &CfpFormat, pick: u8, raw: u64) -> u64 {
+        let mask = f.mant_mask();
+        match pick % 6 {
+            0 => 0,
+            1 => mask,
+            2 => 1,
+            3 => 1 << (f.mant_bits - 1),
+            _ => raw & mask,
+        }
+    }
+
+    /// A canonical operand pair whose exponents are related in one of
+    /// the ways the datapath treats differently: equal, adjacent, right
+    /// at the edge where `add`'s small operand turns pure sticky, far
+    /// apart, both at the top of the range (products and sums
+    /// saturate), both at the bottom (products flush to zero), or
+    /// unrelated.
+    fn operands(f: &CfpFormat, shape: u8, raw: [u64; 4], picks: [u8; 2]) -> (Cfp, Cfp) {
+        let max = f.max_exp_field();
+        let m = f.mant_bits as i64;
+        let ea = 1 + (raw[0] % max as u64) as i64;
+        let eb = match shape % 8 {
+            0 => ea,
+            1 => ea + 1,
+            2 => ea - (m + 2 + (raw[1] % 4) as i64), // d in m+2 ..= m+5 around m+G
+            3 => ea - (m + 6 + (raw[1] % 64) as i64),
+            4 => max - (raw[1] % 2) as i64,
+            5 => 1 + (raw[1] % 2) as i64,
+            _ => 1 + (raw[1] % max as u64) as i64,
+        }
+        .clamp(1, max);
+        let ea = match shape % 8 {
+            4 => max - (raw[0] % 2) as i64,
+            5 => 1 + (raw[0] % 2) as i64,
+            _ => ea,
+        };
+        let value = |e: i64, pick, raw| Cfp {
+            bits: ((e as u64) << f.mant_bits) | mantissa(f, pick, raw),
+        };
+        (value(ea, picks[0], raw[2]), value(eb, picks[1], raw[3]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn native_width_ops_equal_the_u128_reference(
+            f in formats(),
+            shape in any::<u8>(),
+            raw in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            picks in (any::<u8>(), any::<u8>()),
+            zero in 0u8..32,
+        ) {
+            let (mut a, b) = operands(&f, shape, [raw.0, raw.1, raw.2, raw.3], [picks.0, picks.1]);
+            if zero == 0 {
+                a = Cfp::ZERO;
+            }
+            assert_ops_match(&f, a, b);
+            assert_ops_match(&f, b, a);
+        }
+
+        #[test]
+        fn native_width_converter_equals_the_u128_reference(
+            f in formats(),
+            bits in any::<u64>(),
+        ) {
+            // Any non-negative f64: subnormals, values below and above
+            // the format's range, infinity (NaN patterns fold onto it).
+            let x = f64::from_bits(bits & !(1 << 63));
+            let x = if x.is_nan() { f64::INFINITY } else { x };
+            prop_assert_eq!(f.from_f64(x), ref_from_f64(&f, x), "{:?}: {}", f, x);
         }
     }
 }

@@ -53,9 +53,14 @@ impl SpnNumber for CfpFormat {
     fn one(&self) -> Cfp {
         CfpFormat::one(self)
     }
+    // `add`/`mul` are `#[inline]` all the way down so a datapath kernel
+    // generic over the format, compiled in another crate, gets the
+    // integer arithmetic itself and not a call per operation.
+    #[inline]
     fn add(&self, a: Cfp, b: Cfp) -> Cfp {
         CfpFormat::add(self, a, b)
     }
+    #[inline]
     fn mul(&self, a: Cfp, b: Cfp) -> Cfp {
         CfpFormat::mul(self, a, b)
     }

@@ -52,6 +52,31 @@ pub fn round_shift(sig: u128, shift: u32, mode: Rounding) -> u128 {
     }
 }
 
+/// [`round_shift`] at the native word width, for intermediates that fit
+/// 64 bits: every CFP sum, and every product of formats whose doubled
+/// significand does (`2·(mant_bits+1) ≤ 64`, the paper's 22-bit mantissa
+/// among them). Same contract, same carry caveat.
+#[inline]
+pub fn round_shift_u64(sig: u64, shift: u32, mode: Rounding) -> u64 {
+    if shift == 0 {
+        return sig;
+    }
+    if shift >= 64 {
+        return 0;
+    }
+    let kept = sig >> shift;
+    match mode {
+        Rounding::Truncate => kept,
+        Rounding::NearestEven => {
+            // No short-circuit: the dropped bits are as good as random,
+            // so this must be arithmetic, not a branch.
+            let half = 1u64 << (shift - 1);
+            let dropped = sig & (half | (half - 1));
+            kept + u64::from((dropped > half) | ((dropped == half) & (kept & 1 == 1)))
+        }
+    }
+}
+
 /// Position of the most significant set bit (0-indexed).
 ///
 /// # Panics
@@ -113,6 +138,27 @@ mod tests {
     fn huge_shift_is_zero() {
         assert_eq!(round_shift(u128::MAX, 128, Rounding::NearestEven), 0);
         assert_eq!(round_shift(u128::MAX, 200, Rounding::Truncate), 0);
+        assert_eq!(round_shift_u64(u64::MAX, 64, Rounding::NearestEven), 0);
+        assert_eq!(round_shift_u64(u64::MAX, 200, Rounding::Truncate), 0);
+    }
+
+    #[test]
+    fn native_width_agrees_with_the_wide_one() {
+        // Every 12-bit pattern at the bottom of the word and again with
+        // its top bit at bit 63, at every shift that keeps a bit.
+        for mode in [Rounding::NearestEven, Rounding::Truncate] {
+            for low in 0u64..4096 {
+                for sig in [low, low << 52, (low << 52) | 1, u64::MAX - low] {
+                    for shift in 0..64u32 {
+                        assert_eq!(
+                            round_shift_u64(sig, shift, mode) as u128,
+                            round_shift(sig as u128, shift, mode),
+                            "sig={sig:b} shift={shift} {mode:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! reported 133.1 M samples/s for a single NIPS10 core.
 
 use crate::calib;
-use crate::program::DatapathProgram;
+use crate::program::{DatapathProgram, SynthesizedDatapath};
 use serde::{Deserialize, Serialize};
 use sim_core::{Bandwidth, SimDuration};
-use spn_arith::AnyFormat;
+use spn_arith::{AnyFormat, CfpFormat, F64Format, LnsFormat, PositFormat};
 
 /// Core configuration (synthesis-time parameters).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -95,21 +95,40 @@ impl AcceleratorConfig {
     }
 }
 
+/// The datapath synthesised for whichever format the core was built in.
+#[derive(Debug, Clone)]
+enum Synthesized {
+    Cfp(SynthesizedDatapath<CfpFormat>),
+    Lns(SynthesizedDatapath<LnsFormat>),
+    Posit(SynthesizedDatapath<PositFormat>),
+    F64(SynthesizedDatapath<F64Format>),
+}
+
 /// A functional + timed accelerator core.
 #[derive(Debug, Clone)]
 pub struct AcceleratorCore {
     config: AcceleratorConfig,
     program: DatapathProgram,
     format: AnyFormat,
+    /// What [`AcceleratorCore::run_job`] streams through.
+    datapath: Synthesized,
 }
 
 impl AcceleratorCore {
-    /// Instantiate a core for a compiled datapath.
+    /// Instantiate a core for a compiled datapath: synthesise it in
+    /// `format`, constants and all.
     pub fn new(config: AcceleratorConfig, program: DatapathProgram, format: AnyFormat) -> Self {
+        let datapath = match &format {
+            AnyFormat::Cfp(f) => Synthesized::Cfp(program.synthesize(f)),
+            AnyFormat::Lns(f) => Synthesized::Lns(program.synthesize(f)),
+            AnyFormat::Posit(f) => Synthesized::Posit(program.synthesize(f)),
+            AnyFormat::F64 => Synthesized::F64(program.synthesize(&F64Format)),
+        };
         AcceleratorCore {
             config,
             program,
             format,
+            datapath,
         }
     }
 
@@ -138,24 +157,29 @@ impl AcceleratorCore {
         8
     }
 
-    /// Functionally execute a job: raw input bytes in, probabilities out
-    /// (as the 64-bit values the Store Unit writes back).
+    /// Functionally execute a job on the synthesised datapath: raw
+    /// input bytes in, probabilities out (as the 64-bit values the
+    /// Store Unit writes back).
     pub fn run_job(&self, input: &[u8]) -> Vec<f64> {
-        match &self.format {
-            AnyFormat::Cfp(f) => self.program.execute_batch(f, input),
-            AnyFormat::Lns(f) => self.program.execute_batch(f, input),
-            AnyFormat::Posit(f) => self.program.execute_batch(f, input),
-            AnyFormat::F64 => self.program.execute_batch(&spn_arith::F64Format, input),
+        let mut out = Vec::new();
+        match &self.datapath {
+            Synthesized::Cfp(d) => d.execute_into(input, &mut out),
+            Synthesized::Lns(d) => d.execute_into(input, &mut out),
+            Synthesized::Posit(d) => d.execute_into(input, &mut out),
+            Synthesized::F64(d) => d.execute_into(input, &mut out),
         }
+        out
     }
 
-    /// Execute one sample.
+    /// Execute one sample on the unsynthesised reference
+    /// ([`DatapathProgram::execute`]) — deliberately not the datapath
+    /// `run_job` uses, so a golden check compares two implementations.
     pub fn run_sample(&self, sample: &[u8]) -> f64 {
         match &self.format {
             AnyFormat::Cfp(f) => self.program.execute(f, sample),
             AnyFormat::Lns(f) => self.program.execute(f, sample),
             AnyFormat::Posit(f) => self.program.execute(f, sample),
-            AnyFormat::F64 => self.program.execute(&spn_arith::F64Format, sample),
+            AnyFormat::F64 => self.program.execute(&F64Format, sample),
         }
     }
 
@@ -176,7 +200,6 @@ impl AcceleratorCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spn_arith::CfpFormat;
     use spn_core::{Evaluator, NipsBenchmark, Query};
 
     fn channel_bw() -> Bandwidth {

@@ -5,7 +5,9 @@
 //! leaf lookups, multiplier trees, weighted adder trees — that is
 //!
 //! * **executed** bit-accurately in any `spn-arith` format (the
-//!   functional model: exactly the values the FPGA would produce),
+//!   functional model: exactly the values the FPGA would produce) —
+//!   per sample by the reference `execute`, in batches by the datapath
+//!   *synthesised* for one format with its constants pre-converted,
 //! * **scheduled** ([`pipeline`]) into a fully pipelined circuit with
 //!   per-operator latencies and balancing registers,
 //! * **costed** ([`resources`]) by the Table I resource model, and

@@ -16,6 +16,15 @@
 //! any [`SpnNumber`] arithmetic — this is the bit-accurate functional
 //! model of the hardware) and *analyzable* (operation counts drive the
 //! resource model; dependence structure drives pipeline scheduling).
+//!
+//! It is executable twice over, on purpose. [`DatapathProgram::execute`]
+//! is the readable per-sample reference: it converts each constant where
+//! it meets it and is what every bit-for-bit oracle calls.
+//! `DatapathProgram::synthesize` does what the generator does at
+//! synthesis time — converts every table entry and weight into the
+//! datapath format once — and the resulting `SynthesizedDatapath` is
+//! what a core ([`crate::AcceleratorCore::run_job`]) streams batches
+//! through. Neither is built on the other.
 
 use serde::{Deserialize, Serialize};
 use spn_arith::SpnNumber;
@@ -39,8 +48,11 @@ pub enum DatapathOp {
     LeafLookup {
         /// Input variable index (byte lane).
         var: usize,
-        /// The table contents (probabilities in f64; converted into the
-        /// datapath format at "synthesis" time by the executor).
+        /// The table contents as probabilities in f64, one entry per
+        /// input byte value from 0; a byte past the end reads as 0.0.
+        /// The program is format-agnostic, so they stay f64 here:
+        /// a core converts them once for its format when it is built,
+        /// [`DatapathProgram::execute`] at every lookup.
         table: Vec<f64>,
     },
     /// Two-input multiplier.
@@ -222,12 +234,156 @@ impl DatapathProgram {
         format.to_f64(values[self.root.index()])
     }
 
-    /// Execute a batch of samples (row-major, `num_vars` bytes each).
-    pub fn execute_batch<F: SpnNumber>(&self, format: &F, data: &[u8]) -> Vec<f64> {
+    /// Bake the program into `format`: every leaf table entry and sum
+    /// weight is converted exactly once, here, as the hardware
+    /// generator does at synthesis time.
+    pub(crate) fn synthesize<F: SpnNumber + Clone>(&self, format: &F) -> SynthesizedDatapath<F> {
+        let index = |n: usize| u32::try_from(n).expect("datapath too large");
+        // Value slots: the weights first, then one result per op.
+        let counts = self.op_counts();
+        let num_weights = counts.const_muls;
+        let result = |op: OpId| index(num_weights + op.index());
+        let mut weights = Vec::with_capacity(num_weights);
+        let mut tables = Vec::with_capacity(counts.table_entries);
+        let ops = self
+            .ops
+            .iter()
+            .map(|op| match op {
+                DatapathOp::LeafLookup { var, table } => {
+                    let base = index(tables.len());
+                    tables.extend(table.iter().map(|&p| format.from_f64(p)));
+                    SynthOp::Lookup {
+                        var: index(*var),
+                        base,
+                        len: index(table.len()),
+                    }
+                }
+                DatapathOp::Mul { a, b } => SynthOp::Mul {
+                    a: result(*a),
+                    b: result(*b),
+                },
+                DatapathOp::ConstMul { a, weight } => {
+                    weights.push(format.from_f64(*weight));
+                    SynthOp::Mul {
+                        a: result(*a),
+                        b: index(weights.len() - 1),
+                    }
+                }
+                DatapathOp::Add { a, b } => SynthOp::Add {
+                    a: result(*a),
+                    b: result(*b),
+                },
+            })
+            .collect();
+        SynthesizedDatapath {
+            ops,
+            weights,
+            tables,
+            past_table: format.from_f64(0.0),
+            root: num_weights + self.root.index(),
+            num_vars: self.num_vars,
+            format: format.clone(),
+        }
+    }
+}
+
+/// One operation of a [`SynthesizedDatapath`]. Operands are value
+/// slots: a weight's, or an earlier op's result.
+#[derive(Debug, Clone, Copy)]
+enum SynthOp {
+    /// `tables[base + input[var]]` for an input byte below `len`.
+    Lookup {
+        var: u32,
+        base: u32,
+        len: u32,
+    },
+    /// Product of two slots; a sum edge's weight multiplier is one
+    /// whose `b` is the weight's slot.
+    Mul {
+        a: u32,
+        b: u32,
+    },
+    Add {
+        a: u32,
+        b: u32,
+    },
+}
+
+/// A [`DatapathProgram`] synthesised for one arithmetic format
+/// ([`DatapathProgram::synthesize`]): the batch datapath of a core.
+/// Results are bit-identical to [`DatapathProgram::execute`] row by row.
+#[derive(Debug, Clone)]
+pub(crate) struct SynthesizedDatapath<F: SpnNumber> {
+    ops: Vec<SynthOp>,
+    /// Every sum weight, converted, in op order: the constant head of
+    /// the value slots.
+    weights: Vec<F::Value>,
+    /// Every leaf table, converted, back to back in op order.
+    tables: Vec<F::Value>,
+    /// What a lookup past its table's end reads: the converted 0.0.
+    past_table: F::Value,
+    root: usize,
+    num_vars: usize,
+    format: F,
+}
+
+/// Samples a [`SynthesizedDatapath`] carries through one op before it
+/// moves to the next. Within a sample every op waits for its operands;
+/// across a lane nothing does, so the host overlaps the arithmetic the
+/// way the pipelined circuit overlaps samples. Measured flat from 32 to
+/// 128 on NIPS10 and NIPS80, and half again as slow one sample at a
+/// time (366 vs 235 ns/sample, NIPS10 CFP): a constant, not a knob.
+const LANES: usize = 64;
+
+impl<F: SpnNumber> SynthesizedDatapath<F> {
+    /// Stream a batch of samples (row-major, `num_vars` bytes each)
+    /// through the datapath, appending one probability per sample to
+    /// `out`. One value scratch serves the whole batch, `LANES` (64)
+    /// samples at a time.
+    pub(crate) fn execute_into(&self, data: &[u8], out: &mut Vec<f64>) {
         assert!(data.len().is_multiple_of(self.num_vars), "ragged batch");
-        data.chunks_exact(self.num_vars)
-            .map(|s| self.execute(format, s))
-            .collect()
+        let f = &self.format;
+        let num_weights = self.weights.len();
+        // Lane-major value slots: lane `l` of slot `s` is
+        // `values[s * LANES + l]`; a weight fills its slot's lanes.
+        let slots = num_weights + self.ops.len();
+        let mut values = Vec::with_capacity(slots * LANES);
+        for &w in &self.weights {
+            values.extend([w; LANES]);
+        }
+        values.resize(slots * LANES, self.past_table);
+        out.reserve(data.len() / self.num_vars);
+        for chunk in data.chunks(LANES * self.num_vars) {
+            let lanes = chunk.len() / self.num_vars;
+            for (i, op) in self.ops.iter().enumerate() {
+                // Operands are weights or results of earlier ops
+                // (dataflow order), so they all lie below the result.
+                let (operands, results) = values.split_at_mut((num_weights + i) * LANES);
+                let slot = |s: u32| &operands[s as usize * LANES..][..lanes];
+                let dst = &mut results[..lanes];
+                match *op {
+                    SynthOp::Lookup { var, base, len } => {
+                        let table = &self.tables[base as usize..][..len as usize];
+                        for (d, sample) in dst.iter_mut().zip(chunk.chunks_exact(self.num_vars)) {
+                            let entry = table.get(usize::from(sample[var as usize]));
+                            *d = entry.copied().unwrap_or(self.past_table);
+                        }
+                    }
+                    SynthOp::Mul { a, b } => {
+                        for ((d, &x), &y) in dst.iter_mut().zip(slot(a)).zip(slot(b)) {
+                            *d = f.mul(x, y);
+                        }
+                    }
+                    SynthOp::Add { a, b } => {
+                        for ((d, &x), &y) in dst.iter_mut().zip(slot(a)).zip(slot(b)) {
+                            *d = f.add(x, y);
+                        }
+                    }
+                }
+            }
+            let root = &values[self.root * LANES..][..lanes];
+            out.extend(root.iter().map(|&v| f.to_f64(v)));
+        }
     }
 }
 
@@ -373,11 +529,18 @@ mod tests {
     fn batch_matches_single() {
         let spn = mixture();
         let prog = DatapathProgram::compile(&spn);
-        let data = [0u8, 0, 1, 1, 0, 1];
-        let batch = prog.execute_batch(&F64Format, &data);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch[0], prog.execute(&F64Format, &[0, 0]));
-        assert_eq!(batch[2], prog.execute(&F64Format, &[0, 1]));
+        // The last row's bytes lie past both 2-entry tables.
+        let data = [0u8, 0, 1, 1, 0, 1, 2, 255];
+        let cfp = CfpFormat::paper_default();
+        let mut batch = vec![-1.0];
+        prog.synthesize(&F64Format).execute_into(&data, &mut batch);
+        prog.synthesize(&cfp).execute_into(&data, &mut batch);
+        assert_eq!(batch.len(), 1 + 4 + 4, "appends, one result per row");
+        for (i, row) in data.chunks(2).enumerate() {
+            assert_eq!(batch[1 + i], prog.execute(&F64Format, row));
+            assert_eq!(batch[5 + i], prog.execute(&cfp, row));
+        }
+        assert_eq!(batch[4], 0.0);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl std::fmt::Display for DeviceError {
 }
 impl std::error::Error for DeviceError {}
 
-struct PeInstance {
-    core: AcceleratorCore,
-    regs: RegisterFile,
-}
-
 /// The virtual accelerator card.
 ///
 /// Cloneable-by-Arc and fully thread-safe: channel memories and PEs are
@@ -109,8 +104,13 @@ struct PeInstance {
 pub struct VirtualDevice {
     /// Per-channel byte storage.
     channels: Vec<Mutex<Vec<u8>>>,
-    /// One PE per channel (the paper's 1:1 coupling).
-    pes: Vec<Mutex<PeInstance>>,
+    /// The one synthesised design every PE is an instance of. Immutable,
+    /// so it sits outside the PE locks: launches on different PEs share
+    /// it and the golden model reads it while any of them is busy.
+    core: AcceleratorCore,
+    /// One PE per channel (the paper's 1:1 coupling): its register
+    /// file, held for the whole of a launch.
+    pes: Vec<Mutex<RegisterFile>>,
     memmgr: Arc<DeviceMemoryManager>,
     channel_capacity: u64,
     faults: Option<FaultInjection>,
@@ -135,31 +135,27 @@ impl VirtualDevice {
         channel_capacity: u64,
     ) -> Self {
         assert!(num_pes > 0, "need at least one PE");
-        let pes = (0..num_pes)
-            .map(|_| {
-                let core = AcceleratorCore::new(accel, program.clone(), format);
-                let synth = SynthConfig {
-                    num_vars: program.num_vars() as u64,
-                    input_bytes: core.input_bytes(),
-                    result_bytes: core.result_bytes(),
-                    format_id: match format {
-                        AnyFormat::Cfp(_) => 0,
-                        AnyFormat::Lns(_) => 1,
-                        AnyFormat::Posit(_) => 2,
-                        AnyFormat::F64 => 3,
-                    },
-                };
-                Mutex::new(PeInstance {
-                    core,
-                    regs: RegisterFile::new(synth),
-                })
-            })
-            .collect();
+        // Synthesised once per device, not once per PE.
+        let core = AcceleratorCore::new(accel, program, format);
+        let synth = SynthConfig {
+            num_vars: core.program().num_vars() as u64,
+            input_bytes: core.input_bytes(),
+            result_bytes: core.result_bytes(),
+            format_id: match format {
+                AnyFormat::Cfp(_) => 0,
+                AnyFormat::Lns(_) => 1,
+                AnyFormat::Posit(_) => 2,
+                AnyFormat::F64 => 3,
+            },
+        };
         VirtualDevice {
             channels: (0..num_pes)
                 .map(|_| Mutex::new(vec![0u8; channel_capacity as usize]))
                 .collect(),
-            pes,
+            core,
+            pes: (0..num_pes)
+                .map(|_| Mutex::new(RegisterFile::new(synth)))
+                .collect(),
             memmgr: Arc::new(DeviceMemoryManager::new(num_pes, channel_capacity)),
             channel_capacity,
             faults: None,
@@ -208,10 +204,13 @@ impl VirtualDevice {
 
     /// Golden re-computation of one sample on the host, bypassing any
     /// injected faults — the reference the runtime's verification
-    /// sampling checks against.
+    /// sampling checks against. A pure function of the design, so it
+    /// takes no PE lock and never waits for a launch in progress.
     pub fn golden(&self, pe: u32, sample: &[u8]) -> Result<f64, DeviceError> {
-        let inst = self.pes.get(pe as usize).ok_or(DeviceError::NoSuchPe(pe))?;
-        Ok(inst.lock().core.run_sample(sample))
+        if pe >= self.num_pes() {
+            return Err(DeviceError::NoSuchPe(pe));
+        }
+        Ok(self.core.run_sample(sample))
     }
 
     /// Number of PEs (= channels).
@@ -232,13 +231,13 @@ impl VirtualDevice {
     /// Query a PE's synthesis configuration through its register file —
     /// the paper's configuration-readout execution mode.
     pub fn query_pe(&self, pe: u32) -> Result<SynthConfig, DeviceError> {
-        let inst = self.pes.get(pe as usize).ok_or(DeviceError::NoSuchPe(pe))?;
-        let inst = inst.lock();
+        let regs = self.pes.get(pe as usize).ok_or(DeviceError::NoSuchPe(pe))?;
+        let regs = regs.lock();
         Ok(SynthConfig {
-            num_vars: inst.regs.read(Reg::CfgVars),
-            input_bytes: inst.regs.read(Reg::CfgInputBytes),
-            result_bytes: inst.regs.read(Reg::CfgResultBytes),
-            format_id: inst.regs.read(Reg::CfgFormat),
+            num_vars: regs.read(Reg::CfgVars),
+            input_bytes: regs.read(Reg::CfgInputBytes),
+            result_bytes: regs.read(Reg::CfgResultBytes),
+            format_id: regs.read(Reg::CfgFormat),
         })
     }
 
@@ -290,7 +289,7 @@ impl VirtualDevice {
         output: DeviceBuffer,
         num_samples: u64,
     ) -> Result<(), DeviceError> {
-        let inst = self.pes.get(pe as usize).ok_or(DeviceError::NoSuchPe(pe))?;
+        let regs = self.pes.get(pe as usize).ok_or(DeviceError::NoSuchPe(pe))?;
         // The paper's design has no crossbar: a PE reaches only its own
         // channel.
         for buf in [&input, &output] {
@@ -301,6 +300,11 @@ impl VirtualDevice {
                 });
             }
         }
+        // The job must fit its buffers and the buffers their channel.
+        // Checked before the register file is touched: a start that
+        // cannot complete would leave the PE busy for good.
+        let in_range = self.job_range(input, num_samples, self.core.input_bytes())?;
+        let out_range = self.job_range(output, num_samples, self.core.result_bytes())?;
         // Loud transient faults: the launch aborts before touching the
         // register file; the block is untouched and can be retried.
         if let Some(f) = self.faults {
@@ -310,28 +314,19 @@ impl VirtualDevice {
                 return Err(DeviceError::TransientFault { pe });
             }
         }
-        let mut inst = inst.lock();
+        let mut regs = regs.lock();
         // Program the job registers and start.
-        inst.regs
-            .write(Reg::InAddr, input.offset)
-            .and_then(|_| inst.regs.write(Reg::OutAddr, output.offset))
-            .and_then(|_| inst.regs.write(Reg::NumSamples, num_samples))
-            .and_then(|_| inst.regs.write(Reg::Ctrl, 1))
+        regs.write(Reg::InAddr, input.offset)
+            .and_then(|_| regs.write(Reg::OutAddr, output.offset))
+            .and_then(|_| regs.write(Reg::NumSamples, num_samples))
+            .and_then(|_| regs.write(Reg::Ctrl, 1))
             .map_err(|e| DeviceError::Register(e.to_string()))?;
-
-        let in_bytes = num_samples * inst.core.input_bytes();
-        let out_bytes = num_samples * inst.core.result_bytes();
-        if in_bytes > input.len || out_bytes > output.len {
-            return Err(DeviceError::OutOfBounds);
-        }
 
         // "Hardware" execution: read input from channel memory, execute
         // the datapath, write results back.
         let mut results = {
             let mem = self.channels[pe as usize].lock();
-            let start = input.offset as usize;
-            let data = &mem[start..start + in_bytes as usize];
-            inst.core.run_job(data)
+            self.core.run_job(&mem[in_range])
         };
         // Paced execution: occupy the PE (lock held) for the modelled
         // hardware time, per sample so batching cannot compress it.
@@ -350,14 +345,30 @@ impl VirtualDevice {
         }
         {
             let mut mem = self.channels[pe as usize].lock();
-            let start = output.offset as usize;
-            for (i, r) in results.iter().enumerate() {
-                let bytes = r.to_le_bytes();
-                mem[start + i * 8..start + i * 8 + 8].copy_from_slice(&bytes);
+            for (slot, r) in mem[out_range].chunks_exact_mut(RESULT_BYTES).zip(&results) {
+                slot.copy_from_slice(&r.to_le_bytes());
             }
         }
-        inst.regs.signal_done();
+        regs.signal_done();
         Ok(())
+    }
+
+    /// The bytes of `buf` a job of `num_samples` touches at
+    /// `bytes_per_sample`, provided they lie inside both the buffer and
+    /// its channel.
+    fn job_range(
+        &self,
+        buf: DeviceBuffer,
+        num_samples: u64,
+        bytes_per_sample: u64,
+    ) -> Result<std::ops::Range<usize>, DeviceError> {
+        let end = num_samples
+            .checked_mul(bytes_per_sample)
+            .filter(|&bytes| bytes <= buf.len)
+            .and_then(|bytes| buf.offset.checked_add(bytes))
+            .filter(|&end| end <= self.channel_capacity)
+            .ok_or(DeviceError::OutOfBounds)?;
+        Ok(buf.offset as usize..end as usize)
     }
 }
 
@@ -504,6 +515,57 @@ mod tests {
         assert!(matches!(
             dev.launch(0, inb, outb, 4),
             Err(DeviceError::OutOfBounds)
+        ));
+        // So is a hand-built buffer that runs off the end of the channel.
+        let past_the_end = DeviceBuffer {
+            channel: 0,
+            offset: dev.channel_capacity() - 16,
+            len: 64,
+        };
+        for (input, output) in [(past_the_end, outb), (inb, past_the_end)] {
+            assert!(matches!(
+                dev.launch(0, input, output, 4),
+                Err(DeviceError::OutOfBounds)
+            ));
+        }
+        // A rejected launch never started the PE: it takes the next job.
+        dev.launch(0, inb, outb, 1).unwrap();
+        let raw = dev.copy_from_device(outb).unwrap();
+        let got = f64::from_le_bytes(raw[..8].try_into().unwrap());
+        assert_eq!(got, dev.golden(0, data.row(0)).unwrap());
+    }
+
+    #[test]
+    fn golden_does_not_wait_for_a_launch_in_progress() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (dev, bench) = device(1);
+        let dev = dev.with_pacing(Duration::from_millis(20));
+        let data = bench.dataset(16, 3);
+        let inb = dev.memory().alloc(0, data.raw().len() as u64).unwrap();
+        let outb = dev.memory().alloc(0, 16 * 8).unwrap();
+        dev.copy_to_device(inb, data.raw()).unwrap();
+        let launch_returned = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Holds PE 0 for 16 x 20 ms.
+                dev.launch(0, inb, outb, 16).unwrap();
+                launch_returned.store(true, Ordering::SeqCst);
+            });
+            // Until the launch has PE 0.
+            while dev.pes[0].try_lock().is_some() {
+                assert!(!launch_returned.load(Ordering::SeqCst), "missed the launch");
+                std::thread::yield_now();
+            }
+            let golden = dev.golden(0, data.row(0)).unwrap();
+            assert!(
+                !launch_returned.load(Ordering::SeqCst),
+                "golden() queued behind the launch on PE 0"
+            );
+            assert!(golden > 0.0);
+        });
+        assert!(matches!(
+            dev.golden(1, data.row(0)),
+            Err(DeviceError::NoSuchPe(1))
         ));
     }
 

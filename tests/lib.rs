@@ -1,5 +1,23 @@
 //! Integration test crate; the suites are `tests/*.rs`. This library
-//! holds the one helper they share.
+//! holds the helpers they share.
+
+use proptest::prelude::*;
+use spn_core::RandomSpnConfig;
+
+/// Strategy: a random-but-valid configuration of a small table-leaf
+/// SPN — what the differential suites (`plan_differential`,
+/// `datapath_differential`) build their structures from.
+pub fn small_spn_configs() -> impl Strategy<Value = RandomSpnConfig> {
+    (1usize..=5, 2usize..=4, 1usize..=3, 1usize..=2, any::<u64>()).prop_map(
+        |(num_vars, domain, repetitions, max_leaf_region, seed)| RandomSpnConfig {
+            num_vars,
+            domain,
+            repetitions,
+            max_leaf_region,
+            seed,
+        },
+    )
+}
 
 /// Assert that a scaling series keeps its shape. `points` are
 /// `(n, ratio)`: `n` units of a resource (PEs, backends, shards) and a

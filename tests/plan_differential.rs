@@ -15,22 +15,14 @@ use proptest::prelude::*;
 use spn_core::{CompiledPlan, Dataset, Evaluator, PlanExecutor, Query, RandomSpnConfig};
 use spn_runtime::PlanCache;
 use std::sync::Arc;
+use system_tests::small_spn_configs;
 
 /// Strategy: a random-but-valid SPN configuration plus a batch size
 /// chosen to exercise whole lane chunks, scalar remainders and the
 /// single-row path.
 fn config_and_batch() -> impl Strategy<Value = (RandomSpnConfig, usize)> {
-    let cfg = (1usize..=5, 2usize..=4, 1usize..=3, 1usize..=2, any::<u64>()).prop_map(
-        |(num_vars, domain, repetitions, max_leaf_region, seed)| RandomSpnConfig {
-            num_vars,
-            domain,
-            repetitions,
-            max_leaf_region,
-            seed,
-        },
-    );
     let batch = (0usize..8).prop_map(|i| [1usize, 2, 7, 8, 9, 13, 64, 67][i]);
-    (cfg, batch)
+    (small_spn_configs(), batch)
 }
 
 /// Deterministic pseudo-random feature rows (an LCG keeps proptest's
