@@ -11,7 +11,7 @@
 //! quantity is aggregate bytes over completion time.
 
 use crate::hbm::HbmChannelConfig;
-use sim_core::{Bandwidth, Engine, Model, Scheduler, SimDuration, SimTime};
+use sim_core::{Bandwidth, Engine, Model, Scheduler, SimDuration, SimTime, Timeline};
 
 /// Parameters of one micro-benchmark run.
 #[derive(Debug, Clone, Copy)]
@@ -51,10 +51,9 @@ struct Bench {
     // Requests not yet issued, per engine.
     reads_left: u64,
     writes_left: u64,
-    // The channel is a FIFO server; we track when it frees up.
-    channel_free: SimTime,
+    /// The channel is a FIFO server.
+    channel: Timeline,
     completed_bytes: u64,
-    last_completion: SimTime,
 }
 
 impl Model for Bench {
@@ -72,15 +71,12 @@ impl Model for Bench {
                     return;
                 }
                 *left -= 1;
-                // FIFO channel: service starts when the channel frees.
-                let start = sched.now().max(self.channel_free);
-                let end = start + self.cfg.service_time(self.run.request_bytes);
-                self.channel_free = end;
-                sched.schedule_at(end, Ev::Complete { is_read });
+                let service = self.cfg.service_time(self.run.request_bytes);
+                let grant = self.channel.reserve(sched.now(), service);
+                sched.schedule_at(grant.end, Ev::Complete { is_read });
             }
             Ev::Complete { is_read } => {
                 self.completed_bytes += self.run.request_bytes;
-                self.last_completion = sched.now();
                 // Completion frees an outstanding slot: issue the next one.
                 sched.schedule_in(SimDuration::ZERO, Ev::Issue { is_read });
             }
@@ -100,9 +96,8 @@ pub fn run_channel_benchmark(cfg: HbmChannelConfig, run: TrafficRun) -> TrafficR
         run,
         reads_left: run.num_reads,
         writes_left: run.num_writes,
-        channel_free: SimTime::ZERO,
+        channel: Timeline::new("hbm-channel"),
         completed_bytes: 0,
-        last_completion: SimTime::ZERO,
     });
     // Prime both engines with their outstanding windows.
     for _ in 0..run.outstanding_per_engine {
@@ -115,7 +110,8 @@ pub fn run_channel_benchmark(cfg: HbmChannelConfig, run: TrafficRun) -> TrafficR
     }
     engine.run_to_completion();
     let model = engine.into_model();
-    let makespan = model.last_completion;
+    // The last completion is the end of the channel's last grant.
+    let makespan = model.channel.free_at();
     TrafficResult {
         total_bytes: model.completed_bytes,
         makespan,
@@ -248,5 +244,38 @@ mod tests {
             },
         );
         assert!(res.throughput.gib_per_sec() > 11.0);
+    }
+
+    /// `sweep_request_sizes` at Fig. 2's thirteen sizes (4 KiB..16 MiB),
+    /// bytes/s as `to_bits`, computed at the commit before the channel
+    /// moved onto a `Timeline`.
+    #[test]
+    fn sweep_known_answers() {
+        #[rustfmt::skip]
+        const NATIVE_450: [u64; 13] = [
+            0x41e90b0cfc2ec475, 0x41f3da4d69fc38a6, 0x41fc11e9dabe77cc, 0x4201b2946a3c6906,
+            0x42045a71546881c2, 0x4206011893570ccd, 0x4206ef3918e902e5, 0x42076dffc92cf87c,
+            0x4207af7675081e0e, 0x4207d0bbbc6fab1d, 0x4207e18185eb705f, 0x4207e9ed49cbc5a4,
+            0x4207ee256641c820,
+        ];
+        #[rustfmt::skip]
+        const HALF_225: [u64; 13] = [
+            0x41e7de3414397b37, 0x41f31b61afd31d1a, 0x41fb50f35e55c1dd, 0x4201651b6db9ee53,
+            0x420426d55e0e1d64, 0x4205e2cc1eea5251, 0x4206deb92c35a280, 0x42076560991ab4f2,
+            0x4207ab0dd6f89d0a, 0x4207ce8102e03533, 0x4207e062893e217e, 0x4207e95d62d10666,
+            0x4207eddd5885e7d8,
+        ];
+        let sizes: Vec<u64> = (0..13).map(|i| (4 * KIB) << i).collect();
+        for (clock, pins) in [
+            (ClockConfig::Native450, NATIVE_450),
+            (ClockConfig::Half225DoubleWidth, HALF_225),
+        ] {
+            let curve = sweep_request_sizes(HbmChannelConfig::calibrated(clock), &sizes);
+            let got: Vec<u64> = curve
+                .iter()
+                .map(|(_, bw)| bw.bytes_per_sec().to_bits())
+                .collect();
+            assert_eq!(got, pins, "{clock:?}");
+        }
     }
 }

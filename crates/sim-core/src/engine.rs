@@ -28,8 +28,8 @@
 //! let mut engine = Engine::new(Ticker { ticks: 0, limit: 5 });
 //! engine.scheduler().schedule_in(SimDuration::ZERO, Tick);
 //! engine.run_to_completion();
-//! assert_eq!(engine.model().ticks, 5);
-//! assert_eq!(engine.now().as_ps(), 4_000);
+//! assert_eq!(engine.scheduler().now().as_ps(), 4_000);
+//! assert_eq!(engine.into_model().ticks, 5);
 //! ```
 
 use crate::queue::EventQueue;
@@ -77,12 +77,6 @@ impl<'a, E> Scheduler<'a, E> {
         );
         self.queue.push(at, event);
     }
-
-    /// Number of events currently pending in the calendar.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// Drives a [`Model`] through virtual time.
@@ -90,7 +84,6 @@ pub struct Engine<M: Model> {
     model: M,
     queue: EventQueue<M::Event>,
     now: SimTime,
-    processed: u64,
 }
 
 impl<M: Model> Engine<M> {
@@ -100,31 +93,10 @@ impl<M: Model> Engine<M> {
             model,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            processed: 0,
         }
     }
 
-    /// Current virtual time (timestamp of the last processed event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Immutable access to the model (for inspecting results).
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// Mutable access to the model (for reconfiguring between runs).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
-    /// Consume the engine, returning the model.
+    /// Consume the engine, returning the model (for inspecting results).
     pub fn into_model(self) -> M {
         self.model
     }
@@ -137,47 +109,21 @@ impl<M: Model> Engine<M> {
         }
     }
 
-    /// Process a single event. Returns `false` when the calendar is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((time, event)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(time >= self.now, "calendar returned an out-of-order event");
-        self.now = time;
-        self.processed += 1;
-        let mut sched = Scheduler {
-            now: self.now,
-            queue: &mut self.queue,
-        };
-        self.model.handle(event, &mut sched);
-        true
-    }
-
-    /// Run until the calendar drains. Returns the number of events processed
-    /// by this call.
+    /// Run until the calendar drains. Returns the number of events
+    /// processed.
     pub fn run_to_completion(&mut self) -> u64 {
-        let start = self.processed;
-        while self.step() {}
-        self.processed - start
-    }
-
-    /// Run until the calendar drains or virtual time would pass `deadline`.
-    ///
-    /// Events stamped exactly at `deadline` are processed; the first event
-    /// past it is left in the calendar and the clock is advanced to
-    /// `deadline`. Returns the number of events processed by this call.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let start = self.processed;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
+        let mut processed = 0;
+        while let Some((time, event)) = self.queue.pop() {
+            debug_assert!(time >= self.now, "calendar returned an out-of-order event");
+            self.now = time;
+            processed += 1;
+            let mut sched = Scheduler {
+                now: self.now,
+                queue: &mut self.queue,
+            };
+            self.model.handle(event, &mut sched);
         }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.processed - start
+        processed
     }
 }
 
@@ -221,10 +167,9 @@ mod tests {
         let mut e = engine();
         e.scheduler().schedule_at(SimTime::from_ps(50), Ev::Mark(2));
         e.scheduler().schedule_at(SimTime::from_ps(10), Ev::Mark(1));
-        e.run_to_completion();
-        assert_eq!(e.model().log, vec![(10, 1), (50, 2)]);
-        assert_eq!(e.now().as_ps(), 50);
-        assert_eq!(e.events_processed(), 2);
+        assert_eq!(e.run_to_completion(), 2);
+        assert_eq!(e.scheduler().now().as_ps(), 50);
+        assert_eq!(e.into_model().log, vec![(10, 1), (50, 2)]);
     }
 
     #[test]
@@ -238,31 +183,7 @@ mod tests {
             },
         );
         e.run_to_completion();
-        assert_eq!(e.model().log, vec![(15, 0), (25, 1), (35, 2)]);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut e = engine();
-        for i in 0..10u32 {
-            e.scheduler()
-                .schedule_at(SimTime::from_ps(i as u64 * 100), Ev::Mark(i));
-        }
-        let n = e.run_until(SimTime::from_ps(450));
-        assert_eq!(n, 5); // events at 0,100,200,300,400
-        assert_eq!(e.now().as_ps(), 450);
-        let n = e.run_until(SimTime::from_ps(10_000));
-        assert_eq!(n, 5);
-        assert_eq!(e.now().as_ps(), 10_000);
-    }
-
-    #[test]
-    fn run_until_includes_events_exactly_at_deadline() {
-        let mut e = engine();
-        e.scheduler()
-            .schedule_at(SimTime::from_ps(100), Ev::Mark(7));
-        e.run_until(SimTime::from_ps(100));
-        assert_eq!(e.model().log, vec![(100, 7)]);
+        assert_eq!(e.into_model().log, vec![(15, 0), (25, 1), (35, 2)]);
     }
 
     #[test]
@@ -279,8 +200,7 @@ mod tests {
     #[test]
     fn empty_engine_is_a_noop() {
         let mut e = engine();
-        assert!(!e.step());
         assert_eq!(e.run_to_completion(), 0);
-        assert_eq!(e.now(), SimTime::ZERO);
+        assert_eq!(e.scheduler().now(), SimTime::ZERO);
     }
 }

@@ -9,16 +9,19 @@
 //!
 //! 1. **Event-driven** ([`Engine`] + [`Model`]): explicit events on a
 //!    virtual-time calendar, for models with genuinely reactive behaviour
-//!    (the HBM channel with queued AXI bursts, for example).
-//! 2. **Analytic reservation** ([`Timeline`] / [`MultiServer`]): sequential
-//!    servers whose occupancy is computed by chaining
-//!    `start = max(request, free)` reservations, for pipelined dataflows
-//!    where FIFO service times are deterministic (PCIe DMA directions,
-//!    accelerator cores, control threads).
+//!    (the Fig. 2 traffic block's outstanding-request windows, the
+//!    control threads of the Figs. 4/6 pipeline).
+//! 2. **Analytic reservation** ([`Timeline`]): a sequential server whose
+//!    occupancy is computed by chaining `start = max(request, free)`
+//!    reservations, for pipelined dataflows where FIFO service times are
+//!    deterministic (PCIe DMA directions, HBM channels, accelerator
+//!    cores).
 //!
-//! Both styles share one clock ([`SimTime`], picosecond resolution), one
-//! set of statistics collectors ([`stats`]) and one set of bandwidth/size
-//! units ([`units`]), so numbers compose across models without unit
+//! The styles compose — a [`Model`] reserves [`Timeline`]s from its
+//! handlers when several actors contend for shared servers — and share
+//! one clock ([`SimTime`], picosecond resolution), one log-bucketed
+//! histogram ([`histogram`]) and one set of bandwidth/size units
+//! ([`units`]), so numbers compose across models without unit
 //! conversions sprinkled through model code.
 //!
 //! Determinism is a hard requirement — every figure in the paper
@@ -38,8 +41,8 @@ pub mod units;
 pub use engine::{Engine, Model, Scheduler};
 pub use histogram::{HistogramSummary, LogBuckets, LogHistogram};
 pub use queue::EventQueue;
-pub use resource::{Grant, MultiServer, Timeline};
+pub use resource::{Grant, Timeline};
 pub use rng::{fnv1a_mix64, SplitMix64};
-pub use stats::{geometric_mean, Summary, ThroughputMeter, TimeWeighted};
+pub use stats::geometric_mean;
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, GB, GIB, KIB, MIB};

@@ -58,14 +58,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Create an empty calendar with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-        }
-    }
-
     /// Schedule `event` at absolute time `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
@@ -76,26 +68,6 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event together with its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -142,18 +114,5 @@ mod tests {
         assert_eq!(q.pop(), Some((t(7), 2)));
         assert_eq!(q.pop(), Some((t(10), 1)));
         assert_eq!(q.pop(), Some((t(10), 3)));
-    }
-
-    #[test]
-    fn peek_len_clear() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(t(4), ());
-        q.push(t(2), ());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(t(2)));
-        q.clear();
-        assert!(q.is_empty());
     }
 }

@@ -7,14 +7,11 @@
 //! Chains of such reservations reproduce queueing, pipelining and overlap
 //! behaviour exactly, without needing explicit event objects.
 //!
-//! [`Timeline`] is a single FIFO server; [`MultiServer`] generalizes to
-//! `k` identical servers (e.g. a DMA engine with multiple channels).
-//! Both track utilization statistics so benches can report how busy each
-//! resource was — which is how the paper identifies PCIe as the
-//! bottleneck.
+//! [`Timeline`] is that server. It tracks its busy time so benches can
+//! report how busy each resource was — which is how the paper identifies
+//! PCIe as the bottleneck.
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::BinaryHeap;
 
 /// The outcome of a reservation: when service started and ended, and how
 /// long the request waited in queue.
@@ -34,9 +31,6 @@ pub struct Timeline {
     name: &'static str,
     free_at: SimTime,
     busy: SimDuration,
-    waited: SimDuration,
-    grants: u64,
-    last_end: SimTime,
 }
 
 impl Timeline {
@@ -46,9 +40,6 @@ impl Timeline {
             name,
             free_at: SimTime::ZERO,
             busy: SimDuration::ZERO,
-            waited: SimDuration::ZERO,
-            grants: 0,
-            last_end: SimTime::ZERO,
         }
     }
 
@@ -58,11 +49,11 @@ impl Timeline {
         let end = start + service;
         self.free_at = end;
         self.busy += service;
-        let waited = start.saturating_since(at);
-        self.waited += waited;
-        self.grants += 1;
-        self.last_end = self.last_end.max(end);
-        Grant { start, end, waited }
+        Grant {
+            start,
+            end,
+            waited: start.saturating_since(at),
+        }
     }
 
     /// The time at which the server next becomes idle.
@@ -75,111 +66,12 @@ impl Timeline {
         self.busy
     }
 
-    /// Total queueing delay imposed on requests.
-    pub fn total_waited(&self) -> SimDuration {
-        self.waited
-    }
-
-    /// Number of grants issued.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
     /// Utilization in `[0, 1]` over the window `[0, horizon]`.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
             return 0.0;
         }
         (self.busy.as_secs_f64() / horizon.as_secs_f64()).min(1.0)
-    }
-
-    /// Label given at construction.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Reset to idle, clearing statistics.
-    pub fn reset(&mut self) {
-        *self = Timeline::new(self.name);
-    }
-}
-
-/// `k` identical sequential servers fed from one FIFO queue.
-///
-/// Each reservation is dispatched to the server that becomes free
-/// earliest — the classic M/\*/k dispatch rule, matching round-robin DMA
-/// channel assignment closely enough for bandwidth modelling.
-#[derive(Debug, Clone)]
-pub struct MultiServer {
-    name: &'static str,
-    // Min-heap over free times, implemented with Reverse ordering.
-    free: BinaryHeap<std::cmp::Reverse<SimTime>>,
-    capacity: usize,
-    busy: SimDuration,
-    grants: u64,
-}
-
-impl MultiServer {
-    /// Create `capacity` idle servers.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(name: &'static str, capacity: usize) -> Self {
-        assert!(capacity > 0, "MultiServer requires capacity >= 1");
-        let mut free = BinaryHeap::with_capacity(capacity);
-        for _ in 0..capacity {
-            free.push(std::cmp::Reverse(SimTime::ZERO));
-        }
-        MultiServer {
-            name,
-            free,
-            capacity,
-            busy: SimDuration::ZERO,
-            grants: 0,
-        }
-    }
-
-    /// Reserve any one server at or after `at` for `service` time.
-    pub fn reserve(&mut self, at: SimTime, service: SimDuration) -> Grant {
-        let std::cmp::Reverse(earliest) = self.free.pop().expect("capacity >= 1");
-        let start = at.max(earliest);
-        let end = start + service;
-        self.free.push(std::cmp::Reverse(end));
-        self.busy += service;
-        self.grants += 1;
-        Grant {
-            start,
-            end,
-            waited: start.saturating_since(at),
-        }
-    }
-
-    /// Earliest time at which any server is free.
-    pub fn earliest_free(&self) -> SimTime {
-        self.free.peek().map(|r| r.0).unwrap_or(SimTime::ZERO)
-    }
-
-    /// Number of servers.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Aggregate busy time across all servers.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Number of grants issued.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Mean per-server utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy.as_secs_f64() / (horizon.as_secs_f64() * self.capacity as f64)).min(1.0)
     }
 
     /// Label given at construction.
@@ -216,8 +108,6 @@ mod tests {
         assert_eq!(g.start, t(100));
         assert_eq!(g.end, t(130));
         assert_eq!(g.waited, d(90));
-        assert_eq!(s.total_waited(), d(90));
-        assert_eq!(s.grants(), 2);
     }
 
     #[test]
@@ -237,55 +127,5 @@ mod tests {
         assert_eq!(s.utilization(SimTime::ZERO), 0.0);
         s.reserve(t(0), d(100));
         assert_eq!(s.utilization(t(50)), 1.0); // clamped
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut s = Timeline::new("x");
-        s.reserve(t(0), d(100));
-        s.reset();
-        assert_eq!(s.free_at(), SimTime::ZERO);
-        assert_eq!(s.busy_time(), SimDuration::ZERO);
-        assert_eq!(s.grants(), 0);
-    }
-
-    #[test]
-    fn multiserver_runs_k_in_parallel() {
-        let mut m = MultiServer::new("dma", 2);
-        let a = m.reserve(t(0), d(100));
-        let b = m.reserve(t(0), d(100));
-        let c = m.reserve(t(0), d(100));
-        assert_eq!(a.start, t(0));
-        assert_eq!(b.start, t(0));
-        // Third request waits for the first free server.
-        assert_eq!(c.start, t(100));
-        assert_eq!(c.waited, d(100));
-        assert_eq!(m.grants(), 3);
-        assert_eq!(m.busy_time(), d(300));
-    }
-
-    #[test]
-    fn multiserver_picks_earliest_free() {
-        let mut m = MultiServer::new("dma", 2);
-        m.reserve(t(0), d(100)); // server A busy until 100
-        m.reserve(t(0), d(10)); // server B busy until 10
-        let g = m.reserve(t(20), d(5));
-        assert_eq!(g.start, t(20)); // B was free at 10
-        assert_eq!(m.earliest_free(), t(25));
-    }
-
-    #[test]
-    fn multiserver_utilization() {
-        let mut m = MultiServer::new("dma", 4);
-        for _ in 0..4 {
-            m.reserve(t(0), d(50));
-        }
-        assert!((m.utilization(t(100)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_panics() {
-        let _ = MultiServer::new("bad", 0);
     }
 }

@@ -40,11 +40,6 @@ impl SplitMix64 {
         // bias is < 2^-64 * bound, negligible for simulation jitter.
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
-
-    /// Fork an independent stream (for per-channel jitter).
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
 }
 
 /// The splitmix64 output finalizer: a bijective avalanche mix of one
@@ -134,14 +129,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn next_below_zero_panics() {
         SplitMix64::new(0).next_below(0);
-    }
-
-    #[test]
-    fn forked_streams_differ() {
-        let mut parent = SplitMix64::new(5);
-        let mut a = parent.fork();
-        let mut b = parent.fork();
-        let same = (0..32).all(|_| a.next_u64() == b.next_u64());
-        assert!(!same);
     }
 }

@@ -1,218 +1,4 @@
-//! Statistics collectors shared by all models.
-//!
-//! Three kinds of observation show up throughout the workspace:
-//!
-//! * scalar samples (latencies, request sizes) → [`Summary`],
-//! * values weighted by how long they persisted (queue depths,
-//!   outstanding-request counts) → [`TimeWeighted`],
-//! * byte/sample counts over a window → [`ThroughputMeter`].
-//!
-//! All collectors are plain accumulators: cheap to update on the hot path,
-//! with derived quantities computed on demand.
-
-use crate::time::{SimDuration, SimTime};
-
-/// Streaming min/max/mean/variance over scalar samples (Welford's method).
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Record a [`SimDuration`] sample in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
-    }
-
-    /// Population variance, or `None` when empty.
-    pub fn variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
-    /// Population standard deviation, or `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merge another summary into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal, e.g. queue depth.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    weighted_sum: f64, // integral of value over time (value * seconds)
-    observed: SimDuration,
-    max: f64,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new(0.0)
-    }
-}
-
-impl TimeWeighted {
-    /// Start observing with the given initial value at time zero.
-    pub fn new(initial: f64) -> Self {
-        TimeWeighted {
-            value: initial,
-            last_change: SimTime::ZERO,
-            weighted_sum: 0.0,
-            observed: SimDuration::ZERO,
-            max: initial,
-        }
-    }
-
-    /// Record that the signal changed to `value` at time `now`.
-    ///
-    /// # Panics
-    /// Panics if `now` precedes the previous update (causality).
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let span = now
-            .checked_since(self.last_change)
-            .expect("TimeWeighted updates must be in time order");
-        self.weighted_sum += self.value * span.as_secs_f64();
-        self.observed += span;
-        self.last_change = now;
-        self.value = value;
-        self.max = self.max.max(value);
-    }
-
-    /// Add `delta` to the current value at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Largest value observed.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Time-weighted mean over everything observed up to `now`.
-    pub fn mean_until(&self, now: SimTime) -> Option<f64> {
-        let tail = now.saturating_since(self.last_change);
-        let total = self.observed + tail;
-        if total.is_zero() {
-            return None;
-        }
-        let sum = self.weighted_sum + self.value * tail.as_secs_f64();
-        Some(sum / total.as_secs_f64())
-    }
-}
-
-/// Accumulates transferred bytes (or samples) and reports rates.
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputMeter {
-    units: u64,
-    window_end: SimTime,
-}
-
-impl ThroughputMeter {
-    /// Empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record that `units` (bytes, samples, …) completed at time `at`.
-    pub fn record(&mut self, at: SimTime, units: u64) {
-        self.units += units;
-        self.window_end = self.window_end.max(at);
-    }
-
-    /// Total units recorded.
-    pub fn total(&self) -> u64 {
-        self.units
-    }
-
-    /// Timestamp of the last completion.
-    pub fn window_end(&self) -> SimTime {
-        self.window_end
-    }
-
-    /// Units per second over `[0, window_end]`, or `None` if no time has
-    /// passed.
-    pub fn rate_per_sec(&self) -> Option<f64> {
-        let secs = self.window_end.as_secs_f64();
-        (secs > 0.0).then(|| self.units as f64 / secs)
-    }
-
-    /// Rate over an explicit window.
-    pub fn rate_over(&self, window: SimDuration) -> Option<f64> {
-        let secs = window.as_secs_f64();
-        (secs > 0.0).then(|| self.units as f64 / secs)
-    }
-}
+//! Summary statistics for the figure reports.
 
 /// Geometric mean of a series of positive ratios (used for paper-style
 /// "geo.-mean speedup" summaries). Returns `None` when empty or when any
@@ -228,111 +14,6 @@ pub fn geometric_mean(ratios: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(ps: u64) -> SimTime {
-        SimTime::from_ps(ps)
-    }
-
-    #[test]
-    fn summary_basic_moments() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.variance(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn summary_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
-        assert!((a.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a = Summary::new();
-        a.record(3.0);
-        let before = a.clone();
-        a.merge(&Summary::new());
-        assert_eq!(a.mean(), before.mean());
-        let mut e = Summary::new();
-        e.merge(&a);
-        assert_eq!(e.mean(), a.mean());
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut q = TimeWeighted::new(0.0);
-        // depth 0 for 1s, then 4 for 1s, then 2 for 2s -> mean = (0+4+4)/4 = 2
-        q.set(t(crate::time::PS_PER_SEC), 4.0);
-        q.set(t(2 * crate::time::PS_PER_SEC), 2.0);
-        let mean = q.mean_until(t(4 * crate::time::PS_PER_SEC)).unwrap();
-        assert!((mean - 2.0).abs() < 1e-9);
-        assert_eq!(q.max(), 4.0);
-        assert_eq!(q.current(), 2.0);
-    }
-
-    #[test]
-    fn time_weighted_add() {
-        let mut q = TimeWeighted::new(1.0);
-        q.add(t(10), 2.0);
-        assert_eq!(q.current(), 3.0);
-        q.add(t(20), -3.0);
-        assert_eq!(q.current(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_empty_window_is_none() {
-        let q = TimeWeighted::new(5.0);
-        assert_eq!(q.mean_until(SimTime::ZERO), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "time order")]
-    fn time_weighted_out_of_order_panics() {
-        let mut q = TimeWeighted::new(0.0);
-        q.set(t(100), 1.0);
-        q.set(t(50), 2.0);
-    }
-
-    #[test]
-    fn throughput_meter_rates() {
-        let mut m = ThroughputMeter::new();
-        assert_eq!(m.rate_per_sec(), None);
-        m.record(t(crate::time::PS_PER_SEC / 2), 100);
-        m.record(t(crate::time::PS_PER_SEC), 100);
-        assert!((m.rate_per_sec().unwrap() - 200.0).abs() < 1e-9);
-        assert_eq!(m.total(), 200);
-        assert!((m.rate_over(SimDuration::from_secs(2)).unwrap() - 100.0).abs() < 1e-9);
-    }
 
     #[test]
     fn geo_mean() {

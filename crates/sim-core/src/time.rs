@@ -34,8 +34,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The origin of the simulation timeline.
     pub const ZERO: SimTime = SimTime(0);
-    /// The latest representable instant; used as an "infinity" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw picoseconds.
     #[inline]
@@ -61,12 +59,6 @@ impl SimTime {
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked difference: `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
     }
 
     /// The later of two instants.
@@ -159,12 +151,6 @@ impl SimDuration {
     #[inline]
     pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
-    }
-
-    /// Saturating multiplication by a scalar count.
-    #[inline]
-    pub fn saturating_mul(self, count: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(count))
     }
 
     /// True when the span is zero.
@@ -361,7 +347,6 @@ mod tests {
             SimTime::from_ps(5).saturating_since(SimTime::from_ps(9)),
             SimDuration::ZERO
         );
-        assert_eq!(SimTime::from_ps(5).checked_since(SimTime::from_ps(9)), None);
     }
 
     #[test]
@@ -375,7 +360,7 @@ mod tests {
         let d = SimDuration::from_ps(30);
         assert_eq!((d * 3).as_ps(), 90);
         assert_eq!((d / 2).as_ps(), 15);
-        assert_eq!(d.saturating_mul(u64::MAX), SimDuration::MAX);
+        assert_eq!(d * u64::MAX, SimDuration::MAX);
         assert_eq!(
             SimDuration::MAX.saturating_add(SimDuration::from_ps(1)),
             SimDuration::MAX

@@ -6,7 +6,7 @@
 //! and "duration for bytes" — removes an entire class of off-by-7.4%
 //! errors from the models.
 
-use crate::time::{SimDuration, SimTime, PS_PER_SEC};
+use crate::time::{SimDuration, PS_PER_SEC};
 use serde::{Deserialize, Serialize};
 
 /// One kibibyte (2^10 bytes).
@@ -95,12 +95,6 @@ impl Bandwidth {
     pub fn min(self, other: Bandwidth) -> Bandwidth {
         Bandwidth(self.0.min(other.0))
     }
-}
-
-/// Convenience: rate implied by total units completed by `end`.
-pub fn rate_at(units: u64, end: SimTime) -> Option<f64> {
-    let secs = end.as_secs_f64();
-    (secs > 0.0).then(|| units as f64 / secs)
 }
 
 #[cfg(test)]

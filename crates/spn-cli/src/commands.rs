@@ -354,13 +354,24 @@ fn cmd_simulate(args: &Args) -> Result<CmdResult, CmdError> {
     cfg.block_samples = args.get_or("block", 1u64 << 20)?;
     cfg.total_samples = args.get_or("samples", 100_000_000u64)?;
     cfg.include_transfers = !args.get_or("no-transfers", false)?;
+    // `perf` and the block splitter assert these; a zero is the
+    // user's typo, not a bug in this program.
+    for (flag, value) in [
+        ("pes", u64::from(cfg.num_pes)),
+        ("threads", u64::from(cfg.threads_per_pe)),
+        ("block", cfg.block_samples),
+        ("samples", cfg.total_samples),
+    ] {
+        if value == 0 {
+            return Err(CmdError(format!("--{flag} must be at least 1")));
+        }
+    }
     let (r, files) = if let Some(path) = args.get("trace") {
         let (r, trace) = spn_runtime::perf::simulate_traced(&cfg);
         (r, vec![(path.to_string(), trace.to_chrome_json())])
     } else {
         (simulate(&cfg), Vec::new())
     };
-    let _ = &files;
     Ok(CmdResult {
         files,
         stdout: format!(
@@ -774,11 +785,13 @@ fn cmd_load(args: &Args) -> Result<CmdResult, CmdError> {
         "shutdown",
     ])?;
     let cfg = load_config(args)?;
+    let stats = args.get_or("stats", false)?;
+    let shutdown = args.get_or("shutdown", false)?;
     let addr = cfg.addr;
     let mut out = String::new();
     let report = run_load(&cfg).map_err(|e| CmdError(format!("load run failed: {e}")))?;
     let _ = writeln!(out, "{}", report.summary());
-    if args.get("stats").is_some() {
+    if stats {
         let mut client = spn_server::Client::connect(addr)
             .map_err(|e| CmdError(format!("cannot connect for stats: {e}")))?;
         let stats = client
@@ -786,7 +799,7 @@ fn cmd_load(args: &Args) -> Result<CmdResult, CmdError> {
             .map_err(|e| CmdError(format!("stats failed: {e}")))?;
         let _ = writeln!(out, "server stats: {stats}");
     }
-    if args.get("shutdown").is_some() {
+    if shutdown {
         let mut client = spn_server::Client::connect(addr)
             .map_err(|e| CmdError(format!("cannot connect for shutdown: {e}")))?;
         client
@@ -952,6 +965,14 @@ mod tests {
         let r = run_tokens("simulate --benchmark NIPS10 --pes 2 --samples 2097152").unwrap();
         assert!(r.stdout.contains("M samples/s"));
         assert!(r.stdout.contains("NIPS10 on 2 PEs"));
+    }
+
+    #[test]
+    fn simulate_rejects_zero_sizes() {
+        for flag in ["pes", "threads", "block", "samples"] {
+            let err = run_tokens(&format!("simulate --benchmark NIPS10 --{flag} 0")).unwrap_err();
+            assert_eq!(err.0, format!("--{flag} must be at least 1"));
+        }
     }
 
     #[test]
@@ -1353,6 +1374,49 @@ mod tests {
         for needle in ["batch-formed", "reply-written", "execute"] {
             assert!(trace.contains(needle), "trace missing {needle}");
         }
+    }
+
+    /// `--shutdown` and `--stats` are booleans, not presence flags: after
+    /// a `load --stats false --shutdown false` the server still answers
+    /// a `Ping`.
+    #[test]
+    fn load_shutdown_false_leaves_the_server_answering() {
+        let dir = std::env::temp_dir().join("spn_cli_load_flags_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let port_file = dir.join("port");
+        let _ = std::fs::remove_file(&port_file);
+
+        let pf = port_file.display().to_string();
+        let serve = std::thread::spawn(move || {
+            run_tokens(&format!(
+                "serve --benchmarks NIPS10 --pes 2 --block 256 \
+                 --batch-delay-us 500 --port-file {pf}"
+            ))
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !port_file.exists() {
+            assert!(std::time::Instant::now() < deadline, "server never came up");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+
+        let load = format!(
+            "load --port-file {} --benchmark NIPS10 --connections 1 --requests 2",
+            port_file.display()
+        );
+        let out = run_tokens(&format!("{load} --stats false --shutdown false")).unwrap();
+        assert!(out.stdout.contains("2 ok / 0 rejected"), "{}", out.stdout);
+        assert!(!out.stdout.contains("server stats:"), "{}", out.stdout);
+        assert!(!out.stdout.contains("sent shutdown"), "{}", out.stdout);
+        let err = run_tokens(&format!("{load} --shutdown maybe")).unwrap_err();
+        assert!(err.0.contains("--shutdown 'maybe'"), "{}", err.0);
+
+        let port = std::fs::read_to_string(&port_file).unwrap();
+        let mut client = spn_server::Client::connect(format!("127.0.0.1:{}", port.trim())).unwrap();
+        client
+            .ping()
+            .expect("server still up after --shutdown false");
+        client.shutdown_server().unwrap();
+        serve.join().unwrap().unwrap();
     }
 
     /// The serving knobs through the CLI layer: a serve with explicit

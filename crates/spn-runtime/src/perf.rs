@@ -4,9 +4,11 @@
 //! every control thread loops `H2D transfer → PE execute → D2H
 //! transfer` over its PE's block queue; transfers contend on the shared
 //! DMA engine, PE executions occupy their core, and the core's rate is
-//! bounded by its dedicated HBM channel. Threads are advanced in
-//! earliest-next-event order, so shared-resource FIFO grants happen in
-//! time order and the simulation is deterministic.
+//! bounded by its dedicated HBM channel. The threads are the actors of
+//! a [`sim_core::Model`] whose event is "thread `tid` reaches `phase`";
+//! the [`Engine`] fires them in global time order (ties in scheduling
+//! order), so shared-resource FIFO grants happen in request order and
+//! the simulation is deterministic.
 //!
 //! Two measurement modes mirror Fig. 4's two panels: with host↔device
 //! transfers (true end-to-end) and without (on-device only — the
@@ -17,12 +19,13 @@ use crate::trace::{Span, SpanKind, Trace};
 use mem_model::HbmChannelConfig;
 use pcie_model::{Direction, DmaConfig, DmaEngine};
 use serde::{Deserialize, Serialize};
-use sim_core::{SimDuration, SimTime, Timeline};
+use sim_core::{
+    Bandwidth, Engine, Grant, LogHistogram, Model, Scheduler, SimDuration, SimTime, Timeline,
+};
 use spn_core::NipsBenchmark;
 use spn_hw::AcceleratorConfig;
 use spn_telemetry::TraceId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Configuration of one simulated run.
 #[derive(Debug, Clone, Copy)]
@@ -93,7 +96,7 @@ pub struct PerfResult {
 }
 
 /// What a control thread does next for its current block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum Phase {
     /// Pick up the next block and request its H2D transfer.
     Start,
@@ -103,18 +106,111 @@ enum Phase {
     Readback,
 }
 
-/// One scheduler event: thread `tid` reaches `phase` at `time`.
-///
-/// Events are processed in global time order so that reservations on the
-/// *shared* DMA engine happen in request order — reserving a thread's
-/// future readback before another thread's earlier upload would push the
-/// FIFO past idle time it can never backfill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Event {
-    time: SimTime,
-    seq: u64,
-    tid: u32,
-    phase: Phase,
+/// The control-thread pipeline as a discrete-event model. One event is
+/// "thread `tid` reaches `phase`"; handling it reserves the resource
+/// that phase needs and schedules the thread's next phase at the
+/// grant's end. Going through the calendar — rather than chaining each
+/// thread's reservations ahead — matters because the DMA engine is
+/// *shared*: reserving a thread's future readback before another
+/// thread's earlier upload would push the FIFO past idle time it can
+/// never backfill.
+struct Pipeline<'a> {
+    cfg: &'a PerfConfig,
+    in_bytes_per_sample: u64,
+    out_bytes_per_sample: u64,
+    /// HBM channel bandwidth seen by each core.
+    channel_bw: Bandwidth,
+    /// Blocks not yet picked up, per PE.
+    queues: Vec<VecDeque<Block>>,
+    dma: DmaEngine,
+    pes: Vec<Timeline>,
+    /// Per thread: the block in flight and when the thread picked it up.
+    current: Vec<Option<(Block, SimTime)>>,
+    latency: LogHistogram,
+    makespan: SimTime,
+    pcie_bytes: u64,
+    trace: Option<&'a mut Trace>,
+}
+
+impl Pipeline<'_> {
+    /// The PE thread `tid` drives.
+    fn pe(&self, tid: u32) -> u32 {
+        tid % self.cfg.num_pes
+    }
+
+    fn span(&mut self, kind: SpanKind, tid: u32, block: Block, g: Grant) {
+        let pe = self.pe(tid);
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.record(Span {
+                kind,
+                trace_id: TraceId::NONE,
+                tid,
+                pe,
+                block: block.first_sample / self.cfg.block_samples,
+                start: g.start,
+                end: g.end,
+            });
+        }
+    }
+
+    /// Move `block`'s input or results over PCIe, requested at `at`;
+    /// returns when the data has landed (`at` itself in the
+    /// on-device-only mode).
+    fn transfer(&mut self, dir: Direction, tid: u32, block: Block, at: SimTime) -> SimTime {
+        if !self.cfg.include_transfers {
+            return at;
+        }
+        let (kind, bytes_per_sample) = match dir {
+            Direction::HostToDevice => (SpanKind::H2D, self.in_bytes_per_sample),
+            Direction::DeviceToHost => (SpanKind::D2H, self.out_bytes_per_sample),
+        };
+        let bytes = block.samples * bytes_per_sample;
+        self.pcie_bytes += bytes;
+        let g = self.dma.transfer(dir, at, bytes);
+        self.span(kind, tid, block, g);
+        g.end
+    }
+}
+
+impl Model for Pipeline<'_> {
+    type Event = (u32, Phase);
+
+    fn handle(&mut self, (tid, phase): (u32, Phase), sched: &mut Scheduler<(u32, Phase)>) {
+        let now = sched.now();
+        let pe = self.pe(tid) as usize;
+        let (at, next) = match phase {
+            Phase::Start => {
+                let Some(block) = self.queues[pe].pop_front() else {
+                    return; // PE's work done; thread retires
+                };
+                self.current[tid as usize] = Some((block, now));
+                let landed = self.transfer(Direction::HostToDevice, tid, block, now);
+                (landed, Phase::Execute)
+            }
+            Phase::Execute => {
+                let (block, _) = self.current[tid as usize].expect("block in flight");
+                let job_time = self.cfg.accel.job_time(
+                    block.samples,
+                    self.in_bytes_per_sample,
+                    self.out_bytes_per_sample,
+                    self.channel_bw,
+                );
+                let g = self.pes[pe].reserve(now, job_time);
+                self.span(SpanKind::Execute, tid, block, g);
+                (g.end, Phase::Readback)
+            }
+            Phase::Readback => {
+                let (block, issued_at) =
+                    self.current[tid as usize].take().expect("block in flight");
+                let done = self.transfer(Direction::DeviceToHost, tid, block, now);
+                self.latency
+                    .record_duration(done.saturating_since(issued_at));
+                self.makespan = self.makespan.max(done);
+                (done, Phase::Start)
+            }
+        };
+        sched.schedule_at(at, (tid, next));
+    }
 }
 
 /// Run the simulation.
@@ -130,166 +226,57 @@ pub fn simulate_traced(cfg: &PerfConfig) -> (PerfResult, Trace) {
     (result, trace)
 }
 
-fn simulate_impl(cfg: &PerfConfig, mut trace: Option<&mut Trace>) -> PerfResult {
+fn simulate_impl(cfg: &PerfConfig, trace: Option<&mut Trace>) -> PerfResult {
     assert!(cfg.num_pes >= 1 && cfg.threads_per_pe >= 1);
     let in_bytes_per_sample = cfg.benchmark.input_bytes_per_sample();
-    let out_bytes_per_sample = cfg.benchmark.result_bytes_per_sample();
-
     let blocks = split_into_blocks(cfg.total_samples, cfg.block_samples);
-    let mut per_pe: Vec<std::collections::VecDeque<Block>> = assign_to_pes(&blocks, cfg.num_pes)
-        .into_iter()
-        .map(Into::into)
-        .collect();
 
     // The HBM channel bandwidth seen by each core: effective bandwidth
     // at the block's request footprint (capped at the 1 MiB saturation
     // point of Fig. 2).
     let request_bytes = (cfg.block_samples * in_bytes_per_sample).min(1 << 20);
-    let channel_bw = cfg.hbm.effective_bandwidth(request_bytes);
 
     // Host-side interference derates the engine as streams multiply.
     let contention = 1.0 + cfg.host_contention_per_pe * (cfg.num_pes - 1) as f64;
     let mut dma_cfg = cfg.dma;
     dma_cfg.link.dma_efficiency /= contention;
-    let mut dma = DmaEngine::new(dma_cfg);
-    let mut pes: Vec<Timeline> = (0..cfg.num_pes).map(|_| Timeline::new("pe")).collect();
 
-    // Thread table: which PE each thread drives and its current block.
     let num_threads = cfg.num_pes * cfg.threads_per_pe;
-    let thread_pe: Vec<u32> = (0..num_threads).map(|t| t % cfg.num_pes).collect();
-    let mut current: Vec<Option<Block>> = vec![None; num_threads as usize];
-    // Per-thread bookkeeping for tracing/latency.
-    let mut block_seq: Vec<u64> = vec![0; num_threads as usize];
-    let mut issued_at: Vec<SimTime> = vec![SimTime::ZERO; num_threads as usize];
-    let mut latency = sim_core::LogHistogram::latency();
-
-    let mut queue: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let mut seq = 0u64;
+    let mut engine = Engine::new(Pipeline {
+        cfg,
+        in_bytes_per_sample,
+        out_bytes_per_sample: cfg.benchmark.result_bytes_per_sample(),
+        channel_bw: cfg.hbm.effective_bandwidth(request_bytes),
+        queues: assign_to_pes(&blocks, cfg.num_pes)
+            .into_iter()
+            .map(Into::into)
+            .collect(),
+        dma: DmaEngine::new(dma_cfg),
+        pes: (0..cfg.num_pes).map(|_| Timeline::new("pe")).collect(),
+        current: vec![None; num_threads as usize],
+        latency: LogHistogram::latency(),
+        makespan: SimTime::ZERO,
+        pcie_bytes: 0,
+        trace,
+    });
     for tid in 0..num_threads {
-        queue.push(Reverse(Event {
-            time: SimTime::ZERO,
-            seq,
-            tid,
-            phase: Phase::Start,
-        }));
-        seq += 1;
+        engine
+            .scheduler()
+            .schedule_at(SimTime::ZERO, (tid, Phase::Start));
     }
+    engine.run_to_completion();
+    let run = engine.into_model();
 
-    let mut makespan = SimTime::ZERO;
-    let mut pcie_bytes = 0u64;
-
-    while let Some(Reverse(ev)) = queue.pop() {
-        let pe = thread_pe[ev.tid as usize];
-        let next = match ev.phase {
-            Phase::Start => {
-                let Some(block) = per_pe[pe as usize].pop_front() else {
-                    continue; // PE's work done; thread retires
-                };
-                current[ev.tid as usize] = Some(block);
-                block_seq[ev.tid as usize] = block.first_sample / cfg.block_samples.max(1);
-                issued_at[ev.tid as usize] = ev.time;
-                if cfg.include_transfers {
-                    let in_bytes = block.samples * in_bytes_per_sample;
-                    pcie_bytes += in_bytes;
-                    let g = dma.transfer(Direction::HostToDevice, ev.time, in_bytes);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(Span {
-                            kind: SpanKind::H2D,
-                            trace_id: TraceId::NONE,
-                            tid: ev.tid,
-                            pe,
-                            block: block_seq[ev.tid as usize],
-                            start: g.start,
-                            end: g.end,
-                        });
-                    }
-                    Event {
-                        time: g.end,
-                        seq,
-                        tid: ev.tid,
-                        phase: Phase::Execute,
-                    }
-                } else {
-                    Event {
-                        time: ev.time,
-                        seq,
-                        tid: ev.tid,
-                        phase: Phase::Execute,
-                    }
-                }
-            }
-            Phase::Execute => {
-                let block = current[ev.tid as usize].expect("block in flight");
-                let job_time = cfg.accel.job_time(
-                    block.samples,
-                    in_bytes_per_sample,
-                    out_bytes_per_sample,
-                    channel_bw,
-                );
-                let g = pes[pe as usize].reserve(ev.time, job_time);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(Span {
-                        kind: SpanKind::Execute,
-                        trace_id: TraceId::NONE,
-                        tid: ev.tid,
-                        pe,
-                        block: block_seq[ev.tid as usize],
-                        start: g.start,
-                        end: g.end,
-                    });
-                }
-                Event {
-                    time: g.end,
-                    seq,
-                    tid: ev.tid,
-                    phase: Phase::Readback,
-                }
-            }
-            Phase::Readback => {
-                let block = current[ev.tid as usize].take().expect("block in flight");
-                let done = if cfg.include_transfers {
-                    let out_bytes = block.samples * out_bytes_per_sample;
-                    pcie_bytes += out_bytes;
-                    let g = dma.transfer(Direction::DeviceToHost, ev.time, out_bytes);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(Span {
-                            kind: SpanKind::D2H,
-                            trace_id: TraceId::NONE,
-                            tid: ev.tid,
-                            pe,
-                            block: block_seq[ev.tid as usize],
-                            start: g.start,
-                            end: g.end,
-                        });
-                    }
-                    g.end
-                } else {
-                    ev.time
-                };
-                latency.record_duration(done.saturating_since(issued_at[ev.tid as usize]));
-                makespan = makespan.max(done);
-                Event {
-                    time: done,
-                    seq,
-                    tid: ev.tid,
-                    phase: Phase::Start,
-                }
-            }
-        };
-        seq += 1;
-        queue.push(Reverse(next));
-    }
-
-    let secs = makespan.as_secs_f64();
+    let makespan = run.makespan;
     let pe_util: f64 =
-        pes.iter().map(|p| p.utilization(makespan)).sum::<f64>() / cfg.num_pes as f64;
-    let lat = latency.summary();
+        run.pes.iter().map(|p| p.utilization(makespan)).sum::<f64>() / cfg.num_pes as f64;
+    let lat = run.latency.summary();
     PerfResult {
-        samples_per_sec: cfg.total_samples as f64 / secs,
+        samples_per_sec: cfg.total_samples as f64 / makespan.as_secs_f64(),
         makespan: makespan.saturating_since(SimTime::ZERO),
-        dma_utilization: dma.utilization(Direction::HostToDevice, makespan),
+        dma_utilization: run.dma.utilization(Direction::HostToDevice, makespan),
         pe_utilization: pe_util,
-        pcie_bytes,
+        pcie_bytes: run.pcie_bytes,
         block_latency: (lat.count > 0).then_some((lat.p50, lat.p95, lat.p99)),
     }
 }
@@ -465,6 +452,113 @@ mod tests {
         assert!(
             rates.windows(2).all(|w| w[0] > w[1]),
             "rates should fall with size: {rates:?}"
+        );
+    }
+
+    /// `[makespan ps, PCIe bytes, samples/s, DMA util, PE util]` (the
+    /// `f64`s as `to_bits`) for {NIPS10, NIPS80} × PEs {1, 2, 5, 8} ×
+    /// transfers {on, off} × threads/PE {1, 2}, innermost last —
+    /// computed at the commit before `simulate` moved onto
+    /// `sim_core::Engine`, so any change to the event order, a
+    /// reservation or a rounding shows here first.
+    #[rustfmt::skip]
+    const KNOWN_ANSWERS: [[u64; 5]; 32] = [
+        [896123058087, 1800000000, 0x419a9b0622a0975d, 0x3fc4acb26a3ae9b1, 0x3fead4d365714594],
+        [752474244392, 1800000000, 0x419faf430805dd91, 0x3fc89f154c02340e, 0x3feff4191e5acde4],
+        [751380999935, 0, 0x419fbb1045e1f22b, 0x0000000000000000, 0x3ff0000000000000],
+        [751380999935, 0, 0x419fbb1045e1f22b, 0x0000000000000000, 0x3ff0000000000000],
+        [453421330080, 1800000000, 0x41aa4a83223c5866, 0x3fd519cfc84278cd, 0x3fea83a17ab52748],
+        [379748981655, 1800000000, 0x41af64400a203f4c, 0x3fd931c72a3d2872, 0x3fefa87329147ea4],
+        [378181484880, 0, 0x41af858f1beed3ba, 0x0000000000000000, 0x3fefca0a9855e4be],
+        [378181484880, 0, 0x41af858f1beed3ba, 0x0000000000000000, 0x3fefca0a9855e4be],
+        [189950334546, 1800000000, 0x41bf610a9ae15db9, 0x3feb95e94e68b084, 0x3fe950f89a9590d2],
+        [164210864782, 1800000000, 0x41c2261897e34cde, 0x3fefe8d7436f26b0, 0x3fed48d71e7fa626],
+        [152593648875, 0, 0x41c387cfb2b80ade, 0x0000000000000000, 0x3fef83966d4b1156],
+        [152593648875, 0, 0x41c387cfb2b80ade, 0x0000000000000000, 0x3fef83966d4b1156],
+        [181661820004, 1800000000, 0x41c067c75ccde49a, 0x3fef5adfbd8ca98d, 0x3fe08b6b92eb7564],
+        [178000065582, 1800000000, 0x41c0be2cd4e920b8, 0x3ff0000000000000, 0x3fe0e28cbe3d3d75],
+        [94545371220, 0, 0x41cf858f1beed3ba, 0x0000000000000000, 0x3fefca0a9855e4be],
+        [94545371220, 0, 0x41cf858f1beed3ba, 0x0000000000000000, 0x3fefca0a9855e4be],
+        [2207115172822, 8800000000, 0x41859ac35d556dfd, 0x3fd46ebce6d247e3, 0x3fe5c8a18c96dc0e],
+        [1509438212069, 8800000000, 0x418f9722abca9e05, 0x3fdde06f845ea9bc, 0x3fefda3435043c2d],
+        [1502473999870, 0, 0x418fbc9ee15f76c0, 0x0000000000000000, 0x3ff0000000000000],
+        [1502473999870, 0, 0x418fbc9ee15f76c0, 0x0000000000000000, 0x3ff0000000000000],
+        [1122564879504, 8800000000, 0x41953d1dbb609dc5, 0x3fe4bfad78805fc9, 0x3fe56a3518fce3ac],
+        [763851176213, 8800000000, 0x419f3673887c08e1, 0x3fee7e1af7b7a9bc, 0x3fef78b7cd5e3b98],
+        [756218969760, 0, 0x419f87187b7453eb, 0x0000000000000000, 0x3fefca07f6f66e75],
+        [756218969760, 0, 0x419f87187b7453eb, 0x0000000000000000, 0x3fefca07f6f66e75],
+        [807175000619, 8800000000, 0x419d89939e592f3b, 0x3fef9e573d17e874, 0x3fd7d36de2d9f41e],
+        [805647929651, 8800000000, 0x419d97e8c6707bbb, 0x3fefadaee9804e9c, 0x3fd7defd8e04bc08],
+        [305127297750, 0, 0x41b388cb63089d65, 0x0000000000000000, 0x3fef83a0a8cae436],
+        [305127297750, 0, 0x41b388cb63089d65, 0x0000000000000000, 0x3fef83a0a8cae436],
+        [876324265231, 8800000000, 0x419b34e7c9a2db8d, 0x3fefab0a5d3264e4, 0x3fcb6eaac0dda34e],
+        [871344497485, 8800000000, 0x419b5cb5cad5c3c3, 0x3fefd95f5e917894, 0x3fcb96cd44226b23],
+        [189054742440, 0, 0x41bf87187b7453eb, 0x0000000000000000, 0x3fefca07f6f66e75],
+        [189054742440, 0, 0x41bf87187b7453eb, 0x0000000000000000, 0x3fefca07f6f66e75],
+    ];
+
+    #[test]
+    fn simulate_known_answers() {
+        let mut pins = KNOWN_ANSWERS.iter();
+        for bench in [NipsBenchmark::Nips10, NipsBenchmark::Nips80] {
+            for pes in [1, 2, 5, 8] {
+                for transfers in [true, false] {
+                    for threads in [1, 2] {
+                        let mut cfg = PerfConfig::paper_setup(bench, pes);
+                        cfg.include_transfers = transfers;
+                        cfg.threads_per_pe = threads;
+                        let r = simulate(&cfg);
+                        let got = [
+                            r.makespan.as_ps(),
+                            r.pcie_bytes,
+                            r.samples_per_sec.to_bits(),
+                            r.dma_utilization.to_bits(),
+                            r.pe_utilization.to_bits(),
+                        ];
+                        assert_eq!(
+                            &got,
+                            pins.next().unwrap(),
+                            "{} pes={pes} transfers={transfers} threads={threads}",
+                            bench.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The span list of one double-buffered run, digested in recording
+    /// order (same provenance as [`KNOWN_ANSWERS`]): pins which thread
+    /// wins each tie on the shared DMA engine, which no aggregate shows.
+    #[test]
+    fn traced_span_list_known_answer() {
+        let mut cfg = PerfConfig::paper_setup(NipsBenchmark::Nips10, 2);
+        cfg.total_samples = 8 << 20;
+        cfg.threads_per_pe = 2;
+        let (r, trace) = simulate_traced(&cfg);
+        let mut bytes = Vec::new();
+        for s in &trace.spans {
+            bytes.extend_from_slice(s.kind.label().as_bytes());
+            for v in [
+                u64::from(s.tid),
+                u64::from(s.pe),
+                s.block,
+                s.start.as_ps(),
+                s.end.as_ps(),
+            ] {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        assert_eq!(trace.spans.len(), 24);
+        assert_eq!(sim_core::fnv1a_mix64(&bytes), 0x8c74_0c67_5f55_5e6a);
+        let (p50, p95, p99) = r.block_latency.unwrap();
+        assert_eq!(
+            [p50.to_bits(), p95.to_bits(), p99.to_bits()],
+            [
+                4580190693231978796,
+                4581102629763597596,
+                4581102629763597596
+            ]
         );
     }
 }

@@ -789,6 +789,11 @@ mod tests {
     use spn_telemetry::SpanKind;
 
     fn device(pes: u32) -> (Arc<VirtualDevice>, NipsBenchmark) {
+        let (dev, bench) = unshared_device(pes);
+        (Arc::new(dev), bench)
+    }
+
+    fn unshared_device(pes: u32) -> (VirtualDevice, NipsBenchmark) {
         let bench = NipsBenchmark::Nips10;
         let prog = DatapathProgram::compile(&bench.build_spn());
         let dev = VirtualDevice::new(
@@ -798,7 +803,7 @@ mod tests {
             pes,
             16 * MIB,
         );
-        (Arc::new(dev), bench)
+        (dev, bench)
     }
 
     fn config(block: u64, threads: u32) -> RuntimeConfig {
@@ -1004,7 +1009,10 @@ mod tests {
     /// space condvar is notified); `drain()` is the testable entry.
     #[test]
     fn shutdown_wakes_blocked_submitters_with_shutting_down() {
-        let (dev, bench) = device(1);
+        // Paced, so the long job holds the queue's one slot for 100 ms
+        // however fast the host emulates the datapath.
+        let (dev, bench) = unshared_device(1);
+        let dev = Arc::new(dev.with_pacing(Duration::from_micros(2)));
         let cfg = RuntimeConfig::builder()
             .block_samples(16)
             .threads_per_pe(1)

@@ -124,19 +124,21 @@ impl Trace {
         let events: Vec<ChromeEvent> = self
             .spans
             .iter()
-            .map(|s| ChromeEvent {
-                name: format!("{} pe{} blk{}", s.kind.label(), s.pe, s.block),
-                cat: s.kind.category().to_string(),
-                ph: "X".to_string(),
-                ts: s.start.as_ps() as f64 / 1e6, // trace ts is microseconds
-                dur: s.duration().as_ps() as f64 / 1e6,
-                pid: 0,
-                tid: s.tid,
-                args: ChromeArgs {
+            .map(|s| {
+                let args = ChromeArgs {
                     trace_id: s.trace_id.0,
                     pe: s.pe,
                     block: s.block,
-                },
+                };
+                // Trace timestamps are microseconds.
+                let us = |ps: u64| ps as f64 / 1e6;
+                ChromeEvent::runtime(
+                    s.kind,
+                    args,
+                    s.tid,
+                    us(s.start.as_ps()),
+                    us(s.duration().as_ps()),
+                )
             })
             .collect();
         chrome_trace_json(&events)

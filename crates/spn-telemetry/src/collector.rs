@@ -102,32 +102,24 @@ impl TraceCollector {
             .lock()
             .iter()
             .map(|s| {
-                let (pid, tid, name) = if s.kind.is_server() || s.kind.is_router() {
-                    (
-                        if s.kind.is_router() { 2 } else { 1 },
-                        s.ctx.trace_id.0 as u32,
-                        format!("{} req{}", s.kind.label(), s.ctx.trace_id),
-                    )
-                } else {
-                    (
-                        0,
-                        s.pe,
-                        format!("{} pe{} blk{}", s.kind.label(), s.pe, s.block),
-                    )
+                let args = ChromeArgs {
+                    trace_id: s.ctx.trace_id.0,
+                    pe: s.pe,
+                    block: s.block,
                 };
-                ChromeEvent {
-                    name,
-                    cat: s.kind.category().to_string(),
-                    ph: "X".to_string(),
-                    ts: s.ts_us,
-                    dur: s.dur_us,
-                    pid,
-                    tid,
-                    args: ChromeArgs {
-                        trace_id: s.ctx.trace_id.0,
-                        pe: s.pe,
-                        block: s.block,
-                    },
+                if s.kind.is_server() || s.kind.is_router() {
+                    ChromeEvent {
+                        name: format!("{} req{}", s.kind.label(), s.ctx.trace_id),
+                        cat: s.kind.category().to_string(),
+                        ph: "X".to_string(),
+                        ts: s.ts_us,
+                        dur: s.dur_us,
+                        pid: if s.kind.is_router() { 2 } else { 1 },
+                        tid: s.ctx.trace_id.0 as u32,
+                        args,
+                    }
+                } else {
+                    ChromeEvent::runtime(s.kind, args, s.pe, s.ts_us, s.dur_us)
                 }
             })
             .collect();

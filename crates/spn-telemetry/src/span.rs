@@ -123,6 +123,24 @@ pub struct ChromeEvent {
     pub args: ChromeArgs,
 }
 
+impl ChromeEvent {
+    /// A runtime-layer slice (`pid 0`) on track `tid`, named
+    /// `"{label} pe{pe} blk{block}"` — the one shape both the live
+    /// [`crate::TraceCollector`] and the virtual-time trace export.
+    pub fn runtime(kind: SpanKind, args: ChromeArgs, tid: u32, ts: f64, dur: f64) -> Self {
+        ChromeEvent {
+            name: format!("{} pe{} blk{}", kind.label(), args.pe, args.block),
+            cat: kind.category().to_string(),
+            ph: "X".to_string(),
+            ts,
+            dur,
+            pid: 0,
+            tid,
+            args,
+        }
+    }
+}
+
 /// Render events as a Chrome trace-event JSON array, loadable in
 /// `chrome://tracing` or <https://ui.perfetto.dev>.
 pub fn chrome_trace_json(events: &[ChromeEvent]) -> String {
