@@ -3,20 +3,18 @@
 //!
 //! This is the one comparison platform the reproduction can run for
 //! real (repro band: "only CPU baseline practical"). It mirrors what
-//! SPNC-compiled CPU inference does: a flat topologically-ordered
-//! evaluation per sample, log-domain, parallelized over the batch with
-//! one worker per hardware thread and chunked work distribution.
+//! SPNC-compiled CPU inference does: the network is compiled once into
+//! a flat plan ([`CompiledPlan`], the repo's fastest CPU path) and the
+//! batch is split into one contiguous share per worker thread, each
+//! evaluated lane-wide in the log domain.
 
-use spn_core::{Dataset, Evaluator, Query, Spn};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use spn_core::{CompiledPlan, Dataset, PlanExecutor, Query, Spn};
 use std::time::Instant;
 
 /// Multi-threaded CPU inference engine.
 pub struct CpuBaseline {
-    spn: Spn,
+    plan: CompiledPlan,
     threads: usize,
-    /// Samples per work chunk (grabbed atomically by workers).
-    chunk: usize,
 }
 
 impl CpuBaseline {
@@ -30,9 +28,8 @@ impl CpuBaseline {
             threads
         };
         CpuBaseline {
-            spn,
+            plan: CompiledPlan::compile(&spn),
             threads,
-            chunk: 4096,
         }
     }
 
@@ -41,40 +38,22 @@ impl CpuBaseline {
         self.threads
     }
 
-    /// The model.
-    pub fn spn(&self) -> &Spn {
-        &self.spn
-    }
-
     /// Log-likelihoods for every sample in the dataset, in order.
     pub fn infer(&self, data: &Dataset) -> Vec<f64> {
-        let n = data.num_samples();
-        let mut out = vec![0.0f64; n];
-        if n == 0 {
-            return out;
-        }
-        let cursor = AtomicUsize::new(0);
-        let out_ptr = SyncSlice(out.as_mut_ptr());
+        let nf = data.num_features();
+        let mut out = vec![0.0f64; data.num_samples()];
+        let share = out.len().div_ceil(self.threads).max(1);
         std::thread::scope(|scope| {
-            for _ in 0..self.threads {
-                let cursor = &cursor;
-                let out_ptr = &out_ptr;
+            for (rows, out) in data.raw().chunks(share * nf).zip(out.chunks_mut(share)) {
                 scope.spawn(move || {
-                    let mut ev = Evaluator::new(&self.spn);
-                    loop {
-                        let start = cursor.fetch_add(self.chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + self.chunk).min(n);
-                        for i in start..end {
-                            let ll = ev.eval_bytes(&Query::Complete, data.row(i));
-                            // SAFETY: each index i is claimed by exactly one
-                            // worker (disjoint chunks from the atomic cursor),
-                            // and `out` outlives the scope.
-                            unsafe { *out_ptr.0.add(i) = ll };
-                        }
-                    }
+                    let mut lls = Vec::with_capacity(out.len());
+                    PlanExecutor::new(&self.plan).eval_batch_raw(
+                        &Query::Complete,
+                        rows,
+                        nf,
+                        &mut lls,
+                    );
+                    out.copy_from_slice(&lls);
                 });
             }
         });
@@ -98,15 +77,10 @@ impl CpuBaseline {
     }
 }
 
-/// Send+Sync wrapper for the disjoint-writes output pointer.
-struct SyncSlice(*mut f64);
-unsafe impl Send for SyncSlice {}
-unsafe impl Sync for SyncSlice {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spn_core::NipsBenchmark;
+    use spn_core::{Evaluator, NipsBenchmark};
 
     #[test]
     fn matches_single_threaded_reference() {

@@ -3,79 +3,95 @@
 //! The tree-walking [`crate::Evaluator`] re-dispatches on every node of
 //! every sample — enum match, bounds checks, and a binary search per
 //! histogram leaf. This module compiles an [`Spn`] *once* into a flat
-//! instruction buffer ([`CompiledPlan`]) and evaluates whole byte
-//! [`crate::Dataset`] slices with a batched [`PlanExecutor`]:
+//! [`CompiledPlan`] and evaluates whole byte [`crate::Dataset`] slices
+//! with a batched [`PlanExecutor`]:
 //!
-//! * **Flat ops over arena indices.** The arena is already a level-
-//!   consistent topological order (children strictly precede parents),
-//!   so plan ops are emitted 1:1 in arena order and executed as a
-//!   linear scan — the same schedule the hardware pipeline uses.
+//! * **One `Copy` op per node, two arenas.** The arena is already a
+//!   level-consistent topological order (children strictly precede
+//!   parents), so ops are emitted 1:1 in arena order and executed as a
+//!   linear scan — the same schedule the hardware pipeline uses. An op
+//!   is a kind plus an operand count: product children and sum terms
+//!   live in one operand arena (child row, weight, log-weight), leaf
+//!   tables in one leaf arena, both in op order, so the scan consumes
+//!   them front to back and an op's operand range is "the next `n`". No
+//!   op owns a heap allocation.
 //! * **Leaf lookup tables.** Datasets are byte matrices (domain ≤ 256),
 //!   so every leaf lowers to a 256-entry log-density table built with
 //!   the oracle's own `log_density` — one indexed load per sample
 //!   replaces a binary search, with bit-identical results.
-//! * **Fused log-domain sum kernels.** Sum ops carry `(child, weight,
-//!   log-weight)` terms pre-filtered to `w > 0` in child order; the
-//!   executor specializes `log_sum_exp_weighted` per fan-in (1, 2, n)
-//!   while preserving the oracle's exact float-op order.
-//! * **Batch-major operand layout.** The executor evaluates [`LANES`]
-//!   samples per pass with scratch indexed `op * LANES + lane`, so the
-//!   per-op dispatch cost is amortized across the lane group.
+//! * **One lane-wide kernel.** The executor evaluates [`LANES`] samples
+//!   per pass; its scratch holds one `[f64; LANES]` row per op, so a
+//!   child's lanes are one indexed row (the lane stride is in the
+//!   type). Every op reads and writes fixed-size lane arrays
+//!   (`[f64; W]`): trip counts are constants and no lane is bounds-
+//!   checked. The one kernel body is instantiated at `W = LANES` for
+//!   whole chunks and at `W = 1` for the rows left over.
 //!
 //! Bit-exactness against the [`crate::Evaluator`] oracle is a hard
-//! contract (pinned by `tests/plan_differential.rs`): every kernel
-//! reproduces the oracle's operation order exactly.
+//! contract (pinned by `tests/plan_differential.rs`). Lane-wide
+//! execution keeps it because lanes never mix: each pass over a sum's
+//! terms (`max`, then `s += w·exp(x − m)`, both in term order, then
+//! `m + ln s`) applies to lane `l` exactly the operations, in exactly
+//! the order, the oracle applies to sample `l` — only the interleaving
+//! *between* samples changes. A lane whose max is `−inf` computes a
+//! `NaN` sum (`−inf − −inf`) that the final per-lane select discards,
+//! where the oracle returns early.
 
 use crate::dataset::Dataset;
 use crate::graph::{Node, Spn};
-use crate::infer::{mode_log_density, mode_value};
+use crate::infer::mode_log_density;
 use crate::leaf::MARGINALIZED_LOG;
 use crate::query::Query;
 use serde::{Deserialize, Serialize};
 
-/// Samples evaluated per executor pass (the batch-major lane width).
-pub const LANES: usize = 8;
+/// Samples evaluated per executor pass (the batch-major lane width),
+/// chosen by measurement: see DESIGN.md, "Plan lane width".
+pub const LANES: usize = 16;
 
 /// Entries in a lowered leaf table: one per possible byte value.
 const TABLE_SIZE: usize = 256;
 
-/// One weighted child of a compiled sum op. Only `weight > 0` terms
-/// are compiled in; order matches the source child order.
+/// One product child or sum term in the operand arena. Sums hold only
+/// their `weight > 0` terms, in source child order.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct SumTerm {
-    /// Plan/arena index of the child op.
+struct Operand {
+    /// Plan index of the child op (= its row in the scratch).
     child: u32,
-    /// Linear mixture weight (> 0).
+    /// Linear mixture weight (> 0); unused by products.
     weight: f64,
     /// Precomputed `weight.ln()` for the MPE max kernel.
     log_weight: f64,
 }
 
-/// One flat instruction. Operands are plan indices (= arena indices).
+/// One leaf's record in the leaf arena: its table, then its mode. The
+/// extra slot also keeps the stride (2056 bytes) off a power of two —
+/// at a bare 2 KiB, entry `v` of every table maps to the same two L1
+/// sets, and a row that repeats a byte value across variables evicts
+/// its own tables.
 #[derive(Debug, Clone, PartialEq)]
+struct LeafTable {
+    /// `table[v]` = log density at byte value `v`.
+    table: [f64; TABLE_SIZE],
+    /// Log-density at the distribution's mode (MPE's value for an
+    /// unobserved variable).
+    mode_log: f64,
+}
+
+/// One flat instruction: a kind and how much of an arena it consumes
+/// (a leaf: the next leaf record; a product or sum: the next `n`
+/// operands).
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum PlanOp {
     /// Leaf lowered to a byte-indexed log-density table.
     Leaf {
         /// Variable (= dataset column) this leaf reads.
         var: u32,
-        /// `table[v] = log density at v`, for every byte value `v`.
-        table: Box<[f64]>,
-        /// Log-density at the distribution's mode (MPE's value for an
-        /// unobserved variable).
-        mode_log: f64,
-        /// The mode itself (MPE traceback assignment).
-        mode_value: f64,
     },
-    /// Product: log-domain sum of child values, in child order.
-    Product {
-        /// Plan indices of the children.
-        children: Box<[u32]>,
-    },
-    /// Sum: fused weighted log-sum-exp (or weighted max for MPE).
-    Sum {
-        /// Positive-weight terms, in child order.
-        terms: Box<[SumTerm]>,
-    },
+    /// Product: log-domain sum of the next `n` operands, in order.
+    Product { n: u32 },
+    /// Sum: weighted log-sum-exp (or weighted max for MPE) of the next
+    /// `n` operands, in order.
+    Sum { n: u32 },
 }
 
 /// Structural statistics of a compiled plan (telemetry payload).
@@ -104,6 +120,10 @@ pub struct PlanStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPlan {
     ops: Vec<PlanOp>,
+    /// Product children and sum terms of every op, in op order.
+    operands: Vec<Operand>,
+    /// One record per leaf op, in op order.
+    leaves: Vec<LeafTable>,
     num_vars: usize,
     fingerprint: u64,
     name: String,
@@ -114,60 +134,62 @@ impl CompiledPlan {
     /// Lower `spn` into a flat plan. Cost is one pass over the arena
     /// plus 256 oracle `log_density` calls per leaf.
     pub fn compile(spn: &Spn) -> CompiledPlan {
-        let mut ops = Vec::with_capacity(spn.len());
-        let mut stats = PlanStats {
-            ops: spn.len(),
-            leaf_ops: 0,
-            product_ops: 0,
-            sum_ops: 0,
-            max_sum_fan_in: 0,
-            table_bytes: 0,
-        };
+        // Exact capacities: the arenas are the plan's two large
+        // allocations and never grow after this.
+        let shape = spn.stats();
+        let mut ops = Vec::with_capacity(shape.nodes);
+        let mut operands = Vec::with_capacity(shape.edges);
+        let mut leaves = Vec::with_capacity(shape.leaves);
+        let mut max_sum_fan_in = 0;
         for node in spn.nodes() {
+            let start = operands.len() as u32;
             let op = match node {
                 Node::Leaf { var, dist } => {
-                    stats.leaf_ops += 1;
-                    stats.table_bytes += TABLE_SIZE * std::mem::size_of::<f64>();
-                    let table: Box<[f64]> = (0..TABLE_SIZE)
-                        .map(|v| dist.log_density(Some(v as f64)))
-                        .collect();
-                    PlanOp::Leaf {
-                        var: *var as u32,
-                        table,
+                    leaves.push(LeafTable {
+                        table: std::array::from_fn(|v| dist.log_density(Some(v as f64))),
                         mode_log: mode_log_density(dist),
-                        mode_value: mode_value(dist),
-                    }
+                    });
+                    PlanOp::Leaf { var: *var as u32 }
                 }
                 Node::Product { children } => {
-                    stats.product_ops += 1;
+                    operands.extend(children.iter().map(|c| Operand {
+                        child: c.0,
+                        weight: 1.0,
+                        log_weight: 0.0,
+                    }));
                     PlanOp::Product {
-                        children: children.iter().map(|c| c.0).collect(),
+                        n: children.len() as u32,
                     }
                 }
                 Node::Sum { children, weights } => {
-                    stats.sum_ops += 1;
-                    let terms: Box<[SumTerm]> = children
-                        .iter()
-                        .zip(weights)
-                        .filter(|(_, &w)| w > 0.0)
-                        .map(|(c, &w)| SumTerm {
-                            child: c.0,
-                            weight: w,
-                            log_weight: w.ln(),
-                        })
-                        .collect();
-                    stats.max_sum_fan_in = stats.max_sum_fan_in.max(terms.len());
-                    PlanOp::Sum { terms }
+                    let terms = children.iter().zip(weights).filter(|(_, &w)| w > 0.0);
+                    operands.extend(terms.map(|(c, &w)| Operand {
+                        child: c.0,
+                        weight: w,
+                        log_weight: w.ln(),
+                    }));
+                    let n = operands.len() as u32 - start;
+                    max_sum_fan_in = max_sum_fan_in.max(n as usize);
+                    PlanOp::Sum { n }
                 }
             };
             ops.push(op);
         }
         CompiledPlan {
             ops,
+            operands,
+            leaves,
             num_vars: spn.num_vars(),
             fingerprint: spn.fingerprint(),
             name: spn.name.clone(),
-            stats,
+            stats: PlanStats {
+                ops: shape.nodes,
+                leaf_ops: shape.leaves,
+                product_ops: shape.products,
+                sum_ops: shape.sums,
+                max_sum_fan_in,
+                table_bytes: shape.leaves * TABLE_SIZE * std::mem::size_of::<f64>(),
+            },
         }
     }
 
@@ -203,13 +225,13 @@ impl CompiledPlan {
     }
 }
 
-/// Batched plan interpreter. Owns the lane-major scratch buffer
-/// (`ops × LANES` f64s, allocated once) and streams a [`Dataset`]
-/// through the plan [`LANES`] samples at a time.
+/// Batched plan interpreter. Owns the scratch (one `[f64; LANES]` row
+/// per op, allocated once) and streams a [`Dataset`] through the plan
+/// [`LANES`] samples at a time.
 pub struct PlanExecutor<'p> {
     plan: &'p CompiledPlan,
-    /// Lane-major values: `scratch[op * LANES + lane]`.
-    scratch: Vec<f64>,
+    /// `scratch[op][lane]`: the op's value for the chunk's `lane`-th row.
+    scratch: Vec<[f64; LANES]>,
 }
 
 impl<'p> PlanExecutor<'p> {
@@ -217,7 +239,7 @@ impl<'p> PlanExecutor<'p> {
     pub fn new(plan: &'p CompiledPlan) -> Self {
         PlanExecutor {
             plan,
-            scratch: vec![0.0; plan.ops.len() * LANES],
+            scratch: vec![[0.0; LANES]; plan.ops.len()],
         }
     }
 
@@ -242,13 +264,6 @@ impl<'p> PlanExecutor<'p> {
     /// [`PlanExecutor::eval_batch`] appending into a caller-owned
     /// buffer (the allocation-free inner loop the server batcher uses).
     pub fn eval_batch_into(&mut self, query: &Query, data: &Dataset, out: &mut Vec<f64>) {
-        assert_eq!(
-            data.num_features(),
-            self.plan.num_vars,
-            "dataset has {} features but the plan models {} variables",
-            data.num_features(),
-            self.plan.num_vars
-        );
         self.eval_batch_raw(query, data.raw(), data.num_features(), out);
     }
 
@@ -267,29 +282,8 @@ impl<'p> PlanExecutor<'p> {
         num_features: usize,
         out: &mut Vec<f64>,
     ) {
-        assert_eq!(
-            num_features, self.plan.num_vars,
-            "rows have {} features but the plan models {} variables",
-            num_features, self.plan.num_vars
-        );
-        assert_eq!(
-            raw.len() % num_features,
-            0,
-            "raw byte length {} is not a whole number of {}-byte rows",
-            raw.len(),
-            num_features
-        );
-        query.check_arity(self.plan.num_vars);
-        let n = raw.len() / num_features;
-        out.reserve(n);
-        let mut start = 0;
-        while start < n {
-            let lanes = LANES.min(n - start);
-            self.run_chunk(query, raw, num_features, start, lanes);
-            let root = (self.plan.ops.len() - 1) * LANES;
-            out.extend_from_slice(&self.scratch[root..root + lanes]);
-            start += lanes;
-        }
+        let root = self.plan.ops.len() as u32 - 1;
+        self.eval_taps_batch_raw(query, raw, num_features, &[root], out);
     }
 
     /// Evaluate `query` over rows packed in `raw` and extract the
@@ -299,13 +293,14 @@ impl<'p> PlanExecutor<'p> {
     /// entry the sharded executor reads shard boundary values through —
     /// a shard subgraph has several consumers, not one root.
     ///
-    /// Values are read from the same scratch the root path uses, so a
-    /// tap at the last op index reproduces [`eval_batch_raw`] exactly.
+    /// Whole [`LANES`]-row chunks and then the leftover rows, one at a
+    /// time, go through the same kernel; [`eval_batch_raw`] is this
+    /// with the last op as the only tap.
     ///
     /// # Panics
-    /// Panics on the same row/arity mismatches as
-    /// [`PlanExecutor::eval_batch_raw`], or if a tap index is out of
-    /// range.
+    /// Panics if `raw` is not a whole number of `num_features`-byte
+    /// rows, if `num_features` or the query mask does not match the
+    /// plan's variable count, or if a tap index is out of range.
     ///
     /// [`eval_batch_raw`]: PlanExecutor::eval_batch_raw
     pub fn eval_taps_batch_raw(
@@ -316,19 +311,18 @@ impl<'p> PlanExecutor<'p> {
         taps: &[u32],
         out: &mut Vec<f64>,
     ) {
+        let nf = self.plan.num_vars;
         assert_eq!(
-            num_features, self.plan.num_vars,
-            "rows have {} features but the plan models {} variables",
-            num_features, self.plan.num_vars
+            num_features, nf,
+            "rows have {num_features} features but the plan models {nf} variables"
         );
         assert_eq!(
-            raw.len() % num_features,
+            raw.len() % nf,
             0,
-            "raw byte length {} is not a whole number of {}-byte rows",
-            raw.len(),
-            num_features
+            "raw byte length {} is not a whole number of {nf}-byte rows",
+            raw.len()
         );
-        query.check_arity(self.plan.num_vars);
+        query.check_arity(nf);
         for &t in taps {
             assert!(
                 (t as usize) < self.plan.ops.len(),
@@ -336,138 +330,113 @@ impl<'p> PlanExecutor<'p> {
                 self.plan.ops.len()
             );
         }
-        let n = raw.len() / num_features;
-        out.reserve(n * taps.len());
-        let mut start = 0;
-        while start < n {
-            let lanes = LANES.min(n - start);
-            self.run_chunk(query, raw, num_features, start, lanes);
-            for l in 0..lanes {
-                for &t in taps {
-                    out.push(self.scratch[t as usize * LANES + l]);
-                }
-            }
-            start += lanes;
+        out.reserve(raw.len() / nf * taps.len());
+        let mut emit = |scratch: &[[f64; LANES]], width| {
+            // Sample-major: row by row, each row's taps in tap order.
+            (0..width).for_each(|l| out.extend(taps.iter().map(|&t| scratch[t as usize][l])));
+        };
+        let mut rest = raw;
+        while rest.len() >= LANES * nf {
+            let (rows, tail) = rest.split_at(LANES * nf);
+            self.run_chunk::<LANES>(query, rows);
+            emit(&self.scratch, LANES);
+            rest = tail;
+        }
+        while !rest.is_empty() {
+            let (row, tail) = rest.split_at(nf);
+            self.run_chunk::<1>(query, row);
+            emit(&self.scratch, 1);
+            rest = tail;
         }
     }
 
-    /// Evaluate one byte row (single-lane convenience; same result as
-    /// a one-row batch).
-    pub fn eval_row(&mut self, query: &Query, row: &[u8]) -> f64 {
-        let data = Dataset::from_raw(row.to_vec(), row.len(), TABLE_SIZE);
-        self.eval_batch(query, &data)[0]
-    }
-
-    /// Evaluate ops over `lanes` samples starting at row `start`,
-    /// leaving results in the lane-major scratch.
-    fn run_chunk(&mut self, query: &Query, raw: &[u8], nf: usize, start: usize, lanes: usize) {
+    /// The kernel: evaluate every op over the `W` samples in `rows`,
+    /// leaving op `i`'s results in `scratch[i][..W]`.
+    fn run_chunk<const W: usize>(&mut self, query: &Query, rows: &[u8]) {
+        let plan = self.plan;
+        let nf = plan.num_vars;
         let mpe = query.is_mpe();
-        for (i, op) in self.plan.ops.iter().enumerate() {
-            let base = i * LANES;
-            match op {
-                PlanOp::Leaf {
-                    var,
-                    table,
-                    mode_log,
-                    ..
-                } => {
-                    let var = *var as usize;
+        // Ops consume the two arenas front to back: no per-op range
+        // to check, no index to scale.
+        let mut operands = &plan.operands[..];
+        let mut leaves = plan.leaves.iter();
+        for (i, op) in plan.ops.iter().enumerate() {
+            // Children strictly precede parents: every row below `i`
+            // is final.
+            let (done, rest) = self.scratch.split_at_mut(i);
+            let mut take = |n: u32| {
+                let (terms, tail) = operands.split_at(n as usize);
+                operands = tail;
+                terms.iter().map(|t| {
+                    let x: &[f64; W] = done[t.child as usize].first_chunk().expect("W <= LANES");
+                    (t, x)
+                })
+            };
+            let out: [f64; W] = match *op {
+                PlanOp::Leaf { var } => {
+                    let leaf = leaves.next().expect("one record per leaf op");
+                    let var = var as usize;
                     if query.is_observed(var) {
-                        for l in 0..lanes {
-                            let v = raw[(start + l) * nf + var] as usize;
-                            self.scratch[base + l] = table[v];
-                        }
+                        std::array::from_fn(|l| leaf.table[rows[l * nf + var] as usize])
+                    } else if mpe {
+                        [leaf.mode_log; W]
                     } else {
-                        // Summed out (marginal) or maximized (MPE).
-                        let fill = if mpe { *mode_log } else { MARGINALIZED_LOG };
-                        self.scratch[base..base + lanes].fill(fill);
+                        [MARGINALIZED_LOG; W]
                     }
                 }
-                PlanOp::Product { children } => {
-                    for l in 0..lanes {
-                        // Same fold as the oracle: 0.0, then += in
-                        // child order.
-                        let mut acc = 0.0;
-                        for &c in children.iter() {
-                            acc += self.scratch[c as usize * LANES + l];
+                PlanOp::Product { n } => {
+                    // Same fold as the oracle: 0.0, then += in child
+                    // order.
+                    let mut acc = [0.0; W];
+                    for (_, x) in take(n) {
+                        for l in 0..W {
+                            acc[l] += x[l];
                         }
-                        self.scratch[base + l] = acc;
                     }
+                    acc
                 }
-                PlanOp::Sum { terms } => {
-                    if mpe {
-                        for l in 0..lanes {
-                            // Oracle's MPE kernel: strict `>`, first
-                            // term wins ties.
-                            let mut best = f64::NEG_INFINITY;
-                            for t in terms.iter() {
-                                let v = t.log_weight + self.scratch[t.child as usize * LANES + l];
-                                if v > best {
-                                    best = v;
-                                }
+                PlanOp::Sum { n } if mpe => {
+                    // Oracle's MPE kernel: strict `>`, first term wins
+                    // ties.
+                    let mut best = [f64::NEG_INFINITY; W];
+                    for (t, x) in take(n) {
+                        for l in 0..W {
+                            let v = t.log_weight + x[l];
+                            if v > best[l] {
+                                best[l] = v;
                             }
-                            self.scratch[base + l] = best;
                         }
-                    } else {
-                        self.lse_lanes(terms, base, lanes);
                     }
+                    best
                 }
-            }
-        }
-    }
-
-    /// Weighted log-sum-exp over `lanes` samples, specialized per
-    /// fan-in. Every arm reproduces the oracle's exact op order
-    /// (max in term order, then `Σ w·exp(x−m)` in term order).
-    #[inline]
-    fn lse_lanes(&mut self, terms: &[SumTerm], base: usize, lanes: usize) {
-        match terms {
-            // All weights were zero: the oracle's empty max.
-            [] => self.scratch[base..base + lanes].fill(f64::NEG_INFINITY),
-            // Fan-in 1: m = x, s = w·exp(0) = w, result x + ln w.
-            [t] => {
-                let child = t.child as usize * LANES;
-                for l in 0..lanes {
-                    let x = self.scratch[child + l];
-                    self.scratch[base + l] = if x == f64::NEG_INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        x + t.log_weight
-                    };
-                }
-            }
-            // Fan-in 2: fully unrolled.
-            [a, b] => {
-                let (ca, cb) = (a.child as usize * LANES, b.child as usize * LANES);
-                for l in 0..lanes {
-                    let x0 = self.scratch[ca + l];
-                    let x1 = self.scratch[cb + l];
-                    let m = x0.max(x1);
-                    self.scratch[base + l] = if m == f64::NEG_INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        let s = a.weight * (x0 - m).exp() + b.weight * (x1 - m).exp();
-                        m + s.ln()
-                    };
-                }
-            }
-            _ => {
-                for l in 0..lanes {
-                    let mut m = f64::NEG_INFINITY;
-                    for t in terms {
-                        m = m.max(self.scratch[t.child as usize * LANES + l]);
-                    }
-                    self.scratch[base + l] = if m == f64::NEG_INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        let mut s = 0.0;
-                        for t in terms {
-                            s += t.weight * (self.scratch[t.child as usize * LANES + l] - m).exp();
+                PlanOp::Sum { n } => {
+                    let terms = take(n);
+                    // Oracle's log-sum-exp, one pass per step: max in
+                    // term order, `Σ w·exp(x − m)` in term order, then
+                    // `m + ln s` unless the lane's max is −inf (an
+                    // empty sum is the all-−inf case).
+                    let mut m = [f64::NEG_INFINITY; W];
+                    for (_, x) in terms.clone() {
+                        for l in 0..W {
+                            m[l] = m[l].max(x[l]);
                         }
-                        m + s.ln()
-                    };
+                    }
+                    let mut s = [0.0; W];
+                    for (t, x) in terms {
+                        for l in 0..W {
+                            s[l] += t.weight * (x[l] - m[l]).exp();
+                        }
+                    }
+                    std::array::from_fn(|l| {
+                        if m[l] == f64::NEG_INFINITY {
+                            f64::NEG_INFINITY
+                        } else {
+                            m[l] + s[l].ln()
+                        }
+                    })
                 }
-            }
+            };
+            rest[0][..W].copy_from_slice(&out);
         }
     }
 }
@@ -556,13 +525,14 @@ mod tests {
 
     #[test]
     fn remainder_lanes_match_whole_chunks() {
-        // 13 samples: one full 8-lane chunk plus a 5-lane remainder.
+        // One full chunk plus five leftover rows.
+        let n = LANES + 5;
         let spn = mixture();
         let plan = CompiledPlan::compile(&spn);
-        let raw: Vec<u8> = (0..26).map(|i| (i % 2) as u8).collect();
+        let raw: Vec<u8> = (0..2 * n).map(|i| (i % 3 % 2) as u8).collect();
         let data = Dataset::from_raw(raw, 2, 2);
         let out = PlanExecutor::new(&plan).eval_batch(&Query::Complete, &data);
-        assert_eq!(out.len(), 13);
+        assert_eq!(out.len(), n);
         let mut ev = Evaluator::new(&spn);
         for (row, &got) in data.rows().zip(&out) {
             assert_eq!(
@@ -589,18 +559,6 @@ mod tests {
                 ev.eval_bytes(&Query::Complete, row).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn eval_row_matches_batch() {
-        let spn = mixture();
-        let plan = CompiledPlan::compile(&spn);
-        let mut ex = PlanExecutor::new(&plan);
-        let batch = ex.eval_batch(&Query::Complete, &all_rows());
-        assert_eq!(
-            ex.eval_row(&Query::Complete, &[1, 0]).to_bits(),
-            batch[2].to_bits()
-        );
     }
 
     #[test]

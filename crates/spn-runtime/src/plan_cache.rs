@@ -104,7 +104,7 @@ impl PlanCache {
 impl BlockExecutor for CompiledPlan {
     fn run_block(&self, cx: &BlockCx, src: &[u8], out: &mut Vec<f64>) -> Result<(), RuntimeError> {
         let t0 = Instant::now();
-        PlanExecutor::new(self).eval_batch_raw(&Query::Complete, src, src.len() / cx.samples, out);
+        PlanExecutor::new(self).eval_batch_raw(&Query::Complete, src, self.num_vars(), out);
         cx.span(SpanKind::PlanExec, t0);
         to_probabilities(out);
         Ok(())

@@ -6,22 +6,43 @@
 //! runtime's host fast path.
 //!
 //! Coverage axes: random SPN structures, batch sizes straddling the
-//! executor's lane width (1, the lane count, one past it, odd
-//! remainders), and all three [`Query`] shapes — including marginals
-//! whose unobserved slots hold NaN on the oracle side and arbitrary
-//! bytes on the plan side, and fully-summed-out evidence.
+//! executor's lane width (empty, one row, one short of a chunk, a
+//! whole chunk, one past it, chunks plus odd remainders), and all
+//! three [`Query`] shapes — including marginals whose unobserved slots
+//! hold NaN on the oracle side and arbitrary bytes on the plan side,
+//! and fully-summed-out evidence. Beside the random small networks:
+//! out-of-support bytes (`−inf` lanes next to finite ones in one
+//! chunk), the five benchmark networks at full size (256-entry tables,
+//! fan-in-4 sums over fan-in-5 products), and tap extraction across a
+//! chunk boundary.
 
 use proptest::prelude::*;
-use spn_core::{CompiledPlan, Dataset, Evaluator, PlanExecutor, Query, RandomSpnConfig};
+use spn_core::plan::LANES;
+use spn_core::{
+    CompiledPlan, Dataset, Evaluator, Leaf, PlanExecutor, Query, RandomSpnConfig, Spn, SpnBuilder,
+    ALL_BENCHMARKS,
+};
 use spn_runtime::PlanCache;
 use std::sync::Arc;
 use system_tests::small_spn_configs;
 
-/// Strategy: a random-but-valid SPN configuration plus a batch size
-/// chosen to exercise whole lane chunks, scalar remainders and the
-/// single-row path.
+/// Batch sizes around the executor's lane width: nothing, the
+/// single-row path, one short of a chunk, exactly one, one past it,
+/// and whole chunks plus leftover rows.
+const BATCHES: [usize; 7] = [
+    0,
+    1,
+    LANES - 1,
+    LANES,
+    LANES + 1,
+    2 * LANES + 3,
+    4 * LANES + 1,
+];
+
+/// Strategy: a random-but-valid SPN configuration plus one of
+/// [`BATCHES`].
 fn config_and_batch() -> impl Strategy<Value = (RandomSpnConfig, usize)> {
-    let batch = (0usize..8).prop_map(|i| [1usize, 2, 7, 8, 9, 13, 64, 67][i]);
+    let batch = (0..BATCHES.len()).prop_map(|i| BATCHES[i]);
     (small_spn_configs(), batch)
 }
 
@@ -34,7 +55,7 @@ fn raw_rows(seed: u64, n: usize, nf: usize, domain: usize) -> Vec<u8> {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((x >> 33) as u8) % domain as u8
+            ((x >> 33) as u8 as usize % domain) as u8
         })
         .collect()
 }
@@ -53,12 +74,17 @@ fn assert_bit_exact(
 ) {
     let spn = spn_core::random_spn(cfg, "plan-diff").unwrap();
     let raw = raw_rows(cfg.seed ^ 0xD1FF, batch, cfg.num_vars, cfg.domain);
-    let data = Dataset::from_raw(raw.clone(), cfg.num_vars, cfg.domain);
+    let data = Dataset::from_raw(raw, cfg.num_vars, cfg.domain);
+    assert_rows_bit_exact(&spn, &data, query, oracle_nan_unobserved);
+}
 
-    let plan = CompiledPlan::compile(&spn);
-    let got = PlanExecutor::new(&plan).eval_batch(query, &data);
+/// Every row of `data`, plan against oracle, `to_bits`.
+fn assert_rows_bit_exact(spn: &Spn, data: &Dataset, query: &Query, oracle_nan_unobserved: bool) {
+    let plan = CompiledPlan::compile(spn);
+    let got = PlanExecutor::new(&plan).eval_batch(query, data);
+    assert_eq!(got.len(), data.num_samples(), "one result per row");
 
-    let mut ev = Evaluator::new(&spn);
+    let mut ev = Evaluator::new(spn);
     for (i, row) in data.rows().enumerate() {
         let want = if oracle_nan_unobserved {
             // The oracle sees NaN in every unobserved slot while the
@@ -76,12 +102,37 @@ fn assert_bit_exact(
         assert_eq!(
             got[i].to_bits(),
             want.to_bits(),
-            "row {i}: plan {} vs oracle {} for {} query",
+            "{} row {i}: plan {} vs oracle {} for {} query",
+            spn.name,
             got[i],
             want,
             query.label()
         );
     }
+}
+
+/// Rows over the whole byte range: about one byte in eight is drawn
+/// from 0..=255 instead of the leaves' `domain`, so roughly half the
+/// rows of a small network hit a value outside some leaf's support.
+fn rows_with_out_of_support_bytes(seed: u64, n: usize, nf: usize, domain: usize) -> Dataset {
+    let wild = raw_rows(seed ^ 0xBAD, n, nf, 256);
+    let pick = raw_rows(seed ^ 0x5E1, n, nf, 8);
+    let mut raw = raw_rows(seed, n, nf, domain);
+    for ((b, &w), &p) in raw.iter_mut().zip(&wild).zip(&pick) {
+        if p == 0 {
+            *b = w;
+        }
+    }
+    Dataset::from_raw(raw, nf, 256)
+}
+
+/// The three query shapes under one mask.
+fn query_shapes(seed: u64, num_vars: usize) -> [Query; 3] {
+    [
+        Query::Complete,
+        Query::marginal(mask(seed, num_vars)),
+        Query::mpe(mask(seed, num_vars)),
+    ]
 }
 
 proptest! {
@@ -125,6 +176,20 @@ proptest! {
         assert_bit_exact(&cfg, batch, &query, true);
     }
 
+    /// Bytes outside the leaves' support: a chunk then holds `−inf`
+    /// lanes beside finite ones at every level, and the per-lane
+    /// `m == −inf` select must not leak the `NaN` of `−inf − −inf`
+    /// into a neighbour (or into its own lane).
+    #[test]
+    fn out_of_support_bytes_are_bit_exact(cb in config_and_batch()) {
+        let (cfg, batch) = cb;
+        let spn = spn_core::random_spn(&cfg, "plan-diff").unwrap();
+        let data = rows_with_out_of_support_bytes(cfg.seed, batch, cfg.num_vars, cfg.domain);
+        for query in query_shapes(cfg.seed, cfg.num_vars) {
+            assert_rows_bit_exact(&spn, &data, &query, false);
+        }
+    }
+
     /// One executor answering different queries back-to-back must not
     /// leak scratch state between calls.
     #[test]
@@ -144,6 +209,109 @@ proptest! {
         for (a, b) in first.iter().zip(&again) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+}
+
+/// A row no leaf supports is `−inf` at every op; it sits in the middle
+/// of a chunk of ordinary rows and again alone on the single-row path.
+#[test]
+fn all_neg_inf_row_stays_neg_inf_beside_finite_rows() {
+    let cfg = RandomSpnConfig {
+        num_vars: 5,
+        domain: 4,
+        repetitions: 3,
+        max_leaf_region: 2,
+        seed: 77,
+    };
+    let spn = spn_core::random_spn(&cfg, "plan-diff").unwrap();
+    let n = LANES + 1;
+    let mut raw = raw_rows(3, n, cfg.num_vars, cfg.domain);
+    for dead in [LANES / 2, n - 1] {
+        raw[dead * cfg.num_vars..][..cfg.num_vars].fill(255);
+    }
+    let data = Dataset::from_raw(raw, cfg.num_vars, 256);
+    let plan = CompiledPlan::compile(&spn);
+    let got = PlanExecutor::new(&plan).eval_batch(&Query::Complete, &data);
+    for (i, ll) in got.iter().enumerate() {
+        let dead = i == LANES / 2 || i == n - 1;
+        assert_eq!(*ll == f64::NEG_INFINITY, dead, "row {i}: {ll}");
+        assert!(dead || ll.is_finite(), "row {i}: {ll}");
+    }
+    for query in query_shapes(cfg.seed, cfg.num_vars) {
+        assert_rows_bit_exact(&spn, &data, &query, false);
+    }
+}
+
+/// A sum whose terms disagree on support: for value 1 the first leaf
+/// is finite and the second `−inf` *within one lane*, so the term's
+/// `exp(−inf − m)` must contribute exactly 0 as it does in the oracle.
+#[test]
+fn sum_terms_with_different_support_are_bit_exact() {
+    let mut b = SpnBuilder::new(1);
+    let wide = b.leaf(0, Leaf::byte_histogram(&[0.25, 0.25, 0.5]));
+    let narrow = b.leaf(0, Leaf::byte_histogram(&[1.0]));
+    let dead = b.leaf(0, Leaf::byte_histogram(&[0.5, 0.5]));
+    let s = b.sum(vec![(0.2, narrow), (0.5, wide), (0.0, dead), (0.3, narrow)]);
+    let spn = b.finish(s, "mixed-support").unwrap();
+    let raw: Vec<u8> = (0..2 * LANES + 3).map(|i| (i % 5) as u8).collect();
+    let data = Dataset::from_raw(raw, 1, 256);
+    for query in query_shapes(1, 1) {
+        assert_rows_bit_exact(&spn, &data, &query, false);
+    }
+}
+
+/// The five benchmark networks at full size — 256-entry tables,
+/// fan-in-4 sums over fan-in-5 products, hundreds of ops — over a batch
+/// that ends in three leftover rows, for every query shape.
+#[test]
+fn nips_benchmarks_are_bit_exact_for_every_query_shape() {
+    for bench in ALL_BENCHMARKS {
+        let spn = bench.build_spn();
+        let data = bench.dataset(4099, 0xD1FF);
+        for query in query_shapes(0xA5A5_5A5A_F00D_BEEF, bench.num_vars()) {
+            assert_rows_bit_exact(&spn, &data, &query, false);
+        }
+    }
+}
+
+/// Taps on a batch that is not a lane multiple. The oracle's value
+/// buffer is private, so every op is tapped and the values the oracle
+/// does expose are checked — each leaf against its `log_density`, the
+/// root against `eval_bytes` — in sample-major order across the chunk
+/// boundary and into the leftover rows.
+#[test]
+fn taps_are_bit_exact_across_a_chunk_boundary() {
+    let cfg = RandomSpnConfig {
+        num_vars: 4,
+        domain: 3,
+        repetitions: 2,
+        max_leaf_region: 2,
+        seed: 5,
+    };
+    let spn = spn_core::random_spn(&cfg, "plan-diff").unwrap();
+    let n = 2 * LANES + 3;
+    let raw = raw_rows(9, n, cfg.num_vars, cfg.domain);
+    let plan = CompiledPlan::compile(&spn);
+    let taps: Vec<u32> = (0..plan.len() as u32).collect();
+    let mut got = Vec::new();
+    PlanExecutor::new(&plan).eval_taps_batch_raw(
+        &Query::Complete,
+        &raw,
+        cfg.num_vars,
+        &taps,
+        &mut got,
+    );
+    assert_eq!(got.len(), n * taps.len());
+    let mut ev = Evaluator::new(&spn);
+    for (row, values) in raw.chunks(cfg.num_vars).zip(got.chunks(taps.len())) {
+        for (node, &v) in spn.nodes().iter().zip(values) {
+            if let spn_core::Node::Leaf { var, dist } = node {
+                let want = dist.log_density(Some(row[*var] as f64));
+                assert_eq!(v.to_bits(), want.to_bits());
+            }
+        }
+        let want = ev.eval_bytes(&Query::Complete, row);
+        assert_eq!(values[taps.len() - 1].to_bits(), want.to_bits());
     }
 }
 
