@@ -14,7 +14,7 @@
 //! Prints speedups and geometric means next to the paper's reported
 //! 1.29×/1.6×/6.9× values.
 
-use baselines::{hbm_best_rate, CpuBaseline, F1Model, V100Model, XeonModel};
+use bench::baselines::{hbm_best_rate, CpuBaseline, F1Model, V100Model, XeonModel};
 use bench::{fmt_rate, fmt_speedup, write_json, Table};
 use serde::Serialize;
 use sim_core::geometric_mean;

@@ -15,12 +15,13 @@
 //! side by side where the paper states them) and writes a JSON record
 //! under `results/` for EXPERIMENTS.md bookkeeping.
 //!
-//! The `benches/` directory holds Criterion micro-benchmarks of the real
-//! computational kernels (arithmetic emulation, datapath execution, CPU
-//! baseline, runtime, simulation speed). They are developer microscopes
-//! and gate nothing: what a request costs is measured by the repo
+//! [`baselines`] holds Fig. 6's comparison platforms (the measured CPU
+//! baseline and the calibrated Xeon / V100 / F1 models). Nothing here
+//! gates performance: what a request costs is measured by the repo
 //! benchmark (`BENCHMARK.json`, `benchmark/`), scaling shape is asserted
 //! by `cargo test` (`tests/figure_shapes.rs`, `system_tests::assert_scales`).
+
+pub mod baselines;
 
 use serde::Serialize;
 use std::path::PathBuf;

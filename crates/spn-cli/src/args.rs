@@ -69,6 +69,20 @@ impl Args {
         }
     }
 
+    /// Typed flag with default, rejected below `min`: sizes and counts
+    /// the libraries assert on are checked here, where they enter.
+    pub fn get_at_least<T>(&self, name: &str, default: T, min: T) -> Result<T, ArgError>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+        T::Err: std::fmt::Display,
+    {
+        let value = self.get_or(name, default)?;
+        if value < min {
+            return Err(ArgError(format!("--{name} must be at least {min}")));
+        }
+        Ok(value)
+    }
+
     /// Reject flags outside the allowed set (catches typos).
     pub fn check_known(&self, allowed: &[&str]) -> Result<(), ArgError> {
         for k in self.flags.keys() {
@@ -113,6 +127,18 @@ mod tests {
         assert!(a.get_or::<u32>("pes", 0).is_ok());
         let bad = parse("x --pes eight");
         assert!(bad.get_or("pes", 4u32).is_err());
+    }
+
+    #[test]
+    fn lower_bound_applies_to_given_values_and_names_the_flag() {
+        let a = parse("x --pes 0 --block 7");
+        assert_eq!(
+            a.get_at_least("pes", 4u32, 1),
+            Err(ArgError("--pes must be at least 1".into()))
+        );
+        assert_eq!(a.get_at_least("block", 64u64, 1), Ok(7));
+        assert_eq!(a.get_at_least("threads", 2u32, 1), Ok(2));
+        assert!(parse("x --pes two").get_at_least("pes", 4u32, 1).is_err());
     }
 
     #[test]

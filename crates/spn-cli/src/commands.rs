@@ -70,17 +70,19 @@ spn — SPN-HBM toolflow
 USAGE: spn <command> [flags]
 
 COMMANDS:
-  generate   --benchmark NIPS10 | --vars N [--domain D] [--seed S] [--out FILE]
+  generate   --benchmark NIPS10 | --vars N [--domain D] [--repetitions R] [--seed S]
+             [--out FILE]
              Emit a benchmark or random SPN in the textual format.
-  learn      --data FILE.csv [--domain D] [--em N] [--out FILE]
+  learn      --data FILE.csv [--domain D] [--min-instances M] [--em N] [--out FILE]
              Learn an SPN from CSV data (LearnSPN-style).
   info       --model FILE.spn
              Structure, datapath, pipeline and resource report.
-  infer      --model FILE.spn --data FILE.csv [--format cfp|lns|posit|f64]
+  infer      --model FILE.spn --data FILE.csv [--domain D] [--format cfp|lns|posit|f64]
              Log-likelihood per sample (CSV in, one value per line out).
   sample     --model FILE.spn --n COUNT [--seed S]
              Draw samples from the model as CSV.
-  simulate   --benchmark NIPS10 [--pes N] [--threads T] [--block B] [--no-transfers true] [--trace FILE.json]
+  simulate   --benchmark NIPS10 [--pes N] [--threads T] [--block B] [--samples S]
+             [--no-transfers true] [--trace FILE.json]
              Virtual-time end-to-end performance of the accelerator card.
   accelerate --benchmark NIPS10 [--pes N] [--threads T] [--block B] [--samples S] [--jobs J]
              [--fault-rate P] [--retries R] [--seed S] [--shards K] [--metrics FILE.json]
@@ -94,17 +96,14 @@ COMMANDS:
   serve      [--benchmarks NIPS10,NIPS20] [--pes N] [--threads T] [--block B] [--port P]
              [--batch-samples N] [--batch-delay-us U] [--max-inflight N]
              [--retries R] [--port-file FILE] [--trace FILE.json]
-             [--reactor true|false] [--loop-threads T] [--max-conns C]
-             [--idle-timeout-ms MS]
+             [--loop-threads T] [--max-conns C] [--idle-timeout-ms MS]
              Serve inference over TCP with adaptive micro-batching;
              runs until a client sends the Shutdown opcode. With
              --trace, writes a Chrome-trace JSON correlating server
-             and device spans per request on shutdown. The default
-             engine is the nonblocking epoll reactor (--loop-threads
-             event loops, --max-conns connection limit,
-             --idle-timeout-ms idle reaping, 0 = never);
-             --reactor false selects the blocking thread-per-
-             connection engine instead.
+             and device spans per request on shutdown. The engine is
+             the nonblocking epoll reactor (--loop-threads event loops,
+             --max-conns connection limit, --idle-timeout-ms idle
+             reaping, 0 = never).
   load       --addr HOST:PORT | --port-file FILE [--benchmark NIPS10]
              [--connections C] [--requests N] [--batch K] [--deadline-ms D]
              [--seed S] [--stats true] [--shutdown true]
@@ -181,9 +180,9 @@ fn cmd_generate(args: &Args) -> Result<CmdResult, CmdError> {
             .build_spn()
     } else {
         let cfg = RandomSpnConfig {
-            num_vars: args.get_or("vars", 8usize)?,
+            num_vars: args.get_at_least("vars", 8usize, 1)?,
             domain: args.get_or("domain", 16usize)?,
-            repetitions: args.get_or("repetitions", 2usize)?,
+            repetitions: args.get_at_least("repetitions", 2usize, 1)?,
             max_leaf_region: 3,
             seed: args.get_or("seed", 42u64)?,
         };
@@ -349,23 +348,13 @@ fn cmd_simulate(args: &Args) -> Result<CmdResult, CmdError> {
     ])?;
     let bench = NipsBenchmark::from_name(args.get("benchmark").unwrap_or("NIPS10"))
         .ok_or_else(|| CmdError("unknown benchmark".into()))?;
-    let mut cfg = PerfConfig::paper_setup(bench, args.get_or("pes", 4u32)?);
-    cfg.threads_per_pe = args.get_or("threads", 1u32)?;
-    cfg.block_samples = args.get_or("block", 1u64 << 20)?;
-    cfg.total_samples = args.get_or("samples", 100_000_000u64)?;
-    cfg.include_transfers = !args.get_or("no-transfers", false)?;
-    // `perf` and the block splitter assert these; a zero is the
+    // `perf` and the block splitter assert these four; a zero is the
     // user's typo, not a bug in this program.
-    for (flag, value) in [
-        ("pes", u64::from(cfg.num_pes)),
-        ("threads", u64::from(cfg.threads_per_pe)),
-        ("block", cfg.block_samples),
-        ("samples", cfg.total_samples),
-    ] {
-        if value == 0 {
-            return Err(CmdError(format!("--{flag} must be at least 1")));
-        }
-    }
+    let mut cfg = PerfConfig::paper_setup(bench, args.get_at_least("pes", 4u32, 1)?);
+    cfg.threads_per_pe = args.get_at_least("threads", 1u32, 1)?;
+    cfg.block_samples = args.get_at_least("block", 1u64 << 20, 1)?;
+    cfg.total_samples = args.get_at_least("samples", 100_000_000u64, 1)?;
+    cfg.include_transfers = !args.get_or("no-transfers", false)?;
     let (r, files) = if let Some(path) = args.get("trace") {
         let (r, trace) = spn_runtime::perf::simulate_traced(&cfg);
         (r, vec![(path.to_string(), trace.to_chrome_json())])
@@ -408,7 +397,7 @@ fn cmd_accelerate(args: &Args) -> Result<CmdResult, CmdError> {
     ])?;
     let bench = NipsBenchmark::from_name(args.get("benchmark").unwrap_or("NIPS10"))
         .ok_or_else(|| CmdError("unknown benchmark".into()))?;
-    let pes = args.get_or("pes", 4u32)?;
+    let pes = args.get_at_least("pes", 4u32, 1)?;
     let shards = args.get_or("shards", 0u32)?;
     let jobs = args.get_or("jobs", 2usize)?;
     let samples = args.get_or("samples", 10_000usize)?;
@@ -598,12 +587,11 @@ fn cmd_serve(args: &Args) -> Result<CmdResult, CmdError> {
         "retries",
         "port-file",
         "trace",
-        "reactor",
         "loop-threads",
         "max-conns",
         "idle-timeout-ms",
     ])?;
-    let pes = args.get_or("pes", 4u32)?;
+    let pes = args.get_at_least("pes", 4u32, 1)?;
     let threads = args.get_or("threads", 2u32)?;
     let block = args.get_or("block", 2048u64)?;
     // One collector shared by every scheduler *and* the server, so
@@ -631,14 +619,14 @@ fn cmd_serve(args: &Args) -> Result<CmdResult, CmdError> {
     let config = ServerConfig {
         addr: format!("127.0.0.1:{}", args.get_or("port", 0u16)?),
         batch: BatchPolicy {
-            max_batch_samples: args.get_or("batch-samples", 4096u64)?,
+            max_batch_samples: args.get_at_least("batch-samples", 4096u64, 1)?,
             max_batch_delay: std::time::Duration::from_micros(
                 args.get_or("batch-delay-us", 2000u64)?,
             ),
         },
         max_inflight_samples: args.get_or("max-inflight", 1u64 << 20)?,
         trace: trace.clone(),
-        serving: if args.get_or("reactor", true)? {
+        serving: {
             let defaults = ReactorConfig::default();
             let idle_ms = args.get_or(
                 "idle-timeout-ms",
@@ -649,8 +637,6 @@ fn cmd_serve(args: &Args) -> Result<CmdResult, CmdError> {
                 max_connections: args.get_or("max-conns", defaults.max_connections)?,
                 idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
             })
-        } else {
-            ServingMode::Threaded
         },
         ..ServerConfig::default()
     };
@@ -819,7 +805,7 @@ fn load_config(args: &Args) -> Result<LoadConfig, CmdError> {
         model: bench.name().to_string(),
         num_features: bench.num_vars() as u32,
         domain: 255,
-        connections: args.get_or("connections", 4usize)?,
+        connections: args.get_at_least("connections", 4usize, 1)?,
         requests_per_connection: args.get_or("requests", 64usize)?,
         samples_per_request: args.get_or("batch", 1u32)?,
         deadline_ms: args.get_or("deadline-ms", 0u32)?,
@@ -967,11 +953,62 @@ mod tests {
         assert!(r.stdout.contains("NIPS10 on 2 PEs"));
     }
 
+    /// Sizes the libraries `assert!` on are rejected at the CLI
+    /// boundary, before anything is built, dialled or bound.
     #[test]
-    fn simulate_rejects_zero_sizes() {
-        for flag in ["pes", "threads", "block", "samples"] {
-            let err = run_tokens(&format!("simulate --benchmark NIPS10 --{flag} 0")).unwrap_err();
-            assert_eq!(err.0, format!("--{flag} must be at least 1"));
+    fn zero_sizes_are_rejected_not_panicked_on() {
+        for (cmd, flags) in [
+            ("simulate", &["pes", "threads", "block", "samples"][..]),
+            ("accelerate", &["pes"]),
+            ("serve", &["pes", "batch-samples"]),
+            ("generate", &["vars", "repetitions"]),
+            ("load --addr 127.0.0.1:1", &["connections"]),
+            (
+                "record --addr 127.0.0.1:1 --trace-out /tmp/t.spntrace",
+                &["connections"],
+            ),
+        ] {
+            for flag in flags {
+                let err = run_tokens(&format!("{cmd} --{flag} 0")).unwrap_err();
+                assert_eq!(err.0, format!("--{flag} must be at least 1"), "{cmd}");
+            }
+        }
+    }
+
+    /// Every flag a subcommand accepts is documented in that
+    /// subcommand's `USAGE` block. The accepted list is read back from
+    /// `check_known`'s own error, so it cannot drift from the code.
+    #[test]
+    fn usage_documents_every_accepted_flag() {
+        let commands = USAGE.split_once("COMMANDS:\n").unwrap().1;
+        // A block opens on a two-space indent; its continuation lines
+        // are indented further.
+        let mut blocks: Vec<String> = Vec::new();
+        for line in commands.lines() {
+            if line.starts_with("  ") && !line.starts_with("   ") {
+                blocks.push(String::new());
+            }
+            let block = blocks.last_mut().unwrap();
+            block.push_str(line);
+            block.push('\n');
+        }
+        assert_eq!(blocks.len(), 13, "one block per subcommand of `run`");
+        for block in &blocks {
+            let cmd = block.split_whitespace().next().unwrap();
+            let err = run_tokens(&format!("{cmd} --zzz 1")).unwrap_err().0;
+            let allowed = err
+                .strip_prefix("unknown flag --zzz (allowed: ")
+                .and_then(|rest| rest.strip_suffix(')'))
+                .unwrap_or_else(|| panic!("{cmd}: {err}"));
+            let documented: Vec<&str> = block
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .collect();
+            for flag in allowed.split(", ") {
+                assert!(
+                    documented.contains(&flag),
+                    "`{cmd}` accepts {flag} but USAGE omits it"
+                );
+            }
         }
     }
 
@@ -1433,7 +1470,7 @@ mod tests {
             run_tokens(&format!(
                 "serve --benchmarks NIPS10 --pes 2 --block 256 \
                  --batch-delay-us 500 --port-file {pf} \
-                 --reactor true --loop-threads 2 --max-conns 64 \
+                 --loop-threads 2 --max-conns 64 \
                  --idle-timeout-ms 60000"
             ))
         });

@@ -174,8 +174,10 @@ impl ReplayReport {
 pub fn effective_arrival_ns(arrival_ns: u64, cfg: &ReplayConfig) -> u64 {
     let adjusted = match cfg.burst {
         Some(b) => {
-            let start = b.start_ms * 1_000_000;
-            let end = start.saturating_add(b.len_ms * 1_000_000);
+            // Both fields are user input (`--burst-start-ms`,
+            // `--burst-len-ms`): saturate, never wrap the window.
+            let start = b.start_ms.saturating_mul(1_000_000);
+            let end = start.saturating_add(b.len_ms.saturating_mul(1_000_000));
             if (start..end).contains(&arrival_ns) {
                 start
             } else {
@@ -364,6 +366,32 @@ mod tests {
         assert_eq!(effective_arrival_ns(10_000_000, &cfg), 10_000_000);
         assert_eq!(effective_arrival_ns(14_999_999, &cfg), 10_000_000);
         assert_eq!(effective_arrival_ns(15_000_000, &cfg), 15_000_000);
+    }
+
+    #[test]
+    fn burst_fields_saturate_instead_of_overflowing() {
+        let cfg = cfg_at(
+            1.0,
+            Some(Burst {
+                start_ms: u64::MAX,
+                len_ms: u64::MAX,
+            }),
+        );
+        // The window saturates to the empty `MAX..MAX`: nothing is in it.
+        for arrival in [0, 9_000_000, u64::MAX / 1_000_000] {
+            assert_eq!(effective_arrival_ns(arrival, &cfg), arrival);
+        }
+        // A start that fits with a length that does not: the window
+        // runs to the end of time.
+        let cfg = cfg_at(
+            1.0,
+            Some(Burst {
+                start_ms: 10,
+                len_ms: u64::MAX,
+            }),
+        );
+        assert_eq!(effective_arrival_ns(9_000_000, &cfg), 9_000_000);
+        assert_eq!(effective_arrival_ns(1 << 40, &cfg), 10_000_000);
     }
 
     #[test]

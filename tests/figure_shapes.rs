@@ -2,7 +2,7 @@
 //! table/figure's qualitative result must hold in the models, so a
 //! regression in any substrate that would bend a figure fails CI here.
 
-use baselines::{hbm_best_rate, F1Model, V100Model, XeonModel};
+use bench::baselines::{hbm_best_rate, F1Model, V100Model, XeonModel};
 use mem_model::{ClockConfig, HbmChannelConfig};
 use sim_core::geometric_mean;
 use spn_core::{NipsBenchmark, ALL_BENCHMARKS};
