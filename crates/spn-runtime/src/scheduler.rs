@@ -240,8 +240,9 @@ struct Shared {
     /// Where blocks run: resolves a job's backend to its executor.
     executors: Executors,
     state: Mutex<State>,
-    /// Workers sleep here when no block is claimable.
-    work_cv: Condvar,
+    /// One per control thread, in [`State::parked`] order: a worker
+    /// with no block to claim sleeps on its own.
+    work_cv: Vec<Condvar>,
     /// `submit_blocking` sleeps here when the queue is full; also
     /// notified whenever a job leaves the queue (drain waits on it).
     space_cv: Condvar,
@@ -249,6 +250,8 @@ struct Shared {
     draining: AtomicBool,
     /// Set by `Drop` after draining: workers exit.
     shutdown: AtomicBool,
+    /// Wakes that found no block to claim (for tests; not telemetry).
+    idle_wakes: AtomicU64,
 }
 
 struct State {
@@ -257,6 +260,9 @@ struct State {
     /// Round-robin cursor for cross-job fairness.
     rr: usize,
     next_id: u64,
+    /// Which control threads sleep on their `work_cv`. Worker `w` drives
+    /// PE `w % num_pes`: index order reaches every PE's first thread first.
+    parked: Vec<bool>,
 }
 
 /// The long-lived concurrent scheduler. Owns `num_pes ×
@@ -302,6 +308,8 @@ impl Scheduler {
         let pe_cfg = device.query_pe(0)?;
         let metrics = Arc::new(MetricsRegistry::new(device.num_pes()));
         let executors = Executors::new(Arc::clone(&device), plan_cache, trace.clone());
+        let num_pes = device.num_pes();
+        let num_workers = (num_pes * config.threads_per_pe) as usize;
         let shared = Arc::new(Shared {
             device,
             config,
@@ -313,24 +321,24 @@ impl Scheduler {
                 jobs: Vec::new(),
                 rr: 0,
                 next_id: 1,
+                parked: vec![false; num_workers],
             }),
-            work_cv: Condvar::new(),
+            work_cv: (0..num_workers).map(|_| Condvar::new()).collect(),
             space_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
+            idle_wakes: AtomicU64::new(0),
         });
-        let mut workers = Vec::new();
-        for pe in 0..shared.device.num_pes() {
-            for t in 0..config.threads_per_pe {
+        let workers = (0..num_workers)
+            .map(|w| {
                 let sh = Arc::clone(&shared);
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("spn-sched-pe{pe}-t{t}"))
-                        .spawn(move || worker_loop(&sh, pe))
-                        .expect("spawn scheduler worker thread"),
-                );
-            }
-        }
+                let (pe, t) = (w as u32 % num_pes, w as u32 / num_pes);
+                std::thread::Builder::new()
+                    .name(format!("spn-sched-pe{pe}-t{t}"))
+                    .spawn(move || worker_loop(&sh, w, pe))
+                    .expect("spawn scheduler worker thread")
+            })
+            .collect();
         Ok(Scheduler { shared, workers })
     }
 
@@ -428,15 +436,39 @@ impl Scheduler {
     /// a PE's control thread standing still: keep it short, and never
     /// submit from it (a blocking submit against a full queue waits for
     /// space that only control threads free). The returned handle can
-    /// still `cancel`, `poll` and report `progress`.
+    /// still `cancel`, `poll` and report `progress`. The caller may
+    /// park here, for queue space; in [`Scheduler::submit_then`] never.
     pub fn submit_blocking_then(
         &self,
         data: Arc<Dataset>,
         opts: JobOptions,
         then: impl FnOnce(JobResult) + Send + 'static,
     ) -> Option<JobHandle> {
+        self.submit_consumed(data, opts, true, then)
+    }
+
+    /// The non-blocking twin of [`Scheduler::submit_blocking_then`],
+    /// for a thread that must not park (an event loop): a full queue is
+    /// a refusal like any other — `then` runs right here with
+    /// [`RuntimeError::QueueFull`]. Everything else is as there.
+    pub fn submit_then(
+        &self,
+        data: Arc<Dataset>,
+        opts: JobOptions,
+        then: impl FnOnce(JobResult) + Send + 'static,
+    ) -> Option<JobHandle> {
+        self.submit_consumed(data, opts, false, then)
+    }
+
+    fn submit_consumed(
+        &self,
+        data: Arc<Dataset>,
+        opts: JobOptions,
+        blocking: bool,
+        then: impl FnOnce(JobResult) + Send + 'static,
+    ) -> Option<JobHandle> {
         let mut consumer: Option<Consumer> = Some(Box::new(then));
-        match self.submit_inner(data, opts, true, &mut consumer) {
+        match self.submit_inner(data, opts, blocking, &mut consumer) {
             Ok(handle) => Some(handle),
             Err(e) => {
                 let then = consumer.take().expect("only an accepted job takes it");
@@ -517,8 +549,20 @@ impl Scheduler {
             publish(&self.shared, &job, Ok(Vec::new()));
         } else {
             st.jobs.push(Arc::clone(&job));
+            // Wake one parked control thread per block, and only ones that
+            // may claim it: one on a PE past `pe_limit` would park again while
+            // the job sat unclaimed. Busy threads claim on their next turn.
+            let wake: Vec<usize> = (0..st.parked.len())
+                .filter(|&w| st.parked[w] && (w as u32 % num_pes) < pe_limit)
+                .take(job.blocks.len())
+                .collect();
+            for &w in &wake {
+                st.parked[w] = false;
+            }
             drop(st);
-            self.shared.work_cv.notify_all();
+            for w in wake {
+                self.shared.work_cv[w].notify_one();
+            }
         }
         Ok(JobHandle {
             job,
@@ -550,7 +594,9 @@ impl Drop for Scheduler {
             }
         }
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.work_cv.notify_all();
+        for cv in &self.shared.work_cv {
+            cv.notify_all();
+        }
         self.shared.space_cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -576,12 +622,13 @@ enum BlockOutcome {
     Failed(RuntimeError),
 }
 
-/// One persistent control thread, pinned to `pe` (a PE only reaches
-/// its own HBM channel — the paper's no-crossbar design).
-fn worker_loop(shared: &Shared, pe: u32) {
+/// One persistent control thread — worker `w`, pinned to `pe` (a PE
+/// only reaches its own HBM channel — the paper's no-crossbar design).
+fn worker_loop(shared: &Shared, w: usize, pe: u32) {
     loop {
         let (job, idx) = {
             let mut st = shared.state.lock();
+            let mut woken = false;
             loop {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
@@ -589,7 +636,14 @@ fn worker_loop(shared: &Shared, pe: u32) {
                 if let Some(claim) = claim_block(&mut st, pe) {
                     break claim;
                 }
-                shared.work_cv.wait(&mut st);
+                if woken {
+                    shared.idle_wakes.fetch_add(1, Ordering::Relaxed);
+                }
+                // Under the lock `submit_inner` picks its wakes under.
+                st.parked[w] = true;
+                shared.work_cv[w].wait(&mut st);
+                st.parked[w] = false;
+                woken = true;
             }
         };
         process_block(shared, pe, &job, idx);
@@ -885,12 +939,42 @@ mod tests {
             }
         };
         assert!(saw_queue_full, "bounded queue should exert backpressure");
+        // submit_then hands the refusal to its consumer, here and now.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let refused = sched.submit_then(Arc::clone(&big), JobOptions::default(), move |r| {
+            tx.send(r).unwrap()
+        });
+        assert!(refused.is_none());
+        assert!(matches!(
+            rx.try_recv(),
+            Ok(Err(RuntimeError::QueueFull { capacity: 1 }))
+        ));
         // submit_blocking waits for space instead of bouncing.
         let h2 = sched
             .submit_blocking(Arc::clone(&big), JobOptions::default())
             .unwrap();
         h1.wait().unwrap();
         h2.wait().unwrap();
+    }
+
+    /// A one-block job wakes one control thread, and one that can claim
+    /// it — not the pool, seven of whose eight threads would take the
+    /// state lock, find nothing and park again. (A woken thread can
+    /// still lose its block to one that was between blocks.)
+    #[test]
+    fn one_block_jobs_do_not_wake_the_pool() {
+        let (dev, bench) = device(4);
+        let sched = Scheduler::new(dev, config(64, 2)).unwrap();
+        let data = Arc::new(bench.dataset(1, 9));
+        for _ in 0..500 {
+            sched
+                .submit(Arc::clone(&data), JobOptions::default())
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+        let idle = sched.shared.idle_wakes.load(Ordering::Relaxed);
+        assert!(idle < 250, "{idle} wakes found nothing to claim");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! worker thread that coalesces whatever is queued into **one**
 //! scheduler job.
 //!
-//! **The flush rule is work-conserving.** The worker flushes as soon
+//! **The flush rule is work-conserving.** A batch is flushed as soon
 //! as any of these holds:
 //!
 //! * a PE is free to run the batch — fewer batches of this model are
@@ -18,24 +18,36 @@
 //!   was enqueued;
 //! * the batcher is draining.
 //!
-//! Otherwise it sleeps until one of them does. So a request never
-//! waits while an executor idles, batches grow only *while the
-//! executors are busy* — batch size rises with load by itself — and
-//! `max_batch_delay` is a worst-case bound on queue wait, not a price
-//! every request pays.
+//! So a request never waits while an executor idles, batches grow only
+//! *while the executors are busy* — batch size rises with load by
+//! itself — and `max_batch_delay` is a worst-case bound on queue wait,
+//! not a price every request pays.
 //!
-//! Batches are *pipelined*: the worker submits a batch and goes
-//! straight back to forming the next one, and no thread waits on
-//! results. The scheduler hands each job's outcome to a completion
-//! closure ([`Scheduler::submit_blocking_then`]) on the control thread
+//! **Whoever makes the rule true flushes.** The rule is one function
+//! (`Shared::ready`), evaluated under the queue lock by two callers.
+//! [`Batcher::enqueue_with`] evaluates it right after pushing: if it
+//! already holds — a PE is idle, as for every request of a lightly
+//! loaded server — the *enqueuing* thread takes the batch and submits
+//! it, waking no thread but the control thread that runs it. Otherwise
+//! the worker is notified; it is the only thread that *waits* — for a
+//! PE to free, the delay bound, scheduler queue space, drain. An
+//! enqueuer may be a reactor loop, so its submit never parks
+//! ([`Scheduler::submit_then`]): a batch that meets a full scheduler
+//! queue goes to the head of the line (`BatchQueue::stalled`) for the
+//! worker's blocking submit.
+//!
+//! Batches are *pipelined*: a batch is submitted and the next one
+//! forms at once, and no thread waits on results. The scheduler hands
+//! each job's outcome to a completion closure on the control thread
 //! that finished the job's last block; the closure maps the
 //! probabilities through `ln()`, fans them out to each request's
 //! [`ReplySink`] in submission order and frees the batch's executor
 //! slot. A batched answer is bit-identical to what the request would
 //! have produced alone (the executors compute per sample; batching
 //! only changes job framing, never arithmetic). The closure wakes the
-//! worker but never submits — a control thread blocked on a full
-//! scheduler queue would wait for space only control threads free.
+//! worker but never submits — a control thread standing still is a PE
+//! standing still, and one blocked on a full scheduler queue would wait
+//! for space only control threads free.
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::Status;
@@ -59,14 +71,15 @@ pub enum Reply {
 }
 
 /// Where a request's answer goes. The batcher calls this exactly once
-/// per enqueued request — on the scheduler control thread that
-/// finished the request's batch, or on the enqueuing or worker thread
-/// when the request is refused or expires. It must therefore be short
-/// and never block: the server passes a closure that finishes the
-/// request's accounting and hands the encoded response to the
-/// front-end's completion callback — which wakes a blocked connection
-/// thread or queues the frame on a reactor loop, so no batcher or
-/// control thread ever writes to a client socket.
+/// per enqueued request — on the scheduler control thread that finished
+/// the request's batch, or, for a request refused or expired at flush,
+/// on the flushing thread: the worker or the enqueuer (then before
+/// `enqueue_with` returns). It must therefore be short and never block:
+/// the server passes a closure that finishes the request's accounting
+/// and hands the encoded response to the front-end's completion
+/// callback — which wakes a blocked connection thread or queues the
+/// frame on a reactor loop, so no batcher or control thread ever writes
+/// to a client socket.
 pub type ReplySink = Box<dyn FnOnce(Reply) + Send + 'static>;
 
 /// A request parked in the batch queue.
@@ -105,20 +118,26 @@ impl Default for BatchPolicy {
     }
 }
 
+/// A coalesced batch, not yet submitted: its dataset, its members in row order.
+type Formed = (Arc<Dataset>, Vec<Pending>);
+
 /// The batch queue, the in-flight count and the drain flag, under
 /// **one** mutex.
 ///
 /// Keeping `stopped` inside the queue lock (rather than a separate
 /// atomic) closes the enqueue-after-drain race: the worker only exits
-/// while holding the lock with `stopped && items.is_empty()`, and
-/// [`Batcher::enqueue`] checks `stopped` under the same lock — so a
-/// request can never slip into a queue no worker will ever flush.
-/// Any such late request is answered immediately with
+/// while holding the lock with `stopped`, nothing queued and nothing
+/// in flight, and [`Batcher::enqueue`] checks `stopped` under the same
+/// lock — so a request can never slip into a queue no worker will ever
+/// flush. Any such late request is answered immediately with
 /// [`Status::ShuttingDown`] instead of parking forever.
 struct BatchQueue {
     items: VecDeque<Pending>,
     /// Samples in `items` (kept as a running sum).
     queued_samples: u64,
+    /// Batches an enqueuer formed but met a full scheduler queue with:
+    /// the worker submits them, in order, ahead of `items`. In flight.
+    stalled: VecDeque<Formed>,
     /// Batches taken off the queue whose requests have not all been
     /// answered yet.
     in_flight: u32,
@@ -130,15 +149,50 @@ struct BatchQueue {
 /// never be what drops it.
 struct Shared {
     queue: Mutex<BatchQueue>,
-    /// The worker waits here for work, a free executor slot or the
-    /// oldest request's deadline; drainers wait here for
-    /// `in_flight == 0`.
+    /// The worker waits here for work, a free executor slot, the
+    /// oldest request's deadline or, draining, `in_flight == 0`.
     cv: Condvar,
     num_features: usize,
     domain: usize,
     policy: BatchPolicy,
     opts: JobOptions,
+    /// Batches that can execute side by side: one per PE the job may
+    /// use. A PE's second control thread overlaps transfer with
+    /// compute; it is not a second execution slot.
+    pes: u32,
     metrics: Arc<ServerMetrics>,
+}
+
+impl Shared {
+    /// The flush rule (module doc); a batch parked for the worker goes first.
+    fn ready(&self, q: &BatchQueue, now: Instant) -> bool {
+        let oldest = q.items.front().filter(|_| q.stalled.is_empty());
+        oldest.is_some_and(|p| {
+            q.in_flight < self.pes
+                || q.queued_samples >= self.policy.max_batch_samples
+                || q.stopped
+                || now.saturating_duration_since(p.enqueued) >= self.policy.max_batch_delay
+        })
+    }
+
+    /// Take whole requests off the front of `q` up to the sample cap —
+    /// always at least one, so a single oversized request still flows —
+    /// and count the batch in flight.
+    fn take_batch(&self, q: &mut BatchQueue) -> Vec<Pending> {
+        q.in_flight += 1;
+        let mut batch = Vec::new();
+        let mut samples = 0u64;
+        while let Some(p) = q.items.front() {
+            let n = u64::from(p.num_samples);
+            if !batch.is_empty() && samples + n > self.policy.max_batch_samples {
+                break;
+            }
+            samples += n;
+            batch.push(q.items.pop_front().expect("front exists"));
+        }
+        q.queued_samples -= samples;
+        batch
+    }
 }
 
 /// Per-model micro-batcher: a queue plus one worker thread.
@@ -147,6 +201,8 @@ struct Shared {
 /// request still receives a reply — and joins the worker.
 pub struct Batcher {
     shared: Arc<Shared>,
+    /// For flushes on the enqueuing thread (why not in [`Shared`]: see there).
+    scheduler: Arc<Scheduler>,
     /// Behind a mutex so [`Batcher::drain`] works through `&self`
     /// (the server holds batchers in shared state).
     worker: Mutex<Option<thread::JoinHandle<()>>>,
@@ -173,6 +229,7 @@ impl Batcher {
             queue: Mutex::new(BatchQueue {
                 items: VecDeque::new(),
                 queued_samples: 0,
+                stalled: VecDeque::new(),
                 in_flight: 0,
                 stopped: false,
             }),
@@ -181,15 +238,17 @@ impl Batcher {
             domain,
             policy,
             opts,
+            pes: opts.num_pes.unwrap_or(scheduler.device().num_pes()),
             metrics,
         });
-        let w = Arc::clone(&shared);
+        let (w, s) = (Arc::clone(&shared), Arc::clone(&scheduler));
         let worker = thread::Builder::new()
             .name(format!("spn-batch-{model}"))
-            .spawn(move || worker_loop(&w, &scheduler))
+            .spawn(move || worker_loop(&w, &s))
             .expect("spawn batcher worker");
         Batcher {
             shared,
+            scheduler,
             worker: Mutex::new(Some(worker)),
         }
     }
@@ -237,30 +296,37 @@ impl Batcher {
         deadline: Option<Instant>,
         reply: ReplySink,
     ) {
-        debug_assert_eq!(data.len(), num_samples as usize * self.shared.num_features);
+        let shared = &self.shared;
+        debug_assert_eq!(data.len(), num_samples as usize * shared.num_features);
+        let now = Instant::now();
         let pending = Pending {
             data,
             num_samples,
             ctx,
-            enqueued: Instant::now(),
+            enqueued: now,
             deadline,
             reply,
         };
-        {
-            let mut q = self.shared.queue.lock();
-            if q.stopped {
-                drop(q);
-                self.shared.metrics.rejected(Status::ShuttingDown);
-                (pending.reply)(Reply::Err(
-                    Status::ShuttingDown,
-                    "server is draining; request refused".into(),
-                ));
-                return;
-            }
-            q.queued_samples += u64::from(num_samples);
-            q.items.push_back(pending);
+        let mut q = shared.queue.lock();
+        if q.stopped {
+            drop(q);
+            shared.metrics.rejected(Status::ShuttingDown);
+            (pending.reply)(Reply::Err(
+                Status::ShuttingDown,
+                "server is draining; request refused".into(),
+            ));
+            return;
         }
-        self.shared.cv.notify_one();
+        q.queued_samples += u64::from(num_samples);
+        q.items.push_back(pending);
+        if shared.ready(&q, now) {
+            let batch = shared.take_batch(&mut q);
+            drop(q);
+            flush(shared, &self.scheduler, batch, false);
+        } else {
+            drop(q);
+            shared.cv.notify_one();
+        }
     }
 
     /// Ask the worker to stop once the queue is empty (the server
@@ -270,20 +336,15 @@ impl Batcher {
         self.shared.cv.notify_all();
     }
 
-    /// Join the worker (after [`Batcher::request_drain`]), then wait
-    /// until the batches it left in flight have answered their
-    /// requests: when this returns, every enqueued request has had its
-    /// reply. Idempotent.
+    /// Join the worker (after [`Batcher::request_drain`]), which leaves
+    /// only once no batch is in flight: when this returns, every
+    /// enqueued request has had its reply. Idempotent.
     pub fn join_worker(&self) {
         // Held across the join, so a concurrent caller cannot overtake
         // a worker that still has batches to flush.
         let mut worker = self.worker.lock();
         if let Some(w) = worker.take() {
             let _ = w.join();
-        }
-        let mut q = self.shared.queue.lock();
-        while q.in_flight > 0 {
-            self.shared.cv.wait(&mut q);
         }
     }
 
@@ -319,67 +380,51 @@ fn status_of(e: &RuntimeError) -> Status {
 }
 
 fn worker_loop(shared: &Arc<Shared>, scheduler: &Scheduler) {
-    let policy = shared.policy;
-    // Batches that can execute side by side: one per PE the job may
-    // use. A PE's second control thread overlaps transfer with compute;
-    // it is not a second execution slot.
-    let pes = shared.opts.num_pes.unwrap_or(scheduler.device().num_pes());
     loop {
-        let batch = {
-            let mut q = shared.queue.lock();
-            // Every decision — flush, wait, exit — is made while
-            // *holding* the queue lock, so `enqueue` (which checks
-            // `stopped` under the same lock) can never add work the
-            // worker will not see.
-            loop {
-                let Some(oldest) = q.items.front() else {
-                    if q.stopped {
-                        return;
-                    }
-                    shared.cv.wait(&mut q);
-                    continue;
-                };
-                if q.in_flight < pes || q.queued_samples >= policy.max_batch_samples || q.stopped {
-                    break;
-                }
-                // Every PE is busy with this model: let the batch grow
-                // until one finishes (the completion closure wakes us),
-                // for at most the oldest request's delay bound.
-                match oldest.enqueued.checked_add(policy.max_batch_delay) {
-                    Some(due) => {
-                        let left = due.saturating_duration_since(Instant::now());
-                        if left.is_zero() {
-                            break;
-                        }
-                        shared.cv.wait_for(&mut q, left);
-                    }
-                    None => shared.cv.wait(&mut q),
-                }
+        let mut q = shared.queue.lock();
+        // Every decision — flush, wait, exit — is made while *holding*
+        // the queue lock, so `enqueue` (which checks `stopped` under
+        // the same lock) can never add work the worker will not see.
+        let batch = loop {
+            if let Some(formed) = q.stalled.pop_front() {
+                drop(q);
+                submit(shared, scheduler, formed, true);
+                q = shared.queue.lock();
+                continue;
             }
-            q.in_flight += 1;
-            // Take whole requests up to the sample cap — always at
-            // least one, so a single oversized request still flows.
-            let mut batch = Vec::new();
-            let mut samples = 0u64;
-            while let Some(p) = q.items.front() {
-                let n = u64::from(p.num_samples);
-                if !batch.is_empty() && samples + n > policy.max_batch_samples {
-                    break;
+            let Some(oldest) = q.items.front() else {
+                // A batch in flight may still come back as `stalled`.
+                if q.stopped && q.in_flight == 0 {
+                    return;
                 }
-                samples += n;
-                batch.push(q.items.pop_front().expect("front exists"));
+                shared.cv.wait(&mut q);
+                continue;
+            };
+            let now = Instant::now();
+            if shared.ready(&q, now) {
+                break shared.take_batch(&mut q);
             }
-            q.queued_samples -= samples;
-            batch
+            // Every PE is busy with this model: let the batch grow
+            // until one finishes (the completion closure wakes us),
+            // for at most the oldest request's delay bound.
+            let due = oldest.enqueued.checked_add(shared.policy.max_batch_delay);
+            match due.map(|due| due.saturating_duration_since(now)) {
+                Some(left) => {
+                    shared.cv.wait_for(&mut q, left);
+                }
+                None => shared.cv.wait(&mut q),
+            }
         };
-        flush(shared, scheduler, batch);
+        drop(q);
+        flush(shared, scheduler, batch, true);
     }
 }
 
 /// Coalesce one batch into a scheduler job whose completion answers
 /// its requests — without waiting for the job, so the next batch can
-/// form (and run) while this one computes.
-fn flush(shared: &Arc<Shared>, scheduler: &Scheduler, batch: Vec<Pending>) {
+/// form (and run) while this one computes. Only the worker `may_wait`
+/// for scheduler queue space.
+fn flush(shared: &Arc<Shared>, scheduler: &Scheduler, batch: Vec<Pending>, may_wait: bool) {
     // Expire requests whose deadline passed while queued.
     let now = Instant::now();
     let mut live = Vec::with_capacity(batch.len());
@@ -443,24 +488,40 @@ fn flush(shared: &Arc<Shared>, scheduler: &Scheduler, batch: Vec<Pending>) {
             now,
         );
     }
+    let dataset = Arc::new(Dataset::from_raw(data, shared.num_features, shared.domain));
+    submit(shared, scheduler, (dataset, live), may_wait);
+}
+
+/// Hand a formed batch to the scheduler. A refused submission reaches
+/// `complete` the same way a finished job does — except a full queue
+/// met by a thread that may not wait: that batch is parked for the
+/// worker, whose blocking submit is the backpressure (the model queue
+/// backs up and admission control bounces clients with `ServerBusy`).
+fn submit(shared: &Arc<Shared>, scheduler: &Scheduler, formed: Formed, may_wait: bool) {
+    let (dataset, live) = formed;
     // The scheduler job inherits the lead request's trace context, so
     // the device spans serving this batch correlate back to a request.
     let mut opts = shared.opts;
     opts.ctx = live[0].ctx;
-
-    let dataset = Arc::new(Dataset::from_raw(data, shared.num_features, shared.domain));
-    // The blocking submit gives backpressure: when the scheduler queue
-    // is full the batcher stalls here, the model queue backs up, and
-    // admission control starts bouncing clients with ServerBusy. A
-    // refused submission reaches `complete` the same way a finished
-    // job does.
     let done = Arc::clone(shared);
-    scheduler.submit_blocking_then(dataset, opts, move |result| complete(&done, live, result));
+    if may_wait {
+        scheduler.submit_blocking_then(dataset, opts, move |result| complete(&done, live, result));
+        return;
+    }
+    let again = Arc::clone(&dataset);
+    scheduler.submit_then(dataset, opts, move |result| match result {
+        Err(RuntimeError::QueueFull { .. }) => {
+            done.queue.lock().stalled.push_back((again, live));
+            done.cv.notify_one();
+        }
+        result => complete(&done, live, result),
+    });
 }
 
 /// A batch's job ended with `result` (or was refused): answer every
 /// member, then give the executor slot back. Runs on the scheduler
-/// control thread that finished the job.
+/// control thread that finished the job, or on the flushing thread for
+/// a refusal or a batch whose every member had expired.
 fn complete(shared: &Shared, live: Vec<Pending>, result: JobResult) {
     match result {
         Ok(mut lls) => {
@@ -487,8 +548,8 @@ fn complete(shared: &Shared, live: Vec<Pending>, result: JobResult) {
             }
         }
     }
-    // Last, so `in_flight == 0` means "every request answered" to a
-    // drainer. Only wake the worker: this may be a control thread.
+    // Last, so `in_flight == 0` means "every request answered" to the
+    // draining worker. Only wake it: this may be a control thread.
     let mut q = shared.queue.lock();
     q.in_flight -= 1;
     let wake = !q.items.is_empty() || q.stopped;

@@ -9,7 +9,7 @@ use crate::protocol::{
     decode_results, read_frame, write_frame, Frame, InferRequest, Opcode, Status, WireError,
 };
 use spn_telemetry::{SpanCtx, TelemetrySnapshot};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -82,7 +82,9 @@ impl From<WireError> for ClientError {
 
 /// A blocking connection to an [`crate::SpnServer`].
 pub struct Client {
-    stream: TcpStream,
+    /// Read through a buffer, so a small reply's header and payload
+    /// cost one `read`; written to directly.
+    stream: BufReader<TcpStream>,
     /// The resolved peer address, kept so [`Client::reconnect`] can
     /// re-dial after a [`ClientError::ConnectionClosed`].
     addr: SocketAddr,
@@ -103,7 +105,7 @@ impl Client {
         stream.set_nodelay(true)?;
         let addr = stream.peer_addr()?;
         Ok(Client {
-            stream,
+            stream: BufReader::new(stream),
             addr,
             dial_timeout: None,
             io_timeout: None,
@@ -119,7 +121,7 @@ impl Client {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_nodelay(true)?;
         Ok(Client {
-            stream,
+            stream: BufReader::new(stream),
             addr,
             dial_timeout: Some(timeout),
             io_timeout: None,
@@ -148,8 +150,8 @@ impl Client {
     /// [`ClientError::Io`] with a timeout kind, letting callers treat
     /// a wedged backend like a dead one.
     pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)?;
+        self.stream.get_ref().set_read_timeout(timeout)?;
+        self.stream.get_ref().set_write_timeout(timeout)?;
         self.io_timeout = timeout;
         Ok(())
     }
@@ -168,12 +170,12 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(self.io_timeout)?;
         stream.set_write_timeout(self.io_timeout)?;
-        self.stream = stream;
+        self.stream = BufReader::new(stream);
         Ok(())
     }
 
     fn round_trip(&mut self, request: &Frame) -> Result<Frame, ClientError> {
-        write_frame(&mut self.stream, request)?;
+        write_frame(self.stream.get_mut(), request)?;
         let response = read_frame(&mut self.stream)?;
         if response.opcode != request.opcode {
             return Err(ClientError::Wire(format!(
@@ -244,9 +246,10 @@ impl Client {
     }
 
     /// Direct access to the underlying stream (tests use this to
-    /// send deliberately broken bytes).
+    /// send deliberately broken bytes). Reads through it bypass the
+    /// reply buffer, which is empty between round trips.
     pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        self.stream.get_mut()
     }
 }
 

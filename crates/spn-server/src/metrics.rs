@@ -159,6 +159,9 @@ pub struct ReactorMetrics {
     rejected_at_accept: AtomicU64,
     idle_closed: AtomicU64,
     accept_backlog: AtomicU64,
+    /// `epoll_ctl(MOD)` calls on connections (for tests; not in the
+    /// telemetry document).
+    interest_changes: AtomicU64,
 }
 
 impl ReactorMetrics {
@@ -204,6 +207,16 @@ impl ReactorMetrics {
     /// The timer wheel closed an idle connection.
     pub fn conn_idle_closed(&self) {
         self.idle_closed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A loop changed a registered connection's epoll interest.
+    pub(crate) fn interest_changed(&self) {
+        self.interest_changes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn interest_changes(&self) -> u64 {
+        self.interest_changes.load(Ordering::Relaxed)
     }
 
     /// Connections currently open (the accept path's admission gauge).

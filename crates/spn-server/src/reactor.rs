@@ -3,8 +3,8 @@
 //!
 //! Where the blocking driver spends one OS thread per client socket,
 //! the reactor multiplexes every connection over a small fixed pool
-//! of event-loop threads driven by level-triggered `epoll` (via the
-//! vendored [`epoll`] shim):
+//! of event-loop threads driven by `epoll` (via the vendored [`epoll`]
+//! shim; sockets level-triggered, the wake eventfd edge-triggered):
 //!
 //! * one **acceptor thread** parks in `TcpListener::accept`, enforces
 //!   the connection limit (over-limit sockets get one `ServerBusy`
@@ -23,9 +23,13 @@
 //!
 //! **Request serialization.** A connection handles one request at a
 //! time, exactly like a blocking-driver connection thread: while an
-//! `Infer` is in flight (or a reply is still flushing) the
-//! connection's read interest is dropped, so pipelined bytes wait in
-//! the kernel socket buffer. The decoder never reads past the current frame's end,
+//! `Infer` is in flight (or a reply is still flushing) readiness on
+//! the connection is not acted on, so pipelined bytes wait in the
+//! kernel socket buffer. Its read interest is dropped *lazily*, on the
+//! first such ignored event: a closed-loop peer sends nothing while it
+//! waits, so its requests cost no `epoll_ctl` at all; a pipelining or
+//! half-closing peer costs one ignored event, then is silent until the
+//! reply is out. The decoder never reads past the current frame's end,
 //! which is what makes this razor-sharp: per-connection memory is
 //! bounded by one frame, and replies go back in request order.
 //!
@@ -54,7 +58,7 @@ use crate::frontend::Dispatched;
 use crate::metrics::ReactorMetrics;
 use crate::protocol::{write_frame, Frame, FrameDecoder, Opcode, Status, WireError};
 use crate::server::ServerFront;
-use epoll::{Epoll, Event, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use epoll::{Epoll, Event, EventFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use parking_lot::Mutex;
 use spn_telemetry::SpanCtx;
 use std::io::{self, Read, Write};
@@ -153,7 +157,7 @@ pub(crate) fn start(
             completions: Mutex::new(Vec::new()),
             finish: AtomicBool::new(false),
         });
-        ls.epoll.add(&ls.wake, EPOLLIN, TOKEN_WAKE)?;
+        ls.epoll.add(&ls.wake, EPOLLIN | EPOLLET, TOKEN_WAKE)?;
         let loop_ls = Arc::clone(&ls);
         let loop_front = Arc::clone(&front);
         let loop_cfg = config.clone();
@@ -425,11 +429,11 @@ impl EventLoop {
 
             for event in events.iter().take(n) {
                 let (token, readiness) = (event.token(), event.readiness());
-                if token == TOKEN_WAKE {
-                    let _ = self.ls.wake.drain();
-                    continue;
+                // A wake (edge-triggered, never read) only ends the
+                // wait: inbox and completions are emptied every turn.
+                if token != TOKEN_WAKE {
+                    self.handle_readiness((token - 1) as usize, readiness);
                 }
-                self.handle_readiness((token - 1) as usize, readiness);
             }
 
             // Register freshly accepted sockets.
@@ -542,8 +546,17 @@ impl EventLoop {
             self.close_conn(slot);
         } else if conn.out.is_some() && readiness & (EPOLLOUT | EPOLLHUP) != 0 {
             self.flush_out(slot);
-        } else if readiness & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 && !conn.busy() {
-            self.read_ready(slot);
+        } else if readiness & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
+            if conn.busy() {
+                // A peer that pipelines or half-closes behind its
+                // request: ignored, but level-triggered, so it would
+                // spin the loop. Silence the socket — the interest must
+                // be *empty* (EPOLLERR/HUP arrive regardless) — until
+                // `flush_out` re-arms it.
+                self.set_interest(slot, 0);
+            } else {
+                self.read_ready(slot);
+            }
         }
     }
 
@@ -605,15 +618,10 @@ impl EventLoop {
                 self.flush_out(slot);
             }
             Dispatched::Pending => {
+                // Read interest stays armed; `handle_readiness` drops it
+                // if the peer sends anything before it has its reply.
                 let conn = self.conns[slot].as_mut().expect("dispatch on a live conn");
                 conn.inflight = true;
-                // Silence the socket while the request runs: the reply
-                // path re-arms EPOLLIN. The interest must be *empty* —
-                // epoll is level-triggered and events are ignored while
-                // busy, so a peer that half-closes behind its request
-                // would otherwise make `EPOLLRDHUP` spin the loop until
-                // the reply is ready. (EPOLLERR/HUP arrive regardless.)
-                set_interest(&self.ls, conn, slot, 0);
             }
         }
     }
@@ -655,17 +663,33 @@ impl EventLoop {
                         if conn.close_after_flush {
                             self.close_conn(slot);
                         } else {
-                            set_interest(&self.ls, conn, slot, EPOLLIN | EPOLLRDHUP);
+                            self.set_interest(slot, EPOLLIN | EPOLLRDHUP);
                         }
                         return;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return set_interest(&self.ls, conn, slot, EPOLLOUT);
+                    return self.set_interest(slot, EPOLLOUT);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return self.close_conn(slot),
             }
+        }
+    }
+
+    /// Change a connection's epoll interest iff it differs (on the
+    /// closed-loop path it never does: no syscall). A connection the
+    /// kernel refuses to re-register is closed — remembered as armed
+    /// but silent, it would never be read, reaped or freed.
+    fn set_interest(&mut self, slot: usize, want: u32) {
+        let conn = self.conns[slot].as_mut().expect("interest of a live conn");
+        if conn.interest == want {
+            return;
+        }
+        self.metrics.interest_changed();
+        match self.ls.epoll.modify(&conn.stream, want, (slot + 1) as u64) {
+            Ok(()) => conn.interest = want,
+            Err(_) => self.close_conn(slot),
         }
     }
 
@@ -682,11 +706,89 @@ impl EventLoop {
     }
 }
 
-/// Change a connection's epoll interest iff it differs (skips the
-/// syscall on the hot path where interest is already right).
-fn set_interest(ls: &LoopShared, conn: &mut Conn, slot: usize, want: u32) {
-    if conn.interest != want {
-        let _ = ls.epoll.modify(&conn.stream, want, (slot + 1) as u64);
-        conn.interest = want;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, ModelSpec, ServerConfig, SpnServer};
+    use spn_core::NipsBenchmark;
+    use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
+
+    const BENCH: NipsBenchmark = NipsBenchmark::Nips10;
+
+    /// A reactor server (the default engine) with one NIPS10 model.
+    fn serve() -> SpnServer {
+        let device = VirtualDevice::new(
+            spn_hw::DatapathProgram::compile(&BENCH.build_spn()),
+            spn_arith::AnyFormat::paper_default(),
+            spn_hw::AcceleratorConfig::paper_default(),
+            2,
+            64 << 20,
+        );
+        let scheduler = Scheduler::new(Arc::new(device), RuntimeConfig::default()).unwrap();
+        let spec = ModelSpec::new(
+            BENCH.name(),
+            Arc::new(scheduler),
+            BENCH.num_vars() as u32,
+            256,
+        );
+        SpnServer::serve(ServerConfig::default(), vec![spec]).unwrap()
+    }
+
+    /// A closed-loop peer sends nothing while its request runs, so the
+    /// socket is never silenced and never re-armed: after registration
+    /// its requests cost no `epoll_ctl`.
+    #[test]
+    fn closed_loop_requests_never_change_epoll_interest() {
+        let server = serve();
+        let nf = BENCH.num_vars();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for _ in 0..1000 {
+            let lls = client
+                .request(BENCH.name())
+                .samples(&vec![0u8; nf], 1, nf as u32)
+                .send()
+                .unwrap();
+            assert_eq!(lls.len(), 1);
+        }
+        let metrics = server.front().service.reactor.as_ref().unwrap();
+        assert_eq!(metrics.interest_changes(), 0);
+    }
+
+    /// `set_interest` is the only place a connection's interest
+    /// changes, and it must not record a change the kernel refused: a
+    /// connection deregistered behind the loop's back (`MOD` →
+    /// `ENOENT`) is closed, not remembered as armed and left silent.
+    #[test]
+    fn a_refused_interest_change_closes_the_connection() {
+        let server = serve();
+        let metrics = Arc::new(ReactorMetrics::new(1));
+        let ls = Arc::new(LoopShared {
+            epoll: Epoll::new().unwrap(),
+            wake: EventFd::new().unwrap(),
+            inbox: Mutex::new(Vec::new()),
+            completions: Mutex::new(Vec::new()),
+            finish: AtomicBool::new(false),
+        });
+        let mut ev = EventLoop {
+            ls: Arc::clone(&ls),
+            front: Arc::clone(server.front()),
+            metrics: Arc::clone(&metrics),
+            conns: Vec::new(),
+            free: Vec::new(),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        metrics.conn_accepted();
+        ev.register_conn(stream, 1, None).unwrap();
+        assert_eq!(metrics.open_connections(), 1);
+
+        let registered = ev.conns[0].as_ref().expect("registered in slot 0");
+        ls.epoll.delete(&registered.stream).unwrap();
+        ev.set_interest(0, 0);
+
+        assert!(ev.conns[0].is_none(), "left half-armed");
+        assert_eq!(ev.free, [0]);
+        assert_eq!(metrics.open_connections(), 0, "counted in conn_closed");
     }
 }

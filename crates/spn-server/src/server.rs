@@ -295,6 +295,12 @@ impl SpnServer {
         self.front.local_addr()
     }
 
+    /// The front-end the drivers share, for driver unit tests.
+    #[cfg(test)]
+    pub(crate) fn front(&self) -> &Arc<ServerFront> {
+        &self.front
+    }
+
     /// Point-in-time serving metrics.
     pub fn metrics_snapshot(&self) -> ServerMetricsSnapshot {
         self.front.service.metrics.snapshot()

@@ -281,6 +281,67 @@ fn half_closed_connection_does_not_spin_the_loop() {
     server.shutdown();
 }
 
+/// A client that pipelines — two `Infer` frames in one `write` — gets
+/// both replies, in request order, bit-equal to the direct runtime, on
+/// both engines. On the reactor the second frame's readiness arrives
+/// while the first request is in flight: that event is ignored, the
+/// socket is silenced, and the reply path must re-arm it or the second
+/// frame is never read.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let bench = NipsBenchmark::Nips10;
+    let nf = bench.num_vars();
+    let rows = bench.dataset(2, 17);
+    let expected: Vec<f64> = SpnRuntime::new(Arc::new(make_device(bench)), runtime_config())
+        .run(&rows, JobOptions::default())
+        .unwrap()
+        .values
+        .iter()
+        .map(|p| p.ln())
+        .collect();
+    assert_ne!(expected[0].to_bits(), expected[1].to_bits());
+
+    for serving in [
+        ServingMode::Reactor(ReactorConfig::default()),
+        ServingMode::Threaded,
+    ] {
+        // Paced, so the first request is still in flight when the
+        // second frame's readiness is reported.
+        let mut server = start_server_on(
+            bench,
+            make_device(bench).with_pacing(Duration::from_millis(20)),
+            serving,
+        );
+        let mut wire = Vec::new();
+        for row in rows.rows() {
+            let request = protocol::InferRequest {
+                model: bench.name().to_string(),
+                deadline_ms: 0,
+                num_samples: 1,
+                num_features: nf as u32,
+                data: row.to_vec(),
+                trace: false,
+                ctx: SpanCtx::NONE,
+            };
+            protocol::write_frame(&mut wire, &Frame::request(Opcode::Infer, request.encode()))
+                .unwrap();
+        }
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        std::io::Write::write_all(&mut stream, &wire).unwrap();
+        for want in &expected {
+            let reply = protocol::read_frame(&mut stream).expect("a reply per pipelined frame");
+            assert_eq!(reply.status, Status::Ok);
+            let lls = protocol::decode_results(&reply.payload).unwrap();
+            assert_eq!(lls.len(), 1);
+            assert_eq!(lls[0].to_bits(), want.to_bits());
+        }
+        server.shutdown();
+    }
+}
+
 /// Cross-engine bit-exactness (the reactor's correctness oracle): a
 /// trace recorded *through the reactor* replays bit-for-bit through
 /// the *threaded* engine — same reply digests for every request, so

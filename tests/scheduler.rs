@@ -438,6 +438,41 @@ fn consumed(rx: &std::sync::mpsc::Receiver<JobResult>, what: &str) -> JobResult 
     result
 }
 
+/// `submit` wakes only control threads that may claim the new job's
+/// blocks. Waking *a* parked thread is not enough: on four PEs, six of
+/// the eight threads cannot touch a `num_pes = 1` job, and one of them
+/// woken in place of a PE-0 thread parks again while the job sits
+/// unclaimed, forever. The pool is parked between these sequential
+/// jobs, so every one of them depends on the right thread being woken.
+#[test]
+fn pe_limited_jobs_wake_a_thread_that_can_claim_them() {
+    let bench = NipsBenchmark::Nips10;
+    let config = RuntimeConfig::builder()
+        .block_samples(64)
+        .threads_per_pe(2)
+        .build()
+        .unwrap();
+    let data = Arc::new(bench.dataset(3, 13));
+    let want = SpnRuntime::new(make_device(bench, 4, None), config)
+        .run(&data, JobOptions::default())
+        .unwrap()
+        .values;
+
+    let sched = Arc::new(Scheduler::new(make_device(bench, 4, None), config).unwrap());
+    let one_pe = JobOptions::builder().num_pes(1).build().unwrap();
+    for job in 0..200 {
+        let (then, rx) = consumer(&sched);
+        sched
+            .submit_then(Arc::clone(&data), one_pe, then)
+            .expect("accepted");
+        let got = consumed(&rx, &format!("job {job}")).unwrap();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
+}
+
 /// The lifecycle guarantees above, on every backend: the same
 /// assertions run over the device pipeline, the compiled host plan and
 /// the scope-sharded path, because the scheduler runs all three

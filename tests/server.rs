@@ -637,15 +637,7 @@ fn out_of_domain_feature_bytes_are_rejected_not_fatal() {
 #[test]
 fn enqueue_after_drain_is_refused_not_stranded() {
     let bench = NipsBenchmark::Nips10;
-    let batcher = spn_server::Batcher::new(
-        bench.name(),
-        make_scheduler_with(bench, 2, 0.0, 512),
-        bench.num_vars(),
-        256,
-        BatchPolicy::default(),
-        spn_runtime::JobOptions::default(),
-        Arc::new(spn_server::ServerMetrics::new()),
-    );
+    let (batcher, _) = bare_batcher(bench, &make_scheduler_with(bench, 2, 0.0, 512));
     // Worker is gone after this: the exact window the TOCTOU race in
     // `handle_infer` (is_shutting_down check → enqueue) can hit.
     batcher.drain();
@@ -658,6 +650,142 @@ fn enqueue_after_drain_is_refused_not_stranded() {
         spn_server::Reply::Err(status, _) => assert_eq!(status, Status::ShuttingDown),
         other => panic!("expected ShuttingDown, got {other:?}"),
     }
+}
+
+/// One standalone batcher over `scheduler` (default policy and job
+/// options), with the metrics it records into.
+fn bare_batcher(
+    bench: NipsBenchmark,
+    scheduler: &Arc<Scheduler>,
+) -> (spn_server::Batcher, Arc<spn_server::ServerMetrics>) {
+    let metrics = Arc::new(spn_server::ServerMetrics::new());
+    let batcher = spn_server::Batcher::new(
+        bench.name(),
+        Arc::clone(scheduler),
+        bench.num_vars(),
+        256,
+        BatchPolicy::default(),
+        JobOptions::default(),
+        Arc::clone(&metrics),
+    );
+    (batcher, metrics)
+}
+
+/// With a PE idle the flush rule already holds when a request is
+/// pushed, so the enqueuing thread flushes it itself — no hand-off to
+/// the worker. Observable without timing: a request whose deadline has
+/// already passed is answered at flush, so its sink has run, on this
+/// thread, by the time `enqueue_with` returns. A live request takes the
+/// same path and is bit-equal to the unbatched job.
+#[test]
+fn an_idle_batcher_flushes_on_the_enqueuing_thread() {
+    let bench = NipsBenchmark::Nips10;
+    let scheduler = make_scheduler_with(bench, 2, 0.0, 512);
+    let (batcher, metrics) = bare_batcher(bench, &scheduler);
+
+    let expired = std::time::Instant::now()
+        .checked_sub(Duration::from_millis(1))
+        .expect("the clock is past its first millisecond");
+    let answered = Arc::new(std::sync::Mutex::new(None));
+    let slot = Arc::clone(&answered);
+    batcher.enqueue_with(
+        SpanCtx::NONE,
+        vec![0u8; bench.num_vars()],
+        1,
+        Some(expired),
+        Box::new(move |reply| {
+            *slot.lock().unwrap() = Some((std::thread::current().id(), reply));
+        }),
+    );
+    let answer = answered.lock().unwrap().take();
+    let (thread, reply) = answer.expect("answered before enqueue_with returned");
+    assert_eq!(thread, std::thread::current().id());
+    assert!(
+        matches!(reply, spn_server::Reply::Err(Status::DeadlineExceeded, _)),
+        "{reply:?}"
+    );
+    assert_eq!(metrics.snapshot().rejected_deadline, 1);
+
+    let data = bench.dataset(3, 5);
+    let reply = batcher
+        .enqueue(SpanCtx::NONE, data.raw().to_vec(), 3, None)
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a live request is answered");
+    let oracle = scheduler
+        .submit(Arc::new(data), JobOptions::default())
+        .unwrap()
+        .wait()
+        .unwrap();
+    match reply {
+        spn_server::Reply::Ok(lls) => {
+            assert_eq!(lls.len(), oracle.len());
+            for (ll, p) in lls.iter().zip(&oracle) {
+                assert_eq!(ll.to_bits(), p.ln().to_bits());
+            }
+        }
+        other => panic!("expected Ok, got {other:?}"),
+    }
+}
+
+/// The enqueuing thread may be a reactor loop, so its flush must never
+/// park in the scheduler: against a scheduler queue held full by a
+/// direct job, `enqueue_with` returns at once, and the request waits
+/// — behind the worker's blocking submit, not bounced `ServerBusy` —
+/// and is answered, in arrival order, once the job retires.
+#[test]
+fn enqueue_does_not_wait_for_scheduler_queue_space() {
+    let bench = NipsBenchmark::Nips10;
+    // Two PEs at 1 ms per sample: the 600-sample job below holds the
+    // scheduler's one queue slot for ~300 ms.
+    let device = bare_device(bench, 2).with_pacing(Duration::from_millis(1));
+    let config = RuntimeConfig::builder()
+        .block_samples(50)
+        .queue_capacity(1)
+        .verify_fraction(0.0)
+        .build()
+        .unwrap();
+    let scheduler = Arc::new(Scheduler::new(Arc::new(device), config).unwrap());
+    let (batcher, metrics) = bare_batcher(bench, &scheduler);
+    let hold = scheduler
+        .submit(Arc::new(bench.dataset(600, 1)), JobOptions::default())
+        .unwrap();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    for i in 0..3u8 {
+        let tx = tx.clone();
+        let t0 = std::time::Instant::now();
+        batcher.enqueue_with(
+            SpanCtx::NONE,
+            vec![i; bench.num_vars()],
+            1,
+            None,
+            Box::new(move |reply| tx.send((i, reply)).expect("the test outlives the request")),
+        );
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "request {i}: enqueue_with took {took:?} against a full scheduler queue"
+        );
+    }
+    assert_eq!(
+        scheduler.queue_depth(),
+        1,
+        "the direct job alone holds the queue while the requests wait"
+    );
+    assert!(
+        rx.try_recv().is_err(),
+        "nothing is answered before space opens"
+    );
+
+    hold.wait().unwrap();
+    for want in 0..3u8 {
+        let (i, reply) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every request is answered once the job retires");
+        assert_eq!(i, want, "requests are answered in arrival order");
+        assert!(matches!(reply, spn_server::Reply::Ok(_)), "{reply:?}");
+    }
+    assert_eq!(metrics.snapshot().rejected_server_busy, 0);
 }
 
 /// Model names with JSON-special characters must not corrupt the
