@@ -19,6 +19,7 @@
 
 use crate::dataset::Dataset;
 use crate::graph::{Node, Spn};
+use crate::infer::log_sum_exp_weighted;
 use crate::transform::normalize_weights;
 use crate::validate::SpnError;
 
@@ -103,25 +104,12 @@ fn e_step(spn: &Spn, data: &Dataset) -> (f64, Vec<Vec<f64>>) {
             log_value[i] = match node {
                 Node::Leaf { var, dist } => dist.log_density(Some(row[*var] as f64)),
                 Node::Product { children } => children.iter().map(|c| log_value[c.index()]).sum(),
-                Node::Sum { children, weights } => {
-                    let m = children
+                Node::Sum { children, weights } => log_sum_exp_weighted(
+                    children
                         .iter()
                         .zip(weights)
-                        .filter(|(_, &w)| w > 0.0)
-                        .map(|(c, _)| log_value[c.index()])
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    if m == f64::NEG_INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        let s: f64 = children
-                            .iter()
-                            .zip(weights)
-                            .filter(|(_, &w)| w > 0.0)
-                            .map(|(c, &w)| w * (log_value[c.index()] - m).exp())
-                            .sum();
-                        m + s.ln()
-                    }
-                }
+                        .map(|(c, &w)| (log_value[c.index()], w)),
+                ),
             };
         }
         let root_ll = log_value[spn.root().index()];

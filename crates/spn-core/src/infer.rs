@@ -16,28 +16,30 @@
 //! exactly.
 
 use crate::graph::{Node, NodeId, Spn};
+use crate::math;
 use crate::query::Query;
 
-/// Numerically stable `log(sum(exp(xs)))` over weighted children:
-/// computes `log Σ wᵢ·exp(xᵢ)` given log-values `xs` and linear weights.
-pub fn log_sum_exp_weighted(xs: &[f64], weights: &[f64]) -> f64 {
-    debug_assert_eq!(xs.len(), weights.len());
-    let m = xs
-        .iter()
-        .zip(weights)
-        .filter(|(_, &w)| w > 0.0)
-        .map(|(&x, _)| x)
+/// Numerically stable `log Σ wᵢ·exp(xᵢ)` over `(xᵢ, wᵢ)` terms: log
+/// values with linear weights. Terms with `w ≤ 0` are skipped; an empty
+/// or all-`−inf` sum is `−inf`.
+///
+/// This is the one scalar spelling of the sum node — the oracle, the
+/// shard oracle, the merge plan and EM's upward pass all call it — and
+/// its operation order is the contract the plan's lane-wide passes
+/// reproduce: max in term order, `Σ w·exp(x − m)` in term order, then
+/// `m + ln s`, on the crate's own `exp` / `ln` (`math.rs`).
+#[inline]
+pub fn log_sum_exp_weighted(terms: impl Iterator<Item = (f64, f64)> + Clone) -> f64 {
+    let terms = terms.filter(|&(_, w)| w > 0.0);
+    let m = terms
+        .clone()
+        .map(|(x, _)| x)
         .fold(f64::NEG_INFINITY, f64::max);
     if m == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
     }
-    let sum: f64 = xs
-        .iter()
-        .zip(weights)
-        .filter(|(_, &w)| w > 0.0)
-        .map(|(&x, &w)| w * (x - m).exp())
-        .sum();
-    m + sum.ln()
+    let s: f64 = terms.map(|(x, w)| w * math::exp(x - m)).sum();
+    m + math::ln(s)
 }
 
 /// A reusable evaluation workspace. Allocates one f64 per node once and
@@ -161,28 +163,12 @@ impl<'a> Evaluator<'a> {
             self.values[i] = match node {
                 Node::Leaf { var, dist } => dist.log_density(value_of(*var)),
                 Node::Product { children } => children.iter().map(|c| self.values[c.index()]).sum(),
-                Node::Sum { children, weights } => {
-                    // Gather child values into a small stack buffer path:
-                    // child counts are tiny (2-8) in practice, so a simple
-                    // loop with the shared scratch is fine.
-                    let m = children
+                Node::Sum { children, weights } => log_sum_exp_weighted(
+                    children
                         .iter()
                         .zip(weights)
-                        .filter(|(_, &w)| w > 0.0)
-                        .map(|(c, _)| self.values[c.index()])
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    if m == f64::NEG_INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        let s: f64 = children
-                            .iter()
-                            .zip(weights)
-                            .filter(|(_, &w)| w > 0.0)
-                            .map(|(c, &w)| w * (self.values[c.index()] - m).exp())
-                            .sum();
-                        m + s.ln()
-                    }
-                }
+                        .map(|(c, &w)| (self.values[c.index()], w)),
+                ),
             };
         }
         self.values[self.spn.root().index()]
@@ -436,13 +422,16 @@ mod tests {
         // Values that would underflow in linear space.
         let xs = [-800.0, -801.0];
         let ws = [0.5, 0.5];
-        let r = log_sum_exp_weighted(&xs, &ws);
+        let r = log_sum_exp_weighted(xs.into_iter().zip(ws));
         assert!(r.is_finite());
         assert!(r < -799.0 && r > -801.0);
         // Degenerate: all weights zero.
-        assert_eq!(log_sum_exp_weighted(&[-1.0], &[0.0]), f64::NEG_INFINITY);
+        assert_eq!(
+            log_sum_exp_weighted([(-1.0, 0.0)].into_iter()),
+            f64::NEG_INFINITY
+        );
         // Exact small case: log(0.3 e^0 + 0.7 e^0) = log 1.
-        let r = log_sum_exp_weighted(&[0.0, 0.0], &[0.3, 0.7]);
+        let r = log_sum_exp_weighted([(0.0, 0.3), (0.0, 0.7)].into_iter());
         assert!(r.abs() < 1e-12);
     }
 

@@ -31,6 +31,7 @@ pub mod graph;
 pub mod infer;
 pub mod leaf;
 pub mod learn;
+mod math;
 pub mod nips;
 pub mod plan;
 pub mod query;

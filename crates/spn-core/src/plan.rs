@@ -25,7 +25,14 @@
 //!   type). Every op reads and writes fixed-size lane arrays
 //!   (`[f64; W]`): trip counts are constants and no lane is bounds-
 //!   checked. The one kernel body is instantiated at `W = LANES` for
-//!   whole chunks and at `W = 1` for the rows left over.
+//!   whole chunks — once with the build's default target features and,
+//!   on x86-64, once more for AVX2, picked per chunk from what the CPU
+//!   reports — and at `W = 1` for the rows left over.
+//! * **No math library.** A sum's `exp` and `ln` are this crate's own
+//!   (`math.rs`): branch-free straight-line arithmetic that inlines into
+//!   the lane passes, so a whole sum — max, `Σ w·exp(x − m)`,
+//!   `m + ln s` — stays in vector registers instead of spilling every
+//!   lane array around 153 libm calls per NIPS80 sample.
 //!
 //! Bit-exactness against the [`crate::Evaluator`] oracle is a hard
 //! contract (pinned by `tests/plan_differential.rs`). Lane-wide
@@ -33,14 +40,17 @@
 //! terms (`max`, then `s += w·exp(x − m)`, both in term order, then
 //! `m + ln s`) applies to lane `l` exactly the operations, in exactly
 //! the order, the oracle applies to sample `l` — only the interleaving
-//! *between* samples changes. A lane whose max is `−inf` computes a
-//! `NaN` sum (`−inf − −inf`) that the final per-lane select discards,
-//! where the oracle returns early.
+//! *between* samples changes — and both sides call the same `exp` and
+//! `ln`, which use no fused multiply-add and so compute the same bits
+//! at every register width. A lane whose max is `−inf` computes a `NaN`
+//! sum (`−inf − −inf`) that the final per-lane select discards, where
+//! the oracle returns early.
 
 use crate::dataset::Dataset;
 use crate::graph::{Node, Spn};
 use crate::infer::mode_log_density;
 use crate::leaf::MARGINALIZED_LOG;
+use crate::math;
 use crate::query::Query;
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +69,7 @@ struct Operand {
     child: u32,
     /// Linear mixture weight (> 0); unused by products.
     weight: f64,
-    /// Precomputed `weight.ln()` for the MPE max kernel.
+    /// `ln weight`, precomputed for the MPE max kernel.
     log_weight: f64,
 }
 
@@ -338,7 +348,7 @@ impl<'p> PlanExecutor<'p> {
         let mut rest = raw;
         while rest.len() >= LANES * nf {
             let (rows, tail) = rest.split_at(LANES * nf);
-            self.run_chunk::<LANES>(query, rows);
+            self.run_lanes(query, rows);
             emit(&self.scratch, LANES);
             rest = tail;
         }
@@ -350,8 +360,32 @@ impl<'p> PlanExecutor<'p> {
         }
     }
 
+    /// One whole chunk through the widest instantiation of the kernel
+    /// this CPU has. The choice is the platform's, never an option, and
+    /// cannot change a bit: the body has no fused multiply-add to gain
+    /// and Rust never contracts `a * b + c`, so wider registers only
+    /// hold more lanes of the same IEEE operations.
+    fn run_lanes(&mut self, query: &Query, rows: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the line above detected AVX2 on the running CPU,
+            // the only requirement `run_chunk_avx2` adds to the body.
+            return unsafe { self.run_chunk_avx2(query, rows) };
+        }
+        self.run_chunk::<LANES>(query, rows)
+    }
+
+    /// [`PlanExecutor::run_chunk`] at `W = LANES`, compiled with 256-bit
+    /// registers: the body is inlined here, not written again.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn run_chunk_avx2(&mut self, query: &Query, rows: &[u8]) {
+        self.run_chunk::<LANES>(query, rows)
+    }
+
     /// The kernel: evaluate every op over the `W` samples in `rows`,
     /// leaving op `i`'s results in `scratch[i][..W]`.
+    #[inline(always)]
     fn run_chunk<const W: usize>(&mut self, query: &Query, rows: &[u8]) {
         let plan = self.plan;
         let nf = plan.num_vars;
@@ -424,16 +458,17 @@ impl<'p> PlanExecutor<'p> {
                     let mut s = [0.0; W];
                     for (t, x) in terms {
                         for l in 0..W {
-                            s[l] += t.weight * (x[l] - m[l]).exp();
+                            s[l] += t.weight * math::exp(x[l] - m[l]);
                         }
                     }
-                    std::array::from_fn(|l| {
-                        if m[l] == f64::NEG_INFINITY {
+                    for l in 0..W {
+                        s[l] = if m[l] == f64::NEG_INFINITY {
                             f64::NEG_INFINITY
                         } else {
-                            m[l] + s[l].ln()
-                        }
-                    })
+                            m[l] + math::ln(s[l])
+                        };
+                    }
+                    s
                 }
             };
             rest[0][..W].copy_from_slice(&out);
@@ -574,13 +609,57 @@ mod tests {
         ex.eval_taps_batch_raw(&Query::Complete, data.raw(), 2, &[root, 0], &mut tapped);
         assert_eq!(tapped.len(), 2 * data.num_samples());
         let roots = ex.eval_batch(&Query::Complete, &data);
-        let mut ev = Evaluator::new(&spn);
-        for (i, row) in data.rows().enumerate() {
+        for i in 0..data.num_samples() {
             assert_eq!(tapped[2 * i].to_bits(), roots[i].to_bits());
             // Leaf 0 models var 0 with P(0) = P(1) = 0.5.
-            let want = ev.eval_bytes(&Query::Complete, row);
-            let _ = want; // root check above is the bit-exact anchor
             assert!((tapped[2 * i + 1] - 0.5f64.ln()).abs() < 1e-12);
+        }
+    }
+
+    /// The chunk kernel `eval_batch` dispatches to (AVX2 where the CPU
+    /// has it) against the default-feature instantiation of the same
+    /// body: every op's row of every whole chunk, `to_bits`, on the five
+    /// benchmark networks, the three query shapes and batch sizes around
+    /// the lane width (leftover rows take `W = 1` either way).
+    #[test]
+    fn every_instantiation_of_the_kernel_computes_the_same_bits() {
+        #[cfg(target_arch = "x86_64")]
+        let wide = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide = false;
+        if !wide {
+            println!("SKIPPED: no AVX2 on this CPU, the default instantiation is the only one");
+            return;
+        }
+        for bench in crate::nips::ALL_BENCHMARKS {
+            let plan = CompiledPlan::compile(&bench.build_spn());
+            let nf = plan.num_vars();
+            let mask: Vec<bool> = (0..nf).map(|v| v % 3 != 0).collect();
+            let queries = [
+                Query::Complete,
+                Query::marginal(mask.clone()),
+                Query::mpe(mask),
+            ];
+            let mut ex = PlanExecutor::new(&plan);
+            for (query, n) in queries
+                .iter()
+                .flat_map(|q| [LANES, LANES + 1, 2 * LANES + 3].map(|n| (q, n)))
+            {
+                let data = bench.dataset(n, 0xA5A5 + n as u64);
+                for rows in data.raw().chunks_exact(LANES * nf) {
+                    ex.run_lanes(query, rows);
+                    let dispatched = ex.scratch.clone();
+                    ex.run_chunk::<LANES>(query, rows);
+                    for (op, (a, b)) in dispatched.iter().zip(&ex.scratch).enumerate() {
+                        assert_eq!(
+                            a.map(f64::to_bits),
+                            b.map(f64::to_bits),
+                            "{bench:?} {} query, {n} rows, op {op}",
+                            query.label()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -31,7 +31,7 @@
 
 use crate::builder::SpnBuilder;
 use crate::graph::{Node, NodeId, Spn};
-use crate::infer::mode_log_density;
+use crate::infer::{log_sum_exp_weighted, mode_log_density};
 use crate::query::Query;
 use crate::scope::Scope;
 use std::collections::HashMap;
@@ -149,19 +149,9 @@ impl MergePlan {
                         }
                         best
                     } else {
-                        let m = terms
-                            .iter()
-                            .map(|&(_, _, c)| scratch[c as usize])
-                            .fold(f64::NEG_INFINITY, f64::max);
-                        if m == f64::NEG_INFINITY {
-                            f64::NEG_INFINITY
-                        } else {
-                            let s: f64 = terms
-                                .iter()
-                                .map(|&(w, _, c)| w * (scratch[c as usize] - m).exp())
-                                .sum();
-                            m + s.ln()
-                        }
+                        log_sum_exp_weighted(
+                            terms.iter().map(|&(w, _, c)| (scratch[c as usize], w)),
+                        )
                     }
                 }
             };
@@ -449,23 +439,12 @@ fn shard_tap_values(
                     }
                     best
                 } else {
-                    let m = children
-                        .iter()
-                        .zip(weights)
-                        .filter(|(_, &w)| w > 0.0)
-                        .map(|(c, _)| values[c.index()])
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    if m == f64::NEG_INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        let s: f64 = children
+                    log_sum_exp_weighted(
+                        children
                             .iter()
                             .zip(weights)
-                            .filter(|(_, &w)| w > 0.0)
-                            .map(|(c, &w)| w * (values[c.index()] - m).exp())
-                            .sum();
-                        m + s.ln()
-                    }
+                            .map(|(c, &w)| (values[c.index()], w)),
+                    )
                 }
             }
         };

@@ -252,6 +252,8 @@ struct Shared {
     shutdown: AtomicBool,
     /// Wakes that found no block to claim (for tests; not telemetry).
     idle_wakes: AtomicU64,
+    /// Control-thread notifications `submit_inner` issued (likewise).
+    wakes_issued: AtomicU64,
 }
 
 struct State {
@@ -328,6 +330,7 @@ impl Scheduler {
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             idle_wakes: AtomicU64::new(0),
+            wakes_issued: AtomicU64::new(0),
         });
         let workers = (0..num_workers)
             .map(|w| {
@@ -560,6 +563,9 @@ impl Scheduler {
                 st.parked[w] = false;
             }
             drop(st);
+            self.shared
+                .wakes_issued
+                .fetch_add(wake.len() as u64, Ordering::Relaxed);
             for w in wake {
                 self.shared.work_cv[w].notify_one();
             }
@@ -592,8 +598,12 @@ impl Drop for Scheduler {
             for job in &st.jobs {
                 job.cancelled.store(true, Ordering::Relaxed);
             }
+            // Under the lock `worker_loop` reads the flag under: a
+            // control thread between that read and its `wait` holds the
+            // lock, so it has either seen the flag or is already waiting
+            // when the notifications below go out.
+            self.shared.shutdown.store(true, Ordering::Release);
         }
-        self.shared.shutdown.store(true, Ordering::Release);
         for cv in &self.shared.work_cv {
             cv.notify_all();
         }
@@ -973,8 +983,17 @@ mod tests {
                 .wait()
                 .unwrap();
         }
+        // What `submit_inner` controls is how many threads it notifies
+        // (wake-everyone would issue 4000). Whether a woken thread then
+        // loses its block to one that was between blocks is the OS
+        // scheduler's choice: printed, not asserted.
+        let issued = sched.shared.wakes_issued.load(Ordering::Relaxed);
         let idle = sched.shared.idle_wakes.load(Ordering::Relaxed);
-        assert!(idle < 250, "{idle} wakes found nothing to claim");
+        println!("{issued} wakes issued, {idle} found nothing to claim");
+        assert!(
+            issued <= 500,
+            "{issued} wakes issued for 500 one-block jobs"
+        );
     }
 
     #[test]
@@ -1154,6 +1173,35 @@ mod tests {
         let (dev2, _) = device(1);
         let plain = Scheduler::new(dev2, config(64, 1)).unwrap();
         assert!(plain.trace().is_none());
+    }
+
+    /// Regression test: `Drop` set `shutdown` and notified outside the
+    /// state lock, so a control thread between its read of the flag and
+    /// its `wait` — one just back from a block — slept through the
+    /// wake-everyone and `drop` hung in `join`. Polling (not waiting)
+    /// for a one-block job and dropping the moment it completes puts
+    /// the drop beside that thread's return to the lock; 3000 rounds
+    /// hung the old ordering in two runs of three.
+    #[test]
+    fn drop_never_misses_a_control_thread_about_to_park() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (dev, bench) = device(4);
+            let data = Arc::new(bench.dataset(1, 9));
+            for _ in 0..3000 {
+                let sched = Scheduler::new(Arc::clone(&dev), config(64, 2)).unwrap();
+                let handle = sched
+                    .submit(Arc::clone(&data), JobOptions::default())
+                    .unwrap();
+                while handle.poll() != JobStatus::Completed {
+                    std::hint::spin_loop();
+                }
+                drop(sched);
+            }
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a scheduler drop hung joining a parked control thread");
     }
 
     #[test]

@@ -274,6 +274,72 @@ fn nips_benchmarks_are_bit_exact_for_every_query_shape() {
     }
 }
 
+/// The tree walk once more, written here with libm's `exp` / `ln`: the
+/// one implementation in this suite that shares no arithmetic with
+/// `spn-core`'s own two functions.
+fn libm_reference(spn: &Spn, query: &Query, row: &[u8]) -> f64 {
+    let mut values = vec![0.0f64; spn.len()];
+    for (i, node) in spn.nodes().iter().enumerate() {
+        values[i] = match node {
+            spn_core::Node::Leaf { var, dist } => {
+                dist.log_density(query.is_observed(*var).then(|| row[*var] as f64))
+            }
+            spn_core::Node::Product { children } => {
+                children.iter().map(|c| values[c.index()]).sum()
+            }
+            spn_core::Node::Sum { children, weights } => {
+                let terms = || {
+                    let positive = children.iter().zip(weights).filter(|(_, &w)| w > 0.0);
+                    positive.map(|(c, &w)| (values[c.index()], w))
+                };
+                let m = terms().map(|(x, _)| x).fold(f64::NEG_INFINITY, f64::max);
+                if m == f64::NEG_INFINITY {
+                    m
+                } else {
+                    m + terms().map(|(x, w)| w * (x - m).exp()).sum::<f64>().ln()
+                }
+            }
+        };
+    }
+    values[spn.root().index()]
+}
+
+/// Oracle and plan share one `exp` and one `ln`, so "both sides agree"
+/// no longer says either is right. This holds the oracle to the libm
+/// reference above: on the five benchmark networks, complete and
+/// marginal queries, every log-likelihood within 4 ulp (measured: at
+/// most 1, on under 1 % of rows — the max term dominates `ln s`).
+#[test]
+fn oracle_stays_within_four_ulp_of_a_libm_reference() {
+    let (mut rows, mut moved, mut worst) = (0u32, 0u32, 0u64);
+    for bench in ALL_BENCHMARKS {
+        let spn = bench.build_spn();
+        let data = bench.dataset(500, 0x11B);
+        let mut ev = Evaluator::new(&spn);
+        for query in &query_shapes(0xA5A5_5A5A_F00D_BEEF, bench.num_vars())[..2] {
+            for (i, row) in data.rows().enumerate() {
+                let ours = ev.eval_bytes(query, row);
+                let libm = libm_reference(&spn, query, row);
+                assert!(ours.is_finite() && libm.is_finite(), "{} row {i}", spn.name);
+                // Both are negative and finite: bit distance is ulp distance.
+                let d = ours.to_bits().abs_diff(libm.to_bits());
+                assert!(
+                    d <= 4,
+                    "{} row {i}, {} query: oracle {ours:e} is {d} ulp from libm's {libm:e}",
+                    spn.name,
+                    query.label()
+                );
+                rows += 1;
+                moved += (d > 0) as u32;
+                worst = worst.max(d);
+            }
+        }
+    }
+    println!(
+        "{moved} of {rows} log-likelihoods differ from the libm reference, by at most {worst} ulp"
+    );
+}
+
 /// Taps on a batch that is not a lane multiple. The oracle's value
 /// buffer is private, so every op is tapped and the values the oracle
 /// does expose are checked — each leaf against its `log_density`, the
