@@ -10,7 +10,9 @@
 //! intermediate significands as integers before rounding — in `u64`
 //! wherever they fit, which is everywhere but the products of formats
 //! with more than 31 mantissa bits — not a round-trip through `f64`,
-//! which would double-round.
+//! which would double-round. `add`, `mul` and `to_f64` are branch-free
+//! on the data (range limits and zero operands are selects), so a lane
+//! loop over them vectorises.
 
 use crate::round::{msb, round_shift, round_shift_u64, Rounding};
 use serde::{Deserialize, Serialize};
@@ -58,7 +60,7 @@ impl CfpFormat {
     }
 
     /// Exponent bias.
-    #[inline]
+    #[inline(always)]
     pub fn bias(&self) -> i64 {
         (1i64 << (self.exp_bits - 1)) - 1
     }
@@ -67,7 +69,7 @@ impl CfpFormat {
     /// fully used — but capped so the largest value exponent is 1023,
     /// keeping every CFP value exactly representable in `f64` (the
     /// emulation's output type).
-    #[inline]
+    #[inline(always)]
     pub fn max_exp_field(&self) -> i64 {
         ((1i64 << self.exp_bits) - 1).min(self.bias() + 1023)
     }
@@ -123,15 +125,16 @@ impl CfpFormat {
         self.normalized(exp, sig)
     }
 
-    /// Decode to `f64` (always exact: CFP values are a subset of f64).
+    /// Decode to `f64`: exact, since CFP values are a subset of f64's
+    /// normal numbers, so the f64's fields are assembled directly.
+    #[inline(always)]
     pub fn to_f64(&self, v: Cfp) -> f64 {
-        if v.is_zero() {
-            return 0.0;
-        }
-        let e_field = (v.bits >> self.mant_bits) as i64;
-        let mant = v.bits & self.mant_mask();
-        let sig = (1u64 << self.mant_bits) | mant;
-        sig as f64 * pow2((e_field - self.bias() - self.mant_bits as i64) as i32)
+        let m = self.mant_bits;
+        // The exponent biases differ by 1023 − bias ≥ 0 (`exp_bits` ≤
+        // 11), and `max_exp_field` keeps the top value exponent at 1023.
+        let e_field = (v.bits >> m) + (1023 - self.bias()) as u64;
+        let bits = (e_field << 52) | ((v.bits & self.mant_mask()) << (52 - m));
+        f64::from_bits(if v.is_zero() { 0 } else { bits })
     }
 
     /// Bit-accurate multiplication.
@@ -141,24 +144,74 @@ impl CfpFormat {
     /// paper's format included) it is formed and rounded in `u64`;
     /// wider formats need the `u128` product. The format's width picks
     /// the path — there is no other difference between them.
-    #[inline]
+    #[inline(always)]
     pub fn mul(&self, a: Cfp, b: Cfp) -> Cfp {
-        if a.is_zero() || b.is_zero() {
-            return Cfp::ZERO;
+        self.mul_with(self.narrow_products(), a, b)
+    }
+
+    /// [`CfpFormat::mul`] lane by lane: `out[i] = a[i] · b[i]` over the
+    /// shortest of the three. The product width is picked once for all
+    /// lanes, so the native-width loop holds no call and vectorises;
+    /// the `u128` one runs out of line, where it cannot be merged back
+    /// into it.
+    #[inline(always)]
+    pub(crate) fn mul_lanes(&self, out: &mut [Cfp], a: &[Cfp], b: &[Cfp]) {
+        if self.narrow_products() {
+            for ((d, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *d = self.mul_with(true, x, y);
+            }
+        } else {
+            self.wide_mul_lanes(out, a, b);
         }
-        let m = self.mant_bits;
+    }
+
+    #[inline(never)]
+    fn wide_mul_lanes(&self, out: &mut [Cfp], a: &[Cfp], b: &[Cfp]) {
+        for ((d, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *d = self.mul_with(false, x, y);
+        }
+    }
+
+    /// Whether the product of two significands fits `u64`.
+    #[inline(always)]
+    fn narrow_products(&self) -> bool {
+        2 * (self.mant_bits + 1) <= u64::BITS
+    }
+
+    /// The one body of `mul`, with the product width (`narrow`, which
+    /// must equal [`CfpFormat::narrow_products`]) decided by the caller.
+    /// Branch-free on the data.
+    #[inline(always)]
+    fn mul_with(&self, narrow: bool, a: Cfp, b: Cfp) -> Cfp {
         let (ea, sa) = self.split(a);
         let (eb, sb) = self.split(b);
         // `carry`: whether the product reached the upper of its two
         // possible widths, i.e. [2, 4) rather than [1, 2).
-        let (carry, sig) = if 2 * (m + 1) <= u64::BITS {
-            let p = sa * sb;
-            let carry = (p >> (2 * m + 1)) as u32;
-            (carry, round_shift_u64(p, m + carry, self.rounding))
+        let (carry, sig) = if narrow {
+            self.narrow_product(sa, sb)
         } else {
             self.wide_product(sa, sb)
         };
-        self.normalized(ea + eb - 2 * self.bias() + carry as i64, sig)
+        let product = self.normalized(ea + eb - 2 * self.bias() + carry as i64, sig);
+        if a.is_zero() | b.is_zero() {
+            Cfp::ZERO
+        } else {
+            product
+        }
+    }
+
+    /// `mul`'s `(carry, rounded product)` in `u64`. Both significands
+    /// have at most 32 bits here, so the product is a 32 × 32-bit one,
+    /// which vector units have and a 64 × 64-bit one they lack.
+    #[inline(always)]
+    fn narrow_product(&self, sa: u64, sb: u64) -> (u32, u64) {
+        let m = self.mant_bits;
+        let p = u64::from(sa as u32) * u64::from(sb as u32);
+        let carry = (p >> (2 * m + 1)) & 1;
+        (
+            carry as u32,
+            round_shift_u64(sticky_shift(p, carry), m, self.rounding),
+        )
     }
 
     /// `mul`'s `(carry, rounded product)` for significands whose product
@@ -175,42 +228,44 @@ impl CfpFormat {
     /// Bit-accurate addition (operands are non-negative, so this is pure
     /// magnitude addition — the hardware has no subtractor). The sum
     /// with its guard bits is at most `mant_bits + 5 ≤ 57` bits wide,
-    /// so `u64` holds it for every legal format.
-    #[inline]
+    /// so `u64` holds it for every legal format. Branch-free on the
+    /// data.
+    #[inline(always)]
     pub fn add(&self, a: Cfp, b: Cfp) -> Cfp {
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
         let m = self.mant_bits;
         // The exponent is the high field, so the packed bits order as
         // the values do: min/max put the larger exponent first without
         // a branch on the data (which of two equal exponents comes
-        // first does not matter to their sum).
-        let (ea, big_s) = self.split(Cfp {
-            bits: a.bits.max(b.bits),
-        });
-        let (eb, small_s) = self.split(Cfp {
-            bits: a.bits.min(b.bits),
-        });
-        let d = (ea - eb) as u32;
+        // first does not matter to their sum). At most 63 bits wide, they
+        // order the same as `i64`, which vector units compare natively.
+        let (x, y) = (a.bits as i64, b.bits as i64);
+        let big = Cfp {
+            bits: x.max(y) as u64,
+        };
+        let small = Cfp {
+            bits: x.min(y) as u64,
+        };
+        let (ea, big_s) = self.split(big);
+        let (eb, small_s) = self.split(small);
         // Work with 3 guard bits (guard/round/sticky head-room).
         const G: u32 = 3;
-        let big = big_s << G;
-        let small = if d <= m + G {
-            let aligned = small_s << G;
-            // Preserve stickiness of dropped bits.
-            let dropped = aligned & ((1u64 << d) - 1);
-            (aligned >> d) | u64::from(dropped != 0)
+        // From `m + G + 1` on, the whole small operand lies below the
+        // guard bits and only its stickiness is left: a larger
+        // distance would add the same 1.
+        let d = (ea - eb).min(i64::from(m + G + 1));
+        let aligned = small_s << G;
+        // Preserve stickiness of dropped bits.
+        let dropped = aligned & ((1u64 << d) - 1);
+        let sum = (big_s << G) + ((aligned >> d) | u64::from(dropped != 0)); // m+1+G .. m+2+G bits
+        let carry = (sum >> (m + 1 + G)) & 1;
+        let sig = round_shift_u64(sticky_shift(sum, carry), G, self.rounding);
+        let total = self.normalized(ea - self.bias() + carry as i64, sig);
+        // Zero is the only operand the sum leaves as it is.
+        if small.is_zero() {
+            big
         } else {
-            1 // pure sticky contribution
-        };
-        let sum = big + small; // m+1+G .. m+2+G bits
-        let carry = (sum >> (m + 1 + G)) as u32;
-        let sig = round_shift_u64(sum, G + carry, self.rounding);
-        self.normalized(ea - self.bias() + carry as i64, sig)
+            total
+        }
     }
 
     /// Encode 1.0 exactly.
@@ -221,20 +276,20 @@ impl CfpFormat {
     }
 
     /// The saturation value (all fields at maximum).
-    #[inline]
+    #[inline(always)]
     pub fn saturated(&self) -> Cfp {
         Cfp {
             bits: ((self.max_exp_field() as u64) << self.mant_bits) | self.mant_mask(),
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mant_mask(&self) -> u64 {
         (1u64 << self.mant_bits) - 1
     }
 
     /// (exponent field, significand with implicit 1).
-    #[inline]
+    #[inline(always)]
     fn split(&self, v: Cfp) -> (i64, u64) {
         let e = (v.bits >> self.mant_bits) as i64;
         let s = (1u64 << self.mant_bits) | (v.bits & self.mant_mask());
@@ -243,23 +298,22 @@ impl CfpFormat {
 
     /// Build a value from a *value* exponent and a rounded significand:
     /// absorb the carry rounding may have produced (1.11…1 -> 10.00…0),
-    /// then saturate/flush at the range limits.
-    #[inline]
-    fn normalized(&self, mut exp: i64, mut sig: u64) -> Cfp {
-        if sig >> (self.mant_bits + 1) != 0 {
-            sig >>= 1;
-            exp += 1;
-        }
+    /// then saturate/flush at the range limits — with selects, not
+    /// branches.
+    #[inline(always)]
+    fn normalized(&self, exp: i64, sig: u64) -> Cfp {
+        let carry = sig >> (self.mant_bits + 1);
+        let sig = sig >> carry;
         debug_assert!(sig >> self.mant_bits == 1, "significand not normalized");
-        let e_field = exp + self.bias();
-        if e_field > self.max_exp_field() {
-            return self.saturated();
-        }
-        if e_field < 1 {
-            return Cfp::ZERO;
-        }
+        let e_field = exp + carry as i64 + self.bias();
+        let bits = ((e_field as u64) << self.mant_bits) | (sig & self.mant_mask());
+        let bits = if e_field > self.max_exp_field() {
+            self.saturated().bits
+        } else {
+            bits
+        };
         Cfp {
-            bits: ((e_field as u64) << self.mant_bits) | (sig & self.mant_mask()),
+            bits: if e_field < 1 { 0 } else { bits },
         }
     }
 }
@@ -278,10 +332,19 @@ impl Cfp {
 
     /// True when this value is zero (the all-zero encoding is canonical;
     /// arithmetic never produces an exponent field of 0 otherwise).
-    #[inline]
+    #[inline(always)]
     pub fn is_zero(self) -> bool {
         self.bits == 0
     }
+}
+
+/// `x >> by` for `by` ∈ {0, 1}, a dropped 1 kept sticky in bit 0.
+/// Rounding the result by `k ≥ 1` bits equals rounding `x` by
+/// `k + by`, so a carry no longer makes the rounding shift differ from
+/// lane to lane.
+#[inline(always)]
+fn sticky_shift(x: u64, by: u64) -> u64 {
+    (x >> by) | (x & by)
 }
 
 fn pow2(e: i32) -> f64 {
@@ -387,6 +450,28 @@ mod tests {
         let tiny = f.from_f64(1e-30);
         let z = f.mul(tiny, tiny);
         assert_eq!(f.to_f64(z), 0.0);
+    }
+
+    #[test]
+    fn every_exponent_of_the_paper_format_decodes_exactly() {
+        // 2^k by doubling or halving 1.0: exact down to 2^-1022.
+        fn two_to(k: i64) -> f64 {
+            let step = if k < 0 { 0.5 } else { 2.0 };
+            (0..k.abs()).fold(1.0, |x, _| x * step)
+        }
+        let f = fmt();
+        let m = f.mant_bits;
+        assert_eq!(f.to_f64(f.from_f64(f.min_value())), f.min_value());
+        for e in 1..=f.max_exp_field() {
+            let scale = two_to(e - f.bias());
+            for mant in [0, 1, 0x2A_AAAA, f.mant_mask()] {
+                let v = Cfp {
+                    bits: ((e as u64) << m) | mant,
+                };
+                let want = scale * (1.0 + mant as f64 / two_to(m.into()));
+                assert_eq!(f.to_f64(v), want, "exponent field {e}, mantissa {mant:#x}");
+            }
+        }
     }
 
     #[test]
@@ -660,6 +745,16 @@ mod wide_reference_tests {
         assemble(f, exp, round_shift(sig, 52 - f.mant_bits, f.rounding))
     }
 
+    /// The significand scaled into [1, 2) first, then by the value
+    /// exponent: each factor, and so the product, stays a normal f64.
+    fn ref_to_f64(f: &CfpFormat, v: Cfp) -> f64 {
+        if v.is_zero() {
+            return 0.0;
+        }
+        let (e, sig) = f.split(v);
+        sig as f64 * pow2(-(f.mant_bits as i32)) * pow2((e - f.bias()) as i32)
+    }
+
     fn ref_mul(f: &CfpFormat, a: Cfp, b: Cfp) -> Cfp {
         if a.is_zero() || b.is_zero() {
             return Cfp::ZERO;
@@ -708,6 +803,21 @@ mod wide_reference_tests {
     fn assert_ops_match(f: &CfpFormat, a: Cfp, b: Cfp) {
         assert_eq!(f.mul(a, b), ref_mul(f, a, b), "{f:?}: {a:?} * {b:?}");
         assert_eq!(f.add(a, b), ref_add(f, a, b), "{f:?}: {a:?} + {b:?}");
+    }
+
+    /// `mul_lanes` over enough lanes of the pair, both ways round, to
+    /// run a vectorised loop's body and its tail.
+    fn assert_lanes_match(f: &CfpFormat, a: Cfp, b: Cfp) {
+        let xs = [a, b].repeat(5);
+        let ys = [b, a].repeat(5);
+        let mut got = vec![Cfp::ZERO; xs.len()];
+        f.mul_lanes(&mut got, &xs, &ys);
+        let want: Vec<Cfp> = xs
+            .iter()
+            .zip(&ys)
+            .map(|(&x, &y)| ref_mul(f, x, y))
+            .collect();
+        assert_eq!(got, want, "{f:?}: lanes of {a:?} * {b:?}");
     }
 
     #[test]
@@ -803,6 +913,7 @@ mod wide_reference_tests {
             }
             assert_ops_match(&f, a, b);
             assert_ops_match(&f, b, a);
+            assert_lanes_match(&f, a, b);
         }
 
         #[test]
@@ -815,6 +926,13 @@ mod wide_reference_tests {
             let x = f64::from_bits(bits & !(1 << 63));
             let x = if x.is_nan() { f64::INFINITY } else { x };
             prop_assert_eq!(f.from_f64(x), ref_from_f64(&f, x), "{:?}: {}", f, x);
+            // Decoding, in this format and with an 11-bit exponent: the
+            // paper's width, whose lowest exponents sit where the 1.m
+            // significand taken as an integer would scale below 2^-1022.
+            for f in [f, CfpFormat::new(11, f.mant_bits, f.rounding)] {
+                let v = ref_from_f64(&f, x);
+                prop_assert_eq!(f.to_f64(v).to_bits(), ref_to_f64(&f, v).to_bits(), "{:?}: {:?}", f, v);
+            }
         }
     }
 }

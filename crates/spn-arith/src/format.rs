@@ -34,6 +34,15 @@ pub trait SpnNumber {
     fn add(&self, a: Self::Value, b: Self::Value) -> Self::Value;
     /// Hardware multiplier.
     fn mul(&self, a: Self::Value, b: Self::Value) -> Self::Value;
+    /// [`SpnNumber::mul`] lane by lane: `out[i] = mul(a[i], b[i])` over
+    /// the shortest of the three slices. A format overrides it where
+    /// deciding something once for all lanes keeps the loop vectorisable.
+    #[inline(always)]
+    fn mul_lanes(&self, out: &mut [Self::Value], a: &[Self::Value], b: &[Self::Value]) {
+        for ((d, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *d = self.mul(x, y);
+        }
+    }
     /// Human-readable format label for reports.
     fn describe(&self) -> String;
 }
@@ -44,6 +53,12 @@ impl SpnNumber for CfpFormat {
     fn from_f64(&self, x: f64) -> Cfp {
         CfpFormat::from_f64(self, x)
     }
+    // `to_f64`/`add`/`mul` are `#[inline(always)]` all the way down so
+    // a datapath kernel generic over the format, compiled in another
+    // crate and perhaps for wider registers, gets the branch-free
+    // integer arithmetic itself, not a call per operation it cannot
+    // vectorise.
+    #[inline(always)]
     fn to_f64(&self, v: Cfp) -> f64 {
         CfpFormat::to_f64(self, v)
     }
@@ -53,16 +68,17 @@ impl SpnNumber for CfpFormat {
     fn one(&self) -> Cfp {
         CfpFormat::one(self)
     }
-    // `add`/`mul` are `#[inline]` all the way down so a datapath kernel
-    // generic over the format, compiled in another crate, gets the
-    // integer arithmetic itself and not a call per operation.
-    #[inline]
+    #[inline(always)]
     fn add(&self, a: Cfp, b: Cfp) -> Cfp {
         CfpFormat::add(self, a, b)
     }
-    #[inline]
+    #[inline(always)]
     fn mul(&self, a: Cfp, b: Cfp) -> Cfp {
         CfpFormat::mul(self, a, b)
+    }
+    #[inline(always)]
+    fn mul_lanes(&self, out: &mut [Cfp], a: &[Cfp], b: &[Cfp]) {
+        CfpFormat::mul_lanes(self, out, a, b)
     }
     fn describe(&self) -> String {
         format!(

@@ -56,23 +56,25 @@ pub fn round_shift(sig: u128, shift: u32, mode: Rounding) -> u128 {
 /// 64 bits: every CFP sum, and every product of formats whose doubled
 /// significand does (`2·(mant_bits+1) ≤ 64`, the paper's 22-bit mantissa
 /// among them). Same contract, same carry caveat.
-#[inline]
+///
+/// Branch-free on the data, so a lane loop over CFP operations stays
+/// vectorisable: the range cases are selects, and only the mode — one
+/// per datapath, so loop-invariant — is a `match`.
+#[inline(always)]
 pub fn round_shift_u64(sig: u64, shift: u32, mode: Rounding) -> u64 {
-    if shift == 0 {
-        return sig;
-    }
-    if shift >= 64 {
-        return 0;
-    }
-    let kept = sig >> shift;
+    let kept = sig.checked_shr(shift).unwrap_or(0);
     match mode {
         Rounding::Truncate => kept,
         Rounding::NearestEven => {
-            // No short-circuit: the dropped bits are as good as random,
-            // so this must be arithmetic, not a branch.
-            let half = 1u64 << (shift - 1);
-            let dropped = sig & (half | (half - 1));
-            kept + u64::from((dropped > half) | ((dropped == half) & (kept & 1 == 1)))
+            // The dropped bits and the weight of the highest of them.
+            // Rounding applies only when some bits are dropped and some
+            // kept; the `& 63` merely keeps the shift defined otherwise.
+            let mask = (1u64 << (shift & 63)) - 1;
+            let half = mask ^ (mask >> 1);
+            let dropped = sig & mask;
+            let up = (1..64).contains(&shift)
+                & ((dropped > half) | ((dropped == half) & (kept & 1 == 1)));
+            kept + u64::from(up)
         }
     }
 }

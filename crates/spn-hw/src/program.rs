@@ -330,17 +330,50 @@ pub(crate) struct SynthesizedDatapath<F: SpnNumber> {
 /// Samples a [`SynthesizedDatapath`] carries through one op before it
 /// moves to the next. Within a sample every op waits for its operands;
 /// across a lane nothing does, so the host overlaps the arithmetic the
-/// way the pipelined circuit overlaps samples. Measured flat from 32 to
-/// 128 on NIPS10 and NIPS80, and half again as slow one sample at a
-/// time (366 vs 235 ns/sample, NIPS10 CFP): a constant, not a knob.
+/// way the pipelined circuit overlaps samples, and the branch-free CFP
+/// arithmetic runs four lanes to a 256-bit register. Measured flat from
+/// 32 to 128 on NIPS10 and NIPS80 (AVX2, CFP), and four times as slow
+/// one sample at a time (274–341 vs 74–77 ns/sample, NIPS10): a
+/// constant, not a knob.
 const LANES: usize = 64;
 
 impl<F: SpnNumber> SynthesizedDatapath<F> {
     /// Stream a batch of samples (row-major, `num_vars` bytes each)
     /// through the datapath, appending one probability per sample to
     /// `out`. One value scratch serves the whole batch, `LANES` (64)
-    /// samples at a time.
+    /// samples at a time, through the widest instantiation of the
+    /// kernel this CPU has. The choice is the platform's, never an
+    /// option, and cannot change a bit: wider registers only hold more
+    /// lanes of the same integer and IEEE operations (no fused
+    /// multiply-add is enabled, and Rust never contracts `a * b + c`).
     pub(crate) fn execute_into(&self, data: &[u8], out: &mut Vec<f64>) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("bmi1")
+            && std::arch::is_x86_feature_detected!("bmi2")
+            && std::arch::is_x86_feature_detected!("lzcnt")
+        {
+            // SAFETY: the lines above detected every feature
+            // `execute_into_avx2` enables on the running CPU, the only
+            // requirement it adds to the kernel body.
+            return unsafe { self.execute_into_avx2(data, out) };
+        }
+        self.run_kernel(data, out)
+    }
+
+    /// [`SynthesizedDatapath::run_kernel`] compiled with 256-bit
+    /// registers: the body is inlined here, not written again.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt")]
+    fn execute_into_avx2(&self, data: &[u8], out: &mut Vec<f64>) {
+        self.run_kernel(data, out)
+    }
+
+    /// The kernel: every op over a lane of samples, then the next op.
+    /// Always inlined, so each instantiation compiles the arithmetic
+    /// for its own registers.
+    #[inline(always)]
+    fn run_kernel(&self, data: &[u8], out: &mut Vec<f64>) {
         assert!(data.len().is_multiple_of(self.num_vars), "ragged batch");
         let f = &self.format;
         let num_weights = self.weights.len();
@@ -369,11 +402,7 @@ impl<F: SpnNumber> SynthesizedDatapath<F> {
                             *d = entry.copied().unwrap_or(self.past_table);
                         }
                     }
-                    SynthOp::Mul { a, b } => {
-                        for ((d, &x), &y) in dst.iter_mut().zip(slot(a)).zip(slot(b)) {
-                            *d = f.mul(x, y);
-                        }
-                    }
+                    SynthOp::Mul { a, b } => f.mul_lanes(dst, slot(a), slot(b)),
                     SynthOp::Add { a, b } => {
                         for ((d, &x), &y) in dst.iter_mut().zip(slot(a)).zip(slot(b)) {
                             *d = f.add(x, y);
@@ -442,8 +471,10 @@ fn expand_histogram(breaks: &[f64], densities: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spn_arith::{CfpFormat, F64Format, LnsFormat, PositFormat};
-    use spn_core::{Evaluator, Leaf, NipsBenchmark, Query, SpnBuilder};
+    use spn_arith::{truncating_cfp, CfpFormat, F64Format, LnsFormat, PositFormat, Rounding};
+    use spn_core::{
+        random_spn, Evaluator, Leaf, NipsBenchmark, Query, RandomSpnConfig, SpnBuilder,
+    };
 
     fn mixture() -> Spn {
         let mut b = SpnBuilder::new(2);
@@ -541,6 +572,55 @@ mod tests {
             assert_eq!(batch[5 + i], prog.execute(&cfp, row));
         }
         assert_eq!(batch[4], 0.0);
+    }
+
+    /// The kernel `execute_into` dispatches to (AVX2 where the CPU has
+    /// it) against the default-feature instantiation of the same body:
+    /// `to_bits`, in the six formats `tests/datapath_differential.rs`
+    /// covers, at batch sizes around the lane width and a whole block.
+    #[test]
+    fn every_instantiation_of_the_kernel_computes_the_same_bits() {
+        #[cfg(target_arch = "x86_64")]
+        let wide = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide = false;
+        if !wide {
+            println!("SKIPPED: no AVX2 on this CPU, the default instantiation is the only one");
+            return;
+        }
+        fn same_bits<F: SpnNumber + Clone>(prog: &DatapathProgram, format: &F, data: &[u8]) {
+            let datapath = prog.synthesize(format);
+            for rows in [0, 1, LANES - 1, LANES, LANES + 1, 4096] {
+                let rows = &data[..rows * prog.num_vars()];
+                let (mut dispatched, mut default) = (Vec::new(), Vec::new());
+                datapath.execute_into(rows, &mut dispatched);
+                datapath.run_kernel(rows, &mut default);
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(dispatched),
+                    bits(default),
+                    "{}, {} rows",
+                    format.describe(),
+                    rows.len() / prog.num_vars()
+                );
+            }
+        }
+        let cfg = RandomSpnConfig {
+            num_vars: 3,
+            domain: 4,
+            repetitions: 2,
+            max_leaf_region: 1,
+            seed: 19,
+        };
+        let prog = DatapathProgram::compile(&random_spn(&cfg, "instantiations").unwrap());
+        // Bytes 0..=5 against 4-entry tables: a third lie past the end.
+        let data: Vec<u8> = (0..4096 * 3u32).map(|i| (i * 7 % 13 % 6) as u8).collect();
+        same_bits(&prog, &CfpFormat::paper_default(), &data);
+        same_bits(&prog, &truncating_cfp(11, 22), &data);
+        same_bits(&prog, &CfpFormat::new(4, 3, Rounding::NearestEven), &data);
+        same_bits(&prog, &LnsFormat::paper_default(), &data);
+        same_bits(&prog, &PositFormat::paper_default(), &data);
+        same_bits(&prog, &F64Format, &data);
     }
 
     #[test]

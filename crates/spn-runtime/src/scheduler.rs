@@ -829,8 +829,7 @@ fn verify_results(shared: &Shared, job: &JobState, results: &[f64]) -> Result<()
     for i in (0..n).step_by(stride) {
         let expected = shared.device.golden(0, job.data.row(i))?;
         let got = results[i];
-        let tolerance = expected.abs() * 1e-12 + f64::MIN_POSITIVE;
-        if (got - expected).abs() > tolerance {
+        if disagrees(got, expected) {
             return Err(RuntimeError::VerificationFailed {
                 index: i,
                 got,
@@ -839,6 +838,15 @@ fn verify_results(shared: &Shared, job: &JobState, results: &[f64]) -> Result<()
         }
     }
     Ok(())
+}
+
+/// Whether a device result disagrees with the golden model's: neither
+/// bit-equal nor within a relative 1e-12. A NaN is within no tolerance,
+/// so it agrees only with the very same NaN.
+fn disagrees(got: f64, expected: f64) -> bool {
+    let tolerance = expected.abs() * 1e-12 + f64::MIN_POSITIVE;
+    let within = (got - expected).abs() <= tolerance;
+    got.to_bits() != expected.to_bits() && !within
 }
 
 #[cfg(test)]
@@ -922,7 +930,11 @@ mod tests {
 
     #[test]
     fn queue_full_backpressure() {
-        let (dev, bench) = device(1);
+        // Paced, so job 1 outlasts the re-submit below however fast the
+        // host emulates the datapath and however late the test thread
+        // is rescheduled.
+        let (dev, bench) = unshared_device(1);
+        let dev = Arc::new(dev.with_pacing(Duration::from_micros(1)));
         let cfg = RuntimeConfig::builder()
             .block_samples(16)
             .threads_per_pe(1)
@@ -1017,6 +1029,27 @@ mod tests {
             sched.submit(data, opts),
             Err(RuntimeError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn golden_check_rejects_nan_and_far_results() {
+        for (got, expected) in [
+            (f64::NAN, 0.25),
+            (f64::NAN, f64::NEG_INFINITY),
+            (0.25, f64::NAN),
+            (f64::INFINITY, 1.0),
+            (0.25 * (1.0 + 1e-11), 0.25),
+        ] {
+            assert!(disagrees(got, expected), "{got} passed against {expected}");
+        }
+        for (got, expected) in [
+            (0.25, 0.25),
+            (0.25 * (1.0 + 1e-13), 0.25),
+            (0.0, f64::MIN_POSITIVE),
+            (f64::NEG_INFINITY, f64::NEG_INFINITY),
+        ] {
+            assert!(!disagrees(got, expected), "{got} failed against {expected}");
+        }
     }
 
     #[test]

@@ -73,7 +73,20 @@ fn two_concurrent_jobs_match_sequential_path_bitwise() {
     let seq_small = rt.run(&small_data, JobOptions::default()).unwrap().values;
 
     // Concurrent run: submit the big job, then the small one behind it.
-    let device = make_device(bench, 4, None);
+    // The device is paced (the PE sleeps a fixed time per sample), so
+    // "the big job is still running" below tests the scheduler's
+    // fairness, not whether the test thread is rescheduled before the
+    // host finishes emulating 300 blocks (~1 ms at AVX2 width).
+    let device = Arc::new(
+        VirtualDevice::new(
+            DatapathProgram::compile(&bench.build_spn()),
+            AnyFormat::paper_default(),
+            AcceleratorConfig::paper_default(),
+            4,
+            16 << 20,
+        )
+        .with_pacing(std::time::Duration::from_micros(1)),
+    );
     let sched = Scheduler::new(Arc::clone(&device), config).unwrap();
     let before = free_bytes_per_channel(&device);
     let big = sched
