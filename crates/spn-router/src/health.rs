@@ -68,7 +68,7 @@ struct Counters {
 }
 
 /// One backend's health cell. Shared by the prober thread (active
-/// signal) and the forwarding threads (passive signal).
+/// signal) and the loop threads that forward (passive signal).
 pub struct HealthCell {
     inner: Mutex<Counters>,
     transitions: AtomicU64,

@@ -10,15 +10,16 @@
 //! * [`ring`] — consistent-hash model placement: weighted virtual
 //!   nodes, deterministic from the backend ids, K distinct replicas
 //!   per model, minimal movement when the backend set changes;
-//! * [`pool`] — per-backend connection reuse over the blocking
-//!   [`spn_server::Client`], bounded in-flight slots, request/failure
-//!   counters;
+//! * [`pool`] — the backend table: bounded in-flight slots,
+//!   request/failure counters, and the generation that retires every
+//!   loop's pooled connections to a backend at once;
 //! * [`health`] — an Up/Degraded/Down state machine fed by an active
 //!   `Ping` prober and by forwarding failures, with hysteresis on
 //!   both demotion and re-admission;
-//! * [`router`] — the listener itself: decode, place, forward with
-//!   automatic failover (connect failure, closed/timed-out
-//!   connection, or a `ShuttingDown`/`ServerBusy` backend), pass
+//! * [`router`] — the service itself, on `spn-server`'s reactor:
+//!   decode, place, and forward from the loop that read the request,
+//!   with automatic failover (connect failure, closed/timed-out
+//!   connection, or a `ShuttingDown`/`ServerBusy` backend), passing
 //!   every per-request verdict through unchanged;
 //! * [`metrics`] — [`spn_telemetry::RouterTelemetry`] (request and
 //!   failover counters, per-backend health and load, end-to-end
@@ -49,6 +50,6 @@ pub mod router;
 
 pub use health::{HealthCell, HealthPolicy, HealthState};
 pub use metrics::RouterMetrics;
-pub use pool::{Backend, Checkout};
+pub use pool::Backend;
 pub use ring::HashRing;
 pub use router::{RouterConfig, RouterError, SpnRouter};

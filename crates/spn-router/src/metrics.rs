@@ -103,7 +103,7 @@ mod tests {
         m.request_ok(false);
         m.request_ok(true);
         m.rejected_malformed();
-        let b = Arc::new(Backend::resolve("127.0.0.1:1", &HealthPolicy::default(), None).unwrap());
+        let b = Arc::new(Backend::resolve("127.0.0.1:1", &HealthPolicy::default()).unwrap());
         b.record_request();
         b.health.record_failure();
         let snap = m.snapshot(&[Arc::clone(&b)]);

@@ -1,19 +1,15 @@
-//! The backend pool: one entry per `spn-server`, each with reusable
-//! connections, an in-flight bound and a health cell.
+//! The backend table: one entry per `spn-server`, each with an
+//! in-flight bound, request/failure counters and a health cell.
 //!
-//! Connections are plain blocking [`Client`]s checked out for one
-//! round trip and returned on success — the protocol is strictly
-//! request/response per connection, so a checked-out connection is
-//! exclusively owned and no framing interleaves. A connection that
-//! saw any error is dropped, not returned: the stream may no longer
-//! be frame-aligned, and dialing fresh is cheap next to an inference.
+//! Connections are not kept here: each reactor loop pools its own idle
+//! upstream connections (`spn_server::reactor`). The table keeps the
+//! generation they are stamped with; [`Backend::drain_pool`] bumps it,
+//! and every loop then closes its idle connections to the backend.
 
 use crate::health::{HealthCell, HealthPolicy};
-use parking_lot::Mutex;
-use spn_server::client::{Client, ClientError};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// One routed backend.
 pub struct Backend {
@@ -24,41 +20,15 @@ pub struct Backend {
     pub addr: SocketAddr,
     /// Health cell shared by the prober and the forwarding path.
     pub health: HealthCell,
-    /// Idle connections, LIFO (most recently used first) with their
-    /// check-in instants for TTL expiry.
-    idle: Mutex<Vec<(Client, Instant)>>,
-    /// Drop pooled connections idle past this (`None` = keep
-    /// forever). Backends routinely reap their side of idle sockets
-    /// (the reactor engine's idle timeout!), so holding one longer
-    /// than the server does just converts future checkouts into
-    /// `ConnectionClosed` retries.
-    idle_ttl: Option<Duration>,
-    idle_expired_total: AtomicU64,
+    pool_generation: AtomicU64,
     inflight: AtomicU64,
     requests_total: AtomicU64,
     failures_total: AtomicU64,
 }
 
-/// A connection checked out of a backend's pool; remembers whether it
-/// was pooled (and might therefore be stale) or freshly dialed.
-pub struct Checkout {
-    /// The connection itself.
-    pub client: Client,
-    /// `true` when the connection came from the idle pool. A
-    /// [`ClientError::ConnectionClosed`] on a pooled connection is
-    /// expected churn (the backend closed an idle socket), so the
-    /// caller retries once on a fresh dial before blaming the backend.
-    pub pooled: bool,
-}
-
 impl Backend {
-    /// Resolve `id` (`host:port`) into a backend entry whose pooled
-    /// connections expire after `idle_ttl` without reuse.
-    pub fn resolve(
-        id: &str,
-        policy: &HealthPolicy,
-        idle_ttl: Option<Duration>,
-    ) -> Result<Backend, String> {
+    /// Resolve `id` (`host:port`) into a backend entry.
+    pub fn resolve(id: &str, policy: &HealthPolicy) -> Result<Backend, String> {
         let addr = id
             .to_socket_addrs()
             .map_err(|e| format!("backend '{id}': {e}"))?
@@ -68,97 +38,23 @@ impl Backend {
             id: id.to_string(),
             addr,
             health: HealthCell::new(policy),
-            idle: Mutex::new(Vec::new()),
-            idle_ttl,
-            idle_expired_total: AtomicU64::new(0),
+            pool_generation: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             requests_total: AtomicU64::new(0),
             failures_total: AtomicU64::new(0),
         })
     }
 
-    /// Check out a connection: pooled if available, else a fresh dial
-    /// bounded by `connect_timeout`; either way the i/o timeout is
-    /// (re)applied.
-    pub fn checkout(
-        &self,
-        connect_timeout: Duration,
-        io_timeout: Option<Duration>,
-    ) -> Result<Checkout, ClientError> {
-        {
-            let mut idle = self.idle.lock();
-            // LIFO: the most recently used socket is the least likely
-            // to have been reaped by the backend. Anything expired on
-            // the way down is dropped, not returned.
-            while let Some((mut client, since)) = idle.pop() {
-                if self.expired(since) {
-                    self.idle_expired_total.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                drop(idle);
-                client.set_io_timeout(io_timeout)?;
-                return Ok(Checkout {
-                    client,
-                    pooled: true,
-                });
-            }
-        }
-        self.dial(connect_timeout, io_timeout)
+    /// The generation pooled connections to this backend must carry to
+    /// be reused.
+    pub fn pool_generation(&self) -> u64 {
+        self.pool_generation.load(Ordering::Relaxed)
     }
 
-    /// Always dial a fresh connection (used for the pooled-retry path
-    /// and by the health prober).
-    pub fn dial(
-        &self,
-        connect_timeout: Duration,
-        io_timeout: Option<Duration>,
-    ) -> Result<Checkout, ClientError> {
-        let mut client = Client::connect_timeout(self.addr, connect_timeout)?;
-        client.set_io_timeout(io_timeout)?;
-        Ok(Checkout {
-            client,
-            pooled: false,
-        })
-    }
-
-    /// Return a healthy connection for reuse (stamped now for TTL
-    /// accounting).
-    pub fn checkin(&self, client: Client) {
-        self.idle.lock().push((client, Instant::now()));
-    }
-
-    /// Drop every pooled connection (e.g. after the backend went
-    /// down, so recovery starts from fresh dials).
+    /// Retire every pooled connection to this backend (e.g. after it
+    /// went down, so recovery starts from fresh dials).
     pub fn drain_pool(&self) {
-        self.idle.lock().clear();
-    }
-
-    /// Sweep expired idle connections eagerly (the health prober
-    /// calls this each round, so sockets do not linger just because
-    /// no request happened to check them out).
-    pub fn expire_idle(&self) {
-        let mut idle = self.idle.lock();
-        let before = idle.len();
-        idle.retain(|(_, since)| !self.expired(*since));
-        let dropped = (before - idle.len()) as u64;
-        if dropped > 0 {
-            self.idle_expired_total
-                .fetch_add(dropped, Ordering::Relaxed);
-        }
-    }
-
-    fn expired(&self, since: Instant) -> bool {
-        self.idle_ttl.is_some_and(|ttl| since.elapsed() >= ttl)
-    }
-
-    /// Currently pooled idle connections.
-    pub fn idle_count(&self) -> usize {
-        self.idle.lock().len()
-    }
-
-    /// Pooled connections dropped by TTL expiry so far.
-    pub fn idle_expired_total(&self) -> u64 {
-        self.idle_expired_total.load(Ordering::Relaxed)
+        self.pool_generation.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Requests currently in flight against this backend.
@@ -167,14 +63,18 @@ impl Backend {
     }
 
     /// Try to reserve an in-flight slot under `bound`; the returned
-    /// guard releases it. `None` when the backend is at capacity.
-    pub fn reserve(&self, bound: u64) -> Option<InflightGuard<'_>> {
+    /// guard releases it, and may outlive the caller's stack frame (a
+    /// forwarded request holds it until the backend answers). `None`
+    /// when the backend is at capacity.
+    pub fn reserve(self: &Arc<Self>, bound: u64) -> Option<InflightGuard> {
         let prev = self.inflight.fetch_add(1, Ordering::Relaxed);
         if prev >= bound {
             self.inflight.fetch_sub(1, Ordering::Relaxed);
             return None;
         }
-        Some(InflightGuard { backend: self })
+        Some(InflightGuard {
+            backend: Arc::clone(self),
+        })
     }
 
     /// Count one successful round trip.
@@ -199,11 +99,11 @@ impl Backend {
 }
 
 /// RAII release of a reserved in-flight slot.
-pub struct InflightGuard<'a> {
-    backend: &'a Backend,
+pub struct InflightGuard {
+    backend: Arc<Backend>,
 }
 
-impl Drop for InflightGuard<'_> {
+impl Drop for InflightGuard {
     fn drop(&mut self) {
         self.backend.inflight.fetch_sub(1, Ordering::Relaxed);
     }
@@ -213,14 +113,14 @@ impl Drop for InflightGuard<'_> {
 mod tests {
     use super::*;
 
-    fn backend() -> Backend {
+    fn backend() -> Arc<Backend> {
         // Resolution only; nothing listens here.
-        Backend::resolve("127.0.0.1:1", &HealthPolicy::default(), None).unwrap()
+        Arc::new(Backend::resolve("127.0.0.1:1", &HealthPolicy::default()).unwrap())
     }
 
     #[test]
     fn unresolvable_backend_is_a_config_error() {
-        assert!(Backend::resolve("not an address", &HealthPolicy::default(), None).is_err());
+        assert!(Backend::resolve("not an address", &HealthPolicy::default()).is_err());
     }
 
     #[test]
@@ -233,82 +133,5 @@ mod tests {
         drop(g1);
         assert_eq!(b.inflight(), 1);
         assert!(b.reserve(2).is_some());
-    }
-
-    #[test]
-    fn ttl_expired_idle_connection_is_dropped_on_checkout() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let b = Backend::resolve(
-            &addr.to_string(),
-            &HealthPolicy::default(),
-            Some(Duration::from_millis(10)),
-        )
-        .unwrap();
-        let co = b.checkout(Duration::from_millis(500), None).unwrap();
-        assert!(!co.pooled, "first checkout must be a fresh dial");
-        b.checkin(co.client);
-        assert_eq!(b.idle_count(), 1);
-        std::thread::sleep(Duration::from_millis(30));
-        let co = b.checkout(Duration::from_millis(500), None).unwrap();
-        assert!(!co.pooled, "expired pooled socket must not be reused");
-        assert_eq!(b.idle_expired_total(), 1);
-    }
-
-    #[test]
-    fn fresh_idle_connection_is_reused_within_ttl() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let b = Backend::resolve(
-            &addr.to_string(),
-            &HealthPolicy::default(),
-            Some(Duration::from_secs(10)),
-        )
-        .unwrap();
-        let co = b.checkout(Duration::from_millis(500), None).unwrap();
-        b.checkin(co.client);
-        let co = b.checkout(Duration::from_millis(500), None).unwrap();
-        assert!(co.pooled, "socket well within TTL must be reused");
-        assert_eq!(b.idle_expired_total(), 0);
-    }
-
-    #[test]
-    fn expire_idle_sweeps_without_a_checkout() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let b = Backend::resolve(
-            &addr.to_string(),
-            &HealthPolicy::default(),
-            Some(Duration::from_millis(10)),
-        )
-        .unwrap();
-        let co = b.checkout(Duration::from_millis(500), None).unwrap();
-        b.checkin(co.client);
-        std::thread::sleep(Duration::from_millis(30));
-        b.expire_idle();
-        assert_eq!(b.idle_count(), 0);
-        assert_eq!(b.idle_expired_total(), 1);
-        // No TTL: nothing ever expires.
-        let b2 = Backend::resolve(&addr.to_string(), &HealthPolicy::default(), None).unwrap();
-        let co = b2.checkout(Duration::from_millis(500), None).unwrap();
-        b2.checkin(co.client);
-        std::thread::sleep(Duration::from_millis(15));
-        b2.expire_idle();
-        assert_eq!(b2.idle_count(), 1);
-    }
-
-    #[test]
-    fn dial_failure_is_fast_and_typed() {
-        let b = backend();
-        let err = b
-            .dial(Duration::from_millis(200), None)
-            .err()
-            .expect("nothing listens on port 1");
-        // Refused or closed depending on the platform's failure shape;
-        // either way it is not a protocol error.
-        assert!(matches!(
-            err,
-            ClientError::Io(_) | ClientError::ConnectionClosed
-        ));
     }
 }

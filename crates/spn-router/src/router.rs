@@ -1,14 +1,18 @@
 //! The router proper: an SPN1 [`Service`] that fans `Infer` requests
 //! over the backend pool.
 //!
-//! The client side is `spn-server`'s shared front-end on its blocking
-//! thread-per-connection driver — the router owns no accept loop, no
-//! frame loop and no shutdown latch — plus one health-prober thread.
-//! A client connection handles one request at a time: decode → pick
-//! replicas off the ring → forward with failover → write the
-//! response. `Ping`, `Stats` and `Shutdown` are answered by the
-//! front-end — `Stats` returns the router's own telemetry document and
-//! `Shutdown` drains the router without touching the backends.
+//! Both sides run on `spn-server`'s reactor — the router owns no accept
+//! loop, no frame loop and no shutdown latch, and its one thread of its
+//! own is the health prober. The loop thread that reads a client's
+//! request also forwards it: decode → pick replicas off the ring →
+//! call a pooled or fresh backend connection through the loop's
+//! [`Upstream`] → classify the reply → try the next candidate or answer
+//! the client. Nothing there blocks on a backend, so a stalled backend
+//! stalls only the requests waiting on it. `Ping`, `Stats` and
+//! `Shutdown` are answered by the front-end — `Stats` returns the
+//! router's own telemetry document and `Shutdown` drains the router
+//! without touching the backends; a draining loop keeps driving
+//! forwarded requests until they are answered or time out.
 //!
 //! Failover contract (inference is pure, so a retry can never
 //! double-apply): an attempt moves to the next replica on connect
@@ -20,17 +24,18 @@
 
 use crate::health::HealthPolicy;
 use crate::metrics::RouterMetrics;
-use crate::pool::Backend;
+use crate::pool::{Backend, InflightGuard};
 use crate::ring::HashRing;
-use spn_server::client::ClientError;
-use spn_server::protocol::{read_frame, write_frame, Frame, InferRequest, Opcode, Status};
-use spn_server::{BlockingDriver, Frontend, InferReply, Service};
+use spn_server::protocol::{Frame, InferRequest, Opcode, Status};
+use spn_server::reactor::{self, ReactorConfig, ReactorHandle, Target, Upstream};
+use spn_server::{Client, ClientError, Frontend, InferReply, ReactorMetrics, Service};
 use spn_telemetry::{
     SpanCtx, SpanKind, TelemetrySnapshot, TraceCollector, TELEMETRY_SCHEMA_VERSION,
 };
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -52,9 +57,9 @@ pub struct RouterConfig {
     pub max_inflight_per_backend: u64,
     /// TCP dial budget per forwarding attempt.
     pub connect_timeout: Duration,
-    /// Read/write budget per forwarded round trip (`None` = no
-    /// bound). A backend that overruns is treated as failed and the
-    /// request fails over.
+    /// Budget from a connected backend socket to the reply's last byte
+    /// (`None` = no bound). A backend that overruns is treated as
+    /// failed and the request fails over.
     pub rpc_timeout: Option<Duration>,
     /// Drop pooled backend connections idle longer than this
     /// (`None` = pool forever). Backends reap their side of idle
@@ -62,7 +67,7 @@ pub struct RouterConfig {
     /// router expiring first turns would-be `ConnectionClosed`
     /// retries into ordinary fresh dials.
     pub pool_idle_ttl: Option<Duration>,
-    /// How often blocked client-side reads wake to check shutdown.
+    /// How often the health prober's sleep wakes to check shutdown.
     pub read_poll: Duration,
     /// Live span collector (`None` = tracing off); `route-pick` and
     /// `backend-rpc` spans land on the router track.
@@ -110,18 +115,18 @@ impl From<io::Error> for RouterError {
     }
 }
 
-/// The router behind the front-end: placement, the backend pool and
-/// the forwarding limits.
-struct RouterService {
+/// Placement, the backend table, and the configuration that sets the
+/// forwarding limits.
+struct Router {
     ring: HashRing,
     backends: Vec<Arc<Backend>>,
     metrics: RouterMetrics,
-    replication: usize,
-    max_inflight_per_backend: u64,
-    connect_timeout: Duration,
-    rpc_timeout: Option<Duration>,
-    trace: Option<Arc<TraceCollector>>,
+    config: RouterConfig,
 }
+
+/// The router behind the front-end. Its state sits behind an `Arc` so
+/// that a forwarded request's continuation can hold it between calls.
+struct RouterService(Arc<Router>);
 
 type RouterFront = Frontend<RouterService>;
 
@@ -129,7 +134,7 @@ type RouterFront = Frontend<RouterService>;
 /// (the backends are left running).
 pub struct SpnRouter {
     front: Arc<RouterFront>,
-    driver: BlockingDriver,
+    reactor: ReactorHandle,
     health_thread: Option<thread::JoinHandle<()>>,
 }
 
@@ -145,8 +150,7 @@ impl SpnRouter {
                 return Err(RouterError::Config(format!("backend '{id}' listed twice")));
             }
             backends.push(Arc::new(
-                Backend::resolve(id, &config.health, config.pool_idle_ttl)
-                    .map_err(RouterError::Config)?,
+                Backend::resolve(id, &config.health).map_err(RouterError::Config)?,
             ));
         }
         if config.replication == 0 {
@@ -156,34 +160,34 @@ impl SpnRouter {
 
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let service = RouterService {
+        let router = Router {
             ring,
             backends,
             metrics: RouterMetrics::new(),
-            replication: config.replication,
-            max_inflight_per_backend: config.max_inflight_per_backend,
-            connect_timeout: config.connect_timeout,
-            rpc_timeout: config.rpc_timeout,
-            trace: config.trace,
+            config,
         };
         // The front-end's own trace hook records server-track
         // `ReplyWritten` spans; the router's spans are route-pick and
         // backend-rpc, recorded by the service.
-        let front = Arc::new(Frontend::new(service, local_addr, config.read_poll, None));
+        let service = RouterService(Arc::new(router));
+        let front = Arc::new(Frontend::new(service, local_addr, None));
+        let reactor = reactor::start(listener, Arc::clone(&front), ReactorConfig::default())?;
 
-        let driver = BlockingDriver::start(listener, Arc::clone(&front));
         let health_front = Arc::clone(&front);
-        let health_policy = config.health;
         let health_thread = thread::Builder::new()
             .name("spn-route-health".into())
-            .spawn(move || health_loop(health_front, health_policy))
+            .spawn(move || health_loop(health_front))
             .expect("spawn router health thread");
 
         Ok(SpnRouter {
             front,
-            driver,
+            reactor,
             health_thread: Some(health_thread),
         })
+    }
+
+    fn router(&self) -> &Router {
+        &self.front.service.0
     }
 
     /// The address the router actually bound (resolves port `0`).
@@ -194,28 +198,20 @@ impl SpnRouter {
     /// The backend entries, in configuration order (tests and the CLI
     /// status line read states and counters off these).
     pub fn backends(&self) -> &[Arc<Backend>] {
-        &self.front.service.backends
+        &self.router().backends
     }
 
     /// The ordered replica set the ring assigns `model`.
     pub fn replicas(&self, model: &str) -> Vec<usize> {
-        let service = &self.front.service;
-        service.ring.replicas(model, service.replication)
-    }
-
-    /// The backend group hosting a scope-sharded `model`: shard `s`
-    /// runs on backend index `shard_group(model, k)[s]` (see
-    /// [`HashRing::shard_group`]). Deterministic across router
-    /// instances, so every front-end agrees where each shard lives.
-    pub fn shard_group(&self, model: &str, shards: usize) -> Vec<usize> {
-        self.front.service.ring.shard_group(model, shards)
+        let router = self.router();
+        router.ring.replicas(model, router.config.replication)
     }
 
     /// The router's telemetry document — what the `Stats` opcode
     /// returns on the wire: no serving/model sections (those live on
     /// the backends), a populated `router` section.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        self.front.service.telemetry_snapshot()
+        self.router().telemetry_snapshot()
     }
 
     /// Block until shutdown is requested (a client's `Shutdown` frame
@@ -224,16 +220,16 @@ impl SpnRouter {
         self.front.wait_for_shutdown();
     }
 
-    /// Drain and stop the router: finish in-flight client requests,
-    /// then join every thread. Backends are not contacted. Idempotent;
-    /// also runs on drop.
+    /// Drain and stop the router: answer every forwarded request, then
+    /// join every thread. Backends are not contacted. Idempotent; also
+    /// runs on drop.
     pub fn shutdown(&mut self) {
         self.front.request_shutdown();
-        self.driver.join_acceptor();
+        self.reactor.join_acceptor();
         if let Some(t) = self.health_thread.take() {
             let _ = t.join();
         }
-        self.driver.finish();
+        self.reactor.finish();
     }
 }
 
@@ -245,20 +241,20 @@ impl Drop for SpnRouter {
 
 /// Active prober: ping every backend each interval; a probe is a
 /// fresh dial + ping, both under the probe timeout, so a dead host
-/// costs one bounded attempt. When a backend transitions to `Down`
-/// its idle pool is flushed — recovery then starts from fresh dials
-/// instead of replaying stale sockets.
-fn health_loop(front: Arc<RouterFront>, policy: HealthPolicy) {
+/// costs one bounded attempt. Probes block, which is why the prober
+/// has a thread of its own. When a backend transitions to `Down` its
+/// pooled connections are retired — recovery then starts from fresh
+/// dials instead of replaying stale sockets.
+fn health_loop(front: Arc<RouterFront>) {
+    let router = &front.service.0;
+    let (policy, read_poll) = (&router.config.health, router.config.read_poll);
     while !front.is_shutting_down() {
-        for backend in &front.service.backends {
+        for backend in &router.backends {
             if front.is_shutting_down() {
                 return;
             }
             let was_routable = backend.health.is_routable();
-            let outcome = backend
-                .dial(policy.timeout, Some(policy.timeout))
-                .and_then(|mut co| co.client.ping());
-            match outcome {
+            match probe(backend.addr, policy.timeout) {
                 Ok(()) => backend.health.record_success(),
                 Err(_) => {
                     backend.health.record_failure();
@@ -267,231 +263,97 @@ fn health_loop(front: Arc<RouterFront>, policy: HealthPolicy) {
                     }
                 }
             }
-            // TTL sweep rides the probe cadence: without it an idle
-            // pool only shrinks when a request checks out of it.
-            backend.expire_idle();
         }
         // Sleep the interval in read-poll slices so shutdown is
         // observed promptly.
         let mut left = policy.interval;
         while !left.is_zero() && !front.is_shutting_down() {
-            let step = left.min(front.read_poll());
+            let step = left.min(read_poll.max(Duration::from_millis(1)));
             thread::sleep(step);
             left -= step;
         }
     }
 }
 
+/// One probe: a fresh dial and a `Ping`, each bounded by `timeout`.
+fn probe(addr: SocketAddr, timeout: Duration) -> Result<(), ClientError> {
+    let mut client = Client::connect_timeout(addr, timeout)?;
+    client.set_io_timeout(Some(timeout))?;
+    client.ping()
+}
+
 impl Service for RouterService {
-    fn stats_json(&self) -> String {
-        self.telemetry_snapshot().to_json()
+    fn stats_json(&self, _reactor: &ReactorMetrics) -> String {
+        self.0.telemetry_snapshot().to_json()
     }
 
     fn rejected(&self, status: Status) {
         // The router's telemetry counts only the rejections it can
         // attribute to the request itself.
         if status == Status::Malformed {
-            self.metrics.rejected_malformed();
+            self.0.metrics.rejected_malformed();
         }
     }
 
-    /// Forwarding blocks the connection's thread, so the response is
-    /// always ready on return and `done` is never kept.
-    fn infer<F>(&self, payload: Vec<u8>, _done: F) -> Option<InferReply>
+    /// Decode and place here, then forward from this loop: the response
+    /// arrives through `done`, on this loop's thread.
+    fn infer<F>(&self, payload: Vec<u8>, up: &mut Upstream<'_>, done: F) -> Option<InferReply>
     where
         F: FnOnce(InferReply) + Send + 'static,
     {
-        Some(route_infer(self, &payload))
-    }
-}
-
-/// How one forwarding attempt ended.
-enum Attempt {
-    /// `Ok` response — done.
-    Ok(Frame),
-    /// Typed verdict about the request itself — pass through.
-    Passthrough(Frame),
-    /// Backend unavailable — try the next replica.
-    Failover,
-}
-
-/// Decode, place, forward (with failover), and build the client's
-/// response frame for one `Infer` request.
-fn route_infer(svc: &RouterService, payload: &[u8]) -> InferReply {
-    let t0 = Instant::now();
-    // Decode for validation and the model name; the original payload
-    // bytes are forwarded verbatim, so the router cannot corrupt a
-    // request it re-encodes.
-    let req = match InferRequest::decode(payload) {
-        Ok(r) => r,
-        Err(m) => {
-            svc.metrics.rejected_malformed();
-            return (
-                Frame::error(Opcode::Infer, Status::Malformed, &m),
-                SpanCtx::NONE,
-            );
-        }
-    };
-    let ctx = req.ctx;
-
-    // Replica choice: the ring's ordered set, routable replicas first
-    // (least-loaded first among them), `Down` replicas kept as a last
-    // resort so a stale health verdict cannot fail a servable request.
-    let t_pick = Instant::now();
-    let replica_set = svc.ring.replicas(&req.model, svc.replication);
-    let mut candidates: Vec<usize> = replica_set
-        .iter()
-        .copied()
-        .filter(|&i| svc.backends[i].health.is_routable())
-        .collect();
-    candidates.sort_by_key(|&i| svc.backends[i].inflight());
-    for &i in &replica_set {
-        if !candidates.contains(&i) {
-            candidates.push(i);
-        }
-    }
-    if let Some(trace) = &svc.trace {
-        trace.record(
-            SpanKind::RoutePick,
-            ctx,
-            0,
-            candidates.len() as u64,
-            t_pick,
-            Instant::now(),
-        );
-    }
-
-    let mut attempts_failed = 0u64;
-    for &idx in &candidates {
-        let backend = &svc.backends[idx];
-        let Some(_slot) = backend.reserve(svc.max_inflight_per_backend) else {
-            // At capacity is not a health event; just move on.
-            attempts_failed += 1;
-            continue;
+        let t0 = Instant::now();
+        // Decode for validation and the model name; the original payload
+        // bytes are forwarded verbatim, so the router cannot corrupt a
+        // request it re-encodes.
+        let req = match InferRequest::decode(&payload) {
+            Ok(r) => r,
+            Err(m) => {
+                self.0.metrics.rejected_malformed();
+                let malformed = Frame::error(Opcode::Infer, Status::Malformed, &m);
+                return Some((malformed, SpanCtx::NONE));
+            }
         };
-        let t_rpc = Instant::now();
-        let attempt = forward_once(svc, backend, payload);
-        if let Some(trace) = &svc.trace {
-            trace.record(
-                SpanKind::BackendRpc,
-                ctx,
-                0,
-                idx as u64,
-                t_rpc,
-                Instant::now(),
-            );
-        }
-        match attempt {
-            Attempt::Ok(frame) => {
-                backend.record_request();
-                backend.health.record_success();
-                svc.metrics.request_ok(attempts_failed > 0);
-                svc.metrics.e2e_seconds.record_duration(t0.elapsed());
-                return (frame, ctx);
-            }
-            Attempt::Passthrough(frame) => {
-                svc.metrics.rejected_by_backend();
-                svc.metrics.e2e_seconds.record_duration(t0.elapsed());
-                return (frame, ctx);
-            }
-            Attempt::Failover => {
-                attempts_failed += 1;
-            }
-        }
-    }
-
-    svc.metrics.rejected_no_backend();
-    svc.metrics.e2e_seconds.record_duration(t0.elapsed());
-    let busy = Frame::error(
-        Opcode::Infer,
-        Status::ServerBusy,
-        &format!(
-            "no available replica for model '{}' ({} attempt(s) failed); retry later",
-            req.model, attempts_failed
-        ),
-    );
-    (busy, ctx)
-}
-
-/// One bounded attempt against one backend: check out a connection,
-/// do the raw frame round trip, classify the outcome. A pooled
-/// connection that turns out closed is retried once on a fresh dial
-/// before the backend is blamed — idle sockets die routinely (backend
-/// restarts, keep-alive reaping) and prove nothing about health.
-fn forward_once(svc: &RouterService, backend: &Backend, payload: &[u8]) -> Attempt {
-    let co = match backend.checkout(svc.connect_timeout, svc.rpc_timeout) {
-        Ok(co) => co,
-        Err(_) => {
-            backend.record_failure();
-            backend.health.record_failure();
-            return Attempt::Failover;
-        }
-    };
-    let pooled = co.pooled;
-    let mut client = co.client;
-    let outcome = rpc(&mut client, payload);
-    let outcome = match outcome {
-        Err(ClientError::ConnectionClosed) if pooled => {
-            // Stale pooled socket; one fresh dial, same backend.
-            match backend.dial(svc.connect_timeout, svc.rpc_timeout) {
-                Ok(fresh) => {
-                    client = fresh.client;
-                    rpc(&mut client, payload)
-                }
-                Err(e) => Err(e),
-            }
-        }
-        other => other,
-    };
-    match outcome {
-        Ok(frame) => match frame.status {
-            Status::Ok => {
-                backend.checkin(client);
-                Attempt::Ok(frame)
-            }
-            // The backend is going away or full — its replicas can
-            // still serve this request.
-            Status::ShuttingDown => {
-                backend.record_failure();
-                backend.health.record_failure();
-                Attempt::Failover
-            }
-            Status::ServerBusy => {
-                backend.checkin(client);
-                backend.record_failure();
-                Attempt::Failover
-            }
-            // A verdict about the request itself: retrying elsewhere
-            // would return the same answer (placement is per-model,
-            // every replica serves the same model set).
-            _ => {
-                backend.checkin(client);
-                Attempt::Passthrough(frame)
-            }
-        },
-        Err(_) => {
-            backend.record_failure();
-            backend.health.record_failure();
-            Attempt::Failover
-        }
+        let forward = Forward {
+            candidates: self.0.candidates(&req.model, req.ctx),
+            router: Arc::clone(&self.0),
+            payload: Rc::new(payload),
+            model: req.model,
+            ctx: req.ctx,
+            t0,
+            next: 0,
+            attempts_failed: 0,
+            done,
+        };
+        forward.next(up);
+        None
     }
 }
 
-/// Raw request/response round trip on a checked-out connection.
-fn rpc(client: &mut spn_server::client::Client, payload: &[u8]) -> Result<Frame, ClientError> {
-    let stream = client.stream_mut();
-    write_frame(stream, &Frame::request(Opcode::Infer, payload.to_vec()))?;
-    let frame = read_frame(stream)?;
-    if frame.opcode != Opcode::Infer {
-        return Err(ClientError::Wire(format!(
-            "backend answered opcode {:?} to an Infer request",
-            frame.opcode
-        )));
+impl Router {
+    /// Replica choice: the ring's ordered set, routable replicas first
+    /// (least-loaded first among them), `Down` replicas kept as a last
+    /// resort so a stale health verdict cannot fail a servable request.
+    fn candidates(&self, model: &str, ctx: SpanCtx) -> Vec<usize> {
+        let t_pick = Instant::now();
+        let replica_set = self.ring.replicas(model, self.config.replication);
+        let mut candidates: Vec<usize> = replica_set
+            .iter()
+            .copied()
+            .filter(|&i| self.backends[i].health.is_routable())
+            .collect();
+        candidates.sort_by_key(|&i| self.backends[i].inflight());
+        for &i in &replica_set {
+            if !candidates.contains(&i) {
+                candidates.push(i);
+            }
+        }
+        if let Some(trace) = &self.config.trace {
+            let n = candidates.len() as u64;
+            trace.record(SpanKind::RoutePick, ctx, 0, n, t_pick, Instant::now());
+        }
+        candidates
     }
-    Ok(frame)
-}
 
-impl RouterService {
     /// The router's telemetry document: schema + a populated `router`
     /// section; the serving/model sections belong to the backends.
     fn telemetry_snapshot(&self) -> TelemetrySnapshot {
@@ -507,9 +369,127 @@ impl RouterService {
     }
 }
 
+/// One forwarded request between attempts. Each backend call's
+/// continuation owns it, so every attempt runs on the loop thread
+/// that read the request.
+struct Forward<F> {
+    router: Arc<Router>,
+    payload: Rc<Vec<u8>>,
+    model: String,
+    ctx: SpanCtx,
+    t0: Instant,
+    candidates: Vec<usize>,
+    next: usize,
+    attempts_failed: u64,
+    done: F,
+}
+
+impl<F: FnOnce(InferReply) + Send + 'static> Forward<F> {
+    /// Call the next candidate that has an in-flight slot free, or
+    /// answer `ServerBusy` once every replica is exhausted.
+    fn next(mut self, up: &mut Upstream<'_>) {
+        while let Some(&idx) = self.candidates.get(self.next) {
+            self.next += 1;
+            let backend = &self.router.backends[idx];
+            let config = &self.router.config;
+            let Some(slot) = backend.reserve(config.max_inflight_per_backend) else {
+                // At capacity is not a health event; just move on.
+                self.attempts_failed += 1;
+                continue;
+            };
+            let to = Target {
+                addr: backend.addr,
+                generation: backend.pool_generation(),
+                connect_timeout: config.connect_timeout,
+                rpc_timeout: config.rpc_timeout,
+                pool_ttl: config.pool_idle_ttl,
+            };
+            let (payload, t_rpc) = (Rc::clone(&self.payload), Instant::now());
+            return up.infer(to, &payload, move |reply, up| {
+                self.answered(idx, slot, t_rpc, reply, up)
+            });
+        }
+        let metrics = &self.router.metrics;
+        metrics.rejected_no_backend();
+        metrics.e2e_seconds.record_duration(self.t0.elapsed());
+        let msg = format!(
+            "no available replica for model '{}' ({} attempt(s) failed); retry later",
+            self.model, self.attempts_failed
+        );
+        let busy = Frame::error(Opcode::Infer, Status::ServerBusy, &msg);
+        (self.done)((busy, self.ctx));
+    }
+
+    /// Classify backend `idx`'s answer: done, passed through, or on to
+    /// the next replica.
+    fn answered(
+        mut self,
+        idx: usize,
+        slot: InflightGuard,
+        t_rpc: Instant,
+        reply: io::Result<Frame>,
+        up: &mut Upstream<'_>,
+    ) {
+        let router = Arc::clone(&self.router);
+        if let Some(trace) = &router.config.trace {
+            let now = Instant::now();
+            trace.record(SpanKind::BackendRpc, self.ctx, 0, idx as u64, t_rpc, now);
+        }
+        let backend = &router.backends[idx];
+        let answer = match reply {
+            Ok(frame) if frame.status == Status::Ok => {
+                backend.record_request();
+                backend.health.record_success();
+                router.metrics.request_ok(self.attempts_failed > 0);
+                Some(frame)
+            }
+            // Full — its replicas can still serve this request.
+            Ok(frame) if frame.status == Status::ServerBusy => {
+                backend.record_failure();
+                None
+            }
+            // A verdict about the request itself: retrying elsewhere
+            // would return the same answer (placement is per-model,
+            // every replica serves the same model set).
+            Ok(frame) if frame.status != Status::ShuttingDown => {
+                router.metrics.rejected_by_backend();
+                Some(frame)
+            }
+            // Going away, unreachable, silent or garbled.
+            _ => {
+                backend.record_failure();
+                backend.health.record_failure();
+                None
+            }
+        };
+        drop(slot);
+        match answer {
+            Some(frame) => {
+                router
+                    .metrics
+                    .e2e_seconds
+                    .record_duration(self.t0.elapsed());
+                (self.done)((frame, self.ctx));
+            }
+            None => {
+                self.attempts_failed += 1;
+                self.next(up);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spn_arith::AnyFormat;
+    use spn_core::{Dataset, NipsBenchmark};
+    use spn_hw::{AcceleratorConfig, DatapathProgram};
+    use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
+    use spn_server::protocol::{decode_results, read_frame, write_frame};
+    use spn_server::{ModelSpec, ServerConfig, SpnServer};
+    use std::io::Read;
+    use std::net::TcpStream;
 
     #[test]
     fn empty_backend_list_is_a_config_error() {
@@ -557,5 +537,189 @@ mod tests {
         assert_eq!(reps, router.replicas("NIPS10"));
         assert_eq!(reps.len(), 2);
         router.shutdown();
+    }
+
+    const BENCH: NipsBenchmark = NipsBenchmark::Nips10;
+
+    fn device() -> VirtualDevice {
+        VirtualDevice::new(
+            DatapathProgram::compile(&BENCH.build_spn()),
+            AnyFormat::paper_default(),
+            AcceleratorConfig::paper_default(),
+            1,
+            64 << 20,
+        )
+    }
+
+    /// A backend serving NIPS10 under each of `names`.
+    fn backend(names: &[String], device: VirtualDevice) -> SpnServer {
+        let scheduler =
+            Arc::new(Scheduler::new(Arc::new(device), RuntimeConfig::default()).unwrap());
+        let nf = BENCH.num_vars() as u32;
+        let specs = names
+            .iter()
+            .map(|name| ModelSpec::new(name, Arc::clone(&scheduler), nf, 256))
+            .collect();
+        SpnServer::serve(ServerConfig::default(), specs).unwrap()
+    }
+
+    /// The one-row `dataset`'s log-likelihood, straight from the runtime.
+    fn direct(dataset: &Dataset) -> u64 {
+        let runtime = SpnRuntime::new(Arc::new(device()), RuntimeConfig::default());
+        runtime.run(dataset, JobOptions::default()).unwrap().values[0]
+            .ln()
+            .to_bits()
+    }
+
+    /// A backend that accepts and never answers stalls only the
+    /// requests routed to it: they fail over after `rpc_timeout` and
+    /// get a live backend's answer, bit for bit, while a client on the
+    /// same loop keeps being served far faster than that.
+    #[test]
+    fn a_stalled_backend_stalls_only_its_own_requests() {
+        const RPC_TIMEOUT: Duration = Duration::from_millis(300);
+        let names: Vec<String> = (0..64).map(|i| format!("m{i:02}")).collect();
+        let live = [backend(&names, device()), backend(&names, device())];
+        // The kernel completes each handshake into the listen backlog,
+        // so dials succeed; nothing ever reads or answers.
+        let black_hole = TcpListener::bind("127.0.0.1:0").unwrap();
+        let hole = black_hole.local_addr().unwrap().to_string();
+        let mut router = SpnRouter::start(RouterConfig {
+            backends: vec![
+                live[0].local_addr().to_string(),
+                live[1].local_addr().to_string(),
+                hole.clone(),
+            ],
+            // Probe rarely, so the black hole stays routable.
+            health: HealthPolicy {
+                interval: Duration::from_secs(60),
+                ..HealthPolicy::default()
+            },
+            rpc_timeout: Some(RPC_TIMEOUT),
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        // One model placed on the black hole first, one placed away
+        // from it (least-loaded picking could otherwise send the second
+        // there too, whenever the black hole holds no request).
+        let model = |placed: &dyn Fn(&[usize]) -> bool| {
+            let name = names.iter().find(|n| placed(&router.replicas(n)));
+            name.expect("64 models cover every placement").clone()
+        };
+        let stalled_model = model(&|r| r[0] == 2);
+        let fast_model = model(&|r| !r.contains(&2));
+
+        let row = BENCH.dataset(1, 3);
+        let want = direct(&row);
+        let infer = |client: &mut Client, model: &str| {
+            let nf = BENCH.num_vars() as u32;
+            let lls = client
+                .request(model)
+                .samples(row.raw(), 1, nf)
+                .send()
+                .unwrap();
+            assert_eq!(lls[0].to_bits(), want, "{model}");
+        };
+        // Connections are dealt round-robin over the two loops: the
+        // first and the third share one.
+        let mut stalled = Client::connect(router.local_addr()).unwrap();
+        let _other_loop = Client::connect(router.local_addr()).unwrap();
+        let mut fast = Client::connect(router.local_addr()).unwrap();
+        let (mut served, mut slowest) = (0, Duration::ZERO);
+        thread::scope(|s| {
+            let stalled = s.spawn(|| {
+                for _ in 0..2 {
+                    let t = Instant::now();
+                    infer(&mut stalled, &stalled_model);
+                    let took = t.elapsed();
+                    assert!(took >= RPC_TIMEOUT, "failed over after {took:?}");
+                    assert!(took < 3 * RPC_TIMEOUT, "failed over after {took:?}");
+                }
+            });
+            while !stalled.is_finished() {
+                let t = Instant::now();
+                infer(&mut fast, &fast_model);
+                slowest = slowest.max(t.elapsed());
+                served += 1;
+            }
+            stalled.join().unwrap();
+        });
+        assert!(served >= 10, "{served} requests served beside the stall");
+        assert!(
+            slowest < RPC_TIMEOUT / 3,
+            "a request beside the stall took {slowest:?}"
+        );
+        let r = router.telemetry_snapshot().router.unwrap();
+        assert_eq!(r.failovers_total, 2);
+        assert_eq!(r.backends[&hole].requests_total, 0);
+        router.shutdown();
+    }
+
+    /// `shutdown` drains: a request forwarded to a paced backend still
+    /// gets exactly one `Ok` reply, written before `shutdown` returns,
+    /// while an `Infer` that arrives after the latch is refused.
+    #[test]
+    fn shutdown_drains_a_forwarded_request() {
+        let name = BENCH.name().to_string();
+        let paced = backend(
+            std::slice::from_ref(&name),
+            device().with_pacing(Duration::from_millis(400)),
+        );
+        let mut router = SpnRouter::start(RouterConfig {
+            backends: vec![paced.local_addr().to_string()],
+            replication: 1,
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let row = BENCH.dataset(1, 5);
+        let request = InferRequest {
+            model: name.clone(),
+            deadline_ms: 0,
+            num_samples: 1,
+            num_features: BENCH.num_vars() as u32,
+            data: row.raw().to_vec(),
+            trace: false,
+            ctx: SpanCtx::NONE,
+        };
+        let mut pending = TcpStream::connect(router.local_addr()).unwrap();
+        let mut late = Client::connect(router.local_addr()).unwrap();
+        write_frame(
+            &mut pending,
+            &Frame::request(Opcode::Infer, request.encode()),
+        )
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while paced.metrics_snapshot().requests_total == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the request never reached the backend"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+
+        let mut admin = Client::connect(router.local_addr()).unwrap();
+        admin.shutdown_server().unwrap();
+        let refused = late
+            .request(&name)
+            .samples(row.raw(), 1, request.num_features)
+            .send();
+        match refused {
+            Err(ClientError::Rejected { status, .. }) => assert_eq!(status, Status::ShuttingDown),
+            Err(_) => {} // A close is a refusal too.
+            Ok(_) => panic!("inference accepted after shutdown"),
+        }
+
+        router.shutdown();
+        // Already written when `shutdown` returned: no waiting here.
+        pending
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let reply = read_frame(&mut pending).expect("answered before shutdown returned");
+        assert_eq!(reply.status, Status::Ok);
+        let lls = decode_results(&reply.payload).unwrap();
+        assert_eq!(lls[0].to_bits(), direct(&row));
+        let mut rest = Vec::new();
+        pending.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "a second reply: {rest:?}");
     }
 }

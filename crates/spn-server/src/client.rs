@@ -2,8 +2,10 @@
 //!
 //! One [`Client`] owns one TCP connection and issues one request at a
 //! time (the protocol is strictly request/response per connection —
-//! concurrency comes from opening more connections, which is exactly
-//! what the server's per-connection threads expect).
+//! concurrency comes from opening more connections). It serves callers
+//! that may block a thread — the router's health prober, the CLI,
+//! `spn-replay`, tests and examples — and no serving path: the router
+//! calls backends through [`crate::reactor::Upstream`].
 
 use crate::protocol::{
     decode_results, read_frame, write_frame, Frame, InferRequest, Opcode, Status, WireError,
@@ -51,7 +53,7 @@ impl std::error::Error for ClientError {}
 
 /// Whether an `io::Error` means "the peer went away" (as opposed to a
 /// local or transient transport problem).
-fn is_disconnect(e: &io::Error) -> bool {
+pub(crate) fn is_disconnect(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::BrokenPipe

@@ -9,19 +9,21 @@
 //! latch [`Frontend::wait_for_shutdown`] blocks on. `spn-server` and
 //! `spn-router` are two services behind the same front-end.
 //!
-//! The front-end does no I/O. Two drivers move bytes for it: the epoll
-//! [`crate::reactor`] and the thread-per-connection
-//! [`crate::blocking`] driver. Both decode with the resumable
-//! [`crate::protocol::FrameDecoder`], hand every complete frame to
-//! [`Frontend::dispatch`], and write what comes back.
+//! The front-end does no I/O. One driver moves bytes for it, the epoll
+//! [`crate::reactor`]: it decodes with the resumable
+//! [`crate::protocol::FrameDecoder`], hands every complete frame to
+//! [`Frontend::dispatch`] together with its loop's [`Upstream`] handle,
+//! and writes what comes back.
 
+use crate::metrics::ReactorMetrics;
 use crate::protocol::{Frame, Opcode, Status};
+use crate::reactor::Upstream;
 use parking_lot::{Condvar, Mutex};
 use spn_telemetry::{SpanCtx, SpanKind, TraceCollector};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// An `Infer` response plus the request's trace context (for the
 /// `ReplyWritten` span; [`SpanCtx::NONE`] when decoding failed).
@@ -30,8 +32,9 @@ pub type InferReply = (Frame, SpanCtx);
 /// What an SPN1 endpoint serves — the seam between the shared
 /// front-end and `spn-server` / `spn-router`.
 pub trait Service: Send + Sync + 'static {
-    /// The `Stats` response document.
-    fn stats_json(&self) -> String;
+    /// The `Stats` response document; `reactor` holds the counters of
+    /// the reactor serving this endpoint.
+    fn stats_json(&self, reactor: &ReactorMetrics) -> String;
 
     /// The front-end refused a request before it reached
     /// [`Service::infer`]: `Malformed` for a bad frame header,
@@ -40,8 +43,10 @@ pub trait Service: Send + Sync + 'static {
 
     /// Answer one `Infer` payload. Either return the response at once,
     /// or keep `done`, return `None`, and call `done` exactly once
-    /// (from any thread) when the response is ready.
-    fn infer<F>(&self, payload: Vec<u8>, done: F) -> Option<InferReply>
+    /// (from any thread) when the response is ready. `up` makes
+    /// outbound calls on the loop that read the request; a service
+    /// that calls no one ignores it.
+    fn infer<F>(&self, payload: Vec<u8>, up: &mut Upstream<'_>, done: F) -> Option<InferReply>
     where
         F: FnOnce(InferReply) + Send + 'static;
 }
@@ -61,7 +66,6 @@ pub struct Frontend<S> {
     /// The endpoint behind this front-end.
     pub service: S,
     local_addr: SocketAddr,
-    read_poll: Duration,
     trace: Option<Arc<TraceCollector>>,
     shutting_down: AtomicBool,
     /// Signalled when shutdown is requested (by the `Shutdown` opcode
@@ -71,19 +75,12 @@ pub struct Frontend<S> {
 }
 
 impl<S: Service> Frontend<S> {
-    /// A front-end for the listener bound at `local_addr`. `read_poll`
-    /// is how often the blocking driver's reads wake to check the
-    /// latch; `trace` receives `ReplyWritten` spans (`None` = off).
-    pub fn new(
-        service: S,
-        local_addr: SocketAddr,
-        read_poll: Duration,
-        trace: Option<Arc<TraceCollector>>,
-    ) -> Frontend<S> {
+    /// A front-end for the listener bound at `local_addr`; `trace`
+    /// receives `ReplyWritten` spans (`None` = off).
+    pub fn new(service: S, local_addr: SocketAddr, trace: Option<Arc<TraceCollector>>) -> Self {
         Frontend {
             service,
             local_addr,
-            read_poll,
             trace,
             shutting_down: AtomicBool::new(false),
             shutdown_flag: Mutex::new(false),
@@ -96,18 +93,13 @@ impl<S: Service> Frontend<S> {
         self.local_addr
     }
 
-    /// How often blocked waits wake to check the latch.
-    pub fn read_poll(&self) -> Duration {
-        self.read_poll
-    }
-
     /// Whether shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::Acquire)
     }
 
     /// Set the latch and wake everyone who waits on it. Does no
-    /// joining, so it is safe to call from a connection's own thread.
+    /// joining, so it is safe to call from a loop thread.
     pub fn request_shutdown(&self) {
         self.shutting_down.store(true, Ordering::Release);
         let mut f = self.shutdown_flag.lock();
@@ -125,9 +117,10 @@ impl<S: Service> Frontend<S> {
         }
     }
 
-    /// Route one complete request frame. `done` is the driver's way
-    /// back to the connection for a response that is not ready yet.
-    pub fn dispatch<F>(&self, frame: Frame, done: F) -> Dispatched
+    /// Route one complete request frame. `up` is the loop's handle for
+    /// outbound calls; `done` is the driver's way back to the
+    /// connection for a response that is not ready yet.
+    pub fn dispatch<F>(&self, frame: Frame, up: &mut Upstream<'_>, done: F) -> Dispatched
     where
         F: FnOnce(InferReply) + Send + 'static,
     {
@@ -135,18 +128,14 @@ impl<S: Service> Frontend<S> {
             Opcode::Ping => {
                 Dispatched::Reply(Frame::response(Opcode::Ping, Status::Ok, vec![]), None)
             }
-            Opcode::Stats => Dispatched::Reply(
-                Frame::response(
-                    Opcode::Stats,
-                    Status::Ok,
-                    self.service.stats_json().into_bytes(),
-                ),
-                None,
-            ),
+            Opcode::Stats => {
+                let stats = self.service.stats_json(up.metrics()).into_bytes();
+                Dispatched::Reply(Frame::response(Opcode::Stats, Status::Ok, stats), None)
+            }
             Opcode::Shutdown => {
                 // The client still gets its acknowledgement: setting
                 // the latch only wakes the owner, whose drain joins
-                // this connection after the driver has written it.
+                // the loops after they have written it.
                 self.request_shutdown();
                 Dispatched::Reply(Frame::response(Opcode::Shutdown, Status::Ok, vec![]), None)
             }
@@ -161,7 +150,7 @@ impl<S: Service> Frontend<S> {
                     Some(SpanCtx::NONE),
                 )
             }
-            Opcode::Infer => match self.service.infer(frame.payload, done) {
+            Opcode::Infer => match self.service.infer(frame.payload, up, done) {
                 Some((reply, ctx)) => Dispatched::Reply(reply, Some(ctx)),
                 None => Dispatched::Pending,
             },
@@ -181,11 +170,12 @@ impl<S: Service> Frontend<S> {
     /// at `started`, is on the wire.
     pub fn reply_written(&self, ctx: SpanCtx, payload_len: usize, started: Instant) {
         if let Some(trace) = &self.trace {
+            let bytes = payload_len as u64;
             trace.record(
                 SpanKind::ReplyWritten,
                 ctx,
                 0,
-                payload_len as u64,
+                bytes,
                 started,
                 Instant::now(),
             );

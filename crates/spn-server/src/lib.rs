@@ -22,20 +22,18 @@
 //!   seam that `spn-router` serves through as well;
 //! * [`server`] — the server's [`Service`]: model registry, admission
 //!   control (bounded in-flight samples → [`Status::ServerBusy`]),
-//!   per-request deadlines and graceful drain-on-shutdown, with the
-//!   driver picked by [`ServingMode`];
-//! * [`reactor`] — the default driver: a nonblocking epoll readiness
-//!   loop multiplexing thousands of connections over a small fixed
-//!   thread pool, with connection limits and idle timeouts;
-//! * [`blocking`] — the thread-per-connection driver
-//!   ([`ServingMode::Threaded`], the semantic oracle; also what
-//!   `spn-router` listens with);
+//!   per-request deadlines and graceful drain-on-shutdown;
+//! * [`reactor`] — the one driver, for the server and `spn-router`
+//!   alike: an epoll loop pool multiplexing thousands of connections,
+//!   with connection limits, idle timeouts and outbound calls
+//!   ([`Upstream`]);
 //! * [`metrics`] — serving-layer counters and lock-free
 //!   latency/batch-size histograms ([`spn_telemetry::AtomicHistogram`]),
 //!   merged with per-model scheduler metrics into one
 //!   [`spn_telemetry::TelemetrySnapshot`] JSON document behind the
 //!   `Stats` opcode;
-//! * [`client`] — a blocking wire client;
+//! * [`client`] — a blocking wire client for probes, the CLI, tests
+//!   and examples;
 //! * [`loadgen`] — the epoll load generator shared by the CLI, the
 //!   studies and the tests.
 //!
@@ -57,7 +55,6 @@
 //! ```
 
 pub mod batcher;
-pub mod blocking;
 pub mod client;
 pub mod frontend;
 pub mod loadgen;
@@ -67,7 +64,6 @@ pub mod reactor;
 pub mod server;
 
 pub use batcher::{BatchPolicy, Batcher, Reply, ReplySink};
-pub use blocking::BlockingDriver;
 pub use client::{Client, ClientError, InferBuilder};
 pub use frontend::{Dispatched, Frontend, InferReply, Service};
 pub use loadgen::{
@@ -76,7 +72,7 @@ pub use loadgen::{
 };
 pub use metrics::{HistogramSummary, ReactorMetrics, ServerMetrics, ServerMetricsSnapshot};
 pub use protocol::{Frame, FrameDecoder, InferRequest, Opcode, Status, WireError};
-pub use reactor::ReactorConfig;
+pub use reactor::{ReactorConfig, ReactorHandle, Target, Upstream};
 pub use server::{ModelSpec, ServerConfig, ServerError, ServingMode, SpnServer};
 // Telemetry types that appear in this crate's public API, re-exported
 // so callers don't need a direct spn-telemetry dependency.

@@ -22,12 +22,12 @@
 
 use crate::client::ClientError;
 use crate::protocol::{
-    decode_results, write_frame, Frame, FrameDecoder, InferRequest, Opcode, Status,
+    decode_results, encode_frame, read_some, write_some, FrameDecoder, InferRequest, Opcode, Status,
 };
 use epoll::{Epoll, Event, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use sim_core::SplitMix64;
 use spn_telemetry::{AtomicHistogram, SpanCtx};
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -365,9 +365,7 @@ impl LoadConn {
             trace: true,
             ctx: SpanCtx::NONE,
         };
-        self.out.clear();
-        write_frame(&mut self.out, &Frame::request(Opcode::Infer, req.encode()))
-            .expect("Vec write cannot fail");
+        self.out = encode_frame(Opcode::Infer, Status::Ok, &req.encode());
         self.out_at = 0;
         self.data = req.data;
     }
@@ -376,19 +374,10 @@ impl LoadConn {
     /// leftovers wait for `EPOLLOUT`. Returns `false` when the
     /// connection is dead.
     fn flush(&mut self) -> bool {
-        while self.out_at < self.out.len() {
-            if self.out_at == 0 {
-                self.sent_at = Instant::now();
-            }
-            match self.stream.write(&self.out[self.out_at..]) {
-                Ok(0) => return false,
-                Ok(k) => self.out_at += k,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return false,
-            }
+        if self.out_at == 0 && !self.out.is_empty() {
+            self.sent_at = Instant::now();
         }
-        true
+        write_some(&mut self.stream, &self.out, &mut self.out_at).is_ok()
     }
 
     fn interest(&self) -> u32 {
@@ -472,22 +461,9 @@ fn load_worker(
             let mut done = false;
             // Decode replies.
             while !close && !done {
-                let k = match conn.stream.read(conn.decoder.spare()) {
-                    Ok(0) => {
-                        close = true;
-                        break;
-                    }
-                    Ok(k) => k,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
-                };
-                let frame = match conn.decoder.advance(k) {
-                    Ok(None) => continue,
+                let frame = match read_some(&mut conn.stream, &mut conn.decoder) {
                     Ok(Some(frame)) => frame,
+                    Ok(None) => break,
                     Err(_) => {
                         close = true;
                         break;
@@ -606,7 +582,7 @@ mod tests {
     /// is reported on its own and every connection is accounted for.
     #[test]
     fn run_load_reports_dial_time_and_connection_accounting() {
-        use crate::protocol::{encode_results, read_frame};
+        use crate::protocol::{encode_results, read_frame, write_frame, Frame};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {

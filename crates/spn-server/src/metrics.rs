@@ -7,8 +7,8 @@
 //! (batch-size histogram), how long requests sit in the batch queue,
 //! and end-to-end request latency as seen at the server. Everything is
 //! lock-free: counters are relaxed atomics and the three histograms
-//! are [`AtomicHistogram`]s, so connection threads never contend on a
-//! mutex to record a latency.
+//! are [`AtomicHistogram`]s, so loop and control threads never contend
+//! on a mutex to record a latency.
 
 use spn_telemetry::{AtomicHistogram, ReactorTelemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,9 +144,9 @@ impl Default for ServerMetrics {
     }
 }
 
-/// Lock-free counters of the reactor front-end: the accept path and
-/// every event loop record into one shared instance, and the `Stats`
-/// opcode snapshots it into the telemetry document's `reactor`
+/// Lock-free counters of one reactor: its handle owns them, the accept
+/// path and every event loop record into them, and the `Stats` opcode
+/// hands them to the service for the telemetry document's `reactor`
 /// section (schema v5).
 #[derive(Debug, Default)]
 pub struct ReactorMetrics {
@@ -159,9 +159,12 @@ pub struct ReactorMetrics {
     rejected_at_accept: AtomicU64,
     idle_closed: AtomicU64,
     accept_backlog: AtomicU64,
-    /// `epoll_ctl(MOD)` calls on connections (for tests; not in the
-    /// telemetry document).
+    /// `epoll_ctl(MOD)` calls on connections, `accept` calls, and
+    /// pooled upstream connections closed for outliving their TTL (for
+    /// tests; not in the telemetry document).
     interest_changes: AtomicU64,
+    accept_attempts: AtomicU64,
+    idle_expired_total: AtomicU64,
 }
 
 impl ReactorMetrics {
@@ -214,9 +217,29 @@ impl ReactorMetrics {
         self.interest_changes.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The acceptor called `accept`.
+    pub(crate) fn accept_attempted(&self) {
+        self.accept_attempts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A loop closed a pooled upstream connection past its TTL.
+    pub(crate) fn idle_expired(&self) {
+        self.idle_expired_total.fetch_add(1, Ordering::Relaxed);
+    }
+
     #[cfg(test)]
     pub(crate) fn interest_changes(&self) -> u64 {
         self.interest_changes.load(Ordering::Relaxed)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn accept_attempts(&self) -> u64 {
+        self.accept_attempts.load(Ordering::Relaxed)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn idle_expired_total(&self) -> u64 {
+        self.idle_expired_total.load(Ordering::Relaxed)
     }
 
     /// Connections currently open (the accept path's admission gauge).

@@ -190,18 +190,23 @@ impl From<io::Error> for WireError {
     }
 }
 
+/// One frame's wire bytes, header and payload in one contiguous buffer.
+pub fn encode_frame(opcode: Opcode, status: Status, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+    buf.extend_from_slice(&MAGIC);
+    buf.push(PROTOCOL_VERSION);
+    buf.push(opcode as u8);
+    buf.push(status as u8);
+    buf.push(0); // reserved
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf
+}
+
 /// Serialise `frame` into `w` (single `write_all` of a contiguous
 /// buffer, so a frame is one TCP segment for small payloads).
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + frame.payload.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.push(PROTOCOL_VERSION);
-    buf.push(frame.opcode as u8);
-    buf.push(frame.status as u8);
-    buf.push(0); // reserved
-    buf.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&frame.payload);
-    w.write_all(&buf)?;
+    w.write_all(&encode_frame(frame.opcode, frame.status, &frame.payload))?;
     w.flush()
 }
 
@@ -406,6 +411,43 @@ impl FrameDecoder {
 impl Default for FrameDecoder {
     fn default() -> Self {
         FrameDecoder::new()
+    }
+}
+
+/// Write `buf[*at..]` to a nonblocking writer until it is all out
+/// (`Ok(true)`) or the writer would block (`Ok(false)`).
+pub(crate) fn write_some<W: Write>(w: &mut W, buf: &[u8], at: &mut usize) -> io::Result<bool> {
+    while *at < buf.len() {
+        match w.write(&buf[*at..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => *at += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+/// Read a nonblocking reader into `dec` until a frame completes
+/// (`Ok(Some)`) or the reader would block (`Ok(None)`). End of stream —
+/// clean at a frame boundary or torn — is `UnexpectedEof`.
+pub(crate) fn read_some<R: Read>(
+    r: &mut R,
+    dec: &mut FrameDecoder,
+) -> Result<Option<Frame>, WireError> {
+    loop {
+        match r.read(dec.spare()) {
+            Ok(0) => return Err(WireError::Io(io::ErrorKind::UnexpectedEof.into())),
+            Ok(n) => {
+                if let Some(frame) = dec.advance(n)? {
+                    return Ok(Some(frame));
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(WireError::Io(e)),
+        }
     }
 }
 

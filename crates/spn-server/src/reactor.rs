@@ -1,71 +1,65 @@
-//! The nonblocking epoll driver for the server's
-//! [`Frontend`](crate::frontend::Frontend).
+//! The nonblocking epoll driver behind every SPN1 endpoint's
+//! [`Frontend`], and the outbound calls a service makes from it.
 //!
-//! Where the blocking driver spends one OS thread per client socket,
-//! the reactor multiplexes every connection over a small fixed pool
-//! of event-loop threads driven by `epoll` (via the vendored [`epoll`]
-//! shim; sockets level-triggered, the wake eventfd edge-triggered):
+//! One **acceptor thread** enforces the connection limit (an over-limit
+//! socket gets one typed `ServerBusy` frame, not a silent RST), backs
+//! off a few milliseconds after an `accept` error (`EMFILE`, …), and
+//! deals sockets round-robin to a fixed pool of **loop threads** through
+//! a mutexed inbox and an [`EventFd`] wake. Each loop owns its slab —
+//! client connections and outbound calls, in generation-counted slots —
+//! and drives it with level-triggered `epoll` (the vendored [`epoll`]
+//! shim), so no lock is held while decoding, dispatching or writing.
 //!
-//! * one **acceptor thread** parks in `TcpListener::accept`, enforces
-//!   the connection limit (over-limit sockets get one `ServerBusy`
-//!   frame and a close — a *typed* rejection, not a silent RST), and
-//!   hands accepted sockets round-robin to the loops through a
-//!   mutexed inbox plus an [`EventFd`] wake;
-//! * each **loop thread** owns its connections outright — a slab of
-//!   `Conn` state machines with generation-counted slots — so no
-//!   lock is held while decoding, dispatching or writing. A
-//!   connection decodes SPN1 frames *incrementally* with
-//!   [`FrameDecoder`]: bytes land directly in the decoder's
-//!   connection-owned buffer, and every completed frame goes through
-//!   [`Frontend::dispatch`](crate::frontend::Frontend::dispatch) — a
-//!   completed `Infer` payload reaches the batcher without another
-//!   copy ([`crate::protocol::InferRequest::decode_owned`]).
+//! **One request at a time per connection.** Frames decode
+//! incrementally with [`FrameDecoder`], which never reads past the
+//! current frame's end, so per-connection memory is bounded by one
+//! frame and replies go back in request order. While an `Infer` is in
+//! flight (or its reply flushing) readiness is not acted on, and read
+//! interest is dropped only on the first such ignored event: a
+//! closed-loop peer costs no `epoll_ctl` at all.
 //!
-//! **Request serialization.** A connection handles one request at a
-//! time, exactly like a blocking-driver connection thread: while an
-//! `Infer` is in flight (or a reply is still flushing) readiness on
-//! the connection is not acted on, so pipelined bytes wait in the
-//! kernel socket buffer. Its read interest is dropped *lazily*, on the
-//! first such ignored event: a closed-loop peer sends nothing while it
-//! waits, so its requests cost no `epoll_ctl` at all; a pipelining or
-//! half-closing peer costs one ignored event, then is silent until the
-//! reply is out. The decoder never reads past the current frame's end,
-//! which is what makes this razor-sharp: per-connection memory is
-//! bounded by one frame, and replies go back in request order.
+//! **Replies.** The completion callback handed to `Frontend::dispatch`
+//! queues a `Completion`, keyed by `(slot, generation)`, on the owning
+//! loop and wakes it — unless it runs on that loop, which drains the
+//! queue later in the same turn. So no control thread writes to a
+//! socket, and a reply for a connection that died is dropped.
 //!
-//! **Reply path.** A pending `Infer` is answered through the
-//! completion callback handed to `Frontend::dispatch`: it pushes a
-//! `Completion` onto the owning loop's queue and wakes the loop's
-//! eventfd, so the scheduler control thread that completes a batch
-//! never writes to a socket.
-//! The loop matches the completion to the connection by
-//! `(slot, generation)` — a connection that died mid-request simply
-//! drops its reply (request accounting already ran in the service).
-//! Writes are attempted immediately and fall back to `EPOLLOUT`
-//! interest on `WouldBlock`.
+//! **Outbound calls.** A service may answer an `Infer` by calling
+//! another SPN1 endpoint through [`Upstream`], the loop's handle passed
+//! to `Service::infer`; the router forwards this way. A call is one
+//! more kind of slab entry, on the loop that read the client's frame: a
+//! nonblocking dial (`EINPROGRESS`, `EPOLLOUT`, `SO_ERROR`), one frame
+//! written, one reply decoded, and a continuation run on the loop with
+//! the outcome. No loop blocks on a backend, so a stalled backend
+//! stalls only the requests waiting on it. Idle connections wait in a
+//! LIFO pool per loop and per backend, still registered so a close is
+//! noticed, until their TTL runs out; one found closed when reused earns
+//! one fresh dial.
 //!
-//! **Idle timeout.** A per-loop hashed timer wheel closes connections
-//! idle past [`ReactorConfig::idle_timeout`]; connections with work
-//! in flight are never idle-closed, and wheel entries are re-armed
-//! lazily from `last_activity` so per-byte bookkeeping stays O(1).
+//! **Timers.** One hashed timer wheel per loop holds every deadline: a
+//! client's idle timeout ([`ReactorConfig::idle_timeout`]), a call's
+//! dial and reply bounds, a pooled connection's TTL. Expiry checks the
+//! true deadline and re-arms lazily, so firing early is harmless.
 //!
-//! Shutdown mirrors the blocking driver: the acceptor stops, the
-//! batchers drain (their sinks flood the completion queues), then
-//! every loop flushes pending replies under a bounded grace period
-//! and exits.
+//! Shutdown: the acceptor stops, the service drains, then every loop
+//! flushes pending replies under a grace period, drives in-flight calls
+//! until they are answered or time out, and exits.
 
-use crate::frontend::Dispatched;
+use crate::client::is_disconnect;
+use crate::frontend::{Dispatched, Frontend, InferReply, Service};
 use crate::metrics::ReactorMetrics;
-use crate::protocol::{write_frame, Frame, FrameDecoder, Opcode, Status, WireError};
-use crate::server::ServerFront;
+use crate::protocol::{
+    encode_frame, read_some, write_some, Frame, FrameDecoder, Opcode, Status, WireError,
+};
 use epoll::{Epoll, Event, EventFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use parking_lot::Mutex;
 use spn_telemetry::SpanCtx;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 /// Reactor engine tuning knobs.
@@ -94,11 +88,13 @@ impl Default for ReactorConfig {
     }
 }
 
-/// The running reactor: acceptor + loop threads, joined in
-/// [`ReactorHandle::join_acceptor`] / [`ReactorHandle::finish`].
-pub(crate) struct ReactorHandle {
+/// A running reactor: acceptor plus loop threads. Stop it in two steps
+/// around whatever drains the service: [`ReactorHandle::join_acceptor`]
+/// once the front-end's latch is set, then [`ReactorHandle::finish`].
+pub struct ReactorHandle {
     accept_thread: Option<thread::JoinHandle<()>>,
     loops: Vec<LoopRef>,
+    metrics: Arc<ReactorMetrics>,
 }
 
 struct LoopRef {
@@ -107,17 +103,18 @@ struct LoopRef {
 }
 
 /// The cross-thread face of one event loop: everything other threads
-/// (the acceptor, batch completions, shutdown) may touch. The
-/// loop's actual connection state lives on its own stack.
+/// (the acceptor, batch completions, shutdown) may touch.
 struct LoopShared {
     epoll: Epoll,
     wake: EventFd,
     /// Sockets accepted but not yet registered with the loop.
     inbox: Mutex<Vec<TcpStream>>,
-    /// Batcher replies awaiting delivery to their connections.
+    /// Replies awaiting delivery to their connections.
     completions: Mutex<Vec<Completion>>,
     /// Set at shutdown: flush pending output, then exit.
     finish: AtomicBool,
+    /// The loop's own thread, once it runs.
+    owner: OnceLock<ThreadId>,
 }
 
 /// A pending `Infer` response routed back to the loop that owns the
@@ -129,73 +126,96 @@ struct Completion {
     ctx: SpanCtx,
 }
 
-/// The wake eventfd's registration token; connection tokens are
-/// `slot + 1`.
+/// The wake eventfd's registration token; slab tokens are `slot + 1`.
 const TOKEN_WAKE: u64 = 0;
+
+fn token(slot: usize) -> u64 {
+    slot as u64 + 1
+}
+
+/// Interest of a socket waiting to read: a client between requests, a
+/// call awaiting its reply or idle in the pool.
+const READ: u32 = EPOLLIN | EPOLLRDHUP;
 
 /// How long a finishing loop keeps trying to flush pending replies
 /// before abandoning the sockets.
 const FINISH_GRACE: Duration = Duration::from_secs(5);
 
-/// Start the reactor: bind is already done (`listener`), spawn the
-/// loop pool and the acceptor.
-pub(crate) fn start(
+/// The acceptor's pause after an `accept` error: `EMFILE` lasts until
+/// some fd is closed, and retrying at once would pin a core meanwhile.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// The coarsest wheel tick, so also how late a call's deadline fires.
+const MAX_TICK: Duration = Duration::from_millis(50);
+
+/// Start the reactor on an already bound `listener`: spawn the loop
+/// pool and the acceptor. The handle owns the reactor's counters.
+pub fn start<S: Service>(
     listener: TcpListener,
-    front: Arc<ServerFront>,
+    front: Arc<Frontend<S>>,
     config: ReactorConfig,
 ) -> io::Result<ReactorHandle> {
-    let config = ReactorConfig {
-        loop_threads: config.loop_threads.max(1),
-        ..config
-    };
-    let mut loops = Vec::with_capacity(config.loop_threads);
-    for i in 0..config.loop_threads {
+    let loop_threads = config.loop_threads.max(1);
+    let metrics = Arc::new(ReactorMetrics::new(loop_threads));
+    let mut loops = Vec::with_capacity(loop_threads);
+    for i in 0..loop_threads {
         let ls = Arc::new(LoopShared {
             epoll: Epoll::new()?,
             wake: EventFd::new()?,
             inbox: Mutex::new(Vec::new()),
             completions: Mutex::new(Vec::new()),
             finish: AtomicBool::new(false),
+            owner: OnceLock::new(),
         });
         ls.epoll.add(&ls.wake, EPOLLIN | EPOLLET, TOKEN_WAKE)?;
-        let loop_ls = Arc::clone(&ls);
-        let loop_front = Arc::clone(&front);
-        let loop_cfg = config.clone();
+        let (loop_ls, front, metrics) = (Arc::clone(&ls), Arc::clone(&front), Arc::clone(&metrics));
+        let idle = config.idle_timeout;
+        // The slab holds continuations, which never leave their loop's
+        // thread: it is built there.
         let thread = thread::Builder::new()
             .name(format!("spn-loop-{i}"))
-            .spawn(move || run_loop(loop_ls, loop_front, loop_cfg))
-            .expect("spawn reactor loop thread");
+            .spawn(move || {
+                let core = Core::new(loop_ls, metrics, idle);
+                EventLoop { front, core }.run()
+            })?;
         loops.push(LoopRef {
             shared: ls,
             thread: Some(thread),
         });
     }
 
-    let accept_loops: Vec<Arc<LoopShared>> = loops.iter().map(|l| Arc::clone(&l.shared)).collect();
-    let accept_thread = thread::Builder::new()
-        .name("spn-accept".into())
-        .spawn(move || accept_loop(listener, front, accept_loops, config))
-        .expect("spawn reactor accept thread");
-
+    let accept_thread = {
+        let shards = loops.iter().map(|l| Arc::clone(&l.shared)).collect();
+        let (metrics, max) = (Arc::clone(&metrics), config.max_connections);
+        thread::Builder::new()
+            .name("spn-accept".into())
+            .spawn(move || accept_loop(listener, front, shards, max, metrics))?
+    };
     Ok(ReactorHandle {
         accept_thread: Some(accept_thread),
         loops,
+        metrics,
     })
 }
 
 impl ReactorHandle {
+    /// The reactor's counters (the telemetry `reactor` section).
+    pub fn metrics(&self) -> &ReactorMetrics {
+        &self.metrics
+    }
+
     /// Join the acceptor (call after `request_shutdown`, whose nudge
-    /// connection unblocks `accept`).
-    pub(crate) fn join_acceptor(&mut self) {
+    /// connection unblocks `accept`). Idempotent.
+    pub fn join_acceptor(&mut self) {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
     }
 
     /// Tell every loop to flush and exit, then join them. Call only
-    /// after the batchers have drained, so every outstanding reply is
-    /// already in (or past) the completion queues.
-    pub(crate) fn finish(&mut self) {
+    /// after the service has drained, so every outstanding reply is in
+    /// (or past) a completion queue or waits on a call a loop drives.
+    pub fn finish(&mut self) {
         for l in &self.loops {
             l.shared.finish.store(true, Ordering::Release);
             let _ = l.shared.wake.wake();
@@ -208,19 +228,16 @@ impl ReactorHandle {
     }
 }
 
-fn accept_loop(
+fn accept_loop<S: Service>(
     listener: TcpListener,
-    front: Arc<ServerFront>,
+    front: Arc<Frontend<S>>,
     loops: Vec<Arc<LoopShared>>,
-    config: ReactorConfig,
+    max_connections: usize,
+    metrics: Arc<ReactorMetrics>,
 ) {
-    let metrics = front
-        .service
-        .reactor
-        .as_ref()
-        .expect("reactor engine always carries reactor metrics");
     let mut next = 0usize;
     loop {
+        metrics.accept_attempted();
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if front.is_shutting_down() {
@@ -228,9 +245,9 @@ fn accept_loop(
                     drop(stream);
                     return;
                 }
-                if metrics.open_connections() >= config.max_connections as u64 {
+                if metrics.open_connections() >= max_connections as u64 {
                     metrics.conn_rejected_at_accept();
-                    reject_busy(stream, config.max_connections);
+                    reject_busy(stream, max_connections);
                     continue;
                 }
                 metrics.conn_accepted();
@@ -239,13 +256,9 @@ fn accept_loop(
                 target.inbox.lock().push(stream);
                 let _ = target.wake.wake();
             }
-            Err(_) => {
-                if front.is_shutting_down() {
-                    return;
-                }
-                // Transient accept error (EMFILE, ECONNABORTED, …);
-                // keep serving.
-            }
+            Err(_) if front.is_shutting_down() => return,
+            // EMFILE, ECONNABORTED, …: keep serving, once it may clear.
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -256,15 +269,77 @@ fn accept_loop(
 /// client is about to send — and a short write timeout so a
 /// non-reading peer cannot wedge the acceptor.
 fn reject_busy(mut stream: TcpStream, max_connections: usize) {
+    let msg = format!("connection limit {max_connections} reached; retry later");
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let _ = write_frame(
-        &mut stream,
-        &Frame::error(
-            Opcode::Infer,
-            Status::ServerBusy,
-            &format!("connection limit {max_connections} reached; retry later"),
-        ),
-    );
+    let _ = stream.write_all(&encode_frame(
+        Opcode::Infer,
+        Status::ServerBusy,
+        msg.as_bytes(),
+    ));
+}
+
+/// Where an outbound call goes, and how long it may take.
+#[derive(Debug, Clone, Copy)]
+pub struct Target {
+    /// The endpoint to call.
+    pub addr: SocketAddr,
+    /// Pool generation: an idle connection to `addr` pooled under
+    /// another generation is closed instead of reused.
+    pub generation: u64,
+    /// Bound on the dial.
+    pub connect_timeout: Duration,
+    /// Bound from the connected socket to the reply's last byte
+    /// (`None` = no bound).
+    pub rpc_timeout: Option<Duration>,
+    /// Close a connection idle in the pool this long (`None` = never).
+    pub pool_ttl: Option<Duration>,
+}
+
+/// A loop's handle for outbound calls, lent to `Service::infer`. A
+/// call made through it runs on this loop, and so does its
+/// continuation, which gets the handle again to make the next call.
+pub struct Upstream<'a> {
+    core: &'a mut Core,
+}
+
+impl Upstream<'_> {
+    /// Send `payload` to `to` as an `Infer` request, then run `then` on
+    /// this loop with the reply frame — or with the error that ended
+    /// the call: a failed dial, a close, a malformed or non-`Infer`
+    /// reply, a missed deadline (`TimedOut`). `then` never runs before
+    /// `infer` returns.
+    pub fn infer(
+        &mut self,
+        to: Target,
+        payload: &[u8],
+        then: impl FnOnce(io::Result<Frame>, &mut Upstream<'_>) + 'static,
+    ) {
+        let job = Job {
+            out: encode_frame(Opcode::Infer, Status::Ok, payload),
+            at: 0,
+            reply: FrameDecoder::new(),
+            connecting: false,
+            pooled: false,
+            then: Box::new(then),
+        };
+        self.core.start(to, job);
+    }
+
+    /// The counters of the reactor this loop belongs to.
+    pub(crate) fn metrics(&self) -> &ReactorMetrics {
+        &self.core.metrics
+    }
+}
+
+/// A call's continuation.
+type Then = Box<dyn FnOnce(io::Result<Frame>, &mut Upstream<'_>)>;
+
+/// One slot of a loop's slab.
+enum Entry {
+    /// An accepted client connection.
+    Client(Conn),
+    /// An outbound connection: a call in progress, or idle in the pool.
+    Call(Call),
 }
 
 /// A reply being flushed to the socket.
@@ -277,31 +352,28 @@ struct OutBuf {
 }
 
 impl OutBuf {
-    fn new(frame: &Frame) -> OutBuf {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, frame).expect("serialising to a Vec cannot fail");
+    fn new(frame: &Frame, span: Option<SpanCtx>) -> OutBuf {
         OutBuf {
-            buf,
+            buf: encode_frame(frame.opcode, frame.status, &frame.payload),
             at: 0,
-            span: None,
+            span: span.map(|ctx| (ctx, Instant::now())),
         }
     }
 }
 
-/// One connection's state machine, owned by its loop thread.
+/// One client connection's state machine.
 struct Conn {
     stream: TcpStream,
     generation: u64,
     decoder: FrameDecoder,
     /// Reply currently flushing (`None` = nothing to write).
     out: Option<OutBuf>,
-    /// An `Infer` is enqueued with a batcher and unanswered.
+    /// An `Infer` is with the service and unanswered.
     inflight: bool,
     /// The epoll interest bits currently registered.
     interest: u32,
     last_activity: Instant,
-    /// Close once `out` finishes flushing (malformed frame answered,
-    /// or peer already gone).
+    /// Close once `out` finishes flushing (malformed frame answered).
     close_after_flush: bool,
 }
 
@@ -311,13 +383,48 @@ impl Conn {
     }
 }
 
-/// A simple hashed timer wheel over the loop's slab: slots hold
-/// `(slot, generation)` cookies, ticks advance a cursor, and expiry
-/// consults the connection's true `last_activity` — so a connection
-/// is re-inserted lazily instead of being moved on every byte.
+/// One outbound connection.
+struct Call {
+    stream: TcpStream,
+    to: Target,
+    /// The epoll interest bits currently registered.
+    interest: u32,
+    /// When the current phase ends: the dial's or the reply's
+    /// deadline, or, while pooled, the TTL (`None` = unbounded).
+    due: Option<Instant>,
+    /// The live wheel entry: its tag and the deadline it was armed for.
+    timer: Option<(u64, Instant)>,
+    /// The exchange in progress; `None` while idle in the pool.
+    job: Option<Job>,
+}
+
+/// One request/reply exchange on a [`Call`].
+struct Job {
+    /// The request frame's bytes, and how many of them are written.
+    out: Vec<u8>,
+    at: usize,
+    reply: FrameDecoder,
+    /// The dial has not completed yet.
+    connecting: bool,
+    /// The connection came from the pool, so a close before the reply
+    /// earns one fresh dial.
+    pooled: bool,
+    then: Then,
+}
+
+/// A wheel entry: a slab slot, and the tag that must still match — a
+/// client connection's generation, or a call's live timer.
+type Cookie = (usize, u64);
+
+/// A hashed timer wheel over the loop's slab: slots hold cookies, ticks
+/// advance a cursor, and expiry consults the entry's true deadline — so
+/// an entry is re-inserted lazily instead of being moved on every
+/// byte, and one that fires early costs a re-insert, nothing more.
 struct TimerWheel {
-    idle: Duration,
-    slots: Vec<Vec<(usize, u64)>>,
+    slots: Vec<Vec<Cookie>>,
+    /// Bit `i` set iff `slots[i]` is non-empty: the loop sleeps until
+    /// the next occupied slot, and forever on an empty wheel.
+    occupied: u64,
     tick: Duration,
     cursor: usize,
     next_tick_at: Instant,
@@ -326,16 +433,10 @@ struct TimerWheel {
 const WHEEL_SLOTS: usize = 64;
 
 impl TimerWheel {
-    fn new(idle: Duration) -> TimerWheel {
-        // Resolution: idle/16, clamped to [5ms, 1s]. Precise enough
-        // that expiry lands within ~6% of the deadline, coarse enough
-        // that an idle server wakes rarely.
-        let tick = (idle / 16)
-            .max(Duration::from_millis(5))
-            .min(Duration::from_secs(1));
+    fn new(tick: Duration) -> TimerWheel {
         TimerWheel {
-            idle,
             slots: vec![Vec::new(); WHEEL_SLOTS],
+            occupied: 0,
             tick,
             cursor: 0,
             next_tick_at: Instant::now() + tick,
@@ -343,89 +444,415 @@ impl TimerWheel {
     }
 
     /// Schedule `cookie` to be inspected roughly `after` from now.
-    fn insert_after(&mut self, cookie: (usize, u64), after: Duration) {
+    fn insert_after(&mut self, cookie: Cookie, after: Duration) {
+        if self.occupied == 0 {
+            // The cursor may have stood still a while: restart the
+            // ticks from now.
+            self.next_tick_at = Instant::now() + self.tick;
+        }
         let ticks = (after.as_nanos() / self.tick.as_nanos().max(1)) as usize + 1;
         let slot = (self.cursor + ticks.min(WHEEL_SLOTS - 1)) % WHEEL_SLOTS;
         self.slots[slot].push(cookie);
+        self.occupied |= 1 << slot;
     }
 
-    fn insert(&mut self, cookie: (usize, u64)) {
-        let idle = self.idle;
-        self.insert_after(cookie, idle);
+    /// How long the loop may sleep before an occupied slot comes due
+    /// (`None` = no timer pending).
+    fn next_due(&self, now: Instant) -> Option<Duration> {
+        if self.occupied == 0 {
+            return None;
+        }
+        let ahead = self.occupied.rotate_right(self.cursor as u32 + 1);
+        let at = self.next_tick_at + self.tick * ahead.trailing_zeros();
+        Some(at.saturating_duration_since(now))
     }
 
-    /// How long until the next tick is due (for the epoll timeout).
-    fn until_next_tick(&self, now: Instant) -> Duration {
-        self.next_tick_at.saturating_duration_since(now)
-    }
-
-    /// Advance past-due ticks, calling `expire` on every cookie whose
-    /// slot came up; `expire` returns the remaining idle budget when
-    /// the connection is still alive (to re-arm) or `None` when it is
-    /// gone or was closed.
-    fn advance(&mut self, now: Instant, mut expire: impl FnMut((usize, u64)) -> Option<Duration>) {
-        let mut rearm: Vec<((usize, u64), Duration)> = Vec::new();
-        while now >= self.next_tick_at {
+    /// Advance past-due ticks and take every cookie whose slot came up.
+    fn take_due(&mut self, now: Instant) -> Vec<Cookie> {
+        let mut due = Vec::new();
+        while self.occupied != 0 && now >= self.next_tick_at {
             self.cursor = (self.cursor + 1) % WHEEL_SLOTS;
             self.next_tick_at += self.tick;
-            for cookie in std::mem::take(&mut self.slots[self.cursor]) {
-                if let Some(remaining) = expire(cookie) {
-                    rearm.push((cookie, remaining));
+            due.append(&mut self.slots[self.cursor]);
+            self.occupied &= !(1 << self.cursor);
+        }
+        due
+    }
+}
+
+/// A loop's state apart from the front-end: the slab, the timer wheel
+/// and the upstream pool. What [`Upstream`] lends a service.
+struct Core {
+    ls: Arc<LoopShared>,
+    metrics: Arc<ReactorMetrics>,
+    entries: Vec<Option<Entry>>,
+    free: Vec<usize>,
+    wheel: TimerWheel,
+    idle_timeout: Option<Duration>,
+    /// Idle upstream connections per address, most recently used last.
+    pool: HashMap<SocketAddr, Vec<usize>>,
+    /// Calls that ended this turn, their continuations still to run.
+    settled: Vec<(Then, io::Result<Frame>)>,
+    /// Source of connection generations and timer tags.
+    tags: u64,
+}
+
+impl Core {
+    fn new(ls: Arc<LoopShared>, metrics: Arc<ReactorMetrics>, idle: Option<Duration>) -> Core {
+        // Resolution: idle/16, clamped to [5 ms, 50 ms] — an idle
+        // connection is reaped within ~6 % of its timeout, a call's
+        // deadline within 50 ms.
+        let tick = idle.map_or(MAX_TICK, |t| t / 16);
+        Core {
+            ls,
+            metrics,
+            entries: Vec::new(),
+            free: Vec::new(),
+            wheel: TimerWheel::new(tick.clamp(Duration::from_millis(5), MAX_TICK)),
+            idle_timeout: idle,
+            pool: HashMap::new(),
+            settled: Vec::new(),
+            tags: 0,
+        }
+    }
+
+    fn upstream(&mut self) -> Upstream<'_> {
+        Upstream { core: self }
+    }
+
+    fn next_tag(&mut self) -> u64 {
+        self.tags += 1;
+        self.tags
+    }
+
+    fn alloc(&mut self) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            self.entries.push(None);
+            self.entries.len() - 1
+        })
+    }
+
+    fn call_mut(&mut self, slot: usize) -> Option<&mut Call> {
+        match self.entries.get_mut(slot) {
+            Some(Some(Entry::Call(call))) => Some(call),
+            _ => None,
+        }
+    }
+
+    /// Put a freshly accepted socket under epoll management.
+    fn register_conn(&mut self, stream: TcpStream) -> io::Result<()> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        let slot = self.alloc();
+        if let Err(e) = self.ls.epoll.add(&stream, READ, token(slot)) {
+            self.free.push(slot);
+            return Err(e);
+        }
+        let generation = self.next_tag();
+        self.entries[slot] = Some(Entry::Client(Conn {
+            stream,
+            generation,
+            decoder: FrameDecoder::new(),
+            out: None,
+            inflight: false,
+            interest: READ,
+            last_activity: Instant::now(),
+            close_after_flush: false,
+        }));
+        if let Some(idle) = self.idle_timeout {
+            self.wheel.insert_after((slot, generation), idle);
+        }
+        Ok(())
+    }
+
+    /// Tear an entry down: deregister it, free its slot, count a client
+    /// connection closed, take an idle call out of the pool. Returns
+    /// what was there; dropping it closes the socket.
+    fn remove(&mut self, slot: usize) -> Option<Entry> {
+        let entry = self.entries.get_mut(slot)?.take()?;
+        self.free.push(slot);
+        match &entry {
+            Entry::Client(conn) => {
+                let _ = self.ls.epoll.delete(&conn.stream);
+                // An in-flight request's completion will arrive with a
+                // stale generation and be dropped.
+                self.metrics.conn_closed();
+            }
+            Entry::Call(call) => {
+                let _ = self.ls.epoll.delete(&call.stream);
+                if let (None, Some(idle)) = (&call.job, self.pool.get_mut(&call.to.addr)) {
+                    idle.retain(|&s| s != slot);
                 }
             }
         }
-        for (cookie, remaining) in rearm {
-            self.insert_after(cookie, remaining);
+        Some(entry)
+    }
+
+    fn close(&mut self, slot: usize) {
+        self.remove(slot);
+    }
+
+    /// Change an entry's epoll interest iff it differs (on the
+    /// closed-loop and pooled paths it never does: no syscall). An
+    /// entry the kernel refuses to re-register is torn down —
+    /// remembered as armed but silent, it would never be read, reaped
+    /// or freed.
+    fn set_interest(&mut self, slot: usize, want: u32) {
+        let (stream, interest) = match self.entries.get_mut(slot) {
+            Some(Some(Entry::Client(c))) => (&c.stream, &mut c.interest),
+            Some(Some(Entry::Call(c))) => (&c.stream, &mut c.interest),
+            _ => return,
+        };
+        if *interest == want {
+            return;
+        }
+        self.metrics.interest_changed();
+        match self.ls.epoll.modify(stream, want, token(slot)) {
+            Ok(()) => *interest = want,
+            Err(e) if self.call_mut(slot).is_some_and(|c| c.job.is_some()) => self.fail(slot, e),
+            Err(_) => self.close(slot),
         }
     }
-}
 
-/// One loop thread's state: its connection slab, plus its handles on
-/// what it shares with other threads.
-struct EventLoop {
-    ls: Arc<LoopShared>,
-    front: Arc<ServerFront>,
-    metrics: Arc<ReactorMetrics>,
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-}
-
-fn run_loop(ls: Arc<LoopShared>, front: Arc<ServerFront>, config: ReactorConfig) {
-    let metrics = Arc::clone(
-        front
-            .service
-            .reactor
-            .as_ref()
-            .expect("reactor engine always carries reactor metrics"),
-    );
-    EventLoop {
-        ls,
-        front,
-        metrics,
-        conns: Vec::new(),
-        free: Vec::new(),
+    /// Stash a reply on a client connection for flushing. `span` marks
+    /// `Infer` replies, whose write is stamped with a `ReplyWritten`
+    /// span.
+    fn queue_reply(&mut self, slot: usize, frame: &Frame, span: Option<SpanCtx>) {
+        if let Some(Some(Entry::Client(conn))) = self.entries.get_mut(slot) {
+            debug_assert!(conn.out.is_none(), "one reply at a time per connection");
+            conn.out = Some(OutBuf::new(frame, span));
+        }
     }
-    .run(config.idle_timeout.map(TimerWheel::new));
+
+    /// Run `job` against `to`: on the most recently pooled connection
+    /// still good for it, else on a fresh dial.
+    fn start(&mut self, to: Target, mut job: Job) {
+        let now = Instant::now();
+        while let Some(slot) = self.pool.get_mut(&to.addr).and_then(Vec::pop) {
+            let Some(call) = self.call_mut(slot) else {
+                continue;
+            };
+            let drained = call.to.generation != to.generation;
+            if !drained && call.due.is_none_or(|due| due > now) {
+                job.pooled = true;
+                (call.to, call.due) = (to, to.rpc_timeout.map(|t| now + t));
+                call.job = Some(job);
+                self.arm(slot);
+                return self.pump(slot);
+            }
+            if !drained {
+                self.metrics.idle_expired();
+            }
+            self.close(slot);
+        }
+        self.dial(to, job);
+    }
+
+    /// Dial `to` without blocking and park `job` on the socket until
+    /// `EPOLLOUT` says how the dial went.
+    fn dial(&mut self, to: Target, mut job: Job) {
+        let stream = match epoll::connect_nonblocking(&to.addr) {
+            Ok(stream) => stream,
+            Err(e) => return self.settled.push((job.then, Err(e))),
+        };
+        let slot = self.alloc();
+        if let Err(e) = self.ls.epoll.add(&stream, EPOLLOUT, token(slot)) {
+            self.free.push(slot);
+            return self.settled.push((job.then, Err(e)));
+        }
+        job.connecting = true;
+        self.entries[slot] = Some(Entry::Call(Call {
+            stream,
+            to,
+            interest: EPOLLOUT,
+            due: Some(Instant::now() + to.connect_timeout),
+            timer: None,
+            job: Some(job),
+        }));
+        self.arm(slot);
+    }
+
+    /// Make sure a wheel entry fires no later than the call's `due`. An
+    /// entry already armed for an earlier instant is kept: it re-arms
+    /// itself when it fires.
+    fn arm(&mut self, slot: usize) {
+        let tag = self.tags + 1;
+        let Some(call) = self.call_mut(slot) else {
+            return;
+        };
+        let Some(due) = call
+            .due
+            .filter(|&due| call.timer.is_none_or(|(_, at)| at > due))
+        else {
+            return;
+        };
+        call.timer = Some((tag, due));
+        self.tags = tag;
+        let after = due.saturating_duration_since(Instant::now());
+        self.wheel.insert_after((slot, tag), after);
+    }
+
+    /// Readiness on an outbound connection.
+    fn call_ready(&mut self, slot: usize, readiness: u32) {
+        let Some(call) = self.call_mut(slot) else {
+            return;
+        };
+        let Some(job) = call.job.as_mut() else {
+            // Idle in the pool: the backend closed it, or spoke out of
+            // turn.
+            return self.close(slot);
+        };
+        if job.connecting {
+            match call.stream.take_error() {
+                Ok(None) if readiness & (EPOLLERR | EPOLLHUP) == 0 => {
+                    job.connecting = false;
+                    let _ = call.stream.set_nodelay(true);
+                    call.due = call.to.rpc_timeout.map(|t| Instant::now() + t);
+                    self.arm(slot);
+                }
+                Ok(err) => {
+                    let err = err.unwrap_or_else(|| io::ErrorKind::ConnectionRefused.into());
+                    return self.fail(slot, err);
+                }
+                Err(err) => return self.fail(slot, err),
+            }
+        }
+        self.pump(slot);
+    }
+
+    /// Move a connected call's bytes: write what is left of the
+    /// request, or else read toward the reply, until the socket would
+    /// block or the call ends.
+    fn pump(&mut self, slot: usize) {
+        let Some(Call {
+            stream,
+            job: Some(job),
+            ..
+        }) = self.call_mut(slot)
+        else {
+            return;
+        };
+        if job.at < job.out.len() {
+            // The reply cannot be in before the request is out: wait
+            // for it rather than try a read that would block.
+            return match write_some(stream, &job.out, &mut job.at) {
+                Ok(done) => self.set_interest(slot, if done { READ } else { EPOLLOUT }),
+                Err(e) => self.fail(slot, e),
+            };
+        }
+        match read_some(stream, &mut job.reply) {
+            Ok(Some(frame)) => self.reply(slot, frame),
+            Ok(None) => self.set_interest(slot, READ),
+            Err(WireError::Malformed(m)) => {
+                self.fail(slot, io::Error::new(io::ErrorKind::InvalidData, m))
+            }
+            Err(WireError::Io(e)) => self.fail(slot, e),
+        }
+    }
+
+    /// The reply is in: pool the connection — unless the backend said
+    /// it is going away — and queue the continuation.
+    fn reply(&mut self, slot: usize, frame: Frame) {
+        if frame.opcode != Opcode::Infer {
+            let m = format!("backend answered {:?} to an Infer request", frame.opcode);
+            return self.fail(slot, io::Error::new(io::ErrorKind::InvalidData, m));
+        }
+        let Some(call) = self.call_mut(slot) else {
+            return;
+        };
+        let Some(job) = call.job.take() else {
+            return;
+        };
+        let addr = call.to.addr;
+        call.due = call.to.pool_ttl.map(|ttl| Instant::now() + ttl);
+        if frame.status == Status::ShuttingDown {
+            self.close(slot);
+        } else {
+            self.arm(slot);
+            self.pool.entry(addr).or_default().push(slot);
+        }
+        self.settled.push((job.then, Ok(frame)));
+    }
+
+    /// End the call in `slot` with `err`, closing its socket — after an
+    /// error it may no longer be frame-aligned. A pooled connection
+    /// found closed earns one fresh dial first: idle sockets die
+    /// routinely (backend restarts, idle reaping), which says nothing
+    /// about the backend.
+    fn fail(&mut self, slot: usize, err: io::Error) {
+        let Some(Entry::Call(Call {
+            to,
+            job: Some(mut job),
+            ..
+        })) = self.remove(slot)
+        else {
+            return;
+        };
+        if job.pooled && is_disconnect(&err) {
+            (job.pooled, job.at, job.reply) = (false, 0, FrameDecoder::new());
+            return self.dial(to, job);
+        }
+        self.settled.push((job.then, Err(err)));
+    }
+
+    /// A wheel entry came up: reap an idle client connection, time out
+    /// a call, retire a pooled connection past its TTL — or, when the
+    /// deadline has not come yet, say how long until it does.
+    fn expire(&mut self, (slot, tag): Cookie, now: Instant) -> Option<Duration> {
+        let tick = self.wheel.tick;
+        match self.entries.get_mut(slot)?.as_mut()? {
+            Entry::Client(conn) if conn.generation == tag => {
+                let idle = self.idle_timeout?;
+                let idle_for = now.saturating_duration_since(conn.last_activity);
+                if idle_for < idle || conn.busy() {
+                    // Still active (or mid-request): come back when its
+                    // current idle budget would run out.
+                    return Some(idle.saturating_sub(idle_for).max(tick));
+                }
+                self.metrics.conn_idle_closed();
+                self.close(slot);
+            }
+            Entry::Call(call) if call.timer.is_some_and(|(t, _)| t == tag) => {
+                call.timer = None;
+                let due = call.due?;
+                if due > now {
+                    call.timer = Some((tag, due));
+                    return Some(due - now);
+                }
+                if call.job.is_some() {
+                    self.fail(slot, io::ErrorKind::TimedOut.into());
+                } else {
+                    self.metrics.idle_expired();
+                    self.close(slot);
+                }
+            }
+            _ => {}
+        }
+        None
+    }
 }
 
-impl EventLoop {
-    fn run(&mut self, mut wheel: Option<TimerWheel>) {
-        let mut generation = 0u64;
+/// One loop thread's state: the front-end it serves, and its core.
+struct EventLoop<S> {
+    front: Arc<Frontend<S>>,
+    core: Core,
+}
+
+impl<S: Service> EventLoop<S> {
+    fn run(&mut self) {
+        let ls = Arc::clone(&self.core.ls);
+        let _ = ls.owner.set(thread::current().id());
         let mut events = vec![Event::zeroed(); 256];
         let mut finish_deadline: Option<Instant> = None;
 
         loop {
-            let finishing = self.ls.finish.load(Ordering::Acquire);
-            let timeout = if finishing {
+            let timeout = if ls.finish.load(Ordering::Acquire) {
                 Some(Duration::from_millis(5))
             } else {
-                wheel.as_ref().map(|w| {
-                    w.until_next_tick(Instant::now())
-                        .max(Duration::from_millis(1))
-                })
+                self.core.wheel.next_due(Instant::now())
             };
-            let n = self.ls.epoll.wait(&mut events, timeout).unwrap_or_default();
-            self.metrics.loop_turn(n as u64);
+            let n = ls.epoll.wait(&mut events, timeout).unwrap_or_default();
+            self.core.metrics.loop_turn(n as u64);
 
             for event in events.iter().take(n) {
                 let (token, readiness) = (event.token(), event.readiness());
@@ -437,113 +864,71 @@ impl EventLoop {
             }
 
             // Register freshly accepted sockets.
-            let inbox = std::mem::take(&mut *self.ls.inbox.lock());
+            let inbox = std::mem::take(&mut *ls.inbox.lock());
             for stream in inbox {
-                self.metrics.conn_registered();
-                generation += 1;
-                if self
-                    .register_conn(stream, generation, wheel.as_mut())
-                    .is_err()
-                {
-                    self.metrics.conn_closed();
+                self.core.metrics.conn_registered();
+                if self.core.register_conn(stream).is_err() {
+                    self.core.metrics.conn_closed();
                 }
             }
 
-            // Deliver pending replies that arrived since the last turn.
-            let completions = std::mem::take(&mut *self.ls.completions.lock());
+            // Deadlines: idle connections, calls, pooled TTLs.
+            let now = Instant::now();
+            for cookie in self.core.wheel.take_due(now) {
+                if let Some(after) = self.core.expire(cookie, now) {
+                    self.core.wheel.insert_after(cookie, after);
+                }
+            }
+
+            // Continuations of the calls that ended this turn: each
+            // answers its client or makes the next call.
+            while let Some((then, outcome)) = self.core.settled.pop() {
+                then(outcome, &mut self.core.upstream());
+            }
+
+            // Deliver replies that arrived since the last turn.
+            let completions = std::mem::take(&mut *ls.completions.lock());
             for c in completions {
-                match self.conns[c.slot].as_mut() {
-                    Some(conn) if conn.generation == c.generation => conn.inflight = false,
+                match self.core.entries.get_mut(c.slot) {
+                    Some(Some(Entry::Client(conn))) if conn.generation == c.generation => {
+                        conn.inflight = false
+                    }
                     _ => continue, // The connection died mid-request.
                 }
-                self.queue_reply(c.slot, &c.reply, Some(c.ctx));
+                self.core.queue_reply(c.slot, &c.reply, Some(c.ctx));
                 self.flush_out(c.slot);
             }
 
-            // Idle expiry.
-            if let Some(w) = wheel.as_mut() {
-                let now = Instant::now();
-                let (idle, tick) = (w.idle, w.tick);
-                w.advance(now, |(slot, gen)| {
-                    let conn = match self.conns[slot].as_ref() {
-                        Some(c) if c.generation == gen => c,
-                        _ => return None,
-                    };
-                    let idle_for = now.saturating_duration_since(conn.last_activity);
-                    if idle_for >= idle && !conn.busy() {
-                        self.metrics.conn_idle_closed();
-                        self.close_conn(slot);
-                        None
-                    } else {
-                        // Still active (or mid-request): come back when
-                        // its current idle budget would run out.
-                        Some(idle.saturating_sub(idle_for).max(tick))
-                    }
-                });
-            }
-
-            if finishing {
+            // Read afresh: the wake ending this wait may be `finish`'s.
+            if ls.finish.load(Ordering::Acquire) {
                 let deadline =
                     *finish_deadline.get_or_insert_with(|| Instant::now() + FINISH_GRACE);
-                let flushing = self
-                    .conns
-                    .iter()
-                    .flatten()
-                    .any(|c| c.out.is_some() && Instant::now() < deadline);
-                let completions_pending = !self.ls.completions.lock().is_empty();
-                if !flushing && !completions_pending {
+                let flushing = Instant::now() < deadline;
+                let busy = self.core.entries.iter().flatten().any(|e| match e {
+                    Entry::Client(conn) => flushing && conn.out.is_some(),
+                    Entry::Call(call) => call.job.is_some(),
+                });
+                if !busy && ls.completions.lock().is_empty() {
                     break;
                 }
             }
         }
 
         // Drop every remaining connection (peers see a close).
-        for slot in 0..self.conns.len() {
-            self.close_conn(slot);
+        for slot in 0..self.core.entries.len() {
+            self.core.close(slot);
         }
     }
 
-    /// Put a freshly accepted socket under epoll management.
-    fn register_conn(
-        &mut self,
-        stream: TcpStream,
-        generation: u64,
-        wheel: Option<&mut TimerWheel>,
-    ) -> io::Result<()> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.conns.push(None);
-            self.conns.len() - 1
-        });
-        let token = (slot + 1) as u64;
-        if let Err(e) = self.ls.epoll.add(&stream, EPOLLIN | EPOLLRDHUP, token) {
-            self.free.push(slot);
-            return Err(e);
-        }
-        self.conns[slot] = Some(Conn {
-            stream,
-            generation,
-            decoder: FrameDecoder::new(),
-            out: None,
-            inflight: false,
-            interest: EPOLLIN | EPOLLRDHUP,
-            last_activity: Instant::now(),
-            close_after_flush: false,
-        });
-        if let Some(w) = wheel {
-            w.insert((slot, generation));
-        }
-        Ok(())
-    }
-
-    /// React to readiness on a connection's socket.
+    /// React to readiness on a slab entry's socket.
     fn handle_readiness(&mut self, slot: usize, readiness: u32) {
-        let Some(conn) = self.conns.get(slot).and_then(|c| c.as_ref()) else {
-            return; // Stale event for a closed slot.
+        let conn = match self.core.entries.get(slot) {
+            Some(Some(Entry::Client(conn))) => conn,
+            Some(Some(Entry::Call(_))) => return self.core.call_ready(slot, readiness),
+            _ => return, // Stale event for a closed slot.
         };
         if readiness & EPOLLERR != 0 {
-            self.close_conn(slot);
+            self.core.close(slot);
         } else if conn.out.is_some() && readiness & (EPOLLOUT | EPOLLHUP) != 0 {
             self.flush_out(slot);
         } else if readiness & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
@@ -553,7 +938,7 @@ impl EventLoop {
                 // spin the loop. Silence the socket — the interest must
                 // be *empty* (EPOLLERR/HUP arrive regardless) — until
                 // `flush_out` re-arms it.
-                self.set_interest(slot, 0);
+                self.core.set_interest(slot, 0);
             } else {
                 self.read_ready(slot);
             }
@@ -563,78 +948,58 @@ impl EventLoop {
     /// Pull bytes into the connection's decoder until it would block,
     /// a frame completes, or the peer goes away.
     fn read_ready(&mut self, slot: usize) {
-        loop {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
-            };
-            let spare = conn.decoder.spare();
-            debug_assert!(!spare.is_empty(), "reading while poisoned");
-            match conn.stream.read(spare) {
-                // EOF: clean at a frame boundary, torn otherwise —
-                // either way the connection is done (no request in
-                // flight here, since reads pause while busy).
-                Ok(0) => return self.close_conn(slot),
-                Ok(n) => {
-                    conn.last_activity = Instant::now();
-                    match conn.decoder.advance(n) {
-                        Ok(Some(frame)) => return self.dispatch_frame(slot, frame),
-                        Ok(None) => {} // Mid-frame; keep reading.
-                        Err(WireError::Malformed(m)) => {
-                            // Answer once, then close.
-                            conn.out = Some(OutBuf::new(&self.front.malformed(&m)));
-                            conn.close_after_flush = true;
-                            return self.flush_out(slot);
-                        }
-                        Err(WireError::Io(_)) => return self.close_conn(slot),
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return self.close_conn(slot),
+        let Some(Some(Entry::Client(conn))) = self.core.entries.get_mut(slot) else {
+            return;
+        };
+        conn.last_activity = Instant::now();
+        match read_some(&mut conn.stream, &mut conn.decoder) {
+            Ok(Some(frame)) => self.dispatch_frame(slot, frame),
+            Ok(None) => {} // Mid-frame.
+            Err(WireError::Malformed(m)) => {
+                // Answer once, then close.
+                conn.out = Some(OutBuf::new(&self.front.malformed(&m), None));
+                conn.close_after_flush = true;
+                self.flush_out(slot);
             }
+            // EOF (no request is in flight: reads pause while busy) or
+            // a failed read: the connection is done.
+            Err(WireError::Io(_)) => self.core.close(slot),
         }
     }
 
     /// Hand one complete request frame to the front-end and act on its
     /// verdict.
     fn dispatch_frame(&mut self, slot: usize, frame: Frame) {
-        let generation = self.conns[slot]
-            .as_ref()
-            .expect("dispatch on a live conn")
-            .generation;
-        let sink_ls = Arc::clone(&self.ls);
-        let verdict = self.front.dispatch(frame, move |(reply, ctx)| {
-            sink_ls.completions.lock().push(Completion {
+        let Some(Some(Entry::Client(conn))) = self.core.entries.get(slot) else {
+            return;
+        };
+        let generation = conn.generation;
+        let sink = Arc::clone(&self.core.ls);
+        let done = move |(reply, ctx): InferReply| {
+            let completion = Completion {
                 slot,
                 generation,
                 reply,
                 ctx,
-            });
-            let _ = sink_ls.wake.wake();
-        });
-        match verdict {
+            };
+            sink.completions.lock().push(completion);
+            // The loop's own thread drains the queue later this turn.
+            if sink.owner.get() != Some(&thread::current().id()) {
+                let _ = sink.wake.wake();
+            }
+        };
+        match self.front.dispatch(frame, &mut self.core.upstream(), done) {
             Dispatched::Reply(reply, span) => {
-                self.queue_reply(slot, &reply, span);
+                self.core.queue_reply(slot, &reply, span);
                 self.flush_out(slot);
             }
             Dispatched::Pending => {
                 // Read interest stays armed; `handle_readiness` drops it
                 // if the peer sends anything before it has its reply.
-                let conn = self.conns[slot].as_mut().expect("dispatch on a live conn");
-                conn.inflight = true;
+                if let Some(Some(Entry::Client(conn))) = self.core.entries.get_mut(slot) {
+                    conn.inflight = true;
+                }
             }
-        }
-    }
-
-    /// Stash a reply on the connection for flushing. `span` marks
-    /// `Infer` replies, whose write is stamped with a `ReplyWritten`
-    /// span.
-    fn queue_reply(&mut self, slot: usize, frame: &Frame, span: Option<SpanCtx>) {
-        if let Some(conn) = self.conns[slot].as_mut() {
-            debug_assert!(conn.out.is_none(), "one reply at a time per connection");
-            let mut out = OutBuf::new(frame);
-            out.span = span.map(|ctx| (ctx, Instant::now()));
-            conn.out = Some(out);
         }
     }
 
@@ -642,66 +1007,27 @@ impl EventLoop {
     /// `EPOLLOUT` on `WouldBlock`, restore read interest when the reply
     /// is out.
     fn flush_out(&mut self, slot: usize) {
-        let Some(conn) = self.conns[slot].as_mut() else {
+        let Some(Some(Entry::Client(conn))) = self.core.entries.get_mut(slot) else {
             return;
         };
         let Some(out) = conn.out.as_mut() else {
             return;
         };
-        loop {
-            match conn.stream.write(&out.buf[out.at..]) {
-                Ok(0) => return self.close_conn(slot),
-                Ok(n) => {
-                    out.at += n;
-                    conn.last_activity = Instant::now();
-                    if out.at == out.buf.len() {
-                        if let Some((ctx, started)) = out.span {
-                            let payload_len = out.buf.len() - crate::protocol::HEADER_LEN;
-                            self.front.reply_written(ctx, payload_len, started);
-                        }
-                        conn.out = None;
-                        if conn.close_after_flush {
-                            self.close_conn(slot);
-                        } else {
-                            self.set_interest(slot, EPOLLIN | EPOLLRDHUP);
-                        }
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return self.set_interest(slot, EPOLLOUT);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return self.close_conn(slot),
-            }
+        match write_some(&mut conn.stream, &out.buf, &mut out.at) {
+            Ok(true) => {}
+            Ok(false) => return self.core.set_interest(slot, EPOLLOUT),
+            Err(_) => return self.core.close(slot),
         }
-    }
-
-    /// Change a connection's epoll interest iff it differs (on the
-    /// closed-loop path it never does: no syscall). A connection the
-    /// kernel refuses to re-register is closed — remembered as armed
-    /// but silent, it would never be read, reaped or freed.
-    fn set_interest(&mut self, slot: usize, want: u32) {
-        let conn = self.conns[slot].as_mut().expect("interest of a live conn");
-        if conn.interest == want {
-            return;
+        conn.last_activity = Instant::now();
+        if let Some((ctx, started)) = out.span {
+            let payload_len = out.buf.len() - crate::protocol::HEADER_LEN;
+            self.front.reply_written(ctx, payload_len, started);
         }
-        self.metrics.interest_changed();
-        match self.ls.epoll.modify(&conn.stream, want, (slot + 1) as u64) {
-            Ok(()) => conn.interest = want,
-            Err(_) => self.close_conn(slot),
-        }
-    }
-
-    /// Tear a connection down: deregister, free the slot, count it.
-    /// No-op on an empty slot.
-    fn close_conn(&mut self, slot: usize) {
-        if let Some(conn) = self.conns[slot].take() {
-            let _ = self.ls.epoll.delete(&conn.stream);
-            self.metrics.conn_closed();
-            self.free.push(slot);
-            // An in-flight request's completion will arrive with a stale
-            // generation and be dropped (its accounting already ran).
+        conn.out = None;
+        if conn.close_after_flush {
+            self.core.close(slot);
+        } else {
+            self.core.set_interest(slot, READ);
         }
     }
 }
@@ -709,9 +1035,11 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{read_frame, write_frame};
     use crate::{Client, ModelSpec, ServerConfig, SpnServer};
     use spn_core::NipsBenchmark;
     use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
+    use std::sync::atomic::AtomicUsize;
 
     const BENCH: NipsBenchmark = NipsBenchmark::Nips10;
 
@@ -750,45 +1078,312 @@ mod tests {
                 .unwrap();
             assert_eq!(lls.len(), 1);
         }
-        let metrics = server.front().service.reactor.as_ref().unwrap();
-        assert_eq!(metrics.interest_changes(), 0);
+        assert_eq!(server.reactor_metrics().interest_changes(), 0);
     }
 
-    /// `set_interest` is the only place a connection's interest
-    /// changes, and it must not record a change the kernel refused: a
-    /// connection deregistered behind the loop's back (`MOD` →
-    /// `ENOENT`) is closed, not remembered as armed and left silent.
-    #[test]
-    fn a_refused_interest_change_closes_the_connection() {
-        let server = serve();
-        let metrics = Arc::new(ReactorMetrics::new(1));
-        let ls = Arc::new(LoopShared {
+    fn loop_shared() -> Arc<LoopShared> {
+        Arc::new(LoopShared {
             epoll: Epoll::new().unwrap(),
             wake: EventFd::new().unwrap(),
             inbox: Mutex::new(Vec::new()),
             completions: Mutex::new(Vec::new()),
             finish: AtomicBool::new(false),
-        });
-        let mut ev = EventLoop {
-            ls: Arc::clone(&ls),
-            front: Arc::clone(server.front()),
-            metrics: Arc::clone(&metrics),
-            conns: Vec::new(),
-            free: Vec::new(),
-        };
+            owner: OnceLock::new(),
+        })
+    }
+
+    /// `set_interest` is the only place an entry's interest changes,
+    /// and it must not record a change the kernel refused: a connection
+    /// deregistered behind the loop's back (`MOD` → `ENOENT`) is
+    /// closed, not remembered as armed and left silent.
+    #[test]
+    fn a_refused_interest_change_closes_the_connection() {
+        let metrics = Arc::new(ReactorMetrics::new(1));
+        let ls = loop_shared();
+        let mut core = Core::new(Arc::clone(&ls), Arc::clone(&metrics), None);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         metrics.conn_accepted();
-        ev.register_conn(stream, 1, None).unwrap();
+        core.register_conn(stream).unwrap();
         assert_eq!(metrics.open_connections(), 1);
 
-        let registered = ev.conns[0].as_ref().expect("registered in slot 0");
+        let Some(Some(Entry::Client(registered))) = core.entries.first() else {
+            panic!("registered in slot 0");
+        };
         ls.epoll.delete(&registered.stream).unwrap();
-        ev.set_interest(0, 0);
+        core.set_interest(0, 0);
 
-        assert!(ev.conns[0].is_none(), "left half-armed");
-        assert_eq!(ev.free, [0]);
+        assert!(core.entries[0].is_none(), "left half-armed");
+        assert_eq!(core.free, [0]);
         assert_eq!(metrics.open_connections(), 0, "counted in conn_closed");
+    }
+
+    /// The loop sleeps until the next occupied slot, and forever when
+    /// no timer is pending.
+    #[test]
+    fn the_wheel_wakes_only_for_occupied_slots() {
+        let tick = Duration::from_millis(10);
+        let mut wheel = TimerWheel::new(tick);
+        assert_eq!(wheel.next_due(Instant::now()), None);
+        wheel.insert_after((7, 1), Duration::from_millis(35));
+        let now = Instant::now();
+        let due = wheel.next_due(now).expect("a timer is pending");
+        assert!(
+            due > Duration::from_millis(25) && due <= Duration::from_millis(40),
+            "{due:?}"
+        );
+        assert!(wheel.take_due(now).is_empty());
+        assert_eq!(wheel.take_due(now + Duration::from_millis(45)), [(7, 1)]);
+        assert_eq!(wheel.next_due(Instant::now()), None);
+    }
+
+    /// A service that forwards every `Infer` payload to `to` and answers
+    /// with the upstream reply — or, when the call fails, an `Internal`
+    /// error naming the io error kind.
+    struct Forward {
+        to: Target,
+    }
+
+    impl Service for Forward {
+        fn stats_json(&self, _reactor: &ReactorMetrics) -> String {
+            String::new()
+        }
+
+        fn rejected(&self, _status: Status) {}
+
+        fn infer<F>(&self, payload: Vec<u8>, up: &mut Upstream<'_>, done: F) -> Option<InferReply>
+        where
+            F: FnOnce(InferReply) + Send + 'static,
+        {
+            up.infer(self.to, &payload, move |reply, _| {
+                let frame = reply.unwrap_or_else(|e| {
+                    Frame::error(Opcode::Infer, Status::Internal, &format!("{:?}", e.kind()))
+                });
+                done((frame, SpanCtx::NONE));
+            });
+            None
+        }
+    }
+
+    fn target(addr: SocketAddr, pool_ttl: Option<Duration>) -> Target {
+        Target {
+            addr,
+            generation: 0,
+            connect_timeout: Duration::from_millis(500),
+            rpc_timeout: Some(Duration::from_secs(5)),
+            pool_ttl,
+        }
+    }
+
+    /// A one-loop reactor forwarding to `to`, and a client of it.
+    struct Forwarder {
+        front: Arc<Frontend<Forward>>,
+        handle: ReactorHandle,
+        client: TcpStream,
+    }
+
+    impl Forwarder {
+        fn start(to: Target) -> Forwarder {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let front = Arc::new(Frontend::new(Forward { to }, addr, None));
+            let config = ReactorConfig {
+                loop_threads: 1,
+                max_connections: 64,
+                idle_timeout: None,
+            };
+            let handle = start(listener, Arc::clone(&front), config).unwrap();
+            let client = TcpStream::connect(addr).unwrap();
+            Forwarder {
+                front,
+                handle,
+                client,
+            }
+        }
+
+        fn infer(&mut self, payload: &[u8]) -> Frame {
+            let request = Frame::request(Opcode::Infer, payload.to_vec());
+            write_frame(&mut self.client, &request).unwrap();
+            read_frame(&mut self.client).unwrap()
+        }
+
+        fn idle_expired_total(&self) -> u64 {
+            self.handle.metrics().idle_expired_total()
+        }
+    }
+
+    impl Drop for Forwarder {
+        fn drop(&mut self) {
+            self.front.request_shutdown();
+            self.handle.join_acceptor();
+            self.handle.finish();
+        }
+    }
+
+    /// An SPN1 backend that echoes each request's payload in an `Ok`
+    /// reply, counting the connections it accepted and saw closed.
+    struct Echo {
+        addr: SocketAddr,
+        accepted: Arc<AtomicUsize>,
+        closed: Arc<AtomicUsize>,
+    }
+
+    fn echo_backend() -> Echo {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (accepted, closed) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (a, c) = (Arc::clone(&accepted), Arc::clone(&closed));
+        thread::spawn(move || {
+            for mut stream in listener.incoming().map_while(Result::ok) {
+                a.fetch_add(1, Ordering::SeqCst);
+                let c = Arc::clone(&c);
+                thread::spawn(move || {
+                    while let Ok(req) = read_frame(&mut stream) {
+                        let reply = Frame::response(req.opcode, Status::Ok, req.payload);
+                        if write_frame(&mut stream, &reply).is_err() {
+                            break;
+                        }
+                    }
+                    c.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        Echo {
+            addr,
+            accepted,
+            closed,
+        }
+    }
+
+    fn eventually(what: &str, mut holds: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !holds() {
+            assert!(Instant::now() < deadline, "never: {what}");
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Back-to-back calls to one backend reuse the pooled connection.
+    #[test]
+    fn fresh_idle_connection_is_reused_within_ttl() {
+        let backend = echo_backend();
+        let mut fwd = Forwarder::start(target(backend.addr, Some(Duration::from_secs(10))));
+        for i in 0..3u8 {
+            let reply = fwd.infer(&[i; 5]);
+            assert_eq!(
+                reply,
+                Frame::response(Opcode::Infer, Status::Ok, vec![i; 5])
+            );
+        }
+        assert_eq!(
+            backend.accepted.load(Ordering::SeqCst),
+            1,
+            "socket well within TTL must be reused"
+        );
+        assert_eq!(fwd.idle_expired_total(), 0);
+    }
+
+    /// A pooled connection past its TTL is closed and counted, never
+    /// reused.
+    #[test]
+    fn ttl_expired_idle_connection_is_dropped_on_checkout() {
+        let backend = echo_backend();
+        let mut fwd = Forwarder::start(target(backend.addr, Some(Duration::from_millis(10))));
+        assert_eq!(fwd.infer(b"a").status, Status::Ok);
+        thread::sleep(Duration::from_millis(30));
+        assert_eq!(fwd.infer(b"b").status, Status::Ok);
+        assert_eq!(
+            backend.accepted.load(Ordering::SeqCst),
+            2,
+            "expired pooled socket must not be reused"
+        );
+        assert_eq!(fwd.idle_expired_total(), 1);
+    }
+
+    /// The wheel retires a pooled connection past its TTL with no
+    /// checkout to notice it; without a TTL nothing ever expires.
+    #[test]
+    fn expire_idle_sweeps_without_a_checkout() {
+        let backend = echo_backend();
+        let mut fwd = Forwarder::start(target(backend.addr, Some(Duration::from_millis(10))));
+        assert_eq!(fwd.infer(b"a").status, Status::Ok);
+        eventually("the idle connection expires", || {
+            fwd.idle_expired_total() == 1
+        });
+        eventually("the backend sees it closed", || {
+            backend.closed.load(Ordering::SeqCst) == 1
+        });
+
+        let backend = echo_backend();
+        let mut fwd = Forwarder::start(target(backend.addr, None));
+        assert_eq!(fwd.infer(b"a").status, Status::Ok);
+        thread::sleep(Duration::from_millis(150));
+        assert_eq!(fwd.idle_expired_total(), 0);
+        assert_eq!(backend.closed.load(Ordering::SeqCst), 0);
+    }
+
+    /// A dial to a port nobody listens on fails at once, typed, and the
+    /// continuation hears about it.
+    #[test]
+    fn dial_failure_is_fast_and_typed() {
+        let dark = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let mut fwd = Forwarder::start(target(dark, None));
+        let t = Instant::now();
+        let reply = fwd.infer(b"a");
+        assert!(
+            t.elapsed() < Duration::from_millis(400),
+            "{:?}",
+            t.elapsed()
+        );
+        assert_eq!(reply.status, Status::Internal);
+        assert_eq!(reply.payload, b"ConnectionRefused");
+    }
+
+    /// A backend that accepts and never answers times the call out
+    /// after `rpc_timeout`, and the connection is not pooled.
+    #[test]
+    fn a_silent_backend_times_out() {
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        let rpc_timeout = Duration::from_millis(100);
+        let mut fwd = Forwarder::start(Target {
+            rpc_timeout: Some(rpc_timeout),
+            ..target(silent.local_addr().unwrap(), None)
+        });
+        let t = Instant::now();
+        let reply = fwd.infer(b"a");
+        assert!(t.elapsed() >= rpc_timeout, "{:?}", t.elapsed());
+        assert_eq!(reply.status, Status::Internal);
+        assert_eq!(reply.payload, b"TimedOut");
+    }
+
+    /// An `accept` that keeps failing — `WouldBlock` on this
+    /// nonblocking listener, `EMFILE` in the field — is retried after a
+    /// back-off, not in a spin.
+    #[test]
+    fn accept_errors_back_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let front = Arc::new(Frontend::new(
+            Forward {
+                to: target(addr, None),
+            },
+            addr,
+            None,
+        ));
+        let metrics = Arc::new(ReactorMetrics::new(1));
+        let acceptor = {
+            let (front, metrics) = (Arc::clone(&front), Arc::clone(&metrics));
+            thread::spawn(move || accept_loop(listener, front, Vec::new(), 1, metrics))
+        };
+        thread::sleep(Duration::from_millis(200));
+        front.request_shutdown();
+        acceptor.join().unwrap();
+        let attempts = metrics.accept_attempts();
+        assert!(attempts <= 50, "{attempts} accept attempts in 200 ms");
     }
 }

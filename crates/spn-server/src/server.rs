@@ -3,24 +3,15 @@
 //!
 //! The server is one [`Service`] — `Stats` is the unified telemetry
 //! document, `Infer` is decode → validate → admission control →
-//! enqueue with the model's batcher — behind the one front-end, and
-//! [`ServerConfig::serving`] picks which of the two drivers moves its
-//! bytes. Both speak the same wire protocol through the same dispatch
-//! code, so their observable behaviour is identical:
+//! enqueue with the model's batcher — behind the one front-end, whose
+//! bytes the epoll [`crate::reactor`] moves: one accept thread hands
+//! sockets to a small fixed pool of event-loop threads
+//! ([`ServerConfig::serving`]), each multiplexing thousands of
+//! connections.
 //!
-//! * [`ServingMode::Reactor`] (the default) — a nonblocking epoll
-//!   readiness loop: one accept thread hands sockets to a small fixed
-//!   pool of event-loop threads, each multiplexing thousands of
-//!   connections (see [`crate::reactor`]). Scales to 10k+ concurrent
-//!   connections.
-//! * [`ServingMode::Threaded`] — the blocking thread-per-connection
-//!   driver (see [`crate::blocking`]). Kept as the semantic oracle the
-//!   reactor is differentially tested against; costs one OS thread per
-//!   client.
-//!
-//! Either way there is one **batcher worker** per registered model
-//! (see [`crate::batcher`]), and a connection handles one request at
-//! a time. Faults are *contained per connection*: a malformed payload
+//! There is one **batcher worker** per registered model (see
+//! [`crate::batcher`]), and a connection handles one request at a
+//! time. Faults are *contained per connection*: a malformed payload
 //! earns an error frame on that socket only; a torn frame or
 //! mid-request disconnect kills that connection only.
 //!
@@ -32,11 +23,10 @@
 //! joined.
 
 use crate::batcher::{BatchPolicy, Batcher, Reply};
-use crate::blocking::BlockingDriver;
 use crate::frontend::{Frontend, InferReply, Service};
 use crate::metrics::{ReactorMetrics, ServerMetrics, ServerMetricsSnapshot};
 use crate::protocol::{Frame, InferRequest, Opcode, Status};
-use crate::reactor::{self, ReactorConfig, ReactorHandle};
+use crate::reactor::{self, ReactorConfig, ReactorHandle, Upstream};
 use spn_runtime::{JobOptions, PlanCache, Scheduler};
 use spn_telemetry::{
     BatcherTelemetry, ModelTelemetry, PlanTelemetry, ShardTelemetry, SpanCtx, TelemetrySnapshot,
@@ -48,13 +38,11 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which serving engine fronts the batchers.
+/// How the batchers are fronted. The epoll reactor is the one engine
+/// left; the enum stays because callers name it.
 #[derive(Debug, Clone)]
 pub enum ServingMode {
-    /// Blocking thread-per-connection serving, kept as the semantic
-    /// oracle for the reactor.
-    Threaded,
-    /// Nonblocking epoll reactor serving (the default).
+    /// Nonblocking epoll reactor serving.
     Reactor(ReactorConfig),
 }
 
@@ -75,8 +63,8 @@ pub struct ServerConfig {
     /// Admission control: refuse `Infer` requests that would push the
     /// number of admitted-but-unanswered samples past this bound.
     pub max_inflight_samples: u64,
-    /// How often blocked reads wake up to check the shutdown flag
-    /// (threaded driver only; the reactor is readiness-driven).
+    /// Unused: the reactor is readiness-driven, so nothing polls. Kept
+    /// so that callers that set it still build.
     pub read_poll: Duration,
     /// Live span collector shared with the models' schedulers
     /// (`None` = tracing off). When set, the front-end records
@@ -84,8 +72,7 @@ pub struct ServerConfig {
     /// [`spn_runtime::Scheduler::with_trace`] so server and device
     /// spans land on one correlated timeline.
     pub trace: Option<Arc<TraceCollector>>,
-    /// Serving engine: epoll reactor (default) or thread-per-
-    /// connection oracle.
+    /// The reactor's tuning.
     pub serving: ServingMode,
 }
 
@@ -163,28 +150,16 @@ struct ModelHandle {
 
 /// The server behind the front-end: the model registry plus the
 /// counters and limits admission control runs on.
-pub(crate) struct ServerService {
+struct ServerService {
     models: BTreeMap<String, ModelHandle>,
     metrics: Arc<ServerMetrics>,
     max_inflight_samples: u64,
-    /// Reactor driver counters; `Some` only under
-    /// [`ServingMode::Reactor`] (the telemetry section stays `null`
-    /// for the threaded oracle).
-    pub(crate) reactor: Option<Arc<ReactorMetrics>>,
 }
-
-pub(crate) type ServerFront = Frontend<ServerService>;
 
 /// A running inference server. Dropping it drains and stops it.
 pub struct SpnServer {
-    front: Arc<ServerFront>,
-    engine: Engine,
-}
-
-/// The running driver behind an [`SpnServer`].
-enum Engine {
-    Threaded(BlockingDriver),
-    Reactor(ReactorHandle),
+    front: Arc<Frontend<ServerService>>,
+    reactor: ReactorHandle,
 }
 
 /// Server construction failure.
@@ -261,33 +236,15 @@ impl SpnServer {
             }
         }
 
-        let reactor_metrics = match &config.serving {
-            ServingMode::Reactor(rc) => Some(Arc::new(ReactorMetrics::new(rc.loop_threads.max(1)))),
-            ServingMode::Threaded => None,
-        };
         let service = ServerService {
             models: registry,
             metrics,
             max_inflight_samples: config.max_inflight_samples,
-            reactor: reactor_metrics,
         };
-        let front = Arc::new(Frontend::new(
-            service,
-            local_addr,
-            config.read_poll,
-            config.trace,
-        ));
-
-        let engine = match config.serving {
-            ServingMode::Threaded => {
-                Engine::Threaded(BlockingDriver::start(listener, Arc::clone(&front)))
-            }
-            ServingMode::Reactor(rc) => {
-                Engine::Reactor(reactor::start(listener, Arc::clone(&front), rc)?)
-            }
-        };
-
-        Ok(SpnServer { front, engine })
+        let front = Arc::new(Frontend::new(service, local_addr, config.trace));
+        let ServingMode::Reactor(rc) = config.serving;
+        let reactor = reactor::start(listener, Arc::clone(&front), rc)?;
+        Ok(SpnServer { front, reactor })
     }
 
     /// The address the server actually bound (resolves port `0`).
@@ -295,10 +252,10 @@ impl SpnServer {
         self.front.local_addr()
     }
 
-    /// The front-end the drivers share, for driver unit tests.
+    /// The reactor's counters, for its unit tests.
     #[cfg(test)]
-    pub(crate) fn front(&self) -> &Arc<ServerFront> {
-        &self.front
+    pub(crate) fn reactor_metrics(&self) -> &ReactorMetrics {
+        self.reactor.metrics()
     }
 
     /// Point-in-time serving metrics.
@@ -310,7 +267,9 @@ impl SpnServer {
     /// scheduler/batcher section per model — exactly what the `Stats`
     /// opcode returns on the wire.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        self.front.service.telemetry_snapshot()
+        self.front
+            .service
+            .telemetry_snapshot(self.reactor.metrics())
     }
 
     /// Block until shutdown is requested — by a client's `Shutdown`
@@ -326,25 +285,18 @@ impl SpnServer {
     /// drop.
     pub fn shutdown(&mut self) {
         self.front.request_shutdown();
-        match &mut self.engine {
-            Engine::Threaded(driver) => driver.join_acceptor(),
-            Engine::Reactor(handle) => handle.join_acceptor(),
-        }
+        self.reactor.join_acceptor();
         // Drain order is load-bearing: every connection with a pending
-        // `Infer` is waiting on its batcher reply — a blocked thread, or
-        // a reactor slot awaiting its completion — and flushing the
-        // batch queues is what delivers those. Batchers first,
-        // connections second.
+        // `Infer` is a reactor slot waiting on its batcher reply, and
+        // flushing the batch queues is what delivers those. Batchers
+        // first, connections second.
         for handle in self.front.service.models.values() {
             handle.batcher.request_drain();
         }
         for handle in self.front.service.models.values() {
             handle.batcher.join_worker();
         }
-        match &mut self.engine {
-            Engine::Threaded(driver) => driver.finish(),
-            Engine::Reactor(handle) => handle.finish(),
-        }
+        self.reactor.finish();
     }
 }
 
@@ -355,8 +307,8 @@ impl Drop for SpnServer {
 }
 
 impl Service for ServerService {
-    fn stats_json(&self) -> String {
-        self.telemetry_snapshot().to_json()
+    fn stats_json(&self, reactor: &ReactorMetrics) -> String {
+        self.telemetry_snapshot(reactor).to_json()
     }
 
     fn rejected(&self, status: Status) {
@@ -367,7 +319,7 @@ impl Service for ServerService {
     /// with its model's batcher. Takes the payload by value so the
     /// socket read buffer goes straight to the batcher
     /// ([`InferRequest::decode_owned`]).
-    fn infer<F>(&self, payload: Vec<u8>, done: F) -> Option<InferReply>
+    fn infer<F>(&self, payload: Vec<u8>, _up: &mut Upstream<'_>, done: F) -> Option<InferReply>
     where
         F: FnOnce(InferReply) + Send + 'static,
     {
@@ -472,7 +424,7 @@ impl ServerService {
     /// built with [`spn_runtime::Scheduler::with_cache`] may share one
     /// cache, so caches are de-duplicated by identity before summing —
     /// a shared cache is counted once, not once per model.
-    fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+    fn telemetry_snapshot(&self, reactor: &ReactorMetrics) -> TelemetrySnapshot {
         let models = self
             .models
             .iter()
@@ -530,7 +482,7 @@ impl ServerService {
             plan: Some(plan),
             router: None,
             shard,
-            reactor: self.reactor.as_ref().map(|m| m.snapshot()),
+            reactor: Some(reactor.snapshot()),
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Front-end conformance: the reactor server, the blocking-driver
-//! server and the router all serve SPN1 through the same front-end
-//! (`spn_server::frontend`), so the same probe table must observe the
-//! same thing at all three — byte-identical reply frames and the same
-//! close behaviour for every malformed, truncated and control frame.
+//! Front-end conformance: the server and the router both serve SPN1
+//! through the same front-end (`spn_server::frontend`), so the same
+//! probe table must observe the same thing at both — byte-identical
+//! reply frames and the same close behaviour for every malformed,
+//! truncated and control frame.
 
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
@@ -224,7 +224,6 @@ fn shutdown_acks_then_drains(addr: SocketAddr, wait_for_shutdown: impl FnOnce())
 #[test]
 fn all_three_endpoints_conform_identically() {
     let mut reactor = start_server(ServingMode::default());
-    let mut threaded = start_server(ServingMode::Threaded);
     let backend = start_server(ServingMode::default());
     let mut router = SpnRouter::start(RouterConfig {
         backends: vec![backend.local_addr().to_string()],
@@ -234,18 +233,12 @@ fn all_three_endpoints_conform_identically() {
     .unwrap();
 
     let reference = conformance_table(reactor.local_addr());
-    for (name, addr) in [
-        ("blocking-driver server", threaded.local_addr()),
-        ("router", router.local_addr()),
-    ] {
-        for (want, got) in reference.iter().zip(conformance_table(addr)) {
-            assert_eq!(*want, got, "{name} diverges from the reactor server");
-        }
+    for (want, got) in reference.iter().zip(conformance_table(router.local_addr())) {
+        assert_eq!(*want, got, "router diverges from the reactor server");
     }
 
     // The garbage was counted where it arrived and went no further.
     let malformed = |s: &SpnServer| s.metrics_snapshot().rejected_malformed;
-    assert_eq!(malformed(&reactor), malformed(&threaded));
     assert_eq!(
         router
             .telemetry_snapshot()
@@ -259,8 +252,6 @@ fn all_three_endpoints_conform_identically() {
     let want_ack = Frame::response(Opcode::Shutdown, Status::Ok, vec![]);
     let ack = shutdown_acks_then_drains(reactor.local_addr(), || reactor.wait_for_shutdown());
     assert_eq!(ack, want_ack, "reactor server");
-    let ack = shutdown_acks_then_drains(threaded.local_addr(), || threaded.wait_for_shutdown());
-    assert_eq!(ack, want_ack, "blocking-driver server");
     let ack = shutdown_acks_then_drains(router.local_addr(), || router.wait_for_shutdown());
     assert_eq!(ack, want_ack, "router");
     // The router's `Shutdown` drained the router only.
@@ -270,6 +261,5 @@ fn all_three_endpoints_conform_identically() {
         .is_ok());
 
     reactor.shutdown();
-    threaded.shutdown();
     router.shutdown();
 }

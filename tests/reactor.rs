@@ -1,9 +1,9 @@
 //! Integration tests for the epoll reactor serving engine: the
 //! many-connection smoke (1k connections by default, the full 10k
 //! under `SPN_FULL_SWEEP=1`), the connection-limit and idle-timeout
-//! behaviours only the reactor has, and the cross-engine replay proof
-//! that a trace recorded through the reactor replays bit-for-bit
-//! through the threaded oracle.
+//! behaviours, and the replay proof that a trace recorded through the
+//! reactor replays bit-for-bit through a fresh server, digest for
+//! recorded digest.
 
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
@@ -282,11 +282,10 @@ fn half_closed_connection_does_not_spin_the_loop() {
 }
 
 /// A client that pipelines — two `Infer` frames in one `write` — gets
-/// both replies, in request order, bit-equal to the direct runtime, on
-/// both engines. On the reactor the second frame's readiness arrives
-/// while the first request is in flight: that event is ignored, the
-/// socket is silenced, and the reply path must re-arm it or the second
-/// frame is never read.
+/// both replies, in request order, bit-equal to the direct runtime.
+/// The second frame's readiness arrives while the first request is in
+/// flight: that event is ignored, the socket is silenced, and the reply
+/// path must re-arm it or the second frame is never read.
 #[test]
 fn pipelined_requests_are_answered_in_order() {
     let bench = NipsBenchmark::Nips10;
@@ -301,53 +300,46 @@ fn pipelined_requests_are_answered_in_order() {
         .collect();
     assert_ne!(expected[0].to_bits(), expected[1].to_bits());
 
-    for serving in [
+    // Paced, so the first request is still in flight when the
+    // second frame's readiness is reported.
+    let mut server = start_server_on(
+        bench,
+        make_device(bench).with_pacing(Duration::from_millis(20)),
         ServingMode::Reactor(ReactorConfig::default()),
-        ServingMode::Threaded,
-    ] {
-        // Paced, so the first request is still in flight when the
-        // second frame's readiness is reported.
-        let mut server = start_server_on(
-            bench,
-            make_device(bench).with_pacing(Duration::from_millis(20)),
-            serving,
-        );
-        let mut wire = Vec::new();
-        for row in rows.rows() {
-            let request = protocol::InferRequest {
-                model: bench.name().to_string(),
-                deadline_ms: 0,
-                num_samples: 1,
-                num_features: nf as u32,
-                data: row.to_vec(),
-                trace: false,
-                ctx: SpanCtx::NONE,
-            };
-            protocol::write_frame(&mut wire, &Frame::request(Opcode::Infer, request.encode()))
-                .unwrap();
-        }
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        std::io::Write::write_all(&mut stream, &wire).unwrap();
-        for want in &expected {
-            let reply = protocol::read_frame(&mut stream).expect("a reply per pipelined frame");
-            assert_eq!(reply.status, Status::Ok);
-            let lls = protocol::decode_results(&reply.payload).unwrap();
-            assert_eq!(lls.len(), 1);
-            assert_eq!(lls[0].to_bits(), want.to_bits());
-        }
-        server.shutdown();
+    );
+    let mut wire = Vec::new();
+    for row in rows.rows() {
+        let request = protocol::InferRequest {
+            model: bench.name().to_string(),
+            deadline_ms: 0,
+            num_samples: 1,
+            num_features: nf as u32,
+            data: row.to_vec(),
+            trace: false,
+            ctx: SpanCtx::NONE,
+        };
+        protocol::write_frame(&mut wire, &Frame::request(Opcode::Infer, request.encode())).unwrap();
     }
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    std::io::Write::write_all(&mut stream, &wire).unwrap();
+    for want in &expected {
+        let reply = protocol::read_frame(&mut stream).expect("a reply per pipelined frame");
+        assert_eq!(reply.status, Status::Ok);
+        let lls = protocol::decode_results(&reply.payload).unwrap();
+        assert_eq!(lls.len(), 1);
+        assert_eq!(lls[0].to_bits(), want.to_bits());
+    }
+    server.shutdown();
 }
 
-/// Cross-engine bit-exactness (the reactor's correctness oracle): a
-/// trace recorded *through the reactor* replays bit-for-bit through
-/// the *threaded* engine — same reply digests for every request, so
-/// the two engines are observably the same server.
+/// The reactor's correctness oracle is the recorded reply digests: a
+/// trace recorded through one server replays bit-for-bit through a
+/// fresh one — the same digest for every request.
 #[test]
-fn reactor_trace_replays_bit_identically_through_threaded_engine() {
+fn reactor_trace_replays_bit_identically_through_a_fresh_server() {
     let bench = NipsBenchmark::Nips10;
     let mut reactor_server = start_server(bench, ServingMode::default());
     let cfg = LoadConfig {
@@ -373,17 +365,17 @@ fn reactor_trace_replays_bit_identically_through_threaded_engine() {
     trace.write_file(&path).unwrap();
     let trace = Trace::read_file(&path).unwrap();
 
-    let mut threaded_server = start_server(bench, ServingMode::Threaded);
-    let mut rcfg = ReplayConfig::new(threaded_server.local_addr());
+    let mut fresh_server = start_server(bench, ServingMode::default());
+    let mut rcfg = ReplayConfig::new(fresh_server.local_addr());
     rcfg.speed = 4.0;
-    let rep = replay(&trace, &rcfg).expect("replay through threaded engine");
+    let rep = replay(&trace, &rcfg).expect("replay through a fresh server");
     assert!(rep.is_faithful(), "not faithful: {}", rep.summary());
     assert_eq!(rep.ok_requests, 48);
     assert_eq!(rep.digest_mismatches, 0);
     assert_eq!(rep.payload_mismatches, 0);
     for (rec, got) in trace.records.iter().zip(&rep.reply_digests) {
-        assert_eq!(rec.reply_digest, *got, "digest diverged across engines");
+        assert_eq!(rec.reply_digest, *got, "digest diverged from the recording");
     }
-    threaded_server.shutdown();
+    fresh_server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
