@@ -278,6 +278,8 @@ fn cmd_info(args: &Args) -> Result<CmdResult, CmdError> {
         "resources: 1 core + infra = {:.1} kLUT, {:.1} kLUT-mem, {:.1} kRegs, {:.0} BRAM, {:.0} DSP",
         one_core.klut_logic, one_core.klut_mem, one_core.kregs, one_core.bram, one_core.dsp
     );
+    // What a host-measured number (benchmark, Fig. 6's CPU column) ran at.
+    let _ = writeln!(s, "kernels  : {:?}", spn_core::isa::tier());
     Ok(CmdResult::text(s))
 }
 
@@ -1137,6 +1139,9 @@ mod tests {
         let out = run_tokens(&format!("info --model {}", model.display())).unwrap();
         assert!(out.stdout.contains("pipeline"));
         assert!(out.stdout.contains("DSP"));
+        // The tier the host's lane kernels run at, read from the CPU.
+        let want = format!("kernels  : {:?}", spn_core::isa::tier());
+        assert_eq!(out.stdout.lines().last(), Some(want.as_str()));
     }
 
     #[test]

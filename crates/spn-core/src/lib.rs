@@ -13,7 +13,7 @@
 //!   [`Query`] surface, in log and linear domains ([`infer`]),
 //! * compiled inference plans — flat instruction buffers with leaf
 //!   lookup tables and a batched executor, bit-exact against the
-//!   tree-walk oracle ([`plan`]),
+//!   tree-walk oracle ([`plan`]), at the CPU's widest tier ([`isa`]),
 //! * scope-aware sharding — cut one network into K scope-disjoint
 //!   subgraphs plus a merge plan, still bit-exact ([`shard`]),
 //! * the SPFlow-compatible textual interchange format ([`text`]),
@@ -29,6 +29,7 @@ pub mod dataset;
 pub mod em;
 pub mod graph;
 pub mod infer;
+pub mod isa;
 pub mod leaf;
 pub mod learn;
 mod math;

@@ -19,15 +19,15 @@
 //!   so every leaf lowers to a 256-entry log-density table built with
 //!   the oracle's own `log_density` — one indexed load per sample
 //!   replaces a binary search, with bit-identical results.
-//! * **One lane-wide kernel.** The executor evaluates [`LANES`] samples
-//!   per pass; its scratch holds one `[f64; LANES]` row per op, so a
-//!   child's lanes are one indexed row (the lane stride is in the
-//!   type). Every op reads and writes fixed-size lane arrays
-//!   (`[f64; W]`): trip counts are constants and no lane is bounds-
-//!   checked. The one kernel body is instantiated at `W = LANES` for
-//!   whole chunks — once with the build's default target features and,
-//!   on x86-64, once more for AVX2, picked per chunk from what the CPU
-//!   reports — and at `W = 1` for the rows left over.
+//! * **One lane-wide kernel.** The executor evaluates up to [`LANES`]
+//!   samples per pass; a pass of `W` lanes views its scratch as one
+//!   `[f64; W]` row per op, so a child's lanes are one indexed row (the
+//!   lane stride is in the type). Every op reads and writes fixed-size
+//!   lane arrays: trip counts are constants and no lane is bounds-
+//!   checked. The one kernel body runs whole `W = LANES` chunks, then
+//!   `W = 16` chunks of what is left, then single rows; a chunk runs
+//!   at the widest instruction-set tier the CPU supports ([`crate::isa`]),
+//!   a single row at the build's own.
 //! * **No math library.** A sum's `exp` and `ln` are this crate's own
 //!   (`math.rs`): branch-free straight-line arithmetic that inlines into
 //!   the lane passes, so a whole sum — max, `Σ w·exp(x − m)`,
@@ -49,6 +49,7 @@
 use crate::dataset::Dataset;
 use crate::graph::{Node, Spn};
 use crate::infer::mode_log_density;
+use crate::isa;
 use crate::leaf::MARGINALIZED_LOG;
 use crate::math;
 use crate::query::Query;
@@ -56,7 +57,10 @@ use serde::{Deserialize, Serialize};
 
 /// Samples evaluated per executor pass (the batch-major lane width),
 /// chosen by measurement: see DESIGN.md, "Plan lane width".
-pub const LANES: usize = 16;
+pub const LANES: usize = 64;
+
+/// Lane width of the passes over what [`LANES`] chunks leave (≤ 15 single rows remain).
+const TAIL_LANES: usize = 16;
 
 /// Entries in a lowered leaf table: one per possible byte value.
 const TABLE_SIZE: usize = 256;
@@ -235,21 +239,21 @@ impl CompiledPlan {
     }
 }
 
-/// Batched plan interpreter. Owns the scratch (one `[f64; LANES]` row
-/// per op, allocated once) and streams a [`Dataset`] through the plan
-/// [`LANES`] samples at a time.
+/// Batched plan interpreter. Owns the scratch (one row of lanes per op,
+/// grown to the widest pass a call runs) and streams a [`Dataset`]
+/// through the plan up to [`LANES`] samples at a time.
 pub struct PlanExecutor<'p> {
     plan: &'p CompiledPlan,
-    /// `scratch[op][lane]`: the op's value for the chunk's `lane`-th row.
-    scratch: Vec<[f64; LANES]>,
+    /// `scratch[op * W + lane]`: op `op`'s value for a `W`-lane pass's row.
+    scratch: Vec<f64>,
 }
 
 impl<'p> PlanExecutor<'p> {
-    /// Build an executor (allocates the scratch once).
+    /// Build an executor; the first call sizes the scratch to its needs.
     pub fn new(plan: &'p CompiledPlan) -> Self {
         PlanExecutor {
             plan,
-            scratch: vec![[0.0; LANES]; plan.ops.len()],
+            scratch: Vec::new(),
         }
     }
 
@@ -303,9 +307,9 @@ impl<'p> PlanExecutor<'p> {
     /// entry the sharded executor reads shard boundary values through —
     /// a shard subgraph has several consumers, not one root.
     ///
-    /// Whole [`LANES`]-row chunks and then the leftover rows, one at a
-    /// time, go through the same kernel; [`eval_batch_raw`] is this
-    /// with the last op as the only tap.
+    /// Whole [`LANES`]-row chunks, then 16-row chunks, then single rows
+    /// go through the same kernel; [`eval_batch_raw`] is this with the
+    /// last op as the only tap.
     ///
     /// # Panics
     /// Panics if `raw` is not a whole number of `num_features`-byte
@@ -340,56 +344,68 @@ impl<'p> PlanExecutor<'p> {
                 self.plan.ops.len()
             );
         }
-        out.reserve(raw.len() / nf * taps.len());
-        let mut emit = |scratch: &[[f64; LANES]], width| {
-            // Sample-major: row by row, each row's taps in tap order.
-            (0..width).for_each(|l| out.extend(taps.iter().map(|&t| scratch[t as usize][l])));
+        let rows = raw.len() / nf;
+        out.reserve(rows * taps.len());
+        // As wide as the widest pass this call runs.
+        let widest = [LANES, TAIL_LANES, 1].into_iter().find(|&w| rows >= w);
+        let need = self.plan.ops.len() * widest.unwrap_or(0);
+        if self.scratch.len() < need {
+            self.scratch.resize(need, 0.0);
+        }
+        let rest = self.run_chunks::<LANES>(query, raw, taps, out);
+        let rest = self.run_chunks::<TAIL_LANES>(query, rest, taps, out);
+        self.run_chunks::<1>(query, rest, taps, out);
+    }
+
+    /// Run every whole `W`-row chunk at the front of `raw` through the
+    /// kernel, appending each row's taps to `out`, and return the rows
+    /// left over. A chunk runs at the widest tier this CPU supports, a
+    /// single row at `Base`: one lane has no register to widen into.
+    fn run_chunks<'r, const W: usize>(
+        &mut self,
+        query: &Query,
+        mut raw: &'r [u8],
+        taps: &[u32],
+        out: &mut Vec<f64>,
+    ) -> &'r [u8] {
+        let nf = self.plan.num_vars;
+        let chunk = Chunk::<W> {
+            plan: self.plan,
+            query,
         };
-        let mut rest = raw;
-        while rest.len() >= LANES * nf {
-            let (rows, tail) = rest.split_at(LANES * nf);
-            self.run_lanes(query, rows);
-            emit(&self.scratch, LANES);
-            rest = tail;
+        while raw.len() >= W * nf {
+            let (rows, rest) = raw.split_at(W * nf);
+            if W == 1 {
+                isa::Kernel::run(&chunk, rows, &mut self.scratch);
+            } else {
+                isa::run(&chunk, rows, &mut self.scratch);
+            }
+            // Sample-major: row by row, each row's taps in tap order.
+            let scratch = &self.scratch;
+            (0..W).for_each(|l| out.extend(taps.iter().map(|&t| scratch[t as usize * W + l])));
+            raw = rest;
         }
-        while !rest.is_empty() {
-            let (row, tail) = rest.split_at(nf);
-            self.run_chunk::<1>(query, row);
-            emit(&self.scratch, 1);
-            rest = tail;
-        }
+        raw
     }
+}
 
-    /// One whole chunk through the widest instantiation of the kernel
-    /// this CPU has. The choice is the platform's, never an option, and
-    /// cannot change a bit: the body has no fused multiply-add to gain
-    /// and Rust never contracts `a * b + c`, so wider registers only
-    /// hold more lanes of the same IEEE operations.
-    fn run_lanes(&mut self, query: &Query, rows: &[u8]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the line above detected AVX2 on the running CPU,
-            // the only requirement `run_chunk_avx2` adds to the body.
-            return unsafe { self.run_chunk_avx2(query, rows) };
-        }
-        self.run_chunk::<LANES>(query, rows)
-    }
+/// The kernel: one pass of the plan over `W` rows, for one query.
+struct Chunk<'a, const W: usize> {
+    plan: &'a CompiledPlan,
+    query: &'a Query,
+}
 
-    /// [`PlanExecutor::run_chunk`] at `W = LANES`, compiled with 256-bit
-    /// registers: the body is inlined here, not written again.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn run_chunk_avx2(&mut self, query: &Query, rows: &[u8]) {
-        self.run_chunk::<LANES>(query, rows)
-    }
+impl<const W: usize> isa::Kernel for Chunk<'_, W> {
+    type Out = [f64];
 
-    /// The kernel: evaluate every op over the `W` samples in `rows`,
-    /// leaving op `i`'s results in `scratch[i][..W]`.
+    /// Evaluate every op over the `W` samples in `rows`, leaving op
+    /// `i`'s results in `scratch[i * W..][..W]`.
     #[inline(always)]
-    fn run_chunk<const W: usize>(&mut self, query: &Query, rows: &[u8]) {
-        let plan = self.plan;
+    fn run(&self, rows: &[u8], scratch: &mut [f64]) {
+        let Chunk { plan, query } = *self;
         let nf = plan.num_vars;
         let mpe = query.is_mpe();
+        let (scratch, _) = scratch.as_chunks_mut::<W>();
         // Ops consume the two arenas front to back: no per-op range
         // to check, no index to scale.
         let mut operands = &plan.operands[..];
@@ -397,14 +413,11 @@ impl<'p> PlanExecutor<'p> {
         for (i, op) in plan.ops.iter().enumerate() {
             // Children strictly precede parents: every row below `i`
             // is final.
-            let (done, rest) = self.scratch.split_at_mut(i);
+            let (done, rest) = scratch.split_at_mut(i);
             let mut take = |n: u32| {
                 let (terms, tail) = operands.split_at(n as usize);
                 operands = tail;
-                terms.iter().map(|t| {
-                    let x: &[f64; W] = done[t.child as usize].first_chunk().expect("W <= LANES");
-                    (t, x)
-                })
+                terms.iter().map(|t| (t, &done[t.child as usize]))
             };
             let out: [f64; W] = match *op {
                 PlanOp::Leaf { var } => {
@@ -471,7 +484,7 @@ impl<'p> PlanExecutor<'p> {
                     s
                 }
             };
-            rest[0][..W].copy_from_slice(&out);
+            rest[0] = out;
         }
     }
 }
@@ -616,23 +629,44 @@ mod tests {
         }
     }
 
-    /// The chunk kernel `eval_batch` dispatches to (AVX2 where the CPU
-    /// has it) against the default-feature instantiation of the same
-    /// body: every op's row of every whole chunk, `to_bits`, on the five
-    /// benchmark networks, the three query shapes and batch sizes around
-    /// the lane width (leftover rows take `W = 1` either way).
+    /// Every tier this CPU supports against `Base`, through
+    /// `isa::run_on`: every op's lanes of every whole chunk of the
+    /// cascade, `to_bits`, on the five benchmark networks and the three
+    /// query shapes. Each batch also goes through `eval_batch` against
+    /// the tree-walk oracle, at sizes that take every step of the cascade
+    /// (single rows run at `Base` only).
     #[test]
     fn every_instantiation_of_the_kernel_computes_the_same_bits() {
-        #[cfg(target_arch = "x86_64")]
-        let wide = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let wide = false;
-        if !wide {
-            println!("SKIPPED: no AVX2 on this CPU, the default instantiation is the only one");
-            return;
+        use isa::Tier;
+        /// Every whole `W`-row chunk at the front of `raw`, at every tier
+        /// this CPU supports against `Base`; returns the rows left over.
+        fn same_bits<'r, const W: usize>(
+            plan: &CompiledPlan,
+            query: &Query,
+            raw: &'r [u8],
+            case: &str,
+        ) -> &'r [u8] {
+            let chunk = Chunk::<W> { plan, query };
+            let mut chunks = raw.chunks_exact(W * plan.num_vars());
+            for rows in &mut chunks {
+                let run = |at| {
+                    let mut scratch = vec![0.0; plan.len() * W];
+                    isa::run_on(at, &chunk, rows, &mut scratch);
+                    scratch.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+                };
+                let base = run(Tier::Base);
+                for at in Tier::ALL.into_iter().filter(|&t| t <= isa::tier()) {
+                    assert!(run(at) == base, "{case}: {W}-row chunk at {at:?} differs");
+                }
+            }
+            chunks.remainder()
+        }
+        for missing in Tier::ALL.into_iter().filter(|&t| t > isa::tier()) {
+            println!("SKIPPED: {missing:?}: this CPU does not support it");
         }
         for bench in crate::nips::ALL_BENCHMARKS {
-            let plan = CompiledPlan::compile(&bench.build_spn());
+            let spn = bench.build_spn();
+            let plan = CompiledPlan::compile(&spn);
             let nf = plan.num_vars();
             let mask: Vec<bool> = (0..nf).map(|v| v % 3 != 0).collect();
             let queries = [
@@ -641,24 +675,22 @@ mod tests {
                 Query::mpe(mask),
             ];
             let mut ex = PlanExecutor::new(&plan);
-            for (query, n) in queries
-                .iter()
-                .flat_map(|q| [LANES, LANES + 1, 2 * LANES + 3].map(|n| (q, n)))
-            {
+            let mut ev = Evaluator::new(&spn);
+            let sizes = [1, 15, 16, 17, 63, 64, 65, LANES + TAIL_LANES + 3, 4096];
+            for (query, n) in queries.iter().flat_map(|q| sizes.map(|n| (q, n))) {
+                let case = format!("{bench:?} {} query, {n} rows", query.label());
                 let data = bench.dataset(n, 0xA5A5 + n as u64);
-                for rows in data.raw().chunks_exact(LANES * nf) {
-                    ex.run_lanes(query, rows);
-                    let dispatched = ex.scratch.clone();
-                    ex.run_chunk::<LANES>(query, rows);
-                    for (op, (a, b)) in dispatched.iter().zip(&ex.scratch).enumerate() {
-                        assert_eq!(
-                            a.map(f64::to_bits),
-                            b.map(f64::to_bits),
-                            "{bench:?} {} query, {n} rows, op {op}",
-                            query.label()
-                        );
-                    }
+                let got = ex.eval_batch(query, &data);
+                for (i, (row, g)) in data.rows().zip(got).enumerate() {
+                    let want = ev.eval_bytes(query, row);
+                    assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
+                        "{case}: row {i} against the oracle"
+                    );
                 }
+                let rest = same_bits::<LANES>(&plan, query, data.raw(), &case);
+                same_bits::<TAIL_LANES>(&plan, query, rest, &case);
             }
         }
     }

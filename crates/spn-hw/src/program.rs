@@ -28,7 +28,7 @@
 
 use serde::{Deserialize, Serialize};
 use spn_arith::SpnNumber;
-use spn_core::{Node, Spn};
+use spn_core::{isa, Node, Spn};
 
 /// Index of an operation's result in the program's value space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -331,49 +331,31 @@ pub(crate) struct SynthesizedDatapath<F: SpnNumber> {
 /// moves to the next. Within a sample every op waits for its operands;
 /// across a lane nothing does, so the host overlaps the arithmetic the
 /// way the pipelined circuit overlaps samples, and the branch-free CFP
-/// arithmetic runs four lanes to a 256-bit register. Measured flat from
-/// 32 to 128 on NIPS10 and NIPS80 (AVX2, CFP), and four times as slow
-/// one sample at a time (274–341 vs 74–77 ns/sample, NIPS10): a
-/// constant, not a knob.
+/// arithmetic runs four (AVX2) or eight (AVX-512) lanes to a register.
+/// Measured flat from 32 to 128 on NIPS10 at both tiers, and four times
+/// as slow one sample at a time (274–341 vs 74–77 ns/sample, NIPS10,
+/// AVX2): a constant, not a knob.
 const LANES: usize = 64;
 
 impl<F: SpnNumber> SynthesizedDatapath<F> {
     /// Stream a batch of samples (row-major, `num_vars` bytes each)
     /// through the datapath, appending one probability per sample to
     /// `out`. One value scratch serves the whole batch, `LANES` (64)
-    /// samples at a time, through the widest instantiation of the
-    /// kernel this CPU has. The choice is the platform's, never an
-    /// option, and cannot change a bit: wider registers only hold more
-    /// lanes of the same integer and IEEE operations (no fused
-    /// multiply-add is enabled, and Rust never contracts `a * b + c`).
+    /// samples at a time, through the kernel compiled for the widest
+    /// instruction-set tier this CPU supports ([`spn_core::isa`]).
     pub(crate) fn execute_into(&self, data: &[u8], out: &mut Vec<f64>) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("bmi1")
-            && std::arch::is_x86_feature_detected!("bmi2")
-            && std::arch::is_x86_feature_detected!("lzcnt")
-        {
-            // SAFETY: the lines above detected every feature
-            // `execute_into_avx2` enables on the running CPU, the only
-            // requirement it adds to the kernel body.
-            return unsafe { self.execute_into_avx2(data, out) };
-        }
-        self.run_kernel(data, out)
+        isa::run(self, data, out)
     }
+}
 
-    /// [`SynthesizedDatapath::run_kernel`] compiled with 256-bit
-    /// registers: the body is inlined here, not written again.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt")]
-    fn execute_into_avx2(&self, data: &[u8], out: &mut Vec<f64>) {
-        self.run_kernel(data, out)
-    }
+impl<F: SpnNumber> isa::Kernel for SynthesizedDatapath<F> {
+    type Out = Vec<f64>;
 
     /// The kernel: every op over a lane of samples, then the next op.
-    /// Always inlined, so each instantiation compiles the arithmetic
-    /// for its own registers.
+    /// Always inlined, so each tier's instantiation compiles the
+    /// arithmetic for its own registers.
     #[inline(always)]
-    fn run_kernel(&self, data: &[u8], out: &mut Vec<f64>) {
+    fn run(&self, data: &[u8], out: &mut Vec<f64>) {
         assert!(data.len().is_multiple_of(self.num_vars), "ragged batch");
         let f = &self.format;
         let num_weights = self.weights.len();
@@ -574,36 +556,34 @@ mod tests {
         assert_eq!(batch[4], 0.0);
     }
 
-    /// The kernel `execute_into` dispatches to (AVX2 where the CPU has
-    /// it) against the default-feature instantiation of the same body:
-    /// `to_bits`, in the six formats `tests/datapath_differential.rs`
-    /// covers, at batch sizes around the lane width and a whole block.
+    /// Every tier this CPU supports against `Base`, through
+    /// `isa::run_on`: `to_bits`, in the six formats
+    /// `tests/datapath_differential.rs` covers, at batch sizes around the
+    /// lane width and a whole block.
     #[test]
     fn every_instantiation_of_the_kernel_computes_the_same_bits() {
-        #[cfg(target_arch = "x86_64")]
-        let wide = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let wide = false;
-        if !wide {
-            println!("SKIPPED: no AVX2 on this CPU, the default instantiation is the only one");
-            return;
-        }
+        use isa::Tier;
         fn same_bits<F: SpnNumber + Clone>(prog: &DatapathProgram, format: &F, data: &[u8]) {
             let datapath = prog.synthesize(format);
             for rows in [0, 1, LANES - 1, LANES, LANES + 1, 4096] {
-                let rows = &data[..rows * prog.num_vars()];
-                let (mut dispatched, mut default) = (Vec::new(), Vec::new());
-                datapath.execute_into(rows, &mut dispatched);
-                datapath.run_kernel(rows, &mut default);
-                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(dispatched),
-                    bits(default),
-                    "{}, {} rows",
-                    format.describe(),
-                    rows.len() / prog.num_vars()
-                );
+                let data = &data[..rows * prog.num_vars()];
+                let run = |at| {
+                    let mut out = Vec::new();
+                    isa::run_on(at, &datapath, data, &mut out);
+                    out.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+                };
+                let base = run(Tier::Base);
+                for at in Tier::ALL.into_iter().filter(|&t| t <= isa::tier()) {
+                    assert!(
+                        run(at) == base,
+                        "{}, {rows} rows, at {at:?}",
+                        format.describe()
+                    );
+                }
             }
+        }
+        for missing in Tier::ALL.into_iter().filter(|&t| t > isa::tier()) {
+            println!("SKIPPED: {missing:?}: this CPU does not support it");
         }
         let cfg = RandomSpnConfig {
             num_vars: 3,

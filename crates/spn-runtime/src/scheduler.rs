@@ -1094,7 +1094,11 @@ mod tests {
 
     #[test]
     fn queue_depth_and_samples_gauge_track_jobs() {
-        let (dev, bench) = device(1);
+        // Paced, so the job is still running when the gauges are read
+        // right after `submit`, however fast the host emulates the
+        // datapath.
+        let (dev, bench) = unshared_device(1);
+        let dev = Arc::new(dev.with_pacing(Duration::from_micros(1)));
         let sched = Scheduler::new(dev, config(16, 1)).unwrap();
         assert_eq!(sched.queue_depth(), 0);
         assert_eq!(sched.samples_in_flight(), 0);

@@ -242,7 +242,19 @@ fn failed_job_does_not_poison_concurrent_jobs() {
 #[test]
 fn cancel_unblocks_wait_and_frees_device_memory() {
     let bench = NipsBenchmark::Nips10;
-    let device = make_device(bench, 1, None);
+    // Paced, so the job is still running when `cancel` lands right after
+    // `submit`: unpaced, the host emulates all 50 000 samples in a few
+    // milliseconds, and a descheduled test thread can miss them.
+    let device = Arc::new(
+        VirtualDevice::new(
+            DatapathProgram::compile(&bench.build_spn()),
+            AnyFormat::paper_default(),
+            AcceleratorConfig::paper_default(),
+            1,
+            16 << 20,
+        )
+        .with_pacing(std::time::Duration::from_micros(1)),
+    );
     let config = RuntimeConfig::builder()
         .block_samples(32)
         .threads_per_pe(1)
