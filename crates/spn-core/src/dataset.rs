@@ -35,10 +35,9 @@ impl Dataset {
             data.len()
         );
         assert!(domain > 0 && domain <= 256, "domain must be in 1..=256");
-        assert!(
-            data.iter().all(|&v| (v as usize) < domain),
-            "values must be < domain {domain}"
-        );
+        if let Some((at, v)) = out_of_domain(&data, domain) {
+            panic!("values must be < domain {domain}: byte {at} is {v}");
+        }
         Dataset {
             data,
             num_features,
@@ -113,6 +112,38 @@ impl Dataset {
             },
         )
     }
+}
+
+/// Lanes of [`out_of_domain`]'s max-reduction: one AVX-512 register,
+/// four SSE2 ones.
+const MAX_LANES: usize = 64;
+
+/// The first byte of `data` outside `0..domain`, as `(index, value)`;
+/// `None` when every byte is inside.
+///
+/// The one domain check over a feature block: [`Dataset::from_raw`]
+/// asserts with it and the server rejects requests with it. The scan is
+/// a branch-free lane-wise max over 64-byte chunks, then over the
+/// shorter tail, so it vectorises; only a block that fails it is
+/// searched again for the offending byte. Domain 256 admits every byte
+/// and reads none.
+pub fn out_of_domain(data: &[u8], domain: usize) -> Option<(usize, u8)> {
+    if domain > usize::from(u8::MAX) {
+        return None;
+    }
+    let mut lanes = [0u8; MAX_LANES];
+    let mut chunks = data.chunks_exact(MAX_LANES);
+    for chunk in &mut chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = (*m).max(v);
+        }
+    }
+    let tail = chunks.remainder().iter().fold(0, |m, &v| m.max(v));
+    if usize::from(lanes.iter().fold(tail, |m, &v| m.max(v))) < domain {
+        return None;
+    }
+    let at = data.iter().position(|&v| usize::from(v) >= domain)?;
+    Some((at, data[at]))
 }
 
 /// Configuration for the clustered bag-of-words generator.
@@ -247,6 +278,58 @@ mod tests {
     #[should_panic(expected = "domain")]
     fn out_of_domain_value_panics() {
         Dataset::from_raw(vec![0, 200], 1, 16);
+    }
+
+    /// `(block length, bad byte index)` for each place an out-of-domain
+    /// byte can sit relative to the max-reduction's 64-byte chunks: the
+    /// first byte, the last, inside a tail shorter than any vector width
+    /// (70 = 64 + 6), and mid-way through a 320 KiB block. Every length
+    /// is whole 10-feature rows.
+    const BAD_AT: [(usize, usize); 4] = [
+        (327_680, 0),
+        (327_680, 327_679),
+        (70, 67),
+        (327_680, 163_845),
+    ];
+
+    #[test]
+    fn out_of_domain_finds_a_bad_byte_at_every_position() {
+        for (len, at) in BAD_AT {
+            let mut data = vec![3u8; len];
+            assert_eq!(out_of_domain(&data, 4), None);
+            data[at] = 4;
+            assert_eq!(
+                out_of_domain(&data, 4),
+                Some((at, 4)),
+                "{len} bytes, bad at {at}"
+            );
+            assert_eq!(out_of_domain(&data, 5), None);
+            data[at] = 255;
+            assert_eq!(out_of_domain(&data, 255), Some((at, 255)));
+            assert_eq!(
+                out_of_domain(&data, 256),
+                None,
+                "domain 256 admits every byte"
+            );
+        }
+        assert_eq!(out_of_domain(&[], 1), None);
+        assert_eq!(
+            out_of_domain(&[0, 9, 9], 9),
+            Some((1, 9)),
+            "the first bad byte"
+        );
+    }
+
+    #[test]
+    fn from_raw_panics_on_a_bad_byte_at_every_position() {
+        for (len, at) in BAD_AT {
+            let mut data = vec![1u8; len];
+            data[at] = 200;
+            let err = std::panic::catch_unwind(|| Dataset::from_raw(data, 10, 16))
+                .expect_err("an out-of-domain byte must panic");
+            let msg = err.downcast::<String>().expect("a formatted panic message");
+            assert!(msg.contains(&format!("byte {at} is 200")), "{msg}");
+        }
     }
 
     #[test]

@@ -45,7 +45,9 @@ pub mod transform;
 pub mod validate;
 
 pub use builder::SpnBuilder;
-pub use dataset::{generate_bag_of_words, generate_uniform, BagOfWordsConfig, Dataset};
+pub use dataset::{
+    generate_bag_of_words, generate_uniform, out_of_domain, BagOfWordsConfig, Dataset,
+};
 pub use em::{em_weights, EmIteration, EmParams};
 pub use graph::{Node, NodeId, Spn, SpnStats};
 pub use infer::{log_sum_exp_weighted, Evaluator};

@@ -532,10 +532,18 @@ fn complete(shared: &Shared, live: Vec<Pending>, result: JobResult) {
             for v in &mut lls {
                 *v = v.ln();
             }
+            let lone = live.len() == 1;
             let mut at = 0usize;
             for p in live {
                 let n = p.num_samples as usize;
-                (p.reply)(Reply::Ok(lls[at..at + n].to_vec()));
+                // A lone member's results are the whole job's: hand the
+                // buffer over rather than copy it.
+                let mine = if lone {
+                    std::mem::take(&mut lls)
+                } else {
+                    lls[at..at + n].to_vec()
+                };
+                (p.reply)(Reply::Ok(mine));
                 at += n;
             }
         }

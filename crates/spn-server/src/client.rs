@@ -8,10 +8,10 @@
 //! calls backends through [`crate::reactor::Upstream`].
 
 use crate::protocol::{
-    decode_results, read_frame, write_frame, Frame, InferRequest, Opcode, Status, WireError,
+    decode_results, encode_frame, read_frame, Frame, InferFields, Opcode, Status, WireError,
 };
-use spn_telemetry::{SpanCtx, TelemetrySnapshot};
-use std::io::{self, BufReader};
+use spn_telemetry::TelemetrySnapshot;
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -176,13 +176,14 @@ impl Client {
         Ok(())
     }
 
-    fn round_trip(&mut self, request: &Frame) -> Result<Frame, ClientError> {
-        write_frame(self.stream.get_mut(), request)?;
+    /// Write one request frame's wire bytes and read its response.
+    fn round_trip(&mut self, opcode: Opcode, wire: &[u8]) -> Result<Frame, ClientError> {
+        self.stream.get_mut().write_all(wire)?;
         let response = read_frame(&mut self.stream)?;
-        if response.opcode != request.opcode {
+        if response.opcode != opcode {
             return Err(ClientError::Wire(format!(
-                "response opcode {:?} does not match request {:?}",
-                response.opcode, request.opcode
+                "response opcode {:?} does not match request {opcode:?}",
+                response.opcode
             )));
         }
         if response.status != Status::Ok {
@@ -194,10 +195,14 @@ impl Client {
         Ok(response)
     }
 
+    /// A round trip of an empty-payload request.
+    fn control(&mut self, opcode: Opcode) -> Result<Frame, ClientError> {
+        self.round_trip(opcode, &encode_frame(opcode, Status::Ok, &[]))
+    }
+
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.round_trip(&Frame::request(Opcode::Ping, vec![]))
-            .map(|_| ())
+        self.control(Opcode::Ping).map(|_| ())
     }
 
     /// Start building an inference request against `model`. This is
@@ -217,7 +222,7 @@ impl Client {
         InferBuilder {
             client: self,
             model: model.to_string(),
-            data: Vec::new(),
+            data: &[],
             num_samples: 0,
             num_features: 0,
             deadline_ms: 0,
@@ -227,7 +232,7 @@ impl Client {
 
     /// Fetch the server's metrics document (JSON).
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        let response = self.round_trip(&Frame::request(Opcode::Stats, vec![]))?;
+        let response = self.control(Opcode::Stats)?;
         String::from_utf8(response.payload)
             .map_err(|_| ClientError::Wire("stats payload is not UTF-8".into()))
     }
@@ -243,8 +248,7 @@ impl Client {
     /// Ask the server to drain and stop. The server acknowledges
     /// before it begins draining.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        self.round_trip(&Frame::request(Opcode::Shutdown, vec![]))
-            .map(|_| ())
+        self.control(Opcode::Shutdown).map(|_| ())
     }
 
     /// Direct access to the underlying stream (tests use this to
@@ -256,24 +260,26 @@ impl Client {
 }
 
 /// An in-flight inference request under construction; created by
-/// [`Client::request`], fired by [`InferBuilder::send`].
+/// [`Client::request`], fired by [`InferBuilder::send`]. It borrows its
+/// feature block: `send` copies the block once, into the frame it
+/// writes.
 #[must_use = "the request is not sent until `.send()` is called"]
 pub struct InferBuilder<'a> {
     client: &'a mut Client,
     model: String,
-    data: Vec<u8>,
+    data: &'a [u8],
     num_samples: u32,
     num_features: u32,
     deadline_ms: u32,
     trace: bool,
 }
 
-impl InferBuilder<'_> {
+impl<'a> InferBuilder<'a> {
     /// The feature block: a row-major `num_samples × num_features`
     /// slab of `u8` features. Required — [`InferBuilder::send`] on a
     /// builder without samples earns the server's shape rejection.
-    pub fn samples(mut self, data: &[u8], num_samples: u32, num_features: u32) -> Self {
-        self.data = data.to_vec();
+    pub fn samples(mut self, data: &'a [u8], num_samples: u32, num_features: u32) -> Self {
+        self.data = data;
         self.num_samples = num_samples;
         self.num_features = num_features;
         self
@@ -296,23 +302,20 @@ impl InferBuilder<'_> {
         self
     }
 
-    /// Encode, send, and block for the reply. Returns one
+    /// Encode header, meta, block and flags into one exactly sized
+    /// buffer, send it, and block for the reply. Returns one
     /// log-likelihood per sample, in order.
     pub fn send(self) -> Result<Vec<f64>, ClientError> {
-        let req = InferRequest {
-            model: self.model,
+        let wire = InferFields {
+            model: &self.model,
             deadline_ms: self.deadline_ms,
             num_samples: self.num_samples,
             num_features: self.num_features,
             data: self.data,
             trace: self.trace,
-            // Trace contexts are server-side; the wire carries only
-            // the opt-in bit.
-            ctx: SpanCtx::NONE,
-        };
-        let response = self
-            .client
-            .round_trip(&Frame::request(Opcode::Infer, req.encode()))?;
+        }
+        .encode_frame();
+        let response = self.client.round_trip(Opcode::Infer, &wire)?;
         decode_results(&response.payload).map_err(ClientError::Wire)
     }
 }

@@ -21,12 +21,10 @@
 //! histogram summary and `max` stays exact.
 
 use crate::client::ClientError;
-use crate::protocol::{
-    decode_results, encode_frame, read_some, write_some, FrameDecoder, InferRequest, Opcode, Status,
-};
+use crate::protocol::{decode_results, read_some, write_some, FrameDecoder, InferFields, Status};
 use epoll::{Epoll, Event, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use sim_core::SplitMix64;
-use spn_telemetry::{AtomicHistogram, SpanCtx};
+use spn_telemetry::AtomicHistogram;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
@@ -351,23 +349,22 @@ impl LoadConn {
     /// starts until [`LoadConn::flush`].
     fn queue_request(&mut self, cfg: &LoadConfig) {
         self.seed = request_seed(cfg.seed, self.conn, self.answered);
-        let req = InferRequest {
-            model: cfg.model.clone(),
+        self.data = synthetic_samples(
+            cfg.samples_per_request,
+            cfg.num_features,
+            cfg.domain,
+            self.seed,
+        );
+        self.out = InferFields {
+            model: &cfg.model,
             deadline_ms: cfg.deadline_ms,
             num_samples: cfg.samples_per_request,
             num_features: cfg.num_features,
-            data: synthetic_samples(
-                cfg.samples_per_request,
-                cfg.num_features,
-                cfg.domain,
-                self.seed,
-            ),
+            data: &self.data,
             trace: true,
-            ctx: SpanCtx::NONE,
-        };
-        self.out = encode_frame(Opcode::Infer, Status::Ok, &req.encode());
+        }
+        .encode_frame();
         self.out_at = 0;
-        self.data = req.data;
     }
 
     /// Hand pending request bytes to the kernel until it would block;
@@ -377,7 +374,7 @@ impl LoadConn {
         if self.out_at == 0 && !self.out.is_empty() {
             self.sent_at = Instant::now();
         }
-        write_some(&mut self.stream, &self.out, &mut self.out_at).is_ok()
+        write_some(&mut self.stream, &[], &self.out, &mut self.out_at).is_ok()
     }
 
     fn interest(&self) -> u32 {
@@ -554,6 +551,43 @@ mod tests {
         );
     }
 
+    /// The frame a connection queues is byte for byte the frame of the
+    /// `InferRequest` carrying the seeded synthetic block.
+    #[test]
+    fn queued_frame_is_the_seeded_request_frame() {
+        use crate::protocol::{encode_frame, InferRequest, Opcode};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let cfg = LoadConfig {
+            addr: listener.local_addr().unwrap(),
+            model: "NIPS10".into(),
+            num_features: 10,
+            domain: 9,
+            samples_per_request: 3,
+            deadline_ms: 5,
+            seed: 11,
+            ..LoadConfig::default()
+        };
+        let mut conn = LoadConn::new(TcpStream::connect(cfg.addr).unwrap(), 2).unwrap();
+        conn.answered = 4;
+        conn.queue_request(&cfg);
+        let seed = request_seed(11, 2, 4);
+        let req = InferRequest {
+            model: cfg.model.clone(),
+            deadline_ms: 5,
+            num_samples: 3,
+            num_features: 10,
+            data: synthetic_samples(3, 10, 9, seed),
+            trace: true,
+            ctx: spn_telemetry::SpanCtx::NONE,
+        };
+        assert_eq!(conn.seed, seed);
+        assert_eq!(conn.data, req.data);
+        assert_eq!(
+            conn.out,
+            encode_frame(Opcode::Infer, Status::Ok, &req.encode())
+        );
+    }
+
     /// A request's latency clock starts when its first byte is handed
     /// to the kernel — not when the frame was built — so a
     /// connection's first latency cannot grow with the time spent on
@@ -582,7 +616,9 @@ mod tests {
     /// is reported on its own and every connection is accounted for.
     #[test]
     fn run_load_reports_dial_time_and_connection_accounting() {
-        use crate::protocol::{encode_results, read_frame, write_frame, Frame};
+        use crate::protocol::{
+            encode_results, read_frame, write_frame, Frame, InferRequest, Opcode,
+        };
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {

@@ -35,7 +35,7 @@
 //! server allocate unbounded memory.
 
 use spn_telemetry::SpanCtx;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"SPN1";
@@ -190,15 +190,25 @@ impl From<io::Error> for WireError {
     }
 }
 
+/// The 12-byte header of a frame carrying `payload_len` payload bytes.
+pub(crate) fn encode_header(
+    opcode: Opcode,
+    status: Status,
+    payload_len: usize,
+) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN]; // byte 7, reserved, stays 0
+    h[0..4].copy_from_slice(&MAGIC);
+    h[4] = PROTOCOL_VERSION;
+    h[5] = opcode as u8;
+    h[6] = status as u8;
+    h[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    h
+}
+
 /// One frame's wire bytes, header and payload in one contiguous buffer.
 pub fn encode_frame(opcode: Opcode, status: Status, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.push(PROTOCOL_VERSION);
-    buf.push(opcode as u8);
-    buf.push(status as u8);
-    buf.push(0); // reserved
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&encode_header(opcode, status, payload.len()));
     buf.extend_from_slice(payload);
     buf
 }
@@ -414,11 +424,23 @@ impl Default for FrameDecoder {
     }
 }
 
-/// Write `buf[*at..]` to a nonblocking writer until it is all out
-/// (`Ok(true)`) or the writer would block (`Ok(false)`).
-pub(crate) fn write_some<W: Write>(w: &mut W, buf: &[u8], at: &mut usize) -> io::Result<bool> {
-    while *at < buf.len() {
-        match w.write(&buf[*at..]) {
+/// Write `head` then `body` to a nonblocking writer, `*at` bytes of the
+/// two already out, until all is out (`Ok(true)`) or the writer would
+/// block (`Ok(false)`). While both have bytes left one `writev` takes
+/// them, so a reply's header and payload leave together without first
+/// being copied into one buffer.
+pub(crate) fn write_some<W: Write>(
+    w: &mut W,
+    head: &[u8],
+    body: &[u8],
+    at: &mut usize,
+) -> io::Result<bool> {
+    while *at < head.len() + body.len() {
+        let written = match head.get(*at..).filter(|h| !h.is_empty()) {
+            Some(h) => w.write_vectored(&[IoSlice::new(h), IoSlice::new(body)]),
+            None => w.write(&body[*at - head.len()..]),
+        };
+        match written {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => *at += n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
@@ -550,6 +572,47 @@ fn parse_infer_meta(p: &[u8]) -> Result<InferMeta, String> {
     })
 }
 
+/// An `Infer` request's wire fields over a borrowed model name and
+/// feature block: what a client encodes straight into the one buffer it
+/// writes, without first gathering them into an [`InferRequest`].
+pub(crate) struct InferFields<'a> {
+    pub model: &'a str,
+    pub deadline_ms: u32,
+    pub num_samples: u32,
+    pub num_features: u32,
+    pub data: &'a [u8],
+    pub trace: bool,
+}
+
+impl InferFields<'_> {
+    /// Name length, name, deadline, shape, feature block, flags byte.
+    fn payload_len(&self) -> usize {
+        2 + self.model.len() + 12 + self.data.len() + 1
+    }
+
+    fn put_payload(&self, p: &mut Vec<u8>) {
+        let name = self.model.as_bytes();
+        p.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        p.extend_from_slice(name);
+        p.extend_from_slice(&self.deadline_ms.to_le_bytes());
+        p.extend_from_slice(&self.num_samples.to_le_bytes());
+        p.extend_from_slice(&self.num_features.to_le_bytes());
+        p.extend_from_slice(self.data);
+        p.push(self.trace as u8); // trailing flags byte, bit 0 = trace
+    }
+
+    /// The whole request frame, header included, in one exactly sized
+    /// buffer: the feature block is copied once, into the bytes that
+    /// go to the socket.
+    pub(crate) fn encode_frame(&self) -> Vec<u8> {
+        let len = self.payload_len();
+        let mut buf = Vec::with_capacity(HEADER_LEN + len);
+        buf.extend_from_slice(&encode_header(Opcode::Infer, Status::Ok, len));
+        self.put_payload(&mut buf);
+        buf
+    }
+}
+
 impl InferRequest {
     fn assemble(meta: InferMeta, data: Vec<u8>) -> InferRequest {
         InferRequest {
@@ -569,15 +632,16 @@ impl InferRequest {
 
     /// Serialise into an `Infer` request payload.
     pub fn encode(&self) -> Vec<u8> {
-        let name = self.model.as_bytes();
-        let mut p = Vec::with_capacity(14 + name.len() + self.data.len());
-        p.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        p.extend_from_slice(name);
-        p.extend_from_slice(&self.deadline_ms.to_le_bytes());
-        p.extend_from_slice(&self.num_samples.to_le_bytes());
-        p.extend_from_slice(&self.num_features.to_le_bytes());
-        p.extend_from_slice(&self.data);
-        p.push(self.trace as u8); // trailing flags byte, bit 0 = trace
+        let fields = InferFields {
+            model: &self.model,
+            deadline_ms: self.deadline_ms,
+            num_samples: self.num_samples,
+            num_features: self.num_features,
+            data: &self.data,
+            trace: self.trace,
+        };
+        let mut p = Vec::with_capacity(fields.payload_len());
+        fields.put_payload(&mut p);
         p
     }
 
@@ -609,9 +673,9 @@ impl InferRequest {
 pub fn encode_results(results: &[f64]) -> Vec<u8> {
     let mut p = Vec::with_capacity(4 + results.len() * 8);
     p.extend_from_slice(&(results.len() as u32).to_le_bytes());
-    for r in results {
-        p.extend_from_slice(&r.to_le_bytes());
-    }
+    // One `extend` over the whole block vectorises; 8-byte appends
+    // each pay a capacity check.
+    p.extend(results.iter().flat_map(|r| r.to_le_bytes()));
     p
 }
 
@@ -628,11 +692,9 @@ pub fn decode_results(p: &[u8]) -> Result<Vec<f64>, String> {
             4 + n * 8
         ));
     }
-    Ok((0..n)
-        .map(|i| {
-            let at = 4 + i * 8;
-            f64::from_le_bytes(p[at..at + 8].try_into().expect("8-byte slice"))
-        })
+    Ok(p[4..]
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("chunks_exact(8) yields 8 bytes")))
         .collect())
 }
 
@@ -788,6 +850,155 @@ mod tests {
             InferRequest::decode(&bad).unwrap_err(),
             InferRequest::decode_owned(bad).unwrap_err()
         );
+    }
+
+    /// A `bulk_large`-sized request (4096 × 80) encodes into exactly
+    /// `15 + name + data` bytes with no reallocation on the way, and
+    /// the one-buffer frame encoder writes the same payload behind its
+    /// header.
+    #[test]
+    fn a_large_request_encodes_exactly_sized_and_round_trips() {
+        let req = InferRequest {
+            model: "NIPS80".into(),
+            deadline_ms: 7,
+            num_samples: 4096,
+            num_features: 80,
+            data: (0..4096 * 80).map(|i| (i % 251) as u8).collect(),
+            trace: true,
+            ctx: SpanCtx::NONE,
+        };
+        let want = 15 + req.model.len() + req.data.len();
+        let payload = req.encode();
+        assert_eq!(payload.len(), want);
+        assert_eq!(
+            payload.capacity(),
+            want,
+            "the flags byte reallocated the payload"
+        );
+
+        let by_ref = InferRequest::decode(&payload).unwrap();
+        let by_own = InferRequest::decode_owned(payload.clone()).unwrap();
+        for mut got in [by_ref, by_own] {
+            got.ctx = SpanCtx::NONE;
+            assert_eq!(got, req);
+        }
+
+        let wire = InferFields {
+            model: &req.model,
+            deadline_ms: req.deadline_ms,
+            num_samples: req.num_samples,
+            num_features: req.num_features,
+            data: &req.data,
+            trace: req.trace,
+        }
+        .encode_frame();
+        assert_eq!(wire.len(), HEADER_LEN + want);
+        assert_eq!(wire.capacity(), wire.len());
+        assert_eq!(wire, encode_frame(Opcode::Infer, Status::Ok, &payload));
+    }
+
+    /// A nonblocking sink: takes at most 3 bytes a call, of the first
+    /// non-empty buffer only, and says `WouldBlock` after every call.
+    struct Drip {
+        out: Vec<u8>,
+        /// Whether the next call writes (else it would block).
+        ready: bool,
+    }
+
+    impl Write for Drip {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.ready = !self.ready;
+            if self.ready {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(3);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `write_some` resumes a header + body write from any offset,
+    /// across short writes and `WouldBlock`s, and delivers the two back
+    /// to back.
+    #[test]
+    fn write_some_resumes_across_head_and_body() {
+        let (head, body) = (b"head".as_slice(), b"body bytes".as_slice());
+        for start in 0..=head.len() + body.len() {
+            let mut sink = Drip {
+                out: Vec::new(),
+                ready: true,
+            };
+            let mut at = start;
+            while !write_some(&mut sink, head, body, &mut at).unwrap() {}
+            assert_eq!(at, head.len() + body.len());
+            assert_eq!(sink.out, b"headbody bytes"[start..]);
+        }
+    }
+
+    /// A nonblocking stream: hands out at most `step` bytes a call and
+    /// says `WouldBlock` after every one of them.
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        step: usize,
+        /// Whether the next call reads (else it would block).
+        ready: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.ready = !self.ready;
+            if self.ready {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.step).min(self.bytes.len() - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// `read_some` resumes a payload across `WouldBlock`s and stops at
+    /// the frame's end: the pipelined frame behind it stays unread.
+    #[test]
+    fn read_some_never_reads_past_the_frame() {
+        let first = Frame::request(Opcode::Infer, (0..=255).cycle().take(70_001).collect());
+        let second = Frame::request(Opcode::Ping, vec![]);
+        let mut wire = encode_frame(first.opcode, first.status, &first.payload);
+        let first_len = wire.len();
+        wire.extend(encode_frame(second.opcode, second.status, &[]));
+        for step in [1, 5, 4096, 1 << 20] {
+            let mut r = Trickle {
+                bytes: wire.clone(),
+                at: 0,
+                step,
+                ready: true,
+            };
+            let mut dec = FrameDecoder::new();
+            let got = loop {
+                if let Some(frame) = read_some(&mut r, &mut dec).unwrap() {
+                    break frame;
+                }
+            };
+            assert_eq!(got, first, "step {step}");
+            assert_eq!(r.at, first_len, "step {step}: read past the frame");
+            assert!(dec.is_frame_boundary());
+            let got = loop {
+                if let Some(frame) = read_some(&mut r, &mut dec).unwrap() {
+                    break frame;
+                }
+            };
+            assert_eq!(got, second);
+            r.ready = true; // the next call reads: end of stream
+            assert!(matches!(
+                read_some(&mut r, &mut dec),
+                Err(WireError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof
+            ));
+        }
     }
 
     #[test]

@@ -49,7 +49,8 @@ use crate::client::is_disconnect;
 use crate::frontend::{Dispatched, Frontend, InferReply, Service};
 use crate::metrics::ReactorMetrics;
 use crate::protocol::{
-    encode_frame, read_some, write_some, Frame, FrameDecoder, Opcode, Status, WireError,
+    encode_frame, encode_header, read_some, write_some, Frame, FrameDecoder, Opcode, Status,
+    WireError, HEADER_LEN,
 };
 use epoll::{Epoll, Event, EventFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use parking_lot::Mutex;
@@ -342,9 +343,12 @@ enum Entry {
     Call(Call),
 }
 
-/// A reply being flushed to the socket.
+/// A reply being flushed to the socket: the frame's header, and its
+/// payload as the service encoded it — never copied behind the header.
 struct OutBuf {
-    buf: Vec<u8>,
+    head: [u8; HEADER_LEN],
+    payload: Vec<u8>,
+    /// Bytes of header and payload written so far.
     at: usize,
     /// Trace context + write-start instant for the `ReplyWritten`
     /// span, set for `Infer` replies only.
@@ -352,9 +356,10 @@ struct OutBuf {
 }
 
 impl OutBuf {
-    fn new(frame: &Frame, span: Option<SpanCtx>) -> OutBuf {
+    fn new(frame: Frame, span: Option<SpanCtx>) -> OutBuf {
         OutBuf {
-            buf: encode_frame(frame.opcode, frame.status, &frame.payload),
+            head: encode_header(frame.opcode, frame.status, frame.payload.len()),
+            payload: frame.payload,
             at: 0,
             span: span.map(|ctx| (ctx, Instant::now())),
         }
@@ -617,7 +622,7 @@ impl Core {
     /// Stash a reply on a client connection for flushing. `span` marks
     /// `Infer` replies, whose write is stamped with a `ReplyWritten`
     /// span.
-    fn queue_reply(&mut self, slot: usize, frame: &Frame, span: Option<SpanCtx>) {
+    fn queue_reply(&mut self, slot: usize, frame: Frame, span: Option<SpanCtx>) {
         if let Some(Some(Entry::Client(conn))) = self.entries.get_mut(slot) {
             debug_assert!(conn.out.is_none(), "one reply at a time per connection");
             conn.out = Some(OutBuf::new(frame, span));
@@ -735,7 +740,7 @@ impl Core {
         if job.at < job.out.len() {
             // The reply cannot be in before the request is out: wait
             // for it rather than try a read that would block.
-            return match write_some(stream, &job.out, &mut job.at) {
+            return match write_some(stream, &[], &job.out, &mut job.at) {
                 Ok(done) => self.set_interest(slot, if done { READ } else { EPOLLOUT }),
                 Err(e) => self.fail(slot, e),
             };
@@ -895,7 +900,7 @@ impl<S: Service> EventLoop<S> {
                     }
                     _ => continue, // The connection died mid-request.
                 }
-                self.core.queue_reply(c.slot, &c.reply, Some(c.ctx));
+                self.core.queue_reply(c.slot, c.reply, Some(c.ctx));
                 self.flush_out(c.slot);
             }
 
@@ -957,7 +962,7 @@ impl<S: Service> EventLoop<S> {
             Ok(None) => {} // Mid-frame.
             Err(WireError::Malformed(m)) => {
                 // Answer once, then close.
-                conn.out = Some(OutBuf::new(&self.front.malformed(&m), None));
+                conn.out = Some(OutBuf::new(self.front.malformed(&m), None));
                 conn.close_after_flush = true;
                 self.flush_out(slot);
             }
@@ -990,7 +995,7 @@ impl<S: Service> EventLoop<S> {
         };
         match self.front.dispatch(frame, &mut self.core.upstream(), done) {
             Dispatched::Reply(reply, span) => {
-                self.core.queue_reply(slot, &reply, span);
+                self.core.queue_reply(slot, reply, span);
                 self.flush_out(slot);
             }
             Dispatched::Pending => {
@@ -1013,15 +1018,14 @@ impl<S: Service> EventLoop<S> {
         let Some(out) = conn.out.as_mut() else {
             return;
         };
-        match write_some(&mut conn.stream, &out.buf, &mut out.at) {
+        match write_some(&mut conn.stream, &out.head, &out.payload, &mut out.at) {
             Ok(true) => {}
             Ok(false) => return self.core.set_interest(slot, EPOLLOUT),
             Err(_) => return self.core.close(slot),
         }
         conn.last_activity = Instant::now();
         if let Some((ctx, started)) = out.span {
-            let payload_len = out.buf.len() - crate::protocol::HEADER_LEN;
-            self.front.reply_written(ctx, payload_len, started);
+            self.front.reply_written(ctx, out.payload.len(), started);
         }
         conn.out = None;
         if conn.close_after_flush {

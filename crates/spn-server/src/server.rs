@@ -27,6 +27,7 @@ use crate::frontend::{Frontend, InferReply, Service};
 use crate::metrics::{ReactorMetrics, ServerMetrics, ServerMetricsSnapshot};
 use crate::protocol::{Frame, InferRequest, Opcode, Status};
 use crate::reactor::{self, ReactorConfig, ReactorHandle, Upstream};
+use spn_core::out_of_domain;
 use spn_runtime::{JobOptions, PlanCache, Scheduler};
 use spn_telemetry::{
     BatcherTelemetry, ModelTelemetry, PlanTelemetry, ShardTelemetry, SpanCtx, TelemetrySnapshot,
@@ -355,17 +356,15 @@ impl Service for ServerService {
         // batcher's `Dataset::from_raw` would panic — killing the model's
         // worker thread and wedging every later request for that model.
         // One out-of-domain byte must cost *this* request only.
-        if model.domain < 256 {
-            if let Some(bad) = req.data.iter().find(|&&v| usize::from(v) >= model.domain) {
-                return reject(
-                    Status::Malformed,
-                    &format!(
-                        "feature value {bad} outside model '{}' domain 0..{}",
-                        req.model, model.domain
-                    ),
-                    ctx,
-                );
-            }
+        if let Some((at, bad)) = out_of_domain(&req.data, model.domain) {
+            return reject(
+                Status::Malformed,
+                &format!(
+                    "feature value {bad} at byte {at} outside model '{}' domain 0..{}",
+                    req.model, model.domain
+                ),
+                ctx,
+            );
         }
         let samples = u64::from(req.num_samples);
         // Admission control: bound the admitted-but-unanswered samples.
@@ -484,5 +483,65 @@ impl ServerService {
             shard,
             reactor: Some(reactor.snapshot()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, ClientError};
+    use spn_core::NipsBenchmark;
+    use spn_runtime::{RuntimeConfig, VirtualDevice};
+
+    /// An out-of-domain byte is refused `Malformed` wherever it sits
+    /// relative to the domain check's 64-byte chunks — first byte, last
+    /// byte, inside a 6-byte tail, mid-way through a 320 KiB block — and
+    /// the connection that sent it is served on.
+    #[test]
+    fn a_bad_byte_is_rejected_at_every_position_and_the_connection_survives() {
+        let bench = NipsBenchmark::Nips10;
+        let nf = bench.num_vars();
+        let device = VirtualDevice::new(
+            spn_hw::DatapathProgram::compile(&bench.build_spn()),
+            spn_arith::AnyFormat::paper_default(),
+            spn_hw::AcceleratorConfig::paper_default(),
+            2,
+            64 << 20,
+        );
+        let scheduler = Scheduler::new(Arc::new(device), RuntimeConfig::default()).unwrap();
+        // Domain 2: 0 and 1 are features, 2 is the smallest bad byte.
+        let spec = ModelSpec::new(bench.name(), Arc::new(scheduler), nf as u32, 2);
+        let server = SpnServer::serve(ServerConfig::default(), vec![spec]).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+
+        let block = 32_768 * nf; // 320 KiB of NIPS10 rows
+        for (len, at) in [
+            (block, 0),
+            (block, block - 1),
+            (7 * nf, 67),
+            (block, block / 2 + 5),
+        ] {
+            let mut data = vec![1u8; len];
+            data[at] = 2;
+            let rows = (len / nf) as u32;
+            match client
+                .request(bench.name())
+                .samples(&data, rows, nf as u32)
+                .send()
+            {
+                Err(ClientError::Rejected { status, message }) => {
+                    assert_eq!(status, Status::Malformed, "{message}");
+                    assert!(message.contains(&format!("at byte {at} ")), "{message}");
+                }
+                other => panic!("{len} bytes, bad at {at}: expected Malformed, got {other:?}"),
+            }
+        }
+        let lls = client
+            .request(bench.name())
+            .samples(&vec![1u8; nf], 1, nf as u32)
+            .send()
+            .unwrap();
+        assert_eq!(lls.len(), 1);
+        assert_eq!(server.metrics_snapshot().rejected_malformed, 4);
     }
 }
