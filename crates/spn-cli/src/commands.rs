@@ -874,10 +874,6 @@ fn cmd_replay(args: &Args) -> Result<CmdResult, CmdError> {
         "deadline-ms",
     ])?;
     let trace_path = args.require("trace")?;
-    let speed = args.get_or("speed", 1.0f64)?;
-    if !(speed > 0.0 && speed.is_finite()) {
-        return Err(CmdError("--speed must be positive and finite".into()));
-    }
     let trace = Trace::read_file(trace_path).map_err(|e| CmdError(e.to_string()))?;
     let burst = match (args.get("burst-start-ms"), args.get("burst-len-ms")) {
         (None, None) => None,
@@ -888,7 +884,7 @@ fn cmd_replay(args: &Args) -> Result<CmdResult, CmdError> {
     };
     let cfg = ReplayConfig {
         addr: resolve_addr(args)?,
-        speed,
+        speed: args.get_or("speed", 1.0f64)?,
         burst,
         verify: args.get_or("verify", true)?,
         deadline_ms: args.get_or("deadline-ms", 0u32)?,
@@ -1287,9 +1283,20 @@ mod tests {
         assert!(err.0.contains("trace"), "got: {}", err.0);
         let err = run_tokens("record --trace-out /tmp/t.spntrace").unwrap_err();
         assert!(err.0.contains("--addr or --port-file"), "got: {}", err.0);
-        let err =
-            run_tokens("replay --trace /nope.spntrace --addr 127.0.0.1:1 --speed 0").unwrap_err();
-        assert!(err.0.contains("--speed"), "got: {}", err.0);
+        // A bad speed is refused by `replay` itself, before any dial.
+        let trace = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/traces/bursty_multimodel.spntrace"
+        );
+        let err = run_tokens(&format!(
+            "replay --trace {trace} --addr 127.0.0.1:1 --speed 0"
+        ))
+        .unwrap_err();
+        assert!(
+            err.0.contains("speed must be positive and finite"),
+            "got: {}",
+            err.0
+        );
         // The run store and the `spn bench` differ are gone (DESIGN.md §6).
         for cmd in [
             "record --trace-out /tmp/t.spntrace --addr 127.0.0.1:1 --runs /tmp/r",

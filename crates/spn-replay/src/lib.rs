@@ -15,13 +15,13 @@
 //!   digest, and — when the recorder saw an `Ok` reply — a reply
 //!   digest. Checksummed; truncation and corruption decode to typed
 //!   [`TraceError`]s, never panics.
-//! * [`TraceRecorder`] / [`record_load`] — the recorder, hung off the
-//!   loadgen path via `spn-server`'s `LoadObserver` hook.
-//! * [`replay()`] — the open-loop replayer: re-issues a trace against a
-//!   server or router with the original inter-arrival gaps (scaled by
-//!   [`ReplayConfig::speed`], optionally compressed into a
-//!   [`Burst`]), and verifies replies bit-for-bit against the
-//!   recorded digests.
+//! * [`TraceRecorder`] / [`record_load`] — the recorder, hung off
+//!   `spn-server`'s load driver through its `LoadObserver` hook.
+//! * [`replay()`] — the open-loop replayer: hands that same driver
+//!   each recorded connection's requests with their fire times (the
+//!   original gaps, scaled by [`ReplayConfig::speed`], optionally
+//!   compressed into a [`Burst`]), and verifies the replies its observer
+//!   files bit-for-bit against the recorded digests.
 
 pub mod digest;
 pub mod record;

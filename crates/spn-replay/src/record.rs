@@ -9,9 +9,7 @@
 
 use crate::digest::{digest_bytes, digest_lls};
 use crate::trace::{Trace, TraceRecord};
-use spn_server::{
-    run_load_observed, ClientError, LoadConfig, LoadObserver, LoadReport, RequestEvent,
-};
+use spn_server::{drive_load, ClientError, LoadConfig, LoadObserver, LoadReport, RequestEvent};
 use std::sync::Mutex;
 
 /// Collects every request a load run issues into a [`Trace`].
@@ -47,11 +45,11 @@ impl LoadObserver for TraceRecorder {
         let record = TraceRecord {
             arrival_ns: ev.arrival_ns,
             conn: ev.conn,
-            model: ev.model.to_string(),
-            num_samples: ev.num_samples,
-            num_features: ev.num_features,
-            domain: ev.domain,
-            seed: ev.seed,
+            model: ev.request.model.to_string(),
+            num_samples: ev.request.num_samples,
+            num_features: ev.request.num_features,
+            domain: ev.request.domain,
+            seed: ev.request.seed,
             payload_digest: digest_bytes(ev.payload),
             reply_digest: ev.reply.map(digest_lls),
         };
@@ -63,26 +61,33 @@ impl LoadObserver for TraceRecorder {
 /// the programmatic form of `spn record`.
 pub fn record_load(cfg: &LoadConfig) -> Result<(LoadReport, Trace), ClientError> {
     let recorder = TraceRecorder::new(cfg.seed);
-    let report = run_load_observed(cfg, Some(&recorder))?;
+    let source = |conn, req| cfg.request(conn, req);
+    let report = drive_load(cfg.addr, cfg.connections, &source, Some(&recorder))?;
     Ok((report, recorder.finish()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spn_server::LoadRequest;
 
     #[test]
     fn recorder_sorts_by_arrival_and_digests_replies() {
         let rec = TraceRecorder::new(5);
-        rec.on_request(&RequestEvent {
-            conn: 1,
-            req: 0,
-            arrival_ns: 200,
+        let request = |seed| LoadRequest {
             model: "m",
             num_samples: 2,
             num_features: 3,
             domain: 4,
-            seed: 11,
+            seed,
+            deadline_ms: 0,
+            at_ns: None,
+        };
+        rec.on_request(&RequestEvent {
+            conn: 1,
+            req: 0,
+            arrival_ns: 200,
+            request: request(11),
             payload: &[1, 2, 3, 4, 5, 6],
             reply: Some(&[-1.0, -2.0]),
         });
@@ -90,11 +95,7 @@ mod tests {
             conn: 0,
             req: 0,
             arrival_ns: 100,
-            model: "m",
-            num_samples: 2,
-            num_features: 3,
-            domain: 4,
-            seed: 12,
+            request: request(12),
             payload: &[6, 5, 4, 3, 2, 1],
             reply: None,
         });

@@ -2,12 +2,14 @@
 //! live server or router.
 //!
 //! Open-loop means arrivals come from the *recorded clock*, not from
-//! response completions: each original connection becomes a replay
-//! lane (one thread + one [`Client`]) that fires its requests at the
-//! recorded offsets from a shared start instant, regardless of how
-//! fast the system under test answers. A slow server therefore sees
-//! queue build-up exactly as production would — the property a
-//! closed-loop loadgen (which politely waits) can never reproduce.
+//! response completions: each original connection becomes a lane —
+//! one connection of [`drive_load`], the two epoll workers `spn load`
+//! runs on — whose requests fire at their recorded offsets once every
+//! lane has dialed. Across lanes that holds however fast the server
+//! answers, so a slow one sees queue build-up as production would,
+//! which a closed-loop run (it politely waits) never reproduces. A
+//! lane carries one request at a time, so within it a request fires at
+//! the later of its offset and the previous reply.
 //!
 //! Payloads are regenerated from the per-request seeds and checked
 //! against the recorded payload digests; replies are digested and —
@@ -17,13 +19,15 @@
 
 use crate::digest::{digest_bytes, digest_lls};
 use crate::trace::{scaled_arrival_ns, Trace};
-use spn_server::{synthetic_samples, Client, ClientError};
-use spn_telemetry::AtomicHistogram;
+use spn_server::{
+    clamp_connections, drive_load, synthetic_samples, ClientError, LoadObserver, LoadRequest,
+    RequestEvent,
+};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::SocketAddr;
-use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::OnceLock;
+use std::time::Duration;
 
 /// Burst injection: every arrival whose *recorded* offset falls in
 /// `[start_ms, start_ms + len_ms)` is moved to `start_ms`, turning a
@@ -72,20 +76,26 @@ impl ReplayConfig {
 /// is data, not an abort).
 #[derive(Debug)]
 pub enum ReplayError {
+    /// [`ReplayConfig::speed`] is not positive and finite.
+    BadSpeed(f64),
     /// The trace is empty.
     EmptyTrace,
-    /// The initial connections could not be established.
-    Connect(std::io::Error),
-    /// A replay lane panicked (a bug, not a workload condition).
-    WorkerPanicked,
+    /// The trace has more connections (`.0`) than the fd budget holds
+    /// (`.1`), so some lanes could never be dialed.
+    TooManyLanes(usize, usize),
+    /// No lane could connect.
+    Connect(ClientError),
 }
 
 impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ReplayError::BadSpeed(s) => write!(f, "speed must be positive and finite, got {s}"),
             ReplayError::EmptyTrace => write!(f, "trace has no records"),
+            ReplayError::TooManyLanes(n, budget) => {
+                write!(f, "trace has {n} connections, the fd budget holds {budget}")
+            }
             ReplayError::Connect(e) => write!(f, "cannot connect for replay: {e}"),
-            ReplayError::WorkerPanicked => write!(f, "replay worker panicked"),
         }
     }
 }
@@ -100,8 +110,8 @@ pub struct ReplayReport {
     pub ok_requests: u64,
     /// Requests the server rejected with a typed status.
     pub rejected_requests: u64,
-    /// Requests lost to transport failures (after one reconnect
-    /// retry each — inference is idempotent).
+    /// Requests lost to transport — each retried once on a fresh dial,
+    /// as inference is idempotent — and the rest of a lost lane's.
     pub transport_errors: u64,
     /// Samples across `Ok` replies.
     pub ok_samples: u64,
@@ -118,7 +128,7 @@ pub struct ReplayReport {
     /// or lost), in trace order — two replays of the same trace
     /// against the same system must produce identical vectors.
     pub reply_digests: Vec<Option<u64>>,
-    /// Wall-clock of the whole replay.
+    /// Wall-clock of the replay from the moment every lane had dialed.
     pub elapsed: Duration,
     /// `Ok` samples per second of wall-clock.
     pub samples_per_sec: f64,
@@ -189,152 +199,96 @@ pub fn effective_arrival_ns(arrival_ns: u64, cfg: &ReplayConfig) -> u64 {
     scaled_arrival_ns(adjusted, cfg.speed)
 }
 
-/// Outcome of one replayed request, tagged with its trace index.
-enum Outcome {
-    Ok { digest: u64, samples: u64 },
-    Rejected,
-    Transport,
+/// Files each answered request's reply digest (`None` if rejected)
+/// under its trace index.
+struct Filer<'t> {
+    lanes: &'t [Vec<usize>],
+    filed: Vec<OnceLock<Option<u64>>>,
+}
+
+impl LoadObserver for Filer<'_> {
+    fn on_request(&self, ev: &RequestEvent<'_>) {
+        let idx = self.lanes[ev.conn as usize][ev.req as usize];
+        let _ = self.filed[idx].set(ev.reply.map(digest_lls));
+    }
 }
 
 /// Replay `trace` against `cfg.addr`, open-loop.
 pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> Result<ReplayReport, ReplayError> {
-    assert!(
-        cfg.speed > 0.0 && cfg.speed.is_finite(),
-        "replay speed must be positive and finite"
-    );
+    if !(cfg.speed > 0.0 && cfg.speed.is_finite()) {
+        return Err(ReplayError::BadSpeed(cfg.speed));
+    }
     if trace.records.is_empty() {
         return Err(ReplayError::EmptyTrace);
     }
 
     // One replay lane per recorded connection, records in trace order.
-    let mut lanes: std::collections::BTreeMap<u32, Vec<usize>> = std::collections::BTreeMap::new();
+    let mut by_conn: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (idx, r) in trace.records.iter().enumerate() {
-        lanes.entry(r.conn).or_default().push(idx);
+        by_conn.entry(r.conn).or_default().push(idx);
     }
-    // Connect every lane before starting the clock, so dial time does
-    // not eat into the first inter-arrival gaps.
-    let mut clients = Vec::with_capacity(lanes.len());
-    for _ in 0..lanes.len() {
-        clients.push(Client::connect(cfg.addr).map_err(ReplayError::Connect)?);
+    let lanes: Vec<Vec<usize>> = by_conn.into_values().collect();
+    // Refuse a lane past the fd budget rather than lose its requests.
+    let budget = clamp_connections(lanes.len());
+    if budget < lanes.len() {
+        return Err(ReplayError::TooManyLanes(lanes.len(), budget));
     }
+    let source = |lane: u64, req: u64| {
+        let r = &trace.records[*lanes[lane as usize].get(req as usize)?];
+        Some(LoadRequest {
+            model: &r.model,
+            num_samples: r.num_samples,
+            num_features: r.num_features,
+            domain: r.domain,
+            seed: r.seed,
+            deadline_ms: cfg.deadline_ms,
+            at_ns: Some(effective_arrival_ns(r.arrival_ns, cfg)),
+        })
+    };
+    let filer = Filer {
+        lanes: &lanes,
+        filed: trace.records.iter().map(|_| OnceLock::new()).collect(),
+    };
+    let load =
+        drive_load(cfg.addr, lanes.len(), &source, Some(&filer)).map_err(ReplayError::Connect)?;
 
-    let latency = Arc::new(AtomicHistogram::latency());
-    let t0 = Instant::now();
-    let mut workers = Vec::with_capacity(lanes.len());
-    for ((_, indices), mut client) in lanes.into_iter().zip(clients) {
-        let cfg = cfg.clone();
-        let records: Vec<(usize, crate::trace::TraceRecord)> = indices
-            .into_iter()
-            .map(|i| (i, trace.records[i].clone()))
-            .collect();
-        let latency = Arc::clone(&latency);
-        workers.push(thread::spawn(move || -> Vec<(usize, Outcome, bool)> {
-            let mut out = Vec::with_capacity(records.len());
-            for (idx, rec) in records {
-                // Open loop: fire at the recorded offset no matter how
-                // the previous request fared.
-                let target = t0 + Duration::from_nanos(effective_arrival_ns(rec.arrival_ns, &cfg));
-                let now = Instant::now();
-                if target > now {
-                    thread::sleep(target - now);
-                }
-                let payload =
-                    synthetic_samples(rec.num_samples, rec.num_features, rec.domain, rec.seed);
-                let payload_ok = digest_bytes(&payload) == rec.payload_digest;
-                let r0 = Instant::now();
-                let attempt = |client: &mut Client| {
-                    client
-                        .request(&rec.model)
-                        .samples(&payload, rec.num_samples, rec.num_features)
-                        .deadline_ms(cfg.deadline_ms)
-                        .send()
-                };
-                let result = match attempt(&mut client) {
-                    Err(ClientError::ConnectionClosed | ClientError::Io(_)) => {
-                        // Inference is idempotent: reconnect and retry
-                        // once before declaring the request lost.
-                        match client.reconnect() {
-                            Ok(()) => attempt(&mut client),
-                            Err(_) => Err(ClientError::ConnectionClosed),
-                        }
-                    }
-                    other => other,
-                };
-                let outcome = match result {
-                    Ok(lls) => {
-                        latency.record_duration(r0.elapsed());
-                        Outcome::Ok {
-                            digest: digest_lls(&lls),
-                            samples: lls.len() as u64,
-                        }
-                    }
-                    Err(ClientError::Rejected { .. }) => {
-                        latency.record_duration(r0.elapsed());
-                        Outcome::Rejected
-                    }
-                    Err(_) => Outcome::Transport,
-                };
-                out.push((idx, outcome, payload_ok));
-            }
-            out
-        }));
-    }
-
-    let mut reply_digests: Vec<Option<u64>> = vec![None; trace.records.len()];
-    let mut ok = 0u64;
-    let mut rejected = 0u64;
-    let mut transport = 0u64;
-    let mut ok_samples = 0u64;
+    let mut reply_digests = Vec::with_capacity(trace.records.len());
     let mut payload_mismatches = 0u64;
-    for w in workers {
-        let outcomes = w.join().map_err(|_| ReplayError::WorkerPanicked)?;
-        for (idx, outcome, payload_ok) in outcomes {
-            if !payload_ok {
-                payload_mismatches += 1;
-            }
-            match outcome {
-                Outcome::Ok { digest, samples } => {
-                    ok += 1;
-                    ok_samples += samples;
-                    reply_digests[idx] = Some(digest);
-                }
-                Outcome::Rejected => rejected += 1,
-                Outcome::Transport => transport += 1,
-            }
-        }
-    }
-    let elapsed = t0.elapsed();
-
     let mut digests_checked = 0u64;
     let mut digest_mismatches = 0u64;
-    if cfg.verify {
-        for (rec, got) in trace.records.iter().zip(&reply_digests) {
-            if let (Some(expected), Some(got)) = (rec.reply_digest, got) {
-                digests_checked += 1;
-                if expected != *got {
-                    digest_mismatches += 1;
-                }
-            }
+    for (rec, filed) in trace.records.iter().zip(filer.filed) {
+        // The driver sent exactly this payload, lost or answered.
+        let payload = synthetic_samples(rec.num_samples, rec.num_features, rec.domain, rec.seed);
+        payload_mismatches += u64::from(digest_bytes(&payload) != rec.payload_digest);
+        let digest = filed.into_inner().flatten();
+        if let (true, Some(expected), Some(got)) = (cfg.verify, rec.reply_digest, digest) {
+            digests_checked += 1;
+            digest_mismatches += u64::from(expected != got);
         }
+        reply_digests.push(digest);
     }
 
-    let lat = latency.summary();
+    let total_requests = trace.records.len() as u64;
+    // The replay's clock starts once every lane has dialed.
+    let elapsed = load
+        .elapsed
+        .saturating_sub(Duration::from_secs_f64(load.dial_ms / 1e3));
     Ok(ReplayReport {
-        total_requests: trace.records.len() as u64,
-        ok_requests: ok,
-        rejected_requests: rejected,
-        transport_errors: transport,
-        ok_samples,
+        total_requests,
+        ok_requests: load.ok_requests,
+        rejected_requests: load.rejected_requests,
+        transport_errors: total_requests - load.ok_requests - load.rejected_requests,
+        ok_samples: load.ok_samples,
         payload_mismatches,
         digests_checked,
         digest_mismatches,
         reply_digests,
         elapsed,
-        samples_per_sec: ok_samples as f64 / elapsed.as_secs_f64().max(1e-12),
-        p50_ms: lat.p50 * 1e3,
-        p95_ms: lat.p95 * 1e3,
-        p99_ms: lat.p99 * 1e3,
-        max_ms: lat.max * 1e3,
+        samples_per_sec: load.ok_samples as f64 / elapsed.as_secs_f64().max(1e-12),
+        p50_ms: load.p50_ms,
+        p95_ms: load.p95_ms,
+        p99_ms: load.p99_ms,
+        max_ms: load.max_ms,
     })
 }
 
@@ -411,5 +365,15 @@ mod tests {
     fn empty_trace_is_a_typed_error() {
         let err = replay(&Trace::default(), &cfg_at(1.0, None)).unwrap_err();
         assert!(matches!(err, ReplayError::EmptyTrace));
+    }
+
+    #[test]
+    fn speed_that_is_not_positive_and_finite_is_a_typed_error() {
+        for speed in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            match replay(&Trace::default(), &cfg_at(speed, None)) {
+                Err(ReplayError::BadSpeed(s)) => assert_eq!(s.to_bits(), speed.to_bits()),
+                other => panic!("speed {speed}: {other:?}"),
+            }
+        }
     }
 }

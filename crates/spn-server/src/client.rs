@@ -3,9 +3,9 @@
 //! One [`Client`] owns one TCP connection and issues one request at a
 //! time (the protocol is strictly request/response per connection —
 //! concurrency comes from opening more connections). It serves callers
-//! that may block a thread — the router's health prober, the CLI,
-//! `spn-replay`, tests and examples — and no serving path: the router
-//! calls backends through [`crate::reactor::Upstream`].
+//! that may block a thread — the router's health prober, the CLI's
+//! control calls, tests, examples and the benchmark — and no serving
+//! path or traffic run ([`crate::reactor::Upstream`], [`crate::loadgen`]).
 
 use crate::protocol::{
     decode_results, encode_frame, read_frame, Frame, InferFields, Opcode, Status, WireError,
@@ -20,9 +20,8 @@ use std::time::Duration;
 pub enum ClientError {
     /// The peer closed (or reset) the connection mid-exchange. The
     /// request may or may not have been processed; since inference is
-    /// idempotent the caller can [`Client::reconnect`] and retry —
-    /// the router's failover path depends on telling this apart from
-    /// a protocol violation.
+    /// idempotent the caller can connect again and retry — a
+    /// different recovery from the one a protocol violation calls for.
     ConnectionClosed,
     /// Transport failed for a reason other than the peer going away.
     Io(io::Error),
@@ -87,64 +86,27 @@ pub struct Client {
     /// Read through a buffer, so a small reply's header and payload
     /// cost one `read`; written to directly.
     stream: BufReader<TcpStream>,
-    /// The resolved peer address, kept so [`Client::reconnect`] can
-    /// re-dial after a [`ClientError::ConnectionClosed`].
-    addr: SocketAddr,
-    /// The dial bound given to [`Client::connect_timeout`], kept so
-    /// [`Client::reconnect`] re-dials under the same bound. Distinct
-    /// from `io_timeout`: a connect bound and a per-request I/O bound
-    /// are different knobs, and conflating them once made a reconnect
-    /// after `set_io_timeout(None)` dial with *no* bound at all.
-    dial_timeout: Option<Duration>,
-    io_timeout: Option<Duration>,
 }
 
 impl Client {
     /// Connect (with `TCP_NODELAY`, since frames are small and
     /// latency-sensitive).
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let addr = stream.peer_addr()?;
-        Ok(Client {
-            stream: BufReader::new(stream),
-            addr,
-            dial_timeout: None,
-            io_timeout: None,
-        })
+        Client::over(TcpStream::connect(addr)?)
     }
 
     /// Connect with a bound on how long the TCP dial may block —
-    /// what a health checker or failover path wants, since a dead
-    /// host would otherwise stall the caller for the kernel's full
-    /// connect timeout. [`Client::reconnect`] re-dials under the same
-    /// bound.
+    /// what a health checker wants, since a dead host would otherwise
+    /// stall the caller for the kernel's full connect timeout.
     pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        Client::over(TcpStream::connect_timeout(&addr, timeout)?)
+    }
+
+    fn over(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true)?;
         Ok(Client {
             stream: BufReader::new(stream),
-            addr,
-            dial_timeout: Some(timeout),
-            io_timeout: None,
         })
-    }
-
-    /// The peer address this client dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The connect bound [`Client::reconnect`] re-dials under
-    /// (`None` when built with the unbounded [`Client::connect`]).
-    pub fn dial_timeout(&self) -> Option<Duration> {
-        self.dial_timeout
-    }
-
-    /// The current per-request I/O bound (see
-    /// [`Client::set_io_timeout`]).
-    pub fn io_timeout(&self) -> Option<Duration> {
-        self.io_timeout
     }
 
     /// Bound every subsequent read/write on the connection (`None`
@@ -153,27 +115,7 @@ impl Client {
     /// a wedged backend like a dead one.
     pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         self.stream.get_ref().set_read_timeout(timeout)?;
-        self.stream.get_ref().set_write_timeout(timeout)?;
-        self.io_timeout = timeout;
-        Ok(())
-    }
-
-    /// Drop the current connection and dial the same address again,
-    /// preserving *both* configured timeouts: the dial runs under the
-    /// original connect bound (if the client was built with
-    /// [`Client::connect_timeout`]) and the fresh stream gets the
-    /// current [`Client::set_io_timeout`] value re-applied. The
-    /// recovery move after [`ClientError::ConnectionClosed`].
-    pub fn reconnect(&mut self) -> io::Result<()> {
-        let stream = match self.dial_timeout {
-            Some(t) => TcpStream::connect_timeout(&self.addr, t)?,
-            None => TcpStream::connect(self.addr)?,
-        };
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(self.io_timeout)?;
-        stream.set_write_timeout(self.io_timeout)?;
-        self.stream = BufReader::new(stream);
-        Ok(())
+        self.stream.get_ref().set_write_timeout(timeout)
     }
 
     /// Write one request frame's wire bytes and read its response.
@@ -206,10 +148,10 @@ impl Client {
     }
 
     /// Start building an inference request against `model`. This is
-    /// the one entry point for inference — shape, deadline and trace
-    /// opt-out are all set on the returned [`InferBuilder`], so new
-    /// request knobs (e.g. future query types) extend the builder
-    /// instead of multiplying `infer_*` method variants:
+    /// the one entry point for inference — shape and deadline are set
+    /// on the returned [`InferBuilder`], so new request knobs (e.g.
+    /// future query types) extend the builder instead of multiplying
+    /// `infer_*` method variants:
     ///
     /// ```ignore
     /// let lls = client
@@ -226,7 +168,6 @@ impl Client {
             num_samples: 0,
             num_features: 0,
             deadline_ms: 0,
-            trace: true,
         }
     }
 
@@ -271,7 +212,6 @@ pub struct InferBuilder<'a> {
     num_samples: u32,
     num_features: u32,
     deadline_ms: u32,
-    trace: bool,
 }
 
 impl<'a> InferBuilder<'a> {
@@ -293,15 +233,6 @@ impl<'a> InferBuilder<'a> {
         self
     }
 
-    /// Server-side tracing for this request (default `true`). Opting
-    /// out decodes the request with a
-    /// [`spn_telemetry::SpanCtx::NONE`] context, so its spans stay
-    /// off the server's per-request timeline.
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
     /// Encode header, meta, block and flags into one exactly sized
     /// buffer, send it, and block for the reply. Returns one
     /// log-likelihood per sample, in order.
@@ -312,7 +243,7 @@ impl<'a> InferBuilder<'a> {
             num_samples: self.num_samples,
             num_features: self.num_features,
             data: self.data,
-            trace: self.trace,
+            trace: true,
         }
         .encode_frame();
         let response = self.client.round_trip(Opcode::Infer, &wire)?;

@@ -34,8 +34,9 @@
 //!   `Stats` opcode;
 //! * [`client`] — a blocking wire client for probes, the CLI, tests
 //!   and examples;
-//! * [`loadgen`] — the epoll load generator shared by the CLI, the
-//!   studies and the tests.
+//! * [`loadgen`] — the one client-side traffic driver: the epoll
+//!   load generator behind `spn load`, `spn record` and `spn replay`,
+//!   the studies and the tests.
 //!
 //! ## Minimal round trip
 //!
@@ -67,8 +68,8 @@ pub use batcher::{BatchPolicy, Batcher, Reply, ReplySink};
 pub use client::{Client, ClientError, InferBuilder};
 pub use frontend::{Dispatched, Frontend, InferReply, Service};
 pub use loadgen::{
-    clamp_connections, request_seed, run_load, run_load_observed, synthetic_samples, LoadConfig,
-    LoadObserver, LoadReport, RequestEvent,
+    clamp_connections, drive_load, request_seed, run_load, synthetic_samples, LoadConfig,
+    LoadObserver, LoadReport, LoadRequest, RequestEvent,
 };
 pub use metrics::{HistogramSummary, ReactorMetrics, ServerMetrics, ServerMetricsSnapshot};
 pub use protocol::{Frame, FrameDecoder, InferRequest, Opcode, Status, WireError};

@@ -1,43 +1,50 @@
 //! Load generation against a running server.
 //!
-//! One driver ([`run_load`]) shared by the `spn load` / `spn record`
-//! CLI subcommands, the studies and the integration tests — the
-//! 4-connection tests and the 10k-connection reactor smoke run the
-//! same code. A fixed pair of epoll-multiplexed worker threads holds
-//! all the nonblocking connections; every connection issues
-//! `requests_per_connection` `Infer` requests of `samples_per_request`
-//! synthetic samples, one in flight at a time, so the *offered
-//! concurrency equals the connection count* however fast the server
-//! drains. Request payloads are a pure function of the run seed via
-//! [`request_seed`].
+//! One driver ([`drive_load`]) for `spn load`, `spn record` and
+//! `spn replay`, the studies and the tests — 4 connections or the
+//! 10k-connection reactor smoke, the same code. A fixed pair of epoll
+//! worker threads holds every nonblocking connection. Each connection
+//! draws its requests from a source, `(conn, req) → Option<LoadRequest>`,
+//! and keeps one in flight, so the *offered concurrency equals the
+//! connection count* however fast the server drains. A request with a
+//! fire time (replay's recorded arrival) goes out at the later of that
+//! time and its connection's previous reply; [`run_load`]'s carry none,
+//! and their payloads are a pure function of the run seed
+//! ([`request_seed`]).
 //!
-//! Each worker dials all of its connections *before* any request goes
-//! out, and a request's latency clock starts when its first byte is
-//! handed to the kernel — so no request's latency includes time spent
-//! dialing other connections, and the dial phase is reported on its
-//! own ([`LoadReport::dial_ms`]). Per-request wall-clock latency is
-//! recorded into one shared lock-free [`AtomicHistogram`];
-//! percentiles (p50/p95/p99, ≈9 % bucket resolution) come from the
-//! histogram summary and `max` stays exact.
+//! Every connection is dialed before the fire clock starts, and a
+//! request's latency clock starts when its first byte is handed to the
+//! kernel, so dial time ([`LoadReport::dial_ms`]) is in no request's
+//! latency. Latencies go into one lock-free
+//! [`AtomicHistogram`] (p50/p95/p99 at ≈9 % resolution, exact `max`).
+//!
+//! One retry rule: a connection that dies before its request's reply
+//! arrives is dialed once more and the request re-sent (inference is
+//! idempotent); a second death drops it. The stall bound runs only
+//! while a request is in flight, so waiting for a fire time is no stall.
+//! A first reply of `ServerBusy` is one rejected request; if the server
+//! closes after it, the connection is dropped without a fresh dial.
 
 use crate::client::ClientError;
 use crate::protocol::{decode_results, read_some, write_some, FrameDecoder, InferFields, Status};
-use epoll::{Epoll, Event, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use epoll::{Epoll, Event, EPOLLERR, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use sim_core::SplitMix64;
 use spn_telemetry::AtomicHistogram;
+use std::collections::BTreeSet;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Epoll worker threads sharing a run's connections (each owns
-/// `connections / WORKERS`, remainder spread over the first few).
+/// Epoll worker threads; connection `i` goes to worker `i % WORKERS`.
 const WORKERS: usize = 2;
 
-/// A worker that sees no reply on any of its connections for this long
-/// gives up on them (they count as dropped, the run still reports), so
-/// a wedged server cannot hang the generator.
-const STALL_TIMEOUT: Duration = Duration::from_secs(120);
+/// A worker with a request in flight that sees no reply on any of its
+/// connections for this long gives up on them (they count as dropped,
+/// the run still reports), so a wedged server cannot hang the
+/// generator. No dial waits longer either. Unit tests get a bound short
+/// enough to cross.
+const STALL_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 400 } else { 120_000 });
 
 /// What load to offer.
 #[derive(Debug, Clone)]
@@ -81,6 +88,22 @@ impl Default for LoadConfig {
     }
 }
 
+impl LoadConfig {
+    /// [`run_load`]'s source: request `req` of connection `conn`, seeded
+    /// by [`request_seed`], `None` past `requests_per_connection`.
+    pub fn request(&self, conn: u64, req: u64) -> Option<LoadRequest<'_>> {
+        (req < self.requests_per_connection as u64).then(|| LoadRequest {
+            model: &self.model,
+            num_samples: self.samples_per_request,
+            num_features: self.num_features,
+            domain: self.domain,
+            seed: request_seed(self.seed, conn, req),
+            deadline_ms: self.deadline_ms,
+            at_ns: None,
+        })
+    }
+}
+
 /// Aggregated result of one load run: request-level throughput and
 /// latency plus connection-level accounting (at 10k+ connections the
 /// interesting failures are *connection* failures, not request
@@ -89,15 +112,15 @@ impl Default for LoadConfig {
 pub struct LoadReport {
     /// Connections the run offered (after fd-budget clamping).
     pub connections: usize,
-    /// Connections the server turned away at accept with `ServerBusy`
-    /// (its connection limit).
+    /// Connections whose first reply was `ServerBusy`: turned away at
+    /// accept (the server's connection limit), or that first request
+    /// bounced by admission control.
     pub rejected_at_accept: u64,
     /// Connections that could not be dialed or died mid-run (reset,
     /// unexpected EOF, or abandoned after the stall bound).
     pub dropped_connections: u64,
-    /// Time the slower worker spent dialing its connections before
-    /// its first request went out, milliseconds. Part of `elapsed`,
-    /// part of no request's latency.
+    /// Milliseconds spent dialing every connection before the first
+    /// request went out: part of `elapsed`, of no request's latency.
     pub dial_ms: f64,
     /// Requests answered `Ok`.
     pub ok_requests: u64,
@@ -111,11 +134,9 @@ pub struct LoadReport {
     pub samples_per_sec: f64,
     /// Median request latency, milliseconds (histogram resolution).
     pub p50_ms: f64,
-    /// 95th-percentile request latency, milliseconds (histogram
-    /// resolution).
+    /// 95th-percentile request latency, ms (histogram resolution).
     pub p95_ms: f64,
-    /// 99th-percentile request latency, milliseconds (histogram
-    /// resolution).
+    /// 99th-percentile request latency, ms (histogram resolution).
     pub p99_ms: f64,
     /// Worst request latency, milliseconds (exact).
     pub max_ms: f64,
@@ -169,6 +190,29 @@ pub fn request_seed(run_seed: u64, conn: u64, req: u64) -> u64 {
         .wrapping_add(req)
 }
 
+/// One request a connection issues, as its source hands it to
+/// [`drive_load`]: the payload's shape and seed (the payload itself is
+/// regenerated by [`synthetic_samples`]) and the earliest moment it may
+/// go out.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LoadRequest<'a> {
+    /// Model name on the wire.
+    pub model: &'a str,
+    /// Samples in the request.
+    pub num_samples: u32,
+    /// Features per sample.
+    pub num_features: u32,
+    /// Feature domain the payload is drawn from.
+    pub domain: u8,
+    /// The seed that regenerates the payload.
+    pub seed: u64,
+    /// Deadline in ms (`0` = none).
+    pub deadline_ms: u32,
+    /// Earliest fire time, nanoseconds after the fire clock starts;
+    /// `None` fires as soon as the connection's previous reply is in.
+    pub at_ns: Option<u64>,
+}
+
 /// One issued request, as seen by a [`LoadObserver`]: everything a
 /// trace recorder needs to make the request reproducible (the seed
 /// regenerates the payload; the reply is there to digest).
@@ -178,20 +222,13 @@ pub struct RequestEvent<'a> {
     pub conn: u32,
     /// Request index on that connection.
     pub req: u64,
-    /// Nanoseconds between the run's start and the moment this
-    /// request's first byte went out (its arrival offset).
+    /// Nanoseconds between the fire clock's start (every connection
+    /// dialed) and the moment this request's first byte went out (its
+    /// arrival offset).
     pub arrival_ns: u64,
-    /// Model name on the wire.
-    pub model: &'a str,
-    /// Samples in the request.
-    pub num_samples: u32,
-    /// Features per sample.
-    pub num_features: u32,
-    /// Feature domain the payload was drawn from.
-    pub domain: u8,
-    /// The per-request seed ([`request_seed`]) that regenerates the
-    /// payload bit-for-bit.
-    pub seed: u64,
+    /// The request as its source handed it over: model, shape and the
+    /// seed that regenerates the payload bit-for-bit.
+    pub request: LoadRequest<'a>,
     /// The payload bytes as sent.
     pub payload: &'a [u8],
     /// The server's log-likelihoods, or `None` if it rejected the
@@ -199,9 +236,10 @@ pub struct RequestEvent<'a> {
     pub reply: Option<&'a [f64]>,
 }
 
-/// Observes every request a load run issues — the hook the trace
-/// recorder (`spn-replay`) hangs off the loadgen path. Called from
-/// both worker threads, so implementations synchronise internally.
+/// Observes every request a load run answers — the hook the trace
+/// recorder and the replayer (`spn-replay`) hang off the driver.
+/// Called from both worker threads, so implementations synchronise
+/// internally.
 pub trait LoadObserver: Send + Sync {
     /// One request was issued and answered (or rejected).
     fn on_request(&self, event: &RequestEvent<'_>);
@@ -209,45 +247,72 @@ pub trait LoadObserver: Send + Sync {
 
 /// Run the load described by `cfg` and aggregate a report.
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
-    run_load_observed(cfg, None)
+    drive_load(cfg.addr, cfg.connections, &|c, r| cfg.request(c, r), None)
 }
 
-/// [`run_load`], reporting every answered request to `observer` (the
-/// recorder hook — see [`LoadObserver`]).
-///
-/// Connection failures are counted in the report, not returned; the
-/// run fails only when the generator itself cannot work (epoll setup)
-/// or a worker could not dial a single connection.
-pub fn run_load_observed(
-    cfg: &LoadConfig,
+/// What the workers of one run share.
+struct Run<'r, 'a> {
+    addr: SocketAddr,
+    source: &'r (dyn Fn(u64, u64) -> Option<LoadRequest<'a>> + Sync),
+    observer: Option<&'r dyn LoadObserver>,
+    latency: AtomicHistogram,
+    /// The fire clock's start: every connection dialed.
+    t0: Instant,
+}
+
+/// Open `connections` connections to `addr` (fd-budget clamped, see
+/// [`clamp_connections`]); connection `conn` issues `source(conn, req)`
+/// for `req = 0, 1, …` until `None`, and every answer goes to
+/// `observer`. Connection failures are counted in the report; the run
+/// fails only if epoll setup fails or no connection could be dialed.
+pub fn drive_load<'a>(
+    addr: SocketAddr,
+    connections: usize,
+    source: &(dyn Fn(u64, u64) -> Option<LoadRequest<'a>> + Sync),
     observer: Option<&dyn LoadObserver>,
 ) -> Result<LoadReport, ClientError> {
-    assert!(cfg.connections > 0, "need at least one connection");
-    let mut cfg = cfg.clone();
-    // Margin: stdio + per-worker epoll fds + slack for whatever the
-    // embedding process (CLI, test harness) holds open.
-    cfg.connections = clamp_connections(cfg.connections, 64 + WORKERS);
-    let total = cfg.connections;
+    assert!(connections > 0, "need at least one connection");
+    let total = clamp_connections(connections);
     let workers = WORKERS.min(total);
-    let latency = AtomicHistogram::latency();
-    let t0 = Instant::now();
+    // Dial everything first: loopback dials take microseconds, so a
+    // blocking loop stands up 10k sockets in well under a second with
+    // no nonblocking-connect bookkeeping, and in no request's latency.
+    let start = Instant::now();
+    let mut agg = WorkerStats::default();
+    let mut dial_error = None;
+    let mut shares: Vec<Vec<LoadConn>> = (0..workers).map(|_| Vec::new()).collect();
+    for i in 0..total {
+        match dial(addr, Instant::now() + STALL_TIMEOUT) {
+            Ok(stream) => shares[i % workers].push(LoadConn::new(stream, i as u64)),
+            // Kernel-level refusal (nothing listening, or backlog
+            // overflow under a dial storm).
+            Err(e) => {
+                agg.dropped += 1;
+                dial_error = Some(e);
+            }
+        }
+    }
+    if let (Some(e), true) = (dial_error, agg.dropped == total as u64) {
+        return Err(e.into());
+    }
+    let run = Run {
+        addr,
+        source,
+        observer,
+        latency: AtomicHistogram::latency(),
+        t0: Instant::now(),
+    };
     let outcomes: Vec<io::Result<WorkerStats>> = thread::scope(|scope| {
-        let (cfg, latency) = (&cfg, &latency);
-        let mut base = 0usize;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let count = total / workers + usize::from(w < total % workers);
-                let first = base;
-                base += count;
-                scope.spawn(move || load_worker(cfg, first, count, latency, t0, observer))
-            })
+        let run = &run;
+        let handles: Vec<_> = shares
+            .into_iter()
+            .map(|conns| scope.spawn(move || load_worker(run, conns)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("load worker panicked"))
             .collect()
     });
-    let mut agg = WorkerStats::default();
     for outcome in outcomes {
         let w = outcome?;
         agg.ok += w.ok;
@@ -255,15 +320,14 @@ pub fn run_load_observed(
         agg.ok_samples += w.ok_samples;
         agg.rejected_at_accept += w.rejected_at_accept;
         agg.dropped += w.dropped;
-        agg.dial = agg.dial.max(w.dial);
     }
-    let elapsed = t0.elapsed();
-    let lat = latency.summary();
+    let elapsed = start.elapsed();
+    let lat = run.latency.summary();
     Ok(LoadReport {
         connections: total,
         rejected_at_accept: agg.rejected_at_accept,
         dropped_connections: agg.dropped,
-        dial_ms: agg.dial.as_secs_f64() * 1e3,
+        dial_ms: run.t0.duration_since(start).as_secs_f64() * 1e3,
         ok_requests: agg.ok,
         rejected_requests: agg.rejected,
         ok_samples: agg.ok_samples,
@@ -283,248 +347,297 @@ struct WorkerStats {
     ok_samples: u64,
     rejected_at_accept: u64,
     dropped: u64,
-    /// How long this worker's dial phase took.
-    dial: Duration,
 }
 
 /// Clamp a wanted connection count to what the process's fd budget
 /// can actually hold, after trying to raise the soft `RLIMIT_NOFILE`
-/// to fit. `margin` covers everything else the process has open
-/// (listener, epoll fds, stdio, …). Both the loadgen and the CLI
-/// clamp through here so a 10k-connection ask on an 8k box degrades
-/// to a loud smaller run instead of an `EMFILE` crash mid-dial.
-pub fn clamp_connections(want: usize, margin: usize) -> usize {
-    let need = want as u64 + margin as u64;
-    let soft = match epoll::raise_nofile_limit(need) {
-        Ok(soft) => soft,
-        Err(_) => match epoll::nofile_limit() {
-            Ok((soft, _)) => soft,
-            Err(_) => return want,
-        },
-    };
-    want.min(soft.saturating_sub(margin as u64) as usize).max(1)
+/// to fit, with a margin for everything else the process has open
+/// (stdio, the workers' epoll fds, whatever the embedding CLI or test
+/// harness holds). [`drive_load`] clamps through here, so a
+/// 10k-connection ask on an 8k box degrades to a loud smaller run
+/// instead of an `EMFILE` crash mid-dial.
+pub fn clamp_connections(want: usize) -> usize {
+    let margin = 64 + WORKERS as u64;
+    let need = want as u64 + margin;
+    let soft = epoll::raise_nofile_limit(need).or_else(|_| epoll::nofile_limit().map(|l| l.0));
+    let Ok(soft) = soft else { return want };
+    want.min(soft.saturating_sub(margin) as usize).max(1)
+}
+
+/// Where a connection stands after the worker has acted on it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// A request is in flight: wait for its reply.
+    Open,
+    /// The next request waits for its fire time, off epoll.
+    Park(Instant),
+    /// The source has nothing more for it.
+    Done,
+    /// The connection died before the current request's reply.
+    Dead,
 }
 
 /// Per-connection state machine: one request in flight at a time,
 /// mirroring the server's own serial-per-connection discipline from
 /// the client side.
-struct LoadConn {
+struct LoadConn<'a> {
     stream: TcpStream,
     decoder: FrameDecoder,
-    /// The in-flight request's frame and how much of it the kernel
-    /// has accepted.
+    /// The current request's frame and how much of it the kernel took.
     out: Vec<u8>,
     out_at: usize,
-    /// Global connection index (seeds the request stream).
+    /// Global connection index (the source's `conn`).
     conn: u64,
-    /// Requests already answered.
+    /// Requests already answered (the current one's `req`).
     answered: u64,
-    /// The in-flight request's seed and feature block (what a
-    /// [`LoadObserver`] is shown).
-    seed: u64,
+    /// The current request and its feature block, as sent.
+    req: LoadRequest<'a>,
     data: Vec<u8>,
-    /// When the in-flight request's first byte was handed to the
-    /// kernel — the start of its latency clock.
+    /// Whether the current request has had its fresh dial.
+    retried: bool,
+    /// When the current request's first byte went out: its latency clock.
     sent_at: Instant,
 }
 
-impl LoadConn {
-    fn new(stream: TcpStream, conn: u64) -> io::Result<LoadConn> {
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        Ok(LoadConn {
+/// A nonblocking `TCP_NODELAY` connection to `addr`, given up at
+/// `deadline` (at once if it has passed).
+fn dial(addr: SocketAddr, deadline: Instant) -> io::Result<TcpStream> {
+    let timeout = deadline.saturating_duration_since(Instant::now());
+    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
+}
+
+impl<'a> LoadConn<'a> {
+    fn new(stream: TcpStream, conn: u64) -> LoadConn<'a> {
+        LoadConn {
             stream,
             decoder: FrameDecoder::new(),
             out: Vec::new(),
             out_at: 0,
             conn,
             answered: 0,
-            seed: 0,
+            req: LoadRequest::default(),
             data: Vec::new(),
+            retried: false,
             sent_at: Instant::now(),
-        })
+        }
     }
 
-    /// Build the next request's frame. Nothing is sent and no clock
-    /// starts until [`LoadConn::flush`].
-    fn queue_request(&mut self, cfg: &LoadConfig) {
-        self.seed = request_seed(cfg.seed, self.conn, self.answered);
-        self.data = synthetic_samples(
-            cfg.samples_per_request,
-            cfg.num_features,
-            cfg.domain,
-            self.seed,
-        );
+    /// Build `req`'s frame. Nothing is sent and no clock starts until
+    /// [`LoadConn::fire`].
+    fn queue_request(&mut self, req: LoadRequest<'a>) {
+        self.data = synthetic_samples(req.num_samples, req.num_features, req.domain, req.seed);
         self.out = InferFields {
-            model: &cfg.model,
-            deadline_ms: cfg.deadline_ms,
-            num_samples: cfg.samples_per_request,
-            num_features: cfg.num_features,
+            model: req.model,
+            deadline_ms: req.deadline_ms,
+            num_samples: req.num_samples,
+            num_features: req.num_features,
             data: &self.data,
             trace: true,
         }
         .encode_frame();
         self.out_at = 0;
+        self.req = req;
+        self.retried = false;
+    }
+
+    /// Draw the next request from the source and fire it, or park it
+    /// until its fire time.
+    fn next(&mut self, run: &Run<'_, 'a>) -> Step {
+        let Some(req) = (run.source)(self.conn, self.answered) else {
+            return Step::Done;
+        };
+        self.queue_request(req);
+        match req.at_ns.map(|ns| run.t0 + Duration::from_nanos(ns)) {
+            Some(at) if at > Instant::now() => Step::Park(at),
+            _ => self.fire(),
+        }
+    }
+
+    /// The retry rule: once per request, swap in a fresh connection to
+    /// `addr`, dialed by `deadline`, and rewind the frame, to be sent
+    /// whole again.
+    fn redial(&mut self, addr: SocketAddr, deadline: Instant) -> bool {
+        if std::mem::replace(&mut self.retried, true) {
+            return false;
+        }
+        let Ok(stream) = dial(addr, deadline) else {
+            return false;
+        };
+        self.stream = stream;
+        self.decoder = FrameDecoder::new();
+        self.out_at = 0;
+        true
     }
 
     /// Hand pending request bytes to the kernel until it would block;
-    /// leftovers wait for `EPOLLOUT`. Returns `false` when the
-    /// connection is dead.
-    fn flush(&mut self) -> bool {
+    /// leftovers wait for `EPOLLOUT`.
+    fn fire(&mut self) -> Step {
         if self.out_at == 0 && !self.out.is_empty() {
             self.sent_at = Instant::now();
         }
-        write_some(&mut self.stream, &[], &self.out, &mut self.out_at).is_ok()
-    }
-
-    fn interest(&self) -> u32 {
-        if self.out_at < self.out.len() {
-            EPOLLIN | EPOLLOUT | EPOLLRDHUP
-        } else {
-            EPOLLIN | EPOLLRDHUP
-        }
+        write_some(&mut self.stream, &[], &self.out, &mut self.out_at)
+            .map_or(Step::Dead, |_| Step::Open)
     }
 }
 
-/// Drive `count` connections (global indices starting at `base`) to
-/// completion on one epoll instance.
-fn load_worker(
-    cfg: &LoadConfig,
-    base: usize,
-    count: usize,
-    latency: &AtomicHistogram,
-    t0: Instant,
-    observer: Option<&dyn LoadObserver>,
-) -> io::Result<WorkerStats> {
-    let mut out = WorkerStats::default();
-    let epoll = Epoll::new()?;
-    // Dial everything first. Loopback dials complete in microseconds,
-    // so a blocking loop is simpler than nonblocking-connect
-    // bookkeeping and still stands up 10k sockets in well under a
-    // second; because no request is sent until the loop is done, the
-    // time it takes is in nobody's latency.
-    let dial_start = Instant::now();
-    let mut dial_error = None;
-    let mut conns: Vec<Option<LoadConn>> = (0..count)
-        .map(|i| {
-            let dialed = TcpStream::connect(cfg.addr)
-                .and_then(|stream| LoadConn::new(stream, (base + i) as u64));
-            match dialed {
-                Ok(conn) => Some(conn),
-                Err(e) => {
-                    // Kernel-level refusal (nothing listening, or
-                    // backlog overflow under a dial storm).
-                    out.dropped += 1;
-                    dial_error = Some(e);
-                    None
-                }
-            }
-        })
-        .collect();
-    out.dial = dial_start.elapsed();
-    match dial_error {
-        Some(e) if out.dropped == count as u64 => return Err(e),
-        _ => {}
-    }
+struct Worker<'r, 'a> {
+    run: &'r Run<'r, 'a>,
+    epoll: Epoll,
+    conns: Vec<Option<LoadConn<'a>>>,
+    /// Parked connections by fire time, off epoll until then.
+    timers: BTreeSet<(Instant, usize)>,
+    /// Connections neither done nor dropped, parked ones included.
+    live: usize,
+    /// The latest reply, or the latest moment nothing was in flight:
+    /// the start of the stall clock.
+    last_reply: Instant,
+    stats: WorkerStats,
+}
 
-    let mut live = 0usize;
-    for (slot, entry) in conns.iter_mut().enumerate() {
-        let Some(conn) = entry else { continue };
-        conn.queue_request(cfg);
-        if conn.flush() {
-            epoll.add(&conn.stream, conn.interest(), slot as u64)?;
-            live += 1;
-        } else {
-            out.dropped += 1;
-            *entry = None;
-        }
+/// Drive `conns` to completion on one epoll instance.
+fn load_worker<'a>(run: &Run<'_, 'a>, conns: Vec<LoadConn<'a>>) -> io::Result<WorkerStats> {
+    let mut w = Worker {
+        run,
+        epoll: Epoll::new()?,
+        live: conns.len(),
+        conns: conns.into_iter().map(Some).collect(),
+        timers: BTreeSet::new(),
+        last_reply: run.t0,
+        stats: WorkerStats::default(),
+    };
+    for slot in 0..w.conns.len() {
+        let step = w.conns[slot].as_mut().map_or(Step::Done, |c| c.next(run));
+        w.settle(slot, step, false)?;
     }
 
     let mut events = vec![Event::zeroed(); 256];
-    let mut last_reply = Instant::now();
-    while live > 0 {
-        if last_reply.elapsed() >= STALL_TIMEOUT {
-            out.dropped += live as u64;
+    while w.live > 0 {
+        let now = Instant::now();
+        if w.live == w.timers.len() {
+            // Nothing in flight: waiting for a fire time is no stall.
+            w.last_reply = now;
+        }
+        let stall = w.last_reply + STALL_TIMEOUT;
+        if now >= stall {
+            w.stats.dropped += w.live as u64;
             break;
         }
-        let n = epoll.wait(&mut events, Some(Duration::from_millis(100)))?;
+        let wake = w.timers.first().map_or(stall, |&(at, _)| stall.min(at));
+        let timeout = wake.saturating_duration_since(now);
+        let n = w.epoll.wait(&mut events, Some(timeout))?;
         for ev in &events[..n] {
             let slot = ev.token() as usize;
-            let Some(conn) = conns[slot].as_mut() else {
-                continue;
+            let step = w.on_ready(slot, ev.readiness());
+            w.settle(slot, step, true)?;
+        }
+        let now = Instant::now();
+        while let Some(&(at, slot)) = w.timers.first() {
+            if at > now {
+                break;
+            }
+            if w.live == w.timers.len() {
+                // Nothing in flight: the stall clock starts with this request.
+                w.last_reply = now;
+            }
+            w.timers.pop_first();
+            let step = w.conns[slot].as_mut().map_or(Step::Done, LoadConn::fire);
+            w.settle(slot, step, false)?;
+        }
+    }
+    Ok(w.stats)
+}
+
+impl<'a> Worker<'_, 'a> {
+    /// Send what `slot` still owes and read its replies, drawing the
+    /// next request after each.
+    fn on_ready(&mut self, slot: usize, ready: u32) -> Step {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return Step::Done;
+        };
+        if ready & EPOLLERR != 0 || conn.fire() == Step::Dead {
+            return Step::Dead;
+        }
+        loop {
+            let frame = match read_some(&mut conn.stream, &mut conn.decoder) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return Step::Open,
+                Err(_) => return Step::Dead,
             };
-            let ready = ev.readiness();
-            let mut close = ready & EPOLLERR != 0 || !conn.flush();
-            let mut done = false;
-            // Decode replies.
-            while !close && !done {
-                let frame = match read_some(&mut conn.stream, &mut conn.decoder) {
-                    Ok(Some(frame)) => frame,
-                    Ok(None) => break,
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
-                };
-                latency.record_duration(conn.sent_at.elapsed());
-                last_reply = Instant::now();
-                let lls = (frame.status == Status::Ok)
-                    .then(|| decode_results(&frame.payload).unwrap_or_default());
-                match &lls {
-                    Some(lls) => {
-                        out.ok += 1;
-                        out.ok_samples += lls.len() as u64;
-                    }
-                    None => {
-                        out.rejected += 1;
-                        // A `ServerBusy` before anything was answered
-                        // may be the accept-time connection-limit frame
-                        // rather than a per-request verdict; either way
-                        // the connection is not getting service — count
-                        // it and let the close that follows stand.
-                        if conn.answered == 0 && frame.status == Status::ServerBusy {
-                            out.rejected_at_accept += 1;
-                        }
-                    }
+            self.run.latency.record_duration(conn.sent_at.elapsed());
+            self.last_reply = Instant::now();
+            let lls = (frame.status == Status::Ok)
+                .then(|| decode_results(&frame.payload).unwrap_or_default());
+            match &lls {
+                Some(lls) => {
+                    self.stats.ok += 1;
+                    self.stats.ok_samples += lls.len() as u64;
                 }
-                if let Some(obs) = observer {
-                    obs.on_request(&RequestEvent {
-                        conn: conn.conn as u32,
-                        req: conn.answered,
-                        arrival_ns: conn.sent_at.saturating_duration_since(t0).as_nanos() as u64,
-                        model: &cfg.model,
-                        num_samples: cfg.samples_per_request,
-                        num_features: cfg.num_features,
-                        domain: cfg.domain,
-                        seed: conn.seed,
-                        payload: &conn.data,
-                        reply: lls.as_deref(),
-                    });
-                }
-                conn.answered += 1;
-                if conn.answered >= cfg.requests_per_connection as u64 {
-                    done = true;
-                } else {
-                    conn.queue_request(cfg);
-                    close = !conn.flush();
-                }
+                None => self.stats.rejected += 1,
             }
-            if ready & (EPOLLRDHUP | EPOLLHUP) != 0 && conn.out_at >= conn.out.len() && !done {
-                close = true;
+            // A first reply of `ServerBusy` may be the accept-time
+            // connection-limit frame or one request's admission verdict.
+            let busy_at_accept = conn.answered == 0 && frame.status == Status::ServerBusy;
+            self.stats.rejected_at_accept += u64::from(busy_at_accept);
+            if let Some(obs) = self.run.observer {
+                obs.on_request(&RequestEvent {
+                    conn: conn.conn as u32,
+                    req: conn.answered,
+                    arrival_ns: conn.sent_at.duration_since(self.run.t0).as_nanos() as u64,
+                    request: conn.req,
+                    payload: &conn.data,
+                    reply: lls.as_deref(),
+                });
             }
-            if close || done {
-                if !done {
-                    out.dropped += 1;
-                }
-                let _ = epoll.delete(&conn.stream);
-                conns[slot] = None;
-                live -= 1;
-            } else {
-                epoll.modify(&conn.stream, conn.interest(), slot as u64)?;
+            conn.answered += 1;
+            let step = conn.next(self.run);
+            // If the server closes after it, a fresh dial would meet the
+            // same limit: the next request gets none.
+            conn.retried |= busy_at_accept;
+            if step != Step::Open {
+                return step;
             }
         }
     }
-    Ok(out)
+
+    /// Act on where `slot` stands (`registered`: its socket is on epoll).
+    fn settle(&mut self, slot: usize, step: Step, registered: bool) -> io::Result<()> {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return Ok(());
+        };
+        if step == Step::Open {
+            let unsent = conn.out_at < conn.out.len();
+            let interest = EPOLLIN | EPOLLRDHUP | if unsent { EPOLLOUT } else { 0 };
+            let token = slot as u64;
+            return if registered {
+                self.epoll.modify(&conn.stream, interest, token)
+            } else {
+                self.epoll.add(&conn.stream, interest, token)
+            };
+        }
+        if registered {
+            self.epoll.delete(&conn.stream)?;
+        }
+        match step {
+            Step::Park(at) => {
+                self.timers.insert((at, slot));
+            }
+            // The redial blocks the worker: no longer than the stall
+            // clock has left.
+            Step::Dead if conn.redial(self.run.addr, self.last_reply + STALL_TIMEOUT) => {
+                let step = conn.fire();
+                return self.settle(slot, step, false);
+            }
+            _ => {
+                self.stats.dropped += u64::from(step == Step::Dead);
+                self.conns[slot] = None;
+                self.live -= 1;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -567,9 +680,8 @@ mod tests {
             seed: 11,
             ..LoadConfig::default()
         };
-        let mut conn = LoadConn::new(TcpStream::connect(cfg.addr).unwrap(), 2).unwrap();
-        conn.answered = 4;
-        conn.queue_request(&cfg);
+        let mut conn = LoadConn::new(dial(cfg.addr, Instant::now() + STALL_TIMEOUT).unwrap(), 2);
+        conn.queue_request(cfg.request(2, 4).unwrap());
         let seed = request_seed(11, 2, 4);
         let req = InferRequest {
             model: cfg.model.clone(),
@@ -580,7 +692,7 @@ mod tests {
             trace: true,
             ctx: spn_telemetry::SpanCtx::NONE,
         };
-        assert_eq!(conn.seed, seed);
+        assert_eq!(conn.req.seed, seed);
         assert_eq!(conn.data, req.data);
         assert_eq!(
             conn.out,
@@ -601,13 +713,13 @@ mod tests {
             model: "m".into(),
             ..LoadConfig::default()
         };
-        let mut conn = LoadConn::new(TcpStream::connect(cfg.addr).unwrap(), 0).unwrap();
-        conn.queue_request(&cfg);
+        let mut conn = LoadConn::new(dial(cfg.addr, Instant::now() + STALL_TIMEOUT).unwrap(), 0);
+        conn.queue_request(cfg.request(0, 0).unwrap());
         // Everything the worker does between building the first frame
         // and sending it happens here.
         thread::sleep(Duration::from_millis(20));
         let fired = Instant::now();
-        assert!(conn.flush());
+        assert!(conn.fire() == Step::Open);
         assert_eq!(conn.out_at, conn.out.len(), "small frame goes out whole");
         assert!(conn.sent_at >= fired, "clock started before the write");
     }
@@ -657,6 +769,47 @@ mod tests {
         assert_eq!(report.ok_samples, 30);
         assert!(report.dial_ms > 0.0);
         assert!(report.summary().contains("dialed in"));
+    }
+
+    /// The stall clock runs only while a request is in flight. Request 1
+    /// fires after nearly two stall bounds with nothing in flight, and
+    /// its reply takes half a bound: it still counts. Request 2 is never
+    /// answered, and the run gives up on it one bound later.
+    #[test]
+    fn stall_clock_starts_when_a_request_fires_after_a_gap() {
+        use crate::protocol::{
+            encode_results, read_frame, write_frame, Frame, InferRequest, Opcode,
+        };
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            for hold in [Duration::ZERO, STALL_TIMEOUT / 2] {
+                let req = InferRequest::decode(&read_frame(&mut s).unwrap().payload).unwrap();
+                thread::sleep(hold);
+                let lls = vec![-1.0; req.num_samples as usize];
+                let reply = Frame::response(Opcode::Infer, Status::Ok, encode_results(&lls));
+                write_frame(&mut s, &reply).unwrap();
+            }
+            // Swallow request 2 until the client gives up on it.
+            while read_frame(&mut s).is_ok() {}
+        });
+        let gap = STALL_TIMEOUT * 15 / 8;
+        let source = |_, req: u64| {
+            (req < 3).then_some(LoadRequest {
+                model: "m",
+                num_samples: 1,
+                num_features: 3,
+                domain: 2,
+                seed: req,
+                deadline_ms: 0,
+                at_ns: (req == 1).then_some(gap.as_nanos() as u64),
+            })
+        };
+        let report = drive_load(addr, 1, &source, None).unwrap();
+        server.join().unwrap();
+        assert_eq!(report.ok_requests, 2, "{}", report.summary());
+        assert_eq!(report.dropped_connections, 1, "{}", report.summary());
     }
 
     #[test]

@@ -1142,59 +1142,3 @@ fn host_plan_backend_serves_bit_exact_results_over_the_wire() {
 
     server.shutdown();
 }
-
-/// Satellite regression: `reconnect` must preserve *both* timeout
-/// knobs independently — the dial bound from `connect_timeout` and
-/// the per-request I/O bound from `set_io_timeout`. The original
-/// implementation conflated them: it re-dialed under the *I/O*
-/// timeout, so a client built with `connect_timeout` that later
-/// cleared its I/O bound reconnected with no dial bound at all.
-#[test]
-fn reconnect_preserves_dial_and_io_timeouts_independently() {
-    let bench = NipsBenchmark::Nips10;
-    let server = start_server(bench, BatchPolicy::default(), 1 << 20);
-    let dial = Duration::from_secs(2);
-    let mut client = Client::connect_timeout(server.local_addr(), dial).unwrap();
-    assert_eq!(client.dial_timeout(), Some(dial));
-
-    client
-        .set_io_timeout(Some(Duration::from_millis(250)))
-        .unwrap();
-    client.ping().unwrap();
-    client.reconnect().unwrap();
-    // The fresh stream carries the I/O bound again (the kernel may
-    // round the value to its tick, so compare approximately).
-    let close_to = |got: Option<Duration>, want: Duration| {
-        let got = got.expect("timeout set");
-        got >= want && got < want + Duration::from_millis(50)
-    };
-    assert!(close_to(
-        client.stream_mut().read_timeout().unwrap(),
-        Duration::from_millis(250)
-    ));
-    assert!(close_to(
-        client.stream_mut().write_timeout().unwrap(),
-        Duration::from_millis(250)
-    ));
-    client.ping().unwrap();
-
-    // … and clearing the I/O bound must not clear the dial bound.
-    client.set_io_timeout(None).unwrap();
-    client.reconnect().unwrap();
-    assert_eq!(client.stream_mut().read_timeout().unwrap(), None);
-    assert_eq!(client.dial_timeout(), Some(dial), "dial bound survives");
-    client.ping().unwrap();
-
-    // A client built without a dial bound keeps having none.
-    let mut plain = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(plain.dial_timeout(), None);
-    plain
-        .set_io_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
-    plain.reconnect().unwrap();
-    assert!(close_to(
-        plain.stream_mut().read_timeout().unwrap(),
-        Duration::from_millis(100)
-    ));
-    plain.ping().unwrap();
-}
