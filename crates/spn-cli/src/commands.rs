@@ -21,7 +21,7 @@ use spn_server::{
     run_load, BatchPolicy, LoadConfig, ModelSpec, ReactorConfig, ServerConfig, ServingMode,
     SpnServer,
 };
-use spn_telemetry::{ModelTelemetry, TelemetrySnapshot, TraceCollector};
+use spn_telemetry::{chrome_trace_json, ModelTelemetry, TelemetrySnapshot, TraceCollector};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -358,8 +358,8 @@ fn cmd_simulate(args: &Args) -> Result<CmdResult, CmdError> {
     cfg.total_samples = args.get_at_least("samples", 100_000_000u64, 1)?;
     cfg.include_transfers = !args.get_or("no-transfers", false)?;
     let (r, files) = if let Some(path) = args.get("trace") {
-        let (r, trace) = spn_runtime::perf::simulate_traced(&cfg);
-        (r, vec![(path.to_string(), trace.to_chrome_json())])
+        let (r, spans) = spn_runtime::perf::simulate_traced(&cfg);
+        (r, vec![(path.to_string(), chrome_trace_json(&spans))])
     } else {
         (simulate(&cfg), Vec::new())
     };
@@ -949,6 +949,22 @@ mod tests {
         let r = run_tokens("simulate --benchmark NIPS10 --pes 2 --samples 2097152").unwrap();
         assert!(r.stdout.contains("M samples/s"));
         assert!(r.stdout.contains("NIPS10 on 2 PEs"));
+    }
+
+    /// The Chrome trace `simulate --trace` writes, pinned byte for
+    /// byte: a double-buffered 2 PE × 2 thread run, digested with the
+    /// workspace's FNV-1a. The constant was taken before the virtual
+    /// trace moved onto `LiveSpan` and the shared exporter.
+    #[test]
+    fn simulate_trace_file_is_pinned() {
+        let r = run_tokens(
+            "simulate --benchmark NIPS10 --pes 2 --threads 2 --samples 8388608 --trace t.json",
+        )
+        .unwrap();
+        assert_eq!(r.files.len(), 1);
+        assert_eq!(r.files[0].0, "t.json");
+        let digest = sim_core::fnv1a_mix64(r.files[0].1.as_bytes());
+        assert_eq!(digest, 0x841c_f935_f483_04c8, "digest {digest:#018x}");
     }
 
     /// Sizes the libraries `assert!` on are rejected at the CLI

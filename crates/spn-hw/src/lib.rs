@@ -18,7 +18,6 @@
 //! 64-bit HBM addressing and the configuration-readout execution mode;
 //! [`calib`] records every paper-reported number for comparison.
 
-pub mod axi_traffic;
 pub mod calib;
 pub mod core;
 pub mod netlist;
@@ -28,7 +27,6 @@ pub mod regfile;
 pub mod resources;
 
 pub use crate::core::{AcceleratorConfig, AcceleratorCore};
-pub use axi_traffic::{plan_job, replay_against_channel, Dir, Request, TrafficPlan};
 pub use netlist::{emit_verilog, Netlist};
 pub use pipeline::{OpLatencies, PipelineSchedule};
 pub use program::{DatapathOp, DatapathProgram, OpCounts, OpId};

@@ -30,7 +30,7 @@ use spn_server::protocol::{Frame, InferRequest, Opcode, Status};
 use spn_server::reactor::{self, ReactorConfig, ReactorHandle, Target, Upstream};
 use spn_server::{Client, ClientError, Frontend, InferReply, ReactorMetrics, Service};
 use spn_telemetry::{
-    SpanCtx, SpanKind, TelemetrySnapshot, TraceCollector, TELEMETRY_SCHEMA_VERSION,
+    LiveSpan, SpanCtx, SpanKind, TelemetrySnapshot, TraceCollector, TELEMETRY_SCHEMA_VERSION,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -348,8 +348,9 @@ impl Router {
             }
         }
         if let Some(trace) = &self.config.trace {
+            let (tid, when) = (LiveSpan::NO_THREAD, t_pick..Instant::now());
             let n = candidates.len() as u64;
-            trace.record(SpanKind::RoutePick, ctx, 0, n, t_pick, Instant::now());
+            trace.record(SpanKind::RoutePick, ctx, 0, tid, n, when);
         }
         candidates
     }
@@ -432,8 +433,8 @@ impl<F: FnOnce(InferReply) + Send + 'static> Forward<F> {
     ) {
         let router = Arc::clone(&self.router);
         if let Some(trace) = &router.config.trace {
-            let now = Instant::now();
-            trace.record(SpanKind::BackendRpc, self.ctx, 0, idx as u64, t_rpc, now);
+            let (tid, when) = (LiveSpan::NO_THREAD, t_rpc..Instant::now());
+            trace.record(SpanKind::BackendRpc, self.ctx, 0, tid, idx as u64, when);
         }
         let backend = &router.backends[idx];
         let answer = match reply {
@@ -485,7 +486,7 @@ mod tests {
     use spn_arith::AnyFormat;
     use spn_core::{Dataset, NipsBenchmark};
     use spn_hw::{AcceleratorConfig, DatapathProgram};
-    use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
+    use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
     use spn_server::protocol::{decode_results, read_frame, write_frame};
     use spn_server::{ModelSpec, ServerConfig, SpnServer};
     use std::io::Read;
@@ -565,10 +566,10 @@ mod tests {
 
     /// The one-row `dataset`'s log-likelihood, straight from the runtime.
     fn direct(dataset: &Dataset) -> u64 {
-        let runtime = SpnRuntime::new(Arc::new(device()), RuntimeConfig::default());
-        runtime.run(dataset, JobOptions::default()).unwrap().values[0]
-            .ln()
-            .to_bits()
+        let scheduler = Scheduler::new(Arc::new(device()), RuntimeConfig::default()).unwrap();
+        let data = Arc::new(dataset.clone());
+        let handle = scheduler.submit_blocking(data, JobOptions::default());
+        handle.unwrap().wait().unwrap()[0].ln().to_bits()
     }
 
     /// A backend that accepts and never answers stalls only the

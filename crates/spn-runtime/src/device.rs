@@ -663,6 +663,7 @@ mod tests {
         let metrics = crate::MetricsRegistry::new(dev.num_pes());
         let cx = BlockCx {
             pe: 0,
+            tid: 0,
             block: 0,
             samples,
             ctx: spn_telemetry::SpanCtx::NONE,

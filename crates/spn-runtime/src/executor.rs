@@ -17,7 +17,7 @@ use crate::runtime::{ExecProvenance, RuntimeError};
 use crate::sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
 use parking_lot::Mutex;
 use spn_core::{CompiledPlan, ShardPlan};
-use spn_telemetry::{ShardTelemetry, SpanCtx, SpanKind, TraceCollector};
+use spn_telemetry::{LiveSpan, ShardTelemetry, SpanCtx, SpanKind, TraceCollector};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,6 +27,9 @@ use std::time::Instant;
 pub(crate) struct BlockCx<'a> {
     /// The PE (= HBM channel) whose control thread runs the block.
     pub pe: u32,
+    /// That control thread: scheduler worker `tid` drives PE
+    /// `tid % num_pes`.
+    pub tid: u32,
     /// Index of the block within its job.
     pub block: u64,
     /// Samples in the block.
@@ -40,11 +43,13 @@ pub(crate) struct BlockCx<'a> {
 }
 
 impl BlockCx<'_> {
-    /// Record a `kind` span from `t0` to now, stamped with the job's
-    /// trace context. No-op when tracing is off.
+    /// Record a `kind` span from `t0` to now on the control thread's
+    /// track, stamped with the job's trace context. No-op when tracing
+    /// is off.
     pub fn span(&self, kind: SpanKind, t0: Instant) {
         if let Some(t) = self.trace {
-            t.record(kind, self.ctx, self.pe, self.block, t0, Instant::now());
+            let when = t0..Instant::now();
+            t.record(kind, self.ctx, self.pe, self.tid, self.block, when);
         }
     }
 }
@@ -175,17 +180,12 @@ impl Executors {
         Ok(ex)
     }
 
-    /// Plan compiles serve no single request: no trace context, PE 0.
+    /// Plan compiles serve no single request and run on no control
+    /// thread: no trace context, PE 0, a track of their own.
     fn compile_span(&self, t0: Instant) {
         if let Some(t) = self.trace.as_deref() {
-            t.record(
-                SpanKind::PlanCompile,
-                SpanCtx::NONE,
-                0,
-                0,
-                t0,
-                Instant::now(),
-            );
+            let (ctx, tid) = (SpanCtx::NONE, LiveSpan::NO_THREAD);
+            t.record(SpanKind::PlanCompile, ctx, 0, tid, 0, t0..Instant::now());
         }
     }
 }

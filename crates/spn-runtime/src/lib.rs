@@ -7,10 +7,11 @@
 //!   the paper built because TaPaSCo could not split the address space;
 //! * [`device`] — the functional virtual accelerator card: per-channel
 //!   byte storage, register files, bit-accurate cores;
-//! * [`runtime`] — the TaPaSCo-style host runtime: device queries, job
-//!   splitting, real control threads overlapping transfer and compute;
-//! * [`scheduler`] — the concurrent multi-job scheduler: a persistent
-//!   worker pool, `submit`/`wait` job handles, per-block fault retry,
+//! * [`runtime`] — the TaPaSCo-style host runtime's configuration,
+//!   errors and result provenance;
+//! * [`scheduler`] — the one way to run a job, one or many at a time:
+//!   a persistent pool of control threads overlapping transfer and
+//!   compute, `submit`/`wait` job handles, per-block fault retry,
 //!   round-robin fairness and a bounded backpressure queue. It is
 //!   backend-agnostic: each job's blocks run through one of three
 //!   block executors (device pipeline, compiled plan, shard cut) that
@@ -24,7 +25,8 @@
 //! * [`metrics`] — atomic runtime counters/gauges, snapshotted into the
 //!   unified `spn-telemetry` schema;
 //! * [`job`] — block decomposition and per-job options;
-//! * [`perf`] — the virtual-time end-to-end simulation behind Figs. 4/6;
+//! * [`perf`] — the virtual-time end-to-end simulation behind Figs. 4/6,
+//!   traced in the same `spn-telemetry` spans a live scheduler records;
 //! * [`analysis`] — the Fig. 5 scaling-potential study and the §V-C
 //!   PCIe-generation outlook;
 //! * [`streaming`] — the 100G in-network comparison model (\[7\]).
@@ -71,7 +73,6 @@ pub mod runtime;
 pub mod scheduler;
 pub mod sharded;
 pub mod streaming;
-pub mod trace;
 
 pub use analysis::{
     hbm_limits, max_cores_by_hbm, pcie_outlook, required_bandwidth, HbmLimits, OutlookRow,
@@ -84,16 +85,13 @@ pub use memmgr::{AllocError, DeviceBuffer, DeviceMemoryManager};
 pub use metrics::{JobOutcome, MetricsRegistry, MetricsSnapshot};
 pub use perf::{scaling_series, simulate, simulate_traced, PerfConfig, PerfResult};
 pub use plan_cache::PlanCache;
-pub use runtime::{
-    ExecProvenance, InferResult, RuntimeConfig, RuntimeConfigBuilder, RuntimeError, SpnRuntime,
-};
+pub use runtime::{ExecProvenance, RuntimeConfig, RuntimeConfigBuilder, RuntimeError};
 pub use scheduler::{JobHandle, JobResult, JobStatus, Scheduler};
 pub use sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
 pub use streaming::{
     min_replication_for_line_rate, simulate_streaming, StreamingModel, StreamingSimConfig,
     StreamingSimResult,
 };
-pub use trace::{Span, SpanKind, Trace};
 
 // Re-exported so scheduler users can mint trace contexts and attach a
 // live collector without depending on `spn-telemetry` directly.
@@ -111,9 +109,7 @@ pub mod prelude {
     pub use crate::memmgr::{AllocError, DeviceBuffer, DeviceMemoryManager};
     pub use crate::metrics::{JobOutcome, MetricsRegistry, MetricsSnapshot};
     pub use crate::plan_cache::PlanCache;
-    pub use crate::runtime::{
-        ExecProvenance, InferResult, RuntimeConfig, RuntimeConfigBuilder, RuntimeError, SpnRuntime,
-    };
+    pub use crate::runtime::{ExecProvenance, RuntimeConfig, RuntimeConfigBuilder, RuntimeError};
     pub use crate::scheduler::{JobHandle, JobResult, JobStatus, Scheduler};
     pub use crate::sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
     pub use spn_core::{CompiledPlan, PlanExecutor, Query, ShardPlan};

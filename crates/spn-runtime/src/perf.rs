@@ -15,7 +15,6 @@
 //! "embarrassingly parallel" panel that scales linearly).
 
 use crate::job::{assign_to_pes, split_into_blocks, Block};
-use crate::trace::{Span, SpanKind, Trace};
 use mem_model::HbmChannelConfig;
 use pcie_model::{Direction, DmaConfig, DmaEngine};
 use serde::{Deserialize, Serialize};
@@ -24,7 +23,7 @@ use sim_core::{
 };
 use spn_core::NipsBenchmark;
 use spn_hw::AcceleratorConfig;
-use spn_telemetry::TraceId;
+use spn_telemetry::{LiveSpan, SpanCtx, SpanKind};
 use std::collections::VecDeque;
 
 /// Configuration of one simulated run.
@@ -129,7 +128,7 @@ struct Pipeline<'a> {
     latency: LogHistogram,
     makespan: SimTime,
     pcie_bytes: u64,
-    trace: Option<&'a mut Trace>,
+    trace: Option<&'a mut Vec<LiveSpan>>,
 }
 
 impl Pipeline<'_> {
@@ -138,17 +137,20 @@ impl Pipeline<'_> {
         tid % self.cfg.num_pes
     }
 
+    /// Record grant `g` as a span on thread `tid`'s track, in
+    /// microseconds of virtual time.
     fn span(&mut self, kind: SpanKind, tid: u32, block: Block, g: Grant) {
         let pe = self.pe(tid);
+        let us = |ps: u64| ps as f64 / 1e6;
         if let Some(t) = self.trace.as_deref_mut() {
-            t.record(Span {
+            t.push(LiveSpan {
                 kind,
-                trace_id: TraceId::NONE,
-                tid,
+                ctx: SpanCtx::NONE,
                 pe,
+                tid,
                 block: block.first_sample / self.cfg.block_samples,
-                start: g.start,
-                end: g.end,
+                ts_us: us(g.start.as_ps()),
+                dur_us: us(g.end.saturating_since(g.start).as_ps()),
             });
         }
     }
@@ -218,15 +220,16 @@ pub fn simulate(cfg: &PerfConfig) -> PerfResult {
     simulate_impl(cfg, None)
 }
 
-/// Run the simulation while recording a [`Trace`] of every span
-/// (exportable to Chrome trace JSON via [`Trace::to_chrome_json`]).
-pub fn simulate_traced(cfg: &PerfConfig) -> (PerfResult, Trace) {
-    let mut trace = Trace::new();
+/// Run the simulation while recording every transfer and execution as
+/// a span on its control thread's track, in recording order
+/// (exportable with [`spn_telemetry::chrome_trace_json`]).
+pub fn simulate_traced(cfg: &PerfConfig) -> (PerfResult, Vec<LiveSpan>) {
+    let mut trace = Vec::new();
     let result = simulate_impl(cfg, Some(&mut trace));
     (result, trace)
 }
 
-fn simulate_impl(cfg: &PerfConfig, trace: Option<&mut Trace>) -> PerfResult {
+fn simulate_impl(cfg: &PerfConfig, trace: Option<&mut Vec<LiveSpan>>) -> PerfResult {
     assert!(cfg.num_pes >= 1 && cfg.threads_per_pe >= 1);
     let in_bytes_per_sample = cfg.benchmark.input_bytes_per_sample();
     let blocks = split_into_blocks(cfg.total_samples, cfg.block_samples);
@@ -402,11 +405,11 @@ mod tests {
         cfg.total_samples = 8 << 20;
         cfg.threads_per_pe = 2;
         let (result, trace) = simulate_traced(&cfg);
-        trace.validate().expect("trace invariants hold");
-        // 8 blocks -> 8 spans of each kind.
-        assert_eq!(trace.of_kind(crate::trace::SpanKind::H2D).count(), 8);
-        assert_eq!(trace.of_kind(crate::trace::SpanKind::Execute).count(), 8);
-        assert_eq!(trace.of_kind(crate::trace::SpanKind::D2H).count(), 8);
+        // 8 blocks -> 8 spans of each kind. (The per-track and per-block
+        // ordering check is `tests/telemetry.rs`'s.)
+        for kind in [SpanKind::H2D, SpanKind::Execute, SpanKind::D2H] {
+            assert_eq!(trace.iter().filter(|s| s.kind == kind).count(), 8);
+        }
         // Traced and untraced results agree.
         let plain = simulate(&cfg);
         assert_eq!(plain.samples_per_sec, result.samples_per_sec);
@@ -424,11 +427,10 @@ mod tests {
         cfg.total_samples = 16 << 20;
         cfg.threads_per_pe = 2;
         let (_, trace) = simulate_traced(&cfg);
-        let execs: Vec<_> = trace.of_kind(crate::trace::SpanKind::Execute).collect();
-        let overlapped = trace.of_kind(crate::trace::SpanKind::H2D).any(|h| {
-            execs
-                .iter()
-                .any(|e| e.pe == h.pe && h.start < e.end && e.start < h.end)
+        let of_kind = |kind| trace.iter().filter(move |s| s.kind == kind);
+        let end = |s: &LiveSpan| s.ts_us + s.dur_us;
+        let overlapped = of_kind(SpanKind::H2D).any(|h| {
+            of_kind(SpanKind::Execute).any(|e| e.pe == h.pe && h.ts_us < end(e) && e.ts_us < end(h))
         });
         assert!(overlapped, "no transfer/compute overlap observed");
     }
@@ -530,26 +532,31 @@ mod tests {
     /// The span list of one double-buffered run, digested in recording
     /// order (same provenance as [`KNOWN_ANSWERS`]): pins which thread
     /// wins each tie on the shared DMA engine, which no aggregate shows.
+    /// Each span's picosecond endpoints are recovered from its
+    /// microseconds, exactly at these magnitudes.
     #[test]
     fn traced_span_list_known_answer() {
         let mut cfg = PerfConfig::paper_setup(NipsBenchmark::Nips10, 2);
         cfg.total_samples = 8 << 20;
         cfg.threads_per_pe = 2;
         let (r, trace) = simulate_traced(&cfg);
+        let ps = |us: f64| (us * 1e6).round() as u64;
         let mut bytes = Vec::new();
-        for s in &trace.spans {
+        for s in &trace {
             bytes.extend_from_slice(s.kind.label().as_bytes());
+            let start = ps(s.ts_us);
             for v in [
                 u64::from(s.tid),
                 u64::from(s.pe),
                 s.block,
-                s.start.as_ps(),
-                s.end.as_ps(),
+                start,
+                start + ps(s.dur_us),
             ] {
                 bytes.extend_from_slice(&v.to_le_bytes());
             }
         }
-        assert_eq!(trace.spans.len(), 24);
+        assert!(trace.iter().all(|s| s.ctx == SpanCtx::NONE));
+        assert_eq!(trace.len(), 24);
         assert_eq!(sim_core::fnv1a_mix64(&bytes), 0x8c74_0c67_5f55_5e6a);
         let (p50, p95, p99) = r.block_latency.unwrap();
         assert_eq!(

@@ -11,28 +11,22 @@
 //!   thread B waits on the accelerator computing block *n* — the
 //!   overlap scheme that hides transfer time.
 //!
-//! Since the scheduler redesign, the control threads live in a
-//! persistent [`crate::scheduler::Scheduler`] worker pool owned by the
-//! runtime, and [`SpnRuntime::run`] is a thin
-//! `submit_blocking` + `wait` wrapper around it — the blocking
-//! single-job API and the concurrent multi-job API share one code
-//! path. Use [`SpnRuntime::scheduler`] (or build a
-//! [`crate::Scheduler`] directly) for concurrent submission, job
-//! handles and metrics. [`JobOptions`] selects the execution backend:
+//! The control threads live in a persistent [`crate::Scheduler`]
+//! worker pool, the one way to run a job: `submit` / `submit_blocking`
+//! return a job handle whose `wait` yields the results and whose
+//! `provenance` says how they were computed. This module holds what the
+//! scheduler and its callers share: the [`RuntimeConfig`] knobs, the
+//! [`RuntimeError`] they can fail with and the [`ExecProvenance`] of a
+//! job's results. [`crate::JobOptions`] selects the execution backend:
 //! the device (default) or the host through the model's compiled
 //! inference plan ([`crate::job::ExecBackend::HostPlan`]).
 //!
 //! These are real OS threads moving real bytes through the
-//! [`VirtualDevice`]; the results are bit-exact accelerator output.
+//! [`crate::VirtualDevice`]; the results are bit-exact accelerator
+//! output.
 
-use crate::device::{DeviceError, VirtualDevice};
-use crate::job::JobOptions;
+use crate::device::DeviceError;
 use crate::memmgr::AllocError;
-use crate::metrics::MetricsSnapshot;
-use crate::scheduler::Scheduler;
-use spn_core::Dataset;
-use spn_telemetry::TraceCollector;
-use std::sync::Arc;
 
 /// Runtime configuration knobs (the paper's user-visible parameters,
 /// plus the scheduler's queue bound).
@@ -256,8 +250,8 @@ impl From<DeviceError> for RuntimeError {
     }
 }
 
-/// How a set of inference results was produced — the provenance a
-/// typed [`InferResult`] carries alongside its values.
+/// How a job's results were produced, as its
+/// [`crate::JobHandle::provenance`] reports from submission on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecProvenance {
     /// Executed on the virtual accelerator device (CFP/LNS/Posit
@@ -282,116 +276,44 @@ pub enum ExecProvenance {
     },
 }
 
-/// Batch-inference results plus how they were computed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InferResult {
-    /// One probability per sample, in dataset order.
-    pub values: Vec<f64>,
-    /// Which execution path produced the values.
-    pub provenance: ExecProvenance,
-}
-
-/// The runtime handle: a device plus a persistent scheduler.
-///
-/// [`SpnRuntime::run`] is the one-call blocking API;
-/// [`SpnRuntime::scheduler`] exposes the concurrent submit/wait API
-/// underneath it.
-pub struct SpnRuntime {
-    device: Arc<VirtualDevice>,
-    config: RuntimeConfig,
-    /// `None` when `config` failed validation; every entry point then
-    /// reports the validation error instead of panicking.
-    scheduler: Option<Scheduler>,
-}
-
-impl SpnRuntime {
-    /// Attach to a device. Never panics: an invalid `config` is
-    /// reported by the first call that needs the scheduler.
-    pub fn new(device: Arc<VirtualDevice>, config: RuntimeConfig) -> Self {
-        SpnRuntime::with_trace(device, config, None)
-    }
-
-    /// Attach to a device with a live span collector: every block the
-    /// scheduler runs records wall-clock h2d/execute/d2h spans into
-    /// `trace` (see [`Scheduler::with_trace`]).
-    pub fn with_trace(
-        device: Arc<VirtualDevice>,
-        config: RuntimeConfig,
-        trace: Option<Arc<TraceCollector>>,
-    ) -> Self {
-        let scheduler = Scheduler::with_trace(Arc::clone(&device), config, trace).ok();
-        SpnRuntime {
-            device,
-            config,
-            scheduler,
-        }
-    }
-
-    /// The attached device.
-    pub fn device(&self) -> &Arc<VirtualDevice> {
-        &self.device
-    }
-
-    /// The runtime configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    /// The underlying concurrent scheduler — the submit/wait API.
-    pub fn scheduler(&self) -> Result<&Scheduler, RuntimeError> {
-        match &self.scheduler {
-            Some(s) => Ok(s),
-            None => Err(match validate_config(&self.config) {
-                Err(e) => e,
-                Ok(()) => RuntimeError::InvalidConfig {
-                    reason: "scheduler failed to start".into(),
-                },
-            }),
-        }
-    }
-
-    /// A point-in-time metrics snapshot, if the scheduler is running.
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.scheduler.as_ref().map(|s| s.metrics_snapshot())
-    }
-
-    /// Run batch inference over a dataset with explicit [`JobOptions`]
-    /// — backend selection, PE restriction, retry budget, trace
-    /// context. Returns a typed [`InferResult`] whose provenance says
-    /// whether the values came off the device or through a compiled
-    /// plan (and whether the plan was a cache hit).
-    ///
-    /// Equivalent to `scheduler().submit_blocking(..).wait()`; this is
-    /// the single-job entry point.
-    pub fn run(&self, data: &Dataset, opts: JobOptions) -> Result<InferResult, RuntimeError> {
-        let handle = self
-            .scheduler()?
-            .submit_blocking(Arc::new(data.clone()), opts)?;
-        let provenance = handle.provenance();
-        let values = handle.wait()?;
-        Ok(InferResult { values, provenance })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::VirtualDevice;
+    use crate::job::{ExecBackend, JobOptions};
+    use crate::scheduler::{JobResult, Scheduler};
     use sim_core::MIB;
     use spn_arith::{AnyFormat, CfpFormat};
-    use spn_core::{Evaluator, NipsBenchmark, Query};
+    use spn_core::{Dataset, Evaluator, NipsBenchmark, Query};
     use spn_hw::{AcceleratorConfig, DatapathProgram};
+    use std::sync::Arc;
 
-    fn runtime(pes: u32, cfg: RuntimeConfig) -> (SpnRuntime, NipsBenchmark) {
-        let bench = NipsBenchmark::Nips10;
-        let prog = DatapathProgram::compile(&bench.build_spn());
+    /// A NIPS10 device with `pes` PEs, carrying its model (which the
+    /// HostPlan backend needs) when `with_model`.
+    fn device(pes: u32, with_model: bool) -> Arc<VirtualDevice> {
+        let spn = NipsBenchmark::Nips10.build_spn();
         let dev = VirtualDevice::new(
-            prog,
+            DatapathProgram::compile(&spn),
             AnyFormat::Cfp(CfpFormat::paper_default()),
             AcceleratorConfig::paper_default(),
             pes,
             16 * MIB,
         );
-        (SpnRuntime::new(Arc::new(dev), cfg), bench)
+        Arc::new(if with_model {
+            dev.with_model(Arc::new(spn))
+        } else {
+            dev
+        })
+    }
+
+    fn scheduler(pes: u32, cfg: RuntimeConfig) -> (Scheduler, NipsBenchmark) {
+        let sched = Scheduler::new(device(pes, false), cfg).unwrap();
+        (sched, NipsBenchmark::Nips10)
+    }
+
+    /// One job, submitted and waited for.
+    fn run(sched: &Scheduler, data: &Dataset, opts: JobOptions) -> JobResult {
+        sched.submit_blocking(Arc::new(data.clone()), opts)?.wait()
     }
 
     fn reference(bench: NipsBenchmark, data: &Dataset) -> Vec<f64> {
@@ -404,7 +326,7 @@ mod tests {
 
     #[test]
     fn inference_matches_reference_order_preserved() {
-        let (rt, bench) = runtime(
+        let (sched, bench) = scheduler(
             4,
             RuntimeConfig::builder()
                 .block_samples(100)
@@ -413,7 +335,7 @@ mod tests {
                 .unwrap(),
         );
         let data = bench.dataset(1234, 11); // deliberately not block-aligned
-        let got = rt.run(&data, JobOptions::default()).unwrap().values;
+        let got = run(&sched, &data, JobOptions::default()).unwrap();
         let want = reference(bench, &data);
         assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -424,7 +346,7 @@ mod tests {
 
     #[test]
     fn single_pe_single_thread_works() {
-        let (rt, bench) = runtime(
+        let (sched, bench) = scheduler(
             1,
             RuntimeConfig::builder()
                 .block_samples(64)
@@ -433,14 +355,14 @@ mod tests {
                 .unwrap(),
         );
         let data = bench.dataset(500, 3);
-        let got = rt.run(&data, JobOptions::default()).unwrap().values;
+        let got = run(&sched, &data, JobOptions::default()).unwrap();
         assert_eq!(got.len(), 500);
         assert!(got.iter().all(|p| p.is_finite() && *p > 0.0));
     }
 
     #[test]
     fn many_threads_per_pe_are_consistent() {
-        let (rt, bench) = runtime(
+        let (sched, bench) = scheduler(
             2,
             RuntimeConfig::builder()
                 .block_samples(32)
@@ -449,19 +371,17 @@ mod tests {
                 .unwrap(),
         );
         let data = bench.dataset(1000, 17);
-        let a = rt.run(&data, JobOptions::default()).unwrap().values;
-        let b = rt.run(&data, JobOptions::default()).unwrap().values;
+        let a = run(&sched, &data, JobOptions::default()).unwrap();
+        let b = run(&sched, &data, JobOptions::default()).unwrap();
         assert_eq!(a, b, "runtime results are deterministic");
     }
 
     #[test]
     fn restricted_pe_count() {
-        let (rt, bench) = runtime(4, RuntimeConfig::default());
+        let (sched, bench) = scheduler(4, RuntimeConfig::default());
         let data = bench.dataset(100, 2);
-        let got = rt
-            .run(&data, JobOptions::builder().num_pes(2).build().unwrap())
-            .unwrap()
-            .values;
+        let two = JobOptions::builder().num_pes(2).build().unwrap();
+        let got = run(&sched, &data, two).unwrap();
         let want = reference(bench, &data);
         for (g, w) in got.iter().zip(&want) {
             assert!(((g - w) / w).abs() < 1e-4);
@@ -470,7 +390,7 @@ mod tests {
 
     #[test]
     fn zero_and_out_of_range_pe_counts_are_errors_not_panics() {
-        let (rt, bench) = runtime(2, RuntimeConfig::default());
+        let (sched, bench) = scheduler(2, RuntimeConfig::default());
         let data = bench.dataset(16, 2);
         // Zero is rejected by the options builder...
         assert!(matches!(
@@ -480,12 +400,12 @@ mod tests {
         // ...and an out-of-range count by submission.
         let three = JobOptions::builder().num_pes(3).build().unwrap();
         assert!(matches!(
-            rt.run(&data, three),
+            run(&sched, &data, three),
             Err(RuntimeError::InvalidConfig { .. })
         ));
-        // The runtime still works afterwards.
+        // The scheduler still works afterwards.
         let two = JobOptions::builder().num_pes(2).build().unwrap();
-        assert_eq!(rt.run(&data, two).unwrap().values.len(), 16);
+        assert_eq!(run(&sched, &data, two).unwrap().len(), 16);
     }
 
     #[test]
@@ -494,16 +414,14 @@ mod tests {
             block_samples: 0,
             ..RuntimeConfig::default()
         };
-        let (rt, bench) = runtime(1, cfg);
-        let data = bench.dataset(8, 1);
-        match rt.run(&data, JobOptions::default()) {
+        match Scheduler::new(device(1, false), cfg) {
             Err(RuntimeError::InvalidConfig { reason }) => {
                 assert!(reason.contains("block_samples"), "got: {reason}")
             }
-            other => panic!("expected InvalidConfig, got {other:?}"),
+            Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+            Ok(_) => panic!("expected InvalidConfig, got a scheduler"),
         }
     }
-
     #[test]
     fn builder_validates_ranges() {
         assert!(RuntimeConfig::builder().build().is_ok());
@@ -571,28 +489,26 @@ mod tests {
 
     #[test]
     fn empty_job() {
-        let (rt, bench) = runtime(2, RuntimeConfig::default());
+        let (sched, bench) = scheduler(2, RuntimeConfig::default());
         let data = bench.dataset(0, 1);
-        assert!(rt
-            .run(&data, JobOptions::default())
+        assert!(run(&sched, &data, JobOptions::default())
             .unwrap()
-            .values
             .is_empty());
     }
 
     #[test]
     fn shape_mismatch_detected() {
-        let (rt, _) = runtime(1, RuntimeConfig::default());
+        let (sched, _) = scheduler(1, RuntimeConfig::default());
         let wrong = NipsBenchmark::Nips20.dataset(10, 1);
         assert!(matches!(
-            rt.run(&wrong, JobOptions::default()),
+            run(&sched, &wrong, JobOptions::default()),
             Err(RuntimeError::ShapeMismatch { .. })
         ));
     }
 
     #[test]
     fn device_memory_is_returned_after_inference() {
-        let (rt, bench) = runtime(
+        let (sched, bench) = scheduler(
             2,
             RuntimeConfig::builder()
                 .block_samples(128)
@@ -600,82 +516,66 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let before: Vec<u64> = (0..2)
-            .map(|c| rt.device().memory().free_bytes(c).unwrap())
-            .collect();
+        let memory = sched.device().memory();
+        let before: Vec<u64> = (0..2).map(|c| memory.free_bytes(c).unwrap()).collect();
         let data = bench.dataset(2000, 23);
-        rt.run(&data, JobOptions::default()).unwrap();
+        run(&sched, &data, JobOptions::default()).unwrap();
         for (c, b) in before.iter().enumerate() {
             assert_eq!(
-                rt.device().memory().free_bytes(c as u32).unwrap(),
+                memory.free_bytes(c as u32).unwrap(),
                 *b,
                 "channel {c} leaked device memory"
             );
         }
     }
 
-    /// Build a runtime whose device carries its model, enabling the
-    /// HostPlan backend.
-    fn runtime_with_model(pes: u32, cfg: RuntimeConfig) -> (SpnRuntime, NipsBenchmark) {
-        let bench = NipsBenchmark::Nips10;
-        let spn = bench.build_spn();
-        let prog = DatapathProgram::compile(&spn);
-        let dev = VirtualDevice::new(
-            prog,
-            AnyFormat::Cfp(CfpFormat::paper_default()),
-            AcceleratorConfig::paper_default(),
-            pes,
-            16 * MIB,
-        )
-        .with_model(Arc::new(spn));
-        (SpnRuntime::new(Arc::new(dev), cfg), bench)
-    }
-
     #[test]
     fn host_plan_backend_is_bit_exact_with_the_oracle() {
-        let (rt, bench) = runtime_with_model(
-            2,
-            RuntimeConfig::builder()
-                .block_samples(100)
-                .threads_per_pe(2)
-                .build()
-                .unwrap(),
-        );
-        let data = bench.dataset(1234, 11);
-        let opts = JobOptions::builder()
-            .backend(crate::job::ExecBackend::HostPlan)
+        let cfg = RuntimeConfig::builder()
+            .block_samples(100)
+            .threads_per_pe(2)
             .build()
             .unwrap();
-        let res = rt.run(&data, opts).unwrap();
+        let sched = Scheduler::new(device(2, true), cfg).unwrap();
+        let bench = NipsBenchmark::Nips10;
+        let data = Arc::new(bench.dataset(1234, 11));
+        let opts = JobOptions::builder()
+            .backend(ExecBackend::HostPlan)
+            .build()
+            .unwrap();
+        // The provenance is known at submission, before the results.
+        let submit = |opts| sched.submit_blocking(Arc::clone(&data), opts).unwrap();
+        let first = submit(opts);
         assert_eq!(
-            res.provenance,
+            first.provenance(),
             ExecProvenance::CompiledPlan { cache_hit: false },
             "first HostPlan job compiled the plan"
         );
         let want = reference(bench, &data);
-        for (i, (g, w)) in res.values.iter().zip(&want).enumerate() {
+        for (i, (g, w)) in first.wait().unwrap().iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "sample {i}: {g} vs {w}");
         }
-        // A second job reuses the compiled plan.
-        let res2 = rt.run(&data, opts).unwrap();
-        assert_eq!(
-            res2.provenance,
-            ExecProvenance::CompiledPlan { cache_hit: true }
-        );
-        // Device jobs report device provenance.
-        let dev_res = rt.run(&data, JobOptions::default()).unwrap();
-        assert_eq!(dev_res.provenance, ExecProvenance::Device);
+        // A second job reuses the compiled plan; device jobs report
+        // device provenance.
+        for (opts, want) in [
+            (opts, ExecProvenance::CompiledPlan { cache_hit: true }),
+            (JobOptions::default(), ExecProvenance::Device),
+        ] {
+            let handle = submit(opts);
+            assert_eq!(handle.provenance(), want);
+            assert_eq!(handle.wait().unwrap().len(), data.num_samples());
+        }
     }
 
     #[test]
     fn host_plan_requires_a_model_on_the_device() {
-        let (rt, bench) = runtime(1, RuntimeConfig::default());
+        let (sched, bench) = scheduler(1, RuntimeConfig::default());
         let data = bench.dataset(8, 1);
         let opts = JobOptions::builder()
-            .backend(crate::job::ExecBackend::HostPlan)
+            .backend(ExecBackend::HostPlan)
             .build()
             .unwrap();
-        match rt.run(&data, opts) {
+        match run(&sched, &data, opts) {
             Err(RuntimeError::InvalidConfig { reason }) => {
                 assert!(reason.contains("with_model"), "got: {reason}")
             }
@@ -685,7 +585,7 @@ mod tests {
 
     #[test]
     fn infer_feeds_the_metrics_registry() {
-        let (rt, bench) = runtime(
+        let (sched, bench) = scheduler(
             2,
             RuntimeConfig::builder()
                 .block_samples(50)
@@ -694,8 +594,8 @@ mod tests {
                 .unwrap(),
         );
         let data = bench.dataset(525, 9);
-        rt.run(&data, JobOptions::default()).unwrap();
-        let m = rt.metrics_snapshot().unwrap();
+        run(&sched, &data, JobOptions::default()).unwrap();
+        let m = sched.metrics_snapshot();
         assert_eq!(m.jobs_submitted, 1);
         assert_eq!(m.jobs_completed, 1);
         assert_eq!(m.blocks_executed, 11); // ceil(525 / 50)

@@ -29,8 +29,8 @@
 //! * every hot-path event feeds the [`MetricsRegistry`]
 //!   (jobs/blocks/retries/bytes/per-PE busy time).
 //!
-//! The blocking [`crate::SpnRuntime::run`] is a thin
-//! `submit_blocking` + `wait` wrapper, so the single-job path and the
+//! It is the one way to run a job: a single blocking job is
+//! `submit_blocking(..)?.wait()`, and the single-job path and the
 //! multi-job path are the same code.
 //!
 //! The scheduler is backend-agnostic: it schedules, executors execute.
@@ -656,7 +656,7 @@ fn worker_loop(shared: &Shared, w: usize, pe: u32) {
                 woken = true;
             }
         };
-        process_block(shared, pe, &job, idx);
+        process_block(shared, w as u32, pe, &job, idx);
     }
 }
 
@@ -689,13 +689,15 @@ fn claim_block(st: &mut State, pe: u32) -> Option<(Arc<JobState>, usize)> {
 /// block-local buffer (retrying transient failures), account the PE's
 /// time and store the results — the executor runs outside
 /// `job.results`' lock, which is held only for the copy. Then do the
-/// completion bookkeeping, possibly finalising the whole job.
-fn process_block(shared: &Shared, pe: u32, job: &Arc<JobState>, idx: usize) {
+/// completion bookkeeping, possibly finalising the whole job. `tid` is
+/// the calling worker's index, which its spans are recorded under.
+fn process_block(shared: &Shared, tid: u32, pe: u32, job: &Arc<JobState>, idx: usize) {
     let block = job.blocks[idx];
     let (src_off, src_len) = block.input_range(job.data.num_features() as u64);
     let src = &job.data.raw()[src_off as usize..(src_off + src_len) as usize];
     let cx = BlockCx {
         pe,
+        tid,
         block: idx as u64,
         samples: block.samples as usize,
         ctx: job.opts.ctx,

@@ -54,7 +54,7 @@ use crate::protocol::Status;
 use parking_lot::{Condvar, Mutex};
 use spn_core::Dataset;
 use spn_runtime::{JobOptions, JobResult, RuntimeError, Scheduler};
-use spn_telemetry::{SpanCtx, SpanKind};
+use spn_telemetry::{LiveSpan, SpanCtx, SpanKind};
 use std::collections::VecDeque;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -469,9 +469,9 @@ fn flush(shared: &Arc<Shared>, scheduler: &Scheduler, batch: Vec<Pending>, may_w
                 SpanKind::RequestQueued,
                 p.ctx,
                 0,
+                LiveSpan::NO_THREAD,
                 u64::from(p.num_samples),
-                p.enqueued,
-                now,
+                p.enqueued..now,
             );
         }
         let earliest = live
@@ -483,9 +483,9 @@ fn flush(shared: &Arc<Shared>, scheduler: &Scheduler, batch: Vec<Pending>, may_w
             SpanKind::BatchFormed,
             live[0].ctx,
             0,
+            LiveSpan::NO_THREAD,
             total as u64,
-            earliest,
-            now,
+            earliest..now,
         );
     }
     let dataset = Arc::new(Dataset::from_raw(data, shared.num_features, shared.domain));

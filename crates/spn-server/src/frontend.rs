@@ -19,7 +19,7 @@ use crate::metrics::ReactorMetrics;
 use crate::protocol::{Frame, Opcode, Status};
 use crate::reactor::Upstream;
 use parking_lot::{Condvar, Mutex};
-use spn_telemetry::{SpanCtx, SpanKind, TraceCollector};
+use spn_telemetry::{LiveSpan, SpanCtx, SpanKind, TraceCollector};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -171,14 +171,8 @@ impl<S: Service> Frontend<S> {
     pub fn reply_written(&self, ctx: SpanCtx, payload_len: usize, started: Instant) {
         if let Some(trace) = &self.trace {
             let bytes = payload_len as u64;
-            trace.record(
-                SpanKind::ReplyWritten,
-                ctx,
-                0,
-                bytes,
-                started,
-                Instant::now(),
-            );
+            let (tid, when) = (LiveSpan::NO_THREAD, started..Instant::now());
+            trace.record(SpanKind::ReplyWritten, ctx, 0, tid, bytes, when);
         }
     }
 }

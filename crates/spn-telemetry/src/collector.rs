@@ -2,34 +2,20 @@
 //!
 //! A [`TraceCollector`] is shared (via `Arc`) by the server layer and
 //! the scheduler: the server records `RequestQueued` / `BatchFormed` /
-//! `ReplyWritten` spans, the scheduler's workers record `H2D` /
-//! `Execute` / `D2H` spans, all against one common epoch, and the
-//! export interleaves them on correlated Perfetto tracks. Recording
-//! takes a short mutex (append to a `Vec`); the hot-path cost when
-//! tracing is disabled is a single `Option` check at the call site.
+//! `ReplyWritten` spans, each scheduler control thread records its
+//! `H2D` / `Execute` / `D2H` spans under its own worker index, all
+//! against one common epoch. They are the same [`LiveSpan`]s the
+//! virtual-time simulation records, and the export is the same
+//! [`chrome_trace_json`]: runtime spans on one track per control
+//! thread, interleaved with correlated server tracks. Recording takes a
+//! short mutex (append to a `Vec`); the hot-path cost when tracing is
+//! disabled is a single `Option` check at the call site.
 
 use crate::ctx::SpanCtx;
-use crate::span::{chrome_trace_json, ChromeArgs, ChromeEvent, SpanKind};
+use crate::span::{chrome_trace_json, LiveSpan, SpanKind};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::time::Instant;
-
-/// One recorded wall-clock span, in microseconds since the collector's
-/// epoch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LiveSpan {
-    /// What happened.
-    pub kind: SpanKind,
-    /// Request the span belongs to ([`SpanCtx::NONE`] if none).
-    pub ctx: SpanCtx,
-    /// PE the work ran on (0 for server-layer spans).
-    pub pe: u32,
-    /// Block sequence number or sample count, kind-dependent.
-    pub block: u64,
-    /// Start, microseconds since the epoch.
-    pub ts_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
-}
 
 /// Append-only wall-clock span sink with Chrome-trace export.
 #[derive(Debug)]
@@ -54,25 +40,27 @@ impl TraceCollector {
         }
     }
 
-    /// Record one span from its wall-clock endpoints.
+    /// Record one span from its wall-clock endpoints; `tid` is the
+    /// recording control thread, or [`LiveSpan::NO_THREAD`].
     pub fn record(
         &self,
         kind: SpanKind,
         ctx: SpanCtx,
         pe: u32,
+        tid: u32,
         block: u64,
-        start: Instant,
-        end: Instant,
+        when: Range<Instant>,
     ) {
-        let ts_us = start.saturating_duration_since(self.epoch).as_secs_f64() * 1e6;
-        let dur_us = end.saturating_duration_since(start).as_secs_f64() * 1e6;
+        let us =
+            |from: Instant, to: Instant| to.saturating_duration_since(from).as_secs_f64() * 1e6;
         self.spans.lock().push(LiveSpan {
             kind,
             ctx,
             pe,
+            tid,
             block,
-            ts_us,
-            dur_us,
+            ts_us: us(self.epoch, when.start),
+            dur_us: us(when.start, when.end),
         });
     }
 
@@ -91,39 +79,10 @@ impl TraceCollector {
         self.spans.lock().is_empty()
     }
 
-    /// Export as Chrome trace-event JSON. Runtime spans land on
-    /// `pid 0` with one track per PE; server spans land on `pid 1`
-    /// and router spans on `pid 2`, each with one track per request,
-    /// so a request's routing, queue wait and reply line up above the
-    /// device work that served it.
+    /// Export everything recorded so far as Chrome trace-event JSON
+    /// (see [`chrome_trace_json`]), serialised outside the lock.
     pub fn to_chrome_json(&self) -> String {
-        let events: Vec<ChromeEvent> = self
-            .spans
-            .lock()
-            .iter()
-            .map(|s| {
-                let args = ChromeArgs {
-                    trace_id: s.ctx.trace_id.0,
-                    pe: s.pe,
-                    block: s.block,
-                };
-                if s.kind.is_server() || s.kind.is_router() {
-                    ChromeEvent {
-                        name: format!("{} req{}", s.kind.label(), s.ctx.trace_id),
-                        cat: s.kind.category().to_string(),
-                        ph: "X".to_string(),
-                        ts: s.ts_us,
-                        dur: s.dur_us,
-                        pid: if s.kind.is_router() { 2 } else { 1 },
-                        tid: s.ctx.trace_id.0 as u32,
-                        args,
-                    }
-                } else {
-                    ChromeEvent::runtime(s.kind, args, s.pe, s.ts_us, s.dur_us)
-                }
-            })
-            .collect();
-        chrome_trace_json(&events)
+        chrome_trace_json(&self.spans())
     }
 }
 
@@ -138,8 +97,9 @@ mod tests {
         let ctx = SpanCtx::mint();
         let t0 = Instant::now();
         let t1 = t0 + Duration::from_micros(250);
-        tc.record(SpanKind::BatchFormed, ctx, 0, 16, t0, t1);
-        tc.record(SpanKind::Execute, ctx, 2, 5, t0, t1);
+        let server = LiveSpan::NO_THREAD;
+        tc.record(SpanKind::BatchFormed, ctx, 0, server, 16, t0..t1);
+        tc.record(SpanKind::Execute, ctx, 2, 5, 7, t0..t1);
         assert_eq!(tc.len(), 2);
 
         let v: serde_json::Value = serde_json::from_str(&tc.to_chrome_json()).unwrap();
@@ -149,7 +109,9 @@ mod tests {
         assert_eq!(events[0]["pid"], 1u64);
         assert_eq!(events[1]["cat"], "runtime");
         assert_eq!(events[1]["pid"], 0u64);
-        assert_eq!(events[1]["tid"], 2u64);
+        // On its control thread's track, not its PE's.
+        assert_eq!(events[1]["tid"], 5u64);
+        assert_eq!(events[1]["args"]["pe"], 2u64);
         // Both spans carry the same request identity.
         assert_eq!(events[0]["args"]["trace_id"], events[1]["args"]["trace_id"]);
         assert!(events[1]["dur"].as_f64().unwrap() >= 200.0);
@@ -164,7 +126,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for b in 0..100 {
                         let now = Instant::now();
-                        tc.record(SpanKind::H2D, SpanCtx::NONE, pe, b, now, now);
+                        tc.record(SpanKind::H2D, SpanCtx::NONE, pe, pe, b, now..now);
                     }
                 })
             })

@@ -22,7 +22,8 @@ pub struct TraceId(pub u64);
 
 impl TraceId {
     /// The absence of a request: spans recorded outside any request
-    /// (virtual-time simulation, direct `infer()` calls) carry this.
+    /// (virtual-time simulation, plan compiles, jobs submitted without
+    /// a context) carry this.
     pub const NONE: TraceId = TraceId(0);
 
     /// Mint a fresh, process-unique id.

@@ -7,14 +7,14 @@
 //!   minted once per `Infer` request at the wire protocol and carried
 //!   through batcher queue entries and scheduler job options down to
 //!   the device spans.
-//! * [`SpanKind`] — the span vocabulary shared by the server layer
-//!   (`RequestQueued` / `BatchFormed` / `ReplyWritten`) and the
-//!   runtime layer (`H2D` / `Execute` / `D2H`), for both virtual-time
-//!   simulation traces and live wall-clock traces.
-//! * [`TraceCollector`] — wall-clock span recording with Chrome
-//!   trace-event JSON export ([`chrome_trace_json`]), so a
-//!   `chrome://tracing` / Perfetto timeline shows server-side and
-//!   runtime-side spans on correlated tracks.
+//! * [`LiveSpan`] / [`SpanKind`] — the one span type, for both
+//!   virtual-time simulation traces and live wall-clock traces, and
+//!   its vocabulary shared by the server layer (`RequestQueued` /
+//!   `BatchFormed` / `ReplyWritten`) and the runtime layer (`H2D` /
+//!   `Execute` / `D2H`); [`chrome_trace_json`] is their one exporter,
+//!   so a `chrome://tracing` / Perfetto timeline shows server-side
+//!   spans and one track per runtime control thread, correlated.
+//! * [`TraceCollector`] — wall-clock span recording.
 //! * [`AtomicHistogram`] — a lock-free log-bucketed histogram
 //!   (relaxed atomics) for recording latencies on request hot paths.
 //! * [`TelemetrySnapshot`] — the one serde-serialized JSON document
@@ -27,7 +27,7 @@ mod histogram;
 mod snapshot;
 mod span;
 
-pub use collector::{LiveSpan, TraceCollector};
+pub use collector::TraceCollector;
 pub use ctx::{SpanCtx, TraceId};
 pub use histogram::AtomicHistogram;
 pub use sim_core::HistogramSummary;
@@ -36,4 +36,4 @@ pub use snapshot::{
     RouterTelemetry, SchedulerTelemetry, ServingTelemetry, ShardTelemetry, TelemetrySnapshot,
     TELEMETRY_SCHEMA_VERSION,
 };
-pub use span::{chrome_trace_json, ChromeArgs, ChromeEvent, SpanKind};
+pub use span::{chrome_trace_json, ChromeArgs, ChromeEvent, LiveSpan, SpanKind};

@@ -1,11 +1,16 @@
-//! The shared span vocabulary and the Chrome trace-event export.
+//! The one span type, its vocabulary and the Chrome trace-event export.
 //!
-//! Both the virtual-time simulation trace (`spn-runtime::trace`) and
-//! the live wall-clock [`crate::TraceCollector`] speak this
-//! vocabulary, so one Perfetto timeline can show a request's
-//! server-side spans and the device work it caused, correlated by
-//! [`crate::TraceId`] in each event's `args`.
+//! A [`LiveSpan`] is one timed piece of work on either clock: the live
+//! [`crate::TraceCollector`] records them on the wall clock, and the
+//! virtual-time simulation (`spn-runtime::perf`) records them in
+//! simulated time. Both export through [`chrome_trace_json`], so one
+//! Perfetto timeline shows a request's server-side spans above the
+//! device work it caused, correlated by [`crate::TraceId`] in each
+//! event's `args`, and runtime spans on one track per control thread:
+//! one thread's upload overlapping another's compute on the same PE
+//! shows as two rows, not as a tangle on one.
 
+use crate::ctx::SpanCtx;
 use serde::{Deserialize, Serialize};
 
 /// What a span represents, across both layers of the stack.
@@ -88,6 +93,33 @@ impl SpanKind {
     }
 }
 
+/// One recorded span. Times are microseconds since the collector's
+/// epoch for a wall-clock span, since time zero for a virtual one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LiveSpan {
+    /// What happened.
+    pub kind: SpanKind,
+    /// Request the span belongs to ([`SpanCtx::NONE`] if none).
+    pub ctx: SpanCtx,
+    /// PE the work ran on (0 for server-layer spans).
+    pub pe: u32,
+    /// Control thread that recorded the span: scheduler worker `w`,
+    /// which drives PE `w % num_pes`, or [`LiveSpan::NO_THREAD`].
+    pub tid: u32,
+    /// Block sequence number or sample count, kind-dependent.
+    pub block: u64,
+    /// Start, microseconds since the epoch.
+    pub ts_us: f64,
+    /// Duration in microseconds.
+    pub dur_us: f64,
+}
+
+impl LiveSpan {
+    /// The `tid` of a span no control thread records (plan compiles,
+    /// server and router spans), so it never shares a thread's track.
+    pub const NO_THREAD: u32 = u32::MAX;
+}
+
 /// `args` of an exported trace event: the request correlation key plus
 /// the work coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -125,8 +157,7 @@ pub struct ChromeEvent {
 
 impl ChromeEvent {
     /// A runtime-layer slice (`pid 0`) on track `tid`, named
-    /// `"{label} pe{pe} blk{block}"` — the one shape both the live
-    /// [`crate::TraceCollector`] and the virtual-time trace export.
+    /// `"{label} pe{pe} blk{block}"`.
     pub fn runtime(kind: SpanKind, args: ChromeArgs, tid: u32, ts: f64, dur: f64) -> Self {
         ChromeEvent {
             name: format!("{} pe{} blk{}", kind.label(), args.pe, args.block),
@@ -141,12 +172,38 @@ impl ChromeEvent {
     }
 }
 
-/// Render events as a Chrome trace-event JSON array, loadable in
-/// `chrome://tracing` or <https://ui.perfetto.dev>.
-pub fn chrome_trace_json(events: &[ChromeEvent]) -> String {
-    let mut out = serde_json::to_string_pretty(events).expect("trace serialization is infallible");
+/// Render spans as a Chrome trace-event JSON array, loadable in
+/// `chrome://tracing` or <https://ui.perfetto.dev>. Runtime spans land
+/// on `pid 0`, one track per control thread (`tid`); server spans on
+/// `pid 1` and router spans on `pid 2`, one track per request, so a
+/// request's routing, queue wait and reply line up above the device
+/// work that served it.
+pub fn chrome_trace_json(spans: &[LiveSpan]) -> String {
+    let events: Vec<ChromeEvent> = spans.iter().map(chrome_event).collect();
+    let mut out = serde_json::to_string_pretty(&events).expect("trace serialization is infallible");
     out.push('\n');
     out
+}
+
+fn chrome_event(s: &LiveSpan) -> ChromeEvent {
+    let args = ChromeArgs {
+        trace_id: s.ctx.trace_id.0,
+        pe: s.pe,
+        block: s.block,
+    };
+    if !s.kind.is_server() && !s.kind.is_router() {
+        return ChromeEvent::runtime(s.kind, args, s.tid, s.ts_us, s.dur_us);
+    }
+    ChromeEvent {
+        name: format!("{} req{}", s.kind.label(), s.ctx.trace_id),
+        cat: s.kind.category().to_string(),
+        ph: "X".to_string(),
+        ts: s.ts_us,
+        dur: s.dur_us,
+        pid: if s.kind.is_router() { 2 } else { 1 },
+        tid: s.ctx.trace_id.0 as u32,
+        args,
+    }
 }
 
 #[cfg(test)]
@@ -172,29 +229,64 @@ mod tests {
         assert!(!SpanKind::ReplyWritten.is_router());
     }
 
+    fn span(kind: SpanKind, trace_id: u64, pe: u32, tid: u32, block: u64) -> LiveSpan {
+        LiveSpan {
+            kind,
+            ctx: SpanCtx {
+                trace_id: crate::TraceId(trace_id),
+            },
+            pe,
+            tid,
+            block,
+            ts_us: 1.5,
+            dur_us: 10.0,
+        }
+    }
+
     #[test]
     fn export_is_valid_chrome_trace_json() {
-        let events = vec![ChromeEvent {
-            name: "execute pe0 blk3".into(),
-            cat: "runtime".into(),
-            ph: "X".into(),
-            ts: 1.5,
-            dur: 10.0,
-            pid: 0,
-            tid: 0,
-            args: ChromeArgs {
-                trace_id: 7,
-                pe: 0,
-                block: 3,
-            },
-        }];
-        let json = chrome_trace_json(&events);
+        let json = chrome_trace_json(&[span(SpanKind::Execute, 7, 0, 0, 3)]);
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v[0]["ph"], "X");
         assert_eq!(v[0]["ts"], 1.5);
         assert_eq!(v[0]["args"]["trace_id"], 7u64);
         let back: Vec<ChromeEvent> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, events);
+        assert_eq!(
+            back,
+            vec![ChromeEvent {
+                name: "execute pe0 blk3".into(),
+                cat: "runtime".into(),
+                ph: "X".into(),
+                ts: 1.5,
+                dur: 10.0,
+                pid: 0,
+                tid: 0,
+                args: ChromeArgs {
+                    trace_id: 7,
+                    pe: 0,
+                    block: 3,
+                },
+            }]
+        );
+    }
+
+    /// Two control threads of one PE get two rows; a span no thread
+    /// recorded gets a row of its own; server and router spans sit on
+    /// their request's row of their own process.
+    #[test]
+    fn runtime_spans_land_on_their_control_threads_track() {
+        let json = chrome_trace_json(&[
+            span(SpanKind::H2D, 0, 1, 1, 0),
+            span(SpanKind::Execute, 0, 1, 3, 1),
+            span(SpanKind::PlanCompile, 0, 0, LiveSpan::NO_THREAD, 0),
+            span(SpanKind::BatchFormed, 9, 0, LiveSpan::NO_THREAD, 4),
+            span(SpanKind::RoutePick, 9, 0, LiveSpan::NO_THREAD, 2),
+        ]);
+        let events: Vec<ChromeEvent> = serde_json::from_str(&json).unwrap();
+        let rows: Vec<(u32, u32)> = events.iter().map(|e| (e.pid, e.tid)).collect();
+        assert_eq!(rows, [(0, 1), (0, 3), (0, u32::MAX), (1, 9), (2, 9)]);
+        assert_eq!(events[1].name, "execute pe1 blk1");
+        assert_eq!(events[3].name, "batch-formed req9");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use spn_arith::{AnyFormat, CfpFormat};
 use spn_core::{Evaluator, NipsBenchmark, Query};
 use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::perf::{simulate, PerfConfig};
-use spn_runtime::{JobOptions, RuntimeConfig, SpnRuntime, VirtualDevice};
+use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use std::sync::Arc;
 
 fn main() {
@@ -60,29 +60,29 @@ fn main() {
 
     // Run a real batch through the real threads.
     let samples = 200_000;
-    let data = bench.dataset(samples, 2024);
-    let rt = SpnRuntime::new(
+    let data = Arc::new(bench.dataset(samples, 2024));
+    let scheduler = Scheduler::new(
         Arc::clone(&device),
         RuntimeConfig::builder()
             .block_samples(16 * 1024)
             .threads_per_pe(2)
             .build()
             .expect("valid runtime config"),
-    );
+    )
+    .expect("scheduler starts");
     let t0 = std::time::Instant::now();
-    let probs = rt
-        .run(&data, JobOptions::default())
-        .expect("inference succeeds")
-        .values;
+    let probs = scheduler
+        .submit_blocking(Arc::clone(&data), JobOptions::default())
+        .and_then(|job| job.wait())
+        .expect("inference succeeds");
     let host_secs = t0.elapsed().as_secs_f64();
-    if let Some(metrics) = rt.metrics_snapshot() {
-        println!(
-            "runtime metrics: {} blocks, {:.1} MiB H2D, {:.1} MiB D2H",
-            metrics.blocks_executed,
-            metrics.h2d_bytes as f64 / (1 << 20) as f64,
-            metrics.d2h_bytes as f64 / (1 << 20) as f64,
-        );
-    }
+    let metrics = scheduler.metrics_snapshot();
+    println!(
+        "runtime metrics: {} blocks, {:.1} MiB H2D, {:.1} MiB D2H",
+        metrics.blocks_executed,
+        metrics.h2d_bytes as f64 / (1 << 20) as f64,
+        metrics.d2h_bytes as f64 / (1 << 20) as f64,
+    );
 
     // Verify against the reference evaluator.
     let mut ev = Evaluator::new(&spn);

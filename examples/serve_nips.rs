@@ -15,7 +15,7 @@
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
+use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{run_load, BatchPolicy, Client, LoadConfig, ModelSpec, ServerConfig, SpnServer};
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,19 +70,18 @@ fn main() {
     let bench = NipsBenchmark::Nips10;
     let nf = bench.num_vars() as u32;
     let dataset = Arc::new(bench.dataset(64, 42));
-    let direct: Vec<f64> = SpnRuntime::new(
-        make_device(bench, 2),
-        RuntimeConfig::builder()
-            .block_samples(1024)
-            .build()
-            .unwrap(),
-    )
-    .run(&dataset, JobOptions::default())
-    .expect("direct inference")
-    .values
-    .iter()
-    .map(|p| p.ln())
-    .collect();
+    let config = RuntimeConfig::builder()
+        .block_samples(1024)
+        .build()
+        .unwrap();
+    let scheduler = Scheduler::new(make_device(bench, 2), config).expect("scheduler starts");
+    let direct: Vec<f64> = scheduler
+        .submit_blocking(Arc::clone(&dataset), JobOptions::default())
+        .and_then(|job| job.wait())
+        .expect("direct inference")
+        .iter()
+        .map(|p| p.ln())
+        .collect();
 
     let mut client = Client::connect(addr).expect("client connects");
     let served = client

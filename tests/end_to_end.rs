@@ -6,9 +6,9 @@
 //! in multiple arithmetic formats (spn-arith).
 
 use spn_arith::AnyFormat;
-use spn_core::{Evaluator, NipsBenchmark, Query};
+use spn_core::{Dataset, Evaluator, NipsBenchmark, Query};
 use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_runtime::{JobOptions, RuntimeConfig, SpnRuntime, VirtualDevice};
+use spn_runtime::{JobOptions, JobResult, RuntimeConfig, Scheduler, VirtualDevice};
 use std::sync::Arc;
 
 /// Heavy sweeps run in full only under `SPN_FULL_SWEEP=1` (CI has a
@@ -16,6 +16,13 @@ use std::sync::Arc;
 /// quick while still exercising every code path.
 fn full_sweep() -> bool {
     std::env::var("SPN_FULL_SWEEP").as_deref() == Ok("1")
+}
+
+/// One job on a fresh scheduler over `device`, submitted and waited for.
+fn run(device: Arc<VirtualDevice>, config: RuntimeConfig, data: &Dataset) -> JobResult {
+    let scheduler = Scheduler::new(device, config)?;
+    let job = scheduler.submit_blocking(Arc::new(data.clone()), JobOptions::default())?;
+    job.wait()
 }
 
 fn run_pipeline(
@@ -33,19 +40,13 @@ fn run_pipeline(
         pes,
         32 << 20,
     ));
-    let rt = SpnRuntime::new(
-        device,
-        RuntimeConfig::builder()
-            .block_samples(1000)
-            .threads_per_pe(2)
-            .build()
-            .expect("valid config"),
-    );
+    let config = RuntimeConfig::builder()
+        .block_samples(1000)
+        .threads_per_pe(2)
+        .build()
+        .expect("valid config");
     let data = bench.dataset(samples, 0xFEED);
-    let got = rt
-        .run(&data, JobOptions::default())
-        .expect("pipeline runs")
-        .values;
+    let got = run(device, config, &data).expect("pipeline runs");
     let mut ev = Evaluator::new(&spn);
     let want: Vec<f64> = data
         .rows()
@@ -124,9 +125,8 @@ fn runtime_reports_shape_mismatch_cleanly() {
         1,
         1 << 20,
     ));
-    let rt = SpnRuntime::new(device, RuntimeConfig::default());
     let wrong = NipsBenchmark::Nips40.dataset(8, 1);
-    assert!(rt.run(&wrong, JobOptions::default()).is_err());
+    assert!(run(device, RuntimeConfig::default(), &wrong).is_err());
 }
 
 #[test]
@@ -143,17 +143,14 @@ fn device_memory_restored_after_big_run() {
     let before: Vec<u64> = (0..4)
         .map(|c| device.memory().free_bytes(c).unwrap())
         .collect();
-    let rt = SpnRuntime::new(
-        Arc::clone(&device),
-        RuntimeConfig::builder()
-            .block_samples(512)
-            .threads_per_pe(3)
-            .build()
-            .unwrap(),
-    );
+    let config = RuntimeConfig::builder()
+        .block_samples(512)
+        .threads_per_pe(3)
+        .build()
+        .unwrap();
     let samples = if full_sweep() { 20_000 } else { 5_000 };
     let data = NipsBenchmark::Nips20.dataset(samples, 5);
-    rt.run(&data, JobOptions::default()).unwrap();
+    run(Arc::clone(&device), config, &data).unwrap();
     for (c, b) in before.iter().enumerate() {
         assert_eq!(device.memory().free_bytes(c as u32).unwrap(), *b);
     }
@@ -176,17 +173,14 @@ fn fault_injection_is_caught_by_verification() {
         seed: 99,
         ..FaultInjection::default()
     });
-    let rt = SpnRuntime::new(
-        Arc::new(device),
-        RuntimeConfig::builder()
-            .block_samples(256)
-            .threads_per_pe(1)
-            .verify_fraction(1.0) // check every sample
-            .build()
-            .unwrap(),
-    );
+    let config = RuntimeConfig::builder()
+        .block_samples(256)
+        .threads_per_pe(1)
+        .verify_fraction(1.0) // check every sample
+        .build()
+        .unwrap();
     let data = bench.dataset(2_000, 4);
-    match rt.run(&data, JobOptions::default()) {
+    match run(Arc::new(device), config, &data) {
         Err(RuntimeError::VerificationFailed {
             index,
             got,
@@ -209,17 +203,14 @@ fn fault_free_device_passes_full_verification() {
         2,
         16 << 20,
     );
-    let rt = SpnRuntime::new(
-        Arc::new(device),
-        RuntimeConfig::builder()
-            .block_samples(256)
-            .threads_per_pe(2)
-            .verify_fraction(1.0)
-            .build()
-            .unwrap(),
-    );
+    let config = RuntimeConfig::builder()
+        .block_samples(256)
+        .threads_per_pe(2)
+        .verify_fraction(1.0)
+        .build()
+        .unwrap();
     let data = bench.dataset(2_000, 4);
-    assert!(rt.run(&data, JobOptions::default()).is_ok());
+    assert!(run(Arc::new(device), config, &data).is_ok());
 }
 
 #[test]
@@ -241,18 +232,15 @@ fn sparse_verification_has_bounded_cost_and_still_catches_dense_faults() {
         seed: 7,
         ..FaultInjection::default()
     });
-    let rt = SpnRuntime::new(
-        Arc::new(device),
-        RuntimeConfig::builder()
-            .block_samples(512)
-            .threads_per_pe(1)
-            .verify_fraction(0.01)
-            .build()
-            .unwrap(),
-    );
+    let config = RuntimeConfig::builder()
+        .block_samples(512)
+        .threads_per_pe(1)
+        .verify_fraction(0.01)
+        .build()
+        .unwrap();
     let data = bench.dataset(if full_sweep() { 5_000 } else { 1_500 }, 8);
     assert!(matches!(
-        rt.run(&data, JobOptions::default()),
+        run(Arc::new(device), config, &data),
         Err(RuntimeError::VerificationFailed { .. })
     ));
 }

@@ -7,7 +7,7 @@ use spn_core::{
     Query,
 };
 use spn_hw::{AcceleratorConfig, DatapathProgram, OpLatencies, PipelineSchedule};
-use spn_runtime::{JobOptions, RuntimeConfig, SpnRuntime, VirtualDevice};
+use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use std::sync::Arc;
 
 fn training_config(features: usize) -> BagOfWordsConfig {
@@ -39,10 +39,14 @@ fn learned_model_runs_on_the_accelerator() {
         2,
         16 << 20,
     ));
-    let rt = SpnRuntime::new(device, RuntimeConfig::default());
+    let scheduler = Scheduler::new(device, RuntimeConfig::default()).unwrap();
 
-    let test = generate_bag_of_words(&BagOfWordsConfig { seed: 77, ..cfg }, 500);
-    let accel = rt.run(&test, JobOptions::default()).unwrap().values;
+    let test = Arc::new(generate_bag_of_words(
+        &BagOfWordsConfig { seed: 77, ..cfg },
+        500,
+    ));
+    let job = scheduler.submit_blocking(Arc::clone(&test), JobOptions::default());
+    let accel = job.unwrap().wait().unwrap();
     let mut ev = Evaluator::new(&spn);
     for (row, &p) in test.rows().zip(&accel) {
         let reference = ev.eval_bytes(&Query::Complete, row).exp();

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use spn_core::RandomSpnConfig;
+use std::collections::BTreeMap;
 
 /// Strategy: a random-but-valid configuration of a small table-leaf
 /// SPN — what the differential suites (`plan_differential`,
@@ -42,9 +43,59 @@ pub fn assert_scales(label: &str, points: &[(usize, f64)], floor: f64) {
     }
 }
 
+/// Assert the structure the control-thread loop gives the runtime rows
+/// (`pid` 0) of a Chrome trace export: on every track no slice starts
+/// before the previous one has ended (a track is one control thread,
+/// and a thread does one thing at a time), and for every `(pe, block)`
+/// the h2d ends before the execute starts and the execute before the
+/// d2h. 1 ns of slack absorbs the microsecond timestamps' rounding.
+pub fn assert_runtime_tracks(chrome_json: &str) {
+    const SLACK_US: f64 = 1e-3;
+    let events: Vec<serde_json::Value> = serde_json::from_str(chrome_json).expect("a JSON array");
+    let mut tracks: BTreeMap<u64, Vec<(f64, f64, &str)>> = BTreeMap::new();
+    // (pe, block, kind) → (start, end)
+    let mut steps: BTreeMap<(u64, u64, &str), (f64, f64)> = BTreeMap::new();
+    for e in events.iter().filter(|e| e["pid"] == 0) {
+        let start = e["ts"].as_f64().unwrap();
+        let end = start + e["dur"].as_f64().unwrap();
+        let name = e["name"].as_str().unwrap();
+        tracks
+            .entry(e["tid"].as_u64().unwrap())
+            .or_default()
+            .push((start, end, name));
+        let (pe, block) = (e["args"]["pe"].as_u64(), e["args"]["block"].as_u64());
+        let kind = name.split(' ').next().unwrap();
+        steps.insert((pe.unwrap(), block.unwrap(), kind), (start, end));
+    }
+    for (tid, mut slices) in tracks {
+        slices.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for w in slices.windows(2) {
+            let ((_, end, prev), (start, _, next)) = (w[0], w[1]);
+            assert!(
+                start >= end - SLACK_US,
+                "track {tid}: '{next}' starts at {start} us, before '{prev}' ends at {end} us"
+            );
+        }
+    }
+    for (&(pe, block, kind), &(start, _)) in &steps {
+        let first = match kind {
+            "execute" => "h2d",
+            "d2h" => "execute",
+            _ => continue,
+        };
+        if let Some(&(_, end)) = steps.get(&(pe, block, first)) {
+            assert!(
+                start >= end - SLACK_US,
+                "pe {pe} block {block}: {kind} starts before {first} ends"
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::assert_scales;
+    use super::{assert_runtime_tracks, assert_scales};
+    use spn_telemetry::{chrome_trace_json, LiveSpan, SpanCtx, SpanKind};
 
     /// The gate passes what it should: the ideal series, and one that
     /// sits exactly on its floor.
@@ -66,5 +117,55 @@ mod tests {
     #[should_panic(expected = "falls from n=2 to n=4")]
     fn falling_series_fails() {
         assert_scales("falling", &[(1, 1.0), (2, 3.0), (4, 2.9)], 0.625);
+    }
+
+    fn span(kind: SpanKind, tid: u32, pe: u32, block: u64, start: f64, end: f64) -> LiveSpan {
+        LiveSpan {
+            kind,
+            ctx: SpanCtx::NONE,
+            pe,
+            tid,
+            block,
+            ts_us: start,
+            dur_us: end - start,
+        }
+    }
+
+    /// Sequential tracks pass, however the tracks of one PE overlap
+    /// each other, and a rounding-sized overlap is not an overlap.
+    #[test]
+    fn valid_trace_passes() {
+        assert_runtime_tracks(&chrome_trace_json(&[
+            span(SpanKind::H2D, 0, 0, 0, 0.0, 100.0),
+            span(SpanKind::Execute, 0, 0, 0, 100.0, 500.0),
+            span(SpanKind::D2H, 0, 0, 0, 499.9995, 550.0),
+            span(SpanKind::H2D, 2, 0, 1, 100.0, 200.0),
+            span(SpanKind::Execute, 2, 0, 1, 500.0, 700.0),
+        ]));
+    }
+
+    #[test]
+    fn empty_trace_is_valid() {
+        assert_runtime_tracks(&chrome_trace_json(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "track 0: 'execute pe0 blk1' starts at 50 us, before")]
+    fn thread_overlap_detected() {
+        assert_runtime_tracks(&chrome_trace_json(&[
+            span(SpanKind::H2D, 0, 0, 0, 0.0, 100.0),
+            span(SpanKind::Execute, 0, 0, 1, 50.0, 200.0),
+        ]));
+    }
+
+    /// Two threads of one PE: each track is sequential, but block 0's
+    /// execute starts before its h2d has landed.
+    #[test]
+    #[should_panic(expected = "pe 0 block 0: execute starts before h2d ends")]
+    fn block_ordering_detected() {
+        assert_runtime_tracks(&chrome_trace_json(&[
+            span(SpanKind::H2D, 0, 0, 0, 0.0, 150.0),
+            span(SpanKind::Execute, 1, 0, 0, 100.0, 400.0),
+        ]));
     }
 }

@@ -6,10 +6,10 @@
 //! recorded digest.
 
 use spn_arith::AnyFormat;
-use spn_core::NipsBenchmark;
+use spn_core::{Dataset, NipsBenchmark};
 use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_replay::{record_load, replay, ReplayConfig, Trace};
-use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
+use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
     protocol, run_load, BatchPolicy, Client, ClientError, Frame, LoadConfig, ModelSpec, Opcode,
     ReactorConfig, ServerConfig, ServingMode, SpnServer, Status,
@@ -35,6 +35,18 @@ fn runtime_config() -> RuntimeConfig {
         .threads_per_pe(2)
         .build()
         .unwrap()
+}
+
+/// Log-likelihoods of `rows` from a direct scheduler job.
+fn direct_lls(bench: NipsBenchmark, rows: &Dataset) -> Vec<f64> {
+    let scheduler = Scheduler::new(Arc::new(make_device(bench)), runtime_config()).unwrap();
+    let job = scheduler.submit_blocking(Arc::new(rows.clone()), JobOptions::default());
+    job.unwrap()
+        .wait()
+        .unwrap()
+        .iter()
+        .map(|p| p.ln())
+        .collect()
 }
 
 fn start_server(bench: NipsBenchmark, serving: ServingMode) -> SpnServer {
@@ -224,11 +236,7 @@ fn half_closed_connection_does_not_spin_the_loop() {
     let bench = NipsBenchmark::Nips10;
     let nf = bench.num_vars();
     let row = bench.dataset(1, 3);
-    let expected = SpnRuntime::new(Arc::new(make_device(bench)), runtime_config())
-        .run(&row, JobOptions::default())
-        .unwrap()
-        .values[0]
-        .ln();
+    let expected = direct_lls(bench, &row)[0];
 
     // One sample takes the device 300 ms.
     let mut server = start_server_on(
@@ -291,13 +299,7 @@ fn pipelined_requests_are_answered_in_order() {
     let bench = NipsBenchmark::Nips10;
     let nf = bench.num_vars();
     let rows = bench.dataset(2, 17);
-    let expected: Vec<f64> = SpnRuntime::new(Arc::new(make_device(bench)), runtime_config())
-        .run(&rows, JobOptions::default())
-        .unwrap()
-        .values
-        .iter()
-        .map(|p| p.ln())
-        .collect();
+    let expected = direct_lls(bench, &rows);
     assert_ne!(expected[0].to_bits(), expected[1].to_bits());
 
     // Paced, so the first request is still in flight when the

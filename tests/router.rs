@@ -3,13 +3,13 @@
 //!
 //! The backends here are real in-process `SpnServer`s over
 //! deterministic virtual devices, so routed results can be compared
-//! bit-for-bit against a direct `SpnRuntime` run.
+//! bit-for-bit against a direct scheduler run.
 
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_router::{HealthPolicy, RouterConfig, SpnRouter};
-use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
+use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
     protocol, BatchPolicy, Client, ModelSpec, Opcode, ServerConfig, SpnServer, Status,
 };
@@ -96,23 +96,23 @@ fn start_router(backends: &[&SpnServer], replication: usize) -> SpnRouter {
     .unwrap()
 }
 
-/// Ground truth: direct `SpnRuntime` log-likelihoods for the dataset.
+/// Ground truth: log-likelihoods for the dataset from a direct
+/// scheduler job.
 fn direct_lls(bench: NipsBenchmark, dataset: &spn_core::Dataset) -> Vec<f64> {
-    let runtime = SpnRuntime::new(
-        make_device(bench),
-        RuntimeConfig::builder().block_samples(512).build().unwrap(),
-    );
-    runtime
-        .run(dataset, JobOptions::default())
+    let config = RuntimeConfig::builder().block_samples(512).build().unwrap();
+    let scheduler = Scheduler::new(make_device(bench), config).unwrap();
+    let data = Arc::new(dataset.clone());
+    let job = scheduler.submit_blocking(data, JobOptions::default());
+    job.unwrap()
+        .wait()
         .unwrap()
-        .values
         .iter()
         .map(|p| p.ln())
         .collect()
 }
 
 /// Acceptance: results routed through a 3-backend cluster are
-/// *bit-identical* to a direct `SpnRuntime` run — the router forwards
+/// *bit-identical* to a direct scheduler run — the router forwards
 /// payload bytes verbatim and never re-encodes what a backend computed.
 #[test]
 fn routed_results_are_bit_identical_to_direct_runtime() {

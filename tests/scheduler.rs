@@ -3,14 +3,14 @@
 //! Proves the PR's acceptance criteria end to end, across crates:
 //!
 //! * two jobs genuinely in flight at once, results bit-identical to the
-//!   sequential `infer()` path, metrics consistent;
+//!   same data run one job at a time, metrics consistent;
 //! * a fault-injected job succeeds via retries and leaves every HBM
 //!   channel's `free_bytes` exactly where it started;
 //! * a failing job never poisons a concurrent healthy one;
 //! * `cancel()` frees device memory and unblocks `wait()`.
 
 use spn_arith::AnyFormat;
-use spn_core::NipsBenchmark;
+use spn_core::{Dataset, NipsBenchmark};
 use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::prelude::*;
 use std::sync::Arc;
@@ -32,6 +32,19 @@ fn make_device(
         dev = dev.with_faults(f);
     }
     Arc::new(dev)
+}
+
+/// The sequential reference: `data` as the only job of a fresh
+/// scheduler over a fault-free `pes`-PE device.
+fn sequential(
+    bench: NipsBenchmark,
+    pes: u32,
+    config: RuntimeConfig,
+    data: &Arc<Dataset>,
+) -> Vec<f64> {
+    let sched = Scheduler::new(make_device(bench, pes, None), config).unwrap();
+    let job = sched.submit_blocking(Arc::clone(data), JobOptions::default());
+    job.unwrap().wait().unwrap()
 }
 
 fn free_bytes_per_channel(dev: &VirtualDevice) -> Vec<u64> {
@@ -64,13 +77,12 @@ fn two_concurrent_jobs_match_sequential_path_bitwise() {
         .build()
         .unwrap();
 
-    // Sequential reference: the classic one-job-at-a-time infer() on an
-    // identical (separate) device.
-    let rt = SpnRuntime::new(make_device(bench, 4, None), config);
-    let big_data = bench.dataset(30_000, 11);
-    let small_data = bench.dataset(300, 22);
-    let seq_big = rt.run(&big_data, JobOptions::default()).unwrap().values;
-    let seq_small = rt.run(&small_data, JobOptions::default()).unwrap().values;
+    // Sequential reference: one job at a time on an identical
+    // (separate) device.
+    let big_data = Arc::new(bench.dataset(30_000, 11));
+    let small_data = Arc::new(bench.dataset(300, 22));
+    let seq_big = sequential(bench, 4, config, &big_data);
+    let seq_small = sequential(bench, 4, config, &small_data);
 
     // Concurrent run: submit the big job, then the small one behind it.
     // The device is paced (the PE sleeps a fixed time per sample), so
@@ -89,12 +101,8 @@ fn two_concurrent_jobs_match_sequential_path_bitwise() {
     );
     let sched = Scheduler::new(Arc::clone(&device), config).unwrap();
     let before = free_bytes_per_channel(&device);
-    let big = sched
-        .submit(Arc::new(big_data), JobOptions::default())
-        .unwrap();
-    let small = sched
-        .submit(Arc::new(small_data), JobOptions::default())
-        .unwrap();
+    let big = sched.submit(big_data, JobOptions::default()).unwrap();
+    let small = sched.submit(small_data, JobOptions::default()).unwrap();
 
     // Round-robin fairness: the small job (3 blocks) completes while the
     // big one (300 blocks) is still running — two jobs provably in
@@ -203,10 +211,9 @@ fn failed_job_does_not_poison_concurrent_jobs() {
     let sched = Scheduler::new(Arc::clone(&device), config).unwrap();
     let before = free_bytes_per_channel(&device);
 
-    let data = bench.dataset(2_000, 44);
+    let data = Arc::new(bench.dataset(2_000, 44));
     // Fault-free reference for the surviving job.
-    let rt = SpnRuntime::new(make_device(bench, 2, None), config);
-    let want = rt.run(&data, JobOptions::default()).unwrap().values;
+    let want = sequential(bench, 2, config, &data);
 
     let doomed_opts = JobOptions::builder().max_retries(0).build().unwrap();
     let hardy_opts = JobOptions::builder()
@@ -217,7 +224,7 @@ fn failed_job_does_not_poison_concurrent_jobs() {
     let doomed = sched
         .submit(Arc::new(bench.dataset(2_000, 55)), doomed_opts)
         .unwrap();
-    let hardy = sched.submit(Arc::new(data), hardy_opts).unwrap();
+    let hardy = sched.submit(data, hardy_opts).unwrap();
 
     // With p=0.5 and zero retries, the doomed job fails on an early
     // block; the error is a transient device fault surfaced verbatim.
@@ -478,10 +485,7 @@ fn pe_limited_jobs_wake_a_thread_that_can_claim_them() {
         .build()
         .unwrap();
     let data = Arc::new(bench.dataset(3, 13));
-    let want = SpnRuntime::new(make_device(bench, 4, None), config)
-        .run(&data, JobOptions::default())
-        .unwrap()
-        .values;
+    let want = sequential(bench, 4, config, &data);
 
     let sched = Arc::new(Scheduler::new(make_device(bench, 4, None), config).unwrap());
     let one_pe = JobOptions::builder().num_pes(1).build().unwrap();

@@ -5,7 +5,7 @@
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
+use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
     protocol, BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, ServerConfig, SpnServer,
     Status,
@@ -128,8 +128,22 @@ fn occupy_pes(
         .collect()
 }
 
+/// Log-likelihoods of `dataset` from a direct scheduler job on a fresh
+/// (deterministic, so identically-built) 2-PE device.
+fn direct_lls(bench: NipsBenchmark, dataset: &Arc<spn_core::Dataset>) -> Vec<f64> {
+    let config = RuntimeConfig::builder().block_samples(512).build().unwrap();
+    let scheduler = Scheduler::new(make_device(bench, 2), config).unwrap();
+    let job = scheduler.submit_blocking(Arc::clone(dataset), JobOptions::default());
+    job.unwrap()
+        .wait()
+        .unwrap()
+        .iter()
+        .map(|p| p.ln())
+        .collect()
+}
+
 /// Acceptance: results over the wire are *bit-identical* to a direct
-/// `SpnRuntime::infer` run, under ≥ 4 concurrent clients whose
+/// scheduler run, under ≥ 4 concurrent clients whose
 /// requests the batcher freely interleaves into shared jobs.
 #[test]
 fn loopback_is_bit_identical_to_direct_runtime_under_four_clients() {
@@ -138,17 +152,7 @@ fn loopback_is_bit_identical_to_direct_runtime_under_four_clients() {
     let dataset = Arc::new(bench.dataset(256, 7));
 
     // Ground truth on an identically-built (deterministic) device.
-    let runtime = SpnRuntime::new(
-        make_device(bench, 2),
-        RuntimeConfig::builder().block_samples(512).build().unwrap(),
-    );
-    let expected: Vec<f64> = runtime
-        .run(&dataset, JobOptions::default())
-        .unwrap()
-        .values
-        .iter()
-        .map(|p| p.ln())
-        .collect();
+    let expected = direct_lls(bench, &dataset);
 
     let server = start_server(
         bench,
@@ -363,17 +367,7 @@ fn requests_accumulate_while_every_pe_is_busy() {
     let delay = Duration::from_millis(100);
 
     let dataset = Arc::new(bench.dataset(K, 13));
-    let runtime = SpnRuntime::new(
-        make_device(bench, 2),
-        RuntimeConfig::builder().block_samples(512).build().unwrap(),
-    );
-    let expected: Vec<f64> = runtime
-        .run(&dataset, JobOptions::default())
-        .unwrap()
-        .values
-        .iter()
-        .map(|p| p.ln())
-        .collect();
+    let expected = direct_lls(bench, &dataset);
 
     let server = start_paced_server(
         bench,
