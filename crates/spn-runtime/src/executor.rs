@@ -61,6 +61,13 @@ pub(crate) trait BlockExecutor: Send + Sync {
     /// result format every backend shares. Holds no resource past its
     /// return, on any path.
     fn run_block(&self, cx: &BlockCx, src: &[u8], out: &mut Vec<f64>) -> Result<(), RuntimeError>;
+
+    /// Whether a `samples`-sample block costs no more than the hand-off
+    /// to a control thread ([`crate::Scheduler::submit_then`]). Never a
+    /// device block: PE occupancy is modelled on the control threads.
+    fn runs_inline(&self, _samples: usize) -> bool {
+        false
+    }
 }
 
 /// Turn root log-likelihoods into the linear probabilities

@@ -97,6 +97,11 @@ impl PlanCache {
     }
 }
 
+/// The largest block, in ops × rows, that runs on its submitter: 512
+/// op-rows at ~6.5 ns cost the ~3.3 µs of CPU a hand-off to a control
+/// thread does. NIPS10 (31 ops) up to 16 rows, NIPS80 (283 ops) one.
+pub(crate) const INLINE_OP_ROWS: usize = 512;
+
 /// The host fast path: evaluate one block through the compiled plan,
 /// entirely on the CPU. No device buffers, no DMA — just the batched
 /// [`PlanExecutor`] over the block's bytes, traced as one `plan-exec`
@@ -108,6 +113,10 @@ impl BlockExecutor for CompiledPlan {
         cx.span(SpanKind::PlanExec, t0);
         to_probabilities(out);
         Ok(())
+    }
+
+    fn runs_inline(&self, samples: usize) -> bool {
+        samples.saturating_mul(self.len()) <= INLINE_OP_ROWS
     }
 }
 

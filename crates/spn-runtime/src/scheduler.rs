@@ -17,6 +17,8 @@
 //!   thread in `wait` to pass the result on — the closure given to
 //!   [`Scheduler::submit_blocking_then`], run by the thread that
 //!   finished the job;
+//! * the caller can be the control thread: [`Scheduler::submit_then`]
+//!   runs a one-block job cheaper than a hand-off itself;
 //! * blocks are claimed **round-robin across jobs** (per-job FIFO): a
 //!   small job submitted behind a huge one still completes promptly;
 //! * transient failures — [`crate::DeviceError::TransientFault`] from
@@ -48,7 +50,7 @@ use crate::job::{split_into_blocks, Block, JobOptions};
 use crate::metrics::{JobOutcome, MetricsRegistry, MetricsSnapshot};
 use crate::plan_cache::PlanCache;
 use crate::runtime::{validate_config, ExecProvenance, RuntimeConfig, RuntimeError};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use spn_core::Dataset;
 use spn_hw::SynthConfig;
 use spn_telemetry::TraceCollector;
@@ -132,6 +134,14 @@ impl JobState {
     /// Number of samples this job carries (for the in-flight gauge).
     fn samples(&self) -> u64 {
         self.data.num_samples() as u64
+    }
+
+    /// Whether a control thread of PE `pe` may claim a block of it now.
+    fn claimable_by(&self, pe: u32) -> bool {
+        !self.cancelled.load(Ordering::Relaxed)
+            && !self.terminal.load(Ordering::Relaxed)
+            && pe < self.pe_limit
+            && self.next_block.load(Ordering::Relaxed) < self.blocks.len()
     }
 }
 
@@ -254,6 +264,8 @@ struct Shared {
     idle_wakes: AtomicU64,
     /// Control-thread notifications `submit_inner` issued (likewise).
     wakes_issued: AtomicU64,
+    /// Blocks a submitter ran in a control thread's stead (likewise).
+    inline_blocks: AtomicU64,
 }
 
 struct State {
@@ -262,9 +274,19 @@ struct State {
     /// Round-robin cursor for cross-job fairness.
     rr: usize,
     next_id: u64,
-    /// Which control threads sleep on their `work_cv`. Worker `w` drives
-    /// PE `w % num_pes`: index order reaches every PE's first thread first.
-    parked: Vec<bool>,
+    /// Where each control thread is. Worker `w` drives PE
+    /// `w % num_pes`: index order reaches every PE's first thread first.
+    park: Vec<Park>,
+}
+
+/// A control thread is awake (running a block, or about to claim one),
+/// parked on its `work_cv`, or lent: asleep while a submitter runs one
+/// block in its stead, and woken by no one but that submitter.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Park {
+    Awake,
+    Parked,
+    Lent,
 }
 
 /// The long-lived concurrent scheduler. Owns `num_pes ×
@@ -323,7 +345,7 @@ impl Scheduler {
                 jobs: Vec::new(),
                 rr: 0,
                 next_id: 1,
-                parked: vec![false; num_workers],
+                park: vec![Park::Awake; num_workers],
             }),
             work_cv: (0..num_workers).map(|_| Condvar::new()).collect(),
             space_cv: Condvar::new(),
@@ -331,6 +353,7 @@ impl Scheduler {
             shutdown: AtomicBool::new(false),
             idle_wakes: AtomicU64::new(0),
             wakes_issued: AtomicU64::new(0),
+            inline_blocks: AtomicU64::new(0),
         });
         let workers = (0..num_workers)
             .map(|w| {
@@ -453,7 +476,11 @@ impl Scheduler {
     /// The non-blocking twin of [`Scheduler::submit_blocking_then`],
     /// for a thread that must not park (an event loop): a full queue is
     /// a refusal like any other — `then` runs right here with
-    /// [`RuntimeError::QueueFull`]. Everything else is as there.
+    /// [`RuntimeError::QueueFull`]. A one-block job cheaper than a
+    /// hand-off (a small compiled-plan block, never a device one) runs
+    /// right here, in the stead of a parked control thread that may
+    /// claim it — that thread's retries, PE-busy time and span track —
+    /// and `then` runs before this returns. Everything else is as there.
     pub fn submit_then(
         &self,
         data: Arc<Dataset>,
@@ -505,6 +532,9 @@ impl Scheduler {
         let (executor, provenance) = self.shared.executors.resolve(opts.backend)?;
         let total = data.num_samples();
         let blocks = split_into_blocks(total as u64, self.shared.config.block_samples);
+        // Only `submit_then` (a consumer, never parking) stands in.
+        let may_stand_in =
+            !blocking && consumer.is_some() && blocks.len() == 1 && executor.runs_inline(total);
 
         let mut st = self.shared.state.lock();
         if self.shared.draining.load(Ordering::Acquire) {
@@ -555,19 +585,23 @@ impl Scheduler {
             // Wake one parked control thread per block, and only ones that
             // may claim it: one on a PE past `pe_limit` would park again while
             // the job sat unclaimed. Busy threads claim on their next turn.
-            let wake: Vec<usize> = (0..st.parked.len())
-                .filter(|&w| st.parked[w] && (w as u32 % num_pes) < pe_limit)
+            let wake: Vec<usize> = (0..st.park.len())
+                .filter(|&w| st.park[w] == Park::Parked && (w as u32 % num_pes) < pe_limit)
                 .take(job.blocks.len())
                 .collect();
-            for &w in &wake {
-                st.parked[w] = false;
-            }
-            drop(st);
-            self.shared
-                .wakes_issued
-                .fetch_add(wake.len() as u64, Ordering::Relaxed);
-            for w in wake {
-                self.shared.work_cv[w].notify_one();
+            if let (true, Some(&w)) = (may_stand_in, wake.first()) {
+                stand_in(&self.shared, st, w, &job);
+            } else {
+                for &w in &wake {
+                    st.park[w] = Park::Awake;
+                }
+                drop(st);
+                self.shared
+                    .wakes_issued
+                    .fetch_add(wake.len() as u64, Ordering::Relaxed);
+                for w in wake {
+                    self.shared.work_cv[w].notify_one();
+                }
             }
         }
         Ok(JobHandle {
@@ -650,9 +684,13 @@ fn worker_loop(shared: &Shared, w: usize, pe: u32) {
                     shared.idle_wakes.fetch_add(1, Ordering::Relaxed);
                 }
                 // Under the lock `submit_inner` picks its wakes under.
-                st.parked[w] = true;
+                st.park[w] = Park::Parked;
                 shared.work_cv[w].wait(&mut st);
-                st.parked[w] = false;
+                // Lent to a submitter: sleep on until it gives us back.
+                while st.park[w] == Park::Lent && !shared.shutdown.load(Ordering::Acquire) {
+                    shared.work_cv[w].wait(&mut st);
+                }
+                st.park[w] = Park::Awake;
                 woken = true;
             }
         };
@@ -660,28 +698,40 @@ fn worker_loop(shared: &Shared, w: usize, pe: u32) {
     }
 }
 
+/// Run `job`'s one block through `w`'s own `process_block`, with parked
+/// control thread `w` lent meanwhile (no submit wakes it). Giving `w`
+/// back wakes it only if a block it may claim was queued meanwhile.
+fn stand_in(shared: &Shared, mut st: MutexGuard<'_, State>, w: usize, job: &Arc<JobState>) {
+    let pe = w as u32 % shared.device.num_pes();
+    job.next_block.store(1, Ordering::Relaxed);
+    job.in_flight.store(1, Ordering::Relaxed);
+    st.park[w] = Park::Lent;
+    drop(st);
+    shared.inline_blocks.fetch_add(1, Ordering::Relaxed);
+    process_block(shared, w as u32, pe, job, 0);
+    let mut st = shared.state.lock();
+    let wake = st.jobs.iter().any(|j| j.claimable_by(pe));
+    st.park[w] = if wake { Park::Awake } else { Park::Parked };
+    drop(st);
+    if wake {
+        shared.wakes_issued.fetch_add(1, Ordering::Relaxed);
+        shared.work_cv[w].notify_one();
+    }
+}
+
 /// Claim the next block of the next eligible job after the round-robin
 /// cursor. Per-job FIFO (blocks in order), round-robin across jobs.
 fn claim_block(st: &mut State, pe: u32) -> Option<(Arc<JobState>, usize)> {
     let n = st.jobs.len();
-    for k in 0..n {
-        let i = (st.rr + k) % n;
-        let job = &st.jobs[i];
-        if job.cancelled.load(Ordering::Relaxed)
-            || job.terminal.load(Ordering::Relaxed)
-            || pe >= job.pe_limit
-        {
-            continue;
-        }
-        let next = job.next_block.load(Ordering::Relaxed);
-        if next < job.blocks.len() {
-            job.next_block.store(next + 1, Ordering::Relaxed);
-            job.in_flight.fetch_add(1, Ordering::Relaxed);
-            st.rr = (i + 1) % n;
-            return Some((Arc::clone(job), next));
-        }
-    }
-    None
+    let i = (0..n)
+        .map(|k| (st.rr + k) % n)
+        .find(|&i| st.jobs[i].claimable_by(pe))?;
+    let job = &st.jobs[i];
+    let next = job.next_block.fetch_add(1, Ordering::Relaxed);
+    job.in_flight.fetch_add(1, Ordering::Relaxed);
+    let claim = (Arc::clone(job), next);
+    st.rr = (i + 1) % n;
+    Some(claim)
 }
 
 /// One control-thread iteration, the same for every backend: slice
@@ -691,6 +741,8 @@ fn claim_block(st: &mut State, pe: u32) -> Option<(Arc<JobState>, usize)> {
 /// `job.results`' lock, which is held only for the copy. Then do the
 /// completion bookkeeping, possibly finalising the whole job. `tid` is
 /// the calling worker's index, which its spans are recorded under.
+/// Inlined into both callers: `worker_loop` keeps its one-caller layout.
+#[inline(always)]
 fn process_block(shared: &Shared, tid: u32, pe: u32, job: &Arc<JobState>, idx: usize) {
     let block = job.blocks[idx];
     let (src_off, src_len) = block.input_range(job.data.num_features() as u64);
@@ -769,7 +821,7 @@ fn process_block(shared: &Shared, tid: u32, pe: u32, job: &Arc<JobState>, idx: u
 /// published. The caller has checked `terminal` is still unset.
 fn retire(
     shared: &Shared,
-    mut st: parking_lot::MutexGuard<'_, State>,
+    mut st: MutexGuard<'_, State>,
     job: &Arc<JobState>,
     result: impl FnOnce() -> JobResult,
 ) {
@@ -855,6 +907,8 @@ fn disagrees(got: f64, expected: f64) -> bool {
 mod tests {
     use super::*;
     use crate::device::FaultInjection;
+    use crate::job::ExecBackend;
+    use crate::plan_cache::INLINE_OP_ROWS;
     use sim_core::MIB;
     use spn_arith::{AnyFormat, CfpFormat};
     use spn_core::Query;
@@ -1008,6 +1062,152 @@ mod tests {
             issued <= 500,
             "{issued} wakes issued for 500 one-block jobs"
         );
+    }
+
+    /// A scheduler whose device carries its model, so every backend
+    /// runs on it; one control thread per PE.
+    fn model_scheduler(dev: VirtualDevice, block: u64) -> Scheduler {
+        let spn = Arc::new(NipsBenchmark::Nips10.build_spn());
+        Scheduler::new(Arc::new(dev.with_model(spn)), config(block, 1)).unwrap()
+    }
+
+    fn backend(backend: ExecBackend) -> JobOptions {
+        JobOptions::builder().backend(backend).build().unwrap()
+    }
+
+    /// Until every control thread sleeps on its condvar: only then is
+    /// the scheduler idle in the sense the stand-in rule reads.
+    fn wait_parked(sched: &Scheduler) {
+        let t0 = Instant::now();
+        let all_parked = || {
+            sched
+                .shared
+                .state
+                .lock()
+                .park
+                .iter()
+                .all(|&p| p == Park::Parked)
+        };
+        while !all_parked() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    fn inline_blocks(sched: &Scheduler) -> u64 {
+        sched.shared.inline_blocks.load(Ordering::Relaxed)
+    }
+
+    /// Submit `data` with a consumer, blocking or not; whether the
+    /// consumer had run when the submit returned, the thread it ran on
+    /// and the job's result.
+    fn consume(
+        sched: &Scheduler,
+        data: &Arc<Dataset>,
+        opts: JobOptions,
+        blocking: bool,
+    ) -> (bool, std::thread::ThreadId, Vec<f64>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let then = move |r: JobResult| tx.send((std::thread::current().id(), r)).unwrap();
+        let data = Arc::clone(data);
+        let handle = if blocking {
+            sched.submit_blocking_then(data, opts, then)
+        } else {
+            sched.submit_then(data, opts, then)
+        };
+        assert!(handle.is_some(), "accepted");
+        let early = rx.try_recv().ok();
+        let ran_before_return = early.is_some();
+        let (thread, result) =
+            early.unwrap_or_else(|| rx.recv_timeout(Duration::from_secs(10)).unwrap());
+        (ran_before_return, thread, result.unwrap())
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The caller is the control thread: on an idle scheduler, a one-row
+    /// compiled-plan job given to `submit_then` has run its consumer on
+    /// the calling thread before `submit_then` returns, counted as a
+    /// block like any other, with the control threads' bits.
+    #[test]
+    fn an_idle_scheduler_runs_a_small_host_block_on_the_submitter() {
+        let (dev, bench) = unshared_device(2);
+        let sched = model_scheduler(dev, 64);
+        wait_parked(&sched);
+        let data = Arc::new(bench.dataset(1, 3));
+        let host = backend(ExecBackend::HostPlan);
+        let (ran_before_return, thread, got) = consume(&sched, &data, host, false);
+        assert!(
+            ran_before_return,
+            "the consumer ran before submit_then returned"
+        );
+        assert_eq!(thread, std::thread::current().id());
+        assert_eq!(inline_blocks(&sched), 1);
+        let want = sched.submit(data, host).unwrap().wait().unwrap();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(inline_blocks(&sched), 1, "submit never stands in");
+        let m = sched.metrics_snapshot();
+        assert_eq!((m.blocks_executed, m.jobs_completed), (2, 2));
+        // The lent thread was given back: both PEs' threads park again.
+        wait_parked(&sched);
+    }
+
+    /// Everything the stand-in rule does not name runs on a control
+    /// thread, each case failing exactly one of its conditions on an
+    /// otherwise idle scheduler.
+    #[test]
+    fn other_jobs_run_on_control_threads() {
+        let bench = NipsBenchmark::Nips10;
+        let host = backend(ExecBackend::HostPlan);
+        let sharded = backend(ExecBackend::Sharded(2));
+        let over = INLINE_OP_ROWS / bench.build_spn().stats().nodes + 1;
+        let me = std::thread::current().id();
+        // (case, block samples, rows, options, blocking)
+        let cases = [
+            ("a Device job", 64, 1, JobOptions::default(), false),
+            ("a Sharded(2) job", 64, 1, sharded, false),
+            ("a two-block job", 1, 2, host, false),
+            ("a block over INLINE_OP_ROWS", 64, over, host, false),
+            ("submit_blocking_then", 64, 1, host, true),
+        ];
+        for (case, block, rows, opts, blocking) in cases {
+            let sched = model_scheduler(unshared_device(2).0, block);
+            wait_parked(&sched);
+            let data = Arc::new(bench.dataset(rows, 3));
+            let (_, thread, got) = consume(&sched, &data, opts, blocking);
+            assert_ne!(thread, me, "{case} ran on its submitter");
+            assert_eq!(got.len(), rows, "{case}");
+            assert_eq!(inline_blocks(&sched), 0, "{case}");
+        }
+
+        // `submit` has no consumer to run.
+        let sched = model_scheduler(unshared_device(2).0, 64);
+        wait_parked(&sched);
+        let one = Arc::new(bench.dataset(1, 3));
+        sched
+            .submit(Arc::clone(&one), host)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(inline_blocks(&sched), 0, "submit");
+
+        // The one control thread is busy with a paced device job: no
+        // thread is parked, so the small job queues behind it.
+        let (dev, _) = unshared_device(1);
+        let sched = model_scheduler(dev.with_pacing(Duration::from_micros(20)), 64);
+        wait_parked(&sched);
+        let hold = sched
+            .submit(Arc::new(bench.dataset(640, 1)), JobOptions::default())
+            .unwrap();
+        let (_, thread, _) = consume(&sched, &one, host, false);
+        assert_ne!(
+            thread, me,
+            "a job behind a busy thread ran on its submitter"
+        );
+        assert_eq!(inline_blocks(&sched), 0, "busy");
+        hold.wait().unwrap();
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! [`Batcher::enqueue_with`] evaluates it right after pushing: if it
 //! already holds — a PE is idle, as for every request of a lightly
 //! loaded server — the *enqueuing* thread takes the batch and submits
-//! it, waking no thread but the control thread that runs it. Otherwise
+//! it, waking no thread but the control thread that runs it — or none:
+//! a batch cheaper than that hand-off, the scheduler runs right there,
+//! so its replies go out before `enqueue_with` returns. Otherwise
 //! the worker is notified; it is the only thread that *waits* — for a
 //! PE to free, the delay bound, scheduler queue space, drain. An
 //! enqueuer may be a reactor loop, so its submit never parks
@@ -38,8 +40,8 @@
 //!
 //! Batches are *pipelined*: a batch is submitted and the next one
 //! forms at once, and no thread waits on results. The scheduler hands
-//! each job's outcome to a completion closure on the control thread
-//! that finished the job's last block; the closure maps the
+//! each job's outcome to a completion closure on the thread that ran
+//! the job's last block; the closure maps the
 //! probabilities through `ln()`, fans them out to each request's
 //! [`ReplySink`] in submission order and frees the batch's executor
 //! slot. A batched answer is bit-identical to what the request would
@@ -71,10 +73,11 @@ pub enum Reply {
 }
 
 /// Where a request's answer goes. The batcher calls this exactly once
-/// per enqueued request — on the scheduler control thread that finished
-/// the request's batch, or, for a request refused or expired at flush,
-/// on the flushing thread: the worker or the enqueuer (then before
-/// `enqueue_with` returns). It must therefore be short and never block:
+/// per enqueued request — on the thread that ran the request's batch
+/// (a scheduler control thread, or the enqueuer for a small one), or,
+/// for a request refused or expired at flush, on the flushing thread:
+/// the worker or the enqueuer (then before `enqueue_with` returns, as
+/// for a small batch). It must therefore be short and never block:
 /// the server passes a closure that finishes the request's accounting
 /// and hands the encoded response to the front-end's completion
 /// callback — which wakes a blocked connection thread or queues the
@@ -521,7 +524,7 @@ fn submit(shared: &Arc<Shared>, scheduler: &Scheduler, formed: Formed, may_wait:
 /// A batch's job ended with `result` (or was refused): answer every
 /// member, then give the executor slot back. Runs on the scheduler
 /// control thread that finished the job, or on the flushing thread for
-/// a refusal or a batch whose every member had expired.
+/// a refusal, a batch whose every member had expired or one it ran.
 fn complete(shared: &Shared, live: Vec<Pending>, result: JobResult) {
     match result {
         Ok(mut lls) => {

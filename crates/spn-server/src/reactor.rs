@@ -21,8 +21,10 @@
 //! **Replies.** The completion callback handed to `Frontend::dispatch`
 //! queues a `Completion`, keyed by `(slot, generation)`, on the owning
 //! loop and wakes it — unless it runs on that loop, which drains the
-//! queue later in the same turn. So no control thread writes to a
-//! socket, and a reply for a connection that died is dropped.
+//! queue later in the same turn: a small request whose batch ran on the
+//! loop is one readiness event, one read, the plan and one `writev`. So
+//! no control thread writes to a socket, and a reply for a connection
+//! that died is dropped.
 //!
 //! **Outbound calls.** A service may answer an `Infer` by calling
 //! another SPN1 endpoint through [`Upstream`], the loop's handle passed

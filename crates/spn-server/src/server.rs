@@ -28,7 +28,7 @@ use crate::metrics::{ReactorMetrics, ServerMetrics, ServerMetricsSnapshot};
 use crate::protocol::{Frame, InferRequest, Opcode, Status};
 use crate::reactor::{self, ReactorConfig, ReactorHandle, Upstream};
 use spn_core::out_of_domain;
-use spn_runtime::{JobOptions, PlanCache, Scheduler};
+use spn_runtime::{ExecBackend, JobOptions, PlanCache, Scheduler};
 use spn_telemetry::{
     BatcherTelemetry, ModelTelemetry, PlanTelemetry, ShardTelemetry, SpanCtx, TelemetrySnapshot,
     TraceCollector, TELEMETRY_SCHEMA_VERSION,
@@ -193,23 +193,35 @@ impl SpnServer {
         if models.is_empty() {
             return Err(ServerError::Config("no models registered".into()));
         }
+        if config.batch.max_batch_samples == 0 {
+            return Err(ServerError::Config("max_batch_samples must be > 0".into()));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = Arc::new(ServerMetrics::new());
 
         let mut registry = BTreeMap::new();
         for spec in models {
-            if spec.num_features == 0 {
-                return Err(ServerError::Config(format!(
-                    "model '{}' declares zero features",
-                    spec.name
-                )));
+            let refuse =
+                |why: String| Err(ServerError::Config(format!("model '{}' {why}", spec.name)));
+            let (nf, domain, backend) = (spec.num_features, spec.domain, spec.opts.backend);
+            if nf == 0 {
+                return refuse("declares zero features".into());
             }
-            if spec.domain == 0 || spec.domain > 256 {
-                return Err(ServerError::Config(format!(
-                    "model '{}' declares domain {} (must be in 1..=256)",
-                    spec.name, spec.domain
-                )));
+            if domain == 0 || domain > 256 {
+                return refuse(format!("declares domain {domain} (must be in 1..=256)"));
+            }
+            if registry.contains_key(&spec.name) {
+                return refuse("registered twice".into());
+            }
+            // Either of these would answer every request with an error.
+            let device = spec.scheduler.device();
+            let bytes = device.query_pe(0).map_or(0, |pe| pe.input_bytes);
+            if bytes != u64::from(nf) {
+                return refuse(format!("declares {nf} features, its device reads {bytes}"));
+            }
+            if backend != ExecBackend::Device && device.model().is_none() {
+                return refuse(format!("runs on {backend:?}, but its device has no SPN"));
             }
             let batcher = Batcher::new(
                 &spec.name,
@@ -220,21 +232,13 @@ impl SpnServer {
                 spec.opts,
                 Arc::clone(&metrics),
             );
-            let prev = registry.insert(
-                spec.name.clone(),
-                ModelHandle {
-                    batcher,
-                    scheduler: spec.scheduler,
-                    num_features: spec.num_features,
-                    domain: spec.domain,
-                },
-            );
-            if prev.is_some() {
-                return Err(ServerError::Config(format!(
-                    "model '{}' registered twice",
-                    spec.name
-                )));
-            }
+            let handle = ModelHandle {
+                batcher,
+                scheduler: spec.scheduler,
+                num_features: spec.num_features,
+                domain: spec.domain,
+            };
+            registry.insert(spec.name, handle);
         }
 
         let service = ServerService {

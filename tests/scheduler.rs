@@ -502,6 +502,80 @@ fn pe_limited_jobs_wake_a_thread_that_can_claim_them() {
     }
 }
 
+/// A submitter that stands in for the one control thread never loses a
+/// wake-up and never shares the thread's track. On 1 PE × 1 thread, one
+/// thread submits 500 one-row host-plan jobs through `submit_then`,
+/// each eligible to run on the submitter, while another waits out 500
+/// device jobs. A device job queued while the thread is lent runs only
+/// if the give-back wakes the thread. Every span, inline or not, lands
+/// on the thread's track without overlap.
+#[test]
+fn a_lent_control_thread_loses_no_wake_up_and_keeps_one_track() {
+    use std::time::{Duration, Instant};
+    let bench = NipsBenchmark::Nips10;
+    let spn = Arc::new(bench.build_spn());
+    let device = VirtualDevice::new(
+        DatapathProgram::compile(&spn),
+        AnyFormat::paper_default(),
+        AcceleratorConfig::paper_default(),
+        1,
+        16 << 20,
+    )
+    .with_model(spn);
+    let config = RuntimeConfig::builder()
+        .block_samples(64)
+        .threads_per_pe(1)
+        .build()
+        .unwrap();
+    let trace = Arc::new(TraceCollector::new());
+    let sched = Scheduler::with_trace(Arc::new(device), config, Some(Arc::clone(&trace)));
+    let sched = Arc::new(sched.unwrap());
+    let one = Arc::new(bench.dataset(1, 17));
+    let host = JobOptions::builder()
+        .backend(ExecBackend::HostPlan)
+        .build()
+        .unwrap();
+    let device = JobOptions::default();
+    let oracle = |opts| {
+        sched
+            .submit(Arc::clone(&one), opts)
+            .unwrap()
+            .wait()
+            .unwrap()
+    };
+    let (want_host, want_device) = (oracle(host)[0].to_bits(), oracle(device)[0].to_bits());
+
+    let (s, data) = (Arc::clone(&sched), Arc::clone(&one));
+    let hosts = std::thread::spawn(move || {
+        for job in 0..500 {
+            let (then, rx) = consumer(&s);
+            s.submit_then(Arc::clone(&data), host, then)
+                .expect("accepted");
+            let got = consumed(&rx, &format!("host job {job}")).unwrap();
+            assert_eq!(got[0].to_bits(), want_host, "host job {job}");
+        }
+    });
+    let (s, data) = (Arc::clone(&sched), Arc::clone(&one));
+    let devices = std::thread::spawn(move || {
+        for job in 0..500 {
+            let got = s.submit(Arc::clone(&data), device).unwrap().wait().unwrap();
+            assert_eq!(got[0].to_bits(), want_device, "device job {job}");
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !(hosts.is_finished() && devices.is_finished()) {
+        assert!(
+            Instant::now() < deadline,
+            "a submitter hung: a wake-up was lost"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    hosts.join().unwrap();
+    devices.join().unwrap();
+    assert_eq!(sched.metrics_snapshot().jobs_completed, 1002);
+    system_tests::assert_runtime_tracks(&trace.to_chrome_json());
+}
+
 /// The lifecycle guarantees above, on every backend: the same
 /// assertions run over the device pipeline, the compiled host plan and
 /// the scope-sharded path, because the scheduler runs all three

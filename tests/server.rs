@@ -7,8 +7,8 @@ use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
-    protocol, BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, ServerConfig, SpnServer,
-    Status,
+    protocol, BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, ServerConfig, ServerError,
+    SpnServer, Status,
 };
 use spn_telemetry::{SpanCtx, SpanKind, TraceCollector};
 use std::io::Write as _;
@@ -721,6 +721,98 @@ fn an_idle_batcher_flushes_on_the_enqueuing_thread() {
     }
 }
 
+/// The enqueuing thread runs a small host-plan batch itself, and a big
+/// one never. Over a NIPS80 model served from its compiled plan (one
+/// 4096-sample block a batch), a one-row request's sink has run on the
+/// enqueuing thread by the time `enqueue_with` returns, bit-equal to
+/// the unbatched job; a 4096-row request's `enqueue_with` returns
+/// before its sink runs, and the sink runs on a control thread.
+#[test]
+fn a_big_host_batch_never_runs_on_the_enqueuing_thread() {
+    use spn_runtime::ExecBackend;
+    let bench = NipsBenchmark::Nips80;
+    let device = bare_device(bench, 2).with_model(Arc::new(bench.build_spn()));
+    let config = RuntimeConfig::builder()
+        .block_samples(4096)
+        .build()
+        .unwrap();
+    let scheduler = Arc::new(Scheduler::new(Arc::new(device), config).unwrap());
+    let host = JobOptions::builder()
+        .backend(ExecBackend::HostPlan)
+        .build()
+        .unwrap();
+    let batcher = spn_server::Batcher::new(
+        bench.name(),
+        Arc::clone(&scheduler),
+        bench.num_vars(),
+        256,
+        BatchPolicy::default(),
+        host,
+        Arc::new(spn_server::ServerMetrics::new()),
+    );
+    let me = std::thread::current().id();
+
+    let one = Arc::new(bench.dataset(1, 7));
+    let want = scheduler
+        .submit(Arc::clone(&one), host)
+        .unwrap()
+        .wait()
+        .unwrap();
+    // A control thread parks a moment after it finishes a job; a request
+    // that arrives before then is handed to it.
+    let mut inline = None;
+    for _ in 0..1000 {
+        let (tx, rx) = std::sync::mpsc::channel();
+        batcher.enqueue_with(
+            SpanCtx::NONE,
+            one.raw().to_vec(),
+            1,
+            None,
+            Box::new(move |reply| tx.send((std::thread::current().id(), reply)).unwrap()),
+        );
+        match rx.try_recv() {
+            Ok((thread, reply)) if thread == me => {
+                inline = Some(reply);
+                break;
+            }
+            Ok(_) => {}
+            Err(_) => drop(rx.recv_timeout(Duration::from_secs(10)).expect("answered")),
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    match inline.expect("a one-row request ran on the enqueuing thread") {
+        spn_server::Reply::Ok(lls) => assert_eq!(lls[0].to_bits(), want[0].ln().to_bits()),
+        other => panic!("expected Ok, got {other:?}"),
+    }
+
+    let big = bench.dataset(4096, 8);
+    let (go, released) = std::sync::mpsc::channel::<()>();
+    let (tx, rx) = std::sync::mpsc::channel();
+    batcher.enqueue_with(
+        SpanCtx::NONE,
+        big.raw().to_vec(),
+        4096,
+        None,
+        Box::new(move |reply| {
+            // Released once `enqueue_with` has returned: a sink run
+            // inside it waits in vain.
+            let after_return = released.recv_timeout(Duration::from_secs(2)).is_ok();
+            tx.send((after_return, std::thread::current().id(), reply))
+                .unwrap();
+        }),
+    );
+    let _ = go.send(());
+    let (after_return, thread, reply) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the big request is answered");
+    assert!(
+        after_return,
+        "a 4096-row sink ran before enqueue_with returned"
+    );
+    assert_ne!(thread, me, "a 4096-row batch ran on the enqueuing thread");
+    assert!(matches!(reply, spn_server::Reply::Ok(ref lls) if lls.len() == 4096));
+}
+
 /// The enqueuing thread may be a reactor loop, so its flush must never
 /// park in the scheduler: against a scheduler queue held full by a
 /// direct job, `enqueue_with` returns at once, and the request waits
@@ -780,6 +872,71 @@ fn enqueue_does_not_wait_for_scheduler_queue_space() {
         assert!(matches!(reply, spn_server::Reply::Ok(_)), "{reply:?}");
     }
     assert_eq!(metrics.snapshot().rejected_server_busy, 0);
+}
+
+/// `SpnServer::serve` refuses with a typed `Config` error every model
+/// list or policy it would otherwise serve badly: no panic inside
+/// `serve`, and no server that answers every request with an error.
+#[test]
+fn serve_refuses_configs_it_would_serve_badly() {
+    use spn_runtime::ExecBackend;
+    let bench = NipsBenchmark::Nips10;
+    let nf = bench.num_vars() as u32;
+    let spec = |nf: u32, domain: usize| {
+        let scheduler = make_scheduler_with(bench, 2, 0.0, 512);
+        ModelSpec::new(bench.name(), scheduler, nf, domain)
+    };
+    // A device built without its SPN cannot run the host backends.
+    let on = |backend| {
+        let opts = JobOptions::builder().backend(backend).build().unwrap();
+        spec(nf, 256).with_opts(opts)
+    };
+    let plain = ServerConfig::default;
+    let no_batch = ServerConfig {
+        batch: BatchPolicy {
+            max_batch_samples: 0,
+            ..BatchPolicy::default()
+        },
+        ..ServerConfig::default()
+    };
+    let cases = [
+        ("no models registered", plain(), vec![]),
+        ("declares zero features", plain(), vec![spec(0, 256)]),
+        ("declares domain 0", plain(), vec![spec(nf, 0)]),
+        ("declares domain 257", plain(), vec![spec(nf, 257)]),
+        (
+            "registered twice",
+            plain(),
+            vec![spec(nf, 256), spec(nf, 256)],
+        ),
+        (
+            "max_batch_samples must be > 0",
+            no_batch,
+            vec![spec(nf, 256)],
+        ),
+        (
+            "features, its device reads",
+            plain(),
+            vec![spec(nf + 1, 256)],
+        ),
+        (
+            "HostPlan, but its device has no SPN",
+            plain(),
+            vec![on(ExecBackend::HostPlan)],
+        ),
+        (
+            "Sharded(2), but its device has no SPN",
+            plain(),
+            vec![on(ExecBackend::Sharded(2))],
+        ),
+    ];
+    for (want, config, models) in cases {
+        match SpnServer::serve(config, models) {
+            Err(ServerError::Config(m)) => assert!(m.contains(want), "{want}: got '{m}'"),
+            Err(e) => panic!("{want}: got {e}"),
+            Ok(_) => panic!("{want}: served"),
+        }
+    }
 }
 
 /// Model names with JSON-special characters must not corrupt the
