@@ -31,14 +31,6 @@ pub enum ClockConfig {
 }
 
 impl ClockConfig {
-    /// The AXI port user logic drives in this configuration.
-    pub fn user_port(self) -> AxiPort {
-        match self {
-            ClockConfig::Native450 => AxiPort::hbm_native(),
-            ClockConfig::Half225DoubleWidth => AxiPort::accelerator_512_225(),
-        }
-    }
-
     /// The interconnect between user logic and the HBM port.
     pub fn interconnect(self) -> SmartConnect {
         match self {
@@ -270,16 +262,6 @@ impl HbmDevice {
             )));
         }
         Ok((addr / self.config.channel_capacity()) as u32)
-    }
-
-    /// Total bytes·time statistics: per-channel busy time.
-    pub fn channel_busy(&self, channel: u32) -> SimDuration {
-        self.channels[channel as usize].busy_time()
-    }
-
-    /// When the given channel becomes idle.
-    pub fn channel_free_at(&self, channel: u32) -> SimTime {
-        self.channels[channel as usize].free_at()
     }
 }
 

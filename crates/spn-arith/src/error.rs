@@ -13,7 +13,6 @@ pub struct ErrorStats {
     count: u64,
     sum_rel: f64,
     max_rel: f64,
-    sum_abs: f64,
     max_abs: f64,
     /// Results that were non-zero in f64 but zero in the format
     /// (underflow events — the failure mode LNS avoids).
@@ -32,7 +31,6 @@ impl ErrorStats {
     pub fn record(&mut self, reference: f64, approx: f64) {
         self.count += 1;
         let abs = (approx - reference).abs();
-        self.sum_abs += abs;
         self.max_abs = self.max_abs.max(abs);
         if reference != 0.0 {
             if approx == 0.0 {
@@ -64,15 +62,6 @@ impl ErrorStats {
     /// Maximum relative error.
     pub fn max_relative(&self) -> f64 {
         self.max_rel
-    }
-
-    /// Mean absolute error.
-    pub fn mean_absolute(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_abs / self.count as f64
-        }
     }
 
     /// Maximum absolute error.

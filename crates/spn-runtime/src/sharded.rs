@@ -65,13 +65,13 @@ pub struct ShardedExecutor {
 }
 
 impl ShardedExecutor {
-    /// Compile every shard of `plan` through `cache` (cache-warm
-    /// shards are not recompiled).
+    /// Compile every shard of `plan`, with its taps as the plan's
+    /// outputs, through `cache` (cache-warm shards are not recompiled).
     pub fn new(plan: Arc<ShardPlan>, cache: &PlanCache) -> Self {
         let shard_plans = plan
             .shards()
             .iter()
-            .map(|s| cache.get_or_compile(&s.spn).0)
+            .map(|s| cache.get_or_compile_with_outputs(&s.spn, &s.taps).0)
             .collect();
         ShardedExecutor {
             plan,
@@ -131,7 +131,7 @@ impl ShardedExecutor {
                     scope.spawn(move || {
                         let mut ex = PlanExecutor::new(plan);
                         let mut vals = Vec::with_capacity(samples * shard.taps.len());
-                        ex.eval_taps_batch_raw(query, raw, num_features, &shard.taps, &mut vals);
+                        ex.eval_batch_raw(query, raw, num_features, &mut vals);
                         if let Some(per_node) = pacing {
                             let nanos =
                                 per_node.as_nanos() * shard.spn.len() as u128 * samples as u128;

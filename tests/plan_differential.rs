@@ -13,8 +13,8 @@
 //! and fully-summed-out evidence. Beside the random small networks:
 //! out-of-support bytes (`−inf` lanes next to finite ones in one
 //! chunk), the five benchmark networks at full size (256-entry tables,
-//! fan-in-4 sums over fan-in-5 products), and tap extraction across a
-//! chunk boundary.
+//! fan-in-4 sums over fan-in-5 products), the in-place leaf rule's edge
+//! cases, and tap extraction across a chunk boundary.
 
 use proptest::prelude::*;
 use spn_core::plan::LANES;
@@ -260,6 +260,51 @@ fn sum_terms_with_different_support_are_bit_exact() {
     }
 }
 
+/// The in-place leaf rule's edge cases in one hand-built DAG, under all
+/// three query shapes and both halves of the variables observed,
+/// `to_bits` against the oracle: a leaf shared by two products, leaves
+/// that are direct sum terms, a leaf read by both a product and a sum,
+/// a network whose root is a leaf, and a plan output on a leaf whose
+/// one reader is a product (so it is computed into a row after all).
+#[test]
+fn in_place_leaf_edge_cases_are_bit_exact() {
+    let h = Leaf::byte_histogram;
+    let mut b = SpnBuilder::new(3);
+    let shared = b.leaf(0, h(&[0.2, 0.5, 0.3]));
+    let lone = b.leaf(1, h(&[0.6, 0.4]));
+    let other = b.leaf(1, h(&[0.1, 0.9]));
+    let p1 = b.product(vec![shared, lone]);
+    let p2 = b.product(vec![other, shared]);
+    let s01 = b.sum(vec![(0.35, p1), (0.65, p2)]);
+    let term_and_factor = b.leaf(2, h(&[0.5, 0.25, 0.25]));
+    let term_only = b.leaf(2, h(&[0.1, 0.1, 0.8]));
+    let s2 = b.sum(vec![(0.7, term_and_factor), (0.3, term_only)]);
+    let left = b.product(vec![s01, term_and_factor]);
+    let right = b.product(vec![s2, s01]);
+    let root = b.sum(vec![(0.45, left), (0.55, right)]);
+    let spn = b.finish(root, "in-place-edges").unwrap();
+
+    let mut b = SpnBuilder::new(3);
+    let only = b.leaf(1, h(&[0.6, 0.4]));
+    let leaf_root = b.finish(only, "leaf-root").unwrap();
+
+    let data = rows_with_out_of_support_bytes(13, 2 * LANES + 5, 3, 3);
+    let tapped = CompiledPlan::compile_with_outputs(&spn, &[root.0, lone.0]);
+    for query in [0b101, 0b010].into_iter().flat_map(|m| query_shapes(m, 3)) {
+        assert_rows_bit_exact(&spn, &data, &query, false);
+        assert_rows_bit_exact(&leaf_root, &data, &query, false);
+        // The tapped leaf is `leaf_root`'s one node.
+        let got = PlanExecutor::new(&tapped).eval_batch(&query, &data);
+        assert_eq!(got.len(), 2 * data.num_samples());
+        let (mut ev, mut ev_leaf) = (Evaluator::new(&spn), Evaluator::new(&leaf_root));
+        for (row, values) in data.rows().zip(got.chunks(2)) {
+            let want = [ev.eval_bytes(&query, row), ev_leaf.eval_bytes(&query, row)];
+            assert_eq!(values[0].to_bits(), want[0].to_bits(), "{}", query.label());
+            assert_eq!(values[1].to_bits(), want[1].to_bits(), "{}", query.label());
+        }
+    }
+}
+
 /// The five benchmark networks at full size — 256-entry tables,
 /// fan-in-4 sums over fan-in-5 products, hundreds of ops — over a batch
 /// that ends in three leftover rows, for every query shape.
@@ -357,16 +402,10 @@ fn taps_are_bit_exact_across_a_chunk_boundary() {
     let spn = spn_core::random_spn(&cfg, "plan-diff").unwrap();
     let n = 2 * LANES + 3;
     let raw = raw_rows(9, n, cfg.num_vars, cfg.domain);
-    let plan = CompiledPlan::compile(&spn);
-    let taps: Vec<u32> = (0..plan.len() as u32).collect();
+    let taps: Vec<u32> = (0..spn.len() as u32).collect();
+    let plan = CompiledPlan::compile_with_outputs(&spn, &taps);
     let mut got = Vec::new();
-    PlanExecutor::new(&plan).eval_taps_batch_raw(
-        &Query::Complete,
-        &raw,
-        cfg.num_vars,
-        &taps,
-        &mut got,
-    );
+    PlanExecutor::new(&plan).eval_batch_raw(&Query::Complete, &raw, cfg.num_vars, &mut got);
     assert_eq!(got.len(), n * taps.len());
     let mut ev = Evaluator::new(&spn);
     for (row, values) in raw.chunks(cfg.num_vars).zip(got.chunks(taps.len())) {
