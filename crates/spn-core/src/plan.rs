@@ -6,24 +6,32 @@
 //! [`CompiledPlan`] and evaluates whole byte [`crate::Dataset`] slices
 //! with a batched [`PlanExecutor`]:
 //!
-//! * **One `Copy` op per value, three arenas.** The arena is already a
+//! * **Flat `Copy` ops over four arenas.** The arena is already a
 //!   level-consistent topological order (children strictly precede
 //!   parents), so ops are emitted in arena order and executed as a
 //!   linear scan — the same schedule the hardware pipeline uses. An op
-//!   is a kind, an operand count and the scratch row it writes. Product
-//!   factors and sum terms live in two arenas in op order, so the scan
-//!   consumes them front to back and an op's operands are "the next
-//!   `n`"; leaf tables live in a third, indexed by record. No op owns a
-//!   heap allocation.
-//! * **Only live values have rows.** A leaf whose one reader is a
-//!   product, and which is not a plan output, has no op: the product
-//!   adds its table entry in place, at the leaf's position in its child
-//!   order — as the paper's datapath feeds a histogram lookup straight
-//!   into its multiplier tree. Every other value takes a scratch row
-//!   from a free list and gives it back after its last reader, so the
-//!   scratch holds what is live at once (11 rows for NIPS80's 283
-//!   nodes). The rows a caller reads — the root, or a shard's taps —
-//!   are fixed at compile time and never freed.
+//!   is a kind, its operand counts and the scratch row it writes (a sum
+//!   group's rows sit in an arena). Product factors, sum rows and sum
+//!   weights live in three arenas in op order, so the scan consumes them
+//!   front to back and an op's operands are "the next `n`"; leaf tables
+//!   live in a fourth, indexed by record. No op owns a heap allocation.
+//! * **Only live values have rows.** A value nobody reads has no op. A
+//!   leaf whose one reader is a product, and which is not a plan
+//!   output, has no op either: the product adds its table entry in
+//!   place, at the leaf's position in its child order — as the paper's
+//!   datapath feeds a histogram lookup straight into its multiplier
+//!   tree. Every other value takes a scratch row from a free list and
+//!   gives it back after its last reader, so the scratch holds what is
+//!   live at once (12 rows for NIPS80's 283 nodes). The rows a caller
+//!   reads — the root, or a shard's taps — are fixed at compile time
+//!   and never freed.
+//! * **Sums that read the same children share a max and an `exp`
+//!   pass.** A sum whose `w > 0` children are the same nodes, in the
+//!   same order, as those of the sum op just before it joins that op. A
+//!   region's sums mix the same products with different weights, so
+//!   their max and every `exp(x − m)` are the same bits: the group
+//!   computes them once and each member accumulates its own weighted
+//!   sum in its own row. NIPS80's 31 sums run as 16 ops.
 //! * **Leaf lookup tables.** Datasets are byte matrices (domain ≤ 256),
 //!   so every leaf lowers to a 256-entry log-density table built with
 //!   the oracle's own `log_density` — one indexed load per sample
@@ -51,10 +59,12 @@
 //! the order, the oracle applies to sample `l` — only the interleaving
 //! *between* samples changes — and both sides call the same `exp` and
 //! `ln`, which use no fused multiply-add and so compute the same bits
-//! at every register width. A lane whose max is `−inf` computes a `NaN`
-//! sum (`−inf − −inf`) that the final per-lane select discards, where
-//! the oracle returns early. An in-place leaf adds the very value its
-//! row would have held, at the same point of the product's fold.
+//! at every register width. A group member's `s` is its own row, and
+//! the shared `m` and `exp(x − m)` are the oracle's bits for each
+//! member. A lane whose max is `−inf` computes a `NaN` sum
+//! (`−inf − −inf`) that the final per-lane select discards, where the
+//! oracle returns early. An in-place leaf adds the very value its row
+//! would have held, at the same point of the product's fold.
 
 use crate::dataset::Dataset;
 use crate::graph::{Node, Spn};
@@ -84,12 +94,9 @@ enum Factor {
     Leaf(u32),
 }
 
-/// One sum term in the term arena. Sums hold only their `weight > 0`
-/// terms, in source child order.
+/// One sum weight in the weight arena.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Term {
-    /// Scratch row of the child's value.
-    row: u32,
+struct Weight {
     /// Linear mixture weight (> 0).
     weight: f64,
     /// `ln weight`, precomputed for the MPE max kernel.
@@ -112,16 +119,22 @@ struct LeafTable {
     var: u32,
 }
 
-/// One flat instruction: a kind and how much of an arena it consumes.
+/// One flat instruction: a kind, how much of an arena it consumes and
+/// where it writes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PlanOp {
-    /// Leaf lowered to a byte-indexed log-density table: this record.
-    Leaf { leaf: u32 },
-    /// Product: log-domain sum of the next `n` factors, in order.
-    Product { n: u32 },
-    /// Sum: weighted log-sum-exp (or weighted max for MPE) of the next
-    /// `n` terms, in order.
-    Sum { n: u32 },
+    /// Leaf lowered to a byte-indexed log-density table: this record,
+    /// into this row.
+    Leaf { leaf: u32, row: u32 },
+    /// Product: log-domain sum of the next `n` factors, in order, into
+    /// this row.
+    Product { n: u32, row: u32 },
+    /// A sum group: `k` sums over the same `n` children in the same
+    /// order. Each member's weighted log-sum-exp (or weighted max for
+    /// MPE) of the children's rows — the next `n` sum rows — goes into
+    /// its own row, the `k` after them; the next `k × n` weights are the
+    /// members', member by member.
+    Sum { n: u32, k: u32 },
 }
 
 /// Structural statistics of a compiled plan (telemetry payload).
@@ -149,12 +162,14 @@ pub struct PlanStats {
 /// cache stores).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPlan {
-    /// Every op that has a row, in arena order, and the row it writes.
-    ops: Vec<(PlanOp, u32)>,
+    /// The ops, in arena order.
+    ops: Vec<PlanOp>,
     /// Product factors of every op, in op order.
     factors: Vec<Factor>,
-    /// Sum terms of every op, in op order.
-    terms: Vec<Term>,
+    /// Rows every sum op reads and writes, in op order.
+    sum_rows: Vec<u32>,
+    /// Sum weights of every op, in op order.
+    weights: Vec<Weight>,
     /// One record per leaf, in arena order.
     leaves: Vec<LeafTable>,
     /// Scratch rows a pass needs: the most values live at once.
@@ -167,6 +182,21 @@ pub struct CompiledPlan {
     fingerprint: u64,
     name: String,
     stats: PlanStats,
+}
+
+/// The children a node's op reads, in child order, with their weights:
+/// a product's every factor (weight 1), a sum's `w > 0` terms.
+fn operands(node: &Node) -> impl Iterator<Item = (usize, f64)> + '_ {
+    let weights = match node {
+        Node::Sum { weights, .. } => &weights[..],
+        _ => &[],
+    };
+    let weights = weights.iter().copied().chain(std::iter::repeat(1.0));
+    node.children()
+        .iter()
+        .zip(weights)
+        .filter(|&(_, w)| w > 0.0)
+        .map(|(c, w)| (c.index(), w))
 }
 
 impl CompiledPlan {
@@ -190,11 +220,30 @@ impl CompiledPlan {
             outputs.iter().all(|&o| (o as usize) < n),
             "output out of range for a {n}-node network: {outputs:?}"
         );
-        // Who reads each value: its parents, and — without end — the
-        // caller, for an output.
+        // Who reads each value: the ops of its live parents, and —
+        // without end — the caller, for an output. A value nobody reads
+        // is dead and gets no op.
         let (mut readers, mut read_by_product) = (vec![0u32; n], vec![false; n]);
-        let mut leaves = Vec::with_capacity(shape.leaves);
-        let mut leaf_of = vec![0u32; n];
+        for &o in outputs {
+            readers[o as usize] = u32::MAX;
+        }
+        for (i, node) in nodes.iter().enumerate().rev() {
+            if readers[i] > 0 {
+                for (c, _) in operands(node) {
+                    readers[c] = readers[c].saturating_add(1);
+                    read_by_product[c] |= node.is_product();
+                }
+            }
+        }
+        let in_place: Vec<bool> = (0..n)
+            .map(|c| nodes[c].is_leaf() && readers[c] == 1 && read_by_product[c])
+            .collect();
+
+        let (mut leaves, mut leaf_of) = (Vec::with_capacity(shape.leaves), vec![0u32; n]);
+        let (mut ops, mut factors) = (Vec::with_capacity(n), Vec::new());
+        let (mut sum_rows, mut weights) = (Vec::new(), Vec::new());
+        let (mut row_of, mut free, mut rows) = (vec![0u32; n], Vec::new(), 0);
+        let (mut max_sum_fan_in, mut prev) = (0, 0);
         for (i, node) in nodes.iter().enumerate() {
             if let Node::Leaf { var, dist } = node {
                 leaf_of[i] = leaves.len() as u32;
@@ -204,67 +253,63 @@ impl CompiledPlan {
                     var: *var as u32,
                 });
             }
-            for c in node.children() {
-                readers[c.index()] += 1;
-                read_by_product[c.index()] |= matches!(node, Node::Product { .. });
+            if readers[i] == 0 || in_place[i] {
+                continue;
             }
-        }
-        for &o in outputs {
-            readers[o as usize] = u32::MAX;
-        }
-        let in_place: Vec<bool> = (0..n)
-            .map(|c| nodes[c].is_leaf() && readers[c] == 1 && read_by_product[c])
-            .collect();
-
-        let (mut ops, mut factors, mut terms) = (Vec::with_capacity(n), Vec::new(), Vec::new());
-        let (mut row_of, mut free, mut rows) = (vec![0u32; n], Vec::new(), 0);
-        let mut max_sum_fan_in = 0;
-        for (i, node) in nodes.iter().enumerate().filter(|&(i, _)| !in_place[i]) {
-            let op = match node {
-                Node::Leaf { .. } => PlanOp::Leaf { leaf: leaf_of[i] },
+            // An op takes its row before its operands give theirs back,
+            // so a sum group can write its members' rows while it still
+            // reads its children.
+            let row = free.pop().unwrap_or(rows);
+            rows = rows.max(row + 1);
+            row_of[i] = row;
+            match node {
+                Node::Leaf { .. } => ops.push(PlanOp::Leaf {
+                    leaf: leaf_of[i],
+                    row,
+                }),
                 Node::Product { children } => {
                     factors.extend(children.iter().map(|c| match in_place[c.index()] {
                         true => Factor::Leaf(leaf_of[c.index()]),
                         false => Factor::Row(row_of[c.index()]),
                     }));
-                    PlanOp::Product {
-                        n: children.len() as u32,
-                    }
+                    let n = children.len() as u32;
+                    ops.push(PlanOp::Product { n, row });
                 }
-                Node::Sum { children, weights } => {
-                    let start = terms.len();
-                    let kept = children.iter().zip(weights).filter(|(_, &w)| w > 0.0);
-                    terms.extend(kept.map(|(c, &w)| Term {
-                        row: row_of[c.index()],
+                Node::Sum { .. } => {
+                    let children = |node| operands(node).map(|(c, _)| c);
+                    // A sum joins the sum op just before it when both
+                    // read the same children in the same order.
+                    let same = children(&nodes[prev]).eq(children(node));
+                    match ops.last_mut() {
+                        Some(PlanOp::Sum { k, .. }) if same => *k += 1,
+                        _ => {
+                            sum_rows.extend(children(node).map(|c| row_of[c]));
+                            let n = children(node).count();
+                            max_sum_fan_in = max_sum_fan_in.max(n);
+                            ops.push(PlanOp::Sum { n: n as u32, k: 1 });
+                        }
+                    }
+                    sum_rows.push(row);
+                    weights.extend(operands(node).map(|(_, w)| Weight {
                         weight: w,
                         log_weight: w.ln(),
                     }));
-                    let fan_in = terms.len() - start;
-                    max_sum_fan_in = max_sum_fan_in.max(fan_in);
-                    PlanOp::Sum { n: fan_in as u32 }
                 }
-            };
-            // A row is free once its last reader has run; this op may
-            // write the row one of its own operands held, since the
-            // kernel reads every operand before it writes.
-            for c in node.children().iter().map(|c| c.index()) {
+            }
+            // A row is free once its value's last reader has run.
+            for (c, _) in operands(node) {
                 readers[c] -= 1;
                 if readers[c] == 0 && !in_place[c] {
                     free.push(row_of[c]);
                 }
             }
-            let row = free.pop().unwrap_or(rows);
-            rows = rows.max(row + 1);
-            if readers[i] == 0 {
-                free.push(row);
-            }
-            row_of[i] = row;
-            ops.push((op, row));
+            prev = i;
         }
         CompiledPlan {
             ops,
             factors,
-            terms,
+            sum_rows,
+            weights,
             leaves,
             scratch_rows: rows as usize,
             outputs: outputs.to_vec(),
@@ -482,16 +527,16 @@ impl<const W: usize> isa::Kernel for Chunk<'_, W> {
         let plan = self.plan;
         let mpe = self.query.is_mpe();
         let (scratch, _) = scratch.as_chunks_mut::<W>();
-        // Ops consume the two operand arenas front to back: no per-op
-        // range to check, no index to scale.
+        // Ops consume the operand arenas front to back: no per-op range
+        // to check, no index to scale.
         let mut factors = &plan.factors[..];
-        let mut terms = &plan.terms[..];
-        for &(op, row) in &plan.ops {
-            // Every operand's row was written by an earlier op and is
-            // read before this op writes its own.
-            let out: [f64; W] = match op {
-                PlanOp::Leaf { leaf } => self.leaf(leaf, rows),
-                PlanOp::Product { n } => {
+        let mut sum_rows = &plan.sum_rows[..];
+        let mut weights = &plan.weights[..];
+        // Every operand's row was written by an earlier op.
+        for &op in &plan.ops {
+            match op {
+                PlanOp::Leaf { leaf, row } => scratch[row as usize] = self.leaf(leaf, rows),
+                PlanOp::Product { n, row } => {
                     // Same fold as the oracle: 0.0, then += in child
                     // order, an in-place leaf at its own position.
                     let mut acc = [0.0; W];
@@ -504,54 +549,71 @@ impl<const W: usize> isa::Kernel for Chunk<'_, W> {
                             acc[l] += x[l];
                         }
                     }
-                    acc
+                    scratch[row as usize] = acc;
                 }
-                PlanOp::Sum { n } if mpe => {
-                    // Oracle's MPE kernel: strict `>`, first term wins
-                    // ties.
-                    let mut best = [f64::NEG_INFINITY; W];
-                    for t in next(&mut terms, n) {
-                        let x = &scratch[t.row as usize];
-                        for l in 0..W {
-                            let v = t.log_weight + x[l];
-                            if v > best[l] {
-                                best[l] = v;
+                PlanOp::Sum { n, k } => {
+                    let (xs, outs) = next(&mut sum_rows, n + k).split_at(n as usize);
+                    let ws = next(&mut weights, n * k);
+                    let n = n as usize;
+                    if mpe {
+                        // Oracle's MPE kernel, member by member: strict
+                        // `>`, first term wins ties.
+                        for (j, &out) in outs.iter().enumerate() {
+                            let mut best = [f64::NEG_INFINITY; W];
+                            for (&x, w) in xs.iter().zip(&ws[j * n..][..n]) {
+                                let x = &scratch[x as usize];
+                                for l in 0..W {
+                                    let v = w.log_weight + x[l];
+                                    if v > best[l] {
+                                        best[l] = v;
+                                    }
+                                }
                             }
+                            scratch[out as usize] = best;
                         }
+                        continue;
                     }
-                    best
-                }
-                PlanOp::Sum { n } => {
-                    let these = next(&mut terms, n);
-                    // Oracle's log-sum-exp, one pass per step: max in
-                    // term order, `Σ w·exp(x − m)` in term order, then
-                    // `m + ln s` unless the lane's max is −inf (an
-                    // empty sum is the all-−inf case).
+                    // Oracle's log-sum-exp, one pass per step, with the
+                    // max and each term's `exp(x − m)` shared by every
+                    // member: max in term order, each member's
+                    // `Σ w·exp(x − m)` in term order in its own row, then
+                    // `m + ln s` unless the lane's max is −inf (an empty
+                    // sum is the all-−inf case).
                     let mut m = [f64::NEG_INFINITY; W];
-                    for t in these {
-                        let x = &scratch[t.row as usize];
+                    for &x in xs {
+                        let x = &scratch[x as usize];
                         for l in 0..W {
                             m[l] = m[l].max(x[l]);
                         }
                     }
-                    let mut s = [0.0; W];
-                    for t in these {
-                        let x = &scratch[t.row as usize];
+                    for &out in outs {
+                        scratch[out as usize] = [0.0; W];
+                    }
+                    for (i, &x) in xs.iter().enumerate() {
+                        let x = &scratch[x as usize];
+                        let mut e = [0.0; W];
                         for l in 0..W {
-                            s[l] += t.weight * math::exp(x[l] - m[l]);
+                            e[l] = math::exp(x[l] - m[l]);
+                        }
+                        for (j, &out) in outs.iter().enumerate() {
+                            let (w, s) = (ws[j * n + i].weight, &mut scratch[out as usize]);
+                            for l in 0..W {
+                                s[l] += w * e[l];
+                            }
                         }
                     }
-                    for l in 0..W {
-                        s[l] = if m[l] == f64::NEG_INFINITY {
-                            f64::NEG_INFINITY
-                        } else {
-                            m[l] + math::ln(s[l])
-                        };
+                    for &out in outs {
+                        let s = &mut scratch[out as usize];
+                        for l in 0..W {
+                            s[l] = if m[l] == f64::NEG_INFINITY {
+                                f64::NEG_INFINITY
+                            } else {
+                                m[l] + math::ln(s[l])
+                            };
+                        }
                     }
-                    s
                 }
-            };
-            scratch[row as usize] = out;
+            }
         }
     }
 }
@@ -771,13 +833,31 @@ mod tests {
 
     /// Only live values hold a row: in-place leaves take none, and a
     /// row is reused once its value is dead. NIPS80's 283 nodes (one row
-    /// each in a node-per-row layout) need 11 rows, NIPS10's 31 need 5.
+    /// each in a node-per-row layout) need 12 rows, NIPS10's 31 need 6.
     #[test]
     fn scratch_holds_only_live_values() {
         use crate::nips::NipsBenchmark;
         let rows = |b: NipsBenchmark| CompiledPlan::compile(&b.build_spn()).scratch_rows;
-        assert_eq!(rows(NipsBenchmark::Nips80), 11);
-        assert_eq!(rows(NipsBenchmark::Nips10), 5);
+        assert_eq!(rows(NipsBenchmark::Nips80), 12);
+        assert_eq!(rows(NipsBenchmark::Nips10), 6);
+    }
+
+    /// A region's sums mix the same products in the same order, so they
+    /// share one sum op: NIPS80's 31 sums run as 16 ops, NIPS10's 3 as 2.
+    #[test]
+    fn sums_over_the_same_children_share_one_op() {
+        use crate::nips::NipsBenchmark;
+        let sum_ops = |b: NipsBenchmark| {
+            let spn = b.build_spn();
+            let plan = CompiledPlan::compile(&spn);
+            let ops = plan
+                .ops
+                .iter()
+                .filter(|op| matches!(op, PlanOp::Sum { .. }));
+            (spn.stats().sums, ops.count())
+        };
+        assert_eq!(sum_ops(NipsBenchmark::Nips80), (31, 16));
+        assert_eq!(sum_ops(NipsBenchmark::Nips10), (3, 2));
     }
 
     #[test]

@@ -183,18 +183,17 @@ impl Shared {
     /// and count the batch in flight.
     fn take_batch(&self, q: &mut BatchQueue) -> Vec<Pending> {
         q.in_flight += 1;
-        let mut batch = Vec::new();
-        let mut samples = 0u64;
-        while let Some(p) = q.items.front() {
+        let (mut take, mut samples) = (0, 0u64);
+        for p in &q.items {
             let n = u64::from(p.num_samples);
-            if !batch.is_empty() && samples + n > self.policy.max_batch_samples {
+            if take > 0 && samples + n > self.policy.max_batch_samples {
                 break;
             }
             samples += n;
-            batch.push(q.items.pop_front().expect("front exists"));
+            take += 1;
         }
         q.queued_samples -= samples;
-        batch
+        q.items.drain(..take).collect()
     }
 }
 
@@ -477,11 +476,7 @@ fn flush(shared: &Arc<Shared>, scheduler: &Scheduler, batch: Vec<Pending>, may_w
                 p.enqueued..now,
             );
         }
-        let earliest = live
-            .iter()
-            .map(|p| p.enqueued)
-            .min()
-            .expect("live is non-empty");
+        let earliest = live.iter().map(|p| p.enqueued).fold(now, Instant::min);
         trace.record(
             SpanKind::BatchFormed,
             live[0].ctx,

@@ -692,10 +692,8 @@ pub fn decode_results(p: &[u8]) -> Result<Vec<f64>, String> {
             4 + n * 8
         ));
     }
-    Ok(p[4..]
-        .chunks_exact(8)
-        .map(|b| f64::from_le_bytes(b.try_into().expect("chunks_exact(8) yields 8 bytes")))
-        .collect())
+    let (values, _) = p[4..].as_chunks::<8>();
+    Ok(values.iter().map(|&b| f64::from_le_bytes(b)).collect())
 }
 
 #[cfg(test)]

@@ -13,14 +13,15 @@
 //! and fully-summed-out evidence. Beside the random small networks:
 //! out-of-support bytes (`−inf` lanes next to finite ones in one
 //! chunk), the five benchmark networks at full size (256-entry tables,
-//! fan-in-4 sums over fan-in-5 products), the in-place leaf rule's edge
-//! cases, and tap extraction across a chunk boundary.
+//! fan-in-4 sums over fan-in-5 products), the in-place leaf rule's and
+//! the sum-group rule's edge cases, and tap extraction across a chunk
+//! boundary.
 
 use proptest::prelude::*;
 use spn_core::plan::LANES;
 use spn_core::{
-    CompiledPlan, Dataset, Evaluator, Leaf, PlanExecutor, Query, RandomSpnConfig, Spn, SpnBuilder,
-    ALL_BENCHMARKS,
+    CompiledPlan, Dataset, Evaluator, Leaf, NodeId, PlanExecutor, Query, RandomSpnConfig, Spn,
+    SpnBuilder, ALL_BENCHMARKS,
 };
 use spn_runtime::PlanCache;
 use std::sync::Arc;
@@ -303,6 +304,84 @@ fn in_place_leaf_edge_cases_are_bit_exact() {
             assert_eq!(values[1].to_bits(), want[1].to_bits(), "{}", query.label());
         }
     }
+}
+
+/// The sum-group rule's edge cases in one hand-built DAG, under all
+/// three query shapes and three masks, `to_bits` against the oracle: a
+/// three-member group; right after it, a sum over the same children in
+/// another order (not a member); a sum followed by one over the same
+/// children with a zero weight (different kept lists: not grouped),
+/// which is grouped with a sum over its kept children; a byte outside
+/// `narrow`'s support, which drives that group's lane to `−inf` beside
+/// finite lanes; and, in a plan with outputs, the trio's middle member,
+/// that group's last member, and the root with a sibling over the same
+/// children, so that the root is a group member.
+#[test]
+fn sum_group_edge_cases_are_bit_exact() {
+    /// The network rooted at the `pick`-th of the nodes it returns: the
+    /// trio's middle member, the narrow pair, the root's sibling and the
+    /// root.
+    fn network(pick: usize) -> (Spn, [u32; 4]) {
+        let h = Leaf::byte_histogram;
+        let mut b = SpnBuilder::new(2);
+        let wide = b.leaf(0, h(&[0.2, 0.5, 0.3]));
+        let narrow = b.leaf(0, h(&[0.6, 0.4]));
+        let x = b.leaf(1, h(&[0.5, 0.5]));
+        let y = b.leaf(1, h(&[0.1, 0.3, 0.6]));
+        let products = [(wide, x), (wide, y), (narrow, x), (narrow, y)];
+        let [p0, p1, p2, p3] = products.map(|(a, c)| b.product(vec![a, c]));
+        let mix = |b: &mut SpnBuilder, w: &[f64], children: &[NodeId]| {
+            b.sum(w.iter().copied().zip(children.iter().copied()).collect())
+        };
+        let trio = [[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.25; 4]]
+            .map(|w| mix(&mut b, &w, &[p0, p1, p2, p3]));
+        let swapped = mix(&mut b, &[0.1, 0.2, 0.3, 0.4], &[p3, p2, p1, p0]);
+        let full = mix(&mut b, &[0.5, 0.3, 0.2], &[p2, p3, p0]);
+        let zeroed = mix(&mut b, &[0.6, 0.4, 0.0], &[p2, p3, p0]);
+        let narrow_pair = mix(&mut b, &[0.1, 0.9], &[p2, p3]);
+        let tops = [
+            trio[0],
+            trio[1],
+            trio[2],
+            swapped,
+            full,
+            zeroed,
+            narrow_pair,
+        ];
+        let sibling = mix(&mut b, &[0.2, 0.1, 0.1, 0.2, 0.1, 0.2, 0.1], &tops);
+        let root = mix(&mut b, &[0.1, 0.15, 0.15, 0.1, 0.2, 0.1, 0.2], &tops);
+        let nodes = [trio[1], narrow_pair, sibling, root];
+        (
+            b.finish_unchecked(nodes[pick], "sum-groups"),
+            nodes.map(|n| n.0),
+        )
+    }
+    // The sibling has no parent: only a plan that outputs it computes
+    // it, and only there is the root a group member.
+    let (spn, outputs) = network(3);
+    let oracles: Vec<Spn> = (0..outputs.len()).map(|i| network(i).0).collect();
+    let tapped = CompiledPlan::compile_with_outputs(&spn, &outputs);
+    let data = rows_with_out_of_support_bytes(21, LANES + 16 + 3, 2, 3);
+    for query in [0b01, 0b10, 0b11]
+        .into_iter()
+        .flat_map(|m| query_shapes(m, 2))
+    {
+        assert_rows_bit_exact(&spn, &data, &query, false);
+        let got = PlanExecutor::new(&tapped).eval_batch(&query, &data);
+        assert_eq!(got.len(), outputs.len() * data.num_samples());
+        let mut evs: Vec<Evaluator> = oracles.iter().map(Evaluator::new).collect();
+        for (i, (row, values)) in data.rows().zip(got.chunks(outputs.len())).enumerate() {
+            for (ev, v) in evs.iter_mut().zip(values) {
+                let want = ev.eval_bytes(&query, row);
+                assert_eq!(v.to_bits(), want.to_bits(), "{} row {i}", query.label());
+            }
+        }
+    }
+    // The narrow pair's first chunk holds `−inf` lanes beside finite ones.
+    let got = PlanExecutor::new(&tapped).eval_batch(&Query::Complete, &data);
+    let pair: Vec<f64> = got.iter().skip(1).step_by(4).take(LANES).copied().collect();
+    assert!(pair.contains(&f64::NEG_INFINITY), "no −inf lane");
+    assert!(pair.iter().any(|v| v.is_finite()), "no finite lane");
 }
 
 /// The five benchmark networks at full size — 256-entry tables,
