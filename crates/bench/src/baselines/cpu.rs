@@ -33,13 +33,8 @@ impl CpuBaseline {
         }
     }
 
-    /// Worker count in use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Log-likelihoods for every sample in the dataset, in order.
-    pub fn infer(&self, data: &Dataset) -> Vec<f64> {
+    pub(crate) fn infer(&self, data: &Dataset) -> Vec<f64> {
         let nf = data.num_features();
         let mut out = vec![0.0f64; data.num_samples()];
         let share = out.len().div_ceil(self.threads).max(1);
@@ -115,7 +110,7 @@ mod tests {
     #[test]
     fn zero_threads_resolves_to_available() {
         let cpu = CpuBaseline::new(NipsBenchmark::Nips10.build_spn(), 0);
-        assert!(cpu.threads() >= 1);
+        assert!(cpu.threads >= 1);
     }
 
     #[test]

@@ -24,9 +24,9 @@ use spn_runtime::perf::{simulate, PerfConfig};
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct XeonModel {
     /// Effective aggregate operation throughput (ops/s).
-    pub op_rate: f64,
+    pub(crate) op_rate: f64,
     /// Cache-pressure knee, in datapath operations.
-    pub cache_knee: f64,
+    pub(crate) cache_knee: f64,
 }
 
 impl Default for XeonModel {
@@ -40,7 +40,7 @@ impl Default for XeonModel {
 
 impl XeonModel {
     /// Datapath operations per sample of a benchmark.
-    pub fn ops_per_sample(bench: NipsBenchmark) -> f64 {
+    pub(crate) fn ops_per_sample(bench: NipsBenchmark) -> f64 {
         let c = DatapathProgram::compile(&bench.build_spn()).op_counts();
         (c.muls + c.const_muls + c.adds + c.lookups) as f64
     }
@@ -61,7 +61,7 @@ impl XeonModel {
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct V100Model {
     /// Effective end-to-end byte throughput (B/s).
-    pub effective_bytes_per_sec: f64,
+    pub(crate) effective_bytes_per_sec: f64,
 }
 
 impl Default for V100Model {
@@ -108,7 +108,7 @@ impl Default for F1Model {
 
 impl F1Model {
     /// Cores the prior work fit for a benchmark (Table I / §V-D).
-    pub fn cores(bench: NipsBenchmark) -> u32 {
+    pub(crate) fn cores(bench: NipsBenchmark) -> u32 {
         match bench {
             NipsBenchmark::Nips80 => 2,
             _ => 4,
@@ -116,7 +116,7 @@ impl F1Model {
     }
 
     /// The deteriorated clock for a benchmark's design.
-    pub fn clock_hz(&self, bench: NipsBenchmark) -> u64 {
+    pub(crate) fn clock_hz(&self, bench: NipsBenchmark) -> u64 {
         self.base_clock_hz - self.clock_penalty_per_var_hz * bench.num_vars() as u64
     }
 

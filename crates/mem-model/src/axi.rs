@@ -8,7 +8,7 @@
 //! the conversion costs latency, not throughput. The model reflects
 //! that: an [`AxiPort`] has a raw wire bandwidth (width × clock) and a
 //! [`SmartConnect`] adds a fixed latency per transaction while passing
-//! bandwidth through (bounded by the narrower side).
+//! bandwidth through.
 
 use serde::{Deserialize, Serialize};
 use sim_core::{Bandwidth, SimDuration};
@@ -24,17 +24,6 @@ pub enum AxiProtocol {
     Axi4,
     /// AXI4-Lite — control-plane register access.
     Axi4Lite,
-}
-
-impl AxiProtocol {
-    /// Maximum beats per burst.
-    pub fn max_burst_beats(self) -> u32 {
-        match self {
-            AxiProtocol::Axi3 => 16,
-            AxiProtocol::Axi4 => 256,
-            AxiProtocol::Axi4Lite => 1,
-        }
-    }
 }
 
 /// One AXI port: protocol, data width and clock.
@@ -53,7 +42,7 @@ impl AxiPort {
     ///
     /// # Panics
     /// Panics on a non-power-of-two or out-of-range width, or a zero clock.
-    pub fn new(protocol: AxiProtocol, data_width_bits: u32, clock_hz: u64) -> Self {
+    pub(crate) fn new(protocol: AxiProtocol, data_width_bits: u32, clock_hz: u64) -> Self {
         assert!(
             data_width_bits.is_power_of_two() && (32..=1024).contains(&data_width_bits),
             "invalid AXI width {data_width_bits}"
@@ -67,30 +56,19 @@ impl AxiPort {
     }
 
     /// The HBM hard-IP port: AXI3, 256 bit, 450 MHz.
-    pub fn hbm_native() -> Self {
+    pub(crate) fn hbm_native() -> Self {
         AxiPort::new(AxiProtocol::Axi3, 256, 450_000_000)
     }
 
     /// The accelerator-side port in the paper's design: AXI4, 512 bit,
     /// 225 MHz — half the clock, double the width.
-    pub fn accelerator_512_225() -> Self {
+    pub(crate) fn accelerator_512_225() -> Self {
         AxiPort::new(AxiProtocol::Axi4, 512, 225_000_000)
     }
 
     /// Raw wire bandwidth: width × clock.
-    pub fn wire_bandwidth(&self) -> Bandwidth {
+    pub(crate) fn wire_bandwidth(&self) -> Bandwidth {
         Bandwidth::from_bytes_per_sec(self.data_width_bits as f64 / 8.0 * self.clock_hz as f64)
-    }
-
-    /// Bytes carried by one beat.
-    pub fn bytes_per_beat(&self) -> u64 {
-        self.data_width_bits as u64 / 8
-    }
-
-    /// Number of bursts needed to move `bytes`.
-    pub fn bursts_for(&self, bytes: u64) -> u64 {
-        let burst_bytes = self.bytes_per_beat() * self.protocol.max_burst_beats() as u64;
-        bytes.div_ceil(burst_bytes)
     }
 }
 
@@ -110,7 +88,7 @@ impl SmartConnect {
     /// The conversion used in the paper: 512b/225MHz AXI4 master to
     /// 256b/450MHz AXI3 HBM slave. Latency is a handful of cycles on
     /// each side; ~60 ns covers the CDC FIFO plus register slices.
-    pub fn paper_hbm_path() -> Self {
+    pub(crate) fn paper_hbm_path() -> Self {
         SmartConnect {
             master: AxiPort::accelerator_512_225(),
             slave: AxiPort::hbm_native(),
@@ -120,35 +98,12 @@ impl SmartConnect {
 
     /// A direct connection (no conversion): same port both sides, zero
     /// latency. Models the 450 MHz native-width configuration of Fig. 2.
-    pub fn direct(port: AxiPort) -> Self {
+    pub(crate) fn direct(port: AxiPort) -> Self {
         SmartConnect {
             master: port,
             slave: port,
             latency: SimDuration::ZERO,
         }
-    }
-
-    /// Sustained bandwidth through the connection: the narrower side wins.
-    pub fn through_bandwidth(&self) -> Bandwidth {
-        self.master
-            .wire_bandwidth()
-            .min(self.slave.wire_bandwidth())
-    }
-
-    /// True when the two sides need a clock-domain crossing.
-    pub fn needs_cdc(&self) -> bool {
-        self.master.clock_hz != self.slave.clock_hz
-    }
-
-    /// True when data-width conversion is performed.
-    pub fn needs_width_conversion(&self) -> bool {
-        self.master.data_width_bits != self.slave.data_width_bits
-    }
-
-    /// True when protocol conversion (AXI4 → AXI3 burst splitting) is
-    /// performed.
-    pub fn needs_protocol_conversion(&self) -> bool {
-        self.master.protocol != self.slave.protocol
     }
 }
 
@@ -170,53 +125,25 @@ mod tests {
     }
 
     #[test]
-    fn beats_and_bursts() {
-        let hbm = AxiPort::hbm_native();
-        assert_eq!(hbm.bytes_per_beat(), 32);
-        // AXI3: 16 beats/burst -> 512 bytes per burst.
-        assert_eq!(hbm.bursts_for(512), 1);
-        assert_eq!(hbm.bursts_for(513), 2);
-        assert_eq!(hbm.bursts_for(1 << 20), 2048);
-        let acc = AxiPort::accelerator_512_225();
-        // AXI4: 256 beats of 64B -> 16 KiB per burst.
-        assert_eq!(acc.bursts_for(16 << 10), 1);
-    }
-
-    #[test]
     fn paper_smartconnect_conversions() {
         let sc = SmartConnect::paper_hbm_path();
-        assert!(sc.needs_cdc());
-        assert!(sc.needs_width_conversion());
-        assert!(sc.needs_protocol_conversion());
+        // Clock-domain crossing, width and AXI4 -> AXI3 conversion.
+        assert_ne!(sc.master.clock_hz, sc.slave.clock_hz);
+        assert_ne!(sc.master.data_width_bits, sc.slave.data_width_bits);
+        assert_ne!(sc.master.protocol, sc.slave.protocol);
         // Bandwidth passes through unharmed: Fig. 2's key observation.
         assert_eq!(
-            sc.through_bandwidth().bytes_per_sec(),
-            AxiPort::hbm_native().wire_bandwidth().bytes_per_sec()
+            sc.master.wire_bandwidth().bytes_per_sec(),
+            sc.slave.wire_bandwidth().bytes_per_sec()
         );
+        assert!(sc.latency > SimDuration::ZERO);
     }
 
     #[test]
     fn direct_connection_is_free() {
         let sc = SmartConnect::direct(AxiPort::hbm_native());
-        assert!(!sc.needs_cdc());
-        assert!(!sc.needs_width_conversion());
-        assert!(!sc.needs_protocol_conversion());
+        assert_eq!(sc.master, sc.slave);
         assert_eq!(sc.latency, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn narrow_side_limits_throughput() {
-        let narrow = AxiPort::new(AxiProtocol::Axi4, 64, 100_000_000);
-        let wide = AxiPort::new(AxiProtocol::Axi4, 512, 300_000_000);
-        let sc = SmartConnect {
-            master: narrow,
-            slave: wide,
-            latency: SimDuration::ZERO,
-        };
-        assert_eq!(
-            sc.through_bandwidth().bytes_per_sec(),
-            narrow.wire_bandwidth().bytes_per_sec()
-        );
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! added. The paper's Section III-A describes the resulting trade-off
 //! for NIPS80: four accelerators with one shared controller, or two
 //! accelerators with dedicated controllers — either way losing
-//! performance. This module models both the bandwidth side (channels
-//! shared among accelerators, unlike HBM's dedicated channels) and
-//! exposes the controller resource cost used by `spn-hw`'s Table I
-//! reproduction.
+//! performance. This module models the bandwidth side: the aggregate
+//! sustained bandwidth of the few soft-controller channels that all
+//! accelerators share, unlike HBM's dedicated channels.
 
 use serde::{Deserialize, Serialize};
-use sim_core::{Bandwidth, Grant, SimDuration, SimTime, Timeline, GIB};
+use sim_core::{Bandwidth, SimDuration, GIB};
 
 /// One DDR4 channel with a soft controller.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -29,7 +28,7 @@ pub struct DdrChannelConfig {
 
 impl DdrChannelConfig {
     /// The F1's DDR4-2133 channels as exercised by \[8\].
-    pub fn aws_f1() -> Self {
+    pub(crate) fn aws_f1() -> Self {
         DdrChannelConfig {
             peak: Bandwidth::from_gb_per_sec(17.0),
             efficiency: 0.75,
@@ -38,13 +37,8 @@ impl DdrChannelConfig {
     }
 
     /// Sustained bandwidth of one channel.
-    pub fn sustained(&self) -> Bandwidth {
+    pub(crate) fn sustained(&self) -> Bandwidth {
         self.peak.scaled(self.efficiency)
-    }
-
-    /// Service time for one request.
-    pub fn service_time(&self, bytes: u64) -> SimDuration {
-        self.request_overhead + self.sustained().time_for_bytes(bytes)
     }
 }
 
@@ -77,62 +71,9 @@ impl DdrConfig {
     }
 }
 
-/// The simulated DDR device. Accelerators are *assigned* to channels
-/// (possibly many to one), and assigned accelerators contend FIFO on
-/// their shared channel — the crucial contrast with HBM.
-#[derive(Debug, Clone)]
-pub struct DdrDevice {
-    config: DdrConfig,
-    channels: Vec<Timeline>,
-    /// `assignment[accel] = channel`.
-    assignment: Vec<u32>,
-}
-
-impl DdrDevice {
-    /// Create a device and assign `num_accelerators` round-robin to the
-    /// available channels.
-    pub fn new(config: DdrConfig, num_accelerators: u32) -> Self {
-        let channels = (0..config.num_channels)
-            .map(|_| Timeline::new("ddr-channel"))
-            .collect();
-        let assignment = (0..num_accelerators)
-            .map(|a| a % config.num_channels)
-            .collect();
-        DdrDevice {
-            config,
-            channels,
-            assignment,
-        }
-    }
-
-    /// Device configuration.
-    pub fn config(&self) -> &DdrConfig {
-        &self.config
-    }
-
-    /// The channel an accelerator is wired to.
-    pub fn channel_of(&self, accel: u32) -> u32 {
-        self.assignment[accel as usize]
-    }
-
-    /// Number of accelerators sharing `accel`'s channel.
-    pub fn sharers_of(&self, accel: u32) -> u32 {
-        let ch = self.channel_of(accel);
-        self.assignment.iter().filter(|&&c| c == ch).count() as u32
-    }
-
-    /// Reserve a transfer for accelerator `accel`.
-    pub fn transfer(&mut self, accel: u32, at: SimTime, bytes: u64) -> Grant {
-        let ch = self.assignment[accel as usize] as usize;
-        let service = self.config.channel.service_time(bytes);
-        self.channels[ch].reserve(at, service)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::MIB;
 
     #[test]
     fn f1_channel_bandwidth() {
@@ -142,39 +83,6 @@ mod tests {
             (11.0..13.0).contains(&gib),
             "F1 channel sustains {gib} GiB/s"
         );
-    }
-
-    #[test]
-    fn sharing_halves_per_accelerator_bandwidth() {
-        // Four accelerators on one channel: each sees 1/4.
-        let mut dev = DdrDevice::new(DdrConfig::aws_f1(1), 4);
-        let mut ends = Vec::new();
-        for a in 0..4 {
-            let g = dev.transfer(a, SimTime::ZERO, MIB);
-            ends.push(g.end);
-        }
-        // All four serialize on the single channel.
-        let per_req = dev.config.channel.service_time(MIB);
-        assert_eq!(ends[3], SimTime::ZERO + per_req * 4);
-    }
-
-    #[test]
-    fn dedicated_channels_do_not_interfere() {
-        let mut dev = DdrDevice::new(DdrConfig::aws_f1(4), 4);
-        assert_eq!(dev.sharers_of(0), 1);
-        let a = dev.transfer(0, SimTime::ZERO, MIB);
-        let b = dev.transfer(1, SimTime::ZERO, MIB);
-        assert_eq!(a.start, b.start);
-    }
-
-    #[test]
-    fn round_robin_assignment() {
-        let dev = DdrDevice::new(DdrConfig::aws_f1(2), 4);
-        assert_eq!(dev.channel_of(0), 0);
-        assert_eq!(dev.channel_of(1), 1);
-        assert_eq!(dev.channel_of(2), 0);
-        assert_eq!(dev.channel_of(3), 1);
-        assert_eq!(dev.sharers_of(0), 2);
     }
 
     #[test]

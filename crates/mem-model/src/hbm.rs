@@ -32,7 +32,7 @@ pub enum ClockConfig {
 
 impl ClockConfig {
     /// The interconnect between user logic and the HBM port.
-    pub fn interconnect(self) -> SmartConnect {
+    pub(crate) fn interconnect(self) -> SmartConnect {
         match self {
             ClockConfig::Native450 => SmartConnect::direct(AxiPort::hbm_native()),
             ClockConfig::Half225DoubleWidth => SmartConnect::paper_hbm_path(),
@@ -83,7 +83,7 @@ impl HbmChannelConfig {
 
     /// Time to service one request of `bytes`, including fixed overhead
     /// and the SmartConnect latency of the clocking configuration.
-    pub fn service_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn service_time(&self, bytes: u64) -> SimDuration {
         let wire = self.sustained_bandwidth().time_for_bytes(bytes);
         self.request_overhead + self.clock_config.interconnect().latency + wire
     }
@@ -155,13 +155,8 @@ impl HbmConfig {
     }
 
     /// Total channel count (32).
-    pub fn num_channels(&self) -> u32 {
+    pub(crate) fn num_channels(&self) -> u32 {
         self.stacks * self.channels_per_stack
-    }
-
-    /// Capacity of a single channel's memory region.
-    pub fn channel_capacity(&self) -> u64 {
-        self.capacity_bytes / self.num_channels() as u64
     }
 
     /// Aggregate sustained bandwidth with all channels streaming
@@ -198,11 +193,6 @@ impl HbmDevice {
             .map(|_| Timeline::new("hbm-channel"))
             .collect();
         HbmDevice { config, channels }
-    }
-
-    /// Device configuration.
-    pub fn config(&self) -> &HbmConfig {
-        &self.config
     }
 
     /// Reserve a transfer of `bytes` on `channel`, starting no earlier
@@ -251,17 +241,6 @@ impl HbmDevice {
             }
         }
         Ok(self.channels[idx].reserve(at, service))
-    }
-
-    /// The channel owning a physical address (region-interleaved map).
-    pub fn channel_of_address(&self, addr: u64) -> Result<u32, HbmError> {
-        if addr >= self.config.capacity_bytes {
-            return Err(HbmError(format!(
-                "address {addr:#x} beyond capacity {:#x}",
-                self.config.capacity_bytes
-            )));
-        }
-        Ok((addr / self.config.channel_capacity()) as u32)
     }
 }
 
@@ -319,7 +298,7 @@ mod tests {
     fn device_geometry() {
         let c = cfg();
         assert_eq!(c.num_channels(), 32);
-        assert_eq!(c.channel_capacity(), 256 * MIB);
+        assert_eq!(c.capacity_bytes / 32, 256 * MIB);
         // Theoretical 460 GB/s = ~428 GiB/s; practical ~384 GiB/s.
         assert!((c.theoretical_peak.gib_per_sec() - 428.4).abs() < 0.5);
         let p = c.practical_peak().gib_per_sec();
@@ -394,15 +373,6 @@ mod tests {
             t_remote > t_local * 1.3,
             "crossbar path should be clearly slower: {t_remote} vs {t_local}"
         );
-    }
-
-    #[test]
-    fn address_to_channel_map() {
-        let dev = HbmDevice::new(cfg());
-        assert_eq!(dev.channel_of_address(0).unwrap(), 0);
-        assert_eq!(dev.channel_of_address(256 * MIB).unwrap(), 1);
-        assert_eq!(dev.channel_of_address(8 * GIB - 1).unwrap(), 31);
-        assert!(dev.channel_of_address(8 * GIB).is_err());
     }
 
     #[test]

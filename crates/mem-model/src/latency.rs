@@ -24,11 +24,11 @@ use sim_core::{Bandwidth, SimDuration};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencyModel {
     /// DRAM core + controller pipeline (closed-page random access).
-    pub dram_latency: SimDuration,
+    pub(crate) dram_latency: SimDuration,
     /// Interconnect latency of the user-side clocking configuration.
-    pub interconnect_latency: SimDuration,
+    pub(crate) interconnect_latency: SimDuration,
     /// Extra switch latency when the access crosses the crossbar.
-    pub crossbar_latency: SimDuration,
+    pub(crate) crossbar_latency: SimDuration,
 }
 
 impl LatencyModel {
@@ -46,7 +46,7 @@ impl LatencyModel {
     }
 
     /// Total idle (unloaded) round-trip latency.
-    pub fn idle_latency(&self) -> SimDuration {
+    pub(crate) fn idle_latency(&self) -> SimDuration {
         self.dram_latency + self.interconnect_latency + self.crossbar_latency
     }
 }

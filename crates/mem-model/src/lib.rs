@@ -21,10 +21,10 @@ pub mod latency;
 pub mod traffic;
 
 pub use axi::{AxiPort, AxiProtocol, SmartConnect};
-pub use ddr::{DdrChannelConfig, DdrConfig, DdrDevice};
+pub use ddr::{DdrChannelConfig, DdrConfig};
 pub use hbm::{ClockConfig, CrossbarMode, HbmChannelConfig, HbmConfig, HbmDevice, HbmError};
 pub use latency::{
     outstanding_sweep, pointer_chase, saturation_window, LatencyModel, OutstandingPoint,
     PointerChaseResult,
 };
-pub use traffic::{run_channel_benchmark, sweep_request_sizes, TrafficResult, TrafficRun};
+pub use traffic::sweep_request_sizes;

@@ -15,7 +15,7 @@ use sim_core::{Bandwidth, Engine, Model, Scheduler, SimDuration, SimTime, Timeli
 
 /// Parameters of one micro-benchmark run.
 #[derive(Debug, Clone, Copy)]
-pub struct TrafficRun {
+pub(crate) struct TrafficRun {
     /// Request size in bytes.
     pub request_bytes: u64,
     /// Number of read requests to issue.
@@ -28,13 +28,19 @@ pub struct TrafficRun {
 
 /// Result of one run.
 #[derive(Debug, Clone, Copy)]
-pub struct TrafficResult {
+pub(crate) struct TrafficResult {
     /// Total bytes moved (reads + writes).
     pub total_bytes: u64,
     /// Completion time of the last request.
     pub makespan: SimTime,
+}
+
+impl TrafficResult {
     /// Achieved aggregate throughput.
-    pub throughput: Bandwidth,
+    fn throughput(&self) -> Bandwidth {
+        Bandwidth::observed(self.total_bytes, self.makespan - SimTime::ZERO)
+            .unwrap_or(Bandwidth::from_bytes_per_sec(0.0))
+    }
 }
 
 #[derive(Debug)]
@@ -85,7 +91,7 @@ impl Model for Bench {
 }
 
 /// Execute the micro-benchmark and report achieved throughput.
-pub fn run_channel_benchmark(cfg: HbmChannelConfig, run: TrafficRun) -> TrafficResult {
+pub(crate) fn run_channel_benchmark(cfg: HbmChannelConfig, run: TrafficRun) -> TrafficResult {
     assert!(
         run.outstanding_per_engine > 0,
         "need at least 1 outstanding"
@@ -110,13 +116,10 @@ pub fn run_channel_benchmark(cfg: HbmChannelConfig, run: TrafficRun) -> TrafficR
     }
     engine.run_to_completion();
     let model = engine.into_model();
-    // The last completion is the end of the channel's last grant.
-    let makespan = model.channel.free_at();
     TrafficResult {
         total_bytes: model.completed_bytes,
-        makespan,
-        throughput: Bandwidth::observed(model.completed_bytes, makespan - SimTime::ZERO)
-            .unwrap_or(Bandwidth::from_bytes_per_sec(0.0)),
+        // The last completion is the end of the channel's last grant.
+        makespan: model.channel.free_at(),
     }
 }
 
@@ -136,7 +139,7 @@ pub fn sweep_request_sizes(cfg: HbmChannelConfig, sizes: &[u64]) -> Vec<(u64, Ba
                     outstanding_per_engine: 2,
                 },
             );
-            (size, res.throughput)
+            (size, res.throughput())
         })
         .collect()
 }
@@ -182,7 +185,7 @@ mod tests {
                     outstanding_per_engine: 4,
                 },
             );
-            let des = res.throughput.gib_per_sec();
+            let des = res.throughput().gib_per_sec();
             let closed = c.effective_bandwidth(size).gib_per_sec();
             assert!(
                 (des - closed).abs() / closed < 0.01,
@@ -243,7 +246,7 @@ mod tests {
                 outstanding_per_engine: 1,
             },
         );
-        assert!(res.throughput.gib_per_sec() > 11.0);
+        assert!(res.throughput().gib_per_sec() > 11.0);
     }
 
     /// `sweep_request_sizes` at Fig. 2's thirteen sizes (4 KiB..16 MiB),

@@ -60,14 +60,6 @@ impl DmaConfig {
         }
     }
 
-    /// The idealized full-duplex variant (ablation).
-    pub fn full_duplex() -> Self {
-        DmaConfig {
-            duplex: DuplexMode::FullDuplex,
-            ..Self::paper_default()
-        }
-    }
-
     /// Same engine on a different PCIe generation (outlook analysis).
     pub fn with_link(mut self, link: PcieLink) -> Self {
         self.link = link;
@@ -75,14 +67,8 @@ impl DmaConfig {
     }
 
     /// Time to move `bytes` once the engine picks the transfer up.
-    pub fn transfer_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> SimDuration {
         self.setup_latency + self.link.practical_per_direction().time_for_bytes(bytes)
-    }
-
-    /// Effective bandwidth (bytes/s) at a given transfer (block) size —
-    /// the quantity that makes tiny block sizes a bad idea.
-    pub fn effective_bandwidth(&self, block_bytes: u64) -> f64 {
-        block_bytes as f64 / self.transfer_time(block_bytes).as_secs_f64()
     }
 }
 
@@ -105,11 +91,6 @@ impl DmaEngine {
         }
     }
 
-    /// Engine configuration.
-    pub fn config(&self) -> &DmaConfig {
-        &self.config
-    }
-
     /// Schedule a transfer of `bytes` in `dir`, requested at `at`.
     pub fn transfer(&mut self, dir: Direction, at: SimTime, bytes: u64) -> Grant {
         let service = self.config.transfer_time(bytes);
@@ -117,16 +98,6 @@ impl DmaEngine {
             (DuplexMode::SharedEngine, _) => self.h2d.reserve(at, service),
             (DuplexMode::FullDuplex, Direction::HostToDevice) => self.h2d.reserve(at, service),
             (DuplexMode::FullDuplex, Direction::DeviceToHost) => self.d2h.reserve(at, service),
-        }
-    }
-
-    /// Busy time accumulated in a direction (in SharedEngine mode, the
-    /// engine total is reported for either direction).
-    pub fn busy(&self, dir: Direction) -> SimDuration {
-        match (self.config.duplex, dir) {
-            (DuplexMode::SharedEngine, _) => self.h2d.busy_time(),
-            (DuplexMode::FullDuplex, Direction::HostToDevice) => self.h2d.busy_time(),
-            (DuplexMode::FullDuplex, Direction::DeviceToHost) => self.d2h.busy_time(),
         }
     }
 
@@ -145,6 +116,22 @@ mod tests {
     use super::*;
     use sim_core::MIB;
 
+    impl DmaConfig {
+        /// Effective bandwidth (bytes/s) at a given transfer (block)
+        /// size — the quantity that makes tiny block sizes a bad idea.
+        fn effective_bandwidth(&self, block_bytes: u64) -> f64 {
+            block_bytes as f64 / self.transfer_time(block_bytes).as_secs_f64()
+        }
+    }
+
+    /// The idealized full-duplex variant (the ablation).
+    fn full_duplex() -> DmaConfig {
+        DmaConfig {
+            duplex: DuplexMode::FullDuplex,
+            ..DmaConfig::paper_default()
+        }
+    }
+
     #[test]
     fn shared_engine_serializes_both_directions() {
         let mut e = DmaEngine::new(DmaConfig::paper_default());
@@ -155,7 +142,7 @@ mod tests {
 
     #[test]
     fn full_duplex_directions_are_independent() {
-        let mut e = DmaEngine::new(DmaConfig::full_duplex());
+        let mut e = DmaEngine::new(full_duplex());
         let a = e.transfer(Direction::HostToDevice, SimTime::ZERO, MIB);
         let b = e.transfer(Direction::DeviceToHost, SimTime::ZERO, MIB);
         assert_eq!(a.start, SimTime::ZERO);
@@ -164,7 +151,7 @@ mod tests {
 
     #[test]
     fn same_direction_serializes() {
-        let mut e = DmaEngine::new(DmaConfig::full_duplex());
+        let mut e = DmaEngine::new(full_duplex());
         let a = e.transfer(Direction::HostToDevice, SimTime::ZERO, MIB);
         let b = e.transfer(Direction::HostToDevice, SimTime::ZERO, MIB);
         assert_eq!(b.start, a.end);
@@ -203,10 +190,10 @@ mod tests {
 
     #[test]
     fn utilization_accounting() {
-        let mut e = DmaEngine::new(DmaConfig::full_duplex());
+        let mut e = DmaEngine::new(full_duplex());
         let g = e.transfer(Direction::HostToDevice, SimTime::ZERO, 64 * MIB);
         assert!(e.utilization(Direction::HostToDevice, g.end) > 0.99);
-        assert_eq!(e.busy(Direction::DeviceToHost), SimDuration::ZERO);
+        assert_eq!(e.d2h.busy_time(), SimDuration::ZERO);
     }
 
     #[test]

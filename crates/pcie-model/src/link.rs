@@ -38,7 +38,7 @@ impl PcieGeneration {
     ];
 
     /// Per-lane raw rate in GT/s.
-    pub fn gt_per_sec(self) -> f64 {
+    pub(crate) fn gt_per_sec(self) -> f64 {
         match self {
             PcieGeneration::Gen3 => 8.0,
             PcieGeneration::Gen4 => 16.0,
@@ -48,7 +48,7 @@ impl PcieGeneration {
     }
 
     /// Line-encoding efficiency (payload bits per transferred bit).
-    pub fn encoding_efficiency(self) -> f64 {
+    pub(crate) fn encoding_efficiency(self) -> f64 {
         match self {
             // 128b/130b for Gen3-5; Gen6 FLIT mode has similar framing
             // efficiency at this level of abstraction.
@@ -86,7 +86,7 @@ pub struct PcieLink {
 impl PcieLink {
     /// The paper's accelerator-card link: Gen3 x16 with a QDMA-class
     /// engine.
-    pub fn paper_gen3_x16() -> Self {
+    pub(crate) fn paper_gen3_x16() -> Self {
         PcieLink {
             generation: PcieGeneration::Gen3,
             lanes: 16,
@@ -104,7 +104,7 @@ impl PcieLink {
     }
 
     /// Theoretical one-directional bandwidth (datasheet convention).
-    pub fn theoretical_per_direction(&self) -> Bandwidth {
+    pub(crate) fn theoretical_per_direction(&self) -> Bandwidth {
         let raw_gbps = self.generation.gt_per_sec() * self.lanes as f64;
         Bandwidth::from_bytes_per_sec(raw_gbps * 1e9 / 8.0 * self.generation.encoding_efficiency())
     }

@@ -107,7 +107,7 @@ impl LogBuckets {
     ///
     /// # Panics
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, counts: &[u64], max: f64, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, counts: &[u64], max: f64, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
         let total: u64 = counts.iter().sum();
         if total == 0 {
@@ -194,7 +194,7 @@ impl LogHistogram {
     }
 
     /// Number of samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.counts.iter().sum()
     }
 
@@ -204,13 +204,8 @@ impl LogHistogram {
         (count > 0).then(|| self.sum / count as f64)
     }
 
-    /// Largest recorded value.
-    pub fn max(&self) -> f64 {
-        self.max_seen
-    }
-
     /// Approximate `q`-quantile (`0.0..=1.0`), see
-    /// [`LogBuckets::quantile`]. `None` when empty.
+    /// `LogBuckets::quantile`. `None` when empty.
     ///
     /// # Panics
     /// Panics if `q` is outside `[0, 1]`.
@@ -242,7 +237,7 @@ mod tests {
         assert!((900.0..1150.0).contains(&p99), "p99 {p99}");
         let mean = h.mean().unwrap();
         assert!((mean - 500.5).abs() < 1e-9, "mean is exact: {mean}");
-        assert_eq!(h.max(), 1000.0);
+        assert_eq!(h.max_seen, 1000.0);
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod units;
 
 pub use engine::{Engine, Model, Scheduler};
 pub use histogram::{HistogramSummary, LogBuckets, LogHistogram};
-pub use queue::EventQueue;
 pub use resource::{Grant, Timeline};
 pub use rng::{fnv1a_mix64, SplitMix64};
 pub use stats::geometric_mean;

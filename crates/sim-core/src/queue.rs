@@ -38,7 +38,7 @@ impl<E> Ord for Entry<E> {
 /// `pop` returns events in non-decreasing time order; ties are broken by
 /// insertion order. This is the core data structure behind
 /// [`crate::engine::Engine`] but is usable standalone for ad-hoc models.
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
@@ -51,7 +51,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Create an empty calendar.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -59,14 +59,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `event` at absolute time `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
+    pub(crate) fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { time, seq, event });
     }
 
     /// Remove and return the earliest event together with its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 }

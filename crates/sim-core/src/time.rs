@@ -15,13 +15,13 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 use serde::{Deserialize, Serialize};
 
 /// Picoseconds per nanosecond.
-pub const PS_PER_NS: u64 = 1_000;
+pub(crate) const PS_PER_NS: u64 = 1_000;
 /// Picoseconds per microsecond.
-pub const PS_PER_US: u64 = 1_000_000;
+pub(crate) const PS_PER_US: u64 = 1_000_000;
 /// Picoseconds per millisecond.
-pub const PS_PER_MS: u64 = 1_000_000_000;
+pub(crate) const PS_PER_MS: u64 = 1_000_000_000;
 /// Picoseconds per second.
-pub const PS_PER_SEC: u64 = 1_000_000_000_000;
+pub(crate) const PS_PER_SEC: u64 = 1_000_000_000_000;
 
 /// A point in virtual time, measured in picoseconds since simulation start.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
@@ -63,14 +63,8 @@ impl SimTime {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
     }
 }
 
@@ -145,12 +139,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_SEC as f64
-    }
-
-    /// Saturating addition.
-    #[inline]
-    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(rhs.0))
     }
 
     /// True when the span is zero.
@@ -361,10 +349,6 @@ mod tests {
         assert_eq!((d * 3).as_ps(), 90);
         assert_eq!((d / 2).as_ps(), 15);
         assert_eq!(d * u64::MAX, SimDuration::MAX);
-        assert_eq!(
-            SimDuration::MAX.saturating_add(SimDuration::from_ps(1)),
-            SimDuration::MAX
-        );
     }
 
     #[test]

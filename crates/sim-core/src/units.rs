@@ -90,11 +90,6 @@ impl Bandwidth {
     pub fn scaled(self, factor: f64) -> Bandwidth {
         Self::from_bytes_per_sec(self.0 * factor)
     }
-
-    /// The smaller of two rates (series bottleneck).
-    pub fn min(self, other: Bandwidth) -> Bandwidth {
-        Bandwidth(self.0.min(other.0))
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +135,6 @@ mod tests {
         assert_eq!(Bandwidth::observed(1000, SimDuration::ZERO), None);
         let s = o.scaled(0.5);
         assert!((s.bytes_per_sec() - 250.0).abs() < 1e-12);
-        assert_eq!(o.min(s), s);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl CfpFormat {
 
     /// Exponent bias.
     #[inline(always)]
-    pub fn bias(&self) -> i64 {
+    pub(crate) fn bias(&self) -> i64 {
         (1i64 << (self.exp_bits - 1)) - 1
     }
 
@@ -70,7 +70,7 @@ impl CfpFormat {
     /// keeping every CFP value exactly representable in `f64` (the
     /// emulation's output type).
     #[inline(always)]
-    pub fn max_exp_field(&self) -> i64 {
+    pub(crate) fn max_exp_field(&self) -> i64 {
         ((1i64 << self.exp_bits) - 1).min(self.bias() + 1023)
     }
 
@@ -83,11 +83,6 @@ impl CfpFormat {
     pub fn max_value(&self) -> f64 {
         let sig = (1u64 << (self.mant_bits + 1)) - 1; // 1.111…1
         sig as f64 * pow2((self.max_exp_field() - self.bias() - self.mant_bits as i64) as i32)
-    }
-
-    /// Smallest positive representable (normal) value.
-    pub fn min_value(&self) -> f64 {
-        pow2((1 - self.bias()) as i32)
     }
 
     /// Machine epsilon: ulp of 1.0.
@@ -277,7 +272,7 @@ impl CfpFormat {
 
     /// The saturation value (all fields at maximum).
     #[inline(always)]
-    pub fn saturated(&self) -> Cfp {
+    pub(crate) fn saturated(&self) -> Cfp {
         Cfp {
             bits: ((self.max_exp_field() as u64) << self.mant_bits) | self.mant_mask(),
         }
@@ -350,6 +345,14 @@ fn sticky_shift(x: u64, by: u64) -> u64 {
 fn pow2(e: i32) -> f64 {
     // Exact for |e| < 1023; format ranges keep us inside.
     f64::from_bits(((1023 + e) as u64) << 52)
+}
+
+#[cfg(test)]
+impl CfpFormat {
+    /// Smallest positive representable (normal) value.
+    fn min_value(&self) -> f64 {
+        pow2((1 - self.bias()) as i32)
+    }
 }
 
 #[cfg(test)]

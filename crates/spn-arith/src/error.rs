@@ -5,15 +5,12 @@
 //! and report maximum/mean relative error. Benches use this to justify
 //! the CFP configuration chosen for the NIPS accelerators.
 
-use crate::format::SpnNumber;
-
 /// Accumulated error statistics between a format and the f64 reference.
 #[derive(Debug, Clone, Default)]
 pub struct ErrorStats {
     count: u64,
     sum_rel: f64,
     max_rel: f64,
-    max_abs: f64,
     /// Results that were non-zero in f64 but zero in the format
     /// (underflow events — the failure mode LNS avoids).
     pub underflows: u64,
@@ -31,7 +28,6 @@ impl ErrorStats {
     pub fn record(&mut self, reference: f64, approx: f64) {
         self.count += 1;
         let abs = (approx - reference).abs();
-        self.max_abs = self.max_abs.max(abs);
         if reference != 0.0 {
             if approx == 0.0 {
                 self.underflows += 1;
@@ -43,11 +39,6 @@ impl ErrorStats {
         if approx.is_infinite() || (reference.is_finite() && approx.abs() > reference.abs() * 1e6) {
             self.overflows += 1;
         }
-    }
-
-    /// Number of pairs recorded.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Mean relative error.
@@ -63,56 +54,50 @@ impl ErrorStats {
     pub fn max_relative(&self) -> f64 {
         self.max_rel
     }
-
-    /// Maximum absolute error.
-    pub fn max_absolute(&self) -> f64 {
-        self.max_abs
-    }
-}
-
-/// Evaluate a mixture-of-products expression — the SPN inner loop — in
-/// both arithmetics and record the error. `terms` is a slice of
-/// (weight, factor list) pairs: result = Σ wᵢ · Π fᵢⱼ.
-pub fn compare_mixture<F: SpnNumber>(
-    format: &F,
-    terms: &[(f64, Vec<f64>)],
-    stats: &mut ErrorStats,
-) -> (f64, f64) {
-    // Reference in f64.
-    let reference: f64 = terms
-        .iter()
-        .map(|(w, fs)| w * fs.iter().product::<f64>())
-        .sum();
-    // Same dataflow in the candidate format.
-    let mut acc = format.zero();
-    for (w, fs) in terms {
-        let mut prod = format.from_f64(*w);
-        for &f in fs {
-            prod = format.mul(prod, format.from_f64(f));
-        }
-        acc = format.add(acc, prod);
-    }
-    let approx = format.to_f64(acc);
-    stats.record(reference, approx);
-    (reference, approx)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cfp::CfpFormat;
-    use crate::format::F64Format;
+    use crate::format::{F64Format, SpnNumber};
     use crate::lns::LnsFormat;
+
+    /// Evaluate a mixture-of-products expression — the SPN inner loop — in
+    /// both arithmetics and record the error. `terms` is a slice of
+    /// (weight, factor list) pairs: result = Σ wᵢ · Π fᵢⱼ.
+    fn compare_mixture<F: SpnNumber>(
+        format: &F,
+        terms: &[(f64, Vec<f64>)],
+        stats: &mut ErrorStats,
+    ) -> (f64, f64) {
+        // Reference in f64.
+        let reference: f64 = terms
+            .iter()
+            .map(|(w, fs)| w * fs.iter().product::<f64>())
+            .sum();
+        // Same dataflow in the candidate format.
+        let mut acc = format.zero();
+        for (w, fs) in terms {
+            let mut prod = format.from_f64(*w);
+            for &f in fs {
+                prod = format.mul(prod, format.from_f64(f));
+            }
+            acc = format.add(acc, prod);
+        }
+        let approx = format.to_f64(acc);
+        stats.record(reference, approx);
+        (reference, approx)
+    }
 
     #[test]
     fn stats_accumulate() {
         let mut s = ErrorStats::new();
         s.record(1.0, 1.001);
         s.record(2.0, 2.0);
-        assert_eq!(s.count(), 2);
+        assert_eq!(s.count, 2);
         assert!((s.max_relative() - 0.001).abs() < 1e-12);
         assert!((s.mean_relative() - 0.0005).abs() < 1e-12);
-        assert!((s.max_absolute() - 0.001).abs() < 1e-12);
     }
 
     #[test]

@@ -200,16 +200,6 @@ impl AnyFormat {
         }
     }
 
-    /// Storage width in bits of one value on the datapath.
-    pub fn value_width_bits(&self) -> u32 {
-        match self {
-            AnyFormat::Cfp(f) => f.width(),
-            AnyFormat::Lns(f) => f.width(),
-            AnyFormat::Posit(f) => f.n,
-            AnyFormat::F64 => 64,
-        }
-    }
-
     /// Human-readable label.
     pub fn describe(&self) -> String {
         match self {
@@ -219,11 +209,6 @@ impl AnyFormat {
             AnyFormat::F64 => "f64".to_string(),
         }
     }
-}
-
-/// Convenience constructor for the default CFP format.
-pub fn paper_cfp() -> CfpFormat {
-    CfpFormat::paper_default()
 }
 
 /// Convenience constructor mirroring \[4\]'s rounding study: CFP with
@@ -275,15 +260,8 @@ mod tests {
 
     #[test]
     fn widths() {
-        assert_eq!(AnyFormat::paper_default().value_width_bits(), 33);
-        assert_eq!(AnyFormat::F64.value_width_bits(), 64);
-        assert_eq!(
-            AnyFormat::Lns(LnsFormat::paper_default()).value_width_bits(),
-            33
-        );
-        assert_eq!(
-            AnyFormat::Posit(PositFormat::paper_default()).value_width_bits(),
-            32
-        );
+        assert_eq!(CfpFormat::paper_default().width(), 33);
+        assert_eq!(LnsFormat::paper_default().width(), 33);
+        assert_eq!(PositFormat::paper_default().n, 32);
     }
 }

@@ -29,8 +29,8 @@ pub mod posit;
 pub mod round;
 
 pub use cfp::{Cfp, CfpFormat};
-pub use error::{compare_mixture, ErrorStats};
-pub use format::{paper_cfp, truncating_cfp, AnyFormat, F64Format, SpnNumber};
+pub use error::ErrorStats;
+pub use format::{truncating_cfp, AnyFormat, F64Format, SpnNumber};
 pub use lns::{Lns, LnsFormat};
 pub use posit::{Posit, PositFormat};
 pub use round::Rounding;

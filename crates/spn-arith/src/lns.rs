@@ -16,19 +16,18 @@
 //!   format — modelling an ideal interpolation table. A configurable
 //!   `table_frac_bits` truncation models coarser real tables.
 
-use crate::round::Rounding;
 use serde::{Deserialize, Serialize};
 
 /// LNS format descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LnsFormat {
     /// Integer bits of the log-domain fixed point (including sign).
-    pub int_bits: u32,
+    pub(crate) int_bits: u32,
     /// Fractional bits of the log-domain fixed point.
-    pub frac_bits: u32,
+    pub(crate) frac_bits: u32,
     /// Fractional precision of the hardware's F(d) = log2(1+2^-d) table;
     /// usually equal to `frac_bits` (ideal table).
-    pub table_frac_bits: u32,
+    pub(crate) table_frac_bits: u32,
 }
 
 impl LnsFormat {
@@ -36,7 +35,7 @@ impl LnsFormat {
     ///
     /// # Panics
     /// Panics on unsupported widths.
-    pub fn new(int_bits: u32, frac_bits: u32) -> Self {
+    pub(crate) fn new(int_bits: u32, frac_bits: u32) -> Self {
         assert!(
             (2..=32).contains(&int_bits),
             "int_bits must be in 2..=32, got {int_bits}"
@@ -81,12 +80,6 @@ impl LnsFormat {
     }
     fn log_min(&self) -> i64 {
         -(1i64 << (self.int_bits + self.frac_bits - 1))
-    }
-
-    /// Smallest positive representable value — astronomically small for
-    /// the paper format (2^-2048 at 12.20), the whole point of LNS.
-    pub fn min_value(&self) -> f64 {
-        (self.log_min() as f64 / self.scale()).exp2()
     }
 
     /// Largest representable value.
@@ -154,7 +147,7 @@ impl LnsFormat {
     }
 
     /// Encode 1.0 exactly (log 0).
-    pub fn one(&self) -> Lns {
+    pub(crate) fn one(&self) -> Lns {
         Lns {
             log: 0,
             zero: false,
@@ -164,12 +157,6 @@ impl LnsFormat {
     /// Worst-case relative error of a single rounding, ~ln(2)·2^-(f+1).
     pub fn epsilon(&self) -> f64 {
         std::f64::consts::LN_2 / self.scale() / 2.0 * 2.0
-    }
-
-    /// Rounding mode is inherent to the format (nearest); provided for
-    /// symmetry in generic code.
-    pub fn rounding(&self) -> Rounding {
-        Rounding::NearestEven
     }
 }
 
@@ -195,6 +182,14 @@ impl Lns {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LnsFormat {
+        /// Smallest positive representable value — astronomically small
+        /// for the paper format (2^-2048 at 12.20), the whole point of LNS.
+        fn min_value(&self) -> f64 {
+            (self.log_min() as f64 / self.scale()).exp2()
+        }
+    }
 
     fn fmt() -> LnsFormat {
         LnsFormat::paper_default()

@@ -30,7 +30,7 @@ impl PositFormat {
     ///
     /// # Panics
     /// Panics on unsupported widths.
-    pub fn new(n: u32, es: u32) -> Self {
+    pub(crate) fn new(n: u32, es: u32) -> Self {
         assert!((3..=32).contains(&n), "n must be in 3..=32, got {n}");
         assert!(es <= 3, "es must be <= 3, got {es}");
         PositFormat { n, es }
@@ -161,23 +161,15 @@ impl PositFormat {
     }
 
     /// Addition: exact f64 sum re-rounded to the format.
-    pub fn add(&self, a: Posit, b: Posit) -> Posit {
+    pub(crate) fn add(&self, a: Posit, b: Posit) -> Posit {
         self.from_f64(self.to_f64(a) + self.to_f64(b))
     }
 
     /// Encode 1.0 (exact in every posit format).
-    pub fn one(&self) -> Posit {
+    pub(crate) fn one(&self) -> Posit {
         Posit {
             bits: 1u32 << (self.n - 2),
         }
-    }
-
-    /// Relative precision near 1.0 (where posits are most accurate):
-    /// ulp of 1.0 relative to 1.0.
-    pub fn epsilon_near_one(&self) -> f64 {
-        let one = self.one();
-        let next = Posit { bits: one.bits + 1 };
-        self.to_f64(next) - 1.0
     }
 }
 
@@ -209,6 +201,16 @@ fn exp2i(e: i32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PositFormat {
+        /// Relative precision near 1.0 (where posits are most accurate):
+        /// ulp of 1.0 relative to 1.0.
+        fn epsilon_near_one(&self) -> f64 {
+            let one = self.one();
+            let next = Posit { bits: one.bits + 1 };
+            self.to_f64(next) - 1.0
+        }
+    }
 
     #[test]
     fn canonical_values_posit8_es0() {

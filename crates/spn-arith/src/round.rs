@@ -23,7 +23,7 @@ pub enum Rounding {
 /// Returns the rounded value; the caller must re-check the bit width
 /// because NearestEven can carry into the next bit (e.g. `0b1111 >> 2`
 /// rounds to `0b100`).
-pub fn round_shift(sig: u128, shift: u32, mode: Rounding) -> u128 {
+pub(crate) fn round_shift(sig: u128, shift: u32, mode: Rounding) -> u128 {
     if shift == 0 {
         return sig;
     }
@@ -61,7 +61,7 @@ pub fn round_shift(sig: u128, shift: u32, mode: Rounding) -> u128 {
 /// vectorisable: the range cases are selects, and only the mode — one
 /// per datapath, so loop-invariant — is a `match`.
 #[inline(always)]
-pub fn round_shift_u64(sig: u64, shift: u32, mode: Rounding) -> u64 {
+pub(crate) fn round_shift_u64(sig: u64, shift: u32, mode: Rounding) -> u64 {
     let kept = sig.checked_shr(shift).unwrap_or(0);
     match mode {
         Rounding::Truncate => kept,
@@ -83,7 +83,7 @@ pub fn round_shift_u64(sig: u64, shift: u32, mode: Rounding) -> u64 {
 ///
 /// # Panics
 /// Panics on zero — callers must special-case zero before normalizing.
-pub fn msb(sig: u128) -> u32 {
+pub(crate) fn msb(sig: u128) -> u32 {
     assert!(sig != 0, "msb of zero is undefined");
     127 - sig.leading_zeros()
 }

@@ -13,13 +13,12 @@ use spn_hw::{
     datapath_cost, design_cost, emit_verilog, ArithCosts, DatapathProgram, OpLatencies,
     PipelineSchedule, PlatformCosts,
 };
-use spn_replay::{record_load, replay, Burst, ReplayConfig, Trace};
 use spn_router::{RouterConfig, SpnRouter};
 use spn_runtime::perf::{simulate, PerfConfig};
 use spn_runtime::prelude::*;
 use spn_server::{
-    run_load, BatchPolicy, LoadConfig, ModelSpec, ReactorConfig, ServerConfig, ServingMode,
-    SpnServer,
+    record_load, replay, run_load, BatchPolicy, Burst, LoadConfig, ModelSpec, ReactorConfig,
+    ReplayConfig, ServerConfig, ServingMode, SpnServer, Trace,
 };
 use spn_telemetry::{chrome_trace_json, ModelTelemetry, TelemetrySnapshot, TraceCollector};
 use std::fmt::Write as _;

@@ -69,13 +69,6 @@ impl SpnBuilder {
         self.push(Node::Sum { children, weights })
     }
 
-    /// Add a sum with uniform weights.
-    pub fn uniform_sum(&mut self, children: Vec<NodeId>) -> NodeId {
-        let w = 1.0 / children.len().max(1) as f64;
-        let weighted = children.into_iter().map(|c| (w, c)).collect();
-        self.sum(weighted)
-    }
-
     fn assert_children_exist(&self, children: &[NodeId]) {
         for c in children {
             assert!(
@@ -87,7 +80,7 @@ impl SpnBuilder {
     }
 
     /// Number of nodes added so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
@@ -145,21 +138,6 @@ mod tests {
         let spn = b.finish(p, "t").unwrap();
         assert_eq!(spn.num_vars(), 2);
         assert_eq!(spn.name, "t");
-    }
-
-    #[test]
-    fn uniform_sum_weights() {
-        let mut b = SpnBuilder::new(1);
-        let a = coin(&mut b, 0, 0.2);
-        let c = coin(&mut b, 0, 0.8);
-        let s = b.uniform_sum(vec![a, c]);
-        let spn = b.finish(s, "u").unwrap();
-        match spn.node(spn.root()) {
-            Node::Sum { weights, .. } => {
-                assert_eq!(weights, &vec![0.5, 0.5]);
-            }
-            _ => panic!("root should be a sum"),
-        }
     }
 
     #[test]

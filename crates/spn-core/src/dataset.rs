@@ -56,7 +56,7 @@ impl Dataset {
     }
 
     /// Per-feature value domain size.
-    pub fn domain(&self) -> usize {
+    pub(crate) fn domain(&self) -> usize {
         self.domain
     }
 
@@ -81,19 +81,6 @@ impl Dataset {
     pub fn column(&self, feature: usize) -> Vec<u8> {
         assert!(feature < self.num_features);
         self.rows().map(|r| r[feature]).collect()
-    }
-
-    /// Select a subset of rows by index (allocates).
-    pub fn select_rows(&self, indices: &[usize]) -> Dataset {
-        let mut data = Vec::with_capacity(indices.len() * self.num_features);
-        for &i in indices {
-            data.extend_from_slice(self.row(i));
-        }
-        Dataset {
-            data,
-            num_features: self.num_features,
-            domain: self.domain,
-        }
     }
 
     /// Split rows into `(first, rest)` at `at`.
@@ -226,21 +213,6 @@ pub fn generate_bag_of_words(cfg: &BagOfWordsConfig, num_samples: usize) -> Data
     Dataset::from_raw(data, cfg.num_features, cfg.domain)
 }
 
-/// Generate i.i.d. uniform byte data (for throughput benchmarks where
-/// content does not matter, only size).
-pub fn generate_uniform(
-    num_samples: usize,
-    num_features: usize,
-    domain: usize,
-    seed: u64,
-) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let data = (0..num_samples * num_features)
-        .map(|_| rng.gen_range(0..domain) as u8)
-        .collect();
-    Dataset::from_raw(data, num_features, domain)
-}
-
 fn sample_categorical(probs: &[f64], rng: &mut StdRng) -> usize {
     let u: f64 = rng.gen();
     let mut acc = 0.0;
@@ -251,6 +223,22 @@ fn sample_categorical(probs: &[f64], rng: &mut StdRng) -> usize {
         }
     }
     probs.len() - 1
+}
+
+#[cfg(test)]
+/// Generate i.i.d. uniform byte data (for tests where content does
+/// not matter, only size).
+pub(crate) fn generate_uniform(
+    num_samples: usize,
+    num_features: usize,
+    domain: usize,
+    seed: u64,
+) -> Dataset {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data = (0..num_samples * num_features)
+        .map(|_| rng.gen_range(0..domain) as u8)
+        .collect();
+    Dataset::from_raw(data, num_features, domain)
 }
 
 #[cfg(test)]
@@ -335,9 +323,6 @@ mod tests {
     #[test]
     fn select_and_split() {
         let d = Dataset::from_raw((0u8..12).collect(), 3, 16);
-        let sel = d.select_rows(&[3, 0]);
-        assert_eq!(sel.row(0), &[9, 10, 11]);
-        assert_eq!(sel.row(1), &[0, 1, 2]);
         let (a, b) = d.split_at(1);
         assert_eq!(a.num_samples(), 1);
         assert_eq!(b.num_samples(), 3);

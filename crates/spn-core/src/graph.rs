@@ -48,25 +48,20 @@ pub enum Node {
 
 impl Node {
     /// Child ids of this node (empty for leaves).
-    pub fn children(&self) -> &[NodeId] {
+    pub(crate) fn children(&self) -> &[NodeId] {
         match self {
             Node::Sum { children, .. } | Node::Product { children } => children,
             Node::Leaf { .. } => &[],
         }
     }
 
-    /// True for sum nodes.
-    pub fn is_sum(&self) -> bool {
-        matches!(self, Node::Sum { .. })
-    }
-
     /// True for product nodes.
-    pub fn is_product(&self) -> bool {
+    pub(crate) fn is_product(&self) -> bool {
         matches!(self, Node::Product { .. })
     }
 
     /// True for leaf nodes.
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         matches!(self, Node::Leaf { .. })
     }
 }
@@ -111,7 +106,7 @@ impl Spn {
     }
 
     /// Look up one node.
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
@@ -136,7 +131,7 @@ impl Spn {
     }
 
     /// Compute the scope of every node bottom-up. Index by `NodeId::index`.
-    pub fn scopes(&self) -> Vec<Scope> {
+    pub(crate) fn scopes(&self) -> Vec<Scope> {
         let mut scopes: Vec<Scope> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
             let s = match node {
@@ -155,7 +150,7 @@ impl Spn {
     }
 
     /// Per-node depth (longest path to a leaf, leaves = 0), bottom-up.
-    pub fn node_depths(&self) -> Vec<usize> {
+    pub(crate) fn node_depths(&self) -> Vec<usize> {
         let mut depth = vec![0usize; self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             depth[i] = node
@@ -257,22 +252,24 @@ impl Spn {
         }
         h.finish()
     }
-
-    /// Ids of all leaf nodes in arena order.
-    pub fn leaf_ids(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_leaf())
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::SpnBuilder;
+
+    impl Spn {
+        /// Ids of all leaf nodes in arena order.
+        fn leaf_ids(&self) -> Vec<NodeId> {
+            self.nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| n.is_leaf())
+                .map(|(i, _)| NodeId(i as u32))
+                .collect()
+        }
+    }
 
     /// Tiny two-variable mixture used across graph tests.
     fn small_spn() -> Spn {
@@ -359,7 +356,7 @@ mod tests {
     fn node_kind_predicates() {
         let spn = small_spn();
         let root = spn.node(spn.root());
-        assert!(root.is_sum() && !root.is_product() && !root.is_leaf());
+        assert!(matches!(root, Node::Sum { .. }) && !root.is_product() && !root.is_leaf());
         assert_eq!(root.children().len(), 2);
     }
 }

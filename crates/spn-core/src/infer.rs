@@ -29,7 +29,7 @@ use crate::query::Query;
 /// reproduce: max in term order, `Σ w·exp(x − m)` in term order, then
 /// `m + ln s`, on the crate's own `exp` / `ln` (`math.rs`).
 #[inline]
-pub fn log_sum_exp_weighted(terms: impl Iterator<Item = (f64, f64)> + Clone) -> f64 {
+pub(crate) fn log_sum_exp_weighted(terms: impl Iterator<Item = (f64, f64)> + Clone) -> f64 {
     let terms = terms.filter(|&(_, w)| w > 0.0);
     let m = terms
         .clone()
@@ -57,11 +57,6 @@ impl<'a> Evaluator<'a> {
             spn,
             values: vec![0.0; spn.len()],
         }
-    }
-
-    /// The network this evaluator runs.
-    pub fn spn(&self) -> &Spn {
-        self.spn
     }
 
     /// Answer `query` about one sample `row` (one f64 per variable).
@@ -213,55 +208,6 @@ impl<'a> Evaluator<'a> {
         }
         self.values[self.spn.root().index()]
     }
-
-    /// Conditional log-probability `log P(query | evidence)`, computed
-    /// exactly as the ratio of two marginals — the tractable conditional
-    /// query that makes SPNs attractive over general graphical models.
-    ///
-    /// `query` and `evidence` assign disjoint variable subsets; entries
-    /// present in both must agree.
-    ///
-    /// # Panics
-    /// Panics if a variable appears in both with different values.
-    pub fn log_conditional(&mut self, query: &[(usize, f64)], evidence: &[(usize, f64)]) -> f64 {
-        let n = self.spn.num_vars();
-        let mut joint: Vec<Option<f64>> = vec![None; n];
-        let mut cond: Vec<Option<f64>> = vec![None; n];
-        for &(v, x) in evidence {
-            joint[v] = Some(x);
-            cond[v] = Some(x);
-        }
-        for &(v, x) in query {
-            if let Some(prev) = joint[v] {
-                assert_eq!(prev, x, "variable {v} assigned twice with different values");
-            }
-            joint[v] = Some(x);
-        }
-        let (jq, jrow) = Query::marginal_from_evidence(&joint);
-        let (cq, crow) = Query::marginal_from_evidence(&cond);
-        self.eval(&jq, &jrow) - self.eval(&cq, &crow)
-    }
-
-    /// Linear-domain likelihood. Underflows for deep networks — provided
-    /// for cross-checking the log-domain path on small models and for
-    /// emulating the hardware's CFP (linear) datapath semantics.
-    pub fn likelihood_linear(&mut self, sample: &[f64]) -> f64 {
-        assert_eq!(sample.len(), self.spn.num_vars());
-        for (i, node) in self.spn.nodes().iter().enumerate() {
-            self.values[i] = match node {
-                Node::Leaf { var, dist } => dist.density(sample[*var]),
-                Node::Product { children } => {
-                    children.iter().map(|c| self.values[c.index()]).product()
-                }
-                Node::Sum { children, weights } => children
-                    .iter()
-                    .zip(weights)
-                    .map(|(c, &w)| w * self.values[c.index()])
-                    .sum(),
-            };
-        }
-        self.values[self.spn.root().index()]
-    }
 }
 
 /// Log-density of a leaf at its mode.
@@ -298,6 +244,28 @@ mod tests {
     use super::*;
     use crate::builder::SpnBuilder;
     use crate::leaf::Leaf;
+
+    impl Evaluator<'_> {
+        /// Linear-domain likelihood, the cross-check of the log-domain
+        /// path on small models (it underflows on deep networks).
+        fn likelihood_linear(&mut self, sample: &[f64]) -> f64 {
+            assert_eq!(sample.len(), self.spn.num_vars());
+            for (i, node) in self.spn.nodes().iter().enumerate() {
+                self.values[i] = match node {
+                    Node::Leaf { var, dist } => dist.density(sample[*var]),
+                    Node::Product { children } => {
+                        children.iter().map(|c| self.values[c.index()]).product()
+                    }
+                    Node::Sum { children, weights } => children
+                        .iter()
+                        .zip(weights)
+                        .map(|(c, &w)| w * self.values[c.index()])
+                        .sum(),
+                };
+            }
+            self.values[self.spn.root().index()]
+        }
+    }
 
     /// P(X0, X1) = 0.3 * P1 + 0.7 * P2 with independent byte coins.
     fn mixture() -> Spn {
@@ -368,36 +336,6 @@ mod tests {
             .eval(&Query::marginal(vec![true, false]), &[1.0, 0.0])
             .exp();
         assert!((explicit - marginal).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conditional_is_marginal_ratio() {
-        let spn = mixture();
-        let mut ev = Evaluator::new(&spn);
-        // P(X1=1 | X0=0) = P(0,1)/P(X0=0).
-        let p01 = ev.eval(&Query::Complete, &[0.0, 1.0]).exp();
-        let p0 = ev
-            .eval(&Query::marginal(vec![true, false]), &[0.0, 0.0])
-            .exp();
-        let cond = ev.log_conditional(&[(1, 1.0)], &[(0, 0.0)]).exp();
-        assert!((cond - p01 / p0).abs() < 1e-12);
-        // Conditionals over the query variable's domain normalize.
-        let c0 = ev.log_conditional(&[(1, 0.0)], &[(0, 0.0)]).exp();
-        assert!((cond + c0 - 1.0).abs() < 1e-12);
-        // Conditioning on nothing is the marginal.
-        let m = ev.log_conditional(&[(0, 1.0)], &[]).exp();
-        let want = ev
-            .eval(&Query::marginal(vec![true, false]), &[1.0, 0.0])
-            .exp();
-        assert!((m - want).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "assigned twice")]
-    fn conflicting_conditional_assignment_panics() {
-        let spn = mixture();
-        let mut ev = Evaluator::new(&spn);
-        ev.log_conditional(&[(0, 1.0)], &[(0, 0.0)]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Value a leaf evaluates to when its variable is marginalized out.
-pub const MARGINALIZED_LOG: f64 = 0.0; // log(1)
+pub(crate) const MARGINALIZED_LOG: f64 = 0.0; // log(1)
 
 /// A univariate leaf distribution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -144,7 +144,7 @@ impl Leaf {
 
     /// Density (or probability mass) at `x`, in the linear domain.
     /// Out-of-support values evaluate to 0.
-    pub fn density(&self, x: f64) -> f64 {
+    pub(crate) fn density(&self, x: f64) -> f64 {
         match self {
             Leaf::Histogram { breaks, densities } => {
                 // Binary search for the bucket containing x.
@@ -186,24 +186,13 @@ impl Leaf {
         }
     }
 
-    /// Number of histogram buckets / categorical outcomes; `None` for
-    /// continuous leaves. The hardware resource model uses this as the
-    /// BRAM table depth.
-    pub fn table_size(&self) -> Option<usize> {
-        match self {
-            Leaf::Histogram { densities, .. } => Some(densities.len()),
-            Leaf::Categorical { probs } => Some(probs.len()),
-            Leaf::Gaussian { .. } => None,
-        }
-    }
-
     /// Fit a byte histogram with Laplace smoothing from integer samples.
     ///
     /// `values` are raw observations; `domain` is the number of distinct
     /// byte values modelled (buckets). Smoothing keeps every bucket's
     /// probability strictly positive, which the log-domain hardware
     /// requires (log 0 is unrepresentable).
-    pub fn fit_byte_histogram(values: &[u8], domain: usize, alpha: f64) -> Leaf {
+    pub(crate) fn fit_byte_histogram(values: &[u8], domain: usize, alpha: f64) -> Leaf {
         assert!(domain > 0, "domain must be positive");
         assert!(alpha > 0.0, "smoothing must be positive to avoid log(0)");
         let mut counts = vec![0u64; domain];
@@ -214,6 +203,19 @@ impl Leaf {
         let total = values.len() as f64 + alpha * domain as f64;
         let probs: Vec<f64> = counts.iter().map(|&c| (c as f64 + alpha) / total).collect();
         Leaf::byte_histogram(&probs)
+    }
+}
+
+#[cfg(test)]
+impl Leaf {
+    /// Number of histogram buckets / categorical outcomes; `None` for
+    /// continuous leaves.
+    pub(crate) fn table_size(&self) -> Option<usize> {
+        match self {
+            Leaf::Histogram { densities, .. } => Some(densities.len()),
+            Leaf::Categorical { probs } => Some(probs.len()),
+            Leaf::Gaussian { .. } => None,
+        }
     }
 }
 

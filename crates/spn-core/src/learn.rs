@@ -136,7 +136,7 @@ fn fit_leaf(
 }
 
 /// Pairwise empirical mutual information between two columns, in nats.
-pub fn mutual_information(data: &Dataset, rows: &[usize], a: usize, c: usize) -> f64 {
+pub(crate) fn mutual_information(data: &Dataset, rows: &[usize], a: usize, c: usize) -> f64 {
     let domain = data.domain();
     let n = rows.len();
     if n == 0 {

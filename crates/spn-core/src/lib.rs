@@ -10,7 +10,7 @@
 //! * structural validation: completeness, decomposability, weight
 //!   normalization ([`mod@validate`]),
 //! * exact inference — joint, marginal and MPE queries behind one
-//!   [`Query`] surface, in log and linear domains ([`infer`]),
+//!   [`Query`] surface, in the log domain ([`infer`]),
 //! * compiled inference plans — flat instruction buffers with leaf
 //!   lookup tables and a batched executor, bit-exact against the
 //!   tree-walk oracle ([`plan`]), at the CPU's widest tier ([`isa`]),
@@ -45,12 +45,10 @@ pub mod transform;
 pub mod validate;
 
 pub use builder::SpnBuilder;
-pub use dataset::{
-    generate_bag_of_words, generate_uniform, out_of_domain, BagOfWordsConfig, Dataset,
-};
+pub use dataset::{generate_bag_of_words, out_of_domain, BagOfWordsConfig, Dataset};
 pub use em::{em_weights, EmIteration, EmParams};
 pub use graph::{Node, NodeId, Spn, SpnStats};
-pub use infer::{log_sum_exp_weighted, Evaluator};
+pub use infer::Evaluator;
 pub use leaf::Leaf;
 pub use learn::{learn_spn, LearnParams};
 pub use nips::{NipsBenchmark, ALL_BENCHMARKS, TABLE1_BENCHMARKS};

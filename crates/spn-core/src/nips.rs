@@ -132,60 +132,6 @@ impl NipsBenchmark {
     }
 }
 
-/// Paper-reported reference numbers for one benchmark (IPDPS-W 2022 +
-/// the prior-work numbers it compares against).
-#[derive(Debug, Clone, Copy)]
-pub struct PaperReference {
-    /// Which benchmark.
-    pub benchmark: NipsBenchmark,
-    /// Single-accelerator samples/s on the HBM design, where reported.
-    pub hbm_single_core_rate: Option<f64>,
-    /// Best end-to-end samples/s on the HBM design, where reported or
-    /// derivable from the paper's text.
-    pub hbm_best_rate: Option<f64>,
-    /// Reported HBM-vs-CPU speedup (>1 = HBM faster), where stated.
-    pub speedup_vs_cpu: Option<f64>,
-    /// Reported HBM-vs-prior-FPGA speedup, where stated.
-    pub speedup_vs_f1: Option<f64>,
-}
-
-/// Paper-reported references. Only values explicitly present in the text
-/// are filled in; Fig. 6 is a chart without a data table.
-pub fn paper_reference(b: NipsBenchmark) -> PaperReference {
-    match b {
-        NipsBenchmark::Nips10 => PaperReference {
-            benchmark: b,
-            // §V-B: 133,139,305 samples/s on one core; 614,654,595 on five.
-            hbm_single_core_rate: Some(133_139_305.0),
-            hbm_best_rate: Some(614_654_595.0),
-            speedup_vs_cpu: None, // CPU wins NIPS10 per the paper
-            speedup_vs_f1: None,
-        },
-        NipsBenchmark::Nips20 => PaperReference {
-            benchmark: b,
-            hbm_single_core_rate: None,
-            hbm_best_rate: None,
-            speedup_vs_cpu: Some(1.21), // §V-D
-            speedup_vs_f1: None,
-        },
-        NipsBenchmark::Nips30 | NipsBenchmark::Nips40 => PaperReference {
-            benchmark: b,
-            hbm_single_core_rate: None,
-            hbm_best_rate: None,
-            speedup_vs_cpu: None,
-            speedup_vs_f1: None,
-        },
-        NipsBenchmark::Nips80 => PaperReference {
-            benchmark: b,
-            hbm_single_core_rate: None,
-            // §V-C / §V-D: 116,565,604 samples/s measured peak.
-            hbm_best_rate: Some(116_565_604.0),
-            speedup_vs_cpu: Some(2.46),
-            speedup_vs_f1: Some(1.5),
-        },
-    }
-}
-
 /// Paper-wide geometric-mean speedups (§V-D / abstract).
 pub mod geo_means {
     /// HBM vs prior AWS-F1 FPGA implementation.
@@ -228,13 +174,10 @@ mod tests {
     #[test]
     fn paper_bandwidth_arithmetic_checks_out() {
         // 133,139,305 samples/s * 18 B = 2.23 GiB/s (paper §V-B).
-        let r = paper_reference(NipsBenchmark::Nips10);
-        let bw = r.hbm_single_core_rate.unwrap()
-            * NipsBenchmark::Nips10.total_bytes_per_sample() as f64
-            / GIB;
+        let bw = 133_139_305.0 * NipsBenchmark::Nips10.total_bytes_per_sample() as f64 / GIB;
         assert!((bw - 2.23).abs() < 0.01, "got {bw} GiB/s");
         // Five cores: 614,654,595 samples/s -> ~10.3 GiB/s.
-        let bw5 = r.hbm_best_rate.unwrap() * 18.0 / GIB;
+        let bw5 = 614_654_595.0 * 18.0 / GIB;
         assert!((bw5 - 10.3).abs() < 0.05, "got {bw5} GiB/s");
     }
 

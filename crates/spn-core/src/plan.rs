@@ -406,7 +406,7 @@ impl<'p> PlanExecutor<'p> {
 
     /// [`PlanExecutor::eval_batch`] appending into a caller-owned
     /// buffer (the allocation-free inner loop the server batcher uses).
-    pub fn eval_batch_into(&mut self, query: &Query, data: &Dataset, out: &mut Vec<f64>) {
+    pub(crate) fn eval_batch_into(&mut self, query: &Query, data: &Dataset, out: &mut Vec<f64>) {
         self.eval_batch_raw(query, data.raw(), data.num_features(), out);
     }
 

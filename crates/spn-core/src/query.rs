@@ -38,11 +38,6 @@ pub enum Query {
 }
 
 impl Query {
-    /// A complete-evidence query.
-    pub fn complete() -> Query {
-        Query::Complete
-    }
-
     /// A marginal query with the given observation mask.
     pub fn marginal(observed: Vec<bool>) -> Query {
         Query::Marginal { observed }
@@ -105,7 +100,7 @@ impl Query {
 
     /// Panic unless this query's mask matches a network over
     /// `num_vars` variables.
-    pub fn check_arity(&self, num_vars: usize) {
+    pub(crate) fn check_arity(&self, num_vars: usize) {
         if let Some(mask) = self.observed() {
             assert_eq!(
                 mask.len(),
@@ -136,7 +131,7 @@ mod tests {
 
     #[test]
     fn complete_observes_everything() {
-        let q = Query::complete();
+        let q = Query::Complete;
         assert_eq!(q.observed(), None);
         assert!(q.is_observed(7));
         assert_eq!(q.label(), "complete");

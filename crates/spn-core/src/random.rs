@@ -125,7 +125,7 @@ fn build_region(
 
 /// Random normalized histogram over `domain` unit buckets, with all
 /// densities strictly positive (log-domain hardware requirement).
-pub fn random_histogram(domain: usize, rng: &mut StdRng) -> Leaf {
+pub(crate) fn random_histogram(domain: usize, rng: &mut StdRng) -> Leaf {
     let raw: Vec<f64> = (0..domain).map(|_| rng.gen::<f64>() + 0.01).collect();
     let total: f64 = raw.iter().sum();
     let probs: Vec<f64> = raw.iter().map(|r| r / total).collect();
@@ -142,6 +142,7 @@ fn dirichlet_ish(n: usize, rng: &mut StdRng) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Node;
     use crate::infer::Evaluator;
     use crate::query::Query;
 
@@ -226,7 +227,7 @@ mod tests {
         };
         let spn = random_spn(&cfg, "one").unwrap();
         // Root should be a sum over the two repetitions' leaves.
-        assert!(spn.node(spn.root()).is_sum());
+        assert!(matches!(spn.node(spn.root()), Node::Sum { .. }));
     }
 
     #[test]

@@ -17,28 +17,19 @@ pub struct Scope {
 
 impl Scope {
     /// The empty scope.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Scope::default()
     }
 
     /// Scope containing exactly `var`.
-    pub fn singleton(var: usize) -> Self {
+    pub(crate) fn singleton(var: usize) -> Self {
         let mut s = Scope::empty();
         s.insert(var);
         s
     }
 
-    /// Scope containing all variables in `0..n`.
-    pub fn full(n: usize) -> Self {
-        let mut s = Scope::empty();
-        for v in 0..n {
-            s.insert(v);
-        }
-        s
-    }
-
     /// Scope from an iterator of variable indices.
-    pub fn from_vars<I: IntoIterator<Item = usize>>(vars: I) -> Self {
+    pub(crate) fn from_vars<I: IntoIterator<Item = usize>>(vars: I) -> Self {
         let mut s = Scope::empty();
         for v in vars {
             s.insert(v);
@@ -47,7 +38,7 @@ impl Scope {
     }
 
     /// Insert a variable. Returns `true` if it was newly inserted.
-    pub fn insert(&mut self, var: usize) -> bool {
+    pub(crate) fn insert(&mut self, var: usize) -> bool {
         let (w, b) = (var / 64, var % 64);
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
@@ -64,7 +55,7 @@ impl Scope {
     }
 
     /// Number of variables in the scope.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
@@ -74,7 +65,7 @@ impl Scope {
     }
 
     /// Union with another scope, in place.
-    pub fn union_with(&mut self, other: &Scope) {
+    pub(crate) fn union_with(&mut self, other: &Scope) {
         if other.words.len() > self.words.len() {
             self.words.resize(other.words.len(), 0);
         }
@@ -83,23 +74,8 @@ impl Scope {
         }
     }
 
-    /// Union as a new scope.
-    pub fn union(&self, other: &Scope) -> Scope {
-        let mut out = self.clone();
-        out.union_with(other);
-        out
-    }
-
-    /// True when the two scopes share no variable.
-    pub fn is_disjoint(&self, other: &Scope) -> bool {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(&a, &b)| a & b == 0)
-    }
-
     /// True when every variable of `self` is also in `other`.
-    pub fn is_subset(&self, other: &Scope) -> bool {
+    pub(crate) fn is_subset(&self, other: &Scope) -> bool {
         self.words.iter().enumerate().all(|(i, &a)| {
             let b = other.words.get(i).copied().unwrap_or(0);
             a & !b == 0
@@ -107,7 +83,7 @@ impl Scope {
     }
 
     /// Structural equality ignoring trailing zero words.
-    pub fn same_as(&self, other: &Scope) -> bool {
+    pub(crate) fn same_as(&self, other: &Scope) -> bool {
         let longest = self.words.len().max(other.words.len());
         (0..longest).all(|i| {
             self.words.get(i).copied().unwrap_or(0) == other.words.get(i).copied().unwrap_or(0)
@@ -115,7 +91,7 @@ impl Scope {
     }
 
     /// Iterate over member variables in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &word)| {
             (0..64).filter_map(move |b| (word & (1 << b) != 0).then_some(wi * 64 + b))
         })
@@ -131,6 +107,33 @@ impl fmt::Debug for Scope {
 impl FromIterator<usize> for Scope {
     fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
         Scope::from_vars(iter)
+    }
+}
+
+#[cfg(test)]
+impl Scope {
+    /// Scope containing all variables in `0..n`.
+    pub(crate) fn full(n: usize) -> Self {
+        let mut s = Scope::empty();
+        for v in 0..n {
+            s.insert(v);
+        }
+        s
+    }
+
+    /// Union as a new scope.
+    pub(crate) fn union(&self, other: &Scope) -> Scope {
+        let mut out = self.clone();
+        out.union_with(other);
+        out
+    }
+
+    /// True when the two scopes share no variable.
+    pub(crate) fn is_disjoint(&self, other: &Scope) -> bool {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(&a, &b)| a & b == 0)
     }
 }
 

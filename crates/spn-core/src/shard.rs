@@ -170,7 +170,6 @@ pub struct ShardPlan {
     seed: u64,
     num_vars: usize,
     source_fingerprint: u64,
-    source_name: String,
 }
 
 impl ShardPlan {
@@ -309,7 +308,6 @@ impl ShardPlan {
             seed,
             num_vars: spn.num_vars(),
             source_fingerprint: spn.fingerprint(),
-            source_name: spn.name.clone(),
         }
     }
 
@@ -341,11 +339,6 @@ impl ShardPlan {
     /// Fingerprint of the source network ([`Spn::fingerprint`]).
     pub fn source_fingerprint(&self) -> u64 {
         self.source_fingerprint
-    }
-
-    /// Name of the source network.
-    pub fn source_name(&self) -> &str {
-        &self.source_name
     }
 
     /// The merge plan combining shard boundary values.

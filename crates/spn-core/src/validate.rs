@@ -69,7 +69,7 @@ impl std::fmt::Display for SpnError {
 impl std::error::Error for SpnError {}
 
 /// Tolerance for weight normalization.
-pub const WEIGHT_TOLERANCE: f64 = 1e-6;
+pub(crate) const WEIGHT_TOLERANCE: f64 = 1e-6;
 
 /// Run all structural checks.
 pub fn validate(spn: &Spn) -> Result<(), SpnError> {

@@ -122,8 +122,6 @@ pub const AVAILABLE_PRIOR: Table1Row = Table1Row {
 
 /// Accelerator clock of this work's design (Section IV-A).
 pub const ACCEL_CLOCK_HZ: u64 = 225_000_000;
-/// HBM controller clock.
-pub const HBM_CLOCK_HZ: u64 = 450_000_000;
 
 /// §V-B: single-core NIPS10 rate (samples/s).
 pub const PAPER_NIPS10_SINGLE_CORE: f64 = 133_139_305.0;
@@ -139,9 +137,11 @@ pub const PAPER_STREAMING_GBITS: f64 = 99.078;
 /// §V-D / abstract: paper-reported maximum core counts.
 pub mod core_counts {
     /// This work fits up to eight NIPS80 accelerators.
-    pub const NEW_NIPS80_MAX: u32 = 8;
+    #[cfg(test)]
+    pub(crate) const NEW_NIPS80_MAX: u32 = 8;
     /// Prior work fit only two NIPS80 accelerators.
-    pub const PRIOR_NIPS80_MAX: u32 = 2;
+    #[cfg(test)]
+    pub(crate) const PRIOR_NIPS80_MAX: u32 = 2;
     /// Both works use four cores for NIPS10–NIPS40 comparisons.
     pub const TABLE1_CORES: u32 = 4;
 }

@@ -58,7 +58,7 @@ impl AcceleratorConfig {
     }
 
     /// Cycles the sample buffer needs to assemble one input vector.
-    pub fn cycles_per_sample(&self, input_bytes: u64) -> u64 {
+    pub(crate) fn cycles_per_sample(&self, input_bytes: u64) -> u64 {
         let word_bytes = self.word_bits as u64 / 8;
         input_bytes.div_ceil(word_bytes).max(1)
     }
@@ -71,7 +71,7 @@ impl AcceleratorConfig {
     /// Sustained rate in samples/s when fed from a memory channel with
     /// the given effective bandwidth, moving `input_bytes` in and
     /// `result_bytes` out per sample.
-    pub fn sustained_rate(
+    pub(crate) fn sustained_rate(
         &self,
         input_bytes: u64,
         result_bytes: u64,
@@ -189,18 +189,20 @@ impl AcceleratorCore {
         self.config
             .job_time(samples, self.input_bytes(), self.result_bytes(), channel_bw)
     }
-
-    /// Sustained rate of this core on the given channel.
-    pub fn sustained_rate(&self, channel_bw: Bandwidth) -> f64 {
-        self.config
-            .sustained_rate(self.input_bytes(), self.result_bytes(), channel_bw)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spn_core::{Evaluator, NipsBenchmark, Query};
+
+    impl AcceleratorCore {
+        /// Sustained rate of this core on the given channel.
+        fn sustained_rate(&self, channel_bw: Bandwidth) -> f64 {
+            self.config
+                .sustained_rate(self.input_bytes(), self.result_bytes(), channel_bw)
+        }
+    }
 
     fn channel_bw() -> Bandwidth {
         Bandwidth::from_gib_per_sec(12.0)

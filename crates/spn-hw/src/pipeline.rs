@@ -53,7 +53,7 @@ impl OpLatencies {
     }
 
     /// Latency of one op kind.
-    pub fn of(&self, op: &DatapathOp) -> u32 {
+    pub(crate) fn of(&self, op: &DatapathOp) -> u32 {
         match op {
             DatapathOp::LeafLookup { .. } => self.lookup,
             DatapathOp::Mul { .. } => self.mul,

@@ -36,7 +36,7 @@ pub struct OpId(pub u32);
 
 impl OpId {
     /// As a usize index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -178,7 +178,7 @@ impl DatapathProgram {
     }
 
     /// The op producing the final probability.
-    pub fn root(&self) -> OpId {
+    pub(crate) fn root(&self) -> OpId {
         self.root
     }
 

@@ -52,11 +52,11 @@ pub struct SynthConfig {
 }
 
 /// Status bits.
-pub const STATUS_DONE: u64 = 0b01;
+pub(crate) const STATUS_DONE: u64 = 0b01;
 /// Idle bit.
-pub const STATUS_IDLE: u64 = 0b10;
+pub(crate) const STATUS_IDLE: u64 = 0b10;
 /// Register-file interface version exposed in `CfgVersion`.
-pub const IF_VERSION: u64 = 2;
+pub(crate) const IF_VERSION: u64 = 2;
 
 /// Error for invalid register access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,26 +154,23 @@ impl RegisterFile {
     pub fn signal_done(&mut self) {
         self.status = STATUS_DONE | STATUS_IDLE;
     }
-
-    /// True when a job may be launched.
-    pub fn is_idle(&self) -> bool {
-        self.status & STATUS_IDLE != 0
-    }
-
-    /// True after a job completed (cleared by the next start).
-    pub fn is_done(&self) -> bool {
-        self.status & STATUS_DONE != 0
-    }
-
-    /// Current job parameters `(in_addr, out_addr, num_samples, mode)`.
-    pub fn job(&self) -> (u64, u64, u64, u64) {
-        (self.in_addr, self.out_addr, self.num_samples, self.mode)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RegisterFile {
+        /// True when a job may be launched.
+        fn is_idle(&self) -> bool {
+            self.status & STATUS_IDLE != 0
+        }
+
+        /// True after a job completed (cleared by the next start).
+        fn is_done(&self) -> bool {
+            self.status & STATUS_DONE != 0
+        }
+    }
 
     fn cfg() -> SynthConfig {
         SynthConfig {
@@ -213,7 +210,10 @@ mod tests {
         rf.write(Reg::Ctrl, 1).unwrap();
         assert!(!rf.is_idle());
         assert!(!rf.is_done());
-        assert_eq!(rf.job(), (0x1_0000_0000, 0x1_8000_0000, 1_000_000, 0));
+        assert_eq!(
+            (rf.in_addr, rf.out_addr, rf.num_samples, rf.mode),
+            (0x1_0000_0000, 0x1_8000_0000, 1_000_000, 0)
+        );
         rf.signal_done();
         assert!(rf.is_idle());
         assert!(rf.is_done());

@@ -37,7 +37,7 @@ pub struct Resources {
 
 impl Resources {
     /// Component-wise sum.
-    pub fn plus(self, other: Resources) -> Resources {
+    pub(crate) fn plus(self, other: Resources) -> Resources {
         Resources {
             klut_logic: self.klut_logic + other.klut_logic,
             klut_mem: self.klut_mem + other.klut_mem,
@@ -48,7 +48,7 @@ impl Resources {
     }
 
     /// Component-wise scale.
-    pub fn times(self, k: f64) -> Resources {
+    pub(crate) fn times(self, k: f64) -> Resources {
         Resources {
             klut_logic: self.klut_logic * k,
             klut_mem: self.klut_mem * k,

@@ -52,7 +52,7 @@ pub enum HealthState {
 
 impl HealthState {
     /// Stable lower-case name used in telemetry.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             HealthState::Up => "up",
             HealthState::Degraded => "degraded",
@@ -78,7 +78,7 @@ pub struct HealthCell {
 
 impl HealthCell {
     /// A new cell, born `Up` under the given thresholds.
-    pub fn new(policy: &HealthPolicy) -> HealthCell {
+    pub(crate) fn new(policy: &HealthPolicy) -> HealthCell {
         HealthCell {
             inner: Mutex::new(Counters {
                 state: HealthState::Up,
@@ -92,23 +92,23 @@ impl HealthCell {
     }
 
     /// Current state.
-    pub fn state(&self) -> HealthState {
+    pub(crate) fn state(&self) -> HealthState {
         self.inner.lock().state
     }
 
     /// True when the backend should receive regular traffic
     /// (`Up` or `Degraded`).
-    pub fn is_routable(&self) -> bool {
+    pub(crate) fn is_routable(&self) -> bool {
         self.state() != HealthState::Down
     }
 
     /// Health-state transitions since startup.
-    pub fn transitions(&self) -> u64 {
+    pub(crate) fn transitions(&self) -> u64 {
         self.transitions.load(Ordering::Relaxed)
     }
 
     /// Record a successful probe or forward.
-    pub fn record_success(&self) {
+    pub(crate) fn record_success(&self) {
         let mut c = self.inner.lock();
         c.consecutive_failures = 0;
         c.consecutive_successes = c.consecutive_successes.saturating_add(1);
@@ -122,7 +122,7 @@ impl HealthCell {
     }
 
     /// Record a failed probe or forward.
-    pub fn record_failure(&self) {
+    pub(crate) fn record_failure(&self) {
         let mut c = self.inner.lock();
         c.consecutive_successes = 0;
         c.consecutive_failures = c.consecutive_failures.saturating_add(1);

@@ -49,7 +49,6 @@ pub mod ring;
 pub mod router;
 
 pub use health::{HealthCell, HealthPolicy, HealthState};
-pub use metrics::RouterMetrics;
 pub use pool::Backend;
 pub use ring::HashRing;
 pub use router::{RouterConfig, RouterError, SpnRouter};

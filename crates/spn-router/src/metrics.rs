@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free router counters; the per-backend counters live on the
 /// [`Backend`] entries themselves.
-pub struct RouterMetrics {
+pub(crate) struct RouterMetrics {
     requests_total: AtomicU64,
     failovers_total: AtomicU64,
     rejected_malformed: AtomicU64,
@@ -25,7 +25,7 @@ impl Default for RouterMetrics {
 
 impl RouterMetrics {
     /// Fresh, all-zero counters.
-    pub fn new() -> RouterMetrics {
+    pub(crate) fn new() -> RouterMetrics {
         RouterMetrics {
             requests_total: AtomicU64::new(0),
             failovers_total: AtomicU64::new(0),
@@ -38,7 +38,7 @@ impl RouterMetrics {
 
     /// One request answered `Ok`; `failed_over` when it needed more
     /// than one attempt.
-    pub fn request_ok(&self, failed_over: bool) {
+    pub(crate) fn request_ok(&self, failed_over: bool) {
         self.requests_total.fetch_add(1, Ordering::Relaxed);
         if failed_over {
             self.failovers_total.fetch_add(1, Ordering::Relaxed);
@@ -46,23 +46,23 @@ impl RouterMetrics {
     }
 
     /// One request rejected at the router with `Malformed`.
-    pub fn rejected_malformed(&self) {
+    pub(crate) fn rejected_malformed(&self) {
         self.rejected_malformed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One request that exhausted every replica.
-    pub fn rejected_no_backend(&self) {
+    pub(crate) fn rejected_no_backend(&self) {
         self.rejected_no_backend.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One typed backend rejection passed through to the client.
-    pub fn rejected_by_backend(&self) {
+    pub(crate) fn rejected_by_backend(&self) {
         self.rejected_by_backend.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot into the telemetry schema, joining the per-backend
     /// counters (keyed and therefore sorted by backend id).
-    pub fn snapshot(&self, backends: &[std::sync::Arc<Backend>]) -> RouterTelemetry {
+    pub(crate) fn snapshot(&self, backends: &[std::sync::Arc<Backend>]) -> RouterTelemetry {
         let backend_map: BTreeMap<String, BackendTelemetry> = backends
             .iter()
             .map(|b| {

@@ -3,7 +3,7 @@
 //!
 //! Connections are not kept here: each reactor loop pools its own idle
 //! upstream connections (`spn_server::reactor`). The table keeps the
-//! generation they are stamped with; [`Backend::drain_pool`] bumps it,
+//! generation they are stamped with; `Backend::drain_pool` bumps it,
 //! and every loop then closes its idle connections to the backend.
 
 use crate::health::{HealthCell, HealthPolicy};
@@ -28,7 +28,7 @@ pub struct Backend {
 
 impl Backend {
     /// Resolve `id` (`host:port`) into a backend entry.
-    pub fn resolve(id: &str, policy: &HealthPolicy) -> Result<Backend, String> {
+    pub(crate) fn resolve(id: &str, policy: &HealthPolicy) -> Result<Backend, String> {
         let addr = id
             .to_socket_addrs()
             .map_err(|e| format!("backend '{id}': {e}"))?
@@ -47,18 +47,18 @@ impl Backend {
 
     /// The generation pooled connections to this backend must carry to
     /// be reused.
-    pub fn pool_generation(&self) -> u64 {
+    pub(crate) fn pool_generation(&self) -> u64 {
         self.pool_generation.load(Ordering::Relaxed)
     }
 
     /// Retire every pooled connection to this backend (e.g. after it
     /// went down, so recovery starts from fresh dials).
-    pub fn drain_pool(&self) {
+    pub(crate) fn drain_pool(&self) {
         self.pool_generation.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Requests currently in flight against this backend.
-    pub fn inflight(&self) -> u64 {
+    pub(crate) fn inflight(&self) -> u64 {
         self.inflight.load(Ordering::Relaxed)
     }
 
@@ -66,7 +66,7 @@ impl Backend {
     /// guard releases it, and may outlive the caller's stack frame (a
     /// forwarded request holds it until the backend answers). `None`
     /// when the backend is at capacity.
-    pub fn reserve(self: &Arc<Self>, bound: u64) -> Option<InflightGuard> {
+    pub(crate) fn reserve(self: &Arc<Self>, bound: u64) -> Option<InflightGuard> {
         let prev = self.inflight.fetch_add(1, Ordering::Relaxed);
         if prev >= bound {
             self.inflight.fetch_sub(1, Ordering::Relaxed);
@@ -78,22 +78,22 @@ impl Backend {
     }
 
     /// Count one successful round trip.
-    pub fn record_request(&self) {
+    pub(crate) fn record_request(&self) {
         self.requests_total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one failed forwarding attempt.
-    pub fn record_failure(&self) {
+    pub(crate) fn record_failure(&self) {
         self.failures_total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Successful round trips so far.
-    pub fn requests_total(&self) -> u64 {
+    pub(crate) fn requests_total(&self) -> u64 {
         self.requests_total.load(Ordering::Relaxed)
     }
 
     /// Failed forwarding attempts so far.
-    pub fn failures_total(&self) -> u64 {
+    pub(crate) fn failures_total(&self) -> u64 {
         self.failures_total.load(Ordering::Relaxed)
     }
 }

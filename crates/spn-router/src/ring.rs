@@ -17,7 +17,7 @@ use sim_core::fnv1a_mix64;
 
 /// Virtual nodes per unit of weight. High enough that per-backend
 /// load imbalance stays in the low single-digit percent range.
-pub const VNODES_PER_WEIGHT: u32 = 64;
+pub(crate) const VNODES_PER_WEIGHT: u32 = 64;
 
 /// The ring: sorted virtual nodes, each owned by a backend index.
 #[derive(Debug, Clone)]
@@ -35,7 +35,7 @@ impl HashRing {
 
     /// Build a ring with explicit integer weights (a weight-2 backend
     /// owns ~2× the arc and attracts ~2× the models).
-    pub fn with_weights(backends: &[(String, u32)]) -> HashRing {
+    pub(crate) fn with_weights(backends: &[(String, u32)]) -> HashRing {
         assert!(!backends.is_empty(), "ring needs at least one backend");
         let mut ring = Vec::new();
         for (idx, (id, weight)) in backends.iter().enumerate() {
@@ -50,29 +50,6 @@ impl HashRing {
             ring,
             num_backends: backends.len(),
         }
-    }
-
-    /// Number of distinct backends on the ring.
-    pub fn num_backends(&self) -> usize {
-        self.num_backends
-    }
-
-    /// The backend group jointly hosting a scope-sharded model: shard
-    /// `s` of `model` lands on entry `s` of the result, which always
-    /// has exactly `shards` entries. Backends are distinct while the
-    /// cluster is large enough; past that the walk wraps, so several
-    /// shards of one model share a backend (never silently dropped).
-    /// Like [`HashRing::replicas`], the group is a pure function of
-    /// `(backend list, model)` — every router instance computes the
-    /// same shard placement without coordination, and adding a backend
-    /// only moves the arcs it takes over.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn shard_group(&self, model: &str, shards: usize) -> Vec<usize> {
-        assert!(shards > 0, "a sharded model has at least one shard");
-        let distinct = self.replicas(model, shards);
-        (0..shards).map(|s| distinct[s % distinct.len()]).collect()
     }
 
     /// The ordered replica set for `model`: up to `k` distinct backend
@@ -111,7 +88,7 @@ mod tests {
     #[test]
     fn placement_known_answers() {
         let ring = HashRing::new(&ids(4));
-        for (model, replicas, group) in [
+        for (model, replicas, walk) in [
             ("NIPS5", [3, 0, 2], [3, 0, 2, 1]),
             ("NIPS10", [3, 0, 2], [3, 0, 2, 1]),
             ("NIPS20", [1, 2, 3], [1, 2, 3, 0]),
@@ -119,7 +96,7 @@ mod tests {
             ("model-a", [2, 0, 1], [2, 0, 1, 3]),
         ] {
             assert_eq!(ring.replicas(model, 3), replicas, "{model}");
-            assert_eq!(ring.shard_group(model, 4), group, "{model}");
+            assert_eq!(ring.replicas(model, 4), walk, "{model}");
         }
     }
 
@@ -144,33 +121,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 3);
-    }
-
-    #[test]
-    fn shard_group_is_distinct_until_the_cluster_runs_out() {
-        let ring = HashRing::new(&ids(4));
-        // 3 shards on 4 backends: three distinct hosts, and the group
-        // extends the replica walk (same prefix).
-        let g3 = ring.shard_group("NIPS10", 3);
-        assert_eq!(g3.len(), 3);
-        let mut sorted = g3.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 3);
-        assert_eq!(&g3[..2], &ring.replicas("NIPS10", 2)[..]);
-        // 6 shards on 4 backends: the walk wraps, nothing is dropped.
-        let g6 = ring.shard_group("NIPS10", 6);
-        assert_eq!(g6.len(), 6);
-        assert_eq!(g6[4], g6[0]);
-        assert_eq!(g6[5], g6[1]);
-        // Deterministic across ring builds.
-        assert_eq!(g6, HashRing::new(&ids(4)).shard_group("NIPS10", 6));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn empty_shard_group_panics() {
-        HashRing::new(&ids(2)).shard_group("NIPS10", 0);
     }
 
     #[test]

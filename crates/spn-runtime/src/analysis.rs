@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use sim_core::Bandwidth;
 use spn_core::NipsBenchmark;
 use spn_hw::AcceleratorConfig;
-use spn_hw::DatapathProgram;
 
 /// The three HBM reference lines of Fig. 5.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -39,7 +38,7 @@ pub fn hbm_limits() -> HbmLimits {
 }
 
 /// Memory bandwidth one core of `bench` consumes at full tilt.
-pub fn per_core_bandwidth(bench: NipsBenchmark, accel: &AcceleratorConfig) -> Bandwidth {
+pub(crate) fn per_core_bandwidth(bench: NipsBenchmark, accel: &AcceleratorConfig) -> Bandwidth {
     let rate = accel.compute_rate(bench.input_bytes_per_sample());
     Bandwidth::from_bytes_per_sec(rate * bench.total_bytes_per_sample() as f64)
 }
@@ -59,41 +58,6 @@ pub fn max_cores_by_hbm(bench: NipsBenchmark, accel: &AcceleratorConfig) -> u32 
     let limits = hbm_limits();
     let per_core = per_core_bandwidth(bench, accel).bytes_per_sec();
     (limits.practical.bytes_per_sec() / per_core) as u32
-}
-
-/// Arithmetic intensity of a benchmark: datapath operations per byte
-/// moved — the paper's stated reason memory becomes the bottleneck
-/// ("the relatively low arithmetic intensity of SPN inference").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ArithmeticIntensity {
-    /// Arithmetic operations (muls + adds + lookups) per sample.
-    pub ops_per_sample: f64,
-    /// Bytes moved per sample (input + result).
-    pub bytes_per_sample: f64,
-    /// Operations per byte.
-    pub intensity: f64,
-}
-
-/// Compute a benchmark's arithmetic intensity from its compiled datapath.
-pub fn arithmetic_intensity(bench: NipsBenchmark) -> ArithmeticIntensity {
-    let counts = DatapathProgram::compile(&bench.build_spn()).op_counts();
-    let ops = (counts.total_muls() + counts.adds + counts.lookups) as f64;
-    let bytes = bench.total_bytes_per_sample() as f64;
-    ArithmeticIntensity {
-        ops_per_sample: ops,
-        bytes_per_sample: bytes,
-        intensity: ops / bytes,
-    }
-}
-
-/// Roofline bound: attainable op rate given compute peak and memory
-/// bandwidth — `min(peak_ops, intensity x bandwidth)`.
-pub fn roofline_ops_per_sec(
-    intensity: f64,
-    peak_ops_per_sec: f64,
-    mem_bandwidth: Bandwidth,
-) -> f64 {
-    peak_ops_per_sec.min(intensity * mem_bandwidth.bytes_per_sec())
 }
 
 /// One row of the PCIe-outlook table (Section V-C).
@@ -133,6 +97,38 @@ pub fn pcie_outlook(bench: NipsBenchmark, accel: &AcceleratorConfig) -> Vec<Outl
 mod tests {
     use super::*;
     use sim_core::GIB;
+    use spn_hw::DatapathProgram;
+
+    /// Arithmetic intensity of a benchmark: datapath operations per
+    /// byte moved — the paper's stated reason memory becomes the
+    /// bottleneck ("the relatively low arithmetic intensity of SPN
+    /// inference").
+    struct ArithmeticIntensity {
+        /// Arithmetic operations (muls + adds + lookups) per sample.
+        ops_per_sample: f64,
+        /// Operations per byte moved (input + result).
+        intensity: f64,
+    }
+
+    /// A benchmark's arithmetic intensity, from its compiled datapath.
+    fn arithmetic_intensity(bench: NipsBenchmark) -> ArithmeticIntensity {
+        let counts = DatapathProgram::compile(&bench.build_spn()).op_counts();
+        let ops = (counts.total_muls() + counts.adds + counts.lookups) as f64;
+        ArithmeticIntensity {
+            ops_per_sample: ops,
+            intensity: ops / bench.total_bytes_per_sample() as f64,
+        }
+    }
+
+    /// Roofline bound: attainable op rate given compute peak and memory
+    /// bandwidth — `min(peak_ops, intensity x bandwidth)`.
+    fn roofline_ops_per_sec(
+        intensity: f64,
+        peak_ops_per_sec: f64,
+        mem_bandwidth: Bandwidth,
+    ) -> f64 {
+        peak_ops_per_sec.min(intensity * mem_bandwidth.bytes_per_sec())
+    }
 
     fn accel() -> AcceleratorConfig {
         AcceleratorConfig::paper_default()

@@ -243,7 +243,7 @@ impl VirtualDevice {
 
     /// Host→device copy into an allocated buffer (the functional half of
     /// a DMA transfer).
-    pub fn copy_to_device(&self, buf: DeviceBuffer, data: &[u8]) -> Result<(), DeviceError> {
+    pub(crate) fn copy_to_device(&self, buf: DeviceBuffer, data: &[u8]) -> Result<(), DeviceError> {
         if data.len() as u64 > buf.len {
             return Err(DeviceError::OutOfBounds);
         }
@@ -262,7 +262,7 @@ impl VirtualDevice {
     }
 
     /// Device→host copy of a whole buffer.
-    pub fn copy_from_device(&self, buf: DeviceBuffer) -> Result<Vec<u8>, DeviceError> {
+    pub(crate) fn copy_from_device(&self, buf: DeviceBuffer) -> Result<Vec<u8>, DeviceError> {
         let channel = self
             .channels
             .get(buf.channel as usize)
@@ -282,7 +282,7 @@ impl VirtualDevice {
     /// into `output`. Blocks until "hardware" completion — callers are
     /// the runtime's control threads, which is exactly how the TaPaSCo
     /// blocking launch behaves.
-    pub fn launch(
+    pub(crate) fn launch(
         &self,
         pe: u32,
         input: DeviceBuffer,

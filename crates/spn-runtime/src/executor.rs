@@ -46,7 +46,7 @@ impl BlockCx<'_> {
     /// Record a `kind` span from `t0` to now on the control thread's
     /// track, stamped with the job's trace context. No-op when tracing
     /// is off.
-    pub fn span(&self, kind: SpanKind, t0: Instant) {
+    pub(crate) fn span(&self, kind: SpanKind, t0: Instant) {
         if let Some(t) = self.trace {
             let when = t0..Instant::now();
             t.record(kind, self.ctx, self.pe, self.tid, self.block, when);
@@ -100,7 +100,7 @@ pub(crate) struct Executors {
 impl Executors {
     /// Compiles (or fetches) the device model's plan, recording a
     /// `plan-compile` span on a cache miss.
-    pub fn new(
+    pub(crate) fn new(
         device: Arc<VirtualDevice>,
         plan_cache: Arc<PlanCache>,
         trace: Option<Arc<TraceCollector>>,
@@ -125,7 +125,7 @@ impl Executors {
     /// The executor for `backend` and the provenance its results will
     /// carry; `InvalidConfig` when the backend needs a device model
     /// that is not there.
-    pub fn resolve(
+    pub(crate) fn resolve(
         &self,
         backend: ExecBackend,
     ) -> Result<(Arc<dyn BlockExecutor>, ExecProvenance), RuntimeError> {
@@ -149,13 +149,13 @@ impl Executors {
     }
 
     /// The plan cache the executors compile through.
-    pub fn plan_cache(&self) -> &Arc<PlanCache> {
+    pub(crate) fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.plan_cache
     }
 
     /// Counters of the sharded path, or `None` before the first
     /// `Sharded` resolution.
-    pub fn shard_telemetry(&self) -> Option<ShardTelemetry> {
+    pub(crate) fn shard_telemetry(&self) -> Option<ShardTelemetry> {
         let map = self.sharded.lock();
         (!map.is_empty()).then(|| ShardTelemetry {
             shard_sets: map.len() as u64,

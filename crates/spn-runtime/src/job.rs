@@ -24,7 +24,7 @@ pub struct Block {
 
 impl Block {
     /// Byte range of this block's input in the job's input buffer.
-    pub fn input_range(&self, input_bytes_per_sample: u64) -> (u64, u64) {
+    pub(crate) fn input_range(&self, input_bytes_per_sample: u64) -> (u64, u64) {
         (
             self.first_sample * input_bytes_per_sample,
             self.samples * input_bytes_per_sample,
@@ -53,7 +53,7 @@ pub fn split_into_blocks(total_samples: u64, block_samples: u64) -> Vec<Block> {
 
 /// Partition blocks across `pes` accelerators round-robin, preserving
 /// order within each accelerator's list.
-pub fn assign_to_pes(blocks: &[Block], pes: u32) -> Vec<Vec<Block>> {
+pub(crate) fn assign_to_pes(blocks: &[Block], pes: u32) -> Vec<Vec<Block>> {
     assert!(pes > 0, "need at least one PE");
     let mut per_pe: Vec<Vec<Block>> = vec![Vec::new(); pes as usize];
     for (i, b) in blocks.iter().enumerate() {

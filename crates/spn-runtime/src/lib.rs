@@ -7,8 +7,8 @@
 //!   the paper built because TaPaSCo could not split the address space;
 //! * [`device`] — the functional virtual accelerator card: per-channel
 //!   byte storage, register files, bit-accurate cores;
-//! * [`runtime`] — the TaPaSCo-style host runtime's configuration,
-//!   errors and result provenance;
+//! * [`runtime`] — the TaPaSCo-style host runtime's configuration and
+//!   errors;
 //! * [`scheduler`] — the one way to run a job, one or many at a time:
 //!   a persistent pool of control threads overlapping transfer and
 //!   compute, `submit`/`wait` job handles, per-block fault retry,
@@ -78,14 +78,12 @@ pub use analysis::{
     hbm_limits, max_cores_by_hbm, pcie_outlook, required_bandwidth, HbmLimits, OutlookRow,
 };
 pub use device::{DeviceError, FaultInjection, VirtualDevice};
-pub use job::{
-    assign_to_pes, split_into_blocks, Block, ExecBackend, JobOptions, JobOptionsBuilder,
-};
+pub use job::{split_into_blocks, Block, ExecBackend, JobOptions, JobOptionsBuilder};
 pub use memmgr::{AllocError, DeviceBuffer, DeviceMemoryManager};
 pub use metrics::{JobOutcome, MetricsRegistry, MetricsSnapshot};
 pub use perf::{scaling_series, simulate, simulate_traced, PerfConfig, PerfResult};
 pub use plan_cache::PlanCache;
-pub use runtime::{ExecProvenance, RuntimeConfig, RuntimeConfigBuilder, RuntimeError};
+pub use runtime::{RuntimeConfig, RuntimeConfigBuilder, RuntimeError};
 pub use scheduler::{JobHandle, JobResult, JobStatus, Scheduler};
 pub use sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
 pub use streaming::{
@@ -97,21 +95,18 @@ pub use streaming::{
 // live collector without depending on `spn-telemetry` directly.
 pub use spn_telemetry::{SpanCtx, TraceCollector, TraceId};
 
-/// One-stop import for the runtime API: scheduler, job handles,
-/// options, metrics, errors and the device types they operate on.
+/// One-stop import for the runtime API: scheduler, options, errors,
+/// the device, and the query and trace types a job is submitted with.
 ///
 /// ```
 /// use spn_runtime::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::device::{DeviceError, FaultInjection, VirtualDevice};
-    pub use crate::job::{Block, ExecBackend, JobOptions, JobOptionsBuilder};
-    pub use crate::memmgr::{AllocError, DeviceBuffer, DeviceMemoryManager};
-    pub use crate::metrics::{JobOutcome, MetricsRegistry, MetricsSnapshot};
+    pub use crate::device::{FaultInjection, VirtualDevice};
+    pub use crate::job::{ExecBackend, JobOptions};
     pub use crate::plan_cache::PlanCache;
-    pub use crate::runtime::{ExecProvenance, RuntimeConfig, RuntimeConfigBuilder, RuntimeError};
-    pub use crate::scheduler::{JobHandle, JobResult, JobStatus, Scheduler};
-    pub use crate::sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
-    pub use spn_core::{CompiledPlan, PlanExecutor, Query, ShardPlan};
-    pub use spn_telemetry::{SpanCtx, TraceCollector, TraceId};
+    pub use crate::runtime::{RuntimeConfig, RuntimeError};
+    pub use crate::scheduler::{JobResult, JobStatus, Scheduler};
+    pub use spn_core::Query;
+    pub use spn_telemetry::{SpanCtx, TraceCollector};
 }

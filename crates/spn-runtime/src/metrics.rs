@@ -93,7 +93,7 @@ impl MetricsRegistry {
 
     /// Samples belonging to jobs that are accepted and not yet
     /// terminal — the live admission-control gauge.
-    pub fn samples_in_flight(&self) -> u64 {
+    pub(crate) fn samples_in_flight(&self) -> u64 {
         self.samples_in_flight.load(Ordering::Relaxed)
     }
 

@@ -50,7 +50,7 @@ impl PlanCache {
 
     /// [`PlanCache::get_or_compile`] for a plan that yields the nodes
     /// `outputs` ([`CompiledPlan::compile_with_outputs`]).
-    pub fn get_or_compile_with_outputs(
+    pub(crate) fn get_or_compile_with_outputs(
         &self,
         spn: &Spn,
         outputs: &[u32],

@@ -13,13 +13,13 @@
 //!
 //! The control threads live in a persistent [`crate::Scheduler`]
 //! worker pool, the one way to run a job: `submit` / `submit_blocking`
-//! return a job handle whose `wait` yields the results and whose
-//! `provenance` says how they were computed. This module holds what the
-//! scheduler and its callers share: the [`RuntimeConfig`] knobs, the
-//! [`RuntimeError`] they can fail with and the [`ExecProvenance`] of a
-//! job's results. [`crate::JobOptions`] selects the execution backend:
-//! the device (default) or the host through the model's compiled
-//! inference plan ([`crate::job::ExecBackend::HostPlan`]).
+//! return a job handle whose `wait` yields the results. This module
+//! holds what the scheduler and its callers share: the
+//! [`RuntimeConfig`] knobs, the [`RuntimeError`] they can fail with and
+//! the `ExecProvenance` the scheduler resolves for a job's results.
+//! [`crate::JobOptions`] selects the execution backend: the device
+//! (default) or the host through the model's compiled inference plan
+//! ([`crate::job::ExecBackend::HostPlan`]).
 //!
 //! These are real OS threads moving real bytes through the
 //! [`crate::VirtualDevice`]; the results are bit-exact accelerator
@@ -250,10 +250,9 @@ impl From<DeviceError> for RuntimeError {
     }
 }
 
-/// How a job's results were produced, as its
-/// [`crate::JobHandle::provenance`] reports from submission on.
+/// How a job's results are produced, fixed once at submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecProvenance {
+pub(crate) enum ExecProvenance {
     /// Executed on the virtual accelerator device (CFP/LNS/Posit
     /// datapath precision).
     Device,

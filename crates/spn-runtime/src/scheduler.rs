@@ -203,13 +203,6 @@ impl JobHandle {
         }
     }
 
-    /// How this job's results are produced: device execution, or a
-    /// compiled host plan (with its cache-hit flag). Available from
-    /// submission — callers don't have to wait to know the path.
-    pub fn provenance(&self) -> ExecProvenance {
-        self.job.provenance
-    }
-
     /// `(blocks_done, blocks_total)` — the progress bar numbers.
     pub fn progress(&self) -> (u64, u64) {
         (
@@ -901,6 +894,16 @@ fn disagrees(got: f64, expected: f64) -> bool {
     let tolerance = expected.abs() * 1e-12 + f64::MIN_POSITIVE;
     let within = (got - expected).abs() <= tolerance;
     got.to_bits() != expected.to_bits() && !within
+}
+
+#[cfg(test)]
+impl JobHandle {
+    /// How this job's results are produced: device execution, or a
+    /// compiled host plan (with its cache-hit flag). Fixed at
+    /// submission, before any result exists.
+    pub(crate) fn provenance(&self) -> ExecProvenance {
+        self.job.provenance
+    }
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ impl ShardedExecutor {
     }
 
     /// Effective shard count (= concurrent shard threads per batch).
-    pub fn num_shards(&self) -> usize {
+    pub(crate) fn num_shards(&self) -> usize {
         self.plan.num_shards()
     }
 
@@ -203,6 +203,7 @@ impl BlockExecutor for ShardedExecutor {
 mod tests {
     use super::*;
     use crate::prelude::*;
+    use crate::runtime::ExecProvenance;
     use sim_core::MIB;
     use spn_arith::{AnyFormat, CfpFormat};
     use spn_core::{Evaluator, NipsBenchmark};

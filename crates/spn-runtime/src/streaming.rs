@@ -16,7 +16,7 @@ use spn_core::NipsBenchmark;
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct StreamingModel {
     /// Sustained network throughput feeding the accelerators.
-    pub line_rate: Bandwidth,
+    pub(crate) line_rate: Bandwidth,
 }
 
 impl StreamingModel {

@@ -43,7 +43,7 @@
 //! each job's outcome to a completion closure on the thread that ran
 //! the job's last block; the closure maps the
 //! probabilities through `ln()`, fans them out to each request's
-//! [`ReplySink`] in submission order and frees the batch's executor
+//! `ReplySink` in submission order and frees the batch's executor
 //! slot. A batched answer is bit-identical to what the request would
 //! have produced alone (the executors compute per sample; batching
 //! only changes job framing, never arithmetic). The closure wakes the
@@ -83,7 +83,7 @@ pub enum Reply {
 /// callback — which wakes a blocked connection thread or queues the
 /// frame on a reactor loop, so no batcher or control thread ever writes
 /// to a client socket.
-pub type ReplySink = Box<dyn FnOnce(Reply) + Send + 'static>;
+pub(crate) type ReplySink = Box<dyn FnOnce(Reply) + Send + 'static>;
 
 /// A request parked in the batch queue.
 struct Pending {
@@ -97,7 +97,7 @@ struct Pending {
     enqueued: Instant,
     /// Absolute deadline, if the client set one.
     deadline: Option<Instant>,
-    /// Where the answer goes (see [`ReplySink`]).
+    /// Where the answer goes (see `ReplySink`).
     reply: ReplySink,
 }
 
@@ -287,7 +287,7 @@ impl Batcher {
         rx
     }
 
-    /// [`Batcher::enqueue`] with an explicit [`ReplySink`] instead of
+    /// [`Batcher::enqueue`] with an explicit `ReplySink` instead of
     /// a channel — the server's entry point. The delivery guarantee is
     /// the same: the sink is always called exactly once.
     pub fn enqueue_with(
@@ -333,7 +333,7 @@ impl Batcher {
 
     /// Ask the worker to stop once the queue is empty (the server
     /// already gates new requests). Does not block.
-    pub fn request_drain(&self) {
+    pub(crate) fn request_drain(&self) {
         self.shared.queue.lock().stopped = true;
         self.shared.cv.notify_all();
     }
@@ -341,7 +341,7 @@ impl Batcher {
     /// Join the worker (after [`Batcher::request_drain`]), which leaves
     /// only once no batch is in flight: when this returns, every
     /// enqueued request has had its reply. Idempotent.
-    pub fn join_worker(&self) {
+    pub(crate) fn join_worker(&self) {
         // Held across the join, so a concurrent caller cannot overtake
         // a worker that still has batches to flush.
         let mut worker = self.worker.lock();
@@ -360,7 +360,7 @@ impl Batcher {
 
     /// Samples currently parked in this model's queue (for tests and
     /// stats; racy by nature).
-    pub fn queued_samples(&self) -> u64 {
+    pub(crate) fn queued_samples(&self) -> u64 {
         self.shared.queue.lock().queued_samples
     }
 }

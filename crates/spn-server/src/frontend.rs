@@ -12,7 +12,7 @@
 //! The front-end does no I/O. One driver moves bytes for it, the epoll
 //! [`crate::reactor`]: it decodes with the resumable
 //! [`crate::protocol::FrameDecoder`], hands every complete frame to
-//! [`Frontend::dispatch`] together with its loop's [`Upstream`] handle,
+//! `Frontend::dispatch` together with its loop's [`Upstream`] handle,
 //! and writes what comes back.
 
 use crate::metrics::ReactorMetrics;
@@ -51,10 +51,10 @@ pub trait Service: Send + Sync + 'static {
         F: FnOnce(InferReply) + Send + 'static;
 }
 
-/// What [`Frontend::dispatch`] decided for one request frame.
+/// What `Frontend::dispatch` decided for one request frame.
 pub enum Dispatched {
     /// Write this frame now. `Some` marks an `Infer` response, whose
-    /// write the driver reports through [`Frontend::reply_written`].
+    /// write the driver reports through `Frontend::reply_written`.
     Reply(Frame, Option<SpanCtx>),
     /// The service kept the completion callback; the response arrives
     /// through it. The connection reads nothing more until then.
@@ -120,7 +120,7 @@ impl<S: Service> Frontend<S> {
     /// Route one complete request frame. `up` is the loop's handle for
     /// outbound calls; `done` is the driver's way back to the
     /// connection for a response that is not ready yet.
-    pub fn dispatch<F>(&self, frame: Frame, up: &mut Upstream<'_>, done: F) -> Dispatched
+    pub(crate) fn dispatch<F>(&self, frame: Frame, up: &mut Upstream<'_>, done: F) -> Dispatched
     where
         F: FnOnce(InferReply) + Send + 'static,
     {
@@ -161,14 +161,14 @@ impl<S: Service> Frontend<S> {
     /// be trusted to be frame-aligned: count it and build the one
     /// response the connection gets before the driver closes it.
     /// Other connections are unaffected.
-    pub fn malformed(&self, diagnostic: &str) -> Frame {
+    pub(crate) fn malformed(&self, diagnostic: &str) -> Frame {
         self.service.rejected(Status::Malformed);
         Frame::error(Opcode::Ping, Status::Malformed, diagnostic)
     }
 
     /// An `Infer` response of `payload_len` bytes, whose write began
     /// at `started`, is on the wire.
-    pub fn reply_written(&self, ctx: SpanCtx, payload_len: usize, started: Instant) {
+    pub(crate) fn reply_written(&self, ctx: SpanCtx, payload_len: usize, started: Instant) {
         if let Some(trace) = &self.trace {
             let bytes = payload_len as u64;
             let (tid, when) = (LiveSpan::NO_THREAD, started..Instant::now());

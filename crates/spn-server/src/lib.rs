@@ -36,7 +36,18 @@
 //!   and examples;
 //! * [`loadgen`] — the one client-side traffic driver: the epoll
 //!   load generator behind `spn load`, `spn record` and `spn replay`,
-//!   the studies and the tests.
+//!   the studies and the tests;
+//! * [`trace`], [`record`], [`replay`](mod@replay) — recorded traffic
+//!   as a test input: the compact, versioned, checksummed `.spntrace`
+//!   file (one record per request: arrival offset, model, shape, the
+//!   seed that regenerates the payload, payload and reply digests from
+//!   [`digest`]; corrupt input decodes to a typed [`TraceError`],
+//!   never a panic), the recorder hung off the load driver, and the
+//!   open-loop replayer, which hands that same driver each recorded
+//!   connection's requests at their recorded offsets (scaled by
+//!   [`ReplayConfig::speed`], optionally compressed into a [`Burst`])
+//!   and verifies the replies bit-for-bit against the recorded
+//!   digests.
 //!
 //! ## Minimal round trip
 //!
@@ -57,24 +68,29 @@
 
 pub mod batcher;
 pub mod client;
+pub mod digest;
 pub mod frontend;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
 pub mod reactor;
+pub mod record;
+pub mod replay;
 pub mod server;
+pub mod trace;
 
-pub use batcher::{BatchPolicy, Batcher, Reply, ReplySink};
+pub use batcher::{BatchPolicy, Batcher, Reply};
 pub use client::{Client, ClientError, InferBuilder};
+pub use digest::{digest_bytes, digest_lls};
 pub use frontend::{Dispatched, Frontend, InferReply, Service};
-pub use loadgen::{
-    clamp_connections, drive_load, request_seed, run_load, synthetic_samples, LoadConfig,
-    LoadObserver, LoadReport, LoadRequest, RequestEvent,
-};
-pub use metrics::{HistogramSummary, ReactorMetrics, ServerMetrics, ServerMetricsSnapshot};
+pub use loadgen::{run_load, synthetic_samples, LoadConfig, LoadReport, LoadRequest};
+pub use metrics::{HistogramSummary, ReactorMetrics, ServerMetrics};
 pub use protocol::{Frame, FrameDecoder, InferRequest, Opcode, Status, WireError};
 pub use reactor::{ReactorConfig, ReactorHandle, Target, Upstream};
+pub use record::record_load;
+pub use replay::{replay, Burst, ReplayConfig, ReplayError, ReplayReport};
 pub use server::{ModelSpec, ServerConfig, ServerError, ServingMode, SpnServer};
+pub use trace::{scaled_arrival_ns, Trace, TraceError, TraceRecord};
 // Telemetry types that appear in this crate's public API, re-exported
 // so callers don't need a direct spn-telemetry dependency.
 pub use spn_telemetry::{SpanCtx, TelemetrySnapshot, TraceCollector, TraceId};

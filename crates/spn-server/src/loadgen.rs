@@ -1,6 +1,6 @@
 //! Load generation against a running server.
 //!
-//! One driver ([`drive_load`]) for `spn load`, `spn record` and
+//! One driver (`drive_load`) for `spn load`, `spn record` and
 //! `spn replay`, the studies and the tests — 4 connections or the
 //! 10k-connection reactor smoke, the same code. A fixed pair of epoll
 //! worker threads holds every nonblocking connection. Each connection
@@ -10,7 +10,7 @@
 //! fire time (replay's recorded arrival) goes out at the later of that
 //! time and its connection's previous reply; [`run_load`]'s carry none,
 //! and their payloads are a pure function of the run seed
-//! ([`request_seed`]).
+//! (`request_seed`).
 //!
 //! Every connection is dialed before the fire clock starts, and a
 //! request's latency clock starts when its first byte is handed to the
@@ -58,7 +58,7 @@ pub struct LoadConfig {
     /// Feature domain: synthetic values are drawn from `0..domain`.
     pub domain: u8,
     /// Concurrent connections, clamped to the process fd budget (see
-    /// [`clamp_connections`]; [`LoadReport::connections`] says what
+    /// `clamp_connections`; [`LoadReport::connections`] says what
     /// was actually offered).
     pub connections: usize,
     /// Requests each connection issues, one in flight at a time.
@@ -90,8 +90,8 @@ impl Default for LoadConfig {
 
 impl LoadConfig {
     /// [`run_load`]'s source: request `req` of connection `conn`, seeded
-    /// by [`request_seed`], `None` past `requests_per_connection`.
-    pub fn request(&self, conn: u64, req: u64) -> Option<LoadRequest<'_>> {
+    /// by `request_seed`, `None` past `requests_per_connection`.
+    pub(crate) fn request(&self, conn: u64, req: u64) -> Option<LoadRequest<'_>> {
         (req < self.requests_per_connection as u64).then(|| LoadRequest {
             model: &self.model,
             num_samples: self.samples_per_request,
@@ -183,7 +183,7 @@ pub fn synthetic_samples(num_samples: u32, num_features: u32, domain: u8, seed: 
 /// stream is a pure function of [`LoadConfig::seed`]. Public so
 /// scaling sweeps can replay the exact stream a load run offered
 /// (e.g. to compare routed and direct responses sample for sample).
-pub fn request_seed(run_seed: u64, conn: u64, req: u64) -> u64 {
+pub(crate) fn request_seed(run_seed: u64, conn: u64, req: u64) -> u64 {
     run_seed
         .wrapping_add(conn)
         .wrapping_mul(0x100_0000_01B3)
@@ -191,7 +191,7 @@ pub fn request_seed(run_seed: u64, conn: u64, req: u64) -> u64 {
 }
 
 /// One request a connection issues, as its source hands it to
-/// [`drive_load`]: the payload's shape and seed (the payload itself is
+/// `drive_load`: the payload's shape and seed (the payload itself is
 /// regenerated by [`synthetic_samples`]) and the earliest moment it may
 /// go out.
 #[derive(Debug, Clone, Copy, Default)]
@@ -217,7 +217,7 @@ pub struct LoadRequest<'a> {
 /// trace recorder needs to make the request reproducible (the seed
 /// regenerates the payload; the reply is there to digest).
 #[derive(Debug)]
-pub struct RequestEvent<'a> {
+pub(crate) struct RequestEvent<'a> {
     /// Connection index within the run (`0..connections`).
     pub conn: u32,
     /// Request index on that connection.
@@ -237,10 +237,11 @@ pub struct RequestEvent<'a> {
 }
 
 /// Observes every request a load run answers — the hook the trace
-/// recorder and the replayer (`spn-replay`) hang off the driver.
+/// recorder ([`crate::record`]) and the replayer ([`crate::replay`])
+/// hang off the driver.
 /// Called from both worker threads, so implementations synchronise
 /// internally.
-pub trait LoadObserver: Send + Sync {
+pub(crate) trait LoadObserver: Send + Sync {
     /// One request was issued and answered (or rejected).
     fn on_request(&self, event: &RequestEvent<'_>);
 }
@@ -261,11 +262,11 @@ struct Run<'r, 'a> {
 }
 
 /// Open `connections` connections to `addr` (fd-budget clamped, see
-/// [`clamp_connections`]); connection `conn` issues `source(conn, req)`
+/// `clamp_connections`); connection `conn` issues `source(conn, req)`
 /// for `req = 0, 1, …` until `None`, and every answer goes to
 /// `observer`. Connection failures are counted in the report; the run
 /// fails only if epoll setup fails or no connection could be dialed.
-pub fn drive_load<'a>(
+pub(crate) fn drive_load<'a>(
     addr: SocketAddr,
     connections: usize,
     source: &(dyn Fn(u64, u64) -> Option<LoadRequest<'a>> + Sync),
@@ -353,10 +354,10 @@ struct WorkerStats {
 /// can actually hold, after trying to raise the soft `RLIMIT_NOFILE`
 /// to fit, with a margin for everything else the process has open
 /// (stdio, the workers' epoll fds, whatever the embedding CLI or test
-/// harness holds). [`drive_load`] clamps through here, so a
+/// harness holds). `drive_load` clamps through here, so a
 /// 10k-connection ask on an 8k box degrades to a loud smaller run
 /// instead of an `EMFILE` crash mid-dial.
-pub fn clamp_connections(want: usize) -> usize {
+pub(crate) fn clamp_connections(want: usize) -> usize {
     let margin = 64 + WORKERS as u64;
     let need = want as u64 + margin;
     let soft = epoll::raise_nofile_limit(need).or_else(|_| epoll::nofile_limit().map(|l| l.0));

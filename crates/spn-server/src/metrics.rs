@@ -21,7 +21,7 @@ pub use spn_telemetry::HistogramSummary;
 /// A point-in-time copy of [`ServerMetrics`] — the serving section of
 /// the unified telemetry schema, re-exported under the name the server
 /// API has always used.
-pub type ServerMetricsSnapshot = spn_telemetry::ServingTelemetry;
+pub(crate) type ServerMetricsSnapshot = spn_telemetry::ServingTelemetry;
 
 /// Atomic counters and lock-free histograms for one server instance.
 #[derive(Debug)]
@@ -85,7 +85,7 @@ impl ServerMetrics {
 
     /// A request was rejected with `status` (before or after
     /// admission; the caller handles the gauge via `request_done`).
-    pub fn rejected(&self, status: Status) {
+    pub(crate) fn rejected(&self, status: Status) {
         match status {
             Status::Ok => return,
             Status::Malformed => &self.rejected_malformed,
@@ -112,7 +112,7 @@ impl ServerMetrics {
     /// Samples admitted and not yet answered (the admission-control
     /// gauge, mirroring [`spn_runtime::Scheduler::samples_in_flight`]
     /// one layer up).
-    pub fn inflight_samples(&self) -> u64 {
+    pub(crate) fn inflight_samples(&self) -> u64 {
         self.inflight_samples.load(Ordering::Relaxed)
     }
 
@@ -169,7 +169,7 @@ pub struct ReactorMetrics {
 
 impl ReactorMetrics {
     /// Fresh, all-zero metrics for a pool of `loop_threads` loops.
-    pub fn new(loop_threads: usize) -> Self {
+    pub(crate) fn new(loop_threads: usize) -> Self {
         let m = ReactorMetrics::default();
         m.loop_threads.store(loop_threads as u64, Ordering::Relaxed);
         m
@@ -177,14 +177,14 @@ impl ReactorMetrics {
 
     /// One `epoll_wait` returned, delivering `events` readiness
     /// events.
-    pub fn loop_turn(&self, events: u64) {
+    pub(crate) fn loop_turn(&self, events: u64) {
         self.loop_iterations.fetch_add(1, Ordering::Relaxed);
         self.readiness_events.fetch_add(events, Ordering::Relaxed);
     }
 
     /// A connection was accepted and handed to a loop (it now sits in
     /// the loop's inbox — the accept backlog — until registered).
-    pub fn conn_accepted(&self) {
+    pub(crate) fn conn_accepted(&self) {
         self.accepted_total.fetch_add(1, Ordering::Relaxed);
         self.accept_backlog.fetch_add(1, Ordering::Relaxed);
         let open = self.open_connections.fetch_add(1, Ordering::Relaxed) + 1;
@@ -193,22 +193,22 @@ impl ReactorMetrics {
 
     /// A loop pulled an accepted connection out of its inbox and
     /// registered it.
-    pub fn conn_registered(&self) {
+    pub(crate) fn conn_registered(&self) {
         self.accept_backlog.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// A connection closed (any reason).
-    pub fn conn_closed(&self) {
+    pub(crate) fn conn_closed(&self) {
         self.open_connections.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// A connection was refused at accept with a `ServerBusy` frame.
-    pub fn conn_rejected_at_accept(&self) {
+    pub(crate) fn conn_rejected_at_accept(&self) {
         self.rejected_at_accept.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The timer wheel closed an idle connection.
-    pub fn conn_idle_closed(&self) {
+    pub(crate) fn conn_idle_closed(&self) {
         self.idle_closed.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -243,12 +243,12 @@ impl ReactorMetrics {
     }
 
     /// Connections currently open (the accept path's admission gauge).
-    pub fn open_connections(&self) -> u64 {
+    pub(crate) fn open_connections(&self) -> u64 {
         self.open_connections.load(Ordering::Relaxed)
     }
 
     /// Point-in-time copy in the unified telemetry schema.
-    pub fn snapshot(&self) -> ReactorTelemetry {
+    pub(crate) fn snapshot(&self) -> ReactorTelemetry {
         ReactorTelemetry {
             loop_threads: self.loop_threads.load(Ordering::Relaxed),
             loop_iterations: self.loop_iterations.load(Ordering::Relaxed),

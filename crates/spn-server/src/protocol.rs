@@ -63,7 +63,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Decode an opcode byte.
-    pub fn from_u8(b: u8) -> Option<Opcode> {
+    pub(crate) fn from_u8(b: u8) -> Option<Opcode> {
         match b {
             1 => Some(Opcode::Infer),
             2 => Some(Opcode::Ping),
@@ -99,7 +99,7 @@ pub enum Status {
 
 impl Status {
     /// Decode a status byte.
-    pub fn from_u8(b: u8) -> Option<Status> {
+    pub(crate) fn from_u8(b: u8) -> Option<Status> {
         match b {
             0 => Some(Status::Ok),
             1 => Some(Status::Malformed),
@@ -206,7 +206,7 @@ pub(crate) fn encode_header(
 }
 
 /// One frame's wire bytes, header and payload in one contiguous buffer.
-pub fn encode_frame(opcode: Opcode, status: Status, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_frame(opcode: Opcode, status: Status, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
     buf.extend_from_slice(&encode_header(opcode, status, payload.len()));
     buf.extend_from_slice(payload);
@@ -221,7 +221,7 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
 }
 
 /// Parse a 12-byte header; returns `(opcode, status, payload_len)`.
-pub fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(Opcode, Status, u32), WireError> {
+pub(crate) fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(Opcode, Status, u32), WireError> {
     if h[0..4] != MAGIC {
         return Err(WireError::Malformed(format!(
             "bad magic {:02x?} (expected {:02x?})",

@@ -203,7 +203,7 @@ pub fn start<S: Service>(
 
 impl ReactorHandle {
     /// The reactor's counters (the telemetry `reactor` section).
-    pub fn metrics(&self) -> &ReactorMetrics {
+    pub(crate) fn metrics(&self) -> &ReactorMetrics {
         &self.metrics
     }
 

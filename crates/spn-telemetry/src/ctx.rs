@@ -27,7 +27,7 @@ impl TraceId {
     pub const NONE: TraceId = TraceId(0);
 
     /// Mint a fresh, process-unique id.
-    pub fn mint() -> TraceId {
+    pub(crate) fn mint() -> TraceId {
         TraceId(NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed))
     }
 

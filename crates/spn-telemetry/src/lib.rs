@@ -36,4 +36,4 @@ pub use snapshot::{
     RouterTelemetry, SchedulerTelemetry, ServingTelemetry, ShardTelemetry, TelemetrySnapshot,
     TELEMETRY_SCHEMA_VERSION,
 };
-pub use span::{chrome_trace_json, ChromeArgs, ChromeEvent, LiveSpan, SpanKind};
+pub use span::{chrome_trace_json, LiveSpan, SpanKind};

@@ -123,7 +123,7 @@ impl LiveSpan {
 /// `args` of an exported trace event: the request correlation key plus
 /// the work coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChromeArgs {
+pub(crate) struct ChromeArgs {
     /// [`crate::TraceId`] of the request that caused this span
     /// (0 = none).
     pub trace_id: u64,
@@ -136,7 +136,7 @@ pub struct ChromeArgs {
 /// One Chrome trace-event ("X" complete event). Field names are the
 /// trace-event format's own; `ts` and `dur` are microseconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChromeEvent {
+pub(crate) struct ChromeEvent {
     /// Display name of the slice.
     pub name: String,
     /// Event category (the stack layer).
@@ -158,7 +158,7 @@ pub struct ChromeEvent {
 impl ChromeEvent {
     /// A runtime-layer slice (`pid 0`) on track `tid`, named
     /// `"{label} pe{pe} blk{block}"`.
-    pub fn runtime(kind: SpanKind, args: ChromeArgs, tid: u32, ts: f64, dur: f64) -> Self {
+    pub(crate) fn runtime(kind: SpanKind, args: ChromeArgs, tid: u32, ts: f64, dur: f64) -> Self {
         ChromeEvent {
             name: format!("{} pe{} blk{}", kind.label(), args.pe, args.block),
             cat: kind.category().to_string(),

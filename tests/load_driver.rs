@@ -5,10 +5,12 @@
 //! before its fire time, lanes independent of each other, one request
 //! in flight per lane).
 
-use spn_replay::replay::effective_arrival_ns;
-use spn_replay::{digest_bytes, digest_lls, replay, ReplayConfig, Trace, TraceRecord};
 use spn_server::protocol::{encode_results, read_frame, write_frame};
-use spn_server::{run_load, synthetic_samples, Frame, InferRequest, LoadConfig, Opcode, Status};
+use spn_server::replay::effective_arrival_ns;
+use spn_server::{
+    digest_bytes, digest_lls, replay, run_load, synthetic_samples, Frame, InferRequest, LoadConfig,
+    Opcode, ReplayConfig, Status, Trace, TraceRecord,
+};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -8,11 +8,11 @@
 use spn_arith::AnyFormat;
 use spn_core::{Dataset, NipsBenchmark};
 use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_replay::{record_load, replay, ReplayConfig, Trace};
 use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
-    protocol, run_load, BatchPolicy, Client, ClientError, Frame, LoadConfig, ModelSpec, Opcode,
-    ReactorConfig, ServerConfig, ServingMode, SpnServer, Status,
+    protocol, record_load, replay, run_load, BatchPolicy, Client, ClientError, Frame, LoadConfig,
+    ModelSpec, Opcode, ReactorConfig, ReplayConfig, ServerConfig, ServingMode, SpnServer, Status,
+    Trace,
 };
 use spn_telemetry::SpanCtx;
 use std::net::{Shutdown, TcpStream};

@@ -7,10 +7,12 @@
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_replay::{record_load, replay, Burst, ReplayConfig, Trace};
 use spn_router::{HealthPolicy, RouterConfig, SpnRouter};
 use spn_runtime::{ExecBackend, JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
-use spn_server::{BatchPolicy, LoadConfig, ModelSpec, ServerConfig, SpnServer};
+use spn_server::{
+    record_load, replay, BatchPolicy, Burst, LoadConfig, ModelSpec, ReplayConfig, ServerConfig,
+    SpnServer, Trace,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -168,7 +170,7 @@ fn replay_through_router_failover_conserves_requests() {
     // Slow the replay down 4x so the mid-replay kill lands mid-replay.
     let mut rcfg = ReplayConfig::new(router.local_addr());
     rcfg.speed = 0.25;
-    let replay_ns = spn_replay::scaled_arrival_ns(trace.duration_ns(), rcfg.speed);
+    let replay_ns = spn_server::scaled_arrival_ns(trace.duration_ns(), rcfg.speed);
 
     let victim = router.replicas(bench.name())[0];
     let trace2 = trace.clone();
