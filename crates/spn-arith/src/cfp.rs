@@ -9,10 +9,17 @@
 //! the hardware's input converter would, and `add`/`mul` compute exact
 //! intermediate significands as integers before rounding — in `u64`
 //! wherever they fit, which is everywhere but the products of formats
-//! with more than 31 mantissa bits — not a round-trip through `f64`,
-//! which would double-round. `add`, `mul` and `to_f64` are branch-free
-//! on the data (range limits and zero operands are selects), so a lane
-//! loop over them vectorises.
+//! with more than 31 mantissa bits. That is correct for every format.
+//! A round trip through `f64` (one `f64` operation, then one rounding
+//! to the format) double-rounds, and that is innocuous only in part of
+//! the space: for round-to-nearest-even with p = `mant_bits + 1` ≤ 25,
+//! since 53 ≥ 2p + 2 (Figueroa, 1995), and only if the flush to zero
+//! is decided on the unrounded value. It is not for truncation or for
+//! wider significands. `spn-hw` relies on the innocuous case to run
+//! such formats on the `f64` unit, checked bit for bit against this
+//! emulation. `add`, `mul` and `to_f64` are branch-free on the data
+//! (range limits and zero operands are selects), so a lane loop over
+//! them vectorises.
 
 use crate::round::{msb, round_shift, round_shift_u64, Rounding};
 use serde::{Deserialize, Serialize};

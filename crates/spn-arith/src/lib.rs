@@ -9,7 +9,11 @@
 //!
 //! * [`CfpFormat`] — unsigned float, configurable exponent/mantissa
 //!   widths and rounding, saturating, flush-to-zero; `add`/`mul` round
-//!   exact `u128` intermediates (no double rounding through `f64`).
+//!   exact integer intermediates, correct for every width and rounding
+//!   mode. A round trip through `f64` is innocuous only for
+//!   round-to-nearest-even with `mant_bits ≤ 24` (see [`cfp`]); `spn-hw`
+//!   relies on that to run such formats on the `f64` unit, with this
+//!   emulation as its oracle.
 //! * [`LnsFormat`] — fixed-point base-2 logarithm with an explicit zero
 //!   flag; exact multiplication, Gaussian-logarithm addition with a
 //!   configurable table precision.

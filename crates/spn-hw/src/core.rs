@@ -24,6 +24,7 @@
 //! reported 133.1 M samples/s for a single NIPS10 core.
 
 use crate::calib;
+use crate::cfp_on_f64::CfpOnF64;
 use crate::program::{DatapathProgram, SynthesizedDatapath};
 use serde::{Deserialize, Serialize};
 use sim_core::{Bandwidth, SimDuration};
@@ -98,6 +99,10 @@ impl AcceleratorConfig {
 /// The datapath synthesised for whichever format the core was built in.
 #[derive(Debug, Clone)]
 enum Synthesized {
+    /// A CFP format the host's `f64` unit computes bit for bit
+    /// ([`CfpOnF64`]).
+    CfpOnF64(SynthesizedDatapath<CfpOnF64>),
+    /// Every other CFP format, in its integer emulation.
     Cfp(SynthesizedDatapath<CfpFormat>),
     Lns(SynthesizedDatapath<LnsFormat>),
     Posit(SynthesizedDatapath<PositFormat>),
@@ -116,10 +121,15 @@ pub struct AcceleratorCore {
 
 impl AcceleratorCore {
     /// Instantiate a core for a compiled datapath: synthesise it in
-    /// `format`, constants and all.
+    /// `format`, constants and all. A CFP format runs on the host's
+    /// `f64` unit whenever that gives the same bits as its integer
+    /// emulation (round-to-nearest-even, `mant_bits ≤ 24`).
     pub fn new(config: AcceleratorConfig, program: DatapathProgram, format: AnyFormat) -> Self {
         let datapath = match &format {
-            AnyFormat::Cfp(f) => Synthesized::Cfp(program.synthesize(f)),
+            AnyFormat::Cfp(f) => match CfpOnF64::new(*f) {
+                Some(on_f64) => Synthesized::CfpOnF64(program.synthesize(&on_f64)),
+                None => Synthesized::Cfp(program.synthesize(f)),
+            },
             AnyFormat::Lns(f) => Synthesized::Lns(program.synthesize(f)),
             AnyFormat::Posit(f) => Synthesized::Posit(program.synthesize(f)),
             AnyFormat::F64 => Synthesized::F64(program.synthesize(&F64Format)),
@@ -163,6 +173,7 @@ impl AcceleratorCore {
     pub fn run_job(&self, input: &[u8]) -> Vec<f64> {
         let mut out = Vec::new();
         match &self.datapath {
+            Synthesized::CfpOnF64(d) => d.execute_into(input, &mut out),
             Synthesized::Cfp(d) => d.execute_into(input, &mut out),
             Synthesized::Lns(d) => d.execute_into(input, &mut out),
             Synthesized::Posit(d) => d.execute_into(input, &mut out),
@@ -290,6 +301,25 @@ mod tests {
             assert!(rel < 1e-4, "hw {hw} vs ref {reference}");
         }
         assert_eq!(results.len(), 32);
+    }
+
+    #[test]
+    /// Round-to-nearest-even CFP of at most 24 mantissa bits, and
+    /// nothing else.
+    fn only_a_qualifying_cfp_core_runs_on_the_f64_unit() {
+        use spn_arith::{truncating_cfp, Rounding};
+        let prog = DatapathProgram::compile(&NipsBenchmark::Nips10.build_spn());
+        let on_f64 = |format| {
+            let core =
+                AcceleratorCore::new(AcceleratorConfig::paper_default(), prog.clone(), format);
+            matches!(core.datapath, Synthesized::CfpOnF64(_))
+        };
+        let rne = |mant_bits| AnyFormat::Cfp(CfpFormat::new(8, mant_bits, Rounding::NearestEven));
+        assert!(on_f64(AnyFormat::paper_default()));
+        assert!(on_f64(rne(24)));
+        assert!(!on_f64(rne(25)));
+        assert!(!on_f64(AnyFormat::Cfp(truncating_cfp(11, 22))));
+        assert!(!on_f64(AnyFormat::from_name("lns").unwrap()));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! * **executed** bit-accurately in any `spn-arith` format (the
 //!   functional model: exactly the values the FPGA would produce) —
 //!   per sample by the reference `execute`, in batches by the datapath
-//!   *synthesised* for one format with its constants pre-converted,
+//!   *synthesised* for one format with its constants pre-converted (a
+//!   round-to-nearest-even CFP of ≤ 24 mantissa bits, the paper's
+//!   among them, on the host's `f64` unit with the same bits),
 //! * **scheduled** ([`pipeline`]) into a fully pipelined circuit with
 //!   per-operator latencies and balancing registers,
 //! * **costed** ([`resources`]) by the Table I resource model, and
@@ -19,6 +21,7 @@
 //! [`calib`] records every paper-reported number for comparison.
 
 pub mod calib;
+mod cfp_on_f64;
 pub mod core;
 pub mod netlist;
 pub mod pipeline;

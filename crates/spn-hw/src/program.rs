@@ -331,10 +331,13 @@ pub(crate) struct SynthesizedDatapath<F: SpnNumber> {
 /// moves to the next. Within a sample every op waits for its operands;
 /// across a lane nothing does, so the host overlaps the arithmetic the
 /// way the pipelined circuit overlaps samples, and the branch-free CFP
-/// arithmetic runs four (AVX2) or eight (AVX-512) lanes to a register.
-/// Measured flat from 32 to 128 on NIPS10 at both tiers, and four times
-/// as slow one sample at a time (274–341 vs 74–77 ns/sample, NIPS10,
-/// AVX2): a constant, not a knob.
+/// arithmetic — the `f64` path and the integer emulation alike — runs
+/// four (AVX2) or eight (AVX-512) lanes to a register. The integer
+/// emulation measured flat from 32 to 128 on NIPS10 at both tiers, and
+/// four times as slow one sample at a time (274–341 vs 74–77 ns/sample,
+/// NIPS10, AVX2). The `f64` path at AVX-512, min ns/sample over 101
+/// calls: NIPS10 21.5 / 19.7 / 20.2 at 32 / 64 / 128 lanes and 179 one
+/// sample at a time; NIPS80 240 / 205 / 193. A constant, not a knob.
 const LANES: usize = 64;
 
 impl<F: SpnNumber> SynthesizedDatapath<F> {
@@ -453,6 +456,7 @@ fn expand_histogram(breaks: &[f64], densities: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfp_on_f64::CfpOnF64;
     use spn_arith::{truncating_cfp, CfpFormat, F64Format, LnsFormat, PositFormat, Rounding};
     use spn_core::{
         random_spn, Evaluator, Leaf, NipsBenchmark, Query, RandomSpnConfig, SpnBuilder,
@@ -558,8 +562,8 @@ mod tests {
 
     /// Every tier this CPU supports against `Base`, through
     /// `isa::run_on`: `to_bits`, in the six formats
-    /// `tests/datapath_differential.rs` covers, at batch sizes around the
-    /// lane width and a whole block.
+    /// `tests/datapath_differential.rs` covers and on the `f64` path, at
+    /// batch sizes around the lane width and a whole block.
     #[test]
     fn every_instantiation_of_the_kernel_computes_the_same_bits() {
         use isa::Tier;
@@ -601,6 +605,14 @@ mod tests {
         same_bits(&prog, &LnsFormat::paper_default(), &data);
         same_bits(&prog, &PositFormat::paper_default(), &data);
         same_bits(&prog, &F64Format, &data);
+        // The f64 path's selects and bit operations, in the paper's
+        // format and in one narrow enough that products flush.
+        for cfp in [
+            CfpFormat::paper_default(),
+            CfpFormat::new(4, 3, Rounding::NearestEven),
+        ] {
+            same_bits(&prog, &CfpOnF64::new(cfp).unwrap(), &data);
+        }
     }
 
     #[test]

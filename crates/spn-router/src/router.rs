@@ -491,6 +491,8 @@ mod tests {
     use spn_server::{ModelSpec, ServerConfig, SpnServer};
     use std::io::Read;
     use std::net::TcpStream;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     #[test]
     fn empty_backend_list_is_a_config_error() {
@@ -573,16 +575,25 @@ mod tests {
     }
 
     /// A backend that accepts and never answers stalls only the
-    /// requests routed to it: they fail over after `rpc_timeout` and
-    /// get a live backend's answer, bit for bit, while a client on the
-    /// same loop keeps being served far faster than that.
+    /// requests routed to it, and a client on the same loop keeps being
+    /// served. Shown by the order of events, not by how long anything
+    /// took: each stall ends only when this test drops the call it
+    /// holds, which it does only after ten requests beside the stall have
+    /// been answered, and only while the router is still waiting on the
+    /// call. The stalled requests then fail over to a live backend's
+    /// answer, bit for bit.
     #[test]
     fn a_stalled_backend_stalls_only_its_own_requests() {
-        const RPC_TIMEOUT: Duration = Duration::from_millis(300);
+        // The router's own way out of a stall. Only a router that holds
+        // the requests beside the stall until it gives up ever takes it,
+        // and the test then sees the call closed under it.
+        const RPC_TIMEOUT: Duration = Duration::from_secs(10);
+        const STALLS: usize = 2;
+        const SERVED_PER_STALL: usize = 10;
         let names: Vec<String> = (0..64).map(|i| format!("m{i:02}")).collect();
         let live = [backend(&names, device()), backend(&names, device())];
         // The kernel completes each handshake into the listen backlog,
-        // so dials succeed; nothing ever reads or answers.
+        // so dials succeed; the test accepts them, reads and holds.
         let black_hole = TcpListener::bind("127.0.0.1:0").unwrap();
         let hole = black_hole.local_addr().unwrap().to_string();
         let mut router = SpnRouter::start(RouterConfig {
@@ -626,32 +637,49 @@ mod tests {
         let mut stalled = Client::connect(router.local_addr()).unwrap();
         let _other_loop = Client::connect(router.local_addr()).unwrap();
         let mut fast = Client::connect(router.local_addr()).unwrap();
-        let (mut served, mut slowest) = (0, Duration::ZERO);
+        let (black_hole, released) = (&black_hole, &AtomicUsize::new(0));
+        let (held_tx, held) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
         thread::scope(|s| {
-            let stalled = s.spawn(|| {
-                for _ in 0..2 {
-                    let t = Instant::now();
-                    infer(&mut stalled, &stalled_model);
-                    let took = t.elapsed();
-                    assert!(took >= RPC_TIMEOUT, "failed over after {took:?}");
-                    assert!(took < 3 * RPC_TIMEOUT, "failed over after {took:?}");
+            // The black hole: take each stalled call as the router dials
+            // it and hold it until the requests beside it are served.
+            s.spawn(move || {
+                let mut probes = Vec::new();
+                for _ in 0..STALLS {
+                    let mut call = loop {
+                        let (mut conn, _) = black_hole.accept().unwrap();
+                        match read_frame(&mut conn).unwrap().opcode {
+                            Opcode::Infer => break conn,
+                            // A health probe: never answered either.
+                            _ => probes.push(conn),
+                        }
+                    };
+                    held_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    call.set_nonblocking(true).unwrap();
+                    let open = matches!(call.read(&mut [0]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+                    assert!(open, "the router gave up on the stalled call first");
+                    released.fetch_add(1, Ordering::SeqCst);
                 }
             });
-            while !stalled.is_finished() {
-                let t = Instant::now();
-                infer(&mut fast, &fast_model);
-                slowest = slowest.max(t.elapsed());
-                served += 1;
+            let stalled = s.spawn(|| {
+                for n in 1..=STALLS {
+                    infer(&mut stalled, &stalled_model);
+                    let ended = released.load(Ordering::SeqCst);
+                    assert!(ended >= n, "stall {n} answered while its call was held");
+                }
+            });
+            for _ in 0..STALLS {
+                held.recv().unwrap();
+                for _ in 0..SERVED_PER_STALL {
+                    infer(&mut fast, &fast_model);
+                }
+                release.send(()).unwrap();
             }
             stalled.join().unwrap();
         });
-        assert!(served >= 10, "{served} requests served beside the stall");
-        assert!(
-            slowest < RPC_TIMEOUT / 3,
-            "a request beside the stall took {slowest:?}"
-        );
         let r = router.telemetry_snapshot().router.unwrap();
-        assert_eq!(r.failovers_total, 2);
+        assert_eq!(r.failovers_total, STALLS as u64);
         assert_eq!(r.backends[&hole].requests_total, 0);
         router.shutdown();
     }
