@@ -1,13 +1,13 @@
 //! The block-execution seam between the scheduler and its backends.
 //!
-//! The scheduler decides *which* block runs next and *where its
-//! results go*; a [`BlockExecutor`] decides *how* the block's samples
-//! become probabilities. There are exactly three, each beside the code
-//! it drives: [`VirtualDevice`] (the alloc → h2d → launch → d2h
-//! pipeline), [`CompiledPlan`] (in `plan_cache.rs`: the batched host
-//! interpreter) and [`ShardedExecutor`] (concurrent shards, then the
-//! merge). [`Executors`] turns a job's [`ExecBackend`] into one of them
-//! once, at submission; workers never look a backend up again.
+//! The claim core decides *which* block runs next, the scheduler *where
+//! its results go*; a [`BlockExecutor`] decides *how* the block's
+//! samples become probabilities. There are exactly three, each beside
+//! the code it drives: [`VirtualDevice`] (the alloc → h2d → launch →
+//! d2h pipeline), [`CompiledPlan`] (in `plan_cache.rs`: the batched
+//! host interpreter) and [`ShardedExecutor`] (concurrent shards, then
+//! the merge). [`Executors`] turns a job's [`ExecBackend`] into one of
+//! them once, at submission; workers never look a backend up again.
 
 use crate::device::VirtualDevice;
 use crate::job::ExecBackend;

@@ -1,13 +1,8 @@
-//! Job decomposition and per-job options.
-//!
-//! The paper's runtime (Section IV-B) breaks each compute job into
-//! sub-jobs "according to a user-specified block-size"; control threads
-//! then pump blocks through transfer → execute → readback. Blocks are
-//! the unit of overlap: while one block computes, another transfers.
-//! With the [`crate::scheduler::Scheduler`], blocks are also the unit
-//! of *multiplexing*: blocks from many concurrent jobs interleave on
-//! the same PEs, and [`JobOptions`] carries the per-job knobs (retry
-//! budget, backoff, PE restriction).
+//! Job decomposition and per-job options. The paper's runtime (Section
+//! IV-B) breaks each job into sub-jobs "according to a user-specified
+//! block-size": the unit of transfer/compute overlap and, across
+//! concurrent jobs, of multiplexing. [`JobOptions`] carries the per-job
+//! knobs (retry budget, backoff, PE restriction, backend).
 
 use crate::runtime::RuntimeError;
 use serde::{Deserialize, Serialize};
@@ -49,17 +44,6 @@ pub fn split_into_blocks(total_samples: u64, block_samples: u64) -> Vec<Block> {
         first += samples;
     }
     blocks
-}
-
-/// Partition blocks across `pes` accelerators round-robin, preserving
-/// order within each accelerator's list.
-pub(crate) fn assign_to_pes(blocks: &[Block], pes: u32) -> Vec<Vec<Block>> {
-    assert!(pes > 0, "need at least one PE");
-    let mut per_pe: Vec<Vec<Block>> = vec![Vec::new(); pes as usize];
-    for (i, b) in blocks.iter().enumerate() {
-        per_pe[i % pes as usize].push(*b);
-    }
-    per_pe
 }
 
 /// Where a job's blocks execute.
@@ -273,17 +257,5 @@ mod tests {
             samples: 5,
         };
         assert_eq!(b.input_range(10), (100, 50));
-    }
-
-    #[test]
-    fn round_robin_assignment_is_balanced() {
-        let blocks = split_into_blocks(100, 10); // 10 blocks
-        let per_pe = assign_to_pes(&blocks, 4);
-        let sizes: Vec<usize> = per_pe.iter().map(|v| v.len()).collect();
-        assert_eq!(sizes, vec![3, 3, 2, 2]);
-        // Every block appears exactly once.
-        let mut seen: Vec<u64> = per_pe.iter().flatten().map(|b| b.first_sample).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).map(|i| i * 10).collect::<Vec<_>>());
     }
 }

@@ -1,35 +1,12 @@
 //! # spn-runtime — the multi-threaded host runtime and system simulation
 //!
 //! The software half of the paper's contribution, plus the end-to-end
-//! performance simulation that regenerates its figures:
-//!
-//! * [`memmgr`] — the thread-safe per-HBM-channel device memory manager
-//!   the paper built because TaPaSCo could not split the address space;
-//! * [`device`] — the functional virtual accelerator card: per-channel
-//!   byte storage, register files, bit-accurate cores;
-//! * [`runtime`] — the TaPaSCo-style host runtime's configuration and
-//!   errors;
-//! * [`scheduler`] — the one way to run a job, one or many at a time:
-//!   a persistent pool of control threads overlapping transfer and
-//!   compute, `submit`/`wait` job handles, per-block fault retry,
-//!   round-robin fairness and a bounded backpressure queue. It is
-//!   backend-agnostic: each job's blocks run through one of three
-//!   block executors (device pipeline, compiled plan, shard cut) that
-//!   live beside [`device`], [`plan_cache`] and [`sharded`];
-//! * [`plan_cache`] — the fingerprint-keyed cache of compiled inference
-//!   plans behind the scheduler's host fast path
-//!   ([`job::ExecBackend::HostPlan`]);
-//! * [`sharded`] — scope-sharded multi-device execution: K concurrent
-//!   shard devices each holding one stripe of the model, merged
-//!   bit-exactly ([`job::ExecBackend::Sharded`]);
-//! * [`metrics`] — atomic runtime counters/gauges, snapshotted into the
-//!   unified `spn-telemetry` schema;
-//! * [`job`] — block decomposition and per-job options;
-//! * [`perf`] — the virtual-time end-to-end simulation behind Figs. 4/6,
-//!   traced in the same `spn-telemetry` spans a live scheduler records;
-//! * [`analysis`] — the Fig. 5 scaling-potential study and the §V-C
-//!   PCIe-generation outlook;
-//! * [`streaming`] — the 100G in-network comparison model (\[7\]).
+//! performance simulation that regenerates its figures. [`scheduler`]
+//! is the one way to run a job, one or many at a time: a persistent pool
+//! of control threads over the virtual [`device`], each block run by one
+//! of three executors (the device pipeline, a [`plan_cache`] plan, a
+//! [`sharded`] cut). Its claim core is the one [`perf`] drives in virtual
+//! time for Figs. 4 and 6.
 //!
 //! ## Runtime API in one example
 //!
@@ -63,6 +40,7 @@
 
 pub mod analysis;
 pub mod device;
+pub(crate) mod dispatch;
 pub(crate) mod executor;
 pub mod job;
 pub mod memmgr;

@@ -1,20 +1,21 @@
 //! End-to-end performance simulation: the model behind Figs. 4 and 6.
 //!
-//! Replays the runtime's control-thread schedule in virtual time:
-//! every control thread loops `H2D transfer → PE execute → D2H
-//! transfer` over its PE's block queue; transfers contend on the shared
-//! DMA engine, PE executions occupy their core, and the core's rate is
-//! bounded by its dedicated HBM channel. The threads are the actors of
-//! a [`sim_core::Model`] whose event is "thread `tid` reaches `phase`";
-//! the [`Engine`] fires them in global time order (ties in scheduling
-//! order), so shared-resource FIFO grants happen in request order and
-//! the simulation is deterministic.
+//! Replays the runtime's control-thread protocol in virtual time: every
+//! control thread claims a block from the scheduler's own claim core
+//! (`dispatch`) at the DES time it frees, then loops `H2D transfer → PE
+//! execute → D2H transfer`; transfers contend on the shared DMA engine,
+//! PE executions occupy their core, bounded by its HBM channel. The
+//! threads are the actors of a [`sim_core::Model`] whose event is
+//! "thread `tid` reaches `phase`"; the [`Engine`] fires them in time
+//! order (ties in scheduling order), so claims and FIFO grants happen in
+//! request order and the simulation is deterministic.
 //!
 //! Two measurement modes mirror Fig. 4's two panels: with host↔device
 //! transfers (true end-to-end) and without (on-device only — the
 //! "embarrassingly parallel" panel that scales linearly).
 
-use crate::job::{assign_to_pes, split_into_blocks, Block};
+use crate::dispatch::{Claim, Dispatch, Ended};
+use crate::job::{split_into_blocks, Block};
 use mem_model::HbmChannelConfig;
 use pcie_model::{Direction, DmaConfig, DmaEngine};
 use serde::{Deserialize, Serialize};
@@ -24,7 +25,6 @@ use sim_core::{
 use spn_core::NipsBenchmark;
 use spn_hw::AcceleratorConfig;
 use spn_telemetry::{LiveSpan, SpanCtx, SpanKind};
-use std::collections::VecDeque;
 
 /// Configuration of one simulated run.
 #[derive(Debug, Clone, Copy)]
@@ -97,7 +97,7 @@ pub struct PerfResult {
 /// What a control thread does next for its current block.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
-    /// Pick up the next block and request its H2D transfer.
+    /// Claim the next block and request its H2D transfer.
     Start,
     /// Launch the accelerator (input data landed on the device).
     Execute,
@@ -119,12 +119,12 @@ struct Pipeline<'a> {
     out_bytes_per_sample: u64,
     /// HBM channel bandwidth seen by each core.
     channel_bw: Bandwidth,
-    /// Blocks not yet picked up, per PE.
-    queues: Vec<VecDeque<Block>>,
+    blocks: Vec<Block>,
+    dispatch: Dispatch<u64>,
     dma: DmaEngine,
     pes: Vec<Timeline>,
-    /// Per thread: the block in flight and when the thread picked it up.
-    current: Vec<Option<(Block, SimTime)>>,
+    /// Per thread: the job and block in flight, and when it was claimed.
+    current: Vec<Option<(u64, Block, SimTime)>>,
     latency: LogHistogram,
     makespan: SimTime,
     pcie_bytes: u64,
@@ -182,15 +182,16 @@ impl Model for Pipeline<'_> {
         let pe = self.pe(tid) as usize;
         let (at, next) = match phase {
             Phase::Start => {
-                let Some(block) = self.queues[pe].pop_front() else {
-                    return; // PE's work done; thread retires
+                let Claim::Run(job, idx) = self.dispatch.claim(tid as usize) else {
+                    return; // every block is claimed; the thread retires
                 };
-                self.current[tid as usize] = Some((block, now));
+                let block = self.blocks[idx];
+                self.current[tid as usize] = Some((job, block, now));
                 let landed = self.transfer(Direction::HostToDevice, tid, block, now);
                 (landed, Phase::Execute)
             }
             Phase::Execute => {
-                let (block, _) = self.current[tid as usize].expect("block in flight");
+                let (_, block, _) = self.current[tid as usize].expect("block in flight");
                 let job_time = self.cfg.accel.job_time(
                     block.samples,
                     self.in_bytes_per_sample,
@@ -202,8 +203,9 @@ impl Model for Pipeline<'_> {
                 (g.end, Phase::Readback)
             }
             Phase::Readback => {
-                let (block, issued_at) =
+                let (job, block, issued_at) =
                     self.current[tid as usize].take().expect("block in flight");
+                self.dispatch.block_done(job, Ended::<()>::Done, None);
                 let done = self.transfer(Direction::DeviceToHost, tid, block, now);
                 self.latency
                     .record_duration(done.saturating_since(issued_at));
@@ -245,15 +247,15 @@ fn simulate_impl(cfg: &PerfConfig, trace: Option<&mut Vec<LiveSpan>>) -> PerfRes
     dma_cfg.link.dma_efficiency /= contention;
 
     let num_threads = cfg.num_pes * cfg.threads_per_pe;
+    let mut dispatch = Dispatch::new(cfg.num_pes, num_threads as usize, 1);
+    let _ = dispatch.submit(blocks.len(), cfg.num_pes, false, |id| id); // its id is its token
     let mut engine = Engine::new(Pipeline {
         cfg,
         in_bytes_per_sample,
         out_bytes_per_sample: cfg.benchmark.result_bytes_per_sample(),
         channel_bw: cfg.hbm.effective_bandwidth(request_bytes),
-        queues: assign_to_pes(&blocks, cfg.num_pes)
-            .into_iter()
-            .map(Into::into)
-            .collect(),
+        blocks,
+        dispatch,
         dma: DmaEngine::new(dma_cfg),
         pes: (0..cfg.num_pes).map(|_| Timeline::new("pe")).collect(),
         current: vec![None; num_threads as usize],

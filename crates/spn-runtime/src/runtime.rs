@@ -1,29 +1,11 @@
-//! The multi-threaded host runtime (the paper's software contribution).
-//!
-//! Mirrors the TaPaSCo-based runtime of Section IV-B:
-//!
-//! * the runtime **queries the device** for PE count and each PE's
-//!   synthesis-time configuration (no manual parameter plumbing),
-//! * an inference job is **split into block-sized sub-jobs**,
-//! * each PE is driven by one or more **control threads**, each looping
-//!   `transfer → launch & wait → read back`,
-//! * with ≥2 threads per PE, thread A transfers block *n+1* while
-//!   thread B waits on the accelerator computing block *n* — the
-//!   overlap scheme that hides transfer time.
-//!
-//! The control threads live in a persistent [`crate::Scheduler`]
-//! worker pool, the one way to run a job: `submit` / `submit_blocking`
-//! return a job handle whose `wait` yields the results. This module
-//! holds what the scheduler and its callers share: the
-//! [`RuntimeConfig`] knobs, the [`RuntimeError`] they can fail with and
-//! the `ExecProvenance` the scheduler resolves for a job's results.
-//! [`crate::JobOptions`] selects the execution backend: the device
-//! (default) or the host through the model's compiled inference plan
-//! ([`crate::job::ExecBackend::HostPlan`]).
-//!
-//! These are real OS threads moving real bytes through the
-//! [`crate::VirtualDevice`]; the results are bit-exact accelerator
-//! output.
+//! What the host runtime (the paper's software contribution) and its
+//! callers share: the [`RuntimeConfig`] knobs, the [`RuntimeError`] a
+//! job can fail with, and the `ExecProvenance` resolved for a job's
+//! results. The runtime itself is the [`crate::Scheduler`]: control
+//! threads per PE, each looping `transfer → launch & wait → read back`
+//! over real bytes in the [`crate::VirtualDevice`], two of them per PE
+//! overlapping one block's transfer with another's compute (Section
+//! IV-B); its claim core (`dispatch`) decides who runs which block.
 
 use crate::device::DeviceError;
 use crate::memmgr::AllocError;

@@ -1,60 +1,40 @@
 //! The concurrent inference scheduler: many jobs, one accelerator.
 //!
 //! The paper's runtime drives each PE with control threads to overlap
-//! transfer and compute, but does so one job at a time. This module
-//! generalises that design into a long-lived [`Scheduler`] that owns a
-//! **persistent worker pool** (the control threads of Section IV-B,
-//! kept alive across jobs instead of re-spawned per call) and
-//! multiplexes block-sized sub-jobs from *many* concurrent inference
-//! jobs across the PEs:
+//! transfer and compute, one job at a time. A [`Scheduler`] keeps those
+//! threads alive across jobs (a **persistent worker pool**) and
+//! multiplexes block-sized sub-jobs of *many* concurrent jobs across the
+//! PEs: claimed **round-robin across jobs** (per-job FIFO), so a small
+//! job behind a huge one still completes promptly; behind a bounded
+//! queue ([`crate::RuntimeError::QueueFull`]); with transient failures
+//! retried per block ([`JobOptions::max_retries`]); and with one job's
+//! failure or cancellation never touching another's buffers or state.
 //!
-//! * [`Scheduler::submit`] enqueues a job and returns a [`JobHandle`]
-//!   immediately; a bounded queue provides backpressure
-//!   ([`crate::RuntimeError::QueueFull`], or [`Scheduler::submit_blocking`]
-//!   to wait for space);
-//! * a job's outcome has exactly one consumer: whoever calls
-//!   [`JobHandle::wait`], or — for callers that would only park a
-//!   thread in `wait` to pass the result on — the closure given to
-//!   [`Scheduler::submit_blocking_then`], run by the thread that
-//!   finished the job;
-//! * the caller can be the control thread: [`Scheduler::submit_then`]
-//!   runs a one-block job cheaper than a hand-off itself;
-//! * blocks are claimed **round-robin across jobs** (per-job FIFO): a
-//!   small job submitted behind a huge one still completes promptly;
-//! * transient failures — [`crate::DeviceError::TransientFault`] from
-//!   the device's fault injection, or an out-of-memory race against
-//!   another job's buffers — are retried per block with bounded linear
-//!   backoff, up to [`JobOptions::max_retries`];
-//! * one job failing (or being cancelled) never poisons the others:
-//!   each block's device buffers are freed on every path, and job state
-//!   is fully independent;
-//! * every hot-path event feeds the [`MetricsRegistry`]
-//!   (jobs/blocks/retries/bytes/per-PE busy time).
-//!
-//! It is the one way to run a job: a single blocking job is
-//! `submit_blocking(..)?.wait()`, and the single-job path and the
-//! multi-job path are the same code.
-//!
-//! The scheduler is backend-agnostic: it schedules, executors execute.
-//! A job's [`crate::job::ExecBackend`] is resolved once, at
-//! submission, into a block executor the job keeps; every control
-//! thread then runs the same loop for every block of every job —
-//! slice the block's input, run the executor, store the results. What
-//! a device transfer, a compiled plan or a shard cut *is* lives with
-//! the three executors, beside [`VirtualDevice`], [`PlanCache`] and
+//! Every decision — which block a thread claims, who parks, is lent or
+//! woken, when a job retires — is made by the I/O-free claim core
+//! (`dispatch::Dispatch`), which [`crate::perf`] drives in virtual time
+//! too. This module is its wall-clock shell: lock the state, call
+//! the event, perform what it returns (notify a condvar, run an executor,
+//! publish a result). It is backend-agnostic: a job's
+//! [`crate::job::ExecBackend`] is resolved at submission into a block
+//! executor, and every control thread runs one loop for every block —
+//! slice the input, run the executor, store the results. What a device
+//! transfer, a compiled plan or a shard cut *is* lives with the
+//! executors, beside [`VirtualDevice`], [`PlanCache`] and
 //! [`crate::ShardedExecutor`].
 
 use crate::device::VirtualDevice;
+use crate::dispatch::{Admitted, Claim, Dispatch, Ended};
 use crate::executor::{BlockCx, BlockExecutor, Executors};
 use crate::job::{split_into_blocks, Block, JobOptions};
 use crate::metrics::{JobOutcome, MetricsRegistry, MetricsSnapshot};
 use crate::plan_cache::PlanCache;
 use crate::runtime::{validate_config, ExecProvenance, RuntimeConfig, RuntimeError};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 use spn_core::Dataset;
 use spn_hw::SynthConfig;
 use spn_telemetry::TraceCollector;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -87,62 +67,30 @@ pub type JobResult = Result<Vec<f64>, RuntimeError>;
 /// [`Scheduler::submit_blocking_then`]).
 type Consumer = Box<dyn FnOnce(JobResult) + Send>;
 
-/// Where a job's outcome is, behind its completion mutex.
+/// Where a job's outcome is, behind its completion mutex: not terminal
+/// yet (holding the job's consumer, if any), or terminal with the
+/// result waiting for [`JobHandle::wait`] (`None` once consumed).
 enum Phase {
-    /// Not terminal yet; holds the consumer the job was submitted
-    /// with, if any.
     Active(Option<Consumer>),
-    /// Terminal. The result waits here for [`JobHandle::wait`]; `None`
-    /// when it went to the job's consumer instead.
     Done(JobOutcome, Option<JobResult>),
 }
 
-/// All state of one submitted job. Scheduling counters (`next_block`,
-/// `in_flight`) are atomics but only mutated under the scheduler's
-/// state lock; `blocks_done` and `cancelled` are also read lock-free by
-/// the handle.
+/// One submitted job; where its blocks are is the dispatch state's.
 struct JobState {
     id: u64,
     data: Arc<Dataset>,
     blocks: Vec<Block>,
-    /// The job runs on PEs `0..pe_limit`.
-    pe_limit: u32,
     opts: JobOptions,
-    /// Runs every block of this job (resolved from `opts.backend` at
-    /// submission).
+    /// Runs every block of this job (resolved from `opts.backend`).
     executor: Arc<dyn BlockExecutor>,
-    /// How this job's results will have been produced (fixed at
-    /// submission: backend plus plan-cache state).
+    /// How its results are produced: backend plus plan-cache state.
     provenance: ExecProvenance,
-    /// Next unclaimed block index (guarded by the scheduler state lock).
-    next_block: AtomicUsize,
-    /// Blocks currently executing (guarded by the scheduler state lock).
-    in_flight: AtomicUsize,
-    /// Blocks completed successfully.
+    /// Blocks completed successfully (read lock-free by the handle).
     blocks_done: AtomicU64,
-    /// Set by `cancel()` or on failure: workers stop claiming blocks.
-    cancelled: AtomicBool,
-    /// Set exactly once, when the job reaches a terminal phase.
-    terminal: AtomicBool,
     /// Result accumulator, one slot per sample.
     results: Mutex<Vec<f64>>,
     completion: Mutex<Phase>,
     done_cv: Condvar,
-}
-
-impl JobState {
-    /// Number of samples this job carries (for the in-flight gauge).
-    fn samples(&self) -> u64 {
-        self.data.num_samples() as u64
-    }
-
-    /// Whether a control thread of PE `pe` may claim a block of it now.
-    fn claimable_by(&self, pe: u32) -> bool {
-        !self.cancelled.load(Ordering::Relaxed)
-            && !self.terminal.load(Ordering::Relaxed)
-            && pe < self.pe_limit
-            && self.next_block.load(Ordering::Relaxed) < self.blocks.len()
-    }
 }
 
 /// Handle to a submitted job: wait, poll, inspect progress, cancel.
@@ -187,16 +135,13 @@ impl JobHandle {
 
     /// Non-blocking status probe.
     pub fn poll(&self) -> JobStatus {
+        let started = || {
+            self.job.blocks_done.load(Ordering::Relaxed) > 0
+                || self.shared.state.lock().dispatched(self.job.id)
+        };
         match &*self.job.completion.lock() {
-            Phase::Active(_) => {
-                if self.job.blocks_done.load(Ordering::Relaxed) > 0
-                    || self.job.in_flight.load(Ordering::Relaxed) > 0
-                {
-                    JobStatus::Running
-                } else {
-                    JobStatus::Queued
-                }
-            }
+            Phase::Active(_) if started() => JobStatus::Running,
+            Phase::Active(_) => JobStatus::Queued,
             Phase::Done(JobOutcome::Completed, _) => JobStatus::Completed,
             Phase::Done(JobOutcome::Failed, _) => JobStatus::Failed,
             Phase::Done(JobOutcome::Cancelled, _) => JobStatus::Cancelled,
@@ -216,16 +161,9 @@ impl JobHandle {
     /// their device buffers as always) and then the job finalises as
     /// [`JobStatus::Cancelled`], unblocking `wait()`.
     pub fn cancel(&self) {
-        let st = self.shared.state.lock();
-        if self.job.terminal.load(Ordering::Relaxed) {
-            return;
+        if self.shared.state.lock().cancel(self.job.id) {
+            publish(&self.shared, &self.job, Err(RuntimeError::Cancelled));
         }
-        self.job.cancelled.store(true, Ordering::Relaxed);
-        if self.job.in_flight.load(Ordering::Relaxed) == 0 {
-            // Nothing executing: finalise right here.
-            retire(&self.shared, st, &self.job, || Err(RuntimeError::Cancelled));
-        }
-        // else: the last in-flight block's worker finalises the job.
     }
 }
 
@@ -242,44 +180,20 @@ struct Shared {
     trace: Option<Arc<TraceCollector>>,
     /// Where blocks run: resolves a job's backend to its executor.
     executors: Executors,
-    state: Mutex<State>,
-    /// One per control thread, in [`State::parked`] order: a worker
-    /// with no block to claim sleeps on its own.
+    /// The control-thread protocol: jobs, cursor, each thread's park.
+    state: Mutex<Dispatch<Arc<JobState>>>,
+    /// One per control thread, notified only when the dispatch state says.
     work_cv: Vec<Condvar>,
-    /// `submit_blocking` sleeps here when the queue is full; also
-    /// notified whenever a job leaves the queue (drain waits on it).
+    /// Full-queue `submit_blocking` callers and `drain` wait here.
     space_cv: Condvar,
-    /// Set by [`Scheduler::drain`] and `Drop`: refuse new submissions.
-    draining: AtomicBool,
-    /// Set by `Drop` after draining: workers exit.
-    shutdown: AtomicBool,
-    /// Wakes that found no block to claim (for tests; not telemetry).
-    idle_wakes: AtomicU64,
-    /// Control-thread notifications `submit_inner` issued (likewise).
-    wakes_issued: AtomicU64,
-    /// Blocks a submitter ran in a control thread's stead (likewise).
-    inline_blocks: AtomicU64,
 }
 
-struct State {
-    /// In-flight jobs, submission order.
-    jobs: Vec<Arc<JobState>>,
-    /// Round-robin cursor for cross-job fairness.
-    rr: usize,
-    next_id: u64,
-    /// Where each control thread is. Worker `w` drives PE
-    /// `w % num_pes`: index order reaches every PE's first thread first.
-    park: Vec<Park>,
-}
-
-/// A control thread is awake (running a block, or about to claim one),
-/// parked on its `work_cv`, or lent: asleep while a submitter runs one
-/// block in its stead, and woken by no one but that submitter.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Park {
-    Awake,
-    Parked,
-    Lent,
+impl Shared {
+    fn wake(&self, workers: &[usize]) {
+        for &w in workers {
+            self.work_cv[w].notify_one();
+        }
+    }
 }
 
 /// The long-lived concurrent scheduler. Owns `num_pes ×
@@ -323,30 +237,18 @@ impl Scheduler {
     ) -> Result<Self, RuntimeError> {
         validate_config(&config)?;
         let pe_cfg = device.query_pe(0)?;
-        let metrics = Arc::new(MetricsRegistry::new(device.num_pes()));
-        let executors = Executors::new(Arc::clone(&device), plan_cache, trace.clone());
         let num_pes = device.num_pes();
         let num_workers = (num_pes * config.threads_per_pe) as usize;
         let shared = Arc::new(Shared {
+            executors: Executors::new(Arc::clone(&device), plan_cache, trace.clone()),
             device,
             config,
             pe_cfg,
-            metrics,
+            metrics: Arc::new(MetricsRegistry::new(num_pes)),
             trace,
-            executors,
-            state: Mutex::new(State {
-                jobs: Vec::new(),
-                rr: 0,
-                next_id: 1,
-                park: vec![Park::Awake; num_workers],
-            }),
+            state: Mutex::new(Dispatch::new(num_pes, num_workers, config.queue_capacity)),
             work_cv: (0..num_workers).map(|_| Condvar::new()).collect(),
             space_cv: Condvar::new(),
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            idle_wakes: AtomicU64::new(0),
-            wakes_issued: AtomicU64::new(0),
-            inline_blocks: AtomicU64::new(0),
         });
         let workers = (0..num_workers)
             .map(|w| {
@@ -354,7 +256,7 @@ impl Scheduler {
                 let (pe, t) = (w as u32 % num_pes, w as u32 / num_pes);
                 std::thread::Builder::new()
                     .name(format!("spn-sched-pe{pe}-t{t}"))
-                    .spawn(move || worker_loop(&sh, w, pe))
+                    .spawn(move || worker_loop(&sh, w))
                     .expect("spawn scheduler worker thread")
             })
             .collect();
@@ -401,7 +303,7 @@ impl Scheduler {
     /// Number of jobs currently accepted and not yet terminal — the
     /// live queue depth a serving layer polls for admission control.
     pub fn queue_depth(&self) -> usize {
-        self.shared.state.lock().jobs.len()
+        self.shared.state.lock().len()
     }
 
     /// Samples belonging to accepted, not-yet-terminal jobs (the
@@ -416,11 +318,11 @@ impl Scheduler {
     /// stays drained afterwards (this is a shutdown primitive, not a
     /// pause).
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::Release);
+        let mut st = self.shared.state.lock();
+        st.drain();
         // Wake blocked submitters so they observe the drain and bail.
         self.shared.space_cv.notify_all();
-        let mut st = self.shared.state.lock();
-        while !st.jobs.is_empty() {
+        while st.len() > 0 {
             self.shared.space_cv.wait(&mut st);
         }
     }
@@ -491,14 +393,11 @@ impl Scheduler {
         then: impl FnOnce(JobResult) + Send + 'static,
     ) -> Option<JobHandle> {
         let mut consumer: Option<Consumer> = Some(Box::new(then));
-        match self.submit_inner(data, opts, blocking, &mut consumer) {
-            Ok(handle) => Some(handle),
-            Err(e) => {
-                let then = consumer.take().expect("only an accepted job takes it");
-                then(Err(e));
-                None
-            }
-        }
+        let submitted = self.submit_inner(data, opts, blocking, &mut consumer);
+        // Only an accepted job takes the consumer: a refusal goes to it.
+        submitted
+            .map_err(|e| consumer.map(|then| then(Err(e))))
+            .ok()
     }
 
     /// `consumer` is taken iff the job is accepted.
@@ -525,77 +424,47 @@ impl Scheduler {
         let (executor, provenance) = self.shared.executors.resolve(opts.backend)?;
         let total = data.num_samples();
         let blocks = split_into_blocks(total as u64, self.shared.config.block_samples);
+        let num_blocks = blocks.len();
         // Only `submit_then` (a consumer, never parking) stands in.
-        let may_stand_in =
-            !blocking && consumer.is_some() && blocks.len() == 1 && executor.runs_inline(total);
+        let stand_in = !blocking && consumer.is_some() && executor.runs_inline(total);
+        let mut make = move |id| {
+            let job = Arc::new(JobState {
+                id,
+                data,
+                blocks,
+                opts,
+                executor,
+                provenance,
+                blocks_done: AtomicU64::new(0),
+                results: Mutex::new(vec![0.0f64; total]),
+                completion: Mutex::new(Phase::Active(consumer.take())),
+                done_cv: Condvar::new(),
+            });
+            // Counted before a control thread can see the job, lest one
+            // between blocks claim it at once and count it finished
+            // before it was counted submitted.
+            self.shared.metrics.job_submitted(total as u64);
+            job
+        };
 
         let mut st = self.shared.state.lock();
-        if self.shared.draining.load(Ordering::Acquire) {
-            return Err(RuntimeError::ShuttingDown);
-        }
-        let capacity = self.shared.config.queue_capacity;
-        while !blocks.is_empty() && st.jobs.len() >= capacity {
-            if !blocking {
-                return Err(RuntimeError::QueueFull { capacity });
+        let (job, admitted) = loop {
+            match st.submit(num_blocks, pe_limit, stand_in, make) {
+                Ok(admitted) => break admitted,
+                // The drain/drop path wakes us too: `submit` says which.
+                Err((RuntimeError::QueueFull { .. }, unused)) if blocking => {
+                    make = unused;
+                    self.shared.space_cv.wait(&mut st);
+                }
+                Err((refused, _)) => return Err(refused),
             }
-            self.shared.space_cv.wait(&mut st);
-            // The wake may be the drain/drop path telling us to
-            // give up rather than space opening.
-            if self.shared.draining.load(Ordering::Acquire) {
-                return Err(RuntimeError::ShuttingDown);
-            }
-        }
-        let id = st.next_id;
-        st.next_id += 1;
-        let empty = blocks.is_empty();
-        let job = Arc::new(JobState {
-            id,
-            data,
-            blocks,
-            pe_limit,
-            opts,
-            executor,
-            provenance,
-            next_block: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
-            blocks_done: AtomicU64::new(0),
-            cancelled: AtomicBool::new(false),
-            terminal: AtomicBool::new(empty),
-            results: Mutex::new(vec![0.0f64; total]),
-            completion: Mutex::new(Phase::Active(consumer.take())),
-            done_cv: Condvar::new(),
-        });
-        // Counted before a control thread can see the job: one that is
-        // between blocks claims it the moment it is queued, and would
-        // otherwise count it finished before it was counted submitted.
-        self.shared.metrics.job_submitted(job.samples());
-        if empty {
-            drop(st);
+        };
+        drop(st);
+        match admitted {
             // A zero-sample job is trivially complete.
-            publish(&self.shared, &job, Ok(Vec::new()));
-        } else {
-            st.jobs.push(Arc::clone(&job));
-            // Wake one parked control thread per block, and only ones that
-            // may claim it: one on a PE past `pe_limit` would park again while
-            // the job sat unclaimed. Busy threads claim on their next turn.
-            let wake: Vec<usize> = (0..st.park.len())
-                .filter(|&w| st.park[w] == Park::Parked && (w as u32 % num_pes) < pe_limit)
-                .take(job.blocks.len())
-                .collect();
-            if let (true, Some(&w)) = (may_stand_in, wake.first()) {
-                stand_in(&self.shared, st, w, &job);
-            } else {
-                for &w in &wake {
-                    st.park[w] = Park::Awake;
-                }
-                drop(st);
-                self.shared
-                    .wakes_issued
-                    .fetch_add(wake.len() as u64, Ordering::Relaxed);
-                for w in wake {
-                    self.shared.work_cv[w].notify_one();
-                }
-            }
+            Admitted::Empty => publish(&self.shared, &job, Ok(Vec::new())),
+            Admitted::Wake(wake) => self.shared.wake(&wake),
+            Admitted::StandIn(w) => process_block(&self.shared, w, &job, 0, true),
         }
         Ok(JobHandle {
             job,
@@ -605,144 +474,59 @@ impl Scheduler {
 }
 
 impl Drop for Scheduler {
-    /// Deterministic shutdown, in this order:
-    ///
-    /// 1. mark the scheduler draining so every submitter — including
-    ///    `submit_blocking` callers parked on the space condvar — gets
-    ///    [`RuntimeError::ShuttingDown`] instead of enqueueing into a
-    ///    pool that will never run their job (the old ordering could
-    ///    deadlock such callers forever);
-    /// 2. mark every queued job cancelled *before* stopping the pool,
-    ///    so no worker claims a fresh block during teardown;
-    /// 3. stop and join the workers (in-flight blocks finish, freeing
-    ///    their device buffers);
-    /// 4. finalise whatever jobs remain as `Cancelled`, unblocking
-    ///    their waiters.
+    /// Deterministic shutdown: under the lock, refuse every submission,
+    /// cancel every job and stop the pool; then wake the parked threads
+    /// and `submit_blocking` callers (they get
+    /// [`RuntimeError::ShuttingDown`]), publish the jobs with nothing in
+    /// flight, and join the workers, each finishing its block in flight.
     fn drop(&mut self) {
-        self.shared.draining.store(true, Ordering::Release);
-        {
-            let st = self.shared.state.lock();
-            for job in &st.jobs {
-                job.cancelled.store(true, Ordering::Relaxed);
-            }
-            // Under the lock `worker_loop` reads the flag under: a
-            // control thread between that read and its `wait` holds the
-            // lock, so it has either seen the flag or is already waiting
-            // when the notifications below go out.
-            self.shared.shutdown.store(true, Ordering::Release);
-        }
-        for cv in &self.shared.work_cv {
-            cv.notify_all();
-        }
+        let (wake, cancelled) = self.shared.state.lock().shutdown();
+        self.shared.wake(&wake);
         self.shared.space_cv.notify_all();
+        for job in cancelled {
+            publish(&self.shared, &job, Err(RuntimeError::Cancelled));
+        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Unblock waiters of any job the pool never finished.
-        let leftovers = std::mem::take(&mut self.shared.state.lock().jobs);
-        for job in leftovers {
-            if !job.terminal.swap(true, Ordering::Relaxed) {
-                publish(&self.shared, &job, Err(RuntimeError::Cancelled));
-            }
-        }
-        self.shared.space_cv.notify_all();
     }
 }
 
-/// What happened to one claimed block.
-enum BlockOutcome {
-    /// Ran to completion; results stored.
-    Done,
-    /// Not executed because the job was cancelled/failed meanwhile.
-    Skipped,
-    /// Permanent failure (or transient failure with retries exhausted).
-    Failed(RuntimeError),
-}
-
-/// One persistent control thread — worker `w`, pinned to `pe` (a PE
-/// only reaches its own HBM channel — the paper's no-crossbar design).
-fn worker_loop(shared: &Shared, w: usize, pe: u32) {
+/// Control thread `w`, pinned to PE `w % num_pes` (a PE only reaches
+/// its own HBM channel — the paper's no-crossbar design).
+fn worker_loop(shared: &Shared, w: usize) {
     loop {
         let (job, idx) = {
             let mut st = shared.state.lock();
-            let mut woken = false;
             loop {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
+                match st.claim(w) {
+                    Claim::Run(job, idx) => break (job, idx),
+                    // Waits under the lock `submit` picks its wakes
+                    // under, so no notification can fall in between.
+                    Claim::Park => shared.work_cv[w].wait(&mut st),
+                    Claim::Exit => return,
                 }
-                if let Some(claim) = claim_block(&mut st, pe) {
-                    break claim;
-                }
-                if woken {
-                    shared.idle_wakes.fetch_add(1, Ordering::Relaxed);
-                }
-                // Under the lock `submit_inner` picks its wakes under.
-                st.park[w] = Park::Parked;
-                shared.work_cv[w].wait(&mut st);
-                // Lent to a submitter: sleep on until it gives us back.
-                while st.park[w] == Park::Lent && !shared.shutdown.load(Ordering::Acquire) {
-                    shared.work_cv[w].wait(&mut st);
-                }
-                st.park[w] = Park::Awake;
-                woken = true;
             }
         };
-        process_block(shared, w as u32, pe, &job, idx);
+        process_block(shared, w, &job, idx, false);
     }
-}
-
-/// Run `job`'s one block through `w`'s own `process_block`, with parked
-/// control thread `w` lent meanwhile (no submit wakes it). Giving `w`
-/// back wakes it only if a block it may claim was queued meanwhile.
-fn stand_in(shared: &Shared, mut st: MutexGuard<'_, State>, w: usize, job: &Arc<JobState>) {
-    let pe = w as u32 % shared.device.num_pes();
-    job.next_block.store(1, Ordering::Relaxed);
-    job.in_flight.store(1, Ordering::Relaxed);
-    st.park[w] = Park::Lent;
-    drop(st);
-    shared.inline_blocks.fetch_add(1, Ordering::Relaxed);
-    process_block(shared, w as u32, pe, job, 0);
-    let mut st = shared.state.lock();
-    let wake = st.jobs.iter().any(|j| j.claimable_by(pe));
-    st.park[w] = if wake { Park::Awake } else { Park::Parked };
-    drop(st);
-    if wake {
-        shared.wakes_issued.fetch_add(1, Ordering::Relaxed);
-        shared.work_cv[w].notify_one();
-    }
-}
-
-/// Claim the next block of the next eligible job after the round-robin
-/// cursor. Per-job FIFO (blocks in order), round-robin across jobs.
-fn claim_block(st: &mut State, pe: u32) -> Option<(Arc<JobState>, usize)> {
-    let n = st.jobs.len();
-    let i = (0..n)
-        .map(|k| (st.rr + k) % n)
-        .find(|&i| st.jobs[i].claimable_by(pe))?;
-    let job = &st.jobs[i];
-    let next = job.next_block.fetch_add(1, Ordering::Relaxed);
-    job.in_flight.fetch_add(1, Ordering::Relaxed);
-    let claim = (Arc::clone(job), next);
-    st.rr = (i + 1) % n;
-    Some(claim)
 }
 
 /// One control-thread iteration, the same for every backend: slice
-/// the block's input out of the dataset, run the job's executor into a
-/// block-local buffer (retrying transient failures), account the PE's
-/// time and store the results — the executor runs outside
-/// `job.results`' lock, which is held only for the copy. Then do the
-/// completion bookkeeping, possibly finalising the whole job. `tid` is
-/// the calling worker's index, which its spans are recorded under.
-/// Inlined into both callers: `worker_loop` keeps its one-caller layout.
+/// the block's input, run the job's executor into a block-local buffer
+/// (retrying transient failures), account the PE's time and copy the
+/// results into the job's, then report the block done — and, for a
+/// `lent` stand-in, give worker `w` back — possibly publishing the job.
+/// The PE, track and retries are `w`'s. Inlined into both callers.
 #[inline(always)]
-fn process_block(shared: &Shared, tid: u32, pe: u32, job: &Arc<JobState>, idx: usize) {
+fn process_block(shared: &Shared, w: usize, job: &JobState, idx: usize, lent: bool) {
+    let pe = w as u32 % shared.device.num_pes();
     let block = job.blocks[idx];
     let (src_off, src_len) = block.input_range(job.data.num_features() as u64);
     let src = &job.data.raw()[src_off as usize..(src_off + src_len) as usize];
     let cx = BlockCx {
         pe,
-        tid,
+        tid: w as u32,
         block: idx as u64,
         samples: block.samples as usize,
         ctx: job.opts.ctx,
@@ -751,10 +535,7 @@ fn process_block(shared: &Shared, tid: u32, pe: u32, job: &Arc<JobState>, idx: u
     };
     let mut out = Vec::with_capacity(cx.samples);
     let mut attempt: u32 = 0;
-    let outcome = loop {
-        if job.cancelled.load(Ordering::Relaxed) || job.terminal.load(Ordering::Relaxed) {
-            break BlockOutcome::Skipped;
-        }
+    let ran = loop {
         out.clear();
         let t0 = Instant::now();
         match job.executor.run_block(&cx, src, &mut out) {
@@ -762,7 +543,7 @@ fn process_block(shared: &Shared, tid: u32, pe: u32, job: &Arc<JobState>, idx: u
                 shared.metrics.add_pe_busy(pe, t0.elapsed());
                 let first = block.first_sample as usize;
                 job.results.lock()[first..first + cx.samples].copy_from_slice(&out);
-                break BlockOutcome::Done;
+                break Ended::Done;
             }
             Err(e) if e.is_transient() && attempt < job.opts.max_retries => {
                 attempt += 1;
@@ -773,55 +554,32 @@ fn process_block(shared: &Shared, tid: u32, pe: u32, job: &Arc<JobState>, idx: u
                 if !backoff.is_zero() {
                     std::thread::sleep(backoff);
                 }
+                // Claims skip a cancelled or failed job; a retry does too.
+                if shared.state.lock().stopped(job.id) {
+                    break Ended::Cancelled;
+                }
             }
-            Err(e) => break BlockOutcome::Failed(e),
+            Err(e) => break Ended::Failed(e),
         }
     };
 
-    let st = shared.state.lock();
-    job.in_flight.fetch_sub(1, Ordering::Relaxed);
-    if job.terminal.load(Ordering::Relaxed) {
-        // Another worker already finalised the job (failure races).
-        return;
-    }
-    let mut all_done = false;
-    if let BlockOutcome::Done = outcome {
+    let mut st = shared.state.lock();
+    let finished = st.block_done(job.id, ran, lent.then_some(w));
+    if finished.counted {
         shared.metrics.block_executed();
-        let done = job.blocks_done.fetch_add(1, Ordering::Relaxed) + 1;
-        all_done = done as usize == job.blocks.len();
+        job.blocks_done.fetch_add(1, Ordering::Relaxed);
     }
-    match outcome {
-        BlockOutcome::Failed(e) => {
-            // First failure wins: stop claims and fail the job. Other
-            // in-flight blocks of this job drain harmlessly; other
-            // jobs are untouched.
-            job.cancelled.store(true, Ordering::Relaxed);
-            retire(shared, st, job, || Err(e));
-        }
-        _ if all_done => retire(shared, st, job, || verified_results(shared, job)),
-        _ if job.cancelled.load(Ordering::Relaxed)
-            && job.in_flight.load(Ordering::Relaxed) == 0 =>
-        {
-            retire(shared, st, job, || Err(RuntimeError::Cancelled))
-        }
-        _ => {}
-    }
-}
-
-/// The one terminal transition. Under the state lock the job stops
-/// being claimable and leaves the queue; with the lock released its
-/// outcome is computed (verification sampling may take a while) and
-/// published. The caller has checked `terminal` is still unset.
-fn retire(
-    shared: &Shared,
-    mut st: MutexGuard<'_, State>,
-    job: &Arc<JobState>,
-    result: impl FnOnce() -> JobResult,
-) {
-    job.terminal.store(true, Ordering::Relaxed);
-    st.jobs.retain(|j| !Arc::ptr_eq(j, job));
     drop(st);
-    publish(shared, job, result());
+    if finished.wake {
+        shared.wake(&[w]);
+    }
+    let result = match finished.end {
+        None => return,
+        Some(Ended::Done) => verified_results(shared, job),
+        Some(Ended::Failed(e)) => Err(e),
+        Some(Ended::Cancelled) => Err(RuntimeError::Cancelled),
+    };
+    publish(shared, job, result);
 }
 
 /// Count a job's outcome, wake anyone waiting for queue space, and
@@ -835,7 +593,9 @@ fn publish(shared: &Shared, job: &JobState, result: JobResult) {
         Err(RuntimeError::Cancelled) => JobOutcome::Cancelled,
         Err(_) => JobOutcome::Failed,
     };
-    shared.metrics.job_finished(outcome, job.samples());
+    shared
+        .metrics
+        .job_finished(outcome, job.data.num_samples() as u64);
     shared.space_cv.notify_all();
     let mut phase = job.completion.lock();
     match std::mem::replace(&mut *phase, Phase::Done(outcome, None)) {
@@ -852,28 +612,20 @@ fn publish(shared: &Shared, job: &JobState, result: JobResult) {
     }
 }
 
-/// All blocks done: the job's results, or the verification failure.
+/// All blocks done: the job's results, or the verification failure. A
+/// deterministic stride of results is spot-checked against the host
+/// golden model (the paper's defence against silent transient faults).
 /// Only device-precision results are checked: host results *are* exact
 /// host arithmetic, while the golden check's tight tolerance assumes
 /// device-format output re-computed by the same bit-accurate core.
 fn verified_results(shared: &Shared, job: &JobState) -> JobResult {
     let results = std::mem::take(&mut *job.results.lock());
-    if job.provenance == ExecProvenance::Device {
-        verify_results(shared, job, &results)?;
-    }
-    Ok(results)
-}
-
-/// Spot-check a deterministic stride of results against the host
-/// golden model (the paper's defence against silent transient faults).
-fn verify_results(shared: &Shared, job: &JobState, results: &[f64]) -> Result<(), RuntimeError> {
     let n = results.len();
     let checks = ((n as f64 * shared.config.verify_fraction).ceil() as usize).min(n);
-    if checks == 0 {
-        return Ok(());
+    if checks == 0 || job.provenance != ExecProvenance::Device {
+        return Ok(results);
     }
-    let stride = (n / checks).max(1);
-    for i in (0..n).step_by(stride) {
+    for i in (0..n).step_by((n / checks).max(1)) {
         let expected = shared.device.golden(0, job.data.row(i))?;
         let got = results[i];
         if disagrees(got, expected) {
@@ -884,7 +636,7 @@ fn verify_results(shared: &Shared, job: &JobState, results: &[f64]) -> Result<()
             });
         }
     }
-    Ok(())
+    Ok(results)
 }
 
 /// Whether a device result disagrees with the golden model's: neither
@@ -910,6 +662,7 @@ impl JobHandle {
 mod tests {
     use super::*;
     use crate::device::FaultInjection;
+    use crate::dispatch::Park;
     use crate::job::ExecBackend;
     use crate::plan_cache::INLINE_OP_ROWS;
     use sim_core::MIB;
@@ -1058,8 +811,10 @@ mod tests {
         // (wake-everyone would issue 4000). Whether a woken thread then
         // loses its block to one that was between blocks is the OS
         // scheduler's choice: printed, not asserted.
-        let issued = sched.shared.wakes_issued.load(Ordering::Relaxed);
-        let idle = sched.shared.idle_wakes.load(Ordering::Relaxed);
+        let (issued, idle) = {
+            let st = sched.shared.state.lock();
+            (st.wakes_issued, st.idle_wakes)
+        };
         println!("{issued} wakes issued, {idle} found nothing to claim");
         assert!(
             issued <= 500,
@@ -1098,7 +853,7 @@ mod tests {
     }
 
     fn inline_blocks(sched: &Scheduler) -> u64 {
-        sched.shared.inline_blocks.load(Ordering::Relaxed)
+        sched.shared.state.lock().inline_blocks
     }
 
     /// Submit `data` with a consumer, blocking or not; whether the

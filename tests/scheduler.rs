@@ -53,16 +53,12 @@ fn free_bytes_per_channel(dev: &VirtualDevice) -> Vec<u64> {
         .collect()
 }
 
-/// Assert channel memory returns to `before`, giving in-flight blocks of
-/// an already-failed job a moment to drain (their workers free buffers
-/// on every path, but strictly after the failing job's `wait()` returns).
-fn assert_memory_restored(dev: &VirtualDevice, before: &[u64], what: &str) {
-    for _ in 0..500 {
-        if free_bytes_per_channel(dev) == before {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+/// Assert channel memory is back at `before` once `sched` is dropped.
+/// Blocks of an already-failed job still in flight free their buffers
+/// strictly after its `wait()` returns; dropping the scheduler joins
+/// every control thread, so each of those blocks has finished by then.
+fn assert_memory_restored(sched: Scheduler, dev: &VirtualDevice, before: &[u64], what: &str) {
+    drop(sched);
     assert_eq!(free_bytes_per_channel(dev), before, "{what} leaked");
 }
 
@@ -241,7 +237,7 @@ fn failed_job_does_not_poison_concurrent_jobs() {
     assert_eq!(m.jobs_failed, 1);
     assert_eq!(m.jobs_completed, 1);
     assert_eq!(m.jobs_in_flight, 0);
-    assert_memory_restored(&device, &before, "failure path");
+    assert_memory_restored(sched, &device, &before, "failure path");
 }
 
 /// Cancelling a running job unblocks `wait()` with
