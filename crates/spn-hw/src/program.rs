@@ -28,7 +28,7 @@
 
 use serde::{Deserialize, Serialize};
 use spn_arith::SpnNumber;
-use spn_core::{isa, Node, Spn};
+use spn_core::{isa, Leaf, Node, Spn};
 
 /// Index of an operation's result in the program's value space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,7 +49,7 @@ pub enum DatapathOp {
         /// Input variable index (byte lane).
         var: usize,
         /// The table contents as probabilities in f64, one entry per
-        /// input byte value from 0; a byte past the end reads as 0.0.
+        /// input byte value from 0 (at most 256); a byte past the end reads 0.0.
         /// The program is format-agnostic, so they stay f64 here:
         /// a core converts them once for its format when it is built,
         /// [`DatapathProgram::execute`] at every lookup.
@@ -127,14 +127,15 @@ impl DatapathProgram {
             let id = match node {
                 Node::Leaf { var, dist } => {
                     let table = match dist {
-                        spn_core::Leaf::Histogram { breaks, densities } => {
+                        Leaf::Histogram { breaks, densities } => {
                             // The hardware addresses the table with the raw
                             // input byte; expand the histogram to one entry
                             // per integer value in [breaks[0], breaks[last]).
                             expand_histogram(breaks, densities)
                         }
-                        spn_core::Leaf::Categorical { probs } => probs.clone(),
-                        spn_core::Leaf::Gaussian { .. } => {
+                        // An 8-bit address reaches no outcome past 255.
+                        Leaf::Categorical { probs } => probs[..probs.len().min(256)].to_vec(),
+                        Leaf::Gaussian { .. } => {
                             panic!("the Mixed-SPN datapath supports only table leaves")
                         }
                     };
@@ -234,9 +235,9 @@ impl DatapathProgram {
         format.to_f64(values[self.root.index()])
     }
 
-    /// Bake the program into `format`: every leaf table entry and sum
-    /// weight is converted exactly once, here, as the hardware
-    /// generator does at synthesis time.
+    /// Bake the program into `format`: every sum weight, and every leaf
+    /// as a full 256-entry ROM, is converted exactly once, here, as the
+    /// hardware generator does at synthesis time.
     pub(crate) fn synthesize<F: SpnNumber + Clone>(&self, format: &F) -> SynthesizedDatapath<F> {
         let index = |n: usize| u32::try_from(n).expect("datapath too large");
         // Value slots: the weights first, then one result per op.
@@ -244,18 +245,19 @@ impl DatapathProgram {
         let num_weights = counts.const_muls;
         let result = |op: OpId| index(num_weights + op.index());
         let mut weights = Vec::with_capacity(num_weights);
-        let mut tables = Vec::with_capacity(counts.table_entries);
+        let mut tables = Vec::with_capacity(counts.lookups);
         let ops = self
             .ops
             .iter()
             .map(|op| match op {
                 DatapathOp::LeafLookup { var, table } => {
-                    let base = index(tables.len());
-                    tables.extend(table.iter().map(|&p| format.from_f64(p)));
+                    // A byte past the table's end reads the converted 0.0.
+                    tables.push(std::array::from_fn(|v| {
+                        format.from_f64(table.get(v).copied().unwrap_or(0.0))
+                    }));
                     SynthOp::Lookup {
                         var: index(*var),
-                        base,
-                        len: index(table.len()),
+                        table: index(tables.len() - 1),
                     }
                 }
                 DatapathOp::Mul { a, b } => SynthOp::Mul {
@@ -279,7 +281,6 @@ impl DatapathProgram {
             ops,
             weights,
             tables,
-            past_table: format.from_f64(0.0),
             root: num_weights + self.root.index(),
             num_vars: self.num_vars,
             format: format.clone(),
@@ -291,11 +292,10 @@ impl DatapathProgram {
 /// slots: a weight's, or an earlier op's result.
 #[derive(Debug, Clone, Copy)]
 enum SynthOp {
-    /// `tables[base + input[var]]` for an input byte below `len`.
+    /// `tables[table][input[var]]`.
     Lookup {
         var: u32,
-        base: u32,
-        len: u32,
+        table: u32,
     },
     /// Product of two slots; a sum edge's weight multiplier is one
     /// whose `b` is the weight's slot.
@@ -318,10 +318,8 @@ pub(crate) struct SynthesizedDatapath<F: SpnNumber> {
     /// Every sum weight, converted, in op order: the constant head of
     /// the value slots.
     weights: Vec<F::Value>,
-    /// Every leaf table, converted, back to back in op order.
-    tables: Vec<F::Value>,
-    /// What a lookup past its table's end reads: the converted 0.0.
-    past_table: F::Value,
+    /// Every leaf's ROM, converted, in op order: one entry per byte.
+    tables: Vec<[F::Value; 256]>,
     root: usize,
     num_vars: usize,
     format: F,
@@ -335,9 +333,9 @@ pub(crate) struct SynthesizedDatapath<F: SpnNumber> {
 /// four (AVX2) or eight (AVX-512) lanes to a register. The integer
 /// emulation measured flat from 32 to 128 on NIPS10 at both tiers, and
 /// four times as slow one sample at a time (274–341 vs 74–77 ns/sample,
-/// NIPS10, AVX2). The `f64` path at AVX-512, min ns/sample over 101
-/// calls: NIPS10 21.5 / 19.7 / 20.2 at 32 / 64 / 128 lanes and 179 one
-/// sample at a time; NIPS80 240 / 205 / 193. A constant, not a knob.
+/// NIPS10, AVX2). The `f64` path over dense leaf ROMs at AVX-512, min
+/// ns/sample of 200+ calls: NIPS10 16.8 / 16.1 / 16.1 at 32 / 64 / 128
+/// lanes, 162 one sample at a time; NIPS80 202 / 176 / 166. A constant.
 const LANES: usize = 64;
 
 impl<F: SpnNumber> SynthesizedDatapath<F> {
@@ -369,7 +367,7 @@ impl<F: SpnNumber> isa::Kernel for SynthesizedDatapath<F> {
         for &w in &self.weights {
             values.extend([w; LANES]);
         }
-        values.resize(slots * LANES, self.past_table);
+        values.resize(slots * LANES, f.zero());
         out.reserve(data.len() / self.num_vars);
         for chunk in data.chunks(LANES * self.num_vars) {
             let lanes = chunk.len() / self.num_vars;
@@ -380,11 +378,10 @@ impl<F: SpnNumber> isa::Kernel for SynthesizedDatapath<F> {
                 let slot = |s: u32| &operands[s as usize * LANES..][..lanes];
                 let dst = &mut results[..lanes];
                 match *op {
-                    SynthOp::Lookup { var, base, len } => {
-                        let table = &self.tables[base as usize..][..len as usize];
+                    SynthOp::Lookup { var, table } => {
+                        let rom = &self.tables[table as usize];
                         for (d, sample) in dst.iter_mut().zip(chunk.chunks_exact(self.num_vars)) {
-                            let entry = table.get(usize::from(sample[var as usize]));
-                            *d = entry.copied().unwrap_or(self.past_table);
+                            *d = rom[usize::from(sample[var as usize])];
                         }
                     }
                     SynthOp::Mul { a, b } => f.mul_lanes(dst, slot(a), slot(b)),
@@ -458,9 +455,7 @@ mod tests {
     use super::*;
     use crate::cfp_on_f64::CfpOnF64;
     use spn_arith::{truncating_cfp, CfpFormat, F64Format, LnsFormat, PositFormat, Rounding};
-    use spn_core::{
-        random_spn, Evaluator, Leaf, NipsBenchmark, Query, RandomSpnConfig, SpnBuilder,
-    };
+    use spn_core::{random_spn, Evaluator, NipsBenchmark, Query, RandomSpnConfig, SpnBuilder};
 
     fn mixture() -> Spn {
         let mut b = SpnBuilder::new(2);
@@ -612,6 +607,46 @@ mod tests {
             CfpFormat::new(4, 3, Rounding::NearestEven),
         ] {
             same_bits(&prog, &CfpOnF64::new(cfp).unwrap(), &data);
+        }
+    }
+
+    /// The dense ROMs' padding and truncation edges: tables shorter
+    /// than, as long as and longer than an 8-bit address reaches, read
+    /// at every byte value, in the six formats
+    /// `tests/datapath_differential.rs` covers and on the `f64` path.
+    /// Outcomes past 255 are no ROM entries: an 8-bit address cannot
+    /// reach them, so the resource model and the netlist do not count them.
+    #[test]
+    fn every_byte_reads_its_rom_entry_at_every_table_length() {
+        fn same_bits<F: SpnNumber + Clone>(prog: &DatapathProgram, format: &F) {
+            let bytes: Vec<u8> = (0..=255).collect();
+            let mut out = Vec::new();
+            prog.synthesize(format).execute_into(&bytes, &mut out);
+            for (&byte, got) in bytes.iter().zip(out) {
+                let want = prog.execute(format, &[byte]);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{}, byte {byte}: {got} vs {want}",
+                    format.describe()
+                );
+            }
+        }
+        for len in [1, 2, 255, 256, 257, 300] {
+            // One leaf, a categorical of `len` distinct outcomes.
+            let total = (len * (len + 1) / 2) as f64;
+            let probs = (1..=len).map(|i| i as f64 / total).collect();
+            let mut b = SpnBuilder::new(1);
+            let leaf = b.leaf(0, Leaf::Categorical { probs });
+            let prog = DatapathProgram::compile(&b.finish(leaf, "rom").unwrap());
+            assert_eq!(prog.op_counts().table_entries, len.min(256));
+            same_bits(&prog, &CfpFormat::paper_default());
+            same_bits(&prog, &truncating_cfp(11, 22));
+            same_bits(&prog, &CfpFormat::new(4, 3, Rounding::NearestEven));
+            same_bits(&prog, &LnsFormat::paper_default());
+            same_bits(&prog, &PositFormat::paper_default());
+            same_bits(&prog, &F64Format);
+            same_bits(&prog, &CfpOnF64::new(CfpFormat::paper_default()).unwrap());
         }
     }
 

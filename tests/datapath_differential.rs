@@ -4,7 +4,7 @@
 //! reference (`DatapathProgram::execute`, reached through
 //! `AcceleratorCore::run_sample`), which converts each constant where it
 //! meets it. They share the arithmetic and nothing else, so a wrong
-//! table offset, a weight in the wrong slot or a lane that leaks between
+//! ROM entry, a weight in the wrong slot or a lane that leaks between
 //! chunks shows up as a `to_bits` mismatch here, before the scheduler's
 //! and the benchmark's golden checks would have to catch it.
 //!

@@ -14,7 +14,7 @@ use spn_server::{
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -34,6 +34,10 @@ struct Log {
     replying: HashMap<String, Instant>,
 }
 
+/// How long a held reply waits for its release before it goes out
+/// anyway: a hang watchdog, reached only when the release never comes.
+const HOLD_WATCHDOG: Duration = Duration::from_secs(10);
+
 /// How the echo departs from a plain server.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Quirk {
@@ -51,17 +55,19 @@ enum Quirk {
 /// doing.
 struct Echo {
     addr: SocketAddr,
-    log: Arc<Mutex<Log>>,
+    /// The log, and the signal that it gained a received request.
+    log: Arc<(Mutex<Log>, Condvar)>,
     stop: Arc<AtomicBool>,
     accept: JoinHandle<()>,
 }
 
 impl Echo {
-    /// `hold` delays the reply to one model's request.
-    fn start(quirk: Quirk, hold: Option<(&'static str, Duration)>) -> Echo {
+    /// `hold: Some((held, until))` holds the reply to model `held`'s
+    /// request until model `until`'s request has been read.
+    fn start(quirk: Quirk, hold: Option<(&'static str, &'static str)>) -> Echo {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let log = Arc::new(Mutex::new(Log::default()));
+        let log = Arc::new((Mutex::new(Log::default()), Condvar::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let (log2, stop2) = (Arc::clone(&log), Arc::clone(&stop));
         let accept = thread::spawn(move || {
@@ -77,8 +83,10 @@ impl Echo {
                 threads.push(thread::spawn(move || {
                     while let Ok(frame) = read_frame(&mut reader) {
                         let req = InferRequest::decode(&frame.payload).unwrap();
+                        let (lock, read) = &*log;
                         let now = Instant::now();
-                        log.lock().unwrap().received.insert(req.model.clone(), now);
+                        lock.lock().unwrap().received.insert(req.model.clone(), now);
+                        read.notify_all();
                         if tx.send(req).is_err() {
                             return;
                         }
@@ -88,13 +96,17 @@ impl Echo {
                 threads.push(thread::spawn(move || {
                     let mut busy = quirk == Quirk::BusyFirst;
                     for req in rx {
-                        if let Some((model, d)) = hold {
-                            if req.model == model {
-                                thread::sleep(d);
-                            }
+                        let (lock, read) = &*log;
+                        if let Some((_, until)) = hold.filter(|&(held, _)| req.model == held) {
+                            let unread = |l: &mut Log| !l.received.contains_key(until);
+                            drop(read.wait_timeout_while(
+                                lock.lock().unwrap(),
+                                HOLD_WATCHDOG,
+                                unread,
+                            ));
                         }
                         let now = Instant::now();
-                        log.lock().unwrap().replying.insert(req.model.clone(), now);
+                        lock.lock().unwrap().replying.insert(req.model.clone(), now);
                         let lls = echo_lls(&req.data, req.num_features);
                         let reply = if std::mem::take(&mut busy) {
                             Frame::error(Opcode::Infer, Status::ServerBusy, "retry later")
@@ -121,11 +133,11 @@ impl Echo {
     }
 
     fn received(&self, model: &str) -> Instant {
-        self.log.lock().unwrap().received[model]
+        self.log.0.lock().unwrap().received[model]
     }
 
     fn replying(&self, model: &str) -> Instant {
-        self.log.lock().unwrap().replying[model]
+        self.log.0.lock().unwrap().replying[model]
     }
 
     /// Stop accepting and join every thread, so a panic in one fails
@@ -232,20 +244,22 @@ fn a_first_reply_busy_on_an_open_connection_rejects_one_request() {
     echo.stop();
 }
 
-/// Open-loop firing, with lane 0's first reply held for 300 ms: no
-/// request goes out before its scaled offset; lane 1's request at
-/// +50 ms goes out while lane 0 still waits; lane 0's second request
-/// (+100 ms) waits for lane 0's first reply.
+/// Open-loop firing, with lane 0's first reply held until lane 2's
+/// request (+100 ms) has been read: no request goes out before its
+/// scaled offset; lane 2, which shares lane 0's epoll worker, fires
+/// while lane 0 still waits; lane 0's second request, due at +50 ms,
+/// waits for lane 0's first reply. Every verdict is an order of events
+/// or a lower bound, so a slow box cannot break it.
 #[test]
 fn replay_fires_at_recorded_offsets_one_request_in_flight_per_lane() {
-    let trace = lanes_trace(&[&[0, 100], &[50]]);
+    let trace = lanes_trace(&[&[0, 50], &[0], &[100]]);
     for speed in [1.0, 2.0] {
-        let echo = Echo::start(Quirk::None, Some(("L0R0", Duration::from_millis(300))));
+        let echo = Echo::start(Quirk::None, Some(("L0R0", "L2R0")));
         let mut cfg = ReplayConfig::new(echo.addr);
         cfg.speed = speed;
         let t_call = Instant::now();
         let rep = replay(&trace, &cfg).unwrap();
-        assert_eq!(rep.ok_requests, 3, "speed {speed}: {}", rep.summary());
+        assert_eq!(rep.ok_requests, 4, "speed {speed}: {}", rep.summary());
         assert!(rep.is_faithful(), "speed {speed}: {}", rep.summary());
 
         for r in &trace.records {
@@ -257,8 +271,8 @@ fn replay_fires_at_recorded_offsets_one_request_in_flight_per_lane() {
             );
         }
         assert!(
-            echo.received("L1R0") < echo.replying("L0R0"),
-            "speed {speed}: lane 1 waited for lane 0's reply"
+            echo.received("L2R0") <= echo.replying("L0R0"),
+            "speed {speed}: lane 2 waited for lane 0's reply"
         );
         assert!(
             echo.received("L0R1") >= echo.replying("L0R0"),
