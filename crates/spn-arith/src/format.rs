@@ -43,8 +43,47 @@ pub trait SpnNumber {
             *d = self.mul(x, y);
         }
     }
+    /// Where this format's `mul` and `add` reduce to rounding alone,
+    /// for a datapath generator that sizes its operators from the
+    /// ranges of their operands. `None`, the default, proves nothing:
+    /// every op then runs checked.
+    fn range_limits(&self) -> Option<RangeLimits> {
+        None
+    }
+    /// [`SpnNumber::mul`] where the exact product is known to lie in
+    /// `{0} ∪ [flush_below, saturate_above]` of [`SpnNumber::range_limits`].
+    /// The default is the checked `mul`.
+    #[inline(always)]
+    fn mul_in_range(&self, a: Self::Value, b: Self::Value) -> Self::Value {
+        self.mul(a, b)
+    }
+    /// [`SpnNumber::add`] where the exact sum is known to lie in
+    /// `{0} ∪ [flush_below, saturate_above]` of [`SpnNumber::range_limits`].
+    /// The default is the checked `add`.
+    #[inline(always)]
+    fn add_in_range(&self, a: Self::Value, b: Self::Value) -> Self::Value {
+        self.add(a, b)
+    }
     /// Human-readable format label for reports.
     fn describe(&self) -> String;
+}
+
+/// A format's range limits ([`SpnNumber::range_limits`]).
+///
+/// Every nonzero value of the format lies in
+/// `[flush_below, saturate_above]`. A `mul` or `add` whose exact result
+/// is 0 or inside that interval is neither flushed nor saturated, so
+/// [`SpnNumber::mul_in_range`] / [`SpnNumber::add_in_range`] give its
+/// bits, and its rounded result lies within a factor `1 ± unit_roundoff`
+/// of the exact one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RangeLimits {
+    /// A nonzero exact result at or above this is not flushed to zero.
+    pub flush_below: f64,
+    /// An exact result at or below this is not saturated.
+    pub saturate_above: f64,
+    /// The largest relative error of one rounding.
+    pub unit_roundoff: f64,
 }
 
 impl SpnNumber for CfpFormat {

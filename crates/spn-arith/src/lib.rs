@@ -34,7 +34,7 @@ pub mod round;
 
 pub use cfp::{Cfp, CfpFormat};
 pub use error::ErrorStats;
-pub use format::{truncating_cfp, AnyFormat, F64Format, SpnNumber};
+pub use format::{truncating_cfp, AnyFormat, F64Format, RangeLimits, SpnNumber};
 pub use lns::{Lns, LnsFormat};
 pub use posit::{Posit, PositFormat};
 pub use round::Rounding;

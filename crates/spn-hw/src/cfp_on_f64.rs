@@ -18,19 +18,27 @@
 //!   rounds up: that significand is odd). So the test is on the
 //!   *unrounded* value, and it is exact: a product that lands in
 //!   `[min_normal / 2, min_normal)` is exact even as an `f64`
-//!   subnormal, one below that rounds to at most `min_normal / 2 < lo`,
-//!   and a sum of nonzero operands is never below `min_normal`. Flushing
-//!   after rounding would be wrong in one band: in `[2⁻¹⁰²³, 2⁻¹⁰²²)` an
-//!   `f64` subnormal keeps one fraction bit fewer than the format, so
-//!   rounding there lands on a grid twice as coarse as CFP's;
+//!   subnormal, and one below that rounds to at most
+//!   `min_normal / 2 < lo`. Flushing after rounding would be wrong in
+//!   one band: in `[2⁻¹⁰²³, 2⁻¹⁰²²)` an `f64` subnormal keeps one
+//!   fraction bit fewer than the format, so rounding there lands on a
+//!   grid twice as coarse as CFP's. Only `mul` has this select: a sum of
+//!   two format values is 0 or at least `min_normal`;
 //! * **saturate** — a rounded value above the format's largest (`inf`
 //!   included, where the `f64` itself overflowed) becomes the largest.
 //!
-//! `round`, `add` and `mul` are branch-free on the data, so a lane loop
-//! over them vectorises. `DatapathProgram::execute` over [`CfpFormat`]
-//! stays the oracle this path is checked against.
+//! A datapath generator that has proved from its operands' ranges that
+//! neither limit can fire runs [`SpnNumber::mul_in_range`] /
+//! [`SpnNumber::add_in_range`]: the rounding alone. [`CfpOnF64`]'s
+//! [`SpnNumber::range_limits`] are `lo`, the largest value and half an
+//! ulp of 1.0.
+//!
+//! `round_to_width`, `round_saturating`, `add`, `mul` and the in-range
+//! ops are branch-free on the data, so a lane loop over them
+//! vectorises. `DatapathProgram::execute` over [`CfpFormat`] stays the
+//! oracle this path is checked against.
 
-use spn_arith::{Cfp, CfpFormat, Rounding, SpnNumber};
+use spn_arith::{Cfp, CfpFormat, RangeLimits, Rounding, SpnNumber};
 
 /// A round-to-nearest-even [`CfpFormat`] of at most 24 mantissa bits,
 /// with each value carried as the `f64` it equals.
@@ -63,19 +71,24 @@ impl CfpOnF64 {
         })
     }
 
-    /// Round `x` (an exact product or an `f64` sum) to the format.
+    /// Round `x` (an exact product or an `f64` sum) to the format's
+    /// width, to nearest even; neither limit is applied.
     #[inline(always)]
-    fn round(&self, x: f64) -> f64 {
+    fn round_to_width(&self, x: f64) -> f64 {
         let s = self.shift;
         let bits = x.to_bits();
         // Add just under half an ulp, and one more when the kept part is
         // odd: a tie then carries exactly when it must to reach even.
         let lsb = (bits >> s) & 1;
-        let bits = (bits + (1 << (s - 1)) - 1 + lsb) & !((1 << s) - 1);
-        let r = f64::from_bits(bits);
-        let r = if r > self.max { self.max } else { r };
-        if x < self.lo {
-            0.0
+        f64::from_bits((bits + (1 << (s - 1)) - 1 + lsb) & !((1 << s) - 1))
+    }
+
+    /// Round `x` to the width, then saturate.
+    #[inline(always)]
+    fn round_saturating(&self, x: f64) -> f64 {
+        let r = self.round_to_width(x);
+        if r > self.max {
+            self.max
         } else {
             r
         }
@@ -99,13 +112,36 @@ impl SpnNumber for CfpOnF64 {
     fn one(&self) -> f64 {
         1.0
     }
+    /// No flush select: a sum of two format values is 0 or at least
+    /// `min_normal`.
     #[inline(always)]
     fn add(&self, a: f64, b: f64) -> f64 {
-        self.round(a + b)
+        self.round_saturating(a + b)
     }
     #[inline(always)]
     fn mul(&self, a: f64, b: f64) -> f64 {
-        self.round(a * b)
+        let x = a * b;
+        let r = self.round_saturating(x);
+        if x < self.lo {
+            0.0
+        } else {
+            r
+        }
+    }
+    fn range_limits(&self) -> Option<RangeLimits> {
+        Some(RangeLimits {
+            flush_below: self.lo,
+            saturate_above: self.max,
+            unit_roundoff: 0.5 * self.cfp.epsilon(),
+        })
+    }
+    #[inline(always)]
+    fn mul_in_range(&self, a: f64, b: f64) -> f64 {
+        self.round_to_width(a * b)
+    }
+    #[inline(always)]
+    fn add_in_range(&self, a: f64, b: f64) -> f64 {
+        self.round_to_width(a + b)
     }
     fn describe(&self) -> String {
         format!("{} on f64", self.cfp.describe())
@@ -117,16 +153,29 @@ mod tests {
     use super::*;
 
     /// `mul` and `add` of `a` and `b` on the `f64` path, bit for bit
-    /// against `CfpFormat`'s integer emulation.
+    /// against `CfpFormat`'s integer emulation; `mul_in_range` and
+    /// `add_in_range` too, wherever the range limits say they may run.
     fn check(cfp: &CfpFormat, on: &CfpOnF64, a: Cfp, b: Cfp) {
         let (x, y) = (cfp.to_f64(a), cfp.to_f64(b));
-        let want = cfp.to_f64(cfp.mul(a, b));
+        let want_mul = cfp.to_f64(cfp.mul(a, b));
         let got = on.mul(x, y);
         assert!(
-            got.to_bits() == want.to_bits(),
-            "{}: {x:e} × {y:e} = {got:e}, want {want:e}",
+            got.to_bits() == want_mul.to_bits(),
+            "{}: {x:e} × {y:e} = {got:e}, want {want_mul:e}",
             on.describe()
         );
+        // The product is exact: in range, the rounding alone gives it.
+        let limits = on.range_limits().unwrap();
+        let in_range =
+            |x: f64| x == 0.0 || (limits.flush_below..=limits.saturate_above).contains(&x);
+        if in_range(x * y) {
+            let got = on.mul_in_range(x, y);
+            assert!(
+                got.to_bits() == want_mul.to_bits(),
+                "{}: {x:e} × {y:e} in range = {got:e}, want {want_mul:e}",
+                on.describe()
+            );
+        }
         let want = cfp.to_f64(cfp.add(a, b));
         let got = on.add(x, y);
         assert!(
@@ -134,6 +183,15 @@ mod tests {
             "{}: {x:e} + {y:e} = {got:e}, want {want:e}",
             on.describe()
         );
+        // An `f64` sum at most the largest value rounds to at most it.
+        if in_range(x + y) {
+            let got = on.add_in_range(x, y);
+            assert!(
+                got.to_bits() == want.to_bits(),
+                "{}: {x:e} + {y:e} in range = {got:e}, want {want:e}",
+                on.describe()
+            );
+        }
     }
 
     fn every_pair(cfp: &CfpFormat, values: &[Cfp]) {

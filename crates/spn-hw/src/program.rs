@@ -27,7 +27,7 @@
 //! through. Neither is built on the other.
 
 use serde::{Deserialize, Serialize};
-use spn_arith::SpnNumber;
+use spn_arith::{RangeLimits, SpnNumber};
 use spn_core::{isa, Leaf, Node, Spn};
 
 /// Index of an operation's result in the program's value space.
@@ -235,77 +235,224 @@ impl DatapathProgram {
         format.to_f64(values[self.root.index()])
     }
 
-    /// Bake the program into `format`: every sum weight, and every leaf
-    /// as a full 256-entry ROM, is converted exactly once, here, as the
-    /// hardware generator does at synthesis time.
+    /// Bake the program into `format`, as the hardware generator does
+    /// at synthesis time: every leaf becomes a full 256-entry ROM and
+    /// every sum weight a constant of its multiplier, each converted
+    /// exactly once, here. In the same pass over the ops in dataflow
+    /// order, each result gets a value slot, which goes back on a free
+    /// list after the result's last reader, and a range bound, from
+    /// which an op is marked to run without its flush and saturate
+    /// checks where the format's [`SpnNumber::range_limits`] show that
+    /// neither can fire.
     pub(crate) fn synthesize<F: SpnNumber + Clone>(&self, format: &F) -> SynthesizedDatapath<F> {
         let index = |n: usize| u32::try_from(n).expect("datapath too large");
-        // Value slots: the weights first, then one result per op.
-        let counts = self.op_counts();
-        let num_weights = counts.const_muls;
-        let result = |op: OpId| index(num_weights + op.index());
-        let mut weights = Vec::with_capacity(num_weights);
-        let mut tables = Vec::with_capacity(counts.lookups);
-        let ops = self
-            .ops
-            .iter()
-            .map(|op| match op {
+        let root = self.root.index();
+        // The op after which each result is dead: its last reader's, the
+        // end for the root, its own for a result nobody reads.
+        let mut last_read: Vec<usize> = (0..self.ops.len()).collect();
+        for (i, op) in self.ops.iter().enumerate() {
+            for a in op.operands().into_iter().flatten() {
+                last_read[a.index()] = i;
+            }
+        }
+        last_read[root] = usize::MAX;
+        let limits = format.range_limits();
+        // Only a format with limits to prove needs its constants' ranges.
+        let range_of = |values: &[F::Value]| match limits {
+            Some(_) => Range::of(values.iter().map(|&v| format.to_f64(v))),
+            None => Range::NOTHING,
+        };
+        let mut slot_of = Vec::with_capacity(self.ops.len());
+        let mut ranges: Vec<Range> = Vec::with_capacity(self.ops.len());
+        let mut free: Vec<u32> = Vec::new();
+        let mut slots = 0;
+        let mut tables = Vec::with_capacity(self.op_counts().lookups);
+        let mut ops = Vec::with_capacity(self.ops.len());
+        for (i, op) in self.ops.iter().enumerate() {
+            // The result's slot is taken before the operands' are given
+            // back, so an op never writes a slot it reads.
+            let dst = free.pop().unwrap_or_else(|| {
+                slots += 1;
+                index(slots - 1)
+            });
+            let slot = |a: &OpId| slot_of[a.index()];
+            let (synth, range) = match op {
                 DatapathOp::LeafLookup { var, table } => {
                     // A byte past the table's end reads the converted 0.0.
                     tables.push(std::array::from_fn(|v| {
                         format.from_f64(table.get(v).copied().unwrap_or(0.0))
                     }));
-                    SynthOp::Lookup {
-                        var: index(*var),
-                        table: index(tables.len() - 1),
-                    }
+                    let range = range_of(&tables[tables.len() - 1]);
+                    (
+                        SynthOp::Lookup {
+                            var: index(*var),
+                            table: index(tables.len() - 1),
+                            dst,
+                        },
+                        range,
+                    )
                 }
-                DatapathOp::Mul { a, b } => SynthOp::Mul {
-                    a: result(*a),
-                    b: result(*b),
-                },
+                DatapathOp::Mul { a, b } => {
+                    let (in_range, range) = ranges[a.index()].mul(&ranges[b.index()], limits);
+                    (
+                        SynthOp::Mul {
+                            a: slot(a),
+                            b: slot(b),
+                            dst,
+                            in_range,
+                        },
+                        range,
+                    )
+                }
                 DatapathOp::ConstMul { a, weight } => {
-                    weights.push(format.from_f64(*weight));
-                    SynthOp::Mul {
-                        a: result(*a),
-                        b: index(weights.len() - 1),
-                    }
+                    let weight = format.from_f64(*weight);
+                    let (in_range, range) = ranges[a.index()].mul(&range_of(&[weight]), limits);
+                    (
+                        SynthOp::Scale {
+                            a: slot(a),
+                            weight,
+                            dst,
+                            in_range,
+                        },
+                        range,
+                    )
                 }
-                DatapathOp::Add { a, b } => SynthOp::Add {
-                    a: result(*a),
-                    b: result(*b),
-                },
-            })
-            .collect();
+                DatapathOp::Add { a, b } => {
+                    let (in_range, range) = ranges[a.index()].add(&ranges[b.index()], limits);
+                    (
+                        SynthOp::Add {
+                            a: slot(a),
+                            b: slot(b),
+                            dst,
+                            in_range,
+                        },
+                        range,
+                    )
+                }
+            };
+            ops.push(synth);
+            ranges.push(range);
+            slot_of.push(dst);
+            for a in op.operands().into_iter().flatten().chain([OpId(index(i))]) {
+                if last_read[a.index()] == i {
+                    free.push(slot_of[a.index()]);
+                }
+            }
+        }
         SynthesizedDatapath {
             ops,
-            weights,
+            slots,
             tables,
-            root: num_weights + self.root.index(),
+            root: slot_of[root] as usize,
             num_vars: self.num_vars,
             format: format.clone(),
         }
     }
 }
 
-/// One operation of a [`SynthesizedDatapath`]. Operands are value
-/// slots: a weight's, or an earlier op's result.
+impl DatapathOp {
+    /// The ops whose results this one reads, each once.
+    fn operands(&self) -> [Option<OpId>; 2] {
+        match *self {
+            DatapathOp::LeafLookup { .. } => [None, None],
+            DatapathOp::ConstMul { a, .. } => [Some(a), None],
+            DatapathOp::Mul { a, b } | DatapathOp::Add { a, b } => [Some(a), (b != a).then_some(b)],
+        }
+    }
+}
+
+/// What synthesis knows of the values an op can produce: 0, or a value
+/// in `[lo, hi]`. `lo` is `inf` when only 0 is possible.
 #[derive(Debug, Clone, Copy)]
-enum SynthOp {
+struct Range {
+    lo: f64,
+    hi: f64,
+}
+
+impl Range {
+    /// Only 0.
+    const NOTHING: Range = Range {
+        lo: f64::INFINITY,
+        hi: 0.0,
+    };
+
+    /// The range of a set of converted constants. Nonnegative `f64`s
+    /// order as their bit patterns, and 0 minus one wraps past every
+    /// other, so both ends are one integer reduction, which vectorises.
+    fn of(values: impl Iterator<Item = f64>) -> Range {
+        let (lo, hi) = values.map(f64::to_bits).fold((u64::MAX, 0), |(lo, hi), b| {
+            (lo.min(b.wrapping_sub(1)), hi.max(b))
+        });
+        match lo.wrapping_add(1) {
+            0 => Range::NOTHING,
+            lo => Range {
+                lo: f64::from_bits(lo),
+                hi: f64::from_bits(hi),
+            },
+        }
+    }
+
+    /// Whether a product of a value from `self` and one from `other`
+    /// runs unchecked, and the range of its rounded result.
+    fn mul(&self, other: &Range, limits: Option<RangeLimits>) -> (bool, Range) {
+        Range::rounded(self.lo * other.lo, self.hi * other.hi, limits)
+    }
+
+    /// As [`Range::mul`], for a sum: a nonzero sum of nonnegative
+    /// values is at least the smaller nonzero operand.
+    fn add(&self, other: &Range, limits: Option<RangeLimits>) -> (bool, Range) {
+        Range::rounded(self.lo.min(other.lo), self.hi + other.hi, limits)
+    }
+
+    /// The exact result of an op lies in `[lo, hi]`, each computed with
+    /// one `f64` rounding. Widened by twice the larger of the format's
+    /// unit roundoff and an `f64` ulp — which covers that `f64` rounding
+    /// as well as the format's own — the bound holds both the exact and
+    /// the rounded result. The op runs unchecked when the widened bound
+    /// lies inside the format's limits, and every nonzero value of the
+    /// format lies inside them in any case.
+    fn rounded(lo: f64, hi: f64, limits: Option<RangeLimits>) -> (bool, Range) {
+        let Some(limits) = limits else {
+            return (false, Range { lo, hi });
+        };
+        let widen = 2.0 * limits.unit_roundoff.max(f64::EPSILON);
+        let (lo, hi) = (lo * (1.0 - widen), hi * (1.0 + widen));
+        let in_range = lo >= limits.flush_below && hi <= limits.saturate_above;
+        let range = Range {
+            lo: lo.max(limits.flush_below),
+            hi: hi.min(limits.saturate_above),
+        };
+        (in_range, range)
+    }
+}
+
+/// One operation of a [`SynthesizedDatapath`]. Operands and results are
+/// value slots; `dst` is never an operand's slot. An op marked
+/// `in_range` runs its format's unchecked arithmetic
+/// ([`SpnNumber::mul_in_range`] / [`SpnNumber::add_in_range`]).
+#[derive(Debug, Clone, Copy)]
+enum SynthOp<V> {
     /// `tables[table][input[var]]`.
-    Lookup {
-        var: u32,
-        table: u32,
-    },
-    /// Product of two slots; a sum edge's weight multiplier is one
-    /// whose `b` is the weight's slot.
+    Lookup { var: u32, table: u32, dst: u32 },
+    /// Product of two slots.
     Mul {
         a: u32,
         b: u32,
+        dst: u32,
+        in_range: bool,
+    },
+    /// A sum edge's weight multiplier: the weight is a constant of the op.
+    Scale {
+        a: u32,
+        weight: V,
+        dst: u32,
+        in_range: bool,
     },
     Add {
         a: u32,
         b: u32,
+        dst: u32,
+        in_range: bool,
     },
 }
 
@@ -314,12 +461,12 @@ enum SynthOp {
 /// Results are bit-identical to [`DatapathProgram::execute`] row by row.
 #[derive(Debug, Clone)]
 pub(crate) struct SynthesizedDatapath<F: SpnNumber> {
-    ops: Vec<SynthOp>,
-    /// Every sum weight, converted, in op order: the constant head of
-    /// the value slots.
-    weights: Vec<F::Value>,
+    ops: Vec<SynthOp<F::Value>>,
+    /// Value slots: as many as the most results live at once.
+    slots: usize,
     /// Every leaf's ROM, converted, in op order: one entry per byte.
     tables: Vec<[F::Value; 256]>,
+    /// The root's slot.
     root: usize,
     num_vars: usize,
     format: F,
@@ -330,18 +477,26 @@ pub(crate) struct SynthesizedDatapath<F: SpnNumber> {
 /// across a lane nothing does, so the host overlaps the arithmetic the
 /// way the pipelined circuit overlaps samples, and the branch-free CFP
 /// arithmetic — the `f64` path and the integer emulation alike — runs
-/// four (AVX2) or eight (AVX-512) lanes to a register. The integer
-/// emulation measured flat from 32 to 128 on NIPS10 at both tiers, and
-/// four times as slow one sample at a time (274–341 vs 74–77 ns/sample,
-/// NIPS10, AVX2). The `f64` path over dense leaf ROMs at AVX-512, min
-/// ns/sample of 200+ calls: NIPS10 16.8 / 16.1 / 16.1 at 32 / 64 / 128
-/// lanes, 162 one sample at a time; NIPS80 202 / 176 / 166. A constant.
-const LANES: usize = 64;
+/// four (AVX2) or eight (AVX-512) lanes to a register. One sample at a
+/// time is four times as slow (integer emulation, NIPS10, AVX2: 274–341
+/// vs 74–77 ns/sample). With one slot per live value and no weight
+/// rows the scratch is 9 × `LANES` values on NIPS10 and 15 × on NIPS80,
+/// so a wider lane costs little memory and spreads each op's fixed
+/// cost over more samples. The paper's format on the `f64` path,
+/// AVX-512, `AcceleratorCore::run_job` over 4096 rows, range of the
+/// per-round minima over five interleaved rounds, slow-mode rounds left
+/// out, NIPS10 / NIPS80 ns/sample: 13.7–14.2 / 142–151 at 64 lanes,
+/// 11.4–11.7 / 122–128 at 128, 12.2–12.6 / 114–121 at 256 and
+/// 12.3–12.4 / 146–148 at 512. 128 is quickest on NIPS10 (its 40 KiB of
+/// ROMs and 9 KiB of scratch just about fit the 48 KiB L1d), 256 on
+/// NIPS80 (whose 320 KiB of ROMs fit no L1d); 256 is 6 % behind on the
+/// one and 7 % ahead on the other. A constant.
+const LANES: usize = 256;
 
 impl<F: SpnNumber> SynthesizedDatapath<F> {
     /// Stream a batch of samples (row-major, `num_vars` bytes each)
     /// through the datapath, appending one probability per sample to
-    /// `out`. One value scratch serves the whole batch, `LANES` (64)
+    /// `out`. One value scratch serves the whole batch, `LANES` (256)
     /// samples at a time, through the kernel compiled for the widest
     /// instruction-set tier this CPU supports ([`spn_core::isa`]).
     pub(crate) fn execute_into(&self, data: &[u8], out: &mut Vec<f64>) {
@@ -359,33 +514,68 @@ impl<F: SpnNumber> isa::Kernel for SynthesizedDatapath<F> {
     fn run(&self, data: &[u8], out: &mut Vec<f64>) {
         assert!(data.len().is_multiple_of(self.num_vars), "ragged batch");
         let f = &self.format;
-        let num_weights = self.weights.len();
         // Lane-major value slots: lane `l` of slot `s` is
-        // `values[s * LANES + l]`; a weight fills its slot's lanes.
-        let slots = num_weights + self.ops.len();
-        let mut values = Vec::with_capacity(slots * LANES);
-        for &w in &self.weights {
-            values.extend([w; LANES]);
-        }
-        values.resize(slots * LANES, f.zero());
+        // `values[s * LANES + l]`.
+        let mut values = vec![f.zero(); self.slots * LANES];
         out.reserve(data.len() / self.num_vars);
         for chunk in data.chunks(LANES * self.num_vars) {
             let lanes = chunk.len() / self.num_vars;
-            for (i, op) in self.ops.iter().enumerate() {
-                // Operands are weights or results of earlier ops
-                // (dataflow order), so they all lie below the result.
-                let (operands, results) = values.split_at_mut((num_weights + i) * LANES);
-                let slot = |s: u32| &operands[s as usize * LANES..][..lanes];
-                let dst = &mut results[..lanes];
+            for op in &self.ops {
+                let (SynthOp::Lookup { dst, .. }
+                | SynthOp::Mul { dst, .. }
+                | SynthOp::Scale { dst, .. }
+                | SynthOp::Add { dst, .. }) = *op;
+                // The result's slot apart from every other.
+                let (below, rest) = values.split_at_mut(dst as usize * LANES);
+                let (dst, above) = rest.split_at_mut(LANES);
+                let dst = &mut dst[..lanes];
+                let slot = |s: u32| {
+                    let row = match (s as usize).checked_sub(below.len() / LANES) {
+                        None => &below[s as usize * LANES..],
+                        Some(past) => &above[(past - 1) * LANES..],
+                    };
+                    &row[..lanes]
+                };
                 match *op {
-                    SynthOp::Lookup { var, table } => {
+                    SynthOp::Lookup { var, table, .. } => {
                         let rom = &self.tables[table as usize];
                         for (d, sample) in dst.iter_mut().zip(chunk.chunks_exact(self.num_vars)) {
                             *d = rom[usize::from(sample[var as usize])];
                         }
                     }
-                    SynthOp::Mul { a, b } => f.mul_lanes(dst, slot(a), slot(b)),
-                    SynthOp::Add { a, b } => {
+                    SynthOp::Mul {
+                        a,
+                        b,
+                        in_range: true,
+                        ..
+                    } => {
+                        for ((d, &x), &y) in dst.iter_mut().zip(slot(a)).zip(slot(b)) {
+                            *d = f.mul_in_range(x, y);
+                        }
+                    }
+                    SynthOp::Mul { a, b, .. } => f.mul_lanes(dst, slot(a), slot(b)),
+                    SynthOp::Scale {
+                        a,
+                        weight,
+                        in_range: true,
+                        ..
+                    } => {
+                        for (d, &x) in dst.iter_mut().zip(slot(a)) {
+                            *d = f.mul_in_range(x, weight);
+                        }
+                    }
+                    SynthOp::Scale { a, weight, .. } => f.mul_lanes(dst, slot(a), &[weight; LANES]),
+                    SynthOp::Add {
+                        a,
+                        b,
+                        in_range: true,
+                        ..
+                    } => {
+                        for ((d, &x), &y) in dst.iter_mut().zip(slot(a)).zip(slot(b)) {
+                            *d = f.add_in_range(x, y);
+                        }
+                    }
+                    SynthOp::Add { a, b, .. } => {
                         for ((d, &x), &y) in dst.iter_mut().zip(slot(a)).zip(slot(b)) {
                             *d = f.add(x, y);
                         }
@@ -647,6 +837,185 @@ mod tests {
             same_bits(&prog, &PositFormat::paper_default());
             same_bits(&prog, &F64Format);
             same_bits(&prog, &CfpOnF64::new(CfpFormat::paper_default()).unwrap());
+        }
+    }
+
+    /// Whether an arithmetic op is marked to run unchecked.
+    fn mark<V>(op: &SynthOp<V>) -> Option<bool> {
+        match *op {
+            SynthOp::Lookup { .. } => None,
+            SynthOp::Mul { in_range, .. }
+            | SynthOp::Scale { in_range, .. }
+            | SynthOp::Add { in_range, .. } => Some(in_range),
+        }
+    }
+
+    /// How many of a synthesised datapath's arithmetic ops are marked,
+    /// and how many there are.
+    fn marked<F: SpnNumber>(datapath: &SynthesizedDatapath<F>) -> (usize, usize) {
+        let marks: Vec<bool> = datapath.ops.iter().filter_map(mark).collect();
+        (marks.iter().filter(|&&m| m).count(), marks.len())
+    }
+
+    /// Runs `prog` on every sample of `data` in `cfp` on the `f64` path
+    /// op by op, and wherever a limit fires — the checked op's bits
+    /// differ from the unchecked one's — asserts that the synthesised op
+    /// is not marked. Then holds the synthesised batch `to_bits`-equal
+    /// to `execute` in the integer emulation. Returns how many results
+    /// flushed and how many saturated.
+    fn limits_fire_only_unmarked(
+        prog: &DatapathProgram,
+        cfp: CfpFormat,
+        data: &[u8],
+    ) -> (usize, usize) {
+        let on = CfpOnF64::new(cfp).unwrap();
+        let datapath = prog.synthesize(&on);
+        let (mut flushed, mut saturated) = (0, 0);
+        for sample in data.chunks(prog.num_vars()) {
+            let mut values: Vec<f64> = Vec::with_capacity(prog.ops().len());
+            for (i, (op, synth)) in prog.ops().iter().zip(&datapath.ops).enumerate() {
+                let v = |a: &OpId| values[a.index()];
+                let (checked, unchecked) = match op {
+                    DatapathOp::LeafLookup { var, table } => {
+                        let p = on
+                            .from_f64(table.get(usize::from(sample[*var])).copied().unwrap_or(0.0));
+                        (p, p)
+                    }
+                    DatapathOp::Mul { a, b } => (on.mul(v(a), v(b)), on.mul_in_range(v(a), v(b))),
+                    DatapathOp::ConstMul { a, weight } => {
+                        let w = on.from_f64(*weight);
+                        (on.mul(v(a), w), on.mul_in_range(v(a), w))
+                    }
+                    DatapathOp::Add { a, b } => (on.add(v(a), v(b)), on.add_in_range(v(a), v(b))),
+                };
+                if checked.to_bits() != unchecked.to_bits() {
+                    assert_eq!(
+                        mark(synth),
+                        Some(false),
+                        "{}: op {i} on {sample:?}",
+                        on.describe()
+                    );
+                    if checked == 0.0 {
+                        flushed += 1;
+                    } else {
+                        saturated += 1;
+                    }
+                }
+                values.push(checked);
+            }
+        }
+        let mut batch = Vec::new();
+        datapath.execute_into(data, &mut batch);
+        for (sample, got) in data.chunks(prog.num_vars()).zip(batch) {
+            let want = prog.execute(&cfp, sample);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{}: {sample:?}",
+                on.describe()
+            );
+        }
+        (flushed, saturated)
+    }
+
+    /// The marks are only as good as the range analysis behind them,
+    /// and no other test reaches a limit: NIPS values stay 10²⁵⁰ away
+    /// from both. Here products do saturate and flush.
+    #[test]
+    fn range_limits_still_fire_where_they_can() {
+        // Narrow bins: byte 0 reads density 5e299, byte 1 reads 1e-155,
+        // byte 2 reads 0.5, every other byte 0. 5e299² saturates; 1e-155²
+        // is an `f64` subnormal the format flushes, where rounding alone
+        // would keep it (one below 2⁻¹⁰⁴⁵ rounds to 0 either way).
+        let narrow = || Leaf::Histogram {
+            breaks: vec![0.0, 1e-300, 1.0, 2.0, 3.0],
+            densities: vec![5e299, 0.0, 1e-155, 0.5],
+        };
+        let mut b = SpnBuilder::new(2);
+        let x0 = b.leaf(0, narrow());
+        let x1 = b.leaf(1, narrow());
+        let y0 = b.leaf(0, Leaf::byte_histogram(&[0.5, 0.5]));
+        let y1 = b.leaf(1, Leaf::byte_histogram(&[0.25, 0.75]));
+        let p = b.product(vec![x0, x1]);
+        let q = b.product(vec![y0, y1]);
+        let s = b.sum(vec![(0.5, p), (0.5, q)]);
+        let prog = DatapathProgram::compile(&b.finish(s, "narrow").unwrap());
+        let every_pair: Vec<u8> = (0..=255)
+            .flat_map(|x| (0..=255).flat_map(move |y| [x, y]))
+            .collect();
+        let (flushed, saturated) =
+            limits_fire_only_unmarked(&prog, CfpFormat::paper_default(), &every_pair);
+        assert!(
+            flushed > 0 && saturated > 0,
+            "flushed {flushed}, saturated {saturated}"
+        );
+
+        // A 4-bit exponent flushes below 2⁻⁶: products of a few
+        // probabilities reach that.
+        let cfg = RandomSpnConfig {
+            num_vars: 3,
+            domain: 4,
+            repetitions: 2,
+            max_leaf_region: 1,
+            seed: 19,
+        };
+        let prog = DatapathProgram::compile(&random_spn(&cfg, "narrow-format").unwrap());
+        // Every byte in each table and one past it, in every combination.
+        let data: Vec<u8> = (0..5 * 5 * 5)
+            .flat_map(|i: u8| [i % 5, i / 5 % 5, i / 25])
+            .collect();
+        let small = CfpFormat::new(4, 3, Rounding::NearestEven);
+        let (flushed, _) = limits_fire_only_unmarked(&prog, small, &data);
+        assert!(flushed > 0, "no result flushed");
+    }
+
+    /// The most results a program holds at once, its operands counted
+    /// until the op that reads them last has written its own.
+    fn most_live(prog: &DatapathProgram) -> usize {
+        let mut last = vec![usize::MAX; prog.ops().len()];
+        for (i, op) in prog.ops().iter().enumerate() {
+            for a in op.operands().into_iter().flatten() {
+                last[a.index()] = i;
+            }
+        }
+        last[prog.root().index()] = prog.ops().len();
+        (0..prog.ops().len())
+            .map(|i| {
+                (0..=i)
+                    .filter(|&j| j == i || (last[j] != usize::MAX && last[j] >= i))
+                    .count()
+            })
+            .max()
+            .unwrap()
+    }
+
+    #[test]
+    fn datapath_holds_only_live_values() {
+        let on_f64 = CfpOnF64::new(CfpFormat::paper_default()).unwrap();
+        for (bench, want_slots, want_marked) in [
+            (NipsBenchmark::Nips10, 9..=9, 37),
+            (NipsBenchmark::Nips80, 0..=16, 380),
+        ] {
+            let prog = DatapathProgram::compile(&bench.build_spn());
+            let datapath = prog.synthesize(&on_f64);
+            let (marked, arithmetic) = marked(&datapath);
+            println!(
+                "{bench:?}: {} slots (most live {}), {marked} / {arithmetic} marked",
+                datapath.slots,
+                most_live(&prog)
+            );
+            assert!(
+                want_slots.contains(&datapath.slots),
+                "{bench:?}: {} slots",
+                datapath.slots
+            );
+            // A weight holds no slot: there are as many as results are
+            // live at once.
+            assert_eq!(datapath.slots, most_live(&prog), "{bench:?}");
+            assert!(
+                marked >= want_marked,
+                "{bench:?}: {marked} / {arithmetic} marked"
+            );
         }
     }
 
