@@ -16,6 +16,16 @@ use serde::{Deserialize, Serialize};
 /// Value a leaf evaluates to when its variable is marginalized out.
 pub(crate) const MARGINALIZED_LOG: f64 = 0.0; // log(1)
 
+/// `ln(d)` for a density `d`, and `-inf` where it is 0: the log-domain
+/// value of a leaf whose density is `d`.
+pub(crate) fn log_of(d: f64) -> f64 {
+    if d > 0.0 {
+        d.ln()
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
 /// A univariate leaf distribution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Leaf {
@@ -173,17 +183,33 @@ impl Leaf {
     /// Log-density at `x`; `-inf` outside support. `None` for `x` means
     /// the variable is marginalized out (evaluates to log 1 = 0).
     pub fn log_density(&self, x: Option<f64>) -> f64 {
-        match x {
-            None => MARGINALIZED_LOG,
-            Some(v) => {
-                let d = self.density(v);
-                if d > 0.0 {
-                    d.ln()
-                } else {
-                    f64::NEG_INFINITY
-                }
+        x.map_or(MARGINALIZED_LOG, |v| log_of(self.density(v)))
+    }
+
+    /// The leaf's lookup table over a byte-valued variable: entry `v`
+    /// is `map(density(v))`, bit for bit, for every `v` in `0..=255`.
+    ///
+    /// A histogram's breaks are walked once, and `map` runs once per
+    /// bucket that holds a byte (plus once for the bytes outside the
+    /// support), instead of a bucket search and a `map` per byte. Both
+    /// compilers build their tables here: the plan with the log
+    /// ([`Leaf::log_density`]'s values), the datapath with the linear
+    /// density.
+    pub fn byte_table(&self, map: impl Fn(f64) -> f64) -> [f64; 256] {
+        let Leaf::Histogram { breaks, densities } = self else {
+            return std::array::from_fn(|v| map(self.density(v as f64)));
+        };
+        // Byte `v` is in bucket `i` iff `breaks[i] <= v < breaks[i + 1]`,
+        // i.e. `ceil(breaks[i]) <= v < ceil(breaks[i + 1])`.
+        let first_byte = |b: f64| b.ceil().clamp(0.0, 256.0) as usize;
+        let mut table = [map(0.0); 256];
+        for (w, &d) in breaks.windows(2).zip(densities) {
+            let bytes = first_byte(w[0])..first_byte(w[1]);
+            if !bytes.is_empty() {
+                table[bytes].fill(map(d));
             }
         }
+        table
     }
 
     /// Fit a byte histogram with Laplace smoothing from integer samples.
@@ -341,6 +367,95 @@ mod tests {
         assert!((h.log_density(Some(1.0)) - (0.25f64).ln()).abs() < 1e-12);
         assert_eq!(h.log_density(Some(99.0)), f64::NEG_INFINITY);
         assert_eq!(h.log_density(None), 0.0);
+    }
+
+    /// `byte_table` against the per-byte oracle, bit for bit: the linear
+    /// table against `density(v)`, the log table against
+    /// `log_density(Some(v))`, at every byte.
+    fn assert_byte_tables_match_the_oracle(leaf: &Leaf, what: &str) {
+        let (linear, log) = (leaf.byte_table(|d| d), leaf.byte_table(log_of));
+        for v in 0..=255u8 {
+            let x = f64::from(v);
+            let (want, want_log) = (leaf.density(x), leaf.log_density(Some(x)));
+            assert_eq!(
+                linear[v as usize].to_bits(),
+                want.to_bits(),
+                "{what}: byte {v}"
+            );
+            assert_eq!(
+                log[v as usize].to_bits(),
+                want_log.to_bits(),
+                "{what}: log, byte {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn byte_tables_are_bit_identical_to_the_oracle() {
+        use crate::graph::Node;
+        use crate::nips::ALL_BENCHMARKS;
+        for bench in ALL_BENCHMARKS {
+            for (i, node) in bench.build_spn().nodes().iter().enumerate() {
+                if let Node::Leaf { dist, .. } = node {
+                    assert_byte_tables_match_the_oracle(dist, &format!("{bench:?} node {i}"));
+                }
+            }
+        }
+        let hist = |breaks: &[f64], densities: &[f64]| Leaf::Histogram {
+            breaks: breaks.to_vec(),
+            densities: densities.to_vec(),
+        };
+        let cases = [
+            (
+                "breaks from above 0",
+                hist(&[3.0, 5.0, 9.0], &[0.25, 0.125]),
+            ),
+            (
+                "non-integer breaks",
+                hist(&[0.5, 1.5, 2.25, 7.75], &[0.3, 0.2, 0.1]),
+            ),
+            (
+                "last break below 256",
+                hist(&[0.0, 100.0, 200.5], &[0.007, 0.003]),
+            ),
+            (
+                "last break past 256",
+                hist(&[10.0, 250.0, 300.0], &[0.003, 0.006]),
+            ),
+            ("one bin", hist(&[0.0, 256.0], &[1.0 / 256.0])),
+            (
+                "breaks on integers",
+                hist(&[1.0, 2.0, 3.0, 4.0], &[0.5, 0.25, 0.25]),
+            ),
+            (
+                "a bin no byte falls in",
+                hist(&[1.1, 1.3, 1.9, 4.0], &[0.5, 0.25, 0.4]),
+            ),
+            ("breaks below 0", hist(&[-3.5, -1.0, 2.0], &[0.2, 0.1])),
+            ("a zero bin", hist(&[0.0, 1.0, 2.0, 3.0], &[0.5, 0.0, 0.5])),
+            (
+                "categorical",
+                Leaf::Categorical {
+                    probs: vec![0.2, 0.3, 0.5],
+                },
+            ),
+            (
+                "categorical past 256",
+                Leaf::Categorical {
+                    probs: vec![1.0 / 300.0; 300],
+                },
+            ),
+            (
+                "gaussian",
+                Leaf::Gaussian {
+                    mean: 40.0,
+                    std: 9.0,
+                },
+            ),
+        ];
+        for (what, leaf) in &cases {
+            assert_byte_tables_match_the_oracle(leaf, what);
+        }
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //!   computes them once and each member accumulates its own weighted
 //!   sum in its own row. NIPS80's 31 sums run as 16 ops.
 //! * **Leaf lookup tables.** Datasets are byte matrices (domain ≤ 256),
-//!   so every leaf lowers to a 256-entry log-density table built with
-//!   the oracle's own `log_density` — one indexed load per sample
-//!   replaces a binary search, with bit-identical results.
+//!   so every leaf lowers to a 256-entry log-density table,
+//!   [`Leaf::byte_table`](crate::Leaf::byte_table), bit for bit the
+//!   oracle's `log_density` — one indexed load per sample replaces a
+//!   binary search.
 //! * **One lane-wide kernel.** The executor evaluates up to [`LANES`]
 //!   samples per pass; a pass of `W` lanes views its scratch as
 //!   `[f64; W]` rows, so a child's lanes are one indexed row (the lane
@@ -70,7 +71,7 @@ use crate::dataset::Dataset;
 use crate::graph::{Node, Spn};
 use crate::infer::mode_log_density;
 use crate::isa;
-use crate::leaf::MARGINALIZED_LOG;
+use crate::leaf::{log_of, MARGINALIZED_LOG};
 use crate::math;
 use crate::query::Query;
 use serde::{Deserialize, Serialize};
@@ -179,7 +180,6 @@ pub struct CompiledPlan {
     /// Their scratch rows.
     output_rows: Vec<u32>,
     num_vars: usize,
-    fingerprint: u64,
     name: String,
     stats: PlanStats,
 }
@@ -201,8 +201,9 @@ fn operands(node: &Node) -> impl Iterator<Item = (usize, f64)> + '_ {
 
 impl CompiledPlan {
     /// Lower `spn` into a flat plan whose one output is the root. Cost
-    /// is one pass over the arena plus 256 oracle `log_density` calls
-    /// per leaf.
+    /// is one pass over the arena plus, per leaf, one walk of its
+    /// buckets ([`Leaf::byte_table`](crate::Leaf::byte_table)) with a
+    /// `ln` per bucket.
     pub fn compile(spn: &Spn) -> CompiledPlan {
         CompiledPlan::compile_with_outputs(spn, &[spn.root().0])
     }
@@ -248,7 +249,7 @@ impl CompiledPlan {
             if let Node::Leaf { var, dist } = node {
                 leaf_of[i] = leaves.len() as u32;
                 leaves.push(LeafTable {
-                    table: std::array::from_fn(|v| dist.log_density(Some(v as f64))),
+                    table: dist.byte_table(log_of),
                     mode_log: mode_log_density(dist),
                     var: *var as u32,
                 });
@@ -315,7 +316,6 @@ impl CompiledPlan {
             outputs: outputs.to_vec(),
             output_rows: outputs.iter().map(|&o| row_of[o as usize]).collect(),
             num_vars: spn.num_vars(),
-            fingerprint: spn.fingerprint(),
             name: spn.name.clone(),
             stats: PlanStats {
                 ops: shape.nodes,
@@ -331,12 +331,6 @@ impl CompiledPlan {
     /// Number of variables the source network models.
     pub fn num_vars(&self) -> usize {
         self.num_vars
-    }
-
-    /// Fingerprint of the source network ([`Spn::fingerprint`]) — the
-    /// runtime's cache key.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// The nodes whose values a pass yields per row, in order.
@@ -652,7 +646,6 @@ mod tests {
         assert_eq!(st.sum_ops, 1);
         assert_eq!(st.max_sum_fan_in, 2);
         assert_eq!(st.table_bytes, 4 * 256 * 8);
-        assert_eq!(plan.fingerprint(), spn.fingerprint());
         assert_eq!(plan.name(), "mix");
         assert!(!plan.is_empty());
     }

@@ -126,19 +126,8 @@ impl DatapathProgram {
         for node in spn.nodes() {
             let id = match node {
                 Node::Leaf { var, dist } => {
-                    let table = match dist {
-                        Leaf::Histogram { breaks, densities } => {
-                            // The hardware addresses the table with the raw
-                            // input byte; expand the histogram to one entry
-                            // per integer value in [breaks[0], breaks[last]).
-                            expand_histogram(breaks, densities)
-                        }
-                        // An 8-bit address reaches no outcome past 255.
-                        Leaf::Categorical { probs } => probs[..probs.len().min(256)].to_vec(),
-                        Leaf::Gaussian { .. } => {
-                            panic!("the Mixed-SPN datapath supports only table leaves")
-                        }
-                    };
+                    let len = table_len(dist);
+                    let table = dist.byte_table(|d| d)[..len].to_vec();
                     push(&mut ops, DatapathOp::LeafLookup { var: *var, table })
                 }
                 Node::Product { children } => {
@@ -617,27 +606,21 @@ fn reduce_tree(
     layer[0]
 }
 
-/// Expand a histogram with unit-aligned breaks into a dense lookup table
-/// indexed by the raw byte value. Non-integer or offset breaks are
-/// handled by sampling the density at each integer point.
-fn expand_histogram(breaks: &[f64], densities: &[f64]) -> Vec<f64> {
-    let lo = breaks[0];
-    let hi = *breaks.last().unwrap();
-    let size = (hi.ceil() as i64).clamp(1, 256) as usize;
-    let mut table = vec![0.0; size];
-    for (i, slot) in table.iter_mut().enumerate() {
-        let x = i as f64;
-        if x < lo || x >= hi {
-            continue;
+/// Entries in a leaf's lookup table, which the hardware addresses with
+/// the raw input byte: a histogram's every integer point below its last
+/// break (at least one), a categorical's every outcome an 8-bit address
+/// reaches. Entry `v` is the density at `v` (`Leaf::byte_table`).
+///
+/// # Panics
+/// Panics on a Gaussian leaf.
+fn table_len(dist: &Leaf) -> usize {
+    match dist {
+        Leaf::Histogram { breaks, .. } => {
+            (breaks[breaks.len() - 1].ceil() as i64).clamp(1, 256) as usize
         }
-        // Find the bucket containing integer point x.
-        let idx = match breaks.binary_search_by(|b| b.partial_cmp(&x).unwrap()) {
-            Ok(k) => k.min(densities.len() - 1),
-            Err(k) => k - 1,
-        };
-        *slot = densities[idx.min(densities.len() - 1)];
+        Leaf::Categorical { probs } => probs.len().min(256),
+        Leaf::Gaussian { .. } => panic!("the Mixed-SPN datapath supports only table leaves"),
     }
-    table
 }
 
 #[cfg(test)]
@@ -645,7 +628,9 @@ mod tests {
     use super::*;
     use crate::cfp_on_f64::CfpOnF64;
     use spn_arith::{truncating_cfp, CfpFormat, F64Format, LnsFormat, PositFormat, Rounding};
-    use spn_core::{random_spn, Evaluator, NipsBenchmark, Query, RandomSpnConfig, SpnBuilder};
+    use spn_core::{
+        random_spn, Evaluator, NipsBenchmark, Query, RandomSpnConfig, SpnBuilder, ALL_BENCHMARKS,
+    };
 
     fn mixture() -> Spn {
         let mut b = SpnBuilder::new(2);
@@ -1019,14 +1004,69 @@ mod tests {
         }
     }
 
+    /// A histogram leaf's table as `compile` builds it.
+    fn histogram_table(breaks: &[f64], densities: &[f64]) -> Vec<f64> {
+        let leaf = Leaf::Histogram {
+            breaks: breaks.to_vec(),
+            densities: densities.to_vec(),
+        };
+        leaf.byte_table(|d| d)[..table_len(&leaf)].to_vec()
+    }
+
     #[test]
     fn histogram_expansion_dense_and_offset() {
         // Breaks [0,1,3): densities 0.5, 0.25 -> table [0.5, 0.25, 0.25].
-        let t = expand_histogram(&[0.0, 1.0, 3.0], &[0.5, 0.25]);
+        let t = histogram_table(&[0.0, 1.0, 3.0], &[0.5, 0.25]);
         assert_eq!(t, vec![0.5, 0.25, 0.25]);
         // Offset support [2,4): values 0,1 get 0.
-        let t = expand_histogram(&[2.0, 4.0], &[0.5]);
+        let t = histogram_table(&[2.0, 4.0], &[0.5]);
         assert_eq!(t, vec![0.0, 0.0, 0.5, 0.5]);
+    }
+
+    /// Table lengths are what the netlist and the resource model count:
+    /// pinned to the lengths the per-byte expansion this builder replaced
+    /// gave — `ceil(last break)` clamped to `1..=256` for a histogram,
+    /// the outcome count up to 256 for a categorical.
+    #[test]
+    fn table_lengths_are_pinned() {
+        let hist = |breaks: &[f64]| Leaf::Histogram {
+            breaks: breaks.to_vec(),
+            densities: vec![0.1; breaks.len() - 1],
+        };
+        let cases = [
+            (hist(&[0.0, 1.0, 3.0]), 3),
+            (hist(&[2.0, 4.0]), 4),
+            (hist(&[0.5, 2.25, 7.75]), 8),
+            (hist(&[0.0, 200.0]), 200),
+            (hist(&[0.0, 255.5]), 256),
+            (hist(&[10.0, 300.0]), 256),
+            (hist(&[-2.0, -1.0]), 1),
+            (hist(&[-2.0, 0.5]), 1),
+            (
+                Leaf::Categorical {
+                    probs: vec![0.5; 2],
+                },
+                2,
+            ),
+            (
+                Leaf::Categorical {
+                    probs: vec![0.0; 300],
+                },
+                256,
+            ),
+        ];
+        for (leaf, len) in &cases {
+            assert_eq!(table_len(leaf), *len, "{leaf:?}");
+        }
+        // Every NIPS leaf is a full byte histogram.
+        for bench in ALL_BENCHMARKS {
+            let prog = DatapathProgram::compile(&bench.build_spn());
+            for op in &prog.ops {
+                if let DatapathOp::LeafLookup { table, .. } = op {
+                    assert_eq!(table.len(), 256, "{bench:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -67,7 +67,9 @@ pub struct RouterConfig {
     /// router expiring first turns would-be `ConnectionClosed`
     /// retries into ordinary fresh dials.
     pub pool_idle_ttl: Option<Duration>,
-    /// How often the health prober's sleep wakes to check shutdown.
+    /// Unused: the health prober waits its interval on the shutdown
+    /// latch, so nothing polls. Kept so that callers that set it still
+    /// build.
     pub read_poll: Duration,
     /// Live span collector (`None` = tracing off); `route-pick` and
     /// `backend-rpc` spans land on the router track.
@@ -217,7 +219,7 @@ impl SpnRouter {
     /// Block until shutdown is requested (a client's `Shutdown` frame
     /// or a concurrent [`SpnRouter::shutdown`]).
     pub fn wait_for_shutdown(&self) {
-        self.front.wait_for_shutdown();
+        self.front.wait_for_shutdown(None);
     }
 
     /// Drain and stop the router: answer every forwarded request, then
@@ -244,11 +246,12 @@ impl Drop for SpnRouter {
 /// costs one bounded attempt. Probes block, which is why the prober
 /// has a thread of its own. When a backend transitions to `Down` its
 /// pooled connections are retired — recovery then starts from fresh
-/// dials instead of replaying stale sockets.
+/// dials instead of replaying stale sockets. Between rounds it waits
+/// on the shutdown latch, so shutdown ends the wait at once.
 fn health_loop(front: Arc<RouterFront>) {
     let router = &front.service.0;
-    let (policy, read_poll) = (&router.config.health, router.config.read_poll);
-    while !front.is_shutting_down() {
+    let policy = &router.config.health;
+    loop {
         for backend in &router.backends {
             if front.is_shutting_down() {
                 return;
@@ -264,13 +267,8 @@ fn health_loop(front: Arc<RouterFront>) {
                 }
             }
         }
-        // Sleep the interval in read-poll slices so shutdown is
-        // observed promptly.
-        let mut left = policy.interval;
-        while !left.is_zero() && !front.is_shutting_down() {
-            let step = left.min(read_poll.max(Duration::from_millis(1)));
-            thread::sleep(step);
-            left -= step;
+        if front.wait_for_shutdown(Some(policy.interval)) {
+            return;
         }
     }
 }

@@ -6,7 +6,7 @@
 //! [`Frontend`], which owns everything the protocol itself fixes:
 //! `Ping`/`Stats`/`Shutdown` handling, the "answer a malformed header
 //! once, then close" rule, refusing `Infer` while draining, and the
-//! latch [`Frontend::wait_for_shutdown`] blocks on. `spn-server` and
+//! latch [`Frontend::wait_for_shutdown`] waits on. `spn-server` and
 //! `spn-router` are two services behind the same front-end.
 //!
 //! The front-end does no I/O. One driver moves bytes for it, the epoll
@@ -23,7 +23,7 @@ use spn_telemetry::{LiveSpan, SpanCtx, SpanKind, TraceCollector};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// An `Infer` response plus the request's trace context (for the
 /// `ReplyWritten` span; [`SpanCtx::NONE`] when decoding failed).
@@ -69,7 +69,7 @@ pub struct Frontend<S> {
     trace: Option<Arc<TraceCollector>>,
     shutting_down: AtomicBool,
     /// Signalled when shutdown is requested (by the `Shutdown` opcode
-    /// or the owner); `wait_for_shutdown` blocks on it.
+    /// or the owner); `wait_for_shutdown` waits on it.
     shutdown_flag: Mutex<bool>,
     shutdown_cv: Condvar,
 }
@@ -109,12 +109,22 @@ impl<S: Service> Frontend<S> {
         let _ = TcpStream::connect(self.local_addr);
     }
 
-    /// Block until shutdown is requested.
-    pub fn wait_for_shutdown(&self) {
+    /// Block until shutdown is requested, or until `timeout` has
+    /// passed (`None` = no bound). True when shutdown was requested:
+    /// a periodic task waits its period here and stops on `true`.
+    pub fn wait_for_shutdown(&self, timeout: Option<Duration>) -> bool {
+        let start = Instant::now();
         let mut f = self.shutdown_flag.lock();
         while !*f {
-            self.shutdown_cv.wait(&mut f);
+            match timeout.map(|t| t.saturating_sub(start.elapsed())) {
+                None => self.shutdown_cv.wait(&mut f),
+                Some(left) if left.is_zero() => break,
+                Some(left) => {
+                    self.shutdown_cv.wait_for(&mut f, left);
+                }
+            }
         }
+        *f
     }
 
     /// Route one complete request frame. `up` is the loop's handle for

@@ -282,7 +282,7 @@ impl SpnServer {
     /// then drops the server (or calls `shutdown`) to perform the
     /// actual drain and join.
     pub fn wait_for_shutdown(&self) {
-        self.front.wait_for_shutdown();
+        self.front.wait_for_shutdown(None);
     }
 
     /// Drain and stop: refuse new work, answer everything already

@@ -13,11 +13,17 @@ use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
     protocol, BatchPolicy, Client, ModelSpec, Opcode, ServerConfig, SpnServer, Status,
 };
-use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
+
+/// How long a test waits for an event before calling it a hang. It
+/// bounds a wait and gives no verdict: every assertion is on an order
+/// of events.
+const HANG: Duration = Duration::from_secs(30);
 
 /// Heavy sweeps run in full only under `SPN_FULL_SWEEP=1` (CI has a
 /// dedicated step for that); the default path keeps `cargo test -q`
@@ -48,10 +54,6 @@ fn make_scheduler(bench: NipsBenchmark) -> Arc<Scheduler> {
 
 /// One backend server at an OS-chosen port.
 fn start_backend(bench: NipsBenchmark) -> SpnServer {
-    start_backend_at(bench, "127.0.0.1:0")
-}
-
-fn start_backend_at(bench: NipsBenchmark, addr: &str) -> SpnServer {
     let spec = ModelSpec::new(
         bench.name(),
         make_scheduler(bench),
@@ -60,7 +62,6 @@ fn start_backend_at(bench: NipsBenchmark, addr: &str) -> SpnServer {
     );
     SpnServer::serve(
         ServerConfig {
-            addr: addr.to_string(),
             batch: BatchPolicy {
                 max_batch_samples: 4096,
                 max_batch_delay: Duration::from_millis(2),
@@ -195,6 +196,7 @@ fn killing_one_replica_under_load_loses_no_requests() {
     let done = Arc::new(AtomicUsize::new(0));
     let killed = Arc::new(AtomicBool::new(false));
     let after_kill = Arc::new(AtomicUsize::new(0));
+    let (answered, answers) = mpsc::channel();
     let mut threads = Vec::new();
     for w in 0..WORKERS {
         let dataset = Arc::clone(&dataset);
@@ -204,6 +206,7 @@ fn killing_one_replica_under_load_loses_no_requests() {
             Arc::clone(&killed),
             Arc::clone(&after_kill),
         );
+        let answered = answered.clone();
         threads.push(std::thread::spawn(move || {
             let mut client = Client::connect(addr).unwrap();
             let mut i = 0usize;
@@ -227,6 +230,8 @@ fn killing_one_replica_under_load_loses_no_requests() {
                     );
                 }
                 done.fetch_add(1, Ordering::SeqCst);
+                // Nobody listens once the kill is under way.
+                let _ = answered.send(());
                 if sent_after_kill {
                     after_kill.fetch_add(1, Ordering::SeqCst);
                 }
@@ -235,12 +240,11 @@ fn killing_one_replica_under_load_loses_no_requests() {
         }));
     }
 
-    // Let the cluster serve a while, then kill the primary mid-load.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while done.load(Ordering::SeqCst) < 8 {
-        assert!(Instant::now() < deadline, "load never got going");
-        std::thread::sleep(Duration::from_millis(2));
+    // Let the cluster answer 8 requests, then kill the primary mid-load.
+    for _ in 0..8 {
+        answers.recv_timeout(HANG).expect("load never got going");
     }
+    drop(answers);
     servers[victim].shutdown();
     killed.store(true, Ordering::SeqCst);
 
@@ -343,47 +347,125 @@ fn malformed_frames_at_the_router_boundary() {
     assert_eq!(backend.metrics_snapshot().rejected_malformed, 0);
 }
 
-/// Health lifecycle: a dead backend is demoted to `Down` (and routed
-/// around), then re-admitted automatically once it comes back up.
+/// A stand-in listening at a backend's address. It reports every
+/// connection made to it, in order: `false` for one it closes at once
+/// (so a probe of it fails), `true` for one it relays byte for byte to
+/// the backend that [`StandIn::relay_to`] named. The prober dials its
+/// backends one at a time, so when a dial is reported here, every
+/// earlier probe's verdict is already recorded.
+struct StandIn {
+    addr: SocketAddr,
+    relay: Arc<Mutex<Option<SocketAddr>>>,
+    dials: mpsc::Receiver<bool>,
+    stop: Arc<AtomicBool>,
+    acceptor: Option<JoinHandle<()>>,
+}
+
+impl StandIn {
+    fn start() -> StandIn {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let relay: Arc<Mutex<Option<SocketAddr>>> = Arc::default();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (dialed, dials) = mpsc::channel();
+        let (to, halt) = (Arc::clone(&relay), Arc::clone(&stop));
+        let acceptor = thread::spawn(move || {
+            let mut relays = Vec::new();
+            for conn in listener.incoming() {
+                if halt.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(conn) = conn else { continue };
+                let to = *to.lock().unwrap();
+                if let Some(backend) = to {
+                    relays.push(thread::spawn(move || {
+                        let upstream = TcpStream::connect(backend).unwrap();
+                        thread::scope(|s| {
+                            s.spawn(|| pipe(&conn, &upstream));
+                            pipe(&upstream, &conn);
+                        });
+                    }));
+                }
+                let _ = dialed.send(to.is_some());
+            }
+            for r in relays {
+                r.join().expect("relay thread");
+            }
+        });
+        StandIn {
+            addr,
+            relay,
+            dials,
+            stop,
+            acceptor: Some(acceptor),
+        }
+    }
+
+    /// Relay every later connection to `backend`.
+    fn relay_to(&self, backend: SocketAddr) {
+        *self.relay.lock().unwrap() = Some(backend);
+    }
+
+    /// The next connection made here: `true` if it was relayed.
+    fn next_dial(&self) -> bool {
+        self.dials
+            .recv_timeout(HANG)
+            .expect("the prober stopped dialing")
+    }
+}
+
+impl Drop for StandIn {
+    /// Stops accepting and joins every relay, which ends once both of
+    /// its peers have closed.
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
+        }
+    }
+}
+
+/// Copy `from` to `to` until `from` ends, then end `to`'s write half.
+fn pipe(mut from: &TcpStream, mut to: &TcpStream) {
+    let _ = std::io::copy(&mut from, &mut to);
+    let _ = to.shutdown(Shutdown::Write);
+}
+
+/// Health lifecycle: a dead backend is probed every interval, demoted to
+/// `Down` (and routed around), then re-admitted automatically once it
+/// comes back up. Each verdict is read at a probe, not on a clock.
 #[test]
 fn dead_backend_is_demoted_and_readmitted_when_it_returns() {
     let bench = NipsBenchmark::Nips10;
     let nf = bench.num_vars() as u32;
     let live = start_backend(bench);
+    // The "flaky" backend's address, dark until the stand-in relays.
+    let flaky = StandIn::start();
+    let flaky_addr = flaky.addr.to_string();
 
-    // Reserve a port for the "flaky" backend, then leave it dark.
-    let flaky_addr = {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().to_string()
-    };
-
+    let policy = fast_health();
     let router = SpnRouter::start(RouterConfig {
         backends: vec![live.local_addr().to_string(), flaky_addr.clone()],
         replication: 2,
-        health: fast_health(),
+        health: policy.clone(),
         ..RouterConfig::default()
     })
     .unwrap();
 
-    let state_of = |router: &SpnRouter, id: &str| -> String {
+    let state_of = |id: &str| -> String {
         router.telemetry_snapshot().router.unwrap().backends[id]
             .state
             .clone()
     };
-    let wait_for_state = |router: &SpnRouter, id: &str, want: &str| {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while state_of(router, id) != want {
-            assert!(
-                Instant::now() < deadline,
-                "backend {id} never became {want} (is {})",
-                state_of(router, id)
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    };
 
-    // (1) The dark backend is probed down…
-    wait_for_state(&router, &flaky_addr, "down");
+    // (1) The dark backend is probed down: when the probe after the
+    // `fail_threshold`-th failed one dials, it is `Down`.
+    for _ in 0..policy.fail_threshold {
+        assert!(!flaky.next_dial(), "a dark dial was relayed");
+    }
+    flaky.next_dial();
+    assert_eq!(state_of(&flaky_addr), "down");
 
     // …while requests keep flowing through the live replica.
     let mut client = Client::connect(router.local_addr()).unwrap();
@@ -397,9 +479,14 @@ fn dead_backend_is_demoted_and_readmitted_when_it_returns() {
     }
 
     // (2) The backend comes back at its advertised address and is
-    // re-admitted after `recover_threshold` clean probes.
-    let revived = start_backend_at(bench, &flaky_addr);
-    wait_for_state(&router, &flaky_addr, "up");
+    // re-admitted after `recover_threshold` clean probes. The state is
+    // read at each dial, when a probe verdict may have changed it; a
+    // probe slower than its timeout only adds dials.
+    let revived = start_backend(bench);
+    flaky.relay_to(revived.local_addr());
+    while state_of(&flaky_addr) != "up" {
+        flaky.next_dial();
+    }
 
     let r = router.telemetry_snapshot().router.unwrap();
     assert!(
@@ -417,7 +504,48 @@ fn dead_backend_is_demoted_and_readmitted_when_it_returns() {
             .unwrap();
         assert_eq!(lls.len(), 1);
     }
-    drop(revived);
+    drop((client, router, revived));
+}
+
+/// Shutdown is an event: a router whose prober waits an hour between
+/// rounds stops at once, through `shutdown` and through drop.
+#[test]
+fn shutdown_does_not_wait_out_the_probe_interval() {
+    let backend = TcpListener::bind("127.0.0.1:0").unwrap();
+    let hour = Duration::from_secs(3600);
+    let mut router = SpnRouter::start(RouterConfig {
+        backends: vec![backend.local_addr().unwrap().to_string()],
+        health: HealthPolicy {
+            interval: hour,
+            ..fast_health()
+        },
+        read_poll: hour,
+        ..RouterConfig::default()
+    })
+    .unwrap();
+
+    // Answer the first probe and wait for the prober to hang up: it has
+    // then finished its round and, unless `shutdown` beats it there,
+    // waits out its hour. Either order must stop at once.
+    let (mut probe, _) = backend.accept().unwrap();
+    let ping = protocol::read_frame(&mut probe).unwrap();
+    assert_eq!(ping.opcode, Opcode::Ping);
+    let pong = protocol::Frame::response(Opcode::Ping, Status::Ok, vec![]);
+    protocol::write_frame(&mut probe, &pong).unwrap();
+    assert_eq!(probe.read(&mut [0u8; 1]).unwrap(), 0, "the prober hung up");
+
+    let (stopped, stops) = mpsc::channel();
+    let stopper = thread::spawn(move || {
+        router.shutdown();
+        stopped.send("shutdown").unwrap();
+        drop(router);
+        stopped.send("drop").unwrap();
+    });
+    for step in ["shutdown", "drop"] {
+        let done = stops.recv_timeout(HANG);
+        assert_eq!(done, Ok(step), "{step} waited out the probe interval");
+    }
+    stopper.join().unwrap();
 }
 
 /// The router's `Stats` opcode returns the versioned telemetry
