@@ -84,12 +84,9 @@ COMMANDS:
              [--no-transfers true] [--trace FILE.json]
              Virtual-time end-to-end performance of the accelerator card.
   accelerate --benchmark NIPS10 [--pes N] [--threads T] [--block B] [--samples S] [--jobs J]
-             [--fault-rate P] [--retries R] [--seed S] [--shards K] [--metrics FILE.json]
+             [--fault-rate P] [--retries R] [--seed S] [--metrics FILE.json]
              Drive the functional virtual card through the concurrent
              scheduler (J jobs in flight) and report a metrics snapshot.
-             With --shards K, jobs run on the scope-sharded backend:
-             the model is cut into K scope-disjoint subgraphs executed
-             concurrently and merged bit-exactly.
   emit       --model FILE.spn [--prefix PATH]
              Emit the structural Verilog netlist and ROM images.
   serve      [--benchmarks NIPS10,NIPS20] [--pes N] [--threads T] [--block B] [--port P]
@@ -393,13 +390,11 @@ fn cmd_accelerate(args: &Args) -> Result<CmdResult, CmdError> {
         "fault-rate",
         "retries",
         "seed",
-        "shards",
         "metrics",
     ])?;
     let bench = NipsBenchmark::from_name(args.get("benchmark").unwrap_or("NIPS10"))
         .ok_or_else(|| CmdError("unknown benchmark".into()))?;
     let pes = args.get_at_least("pes", 4u32, 1)?;
-    let shards = args.get_or("shards", 0u32)?;
     let jobs = args.get_or("jobs", 2usize)?;
     let samples = args.get_or("samples", 10_000usize)?;
     let seed = args.get_or("seed", 1u64)?;
@@ -412,11 +407,10 @@ fn cmd_accelerate(args: &Args) -> Result<CmdResult, CmdError> {
         .threads_per_pe(args.get_or("threads", 2u32)?)
         .build()
         .map_err(|e| CmdError(e.to_string()))?;
-    let mut opts_builder = JobOptions::builder().max_retries(args.get_or("retries", 3u32)?);
-    if shards > 0 {
-        opts_builder = opts_builder.backend(ExecBackend::Sharded(shards));
-    }
-    let opts = opts_builder.build().map_err(|e| CmdError(e.to_string()))?;
+    let opts = JobOptions::builder()
+        .max_retries(args.get_or("retries", 3u32)?)
+        .build()
+        .map_err(|e| CmdError(e.to_string()))?;
 
     let spn = bench.build_spn();
     let prog = DatapathProgram::compile(&spn);
@@ -427,11 +421,6 @@ fn cmd_accelerate(args: &Args) -> Result<CmdResult, CmdError> {
         pes,
         64 << 20,
     );
-    if shards > 0 {
-        // The sharded backend cuts the source graph, so the scheduler
-        // needs the model itself, not just the compiled datapath.
-        device = device.with_model(Arc::new(spn));
-    }
     if fault_rate > 0.0 {
         device = device.with_faults(FaultInjection {
             launch_fail_probability: fault_rate,
@@ -485,19 +474,6 @@ fn cmd_accelerate(args: &Args) -> Result<CmdResult, CmdError> {
     // Emit the unified telemetry document: no serving layer here, one
     // model driven straight through the scheduler.
     let mut telemetry = TelemetrySnapshot::empty();
-    if shards > 0 {
-        telemetry.shard = scheduler.shard_telemetry();
-        if let Some(sh) = telemetry.shard {
-            let _ = writeln!(
-                out,
-                "sharded backend: {} shards ({} shard set{}), {} blocks merged",
-                sh.shards,
-                sh.shard_sets,
-                if sh.shard_sets == 1 { "" } else { "s" },
-                sh.sharded_blocks,
-            );
-        }
-    }
     telemetry.models.insert(
         bench.name().to_string(),
         ModelTelemetry {
@@ -1032,7 +1008,7 @@ mod tests {
         )
         .unwrap();
         assert!(r.stdout.contains("3/3 jobs ok"), "stdout: {}", r.stdout);
-        assert!(r.stdout.contains("\"schema\": 5"));
+        assert!(r.stdout.contains("\"schema\": 6"));
         assert!(r.stdout.contains("\"jobs_completed\": 3"));
         assert!(r.stdout.contains("\"blocks_executed\": 15")); // 3 x ceil(300/64)
         assert!(r.stdout.contains("\"block_retries\": 0"));
@@ -1049,7 +1025,7 @@ mod tests {
         assert_eq!(r.files.len(), 1);
         assert_eq!(r.files[0].0, "/tmp/spn_metrics.json");
         let snap: serde_json::Value = serde_json::from_str(&r.files[0].1).unwrap();
-        assert_eq!(snap["schema"], 5);
+        assert_eq!(snap["schema"], 6);
         assert!(snap["server"].is_null(), "no serving layer in accelerate");
         let sched = &snap["models"]["NIPS10"]["scheduler"];
         assert_eq!(sched["jobs_completed"], 2);
@@ -1064,30 +1040,12 @@ mod tests {
         assert!(run_tokens("accelerate --fault-rate 1.5").is_err());
     }
 
+    /// Every PE runs the whole model (DESIGN.md §4 decision 9): there is
+    /// no shard count to choose, so `--shards` is an unknown flag.
     #[test]
-    fn accelerate_sharded_backend_reports_shard_telemetry() {
-        let r = run_tokens(
-            "accelerate --benchmark NIPS10 --pes 2 --jobs 2 --samples 300 --block 64 \
-             --threads 1 --shards 3",
-        )
-        .unwrap();
-        assert!(r.stdout.contains("2/2 jobs ok"), "stdout: {}", r.stdout);
-        assert!(
-            r.stdout.contains("sharded backend: 3 shards"),
-            "stdout: {}",
-            r.stdout
-        );
-        // The unified telemetry document carries the shard section.
-        assert!(
-            r.stdout.contains("\"shard_sets\": 1"),
-            "stdout: {}",
-            r.stdout
-        );
-        assert!(
-            r.stdout.contains("\"sharded_blocks\": 10"), // 2 x ceil(300/64)
-            "stdout: {}",
-            r.stdout
-        );
+    fn accelerate_rejects_the_removed_shards_flag() {
+        let err = run_tokens("accelerate --benchmark NIPS10 --shards 2").unwrap_err();
+        assert!(err.0.contains("unknown flag --shards"), "got: {}", err.0);
     }
 
     #[test]
@@ -1429,7 +1387,7 @@ mod tests {
             "got: {}",
             summary.stdout
         );
-        assert!(summary.stdout.contains("\"schema\": 5"));
+        assert!(summary.stdout.contains("\"schema\": 6"));
         // --trace produced one Chrome-trace export with both serving-
         // and device-layer spans.
         assert_eq!(summary.files.len(), 1);

@@ -79,16 +79,6 @@ impl SpnBuilder {
         }
     }
 
-    /// Number of nodes added so far.
-    pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no nodes have been added.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Finalize with `root` and run full structural validation
     /// (completeness, decomposability, normalized weights, reachability).
     pub fn finish(self, root: NodeId, name: &str) -> Result<Spn, SpnError> {
@@ -134,7 +124,7 @@ mod tests {
         let a = coin(&mut b, 0, 0.5);
         let c = coin(&mut b, 1, 0.3);
         let p = b.product(vec![a, c]);
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.nodes.len(), 3);
         let spn = b.finish(p, "t").unwrap();
         assert_eq!(spn.num_vars(), 2);
         assert_eq!(spn.name, "t");

@@ -14,8 +14,6 @@
 //! * compiled inference plans — flat instruction buffers with leaf
 //!   lookup tables and a batched executor, bit-exact against the
 //!   tree-walk oracle ([`plan`]), at the CPU's widest tier ([`isa`]),
-//! * scope-aware sharding — cut one network into K scope-disjoint
-//!   subgraphs plus a merge plan, still bit-exact ([`shard`]),
 //! * the SPFlow-compatible textual interchange format ([`text`]),
 //! * LearnSPN-style structure learning ([`learn`]),
 //! * RAT-SPN-style random generation ([`random`]),
@@ -38,8 +36,7 @@ pub mod plan;
 pub mod query;
 pub mod random;
 pub mod sample;
-pub mod scope;
-pub mod shard;
+mod scope;
 pub mod text;
 pub mod transform;
 pub mod validate;
@@ -56,8 +53,6 @@ pub use plan::{CompiledPlan, PlanExecutor, PlanStats};
 pub use query::Query;
 pub use random::{random_spn, RandomSpnConfig};
 pub use sample::Sampler;
-pub use scope::Scope;
-pub use shard::{MergeOp, MergePlan, Shard, ShardPlan};
 pub use text::{from_text, to_text};
 pub use transform::{discretize, normalize_weights, prune};
 pub use validate::{validate, SpnError};

@@ -1,5 +1,5 @@
 //! The one `exp` and the one `ln` behind every log-sum-exp in this
-//! crate (oracle, compiled plan, sharded merge, EM's upward pass).
+//! crate (oracle, compiled plan, EM's upward pass).
 //!
 //! The paper's datapath has no math library in it — every operator is
 //! an adder, a multiplier or a table — and since this module the host

@@ -22,9 +22,8 @@
 //!   datapath feeds a histogram lookup straight into its multiplier
 //!   tree. Every other value takes a scratch row from a free list and
 //!   gives it back after its last reader, so the scratch holds what is
-//!   live at once (12 rows for NIPS80's 283 nodes). The rows a caller
-//!   reads — the root, or a shard's taps — are fixed at compile time
-//!   and never freed.
+//!   live at once (12 rows for NIPS80's 283 nodes). The root's row,
+//!   the one a caller reads, is never freed.
 //! * **Sums that read the same children share a max and an `exp`
 //!   pass.** A sum whose `w > 0` children are the same nodes, in the
 //!   same order, as those of the sum op just before it joins that op. A
@@ -175,10 +174,8 @@ pub struct CompiledPlan {
     leaves: Vec<LeafTable>,
     /// Scratch rows a pass needs: the most values live at once.
     scratch_rows: usize,
-    /// The nodes whose values a pass yields, in order.
-    outputs: Vec<u32>,
-    /// Their scratch rows.
-    output_rows: Vec<u32>,
+    /// The scratch row of the root, the one value a pass yields.
+    root_row: u32,
     num_vars: usize,
     name: String,
     stats: PlanStats,
@@ -200,34 +197,18 @@ fn operands(node: &Node) -> impl Iterator<Item = (usize, f64)> + '_ {
 }
 
 impl CompiledPlan {
-    /// Lower `spn` into a flat plan whose one output is the root. Cost
+    /// Lower `spn` into a flat plan that yields the root's value. Cost
     /// is one pass over the arena plus, per leaf, one walk of its
     /// buckets ([`Leaf::byte_table`](crate::Leaf::byte_table)) with a
     /// `ln` per bucket.
     pub fn compile(spn: &Spn) -> CompiledPlan {
-        CompiledPlan::compile_with_outputs(spn, &[spn.root().0])
-    }
-
-    /// Lower `spn` into a flat plan that yields, for every row, the
-    /// values of the nodes `outputs` (arena indices) in that order —
-    /// how the sharded executor reads a shard's taps.
-    ///
-    /// # Panics
-    /// Panics if an output is not a node of `spn`.
-    pub fn compile_with_outputs(spn: &Spn, outputs: &[u32]) -> CompiledPlan {
         let (nodes, shape) = (spn.nodes(), spn.stats());
-        let n = nodes.len();
-        assert!(
-            outputs.iter().all(|&o| (o as usize) < n),
-            "output out of range for a {n}-node network: {outputs:?}"
-        );
+        let (n, root) = (nodes.len(), spn.root().index());
         // Who reads each value: the ops of its live parents, and —
-        // without end — the caller, for an output. A value nobody reads
+        // without end — the caller, for the root. A value nobody reads
         // is dead and gets no op.
         let (mut readers, mut read_by_product) = (vec![0u32; n], vec![false; n]);
-        for &o in outputs {
-            readers[o as usize] = u32::MAX;
-        }
+        readers[root] = u32::MAX;
         for (i, node) in nodes.iter().enumerate().rev() {
             if readers[i] > 0 {
                 for (c, _) in operands(node) {
@@ -313,8 +294,7 @@ impl CompiledPlan {
             weights,
             leaves,
             scratch_rows: rows as usize,
-            outputs: outputs.to_vec(),
-            output_rows: outputs.iter().map(|&o| row_of[o as usize]).collect(),
+            root_row: row_of[root],
             num_vars: spn.num_vars(),
             name: spn.name.clone(),
             stats: PlanStats {
@@ -331,11 +311,6 @@ impl CompiledPlan {
     /// Number of variables the source network models.
     pub fn num_vars(&self) -> usize {
         self.num_vars
-    }
-
-    /// The nodes whose values a pass yields per row, in order.
-    pub fn outputs(&self) -> &[u32] {
-        &self.outputs
     }
 
     /// Name of the source network.
@@ -383,11 +358,9 @@ impl<'p> PlanExecutor<'p> {
         self.plan
     }
 
-    /// Evaluate `query` over every row of `data`: the plan's outputs
-    /// for each sample, in order (one value per sample for a plan
-    /// compiled with [`CompiledPlan::compile`]). For [`Query::Mpe`] the
-    /// result is the max log-probability (the oracle's upward-pass root
-    /// value).
+    /// Evaluate `query` over every row of `data`: the root's value for
+    /// each sample, in order. For [`Query::Mpe`] the result is the max
+    /// log-probability (the oracle's upward-pass root value).
     ///
     /// # Panics
     /// Panics if the dataset width or query mask does not match the
@@ -405,11 +378,9 @@ impl<'p> PlanExecutor<'p> {
     }
 
     /// Evaluate `query` over rows packed contiguously in `raw`
-    /// (`num_features` bytes per row), appending each row's output
-    /// values to `out` in output order (sample-major). This is the
-    /// zero-copy entry the runtime's host backend feeds block-sized
-    /// dataset slices through, and the sharded backend reads a shard's
-    /// taps through.
+    /// (`num_features` bytes per row), appending each row's root value
+    /// to `out` in row order. This is the zero-copy entry the runtime's
+    /// host backend feeds block-sized dataset slices through.
     ///
     /// Whole [`LANES`]-row chunks, then 16-row chunks, then single rows
     /// go through the same kernel.
@@ -438,7 +409,7 @@ impl<'p> PlanExecutor<'p> {
         );
         query.check_arity(nf);
         let rows = raw.len() / nf;
-        out.reserve(rows * self.plan.outputs.len());
+        out.reserve(rows);
         // As wide as the widest pass this call runs.
         let widest = [LANES, TAIL_LANES, 1].into_iter().find(|&w| rows >= w);
         let need = self.plan.scratch_rows * widest.unwrap_or(0);
@@ -451,7 +422,7 @@ impl<'p> PlanExecutor<'p> {
     }
 
     /// Run every whole `W`-row chunk at the front of `raw` through the
-    /// kernel, appending each row's outputs to `out`, and return the
+    /// kernel, appending each row's root value to `out`, and return the
     /// rows left over. A chunk runs at the widest tier this CPU
     /// supports, a single row at `Base`: one lane has no register to
     /// widen into.
@@ -470,9 +441,9 @@ impl<'p> PlanExecutor<'p> {
             } else {
                 isa::run(&chunk, rows, &mut self.scratch);
             }
-            // Sample-major: row by row, each row's outputs in order.
-            let (scratch, outputs) = (&self.scratch, &plan.output_rows);
-            (0..W).for_each(|l| out.extend(outputs.iter().map(|&r| scratch[r as usize * W + l])));
+            // The root row's `W` lanes are the chunk's rows, in order.
+            let root = plan.root_row as usize * W;
+            out.extend_from_slice(&self.scratch[root..root + W]);
             raw = rest;
         }
         raw
@@ -731,32 +702,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tap_extraction_matches_scratch_semantics() {
-        let spn = mixture();
-        let data = all_rows();
-        // Tapping the root reproduces the root path bit for bit;
-        // tapping a leaf yields that leaf's table value.
-        let root = (spn.len() - 1) as u32;
-        let tapped = CompiledPlan::compile_with_outputs(&spn, &[root, 0]);
-        let tapped = PlanExecutor::new(&tapped).eval_batch(&Query::Complete, &data);
-        assert_eq!(tapped.len(), 2 * data.num_samples());
-        let plan = CompiledPlan::compile(&spn);
-        let roots = PlanExecutor::new(&plan).eval_batch(&Query::Complete, &data);
-        for i in 0..data.num_samples() {
-            assert_eq!(tapped[2 * i].to_bits(), roots[i].to_bits());
-            // Leaf 0 models var 0 with P(0) = P(1) = 0.5.
-            assert!((tapped[2 * i + 1] - 0.5f64.ln()).abs() < 1e-12);
-        }
-    }
-
     /// Every tier this CPU supports against `Base`, through
     /// `isa::run_on`: every op's lanes of every whole chunk of the
     /// cascade, `to_bits`, on the five benchmark networks and the three
-    /// query shapes. Two plans per network: the root-only plan (in-place
-    /// leaves, reused rows) and one whose every node is an output, so
-    /// each node's value keeps its own row and is compared. Each batch
-    /// also goes through `eval_batch` against the tree-walk oracle, at
+    /// query shapes. Each batch also goes through `eval_batch` against
+    /// the tree-walk oracle, at
     /// sizes that take every step of the cascade (single rows run at
     /// `Base` only).
     #[test]
@@ -791,9 +741,6 @@ mod tests {
         for bench in crate::nips::ALL_BENCHMARKS {
             let spn = bench.build_spn();
             let plan = CompiledPlan::compile(&spn);
-            let every_node: Vec<u32> = (0..spn.len() as u32).collect();
-            let every_node = CompiledPlan::compile_with_outputs(&spn, &every_node);
-            assert_eq!(every_node.scratch_rows, spn.len());
             let nf = plan.num_vars();
             let mask: Vec<bool> = (0..nf).map(|v| v % 3 != 0).collect();
             let queries = [
@@ -816,10 +763,8 @@ mod tests {
                         "{case}: row {i} against the oracle"
                     );
                 }
-                for plan in [&plan, &every_node] {
-                    let rest = same_bits::<LANES>(plan, query, data.raw(), &case);
-                    same_bits::<TAIL_LANES>(plan, query, rest, &case);
-                }
+                let rest = same_bits::<LANES>(&plan, query, data.raw(), &case);
+                same_bits::<TAIL_LANES>(&plan, query, rest, &case);
             }
         }
     }
@@ -851,12 +796,6 @@ mod tests {
         };
         assert_eq!(sum_ops(NipsBenchmark::Nips80), (31, 16));
         assert_eq!(sum_ops(NipsBenchmark::Nips10), (3, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn tap_out_of_range_panics() {
-        CompiledPlan::compile_with_outputs(&mixture(), &[99]);
     }
 
     #[test]

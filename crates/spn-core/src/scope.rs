@@ -11,7 +11,7 @@ use std::fmt;
 
 /// A set of variable indices.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct Scope {
+pub(crate) struct Scope {
     words: Vec<u64>,
 }
 
@@ -48,20 +48,9 @@ impl Scope {
         !had
     }
 
-    /// Membership test.
-    pub fn contains(&self, var: usize) -> bool {
-        let (w, b) = (var / 64, var % 64);
-        self.words.get(w).is_some_and(|&word| word & (1 << b) != 0)
-    }
-
     /// Number of variables in the scope.
     pub(crate) fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when no variable is in scope.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
     }
 
     /// Union with another scope, in place.
@@ -72,14 +61,6 @@ impl Scope {
         for (a, &b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
-    }
-
-    /// True when every variable of `self` is also in `other`.
-    pub(crate) fn is_subset(&self, other: &Scope) -> bool {
-        self.words.iter().enumerate().all(|(i, &a)| {
-            let b = other.words.get(i).copied().unwrap_or(0);
-            a & !b == 0
-        })
     }
 
     /// Structural equality ignoring trailing zero words.
@@ -112,6 +93,25 @@ impl FromIterator<usize> for Scope {
 
 #[cfg(test)]
 impl Scope {
+    /// Membership test.
+    pub(crate) fn contains(&self, var: usize) -> bool {
+        let (w, b) = (var / 64, var % 64);
+        self.words.get(w).is_some_and(|&word| word & (1 << b) != 0)
+    }
+
+    /// True when no variable is in scope.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// True when every variable of `self` is also in `other`.
+    pub(crate) fn is_subset(&self, other: &Scope) -> bool {
+        self.words.iter().enumerate().all(|(i, &a)| {
+            let b = other.words.get(i).copied().unwrap_or(0);
+            a & !b == 0
+        })
+    }
+
     /// Scope containing all variables in `0..n`.
     pub(crate) fn full(n: usize) -> Self {
         let mut s = Scope::empty();

@@ -362,7 +362,6 @@ impl Router {
             models: BTreeMap::new(),
             plan: None,
             router: Some(self.metrics.snapshot(&self.backends)),
-            shard: None,
             reactor: None,
         }
     }

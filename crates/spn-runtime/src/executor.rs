@@ -2,23 +2,20 @@
 //!
 //! The claim core decides *which* block runs next, the scheduler *where
 //! its results go*; a [`BlockExecutor`] decides *how* the block's
-//! samples become probabilities. There are exactly three, each beside
+//! samples become probabilities. There are exactly two, each beside
 //! the code it drives: [`VirtualDevice`] (the alloc → h2d → launch →
-//! d2h pipeline), [`CompiledPlan`] (in `plan_cache.rs`: the batched
-//! host interpreter) and [`ShardedExecutor`] (concurrent shards, then
-//! the merge). [`Executors`] turns a job's [`ExecBackend`] into one of
-//! them once, at submission; workers never look a backend up again.
+//! d2h pipeline) and [`CompiledPlan`] (in `plan_cache.rs`: the batched
+//! host interpreter). [`Executors`] turns a job's [`ExecBackend`] into
+//! one of them once, at submission; workers never look a backend up
+//! again.
 
 use crate::device::VirtualDevice;
 use crate::job::ExecBackend;
 use crate::metrics::MetricsRegistry;
 use crate::plan_cache::PlanCache;
 use crate::runtime::{ExecProvenance, RuntimeError};
-use crate::sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
-use parking_lot::Mutex;
-use spn_core::{CompiledPlan, ShardPlan};
-use spn_telemetry::{LiveSpan, ShardTelemetry, SpanCtx, SpanKind, TraceCollector};
-use std::collections::HashMap;
+use spn_core::CompiledPlan;
+use spn_telemetry::{LiveSpan, SpanCtx, SpanKind, TraceCollector};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -83,18 +80,15 @@ pub(crate) fn to_probabilities(log_likelihoods: &mut [f64]) {
 /// than per-block about them.
 pub(crate) struct Executors {
     device: Arc<VirtualDevice>,
-    /// Every plan below compiles through this cache (shareable across
+    /// The plan below compiles through this cache (shareable across
     /// schedulers — a server passes one to all its models).
     plan_cache: Arc<PlanCache>,
-    trace: Option<Arc<TraceCollector>>,
     /// The device model's plan, compiled eagerly when the device
     /// carries its model ([`VirtualDevice::with_model`]).
     plan: Option<Arc<CompiledPlan>>,
     /// Whether a `HostPlan` job finds the plan already paid for: it
     /// came out of a warm cache, or an earlier job has used it.
     plan_warm: AtomicBool,
-    /// Shard executors by requested shard count, built on first use.
-    sharded: Mutex<HashMap<u32, Arc<ShardedExecutor>>>,
 }
 
 impl Executors {
@@ -103,23 +97,23 @@ impl Executors {
     pub(crate) fn new(
         device: Arc<VirtualDevice>,
         plan_cache: Arc<PlanCache>,
-        trace: Option<Arc<TraceCollector>>,
+        trace: Option<&TraceCollector>,
     ) -> Self {
         let t0 = Instant::now();
         let compiled = device.model().map(|m| plan_cache.get_or_compile(m));
         let (plan, hit) = compiled.unzip();
-        let executors = Executors {
+        // A compile serves no single request and runs on no control
+        // thread: no trace context, PE 0, a track of its own.
+        if let (Some(false), Some(t)) = (hit, trace) {
+            let (ctx, tid) = (SpanCtx::NONE, LiveSpan::NO_THREAD);
+            t.record(SpanKind::PlanCompile, ctx, 0, tid, 0, t0..Instant::now());
+        }
+        Executors {
             device,
             plan_cache,
-            trace,
             plan,
             plan_warm: AtomicBool::new(hit == Some(true)),
-            sharded: Mutex::new(HashMap::new()),
-        };
-        if hit == Some(false) {
-            executors.compile_span(t0);
         }
-        executors
     }
 
     /// The executor for `backend` and the provenance its results will
@@ -134,16 +128,16 @@ impl Executors {
             // coerce to the trait object.)
             ExecBackend::Device => (self.device.clone(), ExecProvenance::Device),
             ExecBackend::HostPlan => {
-                let plan = self.plan.as_ref().ok_or_else(|| needs_model("HostPlan"))?;
+                let plan = self
+                    .plan
+                    .as_ref()
+                    .ok_or_else(|| RuntimeError::InvalidConfig {
+                        reason: "HostPlan backend requires a device built with its model \
+                             (VirtualDevice::with_model)"
+                            .into(),
+                    })?;
                 let cache_hit = self.plan_warm.swap(true, Ordering::Relaxed);
                 (plan.clone(), ExecProvenance::CompiledPlan { cache_hit })
-            }
-            ExecBackend::Sharded(k) => {
-                let ex = self.sharded_executor(k)?;
-                // The *effective* count: the cut clamps to the model's
-                // atomic scope regions.
-                let shards = ex.num_shards() as u32;
-                (ex, ExecProvenance::Sharded { shards })
             }
         })
     }
@@ -151,57 +145,6 @@ impl Executors {
     /// The plan cache the executors compile through.
     pub(crate) fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.plan_cache
-    }
-
-    /// Counters of the sharded path, or `None` before the first
-    /// `Sharded` resolution.
-    pub(crate) fn shard_telemetry(&self) -> Option<ShardTelemetry> {
-        let map = self.sharded.lock();
-        (!map.is_empty()).then(|| ShardTelemetry {
-            shard_sets: map.len() as u64,
-            shards: map.values().map(|ex| ex.num_shards() as u64).sum(),
-            sharded_blocks: map.values().map(|ex| ex.blocks_run()).sum(),
-        })
-    }
-
-    /// The shard executor for a requested count: cut the device model
-    /// with [`DEFAULT_SHARD_SEED`] on first use (the cut is a pure
-    /// function, so every job asking for `k` shares one executor and
-    /// warm shard plans).
-    fn sharded_executor(&self, k: u32) -> Result<Arc<ShardedExecutor>, RuntimeError> {
-        if k == 0 {
-            return Err(RuntimeError::InvalidConfig {
-                reason: "Sharded backend needs at least 1 shard".into(),
-            });
-        }
-        let model = self.device.model().ok_or_else(|| needs_model("Sharded"))?;
-        let mut map = self.sharded.lock();
-        if let Some(ex) = map.get(&k) {
-            return Ok(Arc::clone(ex));
-        }
-        let t0 = Instant::now();
-        let plan = Arc::new(ShardPlan::cut(model, k as usize, DEFAULT_SHARD_SEED));
-        let ex = Arc::new(ShardedExecutor::new(plan, &self.plan_cache));
-        self.compile_span(t0);
-        map.insert(k, Arc::clone(&ex));
-        Ok(ex)
-    }
-
-    /// Plan compiles serve no single request and run on no control
-    /// thread: no trace context, PE 0, a track of their own.
-    fn compile_span(&self, t0: Instant) {
-        if let Some(t) = self.trace.as_deref() {
-            let (ctx, tid) = (SpanCtx::NONE, LiveSpan::NO_THREAD);
-            t.record(SpanKind::PlanCompile, ctx, 0, tid, 0, t0..Instant::now());
-        }
-    }
-}
-
-fn needs_model(backend: &str) -> RuntimeError {
-    RuntimeError::InvalidConfig {
-        reason: format!(
-            "{backend} backend requires a device built with its model (VirtualDevice::with_model)"
-        ),
     }
 }
 
@@ -259,31 +202,10 @@ mod tests {
             provenance(&cold, ExecBackend::Device).unwrap(),
             ExecProvenance::Device
         );
-        // The effective shard count, one executor per requested count.
-        assert_eq!(cold.shard_telemetry(), None);
-        match provenance(&cold, ExecBackend::Sharded(2)).unwrap() {
-            ExecProvenance::Sharded { shards } => assert!((1..=2).contains(&shards)),
-            other => panic!("unexpected provenance {other:?}"),
-        }
-        provenance(&cold, ExecBackend::Sharded(2)).unwrap();
-        assert_eq!(cold.shard_telemetry().unwrap().shard_sets, 1);
 
         let bare = executors(false, &cache);
-        for backend in [
-            ExecBackend::HostPlan,
-            ExecBackend::Sharded(2),
-            ExecBackend::Sharded(0),
-        ] {
-            assert!(
-                matches!(
-                    provenance(&bare, backend),
-                    Err(RuntimeError::InvalidConfig { .. })
-                ),
-                "{backend:?}"
-            );
-        }
         assert!(matches!(
-            provenance(&cold, ExecBackend::Sharded(0)),
+            provenance(&bare, ExecBackend::HostPlan),
             Err(RuntimeError::InvalidConfig { .. })
         ));
         assert!(provenance(&bare, ExecBackend::Device).is_ok());

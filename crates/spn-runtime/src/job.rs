@@ -59,14 +59,6 @@ pub enum ExecBackend {
     /// ([`crate::VirtualDevice::with_model`]); submission is rejected
     /// otherwise.
     HostPlan,
-    /// Scope-sharded execution across `k` concurrent shard devices:
-    /// the model is cut into (at most) `k` scope-disjoint shards
-    /// ([`spn_core::ShardPlan`]) which each block evaluates in
-    /// parallel, merging the shard partials into the root value
-    /// ([`crate::ShardedExecutor`]). Full f64 precision, bit-identical
-    /// to [`ExecBackend::HostPlan`]. Requires the device model, like
-    /// `HostPlan`; `Sharded(0)` is rejected at build/submission.
-    Sharded(u32),
 }
 
 /// Per-job options for [`crate::scheduler::Scheduler::submit`].
@@ -165,11 +157,6 @@ impl JobOptionsBuilder {
                 reason: "num_pes must be at least 1".into(),
             });
         }
-        if self.opts.backend == ExecBackend::Sharded(0) {
-            return Err(RuntimeError::InvalidConfig {
-                reason: "Sharded backend needs at least 1 shard".into(),
-            });
-        }
         Ok(self.opts)
     }
 }
@@ -196,20 +183,6 @@ mod tests {
             JobOptions::builder().num_pes(0).build(),
             Err(RuntimeError::InvalidConfig { .. })
         ));
-        assert!(matches!(
-            JobOptions::builder()
-                .backend(ExecBackend::Sharded(0))
-                .build(),
-            Err(RuntimeError::InvalidConfig { .. })
-        ));
-        assert_eq!(
-            JobOptions::builder()
-                .backend(ExecBackend::Sharded(4))
-                .build()
-                .unwrap()
-                .backend,
-            ExecBackend::Sharded(4)
-        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! performance simulation that regenerates its figures. [`scheduler`]
 //! is the one way to run a job, one or many at a time: a persistent pool
 //! of control threads over the virtual [`device`], each block run by one
-//! of three executors (the device pipeline, a [`plan_cache`] plan, a
-//! [`sharded`] cut). Its claim core is the one [`perf`] drives in virtual
-//! time for Figs. 4 and 6.
+//! of two executors (the device pipeline or a [`plan_cache`] plan). Its
+//! claim core is the one [`perf`] drives in virtual time for Figs. 4
+//! and 6.
 //!
 //! ## Runtime API in one example
 //!
@@ -49,7 +49,6 @@ pub mod perf;
 pub mod plan_cache;
 pub mod runtime;
 pub mod scheduler;
-pub mod sharded;
 pub mod streaming;
 
 pub use analysis::{
@@ -63,7 +62,6 @@ pub use perf::{scaling_series, simulate, simulate_traced, PerfConfig, PerfResult
 pub use plan_cache::PlanCache;
 pub use runtime::{RuntimeConfig, RuntimeConfigBuilder, RuntimeError};
 pub use scheduler::{JobHandle, JobResult, JobStatus, Scheduler};
-pub use sharded::{ShardedExecutor, DEFAULT_SHARD_SEED};
 pub use streaming::{
     min_replication_for_line_rate, simulate_streaming, StreamingModel, StreamingSimConfig,
     StreamingSimResult,

@@ -4,11 +4,10 @@
 //! network but still far too expensive to repeat per request. The
 //! [`PlanCache`] memoizes compilations keyed by
 //! [`Spn::fingerprint`] — a structural hash over topology, weights and
-//! leaf parameters — plus the plan's outputs (the root, or a shard's
-//! taps), so every scheduler (and, through a shared cache, every model
-//! a server hosts) compiles each distinct model exactly once. Plans are
-//! handed out as `Arc`s: executors borrow them concurrently while the
-//! cache retains its copy.
+//! leaf parameters — so every scheduler (and, through a shared cache,
+//! every model a server hosts) compiles each distinct model exactly
+//! once. Plans are handed out as `Arc`s: executors borrow them
+//! concurrently while the cache retains its copy.
 //!
 //! The cache also keeps hit/miss/invalidation counters that surface in
 //! the unified telemetry document as the `plan` section
@@ -29,8 +28,8 @@ use std::time::Instant;
 /// Thread-safe; cheap to share via `Arc`. See the module docs.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    /// Per fingerprint, one plan per distinct output list.
-    plans: Mutex<HashMap<u64, Vec<Arc<CompiledPlan>>>>,
+    /// One plan per fingerprint.
+    plans: Mutex<HashMap<u64, Arc<CompiledPlan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -42,22 +41,12 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// The root-output plan for `spn`, compiling it on a miss. The
-    /// boolean is `true` when the plan came from the cache.
+    /// The plan for `spn`, compiling it on a miss. The boolean is
+    /// `true` when the plan came from the cache.
     pub fn get_or_compile(&self, spn: &Spn) -> (Arc<CompiledPlan>, bool) {
-        self.get_or_compile_with_outputs(spn, &[spn.root().0])
-    }
-
-    /// [`PlanCache::get_or_compile`] for a plan that yields the nodes
-    /// `outputs` ([`CompiledPlan::compile_with_outputs`]).
-    pub(crate) fn get_or_compile_with_outputs(
-        &self,
-        spn: &Spn,
-        outputs: &[u32],
-    ) -> (Arc<CompiledPlan>, bool) {
         let mut plans = self.plans.lock();
-        let same = plans.entry(spn.fingerprint()).or_default();
-        if let Some(plan) = same.iter().find(|p| p.outputs() == outputs) {
+        let fingerprint = spn.fingerprint();
+        if let Some(plan) = plans.get(&fingerprint) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(plan), true);
         }
@@ -65,16 +54,16 @@ impl PlanCache {
         // would otherwise compile twice, and plan compilation is fast
         // enough (one linear pass) that blocking peers is the lesser
         // evil.
-        let plan = Arc::new(CompiledPlan::compile_with_outputs(spn, outputs));
-        same.push(Arc::clone(&plan));
+        let plan = Arc::new(CompiledPlan::compile(spn));
+        plans.insert(fingerprint, Arc::clone(&plan));
         self.misses.fetch_add(1, Ordering::Relaxed);
         (plan, false)
     }
 
-    /// Drop the plans compiled for `spn`, whatever their outputs
-    /// (after retraining, say, the fingerprint changes and the stale
-    /// entry would never be hit again — but an *in-place* parameter
-    /// update reuses the old fingerprint's slot until invalidated).
+    /// Drop the plan compiled for `spn` (after retraining, say, the
+    /// fingerprint changes and the stale entry would never be hit again
+    /// — but an *in-place* parameter update reuses the old
+    /// fingerprint's slot until invalidated).
     /// Returns `true` if an entry was removed.
     pub fn invalidate(&self, spn: &Spn) -> bool {
         let removed = self.plans.lock().remove(&spn.fingerprint()).is_some();
@@ -86,7 +75,7 @@ impl PlanCache {
 
     /// Number of plans currently cached.
     pub fn len(&self) -> usize {
-        self.plans.lock().values().map(Vec::len).sum()
+        self.plans.lock().len()
     }
 
     /// True when no plan is cached.
@@ -175,25 +164,6 @@ mod tests {
         let (_, hit) = cache.get_or_compile(&renamed);
         assert!(hit, "fingerprint ignores the name");
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn each_output_list_gets_its_own_plan() {
-        let cache = PlanCache::new();
-        let spn = model(1);
-        let root = spn.root().0;
-        let (root_only, _) = cache.get_or_compile(&spn);
-        let (tapped, hit) = cache.get_or_compile_with_outputs(&spn, &[0, root]);
-        assert!(!hit, "same network, other outputs: a new plan");
-        assert_eq!(cache.len(), 2);
-        assert_eq!(root_only.outputs(), &[root][..]);
-        assert_eq!(tapped.outputs(), &[0, root][..]);
-        let (again, hit) = cache.get_or_compile_with_outputs(&spn, &[0, root]);
-        assert!(hit);
-        assert!(Arc::ptr_eq(&tapped, &again));
-        assert!(cache.invalidate(&spn), "one invalidation drops both plans");
-        assert!(cache.is_empty());
-        assert_eq!(cache.telemetry().invalidations, 1);
     }
 
     #[test]

@@ -246,15 +246,6 @@ pub(crate) enum ExecProvenance {
         /// Whether the plan came out of a warm cache.
         cache_hit: bool,
     },
-    /// Executed by the scope-sharded multi-device path
-    /// ([`crate::ShardedExecutor`], full f64 precision): the model was
-    /// cut into `shards` scope-disjoint subgraphs evaluated
-    /// concurrently and merged.
-    Sharded {
-        /// Effective shard count of the cut (≤ the requested count
-        /// when the model has fewer atomic scope regions).
-        shards: u32,
-    },
 }
 
 #[cfg(test)]

@@ -19,9 +19,8 @@
 //! [`crate::job::ExecBackend`] is resolved at submission into a block
 //! executor, and every control thread runs one loop for every block —
 //! slice the input, run the executor, store the results. What a device
-//! transfer, a compiled plan or a shard cut *is* lives with the
-//! executors, beside [`VirtualDevice`], [`PlanCache`] and
-//! [`crate::ShardedExecutor`].
+//! transfer or a compiled plan *is* lives with the executors, beside
+//! [`VirtualDevice`] and [`PlanCache`].
 
 use crate::device::VirtualDevice;
 use crate::dispatch::{Admitted, Claim, Dispatch, Ended};
@@ -240,7 +239,7 @@ impl Scheduler {
         let num_pes = device.num_pes();
         let num_workers = (num_pes * config.threads_per_pe) as usize;
         let shared = Arc::new(Shared {
-            executors: Executors::new(Arc::clone(&device), plan_cache, trace.clone()),
+            executors: Executors::new(Arc::clone(&device), plan_cache, trace.as_deref()),
             device,
             config,
             pe_cfg,
@@ -286,13 +285,6 @@ impl Scheduler {
     /// The plan cache this scheduler compiles through.
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         self.shared.executors.plan_cache()
-    }
-
-    /// Counters of the sharded execution path, or `None` when no
-    /// sharded job has been submitted yet — the `shard` section of the
-    /// unified telemetry document.
-    pub fn shard_telemetry(&self) -> Option<spn_telemetry::ShardTelemetry> {
-        self.shared.executors.shard_telemetry()
     }
 
     /// Convenience: a point-in-time [`MetricsSnapshot`].
@@ -919,13 +911,11 @@ mod tests {
     fn other_jobs_run_on_control_threads() {
         let bench = NipsBenchmark::Nips10;
         let host = backend(ExecBackend::HostPlan);
-        let sharded = backend(ExecBackend::Sharded(2));
         let over = INLINE_OP_ROWS / bench.build_spn().stats().nodes + 1;
         let me = std::thread::current().id();
         // (case, block samples, rows, options, blocking)
         let cases = [
             ("a Device job", 64, 1, JobOptions::default(), false),
-            ("a Sharded(2) job", 64, 1, sharded, false),
             ("a two-block job", 1, 2, host, false),
             ("a block over INLINE_OP_ROWS", 64, over, host, false),
             ("submit_blocking_then", 64, 1, host, true),

@@ -147,7 +147,7 @@ impl Default for ServerMetrics {
 /// Lock-free counters of one reactor: its handle owns them, the accept
 /// path and every event loop record into them, and the `Stats` opcode
 /// hands them to the service for the telemetry document's `reactor`
-/// section (schema v5).
+/// section (since schema v5).
 #[derive(Debug, Default)]
 pub struct ReactorMetrics {
     loop_threads: AtomicU64,

@@ -30,8 +30,8 @@ use crate::reactor::{self, ReactorConfig, ReactorHandle, Upstream};
 use spn_core::out_of_domain;
 use spn_runtime::{ExecBackend, JobOptions, PlanCache, Scheduler};
 use spn_telemetry::{
-    BatcherTelemetry, ModelTelemetry, PlanTelemetry, ShardTelemetry, SpanCtx, TelemetrySnapshot,
-    TraceCollector, TELEMETRY_SCHEMA_VERSION,
+    BatcherTelemetry, ModelTelemetry, PlanTelemetry, SpanCtx, TelemetrySnapshot, TraceCollector,
+    TELEMETRY_SCHEMA_VERSION,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -463,28 +463,12 @@ impl ServerService {
             plan.cache_misses += t.cache_misses;
             plan.invalidations += t.invalidations;
         }
-        // Aggregate sharded-path counters across the models' schedulers;
-        // the section stays `null` until some model runs a sharded job.
-        let mut shard: Option<ShardTelemetry> = None;
-        for handle in self.models.values() {
-            if let Some(t) = handle.scheduler.shard_telemetry() {
-                let acc = shard.get_or_insert(ShardTelemetry {
-                    shard_sets: 0,
-                    shards: 0,
-                    sharded_blocks: 0,
-                });
-                acc.shard_sets += t.shard_sets;
-                acc.shards += t.shards;
-                acc.sharded_blocks += t.sharded_blocks;
-            }
-        }
         TelemetrySnapshot {
             schema: TELEMETRY_SCHEMA_VERSION,
             server: Some(self.metrics.snapshot()),
             models,
             plan: Some(plan),
             router: None,
-            shard,
             reactor: Some(reactor.snapshot()),
         }
     }

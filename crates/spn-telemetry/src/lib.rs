@@ -33,7 +33,7 @@ pub use histogram::AtomicHistogram;
 pub use sim_core::HistogramSummary;
 pub use snapshot::{
     BackendTelemetry, BatcherTelemetry, ModelTelemetry, PlanTelemetry, ReactorTelemetry,
-    RouterTelemetry, SchedulerTelemetry, ServingTelemetry, ShardTelemetry, TelemetrySnapshot,
+    RouterTelemetry, SchedulerTelemetry, ServingTelemetry, TelemetrySnapshot,
     TELEMETRY_SCHEMA_VERSION,
 };
 pub use span::{chrome_trace_json, LiveSpan, SpanKind};

@@ -21,11 +21,13 @@ use std::collections::BTreeMap;
 /// Version stamp of the [`TelemetrySnapshot`] JSON schema.
 /// Version 2 added the optional top-level `plan` section
 /// ([`PlanTelemetry`]); version 3 added the optional top-level
-/// `router` section ([`RouterTelemetry`]); version 4 added the
-/// optional top-level `shard` section ([`ShardTelemetry`]); version 5
-/// added the optional top-level `reactor` section
-/// ([`ReactorTelemetry`]).
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 5;
+/// `router` section ([`RouterTelemetry`]); version 4 added an
+/// optional top-level `shard` section (scope-sharded execution);
+/// version 5 added the optional top-level `reactor` section
+/// ([`ReactorTelemetry`]); version 6 removed the `shard` section with
+/// the sharded backend. A v4 or v5 document still parses: the unknown
+/// `shard` key is ignored.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 6;
 
 /// Point-in-time counters of one scheduler (`spn-runtime`'s
 /// `MetricsRegistry`). Field order = JSON key order.
@@ -110,19 +112,6 @@ pub struct PlanTelemetry {
     pub cache_misses: u64,
     /// Plans evicted by explicit invalidation.
     pub invalidations: u64,
-}
-
-/// Point-in-time counters of the scope-sharded execution path
-/// (`spn-runtime`'s scheduler, `ExecBackend::Sharded` jobs). Field
-/// order = JSON key order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardTelemetry {
-    /// Distinct cuts built (one per requested shard count).
-    pub shard_sets: u64,
-    /// Effective shards across all cuts.
-    pub shards: u64,
-    /// Blocks executed through the sharded path.
-    pub sharded_blocks: u64,
 }
 
 /// Point-in-time counters of the nonblocking serving front-end
@@ -219,9 +208,6 @@ pub struct TelemetrySnapshot {
     /// Cluster front-end counters; `null` outside a router context.
     /// Absent in pre-v3 documents (tolerated as `None` on parse).
     pub router: Option<RouterTelemetry>,
-    /// Sharded-execution counters; `null` when no sharded job has
-    /// run. Absent in pre-v4 documents (tolerated as `None` on parse).
-    pub shard: Option<ShardTelemetry>,
     /// Reactor front-end counters; `null` when the server runs the
     /// threaded oracle (or outside a server context). Absent in
     /// pre-v5 documents (tolerated as `None` on parse).
@@ -252,7 +238,6 @@ impl TelemetrySnapshot {
             models: BTreeMap::new(),
             plan: None,
             router: None,
-            shard: None,
             reactor: None,
         }
     }

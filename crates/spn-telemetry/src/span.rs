@@ -28,12 +28,6 @@ pub enum SpanKind {
     /// A block evaluated on the host through a compiled plan instead
     /// of the device (runtime layer).
     PlanExec,
-    /// A block's shards evaluated concurrently across the scope-cut
-    /// shard devices (runtime layer).
-    ShardExec,
-    /// Shard partials combined into root values by the merge plan
-    /// (runtime layer).
-    ShardMerge,
     /// A request waiting in the micro-batcher queue (server layer).
     RequestQueued,
     /// The batcher closing a window and forming a job (server layer).
@@ -57,8 +51,6 @@ impl SpanKind {
             SpanKind::D2H => "d2h",
             SpanKind::PlanCompile => "plan-compile",
             SpanKind::PlanExec => "plan-exec",
-            SpanKind::ShardExec => "shard-exec",
-            SpanKind::ShardMerge => "shard-merge",
             SpanKind::RequestQueued => "request-queued",
             SpanKind::BatchFormed => "batch-formed",
             SpanKind::ReplyWritten => "reply-written",
@@ -216,9 +208,6 @@ mod tests {
         assert_eq!(SpanKind::BatchFormed.category(), "server");
         assert_eq!(SpanKind::PlanCompile.category(), "runtime");
         assert_eq!(SpanKind::PlanExec.category(), "runtime");
-        assert_eq!(SpanKind::ShardExec.category(), "runtime");
-        assert_eq!(SpanKind::ShardMerge.category(), "runtime");
-        assert!(!SpanKind::ShardExec.is_server() && !SpanKind::ShardMerge.is_router());
         assert_eq!(SpanKind::RoutePick.category(), "router");
         assert_eq!(SpanKind::BackendRpc.category(), "router");
         assert!(!SpanKind::H2D.is_server());

@@ -4,6 +4,20 @@
 use proptest::prelude::*;
 use spn_core::RandomSpnConfig;
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
+
+/// How long a test waits for an event before it calls it lost. Only a
+/// hang bound: no verdict depends on how long an event takes.
+pub const HANG: Duration = Duration::from_secs(30);
+
+/// Poll `done` until it holds, failing with `what` after [`HANG`].
+pub fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + HANG;
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 /// Strategy: a random-but-valid configuration of a small table-leaf
 /// SPN — what the differential suites (`plan_differential`,
@@ -21,10 +35,10 @@ pub fn small_spn_configs() -> impl Strategy<Value = RandomSpnConfig> {
 }
 
 /// Assert that a scaling series keeps its shape. `points` are
-/// `(n, ratio)`: `n` units of a resource (PEs, backends, shards) and a
-/// ratio of counts or occupancies the code exports that is `n` when the
-/// resource is used perfectly (PE utilisation, total requests over the
-/// busiest backend's, total nodes over the largest shard's). Passes
+/// `(n, ratio)`: `n` units of a resource (PEs, backends) and a ratio of
+/// counts or occupancies the code exports that is `n` when the resource
+/// is used perfectly (PE utilisation, total requests over the busiest
+/// backend's). Passes
 /// when the ratio never falls as `n` grows and every point reaches
 /// `floor · n` — no seconds, no committed baseline: a build that stops
 /// scaling yields a flat series and fails on any machine.

@@ -11,7 +11,7 @@ use spn_runtime::{JobOutcome, MetricsRegistry, MetricsSnapshot};
 use spn_server::{HistogramSummary, ServerMetrics};
 use spn_telemetry::{
     BatcherTelemetry, ModelTelemetry, PlanTelemetry, ReactorTelemetry, SchedulerTelemetry,
-    ServingTelemetry, ShardTelemetry, TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION,
+    ServingTelemetry, TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION,
 };
 use std::time::Duration;
 
@@ -187,11 +187,6 @@ fn telemetry_snapshot_golden_json() {
             invalidations: 0,
         }),
         router: None,
-        shard: Some(ShardTelemetry {
-            shard_sets: 1,
-            shards: 4,
-            sharded_blocks: 6,
-        }),
         reactor: Some(ReactorTelemetry {
             loop_threads: 2,
             loop_iterations: 90,
@@ -207,7 +202,7 @@ fn telemetry_snapshot_golden_json() {
 
     let golden = "\
 {
-  \"schema\": 5,
+  \"schema\": 6,
   \"server\": {
     \"requests_total\": 4,
     \"samples_total\": 32,
@@ -275,11 +270,6 @@ fn telemetry_snapshot_golden_json() {
     \"invalidations\": 0
   },
   \"router\": null,
-  \"shard\": {
-    \"shard_sets\": 1,
-    \"shards\": 4,
-    \"sharded_blocks\": 6
-  },
   \"reactor\": {
     \"loop_threads\": 2,
     \"loop_iterations\": 90,
@@ -299,19 +289,25 @@ fn telemetry_snapshot_golden_json() {
     let back = TelemetrySnapshot::from_json(golden).unwrap();
     assert_eq!(back, snap);
 
-    // A pre-v4 document (no "shard" or "reactor" key) still parses,
-    // with the sections absent — the additive-evolution contract.
+    // A v5 document still parses: its `shard` section (scope-sharded
+    // execution, removed in v6) is an unknown key and is ignored.
+    let v5 = golden.replace("\"schema\": 6", "\"schema\": 5").replace(
+        "\"router\": null,\n",
+        "\"router\": null,\n  \"shard\": {\n    \"shard_sets\": 1,\n    \"shards\": 4,\n    \"sharded_blocks\": 6\n  },\n",
+    );
+    assert!(v5.contains("\"sharded_blocks\": 6"));
+    let old = TelemetrySnapshot::from_json(&v5).unwrap();
+    assert_eq!(old.schema, 5);
+    assert_eq!(TelemetrySnapshot { schema: 6, ..old }, snap);
+
+    // A pre-v4 document (no "reactor" key) still parses, with the
+    // section absent — the additive-evolution contract.
     let pre_v4 = golden
-        .replace("\"schema\": 5", "\"schema\": 3")
-        .replace(
-            ",\n  \"shard\": {\n    \"shard_sets\": 1,\n    \"shards\": 4,\n    \"sharded_blocks\": 6\n  }",
-            "",
-        )
+        .replace("\"schema\": 6", "\"schema\": 3")
         .replace(
             ",\n  \"reactor\": {\n    \"loop_threads\": 2,\n    \"loop_iterations\": 90,\n    \"readiness_events\": 120,\n    \"open_connections\": 3,\n    \"peak_connections\": 11,\n    \"accepted_total\": 40,\n    \"rejected_at_accept\": 1,\n    \"idle_closed\": 2,\n    \"accept_backlog\": 0\n  }",
             "",
         );
     let old = TelemetrySnapshot::from_json(&pre_v4).unwrap();
-    assert_eq!(old.shard, None);
     assert_eq!(old.reactor, None);
 }

@@ -14,8 +14,8 @@
 //! out-of-support bytes (`−inf` lanes next to finite ones in one
 //! chunk), the five benchmark networks at full size (256-entry tables,
 //! fan-in-4 sums over fan-in-5 products), the in-place leaf rule's and
-//! the sum-group rule's edge cases, and tap extraction across a chunk
-//! boundary.
+//! the sum-group rule's edge cases, and the raw-byte entry across a
+//! chunk boundary.
 
 use proptest::prelude::*;
 use spn_core::plan::LANES;
@@ -265,8 +265,7 @@ fn sum_terms_with_different_support_are_bit_exact() {
 /// three query shapes and both halves of the variables observed,
 /// `to_bits` against the oracle: a leaf shared by two products, leaves
 /// that are direct sum terms, a leaf read by both a product and a sum,
-/// a network whose root is a leaf, and a plan output on a leaf whose
-/// one reader is a product (so it is computed into a row after all).
+/// and a network whose root is a leaf.
 #[test]
 fn in_place_leaf_edge_cases_are_bit_exact() {
     let h = Leaf::byte_histogram;
@@ -290,19 +289,9 @@ fn in_place_leaf_edge_cases_are_bit_exact() {
     let leaf_root = b.finish(only, "leaf-root").unwrap();
 
     let data = rows_with_out_of_support_bytes(13, 2 * LANES + 5, 3, 3);
-    let tapped = CompiledPlan::compile_with_outputs(&spn, &[root.0, lone.0]);
     for query in [0b101, 0b010].into_iter().flat_map(|m| query_shapes(m, 3)) {
         assert_rows_bit_exact(&spn, &data, &query, false);
         assert_rows_bit_exact(&leaf_root, &data, &query, false);
-        // The tapped leaf is `leaf_root`'s one node.
-        let got = PlanExecutor::new(&tapped).eval_batch(&query, &data);
-        assert_eq!(got.len(), 2 * data.num_samples());
-        let (mut ev, mut ev_leaf) = (Evaluator::new(&spn), Evaluator::new(&leaf_root));
-        for (row, values) in data.rows().zip(got.chunks(2)) {
-            let want = [ev.eval_bytes(&query, row), ev_leaf.eval_bytes(&query, row)];
-            assert_eq!(values[0].to_bits(), want[0].to_bits(), "{}", query.label());
-            assert_eq!(values[1].to_bits(), want[1].to_bits(), "{}", query.label());
-        }
     }
 }
 
@@ -311,17 +300,16 @@ fn in_place_leaf_edge_cases_are_bit_exact() {
 /// three-member group; right after it, a sum over the same children in
 /// another order (not a member); a sum followed by one over the same
 /// children with a zero weight (different kept lists: not grouped),
-/// which is grouped with a sum over its kept children; a byte outside
-/// `narrow`'s support, which drives that group's lane to `−inf` beside
-/// finite lanes; and, in a plan with outputs, the trio's middle member,
-/// that group's last member, and the root with a sibling over the same
-/// children, so that the root is a group member.
+/// which is grouped with a sum over its kept children; and a byte
+/// outside `narrow`'s support, which drives that group's lane to `−inf`
+/// beside finite lanes. The network is rooted in turn at the trio's
+/// middle member, that group's last member, a sum over the same
+/// children as the root, and the root.
 #[test]
 fn sum_group_edge_cases_are_bit_exact() {
-    /// The network rooted at the `pick`-th of the nodes it returns: the
-    /// trio's middle member, the narrow pair, the root's sibling and the
-    /// root.
-    fn network(pick: usize) -> (Spn, [u32; 4]) {
+    /// The network rooted at the `pick`-th of the trio's middle member,
+    /// the narrow pair, the root's sibling and the root.
+    fn network(pick: usize) -> Spn {
         let h = Leaf::byte_histogram;
         let mut b = SpnBuilder::new(2);
         let wide = b.leaf(0, h(&[0.2, 0.5, 0.3]));
@@ -351,35 +339,22 @@ fn sum_group_edge_cases_are_bit_exact() {
         let sibling = mix(&mut b, &[0.2, 0.1, 0.1, 0.2, 0.1, 0.2, 0.1], &tops);
         let root = mix(&mut b, &[0.1, 0.15, 0.15, 0.1, 0.2, 0.1, 0.2], &tops);
         let nodes = [trio[1], narrow_pair, sibling, root];
-        (
-            b.finish_unchecked(nodes[pick], "sum-groups"),
-            nodes.map(|n| n.0),
-        )
+        b.finish_unchecked(nodes[pick], "sum-groups")
     }
-    // The sibling has no parent: only a plan that outputs it computes
-    // it, and only there is the root a group member.
-    let (spn, outputs) = network(3);
-    let oracles: Vec<Spn> = (0..outputs.len()).map(|i| network(i).0).collect();
-    let tapped = CompiledPlan::compile_with_outputs(&spn, &outputs);
+    let networks: Vec<Spn> = (0..4).map(network).collect();
     let data = rows_with_out_of_support_bytes(21, LANES + 16 + 3, 2, 3);
     for query in [0b01, 0b10, 0b11]
         .into_iter()
         .flat_map(|m| query_shapes(m, 2))
     {
-        assert_rows_bit_exact(&spn, &data, &query, false);
-        let got = PlanExecutor::new(&tapped).eval_batch(&query, &data);
-        assert_eq!(got.len(), outputs.len() * data.num_samples());
-        let mut evs: Vec<Evaluator> = oracles.iter().map(Evaluator::new).collect();
-        for (i, (row, values)) in data.rows().zip(got.chunks(outputs.len())).enumerate() {
-            for (ev, v) in evs.iter_mut().zip(values) {
-                let want = ev.eval_bytes(&query, row);
-                assert_eq!(v.to_bits(), want.to_bits(), "{} row {i}", query.label());
-            }
+        for spn in &networks {
+            assert_rows_bit_exact(spn, &data, &query, false);
         }
     }
     // The narrow pair's first chunk holds `−inf` lanes beside finite ones.
-    let got = PlanExecutor::new(&tapped).eval_batch(&Query::Complete, &data);
-    let pair: Vec<f64> = got.iter().skip(1).step_by(4).take(LANES).copied().collect();
+    let plan = CompiledPlan::compile(&networks[1]);
+    let got = PlanExecutor::new(&plan).eval_batch(&Query::Complete, &data);
+    let pair = &got[..LANES];
     assert!(pair.contains(&f64::NEG_INFINITY), "no −inf lane");
     assert!(pair.iter().any(|v| v.is_finite()), "no finite lane");
 }
@@ -464,13 +439,11 @@ fn oracle_stays_within_four_ulp_of_a_libm_reference() {
     );
 }
 
-/// Taps on a batch that is not a lane multiple. The oracle's value
-/// buffer is private, so every op is tapped and the values the oracle
-/// does expose are checked — each leaf against its `log_density`, the
-/// root against `eval_bytes` — in sample-major order across the chunk
+/// The raw-byte entry on a batch that is not a lane multiple: each
+/// row's root against `eval_bytes`, in row order across the chunk
 /// boundary and into the leftover rows.
 #[test]
-fn taps_are_bit_exact_across_a_chunk_boundary() {
+fn roots_are_bit_exact_across_a_chunk_boundary() {
     let cfg = RandomSpnConfig {
         num_vars: 4,
         domain: 3,
@@ -481,21 +454,14 @@ fn taps_are_bit_exact_across_a_chunk_boundary() {
     let spn = spn_core::random_spn(&cfg, "plan-diff").unwrap();
     let n = 2 * LANES + 3;
     let raw = raw_rows(9, n, cfg.num_vars, cfg.domain);
-    let taps: Vec<u32> = (0..spn.len() as u32).collect();
-    let plan = CompiledPlan::compile_with_outputs(&spn, &taps);
+    let plan = CompiledPlan::compile(&spn);
     let mut got = Vec::new();
     PlanExecutor::new(&plan).eval_batch_raw(&Query::Complete, &raw, cfg.num_vars, &mut got);
-    assert_eq!(got.len(), n * taps.len());
+    assert_eq!(got.len(), n);
     let mut ev = Evaluator::new(&spn);
-    for (row, values) in raw.chunks(cfg.num_vars).zip(got.chunks(taps.len())) {
-        for (node, &v) in spn.nodes().iter().zip(values) {
-            if let spn_core::Node::Leaf { var, dist } = node {
-                let want = dist.log_density(Some(row[*var] as f64));
-                assert_eq!(v.to_bits(), want.to_bits());
-            }
-        }
+    for (row, v) in raw.chunks(cfg.num_vars).zip(got) {
         let want = ev.eval_bytes(&Query::Complete, row);
-        assert_eq!(values[taps.len() - 1].to_bits(), want.to_bits());
+        assert_eq!(v.to_bits(), want.to_bits());
     }
 }
 

@@ -1,13 +1,11 @@
 //! Property-based tests over the systems substrates: the device memory
 //! allocator, the DES kernel's causality, the job splitter, the
 //! performance simulation's monotonicity properties, the `.spntrace`
-//! format's round-trip/rejection guarantees, the consistent-hash
-//! ring's placement laws, and the scope-aware shard cut's structural
-//! invariants.
+//! format's round-trip/rejection guarantees and the consistent-hash
+//! ring's placement laws.
 
 use proptest::prelude::*;
 use sim_core::{Engine, Model, Scheduler, SimDuration, SimTime, Timeline};
-use spn_core::{RandomSpnConfig, ShardPlan};
 use spn_router::HashRing;
 use spn_runtime::perf::{simulate, PerfConfig};
 use spn_runtime::{split_into_blocks, DeviceMemoryManager};
@@ -327,95 +325,6 @@ proptest! {
         sorted.dedup();
         prop_assert_eq!(sorted.len(), replicas.len(), "duplicate replica");
         prop_assert!(replicas.iter().all(|&i| i < backends.len()));
-    }
-
-    /// Scope partition law: the shard scopes of any cut partition the
-    /// model's variables — every leaf's variable lands in *exactly one*
-    /// shard, so no evidence is double-counted and none is dropped.
-    #[test]
-    fn shard_cut_partitions_the_scope(
-        num_vars in 1usize..=6,
-        domain in 2usize..=4,
-        repetitions in 1usize..=3,
-        structure_seed in any::<u64>(),
-        k in 1usize..=5,
-        cut_seed in any::<u64>(),
-    ) {
-        let cfg = RandomSpnConfig {
-            num_vars,
-            domain,
-            repetitions,
-            max_leaf_region: 2,
-            seed: structure_seed,
-        };
-        let spn = spn_core::random_spn(&cfg, "shard-prop").unwrap();
-        let plan = ShardPlan::cut(&spn, k, cut_seed);
-
-        prop_assert!(plan.num_shards() >= 1);
-        prop_assert!(plan.num_shards() <= k, "more shards than requested");
-        for var in 0..num_vars {
-            let owners = plan
-                .shards()
-                .iter()
-                .filter(|s| s.scope.contains(var))
-                .count();
-            prop_assert_eq!(owners, 1, "var {} owned by {} shards", var, owners);
-        }
-        // Every shard is non-trivial: it owns at least one variable.
-        for (g, s) in plan.shards().iter().enumerate() {
-            prop_assert!(!s.scope.is_empty(), "shard {} owns no variables", g);
-        }
-    }
-
-    /// Merge fan-in law: the merge plan consumes every shard — its
-    /// fan-in equals the shard count and each shard contributes at
-    /// least one tapped partial.
-    #[test]
-    fn shard_merge_fan_in_covers_every_shard(
-        num_vars in 1usize..=6,
-        structure_seed in any::<u64>(),
-        k in 1usize..=5,
-        cut_seed in any::<u64>(),
-    ) {
-        let cfg = RandomSpnConfig {
-            num_vars,
-            domain: 3,
-            repetitions: 2,
-            max_leaf_region: 2,
-            seed: structure_seed,
-        };
-        let spn = spn_core::random_spn(&cfg, "shard-prop").unwrap();
-        let plan = ShardPlan::cut(&spn, k, cut_seed);
-        prop_assert_eq!(plan.merge().fan_in(), plan.num_shards());
-        for (g, shard) in plan.shards().iter().enumerate() {
-            prop_assert!(!shard.taps.is_empty(), "shard {} is never tapped", g);
-            prop_assert_eq!(plan.merge().inputs_from(g as u32), shard.taps.len());
-        }
-    }
-
-    /// Cut determinism: the same `(model, k, seed)` triple always
-    /// yields the identical plan — shard graphs, scopes, taps and
-    /// merge ops — while the plan still pins its source fingerprint.
-    #[test]
-    fn shard_cut_is_deterministic_for_a_fixed_seed(
-        num_vars in 1usize..=6,
-        structure_seed in any::<u64>(),
-        k in 1usize..=5,
-        cut_seed in any::<u64>(),
-    ) {
-        let cfg = RandomSpnConfig {
-            num_vars,
-            domain: 3,
-            repetitions: 2,
-            max_leaf_region: 2,
-            seed: structure_seed,
-        };
-        let spn = spn_core::random_spn(&cfg, "shard-prop").unwrap();
-        let a = ShardPlan::cut(&spn, k, cut_seed);
-        let b = ShardPlan::cut(&spn, k, cut_seed);
-        prop_assert_eq!(&a, &b, "same seed, different cut");
-        prop_assert_eq!(a.source_fingerprint(), spn.fingerprint());
-        prop_assert_eq!(a.seed(), cut_seed);
     }
 
     /// Consistent hashing's contraction law: adding one backend moves

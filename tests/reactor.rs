@@ -18,6 +18,7 @@ use spn_telemetry::SpanCtx;
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
+use system_tests::wait_until;
 
 fn make_device(bench: NipsBenchmark) -> VirtualDevice {
     VirtualDevice::new(
@@ -178,16 +179,6 @@ fn connection_limit_rejects_at_accept() {
     let mut d = Client::connect(addr).unwrap();
     d.ping().expect("a connection under the limit is served");
     server.shutdown();
-}
-
-/// Poll `done` until it holds. The deadline only bounds a hang; no
-/// verdict depends on how long `done` takes.
-fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while !done() {
-        assert!(std::time::Instant::now() < deadline, "{what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
 }
 
 /// Connections idle past the timeout are reaped by the timer wheel;

@@ -16,15 +16,21 @@ use spn_server::{
 use std::sync::Arc;
 use std::time::Duration;
 
+/// A 2-PE scheduler whose device carries its model, so that jobs can
+/// run on the device or on the host plan.
 fn make_scheduler(bench: NipsBenchmark) -> Arc<Scheduler> {
-    let prog = DatapathProgram::compile(&bench.build_spn());
-    let device = Arc::new(VirtualDevice::new(
-        prog,
-        AnyFormat::paper_default(),
-        AcceleratorConfig::paper_default(),
-        2,
-        64 << 20,
-    ));
+    let spn = bench.build_spn();
+    let prog = DatapathProgram::compile(&spn);
+    let device = Arc::new(
+        VirtualDevice::new(
+            prog,
+            AnyFormat::paper_default(),
+            AcceleratorConfig::paper_default(),
+            2,
+            64 << 20,
+        )
+        .with_model(Arc::new(spn)),
+    );
     let config = RuntimeConfig::builder()
         .block_samples(512)
         .threads_per_pe(2)
@@ -193,44 +199,20 @@ fn replay_through_router_failover_conserves_requests() {
     assert_eq!(rep.payload_mismatches, 0);
 }
 
-/// A scheduler whose jobs run on the scope-sharded backend: the
-/// device carries the source model so the scheduler can cut it, and
-/// every job asks for `ExecBackend::Sharded(k)`.
-fn make_sharded_scheduler(bench: NipsBenchmark) -> Arc<Scheduler> {
-    let spn = bench.build_spn();
-    let prog = DatapathProgram::compile(&spn);
-    let device = Arc::new(
-        VirtualDevice::new(
-            prog,
-            AnyFormat::paper_default(),
-            AcceleratorConfig::paper_default(),
-            2,
-            64 << 20,
-        )
-        .with_model(Arc::new(spn)),
-    );
-    let config = RuntimeConfig::builder()
-        .block_samples(512)
-        .threads_per_pe(2)
-        .build()
-        .unwrap();
-    Arc::new(Scheduler::new(device, config).unwrap())
-}
-
-/// A two-model server where each model executes through a different
-/// shard count — the runtime the committed bursty trace records and
+/// A two-model server where both models execute through their
+/// compiled host plans — the runtime the committed bursty trace
 /// replays against. Returns the schedulers too, so tests can assert
-/// the sharded path actually ran.
-fn start_sharded_multimodel_server() -> (SpnServer, Vec<Arc<Scheduler>>) {
+/// the plan path actually ran.
+fn start_host_plan_multimodel_server() -> (SpnServer, Vec<Arc<Scheduler>>) {
     let mut specs = Vec::new();
     let mut schedulers = Vec::new();
-    for (bench, k) in [(NipsBenchmark::Nips10, 2), (NipsBenchmark::Nips20, 3)] {
-        let scheduler = make_sharded_scheduler(bench);
+    for bench in [NipsBenchmark::Nips10, NipsBenchmark::Nips20] {
+        let scheduler = make_scheduler(bench);
         schedulers.push(Arc::clone(&scheduler));
         specs.push(
             ModelSpec::new(bench.name(), scheduler, bench.num_vars() as u32, 256).with_opts(
                 JobOptions::builder()
-                    .backend(ExecBackend::Sharded(k))
+                    .backend(ExecBackend::HostPlan)
                     .build()
                     .unwrap(),
             ),
@@ -261,16 +243,16 @@ const COMMITTED_TRACE: &str = concat!(
 /// only when the trace format or the recording setup changes, and
 /// commit the result.
 ///
-/// The trace interleaves two models (each sharded differently) and
-/// rewrites the closed-loop arrivals into three tight bursts 50 ms
-/// apart, so replays exercise spike admission rather than a smooth
-/// trickle. Reply digests come from the sharded runtime itself —
-/// which the differential suite proves bit-identical to the tree-walk
-/// oracle — so any later sharded runtime must reproduce them exactly.
+/// The trace interleaves two models and rewrites the closed-loop
+/// arrivals into three tight bursts 50 ms apart, so replays exercise
+/// spike admission rather than a smooth trickle. Reply digests come
+/// from the host-plan runtime itself — which the differential suite
+/// proves bit-identical to the tree-walk oracle — so any later runtime
+/// must reproduce them exactly.
 #[test]
 #[ignore]
 fn regenerate_committed_bursty_trace() {
-    let (server, _schedulers) = start_sharded_multimodel_server();
+    let (server, _schedulers) = start_host_plan_multimodel_server();
 
     let mut merged = Vec::new();
     for (i, bench) in [NipsBenchmark::Nips10, NipsBenchmark::Nips20]
@@ -308,14 +290,14 @@ fn regenerate_committed_bursty_trace() {
     assert_eq!(Trace::read_file(COMMITTED_TRACE).unwrap(), trace);
 }
 
-/// Sharded-runtime replay regression: the committed bursty
-/// multi-model trace replays through a freshly built sharded server
-/// with every reply verified bit-for-bit against the recorded
-/// digests. This pins the full chain — trace decoding, seeded payload
-/// regeneration, shard cut, concurrent shard execution, merge — to
-/// the exact f64 results recorded when the trace was made.
+/// Replay regression: the committed bursty multi-model trace replays
+/// through a freshly built host-plan server with every reply verified
+/// bit-for-bit against the recorded digests. This pins the full chain
+/// — trace decoding, seeded payload regeneration, plan compile and
+/// execution — to the exact f64 results recorded when the trace was
+/// made.
 #[test]
-fn committed_bursty_trace_replays_bit_for_bit_through_sharded_runtime() {
+fn committed_bursty_trace_replays_bit_for_bit_through_host_plan_runtime() {
     let trace = Trace::read_file(COMMITTED_TRACE).expect("committed trace decodes");
     assert_eq!(trace.records.len(), 36);
     let models: std::collections::BTreeSet<&str> =
@@ -339,26 +321,28 @@ fn committed_bursty_trace_replays_bit_for_bit_through_sharded_runtime() {
         "largest gap {max_gap} ns is not a burst boundary"
     );
 
-    let (server, schedulers) = start_sharded_multimodel_server();
+    let (server, schedulers) = start_host_plan_multimodel_server();
     let mut cfg = ReplayConfig::new(server.local_addr());
     cfg.speed = 4.0; // compress the 100 ms timeline; bursts stay bursts
-    let rep = replay(&trace, &cfg).expect("sharded replay");
+    let rep = replay(&trace, &cfg).expect("host-plan replay");
 
     assert!(rep.is_faithful(), "not faithful: {}", rep.summary());
     assert_eq!(rep.ok_requests, rep.total_requests, "{}", rep.summary());
     assert_eq!(rep.digests_checked, 36);
     assert_eq!(
         rep.digest_mismatches, 0,
-        "sharded replies diverged from the recording"
+        "host-plan replies diverged from the recording"
     );
     assert_eq!(rep.payload_mismatches, 0);
 
-    // The replies really came off the sharded path: both schedulers
-    // built their cut and pushed blocks through it.
-    for (scheduler, shards) in schedulers.iter().zip([2u64, 3u64]) {
-        let t = scheduler.shard_telemetry().expect("sharded jobs ran");
-        assert_eq!(t.shard_sets, 1);
-        assert_eq!(t.shards, shards);
-        assert!(t.sharded_blocks > 0);
+    // The replies really came off the plan path: each scheduler
+    // compiled its model once and ran blocks without moving a byte to
+    // or from the device.
+    for scheduler in &schedulers {
+        let plans = scheduler.plan_cache().telemetry();
+        assert_eq!((plans.cached_plans, plans.cache_misses), (1, 1));
+        let m = scheduler.metrics_snapshot();
+        assert!(m.blocks_executed > 0);
+        assert_eq!((m.h2d_bytes, m.d2h_bytes), (0, 0));
     }
 }

@@ -568,7 +568,7 @@ fn router_stats_over_the_wire() {
 
     let json = client.stats().unwrap();
     let v: serde_json::Value = serde_json::from_str(&json).expect("stats JSON parses");
-    assert_eq!(v["schema"], 5u64);
+    assert_eq!(v["schema"], 6u64);
     assert!(v["server"].is_null(), "serving section lives on backends");
     assert_eq!(v["router"]["requests_total"], 1u64);
     assert_eq!(v["router"]["rejected_no_backend"], 0u64);

@@ -573,10 +573,10 @@ fn a_lent_control_thread_loses_no_wake_up_and_keeps_one_track() {
 }
 
 /// The lifecycle guarantees above, on every backend: the same
-/// assertions run over the device pipeline, the compiled host plan and
-/// the scope-sharded path, because the scheduler runs all three
-/// through one block-execution seam — with the outcome going to a
-/// `wait()` caller and to a completion consumer alike.
+/// assertions run over the device pipeline and the compiled host plan,
+/// because the scheduler runs both through one block-execution seam —
+/// with the outcome going to a `wait()` caller and to a completion
+/// consumer alike.
 #[test]
 fn lifecycle_guarantees_hold_on_every_backend() {
     use spn_core::Evaluator;
@@ -603,12 +603,6 @@ fn lifecycle_guarantees_hold_on_every_backend() {
             bit_exact: true,
             transfers: false,
             block_spans: &[SpanKind::PlanExec],
-        },
-        Case {
-            backend: ExecBackend::Sharded(2),
-            bit_exact: true,
-            transfers: false,
-            block_spans: &[SpanKind::ShardExec, SpanKind::ShardMerge],
         },
     ];
 

@@ -5,7 +5,7 @@
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
+use spn_runtime::{JobOptions, JobStatus, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
     protocol, BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, ServerConfig, ServerError,
     SpnServer, Status,
@@ -15,6 +15,7 @@ use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
+use system_tests::{wait_until, HANG};
 
 fn bare_device(bench: NipsBenchmark, pes: u32) -> VirtualDevice {
     let prog = DatapathProgram::compile(&bench.build_spn());
@@ -103,7 +104,6 @@ fn occupy_pes(
     samples: u32,
 ) -> Vec<std::thread::JoinHandle<Result<Vec<f64>, ClientError>>> {
     let addr = server.local_addr();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
     (0..2)
         .map(|_| {
             // One at a time, or the two could coalesce into one batch.
@@ -116,16 +116,18 @@ fn occupy_pes(
                     .samples(&vec![0u8; samples as usize * nf], samples, nf as u32)
                     .send()
             });
-            while server.metrics_snapshot().batches_total == already {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "a blocker never went in flight"
-                );
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            wait_until("a blocker never went in flight", || {
+                server.metrics_snapshot().batches_total > already
+            });
             blocker
         })
         .collect()
+}
+
+/// Samples waiting in `bench`'s batch queue.
+fn queued_samples(server: &SpnServer, bench: NipsBenchmark) -> u64 {
+    let models = server.telemetry_snapshot().models;
+    models[bench.name()].batcher.unwrap().queued_samples
 }
 
 /// Log-likelihoods of `dataset` from a direct scheduler job on a fresh
@@ -144,9 +146,12 @@ fn direct_lls(bench: NipsBenchmark, dataset: &Arc<spn_core::Dataset>) -> Vec<f64
 
 /// Acceptance: results over the wire are *bit-identical* to a direct
 /// scheduler run, under ≥ 4 concurrent clients whose
-/// requests the batcher freely interleaves into shared jobs.
+/// requests the batcher freely interleaves into shared jobs. Both PEs
+/// are held while every client's first request arrives, so those four
+/// requests share one batch whatever the threads' timing.
 #[test]
 fn loopback_is_bit_identical_to_direct_runtime_under_four_clients() {
+    const HOLD: u32 = 300;
     let bench = NipsBenchmark::Nips10;
     let nf = bench.num_vars() as u32;
     let dataset = Arc::new(bench.dataset(256, 7));
@@ -154,15 +159,16 @@ fn loopback_is_bit_identical_to_direct_runtime_under_four_clients() {
     // Ground truth on an identically-built (deterministic) device.
     let expected = direct_lls(bench, &dataset);
 
-    let server = start_server(
+    let server = start_paced_server(
         bench,
         BatchPolicy {
             max_batch_samples: 4096,
-            max_batch_delay: Duration::from_millis(3),
+            max_batch_delay: HANG,
         },
-        1 << 20,
+        Duration::from_millis(1),
     );
     let addr = server.local_addr();
+    let blockers = occupy_pes(&server, bench, HOLD);
 
     // 4 clients, each sending its quarter of the dataset in small
     // ragged requests so batches interleave rows from everyone.
@@ -194,6 +200,12 @@ fn loopback_is_bit_identical_to_direct_runtime_under_four_clients() {
             (c, got)
         }));
     }
+    wait_until("the first requests never queued together", || {
+        queued_samples(&server, bench) == 4 * 7
+    });
+    for b in blockers {
+        assert_eq!(b.join().unwrap().unwrap().len(), HOLD as usize);
+    }
     for w in workers {
         let (c, got) = w.join().unwrap();
         let base = c * rows_per_client;
@@ -209,7 +221,7 @@ fn loopback_is_bit_identical_to_direct_runtime_under_four_clients() {
         }
     }
     let snap = server.metrics_snapshot();
-    assert_eq!(snap.samples_total, 256);
+    assert_eq!(snap.samples_total, 256 + 2 * u64::from(HOLD));
     assert!(
         snap.batches_total < snap.requests_total,
         "expected coalescing: {} batches for {} requests",
@@ -326,7 +338,9 @@ fn deadline_expires_in_the_batch_queue() {
 
 /// Work conservation: with a PE free the batcher flushes at once —
 /// `max_batch_delay` bounds the wait behind *busy* executors, it is not
-/// a price an idle server charges.
+/// a price an idle server charges. The bound here is a day and the
+/// batch never fills, so only the flush rule can answer the request
+/// before the client's hang bound.
 #[test]
 fn idle_server_answers_without_waiting_for_the_delay_bound() {
     let bench = NipsBenchmark::Nips10;
@@ -334,23 +348,19 @@ fn idle_server_answers_without_waiting_for_the_delay_bound() {
         bench,
         BatchPolicy {
             max_batch_samples: 1 << 20, // never fills
-            max_batch_delay: Duration::from_secs(2),
+            max_batch_delay: Duration::from_secs(24 * 3600),
         },
         1 << 20,
     );
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let sent = std::time::Instant::now();
+    client.set_io_timeout(Some(HANG)).unwrap();
     let lls = client
         .request(bench.name())
         .samples(&vec![0u8; bench.num_vars()], 1, bench.num_vars() as u32)
         .send()
-        .unwrap();
-    let took = sent.elapsed();
+        .expect("an idle server answers before the delay bound");
     assert_eq!(lls.len(), 1);
-    assert!(
-        took < Duration::from_millis(200),
-        "an idle server sat on a request for {took:?}"
-    );
+    assert_eq!(server.metrics_snapshot().batches_total, 1);
 }
 
 /// Batches grow only while the executors are busy: with every PE held,
@@ -448,9 +458,7 @@ fn shutdown_mid_burst_answers_every_request_once() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 // A lost reply must fail the test, not hang it.
-                client
-                    .set_io_timeout(Some(Duration::from_secs(20)))
-                    .unwrap();
+                client.set_io_timeout(Some(HANG)).unwrap();
                 let (mut ok, mut refused) = (0u64, 0u64);
                 loop {
                     let sent = client
@@ -480,11 +488,9 @@ fn shutdown_mid_burst_answers_every_request_once() {
         })
         .collect();
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while server.metrics_snapshot().requests_total < 40 {
-        assert!(std::time::Instant::now() < deadline, "load never got going");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_until("load never got going", || {
+        server.metrics_snapshot().requests_total >= 40
+    });
     server.shutdown();
 
     let (mut ok, mut refused) = (0u64, 0u64);
@@ -638,7 +644,7 @@ fn enqueue_after_drain_is_refused_not_stranded() {
 
     let rx = batcher.enqueue(SpanCtx::NONE, vec![0u8; bench.num_vars()], 1, None);
     let reply = rx
-        .recv_timeout(Duration::from_secs(5))
+        .recv_timeout(HANG)
         .expect("post-drain enqueue must still be answered");
     match reply {
         spn_server::Reply::Err(status, _) => assert_eq!(status, Status::ShuttingDown),
@@ -669,8 +675,9 @@ fn bare_batcher(
 /// pushed, so the enqueuing thread flushes it itself — no hand-off to
 /// the worker. Observable without timing: a request whose deadline has
 /// already passed is answered at flush, so its sink has run, on this
-/// thread, by the time `enqueue_with` returns. A live request takes the
-/// same path and is bit-equal to the unbatched job.
+/// thread, by the time `enqueue_with` returns. (The one clock read
+/// makes that deadline: a millisecond before now.) A live request takes
+/// the same path and is bit-equal to the unbatched job.
 #[test]
 fn an_idle_batcher_flushes_on_the_enqueuing_thread() {
     let bench = NipsBenchmark::Nips10;
@@ -703,7 +710,7 @@ fn an_idle_batcher_flushes_on_the_enqueuing_thread() {
     let data = bench.dataset(3, 5);
     let reply = batcher
         .enqueue(SpanCtx::NONE, data.raw().to_vec(), 3, None)
-        .recv_timeout(Duration::from_secs(5))
+        .recv_timeout(HANG)
         .expect("a live request is answered");
     let oracle = scheduler
         .submit(Arc::new(data), JobOptions::default())
@@ -759,9 +766,9 @@ fn a_big_host_batch_never_runs_on_the_enqueuing_thread() {
         .wait()
         .unwrap();
     // A control thread parks a moment after it finishes a job; a request
-    // that arrives before then is handed to it.
+    // that arrives before then is handed to it, so try until one is not.
     let mut inline = None;
-    for _ in 0..1000 {
+    wait_until("no one-row request ran on the enqueuing thread", || {
         let (tx, rx) = std::sync::mpsc::channel();
         batcher.enqueue_with(
             SpanCtx::NONE,
@@ -771,15 +778,12 @@ fn a_big_host_batch_never_runs_on_the_enqueuing_thread() {
             Box::new(move |reply| tx.send((std::thread::current().id(), reply)).unwrap()),
         );
         match rx.try_recv() {
-            Ok((thread, reply)) if thread == me => {
-                inline = Some(reply);
-                break;
-            }
+            Ok((thread, reply)) if thread == me => inline = Some(reply),
             Ok(_) => {}
-            Err(_) => drop(rx.recv_timeout(Duration::from_secs(10)).expect("answered")),
+            Err(_) => drop(rx.recv_timeout(HANG).expect("answered")),
         }
-        std::thread::sleep(Duration::from_millis(1));
-    }
+        inline.is_some()
+    });
     match inline.expect("a one-row request ran on the enqueuing thread") {
         spn_server::Reply::Ok(lls) => assert_eq!(lls[0].to_bits(), want[0].ln().to_bits()),
         other => panic!("expected Ok, got {other:?}"),
@@ -794,17 +798,15 @@ fn a_big_host_batch_never_runs_on_the_enqueuing_thread() {
         4096,
         None,
         Box::new(move |reply| {
-            // Released once `enqueue_with` has returned: a sink run
-            // inside it waits in vain.
-            let after_return = released.recv_timeout(Duration::from_secs(2)).is_ok();
-            tx.send((after_return, std::thread::current().id(), reply))
-                .unwrap();
+            // Released once `enqueue_with` has returned. A sink run
+            // inside it cannot be, and does not wait.
+            let thread = std::thread::current().id();
+            let after_return = thread != me && released.recv().is_ok();
+            tx.send((after_return, thread, reply)).unwrap();
         }),
     );
     let _ = go.send(());
-    let (after_return, thread, reply) = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the big request is answered");
+    let (after_return, thread, reply) = rx.recv_timeout(HANG).expect("the big request is answered");
     assert!(
         after_return,
         "a 4096-row sink ran before enqueue_with returned"
@@ -815,14 +817,15 @@ fn a_big_host_batch_never_runs_on_the_enqueuing_thread() {
 
 /// The enqueuing thread may be a reactor loop, so its flush must never
 /// park in the scheduler: against a scheduler queue held full by a
-/// direct job, `enqueue_with` returns at once, and the request waits
-/// — behind the worker's blocking submit, not bounced `ServerBusy` —
-/// and is answered, in arrival order, once the job retires.
+/// direct job, `enqueue_with` returns while the job still runs, and the
+/// request waits — behind the worker's blocking submit, not bounced
+/// `ServerBusy` — and is answered, in arrival order, once the job
+/// retires.
 #[test]
 fn enqueue_does_not_wait_for_scheduler_queue_space() {
     let bench = NipsBenchmark::Nips10;
-    // Two PEs at 1 ms per sample: the 600-sample job below holds the
-    // scheduler's one queue slot for ~300 ms.
+    // Two PEs at 1 ms per sample: the 60 000-sample job below would hold
+    // the scheduler's one queue slot for 30 s; it is cancelled instead.
     let device = bare_device(bench, 2).with_pacing(Duration::from_millis(1));
     let config = RuntimeConfig::builder()
         .block_samples(50)
@@ -833,13 +836,12 @@ fn enqueue_does_not_wait_for_scheduler_queue_space() {
     let scheduler = Arc::new(Scheduler::new(Arc::new(device), config).unwrap());
     let (batcher, metrics) = bare_batcher(bench, &scheduler);
     let hold = scheduler
-        .submit(Arc::new(bench.dataset(600, 1)), JobOptions::default())
+        .submit(Arc::new(bench.dataset(60_000, 1)), JobOptions::default())
         .unwrap();
 
     let (tx, rx) = std::sync::mpsc::channel();
     for i in 0..3u8 {
         let tx = tx.clone();
-        let t0 = std::time::Instant::now();
         batcher.enqueue_with(
             SpanCtx::NONE,
             vec![i; bench.num_vars()],
@@ -847,12 +849,11 @@ fn enqueue_does_not_wait_for_scheduler_queue_space() {
             None,
             Box::new(move |reply| tx.send((i, reply)).expect("the test outlives the request")),
         );
-        let took = t0.elapsed();
-        assert!(
-            took < Duration::from_millis(50),
-            "request {i}: enqueue_with took {took:?} against a full scheduler queue"
-        );
     }
+    assert!(
+        matches!(hold.poll(), JobStatus::Queued | JobStatus::Running),
+        "enqueue_with waited for the job that holds the queue"
+    );
     assert_eq!(
         scheduler.queue_depth(),
         1,
@@ -863,10 +864,11 @@ fn enqueue_does_not_wait_for_scheduler_queue_space() {
         "nothing is answered before space opens"
     );
 
-    hold.wait().unwrap();
+    hold.cancel();
+    assert!(hold.wait().is_err(), "the held job was cancelled");
     for want in 0..3u8 {
         let (i, reply) = rx
-            .recv_timeout(Duration::from_secs(10))
+            .recv_timeout(HANG)
             .expect("every request is answered once the job retires");
         assert_eq!(i, want, "requests are answered in arrival order");
         assert!(matches!(reply, spn_server::Reply::Ok(_)), "{reply:?}");
@@ -923,11 +925,6 @@ fn serve_refuses_configs_it_would_serve_badly() {
             "HostPlan, but its device has no SPN",
             plain(),
             vec![on(ExecBackend::HostPlan)],
-        ),
-        (
-            "Sharded(2), but its device has no SPN",
-            plain(),
-            vec![on(ExecBackend::Sharded(2))],
         ),
     ];
     for (want, config, models) in cases {
@@ -1023,7 +1020,11 @@ fn disconnect_mid_request_is_survived() {
         torn.write_all(&[0u8; 10]).unwrap(); // …send 10, then vanish
     } // drop = disconnect
 
-    std::thread::sleep(Duration::from_millis(50));
+    // The reactor saw the torn connection and closed it.
+    wait_until("the torn connection was never closed", || {
+        let reactor = server.telemetry_snapshot().reactor.unwrap();
+        reactor.accepted_total == 1 && reactor.open_connections == 0
+    });
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.ping().unwrap();
     let lls = client
@@ -1050,7 +1051,7 @@ fn stats_opcode_returns_parsable_json() {
 
     let json = client.stats().unwrap();
     let v: serde_json::Value = serde_json::from_str(&json).expect("stats JSON parses");
-    assert_eq!(v["schema"], 5u64);
+    assert_eq!(v["schema"], 6u64);
     // The default engine is the reactor, so the reactor section is
     // populated (one open connection: this client).
     assert_eq!(v["reactor"]["open_connections"], 1u64);
@@ -1113,18 +1114,10 @@ fn trace_ids_propagate_from_wire_to_device_spans() {
 
     // `ReplyWritten` is recorded just after the reply hits the socket,
     // so the client can observe the reply first — wait for it.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while !collector
-        .spans()
-        .iter()
-        .any(|s| s.kind == SpanKind::ReplyWritten)
-    {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "reply-written span never recorded"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until("reply-written span never recorded", || {
+        let spans = collector.spans();
+        spans.iter().any(|s| s.kind == SpanKind::ReplyWritten)
+    });
 
     let spans = collector.spans();
     let id = spans
@@ -1187,19 +1180,7 @@ fn shutdown_drains_admitted_requests_then_refuses_new_ones() {
             .samples(&[0u8; 10 * 10], 10, nf)
             .send()
     });
-    let parked = |server: &SpnServer| {
-        let models = server.telemetry_snapshot().models;
-        models[bench.name()]
-            .batcher
-            .as_ref()
-            .unwrap()
-            .queued_samples
-    };
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while parked(&server) < 10 {
-        assert!(std::time::Instant::now() < deadline, "A never parked");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_until("A never parked", || queued_samples(&server, bench) >= 10);
 
     // Client B requests shutdown while A is still queued.
     let mut b = Client::connect(addr).unwrap();
