@@ -194,12 +194,13 @@ impl Spn {
     /// overwhelming probability. This is the key the runtime's plan
     /// cache uses to recognize a model it has already compiled.
     ///
-    /// The value is deterministic within one build of the library but
-    /// is *not* a stable serialization format across versions.
+    /// The value is the same on every platform and in every build of
+    /// one version of the library (the hash folds every integer as a
+    /// `u64` word, never as native-endian bytes), but it is *not* a stable
+    /// serialization format across versions.
     pub fn fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
+        let mut h = WordHasher(0xcbf2_9ce4_8422_2325);
         self.num_vars.hash(&mut h);
         self.root.0.hash(&mut h);
         self.nodes.len().hash(&mut h);
@@ -251,6 +252,46 @@ impl Spn {
             }
         }
         h.finish()
+    }
+}
+
+/// [`Spn::fingerprint`]'s hash: one multiply–rotate per 64-bit word,
+/// then the splitmix64 finaliser (`sim-core`'s, copied: `spn-core`
+/// does not depend on `sim-core`). Not cryptographic. For a fixed word
+/// each step (xor, multiply by an odd constant, rotate) is a bijection
+/// of the running state, so two inputs of one length that differ in a
+/// single word always hash apart; the rotate brings the product's
+/// well-mixed high bits down to where the next multiply spreads them,
+/// and the finaliser supplies the avalanche. Every integer is widened
+/// to a `u64` word, so the value does not depend on the platform's
+/// endianness or `usize` width. A NIPS80 fingerprint (~82 k words) is
+/// a ~0.19 ms dependent chain on a 2.1 GHz Xeon, where std's SipHash
+/// took 0.5–0.9 ms.
+struct WordHasher(u64);
+
+impl std::hash::Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29);
+    }
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 }
 
@@ -350,6 +391,82 @@ mod tests {
             *dist = Leaf::byte_histogram(&[0.25, 0.75]);
         }
         assert_ne!(spn.fingerprint(), releafed.fingerprint());
+    }
+
+    /// The fingerprint hashes fixed-width words, so its value is pinned:
+    /// the same on every platform and build of this version.
+    #[test]
+    fn fingerprint_known_answers() {
+        use crate::nips::NipsBenchmark;
+        assert_eq!(
+            NipsBenchmark::Nips10.build_spn().fingerprint(),
+            0x7cd5_f280_a26c_33e8
+        );
+        assert_eq!(
+            NipsBenchmark::Nips80.build_spn().fingerprint(),
+            0xae52_6635_d44c_329d
+        );
+    }
+
+    /// One parameter or one child's position changes the fingerprint,
+    /// for each leaf kind and for a product.
+    #[test]
+    fn fingerprint_tracks_every_parameter_and_child_order() {
+        let mut b = SpnBuilder::new(3);
+        let g = b.leaf(
+            0,
+            Leaf::Gaussian {
+                mean: 40.0,
+                std: 9.0,
+            },
+        );
+        let c = b.leaf(
+            1,
+            Leaf::Categorical {
+                probs: vec![0.2, 0.3, 0.5],
+            },
+        );
+        let h = b.leaf(2, Leaf::byte_histogram(&[0.25, 0.25, 0.5]));
+        let p = b.product(vec![g, c, h]);
+        let spn = b.finish(p, "mixed").unwrap();
+        type Edit = fn(&mut [Node]);
+        let edits: [(&str, Edit); 4] = [
+            ("a Gaussian's std", |n| match &mut n[0] {
+                Node::Leaf {
+                    dist: Leaf::Gaussian { std, .. },
+                    ..
+                } => *std = 9.5,
+                _ => unreachable!(),
+            }),
+            ("a categorical prob", |n| match &mut n[1] {
+                Node::Leaf {
+                    dist: Leaf::Categorical { probs },
+                    ..
+                } => probs[2] = 0.45,
+                _ => unreachable!(),
+            }),
+            ("a histogram break", |n| match &mut n[2] {
+                Node::Leaf {
+                    dist: Leaf::Histogram { breaks, .. },
+                    ..
+                } => breaks[1] = 1.5,
+                _ => unreachable!(),
+            }),
+            ("a product's child order", |n| match &mut n[3] {
+                Node::Product { children } => children.swap(0, 2),
+                _ => unreachable!(),
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut other = spn.clone();
+            edit(&mut other.nodes);
+            assert_ne!(other, spn);
+            assert_ne!(
+                other.fingerprint(),
+                spn.fingerprint(),
+                "changing {what} left the fingerprint as it was"
+            );
+        }
     }
 
     #[test]

@@ -200,14 +200,20 @@ impl Leaf {
             return std::array::from_fn(|v| map(self.density(v as f64)));
         };
         // Byte `v` is in bucket `i` iff `breaks[i] <= v < breaks[i + 1]`,
-        // i.e. `ceil(breaks[i]) <= v < ceil(breaks[i + 1])`.
-        let first_byte = |b: f64| b.ceil().clamp(0.0, 256.0) as usize;
+        // i.e. `first_byte(breaks[i]) <= v < first_byte(breaks[i + 1])`.
+        // Each break is converted once: a bucket's end is the next one's
+        // start.
         let mut table = [map(0.0); 256];
-        for (w, &d) in breaks.windows(2).zip(densities) {
-            let bytes = first_byte(w[0])..first_byte(w[1]);
-            if !bytes.is_empty() {
-                table[bytes].fill(map(d));
+        let Some((&first, rest)) = breaks.split_first() else {
+            return table;
+        };
+        let mut start = first_byte(first);
+        for (&b, &d) in rest.iter().zip(densities) {
+            let end = first_byte(b);
+            if start < end {
+                table[start..end].fill(map(d));
             }
+            start = end;
         }
         table
     }
@@ -230,6 +236,19 @@ impl Leaf {
         let probs: Vec<f64> = counts.iter().map(|&c| (c as f64 + alpha) / total).collect();
         Leaf::byte_histogram(&probs)
     }
+}
+
+/// The first byte at or above `b`, in `0..=256`: for every `f64`
+/// (NaN, ±∞, −0.0 and values past 256 included) this is
+/// `b.ceil().clamp(0.0, 256.0) as usize`, in integer ops and one
+/// compare instead of a libm call. The saturating cast truncates
+/// toward zero (NaN and negatives to 0), a fractional part above the
+/// truncated value adds the one, and the clamps keep a huge `b` from
+/// overflowing.
+#[inline]
+fn first_byte(b: f64) -> usize {
+    let t = (b as u32).min(256);
+    (t + u32::from(b > f64::from(t))).min(256) as usize
 }
 
 #[cfg(test)]
@@ -455,6 +474,106 @@ mod tests {
         ];
         for (what, leaf) in &cases {
             assert_byte_tables_match_the_oracle(leaf, what);
+        }
+    }
+
+    /// `first_byte` against the clamped ceiling it replaces, over the
+    /// special values, every integer around the byte range with its
+    /// neighbours and halves, and random bit patterns and breaks.
+    #[test]
+    fn first_byte_is_the_clamped_ceiling() {
+        let reference = |b: f64| b.ceil().clamp(0.0, 256.0) as usize;
+        let mut values = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            f64::MAX,
+            f64::MIN,
+            2f64.powi(32),
+            2f64.powi(52),
+            2f64.powi(53) + 2.0,
+            2f64.powi(63),
+            2f64.powi(64),
+            -2f64.powi(64),
+            1e300,
+        ];
+        for i in -3..=260 {
+            let x = f64::from(i);
+            let bits = x.to_bits();
+            values.extend([x, x + 0.5, x - 0.5]);
+            if x != 0.0 {
+                values.extend([f64::from_bits(bits - 1), f64::from_bits(bits + 1)]);
+            }
+        }
+        let mut rng = sim_core::SplitMix64::new(45);
+        for _ in 0..100_000 {
+            values.push(f64::from_bits(rng.next_u64()));
+            values.push(rng.next_f64() * 600.0 - 200.0);
+        }
+        for b in values {
+            assert_eq!(
+                first_byte(b),
+                reference(b),
+                "break {b:e} ({:#018x})",
+                b.to_bits()
+            );
+        }
+    }
+
+    /// `byte_table` against the table its `ceil`-based predecessor
+    /// built, bit for bit, on random histograms the oracle test's
+    /// well-formed ones never reach: zero and one break, fractional,
+    /// negative, past-256 and non-finite breaks, breaks out of order,
+    /// and one density too many or too few.
+    #[test]
+    fn byte_tables_match_the_ceiling_reference_on_odd_histograms() {
+        let reference = |breaks: &[f64], densities: &[f64]| {
+            let first_byte = |b: f64| b.ceil().clamp(0.0, 256.0) as usize;
+            let mut table = [0.0; 256];
+            for (w, &d) in breaks.windows(2).zip(densities) {
+                let bytes = first_byte(w[0])..first_byte(w[1]);
+                if !bytes.is_empty() {
+                    table[bytes].fill(d);
+                }
+            }
+            table
+        };
+        let mut rng = sim_core::SplitMix64::new(4545);
+        for case in 0..5_000 {
+            let n = rng.next_below(12) as usize;
+            let mut breaks: Vec<f64> = (0..n)
+                .map(|_| match rng.next_below(8) {
+                    0 => -rng.next_f64() * 50.0,
+                    1 => 256.0 + rng.next_f64() * 100.0,
+                    2 => rng.next_below(258) as f64,
+                    3 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0]
+                        [rng.next_below(4) as usize],
+                    _ => rng.next_f64() * 256.0,
+                })
+                .collect();
+            if rng.next_below(2) == 0 {
+                breaks.sort_by(f64::total_cmp);
+            }
+            let buckets = (n + rng.next_below(3) as usize).saturating_sub(2);
+            let densities: Vec<f64> = (0..buckets).map(|_| rng.next_f64()).collect();
+            let want = reference(&breaks, &densities);
+            let leaf = Leaf::Histogram { breaks, densities };
+            let got = leaf.byte_table(|d| d);
+            for (v, (got, want)) in got.iter().zip(want).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "case {case}, byte {v}: {leaf:?}"
+                );
+            }
         }
     }
 

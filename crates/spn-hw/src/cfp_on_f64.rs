@@ -98,9 +98,20 @@ impl CfpOnF64 {
 impl SpnNumber for CfpOnF64 {
     type Value = f64;
 
-    /// The one converter: through the CFP encoding and back.
+    /// The one converter, and the same bits as the trip through the
+    /// CFP encoding and back (`cfp.to_f64(cfp.from_f64(x))`): the
+    /// datapath's own rounding with `mul`'s flush rule, which is exact
+    /// here as it is for a product: `x` is the unrounded value. `inf`
+    /// saturates and a negative `x` flushes, as CFP's encoder does. NaN
+    /// is outside the contract.
     fn from_f64(&self, x: f64) -> f64 {
-        self.cfp.to_f64(self.cfp.from_f64(x))
+        debug_assert!(!x.is_nan(), "CFP cannot encode NaN");
+        debug_assert!(x >= 0.0, "CFP is unsigned, got {x}");
+        if x < self.lo {
+            0.0
+        } else {
+            self.round_saturating(x)
+        }
     }
     #[inline(always)]
     fn to_f64(&self, v: f64) -> f64 {
@@ -375,6 +386,61 @@ mod tests {
             check(&cfp, &on, Cfp::ZERO, x);
             check(&cfp, &on, x, Cfp::ZERO);
         }
+    }
+
+    /// `from_f64` against the trip through the CFP encoding and back,
+    /// bit for bit, for every round-to-nearest-even format this path
+    /// takes (exponent 2..=11 × mantissa 1..=24 bits): 100 ulps either
+    /// side of `lo`, the smallest normal, 1.0 and the largest value,
+    /// zeros, `f64` subnormals, the `f64`'s largest value and `inf`,
+    /// and random values over the format's range and a few binades
+    /// past both ends.
+    #[test]
+    fn from_f64_rounds_constants_as_the_cfp_encoding_does() {
+        let mut rng = sim_core::SplitMix64::new(45);
+        let mut checked = 0usize;
+        for exp_bits in 2..=11 {
+            for mant_bits in 1..=24 {
+                let cfp = CfpFormat::new(exp_bits, mant_bits, Rounding::NearestEven);
+                let on = CfpOnF64::new(cfp).expect("a round-to-nearest-even CFP");
+                let min_normal = cfp.to_f64(Cfp {
+                    bits: 1 << mant_bits,
+                });
+                let mut xs = vec![
+                    0.0,
+                    -0.0,
+                    5e-324,
+                    f64::from_bits(1 << 51),
+                    f64::MIN_POSITIVE,
+                    f64::MAX,
+                    f64::INFINITY,
+                ];
+                for centre in [on.lo, min_normal, 1.0, on.max] {
+                    let bits = centre.to_bits();
+                    xs.extend((bits - 100..=bits + 100).map(f64::from_bits));
+                }
+                // Binades from three below the smallest normal to three
+                // above the largest value, clipped to the f64's normals.
+                let low = (min_normal.log2() as i64 - 3).max(-1022);
+                let high = (on.max.log2() as i64 + 3).min(1023);
+                for _ in 0..19_600 {
+                    let e = low + rng.next_below((high - low + 1) as u64) as i64;
+                    let field = (e + 1023) as u64;
+                    xs.push(f64::from_bits(field << 52 | rng.next_u64() >> 12));
+                }
+                for x in xs {
+                    let want = cfp.to_f64(cfp.from_f64(x));
+                    let got = on.from_f64(x);
+                    assert!(
+                        got.to_bits() == want.to_bits(),
+                        "{}: from_f64({x:e}) = {got:e}, want {want:e}",
+                        on.describe()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 240 * (7 + 4 * 201 + 19_600));
     }
 
     /// Random operand pairs over the paper format's whole range.

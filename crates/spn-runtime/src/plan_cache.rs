@@ -44,8 +44,10 @@ impl PlanCache {
     /// The plan for `spn`, compiling it on a miss. The boolean is
     /// `true` when the plan came from the cache.
     pub fn get_or_compile(&self, spn: &Spn) -> (Arc<CompiledPlan>, bool) {
-        let mut plans = self.plans.lock();
+        // Hash before locking: a hit then holds the lock for one map
+        // probe, not for a walk over every parameter of the model.
         let fingerprint = spn.fingerprint();
+        let mut plans = self.plans.lock();
         if let Some(plan) = plans.get(&fingerprint) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(plan), true);
@@ -66,7 +68,8 @@ impl PlanCache {
     /// fingerprint's slot until invalidated).
     /// Returns `true` if an entry was removed.
     pub fn invalidate(&self, spn: &Spn) -> bool {
-        let removed = self.plans.lock().remove(&spn.fingerprint()).is_some();
+        let fingerprint = spn.fingerprint();
+        let removed = self.plans.lock().remove(&fingerprint).is_some();
         if removed {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
