@@ -256,6 +256,7 @@ impl DatapathProgram {
         let mut free: Vec<u32> = Vec::new();
         let mut slots = 0;
         let mut tables = Vec::with_capacity(self.op_counts().lookups);
+        let zero = format.from_f64(0.0);
         let mut ops = Vec::with_capacity(self.ops.len());
         for (i, op) in self.ops.iter().enumerate() {
             // The result's slot is taken before the operands' are given
@@ -267,15 +268,18 @@ impl DatapathProgram {
             let slot = |a: &OpId| slot_of[a.index()];
             let (synth, range) = match op {
                 DatapathOp::LeafLookup { var, table } => {
-                    // A byte past the table's end reads the converted 0.0.
-                    tables.push(std::array::from_fn(|v| {
-                        format.from_f64(table.get(v).copied().unwrap_or(0.0))
-                    }));
-                    let range = range_of(&tables[tables.len() - 1]);
+                    // Filled in its arena slot; a byte past the table's
+                    // end reads the converted 0.0.
+                    let k = tables.len();
+                    tables.push([zero; 256]);
+                    for (entry, &x) in tables[k].iter_mut().zip(table) {
+                        *entry = format.from_f64(x);
+                    }
+                    let range = range_of(&tables[k]);
                     (
                         SynthOp::Lookup {
                             var: index(*var),
-                            table: index(tables.len() - 1),
+                            table: index(k),
                             dst,
                         },
                         range,

@@ -3,11 +3,11 @@
 //!
 //! Both sides run on `spn-server`'s reactor — the router owns no accept
 //! loop, no frame loop and no shutdown latch, and its one thread of its
-//! own is the health prober. The loop thread that reads a client's
-//! request also forwards it: decode → pick replicas off the ring →
-//! call a pooled or fresh backend connection through the loop's
-//! [`Upstream`] → classify the reply → try the next candidate or answer
-//! the client. Nothing there blocks on a backend, so a stalled backend
+//! own is the health prober, whose first round waits one interval. The
+//! loop thread that reads a client's request also forwards it: decode →
+//! pick replicas off the ring → call a pooled or fresh backend
+//! connection through the loop's [`Upstream`] → classify the reply →
+//! try the next candidate or answer the client. Nothing there blocks on a backend, so a stalled backend
 //! stalls only the requests waiting on it. `Ping`, `Stats` and
 //! `Shutdown` are answered by the front-end — `Stats` returns the
 //! router's own telemetry document and `Shutdown` drains the router
@@ -175,11 +175,11 @@ impl SpnRouter {
         let front = Arc::new(Frontend::new(service, local_addr, None));
         let reactor = reactor::start(listener, Arc::clone(&front), ReactorConfig::default())?;
 
+        // A failed spawn drops the reactor, which stops its loops.
         let health_front = Arc::clone(&front);
         let health_thread = thread::Builder::new()
             .name("spn-route-health".into())
-            .spawn(move || health_loop(health_front))
-            .expect("spawn router health thread");
+            .spawn(move || health_loop(health_front))?;
 
         Ok(SpnRouter {
             front,
@@ -227,7 +227,6 @@ impl SpnRouter {
     /// runs on drop.
     pub fn shutdown(&mut self) {
         self.front.request_shutdown();
-        self.reactor.join_acceptor();
         if let Some(t) = self.health_thread.take() {
             let _ = t.join();
         }
@@ -246,12 +245,14 @@ impl Drop for SpnRouter {
 /// costs one bounded attempt. Probes block, which is why the prober
 /// has a thread of its own. When a backend transitions to `Down` its
 /// pooled connections are retired — recovery then starts from fresh
-/// dials instead of replaying stale sockets. Between rounds it waits
-/// on the shutdown latch, so shutdown ends the wait at once.
+/// dials instead of replaying stale sockets. Before every round, the
+/// first included, it waits one interval on the shutdown latch, so
+/// shutdown ends the wait at once; until the first, a backend is `Up`
+/// unless a failed forward demoted it.
 fn health_loop(front: Arc<RouterFront>) {
     let router = &front.service.0;
     let policy = &router.config.health;
-    loop {
+    while !front.wait_for_shutdown(Some(policy.interval)) {
         for backend in &router.backends {
             if front.is_shutting_down() {
                 return;
@@ -266,9 +267,6 @@ fn health_loop(front: Arc<RouterFront>) {
                     }
                 }
             }
-        }
-        if front.wait_for_shutdown(Some(policy.interval)) {
-            return;
         }
     }
 }

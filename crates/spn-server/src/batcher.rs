@@ -58,6 +58,7 @@ use spn_core::Dataset;
 use spn_runtime::{JobOptions, JobResult, RuntimeError, Scheduler};
 use spn_telemetry::{LiveSpan, SpanCtx, SpanKind};
 use std::collections::VecDeque;
+use std::io;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread;
@@ -212,7 +213,9 @@ pub struct Batcher {
 
 impl Batcher {
     /// Spawn the worker for `scheduler` serving a model with
-    /// `num_features` features of domain `domain`.
+    /// `num_features` features of domain `domain`. Panics if the
+    /// worker thread cannot be spawned; the server starts its batchers
+    /// through `Batcher::start`, which returns that error.
     pub fn new(
         model: &str,
         scheduler: Arc<Scheduler>,
@@ -222,6 +225,28 @@ impl Batcher {
         opts: JobOptions,
         metrics: Arc<ServerMetrics>,
     ) -> Batcher {
+        Self::start(
+            model,
+            scheduler,
+            num_features,
+            domain,
+            policy,
+            opts,
+            metrics,
+        )
+        .expect("spawn batcher worker")
+    }
+
+    /// [`Batcher::new`], with a failed spawn returned as its error.
+    pub(crate) fn start(
+        model: &str,
+        scheduler: Arc<Scheduler>,
+        num_features: usize,
+        domain: usize,
+        policy: BatchPolicy,
+        opts: JobOptions,
+        metrics: Arc<ServerMetrics>,
+    ) -> io::Result<Batcher> {
         assert!(num_features > 0, "model must have at least one feature");
         assert!(
             policy.max_batch_samples > 0,
@@ -246,13 +271,12 @@ impl Batcher {
         let (w, s) = (Arc::clone(&shared), Arc::clone(&scheduler));
         let worker = thread::Builder::new()
             .name(format!("spn-batch-{model}"))
-            .spawn(move || worker_loop(&w, &s))
-            .expect("spawn batcher worker");
-        Batcher {
+            .spawn(move || worker_loop(&w, &s))?;
+        Ok(Batcher {
             shared,
             scheduler,
             worker: Mutex::new(Some(worker)),
-        }
+        })
     }
 
     /// Deposit a request; returns the channel the reply will arrive

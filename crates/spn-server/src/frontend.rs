@@ -13,16 +13,17 @@
 //! [`crate::reactor`]: it decodes with the resumable
 //! [`crate::protocol::FrameDecoder`], hands every complete frame to
 //! `Frontend::dispatch` together with its loop's [`Upstream`] handle,
-//! and writes what comes back.
+//! and writes what comes back; setting the latch wakes the loop that
+//! listens, which closes the listener.
 
 use crate::metrics::ReactorMetrics;
 use crate::protocol::{Frame, Opcode, Status};
 use crate::reactor::Upstream;
 use parking_lot::{Condvar, Mutex};
 use spn_telemetry::{LiveSpan, SpanCtx, SpanKind, TraceCollector};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// An `Infer` response plus the request's trace context (for the
@@ -72,6 +73,9 @@ pub struct Frontend<S> {
     /// or the owner); `wait_for_shutdown` waits on it.
     shutdown_flag: Mutex<bool>,
     shutdown_cv: Condvar,
+    /// Set by the reactor: wakes its listening loop, which closes the
+    /// listener once the latch is set.
+    pub(crate) wake_listener: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl<S: Service> Frontend<S> {
@@ -85,6 +89,7 @@ impl<S: Service> Frontend<S> {
             shutting_down: AtomicBool::new(false),
             shutdown_flag: Mutex::new(false),
             shutdown_cv: Condvar::new(),
+            wake_listener: OnceLock::new(),
         }
     }
 
@@ -105,8 +110,9 @@ impl<S: Service> Frontend<S> {
         let mut f = self.shutdown_flag.lock();
         *f = true;
         self.shutdown_cv.notify_all();
-        // Nudge the accept thread out of `accept()`.
-        let _ = TcpStream::connect(self.local_addr);
+        if let Some(wake) = self.wake_listener.get() {
+            wake();
+        }
     }
 
     /// Block until shutdown is requested, or until `timeout` has

@@ -217,7 +217,7 @@ impl ReactorMetrics {
         self.interest_changes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The acceptor called `accept`.
+    /// Loop 0 called `accept`.
     pub(crate) fn accept_attempted(&self) {
         self.accept_attempts.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,13 +1,14 @@
 //! The nonblocking epoll driver behind every SPN1 endpoint's
 //! [`Frontend`], and the outbound calls a service makes from it.
 //!
-//! One **acceptor thread** enforces the connection limit (an over-limit
-//! socket gets one typed `ServerBusy` frame, not a silent RST), backs
-//! off a few milliseconds after an `accept` error (`EMFILE`, …), and
-//! deals sockets round-robin to a fixed pool of **loop threads** through
-//! a mutexed inbox and an [`EventFd`] wake. Each loop owns its slab —
-//! client connections and outbound calls, in generation-counted slots —
-//! and drives it with level-triggered `epoll` (the vendored [`epoll`]
+//! A fixed pool of **loop threads** is the whole reactor. Loop 0 also
+//! listens: it accepts on readiness, answers a socket past the limit
+//! with one typed `ServerBusy` frame (not a silent RST), deals the rest
+//! round-robin — the other loops' through a mutexed inbox and an
+//! [`EventFd`] wake — and after an `accept` error (`EMFILE`, …) stops
+//! listening until its timer wheel says so. Each loop owns its slab —
+//! client connections and outbound calls, in generation-counted slots
+//! — and drives it with level-triggered `epoll` (the vendored [`epoll`]
 //! shim), so no lock is held while decoding, dispatching or writing.
 //!
 //! **One request at a time per connection.** Frames decode
@@ -43,7 +44,8 @@
 //! dial and reply bounds, a pooled connection's TTL. Expiry checks the
 //! true deadline and re-arms lazily, so firing early is harmless.
 //!
-//! Shutdown: the acceptor stops, the service drains, then every loop
+//! Shutdown: the front-end's latch wakes loop 0, which closes the
+//! listener within one turn; the service drains; then every loop
 //! flushes pending replies under a grace period, drives in-flight calls
 //! until they are answered or time out, and exits.
 
@@ -71,9 +73,9 @@ pub struct ReactorConfig {
     /// Event-loop threads. Connections are sharded round-robin at
     /// accept; each loop multiplexes its shard. Clamped to at least 1.
     pub loop_threads: usize,
-    /// Hard cap on concurrently open connections; the acceptor
-    /// answers the connection past the cap with one `ServerBusy`
-    /// frame and closes it.
+    /// Hard cap on concurrently open connections; loop 0 answers the
+    /// connection past the cap with one `ServerBusy` frame and closes
+    /// it.
     pub max_connections: usize,
     /// Close connections with no traffic for this long (`None` =
     /// never). Connections with a request in flight or a reply still
@@ -91,22 +93,17 @@ impl Default for ReactorConfig {
     }
 }
 
-/// A running reactor: acceptor plus loop threads. Stop it in two steps
-/// around whatever drains the service: [`ReactorHandle::join_acceptor`]
-/// once the front-end's latch is set, then [`ReactorHandle::finish`].
+/// A running reactor: its loop threads. Stop it with
+/// [`ReactorHandle::finish`] once the service has drained; dropping it
+/// finishes it too.
 pub struct ReactorHandle {
-    accept_thread: Option<thread::JoinHandle<()>>,
-    loops: Vec<LoopRef>,
+    loops: Vec<Arc<LoopShared>>,
+    threads: Vec<thread::JoinHandle<()>>,
     metrics: Arc<ReactorMetrics>,
 }
 
-struct LoopRef {
-    shared: Arc<LoopShared>,
-    thread: Option<thread::JoinHandle<()>>,
-}
-
 /// The cross-thread face of one event loop: everything other threads
-/// (the acceptor, batch completions, shutdown) may touch.
+/// (loop 0's accepts, batch completions, shutdown) may touch.
 struct LoopShared {
     epoll: Epoll,
     wake: EventFd,
@@ -120,6 +117,21 @@ struct LoopShared {
     owner: OnceLock<ThreadId>,
 }
 
+impl LoopShared {
+    fn new() -> io::Result<Arc<LoopShared>> {
+        let ls = LoopShared {
+            epoll: Epoll::new()?,
+            wake: EventFd::new()?,
+            inbox: Mutex::new(Vec::new()),
+            completions: Mutex::new(Vec::new()),
+            finish: AtomicBool::new(false),
+            owner: OnceLock::new(),
+        };
+        ls.epoll.add(&ls.wake, EPOLLIN | EPOLLET, TOKEN_WAKE)?;
+        Ok(Arc::new(ls))
+    }
+}
+
 /// A pending `Infer` response routed back to the loop that owns the
 /// connection.
 struct Completion {
@@ -129,8 +141,10 @@ struct Completion {
     ctx: SpanCtx,
 }
 
-/// The wake eventfd's registration token; slab tokens are `slot + 1`.
+/// The wake eventfd's and loop 0's listener's registration tokens;
+/// slab tokens are `slot + 1`.
 const TOKEN_WAKE: u64 = 0;
+const TOKEN_LISTENER: u64 = u64::MAX;
 
 fn token(slot: usize) -> u64 {
     slot as u64 + 1
@@ -144,15 +158,20 @@ const READ: u32 = EPOLLIN | EPOLLRDHUP;
 /// before abandoning the sockets.
 const FINISH_GRACE: Duration = Duration::from_secs(5);
 
-/// The acceptor's pause after an `accept` error: `EMFILE` lasts until
-/// some fd is closed, and retrying at once would pin a core meanwhile.
+/// How long loop 0 stops listening after an `accept` error (rounded up
+/// to its wheel's tick): `EMFILE` lasts until some fd is closed, and
+/// retrying at once would spin the loop meanwhile.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Sockets accepted per readiness event, so a burst of dials cannot
+/// hold off loop 0's other sockets.
+const ACCEPT_BATCH: usize = 64;
 
 /// The coarsest wheel tick, so also how late a call's deadline fires.
 const MAX_TICK: Duration = Duration::from_millis(50);
 
 /// Start the reactor on an already bound `listener`: spawn the loop
-/// pool and the acceptor. The handle owns the reactor's counters.
+/// pool, loop 0 listening. The handle owns the reactor's counters.
 pub fn start<S: Service>(
     listener: TcpListener,
     front: Arc<Frontend<S>>,
@@ -160,45 +179,41 @@ pub fn start<S: Service>(
 ) -> io::Result<ReactorHandle> {
     let loop_threads = config.loop_threads.max(1);
     let metrics = Arc::new(ReactorMetrics::new(loop_threads));
-    let mut loops = Vec::with_capacity(loop_threads);
-    for i in 0..loop_threads {
-        let ls = Arc::new(LoopShared {
-            epoll: Epoll::new()?,
-            wake: EventFd::new()?,
-            inbox: Mutex::new(Vec::new()),
-            completions: Mutex::new(Vec::new()),
-            finish: AtomicBool::new(false),
-            owner: OnceLock::new(),
-        });
-        ls.epoll.add(&ls.wake, EPOLLIN | EPOLLET, TOKEN_WAKE)?;
-        let (loop_ls, front, metrics) = (Arc::clone(&ls), Arc::clone(&front), Arc::clone(&metrics));
-        let idle = config.idle_timeout;
+    let loops = (0..loop_threads)
+        .map(|_| LoopShared::new())
+        .collect::<io::Result<Vec<_>>>()?;
+    listener.set_nonblocking(true)?;
+    loops[0].epoll.add(&listener, EPOLLIN, TOKEN_LISTENER)?;
+    let loop0 = Arc::clone(&loops[0]);
+    let wake = move || drop(loop0.wake.wake());
+    let _ = front.wake_listener.set(Box::new(wake));
+    let mut acceptor = Some(Acceptor {
+        listener,
+        loops: loops.clone(),
+        next: 0,
+        max_connections: config.max_connections,
+    });
+    // Dropped on an early return, the handle stops the loops it has.
+    let mut handle = ReactorHandle {
+        loops,
+        threads: Vec::new(),
+        metrics: Arc::clone(&metrics),
+    };
+    for (i, ls) in handle.loops.iter().enumerate() {
+        let (ls, front, metrics) = (Arc::clone(ls), Arc::clone(&front), Arc::clone(&metrics));
+        let (idle, acceptor) = (config.idle_timeout, acceptor.take());
         // The slab holds continuations, which never leave their loop's
         // thread: it is built there.
         let thread = thread::Builder::new()
             .name(format!("spn-loop-{i}"))
             .spawn(move || {
-                let core = Core::new(loop_ls, metrics, idle);
+                let mut core = Core::new(ls, metrics, idle);
+                core.acceptor = acceptor;
                 EventLoop { front, core }.run()
             })?;
-        loops.push(LoopRef {
-            shared: ls,
-            thread: Some(thread),
-        });
+        handle.threads.push(thread);
     }
-
-    let accept_thread = {
-        let shards = loops.iter().map(|l| Arc::clone(&l.shared)).collect();
-        let (metrics, max) = (Arc::clone(&metrics), config.max_connections);
-        thread::Builder::new()
-            .name("spn-accept".into())
-            .spawn(move || accept_loop(listener, front, shards, max, metrics))?
-    };
-    Ok(ReactorHandle {
-        accept_thread: Some(accept_thread),
-        loops,
-        metrics,
-    })
+    Ok(handle)
 }
 
 impl ReactorHandle {
@@ -207,78 +222,49 @@ impl ReactorHandle {
         &self.metrics
     }
 
-    /// Join the acceptor (call after `request_shutdown`, whose nudge
-    /// connection unblocks `accept`). Idempotent.
-    pub fn join_acceptor(&mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-
     /// Tell every loop to flush and exit, then join them. Call only
     /// after the service has drained, so every outstanding reply is in
     /// (or past) a completion queue or waits on a call a loop drives.
+    /// Idempotent.
     pub fn finish(&mut self) {
-        for l in &self.loops {
-            l.shared.finish.store(true, Ordering::Release);
-            let _ = l.shared.wake.wake();
+        for ls in &self.loops {
+            ls.finish.store(true, Ordering::Release);
+            let _ = ls.wake.wake();
         }
-        for l in &mut self.loops {
-            if let Some(t) = l.thread.take() {
-                let _ = t.join();
-            }
+        for t in self.threads.drain(..) {
+            let _ = t.join();
         }
     }
 }
 
-fn accept_loop<S: Service>(
+impl Drop for ReactorHandle {
+    fn drop(&mut self) {
+        self.finish();
+    }
+}
+
+/// Loop 0's listener, and the loops it deals accepted sockets to.
+struct Acceptor {
     listener: TcpListener,
-    front: Arc<Frontend<S>>,
+    /// Every loop's shared face, loop 0's first.
     loops: Vec<Arc<LoopShared>>,
+    next: usize,
     max_connections: usize,
-    metrics: Arc<ReactorMetrics>,
-) {
-    let mut next = 0usize;
-    loop {
-        metrics.accept_attempted();
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if front.is_shutting_down() {
-                    // The wake-up connection (or a late client); stop.
-                    drop(stream);
-                    return;
-                }
-                if metrics.open_connections() >= max_connections as u64 {
-                    metrics.conn_rejected_at_accept();
-                    reject_busy(stream, max_connections);
-                    continue;
-                }
-                metrics.conn_accepted();
-                let target = &loops[next % loops.len()];
-                next = next.wrapping_add(1);
-                target.inbox.lock().push(stream);
-                let _ = target.wake.wake();
-            }
-            Err(_) if front.is_shutting_down() => return,
-            // EMFILE, ECONNABORTED, …: keep serving, once it may clear.
-            Err(_) => thread::sleep(ACCEPT_BACKOFF),
-        }
-    }
 }
 
-/// Answer an over-limit connection with one typed `ServerBusy` frame,
-/// then close. The frame arrives before the client's first request,
-/// so it carries `Opcode::Infer` — the opcode a loadgen or inference
-/// client is about to send — and a short write timeout so a
-/// non-reading peer cannot wedge the acceptor.
-fn reject_busy(mut stream: TcpStream, max_connections: usize) {
-    let msg = format!("connection limit {max_connections} reached; retry later");
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.write_all(&encode_frame(
-        Opcode::Infer,
-        Status::ServerBusy,
-        msg.as_bytes(),
-    ));
+/// The listener's wheel entry: it holds no slab slot.
+const LISTENER: Cookie = (usize::MAX, 0);
+
+/// Answer an over-limit connection with one typed `ServerBusy` frame —
+/// it precedes the peer's first request, so it carries the opcode the
+/// peer is about to send — written without blocking: a fresh socket's
+/// buffer holds it, and a peer that never reads cannot hold the loop.
+fn reject_busy(mut stream: TcpStream, max: usize) {
+    let msg = format!("connection limit {max} reached; retry later");
+    let busy = encode_frame(Opcode::Infer, Status::ServerBusy, msg.as_bytes());
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = stream.write_all(&busy);
+    }
 }
 
 /// Where an outbound call goes, and how long it may take.
@@ -487,8 +473,9 @@ impl TimerWheel {
     }
 }
 
-/// A loop's state apart from the front-end: the slab, the timer wheel
-/// and the upstream pool. What [`Upstream`] lends a service.
+/// A loop's state apart from the front-end: the slab, the timer wheel,
+/// the upstream pool and, on loop 0, the listener. What [`Upstream`]
+/// lends a service.
 struct Core {
     ls: Arc<LoopShared>,
     metrics: Arc<ReactorMetrics>,
@@ -502,6 +489,8 @@ struct Core {
     settled: Vec<(Then, io::Result<Frame>)>,
     /// Source of connection generations and timer tags.
     tags: u64,
+    /// On loop 0 until shutdown: the listener.
+    acceptor: Option<Acceptor>,
 }
 
 impl Core {
@@ -520,6 +509,7 @@ impl Core {
             pool: HashMap::new(),
             settled: Vec::new(),
             tags: 0,
+            acceptor: None,
         }
     }
 
@@ -802,6 +792,50 @@ impl Core {
         self.settled.push((job.then, Err(err)));
     }
 
+    /// The listener is readable (level-triggered, so what a batch
+    /// leaves reports again): accept, refuse or deal each socket.
+    fn accept(&mut self) {
+        let Some(acc) = self.acceptor.as_mut() else {
+            return;
+        };
+        let metrics = &self.metrics;
+        for _ in 0..ACCEPT_BATCH {
+            metrics.accept_attempted();
+            let stream = match acc.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                // EMFILE, ECONNABORTED, …: stop listening until the
+                // wheel's back-off has passed.
+                Err(_) => {
+                    let _ = self.ls.epoll.delete(&acc.listener);
+                    return self.wheel.insert_after(LISTENER, ACCEPT_BACKOFF);
+                }
+            };
+            if metrics.open_connections() >= acc.max_connections as u64 {
+                metrics.conn_rejected_at_accept();
+                reject_busy(stream, acc.max_connections);
+                continue;
+            }
+            metrics.conn_accepted();
+            let target = &acc.loops[acc.next % acc.loops.len()];
+            acc.next = acc.next.wrapping_add(1);
+            target.inbox.lock().push(stream);
+            // This loop empties its own inbox later in this turn.
+            if !Arc::ptr_eq(target, &self.ls) {
+                let _ = target.wake.wake();
+            }
+        }
+    }
+
+    /// The accept back-off has passed: listen again, or back off again.
+    fn listen(&mut self) {
+        let Some(acc) = &self.acceptor else { return };
+        let armed = self.ls.epoll.add(&acc.listener, EPOLLIN, TOKEN_LISTENER);
+        if armed.is_err() {
+            self.wheel.insert_after(LISTENER, ACCEPT_BACKOFF);
+        }
+    }
+
     /// A wheel entry came up: reap an idle client connection, time out
     /// a call, retire a pooled connection past its TTL — or, when the
     /// deadline has not come yet, say how long until it does.
@@ -862,12 +896,16 @@ impl<S: Service> EventLoop<S> {
             self.core.metrics.loop_turn(n as u64);
 
             for event in events.iter().take(n) {
-                let (token, readiness) = (event.token(), event.readiness());
-                // A wake (edge-triggered, never read) only ends the
-                // wait: inbox and completions are emptied every turn.
-                if token != TOKEN_WAKE {
-                    self.handle_readiness((token - 1) as usize, readiness);
+                match event.token() {
+                    // A wake (edge-triggered, never read) only ends the
+                    // wait: inbox and completions are emptied every turn.
+                    TOKEN_WAKE => {}
+                    TOKEN_LISTENER => self.core.accept(),
+                    token => self.handle_readiness((token - 1) as usize, event.readiness()),
                 }
+            }
+            if self.core.acceptor.is_some() && self.front.is_shutting_down() {
+                self.core.acceptor = None; // Closed, so deregistered.
             }
 
             // Register freshly accepted sockets.
@@ -882,7 +920,9 @@ impl<S: Service> EventLoop<S> {
             // Deadlines: idle connections, calls, pooled TTLs.
             let now = Instant::now();
             for cookie in self.core.wheel.take_due(now) {
-                if let Some(after) = self.core.expire(cookie, now) {
+                if cookie == LISTENER {
+                    self.core.listen();
+                } else if let Some(after) = self.core.expire(cookie, now) {
                     self.core.wheel.insert_after(cookie, after);
                 }
             }
@@ -1087,17 +1127,6 @@ mod tests {
         assert_eq!(server.reactor_metrics().interest_changes(), 0);
     }
 
-    fn loop_shared() -> Arc<LoopShared> {
-        Arc::new(LoopShared {
-            epoll: Epoll::new().unwrap(),
-            wake: EventFd::new().unwrap(),
-            inbox: Mutex::new(Vec::new()),
-            completions: Mutex::new(Vec::new()),
-            finish: AtomicBool::new(false),
-            owner: OnceLock::new(),
-        })
-    }
-
     /// `set_interest` is the only place an entry's interest changes,
     /// and it must not record a change the kernel refused: a connection
     /// deregistered behind the loop's back (`MOD` → `ENOENT`) is
@@ -1105,7 +1134,7 @@ mod tests {
     #[test]
     fn a_refused_interest_change_closes_the_connection() {
         let metrics = Arc::new(ReactorMetrics::new(1));
-        let ls = loop_shared();
+        let ls = LoopShared::new().unwrap();
         let mut core = Core::new(Arc::clone(&ls), Arc::clone(&metrics), None);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -1187,12 +1216,15 @@ mod tests {
         front: Arc<Frontend<Forward>>,
         handle: ReactorHandle,
         client: TcpStream,
+        /// The listener's descriptor, owned by loop 0.
+        listener: i32,
     }
 
     impl Forwarder {
         fn start(to: Target) -> Forwarder {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
+            let fd = std::os::fd::AsRawFd::as_raw_fd(&listener);
             let front = Arc::new(Frontend::new(Forward { to }, addr, None));
             let config = ReactorConfig {
                 loop_threads: 1,
@@ -1205,6 +1237,7 @@ mod tests {
                 front,
                 handle,
                 client,
+                listener: fd,
             }
         }
 
@@ -1222,7 +1255,6 @@ mod tests {
     impl Drop for Forwarder {
         fn drop(&mut self) {
             self.front.request_shutdown();
-            self.handle.join_acceptor();
             self.handle.finish();
         }
     }
@@ -1366,30 +1398,34 @@ mod tests {
         assert_eq!(reply.payload, b"TimedOut");
     }
 
-    /// An `accept` that keeps failing — `WouldBlock` on this
-    /// nonblocking listener, `EMFILE` in the field — is retried after a
-    /// back-off, not in a spin.
+    extern "C" {
+        fn shutdown(fd: i32, how: i32) -> i32;
+    }
+
+    /// An `accept` that keeps failing stops loop 0 listening until the
+    /// wheel's back-off has passed, and the loop serves its connections
+    /// meanwhile. A listener shut down for reading (`SHUT_RD`) is
+    /// closed but still registered: epoll reports it hung up on every
+    /// wait, and every `accept` on it fails (`EINVAL`). Were it not
+    /// disarmed, the loop would spin on it; were it not re-armed,
+    /// `accept` would be tried once.
     #[test]
-    fn accept_errors_back_off() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let front = Arc::new(Frontend::new(
-            Forward {
-                to: target(addr, None),
-            },
-            addr,
-            None,
-        ));
-        let metrics = Arc::new(ReactorMetrics::new(1));
-        let acceptor = {
-            let (front, metrics) = (Arc::clone(&front), Arc::clone(&metrics));
-            thread::spawn(move || accept_loop(listener, front, Vec::new(), 1, metrics))
-        };
-        thread::sleep(Duration::from_millis(200));
-        front.request_shutdown();
-        acceptor.join().unwrap();
-        let attempts = metrics.accept_attempts();
-        assert!(attempts <= 50, "{attempts} accept attempts in 200 ms");
+    fn accept_errors_back_off_through_the_wheel() {
+        let mut fwd = Forwarder::start(target(echo_backend().addr, None));
+        assert_eq!(fwd.infer(b"a").status, Status::Ok);
+        let attempts = |fwd: &Forwarder| fwd.handle.metrics().accept_attempts();
+        let (before, t) = (attempts(&fwd), Instant::now());
+        // SAFETY: the descriptor is the listener's, open until `fwd`
+        // drops.
+        assert_eq!(unsafe { shutdown(fwd.listener, 0) }, 0);
+        eventually("accept is retried", || attempts(&fwd) >= before + 3);
+        assert_eq!(fwd.infer(b"b").status, Status::Ok);
+        let tried = u128::from(attempts(&fwd) - before);
+        let backoffs = t.elapsed().as_millis() / ACCEPT_BACKOFF.as_millis();
+        assert!(
+            tried <= backoffs + 2,
+            "{tried} accepts in {:?}",
+            t.elapsed()
+        );
     }
 }

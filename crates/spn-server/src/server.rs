@@ -4,10 +4,9 @@
 //! The server is one [`Service`] — `Stats` is the unified telemetry
 //! document, `Infer` is decode → validate → admission control →
 //! enqueue with the model's batcher — behind the one front-end, whose
-//! bytes the epoll [`crate::reactor`] moves: one accept thread hands
-//! sockets to a small fixed pool of event-loop threads
-//! ([`ServerConfig::serving`]), each multiplexing thousands of
-//! connections.
+//! bytes the epoll [`crate::reactor`] moves: a small fixed pool of
+//! event-loop threads ([`ServerConfig::serving`]), the first of which
+//! also accepts, each multiplexing thousands of connections.
 //!
 //! There is one **batcher worker** per registered model (see
 //! [`crate::batcher`]), and a connection handles one request at a
@@ -16,7 +15,7 @@
 //! mid-request disconnect kills that connection only.
 //!
 //! Shutdown ([`SpnServer::shutdown`], the `Shutdown` opcode, or drop)
-//! is a drain, not an abort: the accept loop stops, new `Infer`
+//! is a drain, not an abort: the listener closes, new `Infer`
 //! requests are refused with [`Status::ShuttingDown`], every
 //! already-admitted request still gets its reply (the batchers flush
 //! their queues through the scheduler), and only then are the threads
@@ -223,7 +222,7 @@ impl SpnServer {
             if backend != ExecBackend::Device && device.model().is_none() {
                 return refuse(format!("runs on {backend:?}, but its device has no SPN"));
             }
-            let batcher = Batcher::new(
+            let batcher = Batcher::start(
                 &spec.name,
                 Arc::clone(&spec.scheduler),
                 spec.num_features as usize,
@@ -231,7 +230,7 @@ impl SpnServer {
                 config.batch,
                 spec.opts,
                 Arc::clone(&metrics),
-            );
+            )?;
             let handle = ModelHandle {
                 batcher,
                 scheduler: spec.scheduler,
@@ -290,7 +289,6 @@ impl SpnServer {
     /// drop.
     pub fn shutdown(&mut self) {
         self.front.request_shutdown();
-        self.reactor.join_acceptor();
         // Drain order is load-bearing: every connection with a pending
         // `Infer` is a reactor slot waiting on its batcher reply, and
         // flushing the batch queues is what delivers those. Batchers

@@ -181,6 +181,80 @@ fn connection_limit_rejects_at_accept() {
     server.shutdown();
 }
 
+/// An over-limit peer that never reads its `ServerBusy` frame costs
+/// the listening loop one nonblocking write: with every such peer
+/// still holding its socket, the connection the loop already serves is
+/// answered.
+#[test]
+fn unread_server_busy_frames_do_not_stall_the_listening_loop() {
+    const PEERS: u64 = 32;
+    let bench = NipsBenchmark::Nips10;
+    let nf = bench.num_vars();
+    let mut server = start_server(
+        bench,
+        ServingMode::Reactor(ReactorConfig {
+            loop_threads: 1,
+            max_connections: 1,
+            idle_timeout: None,
+        }),
+    );
+    let addr = server.local_addr();
+    let mut served = Client::connect(addr).unwrap();
+    served.ping().unwrap();
+
+    let peers: Vec<TcpStream> = (0..PEERS)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    let rejected = |server: &SpnServer| {
+        server
+            .telemetry_snapshot()
+            .reactor
+            .unwrap()
+            .rejected_at_accept
+    };
+    wait_until("an over-limit peer was never turned away", || {
+        rejected(&server) == PEERS
+    });
+    let lls = served
+        .request(bench.name())
+        .samples(&vec![0u8; nf], 1, nf as u32)
+        .send()
+        .unwrap();
+    assert_eq!(lls.len(), 1);
+    drop(peers);
+    server.shutdown();
+}
+
+/// The latch closes the listener within one turn of the listening
+/// loop, before `shutdown` drains anything: a connection attempted
+/// after it is refused, or — queued by the kernel just before — closed
+/// or answered `ShuttingDown`. No `Infer` is admitted either way.
+#[test]
+fn a_connection_after_the_latch_admits_no_inference() {
+    let bench = NipsBenchmark::Nips10;
+    let nf = bench.num_vars();
+    let mut server = start_server(bench, ServingMode::default());
+    let addr = server.local_addr();
+    Client::connect(addr).unwrap().shutdown_server().unwrap();
+
+    if let Ok(mut late) = Client::connect(addr) {
+        let reply = late
+            .request(bench.name())
+            .samples(&vec![0u8; nf], 1, nf as u32)
+            .send();
+        match reply {
+            Err(ClientError::Rejected { status, .. }) => assert_eq!(status, Status::ShuttingDown),
+            Err(_) => {} // Closed with the listener.
+            Ok(_) => panic!("inference admitted after the latch"),
+        }
+    }
+    wait_until("the listener stayed open after the latch", || {
+        TcpStream::connect(addr).is_err()
+    });
+    assert_eq!(server.metrics_snapshot().requests_total, 0);
+    server.shutdown();
+}
+
 /// Connections idle past the timeout are reaped by the timer wheel;
 /// active connections survive it.
 #[test]

@@ -13,7 +13,7 @@ use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
     protocol, BatchPolicy, Client, ModelSpec, Opcode, ServerConfig, SpnServer, Status,
 };
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -507,8 +507,9 @@ fn dead_backend_is_demoted_and_readmitted_when_it_returns() {
     drop((client, router, revived));
 }
 
-/// Shutdown is an event: a router whose prober waits an hour between
-/// rounds stops at once, through `shutdown` and through drop.
+/// Shutdown is an event: a router whose prober waits an hour before
+/// each round, the first included, stops at once, through `shutdown`
+/// and through drop — and its backend never hears from it.
 #[test]
 fn shutdown_does_not_wait_out_the_probe_interval() {
     let backend = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -524,16 +525,6 @@ fn shutdown_does_not_wait_out_the_probe_interval() {
     })
     .unwrap();
 
-    // Answer the first probe and wait for the prober to hang up: it has
-    // then finished its round and, unless `shutdown` beats it there,
-    // waits out its hour. Either order must stop at once.
-    let (mut probe, _) = backend.accept().unwrap();
-    let ping = protocol::read_frame(&mut probe).unwrap();
-    assert_eq!(ping.opcode, Opcode::Ping);
-    let pong = protocol::Frame::response(Opcode::Ping, Status::Ok, vec![]);
-    protocol::write_frame(&mut probe, &pong).unwrap();
-    assert_eq!(probe.read(&mut [0u8; 1]).unwrap(), 0, "the prober hung up");
-
     let (stopped, stops) = mpsc::channel();
     let stopper = thread::spawn(move || {
         router.shutdown();
@@ -546,6 +537,110 @@ fn shutdown_does_not_wait_out_the_probe_interval() {
         assert_eq!(done, Ok(step), "{step} waited out the probe interval");
     }
     stopper.join().unwrap();
+    // Every dial the router made has completed into the backlog.
+    backend.set_nonblocking(true).unwrap();
+    let dialed = backend.accept().map(|_| ());
+    assert!(
+        matches!(&dialed, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the prober dialed before its first interval: {dialed:?}"
+    );
+}
+
+/// A cold router probes nothing before its first interval. One request
+/// through a router whose prober waits an hour reaches the model's
+/// primary replica over one connection, the forward's own (pooled
+/// after), and the other replica accepts none.
+#[test]
+fn a_cold_router_probes_nothing_before_its_first_interval() {
+    let bench = NipsBenchmark::Nips10;
+    let nf = bench.num_vars();
+    let backends = [start_backend(bench), start_backend(bench)];
+    let router = SpnRouter::start(RouterConfig {
+        backends: backends
+            .iter()
+            .map(|b| b.local_addr().to_string())
+            .collect(),
+        replication: 2,
+        health: HealthPolicy {
+            interval: Duration::from_secs(3600),
+            ..fast_health()
+        },
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(router.local_addr()).unwrap();
+    let lls = client
+        .request(bench.name())
+        .samples(&vec![0u8; nf], 1, nf as u32)
+        .send()
+        .unwrap();
+    assert_eq!(lls.len(), 1);
+
+    // Accepted before it was read from, so counted before the reply.
+    let accepted = |i: usize| {
+        let reactor = backends[i].telemetry_snapshot().reactor.unwrap();
+        reactor.accepted_total
+    };
+    let replicas = router.replicas(bench.name());
+    assert_eq!(accepted(replicas[0]), 1, "the primary");
+    assert_eq!(accepted(replicas[1]), 0, "the other replica was probed");
+}
+
+/// A backend that is dead at start costs the first request one
+/// failover, not an error: it is tried first (it starts `Up`), found
+/// closed, and the live replica answers, bit for bit. The prober then
+/// marks it `Down` within `fail_threshold` rounds, read at the dials
+/// its stand-in sees. A probe verdict could route around it before
+/// the request only after two rounds, two intervals after start; the
+/// request is sent at once.
+#[test]
+fn a_backend_dead_at_start_costs_the_first_request_one_failover() {
+    let bench = NipsBenchmark::Nips10;
+    let nf = bench.num_vars();
+    // One scheduler under many names, so some name is placed on the
+    // dead backend first.
+    let names: Vec<String> = (0..64).map(|i| format!("m{i:02}")).collect();
+    let scheduler = make_scheduler(bench);
+    let specs = names
+        .iter()
+        .map(|n| ModelSpec::new(n, Arc::clone(&scheduler), nf as u32, 256))
+        .collect();
+    let live = SpnServer::serve(ServerConfig::default(), specs).unwrap();
+    let dead = StandIn::start();
+    let dead_addr = dead.addr.to_string();
+    let policy = HealthPolicy {
+        interval: Duration::from_millis(250),
+        ..fast_health()
+    };
+    let router = SpnRouter::start(RouterConfig {
+        backends: vec![live.local_addr().to_string(), dead_addr.clone()],
+        replication: 2,
+        health: policy.clone(),
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let model = names.iter().find(|n| router.replicas(n)[0] == 1).unwrap();
+
+    let row = bench.dataset(1, 3);
+    let mut client = Client::connect(router.local_addr()).unwrap();
+    let lls = client
+        .request(model)
+        .samples(row.raw(), 1, nf as u32)
+        .send()
+        .unwrap();
+    assert_eq!(lls[0].to_bits(), direct_lls(bench, &row)[0].to_bits());
+    let r = router.telemetry_snapshot().router.unwrap();
+    assert_eq!((r.requests_total, r.failovers_total), (1, 1));
+
+    // The forward's dial and `fail_threshold` failed probes, each
+    // verdict recorded by the time the next dial is reported.
+    for _ in 0..=policy.fail_threshold {
+        assert!(!dead.next_dial(), "a dark dial was relayed");
+    }
+    dead.next_dial();
+    let state = &router.telemetry_snapshot().router.unwrap().backends[&dead_addr].state;
+    assert_eq!(state, "down");
+    drop((client, router));
 }
 
 /// The router's `Stats` opcode returns the versioned telemetry
