@@ -3,11 +3,10 @@
 //! spawning processes.
 
 use crate::args::{ArgError, Args};
-use crate::csv::{parse_csv, to_csv};
+use crate::csv::parse_csv;
 use spn_arith::AnyFormat;
 use spn_core::{
-    from_text, learn_spn, to_text, Evaluator, LearnParams, NipsBenchmark, Query, RandomSpnConfig,
-    Sampler, Spn,
+    from_text, to_text, Evaluator, Leaf, NipsBenchmark, Node, Query, RandomSpnConfig, Spn,
 };
 use spn_hw::{
     datapath_cost, design_cost, emit_verilog, ArithCosts, DatapathProgram, OpLatencies,
@@ -68,18 +67,18 @@ spn — SPN-HBM toolflow
 
 USAGE: spn <command> [flags]
 
+A model enters as SPFlow text (--model FILE.spn), trained and exported
+elsewhere, or is built here by `generate`: a NIPS benchmark network or
+a RAT-SPN-style random one.
+
 COMMANDS:
   generate   --benchmark NIPS10 | --vars N [--domain D] [--repetitions R] [--seed S]
              [--out FILE]
              Emit a benchmark or random SPN in the textual format.
-  learn      --data FILE.csv [--domain D] [--min-instances M] [--em N] [--out FILE]
-             Learn an SPN from CSV data (LearnSPN-style).
   info       --model FILE.spn
              Structure, datapath, pipeline and resource report.
   infer      --model FILE.spn --data FILE.csv [--domain D] [--format cfp|lns|posit|f64]
              Log-likelihood per sample (CSV in, one value per line out).
-  sample     --model FILE.spn --n COUNT [--seed S]
-             Draw samples from the model as CSV.
   simulate   --benchmark NIPS10 [--pes N] [--threads T] [--block B] [--samples S]
              [--no-transfers true] [--trace FILE.json]
              Virtual-time end-to-end performance of the accelerator card.
@@ -140,10 +139,8 @@ pub fn run(tokens: Vec<String>) -> Result<CmdResult, CmdError> {
     let args = Args::parse(tokens)?;
     match args.positional(0) {
         Some("generate") => cmd_generate(&args),
-        Some("learn") => cmd_learn(&args),
         Some("info") => cmd_info(&args),
         Some("infer") => cmd_infer(&args),
-        Some("sample") => cmd_sample(&args),
         Some("simulate") => cmd_simulate(&args),
         Some("accelerate") => cmd_accelerate(&args),
         Some("emit") => cmd_emit(&args),
@@ -162,6 +159,26 @@ fn load_model(args: &Args) -> Result<Spn, CmdError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| CmdError(format!("cannot read {path}: {e}")))?;
     from_text(&text, path, None).map_err(|e| CmdError(format!("{path}: {e}")))
+}
+
+/// Compile `spn` to the datapath, which holds a leaf only as a ROM
+/// table: a Gaussian leaf is the model's error here, where
+/// `DatapathProgram::compile` would panic on it.
+fn datapath(spn: &Spn) -> Result<DatapathProgram, CmdError> {
+    for (i, node) in spn.nodes().iter().enumerate() {
+        if let Node::Leaf {
+            var,
+            dist: Leaf::Gaussian { mean, std },
+        } = node
+        {
+            return Err(CmdError(format!(
+                "{}: node {i}, Gaussian(V{var}|{mean};{std}): the datapath takes \
+                 histogram and categorical leaves only",
+                spn.name
+            )));
+        }
+    }
+    Ok(DatapathProgram::compile(spn))
 }
 
 fn out_file(args: &Args, default: &str) -> String {
@@ -192,60 +209,10 @@ fn cmd_generate(args: &Args) -> Result<CmdResult, CmdError> {
     })
 }
 
-fn cmd_learn(args: &Args) -> Result<CmdResult, CmdError> {
-    args.check_known(&["data", "domain", "min-instances", "em", "out"])?;
-    let data_path = args.require("data")?;
-    let text = std::fs::read_to_string(data_path)
-        .map_err(|e| CmdError(format!("cannot read {data_path}: {e}")))?;
-    let domain = args.get_or("domain", 256usize)?;
-    let data = parse_csv(&text, domain).map_err(|e| CmdError(e.to_string()))?;
-    let params = LearnParams {
-        min_instances: args.get_or("min-instances", 64usize)?,
-        ..LearnParams::default()
-    };
-    let mut spn = learn_spn(&data, &params, "learned").map_err(|e| CmdError(e.to_string()))?;
-    // Optional EM weight polish on the learned structure.
-    let em_iters = args.get_or("em", 0usize)?;
-    let mut em_note = String::new();
-    if em_iters > 0 {
-        let (fitted, history) = spn_core::em_weights(
-            &spn,
-            &data,
-            &spn_core::EmParams {
-                iterations: em_iters,
-                smoothing: 0.1,
-            },
-        )
-        .map_err(|e| CmdError(e.to_string()))?;
-        em_note = format!(
-            "EM ({em_iters} iters): mean LL {:.4} -> {:.4}\n",
-            history.first().unwrap().mean_log_likelihood,
-            history.last().unwrap().mean_log_likelihood
-        );
-        spn = fitted;
-    }
-    let mut ev = Evaluator::new(&spn);
-    let mean_ll: f64 = data
-        .rows()
-        .map(|r| ev.eval_bytes(&Query::Complete, r))
-        .sum::<f64>()
-        / data.num_samples() as f64;
-    let path = out_file(args, "learned.spn");
-    Ok(CmdResult {
-        stdout: format!(
-            "learned from {} samples x {} features: {:?}\n{em_note}train mean log-likelihood: {mean_ll:.4}\nwrote {path}\n",
-            data.num_samples(),
-            data.num_features(),
-            spn.stats()
-        ),
-        files: vec![(path, to_text(&spn))],
-    })
-}
-
 fn cmd_info(args: &Args) -> Result<CmdResult, CmdError> {
     args.check_known(&["model"])?;
     let spn = load_model(args)?;
-    let prog = DatapathProgram::compile(&spn);
+    let prog = datapath(&spn)?;
     let counts = prog.op_counts();
     let sched = PipelineSchedule::asap(&prog, &OpLatencies::cfp());
     let dp = datapath_cost(
@@ -309,7 +276,7 @@ fn cmd_infer(args: &Args) -> Result<CmdResult, CmdError> {
         }
         _ => {
             // Hardware-exact path through the compiled datapath.
-            let prog = DatapathProgram::compile(&spn);
+            let prog = datapath(&spn)?;
             let core = spn_hw::AcceleratorCore::new(
                 spn_hw::AcceleratorConfig::paper_default(),
                 prog,
@@ -321,17 +288,6 @@ fn cmd_infer(args: &Args) -> Result<CmdResult, CmdError> {
         }
     }
     Ok(CmdResult::text(out))
-}
-
-fn cmd_sample(args: &Args) -> Result<CmdResult, CmdError> {
-    args.check_known(&["model", "n", "seed"])?;
-    let spn = load_model(args)?;
-    let n = args.get_or("n", 10usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let mut sampler = Sampler::new(&spn, seed);
-    let raw = sampler.sample_bytes(n);
-    let data = spn_core::Dataset::from_raw(raw, spn.num_vars(), 256);
-    Ok(CmdResult::text(to_csv(&data)))
 }
 
 fn cmd_simulate(args: &Args) -> Result<CmdResult, CmdError> {
@@ -498,7 +454,7 @@ fn cmd_accelerate(args: &Args) -> Result<CmdResult, CmdError> {
 fn cmd_emit(args: &Args) -> Result<CmdResult, CmdError> {
     args.check_known(&["model", "prefix"])?;
     let spn = load_model(args)?;
-    let prog = DatapathProgram::compile(&spn);
+    let prog = datapath(&spn)?;
     let netlist = emit_verilog(&prog, 33, &OpLatencies::cfp());
     let prefix = args.get("prefix").unwrap_or("").to_string();
     let mut files = vec![(
@@ -981,7 +937,7 @@ mod tests {
             block.push_str(line);
             block.push('\n');
         }
-        assert_eq!(blocks.len(), 13, "one block per subcommand of `run`");
+        assert_eq!(blocks.len(), 11, "one block per subcommand of `run`");
         for block in &blocks {
             let cmd = block.split_whitespace().next().unwrap();
             let err = run_tokens(&format!("{cmd} --zzz 1")).unwrap_err().0;
@@ -1084,21 +1040,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_emits_csv_of_requested_size() {
-        let dir = std::env::temp_dir().join("spn_cli_test2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let model = dir.join("m.spn");
-        let r = run_tokens(&format!(
-            "generate --vars 2 --domain 4 --out {}",
-            model.display()
-        ))
-        .unwrap();
-        std::fs::write(&model, &r.files[0].1).unwrap();
-        let out = run_tokens(&format!("sample --model {} --n 7", model.display())).unwrap();
-        assert_eq!(out.stdout.lines().count(), 7);
-    }
-
-    #[test]
     fn info_reports_structure_and_resources() {
         let dir = std::env::temp_dir().join("spn_cli_test3");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1126,25 +1067,39 @@ mod tests {
         assert!(out.files.len() > 1, "ROM images included");
     }
 
+    /// A Gaussian leaf has no ROM table: every command that compiles
+    /// the datapath answers with a typed error naming the leaf, while
+    /// the f64 oracle still evaluates the model.
     #[test]
-    fn learn_from_csv() {
-        let dir = std::env::temp_dir().join("spn_cli_test5");
+    fn gaussian_leaf_is_a_typed_error_on_the_datapath() {
+        let dir = std::env::temp_dir().join("spn_cli_gaussian");
         std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("train.csv");
-        // Two obvious clusters.
-        let mut csv = String::new();
-        for _ in 0..60 {
-            csv.push_str("0,0\n7,7\n");
-        }
-        std::fs::write(&data, &csv).unwrap();
-        let out = run_tokens(&format!(
-            "learn --data {} --domain 8 --min-instances 16",
-            data.display()
-        ))
+        let model = dir.join("g.spn");
+        let data = dir.join("g.csv");
+        std::fs::write(
+            &model,
+            "Sum(0.5*Gaussian(V0|1.0;2.0),0.5*Gaussian(V0|3.0;1.0))",
+        )
         .unwrap();
-        assert!(out.stdout.contains("learned from 120 samples"));
-        let spn = from_text(&out.files[0].1, "l", None).unwrap();
-        assert_eq!(spn.num_vars(), 2);
+        std::fs::write(&data, "0\n3\n").unwrap();
+        let (m, d) = (model.display(), data.display());
+        let mut compiling = vec![format!("info --model {m}"), format!("emit --model {m}")];
+        for format in ["cfp", "lns", "posit"] {
+            compiling.push(format!("infer --model {m} --data {d} --format {format}"));
+        }
+        for cmd in &compiling {
+            let err = run_tokens(cmd).unwrap_err();
+            assert!(
+                err.0.contains("Gaussian(V0|1;2)")
+                    && err.0.contains("histogram and categorical leaves only"),
+                "{cmd}: {}",
+                err.0
+            );
+        }
+        let out = run_tokens(&format!("infer --model {m} --data {d} --format f64")).unwrap();
+        let lls: Vec<f64> = out.stdout.lines().map(|l| l.parse().unwrap()).collect();
+        assert_eq!(lls.len(), 2);
+        assert!(lls.iter().all(|l| l.is_finite()), "{lls:?}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Minimal CSV I/O for byte-valued sample matrices.
+//! Minimal CSV input for byte-valued sample matrices.
 //!
-//! The CLI exchanges datasets as plain integer CSV (one sample per
-//! line, one feature per column) — the least surprising format for
-//! SPFlow users. No quoting or escaping: values are bytes.
+//! The CLI reads datasets as plain integer CSV (one sample per line,
+//! one feature per column) — the least surprising format for SPFlow
+//! users. No quoting or escaping: values are bytes.
 
 use spn_core::Dataset;
 
@@ -65,28 +65,18 @@ pub fn parse_csv(text: &str, domain: usize) -> Result<Dataset, CsvError> {
     Ok(Dataset::from_raw(data, width, domain))
 }
 
-/// Render a dataset as CSV.
-pub fn to_csv(data: &Dataset) -> String {
-    let mut out = String::with_capacity(data.num_samples() * data.num_features() * 4);
-    for row in data.rows() {
-        let line: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-        out.push_str(&line.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The text's values come back as the dataset's row-major bytes.
     #[test]
     fn round_trip() {
         let text = "1,2,3\n4,5,6\n";
         let d = parse_csv(text, 16).unwrap();
         assert_eq!(d.num_samples(), 2);
         assert_eq!(d.num_features(), 3);
-        assert_eq!(to_csv(&d), text);
+        assert_eq!(d.raw(), &[1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! `spn` — the command-line toolflow of the reproduction.
 //!
-//! Mirrors the paper's SPFlow-to-hardware flow as a single binary:
-//! generate or learn models, inspect their compiled datapath and
-//! resource footprint, run (hardware-exact) inference, sample data,
-//! simulate the accelerator card, and emit the structural netlist.
+//! Mirrors the paper's SPFlow-to-hardware flow as a single binary: read
+//! SPFlow-exported models as text or generate NIPS benchmark and
+//! random ones, inspect their compiled datapath and resource footprint,
+//! run (hardware-exact) inference, simulate the accelerator card, and
+//! emit the structural netlist.
 //! Run `spn` with no arguments for usage.
 
 mod args;

@@ -5,8 +5,8 @@
 //! module provides the corresponding container plus synthetic generators
 //! standing in for the UCI NIPS bag-of-words corpus, which we cannot
 //! ship: a mixture-of-clusters generator that produces data with real
-//! structure for the learner to find, and an independent generator for
-//! throughput benchmarking where content is irrelevant.
+//! structure, and an independent generator for throughput benchmarking
+//! where content is irrelevant.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -16,13 +16,11 @@ use rand::rngs::StdRng;
 pub struct Dataset {
     data: Vec<u8>,
     num_features: usize,
-    /// Number of distinct values each feature can take (bucket count for
-    /// histogram fitting). All benchmark features share one domain.
-    domain: usize,
 }
 
 impl Dataset {
-    /// Wrap an existing buffer.
+    /// Wrap an existing buffer whose values lie in `0..domain`, the
+    /// number of distinct values a feature can take (checked, not kept).
     ///
     /// # Panics
     /// Panics if the buffer length is not a multiple of `num_features`,
@@ -38,11 +36,7 @@ impl Dataset {
         if let Some((at, v)) = out_of_domain(&data, domain) {
             panic!("values must be < domain {domain}: byte {at} is {v}");
         }
-        Dataset {
-            data,
-            num_features,
-            domain,
-        }
+        Dataset { data, num_features }
     }
 
     /// Number of samples (rows).
@@ -53,11 +47,6 @@ impl Dataset {
     /// Number of features (columns).
     pub fn num_features(&self) -> usize {
         self.num_features
-    }
-
-    /// Per-feature value domain size.
-    pub(crate) fn domain(&self) -> usize {
-        self.domain
     }
 
     /// Row accessor.
@@ -75,29 +64,6 @@ impl Dataset {
     /// runtime DMA-transfers to the device.
     pub fn raw(&self) -> &[u8] {
         &self.data
-    }
-
-    /// Extract one column's values (allocates).
-    pub fn column(&self, feature: usize) -> Vec<u8> {
-        assert!(feature < self.num_features);
-        self.rows().map(|r| r[feature]).collect()
-    }
-
-    /// Split rows into `(first, rest)` at `at`.
-    pub fn split_at(&self, at: usize) -> (Dataset, Dataset) {
-        let cut = at * self.num_features;
-        (
-            Dataset {
-                data: self.data[..cut].to_vec(),
-                num_features: self.num_features,
-                domain: self.domain,
-            },
-            Dataset {
-                data: self.data[cut..].to_vec(),
-                num_features: self.num_features,
-                domain: self.domain,
-            },
-        )
     }
 }
 
@@ -252,7 +218,6 @@ mod tests {
         assert_eq!(d.num_features(), 3);
         assert_eq!(d.row(0), &[0, 1, 2]);
         assert_eq!(d.row(1), &[3, 4, 5]);
-        assert_eq!(d.column(1), vec![1, 4]);
         assert_eq!(d.raw().len(), 6);
     }
 
@@ -321,14 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn select_and_split() {
-        let d = Dataset::from_raw((0u8..12).collect(), 3, 16);
-        let (a, b) = d.split_at(1);
-        assert_eq!(a.num_samples(), 1);
-        assert_eq!(b.num_samples(), 3);
-    }
-
-    #[test]
     fn generator_is_deterministic() {
         let cfg = BagOfWordsConfig::default();
         let a = generate_bag_of_words(&cfg, 100);
@@ -364,10 +321,9 @@ mod tests {
             seed: 7,
         };
         let d = generate_bag_of_words(&cfg, 2000);
-        let col = d.column(0);
         let mut counts = [0u32; 16];
-        for v in col {
-            counts[v as usize] += 1;
+        for row in d.rows() {
+            counts[row[0] as usize] += 1;
         }
         let max = *counts.iter().max().unwrap() as f64;
         // Uniform would give ~125 per bucket; clustered data concentrates.

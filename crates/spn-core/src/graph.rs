@@ -69,8 +69,8 @@ impl Node {
 /// A complete Sum-Product Network.
 ///
 /// Construct via [`crate::builder::SpnBuilder`], the textual parser in
-/// [`crate::text`], the learner in [`crate::learn`], or the generators in
-/// [`crate::random`] / [`crate::nips`].
+/// [`crate::text`] (how an SPFlow-trained model enters), or the
+/// generators in [`crate::random`] / [`crate::nips`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Spn {
     pub(crate) nodes: Vec<Node>,

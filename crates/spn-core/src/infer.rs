@@ -23,9 +23,8 @@ use crate::query::Query;
 /// values with linear weights. Terms with `w ≤ 0` are skipped; an empty
 /// or all-`−inf` sum is `−inf`.
 ///
-/// This is the one scalar spelling of the sum node — the oracle and
-/// EM's upward pass both call it — and
-/// its operation order is the contract the plan's lane-wide passes
+/// This is the one scalar spelling of the sum node — the oracle calls
+/// it — and its operation order is the contract the plan's lane-wide passes
 /// reproduce: max in term order, `Σ w·exp(x − m)` in term order, then
 /// `m + ln s`, on the crate's own `exp` / `ln` (`math.rs`).
 #[inline]

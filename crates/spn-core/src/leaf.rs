@@ -217,25 +217,6 @@ impl Leaf {
         }
         table
     }
-
-    /// Fit a byte histogram with Laplace smoothing from integer samples.
-    ///
-    /// `values` are raw observations; `domain` is the number of distinct
-    /// byte values modelled (buckets). Smoothing keeps every bucket's
-    /// probability strictly positive, which the log-domain hardware
-    /// requires (log 0 is unrepresentable).
-    pub(crate) fn fit_byte_histogram(values: &[u8], domain: usize, alpha: f64) -> Leaf {
-        assert!(domain > 0, "domain must be positive");
-        assert!(alpha > 0.0, "smoothing must be positive to avoid log(0)");
-        let mut counts = vec![0u64; domain];
-        for &v in values {
-            let idx = (v as usize).min(domain - 1);
-            counts[idx] += 1;
-        }
-        let total = values.len() as f64 + alpha * domain as f64;
-        let probs: Vec<f64> = counts.iter().map(|&c| (c as f64 + alpha) / total).collect();
-        Leaf::byte_histogram(&probs)
-    }
 }
 
 /// The first byte at or above `b`, in `0..=256`: for every `f64`
@@ -575,27 +556,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn fit_byte_histogram_smoothed() {
-        let data = [0u8, 0, 0, 1];
-        let h = Leaf::fit_byte_histogram(&data, 4, 1.0);
-        h.validate().unwrap();
-        // counts [3,1,0,0] + alpha 1 -> [4,2,1,1]/8
-        assert!((h.density(0.0) - 0.5).abs() < 1e-12);
-        assert!((h.density(1.0) - 0.25).abs() < 1e-12);
-        assert!((h.density(2.0) - 0.125).abs() < 1e-12);
-        // No zero buckets thanks to smoothing.
-        assert!(h.density(3.0) > 0.0);
-    }
-
-    #[test]
-    fn fit_clamps_out_of_domain_values() {
-        let data = [200u8];
-        let h = Leaf::fit_byte_histogram(&data, 4, 0.5);
-        h.validate().unwrap();
-        assert!(h.density(3.0) > h.density(0.0));
     }
 
     #[test]

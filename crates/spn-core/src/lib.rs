@@ -1,7 +1,10 @@
-//! # spn-core — Sum-Product Networks: model, inference, learning, I/O
+//! # spn-core — Sum-Product Networks: model, inference, I/O
 //!
 //! The functional heart of the reproduction: everything about SPNs that
-//! is independent of any accelerator. This crate provides
+//! is independent of any accelerator. As in the paper, this crate
+//! learns nothing: a model enters as SPFlow text ([`from_text`]), from
+//! the NIPS benchmark generator ([`nips`]) or from [`random_spn`]. It
+//! provides
 //!
 //! * the graph representation ([`Spn`], [`Node`], [`NodeId`]) with
 //!   topologically-ordered arenas ([`graph`]),
@@ -15,7 +18,6 @@
 //!   lookup tables and a batched executor, bit-exact against the
 //!   tree-walk oracle ([`plan`]), at the CPU's widest tier ([`isa`]),
 //! * the SPFlow-compatible textual interchange format ([`text`]),
-//! * LearnSPN-style structure learning ([`learn`]),
 //! * RAT-SPN-style random generation ([`random`]),
 //! * the paper's NIPS benchmark family with its reported reference
 //!   numbers ([`nips`]), and
@@ -24,35 +26,27 @@
 
 pub mod builder;
 pub mod dataset;
-pub mod em;
 pub mod graph;
 pub mod infer;
 pub mod isa;
 pub mod leaf;
-pub mod learn;
 mod math;
 pub mod nips;
 pub mod plan;
 pub mod query;
 pub mod random;
-pub mod sample;
 mod scope;
 pub mod text;
-pub mod transform;
 pub mod validate;
 
 pub use builder::SpnBuilder;
 pub use dataset::{generate_bag_of_words, out_of_domain, BagOfWordsConfig, Dataset};
-pub use em::{em_weights, EmIteration, EmParams};
 pub use graph::{Node, NodeId, Spn, SpnStats};
 pub use infer::Evaluator;
 pub use leaf::Leaf;
-pub use learn::{learn_spn, LearnParams};
 pub use nips::{NipsBenchmark, ALL_BENCHMARKS, TABLE1_BENCHMARKS};
 pub use plan::{CompiledPlan, PlanExecutor, PlanStats};
 pub use query::Query;
 pub use random::{random_spn, RandomSpnConfig};
-pub use sample::Sampler;
 pub use text::{from_text, to_text};
-pub use transform::{discretize, normalize_weights, prune};
 pub use validate::{validate, SpnError};

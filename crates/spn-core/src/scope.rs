@@ -4,7 +4,7 @@
 //! sub-network models. Structural validity (completeness of sum nodes,
 //! decomposability of product nodes) is defined entirely in terms of
 //! scope equality and disjointness, so scope operations sit on the hot
-//! path of validation and structure learning. A `Vec<u64>` bitset keeps
+//! path of validation. A `Vec<u64>` bitset keeps
 //! them O(V/64).
 
 use std::fmt;

@@ -2,7 +2,7 @@
 //! holds the helpers they share.
 
 use proptest::prelude::*;
-use spn_core::RandomSpnConfig;
+use spn_core::{from_text, RandomSpnConfig, Spn};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -32,6 +32,26 @@ pub fn small_spn_configs() -> impl Strategy<Value = RandomSpnConfig> {
             seed,
         },
     )
+}
+
+/// The learned models frozen as SPFlow text under `models/`:
+/// LearnSPN's output on `generate_bag_of_words` draws, deeper and less
+/// balanced than what `random_spn` or the NIPS generator builds.
+/// `learning_toolflow.rs` pins each one's fingerprint and
+/// log-likelihoods.
+pub const LEARNED_MODELS: [&str; 4] = ["learned", "gen", "sched", "learned-bow"];
+
+/// Parse the frozen model `name`, one of [`LEARNED_MODELS`], the way
+/// any SPFlow export enters: through the text parser.
+pub fn learned_model(name: &str) -> Spn {
+    let text = match name {
+        "learned" => include_str!("models/learned.spn"),
+        "gen" => include_str!("models/gen.spn"),
+        "sched" => include_str!("models/sched.spn"),
+        "learned-bow" => include_str!("models/learned-bow.spn"),
+        _ => panic!("no frozen model '{name}'"),
+    };
+    from_text(text, name, None).unwrap_or_else(|e| panic!("models/{name}.spn: {e}"))
 }
 
 /// Assert that a scaling series keeps its shape. `points` are

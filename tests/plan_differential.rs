@@ -13,7 +13,8 @@
 //! and fully-summed-out evidence. Beside the random small networks:
 //! out-of-support bytes (`−inf` lanes next to finite ones in one
 //! chunk), the five benchmark networks at full size (256-entry tables,
-//! fan-in-4 sums over fan-in-5 products), the in-place leaf rule's and
+//! fan-in-4 sums over fan-in-5 products), the four frozen learned
+//! models (deep, unbalanced, data-shaped), the in-place leaf rule's and
 //! the sum-group rule's edge cases, and the raw-byte entry across a
 //! chunk boundary.
 
@@ -25,7 +26,7 @@ use spn_core::{
 };
 use spn_runtime::PlanCache;
 use std::sync::Arc;
-use system_tests::small_spn_configs;
+use system_tests::{learned_model, small_spn_configs, LEARNED_MODELS};
 
 /// Batch sizes around the executor's lane width: nothing, the
 /// single-row path, one short of a chunk, exactly one, one past it,
@@ -369,6 +370,27 @@ fn nips_benchmarks_are_bit_exact_for_every_query_shape() {
         let data = bench.dataset(4099, 0xD1FF);
         for query in query_shapes(0xA5A5_5A5A_F00D_BEEF, bench.num_vars()) {
             assert_rows_bit_exact(&spn, &data, &query, false);
+        }
+    }
+}
+
+/// The frozen learned models (`tests/models/`): data-shaped, deeper and
+/// less balanced than what `random_spn` builds (`learned` is depth 11
+/// with 50 leaves), over in-domain rows and rows with out-of-support
+/// bytes, for every query shape.
+#[test]
+fn learned_models_are_bit_exact_for_every_query_shape() {
+    for name in LEARNED_MODELS {
+        let spn = learned_model(name);
+        let nf = spn.num_vars();
+        let data = [
+            Dataset::from_raw(raw_rows(0x1EA2, 4 * LANES + 1, nf, 16), nf, 16),
+            rows_with_out_of_support_bytes(0x1EA2, 2 * LANES + 3, nf, 16),
+        ];
+        for query in query_shapes(0xA5A5_5A5A_F00D_BEEF, nf) {
+            for rows in &data {
+                assert_rows_bit_exact(&spn, rows, &query, false);
+            }
         }
     }
 }

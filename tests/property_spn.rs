@@ -147,44 +147,6 @@ proptest! {
         }
     }
 
-    /// Samples drawn from a network always score finite log-likelihood
-    /// under that network (the support property).
-    #[test]
-    fn samples_are_in_support(cfg in spn_config(), seed in any::<u64>()) {
-        let spn = spn_core::random_spn(&cfg, "prop").unwrap();
-        let mut sampler = spn_core::Sampler::new(&spn, seed);
-        let mut ev = Evaluator::new(&spn);
-        for _ in 0..16 {
-            let bytes: Vec<u8> = sampler
-                .sample()
-                .into_iter()
-                .map(|v| v.clamp(0.0, 255.0) as u8)
-                .collect();
-            let ll = ev.eval_bytes(&Query::Complete, &bytes);
-            prop_assert!(ll.is_finite(), "sampled point scored {ll}");
-        }
-    }
-
-    /// Discretize/prune/normalize all preserve validity on random SPNs.
-    #[test]
-    fn transforms_preserve_validity(cfg in spn_config()) {
-        let spn = spn_core::random_spn(&cfg, "prop").unwrap();
-        // These SPNs are already discrete; discretize must be identity-
-        // like (no Gaussians) and everything revalidates.
-        let pruned = spn_core::prune(&spn, 1e-12).unwrap();
-        prop_assert!(spn_core::validate(&pruned).is_ok());
-        let normalized = spn_core::normalize_weights(&spn).unwrap();
-        prop_assert!(spn_core::validate(&normalized).is_ok());
-        // Pruning at epsilon 0-ish preserves likelihoods.
-        let mut e1 = Evaluator::new(&spn);
-        let mut e2 = Evaluator::new(&pruned);
-        for s in all_samples(cfg.num_vars, cfg.domain).into_iter().take(8) {
-            let a = e1.eval_bytes(&Query::Complete, &s);
-            let b = e2.eval_bytes(&Query::Complete, &s);
-            prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-    }
-
     /// MPE returns an assignment consistent with the evidence, and its
     /// probability is positive wherever the evidence is satisfiable.
     #[test]
