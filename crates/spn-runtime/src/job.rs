@@ -1,8 +1,11 @@
 //! Job decomposition and per-job options. The paper's runtime (Section
-//! IV-B) breaks each job into sub-jobs "according to a user-specified
-//! block-size": the unit of transfer/compute overlap and, across
-//! concurrent jobs, of multiplexing. [`JobOptions`] carries the per-job
-//! knobs (retry budget, backoff, PE restriction, backend).
+//! IV-B) breaks each job into blocks: the unit of transfer/compute
+//! overlap and, across concurrent jobs, of multiplexing. The configured
+//! `block_samples` is the largest block. A job smaller than one such
+//! block per PE is split evenly over the PEs it may use instead
+//! (`block_len`), so no PE idles while another runs the whole job.
+//! [`JobOptions`] carries the per-job knobs (retry budget, backoff, PE
+//! restriction, backend).
 
 use crate::runtime::RuntimeError;
 use serde::{Deserialize, Serialize};
@@ -25,6 +28,20 @@ impl Block {
             self.samples * input_bytes_per_sample,
         )
     }
+}
+
+/// The block length a `total`-sample job on `pes` PEs is cut at: its
+/// even share per PE, rounded up to whole plan passes
+/// ([`spn_core::plan::LANES`] rows), and never more than
+/// `block_samples`. A job of at least `pes × block_samples` samples
+/// keeps `block_samples`; a smaller one gets one block per PE (fewer
+/// when the rounding leaves the last PEs nothing). The scheduler and
+/// its timing twin, [`crate::perf`], both cut jobs here.
+pub(crate) fn block_len(total: u64, block_samples: u64, pes: u32) -> u64 {
+    let lanes = spn_core::plan::LANES as u64;
+    let share = total.div_ceil(u64::from(pes));
+    // At least one pass: an empty job still needs a positive length.
+    block_samples.min(share.div_ceil(lanes).max(1) * lanes)
 }
 
 /// Split `total_samples` into blocks of at most `block_samples`.
@@ -191,6 +208,32 @@ mod tests {
             JobOptions::builder().build().unwrap(),
             JobOptions::default()
         );
+    }
+
+    #[test]
+    fn block_len_splits_a_small_job_evenly() {
+        // (total, block_samples, pes) → block length, and the blocks
+        // that length cuts. On one PE every case cuts as at
+        // `block_samples`.
+        for (total, block, pes, len, blocks) in [
+            (4096, 4096, 2, 2048, 2),
+            (4097, 4096, 2, 2112, 2),
+            (16384, 4096, 2, 4096, 4),
+            (100, 4096, 2, 64, 2),
+            (1, 4096, 2, 64, 1),
+            (0, 4096, 2, 64, 0),
+            (4096, 100, 2, 100, 41),
+            (4096, 4096, 3, 1408, 3),
+        ] {
+            let case = format!("{total}/{block}/{pes}");
+            assert_eq!(block_len(total, block, pes), len, "{case}");
+            assert_eq!(split_into_blocks(total, len).len(), blocks, "{case}");
+            assert_eq!(
+                split_into_blocks(total, block_len(total, block, 1)),
+                split_into_blocks(total, block),
+                "{case} on one PE"
+            );
+        }
     }
 
     #[test]

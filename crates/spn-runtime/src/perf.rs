@@ -15,7 +15,7 @@
 //! "embarrassingly parallel" panel that scales linearly).
 
 use crate::dispatch::{Claim, Dispatch, Ended};
-use crate::job::{split_into_blocks, Block};
+use crate::job::{block_len, split_into_blocks, Block};
 use mem_model::HbmChannelConfig;
 use pcie_model::{Direction, DmaConfig, DmaEngine};
 use serde::{Deserialize, Serialize};
@@ -35,7 +35,8 @@ pub struct PerfConfig {
     pub num_pes: u32,
     /// Control threads per PE.
     pub threads_per_pe: u32,
-    /// Samples per block.
+    /// Samples in the largest block; a job smaller than one such block
+    /// per PE is split evenly over the PEs, as the scheduler splits it.
     pub block_samples: u64,
     /// Total samples in the job (the paper uses 100,000,000).
     pub total_samples: u64,
@@ -123,8 +124,9 @@ struct Pipeline<'a> {
     dispatch: Dispatch<u64>,
     dma: DmaEngine,
     pes: Vec<Timeline>,
-    /// Per thread: the job and block in flight, and when it was claimed.
-    current: Vec<Option<(u64, Block, SimTime)>>,
+    /// Per thread: the job and the index of the block in flight, and
+    /// when it was claimed.
+    current: Vec<Option<(u64, usize, SimTime)>>,
     latency: LogHistogram,
     makespan: SimTime,
     pcie_bytes: u64,
@@ -137,9 +139,9 @@ impl Pipeline<'_> {
         tid % self.cfg.num_pes
     }
 
-    /// Record grant `g` as a span on thread `tid`'s track, in
-    /// microseconds of virtual time.
-    fn span(&mut self, kind: SpanKind, tid: u32, block: Block, g: Grant) {
+    /// Record grant `g` for block `idx` as a span on thread `tid`'s
+    /// track, in microseconds of virtual time.
+    fn span(&mut self, kind: SpanKind, tid: u32, idx: usize, g: Grant) {
         let pe = self.pe(tid);
         let us = |ps: u64| ps as f64 / 1e6;
         if let Some(t) = self.trace.as_deref_mut() {
@@ -148,17 +150,17 @@ impl Pipeline<'_> {
                 ctx: SpanCtx::NONE,
                 pe,
                 tid,
-                block: block.first_sample / self.cfg.block_samples,
+                block: idx as u64,
                 ts_us: us(g.start.as_ps()),
                 dur_us: us(g.end.saturating_since(g.start).as_ps()),
             });
         }
     }
 
-    /// Move `block`'s input or results over PCIe, requested at `at`;
-    /// returns when the data has landed (`at` itself in the
+    /// Move block `idx`'s input or results over PCIe, requested at
+    /// `at`; returns when the data has landed (`at` itself in the
     /// on-device-only mode).
-    fn transfer(&mut self, dir: Direction, tid: u32, block: Block, at: SimTime) -> SimTime {
+    fn transfer(&mut self, dir: Direction, tid: u32, idx: usize, at: SimTime) -> SimTime {
         if !self.cfg.include_transfers {
             return at;
         }
@@ -166,10 +168,10 @@ impl Pipeline<'_> {
             Direction::HostToDevice => (SpanKind::H2D, self.in_bytes_per_sample),
             Direction::DeviceToHost => (SpanKind::D2H, self.out_bytes_per_sample),
         };
-        let bytes = block.samples * bytes_per_sample;
+        let bytes = self.blocks[idx].samples * bytes_per_sample;
         self.pcie_bytes += bytes;
         let g = self.dma.transfer(dir, at, bytes);
-        self.span(kind, tid, block, g);
+        self.span(kind, tid, idx, g);
         g.end
     }
 }
@@ -185,28 +187,27 @@ impl Model for Pipeline<'_> {
                 let Claim::Run(job, idx) = self.dispatch.claim(tid as usize) else {
                     return; // every block is claimed; the thread retires
                 };
-                let block = self.blocks[idx];
-                self.current[tid as usize] = Some((job, block, now));
-                let landed = self.transfer(Direction::HostToDevice, tid, block, now);
+                self.current[tid as usize] = Some((job, idx, now));
+                let landed = self.transfer(Direction::HostToDevice, tid, idx, now);
                 (landed, Phase::Execute)
             }
             Phase::Execute => {
-                let (_, block, _) = self.current[tid as usize].expect("block in flight");
+                let (_, idx, _) = self.current[tid as usize].expect("block in flight");
                 let job_time = self.cfg.accel.job_time(
-                    block.samples,
+                    self.blocks[idx].samples,
                     self.in_bytes_per_sample,
                     self.out_bytes_per_sample,
                     self.channel_bw,
                 );
                 let g = self.pes[pe].reserve(now, job_time);
-                self.span(SpanKind::Execute, tid, block, g);
+                self.span(SpanKind::Execute, tid, idx, g);
                 (g.end, Phase::Readback)
             }
             Phase::Readback => {
-                let (job, block, issued_at) =
+                let (job, idx, issued_at) =
                     self.current[tid as usize].take().expect("block in flight");
                 self.dispatch.block_done(job, Ended::<()>::Done, None);
-                let done = self.transfer(Direction::DeviceToHost, tid, block, now);
+                let done = self.transfer(Direction::DeviceToHost, tid, idx, now);
                 self.latency
                     .record_duration(done.saturating_since(issued_at));
                 self.makespan = self.makespan.max(done);
@@ -234,12 +235,13 @@ pub fn simulate_traced(cfg: &PerfConfig) -> (PerfResult, Vec<LiveSpan>) {
 fn simulate_impl(cfg: &PerfConfig, trace: Option<&mut Vec<LiveSpan>>) -> PerfResult {
     assert!(cfg.num_pes >= 1 && cfg.threads_per_pe >= 1);
     let in_bytes_per_sample = cfg.benchmark.input_bytes_per_sample();
-    let blocks = split_into_blocks(cfg.total_samples, cfg.block_samples);
+    let block = block_len(cfg.total_samples, cfg.block_samples, cfg.num_pes);
+    let blocks = split_into_blocks(cfg.total_samples, block);
 
     // The HBM channel bandwidth seen by each core: effective bandwidth
     // at the block's request footprint (capped at the 1 MiB saturation
     // point of Fig. 2).
-    let request_bytes = (cfg.block_samples * in_bytes_per_sample).min(1 << 20);
+    let request_bytes = (block * in_bytes_per_sample).min(1 << 20);
 
     // Host-side interference derates the engine as streams multiply.
     let contention = 1.0 + cfg.host_contention_per_pe * (cfg.num_pes - 1) as f64;
@@ -435,6 +437,28 @@ mod tests {
             of_kind(SpanKind::Execute).any(|e| e.pe == h.pe && h.ts_us < end(e) && e.ts_us < end(h))
         });
         assert!(overlapped, "no transfer/compute overlap observed");
+    }
+
+    /// A job smaller than one block per PE is split evenly, as the
+    /// scheduler splits it: every PE executes, each span carries its
+    /// block's index, and every sample crosses PCIe once each way.
+    #[test]
+    fn a_job_smaller_than_a_block_per_pe_runs_on_every_pe() {
+        let mut cfg = PerfConfig::paper_setup(NipsBenchmark::Nips10, 4);
+        cfg.total_samples = 4096;
+        cfg.block_samples = 4096;
+        let (r, trace) = simulate_traced(&cfg);
+        let execs: Vec<&LiveSpan> = trace
+            .iter()
+            .filter(|s| s.kind == SpanKind::Execute)
+            .collect();
+        let mut pes: Vec<u32> = execs.iter().map(|s| s.pe).collect();
+        pes.sort_unstable();
+        assert_eq!(pes, [0, 1, 2, 3]);
+        let mut idx: Vec<u64> = execs.iter().map(|s| s.block).collect();
+        idx.sort_unstable();
+        assert_eq!(idx, [0, 1, 2, 3]);
+        assert_eq!(r.pcie_bytes, 4096 * 18);
     }
 
     #[test]

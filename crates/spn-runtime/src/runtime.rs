@@ -17,7 +17,10 @@ use crate::memmgr::AllocError;
 /// [`RuntimeConfig::default`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
-    /// Samples per sub-job block.
+    /// Samples in the largest sub-job block. A job smaller than one
+    /// such block per PE it may use is split evenly over those PEs
+    /// instead, each share rounded up to whole 64-row plan passes, so
+    /// no PE idles while another runs the whole job.
     pub block_samples: u64,
     /// Control threads per PE (the paper found 2 sufficient to saturate
     /// DMA, and used 1 for ≥4 PEs).
@@ -59,7 +62,8 @@ pub struct RuntimeConfigBuilder {
 }
 
 impl RuntimeConfigBuilder {
-    /// Samples per sub-job block (must be positive).
+    /// Samples in the largest sub-job block (must be positive); see
+    /// [`RuntimeConfig::block_samples`].
     pub fn block_samples(mut self, n: u64) -> Self {
         self.cfg.block_samples = n;
         self

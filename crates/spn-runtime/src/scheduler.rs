@@ -25,7 +25,7 @@
 use crate::device::VirtualDevice;
 use crate::dispatch::{Admitted, Claim, Dispatch, Ended};
 use crate::executor::{BlockCx, BlockExecutor, Executors};
-use crate::job::{split_into_blocks, Block, JobOptions};
+use crate::job::{block_len, split_into_blocks, Block, JobOptions};
 use crate::metrics::{JobOutcome, MetricsRegistry, MetricsSnapshot};
 use crate::plan_cache::PlanCache;
 use crate::runtime::{validate_config, ExecProvenance, RuntimeConfig, RuntimeError};
@@ -415,7 +415,8 @@ impl Scheduler {
         }
         let (executor, provenance) = self.shared.executors.resolve(opts.backend)?;
         let total = data.num_samples();
-        let blocks = split_into_blocks(total as u64, self.shared.config.block_samples);
+        let block = block_len(total as u64, self.shared.config.block_samples, pe_limit);
+        let blocks = split_into_blocks(total as u64, block);
         let num_blocks = blocks.len();
         // Only `submit_then` (a consumer, never parking) stands in.
         let stand_in = !blocking && consumer.is_some() && executor.runs_inline(total);
@@ -880,28 +881,65 @@ mod tests {
     /// The caller is the control thread: on an idle scheduler, a one-row
     /// compiled-plan job given to `submit_then` has run its consumer on
     /// the calling thread before `submit_then` returns, counted as a
-    /// block like any other, with the control threads' bits.
+    /// block like any other, with the control threads' bits. Under a
+    /// 4096-sample block too: [`block_len`] gives one row one block.
     #[test]
     fn an_idle_scheduler_runs_a_small_host_block_on_the_submitter() {
+        for block in [64, 4096] {
+            let (dev, bench) = unshared_device(2);
+            let sched = model_scheduler(dev, block);
+            wait_parked(&sched);
+            let data = Arc::new(bench.dataset(1, 3));
+            let host = backend(ExecBackend::HostPlan);
+            let (ran_before_return, thread, got) = consume(&sched, &data, host, false);
+            assert!(
+                ran_before_return,
+                "the consumer ran before submit_then returned"
+            );
+            assert_eq!(thread, std::thread::current().id());
+            assert_eq!(inline_blocks(&sched), 1);
+            let want = sched.submit(data, host).unwrap().wait().unwrap();
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(inline_blocks(&sched), 1, "submit never stands in");
+            let m = sched.metrics_snapshot();
+            assert_eq!((m.blocks_executed, m.jobs_completed), (2, 2));
+            // The lent thread was given back: both PEs' threads park again.
+            wait_parked(&sched);
+        }
+    }
+
+    /// A job smaller than one block per PE is split evenly over the
+    /// PEs: 4096 rows under a 4096-sample block on 2 PEs are two
+    /// 2048-row blocks, and across a few such jobs both PEs run.
+    /// Either backend keeps its bits: the plan's are the oracle's, the
+    /// device's are `VirtualDevice::golden`'s.
+    #[test]
+    fn a_job_smaller_than_a_block_per_pe_runs_on_every_pe() {
         let (dev, bench) = unshared_device(2);
-        let sched = model_scheduler(dev, 64);
-        wait_parked(&sched);
-        let data = Arc::new(bench.dataset(1, 3));
-        let host = backend(ExecBackend::HostPlan);
-        let (ran_before_return, thread, got) = consume(&sched, &data, host, false);
-        assert!(
-            ran_before_return,
-            "the consumer ran before submit_then returned"
-        );
-        assert_eq!(thread, std::thread::current().id());
-        assert_eq!(inline_blocks(&sched), 1);
-        let want = sched.submit(data, host).unwrap().wait().unwrap();
-        assert_eq!(bits(&got), bits(&want));
-        assert_eq!(inline_blocks(&sched), 1, "submit never stands in");
-        let m = sched.metrics_snapshot();
-        assert_eq!((m.blocks_executed, m.jobs_completed), (2, 2));
-        // The lent thread was given back: both PEs' threads park again.
-        wait_parked(&sched);
+        let dev = Arc::new(dev.with_model(Arc::new(bench.build_spn())));
+        let sched = Scheduler::new(Arc::clone(&dev), config(4096, 1)).unwrap();
+        let data = Arc::new(bench.dataset(4096, 5));
+        let want = bits(&reference(bench, &data));
+        let golden: Vec<u64> = data
+            .rows()
+            .map(|r| dev.golden(0, r).unwrap().to_bits())
+            .collect();
+        let mut jobs = 0;
+        while sched.metrics_snapshot().pe_busy_secs.contains(&0.0) {
+            assert!(jobs < 50, "a PE ran no block of {jobs} two-block jobs");
+            let host = sched
+                .submit(Arc::clone(&data), backend(ExecBackend::HostPlan))
+                .unwrap();
+            assert_eq!(host.progress().1, 2);
+            assert_eq!(bits(&host.wait().unwrap()), want);
+            let device = sched
+                .submit(Arc::clone(&data), JobOptions::default())
+                .unwrap();
+            assert_eq!(device.progress().1, 2);
+            assert_eq!(bits(&device.wait().unwrap()), golden);
+            jobs += 2;
+        }
+        assert_eq!(sched.metrics_snapshot().blocks_executed, 2 * jobs);
     }
 
     /// Everything the stand-in rule does not name runs on a control
