@@ -6,7 +6,7 @@
 //! SPNC-compiled CPU inference does: the network is compiled once into
 //! a flat plan ([`CompiledPlan`], the repo's fastest CPU path) and the
 //! batch is split into one contiguous share per worker thread, each
-//! evaluated lane-wide in the log domain.
+//! evaluated lane-wide in the linear domain with a carried exponent.
 
 use spn_core::{CompiledPlan, Dataset, PlanExecutor, Query, Spn};
 use std::time::Instant;

@@ -1,147 +1,115 @@
 //! Reference inference: the ground truth every accelerator model and
 //! baseline is verified against.
 //!
-//! Inference on a valid SPN is one bottom-up pass: leaves evaluate their
-//! distribution at the sample's value, products add log-densities, sums
-//! log-sum-exp their weighted children. The arena's topological order
-//! makes this a linear scan with a flat value buffer — no recursion and
-//! no hashing, which is also exactly the evaluation order the hardware
-//! pipeline uses.
+//! Inference on a valid SPN is one bottom-up pass over linear
+//! densities, as in the paper's datapath, with an exponent carried
+//! beside each value so that deep networks do not underflow: a value is
+//! a pair `(m, e)` meaning `m·2^e` (`math.rs`). Leaves give their
+//! density, products multiply mantissas and add exponents, sums scale
+//! each term by an exact power of two onto the largest exponent and add
+//! the weighted mantissas, and one `ln` at the root gives the
+//! log-likelihood. The arena's topological order makes this a linear
+//! scan with a flat value buffer — no recursion and no hashing, which
+//! is also exactly the evaluation order the hardware pipeline uses.
 //!
-//! All query shapes go through one surface: build a [`Query`]
-//! (complete / marginal / MPE) and call [`Evaluator::eval`] with a
-//! value row, or [`Evaluator::eval_mpe`] when the arg-max assignment is
-//! wanted too. The per-sample tree walk here is the *bit-exactness
-//! oracle*; the compiled fast path in [`crate::plan`] must reproduce it
-//! exactly.
+//! The per-sample tree walk here is the *bit-exactness oracle*; the
+//! compiled fast path in [`crate::plan`] performs the same operations in
+//! the same order and must reproduce it exactly. The log-domain
+//! evaluator it replaced stays in the tests below as the accuracy
+//! reference.
 
 use crate::graph::{Node, NodeId, Spn};
 use crate::math;
 use crate::query::Query;
 
-/// Numerically stable `log Σ wᵢ·exp(xᵢ)` over `(xᵢ, wᵢ)` terms: log
-/// values with linear weights. Terms with `w ≤ 0` are skipped; an empty
-/// or all-`−inf` sum is `−inf`.
+/// Whether a product over `children` renormalises after every factor
+/// rather than once at the end. Each factor is 0 or lies in
+/// `[2^lo, 2^hi)`: a renormalised child in `[1, 2)`, a leaf between
+/// its density extremes ([`crate::Leaf`]'s `density_range`). Once at
+/// the end is exact only while every running product stays a normal
+/// double, so this is true as soon as a prefix of the factors could
+/// leave `[2^−1022, 2^1023)`. Either way the bits are the same wherever
+/// no prefix leaves that range: moving a power of two out of a normal
+/// product does not change its rounding.
 ///
-/// This is the one scalar spelling of the sum node — the oracle calls
-/// it — and its operation order is the contract the plan's lane-wide passes
-/// reproduce: max in term order, `Σ w·exp(x − m)` in term order, then
-/// `m + ln s`, on the crate's own `exp` / `ln` (`math.rs`).
-#[inline]
-pub(crate) fn log_sum_exp_weighted(terms: impl Iterator<Item = (f64, f64)> + Clone) -> f64 {
-    let terms = terms.filter(|&(_, w)| w > 0.0);
-    let m = terms
-        .clone()
-        .map(|(x, _)| x)
-        .fold(f64::NEG_INFINITY, f64::max);
-    if m == f64::NEG_INFINITY {
-        return f64::NEG_INFINITY;
-    }
-    let s: f64 = terms.map(|(x, w)| w * math::exp(x - m)).sum();
-    m + math::ln(s)
+/// The compiled plan and [`Evaluator::new`] both decide here, so the
+/// two fold every product alike. (A density at or above `2^1023` can
+/// still overflow the renormalised product it enters; a histogram holds
+/// one only in a bucket narrower than `2^−1023`.)
+pub(crate) fn renormalises_each_factor(spn: &Spn, children: &[NodeId]) -> bool {
+    let (mut lo, mut hi) = (0, 0);
+    children.iter().any(|c| {
+        let (l, h) = match spn.node(*c) {
+            Node::Leaf { dist, .. } => {
+                let (min, max) = dist.density_range();
+                (binade(min), binade(max) + 1)
+            }
+            _ => (0, 1),
+        };
+        (lo, hi) = (lo + l, hi + h);
+        lo < -1022 || hi > 1023
+    })
 }
 
-/// A reusable evaluation workspace. Allocates one f64 per node once and
-/// reuses it across samples — the pattern the perf guide calls a
-/// "workhorse collection".
+/// `⌊log₂ x⌋` of a finite `x > 0`, subnormals included.
+fn binade(x: f64) -> i32 {
+    let bits = x.to_bits();
+    match (bits >> 52) as i32 {
+        0 => -1011 - bits.leading_zeros() as i32,
+        biased => biased - 1023,
+    }
+}
+
+/// A reusable evaluation workspace. Allocates one `(m, e)` pair per node
+/// once and reuses it across samples — the pattern the perf guide calls
+/// a "workhorse collection".
 pub struct Evaluator<'a> {
     spn: &'a Spn,
-    values: Vec<f64>,
+    /// Each node's value for the current sample: a leaf's density as it
+    /// is (`e = 0`), every other node's renormalised.
+    values: Vec<(f64, f64)>,
+    /// Per node: a product that renormalises after every factor.
+    each: Vec<bool>,
 }
 
 impl<'a> Evaluator<'a> {
     /// Build a workspace for `spn`.
     pub fn new(spn: &'a Spn) -> Self {
+        let each = spn
+            .nodes()
+            .iter()
+            .map(|node| match node {
+                Node::Product { children } => renormalises_each_factor(spn, children),
+                _ => false,
+            })
+            .collect();
         Evaluator {
             spn,
-            values: vec![0.0; spn.len()],
+            values: vec![(0.0, 0.0); spn.len()],
+            each,
         }
     }
 
-    /// Answer `query` about one sample `row` (one f64 per variable).
-    ///
-    /// * [`Query::Complete`] — joint log-likelihood of the row.
-    /// * [`Query::Marginal`] — marginal log-likelihood; unobserved
-    ///   entries of `row` are never read (they may be NaN).
-    /// * [`Query::Mpe`] — the max log-probability over completions of
-    ///   the observed evidence (use [`Evaluator::eval_mpe`] for the
-    ///   arg-max assignment itself).
+    /// The joint log-likelihood of one sample `row` (one f64 per
+    /// variable); `−inf` where a leaf has no support.
     ///
     /// # Panics
-    /// Panics if `row` or the query mask does not match
-    /// `spn.num_vars()`.
+    /// Panics if `row` does not match `spn.num_vars()`.
     pub fn eval(&mut self, query: &Query, row: &[f64]) -> f64 {
-        self.check_row(query, row.len());
-        match query {
-            Query::Complete => self.eval_internal(|var| Some(row[var])),
-            Query::Marginal { observed } => {
-                self.eval_internal(|var| observed[var].then(|| row[var]))
-            }
-            Query::Mpe { observed } => {
-                self.mpe_upward(|var| observed[var].then(|| row[var]), &mut [])
-            }
-        }
+        let Query::Complete = query;
+        self.check_row(row.len());
+        self.eval_internal(|var| row[var])
     }
 
     /// [`Evaluator::eval`] for a byte row (the benchmark input format:
     /// one byte per variable).
     pub fn eval_bytes(&mut self, query: &Query, row: &[u8]) -> f64 {
-        self.check_row(query, row.len());
-        match query {
-            Query::Complete => self.eval_internal(|var| Some(row[var] as f64)),
-            Query::Marginal { observed } => {
-                self.eval_internal(|var| observed[var].then(|| row[var] as f64))
-            }
-            Query::Mpe { observed } => {
-                self.mpe_upward(|var| observed[var].then(|| row[var] as f64), &mut [])
-            }
-        }
+        let Query::Complete = query;
+        self.check_row(row.len());
+        self.eval_internal(|var| f64::from(row[var]))
     }
 
-    /// Most Probable Explanation with traceback: returns the max
-    /// log-probability and one value per variable (observed variables
-    /// keep their `row` value; the rest get the arg-max branch's leaf
-    /// modes).
-    ///
-    /// # Panics
-    /// Panics if `query` is not [`Query::Mpe`], or on arity mismatch.
-    pub fn eval_mpe(&mut self, query: &Query, row: &[f64]) -> (f64, Vec<f64>) {
-        let observed = match query {
-            Query::Mpe { observed } => observed,
-            other => panic!(
-                "eval_mpe requires Query::Mpe, got a {} query",
-                other.label()
-            ),
-        };
-        self.check_row(query, row.len());
-        let spn = self.spn;
-        let mut best_child: Vec<u32> = vec![0; spn.len()];
-        let score = self.mpe_upward(|var| observed[var].then(|| row[var]), &mut best_child);
-        // Traceback: walk the induced tree from the root, assigning each
-        // leaf's variable.
-        let mut assignment: Vec<f64> = row
-            .iter()
-            .zip(observed)
-            .map(|(&v, &obs)| if obs { v } else { f64::NAN })
-            .collect();
-        let mut stack: Vec<NodeId> = vec![spn.root()];
-        while let Some(id) = stack.pop() {
-            match spn.node(id) {
-                Node::Leaf { var, dist } => {
-                    if !observed[*var] {
-                        assignment[*var] = mode_value(dist);
-                    }
-                }
-                Node::Product { children } => stack.extend(children.iter().copied()),
-                Node::Sum { children, .. } => {
-                    stack.push(children[best_child[id.index()] as usize]);
-                }
-            }
-        }
-        (score, assignment)
-    }
-
-    fn check_row(&self, query: &Query, row_len: usize) {
+    fn check_row(&self, row_len: usize) {
         assert_eq!(
             row_len,
             self.spn.num_vars(),
@@ -149,92 +117,48 @@ impl<'a> Evaluator<'a> {
             row_len,
             self.spn.num_vars()
         );
-        query.check_arity(self.spn.num_vars());
     }
 
-    fn eval_internal(&mut self, value_of: impl Fn(usize) -> Option<f64>) -> f64 {
+    /// The one scalar spelling of every op; its operation order is the
+    /// contract the plan's lane-wide passes reproduce.
+    fn eval_internal(&mut self, value_of: impl Fn(usize) -> f64) -> f64 {
+        let values = &mut self.values;
         for (i, node) in self.spn.nodes().iter().enumerate() {
-            self.values[i] = match node {
-                Node::Leaf { var, dist } => dist.log_density(value_of(*var)),
-                Node::Product { children } => children.iter().map(|c| self.values[c.index()]).sum(),
-                Node::Sum { children, weights } => log_sum_exp_weighted(
-                    children
-                        .iter()
-                        .zip(weights)
-                        .map(|(c, &w)| (self.values[c.index()], w)),
-                ),
-            };
-        }
-        self.values[self.spn.root().index()]
-    }
-
-    /// The MPE upward pass: sums become weighted maxes. When
-    /// `best_child` is non-empty it records the arg-max branch per sum
-    /// node (for traceback); pass `&mut []` when only the score is
-    /// needed.
-    fn mpe_upward(
-        &mut self,
-        value_of: impl Fn(usize) -> Option<f64>,
-        best_child: &mut [u32],
-    ) -> f64 {
-        let track = !best_child.is_empty();
-        for (i, node) in self.spn.nodes().iter().enumerate() {
-            self.values[i] = match node {
-                Node::Leaf { var, dist } => match value_of(*var) {
-                    Some(v) => dist.log_density(Some(v)),
-                    None => mode_log_density(dist),
-                },
-                Node::Product { children } => children.iter().map(|c| self.values[c.index()]).sum(),
+            values[i] = match node {
+                // A product multiplies a leaf's density in as it is; a
+                // sum or the root renormalises it first.
+                Node::Leaf { var, dist } => (dist.density(value_of(*var)), 0.0),
+                // From (1, 0), in child order, then renormalised.
+                Node::Product { children } => {
+                    let (mut m, mut e) = (1.0, 0.0);
+                    for c in children {
+                        let (cm, ce) = values[c.index()];
+                        (m, e) = (m * cm, e + ce);
+                        if self.each[i] {
+                            (m, e) = math::renormalise(m, e);
+                        }
+                    }
+                    math::renormalise(m, e)
+                }
+                // Over the `w > 0` terms in term order: the largest
+                // exponent, then `Σ w·m·2^(e − top)` from 0, renormalised.
                 Node::Sum { children, weights } => {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut arg = 0u32;
-                    for (k, (c, &w)) in children.iter().zip(weights).enumerate() {
-                        if w <= 0.0 {
-                            continue;
-                        }
-                        let v = w.ln() + self.values[c.index()];
-                        if v > best {
-                            best = v;
-                            arg = k as u32;
-                        }
-                    }
-                    if track {
-                        best_child[i] = arg;
-                    }
-                    best
+                    let terms = || {
+                        let kept = children.iter().zip(weights).filter(|&(_, &w)| w > 0.0);
+                        kept.map(|(c, &w)| {
+                            let (m, e) = values[c.index()];
+                            (math::renormalise(m, e), w)
+                        })
+                    };
+                    let top = terms().fold(f64::NEG_INFINITY, |top, ((_, e), _)| top.max(e));
+                    let s = terms().fold(0.0, |s, ((m, e), w)| s + w * math::scale(m, e - top));
+                    math::renormalise(s, top)
                 }
             };
         }
-        self.values[self.spn.root().index()]
-    }
-}
-
-/// Log-density of a leaf at its mode.
-pub(crate) fn mode_log_density(dist: &crate::leaf::Leaf) -> f64 {
-    dist.log_density(Some(mode_value(dist)))
-}
-
-/// The value at which the leaf's density is maximal.
-pub(crate) fn mode_value(dist: &crate::leaf::Leaf) -> f64 {
-    use crate::leaf::Leaf;
-    match dist {
-        Leaf::Histogram { breaks, densities } => {
-            let (idx, _) = densities
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .expect("validated histogram has buckets");
-            breaks[idx]
-        }
-        Leaf::Gaussian { mean, .. } => *mean,
-        Leaf::Categorical { probs } => {
-            probs
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .expect("validated categorical has outcomes")
-                .0 as f64
-        }
+        let (m, e) = values[self.spn.root().index()];
+        let (m, e) = math::renormalise(m, e);
+        math::ln(m, e)
     }
 }
 
@@ -244,25 +168,66 @@ mod tests {
     use crate::builder::SpnBuilder;
     use crate::leaf::Leaf;
 
+    /// Numerically stable `log Σ wᵢ·exp(xᵢ)` over `(xᵢ, wᵢ)` terms: log
+    /// values with linear weights. Terms with `w ≤ 0` are skipped; an
+    /// empty or all-`−inf` sum is `−inf`. The log-domain sum the oracle
+    /// computed before it carried an exponent: max in term order,
+    /// `Σ w·exp(x − m)` in term order, then `m + ln s`.
+    fn log_sum_exp_weighted(terms: impl Iterator<Item = (f64, f64)> + Clone) -> f64 {
+        let terms = terms.filter(|&(_, w)| w > 0.0);
+        let m = terms
+            .clone()
+            .map(|(x, _)| x)
+            .fold(f64::NEG_INFINITY, f64::max);
+        if m == f64::NEG_INFINITY {
+            return f64::NEG_INFINITY;
+        }
+        let s: f64 = terms.map(|(x, w)| w * math::exp(x - m)).sum();
+        m + math::ln(s, 0.0)
+    }
+
     impl Evaluator<'_> {
-        /// Linear-domain likelihood, the cross-check of the log-domain
-        /// path on small models (it underflows on deep networks).
-        fn likelihood_linear(&mut self, sample: &[f64]) -> f64 {
-            assert_eq!(sample.len(), self.spn.num_vars());
+        /// Linear-domain likelihood with no exponent, the cross-check on
+        /// small models (it underflows on deep networks).
+        fn likelihood_linear(&self, sample: &[f64]) -> f64 {
+            let mut values = vec![0.0; self.spn.len()];
             for (i, node) in self.spn.nodes().iter().enumerate() {
-                self.values[i] = match node {
+                values[i] = match node {
                     Node::Leaf { var, dist } => dist.density(sample[*var]),
                     Node::Product { children } => {
-                        children.iter().map(|c| self.values[c.index()]).product()
+                        children.iter().map(|c| values[c.index()]).product()
                     }
                     Node::Sum { children, weights } => children
                         .iter()
                         .zip(weights)
-                        .map(|(c, &w)| w * self.values[c.index()])
+                        .map(|(c, &w)| w * values[c.index()])
                         .sum(),
                 };
             }
-            self.values[self.spn.root().index()]
+            values[self.spn.root().index()]
+        }
+
+        /// The log-domain walk: leaves' `ln` density, products adding,
+        /// sums through [`log_sum_exp_weighted`] — the accuracy
+        /// reference of the carried-exponent oracle.
+        fn log_likelihood_reference(&self, sample: &[f64]) -> f64 {
+            let mut values = vec![0.0; self.spn.len()];
+            for (i, node) in self.spn.nodes().iter().enumerate() {
+                values[i] = match node {
+                    Node::Leaf { var, dist } => match dist.density(sample[*var]) {
+                        d if d > 0.0 => d.ln(),
+                        _ => f64::NEG_INFINITY,
+                    },
+                    Node::Product { children } => children.iter().map(|c| values[c.index()]).sum(),
+                    Node::Sum { children, weights } => log_sum_exp_weighted(
+                        children
+                            .iter()
+                            .zip(weights)
+                            .map(|(c, &w)| (values[c.index()], w)),
+                    ),
+                };
+            }
+            values[self.spn.root().index()]
         }
     }
 
@@ -313,28 +278,71 @@ mod tests {
         }
     }
 
+    /// The carried exponent against the log-domain walk it replaced, on
+    /// the five benchmark networks: every log-likelihood within 4 ulp.
     #[test]
-    fn marginal_sums_out_variables() {
-        let spn = mixture();
-        let mut ev = Evaluator::new(&spn);
-        // P(X0=0) = sum over X1 of P(0, x1) = 0.3*0.5 + 0.7*0.9 = 0.78
-        let m = ev.eval(&Query::marginal(vec![true, false]), &[0.0, f64::NAN]);
-        assert!((m - 0.78f64.ln()).abs() < 1e-12);
-        // Marginalizing everything gives probability 1.
-        let all = ev.eval(&Query::marginal(vec![false, false]), &[f64::NAN, f64::NAN]);
-        assert!(all.abs() < 1e-12);
+    fn carried_exponent_stays_within_four_ulp_of_the_log_domain() {
+        for bench in crate::nips::ALL_BENCHMARKS {
+            let spn = bench.build_spn();
+            let mut ev = Evaluator::new(&spn);
+            for row in bench.dataset(200, 0x10C).rows() {
+                let row: Vec<f64> = row.iter().map(|&b| f64::from(b)).collect();
+                let (ours, log) = (
+                    ev.eval(&Query::Complete, &row),
+                    ev.log_likelihood_reference(&row),
+                );
+                assert!(ours.is_finite(), "{bench:?}: {ours}");
+                let d = ours.to_bits().abs_diff(log.to_bits());
+                assert!(d <= 4, "{bench:?}: {ours:e} is {d} ulp from {log:e}");
+            }
+        }
     }
 
+    /// NIPS products are five leaves of densities around 1e-3: one
+    /// renormalisation at the end is exact. Eight leaves of 1e300 would
+    /// overflow, eight of 1e-300 would leave the normals, and a Gaussian
+    /// reaches the subnormals on its own: those renormalise after every
+    /// factor. So do enough renormalised children to pass 2^1023.
     #[test]
-    fn marginal_equals_explicit_sum() {
-        let spn = mixture();
-        let mut ev = Evaluator::new(&spn);
-        let explicit = ev.eval(&Query::Complete, &[1.0, 0.0]).exp()
-            + ev.eval(&Query::Complete, &[1.0, 1.0]).exp();
-        let marginal = ev
-            .eval(&Query::marginal(vec![true, false]), &[1.0, 0.0])
-            .exp();
-        assert!((explicit - marginal).abs() < 1e-12);
+    fn products_renormalise_each_factor_only_where_the_range_demands() {
+        use crate::nips::NipsBenchmark;
+        let spn = NipsBenchmark::Nips80.build_spn();
+        let each = Evaluator::new(&spn).each;
+        assert!(
+            !each.iter().any(|&e| e),
+            "a NIPS80 product renormalises each factor"
+        );
+
+        let product_of = |leaf: Leaf, n: usize| {
+            let mut b = SpnBuilder::new(n);
+            let leaves: Vec<_> = (0..n).map(|v| b.leaf(v, leaf.clone())).collect();
+            let p = b.product(leaves.clone());
+            let spn = b.finish_unchecked(p, "p");
+            renormalises_each_factor(&spn, &leaves)
+        };
+        let huge = Leaf::Histogram {
+            breaks: vec![0.0, 1e-300, 1.0],
+            densities: vec![1e300, 1.0 - 1e-300],
+        };
+        let tiny = Leaf::byte_histogram(&[1.0 - 1e-300, 1e-300]);
+        let gaussian = Leaf::Gaussian {
+            mean: 0.0,
+            std: 1.0,
+        };
+        assert!(!product_of(huge.clone(), 1));
+        assert!(product_of(huge, 8));
+        assert!(!product_of(tiny.clone(), 1));
+        assert!(product_of(tiny, 8));
+        assert!(product_of(gaussian, 1));
+        let mut b = SpnBuilder::new(1);
+        let leaf = b.leaf(0, Leaf::byte_histogram(&[1.0]));
+        let mut children = vec![leaf];
+        for _ in 0..1100 {
+            children.push(b.product(vec![leaf]));
+        }
+        let spn = b.finish_unchecked(children[1], "deep");
+        assert!(!renormalises_each_factor(&spn, &children[..1000]));
+        assert!(renormalises_each_factor(&spn, &children));
     }
 
     #[test]
@@ -373,49 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn mpe_with_full_evidence_is_identity() {
-        let spn = mixture();
-        let mut ev = Evaluator::new(&spn);
-        let (score, out) = ev.eval_mpe(&Query::mpe(vec![true, true]), &[1.0, 0.0]);
-        assert_eq!(out, vec![1.0, 0.0]);
-        // With full evidence the MPE score is the max component's
-        // weighted joint: max(0.3*0.5*0.25, 0.7*0.1*0.1) = 0.0375.
-        assert!((score.exp() - 0.3 * 0.5 * 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mpe_infers_most_probable_branch() {
-        let spn = mixture();
-        let mut ev = Evaluator::new(&spn);
-        // With no evidence the heavier component (0.7, favouring X0=0,
-        // X1=1) should win: its max joint is 0.7*0.9*0.9 = 0.567 versus
-        // 0.3*0.5*0.75 = 0.1125.
-        let q = Query::mpe(vec![false, false]);
-        let (score, out) = ev.eval_mpe(&q, &[0.0, 0.0]);
-        assert_eq!(out, vec![0.0, 1.0]);
-        assert!((score.exp() - 0.567).abs() < 1e-12);
-        // Score-only evaluation agrees with the traceback variant.
-        assert_eq!(ev.eval(&q, &[0.0, 0.0]).to_bits(), score.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "requires Query::Mpe")]
-    fn eval_mpe_rejects_other_queries() {
-        let spn = mixture();
-        Evaluator::new(&spn).eval_mpe(&Query::Complete, &[0.0, 0.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "variables")]
     fn wrong_sample_arity_panics() {
         let spn = mixture();
         Evaluator::new(&spn).eval(&Query::Complete, &[0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "variables")]
-    fn wrong_mask_arity_panics() {
-        let spn = mixture();
-        Evaluator::new(&spn).eval(&Query::marginal(vec![true]), &[0.0, 0.0]);
     }
 }

@@ -7,24 +7,14 @@
 //! SPN literature (Fig. 1(a) of the paper shows the Gaussian flavour that
 //! histograms approximate).
 //!
-//! Evaluation happens in log space wherever possible: products of
-//! hundreds of probabilities underflow `f64` quickly, which is the very
-//! motivation for the paper's LNS arithmetic.
+//! A leaf evaluates to its linear density, as in the paper's datapath:
+//! products of hundreds of such densities underflow `f64` quickly, and
+//! the oracle and the plan keep them in range with an exponent carried
+//! beside each value (`math.rs`), the role the wide exponent of the
+//! paper's CFP format plays in hardware. [`Leaf::byte_table`] is the one
+//! table both compilers read.
 
 use serde::{Deserialize, Serialize};
-
-/// Value a leaf evaluates to when its variable is marginalized out.
-pub(crate) const MARGINALIZED_LOG: f64 = 0.0; // log(1)
-
-/// `ln(d)` for a density `d`, and `-inf` where it is 0: the log-domain
-/// value of a leaf whose density is `d`.
-pub(crate) fn log_of(d: f64) -> f64 {
-    if d > 0.0 {
-        d.ln()
-    } else {
-        f64::NEG_INFINITY
-    }
-}
 
 /// A univariate leaf distribution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -180,10 +170,28 @@ impl Leaf {
         }
     }
 
-    /// Log-density at `x`; `-inf` outside support. `None` for `x` means
-    /// the variable is marginalized out (evaluates to log 1 = 0).
-    pub fn log_density(&self, x: Option<f64>) -> f64 {
-        x.map_or(MARGINALIZED_LOG, |v| log_of(self.density(v)))
+    /// The smallest nonzero and the largest value [`Leaf::density`] can
+    /// return: the extremes a product's range check reads
+    /// (`infer::renormalises_each_factor`). A Gaussian's tails pass
+    /// through every positive double below its peak.
+    pub(crate) fn density_range(&self) -> (f64, f64) {
+        let values = match self {
+            Leaf::Histogram { densities, .. } => densities,
+            Leaf::Categorical { probs } => probs,
+            Leaf::Gaussian { mean, .. } => return (f64::from_bits(1), self.density(*mean)),
+        };
+        // A density's magnitude orders as its bit pattern: two integer
+        // folds, with no NaN to order and no serial `minsd` chain.
+        let (lo, hi) = values.iter().fold((u64::MAX, 0), |(lo, hi), d| {
+            let b = d.abs().to_bits();
+            (if b == 0 { lo } else { lo.min(b) }, hi.max(b))
+        });
+        // A leaf with no mass is 0 everywhere: no factor range at all.
+        if hi > 0 {
+            (f64::from_bits(lo), f64::from_bits(hi))
+        } else {
+            (1.0, 1.0)
+        }
     }
 
     /// The leaf's lookup table over a byte-valued variable: entry `v`
@@ -192,9 +200,9 @@ impl Leaf {
     /// A histogram's breaks are walked once, and `map` runs once per
     /// bucket that holds a byte (plus once for the bytes outside the
     /// support), instead of a bucket search and a `map` per byte. Both
-    /// compilers build their tables here: the plan with the log
-    /// ([`Leaf::log_density`]'s values), the datapath with the linear
-    /// density.
+    /// compilers build their tables here: the plan with the linear
+    /// density itself, the datapath with the density in its number
+    /// format.
     pub fn byte_table(&self, map: impl Fn(f64) -> f64) -> [f64; 256] {
         let Leaf::Histogram { breaks, densities } = self else {
             return std::array::from_fn(|v| map(self.density(v as f64)));
@@ -361,31 +369,33 @@ mod tests {
         .is_err());
     }
 
+    /// The extremes a product's range check reads: over the nonzero
+    /// values only, and a Gaussian's down to the smallest subnormal.
     #[test]
-    fn log_density_and_marginalization() {
-        let h = uniform_hist(4);
-        assert!((h.log_density(Some(1.0)) - (0.25f64).ln()).abs() < 1e-12);
-        assert_eq!(h.log_density(Some(99.0)), f64::NEG_INFINITY);
-        assert_eq!(h.log_density(None), 0.0);
+    fn density_range_spans_the_nonzero_values() {
+        let h = Leaf::byte_histogram(&[0.5, 0.0, 0.125, 0.375]);
+        assert_eq!(h.density_range(), (0.125, 0.5));
+        let c = Leaf::Categorical {
+            probs: vec![0.0, 0.2, 0.8],
+        };
+        assert_eq!(c.density_range(), (0.2, 0.8));
+        let g = Leaf::Gaussian {
+            mean: 2.0,
+            std: 1.0,
+        };
+        assert_eq!(g.density_range(), (5e-324, g.density(2.0)));
     }
 
     /// `byte_table` against the per-byte oracle, bit for bit: the linear
-    /// table against `density(v)`, the log table against
-    /// `log_density(Some(v))`, at every byte.
+    /// table against `density(v)`, at every byte.
     fn assert_byte_tables_match_the_oracle(leaf: &Leaf, what: &str) {
-        let (linear, log) = (leaf.byte_table(|d| d), leaf.byte_table(log_of));
+        let linear = leaf.byte_table(|d| d);
         for v in 0..=255u8 {
-            let x = f64::from(v);
-            let (want, want_log) = (leaf.density(x), leaf.log_density(Some(x)));
+            let want = leaf.density(f64::from(v));
             assert_eq!(
                 linear[v as usize].to_bits(),
                 want.to_bits(),
                 "{what}: byte {v}"
-            );
-            assert_eq!(
-                log[v as usize].to_bits(),
-                want_log.to_bits(),
-                "{what}: log, byte {v}"
             );
         }
     }

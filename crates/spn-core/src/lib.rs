@@ -12,8 +12,9 @@
 //!   ([`leaf`]),
 //! * structural validation: completeness, decomposability, weight
 //!   normalization ([`mod@validate`]),
-//! * exact inference — joint, marginal and MPE queries behind one
-//!   [`Query`] surface, in the log domain ([`infer`]),
+//! * exact inference of the paper's one query, the joint likelihood of
+//!   complete evidence ([`Query`]), on linear densities with a carried
+//!   exponent and one `ln` per sample ([`infer`]),
 //! * compiled inference plans — flat instruction buffers with leaf
 //!   lookup tables and a batched executor, bit-exact against the
 //!   tree-walk oracle ([`plan`]), at the CPU's widest tier ([`isa`]),

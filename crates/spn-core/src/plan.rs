@@ -15,62 +15,65 @@
 //!   weights live in three arenas in op order, so the scan consumes them
 //!   front to back and an op's operands are "the next `n`"; leaf tables
 //!   live in a fourth, indexed by record. No op owns a heap allocation.
+//! * **The paper's arithmetic: linear, with a carried exponent.** A
+//!   value is a pair `(m, e)` meaning `m·2^e` (`math.rs`), as the
+//!   paper's CFP format keeps a wide exponent beside its mantissa.
+//!   Products multiply mantissas and add exponents, then renormalise
+//!   once, or after every factor where a compile-time range check
+//!   (`infer::renormalises_each_factor`) says the running product could
+//!   leave the normal doubles. Sums scale each term onto the largest
+//!   exponent by an exact power of two and add the weighted mantissas.
+//!   The root's one `ln` gives the log-likelihood: no `exp` anywhere,
+//!   and one `ln` per sample where a log-sum-exp took one per sum and an
+//!   `exp` per term (NIPS80: 31 and 62).
 //! * **Only live values have rows.** A value nobody reads has no op. A
-//!   leaf whose one reader is a product, and which is not a plan
-//!   output, has no op either: the product adds its table entry in
-//!   place, at the leaf's position in its child order — as the paper's
-//!   datapath feeds a histogram lookup straight into its multiplier
-//!   tree. Every other value takes a scratch row from a free list and
-//!   gives it back after its last reader, so the scratch holds what is
-//!   live at once (12 rows for NIPS80's 283 nodes). The root's row,
-//!   the one a caller reads, is never freed.
-//! * **Sums that read the same children share a max and an `exp`
+//!   product reads a leaf's table entry in place, at the leaf's position
+//!   in its child order — as the paper's datapath feeds a histogram
+//!   lookup straight into its multiplier tree — so a leaf has an op and
+//!   a row only where a sum reads it or it is the root. Every other
+//!   value takes a scratch row (a mantissa and an exponent lane array)
+//!   from a free list and gives it back after its last reader, so the
+//!   scratch holds what is live at once (12 rows for NIPS80's 283
+//!   nodes). The root's row, the one a caller reads, is never freed.
+//! * **Sums that read the same children share a max and a scale
 //!   pass.** A sum whose `w > 0` children are the same nodes, in the
 //!   same order, as those of the sum op just before it joins that op. A
 //!   region's sums mix the same products with different weights, so
-//!   their max and every `exp(x − m)` are the same bits: the group
-//!   computes them once and each member accumulates its own weighted
-//!   sum in its own row. NIPS80's 31 sums run as 16 ops.
+//!   their largest exponent and every scaled term are the same bits: the
+//!   group computes them once and each member accumulates its own
+//!   weighted sum in its own row. NIPS80's 31 sums run as 16 ops.
 //! * **Leaf lookup tables.** Datasets are byte matrices (domain ≤ 256),
-//!   so every leaf lowers to a 256-entry log-density table,
+//!   so every leaf lowers to a 256-entry density table,
 //!   [`Leaf::byte_table`](crate::Leaf::byte_table), bit for bit the
-//!   oracle's `log_density` — one indexed load per sample replaces a
-//!   binary search.
+//!   oracle's density — one indexed load per sample replaces a binary
+//!   search, and the compile takes no logarithm.
 //! * **One lane-wide kernel.** The executor evaluates up to [`LANES`]
 //!   samples per pass; a pass of `W` lanes views its scratch as
-//!   `[f64; W]` rows, so a child's lanes are one indexed row (the lane
-//!   stride is in the type). Every op reads and writes fixed-size
+//!   `[[f64; W]; 2]` rows, so a child's lanes are one indexed row (the
+//!   lane stride is in the type). Every op reads and writes fixed-size
 //!   lane arrays: trip counts are constants and no lane is bounds-
 //!   checked. The one kernel body runs whole `W = LANES` chunks, then
 //!   `W = 16` chunks of what is left, then single rows; a chunk runs
 //!   at the widest instruction-set tier the CPU supports ([`crate::isa`]),
 //!   a single row at the build's own.
-//! * **No math library.** A sum's `exp` and `ln` are this crate's own
-//!   (`math.rs`): branch-free straight-line arithmetic that inlines into
-//!   the lane passes, so a whole sum — max, `Σ w·exp(x − m)`,
-//!   `m + ln s` — stays in vector registers instead of spilling every
-//!   lane array around 153 libm calls per NIPS80 sample.
 //!
 //! Bit-exactness against the [`crate::Evaluator`] oracle is a hard
 //! contract (pinned by `tests/plan_differential.rs`). Lane-wide
-//! execution keeps it because lanes never mix: each pass over a sum's
-//! terms (`max`, then `s += w·exp(x − m)`, both in term order, then
-//! `m + ln s`) applies to lane `l` exactly the operations, in exactly
-//! the order, the oracle applies to sample `l` — only the interleaving
-//! *between* samples changes — and both sides call the same `exp` and
-//! `ln`, which use no fused multiply-add and so compute the same bits
-//! at every register width. A group member's `s` is its own row, and
-//! the shared `m` and `exp(x − m)` are the oracle's bits for each
-//! member. A lane whose max is `−inf` computes a `NaN` sum
-//! (`−inf − −inf`) that the final per-lane select discards, where the
-//! oracle returns early. An in-place leaf adds the very value its row
-//! would have held, at the same point of the product's fold.
+//! execution keeps it because lanes never mix: each pass applies to lane
+//! `l` exactly the operations, in exactly the order, the oracle applies
+//! to sample `l` — only the interleaving *between* samples changes — and
+//! both sides call the same `math.rs` functions, which use no fused
+//! multiply-add and so compute the same bits at every register width.
+//! A group member's sum is its own row, and the shared largest exponent
+//! and scaled terms are the oracle's bits for each member. A leaf read
+//! in place multiplies in the very density the oracle's leaf value
+//! holds, with the exponent `0` the oracle adds; a leaf row holds it
+//! renormalised, as the oracle renormalises a sum's leaf term.
 
 use crate::dataset::Dataset;
 use crate::graph::{Node, Spn};
-use crate::infer::mode_log_density;
+use crate::infer::renormalises_each_factor;
 use crate::isa;
-use crate::leaf::{log_of, MARGINALIZED_LOG};
 use crate::math;
 use crate::query::Query;
 use serde::{Deserialize, Serialize};
@@ -90,31 +93,19 @@ const TABLE_SIZE: usize = 256;
 enum Factor {
     /// A child's value, read from this scratch row.
     Row(u32),
-    /// An in-place leaf: this leaf record, read at the sample's byte.
+    /// A leaf read in place: this leaf record, at the sample's byte.
     Leaf(u32),
 }
 
-/// One sum weight in the weight arena.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Weight {
-    /// Linear mixture weight (> 0).
-    weight: f64,
-    /// `ln weight`, precomputed for the MPE max kernel.
-    log_weight: f64,
-}
-
-/// One leaf's record in the leaf arena: its table, its mode and its
-/// variable. The two extra slots also keep the stride (2064 bytes) off
-/// a power of two — at a bare 2 KiB, entry `v` of every table maps to
-/// the same two L1 sets, and a row that repeats a byte value across
-/// variables evicts its own tables.
+/// One leaf's record in the leaf arena: its table and its variable. The
+/// extra slot also keeps the stride (2056 bytes) off a power of two —
+/// at a bare 2 KiB, entry `v` of every table maps to the same two L1
+/// sets, and a row that repeats a byte value across variables evicts its
+/// own tables.
 #[derive(Debug, Clone, PartialEq)]
 struct LeafTable {
-    /// `table[v]` = log density at byte value `v`.
+    /// `table[v]` = density at byte value `v`.
     table: [f64; TABLE_SIZE],
-    /// Log-density at the distribution's mode (MPE's value for an
-    /// unobserved variable).
-    mode_log: f64,
     /// Variable (= dataset column) this leaf reads.
     var: u32,
 }
@@ -123,17 +114,16 @@ struct LeafTable {
 /// where it writes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PlanOp {
-    /// Leaf lowered to a byte-indexed log-density table: this record,
-    /// into this row.
+    /// A leaf a sum reads, or the root: this record's density at the
+    /// sample's byte, renormalised, into this row.
     Leaf { leaf: u32, row: u32 },
-    /// Product: log-domain sum of the next `n` factors, in order, into
-    /// this row.
-    Product { n: u32, row: u32 },
+    /// Product of the next `n` factors, in order, into this row:
+    /// renormalised after every factor when `each`, else once.
+    Product { n: u32, row: u32, each: bool },
     /// A sum group: `k` sums over the same `n` children in the same
-    /// order. Each member's weighted log-sum-exp (or weighted max for
-    /// MPE) of the children's rows — the next `n` sum rows — goes into
-    /// its own row, the `k` after them; the next `k × n` weights are the
-    /// members', member by member.
+    /// order. Each member's weighted sum of the children's rows — the
+    /// next `n` sum rows — goes into its own row, the `k` after them;
+    /// the next `k × n` weights are the members', member by member.
     Sum { n: u32, k: u32 },
 }
 
@@ -168,8 +158,8 @@ pub struct CompiledPlan {
     factors: Vec<Factor>,
     /// Rows every sum op reads and writes, in op order.
     sum_rows: Vec<u32>,
-    /// Sum weights of every op, in op order.
-    weights: Vec<Weight>,
+    /// Linear sum weights (all `> 0`) of every op, in op order.
+    weights: Vec<f64>,
     /// One record per leaf, in arena order.
     leaves: Vec<LeafTable>,
     /// Scratch rows a pass needs: the most values live at once.
@@ -199,27 +189,24 @@ fn operands(node: &Node) -> impl Iterator<Item = (usize, f64)> + '_ {
 impl CompiledPlan {
     /// Lower `spn` into a flat plan that yields the root's value. Cost
     /// is one pass over the arena plus, per leaf, one walk of its
-    /// buckets ([`Leaf::byte_table`](crate::Leaf::byte_table)) with a
-    /// `ln` per bucket.
+    /// buckets ([`Leaf::byte_table`](crate::Leaf::byte_table)).
     pub fn compile(spn: &Spn) -> CompiledPlan {
         let (nodes, shape) = (spn.nodes(), spn.stats());
         let (n, root) = (nodes.len(), spn.root().index());
-        // Who reads each value: the ops of its live parents, and —
-        // without end — the caller, for the root. A value nobody reads
-        // is dead and gets no op.
-        let (mut readers, mut read_by_product) = (vec![0u32; n], vec![false; n]);
+        // A product reads a leaf in place; every other read is of a row.
+        let reads_row = |parent: &Node, c: usize| !(parent.is_product() && nodes[c].is_leaf());
+        // Who reads each value's row: the ops of its live parents, and —
+        // without end — the caller, for the root. A value whose row
+        // nobody reads gets no op.
+        let mut readers = vec![0u32; n];
         readers[root] = u32::MAX;
         for (i, node) in nodes.iter().enumerate().rev() {
             if readers[i] > 0 {
-                for (c, _) in operands(node) {
+                for (c, _) in operands(node).filter(|&(c, _)| reads_row(node, c)) {
                     readers[c] = readers[c].saturating_add(1);
-                    read_by_product[c] |= node.is_product();
                 }
             }
         }
-        let in_place: Vec<bool> = (0..n)
-            .map(|c| nodes[c].is_leaf() && readers[c] == 1 && read_by_product[c])
-            .collect();
 
         let (mut leaves, mut leaf_of) = (Vec::with_capacity(shape.leaves), vec![0u32; n]);
         let (mut ops, mut factors) = (Vec::with_capacity(n), Vec::new());
@@ -230,12 +217,11 @@ impl CompiledPlan {
             if let Node::Leaf { var, dist } = node {
                 leaf_of[i] = leaves.len() as u32;
                 leaves.push(LeafTable {
-                    table: dist.byte_table(log_of),
-                    mode_log: mode_log_density(dist),
+                    table: dist.byte_table(|d| d),
                     var: *var as u32,
                 });
             }
-            if readers[i] == 0 || in_place[i] {
+            if readers[i] == 0 {
                 continue;
             }
             // An op takes its row before its operands give theirs back,
@@ -250,12 +236,13 @@ impl CompiledPlan {
                     row,
                 }),
                 Node::Product { children } => {
-                    factors.extend(children.iter().map(|c| match in_place[c.index()] {
+                    factors.extend(children.iter().map(|c| match nodes[c.index()].is_leaf() {
                         true => Factor::Leaf(leaf_of[c.index()]),
                         false => Factor::Row(row_of[c.index()]),
                     }));
                     let n = children.len() as u32;
-                    ops.push(PlanOp::Product { n, row });
+                    let each = renormalises_each_factor(spn, children);
+                    ops.push(PlanOp::Product { n, row, each });
                 }
                 Node::Sum { .. } => {
                     let children = |node| operands(node).map(|(c, _)| c);
@@ -272,16 +259,13 @@ impl CompiledPlan {
                         }
                     }
                     sum_rows.push(row);
-                    weights.extend(operands(node).map(|(_, w)| Weight {
-                        weight: w,
-                        log_weight: w.ln(),
-                    }));
+                    weights.extend(operands(node).map(|(_, w)| w));
                 }
             }
             // A row is free once its value's last reader has run.
-            for (c, _) in operands(node) {
+            for (c, _) in operands(node).filter(|&(c, _)| reads_row(node, c)) {
                 readers[c] -= 1;
-                if readers[c] == 0 && !in_place[c] {
+                if readers[c] == 0 {
                     free.push(row_of[c]);
                 }
             }
@@ -339,8 +323,9 @@ impl CompiledPlan {
 /// [`Dataset`] through the plan up to [`LANES`] samples at a time.
 pub struct PlanExecutor<'p> {
     plan: &'p CompiledPlan,
-    /// `scratch[row * W + lane]`: the value scratch row `row` holds for
-    /// a `W`-lane pass's row `lane`.
+    /// `scratch[(2 * row + half) * W + lane]`: the mantissa (`half = 0`)
+    /// or exponent (`half = 1`) scratch row `row` holds for a `W`-lane
+    /// pass's row `lane`.
     scratch: Vec<f64>,
 }
 
@@ -358,13 +343,11 @@ impl<'p> PlanExecutor<'p> {
         self.plan
     }
 
-    /// Evaluate `query` over every row of `data`: the root's value for
-    /// each sample, in order. For [`Query::Mpe`] the result is the max
-    /// log-probability (the oracle's upward-pass root value).
+    /// The joint log-likelihood of every row of `data`, in order.
     ///
     /// # Panics
-    /// Panics if the dataset width or query mask does not match the
-    /// plan's variable count.
+    /// Panics if the dataset width does not match the plan's variable
+    /// count.
     pub fn eval_batch(&mut self, query: &Query, data: &Dataset) -> Vec<f64> {
         let mut out = Vec::new();
         self.eval_batch_into(query, data, &mut out);
@@ -377,18 +360,18 @@ impl<'p> PlanExecutor<'p> {
         self.eval_batch_raw(query, data.raw(), data.num_features(), out);
     }
 
-    /// Evaluate `query` over rows packed contiguously in `raw`
-    /// (`num_features` bytes per row), appending each row's root value
-    /// to `out` in row order. This is the zero-copy entry the runtime's
-    /// host backend feeds block-sized dataset slices through.
+    /// The joint log-likelihood of every row packed contiguously in
+    /// `raw` (`num_features` bytes per row), appended to `out` in row
+    /// order. This is the zero-copy entry the runtime's host backend
+    /// feeds block-sized dataset slices through.
     ///
     /// Whole [`LANES`]-row chunks, then 16-row chunks, then single rows
     /// go through the same kernel.
     ///
     /// # Panics
     /// Panics if `raw` is not a whole number of `num_features`-byte
-    /// rows, or if `num_features` or the query mask does not match the
-    /// plan's variable count.
+    /// rows, or if `num_features` does not match the plan's variable
+    /// count.
     pub fn eval_batch_raw(
         &mut self,
         query: &Query,
@@ -396,6 +379,7 @@ impl<'p> PlanExecutor<'p> {
         num_features: usize,
         out: &mut Vec<f64>,
     ) {
+        let Query::Complete = query;
         let nf = self.plan.num_vars;
         assert_eq!(
             num_features, nf,
@@ -407,33 +391,32 @@ impl<'p> PlanExecutor<'p> {
             "raw byte length {} is not a whole number of {nf}-byte rows",
             raw.len()
         );
-        query.check_arity(nf);
         let rows = raw.len() / nf;
         out.reserve(rows);
-        // As wide as the widest pass this call runs.
+        // As wide as the widest pass this call runs: a mantissa and an
+        // exponent lane array per row.
         let widest = [LANES, TAIL_LANES, 1].into_iter().find(|&w| rows >= w);
-        let need = self.plan.scratch_rows * widest.unwrap_or(0);
+        let need = 2 * self.plan.scratch_rows * widest.unwrap_or(0);
         if self.scratch.len() < need {
             self.scratch.resize(need, 0.0);
         }
-        let rest = self.run_chunks::<LANES>(query, raw, out);
-        let rest = self.run_chunks::<TAIL_LANES>(query, rest, out);
-        self.run_chunks::<1>(query, rest, out);
+        let rest = self.run_chunks::<LANES>(raw, out);
+        let rest = self.run_chunks::<TAIL_LANES>(rest, out);
+        self.run_chunks::<1>(rest, out);
     }
 
     /// Run every whole `W`-row chunk at the front of `raw` through the
-    /// kernel, appending each row's root value to `out`, and return the
-    /// rows left over. A chunk runs at the widest tier this CPU
+    /// kernel, appending each row's log-likelihood to `out`, and return
+    /// the rows left over. A chunk runs at the widest tier this CPU
     /// supports, a single row at `Base`: one lane has no register to
     /// widen into.
     fn run_chunks<'r, const W: usize>(
         &mut self,
-        query: &Query,
         mut raw: &'r [u8],
         out: &mut Vec<f64>,
     ) -> &'r [u8] {
         let plan = self.plan;
-        let chunk = Chunk::<W> { plan, query };
+        let chunk = Chunk::<W> { plan };
         while raw.len() >= W * plan.num_vars {
             let (rows, rest) = raw.split_at(W * plan.num_vars);
             if W == 1 {
@@ -441,8 +424,9 @@ impl<'p> PlanExecutor<'p> {
             } else {
                 isa::run(&chunk, rows, &mut self.scratch);
             }
-            // The root row's `W` lanes are the chunk's rows, in order.
-            let root = plan.root_row as usize * W;
+            // The root row's mantissa lanes hold the chunk's
+            // log-likelihoods, in row order.
+            let root = 2 * plan.root_row as usize * W;
             out.extend_from_slice(&self.scratch[root..root + W]);
             raw = rest;
         }
@@ -450,10 +434,9 @@ impl<'p> PlanExecutor<'p> {
     }
 }
 
-/// The kernel: one pass of the plan over `W` rows, for one query.
+/// The kernel: one pass of the plan over `W` rows.
 struct Chunk<'a, const W: usize> {
     plan: &'a CompiledPlan,
-    query: &'a Query,
 }
 
 /// The next `n` operands of an arena the scan consumes front to back.
@@ -465,20 +448,12 @@ fn next<'a, T>(arena: &mut &'a [T], n: u32) -> &'a [T] {
 }
 
 impl<const W: usize> Chunk<'_, W> {
-    /// Leaf record `leaf`'s values over the chunk's rows: the table
-    /// entry at an observed byte, the mode's density for an unobserved
-    /// variable under MPE, else the marginalised `MARGINALIZED_LOG`.
+    /// Leaf record `leaf`'s densities over the chunk's rows.
     #[inline(always)]
     fn leaf(&self, leaf: u32, rows: &[u8]) -> [f64; W] {
         let leaf = &self.plan.leaves[leaf as usize];
         let (var, nf) = (leaf.var as usize, self.plan.num_vars);
-        if self.query.is_observed(var) {
-            std::array::from_fn(|l| leaf.table[rows[l * nf + var] as usize])
-        } else if self.query.is_mpe() {
-            [leaf.mode_log; W]
-        } else {
-            [MARGINALIZED_LOG; W]
-        }
+        std::array::from_fn(|l| leaf.table[rows[l * nf + var] as usize])
     }
 }
 
@@ -486,99 +461,105 @@ impl<const W: usize> isa::Kernel for Chunk<'_, W> {
     type Out = [f64];
 
     /// Evaluate every op over the `W` samples in `rows`, leaving each
-    /// op's results in its row, `scratch[row * W..][..W]`.
+    /// op's `(m, e)` lanes in its row, then the root's log-likelihood in
+    /// the root row's mantissa lanes.
     #[inline(always)]
     fn run(&self, rows: &[u8], scratch: &mut [f64]) {
         let plan = self.plan;
-        let mpe = self.query.is_mpe();
         let (scratch, _) = scratch.as_chunks_mut::<W>();
+        let (scratch, _) = scratch.as_chunks_mut::<2>();
         // Ops consume the operand arenas front to back: no per-op range
         // to check, no index to scale.
         let mut factors = &plan.factors[..];
         let mut sum_rows = &plan.sum_rows[..];
         let mut weights = &plan.weights[..];
-        // Every operand's row was written by an earlier op.
+        // Every operand's row was written by an earlier op. Each step is
+        // the oracle's, lane by lane (`infer.rs`).
         for &op in &plan.ops {
             match op {
-                PlanOp::Leaf { leaf, row } => scratch[row as usize] = self.leaf(leaf, rows),
-                PlanOp::Product { n, row } => {
-                    // Same fold as the oracle: 0.0, then += in child
-                    // order, an in-place leaf at its own position.
-                    let mut acc = [0.0; W];
+                PlanOp::Leaf { leaf, row } => {
+                    let d = self.leaf(leaf, rows);
+                    let [m, e] = &mut scratch[row as usize];
+                    for l in 0..W {
+                        (m[l], e[l]) = math::renormalise(d[l], 0.0);
+                    }
+                }
+                PlanOp::Product { n, row, each } => {
+                    // From (1, 0), in child order, a leaf at its own
+                    // position; then renormalised.
+                    let (mut m, mut e) = ([1.0; W], [0.0; W]);
                     for f in next(&mut factors, n) {
-                        let x = match *f {
-                            Factor::Row(r) => scratch[r as usize],
-                            Factor::Leaf(leaf) => self.leaf(leaf, rows),
-                        };
-                        for l in 0..W {
-                            acc[l] += x[l];
+                        match *f {
+                            Factor::Row(r) => {
+                                let [cm, ce] = &scratch[r as usize];
+                                for l in 0..W {
+                                    m[l] *= cm[l];
+                                    e[l] += ce[l];
+                                }
+                            }
+                            Factor::Leaf(leaf) => {
+                                let d = self.leaf(leaf, rows);
+                                for l in 0..W {
+                                    m[l] *= d[l];
+                                }
+                            }
+                        }
+                        if each {
+                            for l in 0..W {
+                                (m[l], e[l]) = math::renormalise(m[l], e[l]);
+                            }
                         }
                     }
-                    scratch[row as usize] = acc;
+                    // Without `each`, the range check proved every
+                    // running product zero or normal.
+                    let [rm, re] = &mut scratch[row as usize];
+                    for l in 0..W {
+                        (rm[l], re[l]) = math::renormalise_normal(m[l], e[l]);
+                    }
                 }
                 PlanOp::Sum { n, k } => {
                     let (xs, outs) = next(&mut sum_rows, n + k).split_at(n as usize);
                     let ws = next(&mut weights, n * k);
                     let n = n as usize;
-                    if mpe {
-                        // Oracle's MPE kernel, member by member: strict
-                        // `>`, first term wins ties.
-                        for (j, &out) in outs.iter().enumerate() {
-                            let mut best = [f64::NEG_INFINITY; W];
-                            for (&x, w) in xs.iter().zip(&ws[j * n..][..n]) {
-                                let x = &scratch[x as usize];
-                                for l in 0..W {
-                                    let v = w.log_weight + x[l];
-                                    if v > best[l] {
-                                        best[l] = v;
-                                    }
-                                }
-                            }
-                            scratch[out as usize] = best;
-                        }
-                        continue;
-                    }
-                    // Oracle's log-sum-exp, one pass per step, with the
-                    // max and each term's `exp(x − m)` shared by every
-                    // member: max in term order, each member's
-                    // `Σ w·exp(x − m)` in term order in its own row, then
-                    // `m + ln s` unless the lane's max is −inf (an empty
-                    // sum is the all-−inf case).
-                    let mut m = [f64::NEG_INFINITY; W];
+                    // Shared by every member: the largest exponent in
+                    // term order, and each term's `m·2^(e − top)`. Each
+                    // member's `Σ w·v` runs in term order in its own row,
+                    // then is renormalised onto `top`.
+                    let mut top = [f64::NEG_INFINITY; W];
                     for &x in xs {
-                        let x = &scratch[x as usize];
+                        let [_, e] = &scratch[x as usize];
                         for l in 0..W {
-                            m[l] = m[l].max(x[l]);
+                            top[l] = top[l].max(e[l]);
                         }
                     }
                     for &out in outs {
-                        scratch[out as usize] = [0.0; W];
+                        scratch[out as usize][0] = [0.0; W];
                     }
                     for (i, &x) in xs.iter().enumerate() {
-                        let x = &scratch[x as usize];
-                        let mut e = [0.0; W];
+                        let [m, e] = &scratch[x as usize];
+                        let mut v = [0.0; W];
                         for l in 0..W {
-                            e[l] = math::exp(x[l] - m[l]);
+                            v[l] = math::scale(m[l], e[l] - top[l]);
                         }
                         for (j, &out) in outs.iter().enumerate() {
-                            let (w, s) = (ws[j * n + i].weight, &mut scratch[out as usize]);
+                            let (w, s) = (ws[j * n + i], &mut scratch[out as usize][0]);
                             for l in 0..W {
-                                s[l] += w * e[l];
+                                s[l] += w * v[l];
                             }
                         }
                     }
                     for &out in outs {
-                        let s = &mut scratch[out as usize];
+                        let [s, e] = &mut scratch[out as usize];
                         for l in 0..W {
-                            s[l] = if m[l] == f64::NEG_INFINITY {
-                                f64::NEG_INFINITY
-                            } else {
-                                m[l] + math::ln(s[l])
-                            };
+                            (s[l], e[l]) = math::renormalise(s[l], top[l]);
                         }
                     }
                 }
             }
+        }
+        let [m, e] = &mut scratch[plan.root_row as usize];
+        for l in 0..W {
+            m[l] = math::ln(m[l], e[l]);
         }
     }
 }
@@ -635,36 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn marginal_matches_oracle_bit_exactly() {
-        let spn = mixture();
-        let plan = CompiledPlan::compile(&spn);
-        let data = all_rows();
-        let q = Query::marginal(vec![true, false]);
-        let out = PlanExecutor::new(&plan).eval_batch(&q, &data);
-        let mut ev = Evaluator::new(&spn);
-        for (row, &got) in data.rows().zip(&out) {
-            let want = ev.eval_bytes(&q, row);
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-        // And against the classic evidence API: P(X0=0) = 0.78.
-        assert!((out[0] - 0.78f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mpe_scores_match_oracle_bit_exactly() {
-        let spn = mixture();
-        let plan = CompiledPlan::compile(&spn);
-        let data = all_rows();
-        let q = Query::mpe(vec![false, true]);
-        let out = PlanExecutor::new(&plan).eval_batch(&q, &data);
-        let mut ev = Evaluator::new(&spn);
-        for (row, &got) in data.rows().zip(&out) {
-            let want = ev.eval_bytes(&q, row);
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
     fn remainder_lanes_match_whole_chunks() {
         // One full chunk plus five leftover rows.
         let n = LANES + 5;
@@ -704,9 +655,8 @@ mod tests {
 
     /// Every tier this CPU supports against `Base`, through
     /// `isa::run_on`: every op's lanes of every whole chunk of the
-    /// cascade, `to_bits`, on the five benchmark networks and the three
-    /// query shapes. Each batch also goes through `eval_batch` against
-    /// the tree-walk oracle, at
+    /// cascade, `to_bits`, on the five benchmark networks. Each batch
+    /// also goes through `eval_batch` against the tree-walk oracle, at
     /// sizes that take every step of the cascade (single rows run at
     /// `Base` only).
     #[test]
@@ -716,15 +666,14 @@ mod tests {
         /// this CPU supports against `Base`; returns the rows left over.
         fn same_bits<'r, const W: usize>(
             plan: &CompiledPlan,
-            query: &Query,
             raw: &'r [u8],
             case: &str,
         ) -> &'r [u8] {
-            let chunk = Chunk::<W> { plan, query };
+            let chunk = Chunk::<W> { plan };
             let mut chunks = raw.chunks_exact(W * plan.num_vars());
             for rows in &mut chunks {
                 let run = |at| {
-                    let mut scratch = vec![0.0; plan.scratch_rows * W];
+                    let mut scratch = vec![0.0; 2 * plan.scratch_rows * W];
                     isa::run_on(at, &chunk, rows, &mut scratch);
                     scratch.into_iter().map(f64::to_bits).collect::<Vec<_>>()
                 };
@@ -741,30 +690,23 @@ mod tests {
         for bench in crate::nips::ALL_BENCHMARKS {
             let spn = bench.build_spn();
             let plan = CompiledPlan::compile(&spn);
-            let nf = plan.num_vars();
-            let mask: Vec<bool> = (0..nf).map(|v| v % 3 != 0).collect();
-            let queries = [
-                Query::Complete,
-                Query::marginal(mask.clone()),
-                Query::mpe(mask),
-            ];
             let mut ex = PlanExecutor::new(&plan);
             let mut ev = Evaluator::new(&spn);
             let sizes = [1, 15, 16, 17, 63, 64, 65, LANES + TAIL_LANES + 3, 4096];
-            for (query, n) in queries.iter().flat_map(|q| sizes.map(|n| (q, n))) {
-                let case = format!("{bench:?} {} query, {n} rows", query.label());
+            for n in sizes {
+                let case = format!("{bench:?}, {n} rows");
                 let data = bench.dataset(n, 0xA5A5 + n as u64);
-                let got = ex.eval_batch(query, &data);
+                let got = ex.eval_batch(&Query::Complete, &data);
                 for (i, (row, g)) in data.rows().zip(got).enumerate() {
-                    let want = ev.eval_bytes(query, row);
+                    let want = ev.eval_bytes(&Query::Complete, row);
                     assert_eq!(
                         g.to_bits(),
                         want.to_bits(),
                         "{case}: row {i} against the oracle"
                     );
                 }
-                let rest = same_bits::<LANES>(&plan, query, data.raw(), &case);
-                same_bits::<TAIL_LANES>(&plan, query, rest, &case);
+                let rest = same_bits::<LANES>(&plan, data.raw(), &case);
+                same_bits::<TAIL_LANES>(&plan, rest, &case);
             }
         }
     }

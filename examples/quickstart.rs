@@ -1,11 +1,15 @@
-//! Quickstart: build a Sum-Product Network, validate it, run the three
-//! query types, and round-trip the SPFlow-style textual format.
+//! Quickstart: build a Sum-Product Network, validate it, evaluate the
+//! joint likelihood of complete evidence (the paper's one query) on the
+//! tree-walk oracle and on the compiled plan, and round-trip the
+//! SPFlow-style textual format.
 //!
 //! ```sh
 //! cargo run --release -p examples --bin quickstart
 //! ```
 
-use spn_core::{from_text, to_text, Evaluator, Leaf, Query, SpnBuilder};
+use spn_core::{
+    from_text, to_text, CompiledPlan, Dataset, Evaluator, Leaf, PlanExecutor, Query, SpnBuilder,
+};
 
 fn main() {
     // A tiny weather model over two byte variables:
@@ -40,16 +44,18 @@ fn main() {
         }
     }
 
-    // 2. Marginal: what is P(ground = wet), summing out the sky? This is
-    // the "handling uncertainty" capability the paper motivates SPNs with.
-    let (q_wet, row_wet) = Query::marginal_from_evidence(&[None, Some(1.0)]);
-    let p_wet = ev.eval(&q_wet, &row_wet).exp();
-    println!("\nP(ground=wet) marginalizing sky = {p_wet:.4}");
-
-    // 3. MPE: most probable explanation given the ground is wet.
-    let (q_mpe, row_mpe) = Query::mpe_from_evidence(&[None, Some(1.0)]);
-    let (_, mpe) = ev.eval_mpe(&q_mpe, &row_mpe);
-    println!("most probable sky given wet ground: {:?}", mpe[0]);
+    // 2. The compiled plan answers a whole batch at once, bit for bit the
+    // oracle's log-likelihoods.
+    let plan = CompiledPlan::compile(&spn);
+    let batch = Dataset::from_raw(vec![0, 0, 0, 1, 1, 0, 1, 1], 2, 2);
+    let lls = PlanExecutor::new(&plan).eval_batch(&Query::Complete, &batch);
+    for (row, ll) in batch.rows().zip(&lls) {
+        assert_eq!(ll.to_bits(), ev.eval_bytes(&Query::Complete, row).to_bits());
+    }
+    println!(
+        "
+compiled plan, log P over the batch: {lls:.4?}"
+    );
 
     // Textual interchange (SPFlow-compatible): serialize and re-parse.
     let text = to_text(&spn);

@@ -48,7 +48,7 @@ const FIXTURES: [Fixture; 4] = [
         data: bag(8, 16, 4, 2.0, 1234),
         rows: 2000,
         fingerprint: 0x6050_a7de_cf73_88d8,
-        ll_digest: 0x5f4e_4093_9c4d_2c06,
+        ll_digest: 0xa9fa_bc6a_a2a1_d80c,
     },
     Fixture {
         // The first 3000 rows of a 4000-row draw; the rest are held out.
@@ -56,21 +56,21 @@ const FIXTURES: [Fixture; 4] = [
         data: bag(6, 16, 4, 2.0, 1234),
         rows: 3000,
         fingerprint: 0x29b8_62b3_cc30_d001,
-        ll_digest: 0x301a_5845_a963_ea97,
+        ll_digest: 0xec44_4c66_5a00_283c,
     },
     Fixture {
         name: "sched",
         data: bag(10, 16, 4, 2.0, 1234),
         rows: 2000,
         fingerprint: 0x32c0_5246_e1c4_49eb,
-        ll_digest: 0x38b3_94d2_f5f3_50fa,
+        ll_digest: 0xd5a9_bc3c_6dc8_8d42,
     },
     Fixture {
         name: "learned-bow",
         data: bag(12, 32, 3, 1.5, 7),
         rows: 4000,
         fingerprint: 0x044e_a26a_ea57_f27e,
-        ll_digest: 0xc742_4650_a808_550e,
+        ll_digest: 0x6803_6cd3_71e2_a5aa,
     },
 ];
 

@@ -56,33 +56,6 @@ proptest! {
         prop_assert!((total - 1.0).abs() < 1e-9, "mass {total}");
     }
 
-    /// Marginalizing every variable yields probability 1; marginalizing
-    /// one variable equals the explicit sum over its values.
-    #[test]
-    fn marginalization_consistency(cfg in spn_config()) {
-        let spn = spn_core::random_spn(&cfg, "prop").unwrap();
-        let mut ev = Evaluator::new(&spn);
-        let (q_all, row_all) = Query::marginal_from_evidence(&vec![None; cfg.num_vars]);
-        let all = ev.eval(&q_all, &row_all).exp();
-        prop_assert!((all - 1.0).abs() < 1e-9);
-
-        if cfg.num_vars >= 2 {
-            // Fix variables 1.. to 0, marginalize variable 0.
-            let mut evidence: Vec<Option<f64>> = vec![Some(0.0); cfg.num_vars];
-            evidence[0] = None;
-            let (q, row) = Query::marginal_from_evidence(&evidence);
-            let marginal = ev.eval(&q, &row).exp();
-            let explicit: f64 = (0..cfg.domain as u8)
-                .map(|v| {
-                    let mut s = vec![0u8; cfg.num_vars];
-                    s[0] = v;
-                    ev.eval_bytes(&Query::Complete, &s).exp()
-                })
-                .sum();
-            prop_assert!((marginal - explicit).abs() < 1e-12);
-        }
-    }
-
     /// Textual round trip preserves likelihoods exactly (f64-exact
     /// formatting).
     #[test]
@@ -145,21 +118,5 @@ proptest! {
         if let Ok(s) = String::from_utf8(text) {
             let _ = from_text(&s, "mut", None);
         }
-    }
-
-    /// MPE returns an assignment consistent with the evidence, and its
-    /// probability is positive wherever the evidence is satisfiable.
-    #[test]
-    fn mpe_respects_evidence(cfg in spn_config(), fixed in any::<u8>()) {
-        let spn = spn_core::random_spn(&cfg, "prop").unwrap();
-        let mut ev = Evaluator::new(&spn);
-        let v = (fixed as usize % cfg.domain) as f64;
-        let mut evidence: Vec<Option<f64>> = vec![None; cfg.num_vars];
-        evidence[0] = Some(v);
-        let (q, row) = Query::mpe_from_evidence(&evidence);
-        let (_, assignment) = ev.eval_mpe(&q, &row);
-        prop_assert_eq!(assignment[0], v);
-        let p = ev.eval(&Query::Complete, &assignment);
-        prop_assert!(p.is_finite(), "MPE assignment has zero probability");
     }
 }
