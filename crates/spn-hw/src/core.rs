@@ -29,6 +29,7 @@ use crate::program::{DatapathProgram, SynthesizedDatapath};
 use serde::{Deserialize, Serialize};
 use sim_core::{Bandwidth, SimDuration};
 use spn_arith::{AnyFormat, CfpFormat, F64Format, LnsFormat, PositFormat};
+use std::sync::OnceLock;
 
 /// Core configuration (synthesis-time parameters).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -110,36 +111,60 @@ enum Synthesized {
 }
 
 /// A functional + timed accelerator core.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AcceleratorCore {
     config: AcceleratorConfig,
     program: DatapathProgram,
     format: AnyFormat,
-    /// What [`AcceleratorCore::run_job`] streams through.
-    datapath: Synthesized,
+    /// What [`AcceleratorCore::run_job`] streams through, synthesised
+    /// at its first call.
+    datapath: OnceLock<Synthesized>,
 }
 
 impl AcceleratorCore {
-    /// Instantiate a core for a compiled datapath: synthesise it in
-    /// `format`, constants and all. A CFP format runs on the host's
-    /// `f64` unit whenever that gives the same bits as its integer
-    /// emulation (round-to-nearest-even, `mant_bits ≤ 24`).
+    /// Instantiate a core for a compiled datapath in `format`. Nothing
+    /// is synthesised here: the first [`AcceleratorCore::run_job`]
+    /// converts the constants, so a core whose jobs all run elsewhere
+    /// (a device serving host-plan jobs) never pays for it. A CFP
+    /// format runs on the host's `f64` unit whenever that gives the
+    /// same bits as its integer emulation (round-to-nearest-even,
+    /// `mant_bits ≤ 24`).
+    ///
+    /// # Panics
+    /// Panics if the program has more variables than a `u32` indexes,
+    /// the one program synthesis would refuse; it is refused here, not
+    /// at its first launch.
     pub fn new(config: AcceleratorConfig, program: DatapathProgram, format: AnyFormat) -> Self {
-        let datapath = match &format {
-            AnyFormat::Cfp(f) => match CfpOnF64::new(*f) {
-                Some(on_f64) => Synthesized::CfpOnF64(program.synthesize(&on_f64)),
-                None => Synthesized::Cfp(program.synthesize(f)),
-            },
-            AnyFormat::Lns(f) => Synthesized::Lns(program.synthesize(f)),
-            AnyFormat::Posit(f) => Synthesized::Posit(program.synthesize(f)),
-            AnyFormat::F64 => Synthesized::F64(program.synthesize(&F64Format)),
-        };
+        assert!(
+            u32::try_from(program.num_vars()).is_ok(),
+            "datapath too large: {} variables",
+            program.num_vars()
+        );
         AcceleratorCore {
             config,
             program,
             format,
-            datapath,
+            datapath: OnceLock::new(),
         }
+    }
+
+    /// The datapath, synthesised by its first caller; a caller that
+    /// arrives while that runs waits for its result.
+    fn datapath(&self) -> &Synthesized {
+        self.datapath.get_or_init(|| {
+            let program = &self.program;
+            #[cfg(test)]
+            tests::record_synthesis(&program.name);
+            match &self.format {
+                AnyFormat::Cfp(f) => match CfpOnF64::new(*f) {
+                    Some(on_f64) => Synthesized::CfpOnF64(program.synthesize(&on_f64)),
+                    None => Synthesized::Cfp(program.synthesize(f)),
+                },
+                AnyFormat::Lns(f) => Synthesized::Lns(program.synthesize(f)),
+                AnyFormat::Posit(f) => Synthesized::Posit(program.synthesize(f)),
+                AnyFormat::F64 => Synthesized::F64(program.synthesize(&F64Format)),
+            }
+        })
     }
 
     /// Core configuration.
@@ -152,7 +177,7 @@ impl AcceleratorCore {
         &self.program
     }
 
-    /// The arithmetic format the datapath was "synthesized" in.
+    /// The arithmetic format the datapath is "synthesized" in.
     pub fn format(&self) -> &AnyFormat {
         &self.format
     }
@@ -169,10 +194,10 @@ impl AcceleratorCore {
 
     /// Functionally execute a job on the synthesised datapath: raw
     /// input bytes in, probabilities out (as the 64-bit values the
-    /// Store Unit writes back).
+    /// Store Unit writes back). The first call synthesises it.
     pub fn run_job(&self, input: &[u8]) -> Vec<f64> {
         let mut out = Vec::new();
-        match &self.datapath {
+        match self.datapath() {
             Synthesized::CfpOnF64(d) => d.execute_into(input, &mut out),
             Synthesized::Cfp(d) => d.execute_into(input, &mut out),
             Synthesized::Lns(d) => d.execute_into(input, &mut out),
@@ -185,6 +210,7 @@ impl AcceleratorCore {
     /// Execute one sample on the unsynthesised reference
     /// ([`DatapathProgram::execute`]) — deliberately not the datapath
     /// `run_job` uses, so a golden check compares two implementations.
+    /// Synthesises nothing.
     pub fn run_sample(&self, sample: &[u8]) -> f64 {
         match &self.format {
             AnyFormat::Cfp(f) => self.program.execute(f, sample),
@@ -202,10 +228,35 @@ impl AcceleratorCore {
     }
 }
 
+/// Says whether the datapath is synthesised yet, and leaves out its
+/// ops and ROMs.
+impl std::fmt::Debug for AcceleratorCore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AcceleratorCore")
+            .field("config", &self.config)
+            .field("program", &self.program.name)
+            .field("format", &self.format)
+            .field("synthesized", &self.datapath.get().is_some())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use spn_core::{Evaluator, NipsBenchmark, Query};
+
+    /// The name of every program a core has synthesised, in order.
+    static SYNTHESISED: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
+
+    pub(super) fn record_synthesis(name: &str) {
+        SYNTHESISED.lock().unwrap().push(name.to_string());
+    }
+
+    fn syntheses_of(name: &str) -> usize {
+        let names = SYNTHESISED.lock().unwrap();
+        names.iter().filter(|n| *n == name).count()
+    }
 
     impl AcceleratorCore {
         /// Sustained rate of this core on the given channel.
@@ -288,6 +339,54 @@ mod tests {
     }
 
     #[test]
+    fn the_datapath_is_synthesised_at_the_first_job() {
+        let bench = NipsBenchmark::Nips10;
+        let core = nips10_core();
+        assert!(core.datapath.get().is_none(), "new synthesised");
+        let data = bench.dataset(4, 2);
+        core.run_sample(data.row(0));
+        assert_eq!((core.input_bytes(), core.result_bytes()), (10, 8));
+        core.job_time(4, channel_bw());
+        assert!(core.datapath.get().is_none(), "run_sample synthesised");
+        assert!(format!("{core:?}").contains("synthesized: false"));
+        core.run_job(data.raw());
+        assert!(core.datapath.get().is_some());
+        assert!(format!("{core:?}").contains("synthesized: true"));
+    }
+
+    #[test]
+    fn racing_first_jobs_synthesise_once() {
+        let bench = NipsBenchmark::Nips10;
+        let data = bench.dataset(300, 4);
+        let synthesised = nips10_core();
+        let want = synthesised.run_job(data.raw());
+        let mut program = synthesised.program().clone();
+        program.name = "racing-first-jobs".into();
+        let core = AcceleratorCore::new(
+            AcceleratorConfig::paper_default(),
+            program,
+            AnyFormat::paper_default(),
+        );
+        let start = std::sync::Barrier::new(2);
+        let got: Vec<Vec<f64>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        core.run_job(data.raw())
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for g in &got {
+            assert_eq!(bits(g), bits(&want));
+        }
+        assert_eq!(syntheses_of("racing-first-jobs"), 1);
+    }
+
+    #[test]
     fn functional_results_match_reference() {
         let bench = NipsBenchmark::Nips10;
         let spn = bench.build_spn();
@@ -312,7 +411,7 @@ mod tests {
         let on_f64 = |format| {
             let core =
                 AcceleratorCore::new(AcceleratorConfig::paper_default(), prog.clone(), format);
-            matches!(core.datapath, Synthesized::CfpOnF64(_))
+            matches!(core.datapath(), Synthesized::CfpOnF64(_))
         };
         let rne = |mant_bits| AnyFormat::Cfp(CfpFormat::new(8, mant_bits, Rounding::NearestEven));
         assert!(on_f64(AnyFormat::paper_default()));

@@ -1,10 +1,14 @@
 //! The virtual device: a functional model of the whole accelerator card.
 //!
-//! Holds real byte storage for every HBM channel, one accelerator core
-//! (with its AXI4-Lite register file) per channel, and the device
+//! Holds byte storage for every HBM channel, one accelerator core
+//! design with an AXI4-Lite register file per channel, and the device
 //! memory manager. Control threads on the host *actually move bytes*
 //! into channel storage, program the register file, launch jobs, and
 //! read results back — the full paper dataflow, functionally exact.
+//! What only a device block uses is built at the first one: a channel's
+//! storage at its first copy or launch, the synthesised datapath at the
+//! first launch. A device whose every block runs on the host plan
+//! builds neither.
 //! Timing is the business of [`crate::perf`]; this module answers "what
 //! bytes come back", which the tests verify against the `spn-core`
 //! reference inference.
@@ -12,12 +16,13 @@
 use crate::executor::{BlockCx, BlockExecutor};
 use crate::memmgr::{DeviceBuffer, DeviceMemoryManager};
 use crate::runtime::RuntimeError;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use sim_core::SplitMix64;
 use spn_arith::AnyFormat;
 use spn_core::Spn;
 use spn_hw::{AcceleratorConfig, AcceleratorCore, DatapathProgram, Reg, RegisterFile, SynthConfig};
 use spn_telemetry::SpanKind;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,21 +101,39 @@ impl std::fmt::Display for DeviceError {
 }
 impl std::error::Error for DeviceError {}
 
+/// One PE's share of the device state on cache lines of its own (two,
+/// since a line's neighbour is fetched with it): PEs that never contend
+/// for a lock do not contend for the line it sits on either. On a
+/// 2-vCPU Xeon, `device_offline` (NIPS10, 2 PEs) served 4 % fewer
+/// samples/s with the locks packed.
+#[repr(align(128))]
+struct OwnLines<T>(T);
+
+impl<T> std::ops::Deref for OwnLines<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// The virtual accelerator card.
 ///
 /// Cloneable-by-Arc and fully thread-safe: channel memories and PEs are
 /// individually locked, so threads working on different PEs never
 /// contend — mirroring the independence of the real HBM channels.
 pub struct VirtualDevice {
-    /// Per-channel byte storage.
-    channels: Vec<Mutex<Vec<u8>>>,
-    /// The one synthesised design every PE is an instance of. Immutable,
-    /// so it sits outside the PE locks: launches on different PEs share
-    /// it and the golden model reads it while any of them is busy.
+    /// Per-channel byte storage: empty until the channel's first copy
+    /// or launch sizes it to `channel_capacity`.
+    channels: Vec<OwnLines<Mutex<Vec<u8>>>>,
+    /// The one design every PE is an instance of, synthesised at the
+    /// first launch on any PE. It sits outside the PE locks: launches on
+    /// different PEs share it and the golden model reads it while any
+    /// of them is busy.
     core: AcceleratorCore,
     /// One PE per channel (the paper's 1:1 coupling): its register
     /// file, held for the whole of a launch.
-    pes: Vec<Mutex<RegisterFile>>,
+    pes: Vec<OwnLines<Mutex<RegisterFile>>>,
     memmgr: Arc<DeviceMemoryManager>,
     channel_capacity: u64,
     faults: Option<FaultInjection>,
@@ -126,7 +149,10 @@ pub struct VirtualDevice {
 
 impl VirtualDevice {
     /// Build a device with `num_pes` identical cores for `program`, each
-    /// wired to a dedicated channel of `channel_capacity` bytes.
+    /// wired to a dedicated channel of `channel_capacity` bytes. Only the
+    /// register files are set up here: the datapath is synthesised at
+    /// the first launch, and a channel's storage allocated at its first
+    /// copy or launch.
     pub fn new(
         program: DatapathProgram,
         format: AnyFormat,
@@ -135,7 +161,7 @@ impl VirtualDevice {
         channel_capacity: u64,
     ) -> Self {
         assert!(num_pes > 0, "need at least one PE");
-        // Synthesised once per device, not once per PE.
+        // One design per device, not one per PE.
         let core = AcceleratorCore::new(accel, program, format);
         let synth = SynthConfig {
             num_vars: core.program().num_vars() as u64,
@@ -150,11 +176,11 @@ impl VirtualDevice {
         };
         VirtualDevice {
             channels: (0..num_pes)
-                .map(|_| Mutex::new(vec![0u8; channel_capacity as usize]))
+                .map(|_| OwnLines(Mutex::new(Vec::new())))
                 .collect(),
             core,
             pes: (0..num_pes)
-                .map(|_| Mutex::new(RegisterFile::new(synth)))
+                .map(|_| OwnLines(Mutex::new(RegisterFile::new(synth))))
                 .collect(),
             memmgr: Arc::new(DeviceMemoryManager::new(num_pes, channel_capacity)),
             channel_capacity,
@@ -247,33 +273,46 @@ impl VirtualDevice {
         if data.len() as u64 > buf.len {
             return Err(DeviceError::OutOfBounds);
         }
-        let channel = self
-            .channels
-            .get(buf.channel as usize)
-            .ok_or(DeviceError::NoSuchPe(buf.channel))?;
-        let mut mem = channel.lock();
-        let start = buf.offset as usize;
-        let end = start + data.len();
-        if end > mem.len() {
-            return Err(DeviceError::OutOfBounds);
-        }
-        mem[start..end].copy_from_slice(data);
+        let (mut mem, range) = self.region(buf.channel, buf.offset, data.len() as u64)?;
+        mem[range].copy_from_slice(data);
         Ok(())
     }
 
     /// Device→host copy of a whole buffer.
     pub(crate) fn copy_from_device(&self, buf: DeviceBuffer) -> Result<Vec<u8>, DeviceError> {
-        let channel = self
+        let (mem, range) = self.region(buf.channel, buf.offset, buf.len)?;
+        Ok(mem[range].to_vec())
+    }
+
+    /// Bytes `offset..offset + len` of `channel`, provided they lie
+    /// inside it, with the channel's storage locked.
+    fn region(
+        &self,
+        channel: u32,
+        offset: u64,
+        len: u64,
+    ) -> Result<(MutexGuard<'_, Vec<u8>>, Range<usize>), DeviceError> {
+        let lock = self
             .channels
-            .get(buf.channel as usize)
-            .ok_or(DeviceError::NoSuchPe(buf.channel))?;
-        let mem = channel.lock();
-        let start = buf.offset as usize;
-        let end = start + buf.len as usize;
-        if end > mem.len() {
-            return Err(DeviceError::OutOfBounds);
+            .get(channel as usize)
+            .ok_or(DeviceError::NoSuchPe(channel))?;
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= self.channel_capacity)
+            .ok_or(DeviceError::OutOfBounds)?;
+        Ok((self.storage(lock), offset as usize..end as usize))
+    }
+
+    /// A channel's storage, locked, sized to `channel_capacity` (zeroed)
+    /// on its first use. Callers check their bounds against
+    /// `channel_capacity` first, so an access the channel refuses
+    /// allocates nothing.
+    fn storage<'a>(&self, channel: &'a Mutex<Vec<u8>>) -> MutexGuard<'a, Vec<u8>> {
+        let mut mem = channel.lock();
+        if mem.is_empty() {
+            *mem = vec![0u8; self.channel_capacity as usize];
         }
-        Ok(mem[start..end].to_vec())
+        mem
     }
 
     /// Launch an inference job on `pe`: program the register file, run
@@ -324,8 +363,9 @@ impl VirtualDevice {
 
         // "Hardware" execution: read input from channel memory, execute
         // the datapath, write results back.
+        let channel = &self.channels[pe as usize];
         let mut results = {
-            let mem = self.channels[pe as usize].lock();
+            let mem = self.storage(channel);
             self.core.run_job(&mem[in_range])
         };
         // Paced execution: occupy the PE (lock held) for the modelled
@@ -344,7 +384,7 @@ impl VirtualDevice {
             }
         }
         {
-            let mut mem = self.channels[pe as usize].lock();
+            let mut mem = self.storage(channel);
             for (slot, r) in mem[out_range].chunks_exact_mut(RESULT_BYTES).zip(&results) {
                 slot.copy_from_slice(&r.to_le_bytes());
             }
@@ -361,7 +401,7 @@ impl VirtualDevice {
         buf: DeviceBuffer,
         num_samples: u64,
         bytes_per_sample: u64,
-    ) -> Result<std::ops::Range<usize>, DeviceError> {
+    ) -> Result<Range<usize>, DeviceError> {
         let end = num_samples
             .checked_mul(bytes_per_sample)
             .filter(|&bytes| bytes <= buf.len)
@@ -567,6 +607,81 @@ mod tests {
             dev.golden(1, data.row(0)),
             Err(DeviceError::NoSuchPe(1))
         ));
+    }
+
+    /// Whether neither channel storage nor the datapath exists yet.
+    fn unbuilt(dev: &VirtualDevice) -> bool {
+        dev.channels.iter().all(|c| c.lock().is_empty())
+            && format!("{:?}", dev.core).contains("synthesized: false")
+    }
+
+    #[test]
+    fn host_plan_jobs_build_no_device() {
+        use crate::{ExecBackend, JobOptions, RuntimeConfig, Scheduler};
+        let bench = NipsBenchmark::Nips10;
+        let spn = Arc::new(bench.build_spn());
+        let (dev, _) = device(2);
+        let dev = Arc::new(dev.with_model(Arc::clone(&spn)));
+        let sched = Scheduler::new(Arc::clone(&dev), RuntimeConfig::default()).unwrap();
+        let data = Arc::new(bench.dataset(3_000, 8));
+        let host = JobOptions::builder()
+            .backend(ExecBackend::HostPlan)
+            .build()
+            .unwrap();
+        for _ in 0..3 {
+            let got = sched.submit(Arc::clone(&data), host).unwrap().wait();
+            assert_eq!(got.unwrap().len(), 3_000);
+        }
+        assert!(unbuilt(&dev), "host-plan jobs built device parts");
+
+        // The first device job builds both, for its PEs alone: held to
+        // PE 0, so the channel it sizes is known.
+        let on_pe0 = JobOptions::builder().num_pes(1).build().unwrap();
+        let got = sched.submit(Arc::clone(&data), on_pe0).unwrap().wait();
+        let got = got.unwrap();
+        assert_eq!(dev.channels[0].lock().len() as u64, dev.channel_capacity());
+        assert!(dev.channels[1].lock().is_empty());
+        assert!(format!("{:?}", dev.core).contains("synthesized: true"));
+        assert_eq!(got.len(), 3_000);
+        for (row, p) in data.rows().zip(&got) {
+            assert_eq!(p.to_bits(), dev.golden(0, row).unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    fn an_untouched_channel_still_refuses_what_lies_past_it() {
+        let (dev, bench) = device(2);
+        let data = bench.dataset(4, 1);
+        let past_the_end = DeviceBuffer {
+            channel: 1,
+            offset: dev.channel_capacity() - 16,
+            len: 64,
+        };
+        let own = dev.memory().alloc(1, 64).unwrap();
+        assert_eq!(
+            dev.copy_to_device(past_the_end, data.raw()),
+            Err(DeviceError::OutOfBounds)
+        );
+        assert_eq!(
+            dev.copy_from_device(past_the_end),
+            Err(DeviceError::OutOfBounds)
+        );
+        for (input, output) in [(past_the_end, own), (own, past_the_end)] {
+            assert_eq!(
+                dev.launch(1, input, output, 4),
+                Err(DeviceError::OutOfBounds)
+            );
+        }
+        let no_channel = DeviceBuffer { channel: 2, ..own };
+        assert_eq!(
+            dev.copy_from_device(no_channel),
+            Err(DeviceError::NoSuchPe(2))
+        );
+        // A refused access allocates nothing.
+        assert!(unbuilt(&dev));
+        // The first one that fits reads the zeroed channel.
+        assert_eq!(dev.copy_from_device(own).unwrap(), vec![0u8; 64]);
+        assert_eq!(dev.channels[1].lock().len() as u64, dev.channel_capacity());
     }
 
     #[test]
