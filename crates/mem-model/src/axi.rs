@@ -115,7 +115,7 @@ mod tests {
     fn wire_bandwidths_match_datasheet() {
         // 256 bit @ 450 MHz = 14.4 GB/s = ~13.4 GiB/s.
         let hbm = AxiPort::hbm_native();
-        assert!((hbm.wire_bandwidth().gb_per_sec() - 14.4).abs() < 0.01);
+        assert!((hbm.wire_bandwidth().bytes_per_sec() / 1e9 - 14.4).abs() < 0.01);
         // 512 bit @ 225 MHz is identical.
         let acc = AxiPort::accelerator_512_225();
         assert_eq!(

@@ -190,7 +190,7 @@ impl HbmDevice {
     /// Instantiate a device.
     pub fn new(config: HbmConfig) -> Self {
         let channels = (0..config.num_channels())
-            .map(|_| Timeline::new("hbm-channel"))
+            .map(|_| Timeline::default())
             .collect();
         HbmDevice { config, channels }
     }

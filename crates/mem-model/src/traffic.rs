@@ -102,7 +102,7 @@ pub(crate) fn run_channel_benchmark(cfg: HbmChannelConfig, run: TrafficRun) -> T
         run,
         reads_left: run.num_reads,
         writes_left: run.num_writes,
-        channel: Timeline::new("hbm-channel"),
+        channel: Timeline::default(),
         completed_bytes: 0,
     });
     // Prime both engines with their outstanding windows.

@@ -123,7 +123,7 @@ mod tests {
     fn gen3_x16_theoretical_matches_paper() {
         let l = PcieLink::paper_gen3_x16();
         // Paper: 15.754 GB/s = 14.67 GiB/s.
-        let gb = l.theoretical_per_direction().gb_per_sec();
+        let gb = l.theoretical_per_direction().bytes_per_sec() / 1e9;
         assert!((gb - 15.754).abs() < 0.01, "got {gb} GB/s");
         let gib = l.theoretical_per_direction().gib_per_sec();
         assert!((gib - 14.67).abs() < 0.02, "got {gib} GiB/s");

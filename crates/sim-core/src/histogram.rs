@@ -162,7 +162,7 @@ impl LogHistogram {
     ///
     /// # Panics
     /// Panics unless `0 < min < max` (both finite).
-    pub fn new(min: f64, max: f64) -> Self {
+    pub(crate) fn new(min: f64, max: f64) -> Self {
         let geom = LogBuckets::new(min, max);
         LogHistogram {
             geom,
@@ -193,13 +193,21 @@ impl LogHistogram {
         self.record(d.as_secs_f64());
     }
 
+    /// Six-number summary (all-zero when empty).
+    pub fn summary(&self) -> HistogramSummary {
+        self.geom.summary(&self.counts, self.sum, self.max_seen)
+    }
+}
+
+#[cfg(test)]
+impl LogHistogram {
     /// Number of samples.
-    pub(crate) fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.counts.iter().sum()
     }
 
     /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
+    fn mean(&self) -> Option<f64> {
         let count = self.count();
         (count > 0).then(|| self.sum / count as f64)
     }
@@ -209,19 +217,15 @@ impl LogHistogram {
     ///
     /// # Panics
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    fn quantile(&self, q: f64) -> Option<f64> {
         self.geom.quantile(&self.counts, self.max_seen, q)
-    }
-
-    /// Six-number summary (all-zero when empty).
-    pub fn summary(&self) -> HistogramSummary {
-        self.geom.summary(&self.counts, self.sum, self.max_seen)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn quantiles_bracket_true_values() {
@@ -346,5 +350,32 @@ mod tests {
     #[should_panic(expected = "0 < min < max")]
     fn bad_bounds_panic() {
         LogHistogram::new(1.0, 0.5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// LogHistogram quantiles bracket the true order statistics within
+        /// the bucket growth factor.
+        #[test]
+        fn histogram_quantile_bounds(mut xs in prop::collection::vec(1.0f64..1e6, 10..200)) {
+            let mut h = LogHistogram::new(1.0, 1e6);
+            for &x in &xs {
+                h.record(x);
+            }
+            xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for q in [0.25, 0.5, 0.9] {
+                let est = h.quantile(q).unwrap();
+                let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
+                let truth = xs[rank - 1];
+                // The estimate is the upper bucket edge: within one growth
+                // step above the true value, never more than a step below.
+                prop_assert!(est >= truth / 1.1, "q={q}: est {est} truth {truth}");
+                prop_assert!(est <= truth * 1.1 * 1.1, "q={q}: est {est} truth {truth}");
+            }
+            // The mean is exact.
+            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+            prop_assert!((h.mean().unwrap() - mean).abs() < 1e-6 * mean.abs().max(1.0));
+        }
     }
 }

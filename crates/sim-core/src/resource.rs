@@ -25,24 +25,14 @@ pub struct Grant {
     pub waited: SimDuration,
 }
 
-/// A single sequential server with FIFO semantics.
-#[derive(Debug, Clone)]
+/// A single sequential server with FIFO semantics, idle at creation.
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    name: &'static str,
     free_at: SimTime,
     busy: SimDuration,
 }
 
 impl Timeline {
-    /// Create an idle server. `name` labels utilization reports.
-    pub fn new(name: &'static str) -> Self {
-        Timeline {
-            name,
-            free_at: SimTime::ZERO,
-            busy: SimDuration::ZERO,
-        }
-    }
-
     /// Reserve the server at or after `at` for `service` time.
     pub fn reserve(&mut self, at: SimTime, service: SimDuration) -> Grant {
         let start = at.max(self.free_at);
@@ -61,22 +51,12 @@ impl Timeline {
         self.free_at
     }
 
-    /// Total busy time accumulated.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
     /// Utilization in `[0, 1]` over the window `[0, horizon]`.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
             return 0.0;
         }
         (self.busy.as_secs_f64() / horizon.as_secs_f64()).min(1.0)
-    }
-
-    /// Label given at construction.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -93,7 +73,7 @@ mod tests {
 
     #[test]
     fn idle_server_starts_immediately() {
-        let mut s = Timeline::new("pcie");
+        let mut s = Timeline::default();
         let g = s.reserve(t(100), d(50));
         assert_eq!(g.start, t(100));
         assert_eq!(g.end, t(150));
@@ -102,7 +82,7 @@ mod tests {
 
     #[test]
     fn busy_server_queues_fifo() {
-        let mut s = Timeline::new("pcie");
+        let mut s = Timeline::default();
         s.reserve(t(0), d(100));
         let g = s.reserve(t(10), d(30));
         assert_eq!(g.start, t(100));
@@ -112,18 +92,18 @@ mod tests {
 
     #[test]
     fn gaps_leave_idle_time() {
-        let mut s = Timeline::new("pe");
+        let mut s = Timeline::default();
         s.reserve(t(0), d(10));
         let g = s.reserve(t(100), d(10));
         assert_eq!(g.start, t(100)); // idle 10..100
-        assert_eq!(s.busy_time(), d(20));
+        assert_eq!(s.busy, d(20));
         let u = s.utilization(t(110));
         assert!((u - 20.0 / 110.0).abs() < 1e-12);
     }
 
     #[test]
     fn utilization_clamps_and_handles_zero_horizon() {
-        let mut s = Timeline::new("x");
+        let mut s = Timeline::default();
         assert_eq!(s.utilization(SimTime::ZERO), 0.0);
         s.reserve(t(0), d(100));
         assert_eq!(s.utilization(t(50)), 1.0); // clamped

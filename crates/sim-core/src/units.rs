@@ -32,11 +32,6 @@ impl Bandwidth {
         Bandwidth(bps)
     }
 
-    /// From GiB/s (measured-throughput convention).
-    pub fn from_gib_per_sec(gib: f64) -> Self {
-        Self::from_bytes_per_sec(gib * GIB as f64)
-    }
-
     /// From GB/s (vendor-datasheet convention).
     pub fn from_gb_per_sec(gb: f64) -> Self {
         Self::from_bytes_per_sec(gb * GB as f64)
@@ -55,11 +50,6 @@ impl Bandwidth {
     /// In GiB/s.
     pub fn gib_per_sec(self) -> f64 {
         self.0 / GIB as f64
-    }
-
-    /// In GB/s.
-    pub fn gb_per_sec(self) -> f64 {
-        self.0 / GB as f64
     }
 
     /// Virtual time needed to move `bytes` at this rate, rounded up to a
@@ -106,10 +96,10 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        let b = Bandwidth::from_gib_per_sec(12.0);
+        let b = Bandwidth::from_bytes_per_sec(12.0 * GIB as f64);
         assert!((b.gib_per_sec() - 12.0).abs() < 1e-12);
         let b = Bandwidth::from_gb_per_sec(460.0);
-        assert!((b.gb_per_sec() - 460.0).abs() < 1e-12);
+        assert!((b.bytes_per_sec() / GB as f64 - 460.0).abs() < 1e-12);
         // Paper: 460 GB/s ~= 428 GiB/s.
         assert!((b.gib_per_sec() - 428.408).abs() < 0.01);
         // 100 Gbit/s ~= 11.64 GiB/s (paper's QDMA figure).

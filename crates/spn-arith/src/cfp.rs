@@ -21,6 +21,7 @@
 //! (range limits and zero operands are selects), so a lane loop over
 //! them vectorises.
 
+use crate::format::SpnNumber;
 use crate::round::{msb, round_shift, round_shift_u64, Rounding};
 use serde::{Deserialize, Serialize};
 
@@ -81,11 +82,6 @@ impl CfpFormat {
         ((1i64 << self.exp_bits) - 1).min(self.bias() + 1023)
     }
 
-    /// Total storage width in bits (exponent + mantissa; no sign).
-    pub fn width(&self) -> u32 {
-        self.exp_bits + self.mant_bits
-    }
-
     /// Largest representable value.
     pub fn max_value(&self) -> f64 {
         let sig = (1u64 << (self.mant_bits + 1)) - 1; // 1.111…1
@@ -95,76 +91,6 @@ impl CfpFormat {
     /// Machine epsilon: ulp of 1.0.
     pub fn epsilon(&self) -> f64 {
         pow2(-(self.mant_bits as i32))
-    }
-
-    /// Encode a non-negative `f64`, rounding/saturating/flushing as the
-    /// hardware converter does.
-    ///
-    /// # Panics
-    /// Panics (debug) on negative or NaN inputs — SPN datapaths never see
-    /// them, so they indicate a bug upstream.
-    pub fn from_f64(&self, x: f64) -> Cfp {
-        debug_assert!(!x.is_nan(), "CFP cannot encode NaN");
-        debug_assert!(x >= 0.0, "CFP is unsigned, got {x}");
-        if x <= 0.0 {
-            return Cfp::ZERO;
-        }
-        if x.is_infinite() {
-            return self.saturated();
-        }
-        let bits = x.to_bits();
-        let raw_exp = ((bits >> 52) & 0x7FF) as i64;
-        let raw_mant = bits & ((1u64 << 52) - 1);
-        // Normalize f64 subnormals into (exp, 53-bit significand) form.
-        let (exp, sig) = if raw_exp == 0 {
-            let shift = raw_mant.leading_zeros() - 11; // bring MSB to bit 52
-            (-1022 - shift as i64, raw_mant << shift)
-        } else {
-            (raw_exp - 1023, (1u64 << 52) | raw_mant)
-        };
-        // Round the 1.52 significand to 1.m.
-        let sig = round_shift_u64(sig, 52 - self.mant_bits, self.rounding);
-        self.normalized(exp, sig)
-    }
-
-    /// Decode to `f64`: exact, since CFP values are a subset of f64's
-    /// normal numbers, so the f64's fields are assembled directly.
-    #[inline(always)]
-    pub fn to_f64(&self, v: Cfp) -> f64 {
-        let m = self.mant_bits;
-        // The exponent biases differ by 1023 − bias ≥ 0 (`exp_bits` ≤
-        // 11), and `max_exp_field` keeps the top value exponent at 1023.
-        let e_field = (v.bits >> m) + (1023 - self.bias()) as u64;
-        let bits = (e_field << 52) | ((v.bits & self.mant_mask()) << (52 - m));
-        f64::from_bits(if v.is_zero() { 0 } else { bits })
-    }
-
-    /// Bit-accurate multiplication.
-    ///
-    /// The exact product of two 1.m significands has `2m+1` or `2m+2`
-    /// bits. When that fits a machine word (`mant_bits ≤ 31`, the
-    /// paper's format included) it is formed and rounded in `u64`;
-    /// wider formats need the `u128` product. The format's width picks
-    /// the path — there is no other difference between them.
-    #[inline(always)]
-    pub fn mul(&self, a: Cfp, b: Cfp) -> Cfp {
-        self.mul_with(self.narrow_products(), a, b)
-    }
-
-    /// [`CfpFormat::mul`] lane by lane: `out[i] = a[i] · b[i]` over the
-    /// shortest of the three. The product width is picked once for all
-    /// lanes, so the native-width loop holds no call and vectorises;
-    /// the `u128` one runs out of line, where it cannot be merged back
-    /// into it.
-    #[inline(always)]
-    pub(crate) fn mul_lanes(&self, out: &mut [Cfp], a: &[Cfp], b: &[Cfp]) {
-        if self.narrow_products() {
-            for ((d, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *d = self.mul_with(true, x, y);
-            }
-        } else {
-            self.wide_mul_lanes(out, a, b);
-        }
     }
 
     #[inline(never)]
@@ -227,56 +153,6 @@ impl CfpFormat {
         (carry, round_shift(p, m + carry, self.rounding) as u64)
     }
 
-    /// Bit-accurate addition (operands are non-negative, so this is pure
-    /// magnitude addition — the hardware has no subtractor). The sum
-    /// with its guard bits is at most `mant_bits + 5 ≤ 57` bits wide,
-    /// so `u64` holds it for every legal format. Branch-free on the
-    /// data.
-    #[inline(always)]
-    pub fn add(&self, a: Cfp, b: Cfp) -> Cfp {
-        let m = self.mant_bits;
-        // The exponent is the high field, so the packed bits order as
-        // the values do: min/max put the larger exponent first without
-        // a branch on the data (which of two equal exponents comes
-        // first does not matter to their sum). At most 63 bits wide, they
-        // order the same as `i64`, which vector units compare natively.
-        let (x, y) = (a.bits as i64, b.bits as i64);
-        let big = Cfp {
-            bits: x.max(y) as u64,
-        };
-        let small = Cfp {
-            bits: x.min(y) as u64,
-        };
-        let (ea, big_s) = self.split(big);
-        let (eb, small_s) = self.split(small);
-        // Work with 3 guard bits (guard/round/sticky head-room).
-        const G: u32 = 3;
-        // From `m + G + 1` on, the whole small operand lies below the
-        // guard bits and only its stickiness is left: a larger
-        // distance would add the same 1.
-        let d = (ea - eb).min(i64::from(m + G + 1));
-        let aligned = small_s << G;
-        // Preserve stickiness of dropped bits.
-        let dropped = aligned & ((1u64 << d) - 1);
-        let sum = (big_s << G) + ((aligned >> d) | u64::from(dropped != 0)); // m+1+G .. m+2+G bits
-        let carry = (sum >> (m + 1 + G)) & 1;
-        let sig = round_shift_u64(sticky_shift(sum, carry), G, self.rounding);
-        let total = self.normalized(ea - self.bias() + carry as i64, sig);
-        // Zero is the only operand the sum leaves as it is.
-        if small.is_zero() {
-            big
-        } else {
-            total
-        }
-    }
-
-    /// Encode 1.0 exactly.
-    pub fn one(&self) -> Cfp {
-        Cfp {
-            bits: (self.bias() as u64) << self.mant_bits,
-        }
-    }
-
     /// The saturation value (all fields at maximum).
     #[inline(always)]
     pub(crate) fn saturated(&self) -> Cfp {
@@ -320,6 +196,145 @@ impl CfpFormat {
     }
 }
 
+// `to_f64`/`add`/`mul` are `#[inline(always)]` all the way down so a
+// datapath kernel generic over the format, compiled in another crate and
+// perhaps for wider registers, gets the branch-free integer arithmetic
+// itself, not a call per operation it cannot vectorise.
+impl SpnNumber for CfpFormat {
+    type Value = Cfp;
+
+    /// Encode a non-negative `f64`, rounding/saturating/flushing as the
+    /// hardware converter does.
+    ///
+    /// # Panics
+    /// Panics (debug) on negative or NaN inputs — SPN datapaths never see
+    /// them, so they indicate a bug upstream.
+    fn from_f64(&self, x: f64) -> Cfp {
+        debug_assert!(!x.is_nan(), "CFP cannot encode NaN");
+        debug_assert!(x >= 0.0, "CFP is unsigned, got {x}");
+        if x <= 0.0 {
+            return Cfp::ZERO;
+        }
+        if x.is_infinite() {
+            return self.saturated();
+        }
+        let bits = x.to_bits();
+        let raw_exp = ((bits >> 52) & 0x7FF) as i64;
+        let raw_mant = bits & ((1u64 << 52) - 1);
+        // Normalize f64 subnormals into (exp, 53-bit significand) form.
+        let (exp, sig) = if raw_exp == 0 {
+            let shift = raw_mant.leading_zeros() - 11; // bring MSB to bit 52
+            (-1022 - shift as i64, raw_mant << shift)
+        } else {
+            (raw_exp - 1023, (1u64 << 52) | raw_mant)
+        };
+        // Round the 1.52 significand to 1.m.
+        let sig = round_shift_u64(sig, 52 - self.mant_bits, self.rounding);
+        self.normalized(exp, sig)
+    }
+
+    /// Decode to `f64`: exact, since CFP values are a subset of f64's
+    /// normal numbers, so the f64's fields are assembled directly.
+    #[inline(always)]
+    fn to_f64(&self, v: Cfp) -> f64 {
+        let m = self.mant_bits;
+        // The exponent biases differ by 1023 − bias ≥ 0 (`exp_bits` ≤
+        // 11), and `max_exp_field` keeps the top value exponent at 1023.
+        let e_field = (v.bits >> m) + (1023 - self.bias()) as u64;
+        let bits = (e_field << 52) | ((v.bits & self.mant_mask()) << (52 - m));
+        f64::from_bits(if v.is_zero() { 0 } else { bits })
+    }
+
+    fn zero(&self) -> Cfp {
+        Cfp::ZERO
+    }
+
+    /// Encode 1.0 exactly.
+    fn one(&self) -> Cfp {
+        Cfp {
+            bits: (self.bias() as u64) << self.mant_bits,
+        }
+    }
+
+    /// Bit-accurate addition (operands are non-negative, so this is pure
+    /// magnitude addition — the hardware has no subtractor). The sum
+    /// with its guard bits is at most `mant_bits + 5 ≤ 57` bits wide,
+    /// so `u64` holds it for every legal format. Branch-free on the
+    /// data.
+    #[inline(always)]
+    fn add(&self, a: Cfp, b: Cfp) -> Cfp {
+        let m = self.mant_bits;
+        // The exponent is the high field, so the packed bits order as
+        // the values do: min/max put the larger exponent first without
+        // a branch on the data (which of two equal exponents comes
+        // first does not matter to their sum). At most 63 bits wide, they
+        // order the same as `i64`, which vector units compare natively.
+        let (x, y) = (a.bits as i64, b.bits as i64);
+        let big = Cfp {
+            bits: x.max(y) as u64,
+        };
+        let small = Cfp {
+            bits: x.min(y) as u64,
+        };
+        let (ea, big_s) = self.split(big);
+        let (eb, small_s) = self.split(small);
+        // Work with 3 guard bits (guard/round/sticky head-room).
+        const G: u32 = 3;
+        // From `m + G + 1` on, the whole small operand lies below the
+        // guard bits and only its stickiness is left: a larger
+        // distance would add the same 1.
+        let d = (ea - eb).min(i64::from(m + G + 1));
+        let aligned = small_s << G;
+        // Preserve stickiness of dropped bits.
+        let dropped = aligned & ((1u64 << d) - 1);
+        let sum = (big_s << G) + ((aligned >> d) | u64::from(dropped != 0)); // m+1+G .. m+2+G bits
+        let carry = (sum >> (m + 1 + G)) & 1;
+        let sig = round_shift_u64(sticky_shift(sum, carry), G, self.rounding);
+        let total = self.normalized(ea - self.bias() + carry as i64, sig);
+        // Zero is the only operand the sum leaves as it is.
+        if small.is_zero() {
+            big
+        } else {
+            total
+        }
+    }
+
+    /// Bit-accurate multiplication.
+    ///
+    /// The exact product of two 1.m significands has `2m+1` or `2m+2`
+    /// bits. When that fits a machine word (`mant_bits ≤ 31`, the
+    /// paper's format included) it is formed and rounded in `u64`;
+    /// wider formats need the `u128` product. The format's width picks
+    /// the path — there is no other difference between them.
+    #[inline(always)]
+    fn mul(&self, a: Cfp, b: Cfp) -> Cfp {
+        self.mul_with(self.narrow_products(), a, b)
+    }
+
+    /// [`SpnNumber::mul`] lane by lane: `out[i] = a[i] · b[i]` over the
+    /// shortest of the three. The product width is picked once for all
+    /// lanes, so the native-width loop holds no call and vectorises;
+    /// the `u128` one runs out of line, where it cannot be merged back
+    /// into it.
+    #[inline(always)]
+    fn mul_lanes(&self, out: &mut [Cfp], a: &[Cfp], b: &[Cfp]) {
+        if self.narrow_products() {
+            for ((d, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *d = self.mul_with(true, x, y);
+            }
+        } else {
+            self.wide_mul_lanes(out, a, b);
+        }
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "CFP(e={}, m={}, {:?})",
+            self.exp_bits, self.mant_bits, self.rounding
+        )
+    }
+}
+
 /// A CFP value: raw bits under some [`CfpFormat`]. The format is carried
 /// separately (one per datapath, not per value), exactly like hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -335,7 +350,7 @@ impl Cfp {
     /// True when this value is zero (the all-zero encoding is canonical;
     /// arithmetic never produces an exponent field of 0 otherwise).
     #[inline(always)]
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.bits == 0
     }
 }
@@ -571,7 +586,7 @@ mod tests {
         let b = f.from_f64(0.4);
         let s = f.to_f64(f.add(a, b));
         assert!((s - 0.7).abs() < 0.1, "coarse format still close: {s}");
-        assert!(f.width() == 8);
+        assert!(f.exp_bits + f.mant_bits == 8);
     }
 
     #[test]
@@ -592,7 +607,7 @@ mod tests {
     #[test]
     fn paper_default_dimensions() {
         let f = CfpFormat::paper_default();
-        assert_eq!(f.width(), 33);
+        assert_eq!(f.exp_bits + f.mant_bits, 33);
         assert_eq!(f.bias(), 1023);
     }
 }

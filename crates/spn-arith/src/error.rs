@@ -148,7 +148,7 @@ mod tests {
         for _ in 0..200 {
             acc = LnsFormat::mul(&lns, acc, p);
         }
-        assert!(!acc.is_zero(), "LNS keeps the tiny probability alive");
+        assert!(!acc.zero, "LNS keeps the tiny probability alive");
         // And its log is the exact 200-fold sum.
         assert_eq!(acc.log, 200 * p.log);
     }

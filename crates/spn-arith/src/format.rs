@@ -6,9 +6,9 @@
 //! SPN datapath needs — non-negative values, addition, multiplication,
 //! and conversion at the boundary — and nothing more.
 
-use crate::cfp::{Cfp, CfpFormat};
-use crate::lns::{Lns, LnsFormat};
-use crate::posit::{Posit, PositFormat};
+use crate::cfp::CfpFormat;
+use crate::lns::LnsFormat;
+use crate::posit::PositFormat;
 use crate::round::Rounding;
 use serde::{Deserialize, Serialize};
 
@@ -86,99 +86,6 @@ pub struct RangeLimits {
     pub unit_roundoff: f64,
 }
 
-impl SpnNumber for CfpFormat {
-    type Value = Cfp;
-
-    fn from_f64(&self, x: f64) -> Cfp {
-        CfpFormat::from_f64(self, x)
-    }
-    // `to_f64`/`add`/`mul` are `#[inline(always)]` all the way down so
-    // a datapath kernel generic over the format, compiled in another
-    // crate and perhaps for wider registers, gets the branch-free
-    // integer arithmetic itself, not a call per operation it cannot
-    // vectorise.
-    #[inline(always)]
-    fn to_f64(&self, v: Cfp) -> f64 {
-        CfpFormat::to_f64(self, v)
-    }
-    fn zero(&self) -> Cfp {
-        Cfp::ZERO
-    }
-    fn one(&self) -> Cfp {
-        CfpFormat::one(self)
-    }
-    #[inline(always)]
-    fn add(&self, a: Cfp, b: Cfp) -> Cfp {
-        CfpFormat::add(self, a, b)
-    }
-    #[inline(always)]
-    fn mul(&self, a: Cfp, b: Cfp) -> Cfp {
-        CfpFormat::mul(self, a, b)
-    }
-    #[inline(always)]
-    fn mul_lanes(&self, out: &mut [Cfp], a: &[Cfp], b: &[Cfp]) {
-        CfpFormat::mul_lanes(self, out, a, b)
-    }
-    fn describe(&self) -> String {
-        format!(
-            "CFP(e={}, m={}, {:?})",
-            self.exp_bits, self.mant_bits, self.rounding
-        )
-    }
-}
-
-impl SpnNumber for LnsFormat {
-    type Value = Lns;
-
-    fn from_f64(&self, x: f64) -> Lns {
-        LnsFormat::from_f64(self, x)
-    }
-    fn to_f64(&self, v: Lns) -> f64 {
-        LnsFormat::to_f64(self, v)
-    }
-    fn zero(&self) -> Lns {
-        Lns::ZERO
-    }
-    fn one(&self) -> Lns {
-        LnsFormat::one(self)
-    }
-    fn add(&self, a: Lns, b: Lns) -> Lns {
-        LnsFormat::add(self, a, b)
-    }
-    fn mul(&self, a: Lns, b: Lns) -> Lns {
-        LnsFormat::mul(self, a, b)
-    }
-    fn describe(&self) -> String {
-        format!("LNS({}.{})", self.int_bits, self.frac_bits)
-    }
-}
-
-impl SpnNumber for PositFormat {
-    type Value = Posit;
-
-    fn from_f64(&self, x: f64) -> Posit {
-        PositFormat::from_f64(self, x)
-    }
-    fn to_f64(&self, v: Posit) -> f64 {
-        PositFormat::to_f64(self, v)
-    }
-    fn zero(&self) -> Posit {
-        Posit::ZERO
-    }
-    fn one(&self) -> Posit {
-        PositFormat::one(self)
-    }
-    fn add(&self, a: Posit, b: Posit) -> Posit {
-        PositFormat::add(self, a, b)
-    }
-    fn mul(&self, a: Posit, b: Posit) -> Posit {
-        PositFormat::mul(self, a, b)
-    }
-    fn describe(&self) -> String {
-        format!("Posit({},{})", self.n, self.es)
-    }
-}
-
 /// Reference arithmetic: native `f64`, the software baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct F64Format;
@@ -238,16 +145,6 @@ impl AnyFormat {
             _ => None,
         }
     }
-
-    /// Human-readable label.
-    pub fn describe(&self) -> String {
-        match self {
-            AnyFormat::Cfp(f) => f.describe(),
-            AnyFormat::Lns(f) => f.describe(),
-            AnyFormat::Posit(f) => f.describe(),
-            AnyFormat::F64 => "f64".to_string(),
-        }
-    }
 }
 
 /// Convenience constructor mirroring \[4\]'s rounding study: CFP with
@@ -299,8 +196,10 @@ mod tests {
 
     #[test]
     fn widths() {
-        assert_eq!(CfpFormat::paper_default().width(), 33);
-        assert_eq!(LnsFormat::paper_default().width(), 33);
+        let cfp = CfpFormat::paper_default();
+        assert_eq!(cfp.exp_bits + cfp.mant_bits, 33);
+        let lns = LnsFormat::paper_default();
+        assert_eq!(lns.int_bits + lns.frac_bits + 1, 33);
         assert_eq!(PositFormat::paper_default().n, 32);
     }
 }

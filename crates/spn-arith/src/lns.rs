@@ -16,6 +16,7 @@
 //!   format — modelling an ideal interpolation table. A configurable
 //!   `table_frac_bits` truncation models coarser real tables.
 
+use crate::format::SpnNumber;
 use serde::{Deserialize, Serialize};
 
 /// LNS format descriptor.
@@ -64,9 +65,9 @@ impl LnsFormat {
         self
     }
 
-    /// Total storage width in bits (log word + zero flag).
-    pub fn width(&self) -> u32 {
-        self.int_bits + self.frac_bits + 1
+    /// Worst-case relative error of a single rounding, ~ln(2)·2^-(f+1).
+    pub fn epsilon(&self) -> f64 {
+        std::f64::consts::LN_2 / self.scale() / 2.0 * 2.0
     }
 
     /// One fixed-point unit in the log domain.
@@ -81,14 +82,13 @@ impl LnsFormat {
     fn log_min(&self) -> i64 {
         -(1i64 << (self.int_bits + self.frac_bits - 1))
     }
+}
 
-    /// Largest representable value.
-    pub fn max_value(&self) -> f64 {
-        (self.log_max() as f64 / self.scale()).exp2()
-    }
+impl SpnNumber for LnsFormat {
+    type Value = Lns;
 
     /// Encode a non-negative f64.
-    pub fn from_f64(&self, x: f64) -> Lns {
+    fn from_f64(&self, x: f64) -> Lns {
         debug_assert!(!x.is_nan(), "LNS cannot encode NaN");
         debug_assert!(x >= 0.0, "LNS is unsigned, got {x}");
         if x <= 0.0 {
@@ -103,7 +103,7 @@ impl LnsFormat {
     }
 
     /// Decode to f64.
-    pub fn to_f64(&self, v: Lns) -> f64 {
+    fn to_f64(&self, v: Lns) -> f64 {
         if v.zero {
             0.0
         } else {
@@ -111,20 +111,21 @@ impl LnsFormat {
         }
     }
 
-    /// Multiplication: fixed-point addition of logs, saturating.
-    pub fn mul(&self, a: Lns, b: Lns) -> Lns {
-        if a.zero || b.zero {
-            return Lns::ZERO;
-        }
+    fn zero(&self) -> Lns {
+        Lns::ZERO
+    }
+
+    /// Encode 1.0 exactly (log 0).
+    fn one(&self) -> Lns {
         Lns {
-            log: (a.log + b.log).clamp(self.log_min(), self.log_max()),
+            log: 0,
             zero: false,
         }
     }
 
     /// Addition via the Gaussian logarithm:
     /// `log2(x+y) = max + F(max - min)` with `F(d) = log2(1 + 2^-d)`.
-    pub fn add(&self, a: Lns, b: Lns) -> Lns {
+    fn add(&self, a: Lns, b: Lns) -> Lns {
         if a.zero {
             return b;
         }
@@ -146,17 +147,19 @@ impl LnsFormat {
         }
     }
 
-    /// Encode 1.0 exactly (log 0).
-    pub(crate) fn one(&self) -> Lns {
+    /// Multiplication: fixed-point addition of logs, saturating.
+    fn mul(&self, a: Lns, b: Lns) -> Lns {
+        if a.zero || b.zero {
+            return Lns::ZERO;
+        }
         Lns {
-            log: 0,
+            log: (a.log + b.log).clamp(self.log_min(), self.log_max()),
             zero: false,
         }
     }
 
-    /// Worst-case relative error of a single rounding, ~ln(2)·2^-(f+1).
-    pub fn epsilon(&self) -> f64 {
-        std::f64::consts::LN_2 / self.scale() / 2.0 * 2.0
+    fn describe(&self) -> String {
+        format!("LNS({}.{})", self.int_bits, self.frac_bits)
     }
 }
 
@@ -172,11 +175,6 @@ pub struct Lns {
 impl Lns {
     /// The zero value.
     pub const ZERO: Lns = Lns { log: 0, zero: true };
-
-    /// True when this value is zero.
-    pub fn is_zero(self) -> bool {
-        self.zero
-    }
 }
 
 #[cfg(test)]
@@ -188,6 +186,16 @@ mod tests {
         /// for the paper format (2^-2048 at 12.20), the whole point of LNS.
         fn min_value(&self) -> f64 {
             (self.log_min() as f64 / self.scale()).exp2()
+        }
+
+        /// Total storage width in bits (log word + zero flag).
+        fn width(&self) -> u32 {
+            self.int_bits + self.frac_bits + 1
+        }
+
+        /// Largest representable value.
+        fn max_value(&self) -> f64 {
+            (self.log_max() as f64 / self.scale()).exp2()
         }
     }
 
@@ -241,7 +249,7 @@ mod tests {
         }
         assert_eq!(acc.log, f.from_f64(0.5).log * 1000);
         // 2^-1000 is far below f64 range but fine in LNS:
-        assert!(!acc.is_zero());
+        assert!(!acc.zero);
     }
 
     #[test]
@@ -251,7 +259,7 @@ mod tests {
         assert!(f.min_value() == 0.0 || f.min_value() < 1e-300);
         let tiny = f.from_f64(1e-300);
         let product = f.mul(tiny, tiny); // 1e-600: zero in f64!
-        assert!(!product.is_zero());
+        assert!(!product.zero);
         // Back-conversion underflows f64, but the log word is intact.
         assert_eq!(product.log, 2 * tiny.log);
     }

@@ -14,6 +14,7 @@
 //! plus a midpoint comparison, with ties broken toward the even pattern
 //! as the posit standard requires.
 
+use crate::format::SpnNumber;
 use serde::{Deserialize, Serialize};
 
 /// Posit format descriptor.
@@ -53,9 +54,61 @@ impl PositFormat {
     fn maxpos(&self) -> u32 {
         (1u32 << (self.n - 1)) - 1
     }
+}
+
+impl SpnNumber for PositFormat {
+    type Value = Posit;
+
+    /// Encode a non-negative f64 with posit rounding (nearest, ties to
+    /// even pattern; saturates at maxpos; non-zero values never round to
+    /// zero, per the standard).
+    fn from_f64(&self, x: f64) -> Posit {
+        debug_assert!(!x.is_nan(), "posit cannot encode NaN");
+        debug_assert!(x >= 0.0, "SPN posits are non-negative, got {x}");
+        if x <= 0.0 {
+            return Posit { bits: 0 };
+        }
+        let maxpos = self.maxpos();
+        if x >= self.to_f64(Posit { bits: maxpos }) {
+            return Posit { bits: maxpos };
+        }
+        let minpos = self.to_f64(Posit { bits: 1 });
+        if x <= minpos {
+            return Posit { bits: 1 };
+        }
+        // Binary search: largest pattern whose value <= x.
+        let mut lo = 1u32;
+        let mut hi = maxpos;
+        while lo + 1 < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.to_f64(Posit { bits: mid }) <= x {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let v_lo = self.to_f64(Posit { bits: lo });
+        let v_hi = self.to_f64(Posit { bits: hi });
+        debug_assert!(v_lo <= x && x < v_hi);
+        let d_lo = x - v_lo;
+        let d_hi = v_hi - x;
+        let bits = if d_lo < d_hi {
+            lo
+        } else if d_hi < d_lo {
+            hi
+        } else {
+            // Exact tie: even pattern wins.
+            if lo & 1 == 0 {
+                lo
+            } else {
+                hi
+            }
+        };
+        Posit { bits }
+    }
 
     /// Decode a pattern to f64 (exact for n ≤ 32, es ≤ 3).
-    pub fn to_f64(&self, v: Posit) -> f64 {
+    fn to_f64(&self, v: Posit) -> f64 {
         let bits = v.bits & self.mask();
         if bits == 0 {
             return 0.0;
@@ -107,69 +160,29 @@ impl PositFormat {
         sign * (1.0 + frac) * exp2i(scale as i32)
     }
 
-    /// Encode a non-negative f64 with posit rounding (nearest, ties to
-    /// even pattern; saturates at maxpos; non-zero values never round to
-    /// zero, per the standard).
-    pub fn from_f64(&self, x: f64) -> Posit {
-        debug_assert!(!x.is_nan(), "posit cannot encode NaN");
-        debug_assert!(x >= 0.0, "SPN posits are non-negative, got {x}");
-        if x <= 0.0 {
-            return Posit { bits: 0 };
-        }
-        let maxpos = self.maxpos();
-        if x >= self.to_f64(Posit { bits: maxpos }) {
-            return Posit { bits: maxpos };
-        }
-        let minpos = self.to_f64(Posit { bits: 1 });
-        if x <= minpos {
-            return Posit { bits: 1 };
-        }
-        // Binary search: largest pattern whose value <= x.
-        let mut lo = 1u32;
-        let mut hi = maxpos;
-        while lo + 1 < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.to_f64(Posit { bits: mid }) <= x {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let v_lo = self.to_f64(Posit { bits: lo });
-        let v_hi = self.to_f64(Posit { bits: hi });
-        debug_assert!(v_lo <= x && x < v_hi);
-        let d_lo = x - v_lo;
-        let d_hi = v_hi - x;
-        let bits = if d_lo < d_hi {
-            lo
-        } else if d_hi < d_lo {
-            hi
-        } else {
-            // Exact tie: even pattern wins.
-            if lo & 1 == 0 {
-                lo
-            } else {
-                hi
-            }
-        };
-        Posit { bits }
-    }
-
-    /// Multiplication: exact f64 product re-rounded to the format.
-    pub fn mul(&self, a: Posit, b: Posit) -> Posit {
-        self.from_f64(self.to_f64(a) * self.to_f64(b))
-    }
-
-    /// Addition: exact f64 sum re-rounded to the format.
-    pub(crate) fn add(&self, a: Posit, b: Posit) -> Posit {
-        self.from_f64(self.to_f64(a) + self.to_f64(b))
+    fn zero(&self) -> Posit {
+        Posit::ZERO
     }
 
     /// Encode 1.0 (exact in every posit format).
-    pub(crate) fn one(&self) -> Posit {
+    fn one(&self) -> Posit {
         Posit {
             bits: 1u32 << (self.n - 2),
         }
+    }
+
+    /// Addition: exact f64 sum re-rounded to the format.
+    fn add(&self, a: Posit, b: Posit) -> Posit {
+        self.from_f64(self.to_f64(a) + self.to_f64(b))
+    }
+
+    /// Multiplication: exact f64 product re-rounded to the format.
+    fn mul(&self, a: Posit, b: Posit) -> Posit {
+        self.from_f64(self.to_f64(a) * self.to_f64(b))
+    }
+
+    fn describe(&self) -> String {
+        format!("Posit({},{})", self.n, self.es)
     }
 }
 
@@ -183,11 +196,6 @@ pub struct Posit {
 impl Posit {
     /// The zero pattern.
     pub const ZERO: Posit = Posit { bits: 0 };
-
-    /// True when this value is zero.
-    pub fn is_zero(self) -> bool {
-        self.bits == 0
-    }
 }
 
 fn exp2i(e: i32) -> f64 {

@@ -6,14 +6,14 @@ use std::collections::BTreeMap;
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
-pub struct Args {
+pub(crate) struct Args {
     positional: Vec<String>,
     flags: BTreeMap<String, String>,
 }
 
 /// Parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub(crate) String);
 
 impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -24,7 +24,7 @@ impl std::error::Error for ArgError {}
 
 impl Args {
     /// Parse raw tokens. A `--flag` must be followed by a value.
-    pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Args, ArgError> {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Args, ArgError> {
         let mut out = Args::default();
         let mut iter = tokens.into_iter();
         while let Some(tok) = iter.next() {
@@ -41,23 +41,23 @@ impl Args {
     }
 
     /// Positional argument by index.
-    pub fn positional(&self, i: usize) -> Option<&str> {
+    pub(crate) fn positional(&self, i: usize) -> Option<&str> {
         self.positional.get(i).map(String::as_str)
     }
 
     /// String flag.
-    pub fn get(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
     }
 
     /// Required string flag.
-    pub fn require(&self, name: &str) -> Result<&str, ArgError> {
+    pub(crate) fn require(&self, name: &str) -> Result<&str, ArgError> {
         self.get(name)
             .ok_or_else(|| ArgError(format!("missing required --{name}")))
     }
 
     /// Typed flag with default.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError>
+    pub(crate) fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError>
     where
         T::Err: std::fmt::Display,
     {
@@ -71,7 +71,7 @@ impl Args {
 
     /// Typed flag with default, rejected below `min`: sizes and counts
     /// the libraries assert on are checked here, where they enter.
-    pub fn get_at_least<T>(&self, name: &str, default: T, min: T) -> Result<T, ArgError>
+    pub(crate) fn get_at_least<T>(&self, name: &str, default: T, min: T) -> Result<T, ArgError>
     where
         T: std::str::FromStr + PartialOrd + std::fmt::Display,
         T::Err: std::fmt::Display,
@@ -84,7 +84,7 @@ impl Args {
     }
 
     /// Reject flags outside the allowed set (catches typos).
-    pub fn check_known(&self, allowed: &[&str]) -> Result<(), ArgError> {
+    pub(crate) fn check_known(&self, allowed: &[&str]) -> Result<(), ArgError> {
         for k in self.flags.keys() {
             if !allowed.contains(&k.as_str()) {
                 return Err(ArgError(format!(

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 /// Command failure: message for stderr, non-zero exit.
 #[derive(Debug)]
-pub struct CmdError(pub String);
+pub(crate) struct CmdError(pub(crate) String);
 
 impl std::fmt::Display for CmdError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -41,15 +41,15 @@ impl From<ArgError> for CmdError {
 }
 
 /// Files the command wants written: `(path, contents)`.
-pub type Outputs = Vec<(String, String)>;
+pub(crate) type Outputs = Vec<(String, String)>;
 
 /// Result of a command: stdout text plus files to write.
 #[derive(Debug)]
-pub struct CmdResult {
+pub(crate) struct CmdResult {
     /// Printed to stdout.
-    pub stdout: String,
+    pub(crate) stdout: String,
     /// Files to persist.
-    pub files: Outputs,
+    pub(crate) files: Outputs,
 }
 
 impl CmdResult {
@@ -62,7 +62,7 @@ impl CmdResult {
 }
 
 /// Top-level usage text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 spn — SPN-HBM toolflow
 
 USAGE: spn <command> [flags]
@@ -135,7 +135,7 @@ COMMANDS:
 ";
 
 /// Dispatch a command line (without the program name).
-pub fn run(tokens: Vec<String>) -> Result<CmdResult, CmdError> {
+pub(crate) fn run(tokens: Vec<String>) -> Result<CmdResult, CmdError> {
     let args = Args::parse(tokens)?;
     match args.positional(0) {
         Some("generate") => cmd_generate(&args),

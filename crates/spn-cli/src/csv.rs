@@ -8,11 +8,11 @@ use spn_core::Dataset;
 
 /// Parse error with line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsvError {
+pub(crate) struct CsvError {
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for CsvError {
@@ -24,7 +24,7 @@ impl std::error::Error for CsvError {}
 
 /// Parse CSV text into a dataset. `domain` bounds the values; rows must
 /// be rectangular. Empty lines are skipped.
-pub fn parse_csv(text: &str, domain: usize) -> Result<Dataset, CsvError> {
+pub(crate) fn parse_csv(text: &str, domain: usize) -> Result<Dataset, CsvError> {
     let mut data: Vec<u8> = Vec::new();
     let mut width: Option<usize> = None;
     for (i, line) in text.lines().enumerate() {

@@ -90,19 +90,12 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The joint log-likelihood of one sample `row` (one f64 per
-    /// variable); `−inf` where a leaf has no support.
+    /// The joint log-likelihood of one byte row (the benchmark input
+    /// format: one byte per variable); `−inf` where a leaf has no
+    /// support.
     ///
     /// # Panics
     /// Panics if `row` does not match `spn.num_vars()`.
-    pub fn eval(&mut self, query: &Query, row: &[f64]) -> f64 {
-        let Query::Complete = query;
-        self.check_row(row.len());
-        self.eval_internal(|var| row[var])
-    }
-
-    /// [`Evaluator::eval`] for a byte row (the benchmark input format:
-    /// one byte per variable).
     pub fn eval_bytes(&mut self, query: &Query, row: &[u8]) -> f64 {
         let Query::Complete = query;
         self.check_row(row.len());
@@ -159,6 +152,16 @@ impl<'a> Evaluator<'a> {
         let (m, e) = values[self.spn.root().index()];
         let (m, e) = math::renormalise(m, e);
         math::ln(m, e)
+    }
+}
+
+#[cfg(test)]
+impl Evaluator<'_> {
+    /// [`Evaluator::eval_bytes`] for a row of one f64 per variable.
+    pub(crate) fn eval(&mut self, query: &Query, row: &[f64]) -> f64 {
+        let Query::Complete = query;
+        self.check_row(row.len());
+        self.eval_internal(|var| row[var])
     }
 }
 

@@ -158,7 +158,7 @@ mod tests {
     /// Local helper: NIPS10's paper-quoted bandwidth sanity check without
     /// depending on sim-core from this crate.
     mod sim_core_shim {
-        pub const GIB: f64 = (1u64 << 30) as f64;
+        pub(super) const GIB: f64 = (1u64 << 30) as f64;
     }
 
     #[test]

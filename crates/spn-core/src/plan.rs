@@ -167,7 +167,6 @@ pub struct CompiledPlan {
     /// The scratch row of the root, the one value a pass yields.
     root_row: u32,
     num_vars: usize,
-    name: String,
     stats: PlanStats,
 }
 
@@ -280,7 +279,6 @@ impl CompiledPlan {
             scratch_rows: rows as usize,
             root_row: row_of[root],
             num_vars: spn.num_vars(),
-            name: spn.name.clone(),
             stats: PlanStats {
                 ops: shape.nodes,
                 leaf_ops: shape.leaves,
@@ -295,16 +293,6 @@ impl CompiledPlan {
     /// Number of variables the source network models.
     pub fn num_vars(&self) -> usize {
         self.num_vars
-    }
-
-    /// Name of the source network.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Structural statistics.
-    pub fn stats(&self) -> PlanStats {
-        self.stats
     }
 
     /// Number of ops (= source node count).
@@ -336,11 +324,6 @@ impl<'p> PlanExecutor<'p> {
             plan,
             scratch: Vec::new(),
         }
-    }
-
-    /// The plan this executor runs.
-    pub fn plan(&self) -> &CompiledPlan {
-        self.plan
     }
 
     /// The joint log-likelihood of every row of `data`, in order.
@@ -592,13 +575,12 @@ mod tests {
         let spn = mixture();
         let plan = CompiledPlan::compile(&spn);
         assert_eq!(plan.len(), spn.len());
-        let st = plan.stats();
+        let st = plan.stats;
         assert_eq!(st.leaf_ops, 4);
         assert_eq!(st.product_ops, 2);
         assert_eq!(st.sum_ops, 1);
         assert_eq!(st.max_sum_fan_in, 2);
         assert_eq!(st.table_bytes, 4 * 256 * 8);
-        assert_eq!(plan.name(), "mix");
         assert!(!plan.is_empty());
     }
 

@@ -167,19 +167,9 @@ impl AcceleratorCore {
         })
     }
 
-    /// Core configuration.
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
-    }
-
     /// The compiled datapath.
     pub fn program(&self) -> &DatapathProgram {
         &self.program
-    }
-
-    /// The arithmetic format the datapath is "synthesized" in.
-    pub fn format(&self) -> &AnyFormat {
-        &self.format
     }
 
     /// Input bytes per sample.
@@ -218,13 +208,6 @@ impl AcceleratorCore {
             AnyFormat::Posit(f) => self.program.execute(f, sample),
             AnyFormat::F64 => self.program.execute(&F64Format, sample),
         }
-    }
-
-    /// Time a job of `samples` occupies this core, fed by a channel with
-    /// `channel_bw` effective bandwidth.
-    pub fn job_time(&self, samples: u64, channel_bw: Bandwidth) -> SimDuration {
-        self.config
-            .job_time(samples, self.input_bytes(), self.result_bytes(), channel_bw)
     }
 }
 
@@ -267,7 +250,7 @@ mod tests {
     }
 
     fn channel_bw() -> Bandwidth {
-        Bandwidth::from_gib_per_sec(12.0)
+        Bandwidth::from_bytes_per_sec(12.0 * sim_core::GIB as f64)
     }
 
     fn nips10_core() -> AcceleratorCore {
@@ -299,7 +282,7 @@ mod tests {
             / (1u64 << 30) as f64;
         assert!((needed - 2.23).abs() < 0.05, "needs {needed} GiB/s");
         // Compute-bound, not memory-bound.
-        let cfg = core.config();
+        let cfg = &core.config;
         assert!(cfg.compute_rate(10) < channel_bw().bytes_per_sec() / 18.0);
     }
 
@@ -319,7 +302,7 @@ mod tests {
     #[test]
     fn starved_channel_limits_rate() {
         let core = nips10_core();
-        let thin = Bandwidth::from_gib_per_sec(0.5);
+        let thin = Bandwidth::from_bytes_per_sec(0.5 * sim_core::GIB as f64);
         let rate = core.sustained_rate(thin);
         let expected = thin.bytes_per_sec() / 18.0;
         assert!((rate - expected).abs() / expected < 1e-9);
@@ -328,8 +311,16 @@ mod tests {
     #[test]
     fn job_time_includes_overhead_and_scales() {
         let core = nips10_core();
-        let t1 = core.job_time(1_000_000, channel_bw());
-        let t2 = core.job_time(2_000_000, channel_bw());
+        let job_time = |samples| {
+            core.config.job_time(
+                samples,
+                core.input_bytes(),
+                core.result_bytes(),
+                channel_bw(),
+            )
+        };
+        let t1 = job_time(1_000_000);
+        let t2 = job_time(2_000_000);
         // Twice the samples is a bit less than twice the time (fixed
         // overhead amortizes).
         let ratio = t2.as_secs_f64() / t1.as_secs_f64();
@@ -346,7 +337,8 @@ mod tests {
         let data = bench.dataset(4, 2);
         core.run_sample(data.row(0));
         assert_eq!((core.input_bytes(), core.result_bytes()), (10, 8));
-        core.job_time(4, channel_bw());
+        core.config
+            .job_time(4, core.input_bytes(), core.result_bytes(), channel_bw());
         assert!(core.datapath.get().is_none(), "run_sample synthesised");
         assert!(format!("{core:?}").contains("synthesized: false"));
         core.run_job(data.raw());

@@ -203,12 +203,6 @@ impl SpnRouter {
         &self.router().backends
     }
 
-    /// The ordered replica set the ring assigns `model`.
-    pub fn replicas(&self, model: &str) -> Vec<usize> {
-        let router = self.router();
-        router.ring.replicas(model, router.config.replication)
-    }
-
     /// The router's telemetry document — what the `Stats` opcode
     /// returns on the wire: no serving/model sections (those live on
     /// the backends), a populated `router` section.
@@ -472,6 +466,15 @@ impl<F: FnOnce(InferReply) + Send + 'static> Forward<F> {
                 self.next(up);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl SpnRouter {
+    /// The ordered replica set the ring assigns `model`.
+    fn replicas(&self, model: &str) -> Vec<usize> {
+        let router = self.router();
+        router.ring.replicas(model, router.config.replication)
     }
 }
 

@@ -139,7 +139,7 @@ mod tests {
         let l = hbm_limits();
         assert!((l.single_channel.gib_per_sec() - 12.0).abs() < 0.5);
         assert!((l.practical.gib_per_sec() - 384.0).abs() < 15.0);
-        assert!((l.theoretical.gb_per_sec() - 460.0).abs() < 0.1);
+        assert!((l.theoretical.bytes_per_sec() / 1e9 - 460.0).abs() < 0.1);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub enum DeviceError {
 
 impl DeviceError {
     /// Whether retrying the failed operation can reasonably succeed.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(self, DeviceError::TransientFault { .. })
     }
 }
@@ -247,11 +247,6 @@ impl VirtualDevice {
     /// The device memory manager.
     pub fn memory(&self) -> &Arc<DeviceMemoryManager> {
         &self.memmgr
-    }
-
-    /// Capacity of each channel region.
-    pub fn channel_capacity(&self) -> u64 {
-        self.channel_capacity
     }
 
     /// Query a PE's synthesis configuration through its register file —
@@ -559,7 +554,7 @@ mod tests {
         // So is a hand-built buffer that runs off the end of the channel.
         let past_the_end = DeviceBuffer {
             channel: 0,
-            offset: dev.channel_capacity() - 16,
+            offset: dev.channel_capacity - 16,
             len: 64,
         };
         for (input, output) in [(past_the_end, outb), (inb, past_the_end)] {
@@ -639,7 +634,7 @@ mod tests {
         let on_pe0 = JobOptions::builder().num_pes(1).build().unwrap();
         let got = sched.submit(Arc::clone(&data), on_pe0).unwrap().wait();
         let got = got.unwrap();
-        assert_eq!(dev.channels[0].lock().len() as u64, dev.channel_capacity());
+        assert_eq!(dev.channels[0].lock().len() as u64, dev.channel_capacity);
         assert!(dev.channels[1].lock().is_empty());
         assert!(format!("{:?}", dev.core).contains("synthesized: true"));
         assert_eq!(got.len(), 3_000);
@@ -654,7 +649,7 @@ mod tests {
         let data = bench.dataset(4, 1);
         let past_the_end = DeviceBuffer {
             channel: 1,
-            offset: dev.channel_capacity() - 16,
+            offset: dev.channel_capacity - 16,
             len: 64,
         };
         let own = dev.memory().alloc(1, 64).unwrap();
@@ -681,7 +676,7 @@ mod tests {
         assert!(unbuilt(&dev));
         // The first one that fits reads the zeroed channel.
         assert_eq!(dev.copy_from_device(own).unwrap(), vec![0u8; 64]);
-        assert_eq!(dev.channels[1].lock().len() as u64, dev.channel_capacity());
+        assert_eq!(dev.channels[1].lock().len() as u64, dev.channel_capacity);
     }
 
     #[test]
@@ -691,7 +686,7 @@ mod tests {
         assert!(dev.copy_to_device(b, &[0u8; 17]).is_err());
         let bogus = DeviceBuffer {
             channel: 0,
-            offset: dev.channel_capacity() - 4,
+            offset: dev.channel_capacity - 4,
             len: 64,
         };
         assert!(dev.copy_from_device(bogus).is_err());

@@ -123,11 +123,6 @@ impl<J: Clone> Dispatch<J> {
         self.jobs.binary_search_by_key(&id, |j| j.id).ok()
     }
 
-    /// Whether job `id` is not terminal and a block of it was claimed.
-    pub(crate) fn dispatched(&self, id: u64) -> bool {
-        self.find(id).is_some_and(|i| self.jobs[i].next > 0)
-    }
-
     /// Whether job `id` is cancelled, failed or terminal.
     pub(crate) fn stopped(&self, id: u64) -> bool {
         self.find(id).is_none_or(|i| self.jobs[i].cancelled)
@@ -261,19 +256,6 @@ impl<J: Clone> Dispatch<J> {
         out
     }
 
-    /// Cancel job `id`; whether it retires now, not on its last block.
-    pub(crate) fn cancel(&mut self, id: u64) -> bool {
-        let Some(i) = self.find(id) else {
-            return false;
-        };
-        self.jobs[i].cancelled = true;
-        let now = self.jobs[i].in_flight == 0;
-        if now {
-            self.jobs.remove(i);
-        }
-        now
-    }
-
     /// Admit no more jobs; the caller wakes the space waiters.
     pub(crate) fn drain(&mut self) {
         self.draining = true;
@@ -362,7 +344,6 @@ mod tests {
         /// How each job retired, and how often.
         ended: Vec<Option<Ended<()>>>,
         retired: Vec<u8>,
-        cancelled: Vec<bool>,
         drained: bool,
         shut: bool,
     }
@@ -376,7 +357,6 @@ mod tests {
         BlockDone(usize),
         /// A sleeping thread wakes, notified or not, and claims.
         Wake(usize),
-        Cancel(usize),
         Drain,
         Shutdown,
     }
@@ -394,7 +374,6 @@ mod tests {
                 ran: vec![[0; 3]; jobs],
                 ended: vec![None; jobs],
                 retired: vec![0; jobs],
-                cancelled: vec![false; jobs],
                 drained: false,
                 shut: false,
             }
@@ -441,12 +420,6 @@ mod tests {
                 match s {
                     Submitter::Ready if !self.shut => steps.push(Step::Submit(i)),
                     Submitter::StandingIn(_) => steps.push(Step::StandInDone(i)),
-                    // Cancelling a terminal job changes nothing.
-                    Submitter::Returned
-                        if self.ids[i] != 0 && self.retired[i] == 0 && !self.cancelled[i] =>
-                    {
-                        steps.push(Step::Cancel(i))
-                    }
                     _ => {}
                 }
             }
@@ -538,12 +511,6 @@ mod tests {
                     }
                     self.finish(job, f)?;
                     self.threads[w] = Thread::Free;
-                }
-                Step::Cancel(i) => {
-                    self.cancelled[i] = true;
-                    if self.core.cancel(self.ids[i]) {
-                        self.retire(i, Ended::Cancelled)?;
-                    }
                 }
                 Step::Drain => {
                     self.drained = true;

@@ -159,12 +159,6 @@ impl JobOptionsBuilder {
         self
     }
 
-    /// Attach the trace context of the request this job serves.
-    pub fn ctx(mut self, ctx: SpanCtx) -> Self {
-        self.opts.ctx = ctx;
-        self
-    }
-
     /// Validate and build. `num_pes == 0` is rejected here; an
     /// out-of-range count (greater than the device's PE count) is
     /// rejected at submission, where the device is known.

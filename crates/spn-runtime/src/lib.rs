@@ -29,7 +29,7 @@
 //!     JobOptions::builder().max_retries(8).build()?,
 //! )?;
 //!
-//! println!("job {} progress: {:?}", a.id(), a.progress());
+//! println!("job {} submitted", a.id());
 //! let results_b = b.wait()?;   // per-sample probabilities
 //! let results_a = a.wait()?;
 //!
@@ -57,11 +57,11 @@ pub use analysis::{
 pub use device::{DeviceError, FaultInjection, VirtualDevice};
 pub use job::{split_into_blocks, Block, ExecBackend, JobOptions, JobOptionsBuilder};
 pub use memmgr::{AllocError, DeviceBuffer, DeviceMemoryManager};
-pub use metrics::{JobOutcome, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use perf::{scaling_series, simulate, simulate_traced, PerfConfig, PerfResult};
 pub use plan_cache::PlanCache;
 pub use runtime::{RuntimeConfig, RuntimeConfigBuilder, RuntimeError};
-pub use scheduler::{JobHandle, JobResult, JobStatus, Scheduler};
+pub use scheduler::{JobHandle, JobResult, Scheduler};
 pub use streaming::{
     min_replication_for_line_rate, simulate_streaming, StreamingModel, StreamingSimConfig,
     StreamingSimResult,
@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::job::{ExecBackend, JobOptions};
     pub use crate::plan_cache::PlanCache;
     pub use crate::runtime::{RuntimeConfig, RuntimeError};
-    pub use crate::scheduler::{JobResult, JobStatus, Scheduler};
+    pub use crate::scheduler::{JobResult, Scheduler};
     pub use spn_core::Query;
     pub use spn_telemetry::{SpanCtx, TraceCollector};
 }

@@ -139,7 +139,6 @@ impl ChannelAllocator {
 /// The manager: one lock-protected allocator per HBM channel.
 pub struct DeviceMemoryManager {
     channels: Vec<Mutex<ChannelAllocator>>,
-    channel_capacity: u64,
     /// Allocation alignment (AXI burst alignment; 4 KiB like the paper's
     /// DMA page granularity).
     align: u64,
@@ -148,28 +147,17 @@ pub struct DeviceMemoryManager {
 impl DeviceMemoryManager {
     /// Create a manager for `num_channels` regions of `channel_capacity`
     /// bytes each.
-    pub fn new(num_channels: u32, channel_capacity: u64) -> Self {
+    pub(crate) fn new(num_channels: u32, channel_capacity: u64) -> Self {
         DeviceMemoryManager {
             channels: (0..num_channels)
                 .map(|_| Mutex::new(ChannelAllocator::new(channel_capacity)))
                 .collect(),
-            channel_capacity,
             align: 4096,
         }
     }
 
-    /// Number of managed channels.
-    pub fn num_channels(&self) -> u32 {
-        self.channels.len() as u32
-    }
-
-    /// Capacity of each channel region.
-    pub fn channel_capacity(&self) -> u64 {
-        self.channel_capacity
-    }
-
     /// Allocate `len` bytes in `channel`.
-    pub fn alloc(&self, channel: u32, len: u64) -> Result<DeviceBuffer, AllocError> {
+    pub(crate) fn alloc(&self, channel: u32, len: u64) -> Result<DeviceBuffer, AllocError> {
         let a = self
             .channels
             .get(channel as usize)
@@ -189,7 +177,7 @@ impl DeviceMemoryManager {
     }
 
     /// Free a previously allocated buffer.
-    pub fn free(&self, buf: DeviceBuffer) -> Result<(), AllocError> {
+    pub(crate) fn free(&self, buf: DeviceBuffer) -> Result<(), AllocError> {
         let a = self
             .channels
             .get(buf.channel as usize)
@@ -215,6 +203,7 @@ impl DeviceMemoryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn mgr() -> DeviceMemoryManager {
@@ -330,5 +319,59 @@ mod tests {
         assert_eq!(a.offset % 4096, 0);
         assert_eq!(b.offset % 4096, 0);
         assert_ne!(a.offset, b.offset);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Allocator: any sequence of allocations yields non-overlapping
+        /// buffers; freeing everything restores full capacity.
+        #[test]
+        fn allocator_no_overlap_and_no_leak(sizes in prop::collection::vec(1u64..200_000, 1..40)) {
+            let m = DeviceMemoryManager::new(1, 64 << 20);
+            let mut live = Vec::new();
+            for len in sizes {
+                match m.alloc(0, len) {
+                    Ok(b) => live.push(b),
+                    Err(_) => break, // out of memory is a legal outcome
+                }
+            }
+            for (i, a) in live.iter().enumerate() {
+                for b in &live[i + 1..] {
+                    let a_end = a.offset + a.len;
+                    let b_end = b.offset + b.len;
+                    prop_assert!(a_end <= b.offset || b_end <= a.offset);
+                }
+            }
+            for b in live {
+                m.free(b).unwrap();
+            }
+            prop_assert_eq!(m.free_bytes(0).unwrap(), 64 << 20);
+        }
+
+        /// Allocator: interleaved alloc/free driven by a random script stays
+        /// consistent (no double-free panics, capacity conserved).
+        #[test]
+        fn allocator_random_script(script in prop::collection::vec((0u8..2, 1u64..100_000), 1..100)) {
+            let m = DeviceMemoryManager::new(2, 16 << 20);
+            let mut live: Vec<DeviceBuffer> = Vec::new();
+            for (op, x) in script {
+                if op == 0 || live.is_empty() {
+                    if let Ok(b) = m.alloc((x % 2) as u32, x) {
+                        live.push(b);
+                    }
+                } else {
+                    let idx = (x as usize) % live.len();
+                    m.free(live.swap_remove(idx)).unwrap();
+                }
+            }
+            let used: u64 = live.iter().map(|b| b.len.max(1).div_ceil(4096) * 4096).sum();
+            let free: u64 = (0..2).map(|c| m.free_bytes(c).unwrap()).sum();
+            prop_assert!(free >= 2 * (16 << 20) - used - 4096 * live.len() as u64);
+            for b in live {
+                m.free(b).unwrap();
+            }
+            prop_assert_eq!((0..2).map(|c| m.free_bytes(c).unwrap()).sum::<u64>(), 2 * (16u64 << 20));
+        }
     }
 }

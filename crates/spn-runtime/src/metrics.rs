@@ -51,7 +51,7 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Fresh registry for a device with `num_pes` processing elements.
-    pub fn new(num_pes: u32) -> Self {
+    pub(crate) fn new(num_pes: u32) -> Self {
         MetricsRegistry {
             jobs_submitted: AtomicU64::new(0),
             jobs_completed: AtomicU64::new(0),
@@ -70,7 +70,7 @@ impl MetricsRegistry {
 
     /// A job of `samples` samples was accepted into the scheduler
     /// queue.
-    pub fn job_submitted(&self, samples: u64) {
+    pub(crate) fn job_submitted(&self, samples: u64) {
         self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         self.samples_in_flight.fetch_add(samples, Ordering::Relaxed);
         let now = self.jobs_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
@@ -80,7 +80,7 @@ impl MetricsRegistry {
     /// A job of `samples` samples reached a terminal state; exactly
     /// one of the three outcome counters is bumped and the in-flight
     /// gauges drop.
-    pub fn job_finished(&self, outcome: JobOutcome, samples: u64) {
+    pub(crate) fn job_finished(&self, outcome: JobOutcome, samples: u64) {
         match outcome {
             JobOutcome::Completed => &self.jobs_completed,
             JobOutcome::Failed => &self.jobs_failed,
@@ -91,34 +91,28 @@ impl MetricsRegistry {
         self.samples_in_flight.fetch_sub(samples, Ordering::Relaxed);
     }
 
-    /// Samples belonging to jobs that are accepted and not yet
-    /// terminal — the live admission-control gauge.
-    pub(crate) fn samples_in_flight(&self) -> u64 {
-        self.samples_in_flight.load(Ordering::Relaxed)
-    }
-
     /// One block ran to completion on the device.
-    pub fn block_executed(&self) {
+    pub(crate) fn block_executed(&self) {
         self.blocks_executed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One block attempt failed transiently and will be retried.
-    pub fn block_retried(&self) {
+    pub(crate) fn block_retried(&self) {
         self.block_retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Bytes moved host→device.
-    pub fn add_h2d_bytes(&self, bytes: u64) {
+    pub(crate) fn add_h2d_bytes(&self, bytes: u64) {
         self.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Bytes moved device→host.
-    pub fn add_d2h_bytes(&self, bytes: u64) {
+    pub(crate) fn add_d2h_bytes(&self, bytes: u64) {
         self.d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Account wall-clock execution time to a PE.
-    pub fn add_pe_busy(&self, pe: u32, busy: Duration) {
+    pub(crate) fn add_pe_busy(&self, pe: u32, busy: Duration) {
         if let Some(slot) = self.pe_busy_ns.get(pe as usize) {
             slot.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         }
@@ -150,12 +144,12 @@ impl MetricsRegistry {
 /// Which terminal state a job reached (see
 /// [`MetricsRegistry::job_finished`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobOutcome {
+pub(crate) enum JobOutcome {
     /// All blocks done, verification passed.
     Completed,
     /// A block exhausted its retries or verification failed.
     Failed,
-    /// The submitter gave up on the job.
+    /// The scheduler shut down under the job.
     Cancelled,
 }
 
@@ -174,7 +168,7 @@ mod tests {
         m.add_h2d_bytes(28);
         m.add_d2h_bytes(64);
         m.add_pe_busy(1, Duration::from_millis(3));
-        assert_eq!(m.samples_in_flight(), 100);
+        assert_eq!(m.snapshot().samples_in_flight, 100);
         assert_eq!(m.snapshot().jobs_in_flight, 2);
         m.job_finished(JobOutcome::Completed, 40);
         m.job_finished(JobOutcome::Failed, 60);
@@ -235,5 +229,62 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.blocks_executed, 8000);
         assert_eq!(s.h2d_bytes, 80_000);
+    }
+
+    /// The scheduler snapshot serialises byte-for-byte to the golden
+    /// document (including the `samples_in_flight` gauge between
+    /// `jobs_in_flight` and `queue_high_watermark`).
+    #[test]
+    fn scheduler_metrics_snapshot_golden_json() {
+        let reg = MetricsRegistry::new(2);
+        reg.job_submitted(100);
+        reg.job_submitted(50);
+        reg.job_finished(JobOutcome::Completed, 100);
+        reg.block_executed();
+        reg.block_executed();
+        reg.block_retried();
+        reg.add_h2d_bytes(4096);
+        reg.add_d2h_bytes(1024);
+        reg.add_pe_busy(0, Duration::from_millis(500));
+
+        let golden = "\
+{
+  \"jobs_submitted\": 2,
+  \"jobs_completed\": 1,
+  \"jobs_failed\": 0,
+  \"jobs_cancelled\": 0,
+  \"blocks_executed\": 2,
+  \"block_retries\": 1,
+  \"h2d_bytes\": 4096,
+  \"d2h_bytes\": 1024,
+  \"jobs_in_flight\": 1,
+  \"samples_in_flight\": 50,
+  \"queue_high_watermark\": 2,
+  \"pe_busy_secs\": [
+    0.5,
+    0.0
+  ]
+}
+";
+        assert_eq!(reg.snapshot().to_json(), golden);
+    }
+
+    /// The emitted JSON round-trips through the serde path (the same one
+    /// `spn accelerate --metrics out.json` consumers use).
+    #[test]
+    fn scheduler_metrics_snapshot_round_trips_through_serde_json() {
+        let reg = MetricsRegistry::new(3);
+        reg.job_submitted(10);
+        reg.job_finished(JobOutcome::Failed, 10);
+        reg.add_pe_busy(2, Duration::from_micros(1234));
+        let snap = reg.snapshot();
+
+        let parsed: MetricsSnapshot = serde_json::from_str(&snap.to_json()).unwrap();
+        assert_eq!(parsed, snap);
+
+        // And through the compact serialiser as well.
+        let via_derive = serde_json::to_string(&snap).unwrap();
+        let reparsed: MetricsSnapshot = serde_json::from_str(&via_derive).unwrap();
+        assert_eq!(reparsed, snap);
     }
 }

@@ -259,7 +259,7 @@ fn simulate_impl(cfg: &PerfConfig, trace: Option<&mut Vec<LiveSpan>>) -> PerfRes
         blocks,
         dispatch,
         dma: DmaEngine::new(dma_cfg),
-        pes: (0..cfg.num_pes).map(|_| Timeline::new("pe")).collect(),
+        pes: (0..cfg.num_pes).map(|_| Timeline::default()).collect(),
         current: vec![None; num_threads as usize],
         latency: LogHistogram::latency(),
         makespan: SimTime::ZERO,

@@ -76,20 +76,10 @@ impl PlanCache {
         removed
     }
 
-    /// Number of plans currently cached.
-    pub fn len(&self) -> usize {
-        self.plans.lock().len()
-    }
-
-    /// True when no plan is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Counters for the telemetry document's `plan` section.
     pub fn telemetry(&self) -> PlanTelemetry {
         PlanTelemetry {
-            cached_plans: self.len() as u64,
+            cached_plans: self.plans.lock().len() as u64,
             cache_hits: self.hits.load(Ordering::Relaxed),
             cache_misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
@@ -153,7 +143,7 @@ mod tests {
         let cache = PlanCache::new();
         cache.get_or_compile(&model(1));
         cache.get_or_compile(&model(2));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.telemetry().cached_plans as usize, 2);
         assert_eq!(cache.telemetry().cache_misses, 2);
     }
 
@@ -166,7 +156,7 @@ mod tests {
         cache.get_or_compile(&spn);
         let (_, hit) = cache.get_or_compile(&renamed);
         assert!(hit, "fingerprint ignores the name");
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.telemetry().cached_plans as usize, 1);
     }
 
     #[test]
@@ -176,7 +166,7 @@ mod tests {
         cache.get_or_compile(&spn);
         assert!(cache.invalidate(&spn));
         assert!(!cache.invalidate(&spn), "second invalidation is a no-op");
-        assert!(cache.is_empty());
+        assert_eq!(cache.telemetry().cached_plans, 0);
         let (_, hit) = cache.get_or_compile(&spn);
         assert!(!hit);
         let t = cache.telemetry();

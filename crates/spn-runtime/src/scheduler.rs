@@ -33,33 +33,15 @@ use parking_lot::{Condvar, Mutex};
 use spn_core::Dataset;
 use spn_hw::SynthConfig;
 use spn_telemetry::TraceCollector;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Upper bound on a single retry backoff sleep.
 const MAX_BACKOFF: Duration = Duration::from_millis(50);
 
-/// Observable job state, as reported by [`JobHandle::poll`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Accepted; no block has started yet.
-    Queued,
-    /// At least one block has been dispatched.
-    Running,
-    /// All blocks done and verification passed; `wait()` will return
-    /// the results.
-    Completed,
-    /// The job failed; `wait()` will return the error.
-    Failed,
-    /// The job was cancelled; `wait()` will return
-    /// [`RuntimeError::Cancelled`].
-    Cancelled,
-}
-
 /// How a job ended: its results (one probability per sample, dataset
 /// order) or why there are none — [`RuntimeError::Cancelled`] for a
-/// cancelled job.
+/// job its scheduler shut down.
 pub type JobResult = Result<Vec<f64>, RuntimeError>;
 
 /// Takes a job's outcome in place of a [`JobHandle::wait`] caller (see
@@ -71,7 +53,7 @@ type Consumer = Box<dyn FnOnce(JobResult) + Send>;
 /// result waiting for [`JobHandle::wait`] (`None` once consumed).
 enum Phase {
     Active(Option<Consumer>),
-    Done(JobOutcome, Option<JobResult>),
+    Done(Option<JobResult>),
 }
 
 /// One submitted job; where its blocks are is the dispatch state's.
@@ -84,18 +66,15 @@ struct JobState {
     executor: Arc<dyn BlockExecutor>,
     /// How its results are produced: backend plus plan-cache state.
     provenance: ExecProvenance,
-    /// Blocks completed successfully (read lock-free by the handle).
-    blocks_done: AtomicU64,
     /// Result accumulator, one slot per sample.
     results: Mutex<Vec<f64>>,
     completion: Mutex<Phase>,
     done_cv: Condvar,
 }
 
-/// Handle to a submitted job: wait, poll, inspect progress, cancel.
+/// Handle to a submitted job: its id, and `wait` for its outcome.
 pub struct JobHandle {
     job: Arc<JobState>,
-    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for JobHandle {
@@ -123,45 +102,12 @@ impl JobHandle {
             self.job.done_cv.wait(&mut phase);
         }
         match &mut *phase {
-            Phase::Done(_, result) => result.take().unwrap_or_else(|| {
+            Phase::Done(result) => result.take().unwrap_or_else(|| {
                 Err(RuntimeError::InvalidConfig {
                     reason: "the job's outcome went to its completion consumer".into(),
                 })
             }),
             Phase::Active(_) => unreachable!("loop exits only on terminal phase"),
-        }
-    }
-
-    /// Non-blocking status probe.
-    pub fn poll(&self) -> JobStatus {
-        let started = || {
-            self.job.blocks_done.load(Ordering::Relaxed) > 0
-                || self.shared.state.lock().dispatched(self.job.id)
-        };
-        match &*self.job.completion.lock() {
-            Phase::Active(_) if started() => JobStatus::Running,
-            Phase::Active(_) => JobStatus::Queued,
-            Phase::Done(JobOutcome::Completed, _) => JobStatus::Completed,
-            Phase::Done(JobOutcome::Failed, _) => JobStatus::Failed,
-            Phase::Done(JobOutcome::Cancelled, _) => JobStatus::Cancelled,
-        }
-    }
-
-    /// `(blocks_done, blocks_total)` — the progress bar numbers.
-    pub fn progress(&self) -> (u64, u64) {
-        (
-            self.job.blocks_done.load(Ordering::Relaxed),
-            self.job.blocks.len() as u64,
-        )
-    }
-
-    /// Ask the scheduler to abandon the job. Unclaimed blocks are never
-    /// dispatched; blocks already executing run to completion (freeing
-    /// their device buffers as always) and then the job finalises as
-    /// [`JobStatus::Cancelled`], unblocking `wait()`.
-    pub fn cancel(&self) {
-        if self.shared.state.lock().cancel(self.job.id) {
-            publish(&self.shared, &self.job, Err(RuntimeError::Cancelled));
         }
     }
 }
@@ -267,11 +213,6 @@ impl Scheduler {
         &self.shared.device
     }
 
-    /// The scheduler's runtime configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.shared.config
-    }
-
     /// The live metrics registry.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.shared.metrics
@@ -296,12 +237,6 @@ impl Scheduler {
     /// live queue depth a serving layer polls for admission control.
     pub fn queue_depth(&self) -> usize {
         self.shared.state.lock().len()
-    }
-
-    /// Samples belonging to accepted, not-yet-terminal jobs (the
-    /// work-weighted companion of [`Scheduler::queue_depth`]).
-    pub fn samples_in_flight(&self) -> u64 {
-        self.shared.metrics.samples_in_flight()
     }
 
     /// Graceful drain: refuse all further submissions (they get
@@ -343,14 +278,14 @@ impl Scheduler {
     /// on. `then` runs exactly once: with the refusal, right here, when
     /// the submission is refused (`None` is returned); otherwise on
     /// whichever thread makes the job terminal — the control thread
-    /// that finished its last block, a [`JobHandle::cancel`] caller,
-    /// the thread dropping the scheduler, or, for a zero-sample job,
+    /// that finished its last block, the thread dropping the
+    /// scheduler, or, for a zero-sample job,
     /// the submitter. It runs with no scheduler lock held, but it *is*
     /// a PE's control thread standing still: keep it short, and never
     /// submit from it (a blocking submit against a full queue waits for
-    /// space that only control threads free). The returned handle can
-    /// still `cancel`, `poll` and report `progress`. The caller may
-    /// park here, for queue space; in [`Scheduler::submit_then`] never.
+    /// space that only control threads free). The returned handle
+    /// still names the job's id. The caller may park here, for queue
+    /// space; in [`Scheduler::submit_then`] never.
     pub fn submit_blocking_then(
         &self,
         data: Arc<Dataset>,
@@ -428,7 +363,6 @@ impl Scheduler {
                 opts,
                 executor,
                 provenance,
-                blocks_done: AtomicU64::new(0),
                 results: Mutex::new(vec![0.0f64; total]),
                 completion: Mutex::new(Phase::Active(consumer.take())),
                 done_cv: Condvar::new(),
@@ -459,10 +393,7 @@ impl Scheduler {
             Admitted::Wake(wake) => self.shared.wake(&wake),
             Admitted::StandIn(w) => process_block(&self.shared, w, &job, 0, true),
         }
-        Ok(JobHandle {
-            job,
-            shared: Arc::clone(&self.shared),
-        })
+        Ok(JobHandle { job })
     }
 }
 
@@ -560,7 +491,6 @@ fn process_block(shared: &Shared, w: usize, job: &JobState, idx: usize, lent: bo
     let finished = st.block_done(job.id, ran, lent.then_some(w));
     if finished.counted {
         shared.metrics.block_executed();
-        job.blocks_done.fetch_add(1, Ordering::Relaxed);
     }
     drop(st);
     if finished.wake {
@@ -591,13 +521,13 @@ fn publish(shared: &Shared, job: &JobState, result: JobResult) {
         .job_finished(outcome, job.data.num_samples() as u64);
     shared.space_cv.notify_all();
     let mut phase = job.completion.lock();
-    match std::mem::replace(&mut *phase, Phase::Done(outcome, None)) {
+    match std::mem::replace(&mut *phase, Phase::Done(None)) {
         Phase::Active(Some(consume)) => {
             drop(phase);
             consume(result);
         }
         Phase::Active(None) => {
-            *phase = Phase::Done(outcome, Some(result));
+            *phase = Phase::Done(Some(result));
             drop(phase);
             job.done_cv.notify_all();
         }
@@ -664,6 +594,7 @@ mod tests {
     use spn_core::{Evaluator, NipsBenchmark};
     use spn_hw::{AcceleratorConfig, DatapathProgram};
     use spn_telemetry::SpanKind;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn device(pes: u32) -> (Arc<VirtualDevice>, NipsBenchmark) {
         let (dev, bench) = unshared_device(pes);
@@ -728,7 +659,7 @@ mod tests {
         let sched = Scheduler::new(dev, config(64, 1)).unwrap();
         let data = Arc::new(bench.dataset(0, 1));
         let handle = sched.submit(data, JobOptions::default()).unwrap();
-        assert_eq!(handle.poll(), JobStatus::Completed);
+        assert_eq!(sched.metrics_snapshot().jobs_completed, 1);
         assert!(handle.wait().unwrap().is_empty());
         assert_eq!(sched.metrics_snapshot().jobs_completed, 1);
     }
@@ -760,7 +691,6 @@ mod tests {
             Ok(h) => {
                 // Job 1 already drained — should be impossible at 1250
                 // blocks; clean up so the assert below reports it.
-                h.cancel();
                 let _ = h.wait();
                 false
             }
@@ -927,16 +857,18 @@ mod tests {
         let mut jobs = 0;
         while sched.metrics_snapshot().pe_busy_secs.contains(&0.0) {
             assert!(jobs < 50, "a PE ran no block of {jobs} two-block jobs");
+            let blocks = || sched.metrics_snapshot().blocks_executed;
+            let before = blocks();
             let host = sched
                 .submit(Arc::clone(&data), backend(ExecBackend::HostPlan))
                 .unwrap();
-            assert_eq!(host.progress().1, 2);
             assert_eq!(bits(&host.wait().unwrap()), want);
+            assert_eq!(blocks() - before, 2);
             let device = sched
                 .submit(Arc::clone(&data), JobOptions::default())
                 .unwrap();
-            assert_eq!(device.progress().1, 2);
             assert_eq!(bits(&device.wait().unwrap()), golden);
+            assert_eq!(blocks() - before, 4);
             jobs += 2;
         }
         assert_eq!(sched.metrics_snapshot().blocks_executed, 2 * jobs);
@@ -1088,19 +1020,19 @@ mod tests {
         let (dev, bench) = unshared_device(1);
         let dev = Arc::new(dev.with_pacing(Duration::from_micros(1)));
         let sched = Scheduler::new(dev, config(16, 1)).unwrap();
+        let samples_in_flight = || sched.metrics_snapshot().samples_in_flight;
         assert_eq!(sched.queue_depth(), 0);
-        assert_eq!(sched.samples_in_flight(), 0);
+        assert_eq!(samples_in_flight(), 0);
         let data = Arc::new(bench.dataset(30_000, 3));
         let h = sched
             .submit(Arc::clone(&data), JobOptions::default())
             .unwrap();
         // While the job runs, both gauges are live and non-zero.
         assert_eq!(sched.queue_depth(), 1);
-        assert_eq!(sched.samples_in_flight(), 30_000);
+        assert_eq!(samples_in_flight(), 30_000);
         h.wait().unwrap();
         assert_eq!(sched.queue_depth(), 0);
-        assert_eq!(sched.samples_in_flight(), 0);
-        assert_eq!(sched.metrics_snapshot().samples_in_flight, 0);
+        assert_eq!(samples_in_flight(), 0);
     }
 
     #[test]
@@ -1178,7 +1110,10 @@ mod tests {
         assert!(sched.trace().is_some());
         let ctx = spn_telemetry::SpanCtx::mint();
         let data = Arc::new(bench.dataset(130, 5));
-        let opts = JobOptions::builder().ctx(ctx).build().unwrap();
+        let opts = JobOptions {
+            ctx,
+            ..JobOptions::default()
+        };
         sched
             .submit(Arc::clone(&data), opts)
             .unwrap()
@@ -1203,10 +1138,10 @@ mod tests {
     /// Regression test: `Drop` set `shutdown` and notified outside the
     /// state lock, so a control thread between its read of the flag and
     /// its `wait` — one just back from a block — slept through the
-    /// wake-everyone and `drop` hung in `join`. Polling (not waiting)
-    /// for a one-block job and dropping the moment it completes puts
-    /// the drop beside that thread's return to the lock; 3000 rounds
-    /// hung the old ordering in two runs of three.
+    /// wake-everyone and `drop` hung in `join`. Spinning (not waiting)
+    /// on a one-block job's consumer and dropping the moment it runs
+    /// puts the drop beside that thread's return to the lock; 3000
+    /// rounds hung the old ordering in two runs of three.
     #[test]
     fn drop_never_misses_a_control_thread_about_to_park() {
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1215,10 +1150,14 @@ mod tests {
             let data = Arc::new(bench.dataset(1, 9));
             for _ in 0..3000 {
                 let sched = Scheduler::new(Arc::clone(&dev), config(64, 2)).unwrap();
-                let handle = sched
-                    .submit(Arc::clone(&data), JobOptions::default())
-                    .unwrap();
-                while handle.poll() != JobStatus::Completed {
+                let done = Arc::new(AtomicBool::new(false));
+                let flag = Arc::clone(&done);
+                sched
+                    .submit_then(Arc::clone(&data), JobOptions::default(), move |r| {
+                        flag.store(r.is_ok(), Ordering::Release)
+                    })
+                    .expect("accepted");
+                while !done.load(Ordering::Acquire) {
                     std::hint::spin_loop();
                 }
                 drop(sched);

@@ -32,13 +32,6 @@ impl StreamingModel {
     pub fn peak_rate(&self, bench: NipsBenchmark) -> f64 {
         self.line_rate.bytes_per_sec() / bench.total_bytes_per_sample() as f64
     }
-
-    /// How far a measured end-to-end rate sits below the streaming peak
-    /// (the paper's "about 17% increased performance" comparison,
-    /// returned as `streaming/measured - 1`).
-    pub fn advantage_over(&self, bench: NipsBenchmark, measured_rate: f64) -> f64 {
-        self.peak_rate(bench) / measured_rate - 1.0
-    }
 }
 
 /// Simulation of the streaming datapath behind the analytic model:
@@ -95,9 +88,7 @@ pub fn simulate_streaming(
         * bench.input_bytes_per_sample().div_ceil(64).max(1);
     let frame_work = per_sample * cfg.samples_per_frame as u64;
 
-    let mut cores: Vec<Timeline> = (0..cfg.replication)
-        .map(|_| Timeline::new("stream"))
-        .collect();
+    let mut cores: Vec<Timeline> = (0..cfg.replication).map(|_| Timeline::default()).collect();
     let mut arrival = SimTime::ZERO;
     let mut makespan = SimTime::ZERO;
     let mut sent = 0u64;
@@ -151,7 +142,7 @@ mod tests {
     #[test]
     fn streaming_beats_measured_hbm_by_about_17_percent() {
         let m = StreamingModel::paper_100g();
-        let adv = m.advantage_over(NipsBenchmark::Nips80, calib::PAPER_NIPS80_PEAK);
+        let adv = m.peak_rate(NipsBenchmark::Nips80) / calib::PAPER_NIPS80_PEAK - 1.0;
         assert!(
             (adv - 0.17).abs() < 0.05,
             "streaming advantage {adv} should be ~17%"

@@ -10,7 +10,6 @@
 use crate::protocol::{
     decode_results, encode_frame, read_frame, Frame, InferFields, Opcode, Status, WireError,
 };
-use spn_telemetry::TelemetrySnapshot;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -176,14 +175,6 @@ impl Client {
         let response = self.control(Opcode::Stats)?;
         String::from_utf8(response.payload)
             .map_err(|_| ClientError::Wire("stats payload is not UTF-8".into()))
-    }
-
-    /// Fetch and parse the server's metrics document into a typed
-    /// [`TelemetrySnapshot`].
-    pub fn telemetry(&mut self) -> Result<TelemetrySnapshot, ClientError> {
-        let json = self.stats()?;
-        TelemetrySnapshot::from_json(&json)
-            .map_err(|e| ClientError::Wire(format!("stats payload is not valid telemetry: {e}")))
     }
 
     /// Ask the server to drain and stop. The server acknowledges

@@ -70,7 +70,7 @@ impl ServerMetrics {
     }
 
     /// An `Infer` request passed admission control.
-    pub fn request_admitted(&self, samples: u64) {
+    pub(crate) fn request_admitted(&self, samples: u64) {
         self.requests_total.fetch_add(1, Ordering::Relaxed);
         self.samples_total.fetch_add(samples, Ordering::Relaxed);
         self.inflight_samples.fetch_add(samples, Ordering::Relaxed);
@@ -78,7 +78,7 @@ impl ServerMetrics {
 
     /// An admitted request was answered (any status); drops the
     /// in-flight gauge and records end-to-end latency.
-    pub fn request_done(&self, samples: u64, e2e: Duration) {
+    pub(crate) fn request_done(&self, samples: u64, e2e: Duration) {
         self.inflight_samples.fetch_sub(samples, Ordering::Relaxed);
         self.e2e_latency.record_duration(e2e);
     }
@@ -101,7 +101,7 @@ impl ServerMetrics {
 
     /// The batcher flushed a micro-batch of `samples` samples; each
     /// member request waited `waits[i]` in the queue.
-    pub fn batch_flushed(&self, samples: u64, waits: &[Duration]) {
+    pub(crate) fn batch_flushed(&self, samples: u64, waits: &[Duration]) {
         self.batches_total.fetch_add(1, Ordering::Relaxed);
         self.batch_samples.record(samples as f64);
         for w in waits {
@@ -110,8 +110,8 @@ impl ServerMetrics {
     }
 
     /// Samples admitted and not yet answered (the admission-control
-    /// gauge, mirroring [`spn_runtime::Scheduler::samples_in_flight`]
-    /// one layer up).
+    /// gauge, mirroring the scheduler's `samples_in_flight` one layer
+    /// up).
     pub(crate) fn inflight_samples(&self) -> u64 {
         self.inflight_samples.load(Ordering::Relaxed)
     }
@@ -329,5 +329,57 @@ mod tests {
         assert_eq!(snap.requests_total, 4000);
         assert_eq!(snap.e2e_seconds.count, 4000);
         assert_eq!(snap.inflight_samples, 0);
+    }
+
+    /// The server snapshot's key order is pinned (spot-checked as a
+    /// golden prefix plus ordered-key scan; histogram leaves vary with
+    /// timing, so they are checked structurally).
+    #[test]
+    fn server_metrics_snapshot_golden_layout() {
+        let m = ServerMetrics::new();
+        m.request_admitted(8);
+        m.batch_flushed(8, &[Duration::from_millis(1)]);
+        m.request_done(8, Duration::from_millis(2));
+        let json = m.snapshot().to_json();
+
+        let golden_prefix = "\
+{
+  \"requests_total\": 1,
+  \"samples_total\": 8,
+  \"batches_total\": 1,
+  \"inflight_samples\": 0,
+  \"rejected_malformed\": 0,
+  \"rejected_unknown_model\": 0,
+  \"rejected_shape_mismatch\": 0,
+  \"rejected_server_busy\": 0,
+  \"rejected_deadline\": 0,
+  \"rejected_shutting_down\": 0,
+  \"rejected_internal\": 0,
+  \"batch_samples\": {
+";
+        assert!(json.starts_with(golden_prefix), "layout drifted:\n{json}");
+
+        // The whole document parses, with the expected structure.
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(v["requests_total"], 1u64);
+        assert_eq!(v["batch_samples"]["count"], 1u64);
+        assert_eq!(v["queue_wait_seconds"]["count"], 1u64);
+        assert_eq!(v["e2e_seconds"]["count"], 1u64);
+        assert!(v["e2e_seconds"]["p99"].as_f64().unwrap() > 0.0);
+
+        // Histogram sub-objects appear in their pinned order, each with
+        // its summary keys in declaration order.
+        let mut last = 0usize;
+        for key in ["batch_samples", "queue_wait_seconds", "e2e_seconds"] {
+            let at = json.find(&format!("\"{key}\"")).unwrap();
+            assert!(at > last, "key {key} out of order");
+            last = at;
+        }
+        for key in ["count", "mean", "p50", "p95", "p99", "max"] {
+            assert!(
+                v["e2e_seconds"][key].as_f64().is_some(),
+                "missing leaf {key}"
+            );
+        }
     }
 }

@@ -753,7 +753,11 @@ mod tests {
             ctx: SpanCtx::NONE,
         };
         let mut got = InferRequest::decode(&req.encode()).unwrap();
-        assert!(got.ctx.trace_id.is_some(), "decode mints a trace context");
+        assert_ne!(
+            got.ctx.trace_id,
+            spn_telemetry::TraceId::NONE,
+            "decode mints a trace context"
+        );
         let other = InferRequest::decode(&req.encode()).unwrap();
         assert_ne!(got.ctx, other.ctx, "every decode gets a fresh context");
         got.ctx = req.ctx; // the wire fields themselves round-trip

@@ -181,7 +181,7 @@ impl ReplayReport {
 /// the recorded timeline, then speed-scale. Monotone per connection
 /// for any fixed config (burst collapse and integer scaling both
 /// preserve order).
-pub fn effective_arrival_ns(arrival_ns: u64, cfg: &ReplayConfig) -> u64 {
+pub(crate) fn effective_arrival_ns(arrival_ns: u64, cfg: &ReplayConfig) -> u64 {
     let adjusted = match cfg.burst {
         Some(b) => {
             // Both fields are user input (`--burst-start-ms`,

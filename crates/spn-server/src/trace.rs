@@ -336,7 +336,7 @@ impl Trace {
     }
 
     /// Wall-clock span of the recorded arrivals.
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.records.iter().map(|r| r.arrival_ns).max().unwrap_or(0)
     }
 

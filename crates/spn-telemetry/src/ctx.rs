@@ -30,11 +30,6 @@ impl TraceId {
     pub(crate) fn mint() -> TraceId {
         TraceId(NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed))
     }
-
-    /// True when this is a real request id (not [`TraceId::NONE`]).
-    pub fn is_some(self) -> bool {
-        self != TraceId::NONE
-    }
 }
 
 impl std::fmt::Display for TraceId {
@@ -76,8 +71,7 @@ mod tests {
         let a = TraceId::mint();
         let b = TraceId::mint();
         assert_ne!(a, b);
-        assert!(a.is_some() && b.is_some());
-        assert!(!TraceId::NONE.is_some());
+        assert!(a != TraceId::NONE && b != TraceId::NONE);
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl AtomicHistogram {
         self.buckets.iter().map(|b| b.load(Relaxed)).collect()
     }
 
-    /// Number of recorded samples (sum over all buckets).
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Relaxed)).sum()
-    }
-
     /// Six-number summary (all-zero when empty) — the form embedded in
     /// [`crate::TelemetrySnapshot`].
     pub fn summary(&self) -> HistogramSummary {
@@ -119,7 +114,7 @@ mod tests {
         for i in 1..=1000 {
             h.record(i as f64);
         }
-        assert_eq!(h.count(), 1000);
+        assert_eq!(h.summary().count, 1000);
         let s = h.summary();
         assert!((450.0..600.0).contains(&s.p50), "p50 {}", s.p50);
         assert!((900.0..1150.0).contains(&s.p99), "p99 {}", s.p99);
@@ -134,7 +129,7 @@ mod tests {
         h.record(1e9); // clamps into last bucket
         h.record(f64::NAN); // ignored
         h.record(f64::INFINITY); // ignored
-        assert_eq!(h.count(), 2);
+        assert_eq!(h.summary().count, 2);
         let s = h.summary();
         assert_eq!(s.p50, 1.0); // underflow reports min
         assert_eq!(s.p99, 1e9); // top bucket reports the exact max
@@ -144,7 +139,7 @@ mod tests {
     #[test]
     fn empty_summary_is_zero() {
         let h = AtomicHistogram::latency();
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.summary().count, 0);
         assert_eq!(h.summary(), HistogramSummary::default());
     }
 

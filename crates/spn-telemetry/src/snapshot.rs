@@ -246,11 +246,6 @@ impl TelemetrySnapshot {
     pub fn to_json(&self) -> String {
         to_json_doc(self)
     }
-
-    /// Parse a document produced by [`TelemetrySnapshot::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
-    }
 }
 
 /// Shared rendering: pretty JSON with a trailing newline (the snapshot
@@ -294,7 +289,7 @@ mod tests {
             },
         );
         let json = snap.to_json();
-        let back = TelemetrySnapshot::from_json(&json).unwrap();
+        let back = serde_json::from_str::<TelemetrySnapshot>(&json).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.schema, TELEMETRY_SCHEMA_VERSION);
     }

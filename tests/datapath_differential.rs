@@ -66,8 +66,7 @@ fn assert_batch_matches_reference(cfg: &RandomSpnConfig, format: AnyFormat, batc
         assert_eq!(
             got.to_bits(),
             want.to_bits(),
-            "row {i} {row:?} of {batch} in {}: batch {got} vs reference {want}",
-            format.describe()
+            "row {i} {row:?} of {batch} in {format:?}: batch {got} vs reference {want}"
         );
     }
 }

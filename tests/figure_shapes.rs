@@ -125,6 +125,7 @@ fn outlook_shape() {
 #[test]
 fn streaming_shape() {
     let m = spn_runtime::StreamingModel::paper_100g();
-    let adv = m.advantage_over(NipsBenchmark::Nips80, spn_hw::calib::PAPER_NIPS80_PEAK);
+    // The paper's "about 17% increased performance": streaming/measured - 1.
+    let adv = m.peak_rate(NipsBenchmark::Nips80) / spn_hw::calib::PAPER_NIPS80_PEAK - 1.0;
     assert!((0.12..0.25).contains(&adv), "advantage {adv}");
 }

@@ -184,7 +184,8 @@ fn conformance_table(addr: SocketAddr) -> Vec<(&'static str, Observed)> {
     );
     assert_eq!(seen.replies.len(), 1, "stats: {seen:?}");
     let json = String::from_utf8(std::mem::take(&mut seen.replies[0].payload)).unwrap();
-    let snapshot = TelemetrySnapshot::from_json(&json).expect("stats is a telemetry document");
+    let snapshot =
+        serde_json::from_str::<TelemetrySnapshot>(&json).expect("stats is a telemetry document");
     assert_eq!(snapshot.schema, TELEMETRY_SCHEMA_VERSION);
     assert_eq!(seen.replies[0].status, Status::Ok);
     assert!(!seen.closed, "stats closed the connection");

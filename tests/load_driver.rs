@@ -6,10 +6,9 @@
 //! in flight per lane).
 
 use spn_server::protocol::{encode_results, read_frame, write_frame};
-use spn_server::replay::effective_arrival_ns;
 use spn_server::{
-    digest_bytes, digest_lls, replay, run_load, synthetic_samples, Frame, InferRequest, LoadConfig,
-    Opcode, ReplayConfig, Status, Trace, TraceRecord,
+    digest_bytes, digest_lls, replay, run_load, scaled_arrival_ns, synthetic_samples, Frame,
+    InferRequest, LoadConfig, Opcode, ReplayConfig, Status, Trace, TraceRecord,
 };
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -263,7 +262,8 @@ fn replay_fires_at_recorded_offsets_one_request_in_flight_per_lane() {
         assert!(rep.is_faithful(), "speed {speed}: {}", rep.summary());
 
         for r in &trace.records {
-            let earliest = t_call + Duration::from_nanos(effective_arrival_ns(r.arrival_ns, &cfg));
+            let earliest =
+                t_call + Duration::from_nanos(scaled_arrival_ns(r.arrival_ns, cfg.speed));
             assert!(
                 echo.received(&r.model) >= earliest,
                 "speed {speed}: {} received before its fire time",

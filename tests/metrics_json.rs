@@ -7,122 +7,11 @@
 //! consciously update the golden text *and* bump
 //! `TELEMETRY_SCHEMA_VERSION`.
 
-use spn_runtime::{JobOutcome, MetricsRegistry, MetricsSnapshot};
-use spn_server::{HistogramSummary, ServerMetrics};
+use spn_server::HistogramSummary;
 use spn_telemetry::{
     BatcherTelemetry, ModelTelemetry, PlanTelemetry, ReactorTelemetry, SchedulerTelemetry,
     ServingTelemetry, TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION,
 };
-use std::time::Duration;
-
-/// The scheduler snapshot serialises byte-for-byte to the golden
-/// document (including the `samples_in_flight` gauge between
-/// `jobs_in_flight` and `queue_high_watermark`).
-#[test]
-fn scheduler_metrics_snapshot_golden_json() {
-    let reg = MetricsRegistry::new(2);
-    reg.job_submitted(100);
-    reg.job_submitted(50);
-    reg.job_finished(JobOutcome::Completed, 100);
-    reg.block_executed();
-    reg.block_executed();
-    reg.block_retried();
-    reg.add_h2d_bytes(4096);
-    reg.add_d2h_bytes(1024);
-    reg.add_pe_busy(0, Duration::from_millis(500));
-
-    let golden = "\
-{
-  \"jobs_submitted\": 2,
-  \"jobs_completed\": 1,
-  \"jobs_failed\": 0,
-  \"jobs_cancelled\": 0,
-  \"blocks_executed\": 2,
-  \"block_retries\": 1,
-  \"h2d_bytes\": 4096,
-  \"d2h_bytes\": 1024,
-  \"jobs_in_flight\": 1,
-  \"samples_in_flight\": 50,
-  \"queue_high_watermark\": 2,
-  \"pe_busy_secs\": [
-    0.5,
-    0.0
-  ]
-}
-";
-    assert_eq!(reg.snapshot().to_json(), golden);
-}
-
-/// The emitted JSON round-trips through the serde path (the same one
-/// `spn accelerate --metrics out.json` consumers use).
-#[test]
-fn scheduler_metrics_snapshot_round_trips_through_serde_json() {
-    let reg = MetricsRegistry::new(3);
-    reg.job_submitted(10);
-    reg.job_finished(JobOutcome::Failed, 10);
-    reg.add_pe_busy(2, Duration::from_micros(1234));
-    let snap = reg.snapshot();
-
-    let parsed: MetricsSnapshot = serde_json::from_str(&snap.to_json()).unwrap();
-    assert_eq!(parsed, snap);
-
-    // And through the compact serialiser as well.
-    let via_derive = serde_json::to_string(&snap).unwrap();
-    let reparsed: MetricsSnapshot = serde_json::from_str(&via_derive).unwrap();
-    assert_eq!(reparsed, snap);
-}
-
-/// The server snapshot's key order is pinned (spot-checked as a
-/// golden prefix plus ordered-key scan; histogram leaves vary with
-/// timing, so they are checked structurally).
-#[test]
-fn server_metrics_snapshot_golden_layout() {
-    let m = ServerMetrics::new();
-    m.request_admitted(8);
-    m.batch_flushed(8, &[Duration::from_millis(1)]);
-    m.request_done(8, Duration::from_millis(2));
-    let json = m.snapshot().to_json();
-
-    let golden_prefix = "\
-{
-  \"requests_total\": 1,
-  \"samples_total\": 8,
-  \"batches_total\": 1,
-  \"inflight_samples\": 0,
-  \"rejected_malformed\": 0,
-  \"rejected_unknown_model\": 0,
-  \"rejected_shape_mismatch\": 0,
-  \"rejected_server_busy\": 0,
-  \"rejected_deadline\": 0,
-  \"rejected_shutting_down\": 0,
-  \"rejected_internal\": 0,
-  \"batch_samples\": {
-";
-    assert!(json.starts_with(golden_prefix), "layout drifted:\n{json}");
-
-    // The whole document parses, with the expected structure.
-    let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-    assert_eq!(v["requests_total"], 1u64);
-    assert_eq!(v["batch_samples"]["count"], 1u64);
-    assert_eq!(v["queue_wait_seconds"]["count"], 1u64);
-    assert_eq!(v["e2e_seconds"]["count"], 1u64);
-    assert!(v["e2e_seconds"]["p99"].as_f64().unwrap() > 0.0);
-
-    // Histogram sub-objects appear in their pinned order, each with
-    // its summary keys in declaration order.
-    let mut last = 0usize;
-    for key in ["batch_samples", "queue_wait_seconds", "e2e_seconds"] {
-        let at = json.find(&format!("\"{key}\"")).unwrap();
-        assert!(at > last, "key {key} out of order");
-        last = at;
-    }
-    for key in ["count", "mean", "p50", "p95", "p99", "max"] {
-        assert!(
-            v["e2e_seconds"][key].as_f64().is_some(),
-            "missing leaf {key}"
-        );
-    }
-}
 
 fn summary_fixture(count: u64, value: f64) -> HistogramSummary {
     HistogramSummary {
@@ -286,7 +175,7 @@ fn telemetry_snapshot_golden_json() {
     assert_eq!(snap.to_json(), golden);
 
     // And the golden text parses back to the identical document.
-    let back = TelemetrySnapshot::from_json(golden).unwrap();
+    let back = serde_json::from_str::<TelemetrySnapshot>(golden).unwrap();
     assert_eq!(back, snap);
 
     // A v5 document still parses: its `shard` section (scope-sharded
@@ -296,7 +185,7 @@ fn telemetry_snapshot_golden_json() {
         "\"router\": null,\n  \"shard\": {\n    \"shard_sets\": 1,\n    \"shards\": 4,\n    \"sharded_blocks\": 6\n  },\n",
     );
     assert!(v5.contains("\"sharded_blocks\": 6"));
-    let old = TelemetrySnapshot::from_json(&v5).unwrap();
+    let old = serde_json::from_str::<TelemetrySnapshot>(&v5).unwrap();
     assert_eq!(old.schema, 5);
     assert_eq!(TelemetrySnapshot { schema: 6, ..old }, snap);
 
@@ -308,6 +197,6 @@ fn telemetry_snapshot_golden_json() {
             ",\n  \"reactor\": {\n    \"loop_threads\": 2,\n    \"loop_iterations\": 90,\n    \"readiness_events\": 120,\n    \"open_connections\": 3,\n    \"peak_connections\": 11,\n    \"accepted_total\": 40,\n    \"rejected_at_accept\": 1,\n    \"idle_closed\": 2,\n    \"accept_backlog\": 0\n  }",
             "",
         );
-    let old = TelemetrySnapshot::from_json(&pre_v4).unwrap();
+    let old = serde_json::from_str::<TelemetrySnapshot>(&pre_v4).unwrap();
     assert_eq!(old.reactor, None);
 }

@@ -793,10 +793,14 @@ fn plan_cache_invalidation_forces_recompile() {
     let cache = PlanCache::new();
     let (plan_a, _) = cache.get_or_compile(&a);
     cache.get_or_compile(&b);
-    assert_eq!(cache.len(), 2);
+    assert_eq!(cache.telemetry().cached_plans, 2);
 
     cache.invalidate(&a);
-    assert_eq!(cache.len(), 1, "only the invalidated entry is evicted");
+    assert_eq!(
+        cache.telemetry().cached_plans,
+        1,
+        "only the invalidated entry is evicted"
+    );
     let (plan_a2, hit) = cache.get_or_compile(&a);
     assert!(!hit, "recompiles after invalidation");
     assert!(!Arc::ptr_eq(&plan_a, &plan_a2));

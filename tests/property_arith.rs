@@ -3,7 +3,7 @@
 //! values.
 
 use proptest::prelude::*;
-use spn_arith::{CfpFormat, LnsFormat, PositFormat, Rounding};
+use spn_arith::{CfpFormat, LnsFormat, PositFormat, Rounding, SpnNumber};
 
 /// Positive finite doubles in the probability-product range.
 fn probs() -> impl Strategy<Value = f64> {
@@ -105,10 +105,10 @@ proptest! {
     #[test]
     fn zero_is_absorbing(x in probs()) {
         let cfp = CfpFormat::paper_default();
-        prop_assert!(cfp.mul(cfp.from_f64(x), spn_arith::Cfp::ZERO).is_zero());
+        prop_assert_eq!(cfp.mul(cfp.from_f64(x), spn_arith::Cfp::ZERO), spn_arith::Cfp::ZERO);
         let lns = LnsFormat::paper_default();
-        prop_assert!(lns.mul(lns.from_f64(x), spn_arith::Lns::ZERO).is_zero());
+        prop_assert!(lns.mul(lns.from_f64(x), spn_arith::Lns::ZERO).zero);
         let posit = PositFormat::paper_default();
-        prop_assert!(posit.mul(posit.from_f64(x), spn_arith::Posit::ZERO).is_zero());
+        prop_assert_eq!(posit.mul(posit.from_f64(x), spn_arith::Posit::ZERO), spn_arith::Posit::ZERO);
     }
 }

@@ -176,9 +176,16 @@ fn replay_through_router_failover_conserves_requests() {
     // Slow the replay down 4x so the mid-replay kill lands mid-replay.
     let mut rcfg = ReplayConfig::new(router.local_addr());
     rcfg.speed = 0.25;
-    let replay_ns = spn_server::scaled_arrival_ns(trace.duration_ns(), rcfg.speed);
+    let trace_span_ns = trace
+        .records
+        .iter()
+        .map(|r| r.arrival_ns)
+        .max()
+        .unwrap_or(0);
+    let replay_ns = spn_server::scaled_arrival_ns(trace_span_ns, rcfg.speed);
 
-    let victim = router.replicas(bench.name())[0];
+    let backends: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    let victim = spn_router::HashRing::new(&backends).replicas(bench.name(), 2)[0];
     let trace2 = trace.clone();
     let handle = std::thread::spawn(move || replay(&trace2, &rcfg));
     std::thread::sleep(Duration::from_nanos(replay_ns / 3));

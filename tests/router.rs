@@ -8,7 +8,7 @@
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_router::{HealthPolicy, RouterConfig, SpnRouter};
+use spn_router::{HashRing, HealthPolicy, RouterConfig, SpnRouter};
 use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
     protocol, BatchPolicy, Client, ModelSpec, Opcode, ServerConfig, SpnServer, Status,
@@ -95,6 +95,17 @@ fn start_router(backends: &[&SpnServer], replication: usize) -> SpnRouter {
         ..RouterConfig::default()
     })
     .unwrap()
+}
+
+/// The backends (indices into `backends`) a router over `backends` at
+/// `replication` places `model` on, primary first: the router's own
+/// ring, built from the same addresses.
+fn replicas(backends: &[&SpnServer], model: &str, replication: usize) -> Vec<usize> {
+    let addrs: Vec<String> = backends
+        .iter()
+        .map(|s| s.local_addr().to_string())
+        .collect();
+    HashRing::new(&addrs).replicas(model, replication)
 }
 
 /// Ground truth: log-likelihoods for the dataset from a direct
@@ -185,7 +196,7 @@ fn killing_one_replica_under_load_loses_no_requests() {
 
     // Kill the model's *primary* replica, so post-kill requests that
     // still prefer it must fail over to the surviving replica.
-    let victim = router.replicas(bench.name())[0];
+    let victim = replicas(&refs, bench.name(), 2)[0];
 
     const WORKERS: usize = 2;
     const ROWS: usize = 4;
@@ -581,7 +592,7 @@ fn a_cold_router_probes_nothing_before_its_first_interval() {
         let reactor = backends[i].telemetry_snapshot().reactor.unwrap();
         reactor.accepted_total
     };
-    let replicas = router.replicas(bench.name());
+    let replicas = replicas(&backends.iter().collect::<Vec<_>>(), bench.name(), 2);
     assert_eq!(accepted(replicas[0]), 1, "the primary");
     assert_eq!(accepted(replicas[1]), 0, "the other replica was probed");
 }
@@ -619,7 +630,8 @@ fn a_backend_dead_at_start_costs_the_first_request_one_failover() {
         ..RouterConfig::default()
     })
     .unwrap();
-    let model = names.iter().find(|n| router.replicas(n)[0] == 1).unwrap();
+    let ring = HashRing::new(&[live.local_addr().to_string(), dead_addr.clone()]);
+    let model = names.iter().find(|n| ring.replicas(n, 2)[0] == 1).unwrap();
 
     let row = bench.dataset(1, 3);
     let mut client = Client::connect(router.local_addr()).unwrap();
@@ -674,7 +686,8 @@ fn router_stats_over_the_wire() {
     assert!(v["router"]["e2e_seconds"]["count"].as_u64() == Some(1));
 
     // Typed path: the same document through `TelemetrySnapshot`.
-    let snap = client.telemetry().unwrap();
+    let snap =
+        serde_json::from_str::<spn_telemetry::TelemetrySnapshot>(&client.stats().unwrap()).unwrap();
     let r = snap.router.expect("typed router section");
     assert_eq!(r.requests_total, 1);
     assert_eq!(r.backends.len(), 2);
